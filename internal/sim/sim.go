@@ -29,10 +29,11 @@
 // scheduler is dispatching. Control methods (CrashAtEvent, CrashAfter,
 // CrashNow, Events, Frozen) may be called from the host goroutine only while
 // the scheduler is quiescent (before Run, or after Run returned), or from
-// inside a running simulated thread. Under that contract every piece of
-// scheduler state is only ever touched by the baton holder (or by the host
-// before the first baton is granted / after the last one is returned, both
-// ordered by channel operations), so Step needs no locks or atomics: its
+// inside a running simulated thread. Every simulated thread is a coroutine
+// (iter.Pull) that Run resumes from the caller's goroutine, one at a time, so
+// every piece of scheduler state is only ever touched by the baton holder or
+// by the dispatcher loop between two resumes; each coroutine switch is a
+// happens-before edge. Step therefore needs no locks or atomics: its
 // run-ahead fast path is a clock add, a counter increment and one heap-top
 // comparison. See DESIGN.md ("Run-ahead scheduling") for the
 // schedule-preservation argument.
@@ -40,6 +41,7 @@ package sim
 
 import (
 	"fmt"
+	"iter"
 	"math/rand"
 )
 
@@ -55,26 +57,20 @@ func Crashed(v any) bool {
 	return ok
 }
 
-// State of a simulated thread.
-type state int
-
-const (
-	ready   state = iota // parked, waiting for its turn
-	running              // the single active thread
-	done                 // exited
-)
-
 // Thread is a simulated hardware thread. All methods must be called from the
-// goroutine that was handed the Thread by Spawn.
+// function that was handed the Thread by Spawn.
 type Thread struct {
 	id    int
 	name  string
 	node  int // NUMA node the thread is pinned to
 	clock uint64
-	state state
 	sch   *Scheduler
-	wake  chan struct{}
 	rng   *rand.Rand
+
+	// The thread's coroutine: Run's dispatcher loop calls resume to switch
+	// into it, the thread calls yield to switch back.
+	resume func() (struct{}, bool)
+	yield  func(struct{}) bool
 }
 
 // ID returns the thread's scheduler-wide identifier.
@@ -109,9 +105,12 @@ type Scheduler struct {
 	nextID   int
 	heap     threadHeap
 	live     int
-	allDone  chan struct{}
 	started  bool
 	runahead bool
+
+	// next is the thread the dispatcher loop resumes next; a thread names its
+	// successor here before it yields or exits. nil once every thread exited.
+	next *Thread
 
 	events  uint64
 	frozen  bool
@@ -130,7 +129,6 @@ type Scheduler struct {
 func New(seed int64) *Scheduler {
 	return &Scheduler{
 		seed:     seed,
-		allDone:  make(chan struct{}),
 		runahead: DefaultRunAhead,
 		heap:     threadHeap{ts: make([]*Thread, 0, 16)},
 	}
@@ -281,28 +279,28 @@ func (s *Scheduler) CrashAfter(n uint64) (prev uint64) {
 func (s *Scheduler) Frozen() bool { return s.frozen }
 
 // Spawn registers a simulated thread pinned to the given NUMA node and
-// starting at virtual time startClock. The function fn runs on its own
-// goroutine but only while the scheduler grants it the baton. Spawn may be
-// called before Run or from inside a running simulated thread (in the latter
-// case the new thread inherits the spawner's current clock if startClock is
-// zero... callers pass the desired clock explicitly).
+// starting at virtual time startClock. The function fn runs as a coroutine
+// that executes only while the scheduler grants it the baton. Spawn may be
+// called before Run or from inside a running simulated thread; a spawner
+// that wants its child to start "now" passes its own Clock() as startClock.
 func (s *Scheduler) Spawn(name string, node int, startClock uint64, fn func(*Thread)) *Thread {
 	t := &Thread{
 		id:    s.nextID,
 		name:  name,
 		node:  node,
 		clock: startClock,
-		state: ready,
 		sch:   s,
-		wake:  make(chan struct{}, 1),
 	}
 	t.rng = rand.New(rand.NewSource(s.seed + int64(t.id)*int64(0x9E3779B97F4A7C15&0x7FFFFFFFFFFFFFFF)))
 	s.nextID++
 	s.live++
 	s.heap.push(t)
 
-	go func() {
-		<-t.wake // wait until scheduled for the first time
+	// iter.Pull starts the body at the first resume and re-raises a panic that
+	// escapes it from that resume call, i.e. out of Run. Its stop function is
+	// not kept: every thread Run dispatches runs to its own exit.
+	t.resume, _ = iter.Pull(func(yield func(struct{}) bool) {
+		t.yield = yield
 		defer func() {
 			if r := recover(); r != nil && !Crashed(r) {
 				// Re-panic real bugs with context; crashes exit quietly.
@@ -310,15 +308,17 @@ func (s *Scheduler) Spawn(name string, node int, startClock uint64, fn func(*Thr
 			}
 			s.exit(t)
 		}()
-		if s.frozen {
-			panic(Crash{})
+		if !s.frozen {
+			fn(t)
 		}
-		fn(t)
-	}()
+	})
 	return t
 }
 
-// Run starts dispatching and blocks until every spawned thread has exited.
+// Run dispatches on the caller's goroutine and returns once every spawned
+// thread has exited. A panic inside a simulated thread other than a Crash
+// propagates out of Run, prefixed with the thread's name; the threads still
+// parked at that point are abandoned and the scheduler is unusable.
 func (s *Scheduler) Run() {
 	if s.started {
 		panic("sim: Run called twice")
@@ -327,15 +327,19 @@ func (s *Scheduler) Run() {
 	if s.live == 0 {
 		return
 	}
-	var next *Thread
-	if s.chooser != nil {
-		next = s.chooseNext(nil)
-	} else {
-		next = s.heap.popMin()
+	s.next = s.pickNext()
+	for s.next != nil {
+		s.next.resume()
 	}
-	next.state = running
-	next.wake <- struct{}{}
-	<-s.allDone
+}
+
+// pickNext takes the thread to dispatch when no thread is mid-Step: Run's
+// first dispatch and exit handoffs.
+func (s *Scheduler) pickNext() *Thread {
+	if s.chooser != nil {
+		return s.chooseNext(nil)
+	}
+	return s.heap.popMin()
 }
 
 // Step advances the calling thread's virtual clock by cost nanoseconds and
@@ -344,7 +348,7 @@ func (s *Scheduler) Run() {
 //
 // Run-ahead fast path: when no ready thread has a strictly smaller clock than
 // the caller's advanced clock — or an equal clock with a smaller id — the
-// caller keeps the baton and returns without touching the heap or a channel.
+// caller keeps the baton and returns without touching the heap or switching.
 // A handoff swaps the caller with the heap root in a single sift-down
 // (replaceMin); because (clock, id) keys are unique, the minimum popped from
 // any valid heap arrangement is the same thread, so the schedule is
@@ -370,8 +374,6 @@ func (t *Thread) Step(cost uint64) {
 			return
 		}
 		s.heap.push(t)
-		next.state = running
-		t.state = ready
 		s.park(t, next)
 		return
 	}
@@ -379,10 +381,7 @@ func (t *Thread) Step(cost uint64) {
 		if len(s.heap.ts) == 0 || !s.heap.ts[0].less(t) {
 			return // still the minimum: run ahead, no heap op, no handoff
 		}
-		next := s.heap.replaceMin(t)
-		next.state = running
-		t.state = ready
-		s.park(t, next)
+		s.park(t, s.heap.replaceMin(t))
 		return
 	}
 	// Reference mode: full reinsertion through the heap.
@@ -391,43 +390,36 @@ func (t *Thread) Step(cost uint64) {
 	if next == t {
 		return
 	}
-	next.state = running
-	t.state = ready
 	s.park(t, next)
 }
 
-// park wakes next and blocks until the baton returns to t, re-raising a
-// crash that happened while t was parked.
+// park names next as the successor and switches back to the dispatcher loop;
+// it returns when the baton comes back to t, re-raising a crash that
+// happened while t was parked.
 func (s *Scheduler) park(t, next *Thread) {
-	next.wake <- struct{}{}
-	<-t.wake
+	s.next = next
+	t.yield(struct{}{})
 	if s.frozen {
 		panic(Crash{})
 	}
 }
 
-// exit removes the thread from the scheduler and hands the baton onward.
+// exit removes the thread from the scheduler and names its successor; the
+// thread's coroutine then returns into the dispatcher loop, which resumes
+// that successor, or ends Run when t was the last live thread.
 func (s *Scheduler) exit(t *Thread) {
-	t.state = done
 	s.live--
 	if s.live == 0 {
-		close(s.allDone)
+		s.next = nil
 		return
 	}
 	if len(s.heap.ts) == 0 {
 		// Remaining threads exist but none is runnable: every live thread is
-		// blocked inside Step waiting for the baton, which is impossible
-		// because Step always re-enqueues before blocking. Treat as a bug.
+		// parked inside Step waiting for the baton, which is impossible
+		// because Step always re-enqueues before parking. Treat as a bug.
 		panic("sim: no runnable thread but live threads remain")
 	}
-	var next *Thread
-	if s.chooser != nil {
-		next = s.chooseNext(nil)
-	} else {
-		next = s.heap.popMin()
-	}
-	next.state = running
-	next.wake <- struct{}{}
+	s.next = s.pickNext()
 }
 
 // CrashNow freezes the system from within a simulated thread. The calling

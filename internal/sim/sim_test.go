@@ -1,6 +1,10 @@
 package sim
 
 import (
+	"bytes"
+	"runtime"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -353,5 +357,137 @@ func TestCrashAfterZeroDisarms(t *testing.T) {
 	s.Run()
 	if s.Frozen() || !done {
 		t.Fatal("CrashAfter(0) did not disarm the pending crash")
+	}
+}
+
+// A bug panic inside a simulated thread must come out of Run on the caller's
+// goroutine, prefixed with the thread's name; before the coroutine dispatcher
+// it killed the process from a detached goroutine.
+func TestThreadPanicSurfacesFromRun(t *testing.T) {
+	s := New(1)
+	s.Spawn("bystander", 0, 0, func(th *Thread) {
+		for i := 0; i < 100; i++ {
+			th.Step(1)
+		}
+	})
+	s.Spawn("culprit", 0, 0, func(th *Thread) {
+		th.Step(5)
+		panic("boom 42")
+	})
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		s.Run()
+	}()
+	msg, ok := got.(string)
+	if !ok || !strings.Contains(msg, `"culprit"`) || !strings.Contains(msg, "boom 42") {
+		t.Fatalf("Run panicked with %#v, want a string naming thread \"culprit\" and the value \"boom 42\"", got)
+	}
+}
+
+// Every thread's coroutine must be gone when Run returns: after a clean run,
+// after a crash that unwinds parked and never-dispatched threads, and for
+// threads spawned from a running thread.
+func TestNoGoroutineLeak(t *testing.T) {
+	base := runtime.NumGoroutine()
+	for i := 0; i < 400; i++ {
+		s := New(int64(i))
+		if i%2 == 1 {
+			s.CrashAtEvent(uint64(20 + i%50))
+		}
+		for w := 0; w < 4; w++ {
+			s.Spawn("w", 0, uint64(w*40), func(th *Thread) {
+				th.Step(3)
+				s.Spawn("child", 1, th.Clock(), func(c *Thread) {
+					for j := 0; j < 10; j++ {
+						c.Step(2)
+					}
+				})
+				for j := 0; j < 30; j++ {
+					th.Step(uint64(1 + th.Rand().Intn(4)))
+				}
+			})
+		}
+		s.Run()
+		if s.Frozen() != (i%2 == 1) {
+			t.Fatalf("scheduler %d: frozen = %v", i, s.Frozen())
+		}
+	}
+	// Not ==: the previous test's runner goroutine may still have been
+	// exiting when base was read. A leak would be one goroutine per thread.
+	if n := runtime.NumGoroutine(); n > base {
+		t.Fatalf("%d goroutines after 400 schedulers (3200 threads), %d before", n, base)
+	}
+}
+
+// A thread whose first dispatch happens after the freeze — spawned before Run
+// or from a running thread — exits without running fn.
+func TestFirstDispatchOnFrozenSchedulerSkipsFn(t *testing.T) {
+	s := New(1)
+	ran := false
+	late := func(*Thread) { ran = true }
+	s.Spawn("killer", 0, 0, func(th *Thread) {
+		s.CrashNow()
+		s.Spawn("child", 0, 0, late)
+	})
+	s.Spawn("late", 0, 100, late)
+	s.Run()
+	if ran {
+		t.Fatal("fn ran on a thread first dispatched after the freeze")
+	}
+	if !s.Frozen() {
+		t.Fatal("scheduler not frozen")
+	}
+}
+
+// The three dispatch paths — run-ahead, reference reinsertion, and a chooser
+// answering MinClock — must drive one program through the identical schedule,
+// to completion and into a mid-run crash alike.
+func TestDispatchModesSameTrace(t *testing.T) {
+	type ev struct {
+		id    int
+		clock uint64
+	}
+	run := func(mode string, crashAt uint64) ([]ev, []byte) {
+		s := New(11)
+		switch mode {
+		case "reference":
+			s.SetRunAhead(false)
+		case "chooser":
+			s.SetChooser(chooserFunc(func(_ int, cands []Candidate) int { return MinClock(cands) }))
+		}
+		s.CrashAtEvent(crashAt)
+		var trace []ev
+		for w := 0; w < 8; w++ {
+			s.Spawn("w", w%2, uint64(w%3), func(th *Thread) {
+				for i := 0; i < 200; i++ {
+					c := uint64(th.Rand().Intn(4))
+					if th.Rand().Intn(16) == 0 {
+						c = 300
+					}
+					th.Step(c)
+					trace = append(trace, ev{th.ID(), th.Clock()})
+				}
+			})
+		}
+		s.Run()
+		st := s.CaptureState()
+		st.RunAhead = true // the one field that names the mode
+		return trace, st.Encode()
+	}
+	for _, crashAt := range []uint64{0, 700} {
+		want, wantState := run("runahead", crashAt)
+		if crashAt == 0 && len(want) != 8*200 {
+			t.Fatalf("trace has %d events, want %d", len(want), 8*200)
+		}
+		for _, mode := range []string{"reference", "chooser"} {
+			got, gotState := run(mode, crashAt)
+			if !slices.Equal(got, want) {
+				t.Errorf("crashAt=%d: %s trace differs from run-ahead (%d vs %d events)", crashAt, mode, len(got), len(want))
+			}
+			if !bytes.Equal(gotState, wantState) {
+				t.Errorf("crashAt=%d: %s final state %x, run-ahead %x", crashAt, mode, gotState, wantState)
+			}
+		}
 	}
 }
