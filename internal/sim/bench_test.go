@@ -37,3 +37,20 @@ func BenchmarkSimStep(b *testing.B) { benchSteps(b, 8, true) }
 // BenchmarkSimStepReference measures the same workload through the
 // full-reinsertion reference dispatch, for before/after comparisons.
 func BenchmarkSimStepReference(b *testing.B) { benchSteps(b, 8, false) }
+
+// BenchmarkSimPingPong is the pattern the serve path lives on — ring producer
+// and consumer, worker and combiner: two threads, every Step a forced
+// handoff, so ns reported per Step is the cost of one baton transfer.
+func BenchmarkSimPingPong(b *testing.B) {
+	b.ReportAllocs()
+	s := New(1)
+	for i := 0; i < 2; i++ {
+		s.Spawn("w", i, 0, func(t *Thread) {
+			for j := 0; j < b.N; j += 2 {
+				t.Step(1)
+			}
+		})
+	}
+	b.ResetTimer()
+	s.Run()
+}

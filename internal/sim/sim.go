@@ -30,13 +30,17 @@
 // CrashNow, Events, Frozen) may be called from the host goroutine only while
 // the scheduler is quiescent (before Run, or after Run returned), or from
 // inside a running simulated thread. Every simulated thread is a coroutine
-// (iter.Pull) that Run resumes from the caller's goroutine, one at a time, so
-// every piece of scheduler state is only ever touched by the baton holder or
-// by the dispatcher loop between two resumes; each coroutine switch is a
-// happens-before edge. Step therefore needs no locks or atomics: its
-// run-ahead fast path is a clock add, a counter increment and one heap-top
-// comparison. See DESIGN.md ("Run-ahead scheduling") for the
-// schedule-preservation argument.
+// (iter.Pull), and exactly one of them — the baton holder — executes at any
+// instant; all scheduler state is owned by the baton holder. The baton moves
+// only by a coroutine switch: the holder resumes its successor directly, or
+// yields back towards a successor that is blocked in such a resume call
+// further down the chain (see transfer); Run, on the caller's goroutine, is
+// the bottom of that chain and holds the baton before the first and after
+// the last thread. Each switch is a happens-before edge, so Step needs no
+// locks or atomics: its run-ahead fast path is a clock add, a counter
+// increment and one heap-top comparison. A panic never crosses a switch:
+// Spawn's wrapper ends it in the thread that raised it. See DESIGN.md
+// ("Run-ahead scheduling") for the schedule-preservation argument.
 package sim
 
 import (
@@ -67,10 +71,17 @@ type Thread struct {
 	sch   *Scheduler
 	rng   *rand.Rand
 
-	// The thread's coroutine: Run's dispatcher loop calls resume to switch
-	// into it, the thread calls yield to switch back.
+	// The thread's coroutine: resume switches into it, from Run or from the
+	// thread handing it the baton; yield switches back to whoever resumed it.
 	resume func() (struct{}, bool)
 	yield  func(struct{}) bool
+
+	// active is set while the thread is on the resume chain: it holds the
+	// baton, or is blocked inside the resume call of a thread it handed the
+	// baton to. Clear while suspended in yield, before its first dispatch,
+	// and after exit. Calling resume on an active thread would re-enter a
+	// running coroutine; transfer yields towards it instead.
+	active bool
 }
 
 // ID returns the thread's scheduler-wide identifier.
@@ -108,13 +119,23 @@ type Scheduler struct {
 	started  bool
 	runahead bool
 
-	// next is the thread the dispatcher loop resumes next; a thread names its
-	// successor here before it yields or exits. nil once every thread exited.
+	// next is the thread the baton is moving to; a thread names its successor
+	// here before it parks or exits. nil once every thread exited.
 	next *Thread
 
 	events  uint64
 	frozen  bool
 	crashAt uint64 // event index at which to freeze; 0 = never
+
+	// handoffs counts park calls, switches the coroutine switches transfer
+	// spent delivering them (resumes and yields; a thread's final return is
+	// not counted). Test-only tallies for the switches-per-handoff bounds.
+	handoffs uint64
+	switches uint64
+
+	// fault is the first bug panic (not a Crash) raised by a simulated
+	// thread, already prefixed with the thread's name; Run re-raises it.
+	fault string
 
 	// chooser, when non-nil, replaces the minimum-(clock,id) dispatch rule:
 	// every dispatch decision is delegated to it. cands/cview are the reused
@@ -296,15 +317,20 @@ func (s *Scheduler) Spawn(name string, node int, startClock uint64, fn func(*Thr
 	s.live++
 	s.heap.push(t)
 
-	// iter.Pull starts the body at the first resume and re-raises a panic that
-	// escapes it from that resume call, i.e. out of Run. Its stop function is
-	// not kept: every thread Run dispatches runs to its own exit.
+	// iter.Pull starts the body at the first resume. Its stop function is not
+	// kept: every thread runs to its own exit. No panic may leave the body:
+	// iter.Pull would re-raise it from resume, which is a frame of whichever
+	// thread handed over the baton, and that thread's fn could swallow it.
 	t.resume, _ = iter.Pull(func(yield func(struct{}) bool) {
 		t.yield = yield
 		defer func() {
 			if r := recover(); r != nil && !Crashed(r) {
-				// Re-panic real bugs with context; crashes exit quietly.
-				panic(fmt.Sprintf("sim thread %q: %v", t.name, r))
+				// A real bug: keep the first for Run to re-raise and crash the
+				// machine, so that every other thread unwinds and exits too.
+				if s.fault == "" {
+					s.fault = fmt.Sprintf("sim thread %q: %v", t.name, r)
+				}
+				s.frozen = true
 			}
 			s.exit(t)
 		}()
@@ -315,10 +341,11 @@ func (s *Scheduler) Spawn(name string, node int, startClock uint64, fn func(*Thr
 	return t
 }
 
-// Run dispatches on the caller's goroutine and returns once every spawned
-// thread has exited. A panic inside a simulated thread other than a Crash
-// propagates out of Run, prefixed with the thread's name; the threads still
-// parked at that point are abandoned and the scheduler is unusable.
+// Run hands the baton to the first thread and returns, on the caller's
+// goroutine, once every spawned thread has exited. A panic inside a
+// simulated thread other than a Crash freezes the scheduler, so every other
+// thread unwinds as in a crash; Run then panics with the first such value,
+// prefixed with the name of the thread that raised it.
 func (s *Scheduler) Run() {
 	if s.started {
 		panic("sim: Run called twice")
@@ -328,8 +355,35 @@ func (s *Scheduler) Run() {
 		return
 	}
 	s.next = s.pickNext()
-	for s.next != nil {
-		s.next.resume()
+	s.transfer(nil)
+	if s.fault != "" {
+		panic(s.fault)
+	}
+}
+
+// transfer moves the baton from self to s.next and returns when it is back
+// with self (for Run, self == nil: when every thread has exited). A suspended
+// successor is resumed directly, one switch, and self stays blocked in that
+// resume call as a link of the resume chain Run → … → baton holder. A
+// successor already on the chain cannot be resumed again; self yields instead,
+// which returns control to the link below, and every link re-checks s.next as
+// control unwinds to it. A thread is on the chain at most once, so the chain
+// is never deeper than the live-thread count. A handoff causes at most one
+// resume, and each resume is undone by at most one yield or by the thread's
+// exit: two threads alternating pay one switch per handoff, and no schedule
+// pays more than two on average.
+func (s *Scheduler) transfer(self *Thread) {
+	for s.next != self {
+		n := s.next
+		s.switches++
+		if n.active {
+			self.active = false
+			self.yield(struct{}{})
+			self.active = true
+		} else {
+			n.active = true
+			n.resume()
+		}
 	}
 }
 
@@ -393,21 +447,22 @@ func (t *Thread) Step(cost uint64) {
 	s.park(t, next)
 }
 
-// park names next as the successor and switches back to the dispatcher loop;
-// it returns when the baton comes back to t, re-raising a crash that
-// happened while t was parked.
+// park hands the baton to next and returns when it comes back to t,
+// re-raising a crash that happened while t was parked.
 func (s *Scheduler) park(t, next *Thread) {
+	s.handoffs++
 	s.next = next
-	t.yield(struct{}{})
+	s.transfer(t)
 	if s.frozen {
 		panic(Crash{})
 	}
 }
 
 // exit removes the thread from the scheduler and names its successor; the
-// thread's coroutine then returns into the dispatcher loop, which resumes
-// that successor, or ends Run when t was the last live thread.
+// thread's coroutine then returns into the transfer loop of whoever resumed
+// it, which passes the baton on, or ends Run when t was the last live thread.
 func (s *Scheduler) exit(t *Thread) {
+	t.active = false
 	s.live--
 	if s.live == 0 {
 		s.next = nil

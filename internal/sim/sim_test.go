@@ -2,9 +2,9 @@ package sim
 
 import (
 	"bytes"
+	"fmt"
 	"runtime"
 	"slices"
-	"strings"
 	"testing"
 )
 
@@ -360,18 +360,40 @@ func TestCrashAfterZeroDisarms(t *testing.T) {
 	}
 }
 
-// A bug panic inside a simulated thread must come out of Run on the caller's
-// goroutine, prefixed with the thread's name; before the coroutine dispatcher
-// it killed the process from a detached goroutine.
+// A bug panic inside a simulated thread ends in that thread: it is recorded,
+// the machine is frozen so every other thread unwinds with Crash{}, and Run
+// re-raises it on the caller's goroutine with the thread's name prefixed
+// once. The culprit panics at the top of a four-deep resume chain, and the
+// bystander directly below it recovers everything: with resumes nested in
+// thread frames, a panic crossing the switch would be swallowed there.
 func TestThreadPanicSurfacesFromRun(t *testing.T) {
 	s := New(1)
-	s.Spawn("bystander", 0, 0, func(th *Thread) {
-		for i := 0; i < 100; i++ {
-			th.Step(1)
+	var ths []*Thread
+	var seen []any // everything the bystander recovered
+	depthAtPanic := 0
+	spawn := func(name string, start uint64, fn func(*Thread)) {
+		ths = append(ths, s.Spawn(name, 0, start, fn))
+	}
+	// Staggered starts: each thread's first Step overshoots the next one's
+	// start clock, so each resumes the next: Run → a → b → bystander → culprit.
+	for i, name := range []string{"a", "b"} {
+		spawn(name, uint64(10*i), func(th *Thread) {
+			for j := 0; j < 100; j++ {
+				th.Step(100)
+			}
+		})
+	}
+	spawn("bystander", 20, func(th *Thread) {
+		for j := 0; j < 3; j++ {
+			func() {
+				defer func() { seen = append(seen, recover()) }()
+				th.Step(100)
+			}()
 		}
 	})
-	s.Spawn("culprit", 0, 0, func(th *Thread) {
+	spawn("culprit", 30, func(th *Thread) {
 		th.Step(5)
+		depthAtPanic = chainDepth(ths)
 		panic("boom 42")
 	})
 	var got any
@@ -379,20 +401,44 @@ func TestThreadPanicSurfacesFromRun(t *testing.T) {
 		defer func() { got = recover() }()
 		s.Run()
 	}()
-	msg, ok := got.(string)
-	if !ok || !strings.Contains(msg, `"culprit"`) || !strings.Contains(msg, "boom 42") {
-		t.Fatalf("Run panicked with %#v, want a string naming thread \"culprit\" and the value \"boom 42\"", got)
+	if want := `sim thread "culprit": boom 42`; got != want {
+		t.Fatalf("Run panicked with %#v, want %q", got, want)
+	}
+	if depthAtPanic != 4 {
+		t.Fatalf("culprit panicked at chain depth %d, want 4", depthAtPanic)
+	}
+	if len(seen) != 3 {
+		t.Fatalf("bystander recovered %d values, want 3", len(seen))
+	}
+	for _, r := range seen {
+		if !Crashed(r) {
+			t.Fatalf("bystander recovered %#v, want only Crash{}", r)
+		}
+	}
+	if d := chainDepth(ths); d != 0 || s.live != 0 {
+		t.Fatalf("after Run: %d threads active, %d live", d, s.live)
 	}
 }
 
+// chainDepth counts the threads on the resume chain.
+func chainDepth(ths []*Thread) int {
+	n := 0
+	for _, th := range ths {
+		if th.active {
+			n++
+		}
+	}
+	return n
+}
+
 // Every thread's coroutine must be gone when Run returns: after a clean run,
-// after a crash that unwinds parked and never-dispatched threads, and for
-// threads spawned from a running thread.
+// after a crash that unwinds parked and never-dispatched threads, after a bug
+// panic in one thread, and for threads spawned from a running thread.
 func TestNoGoroutineLeak(t *testing.T) {
 	base := runtime.NumGoroutine()
-	for i := 0; i < 400; i++ {
+	for i := 0; i < 600; i++ {
 		s := New(int64(i))
-		if i%2 == 1 {
+		if i%3 == 1 {
 			s.CrashAtEvent(uint64(20 + i%50))
 		}
 		for w := 0; w < 4; w++ {
@@ -405,18 +451,142 @@ func TestNoGoroutineLeak(t *testing.T) {
 				})
 				for j := 0; j < 30; j++ {
 					th.Step(uint64(1 + th.Rand().Intn(4)))
+					if i%3 == 2 && th.ID() == 2 && j == 10+i%15 {
+						panic("bug")
+					}
 				}
 			})
 		}
-		s.Run()
-		if s.Frozen() != (i%2 == 1) {
-			t.Fatalf("scheduler %d: frozen = %v", i, s.Frozen())
+		var bug any
+		func() {
+			defer func() { bug = recover() }()
+			s.Run()
+		}()
+		if (bug != nil) != (i%3 == 2) || s.Frozen() != (i%3 != 0) {
+			t.Fatalf("scheduler %d: Run panicked with %v, frozen = %v", i, bug, s.Frozen())
 		}
 	}
 	// Not ==: the previous test's runner goroutine may still have been
 	// exiting when base was read. A leak would be one goroutine per thread.
 	if n := runtime.NumGoroutine(); n > base {
-		t.Fatalf("%d goroutines after 400 schedulers (3200 threads), %d before", n, base)
+		t.Fatalf("%d goroutines after 600 schedulers (4800 threads), %d before", n, base)
+	}
+}
+
+// Two threads that hand off on every Step — ring producer and consumer, worker
+// and combiner — alternate between one resume and one yield: one coroutine
+// switch per handoff, where a dispatcher in the middle made it two.
+func TestPingPongIsOneSwitchPerHandoff(t *testing.T) {
+	const steps = 100000
+	s := New(1)
+	for w := 0; w < 2; w++ {
+		s.Spawn("w", 0, 0, func(th *Thread) {
+			for i := 0; i < steps; i++ {
+				th.Step(1)
+			}
+		})
+	}
+	s.Run()
+	if s.handoffs < 2*steps-2 {
+		t.Fatalf("%d handoffs in %d steps: not a ping-pong", s.handoffs, 2*steps)
+	}
+	if s.switches > s.handoffs+2 {
+		t.Fatalf("%d switches for %d handoffs, want at most handoffs+2", s.switches, s.handoffs)
+	}
+}
+
+// Whatever the schedule, a resume is undone by at most one yield or exit, so
+// transfer never spends more than the two switches per handoff a central
+// dispatcher did; the chain holds each live thread at most once, the baton
+// holder is on it, and it is empty when Run returns.
+func TestSwitchesNeverExceedTwicePerHandoff(t *testing.T) {
+	type scenario struct {
+		name    string
+		threads int
+		cost    func(th *Thread) uint64
+		// What the first thread to find itself at least three links up the
+		// chain, a hundred steps in, does there: spawn two children, or arm a
+		// crash for the very next event.
+		spawn, crash bool
+		minDepth     int // the chain must get at least this deep
+	}
+	equal := func(*Thread) uint64 { return 3 }
+	random := func(th *Thread) uint64 {
+		if th.Rand().Intn(16) == 0 {
+			return 300
+		}
+		return uint64(1 + th.Rand().Intn(4))
+	}
+	for _, sc := range []scenario{
+		{name: "round-robin", threads: 8, cost: equal, minDepth: 8},
+		{name: "random-costs", threads: 16, cost: random, minDepth: 4},
+		{name: "spawn-from-deep-chain", threads: 16, cost: random, spawn: true, minDepth: 4},
+		{name: "crash-in-deep-chain", threads: 16, cost: random, crash: true, minDepth: 4},
+	} {
+		t.Run(sc.name, func(t *testing.T) {
+			s := New(5)
+			var ths []*Thread
+			maxDepth, markDepth, crashDepth := 0, 0, 0
+			violation := "" // reported after Run: check runs on the threads' coroutines
+			check := func(th *Thread) int {
+				d := chainDepth(ths)
+				if violation == "" && (!th.active || d > s.live) {
+					violation = fmt.Sprintf("event %d: baton holder active = %v, chain depth %d, %d live threads",
+						s.events, th.active, d, s.live)
+				}
+				maxDepth = max(maxDepth, d)
+				return d
+			}
+			var body func(th *Thread)
+			body = func(th *Thread) {
+				defer func() {
+					if r := recover(); r != nil {
+						if !Crashed(r) {
+							panic(r)
+						}
+						if crashDepth == 0 {
+							crashDepth = check(th) // first to unwind: the thread whose Step froze
+						}
+					}
+				}()
+				for i := 1; i <= 300; i++ {
+					th.Step(sc.cost(th))
+					d := check(th)
+					if (sc.spawn || sc.crash) && markDepth == 0 && i >= 100 && d >= 3 {
+						markDepth = d
+						if sc.crash {
+							s.CrashAfter(1)
+						}
+						for c := 0; sc.spawn && c < 2; c++ {
+							ths = append(ths, s.Spawn("child", 1, th.Clock(), body))
+						}
+					}
+				}
+			}
+			for w := 0; w < sc.threads; w++ {
+				ths = append(ths, s.Spawn("w", w%2, 0, body))
+			}
+			s.Run()
+			if violation != "" {
+				t.Fatal(violation)
+			}
+			if s.Frozen() != sc.crash || (sc.spawn || sc.crash) && markDepth < 3 || sc.crash && crashDepth != markDepth {
+				t.Fatalf("frozen = %v, chain depth %d where the spawn or crash was triggered, %d at the crash",
+					s.Frozen(), markDepth, crashDepth)
+			}
+			if limit := 2*s.handoffs + uint64(len(ths)); s.switches > limit {
+				t.Fatalf("%d switches for %d handoffs and %d threads, want at most %d",
+					s.switches, s.handoffs, len(ths), limit)
+			}
+			if d := chainDepth(ths); d != 0 || s.live != 0 {
+				t.Fatalf("after Run: %d threads active, %d live", d, s.live)
+			}
+			if maxDepth < sc.minDepth {
+				t.Fatalf("chain never deeper than %d, want at least %d", maxDepth, sc.minDepth)
+			}
+			t.Logf("%d handoffs, %d switches (%.2f per handoff), max chain depth %d",
+				s.handoffs, s.switches, float64(s.switches)/float64(s.handoffs), maxDepth)
+		})
 	}
 }
 
@@ -442,7 +612,8 @@ func TestFirstDispatchOnFrozenSchedulerSkipsFn(t *testing.T) {
 
 // The three dispatch paths — run-ahead, reference reinsertion, and a chooser
 // answering MinClock — must drive one program through the identical schedule,
-// to completion and into a mid-run crash alike.
+// to completion and into a mid-run crash alike. Sixteen threads, so that the
+// handoffs run over resume chains many links deep.
 func TestDispatchModesSameTrace(t *testing.T) {
 	type ev struct {
 		id    int
@@ -458,7 +629,7 @@ func TestDispatchModesSameTrace(t *testing.T) {
 		}
 		s.CrashAtEvent(crashAt)
 		var trace []ev
-		for w := 0; w < 8; w++ {
+		for w := 0; w < 16; w++ {
 			s.Spawn("w", w%2, uint64(w%3), func(th *Thread) {
 				for i := 0; i < 200; i++ {
 					c := uint64(th.Rand().Intn(4))
@@ -475,10 +646,10 @@ func TestDispatchModesSameTrace(t *testing.T) {
 		st.RunAhead = true // the one field that names the mode
 		return trace, st.Encode()
 	}
-	for _, crashAt := range []uint64{0, 700} {
+	for _, crashAt := range []uint64{0, 1400} {
 		want, wantState := run("runahead", crashAt)
-		if crashAt == 0 && len(want) != 8*200 {
-			t.Fatalf("trace has %d events, want %d", len(want), 8*200)
+		if crashAt == 0 && len(want) != 16*200 {
+			t.Fatalf("trace has %d events, want %d", len(want), 16*200)
 		}
 		for _, mode := range []string{"reference", "chooser"} {
 			got, gotState := run(mode, crashAt)
