@@ -10,8 +10,10 @@ package main
 // bugs that only corrupt the second crash are still caught.
 
 import (
+	"fmt"
+
+	"prepuc/internal/drivers"
 	"prepuc/internal/linearize"
-	"prepuc/internal/nvm"
 	"prepuc/internal/sim"
 	"prepuc/internal/uc"
 	"prepuc/internal/workload"
@@ -32,37 +34,37 @@ func linSpec() workload.Spec {
 // check) × epochs cycle. The fault adversary, nested-crash arming and
 // recovery retry loop match the prefix cycle exactly; only the workload
 // (mixed ops instead of disjoint inserts) and the verdict differ.
-func runLinearizeCycle(mk driverMaker, iter int, crashAt uint64) (checkBlock, cycleStats, bool) {
-	d := mk()
-	base := *seed + int64(iter)*101 + d.offset
+func runLinearizeCycle(tg target, iter int, crashAt uint64) (crashCycle, string, error) {
+	d := tg.New(sizing())
+	base := *seed + int64(iter)*101 + tg.offset
 	tp := topo()
 	spec := linSpec()
 	model := linearize.SetModel()
-	allowance := int(*epsilon) + tp.ThreadsPerNode - 1
-
-	bootSch := sim.New(base)
-	sys := nvm.NewSystem(bootSch, nvm.Config{
-		Costs: sim.UnitCosts(), BGFlushOneIn: 128, Seed: uint64(base) + 7,
-		NoFlushElision: !*flushElide,
-	})
-	sys.SetFaultPolicy(cyclePolicy(iter, base))
-	var err error
-	bootSch.Spawn("boot", 0, 0, func(t *sim.Thread) { err = d.boot(t, sys) })
-	bootSch.Run()
-	if err != nil {
-		panic(err)
+	opt := linearize.Options{}
+	if d.Buffered {
+		opt = linearize.Options{Buffered: true, Allowance: int(*epsilon) + tp.ThreadsPerNode - 1}
 	}
 
-	cb := checkBlock{Mode: "linearize", Epochs: *epochs, OK: true, FailedEpoch: -1}
-	var cs cycleStats
-	cur := sys
+	cb := &checkBlock{Mode: "linearize", Epochs: *epochs, OK: true, FailedEpoch: -1}
+	cyc := crashCycle{Iteration: iter, CrashAt: crashAt, Check: cb}
+	// fail records the error boot or recovery answered with as the verdict.
+	var failure error
+	fail := func(epoch int, err error) {
+		failure = err
+		cb.OK, cb.FailedEpoch, cb.Reason = false, epoch, err.Error()
+	}
+	cur, engs, err := bootCycle(base, iter, d)
+	if err != nil {
+		fail(0, err)
+	}
+	eng := engs[0]
 	init := model.Empty()
-	for epoch := 0; epoch < *epochs; epoch++ {
+	for epoch := 0; epoch < *epochs && failure == nil; epoch++ {
 		sch := sim.New(base + 1 + int64(epoch)*23)
 		sch.CrashAtEvent(crashAt + uint64(epoch)*7_777)
 		cur.SetScheduler(sch)
-		if d.spawnAux != nil {
-			d.spawnAux()
+		if d.SpawnAux != nil {
+			d.SpawnAux()
 		}
 		rec := linearize.NewRecorder(*workers)
 		for tid := 0; tid < *workers; tid++ {
@@ -76,53 +78,29 @@ func runLinearizeCycle(mk driverMaker, iter int, crashAt uint64) (checkBlock, cy
 				gen := workload.NewGen(spec, base+int64(epoch)*53+17, tid)
 				for {
 					op := gen.Next()
-					rec.Exec(t, tid, op, func() uint64 { return d.exec(t, tid, op) })
+					rec.Exec(t, tid, op, func() uint64 { return eng.Execute(t, tid, op) })
 				}
 			})
 		}
 		sch.Run()
 
-		for attempt := 0; ; attempt++ {
-			recSch := sim.New(base + 2 + int64(epoch)*23 + int64(attempt)*17)
-			if attempt < *nested {
-				recSch.CrashAtEvent(nestedEvent(iter, attempt))
-			}
-			cur = cur.Recover(recSch)
-			cs.RecoveryAttempts++
-			var replayed uint64
-			recSch.Spawn("recover", 0, 0, func(t *sim.Thread) {
-				start := t.Clock()
-				replayed, err = d.recov(t, cur)
-				cs.RecoveryVirtualNS += t.Clock() - start
-			})
-			recSch.Run()
-			if recSch.Frozen() {
-				cs.Fault.NestedCrashes++
-				continue
-			}
-			if err != nil {
-				panic(err)
-			}
-			cs.Replayed += replayed
+		r, err := drivers.Recover(d, cur, base+2+int64(epoch)*23, nestedArm(iter), nil)
+		cyc.addRecovery(r)
+		cur, eng = r.Sys, r.Eng
+		if err != nil {
+			fail(epoch, fmt.Errorf("recover: %w", err))
 			break
 		}
 
 		recovered := map[uint64]uint64{}
-		probeSch := sim.New(base + 900 + int64(epoch)*23)
-		cur.SetScheduler(probeSch)
-		probeSch.Spawn("probe", 0, 0, func(t *sim.Thread) {
+		drivers.Probe(cur, base+900+int64(epoch)*23, func(t *sim.Thread) {
 			for k := uint64(0); k < linKeyRange; k++ {
-				if v := d.exec(t, 0, uc.Get(k)); v != uc.NotFound {
+				if v := eng.Execute(t, 0, uc.Get(k)); v != uc.NotFound {
 					recovered[k] = v
 				}
 			}
 		})
-		probeSch.Run()
 
-		opt := linearize.Options{}
-		if d.buffered {
-			opt = linearize.Options{Buffered: true, Allowance: allowance}
-		}
 		res := linearize.CheckEpoch(model, init, rec.Ops(), recovered, opt)
 		cb.Ops += res.Ops
 		cb.Partitions += res.Partitions
@@ -136,12 +114,8 @@ func runLinearizeCycle(mk driverMaker, iter int, crashAt uint64) (checkBlock, cy
 		}
 		init = recovered
 	}
-
-	ms := cur.Metrics().Snapshot()
-	cs.Fault.Policy = policyLabel()
-	cs.Fault.PendingDropped = ms.CrashLinesDropped
-	cs.Fault.PendingPersisted = ms.CrashLinesPersisted
-	cs.Fault.RecoveryRestarts = ms.RecoveryRestarts
-	cs.Fault.ReplayHoles = ms.ReplayHoles
-	return cb, cs, cb.OK
+	cyc.readFault(cur)
+	cyc.OK, cyc.Completed, cyc.Lost = cb.OK, uint64(cb.Ops), uint64(cb.Lost)
+	return cyc, fmt.Sprintf("linearize epochs=%d ops=%d partitions=%d lost=%d %s",
+		cb.Epochs, cb.Ops, cb.Partitions, cb.Lost, cyc.recoveryLine()), failure
 }

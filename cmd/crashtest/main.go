@@ -68,18 +68,14 @@ import (
 	"os"
 	"strings"
 
-	"prepuc/internal/core"
-	"prepuc/internal/cxpuc"
+	"prepuc/internal/drivers"
 	"prepuc/internal/fault"
 	"prepuc/internal/history"
 	"prepuc/internal/numa"
 	"prepuc/internal/nvm"
-	"prepuc/internal/onll"
 	"prepuc/internal/par"
 	"prepuc/internal/prof"
-	"prepuc/internal/seq"
 	"prepuc/internal/sim"
-	"prepuc/internal/soft"
 	"prepuc/internal/uc"
 )
 
@@ -89,7 +85,7 @@ var (
 	epsilon     = flag.Uint64("epsilon", 64, "PREP flush boundary increment ε")
 	logSize     = flag.Uint64("log", 256, "shared log entries")
 	seed        = flag.Int64("seed", 1, "base seed")
-	system      = flag.String("system", "all", "prep-durable, prep-buffered, cx, soft, onll or all")
+	system      = flag.String("system", "all", strings.Join(drivers.Flags(drivers.Recoverable()), ", ")+" or all")
 	format      = flag.String("format", "table", "output format: table or json")
 	outPath     = flag.String("o", "", "write results to this file (default stdout)")
 	policySpec  = flag.String("policy", "", "fault policy for unfenced lines at crash: dropall, persistall, coinflip[=p], targeted[=k] (empty: built-in fair coin)")
@@ -237,10 +233,12 @@ func main() {
 		case *nested > 0 || *sweepN > 0:
 			fmt.Fprintln(os.Stderr, "crashtest: -instances > 1 does not compose with -nested or -sweep")
 			os.Exit(2)
-		case *system != "all" && *system != "prep-durable" && *system != "prep-buffered":
-			fmt.Fprintf(os.Stderr, "crashtest: -instances > 1 is PREP-only; -system=%s has no multi-instance region naming\n", *system)
-			os.Exit(2)
 		}
+	}
+	tgs, err := targets()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "crashtest: %v\n", err)
+		os.Exit(2)
 	}
 	stopProf, err := prof.Start(*cpuProfile, *memProfile)
 	if err != nil {
@@ -262,7 +260,7 @@ func main() {
 		progress = os.Stderr
 	}
 
-	doc, failures := buildDoc(progress)
+	doc, failures := buildDoc(progress, tgs)
 	// Stop profiling before the exit paths below; os.Exit skips defers.
 	if err := stopProf(); err != nil {
 		fmt.Fprintf(os.Stderr, "crashtest: %v\n", err)
@@ -283,20 +281,83 @@ func main() {
 	fmt.Fprintln(progress, "\nall crash/recover cycles satisfied their correctness condition")
 }
 
-// buildDoc runs every selected system's crash/recover cycles under the
+// target is one system under test: its registry entry plus crashtest's own
+// seed offset, which keeps the systems' seed streams disjoint.
+type target struct {
+	drivers.Entry
+	offset int64
+}
+
+// The per-system seed offsets, keyed by -system spelling (absent: 0). Flat
+// cycles run the two PREP modes on one stream; sharded cycles, PREP-only,
+// separate them.
+var (
+	flatSeedOffsets    = map[string]int64{"cx": 50_000, "soft": 90_000, "onll": 130_000}
+	shardedSeedOffsets = map[string]int64{"prep-buffered": 50_000}
+)
+
+// targets resolves -system against the registry: the recoverable
+// constructions, narrowed under -instances > 1 to those whose engines can
+// co-reside on one machine.
+func targets() ([]target, error) {
+	entries, offsets := drivers.Recoverable(), flatSeedOffsets
+	if *system != "all" {
+		e, err := drivers.Lookup(entries, *system)
+		if err != nil {
+			return nil, fmt.Errorf("%w or all", err)
+		}
+		entries = []drivers.Entry{e}
+	}
+	if *instancesFlg > 1 {
+		offsets = shardedSeedOffsets
+	}
+	var out []target
+	for _, e := range entries {
+		if *instancesFlg <= 1 || e.Instanced {
+			out = append(out, target{e, offsets[e.Flag]})
+		}
+	}
+	if len(out) == 0 {
+		return nil, fmt.Errorf("-instances > 1 needs multi-instance region naming; -system=%s has none", *system)
+	}
+	return out, nil
+}
+
+// sizing is the machine every flat cycle builds: the shared crash scale at
+// the flag-selected worker count, log size and ε.
+func sizing() uc.Sizing { return drivers.CrashScale(topo(), *workers, *logSize, *epsilon) }
+
+// cycleFunc runs one iteration's crash/recover cycle and returns its
+// record, the checker-specific half of its progress line, and the error
+// boot or recovery answered with, if any — such a cycle is recorded failed.
+type cycleFunc func(tg target, iter int, crashAt uint64) (crashCycle, string, error)
+
+// activeCycle is the cycle the flags select.
+func activeCycle() cycleFunc {
+	switch {
+	case *instancesFlg > 1:
+		return runShardedCycle
+	case *checkMode == "linearize":
+		return runLinearizeCycle
+	}
+	return runCycle
+}
+
+// buildDoc runs the selected systems' crash/recover cycles under the
 // configured checker and returns the machine-readable document plus the
 // failure count. It is the whole run minus flag validation and I/O setup,
 // so tests can drive it deterministically.
-func buildDoc(progress io.Writer) (crashDoc, int) {
-	if *instancesFlg > 1 {
-		return buildShardedDoc(progress)
-	}
+func buildDoc(progress io.Writer, tgs []target) (crashDoc, int) {
 	doc := crashDoc{
 		Schema: CrashSchema, Iterations: *iterations, Workers: *workers,
 		Epsilon: *epsilon, LogSize: *logSize, Seed: *seed, Nested: *nested,
 		Fault: faultStats{Policy: policyLabel()},
 	}
-	if *checkMode == "linearize" {
+	banner := "crash/recover cycles"
+	if *instancesFlg > 1 {
+		doc.Instances = *instancesFlg
+		banner = fmt.Sprintf("sharded crash/recover cycles (instances=%d)", *instancesFlg)
+	} else if *checkMode == "linearize" {
 		doc.Checker = &checkerSummary{Mode: "linearize", Epochs: *epochs}
 	}
 	failures := 0
@@ -306,24 +367,18 @@ func buildDoc(progress io.Writer) (crashDoc, int) {
 	// bisected failure repro, which re-runs cycles inside the worker) are
 	// buffered and released in iteration order, making both the document and
 	// the output identical for every -j value.
-	run := func(mk driverMaker) {
-		name := mk().name
-		fmt.Fprintf(progress, "=== %s: %d crash/recover cycles ===\n", name, *iterations)
-		sd := crashSystemDoc{System: name}
+	for _, tg := range tgs {
+		fmt.Fprintf(progress, "=== %s: %d %s ===\n", tg.Name, *iterations, banner)
+		sd := crashSystemDoc{System: tg.Name}
 		cycles := make([]crashCycle, *iterations)
 		var seqOut par.Seq
 		par.Do(par.Jobs(*jobs), *iterations, func(i int) {
-			crashAt := crashEvent(i)
 			var buf bytes.Buffer
-			if *checkMode == "linearize" {
-				cycles[i] = runLinearizeIteration(&buf, mk, i, crashAt)
-			} else {
-				cycles[i] = runPrefixIteration(&buf, mk, i, crashAt)
-			}
+			cycles[i] = runIteration(&buf, tg, i, crashEvent(i))
 			seqOut.Done(i, func() { progress.Write(buf.Bytes()) })
 		})
 		if *sweepN > 0 {
-			sd.Sweep = runSweep(progress, mk)
+			sd.Sweep = runSweep(progress, tg)
 			failures += sd.Sweep.Failures
 		}
 		for _, c := range cycles {
@@ -343,83 +398,33 @@ func buildDoc(progress io.Writer) (crashDoc, int) {
 		}
 		doc.Systems = append(doc.Systems, sd)
 	}
-	if *system == "all" || *system == "prep-durable" {
-		run(prepDriver(core.Durable))
-	}
-	if *system == "all" || *system == "prep-buffered" {
-		run(prepDriver(core.Buffered))
-	}
-	if *system == "all" || *system == "cx" {
-		run(cxDriver)
-	}
-	if *system == "all" || *system == "soft" {
-		run(softDriver)
-	}
-	if *system == "all" || *system == "onll" {
-		run(onllDriver)
-	}
 	return doc, failures
 }
 
-// runPrefixIteration is one -check prefix iteration: the v1 cycle plus its
-// progress line and failure repro.
-func runPrefixIteration(buf *bytes.Buffer, mk driverMaker, i int, crashAt uint64) crashCycle {
-	rep, cs, ok := runCycle(mk, i, crashAt)
+// runIteration is one iteration under the active checker: the cycle, its
+// progress line and — on failure — the error or check verdict and a
+// one-line repro, the crash point bisected down first when -bisect is on.
+func runIteration(buf *bytes.Buffer, tg target, i int, crashAt uint64) crashCycle {
+	cyc, detail, err := activeCycle()(tg, i, crashAt)
 	status := "OK "
-	if !ok {
+	if !cyc.OK {
 		status = "FAIL"
 	}
-	fmt.Fprintf(buf, "  [%s] crash %2d @%-6d: %s replayed=%d attempts=%d nested=%d restarts=%d recovery=%.3fms(virtual)\n",
-		status, i, crashAt, rep, cs.Replayed, cs.RecoveryAttempts,
-		cs.Fault.NestedCrashes, cs.Fault.RecoveryRestarts,
-		float64(cs.RecoveryVirtualNS)/1e6)
-	if !ok {
-		reportFailure(buf, mk, i, crashAt)
+	fmt.Fprintf(buf, "  [%s] crash %2d @%-6d: %s\n", status, i, crashAt, detail)
+	if cyc.OK {
+		return cyc
 	}
-	return crashCycle{
-		Iteration: i, OK: ok,
-		Completed: rep.Completed, Recovered: rep.Recovered,
-		Lost: rep.LostCompleted, recStats: cs.recStats,
-		CrashAt: crashAt, RecoveryAttempts: cs.RecoveryAttempts,
-		Fault: cs.Fault,
-	}
-}
-
-// runLinearizeIteration is one -check linearize iteration: -epochs chained
-// crash/recover epochs of the recorded mixed set workload, each checked for
-// (buffered) durable linearizability.
-func runLinearizeIteration(buf *bytes.Buffer, mk driverMaker, i int, crashAt uint64) crashCycle {
-	cb, cs, ok := runLinearizeCycle(mk, i, crashAt)
-	status := "OK "
-	if !ok {
-		status = "FAIL"
-	}
-	fmt.Fprintf(buf, "  [%s] crash %2d @%-6d: linearize epochs=%d ops=%d partitions=%d lost=%d replayed=%d attempts=%d nested=%d restarts=%d recovery=%.3fms(virtual)\n",
-		status, i, crashAt, cb.Epochs, cb.Ops, cb.Partitions, cb.Lost,
-		cs.Replayed, cs.RecoveryAttempts,
-		cs.Fault.NestedCrashes, cs.Fault.RecoveryRestarts,
-		float64(cs.RecoveryVirtualNS)/1e6)
-	if !ok {
+	if err != nil {
+		fmt.Fprintf(buf, "       error: %v\n", err)
+	} else if cb := cyc.Check; cb != nil {
 		fmt.Fprintf(buf, "       check: epoch %d, %s: %s\n", cb.FailedEpoch, cb.FailedPartition, cb.Reason)
-		reportFailure(buf, mk, i, crashAt)
 	}
-	return crashCycle{
-		Iteration: i, OK: ok,
-		Completed: uint64(cb.Ops), Lost: uint64(cb.Lost), recStats: cs.recStats,
-		CrashAt: crashAt, RecoveryAttempts: cs.RecoveryAttempts,
-		Fault: cs.Fault, Check: &cb,
+	at := crashAt
+	if *bisect {
+		at = bisectCrash(buf, tg, i, crashAt)
 	}
-}
-
-// cycleOK re-runs one iteration under the active checker and reports only
-// the verdict (the bisection probe).
-func cycleOK(mk driverMaker, iter int, crashAt uint64) bool {
-	if *checkMode == "linearize" {
-		_, _, ok := runLinearizeCycle(mk, iter, crashAt)
-		return ok
-	}
-	_, _, ok := runCycle(mk, iter, crashAt)
-	return ok
+	reproLine(buf, tg, i, 1, fmt.Sprintf("-crash-at=%d", at))
+	return cyc
 }
 
 func topo() numa.Topology { return numa.Topology{Nodes: 2, ThreadsPerNode: (*workers + 1) / 2} }
@@ -432,16 +437,20 @@ func policyLabel() string {
 	return *policySpec
 }
 
-// cyclePolicy builds a fresh policy value for one cycle's crash lineage (a
-// stateful policy must not be shared across machines). A bare "targeted"
+// iterPolicySpec is the policy spec of one iteration: a bare "targeted"
 // advances its starting drop index with the iteration so that successive
 // cycles sweep different single-line-missing states.
-func cyclePolicy(iter int, base int64) fault.Policy {
-	spec := *policySpec
-	if spec == "targeted" {
-		spec = fmt.Sprintf("targeted=%d", iter)
+func iterPolicySpec(iter int) string {
+	if *policySpec == "targeted" {
+		return fmt.Sprintf("targeted=%d", iter)
 	}
-	p, err := fault.Parse(spec, uint64(base)+11)
+	return *policySpec
+}
+
+// cyclePolicy builds a fresh policy value for one cycle's crash lineage (a
+// stateful policy must not be shared across machines).
+func cyclePolicy(iter int, base int64) fault.Policy {
+	p, err := fault.Parse(iterPolicySpec(iter), uint64(base)+11)
 	if err != nil {
 		panic(err) // spec already validated in main
 	}
@@ -467,118 +476,168 @@ func nestedEvent(iter, attempt int) uint64 {
 	return 400 + (uint64(iter)*733+uint64(attempt)*311)%2600
 }
 
-// cycleStats is everything one cycle measured beyond the history report.
-type cycleStats struct {
-	recStats
-	RecoveryAttempts int
-	Fault            faultStats
+// nestedArm arms a crash inside the first -nested recovery attempts of
+// iteration iter (drivers.Recover's nestedAt argument).
+func nestedArm(iter int) func(attempt int) uint64 {
+	return func(attempt int) uint64 {
+		if attempt < *nested {
+			return nestedEvent(iter, attempt)
+		}
+		return 0
+	}
 }
 
-// driver adapts one construction to the generic crash cycle. boot builds
-// the engine on a fresh system and recov rebuilds it from a recovered
-// system; exec/get dispatch to whichever engine is current.
-type driver struct {
-	name     string
-	offset   int64 // per-system seed offset, disjoint across systems
-	buffered bool  // buffered durable: gets the ε+β−1 loss allowance
-	ok       func(history.Report) bool
-	boot     func(t *sim.Thread, sys *nvm.System) error
-	spawnAux func() // spawn auxiliary threads on the workload scheduler; may be nil
-	recov    func(t *sim.Thread, recSys *nvm.System) (replayed uint64, err error)
-	exec     func(t *sim.Thread, tid int, op uc.Op) uint64
-	get      func(t *sim.Thread, key uint64) bool
+// addRecovery folds one recover-until-done run into the cycle's record.
+func (c *crashCycle) addRecovery(rec drivers.Recovery) {
+	c.RecoveryAttempts += rec.Attempts
+	c.Fault.NestedCrashes += uint64(rec.NestedCrashes)
+	c.Replayed += rec.Info.Replayed
+	c.RecoveryVirtualNS += rec.VirtualNS
 }
 
-// driverMaker builds a fresh driver; every cycle (and every bisection
-// probe) gets its own, so no engine state leaks between machines.
-type driverMaker func() *driver
+// readFault fills the adversary's tallies from the cycle's final machine.
+func (c *crashCycle) readFault(sys *nvm.System) {
+	ms := sys.Metrics().Snapshot()
+	c.Fault.Policy = policyLabel()
+	c.Fault.PendingDropped = ms.CrashLinesDropped
+	c.Fault.PendingPersisted = ms.CrashLinesPersisted
+	c.Fault.RecoveryRestarts = ms.RecoveryRestarts
+	c.Fault.ReplayHoles = ms.ReplayHoles
+}
 
-// runCycle executes one boot → workload-crash → recover(×attempts) → probe
-// cycle and checks the recovered state.
-func runCycle(mk driverMaker, iter int, crashAt uint64) (history.Report, cycleStats, bool) {
-	d := mk()
-	base := *seed + int64(iter)*101 + d.offset
-	tp := topo()
+// recoveryLine renders the recovery half of a flat cycle's progress line.
+func (c *crashCycle) recoveryLine() string {
+	return fmt.Sprintf("replayed=%d attempts=%d nested=%d restarts=%d recovery=%.3fms(virtual)",
+		c.Replayed, c.RecoveryAttempts, c.Fault.NestedCrashes, c.Fault.RecoveryRestarts,
+		float64(c.RecoveryVirtualNS)/1e6)
+}
 
-	bootSch := sim.New(base)
-	sys := nvm.NewSystem(bootSch, nvm.Config{
+// bootCycle boots ds, in order, on a fresh machine seeded from base and
+// installs iteration iter's fault policy.
+func bootCycle(base int64, iter int, ds ...*uc.Driver) (*nvm.System, []uc.UC, error) {
+	engs := make([]uc.UC, len(ds))
+	sys, eng, err := drivers.Boot(ds[0], base, nvm.Config{
 		Costs: sim.UnitCosts(), BGFlushOneIn: 128, Seed: uint64(base) + 7,
 		NoFlushElision: !*flushElide,
+	}, func(t *sim.Thread, sys *nvm.System, _ uc.UC) (err error) {
+		for k := 1; k < len(ds) && err == nil; k++ {
+			engs[k], err = ds[k].Boot(t, sys)
+		}
+		return err
 	})
+	engs[0] = eng
 	sys.SetFaultPolicy(cyclePolicy(iter, base))
-	var err error
-	bootSch.Spawn("boot", 0, 0, func(t *sim.Thread) { err = d.boot(t, sys) })
-	bootSch.Run()
 	if err != nil {
-		panic(err)
+		err = fmt.Errorf("boot: %w", err)
 	}
+	return sys, engs, err
+}
 
+// crashedMachine boots d and drives per-worker key insertions into the
+// crash armed at crashAt, returning the frozen machine and how many inserts
+// each worker completed.
+func crashedMachine(d *uc.Driver, base int64, iter int, crashAt uint64) (*nvm.System, []uint64, error) {
+	sys, engs, err := bootCycle(base, iter, d)
+	if err != nil {
+		return sys, nil, err
+	}
 	sch := sim.New(base + 1)
 	sch.CrashAtEvent(crashAt)
 	sys.SetScheduler(sch)
-	if d.spawnAux != nil {
-		d.spawnAux()
+	if d.SpawnAux != nil {
+		d.SpawnAux()
 	}
-	completed := runInsertWorkers(sch, tp, *workers, d.exec)
-
-	// Recovery loop: the first -nested attempts run with a crash armed
-	// inside the recovery itself; recovery must be re-entrant, so the cycle
-	// keeps recovering until an attempt completes.
-	var cs cycleStats
-	cur := sys
-	for attempt := 0; ; attempt++ {
-		recSch := sim.New(base + 2 + int64(attempt)*17)
-		if attempt < *nested {
-			recSch.CrashAtEvent(nestedEvent(iter, attempt))
-		}
-		cur = cur.Recover(recSch)
-		cs.RecoveryAttempts++
-		recSch.Spawn("recover", 0, 0, func(t *sim.Thread) {
-			start := t.Clock()
-			cs.Replayed, err = d.recov(t, cur)
-			cs.RecoveryVirtualNS = t.Clock() - start
+	tp := topo()
+	completed := make([]uint64, *workers)
+	for tid := range completed {
+		tid := tid
+		sch.Spawn("worker", tp.NodeOf(tid), 0, func(t *sim.Thread) {
+			defer func() {
+				if r := recover(); r != nil && !sim.Crashed(r) {
+					panic(r)
+				}
+			}()
+			for i := uint64(0); ; i++ {
+				engs[0].Execute(t, tid, uc.Insert(history.Key(tid, i), i))
+				completed[tid] = i + 1
+			}
 		})
-		recSch.Run()
-		if recSch.Frozen() {
-			cs.Fault.NestedCrashes++
-			continue
-		}
-		if err != nil {
-			panic(err)
-		}
-		break
 	}
-
-	keys := probeKeys(cur, base+1000, completed, d.get)
-	ms := cur.Metrics().Snapshot()
-	cs.Fault.Policy = policyLabel()
-	cs.Fault.PendingDropped = ms.CrashLinesDropped
-	cs.Fault.PendingPersisted = ms.CrashLinesPersisted
-	cs.Fault.RecoveryRestarts = ms.RecoveryRestarts
-	cs.Fault.ReplayHoles = ms.ReplayHoles
-	rep := history.Check(keys, completed)
-	return rep, cs, d.ok(rep)
+	sch.Run()
+	return sys, completed, nil
 }
 
-// reportFailure prints a one-line repro for the failing cycle, optionally
-// bisecting the crash point down first. The printed command re-runs exactly
-// this machine: iteration 0 with the adjusted -seed reproduces the failing
-// iteration's seed stream, -crash-at pins the crash.
-func reportFailure(w io.Writer, mk driverMaker, iter int, crashAt uint64) {
-	at := crashAt
-	if *bisect {
-		at = bisectCrash(w, mk, iter, crashAt)
+// probeKeys reads back which keys survived recovery.
+func probeKeys(recSys *nvm.System, seed int64, completed []uint64, eng uc.UC) [][]bool {
+	keys := make([][]bool, len(completed))
+	drivers.Probe(recSys, seed, func(t *sim.Thread) {
+		for tid := range completed {
+			n := completed[tid] + 32
+			keys[tid] = make([]bool, n)
+			for i := uint64(0); i < n; i++ {
+				keys[tid][i] = eng.Execute(t, 0, uc.Get(history.Key(tid, i))) != uc.NotFound
+			}
+		}
+	})
+	return keys
+}
+
+// reportOK applies d's correctness condition to a prefix report: buffered
+// durable with the ε+β−1 loss allowance, or strict durable.
+func reportOK(d *uc.Driver, rep history.Report) bool {
+	if d.Buffered {
+		return rep.BufferedOK(*epsilon, uint64(topo().ThreadsPerNode))
 	}
-	d := mk()
-	args := []string{
-		fmt.Sprintf("-system=%s", systemFlagOf(d.name)),
-		"-iterations=1",
+	return rep.DurableOK()
+}
+
+// runCycle executes one boot → workload-crash → recover(×attempts) → probe
+// cycle and checks the recovered state against the per-worker prefix
+// condition.
+func runCycle(tg target, iter int, crashAt uint64) (crashCycle, string, error) {
+	d := tg.New(sizing())
+	base := *seed + int64(iter)*101 + tg.offset
+	cyc := crashCycle{Iteration: iter, CrashAt: crashAt}
+	var rep history.Report
+	finish := func(sys *nvm.System, err error) (crashCycle, string, error) {
+		cyc.readFault(sys)
+		cyc.OK = err == nil && reportOK(d, rep)
+		cyc.Completed, cyc.Recovered, cyc.Lost = rep.Completed, rep.Recovered, rep.LostCompleted
+		return cyc, fmt.Sprintf("%s %s", rep, cyc.recoveryLine()), err
+	}
+
+	sys, completed, err := crashedMachine(d, base, iter, crashAt)
+	if err != nil {
+		return finish(sys, err)
+	}
+	// The first -nested recovery attempts run with a crash armed inside the
+	// recovery itself; recovery must be re-entrant, so the cycle keeps
+	// recovering until an attempt completes.
+	rec, err := drivers.Recover(d, sys, base+2, nestedArm(iter), nil)
+	cyc.addRecovery(rec)
+	if err != nil {
+		return finish(rec.Sys, fmt.Errorf("recover: %w", err))
+	}
+	rep = history.Check(probeKeys(rec.Sys, base+1000, completed, rec.Eng), completed)
+	return finish(rec.Sys, nil)
+}
+
+// reproLine prints the command that re-runs exactly iteration iter's
+// machine: run as iteration 0 with the adjusted -seed it reproduces the
+// iteration's seed stream, and pins fix what the iteration index chose
+// (-crash-at for a cycle, the sweep geometry for a sweep).
+func reproLine(w io.Writer, tg target, iter, iterations int, pins ...string) {
+	args := []string{fmt.Sprintf("-system=%s", tg.Flag)}
+	if *instancesFlg > 1 {
+		args = append(args, fmt.Sprintf("-instances=%d", *instancesFlg))
+	}
+	args = append(args,
+		fmt.Sprintf("-iterations=%d", iterations),
 		fmt.Sprintf("-workers=%d", *workers),
 		fmt.Sprintf("-epsilon=%d", *epsilon),
 		fmt.Sprintf("-log=%d", *logSize),
-		fmt.Sprintf("-seed=%d", *seed+int64(iter)*101),
-		fmt.Sprintf("-crash-at=%d", at),
-	}
+		fmt.Sprintf("-seed=%d", *seed+int64(iter)*101))
+	args = append(args, pins...)
 	if *checkMode != "prefix" {
 		args = append(args, fmt.Sprintf("-check=%s", *checkMode), fmt.Sprintf("-epochs=%d", *epochs))
 	}
@@ -586,11 +645,7 @@ func reportFailure(w io.Writer, mk driverMaker, iter int, crashAt uint64) {
 		args = append(args, "-flush-elide=false")
 	}
 	if *policySpec != "" {
-		spec := *policySpec
-		if spec == "targeted" {
-			spec = fmt.Sprintf("targeted=%d", iter)
-		}
-		args = append(args, fmt.Sprintf("-policy=%s", spec))
+		args = append(args, fmt.Sprintf("-policy=%s", iterPolicySpec(iter)))
 	}
 	if *nested > 0 {
 		na := *nestedAt
@@ -605,14 +660,18 @@ func reportFailure(w io.Writer, mk driverMaker, iter int, crashAt uint64) {
 // bisectCrash binary-searches the smallest failing crash point below the
 // observed failure, assuming (best-effort) that the failure boundary is
 // monotone between a passing low point and the failing high point.
-func bisectCrash(w io.Writer, mk driverMaker, iter int, failAt uint64) uint64 {
+func bisectCrash(w io.Writer, tg target, iter int, failAt uint64) uint64 {
+	cycleOK := func(crashAt uint64) bool {
+		cyc, _, _ := activeCycle()(tg, iter, crashAt)
+		return cyc.OK
+	}
 	lo, hi := uint64(64), failAt // crash during boot replay is uninteresting
-	if !cycleOK(mk, iter, lo) {
+	if !cycleOK(lo) {
 		return lo
 	}
 	for hi-lo > 1 {
 		mid := lo + (hi-lo)/2
-		if cycleOK(mk, iter, mid) {
+		if cycleOK(mid) {
 			lo = mid
 		} else {
 			hi = mid
@@ -620,182 +679,4 @@ func bisectCrash(w io.Writer, mk driverMaker, iter int, failAt uint64) uint64 {
 	}
 	fmt.Fprintf(w, "       bisect: crash point shrunk %d -> %d\n", failAt, hi)
 	return hi
-}
-
-// systemFlagOf maps a display name back to its -system spelling.
-func systemFlagOf(name string) string {
-	switch name {
-	case "PREP-Durable":
-		return "prep-durable"
-	case "PREP-Buffered":
-		return "prep-buffered"
-	case "CX-PUC":
-		return "cx"
-	case "SOFT":
-		return "soft"
-	case "ONLL":
-		return "onll"
-	}
-	return name
-}
-
-// runInsertWorkers drives per-worker key insertions until the crash.
-func runInsertWorkers(sch *sim.Scheduler, tp numa.Topology, n int,
-	exec func(t *sim.Thread, tid int, op uc.Op) uint64) []uint64 {
-	completed := make([]uint64, n)
-	for tid := 0; tid < n; tid++ {
-		tid := tid
-		sch.Spawn("worker", tp.NodeOf(tid), 0, func(t *sim.Thread) {
-			defer func() {
-				if r := recover(); r != nil && !sim.Crashed(r) {
-					panic(r)
-				}
-			}()
-			for i := uint64(0); ; i++ {
-				exec(t, tid, uc.Insert(history.Key(tid, i), i))
-				completed[tid] = i + 1
-			}
-		})
-	}
-	sch.Run()
-	return completed
-}
-
-// probeKeys reads back which keys survived recovery.
-func probeKeys(recSys *nvm.System, seed int64, completed []uint64,
-	get func(t *sim.Thread, key uint64) bool) [][]bool {
-	keys := make([][]bool, len(completed))
-	sch := sim.New(seed)
-	recSys.SetScheduler(sch)
-	sch.Spawn("probe", 0, 0, func(t *sim.Thread) {
-		for tid := range completed {
-			n := completed[tid] + 32
-			keys[tid] = make([]bool, n)
-			for i := uint64(0); i < n; i++ {
-				keys[tid][i] = get(t, history.Key(tid, i))
-			}
-		}
-	})
-	sch.Run()
-	return keys
-}
-
-func prepDriver(mode core.Mode) driverMaker {
-	return func() *driver {
-		name := "PREP-Durable"
-		okFn := history.Report.DurableOK
-		if mode == core.Buffered {
-			name = "PREP-Buffered"
-			beta := uint64(topo().ThreadsPerNode)
-			okFn = func(r history.Report) bool { return r.BufferedOK(*epsilon, beta) }
-		}
-		cfg := core.Config{
-			Mode: mode, Topology: topo(), Workers: *workers,
-			LogSize: *logSize, Epsilon: *epsilon,
-			Factory:   seq.HashMapFactory(256),
-			Attacher:  seq.HashMapAttacher,
-			HeapWords: 1 << 21,
-		}
-		d := &driver{name: name, offset: 0, buffered: mode == core.Buffered, ok: okFn}
-		var cur *core.PREP
-		d.spawnAux = func() { cur.SpawnPersistence(0) }
-		d.boot = func(t *sim.Thread, sys *nvm.System) error {
-			p, err := core.New(t, sys, cfg)
-			if err != nil {
-				return err
-			}
-			cur = p
-			return nil
-		}
-		d.recov = func(t *sim.Thread, recSys *nvm.System) (uint64, error) {
-			rec, report, err := core.Recover(t, recSys, cfg)
-			if err != nil {
-				return 0, err
-			}
-			cur = rec
-			return report.Replayed, nil
-		}
-		d.exec = func(t *sim.Thread, tid int, op uc.Op) uint64 { return cur.Execute(t, tid, op) }
-		d.get = func(t *sim.Thread, key uint64) bool {
-			return cur.Execute(t, 0, uc.Get(key)) != uc.NotFound
-		}
-		return d
-	}
-}
-
-func cxDriver() *driver {
-	cfg := cxpuc.Config{
-		Workers:   *workers,
-		Factory:   seq.HashMapFactory(256),
-		Attacher:  seq.HashMapAttacher,
-		HeapWords: 1 << 20, QueueCapacity: 1 << 18, CapReplicas: 8,
-	}
-	d := &driver{name: "CX-PUC", offset: 50_000, ok: history.Report.DurableOK}
-	var cur *cxpuc.CX
-	d.boot = func(t *sim.Thread, sys *nvm.System) error {
-		cx, err := cxpuc.New(t, sys, cfg)
-		cur = cx
-		return err
-	}
-	d.recov = func(t *sim.Thread, recSys *nvm.System) (uint64, error) {
-		rec, err := cxpuc.Recover(t, recSys, cfg)
-		if err != nil {
-			return 0, err
-		}
-		cur = rec
-		return 0, nil
-	}
-	d.exec = func(t *sim.Thread, tid int, op uc.Op) uint64 { return cur.Execute(t, tid, op) }
-	d.get = func(t *sim.Thread, key uint64) bool {
-		return cur.Execute(t, 0, uc.Get(key)) != uc.NotFound
-	}
-	return d
-}
-
-func softDriver() *driver {
-	cfg := soft.Config{Buckets: 512, VolatileWords: 1 << 20, PersistentWords: 1 << 20}
-	d := &driver{name: "SOFT", offset: 90_000, ok: history.Report.DurableOK}
-	var cur *soft.Soft
-	d.boot = func(t *sim.Thread, sys *nvm.System) error {
-		cur = soft.New(t, sys, cfg)
-		return nil
-	}
-	d.recov = func(t *sim.Thread, recSys *nvm.System) (uint64, error) {
-		rec, replayed, err := soft.Recover(t, recSys, cfg)
-		if err != nil {
-			return 0, err
-		}
-		cur = rec
-		return replayed, nil
-	}
-	d.exec = func(t *sim.Thread, tid int, op uc.Op) uint64 { return cur.Execute(t, tid, op) }
-	d.get = func(t *sim.Thread, key uint64) bool { return cur.Get(t, key) != uc.NotFound }
-	return d
-}
-
-func onllDriver() *driver {
-	cfg := onll.Config{
-		Workers: *workers, Factory: seq.HashMapFactory(256),
-		HeapWords: 1 << 21, LogEntries: 1 << 13,
-	}
-	d := &driver{name: "ONLL", offset: 130_000, ok: history.Report.DurableOK}
-	var cur *onll.ONLL
-	d.boot = func(t *sim.Thread, sys *nvm.System) error {
-		o, err := onll.New(t, sys, cfg)
-		cur = o
-		return err
-	}
-	d.recov = func(t *sim.Thread, recSys *nvm.System) (uint64, error) {
-		rec, replayed, err := onll.Recover(t, recSys, cfg)
-		if err != nil {
-			return 0, err
-		}
-		cur = rec
-		return replayed, nil
-	}
-	d.exec = func(t *sim.Thread, tid int, op uc.Op) uint64 { return cur.Execute(t, tid, op) }
-	d.get = func(t *sim.Thread, key uint64) bool {
-		return cur.Execute(t, 0, uc.Get(key)) != uc.NotFound
-	}
-	return d
 }

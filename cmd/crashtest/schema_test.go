@@ -28,6 +28,16 @@ func withFlags(t *testing.T, vals map[string]string) {
 	}
 }
 
+// selected resolves the -system flag as main does.
+func selected(t *testing.T) []target {
+	t.Helper()
+	tgs, err := targets()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tgs
+}
+
 // TestSchemaGolden locks the prepuc-crash/v2 JSON document byte for byte:
 // every field of a run is virtual-time or seed-derived, so a tiny
 // deterministic run must reproduce its golden exactly. One golden covers
@@ -59,7 +69,7 @@ func TestSchemaGolden(t *testing.T) {
 			withFlags(t, base)
 			withFlags(t, tc.extra)
 			var progress bytes.Buffer
-			doc, failures := buildDoc(&progress)
+			doc, failures := buildDoc(&progress, selected(t))
 			if failures != 0 {
 				t.Fatalf("deterministic run failed %d cycles:\n%s", failures, progress.String())
 			}
@@ -98,7 +108,7 @@ func TestSweepBlock(t *testing.T) {
 		"system": "prep-durable", "sweep": "4",
 	})
 	var progress bytes.Buffer
-	doc, failures := buildDoc(&progress)
+	doc, failures := buildDoc(&progress, selected(t))
 	if failures != 0 {
 		t.Fatalf("deterministic sweep run failed %d cycles/points:\n%s", failures, progress.String())
 	}
@@ -159,7 +169,7 @@ func TestShardedCrashFields(t *testing.T) {
 	}
 	withFlags(t, base)
 	var progress bytes.Buffer
-	doc, failures := buildDoc(&progress)
+	doc, failures := buildDoc(&progress, selected(t))
 	if failures != 0 {
 		t.Fatalf("sharded run failed %d cycles:\n%s", failures, progress.String())
 	}
@@ -221,7 +231,7 @@ func TestShardedCrashFields(t *testing.T) {
 	// The document is a pure function of the flags at any -j.
 	withFlags(t, map[string]string{"j": "4"})
 	progress.Reset()
-	doc2, failures := buildDoc(&progress)
+	doc2, failures := buildDoc(&progress, selected(t))
 	if failures != 0 {
 		t.Fatalf("-j 4 run failed %d cycles", failures)
 	}
@@ -241,7 +251,7 @@ func TestSchemaRequiredFields(t *testing.T) {
 		"system": "prep-buffered", "check": "linearize", "epochs": "1",
 	})
 	var progress bytes.Buffer
-	doc, failures := buildDoc(&progress)
+	doc, failures := buildDoc(&progress, selected(t))
 	if failures != 0 {
 		t.Fatalf("run failed:\n%s", progress.String())
 	}

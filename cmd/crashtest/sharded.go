@@ -12,25 +12,20 @@ package main
 // instance's recovery resurrected another's writes: instance keys are
 // tagged with the instance index, so any bleed is a nonzero foreign count.
 //
-// Sharded cycles are PREP-only (-system prep-durable / prep-buffered /
-// all, which narrows to those two): the comparison systems have no
-// multi-instance region naming. The JSON document is additive to schema
+// Sharded cycles run the constructions the registry marks Instanced (the
+// two persistent PREP modes; -system all narrows to them): the comparison
+// systems have no multi-instance region naming. The JSON document is additive to schema
 // prepuc-crash/v2 — a top-level "instances" field and a per-cycle
 // "sharded" block, both omitted in single-instance runs so existing
 // goldens and consumers are unchanged.
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
-	"io"
-	"strings"
 
-	"prepuc/internal/core"
+	"prepuc/internal/drivers"
 	"prepuc/internal/history"
 	"prepuc/internal/nvm"
-	"prepuc/internal/par"
-	"prepuc/internal/seq"
 	"prepuc/internal/sim"
 	"prepuc/internal/uc"
 )
@@ -67,18 +62,13 @@ func instKey(k, tid int, i uint64) uint64 {
 	return uint64(k+1)<<56 | history.Key(tid, i)
 }
 
-// shardedCfg is instance k's engine config: the flat PREP config with a
-// per-instance worker slice and the region namespace.
-func shardedCfg(mode core.Mode, k, wp int) core.Config {
-	return core.Config{
-		Mode: mode, Topology: topo(), Workers: wp,
-		LogSize: *logSize, Epsilon: *epsilon,
-		Factory:  seq.HashMapFactory(256),
-		Attacher: seq.HashMapAttacher,
-		// Smaller than the flat driver's heap: N instances share the machine.
-		HeapWords: 1 << 19,
-		Instance:  fmt.Sprintf("s%d", k),
-	}
+// shardedSizing is instance k's machine: the flat sizing with a
+// per-instance worker slice, the region namespace, and a smaller heap (N
+// instances share the machine).
+func shardedSizing(k, wp int) uc.Sizing {
+	sz := sizing()
+	sz.Workers, sz.HeapWords, sz.Instance = wp, 1<<19, fmt.Sprintf("s%d", k)
+	return sz
 }
 
 // recoverFirst picks the cycle's first-wave recovery subset: a proper
@@ -93,120 +83,31 @@ func recoverFirst(iter, n int) []int {
 	return first
 }
 
-// buildShardedDoc is buildDoc for -instances > 1: the same document shape
-// with the per-cycle sharded additions, over the PREP systems only.
-func buildShardedDoc(progress io.Writer) (crashDoc, int) {
-	doc := crashDoc{
-		Schema: CrashSchema, Iterations: *iterations, Workers: *workers,
-		Epsilon: *epsilon, LogSize: *logSize, Seed: *seed, Nested: *nested,
-		Instances: *instancesFlg,
-		Fault:     faultStats{Policy: policyLabel()},
-	}
-	failures := 0
-	run := func(mode core.Mode, name string) {
-		fmt.Fprintf(progress, "=== %s: %d sharded crash/recover cycles (instances=%d) ===\n",
-			name, *iterations, *instancesFlg)
-		sd := crashSystemDoc{System: name}
-		cycles := make([]crashCycle, *iterations)
-		var seqOut par.Seq
-		par.Do(par.Jobs(*jobs), *iterations, func(i int) {
-			var buf bytes.Buffer
-			cycles[i] = runShardedIteration(&buf, mode, i, crashEvent(i))
-			seqOut.Done(i, func() { progress.Write(buf.Bytes()) })
-		})
-		for _, c := range cycles {
-			if !c.OK {
-				failures++
-			}
-			doc.Fault.add(c.Fault)
-			sd.Cycles = append(sd.Cycles, c)
-		}
-		doc.Systems = append(doc.Systems, sd)
-	}
-	if *system == "all" || *system == "prep-durable" {
-		run(core.Durable, "PREP-Durable")
-	}
-	if *system == "all" || *system == "prep-buffered" {
-		run(core.Buffered, "PREP-Buffered")
-	}
-	return doc, failures
-}
-
-// runShardedIteration is one sharded iteration: the cycle plus its
-// progress line and failure repro.
-func runShardedIteration(buf *bytes.Buffer, mode core.Mode, iter int, crashAt uint64) crashCycle {
-	cyc, ok := runShardedCycle(mode, iter, crashAt)
-	status := "OK "
-	if !ok {
-		status = "FAIL"
-	}
-	sb := cyc.Sharded
-	fmt.Fprintf(buf, "  [%s] crash %2d @%-6d: instances=%d first=%v completed=%d recovered=%d lost=%d foreign=%d replayed=%d recovery=%.3fms(virtual)\n",
-		status, iter, crashAt, sb.Instances, sb.RecoveredFirst, cyc.Completed,
-		cyc.Recovered, cyc.Lost, sb.ForeignKeys, cyc.Replayed,
-		float64(cyc.RecoveryVirtualNS)/1e6)
-	if !ok {
-		name := "prep-durable"
-		if mode == core.Buffered {
-			name = "prep-buffered"
-		}
-		args := []string{
-			fmt.Sprintf("-system=%s", name),
-			fmt.Sprintf("-instances=%d", *instancesFlg),
-			"-iterations=1",
-			fmt.Sprintf("-workers=%d", *workers),
-			fmt.Sprintf("-epsilon=%d", *epsilon),
-			fmt.Sprintf("-log=%d", *logSize),
-			fmt.Sprintf("-seed=%d", *seed+int64(iter)*101),
-			fmt.Sprintf("-crash-at=%d", crashAt),
-		}
-		if !*flushElide {
-			args = append(args, "-flush-elide=false")
-		}
-		if *policySpec != "" {
-			spec := *policySpec
-			if spec == "targeted" {
-				spec = fmt.Sprintf("targeted=%d", iter)
-			}
-			args = append(args, fmt.Sprintf("-policy=%s", spec))
-		}
-		fmt.Fprintf(buf, "       repro: crashtest %s\n", strings.Join(args, " "))
-	}
-	return cyc
-}
-
 // runShardedCycle executes one boot(×N) → workload-crash → recover(first
 // wave, then rest) → probe cycle and checks every instance plus the
-// cross-instance isolation scan.
-func runShardedCycle(mode core.Mode, iter int, crashAt uint64) (crashCycle, bool) {
+// cross-instance isolation scan. A boot or recovery that answers with an
+// error fails the cycle and is returned for the progress stream.
+func runShardedCycle(tg target, iter int, crashAt uint64) (crashCycle, string, error) {
 	S := *instancesFlg
 	wp := *workers / S
-	var offset int64
-	if mode == core.Buffered {
-		offset = 50_000 // disjoint seed stream per system, as in the flat drivers
-	}
-	base := *seed + int64(iter)*101 + offset
+	base := *seed + int64(iter)*101 + tg.offset
 	tp := topo()
+	blk := &shardedBlock{Instances: S, RecoveredFirst: recoverFirst(iter, S)}
+	cyc := crashCycle{Iteration: iter, CrashAt: crashAt, Sharded: blk}
+	finish := func(sys *nvm.System, err error) (crashCycle, string, error) {
+		cyc.readFault(sys)
+		return cyc, fmt.Sprintf("instances=%d first=%v completed=%d recovered=%d lost=%d foreign=%d replayed=%d recovery=%.3fms(virtual)",
+			S, blk.RecoveredFirst, cyc.Completed, cyc.Recovered, cyc.Lost, blk.ForeignKeys,
+			cyc.Replayed, float64(cyc.RecoveryVirtualNS)/1e6), err
+	}
 
-	bootSch := sim.New(base)
-	sys := nvm.NewSystem(bootSch, nvm.Config{
-		Costs: sim.UnitCosts(), BGFlushOneIn: 128, Seed: uint64(base) + 7,
-		NoFlushElision: !*flushElide,
-	})
-	sys.SetFaultPolicy(cyclePolicy(iter, base))
-	engines := make([]*core.PREP, S)
-	var err error
-	bootSch.Spawn("boot", 0, 0, func(t *sim.Thread) {
-		for k := 0; k < S; k++ {
-			engines[k], err = core.New(t, sys, shardedCfg(mode, k, wp))
-			if err != nil {
-				return
-			}
-		}
-	})
-	bootSch.Run()
+	ds := make([]*uc.Driver, S)
+	for k := range ds {
+		ds[k] = tg.New(shardedSizing(k, wp))
+	}
+	sys, engines, err := bootCycle(base, iter, ds...)
 	if err != nil {
-		panic(err)
+		return finish(sys, err)
 	}
 
 	// Workload: wp insert workers per instance, all interleaved on one
@@ -214,8 +115,10 @@ func runShardedCycle(mode core.Mode, iter int, crashAt uint64) (crashCycle, bool
 	sch := sim.New(base + 1)
 	sch.CrashAtEvent(crashAt)
 	sys.SetScheduler(sch)
-	for k := 0; k < S; k++ {
-		engines[k].SpawnPersistence(0)
+	for _, d := range ds {
+		if d.SpawnAux != nil {
+			d.SpawnAux()
+		}
 	}
 	completed := make([][]uint64, S)
 	for k := 0; k < S; k++ {
@@ -241,43 +144,42 @@ func runShardedCycle(mode core.Mode, iter int, crashAt uint64) (crashCycle, bool
 	// subset, then the rest on a later scheduler. Each instance's recovery
 	// reads only its own prefixed regions, so wave order must not matter;
 	// the per-instance checks below catch any bleed.
-	first := recoverFirst(iter, S)
 	inFirst := make([]bool, S)
-	for _, k := range first {
+	for _, k := range blk.RecoveredFirst {
 		inFirst[k] = true
 	}
-	var cs cycleStats
-	cs.RecoveryAttempts = 1
-	rec := make([]*core.PREP, S)
+	cyc.RecoveryAttempts = 1
+	rec := make([]uc.UC, S)
 	replayed := make([]uint64, S)
 	recSch := sim.New(base + 2)
 	recovered := sys.Recover(recSch)
-	recoverWave := func(waveSch *sim.Scheduler, pick func(k int) bool) {
+	recoverWave := func(waveSch *sim.Scheduler, wave bool) error {
+		var err error
 		waveSch.Spawn("recover", 0, 0, func(t *sim.Thread) {
 			start := t.Clock()
-			for k := 0; k < S; k++ {
-				if !pick(k) {
+			for k := 0; k < S && err == nil; k++ {
+				if inFirst[k] != wave {
 					continue
 				}
-				p, rp, e := core.Recover(t, recovered, shardedCfg(mode, k, wp))
-				if e != nil {
-					err = e
-					return
+				var info uc.RecoverInfo
+				if rec[k], info, err = ds[k].Recover(t, recovered); err != nil {
+					err = fmt.Errorf("recover instance %d: %w", k, err)
 				}
-				rec[k] = p
-				replayed[k] = rp.Replayed
+				replayed[k] = info.Replayed
 			}
-			cs.RecoveryVirtualNS += t.Clock() - start
+			cyc.RecoveryVirtualNS += t.Clock() - start
 		})
 		waveSch.Run()
-		if err != nil {
-			panic(err)
-		}
+		return err
 	}
-	recoverWave(recSch, func(k int) bool { return inFirst[k] })
+	if err := recoverWave(recSch, true); err != nil {
+		return finish(recovered, err)
+	}
 	lateSch := sim.New(base + 3)
 	recovered.SetScheduler(lateSch)
-	recoverWave(lateSch, func(k int) bool { return !inFirst[k] })
+	if err := recoverWave(lateSch, false); err != nil {
+		return finish(recovered, err)
+	}
 
 	// Probe: each instance's own key prefix (the per-worker condition),
 	// plus its recovered Size for the isolation scan — any key beyond the
@@ -285,9 +187,7 @@ func runShardedCycle(mode core.Mode, iter int, crashAt uint64) (crashCycle, bool
 	keys := make([][][]bool, S)
 	sizes := make([]uint64, S)
 	own := make([]uint64, S)
-	probeSch := sim.New(base + 1000)
-	recovered.SetScheduler(probeSch)
-	probeSch.Spawn("probe", 0, 0, func(t *sim.Thread) {
+	drivers.Probe(recovered, base+1000, func(t *sim.Thread) {
 		for k := 0; k < S; k++ {
 			keys[k] = make([][]bool, wp)
 			for tid := 0; tid < wp; tid++ {
@@ -304,47 +204,24 @@ func runShardedCycle(mode core.Mode, iter int, crashAt uint64) (crashCycle, bool
 			sizes[k] = rec[k].Execute(t, 0, uc.Size())
 		}
 	})
-	probeSch.Run()
-
-	ms := recovered.Metrics().Snapshot()
-	cs.Fault.Policy = policyLabel()
-	cs.Fault.PendingDropped = ms.CrashLinesDropped
-	cs.Fault.PendingPersisted = ms.CrashLinesPersisted
-	cs.Fault.RecoveryRestarts = ms.RecoveryRestarts
-	cs.Fault.ReplayHoles = ms.ReplayHoles
-
-	beta := uint64(tp.ThreadsPerNode)
-	blk := &shardedBlock{Instances: S, RecoveredFirst: first}
-	allOK := true
-	var totC, totR, totL, totRep uint64
+	cyc.OK = true
 	for k := 0; k < S; k++ {
 		r := history.Check(keys[k], completed[k])
-		ok := r.DurableOK()
-		if mode == core.Buffered {
-			ok = r.BufferedOK(*epsilon, beta)
-		}
+		ok := reportOK(ds[k], r)
 		foreign := sizes[k] - own[k]
 		blk.ForeignKeys += foreign
 		if foreign != 0 {
 			ok = false
 		}
-		allOK = allOK && ok
+		cyc.OK = cyc.OK && ok
 		blk.PerInstance = append(blk.PerInstance, instanceCycle{
 			Instance: k, Completed: r.Completed, Recovered: r.Recovered,
 			Lost: r.LostCompleted, Replayed: replayed[k], OK: ok,
 		})
-		totC += r.Completed
-		totR += r.Recovered
-		totL += r.LostCompleted
-		totRep += replayed[k]
+		cyc.Completed += r.Completed
+		cyc.Recovered += r.Recovered
+		cyc.Lost += r.LostCompleted
+		cyc.Replayed += replayed[k]
 	}
-	cyc := crashCycle{
-		Iteration: iter, OK: allOK,
-		Completed: totC, Recovered: totR, Lost: totL,
-		recStats: recStats{RecoveryVirtualNS: cs.RecoveryVirtualNS, Replayed: totRep},
-		CrashAt:  crashAt, RecoveryAttempts: cs.RecoveryAttempts,
-		Fault:   cs.Fault,
-		Sharded: blk,
-	}
-	return cyc, allOK
+	return finish(recovered, nil)
 }

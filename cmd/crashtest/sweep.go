@@ -16,9 +16,11 @@ import (
 	"io"
 	"time"
 
+	"prepuc/internal/drivers"
 	"prepuc/internal/history"
 	"prepuc/internal/nvm"
 	"prepuc/internal/sim"
+	"prepuc/internal/uc"
 )
 
 // sweepTiming is what the sweep cost on the host: wall-clock plus the COW
@@ -46,36 +48,49 @@ type sweepBlock struct {
 	Timing        sweepTiming `json:"timing"`
 }
 
-// runSweep executes one system's nested-recovery crash sweep. It runs
-// serially: point k's verdict and the fault policy's decision stream are
-// then functions of the seed alone, so everything in the block except
-// wall_ms is deterministic.
-func runSweep(progress io.Writer, mk driverMaker) *sweepBlock {
-	start := time.Now()
-	d := mk()
-	base := *seed + 909 + d.offset
-	tp := topo()
-
-	bootSch := sim.New(base)
-	sys := nvm.NewSystem(bootSch, nvm.Config{
-		Costs: sim.UnitCosts(), BGFlushOneIn: 128, Seed: uint64(base) + 7,
-		NoFlushElision: !*flushElide,
-	})
-	sys.SetFaultPolicy(cyclePolicy(0, base))
+// recoverClone runs d.Recover on a copy-on-write clone of the materialized
+// crashed machine, with a crash armed inside the recovery at event at (0:
+// none). It returns the clone, its scheduler (Frozen when the armed crash
+// landed) and the rebuilt engine.
+func recoverClone(d *uc.Driver, crashed *nvm.System, seed int64, at uint64) (*nvm.System, *sim.Scheduler, uc.UC, error) {
+	sch := sim.New(seed)
+	clone := crashed.Clone(sch)
+	if at != 0 {
+		sch.CrashAtEvent(at)
+	}
+	var eng uc.UC
 	var err error
-	bootSch.Spawn("boot", 0, 0, func(t *sim.Thread) { err = d.boot(t, sys) })
-	bootSch.Run()
-	if err != nil {
-		panic(err)
+	sch.Spawn("recover", 0, 0, func(t *sim.Thread) { eng, _, err = d.Recover(t, clone) })
+	sch.Run()
+	return clone, sch, eng, err
+}
+
+// runSweep executes one system's nested-recovery crash sweep. It runs
+// serially — one driver recovers every clone in turn — so point k's verdict
+// and the fault policy's decision stream are functions of the seed alone,
+// and everything in the block except wall_ms is deterministic. A boot or
+// recovery that answers with an error fails the sweep (or the point) and is
+// reported with the sweep's repro.
+func runSweep(progress io.Writer, tg target) *sweepBlock {
+	start := time.Now()
+	d := tg.New(sizing())
+	base := *seed + 909 + tg.offset
+	sb := &sweepBlock{Points: *sweepN, Stride: *sweepStride}
+	fail := func(what string, err error) {
+		sb.Failures++
+		fmt.Fprintf(progress, "  sweep: %s: %v\n", what, err)
+		pins := []string{fmt.Sprintf("-sweep=%d", sb.Points), fmt.Sprintf("-sweep-stride=%d", sb.Stride)}
+		if *crashAtFlg != 0 {
+			pins = append(pins, fmt.Sprintf("-crash-at=%d", *crashAtFlg))
+		}
+		reproLine(progress, tg, 0, 0, pins...)
 	}
 
-	sch := sim.New(base + 1)
-	sch.CrashAtEvent(crashEvent(0))
-	sys.SetScheduler(sch)
-	if d.spawnAux != nil {
-		d.spawnAux()
+	sys, completed, err := crashedMachine(d, base, 0, crashEvent(0))
+	if err != nil {
+		fail("base machine", err)
+		return sb
 	}
-	completed := runInsertWorkers(sch, tp, *workers, d.exec)
 
 	// Materialize the crashed machine once; it is the shared base every
 	// swept point clones. Snapshot its substrate counters so the sweep
@@ -85,20 +100,14 @@ func runSweep(progress io.Writer, mk driverMaker) *sweepBlock {
 
 	// Ceiling probe: recover a clone to completion with no crash armed to
 	// learn how many events an undisturbed recovery takes.
-	probeSch := sim.New(base + 3)
-	probe := crashed.Clone(probeSch)
-	pd := mk()
-	probeSch.Spawn("recover", 0, 0, func(t *sim.Thread) { _, err = pd.recov(t, probe) })
-	probeSch.Run()
+	probe, probeSch, _, err := recoverClone(d, crashed, base+3, 0)
 	if err != nil {
-		panic(err)
+		fail("ceiling probe: recover", err)
+		return sb
 	}
-	ceiling := probeSch.Events()
-
-	sb := &sweepBlock{Points: *sweepN, RecoveryEvents: ceiling}
-	sb.Stride = *sweepStride
+	sb.RecoveryEvents = probeSch.Events()
 	if sb.Stride == 0 {
-		sb.Stride = ceiling / uint64(*sweepN+1)
+		sb.Stride = sb.RecoveryEvents / uint64(*sweepN+1)
 		if sb.Stride == 0 {
 			sb.Stride = 1
 		}
@@ -106,28 +115,18 @@ func runSweep(progress io.Writer, mk driverMaker) *sweepBlock {
 	var pagesCopied uint64
 	for k := 1; k <= *sweepN; k++ {
 		at := sb.Stride * uint64(k)
-		trialSch := sim.New(base + 4 + int64(k)*13)
-		trial := crashed.Clone(trialSch)
-		trialSch.CrashAtEvent(at)
-		td := mk()
-		var terr error
-		trialSch.Spawn("recover", 0, 0, func(t *sim.Thread) { _, terr = td.recov(t, trial) })
-		trialSch.Run()
-		cur := trial
+		cur, trialSch, eng, terr := recoverClone(d, crashed, base+4+int64(k)*13, at)
 		if trialSch.Frozen() {
 			// The armed crash landed inside recovery: materialize it and
 			// recover the re-crashed machine to completion.
 			sb.NestedCrashes++
-			afterSch := sim.New(base + 5 + int64(k)*13)
-			cur = cur.Recover(afterSch)
-			afterSch.Spawn("recover", 0, 0, func(t *sim.Thread) { _, terr = td.recov(t, cur) })
-			afterSch.Run()
+			var rec drivers.Recovery
+			rec, terr = drivers.Recover(d, cur, base+5+int64(k)*13, nil, nil)
+			cur, eng = rec.Sys, rec.Eng
 		}
 		if terr != nil {
-			panic(terr)
-		}
-		keys := probeKeys(cur, base+1000+int64(k)*13, completed, td.get)
-		if !d.ok(history.Check(keys, completed)) {
+			fail(fmt.Sprintf("point %d @%d: recover", k, at), terr)
+		} else if keys := probeKeys(cur, base+1000+int64(k)*13, completed, eng); !reportOK(d, history.Check(keys, completed)) {
 			sb.Failures++
 		}
 		pagesCopied += cur.Metrics().Snapshot().PagesCopied - before.PagesCopied

@@ -29,11 +29,12 @@ import (
 	"strconv"
 	"strings"
 
+	"prepuc/internal/drivers"
 	"prepuc/internal/explore"
 )
 
 var (
-	system   = flag.String("system", "prep-durable", "construction: prep-durable, prep-buffered, cx, soft, onll")
+	system   = flag.String("system", "prep-durable", "construction: "+strings.Join(drivers.Flags(drivers.Recoverable()), ", "))
 	workers  = flag.Int("workers", 2, "concurrent workload clients")
 	ops      = flag.Int("ops", 3, "workload operations, round-robined over the workers")
 	prefill  = flag.Int("prefill", 0, "keys inserted (and checkpointed) before the explored epoch")

@@ -50,6 +50,7 @@ import (
 	"os"
 	"strings"
 
+	"prepuc/internal/drivers"
 	"prepuc/internal/harness"
 	"prepuc/internal/openloop"
 	"prepuc/internal/shard"
@@ -57,7 +58,7 @@ import (
 
 var (
 	scenario = flag.String("scenario", "steady", "steady or crash")
-	system   = flag.String("system", "all", "prep-durable, prep-buffered, cx, soft, onll or all")
+	system   = flag.String("system", "all", strings.Join(drivers.Flags(drivers.All()), ", ")+" or all (the recoverable ones)")
 	shards   = flag.Int("shards", 4, "submission rings / consumer threads (engine workers)")
 	ringSize = flag.Uint64("ring", 1024, "per-shard ring capacity (power of two)")
 	maxBatch = flag.Int("batch", 32, "max operations per combiner handoff")
@@ -116,9 +117,30 @@ type serveDoc struct {
 	Systems           []*harness.ServeResult `json:"systems"`
 }
 
-// systemFlag maps driver names to their -system spellings.
-func systemFlag(name string) string {
-	return strings.ReplaceAll(strings.ToLower(name), "-puc", "")
+// selectSystems resolves -system against the registry. A steady-only system
+// (PREP-Volatile, the scaling headline's engine) cannot enter a crash
+// scenario; "all" includes it on sharded steady runs only — flat documents
+// keep the recoverable five, and take it on explicit selection so the
+// sharded sweeps' single-machine baselines come from the same binary.
+func selectSystems() ([]drivers.Entry, error) {
+	var out []drivers.Entry
+	var flags []string
+	for _, sys := range drivers.All() {
+		if sys.SteadyOnly && *scenario != "steady" {
+			if *system == sys.Flag {
+				return nil, fmt.Errorf("%s has no recovery path; steady scenario only", sys.Name)
+			}
+			continue
+		}
+		flags = append(flags, sys.Flag)
+		if *system == sys.Flag || *system == "all" && (!sys.SteadyOnly || *instances > 1) {
+			out = append(out, sys)
+		}
+	}
+	if len(out) == 0 {
+		return nil, fmt.Errorf("unknown system %q (want one of %v or all)", *system, flags)
+	}
+	return out, nil
 }
 
 // buildDoc runs the selected scenario against the selected systems under the
@@ -162,27 +184,16 @@ func buildDoc(progress io.Writer) (*serveDoc, int, error) {
 		Batched: *batched, Seed: *seed,
 		Policy: *policy, Check: *check,
 	}
-	failures := 0
+	systems, err := selectSystems()
+	if err != nil {
+		return nil, 0, err
+	}
 	if *instances > 1 {
-		return buildShardedDoc(progress, doc, cfg)
+		return buildShardedDoc(progress, doc, cfg, systems)
 	}
-	drivers := harness.ServeDrivers(*shards, *epsilon)
-	// Steady-only systems (PREP-Volatile, the no-persistence ceiling) are
-	// available on explicit selection so single-machine baselines for the
-	// sharded scaling sweeps come from the same binary; "all" keeps the
-	// recoverable five for document stability.
-	if *scenario == "steady" && *system != "all" {
-		for _, sys := range harness.ServeSystems() {
-			if sys.SteadyOnly && *system == systemFlag(sys.Name) {
-				drivers = append([]*harness.ServeDriver{sys.New(*shards, *epsilon)}, drivers...)
-			}
-		}
-	}
-	for _, d := range drivers {
-		if *system != "all" && *system != systemFlag(d.Name) {
-			continue
-		}
-		res, err := harness.RunServe(d, cfg)
+	failures := 0
+	for _, sys := range systems {
+		res, err := harness.RunServe(sys.New(harness.ServeSizing(*shards, *epsilon)), cfg)
 		if err != nil {
 			return nil, failures, err
 		}
@@ -194,17 +205,13 @@ func buildDoc(progress io.Writer) (*serveDoc, int, error) {
 			printResult(progress, res)
 		}
 	}
-	if len(doc.Systems) == 0 {
-		return nil, failures, fmt.Errorf("unknown system %q", *system)
-	}
 	return doc, failures, nil
 }
 
-// buildShardedDoc runs the sharded multi-instance matrix: all six systems
-// (PREP-Volatile included) on steady runs, the recoverable five on crash
-// runs, each deployed as *instances independent machines with the total
-// worker budget split evenly.
-func buildShardedDoc(progress io.Writer, doc *serveDoc, cfg harness.ServeConfig) (*serveDoc, int, error) {
+// buildShardedDoc runs the sharded multi-instance matrix: each selected
+// system deployed as *instances independent machines with the total worker
+// budget split evenly.
+func buildShardedDoc(progress io.Writer, doc *serveDoc, cfg harness.ServeConfig, systems []drivers.Entry) (*serveDoc, int, error) {
 	per := *shards / *instances
 	scfg := harness.ShardedServeConfig{
 		Instances: *instances, Route: *route, TotalWorkers: *shards,
@@ -230,19 +237,10 @@ func buildShardedDoc(progress io.Writer, doc *serveDoc, cfg harness.ServeConfig)
 	doc.Route = *route
 
 	failures := 0
-	for _, sys := range harness.ServeSystems() {
+	for _, sys := range systems {
 		sys := sys
-		if *system != "all" && *system != systemFlag(sys.Name) {
-			continue
-		}
-		if sys.SteadyOnly && *scenario == "crash" {
-			if *system != "all" {
-				return nil, failures, fmt.Errorf("%s has no recovery path; steady scenario only", sys.Name)
-			}
-			continue
-		}
 		res, err := harness.RunShardedServe(func() *harness.ServeDriver {
-			return sys.New(per, *epsilon)
+			return sys.New(harness.ServeSizing(per, *epsilon))
 		}, scfg)
 		if err != nil {
 			return nil, failures, err
@@ -254,9 +252,6 @@ func buildShardedDoc(progress io.Writer, doc *serveDoc, cfg harness.ServeConfig)
 		if *format != "json" {
 			printResult(progress, res)
 		}
-	}
-	if len(doc.Systems) == 0 {
-		return nil, failures, fmt.Errorf("unknown system %q", *system)
 	}
 	return doc, failures, nil
 }

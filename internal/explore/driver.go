@@ -1,70 +1,29 @@
 package explore
 
-// Construction drivers: the same adapter shape cmd/crashtest uses, shrunk to
-// explorer scale. Machines are tiny on purpose — the explorer's cost is
-// (schedules x crash classes x persist masks) whole-machine executions, so
-// every word of heap multiplies into the fingerprint walks and every extra
-// event into the replays. recov returns the recovery's resolved-invocation
-// map (nil for constructions without detectable execution) so leaf
-// adjudication can classify crash-cut operations as InFlightCommitted /
-// InFlightNever.
+// The explorer drives constructions through the shared registry
+// (internal/drivers) at explorer scale; only the machine shape is its own.
 
 import (
 	"fmt"
 
-	"prepuc/internal/core"
-	"prepuc/internal/cxpuc"
+	"prepuc/internal/drivers"
 	"prepuc/internal/numa"
-	"prepuc/internal/nvm"
-	"prepuc/internal/onll"
-	"prepuc/internal/seq"
-	"prepuc/internal/sim"
-	"prepuc/internal/soft"
 	"prepuc/internal/uc"
 )
 
-// driver adapts one construction to the explorer's generic leaf machinery.
-// One driver instance is bound to one machine lineage (boot through its
-// recovery chain); never share instances across machines.
-type driver struct {
-	name      string
-	buffered  bool
-	allowance int
-	detect    bool
-	boot      func(t *sim.Thread, sys *nvm.System) error
-	recov     func(t *sim.Thread, recSys *nvm.System) (resolved map[uint64]uint64, err error)
-	exec      func(t *sim.Thread, tid int, op uc.Op) uint64
-	get       func(t *sim.Thread, key uint64) uint64
-	// startAux/stopAux bracket auxiliary protocol threads over the workload
-	// phase (PREP's persistence thread): startAux spawns them after the
-	// workload scheduler is installed, stopAux — called by the last worker
-	// to finish, on that worker's thread — asks them to exit so the run
-	// quiesces. Nil when the construction has none.
-	startAux func()
-	stopAux  func(t *sim.Thread)
-}
-
-// Systems lists the -system spellings the explorer accepts.
-func Systems() []string {
-	return []string{"prep-durable", "prep-buffered", "cx", "soft", "onll"}
-}
-
-// mkDriver builds a fresh driver for the configured system.
-func mkDriver(cfg *Config) (*driver, error) {
-	switch cfg.System {
-	case "prep-durable":
-		return prepDriver(cfg, core.Durable), nil
-	case "prep-buffered":
-		return prepDriver(cfg, core.Buffered), nil
-	case "cx":
-		return cxDriver(cfg), nil
-	case "soft":
-		return softDriver(cfg), nil
-	case "onll":
-		return onllDriver(cfg), nil
-	default:
-		return nil, fmt.Errorf("explore: unknown system %q (want one of %v)", cfg.System, Systems())
+// mkDriver builds a fresh driver for the configured system. One driver is
+// bound to one machine lineage (boot through its recovery chain); never
+// share instances across machines.
+func mkDriver(cfg *Config) (*uc.Driver, error) {
+	e, err := drivers.Lookup(drivers.Recoverable(), cfg.System)
+	if err != nil {
+		return nil, fmt.Errorf("explore: %w", err)
 	}
+	sz := drivers.ExploreScale()
+	sz.Topology, sz.Workers, sz.Detect = cfg.topology(), cfg.Workers, cfg.Detect
+	sz.LogSize, sz.Epsilon = cfg.LogSize, cfg.Epsilon
+	sz.HeapWords, sz.CXHeapWords, sz.SoftWords = cfg.HeapWords, cfg.HeapWords, cfg.HeapWords
+	return e.New(sz), nil
 }
 
 func (cfg *Config) topology() numa.Topology {
@@ -73,147 +32,4 @@ func (cfg *Config) topology() numa.Topology {
 		nodes = cfg.Workers
 	}
 	return numa.Topology{Nodes: nodes, ThreadsPerNode: (cfg.Workers + nodes - 1) / nodes}
-}
-
-func prepDriver(cfg *Config, mode core.Mode) *driver {
-	tp := cfg.topology()
-	ccfg := core.Config{
-		Mode: mode, Topology: tp, Workers: cfg.Workers,
-		LogSize: cfg.LogSize, Epsilon: cfg.Epsilon,
-		Factory:   seq.HashMapFactory(8),
-		Attacher:  seq.HashMapAttacher,
-		HeapWords: cfg.HeapWords,
-		Detect:    cfg.Detect,
-	}
-	d := &driver{
-		name:     "PREP-Durable",
-		buffered: mode == core.Buffered,
-		// ε+β−1: PREP-Buffered's per-crash completed-loss bound.
-		allowance: int(cfg.Epsilon) + tp.ThreadsPerNode - 1,
-		detect:    cfg.Detect,
-	}
-	if mode == core.Buffered {
-		d.name = "PREP-Buffered"
-	}
-	var cur *core.PREP
-	d.boot = func(t *sim.Thread, sys *nvm.System) error {
-		p, err := core.New(t, sys, ccfg)
-		if err != nil {
-			return err
-		}
-		if cfg.PrefillN > 0 {
-			// Prefill checkpoints, so the prefilled state is durable in both
-			// modes but absent from the log: recovery cannot re-create it by
-			// replay, only preserve it.
-			p.Prefill(t, cfg.prefill())
-		}
-		cur = p
-		return nil
-	}
-	d.recov = func(t *sim.Thread, recSys *nvm.System) (map[uint64]uint64, error) {
-		rec, report, err := core.Recover(t, recSys, ccfg)
-		if err != nil {
-			return nil, err
-		}
-		cur = rec
-		return report.Resolved, nil
-	}
-	d.exec = func(t *sim.Thread, tid int, op uc.Op) uint64 { return cur.Execute(t, tid, op) }
-	d.get = func(t *sim.Thread, key uint64) uint64 { return cur.Execute(t, 0, uc.Get(key)) }
-	// The persistence thread (Algorithm 2) runs alongside the workload —
-	// its WBINVD / replica-swap cycles are the persistence protocol's most
-	// crash-sensitive window, so the explorer schedules and crashes it like
-	// any other thread. The last worker to finish stops it, so runs
-	// terminate.
-	d.startAux = func() { cur.SpawnPersistence(0) }
-	d.stopAux = func(t *sim.Thread) { cur.StopPersistence(t) }
-	return d
-}
-
-func cxDriver(cfg *Config) *driver {
-	ccfg := cxpuc.Config{
-		Workers:   cfg.Workers,
-		Factory:   seq.HashMapFactory(8),
-		Attacher:  seq.HashMapAttacher,
-		HeapWords: cfg.HeapWords, QueueCapacity: 1 << 10, CapReplicas: 4,
-	}
-	d := &driver{name: "CX-PUC"}
-	var cur *cxpuc.CX
-	d.boot = func(t *sim.Thread, sys *nvm.System) error {
-		cx, err := cxpuc.New(t, sys, ccfg)
-		if err != nil {
-			return err
-		}
-		cur = cx
-		for _, op := range cfg.prefill() {
-			cur.Execute(t, 0, op)
-		}
-		return nil
-	}
-	d.recov = func(t *sim.Thread, recSys *nvm.System) (map[uint64]uint64, error) {
-		rec, err := cxpuc.Recover(t, recSys, ccfg)
-		if err != nil {
-			return nil, err
-		}
-		cur = rec
-		return nil, nil
-	}
-	d.exec = func(t *sim.Thread, tid int, op uc.Op) uint64 { return cur.Execute(t, tid, op) }
-	d.get = func(t *sim.Thread, key uint64) uint64 { return cur.Execute(t, 0, uc.Get(key)) }
-	return d
-}
-
-func softDriver(cfg *Config) *driver {
-	ccfg := soft.Config{Buckets: 8, VolatileWords: cfg.HeapWords, PersistentWords: cfg.HeapWords}
-	d := &driver{name: "SOFT"}
-	var cur *soft.Soft
-	d.boot = func(t *sim.Thread, sys *nvm.System) error {
-		cur = soft.New(t, sys, ccfg)
-		for _, op := range cfg.prefill() {
-			cur.Execute(t, 0, op)
-		}
-		return nil
-	}
-	d.recov = func(t *sim.Thread, recSys *nvm.System) (map[uint64]uint64, error) {
-		rec, _, err := soft.Recover(t, recSys, ccfg)
-		if err != nil {
-			return nil, err
-		}
-		cur = rec
-		return nil, nil
-	}
-	d.exec = func(t *sim.Thread, tid int, op uc.Op) uint64 { return cur.Execute(t, tid, op) }
-	d.get = func(t *sim.Thread, key uint64) uint64 { return cur.Get(t, key) }
-	return d
-}
-
-func onllDriver(cfg *Config) *driver {
-	ccfg := onll.Config{
-		Workers: cfg.Workers, Factory: seq.HashMapFactory(8),
-		HeapWords: cfg.HeapWords, LogEntries: 1 << 10,
-	}
-	d := &driver{name: "ONLL"}
-	var cur *onll.ONLL
-	d.boot = func(t *sim.Thread, sys *nvm.System) error {
-		o, err := onll.New(t, sys, ccfg)
-		if err != nil {
-			return err
-		}
-		cur = o
-		for _, op := range cfg.prefill() {
-			cur.Execute(t, 0, op)
-		}
-		return nil
-	}
-	d.recov = func(t *sim.Thread, recSys *nvm.System) (map[uint64]uint64, error) {
-		rec, _, err := onll.Recover(t, recSys, ccfg)
-		if err != nil {
-			return nil, err
-		}
-		cur = rec
-		return nil, nil
-	}
-	d.exec = func(t *sim.Thread, tid int, op uc.Op) uint64 { return cur.Execute(t, tid, op) }
-	d.get = func(t *sim.Thread, key uint64) uint64 { return cur.Execute(t, 0, uc.Get(key)) }
-	return d
 }

@@ -27,6 +27,7 @@ import (
 	"strings"
 	"time"
 
+	"prepuc/internal/drivers"
 	"prepuc/internal/linearize"
 	"prepuc/internal/par"
 	"prepuc/internal/sim"
@@ -37,7 +38,8 @@ const Schema = "prepuc-explore/v1"
 
 // Config sizes and selects one exploration.
 type Config struct {
-	// System is the construction under test (see Systems()).
+	// System is the construction under test: the -system spelling of a
+	// recoverable entry of the drivers registry.
 	System string
 	// Workers / Ops size the workload: Ops operations round-robined over
 	// Workers concurrent clients (op i runs on worker i%Workers).
@@ -133,14 +135,15 @@ func (cfg *Config) defaults() {
 	if cfg.Nodes == 0 {
 		cfg.Nodes = 2
 	}
+	scale := drivers.ExploreScale()
 	if cfg.Epsilon == 0 {
-		cfg.Epsilon = 8
+		cfg.Epsilon = scale.Epsilon
 	}
 	if cfg.LogSize == 0 {
-		cfg.LogSize = 64
+		cfg.LogSize = scale.LogSize
 	}
 	if cfg.HeapWords == 0 {
-		cfg.HeapWords = 1 << 12
+		cfg.HeapWords = scale.HeapWords
 	}
 }
 
@@ -370,7 +373,7 @@ func exploreSchedule(cfg *Config, prefix []int, wr *workRun) bRes {
 
 	// Completion leaf: no crash, so strict durable linearizability even for
 	// buffered constructions — completion must reflect every operation.
-	probed, perr := probeState(cfg, wr.d, wr.sys)
+	probed, perr := probeState(cfg, wr.eng, wr.sys)
 	if perr != nil {
 		out.ces = append(out.ces, mkCE(cfg, "completion", prefix, wr.tr, 0, 0, 0, 0,
 			linearize.Result{Reason: perr.Error()}))
@@ -426,7 +429,7 @@ func exploreSchedule(cfg *Config, prefix []int, wr *workRun) bRes {
 				continue
 			}
 			out.fps = append(out.fps, rr.fp)
-			if probed, perr := probeState(cfg, cw.d, rr.sys); perr != nil {
+			if probed, perr := probeState(cfg, rr.eng, rr.sys); perr != nil {
 				out.ces = append(out.ces, mkCE(cfg, "crash", prefix, wr.tr, n, mask, 0, 0,
 					linearize.Result{Reason: perr.Error()}))
 			} else if res := adjudicate(cfg, cw.d, cw.rec, rr.resolved, probed, false); !res.OK {
@@ -477,7 +480,7 @@ func exploreSchedule(cfg *Config, prefix []int, wr *workRun) bRes {
 								linearize.Result{Reason: err.Error()}))
 						continue
 					}
-					if probed2, perr := probeState(cfg, cw.d, fr.sys); perr != nil {
+					if probed2, perr := probeState(cfg, fr.eng, fr.sys); perr != nil {
 						out.ces = append(out.ces,
 							mkCE(cfg, "crash", prefix, wr.tr, n, mask, n2, m2,
 								linearize.Result{Reason: perr.Error()}))
@@ -597,7 +600,7 @@ func Repro(cfg Config, lf Leaf) (linearize.Result, *Counterexample, error) {
 		return res, &ce, nil
 	}
 	if lf.CrashAt == 0 {
-		probed, perr := probeState(&cfg, wr.d, wr.sys)
+		probed, perr := probeState(&cfg, wr.eng, wr.sys)
 		if perr != nil {
 			return fail("completion", perr.Error())
 		}
@@ -632,7 +635,7 @@ func Repro(cfg Config, lf Leaf) (linearize.Result, *Counterexample, error) {
 			return fail("crash", err.Error())
 		}
 	}
-	probed, perr := probeState(&cfg, wr.d, rr.sys)
+	probed, perr := probeState(&cfg, rr.eng, rr.sys)
 	if perr != nil {
 		return fail("crash", perr.Error())
 	}

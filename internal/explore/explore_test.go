@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"prepuc/internal/core"
+	"prepuc/internal/drivers"
 )
 
 // TestExploreSmallAllSystems is the tentpole acceptance run: for every
@@ -16,8 +17,8 @@ import (
 // persist masks). Every leaf must adjudicate clean, the DPOR reduction must
 // actually prune commuting branches, and no forced prefix may diverge.
 func TestExploreSmallAllSystems(t *testing.T) {
-	for _, sys := range Systems() {
-		sys := sys
+	for _, e := range drivers.Recoverable() {
+		sys := e.Flag
 		t.Run(sys, func(t *testing.T) {
 			cfg := Config{System: sys, Workers: 2, Ops: 3}
 			if sys == "prep-buffered" {
@@ -224,6 +225,25 @@ func BenchmarkExploreSmall(b *testing.B) {
 		}
 		if len(rep.Counterexamples) != 0 {
 			b.Fatalf("counterexamples: %d", len(rep.Counterexamples))
+		}
+	}
+}
+
+// TestSystemMatchesRegistry pins the accepted Config.System set to the
+// registry's recoverable entries: a steady-only construction has no crash
+// to explore, and a typo is an error naming the valid spellings.
+func TestSystemMatchesRegistry(t *testing.T) {
+	want := map[string]bool{"all": false, "prep_durable": false}
+	for _, e := range drivers.All() {
+		want[e.Flag] = !e.SteadyOnly
+	}
+	for sys, ok := range want {
+		_, err := Run(Config{System: sys, Workers: 1, Ops: 1, MaxCrashPoints: 1})
+		if (err == nil) != ok {
+			t.Errorf("System=%s: err=%v, want accepted=%v", sys, err, ok)
+		}
+		if err != nil && !strings.Contains(err.Error(), "prep-durable") {
+			t.Errorf("System=%s: error does not list the valid spellings: %v", sys, err)
 		}
 	}
 }

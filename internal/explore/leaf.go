@@ -10,6 +10,8 @@ import (
 	"fmt"
 	"sort"
 
+	"prepuc/internal/core"
+	"prepuc/internal/drivers"
 	"prepuc/internal/fault"
 	"prepuc/internal/linearize"
 	"prepuc/internal/nvm"
@@ -20,7 +22,8 @@ import (
 // workRun is one workload execution: the machine, its driver binding, the
 // recorded invoke/response history, and (when recorded) the dispatch trace.
 type workRun struct {
-	d        *driver
+	d        *uc.Driver
+	eng      uc.UC // the engine Boot returned
 	sys      *nvm.System
 	sch      *sim.Scheduler
 	rec      *linearize.Recorder
@@ -94,13 +97,23 @@ func runWorkload(cfg *Config, prefix []int, crashAt uint64, record bool) (*workR
 	base := cfg.Seed
 	tp := cfg.topology()
 
-	bootSch := sim.New(base)
-	sys := nvm.NewSystem(bootSch, nvm.Config{
+	sys, eng, berr := drivers.Boot(d, base, nvm.Config{
 		Costs: sim.UnitCosts(), BGFlushOneIn: cfg.BGFlushOneIn, Seed: uint64(base) + 7,
+	}, func(t *sim.Thread, _ *nvm.System, eng uc.UC) error {
+		ops := cfg.prefill()
+		if p, ok := eng.(*core.PREP); ok && len(ops) > 0 {
+			// Prefill checkpoints, so the prefilled state is durable in both
+			// modes but absent from the log: recovery cannot re-create it by
+			// replay, only preserve it. The baselines' Prefill shortcuts are
+			// not crash-recoverable, so they prefill through Execute.
+			p.Prefill(t, ops)
+			return nil
+		}
+		for _, op := range ops {
+			eng.Execute(t, 0, op)
+		}
+		return nil
 	})
-	var berr error
-	bootSch.Spawn("boot", 0, 0, func(t *sim.Thread) { berr = d.boot(t, sys) })
-	bootSch.Run()
 	if berr != nil {
 		return nil, fmt.Errorf("explore: boot: %w", berr)
 	}
@@ -135,19 +148,22 @@ func runWorkload(cfg *Config, prefix []int, crashAt uint64, record bool) (*workR
 			}()
 			for k := tid; k < len(ops); k += cfg.Workers {
 				op := ops[k]
-				if d.detect {
+				if d.Detect {
 					op.Invid = uint64(k + 1)
 				}
-				rec.Exec(t, tid, op, func() uint64 { return d.exec(t, tid, op) })
+				rec.Exec(t, tid, op, func() uint64 { return eng.Execute(t, tid, op) })
 			}
 			running--
-			if running == 0 && d.stopAux != nil {
-				d.stopAux(t)
+			if running == 0 && d.StopAux != nil {
+				d.StopAux(t)
 			}
 		})
 	}
-	if d.startAux != nil {
-		d.startAux()
+	// The persistence thread (Algorithm 2) is scheduled and crashed like any
+	// other thread: its WBINVD / replica-swap cycles are the protocol's most
+	// crash-sensitive window. The last worker to finish stops it.
+	if d.SpawnAux != nil {
+		d.SpawnAux()
 	}
 	sch.Run()
 	if record {
@@ -156,14 +172,15 @@ func runWorkload(cfg *Config, prefix []int, crashAt uint64, record bool) (*workR
 	}
 	if crashAt == 0 && sch.Frozen() {
 		return nil, fmt.Errorf("explore: %s workload did not quiesce within %d events",
-			d.name, cfg.MaxRunEvents)
+			d.Name, cfg.MaxRunEvents)
 	}
-	return &workRun{d: d, sys: sys, sch: sch, rec: rec, tr: ch.rec, diverged: ch.diverged}, nil
+	return &workRun{d: d, eng: eng, sys: sys, sch: sch, rec: rec, tr: ch.rec, diverged: ch.diverged}, nil
 }
 
 // recRun is one recovery execution over a frozen machine's crash branch.
 type recRun struct {
 	sys      *nvm.System // the materialized system the recovery ran on
+	eng      uc.UC       // the engine recovery rebuilt
 	fp       uint64      // persisted fingerprint right after materialization
 	resolved map[uint64]uint64
 	frozen   bool     // a nested crash cut the recovery short
@@ -178,7 +195,7 @@ type recRun struct {
 // collects the recovery's own persist-relevant crash thresholds for depth-2
 // branching. The clone leaves frozenSys untouched, so one frozen machine
 // fans out across every mask and nested point.
-func recoverOnce(cfg *Config, d *driver, frozenSys *nvm.System, mask uint64,
+func recoverOnce(cfg *Config, d *uc.Driver, frozenSys *nvm.System, mask uint64,
 	nestedAt uint64, trace bool) (*recRun, error) {
 	aux := sim.New(cfg.Seed + 7777) // never run: the clone is immediately recovered
 	c := frozenSys.Clone(aux)
@@ -216,7 +233,9 @@ func recoverOnce(cfg *Config, d *driver, frozenSys *nvm.System, mask uint64,
 				rerr = fmt.Errorf("recovery panicked: %v", rc)
 			}
 		}()
-		out.resolved, rerr = d.recov(t, r)
+		var info uc.RecoverInfo
+		out.eng, info, rerr = d.Recover(t, r)
+		out.resolved = info.Resolved
 	})
 	recSch.Run()
 	if trace {
@@ -231,10 +250,10 @@ func recoverOnce(cfg *Config, d *driver, frozenSys *nvm.System, mask uint64,
 	// counterexample by the caller, not an explorer failure.
 	if out.frozen && nestedAt == 0 {
 		return nil, fmt.Errorf("%s recovery did not quiesce within %d events",
-			d.name, cfg.MaxRunEvents)
+			d.Name, cfg.MaxRunEvents)
 	}
 	if !out.frozen && rerr != nil {
-		return nil, fmt.Errorf("%s recovery failed: %w", d.name, rerr)
+		return nil, fmt.Errorf("%s recovery failed: %w", d.Name, rerr)
 	}
 	return out, nil
 }
@@ -242,7 +261,7 @@ func recoverOnce(cfg *Config, d *driver, frozenSys *nvm.System, mask uint64,
 // probeState reads back the recovered (or live) state over the probe keys
 // on a fresh scheduler. A probe that spins forever or panics (a read walk
 // over a corrupted structure) is a leaf verdict like a failed recovery.
-func probeState(cfg *Config, d *driver, sys *nvm.System) (map[uint64]uint64, error) {
+func probeState(cfg *Config, eng uc.UC, sys *nvm.System) (map[uint64]uint64, error) {
 	out := map[uint64]uint64{}
 	sch := sim.New(cfg.Seed + 900)
 	sys.SetScheduler(sch)
@@ -257,7 +276,7 @@ func probeState(cfg *Config, d *driver, sys *nvm.System) (map[uint64]uint64, err
 			}
 		}()
 		for _, k := range cfg.probeTargets() {
-			if v := d.get(t, k); v != uc.NotFound {
+			if v := eng.Execute(t, 0, uc.Get(k)); v != uc.NotFound {
 				out[k] = v
 			}
 		}
@@ -279,11 +298,11 @@ func probeState(cfg *Config, d *driver, sys *nvm.System) (map[uint64]uint64, err
 // recovered state must admit a durable linearization — buffered durable with
 // the ε+β−1 allowance for PREP-Buffered unless strict is forced (the
 // crash-free completion leaf, where nothing may be lost).
-func adjudicate(cfg *Config, d *driver, rec *linearize.Recorder,
+func adjudicate(cfg *Config, d *uc.Driver, rec *linearize.Recorder,
 	resolved map[uint64]uint64, probed map[uint64]uint64, strict bool) linearize.Result {
 	model := linearize.SetModel()
 	ops := rec.Ops()
-	if d.detect {
+	if d.Detect {
 		// Recorder groups ops by client in program order; operation j of
 		// worker w is global workload index w + j*Workers, invocation id
 		// index+1 (see Config.ops).
@@ -303,8 +322,9 @@ func adjudicate(cfg *Config, d *driver, rec *linearize.Recorder,
 		}
 	}
 	opt := linearize.Options{}
-	if d.buffered && !strict {
-		opt = linearize.Options{Buffered: true, Allowance: d.allowance}
+	if d.Buffered && !strict {
+		// ε+β−1: PREP-Buffered's per-crash completed-loss bound.
+		opt = linearize.Options{Buffered: true, Allowance: int(d.Epsilon) + cfg.topology().ThreadsPerNode - 1}
 	}
 	init := linearize.Replay(model, nil, cfg.prefill())
 	return linearize.CheckEpoch(model, init, ops, probed, opt)

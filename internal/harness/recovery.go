@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"prepuc/internal/core"
+	"prepuc/internal/drivers"
 	"prepuc/internal/nvm"
 	"prepuc/internal/onll"
 	"prepuc/internal/par"
@@ -37,15 +38,26 @@ type RecoveryPoint struct {
 // is an independent run-then-crash-then-recover simulation, so up to jobs
 // cells run concurrently with points and progress kept in cell order.
 func RunRecoveryExperiment(sc Scale, seed int64, jobs int, w io.Writer) ([]RecoveryPoint, error) {
-	histories := []uint64{1000, 2000, 4000, 8000}
-	run := make([]func() (RecoveryPoint, error), 0, len(sc.EpsSweep)+len(histories))
+	// Both systems run 8 workers around a 1024-bucket hashmap in a 4M-word
+	// heap; PREP-Durable varies ε over a fixed 4000 updates, ONLL varies the
+	// history length with logs sized to hold all of it.
+	sz := sc.sizing(8, seq.HashMapType(1024), 1<<22)
+	var run []func() (RecoveryPoint, error)
 	for _, eps := range sc.EpsSweep {
-		eps := eps
-		run = append(run, func() (RecoveryPoint, error) { return prepRecoveryPoint(sc, seed, eps) })
+		sz := sz
+		sz.Epsilon = eps
+		run = append(run, func() (RecoveryPoint, error) {
+			d := core.NewDriver(core.ConfigFor(core.Durable, sz))
+			return recoveryPoint(sc, d, sz, fmt.Sprintf("e=%d", sz.Epsilon), 4000, seed, 0)
+		})
 	}
-	for _, hist := range histories {
-		hist := hist
-		run = append(run, func() (RecoveryPoint, error) { return onllRecoveryPoint(sc, seed, hist) })
+	for _, hist := range []uint64{1000, 2000, 4000, 8000} {
+		sz, hist := sz, hist
+		sz.ONLLLogEntries = hist + 64
+		run = append(run, func() (RecoveryPoint, error) {
+			d := onll.NewDriver(onll.ConfigFor(sz))
+			return recoveryPoint(sc, d, sz, fmt.Sprintf("hist=%d", hist), hist, seed, 10)
+		})
 	}
 
 	points := make([]RecoveryPoint, len(run))
@@ -70,112 +82,44 @@ func RunRecoveryExperiment(sc Scale, seed int64, jobs int, w io.Writer) ([]Recov
 	return points, nil
 }
 
-// prepRecoveryPoint runs PREP-Durable with the given ε window, crashes it,
-// and measures recovery.
-func prepRecoveryPoint(sc Scale, seed int64, eps uint64) (RecoveryPoint, error) {
-	const workers = 8
-	topoSmall := sc.Topology
-	updates := uint64(4000)
-	cfg := core.Config{
-		Mode: core.Durable, Topology: topoSmall, Workers: workers,
-		LogSize: sc.LogSize, Epsilon: eps,
-		Factory:  seq.HashMapFactory(1024),
-		Attacher: seq.HashMapAttacher, HeapWords: 1 << 22,
-	}
-	bootSch := sim.New(seed)
-	sys := nvm.NewSystem(bootSch, nvm.Config{Costs: sc.Costs, Seed: uint64(seed), NoFlushElision: sc.NoFlushElision})
-	var p *core.PREP
-	var err error
-	bootSch.Spawn("boot", 0, 0, func(t *sim.Thread) { p, err = core.New(t, sys, cfg) })
-	bootSch.Run()
+// recoveryPoint runs updates disjoint inserts through d's construction,
+// crashes the quiescent machine, and measures recovery. The schedulers of
+// the three phases are seeded seed+off, +1, +2; the substrate always seed.
+func recoveryPoint(sc Scale, d *uc.Driver, sz uc.Sizing, param string, updates uint64, seed, off int64) (RecoveryPoint, error) {
+	sys, eng, err := drivers.Boot(d, seed+off,
+		nvm.Config{Costs: sc.Costs, Seed: uint64(seed), NoFlushElision: sc.NoFlushElision}, nil)
 	if err != nil {
-		return RecoveryPoint{}, fmt.Errorf("harness: recovery: PREP-Durable e=%d: build: %w", eps, err)
+		return RecoveryPoint{}, fmt.Errorf("harness: recovery: %s %s: build: %w", d.Name, param, err)
 	}
-	runSch := sim.New(seed + 1)
+	runSch := sim.New(seed + off + 1)
 	sys.SetScheduler(runSch)
-	p.SpawnPersistence(0)
-	remaining := workers
-	for tid := 0; tid < workers; tid++ {
+	if d.SpawnAux != nil {
+		d.SpawnAux()
+	}
+	remaining := sz.Workers
+	for tid := 0; tid < sz.Workers; tid++ {
 		tid := tid
-		runSch.Spawn("w", topoSmall.NodeOf(tid), 0, func(t *sim.Thread) {
+		runSch.Spawn("w", sz.Topology.NodeOf(tid), 0, func(t *sim.Thread) {
 			defer func() {
 				remaining--
-				if remaining == 0 {
-					p.StopPersistence(t)
+				if remaining == 0 && d.StopAux != nil {
+					d.StopAux(t)
 				}
 			}()
-			for i := uint64(0); i < updates/uint64(workers); i++ {
-				p.Execute(t, tid, uc.Insert(uint64(tid)<<32 | i, i))
+			for i := uint64(0); i < updates/uint64(sz.Workers); i++ {
+				eng.Execute(t, tid, uc.Insert(uint64(tid)<<32|i, i))
 			}
 		})
 	}
 	runSch.Run()
-	recSch := sim.New(seed + 2)
-	recSys := sys.Recover(recSch)
-	var report *core.RecoveryReport
-	var recNS uint64
-	recSch.Spawn("rec", 0, 0, func(t *sim.Thread) {
-		start := t.Clock()
-		_, report, err = core.Recover(t, recSys, cfg)
-		recNS = t.Clock() - start
-	})
-	recSch.Run()
+	rec, err := drivers.Recover(d, sys, seed+off+2, nil, nil)
 	if err != nil {
-		return RecoveryPoint{}, fmt.Errorf("harness: recovery: PREP-Durable e=%d: recover: %w", eps, err)
+		return RecoveryPoint{}, fmt.Errorf("harness: recovery: %s %s: recover: %w", d.Name, param, err)
 	}
-	ms := recSys.Metrics().Snapshot()
+	ms := rec.Sys.Metrics().Snapshot()
 	return RecoveryPoint{
-		System: "PREP-Durable", Param: fmt.Sprintf("e=%d", eps),
-		UpdatesRun: updates, Replayed: report.Replayed, VirtualNS: recNS,
-		Restarts: ms.RecoveryRestarts, Holes: ms.ReplayHoles,
-	}, nil
-}
-
-// onllRecoveryPoint runs ONLL to the given history length, crashes it, and
-// measures the full-history replay.
-func onllRecoveryPoint(sc Scale, seed int64, hist uint64) (RecoveryPoint, error) {
-	const workers = 8
-	topoSmall := sc.Topology
-	cfg := onll.Config{
-		Workers: workers, Factory: seq.HashMapFactory(1024),
-		HeapWords: 1 << 22, LogEntries: hist + 64,
-	}
-	bootSch := sim.New(seed + 10)
-	sys := nvm.NewSystem(bootSch, nvm.Config{Costs: sc.Costs, Seed: uint64(seed), NoFlushElision: sc.NoFlushElision})
-	var o *onll.ONLL
-	var err error
-	bootSch.Spawn("boot", 0, 0, func(t *sim.Thread) { o, err = onll.New(t, sys, cfg) })
-	bootSch.Run()
-	if err != nil {
-		return RecoveryPoint{}, fmt.Errorf("harness: recovery: ONLL hist=%d: build: %w", hist, err)
-	}
-	runSch := sim.New(seed + 11)
-	sys.SetScheduler(runSch)
-	for tid := 0; tid < workers; tid++ {
-		tid := tid
-		runSch.Spawn("w", topoSmall.NodeOf(tid), 0, func(t *sim.Thread) {
-			for i := uint64(0); i < hist/uint64(workers); i++ {
-				o.Execute(t, tid, uc.Insert(uint64(tid)<<32 | i, i))
-			}
-		})
-	}
-	runSch.Run()
-	recSch := sim.New(seed + 12)
-	recSys := sys.Recover(recSch)
-	var replayed, recNS uint64
-	recSch.Spawn("rec", 0, 0, func(t *sim.Thread) {
-		start := t.Clock()
-		_, replayed, err = onll.Recover(t, recSys, cfg)
-		recNS = t.Clock() - start
-	})
-	recSch.Run()
-	if err != nil {
-		return RecoveryPoint{}, fmt.Errorf("harness: recovery: ONLL hist=%d: recover: %w", hist, err)
-	}
-	ms := recSys.Metrics().Snapshot()
-	return RecoveryPoint{
-		System: "ONLL", Param: fmt.Sprintf("hist=%d", hist),
-		UpdatesRun: hist, Replayed: replayed, VirtualNS: recNS,
+		System: d.Name, Param: param,
+		UpdatesRun: updates, Replayed: rec.Info.Replayed, VirtualNS: rec.VirtualNS,
 		Restarts: ms.RecoveryRestarts, Holes: ms.ReplayHoles,
 	}, nil
 }

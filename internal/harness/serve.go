@@ -37,56 +37,26 @@ package harness
 import (
 	"fmt"
 
-	"prepuc/internal/core"
-	"prepuc/internal/cxpuc"
+	"prepuc/internal/drivers"
 	"prepuc/internal/fault"
 	"prepuc/internal/linearize"
 	"prepuc/internal/numa"
 	"prepuc/internal/nvm"
-	"prepuc/internal/onll"
 	"prepuc/internal/openloop"
-	"prepuc/internal/seq"
 	"prepuc/internal/sim"
-	"prepuc/internal/soft"
 	"prepuc/internal/svc"
 	"prepuc/internal/uc"
 )
 
-// ServeDriver adapts one construction to the service harness: boot on a
-// fresh system, recover from a crashed one. Boot and Recover return the
-// engine the service front-end should drive; constructors keep the current
-// engine in a closure so SpawnAux/StopAux always address the live one.
-type ServeDriver struct {
-	Name string
-	Boot func(t *sim.Thread, sys *nvm.System) (uc.UC, error)
-	// SpawnAux spawns auxiliary threads (PREP's persistence thread) on the
-	// system's current scheduler; StopAux is called by the last consumer to
-	// retire them. Either may be nil.
-	SpawnAux func()
-	StopAux  func(t *sim.Thread)
-	// Recover rebuilds the engine on a recovered system and reports what
-	// recovery found.
-	Recover func(t *sim.Thread, recSys *nvm.System) (uc.UC, RecoverInfo, error)
-	// Detect marks a driver whose engine records operation descriptors: the
-	// service stamps invocation ids and the crash resume deduplicates the
-	// in-flight window against RecoverInfo.Resolved.
-	Detect bool
-	// Buffered marks a driver whose recovered state may lose a completed
-	// suffix (PREP-Buffered); Epsilon is its checkpoint interval, from which
-	// the linearize check's loss allowance is derived.
-	Buffered bool
-	Epsilon  uint64
-}
-
-// RecoverInfo is what ServeDriver.Recover reports back to the harness.
-type RecoverInfo struct {
-	// Replayed is the number of log entries recovery re-applied.
-	Replayed uint64
-	// Resolved maps invocation id → result for every in-flight operation
-	// recovery proved committed (nil for non-detectable drivers). An id
-	// absent from the map definitely never applied.
-	Resolved map[uint64]uint64
-}
+// ServeDriver and RecoverInfo are the construction descriptor of
+// internal/uc under the names this package exported before the descriptor
+// moved there. The aliases are a compatibility shim for the frozen
+// benchmark/, which decorates drivers from outside under these names; new
+// code should spell uc.Driver.
+type (
+	ServeDriver = uc.Driver
+	RecoverInfo = uc.RecoverInfo
+)
 
 // ServeConfig parameterizes one service run.
 type ServeConfig struct {
@@ -361,6 +331,9 @@ func runServeArrivals(d *ServeDriver, cfg ServeConfig, arrivals []openloop.Arriv
 	if len(arrivals) == 0 {
 		return nil, nil, fmt.Errorf("serve: empty arrival schedule")
 	}
+	if cfg.CrashAtNS > 0 && d.Recover == nil {
+		return nil, nil, fmt.Errorf("serve: %s has no recovery path; steady scenario only", d.Name)
+	}
 	// Shard the schedule by client (order within a shard stays time-sorted).
 	perShard := make([][]openloop.Arrival, cfg.Shards)
 	for _, a := range arrivals {
@@ -379,30 +352,24 @@ func runServeArrivals(d *ServeDriver, cfg ServeConfig, arrivals []openloop.Arriv
 	}
 
 	// Boot: construction plus generation-0 service rings.
-	bootSch := sim.New(cfg.Seed)
-	sys := nvm.NewSystem(bootSch, nvm.Config{
-		Costs: sim.UnitCosts(), BGFlushOneIn: 128, Seed: uint64(cfg.Seed) + 7,
-	})
-	if pol != nil {
-		sys.SetFaultPolicy(pol)
-	}
 	var s *svc.Service
-	var engA uc.UC
-	bootSch.Spawn("boot", 0, 0, func(t *sim.Thread) {
-		if engA, err = d.Boot(t, sys); err != nil {
-			return
-		}
+	sys, engA, err := drivers.Boot(d, cfg.Seed, nvm.Config{
+		Costs: sim.UnitCosts(), BGFlushOneIn: 128, Seed: uint64(cfg.Seed) + 7,
+	}, func(t *sim.Thread, sys *nvm.System, eng uc.UC) (err error) {
 		s, err = svc.New(t, sys, svc.Config{
-			Engine: engA, Topology: tp, Shards: cfg.Shards,
+			Engine: eng, Topology: tp, Shards: cfg.Shards,
 			RingSize: cfg.RingSize, MaxBatch: cfg.MaxBatch,
 			NamePrefix: "svc0", Batched: cfg.Batched,
 			OnComplete: ta.onComplete,
 			Detect:     d.Detect, InvidEpoch: 0,
 		})
+		return err
 	})
-	bootSch.Run()
 	if err != nil {
 		return nil, nil, fmt.Errorf("serve: boot %s: %w", d.Name, err)
+	}
+	if pol != nil {
+		sys.SetFaultPolicy(pol)
 	}
 
 	// Phase A: open-loop load, optionally cut short by the crash.
@@ -449,43 +416,25 @@ func runServeArrivals(d *ServeDriver, cfg ServeConfig, arrivals []openloop.Arriv
 	}
 
 	// Recover the construction and rebuild the service (the rings are
-	// volatile; generation 1 needs fresh memory names). Recovery is retried
-	// if it is itself cut down (none is armed here, but the loop keeps the
-	// harness honest about re-entrancy).
-	cur := sys
+	// volatile; generation 1 needs fresh memory names).
 	var s2 *svc.Service
-	var engB uc.UC
-	var info RecoverInfo
 	var resumeDelta uint64
-	for attempt := 0; ; attempt++ {
-		recSch := sim.New(cfg.Seed + 3 + int64(attempt)*17)
-		cur = cur.Recover(recSch)
-		recSch.Spawn("recover", 0, 0, func(t *sim.Thread) {
-			start := t.Clock()
-			engB, info, err = d.Recover(t, cur)
-			crash.Replayed = info.Replayed
-			crash.RecoveryVirtualNS = t.Clock() - start
-			if err != nil {
-				return
-			}
-			s2, err = svc.New(t, cur, svc.Config{
-				Engine: engB, Topology: tp, Shards: cfg.Shards,
-				RingSize: cfg.RingSize, MaxBatch: cfg.MaxBatch,
-				NamePrefix: "svc1", Batched: cfg.Batched,
-				OnComplete: ta.onComplete,
-				Detect:     d.Detect, InvidEpoch: 1,
-			})
-			resumeDelta = t.Clock()
+	rec, err := drivers.Recover(d, sys, cfg.Seed+3, nil, func(t *sim.Thread, cur *nvm.System, eng uc.UC) (err error) {
+		s2, err = svc.New(t, cur, svc.Config{
+			Engine: eng, Topology: tp, Shards: cfg.Shards,
+			RingSize: cfg.RingSize, MaxBatch: cfg.MaxBatch,
+			NamePrefix: "svc1", Batched: cfg.Batched,
+			OnComplete: ta.onComplete,
+			Detect:     d.Detect, InvidEpoch: 1,
 		})
-		recSch.Run()
-		if recSch.Frozen() {
-			continue
-		}
-		if err != nil {
-			return nil, nil, fmt.Errorf("serve: recover %s: %w", d.Name, err)
-		}
-		break
+		resumeDelta = t.Clock()
+		return err
+	})
+	if err != nil {
+		return nil, nil, fmt.Errorf("serve: recover %s: %w", d.Name, err)
 	}
+	cur, engB, info := rec.Sys, rec.Eng, rec.Info
+	crash.Replayed, crash.RecoveryVirtualNS = info.Replayed, rec.VirtualNS
 	resumeNS := cfg.CrashAtNS + resumeDelta
 	ta.phaseB, ta.resumeNS = true, resumeNS
 
@@ -648,16 +597,13 @@ func finish(res *ServeResult, shards int, s, s2 *svc.Service, sys *nvm.System, t
 // observation for the linearize check.
 func probeServeState(sys *nvm.System, eng uc.UC, keys uint64, seed int64) map[uint64]uint64 {
 	state := map[uint64]uint64{}
-	sch := sim.New(seed)
-	sys.SetScheduler(sch)
-	sch.Spawn("probe", 0, 0, func(t *sim.Thread) {
+	drivers.Probe(sys, seed, func(t *sim.Thread) {
 		for k := uint64(0); k < keys; k++ {
 			if v := eng.Execute(t, 0, uc.Get(k)); v != uc.NotFound {
 				state[k] = v
 			}
 		}
 	})
-	sch.Run()
 	return state
 }
 
@@ -779,159 +725,24 @@ func crashCheck(d *ServeDriver, cfg ServeConfig, cur *nvm.System, eng uc.UC,
 	return cb
 }
 
-// ServeDrivers builds the five recoverable-construction drivers at the
-// given shard count (= engine worker count). Configurations mirror
-// cmd/crashtest's so the serve and crash harnesses measure the same
-// machines.
+// ServeSizing is the serve machine at the given shard count (= engine
+// worker count): the crash scale crashtest runs, with a 4096-entry log and
+// operation descriptors on, so the crash resume gets exactly-once semantics
+// from recovery's resolved map wherever the construction records them.
+func ServeSizing(shards int, epsilon uint64) uc.Sizing {
+	sz := drivers.CrashScale(serveTopo(shards), shards, 4096, epsilon)
+	sz.Detect = true
+	return sz
+}
+
+// ServeDrivers builds the recoverable constructions' drivers — the
+// single-machine crash matrix — in registry (= document) order. Every call
+// builds fresh ones: driver closures hold per-machine engine state, so
+// independent machines can never share a driver instance.
 func ServeDrivers(shards int, epsilon uint64) []*ServeDriver {
-	hashmap := seq.HashMapType(256)
-	return []*ServeDriver{
-		prepServeDriver("PREP-Durable", core.Durable, shards, epsilon, hashmap),
-		prepServeDriver("PREP-Buffered", core.Buffered, shards, epsilon, hashmap),
-		cxServeDriver(shards, hashmap),
-		softServeDriver(),
-		onllServeDriver(shards, hashmap),
+	var out []*ServeDriver
+	for _, e := range drivers.Recoverable() {
+		out = append(out, e.New(ServeSizing(shards, epsilon)))
 	}
-}
-
-// ServeSystem names one construction the sharded harness can deploy. New
-// builds a fresh driver per machine: driver closures hold per-machine engine
-// state (SpawnAux/StopAux address the live engine), so independent machines
-// can never share a driver instance.
-type ServeSystem struct {
-	Name string
-	// SteadyOnly marks a construction without a recovery path (PREP-Volatile,
-	// the scaling headline's engine): it cannot be placed in a crash set.
-	SteadyOnly bool
-	New        func(shards int, epsilon uint64) *ServeDriver
-}
-
-// ServeSystems lists every construction the sharded serve harness can run:
-// the five recoverable ServeDrivers plus PREP-Volatile. (ServeDrivers keeps
-// returning exactly the five recoverable ones — the single-machine crash
-// matrix is unchanged.)
-func ServeSystems() []ServeSystem {
-	hashmap := seq.HashMapType(256)
-	return []ServeSystem{
-		{Name: "PREP-Volatile", SteadyOnly: true, New: func(shards int, _ uint64) *ServeDriver {
-			return prepVolatileServeDriver(shards, hashmap)
-		}},
-		{Name: "PREP-Durable", New: func(shards int, epsilon uint64) *ServeDriver {
-			return prepServeDriver("PREP-Durable", core.Durable, shards, epsilon, hashmap)
-		}},
-		{Name: "PREP-Buffered", New: func(shards int, epsilon uint64) *ServeDriver {
-			return prepServeDriver("PREP-Buffered", core.Buffered, shards, epsilon, hashmap)
-		}},
-		{Name: "CX-PUC", New: func(shards int, _ uint64) *ServeDriver {
-			return cxServeDriver(shards, hashmap)
-		}},
-		{Name: "SOFT", New: func(_ int, _ uint64) *ServeDriver {
-			return softServeDriver()
-		}},
-		{Name: "ONLL", New: func(shards int, _ uint64) *ServeDriver {
-			return onllServeDriver(shards, hashmap)
-		}},
-	}
-}
-
-// prepVolatileServeDriver wires volatile-mode PREP-UC: no persistence
-// thread, no descriptors, no recovery — the pure combiner pipeline whose
-// aggregate throughput the sharded scaling figure measures.
-func prepVolatileServeDriver(shards int, obj uc.ObjectType) *ServeDriver {
-	cfg := core.Config{
-		Mode: core.Volatile, Topology: serveTopo(shards), Workers: shards,
-		LogSize: 4096,
-		Factory: obj.New, Attacher: obj.Attach, HeapWords: 1 << 21,
-	}
-	d := &ServeDriver{Name: "PREP-Volatile"}
-	d.Boot = func(t *sim.Thread, sys *nvm.System) (uc.UC, error) {
-		return core.New(t, sys, cfg)
-	}
-	d.Recover = func(t *sim.Thread, recSys *nvm.System) (uc.UC, RecoverInfo, error) {
-		return nil, RecoverInfo{}, fmt.Errorf("serve: PREP-Volatile cannot recover")
-	}
-	return d
-}
-
-// prepServeDriver wires PREP-UC: the only driver with auxiliary threads
-// (the persistence loop), the only engine implementing svc.Batcher — so it
-// is where the batched submission path engages — and the only detectable
-// one: operation descriptors are on, so the crash resume gets exactly-once
-// semantics from recovery's resolved map.
-func prepServeDriver(name string, mode core.Mode, shards int, epsilon uint64, obj uc.ObjectType) *ServeDriver {
-	cfg := core.Config{
-		Mode: mode, Topology: serveTopo(shards), Workers: shards,
-		LogSize: 4096, Epsilon: epsilon,
-		Factory: obj.New, Attacher: obj.Attach, HeapWords: 1 << 21,
-		Detect: true,
-	}
-	d := &ServeDriver{
-		Name: name, Detect: true,
-		Buffered: mode == core.Buffered, Epsilon: epsilon,
-	}
-	var cur *core.PREP
-	d.SpawnAux = func() { cur.SpawnPersistence(0) }
-	d.StopAux = func(t *sim.Thread) { cur.StopPersistence(t) }
-	d.Boot = func(t *sim.Thread, sys *nvm.System) (uc.UC, error) {
-		p, err := core.New(t, sys, cfg)
-		if err != nil {
-			return nil, err
-		}
-		cur = p
-		return p, nil
-	}
-	d.Recover = func(t *sim.Thread, recSys *nvm.System) (uc.UC, RecoverInfo, error) {
-		rec, report, err := core.Recover(t, recSys, cfg)
-		if err != nil {
-			return nil, RecoverInfo{}, err
-		}
-		cur = rec
-		return rec, RecoverInfo{Replayed: report.Replayed, Resolved: report.Resolved}, nil
-	}
-	return d
-}
-
-func cxServeDriver(shards int, obj uc.ObjectType) *ServeDriver {
-	cfg := cxpuc.Config{
-		Workers: shards, Factory: obj.New, Attacher: obj.Attach,
-		HeapWords: 1 << 20, QueueCapacity: 1 << 18, CapReplicas: 8,
-	}
-	d := &ServeDriver{Name: "CX-PUC"}
-	d.Boot = func(t *sim.Thread, sys *nvm.System) (uc.UC, error) {
-		return cxpuc.New(t, sys, cfg)
-	}
-	d.Recover = func(t *sim.Thread, recSys *nvm.System) (uc.UC, RecoverInfo, error) {
-		rec, err := cxpuc.Recover(t, recSys, cfg)
-		return rec, RecoverInfo{}, err
-	}
-	return d
-}
-
-func softServeDriver() *ServeDriver {
-	cfg := soft.Config{Buckets: 512, VolatileWords: 1 << 20, PersistentWords: 1 << 20}
-	d := &ServeDriver{Name: "SOFT"}
-	d.Boot = func(t *sim.Thread, sys *nvm.System) (uc.UC, error) {
-		return soft.New(t, sys, cfg), nil
-	}
-	d.Recover = func(t *sim.Thread, recSys *nvm.System) (uc.UC, RecoverInfo, error) {
-		rec, replayed, err := soft.Recover(t, recSys, cfg)
-		return rec, RecoverInfo{Replayed: replayed}, err
-	}
-	return d
-}
-
-func onllServeDriver(shards int, obj uc.ObjectType) *ServeDriver {
-	cfg := onll.Config{
-		Workers: shards, Factory: obj.New,
-		HeapWords: 1 << 21, LogEntries: 1 << 13,
-	}
-	d := &ServeDriver{Name: "ONLL"}
-	d.Boot = func(t *sim.Thread, sys *nvm.System) (uc.UC, error) {
-		return onll.New(t, sys, cfg)
-	}
-	d.Recover = func(t *sim.Thread, recSys *nvm.System) (uc.UC, RecoverInfo, error) {
-		rec, replayed, err := onll.Recover(t, recSys, cfg)
-		return rec, RecoverInfo{Replayed: replayed}, err
-	}
-	return d
+	return out
 }

@@ -2,8 +2,10 @@ package harness
 
 import (
 	"encoding/json"
+	"reflect"
 	"testing"
 
+	"prepuc/internal/drivers"
 	"prepuc/internal/openloop"
 )
 
@@ -85,5 +87,29 @@ func TestRunServeCrashAllSystems(t *testing.T) {
 				t.Errorf("outage left no latency tail: %+v", res.Latency)
 			}
 		})
+	}
+}
+
+// TestServeSystemLists guards the two lists the serve CLIs and the frozen
+// benchmark read: the registry is the six constructions and ServeDrivers
+// exactly the five recoverable ones, both in the order that is document
+// order in every golden.
+func TestServeSystemLists(t *testing.T) {
+	want := []string{"PREP-Volatile", "PREP-Durable", "PREP-Buffered", "CX-PUC", "SOFT", "ONLL"}
+	var systems, recoverable []string
+	for _, sys := range drivers.All() {
+		systems = append(systems, sys.Name)
+		if d := sys.New(ServeSizing(4, 64)); d.Name != sys.Name || (d.Recover == nil) != sys.SteadyOnly {
+			t.Errorf("%s: New built %q (recover=%v)", sys.Name, d.Name, d.Recover != nil)
+		}
+	}
+	for _, d := range ServeDrivers(4, 64) {
+		recoverable = append(recoverable, d.Name)
+	}
+	if !reflect.DeepEqual(systems, want) {
+		t.Errorf("drivers.All = %v, want %v", systems, want)
+	}
+	if !reflect.DeepEqual(recoverable, want[1:]) {
+		t.Errorf("ServeDrivers = %v, want %v", recoverable, want[1:])
 	}
 }

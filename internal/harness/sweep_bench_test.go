@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"prepuc/internal/core"
+	"prepuc/internal/drivers"
 	"prepuc/internal/numa"
 	"prepuc/internal/nvm"
 	"prepuc/internal/seq"
@@ -28,31 +29,31 @@ func BenchmarkNestedCrashSweep(b *testing.B) {
 		updates = uint64(2000)
 		points  = 8
 	)
-	cfg := core.Config{
-		Mode: core.Durable, Topology: numa.Topology{Nodes: 1, ThreadsPerNode: workers}, Workers: workers,
-		LogSize: 1 << 12, Epsilon: 128,
-		Factory:  seq.HashMapFactory(1024),
-		Attacher: seq.HashMapAttacher, HeapWords: 1 << 21,
+	tp := numa.Topology{Nodes: 1, ThreadsPerNode: workers}
+	d := core.NewDriver(core.ConfigFor(core.Durable, uc.Sizing{
+		Topology: tp, Workers: workers, Object: seq.HashMapType(1024),
+		LogSize: 1 << 12, Epsilon: 128, HeapWords: 1 << 21,
+	}))
+	// recoverOn runs d's recovery on sys's current scheduler.
+	recoverOn := func(sys *nvm.System) (err error) {
+		sys.Scheduler().Spawn("recover", 0, 0, func(t *sim.Thread) { _, _, err = d.Recover(t, sys) })
+		sys.Scheduler().Run()
+		return err
 	}
 
-	bootSch := sim.New(seed)
-	sys := nvm.NewSystem(bootSch, nvm.Config{Costs: sim.UnitCosts(), BGFlushOneIn: 64, Seed: uint64(seed)})
-	var p *core.PREP
-	var err error
-	bootSch.Spawn("boot", 0, 0, func(t *sim.Thread) { p, err = core.New(t, sys, cfg) })
-	bootSch.Run()
+	sys, p, err := drivers.Boot(d, seed, nvm.Config{Costs: sim.UnitCosts(), BGFlushOneIn: 64, Seed: uint64(seed)}, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
 	runSch := sim.New(seed + 1)
 	runSch.CrashAtEvent(400_000)
 	sys.SetScheduler(runSch)
-	p.SpawnPersistence(0)
+	d.SpawnAux()
 	for tid := 0; tid < workers; tid++ {
 		tid := tid
 		runSch.Spawn("w", 0, 0, func(t *sim.Thread) {
 			for i := uint64(0); i < updates; i++ {
-				p.Execute(t, tid, uc.Insert(uint64(tid)<<32 | i, i))
+				p.Execute(t, tid, uc.Insert(uint64(tid)<<32|i, i))
 			}
 		})
 	}
@@ -65,14 +66,9 @@ func BenchmarkNestedCrashSweep(b *testing.B) {
 	// Probe once for the recovery event ceiling, then spread the sweep's
 	// crash points across it.
 	probeSch := sim.New(seed + 3)
-	probe := base.Clone(probeSch)
-	probe.SetScheduler(probeSch)
-	probeSch.Spawn("probe", 0, 0, func(t *sim.Thread) {
-		if _, _, err := core.Recover(t, probe, cfg); err != nil {
-			panic(err)
-		}
-	})
-	probeSch.Run()
+	if err := recoverOn(base.Clone(probeSch)); err != nil {
+		b.Fatal(err)
+	}
 	ceiling := probeSch.Events()
 	if ceiling < points {
 		b.Fatalf("recovery too short to sweep: %d events", ceiling)
@@ -85,22 +81,13 @@ func BenchmarkNestedCrashSweep(b *testing.B) {
 			trialSch := sim.New(seed + 3)
 			trialSch.CrashAtEvent(k * stride)
 			trial := base.Clone(trialSch)
-			trial.SetScheduler(trialSch)
-			trialSch.Spawn("recover", 0, 0, func(t *sim.Thread) {
-				core.Recover(t, trial, cfg)
-			})
-			trialSch.Run()
+			recoverOn(trial) // cut down by the armed crash
 			if !trialSch.Frozen() {
 				b.Fatalf("point %d: recovery finished before armed crash", k)
 			}
-			afterSch := sim.New(seed + 4)
-			after := trial.Recover(afterSch)
-			afterSch.Spawn("recover2", 0, 0, func(t *sim.Thread) {
-				if _, _, err := core.Recover(t, after, cfg); err != nil {
-					panic(err)
-				}
-			})
-			afterSch.Run()
+			if _, err := drivers.Recover(d, trial, seed+4, nil, nil); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

@@ -2,8 +2,8 @@
 // other and against sequential models:
 //
 //   - differential testing: a single worker drives the identical operation
-//     stream through the global-lock UC (the trivially correct reference),
-//     PREP-V, PREP-Buffered, PREP-Durable and CX-PUC; every response of
+//     stream through the global-lock UC (the trivially correct reference)
+//     and every registered universal construction; every response of
 //     every system must match the reference exactly;
 //   - commuting-workload equivalence: many workers inserting disjoint keys
 //     must leave every system with the same final state regardless of the
@@ -17,12 +17,11 @@ import (
 	"testing"
 
 	"prepuc/internal/core"
-	"prepuc/internal/cxpuc"
+	"prepuc/internal/drivers"
 	"prepuc/internal/gluc"
 	"prepuc/internal/history"
 	"prepuc/internal/numa"
 	"prepuc/internal/nvm"
-	"prepuc/internal/onll"
 	"prepuc/internal/seq"
 	"prepuc/internal/sim"
 	"prepuc/internal/uc"
@@ -31,72 +30,49 @@ import (
 
 func topo() numa.Topology { return numa.Topology{Nodes: 2, ThreadsPerNode: 4} }
 
-// sys is the common face of every construction under test.
-type sys interface {
-	Execute(t *sim.Thread, tid int, op uc.Op) uint64
-}
-
 type built struct {
-	name string
 	nsys *nvm.System
-	s    sys
-	prep *core.PREP // non-nil for PREP variants (persistence lifecycle)
+	s    uc.UC
+	d    *uc.Driver
 }
 
-// buildAll constructs every system around the same sequential object.
-func buildAll(t *testing.T, factory uc.Factory, attacher uc.Attacher, seed int64, workers int) []built {
+// spawnAux / stopAux bracket a workload phase with the construction's
+// auxiliary threads, when it has any.
+func (b built) spawnAux() {
+	if b.d.SpawnAux != nil {
+		b.d.SpawnAux()
+	}
+}
+
+func (b built) stopAux(th *sim.Thread) {
+	if b.d.StopAux != nil {
+		b.d.StopAux(th)
+	}
+}
+
+// buildAll constructs every system around the same sequential object: the
+// global-lock reference first, then every registered universal construction
+// (SOFT is a fixed-function hashtable, not built around obj).
+func buildAll(t *testing.T, obj uc.ObjectType, seed int64, workers int) []built {
 	t.Helper()
+	sz := drivers.CrashScale(topo(), workers, 512, 64)
+	sz.Object = obj
+	ds := []*uc.Driver{{Name: "GL", Boot: func(th *sim.Thread, ns *nvm.System) (uc.UC, error) {
+		return gluc.New(th, ns, gluc.Config{Factory: obj.New, HeapWords: sz.HeapWords}), nil
+	}}}
+	for _, e := range drivers.All() {
+		if e.Flag != "soft" {
+			ds = append(ds, e.New(sz))
+		}
+	}
 	var out []built
-	add := func(name string, f func(th *sim.Thread, ns *nvm.System) (sys, *core.PREP, error)) {
-		sch := sim.New(seed)
-		ns := nvm.NewSystem(sch, nvm.Config{Costs: sim.UnitCosts()})
-		var s sys
-		var p *core.PREP
-		var err error
-		sch.Spawn("boot", 0, 0, func(th *sim.Thread) { s, p, err = f(th, ns) })
-		sch.Run()
+	for _, d := range ds {
+		ns, s, err := drivers.Boot(d, seed, nvm.Config{Costs: sim.UnitCosts()}, nil)
 		if err != nil {
-			t.Fatalf("build %s: %v", name, err)
+			t.Fatalf("build %s: %v", d.Name, err)
 		}
-		out = append(out, built{name, ns, s, p})
+		out = append(out, built{ns, s, d})
 	}
-	prepCfg := func(mode core.Mode) core.Config {
-		return core.Config{
-			Mode: mode, Topology: topo(), Workers: workers,
-			LogSize: 512, Epsilon: 64,
-			Factory: factory, Attacher: attacher, HeapWords: 1 << 21,
-		}
-	}
-	add("GL", func(th *sim.Thread, ns *nvm.System) (sys, *core.PREP, error) {
-		return gluc.New(th, ns, gluc.Config{Factory: factory, HeapWords: 1 << 21}), nil, nil
-	})
-	add("PREP-V", func(th *sim.Thread, ns *nvm.System) (sys, *core.PREP, error) {
-		cfg := prepCfg(core.Volatile)
-		cfg.Epsilon = 0
-		p, err := core.New(th, ns, cfg)
-		return p, p, err
-	})
-	add("PREP-Buffered", func(th *sim.Thread, ns *nvm.System) (sys, *core.PREP, error) {
-		p, err := core.New(th, ns, prepCfg(core.Buffered))
-		return p, p, err
-	})
-	add("PREP-Durable", func(th *sim.Thread, ns *nvm.System) (sys, *core.PREP, error) {
-		p, err := core.New(th, ns, prepCfg(core.Durable))
-		return p, p, err
-	})
-	add("CX-PUC", func(th *sim.Thread, ns *nvm.System) (sys, *core.PREP, error) {
-		cx, err := cxpuc.New(th, ns, cxpuc.Config{
-			Workers: workers, Factory: factory, Attacher: attacher,
-			HeapWords: 1 << 21, QueueCapacity: 1 << 16, CapReplicas: 6,
-		})
-		return cx, nil, err
-	})
-	add("ONLL", func(th *sim.Thread, ns *nvm.System) (sys, *core.PREP, error) {
-		o, err := onll.New(th, ns, onll.Config{
-			Workers: workers, Factory: factory, HeapWords: 1 << 21, LogEntries: 1 << 13,
-		})
-		return o, nil, err
-	})
 	return out
 }
 
@@ -105,16 +81,10 @@ func buildAll(t *testing.T, factory uc.Factory, attacher uc.Attacher, seed int64
 func runSingle(b built, seed int64, ops []uc.Op) []uint64 {
 	sch := sim.New(seed)
 	b.nsys.SetScheduler(sch)
-	if b.prep != nil && b.prep.Config().Mode.Persistent() {
-		b.prep.SpawnPersistence(0)
-	}
+	b.spawnAux()
 	res := make([]uint64, len(ops))
 	sch.Spawn("w", 0, 0, func(th *sim.Thread) {
-		defer func() {
-			if b.prep != nil && b.prep.Config().Mode.Persistent() {
-				b.prep.StopPersistence(th)
-			}
-		}()
+		defer b.stopAux(th)
 		for i, op := range ops {
 			res[i] = b.s.Execute(th, 0, op)
 		}
@@ -125,16 +95,16 @@ func runSingle(b built, seed int64, ops []uc.Op) []uint64 {
 
 // differential runs the same stream through every system and compares
 // responses against the global-lock reference.
-func differential(t *testing.T, factory uc.Factory, attacher uc.Attacher, ops []uc.Op, seed int64) {
+func differential(t *testing.T, obj uc.ObjectType, ops []uc.Op, seed int64) {
 	t.Helper()
-	systems := buildAll(t, factory, attacher, seed, 1)
+	systems := buildAll(t, obj, seed, 1)
 	ref := runSingle(systems[0], seed+100, ops)
 	for _, b := range systems[1:] {
 		got := runSingle(b, seed+100, ops)
 		for i := range ops {
 			if got[i] != ref[i] {
 				t.Fatalf("%s response %d for %s(%d,%d): got %d, reference %d",
-					b.name, i, uc.OpName(ops[i].Code), ops[i].A0, ops[i].A1, got[i], ref[i])
+					b.d.Name, i, uc.OpName(ops[i].Code), ops[i].A0, ops[i].A1, got[i], ref[i])
 			}
 		}
 	}
@@ -150,19 +120,19 @@ func randomSetOps(seed int64, n int, keyRange uint64) []uc.Op {
 }
 
 func TestDifferentialHashMap(t *testing.T) {
-	differential(t, seq.HashMapFactory(64), seq.HashMapAttacher, randomSetOps(1, 800, 100), 10)
+	differential(t, seq.HashMapType(64), randomSetOps(1, 800, 100), 10)
 }
 
 func TestDifferentialRBTree(t *testing.T) {
-	differential(t, seq.RBTreeFactory(), seq.RBTreeAttacher, randomSetOps(2, 800, 100), 20)
+	differential(t, seq.RBTreeType(), randomSetOps(2, 800, 100), 20)
 }
 
 func TestDifferentialSkipList(t *testing.T) {
-	differential(t, seq.SkipListFactory(), seq.SkipListAttacher, randomSetOps(3, 800, 100), 30)
+	differential(t, seq.SkipListType(), randomSetOps(3, 800, 100), 30)
 }
 
 func TestDifferentialListSet(t *testing.T) {
-	differential(t, seq.ListSetFactory(), seq.ListSetAttacher, randomSetOps(4, 600, 60), 40)
+	differential(t, seq.ListSetType(), randomSetOps(4, 600, 60), 40)
 }
 
 func TestDifferentialStack(t *testing.T) {
@@ -171,7 +141,7 @@ func TestDifferentialStack(t *testing.T) {
 	for i := range ops {
 		ops[i] = g.Next()
 	}
-	differential(t, seq.StackFactory(), seq.StackAttacher, ops, 50)
+	differential(t, seq.StackType(), ops, 50)
 }
 
 func TestDifferentialPQueue(t *testing.T) {
@@ -180,34 +150,32 @@ func TestDifferentialPQueue(t *testing.T) {
 	for i := range ops {
 		ops[i] = g.Next()
 	}
-	differential(t, seq.PQueueFactory(), seq.PQueueAttacher, ops, 60)
+	differential(t, seq.PQueueType(), ops, 60)
 }
 
 // TestCommutingWorkloadConverges runs 8 workers inserting disjoint keys on
 // every system; all final states must agree.
 func TestCommutingWorkloadConverges(t *testing.T) {
 	const workers, per = 8, 40
-	systems := buildAll(t, seq.HashMapFactory(64), seq.HashMapAttacher, 7, workers)
+	systems := buildAll(t, seq.HashMapType(64), 7, workers)
 	var ref map[uint64]uint64
 	for _, b := range systems {
 		sch := sim.New(70)
 		b.nsys.SetScheduler(sch)
-		if b.prep != nil && b.prep.Config().Mode.Persistent() {
-			b.prep.SpawnPersistence(0)
-		}
+		b.spawnAux()
 		remaining := workers
 		for tid := 0; tid < workers; tid++ {
 			tid := tid
 			sch.Spawn("w", topo().NodeOf(tid), 0, func(th *sim.Thread) {
 				defer func() {
 					remaining--
-					if remaining == 0 && b.prep != nil && b.prep.Config().Mode.Persistent() {
-						b.prep.StopPersistence(th)
+					if remaining == 0 {
+						b.stopAux(th)
 					}
 				}()
 				for i := uint64(0); i < per; i++ {
 					k := uint64(tid)*1000 + i
-					b.s.Execute(th, tid, uc.Insert(k, k * 7))
+					b.s.Execute(th, tid, uc.Insert(k, k*7))
 				}
 			})
 		}
@@ -231,7 +199,7 @@ func TestCommutingWorkloadConverges(t *testing.T) {
 		}
 		for k, v := range ref {
 			if state[k] != v {
-				t.Errorf("%s: key %d = %d, reference %d", b.name, k, state[k], v)
+				t.Errorf("%s: key %d = %d, reference %d", b.d.Name, k, state[k], v)
 			}
 		}
 	}
@@ -242,82 +210,15 @@ func TestCommutingWorkloadConverges(t *testing.T) {
 // recovery protocol.
 func TestCrashPointSweep(t *testing.T) {
 	const workers = 8
-	beta := uint64(topo().ThreadsPerNode)
 	for _, mode := range []core.Mode{core.Buffered, core.Durable} {
-		cfg := core.Config{
-			Mode: mode, Topology: topo(), Workers: workers,
-			LogSize: 128, Epsilon: 32,
-			Factory: seq.HashMapFactory(64), Attacher: seq.HashMapAttacher,
-			HeapWords: 1 << 20,
-		}
 		for crashAt := uint64(5_000); crashAt <= 155_000; crashAt += 10_000 {
-			bootSch := sim.New(int64(crashAt))
-			ns := nvm.NewSystem(bootSch, nvm.Config{
-				Costs: sim.UnitCosts(), BGFlushOneIn: 200, Seed: crashAt + 3,
-			})
-			var p *core.PREP
-			var err error
-			bootSch.Spawn("boot", 0, 0, func(th *sim.Thread) { p, err = core.New(th, ns, cfg) })
-			bootSch.Run()
-			if err != nil {
-				t.Fatal(err)
-			}
-			sch := sim.New(int64(crashAt) + 1)
-			sch.CrashAtEvent(crashAt)
-			ns.SetScheduler(sch)
-			p.SpawnPersistence(0)
-			completed := make([]uint64, workers)
-			for tid := 0; tid < workers; tid++ {
-				tid := tid
-				sch.Spawn("w", topo().NodeOf(tid), 0, func(th *sim.Thread) {
-					defer func() {
-						if r := recover(); r != nil && !sim.Crashed(r) {
-							panic(r)
-						}
-					}()
-					for i := uint64(0); ; i++ {
-						p.Execute(th, tid, uc.Insert(history.Key(tid, i), i))
-						completed[tid] = i + 1
-					}
-				})
-			}
-			sch.Run()
-			if !sch.Frozen() {
-				t.Fatalf("crashAt=%d did not crash", crashAt)
-			}
-			recSch := sim.New(int64(crashAt) + 2)
-			recSys := ns.Recover(recSch)
-			var rec *core.PREP
-			recSch.Spawn("rec", 0, 0, func(th *sim.Thread) {
-				rec, _, err = core.Recover(th, recSys, cfg)
-			})
-			recSch.Run()
-			if err != nil {
-				t.Fatalf("crashAt=%d recover: %v", crashAt, err)
-			}
-			keys := make([][]bool, workers)
-			chkSch := sim.New(int64(crashAt) + 3)
-			recSys.SetScheduler(chkSch)
-			chkSch.Spawn("probe", 0, 0, func(th *sim.Thread) {
-				for tid := 0; tid < workers; tid++ {
-					n := completed[tid] + 16
-					keys[tid] = make([]bool, n)
-					for i := uint64(0); i < n; i++ {
-						keys[tid][i] = rec.Execute(th, 0, uc.Get(history.Key(tid, i))) != uc.NotFound
-					}
-				}
-			})
-			chkSch.Run()
-			rep := history.Check(keys, completed)
-			switch mode {
-			case core.Durable:
-				if !rep.DurableOK() {
-					t.Errorf("%s crashAt=%d: %s", mode, crashAt, rep)
-				}
-			case core.Buffered:
-				if !rep.BufferedOK(cfg.Epsilon, beta) {
-					t.Errorf("%s crashAt=%d: %s", mode, crashAt, rep)
-				}
+			d := prepDriver(mode, prepSizing(workers, 128))
+			ns, eng := bootUnit(t, d, int64(crashAt), 200, crashAt+3)
+			completed, _ := insertUntilCrash(t, d, eng, ns, int64(crashAt)+1, crashAt, workers, history.Key)
+			r := recoverOnce(t, d, ns, int64(crashAt)+2)
+			keys := probePrefix(r.Sys, r.Eng, int64(crashAt)+3, completed, 16, history.Key)
+			if rep := history.Check(keys, completed); !durableOK(d, rep) {
+				t.Errorf("%s crashAt=%d: %s", mode, crashAt, rep)
 			}
 		}
 	}
@@ -328,75 +229,49 @@ func TestCrashPointSweep(t *testing.T) {
 // dumps.
 func TestDurableRecoveryPreservesEveryStructure(t *testing.T) {
 	cases := []struct {
-		name     string
-		factory  uc.Factory
-		attacher uc.Attacher
-		ops      []uc.Op
+		name string
+		obj  uc.ObjectType
+		ops  []uc.Op
 	}{
-		{"hashmap", seq.HashMapFactory(32), seq.HashMapAttacher, randomSetOps(11, 400, 80)},
-		{"rbtree", seq.RBTreeFactory(), seq.RBTreeAttacher, randomSetOps(12, 400, 80)},
-		{"skiplist", seq.SkipListFactory(), seq.SkipListAttacher, randomSetOps(13, 400, 80)},
-		{"listset", seq.ListSetFactory(), seq.ListSetAttacher, randomSetOps(14, 300, 50)},
+		{"hashmap", seq.HashMapType(32), randomSetOps(11, 400, 80)},
+		{"rbtree", seq.RBTreeType(), randomSetOps(12, 400, 80)},
+		{"skiplist", seq.SkipListType(), randomSetOps(13, 400, 80)},
+		{"listset", seq.ListSetType(), randomSetOps(14, 300, 50)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := core.Config{
-				Mode: core.Durable, Topology: topo(), Workers: 4,
-				LogSize: 1 << 12, Epsilon: 128,
-				Factory: tc.factory, Attacher: tc.attacher, HeapWords: 1 << 21,
-			}
-			bootSch := sim.New(99)
-			ns := nvm.NewSystem(bootSch, nvm.Config{Costs: sim.UnitCosts()})
-			var p *core.PREP
-			var err error
-			bootSch.Spawn("boot", 0, 0, func(th *sim.Thread) { p, err = core.New(th, ns, cfg) })
-			bootSch.Run()
-			if err != nil {
-				t.Fatal(err)
-			}
-			var before [][3]uint64
+			d := prepDriver(core.Durable, uc.Sizing{
+				Topology: topo(), Workers: 4, Object: tc.obj,
+				LogSize: 1 << 12, Epsilon: 128, HeapWords: 1 << 21,
+			})
+			ns, p := bootUnit(t, d, 99, 0, 0)
 			sch := sim.New(100)
 			ns.SetScheduler(sch)
-			p.SpawnPersistence(0)
+			d.SpawnAux()
 			sch.Spawn("w", 0, 0, func(th *sim.Thread) {
-				defer p.StopPersistence(th)
+				defer d.StopAux(th)
 				for _, op := range tc.ops {
 					p.Execute(th, 0, op)
 				}
 			})
 			sch.Run()
-			// Dump the reference state through a read snapshot: rebuild from
-			// responses of gets over the key range.
-			sch1b := sim.New(101)
-			ns.SetScheduler(sch1b)
-			sch1b.Spawn("snap", 0, 0, func(th *sim.Thread) {
-				for k := uint64(0); k < 100; k++ {
-					v := p.Execute(th, 0, uc.Get(k))
-					before = append(before, [3]uint64{k, v, 0})
-				}
-			})
-			sch1b.Run()
-
-			recSch := sim.New(102)
-			recSys := ns.Recover(recSch)
-			var rec *core.PREP
-			recSch.Spawn("rec", 0, 0, func(th *sim.Thread) {
-				rec, _, err = core.Recover(th, recSys, cfg)
-			})
-			recSch.Run()
-			if err != nil {
-				t.Fatal(err)
-			}
-			chkSch := sim.New(103)
-			recSys.SetScheduler(chkSch)
-			chkSch.Spawn("chk", 0, 0, func(th *sim.Thread) {
-				for _, kv := range before {
-					if got := rec.Execute(th, 0, uc.Get(kv[0])); got != kv[1] {
-						t.Errorf("key %d: recovered %d, want %d", kv[0], got, kv[1])
+			// The reference state is a read snapshot: the responses of gets
+			// over the key range.
+			snapshot := func(ns *nvm.System, eng uc.UC, seed int64) (vals [100]uint64) {
+				drivers.Probe(ns, seed, func(th *sim.Thread) {
+					for k := range vals {
+						vals[k] = eng.Execute(th, 0, uc.Get(uint64(k)))
 					}
+				})
+				return vals
+			}
+			before := snapshot(ns, p, 101)
+			r := recoverOnce(t, d, ns, 102)
+			for k, got := range snapshot(r.Sys, r.Eng, 103) {
+				if got != before[k] {
+					t.Errorf("key %d: recovered %d, want %d", k, got, before[k])
 				}
-			})
-			chkSch.Run()
+			}
 		})
 	}
 }

@@ -13,15 +13,12 @@ import (
 	"fmt"
 	"testing"
 
-	"prepuc/internal/core"
-	"prepuc/internal/cxpuc"
+	"prepuc/internal/drivers"
 	"prepuc/internal/fault"
 	"prepuc/internal/linearize"
 	"prepuc/internal/nvm"
-	"prepuc/internal/onll"
 	"prepuc/internal/seq"
 	"prepuc/internal/sim"
-	"prepuc/internal/soft"
 	"prepuc/internal/uc"
 	"prepuc/internal/workload"
 )
@@ -35,145 +32,22 @@ const (
 	linAllowance = linEpsilon + linWorkers/2 - 1
 )
 
-// linDriver adapts one persistent construction to the recorded
-// crash/recover epochs.
-type linDriver struct {
-	name     string
-	buffered bool
-	pairs    bool // supports the container workloads (SOFT is set-only)
-	boot     func(t *sim.Thread, sys *nvm.System) error
-	spawnAux func()              // respawn background threads on the current scheduler
-	stop     func(t *sim.Thread) // ask them to exit; may be nil
-	recov    func(t *sim.Thread, recSys *nvm.System) error
-	exec     func(t *sim.Thread, tid int, op uc.Op) uint64
-}
-
-func linPREPDriver(mode core.Mode) func(factory uc.Factory, attacher uc.Attacher) *linDriver {
-	return func(factory uc.Factory, attacher uc.Attacher) *linDriver {
-		cfg := core.Config{
-			Mode: mode, Topology: topo(), Workers: linWorkers,
-			LogSize: linLogSize, Epsilon: linEpsilon,
-			Factory: factory, Attacher: attacher, HeapWords: 1 << 21,
-		}
-		name := "PREP-Durable"
-		if mode == core.Buffered {
-			name = "PREP-Buffered"
-		}
-		d := &linDriver{name: name, buffered: mode == core.Buffered, pairs: true}
-		var cur *core.PREP
-		d.boot = func(t *sim.Thread, sys *nvm.System) error {
-			p, err := core.New(t, sys, cfg)
-			cur = p
-			return err
-		}
-		d.spawnAux = func() { cur.SpawnPersistence(0) }
-		d.stop = func(t *sim.Thread) { cur.StopPersistence(t) }
-		d.recov = func(t *sim.Thread, recSys *nvm.System) error {
-			rec, _, err := core.Recover(t, recSys, cfg)
-			if err == nil {
-				cur = rec
-			}
-			return err
-		}
-		d.exec = func(t *sim.Thread, tid int, op uc.Op) uint64 { return cur.Execute(t, tid, op) }
-		return d
-	}
-}
-
-func linCXDriver(factory uc.Factory, attacher uc.Attacher) *linDriver {
-	cfg := cxpuc.Config{
-		Workers: linWorkers, Factory: factory, Attacher: attacher,
-		HeapWords: 1 << 20, QueueCapacity: 1 << 18, CapReplicas: 8,
-	}
-	d := &linDriver{name: "CX-PUC", pairs: true}
-	var cur *cxpuc.CX
-	d.boot = func(t *sim.Thread, sys *nvm.System) error {
-		cx, err := cxpuc.New(t, sys, cfg)
-		cur = cx
-		return err
-	}
-	d.recov = func(t *sim.Thread, recSys *nvm.System) error {
-		rec, err := cxpuc.Recover(t, recSys, cfg)
-		if err == nil {
-			cur = rec
-		}
-		return err
-	}
-	d.exec = func(t *sim.Thread, tid int, op uc.Op) uint64 { return cur.Execute(t, tid, op) }
-	return d
-}
-
-func linONLLDriver(factory uc.Factory, _ uc.Attacher) *linDriver {
-	cfg := onll.Config{
-		Workers: linWorkers, Factory: factory, HeapWords: 1 << 21, LogEntries: 1 << 13,
-	}
-	d := &linDriver{name: "ONLL", pairs: true}
-	var cur *onll.ONLL
-	d.boot = func(t *sim.Thread, sys *nvm.System) error {
-		o, err := onll.New(t, sys, cfg)
-		cur = o
-		return err
-	}
-	d.recov = func(t *sim.Thread, recSys *nvm.System) error {
-		rec, _, err := onll.Recover(t, recSys, cfg)
-		if err == nil {
-			cur = rec
-		}
-		return err
-	}
-	d.exec = func(t *sim.Thread, tid int, op uc.Op) uint64 { return cur.Execute(t, tid, op) }
-	return d
-}
-
-func linSOFTDriver(uc.Factory, uc.Attacher) *linDriver {
-	cfg := soft.Config{Buckets: 256, VolatileWords: 1 << 20, PersistentWords: 1 << 20}
-	d := &linDriver{name: "SOFT"}
-	var cur *soft.Soft
-	d.boot = func(t *sim.Thread, sys *nvm.System) error {
-		cur = soft.New(t, sys, cfg)
-		return nil
-	}
-	d.recov = func(t *sim.Thread, recSys *nvm.System) error {
-		rec, _, err := soft.Recover(t, recSys, cfg)
-		if err == nil {
-			cur = rec
-		}
-		return err
-	}
-	d.exec = func(t *sim.Thread, tid int, op uc.Op) uint64 { return cur.Execute(t, tid, op) }
-	return d
-}
-
-// linDrivers enumerates the five persistent systems.
-func linDrivers(factory uc.Factory, attacher uc.Attacher) []*linDriver {
-	return []*linDriver{
-		linPREPDriver(core.Durable)(factory, attacher),
-		linPREPDriver(core.Buffered)(factory, attacher),
-		linCXDriver(factory, attacher),
-		linONLLDriver(factory, attacher),
-		linSOFTDriver(factory, attacher),
-	}
+// linSizing is the shared crash scale at the test's geometry around obj.
+func linSizing(obj uc.ObjectType) uc.Sizing {
+	sz := drivers.CrashScale(topo(), linWorkers, linLogSize, linEpsilon)
+	sz.Object = obj
+	return sz
 }
 
 // runLinEpochs drives a system through crashes crash/recover cycles and one
 // crash-free tail epoch, checking every epoch's recorded history against
 // the model. Crashing epochs use the targeted fault adversary, sweeping the
 // dropped-line index with the epoch.
-func runLinEpochs(t *testing.T, d *linDriver, model linearize.Model, spec workload.Spec,
+func runLinEpochs(t *testing.T, d *uc.Driver, model linearize.Model, spec workload.Spec,
 	seed int64, crashes int, crashAt uint64, tailOps int) {
 	t.Helper()
-	bootSch := sim.New(seed)
-	sys := nvm.NewSystem(bootSch, nvm.Config{
-		Costs: sim.UnitCosts(), BGFlushOneIn: 128, Seed: uint64(seed) + 7,
-	})
-	var err error
-	bootSch.Spawn("boot", 0, 0, func(th *sim.Thread) { err = d.boot(th, sys) })
-	bootSch.Run()
-	if err != nil {
-		t.Fatalf("%s boot: %v", d.name, err)
-	}
+	cur, eng := bootUnit(t, d, seed, 128, uint64(seed)+7)
 
-	cur := sys
 	init := model.Empty()
 	totalOps := 0
 	for epoch := 0; epoch <= crashes; epoch++ {
@@ -189,8 +63,8 @@ func runLinEpochs(t *testing.T, d *linDriver, model linearize.Model, spec worklo
 			sch.CrashAtEvent(crashAt + uint64(epoch)*7_777)
 		}
 		cur.SetScheduler(sch)
-		if d.spawnAux != nil {
-			d.spawnAux()
+		if d.SpawnAux != nil {
+			d.SpawnAux()
 		}
 		rec := linearize.NewRecorder(linWorkers)
 		remaining := linWorkers
@@ -202,16 +76,16 @@ func runLinEpochs(t *testing.T, d *linDriver, model linearize.Model, spec worklo
 						panic(r)
 					}
 					remaining--
-					if remaining == 0 && !sch.Frozen() && d.spawnAux != nil {
+					if remaining == 0 && !sch.Frozen() && d.StopAux != nil {
 						// Crash-free epoch: the last worker out stops the
 						// background threads (a crash just unwinds them).
-						d.stopAux(th)
+						d.StopAux(th)
 					}
 				}()
 				gen := workload.NewGen(spec, seed+int64(epoch)*101+17, tid)
 				for i := 0; crashing || i < tailOps; i++ {
 					op := gen.Next()
-					rec.Exec(th, tid, op, func() uint64 { return d.exec(th, tid, op) })
+					rec.Exec(th, tid, op, func() uint64 { return eng.Execute(th, tid, op) })
 				}
 			})
 		}
@@ -219,38 +93,24 @@ func runLinEpochs(t *testing.T, d *linDriver, model linearize.Model, spec worklo
 
 		if crashing {
 			if !sch.Frozen() {
-				t.Fatalf("%s epoch %d: crash at %d never fired", d.name, epoch, crashAt)
+				t.Fatalf("%s epoch %d: crash at %d never fired", d.Name, epoch, crashAt)
 			}
-			for attempt := 0; ; attempt++ {
-				if attempt > 8 {
-					t.Fatalf("%s epoch %d: recovery did not complete", d.name, epoch)
-				}
-				recSch := sim.New(seed + int64(epoch)*29 + 2 + int64(attempt)*17)
-				cur = cur.Recover(recSch)
-				recSch.Spawn("recover", 0, 0, func(th *sim.Thread) { err = d.recov(th, cur) })
-				recSch.Run()
-				if recSch.Frozen() {
-					continue
-				}
-				if err != nil {
-					t.Fatalf("%s epoch %d recover: %v", d.name, epoch, err)
-				}
-				break
-			}
+			r := recoverOnce(t, d, cur, seed+int64(epoch)*29+2)
+			cur, eng = r.Sys, r.Eng
 		}
 
-		recovered := linProbe(t, d, cur, spec, seed+int64(epoch)*29+900)
+		recovered := linProbe(d, eng, cur, spec, seed+int64(epoch)*29+900)
 		opt := linearize.Options{}
-		if crashing && d.buffered {
+		if crashing && d.Buffered {
 			opt = linearize.Options{Buffered: true, Allowance: linAllowance}
 		}
 		res := linearize.CheckEpoch(model, init, rec.Ops(), recovered, opt)
 		if !res.OK {
-			t.Fatalf("%s epoch %d (crashing=%v): %s", d.name, epoch, crashing, res)
+			t.Fatalf("%s epoch %d (crashing=%v): %s", d.Name, epoch, crashing, res)
 		}
 		totalOps += res.Ops
 		if !crashing && res.Lost != 0 {
-			t.Fatalf("%s crash-free epoch lost %d completed ops", d.name, res.Lost)
+			t.Fatalf("%s crash-free epoch lost %d completed ops", d.Name, res.Lost)
 		}
 		if spec.Kind == workload.Pairs {
 			// The probe drained the container: the next epoch starts empty.
@@ -259,39 +119,28 @@ func runLinEpochs(t *testing.T, d *linDriver, model linearize.Model, spec worklo
 			init = recovered
 		}
 	}
-	t.Logf("%s: %d recorded ops over %d crash/recover cycles linearizable", d.name, totalOps, crashes)
-}
-
-// stopAux stops PREP's persistence thread; other systems have no background
-// threads.
-func (d *linDriver) stopAux(t *sim.Thread) {
-	if d.stop != nil {
-		d.stop(t)
-	}
+	t.Logf("%s: %d recorded ops over %d crash/recover cycles linearizable", d.Name, totalOps, crashes)
 }
 
 // linProbe observes the recovered state on a fresh timeline: key-by-key
 // Gets for sets, a destructive drain for containers (drain updates need the
 // background threads alive on the PREP variants).
-func linProbe(t *testing.T, d *linDriver, cur *nvm.System, spec workload.Spec, seed int64) any {
-	t.Helper()
+func linProbe(d *uc.Driver, eng uc.UC, cur *nvm.System, spec workload.Spec, seed int64) any {
+	var state any
 	sch := sim.New(seed)
 	cur.SetScheduler(sch)
-	if d.spawnAux != nil {
-		d.spawnAux()
+	if d.SpawnAux != nil {
+		d.SpawnAux()
 	}
-	var state any
 	sch.Spawn("probe", 0, 0, func(th *sim.Thread) {
-		defer func() {
-			if d.spawnAux != nil {
-				d.stopAux(th)
-			}
-		}()
+		if d.StopAux != nil {
+			defer d.StopAux(th)
+		}
 		switch spec.Kind {
 		case workload.Set:
 			m := map[uint64]uint64{}
 			for k := uint64(0); k < spec.KeyRange; k++ {
-				if v := d.exec(th, 0, uc.Get(k)); v != uc.NotFound {
+				if v := eng.Execute(th, 0, uc.Get(k)); v != uc.NotFound {
 					m[k] = v
 				}
 			}
@@ -299,7 +148,7 @@ func linProbe(t *testing.T, d *linDriver, cur *nvm.System, spec workload.Spec, s
 		case workload.Pairs:
 			var vs []uint64
 			for {
-				v := d.exec(th, 0, uc.Op{Code: spec.PopCode})
+				v := eng.Execute(th, 0, uc.Op{Code: spec.PopCode})
 				if v == uc.NotFound {
 					break
 				}
@@ -326,10 +175,10 @@ func linProbe(t *testing.T, d *linDriver, cur *nvm.System, spec workload.Spec, s
 func TestLinearizeCrashRecoverSet(t *testing.T) {
 	spec := workload.SetSpec(30, 64)
 	spec.Prefill = 0
-	for i, d := range linDrivers(seq.HashMapFactory(64), seq.HashMapAttacher) {
-		d := d
+	for i, e := range drivers.Recoverable() {
+		d := e.New(linSizing(seq.HashMapType(64)))
 		seed := int64(9100 + i*500)
-		t.Run(d.name, func(t *testing.T) {
+		t.Run(d.Name, func(t *testing.T) {
 			runLinEpochs(t, d, linearize.SetModel(), spec, seed, 2, 18_000, 80)
 		})
 	}
@@ -340,26 +189,25 @@ func TestLinearizeCrashRecoverSet(t *testing.T) {
 // hashtable and has no container form).
 func TestLinearizeCrashRecoverPairs(t *testing.T) {
 	cases := []struct {
-		name     string
-		spec     workload.Spec
-		model    linearize.Model
-		factory  uc.Factory
-		attacher uc.Attacher
+		name  string
+		spec  workload.Spec
+		model linearize.Model
+		obj   uc.ObjectType
 	}{
-		{"queue", workload.PairsSpec(uc.OpEnqueue, uc.OpDequeue, 0), linearize.QueueModel(), seq.QueueFactory(), seq.QueueAttacher},
-		{"stack", workload.PairsSpec(uc.OpPush, uc.OpPop, 0), linearize.StackModel(), seq.StackFactory(), seq.StackAttacher},
-		{"pqueue", workload.PairsSpec(uc.OpEnqueue, uc.OpDeleteMin, 0), linearize.PQueueModel(), seq.PQueueFactory(), seq.PQueueAttacher},
+		{"queue", workload.PairsSpec(uc.OpEnqueue, uc.OpDequeue, 0), linearize.QueueModel(), seq.QueueType()},
+		{"stack", workload.PairsSpec(uc.OpPush, uc.OpPop, 0), linearize.StackModel(), seq.StackType()},
+		{"pqueue", workload.PairsSpec(uc.OpEnqueue, uc.OpDeleteMin, 0), linearize.PQueueModel(), seq.PQueueType()},
 	}
 	for ci, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			for i, d := range linDrivers(tc.factory, tc.attacher) {
-				if !d.pairs {
+			for i, e := range drivers.Recoverable() {
+				if e.Flag == "soft" {
 					continue
 				}
-				d := d
+				d := e.New(linSizing(tc.obj))
 				seed := int64(31000 + ci*2000 + i*500)
-				t.Run(d.name, func(t *testing.T) {
+				t.Run(d.Name, func(t *testing.T) {
 					runLinEpochs(t, d, tc.model, tc.spec, seed, 2, 14_000, 60)
 				})
 			}

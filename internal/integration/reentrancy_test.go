@@ -1,16 +1,16 @@
 package integration
 
 import (
+	"fmt"
+	"reflect"
 	"sort"
 	"testing"
 
 	"prepuc/internal/core"
-	"prepuc/internal/cxpuc"
+	"prepuc/internal/drivers"
 	"prepuc/internal/fault"
 	"prepuc/internal/history"
 	"prepuc/internal/nvm"
-	"prepuc/internal/onll"
-	"prepuc/internal/seq"
 	"prepuc/internal/sim"
 	"prepuc/internal/uc"
 )
@@ -36,200 +36,92 @@ func sortTriples(d []uint64) [][3]uint64 {
 	return out
 }
 
-func equalTriples(a, b [][3]uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
+// recoveredState is the complete recovered state of eng in canonical order:
+// the sorted DumpState triples where the engine can dump itself (PREP,
+// CX-PUC, ONLL), else — SOFT has no dump — the (Get code, key, value) of
+// every held key among each worker's first completed+extra.
+func recoveredState(ns *nvm.System, eng uc.UC, seed int64, completed []uint64, extra uint64) [][3]uint64 {
+	var dump []uint64
+	drivers.Probe(ns, seed, func(th *sim.Thread) {
+		if d, ok := eng.(interface{ DumpState(*sim.Thread) []uint64 }); ok {
+			dump = d.DumpState(th)
+			return
 		}
-	}
-	return true
+		for tid, n := range completed {
+			for i := uint64(0); i < n+extra; i++ {
+				op := uc.Get(history.Key(tid, i))
+				if v := eng.Execute(th, 0, op); v != uc.NotFound {
+					dump = append(dump, op.Code, op.A0, v)
+				}
+			}
+		}
+	})
+	return sortTriples(dump)
 }
 
-// TestDoubleRecoveryIdempotent checks, for every persistent construction:
-// recover, crash again IMMEDIATELY (no operation in between), recover again
-// — the two recovered states must be identical. The second crash runs under
-// DropAll, so any line the first recovery left unfenced is lost: a
+// TestDoubleRecoveryIdempotent is the registry-driven lifecycle table: every
+// recoverable construction is taken, through its driver and the shared
+// phase helpers alone, from boot through an insert workload into a crash
+// under the targeted adversary, recovered until an attempt completes with a
+// crash armed inside the first attempt, and probed against its durable
+// condition. Then it is crashed again IMMEDIATELY (no operation in between)
+// and recovered a second time: the two recovered states — the complete
+// state, not just the probed keys — must be identical. The second crash runs
+// under DropAll, so any line the first recovery left unfenced is lost — a
 // difference between the dumps means recovery's committed state was not
 // fully persisted before the commit record flipped.
 func TestDoubleRecoveryIdempotent(t *testing.T) {
-	const workers, crashAt = 4, 40_000
-
-	type instance struct {
-		dump func(th *sim.Thread) []uint64
-	}
-	cases := []struct {
-		name string
-		// build boots the system, returning a workload driver.
-		build func(t *testing.T, th *sim.Thread, ns *nvm.System) sys
-		// recover reruns recovery on a recovered nvm system with the BOOT
-		// configuration (the commit record, not the caller, must resolve the
-		// source generation) and returns the state dump hook.
-		recover func(t *testing.T, th *sim.Thread, ns *nvm.System) instance
-	}{
-		{
-			name: "PREP-Durable",
-			build: func(t *testing.T, th *sim.Thread, ns *nvm.System) sys {
-				p, err := core.New(th, ns, prepIdemCfg(core.Durable, workers))
-				if err != nil {
-					t.Fatal(err)
-				}
-				return p
-			},
-			recover: func(t *testing.T, th *sim.Thread, ns *nvm.System) instance {
-				p, _, err := core.Recover(th, ns, prepIdemCfg(core.Durable, workers))
-				if err != nil {
-					t.Fatal(err)
-				}
-				return instance{dump: p.DumpState}
-			},
-		},
-		{
-			name: "PREP-Buffered",
-			build: func(t *testing.T, th *sim.Thread, ns *nvm.System) sys {
-				p, err := core.New(th, ns, prepIdemCfg(core.Buffered, workers))
-				if err != nil {
-					t.Fatal(err)
-				}
-				return p
-			},
-			recover: func(t *testing.T, th *sim.Thread, ns *nvm.System) instance {
-				p, _, err := core.Recover(th, ns, prepIdemCfg(core.Buffered, workers))
-				if err != nil {
-					t.Fatal(err)
-				}
-				return instance{dump: p.DumpState}
-			},
-		},
-		{
-			name: "CX-PUC",
-			build: func(t *testing.T, th *sim.Thread, ns *nvm.System) sys {
-				cx, err := cxpuc.New(th, ns, cxIdemCfg(workers))
-				if err != nil {
-					t.Fatal(err)
-				}
-				return cx
-			},
-			recover: func(t *testing.T, th *sim.Thread, ns *nvm.System) instance {
-				cx, err := cxpuc.Recover(th, ns, cxIdemCfg(workers))
-				if err != nil {
-					t.Fatal(err)
-				}
-				return instance{dump: cx.DumpState}
-			},
-		},
-		{
-			name: "ONLL",
-			build: func(t *testing.T, th *sim.Thread, ns *nvm.System) sys {
-				o, err := onll.New(th, ns, onllIdemCfg(workers))
-				if err != nil {
-					t.Fatal(err)
-				}
-				return o
-			},
-			recover: func(t *testing.T, th *sim.Thread, ns *nvm.System) instance {
-				o, _, err := onll.Recover(th, ns, onllIdemCfg(workers))
-				if err != nil {
-					t.Fatal(err)
-				}
-				return instance{dump: o.DumpState}
-			},
-		},
-	}
-
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			bootSch := sim.New(17)
-			ns := nvm.NewSystem(bootSch, nvm.Config{Costs: sim.UnitCosts(), BGFlushOneIn: 256, Seed: 23})
-			var s sys
-			bootSch.Spawn("boot", 0, 0, func(th *sim.Thread) { s = tc.build(t, th, ns) })
-			bootSch.Run()
-
-			// Workload until the crash.
-			sch := sim.New(18)
-			sch.CrashAtEvent(crashAt)
-			ns.SetScheduler(sch)
-			if p, ok := s.(*core.PREP); ok {
-				p.SpawnPersistence(0)
-			}
-			for tid := 0; tid < workers; tid++ {
-				tid := tid
-				sch.Spawn("w", topo().NodeOf(tid), 0, func(th *sim.Thread) {
-					defer func() {
-						if r := recover(); r != nil && !sim.Crashed(r) {
-							panic(r)
-						}
-					}()
-					for i := uint64(0); ; i++ {
-						s.Execute(th, tid, uc.Insert(history.Key(tid, i), i))
-					}
-				})
-			}
-			sch.Run()
-			if !sch.Frozen() {
-				t.Fatal("workload did not crash")
+	const workers, crashAt, nestedAt = 4, 40_000, 400
+	for i, e := range drivers.Recoverable() {
+		i, e := i, e
+		t.Run(e.Name, func(t *testing.T) {
+			d := e.New(drivers.CrashScale(topo(), workers, 256, 32))
+			if d.Name != e.Name || d.Recover == nil {
+				t.Fatalf("registry entry %+v built driver %q (recover=%v)", e, d.Name, d.Recover != nil)
 			}
 
-			// First recovery.
-			rSch1 := sim.New(19)
-			sys1 := ns.Recover(rSch1)
-			var inst1 instance
-			rSch1.Spawn("rec1", 0, 0, func(th *sim.Thread) { inst1 = tc.recover(t, th, sys1) })
-			rSch1.Run()
-			var dump1 []uint64
-			dSch1 := sim.New(20)
-			sys1.SetScheduler(dSch1)
-			dSch1.Spawn("dump1", 0, 0, func(th *sim.Thread) { dump1 = inst1.dump(th) })
-			dSch1.Run()
+			ns, eng := bootUnit(t, d, 17, 256, 23)
+			pol, err := fault.Parse(fmt.Sprintf("targeted=%d", i), 29)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ns.SetFaultPolicy(pol)
+			completed, _ := insertUntilCrash(t, d, eng, ns, 18, crashAt, workers, history.Key)
 
-			// Immediate second crash — not one operation ran — under the most
-			// adversarial persistence policy, then recover again with the
-			// ORIGINAL boot configuration.
-			sys1.SetFaultPolicy(fault.DropAll())
-			rSch2 := sim.New(21)
-			sys2 := sys1.Recover(rSch2)
-			var inst2 instance
-			rSch2.Spawn("rec2", 0, 0, func(th *sim.Thread) { inst2 = tc.recover(t, th, sys2) })
-			rSch2.Run()
-			var dump2 []uint64
-			dSch2 := sim.New(22)
-			sys2.SetScheduler(dSch2)
-			dSch2.Spawn("dump2", 0, 0, func(th *sim.Thread) { dump2 = inst2.dump(th) })
-			dSch2.Run()
-
-			a, b := sortTriples(dump1), sortTriples(dump2)
-			if len(a) == 0 {
+			// First recovery, re-entered once through the armed nested crash.
+			r1, err := drivers.Recover(d, ns, 19, func(attempt int) uint64 {
+				if attempt == 0 {
+					return nestedAt
+				}
+				return 0
+			}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r1.Attempts != 2 || r1.NestedCrashes != 1 {
+				t.Fatalf("attempts=%d nested=%d, want the armed crash to cut down exactly the first attempt",
+					r1.Attempts, r1.NestedCrashes)
+			}
+			keys1 := probePrefix(r1.Sys, r1.Eng, 20, completed, 32, history.Key)
+			rep := history.Check(keys1, completed)
+			if !durableOK(d, rep) {
+				t.Errorf("recovered state violates the durable condition: %s", rep)
+			}
+			state1 := recoveredState(r1.Sys, r1.Eng, 23, completed, 32)
+			if len(state1) == 0 {
 				t.Fatal("first recovery produced an empty state; workload too short to be meaningful")
 			}
-			if !equalTriples(a, b) {
-				t.Errorf("recovered states differ: first has %d ops, second %d", len(a), len(b))
+
+			// Immediate second crash — not one operation ran — under the most
+			// adversarial persistence policy, then recover again through the
+			// same driver (the commit record, not the caller, must resolve
+			// the source generation).
+			r1.Sys.SetFaultPolicy(fault.DropAll())
+			r2 := recoverOnce(t, d, r1.Sys, 21)
+			if state2 := recoveredState(r2.Sys, r2.Eng, 22, completed, 32); !reflect.DeepEqual(state1, state2) {
+				t.Errorf("recovered states differ: first has %d ops, second %d", len(state1), len(state2))
 			}
 		})
-	}
-}
-
-func prepIdemCfg(mode core.Mode, workers int) core.Config {
-	return core.Config{
-		Mode: mode, Topology: topo(), Workers: workers,
-		LogSize: 256, Epsilon: 32,
-		Factory: seq.HashMapFactory(64), Attacher: seq.HashMapAttacher,
-		HeapWords: 1 << 20,
-	}
-}
-
-func cxIdemCfg(workers int) cxpuc.Config {
-	return cxpuc.Config{
-		Workers: workers, Factory: seq.HashMapFactory(64), Attacher: seq.HashMapAttacher,
-		HeapWords: 1 << 20, QueueCapacity: 1 << 16, CapReplicas: 4,
-	}
-}
-
-func onllIdemCfg(workers int) onll.Config {
-	return onll.Config{
-		Workers: workers, Factory: seq.HashMapFactory(64),
-		HeapWords: 1 << 20, LogEntries: 1 << 13,
 	}
 }
 
@@ -254,79 +146,27 @@ func TestMultiCrashEpochs(t *testing.T) {
 		{"buffered-k3", core.Buffered, 3, nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := prepIdemCfg(tc.mode, workers)
-			bootSch := sim.New(31)
-			ns := nvm.NewSystem(bootSch, nvm.Config{Costs: sim.UnitCosts(), BGFlushOneIn: 256, Seed: 37})
+			// One driver across all K crashes: every recovery starts from the
+			// BOOT configuration, the commit record resolves the actual
+			// source generation.
+			d := prepDriver(tc.mode, prepSizing(workers, 256))
+			ns, eng := bootUnit(t, d, 31, 256, 37)
 			if tc.policy != nil {
 				ns.SetFaultPolicy(tc.policy)
 			}
-			var p *core.PREP
-			var err error
-			bootSch.Spawn("boot", 0, 0, func(th *sim.Thread) { p, err = core.New(th, ns, cfg) })
-			bootSch.Run()
-			if err != nil {
-				t.Fatal(err)
-			}
-
 			epochs := make([]history.Epoch, tc.k)
 			for e := 0; e < tc.k; e++ {
-				crashAt := uint64(30_000 + e*7_000)
-				sch := sim.New(int64(100*e) + 41)
-				sch.CrashAtEvent(crashAt)
-				ns.SetScheduler(sch)
-				p.SpawnPersistence(0)
-				completed := make([]uint64, workers)
-				e := e
-				for tid := 0; tid < workers; tid++ {
-					tid := tid
-					sch.Spawn("w", topo().NodeOf(tid), 0, func(th *sim.Thread) {
-						defer func() {
-							if r := recover(); r != nil && !sim.Crashed(r) {
-								panic(r)
-							}
-						}()
-						for i := uint64(0); ; i++ {
-							p.Execute(th, tid, uc.Insert(history.EpochKey(e, tid, i), i))
-							completed[tid] = i + 1
-						}
-					})
-				}
-				sch.Run()
-				if !sch.Frozen() {
-					t.Fatalf("epoch %d did not crash", e)
-				}
-				epochs[e].Completed = completed
-
-				recSch := sim.New(int64(100*e) + 42)
-				ns = ns.Recover(recSch)
-				recSch.Spawn("rec", 0, 0, func(th *sim.Thread) {
-					// Always the BOOT config: the commit record resolves the
-					// actual source generation across all K crashes.
-					p, _, err = core.Recover(th, ns, cfg)
-				})
-				recSch.Run()
-				if err != nil {
-					t.Fatalf("epoch %d recover: %v", e, err)
-				}
+				key := func(tid int, i uint64) uint64 { return history.EpochKey(e, tid, i) }
+				epochs[e].Completed, _ = insertUntilCrash(t, d, eng, ns, int64(100*e)+41, uint64(30_000+e*7_000), workers, key)
+				r := recoverOnce(t, d, ns, int64(100*e)+42)
+				ns, eng = r.Sys, r.Eng
 			}
 
 			// Probe every epoch's keys against the FINAL recovered state.
-			probeSch := sim.New(43)
-			ns.SetScheduler(probeSch)
-			probeSch.Spawn("probe", 0, 0, func(th *sim.Thread) {
-				for e := 0; e < tc.k; e++ {
-					epochs[e].Keys = make([][]bool, workers)
-					for tid := 0; tid < workers; tid++ {
-						n := epochs[e].Completed[tid] + 16
-						epochs[e].Keys[tid] = make([]bool, n)
-						for i := uint64(0); i < n; i++ {
-							got := p.Execute(th, 0, uc.Get(history.EpochKey(e, tid, i)))
-							epochs[e].Keys[tid][i] = got != uc.NotFound
-						}
-					}
-				}
-			})
-			probeSch.Run()
+			for e := 0; e < tc.k; e++ {
+				key := func(tid int, i uint64) uint64 { return history.EpochKey(e, tid, i) }
+				epochs[e].Keys = probePrefix(ns, eng, 43, epochs[e].Completed, 16, key)
+			}
 
 			mr := history.CheckEpochs(epochs)
 			switch tc.mode {
@@ -335,11 +175,11 @@ func TestMultiCrashEpochs(t *testing.T) {
 					t.Errorf("multi-crash durable violation: %s", mr)
 				}
 			case core.Buffered:
-				if !mr.BufferedOK(cfg.Epsilon, beta) {
+				if !mr.BufferedOK(d.Epsilon, beta) {
 					t.Errorf("multi-crash buffered violation (per-epoch bound %d): %s",
-						cfg.Epsilon+beta-1, mr)
+						d.Epsilon+beta-1, mr)
 				}
-				if limit := uint64(tc.k) * (cfg.Epsilon + beta - 1); mr.TotalLost() > limit {
+				if limit := uint64(tc.k) * (d.Epsilon + beta - 1); mr.TotalLost() > limit {
 					t.Errorf("total loss %d exceeds K·(ε+β−1) = %d", mr.TotalLost(), limit)
 				}
 			}

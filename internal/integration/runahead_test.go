@@ -7,10 +7,7 @@ import (
 	"prepuc/internal/core"
 	"prepuc/internal/history"
 	"prepuc/internal/metrics"
-	"prepuc/internal/nvm"
-	"prepuc/internal/seq"
 	"prepuc/internal/sim"
-	"prepuc/internal/uc"
 )
 
 // cycleTrace is everything one crash/recover cycle observed that could
@@ -30,75 +27,18 @@ type cycleTrace struct {
 func runCrashCycle(t *testing.T, crashAt uint64) cycleTrace {
 	t.Helper()
 	const workers = 8
-	cfg := core.Config{
-		Mode: core.Durable, Topology: topo(), Workers: workers,
-		LogSize: 128, Epsilon: 32,
-		Factory: seq.HashMapFactory(64), Attacher: seq.HashMapAttacher,
-		HeapWords: 1 << 20,
+	d := prepDriver(core.Durable, prepSizing(workers, 128))
+	ns, eng := bootUnit(t, d, 11, 200, 13)
+	completed, sch := insertUntilCrash(t, d, eng, ns, 12, crashAt, workers, history.Key)
+	r := recoverOnce(t, d, ns, 13)
+	tr := cycleTrace{
+		completed:  completed,
+		workEvents: sch.Events(),
+		recEvents:  r.Sys.Scheduler().Events(),
+		metrics:    r.Sys.Metrics().Snapshot(),
 	}
-	bootSch := sim.New(11)
-	ns := nvm.NewSystem(bootSch, nvm.Config{
-		Costs: sim.UnitCosts(), BGFlushOneIn: 200, Seed: 13,
-	})
-	var p *core.PREP
-	var err error
-	bootSch.Spawn("boot", 0, 0, func(th *sim.Thread) { p, err = core.New(th, ns, cfg) })
-	bootSch.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	sch := sim.New(12)
-	sch.CrashAtEvent(crashAt)
-	ns.SetScheduler(sch)
-	p.SpawnPersistence(0)
-	tr := cycleTrace{completed: make([]uint64, workers)}
-	for tid := 0; tid < workers; tid++ {
-		tid := tid
-		sch.Spawn("w", topo().NodeOf(tid), 0, func(th *sim.Thread) {
-			defer func() {
-				if r := recover(); r != nil && !sim.Crashed(r) {
-					panic(r)
-				}
-			}()
-			for i := uint64(0); ; i++ {
-				p.Execute(th, tid, uc.Insert(history.Key(tid, i), i))
-				tr.completed[tid] = i + 1
-			}
-		})
-	}
-	sch.Run()
-	if !sch.Frozen() {
-		t.Fatalf("crashAt=%d did not crash", crashAt)
-	}
-	tr.workEvents = sch.Events()
-
-	recSch := sim.New(13)
-	recSys := ns.Recover(recSch)
-	var rec *core.PREP
-	recSch.Spawn("rec", 0, 0, func(th *sim.Thread) {
-		rec, _, err = core.Recover(th, recSys, cfg)
-	})
-	recSch.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr.recEvents = recSch.Events()
-	tr.metrics = recSys.Metrics().Snapshot()
-
-	tr.keys = make([][]bool, workers)
-	chkSch := sim.New(14)
-	recSys.SetScheduler(chkSch)
-	chkSch.Spawn("probe", 0, 0, func(th *sim.Thread) {
-		for tid := 0; tid < workers; tid++ {
-			n := tr.completed[tid] + 16
-			tr.keys[tid] = make([]bool, n)
-			for i := uint64(0); i < n; i++ {
-				tr.keys[tid][i] = rec.Execute(th, 0, uc.Get(history.Key(tid, i))) != uc.NotFound
-			}
-		}
-	})
-	chkSch.Run()
+	// Last: the probe replaces the recovery scheduler read above.
+	tr.keys = probePrefix(r.Sys, r.Eng, 14, completed, 16, history.Key)
 	return tr
 }
 

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"prepuc/internal/core"
+	"prepuc/internal/drivers"
 	"prepuc/internal/linearize"
 	"prepuc/internal/nvm"
 	"prepuc/internal/seq"
@@ -37,16 +38,13 @@ func linOp(rng *rand.Rand, pid, i int) uc.Op {
 // probeSet reads the engine's full set state on a fresh scheduler.
 func probeSet(sys *nvm.System, engine uc.UC, seed int64) map[uint64]uint64 {
 	recovered := map[uint64]uint64{}
-	sch := sim.New(seed)
-	sys.SetScheduler(sch)
-	sch.Spawn("probe", 0, 0, func(t *sim.Thread) {
+	drivers.Probe(sys, seed, func(t *sim.Thread) {
 		for k := uint64(0); k < linKeys; k++ {
 			if v := engine.Execute(t, 0, uc.Get(k)); v != uc.NotFound {
 				recovered[k] = v
 			}
 		}
 	})
-	sch.Run()
 	return recovered
 }
 
@@ -83,29 +81,21 @@ func TestAsyncHistoryLinearizes(t *testing.T) {
 // linearization: no acknowledged operation may be lost.
 func TestAsyncHistoryLinearizesAcrossCrash(t *testing.T) {
 	const shards, producers = 2, 4
-	obj := seq.HashMapType(64)
-	cfg := core.Config{
-		Mode: core.Durable, Topology: topo(), Workers: shards,
-		LogSize: 1024, Epsilon: 64,
-		Factory: obj.New, Attacher: obj.Attach, HeapWords: 1 << 20,
+	sz := uc.Sizing{
+		Topology: topo(), Workers: shards, Object: seq.HashMapType(64),
+		LogSize: 1024, Epsilon: 64, HeapWords: 1 << 20,
 	}
-	bootSch := sim.New(31)
-	sys := nvm.NewSystem(bootSch, nvm.Config{
-		Costs: sim.UnitCosts(), BGFlushOneIn: 128, Seed: 38,
-	})
-	var p *core.PREP
+	d := core.NewDriver(core.ConfigFor(core.Durable, sz))
 	var s *svc.Service
-	var err error
-	bootSch.Spawn("boot", 0, 0, func(th *sim.Thread) {
-		if p, err = core.New(th, sys, cfg); err != nil {
-			return
-		}
+	sys, _, err := drivers.Boot(d, 31, nvm.Config{
+		Costs: sim.UnitCosts(), BGFlushOneIn: 128, Seed: 38,
+	}, func(th *sim.Thread, sys *nvm.System, p uc.UC) (err error) {
 		s, err = svc.New(th, sys, svc.Config{
 			Engine: p, Topology: topo(), Shards: shards,
 			RingSize: 256, MaxBatch: 32, Batched: true,
 		})
+		return err
 	})
-	bootSch.Run()
 	if err != nil {
 		t.Fatalf("boot: %v", err)
 	}
@@ -116,7 +106,7 @@ func TestAsyncHistoryLinearizesAcrossCrash(t *testing.T) {
 	sch := sim.New(3100)
 	sch.CrashAtEvent(40_000)
 	sys.SetScheduler(sch)
-	p.SpawnPersistence(0)
+	d.SpawnAux()
 	for shard := 0; shard < shards; shard++ {
 		shard := shard
 		sch.Spawn("consumer", topo().NodeOf(shard), 0, func(th *sim.Thread) {
@@ -145,18 +135,12 @@ func TestAsyncHistoryLinearizesAcrossCrash(t *testing.T) {
 		t.Fatal("no operations completed before the crash")
 	}
 
-	recSch := sim.New(3200)
-	recSys := sys.Recover(recSch)
-	var rp *core.PREP
-	recSch.Spawn("recover", 0, 0, func(th *sim.Thread) {
-		rp, _, err = core.Recover(th, recSys, cfg)
-	})
-	recSch.Run()
+	r, err := drivers.Recover(d, sys, 3200, nil, nil)
 	if err != nil {
 		t.Fatalf("recover: %v", err)
 	}
 
-	recovered := probeSet(recSys, rp, 3300)
+	recovered := probeSet(r.Sys, r.Eng, 3300)
 	res := linearize.CheckEpoch(linearize.SetModel(), nil, rec.Ops(), recovered, linearize.Options{})
 	if !res.OK {
 		t.Fatalf("crash epoch not durably linearizable: %s", res)
