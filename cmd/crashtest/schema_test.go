@@ -8,6 +8,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"prepuc/internal/harness"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -29,13 +31,21 @@ func withFlags(t *testing.T, vals map[string]string) {
 }
 
 // selected resolves the -system flag as main does.
-func selected(t *testing.T) []target {
+func selected(t *testing.T) []harness.CrashTarget {
 	t.Helper()
-	tgs, err := targets()
+	if err := validate(); err != nil {
+		t.Fatal(err)
+	}
+	tgs, err := harness.CrashTargets(*system, cfg.Instances)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return tgs
+}
+
+// buildDoc is main's run under the current flag values.
+func buildDoc(progress *bytes.Buffer, tgs []harness.CrashTarget) (harness.CrashDoc, int) {
+	return harness.BuildCrashDoc(progress, cfg, tgs)
 }
 
 // TestSchemaGolden locks the prepuc-crash/v2 JSON document byte for byte:
@@ -263,8 +273,8 @@ func TestSchemaRequiredFields(t *testing.T) {
 	if err := json.Unmarshal(raw, &m); err != nil {
 		t.Fatal(err)
 	}
-	if m["schema"] != CrashSchema {
-		t.Fatalf("schema = %v, want %v", m["schema"], CrashSchema)
+	if m["schema"] != harness.CrashSchema {
+		t.Fatalf("schema = %v, want %v", m["schema"], harness.CrashSchema)
 	}
 	for _, k := range []string{"iterations", "workers", "epsilon", "log_size", "seed", "nested", "fault", "checker", "systems"} {
 		if _, ok := m[k]; !ok {

@@ -3,10 +3,14 @@ package main
 import (
 	"bytes"
 	"errors"
+	"flag"
+	"fmt"
+	"regexp"
 	"strings"
 	"testing"
 
 	"prepuc/internal/drivers"
+	"prepuc/internal/harness"
 	"prepuc/internal/nvm"
 	"prepuc/internal/sim"
 	"prepuc/internal/uc"
@@ -18,20 +22,70 @@ import (
 // instead of running zero cycles and reporting success. Under -instances >
 // 1 the set narrows to the entries the registry marks Instanced.
 func TestSystemFlagMatchesRegistry(t *testing.T) {
-	for _, instances := range []string{"1", "2"} {
-		withFlags(t, map[string]string{"instances": instances})
+	for _, instances := range []int{1, 2} {
 		want := map[string]bool{"all": true, "prep_durable": false}
 		for _, e := range drivers.All() {
-			want[e.Flag] = !e.SteadyOnly && (instances == "1" || e.Instanced)
+			want[e.Flag] = !e.SteadyOnly && (instances == 1 || e.Instanced)
 		}
 		for flag, ok := range want {
-			withFlags(t, map[string]string{"system": flag})
-			tgs, err := targets()
+			tgs, err := harness.CrashTargets(flag, instances)
 			if (err == nil) != ok || (ok && len(tgs) == 0) {
-				t.Errorf("-instances=%s -system=%s: %d systems, err=%v, want accepted=%v", instances, flag, len(tgs), err, ok)
+				t.Errorf("-instances=%d -system=%s: %d systems, err=%v, want accepted=%v", instances, flag, len(tgs), err, ok)
 			}
 		}
 	}
+}
+
+// TestValidateRejectsVacuousRuns pins the flag values main turns into exit
+// 2: a run of zero cycles, epochs or workers checks nothing and must not
+// report success, and the other rejections must keep naming their flag.
+func TestValidateRejectsVacuousRuns(t *testing.T) {
+	for _, tc := range []struct {
+		flags map[string]string
+		want  string // substring of the error; "" = accepted
+	}{
+		{map[string]string{}, ""},
+		{map[string]string{"iterations": "1", "workers": "1", "check": "linearize", "epochs": "1"}, ""},
+		{map[string]string{"iterations": "0"}, "-iterations=0"},
+		{map[string]string{"iterations": "-3"}, "-iterations=-3"},
+		{map[string]string{"workers": "0"}, "-workers=0"},
+		{map[string]string{"check": "linearize", "epochs": "0"}, "-epochs=0"},
+		{map[string]string{"instances": "0"}, "-instances=0"},
+		{map[string]string{"instances": "3"}, "-workers=8 not divisible by -instances=3"},
+		{map[string]string{"instances": "2", "nested": "1"}, "-nested"},
+		{map[string]string{"instances": "2", "check": "linearize"}, "-check prefix"},
+		{map[string]string{"check": "wgl"}, `unknown checker "wgl"`},
+		{map[string]string{"format": "yaml"}, `unknown format "yaml"`},
+		{map[string]string{"policy": "sometimes"}, "sometimes"},
+	} {
+		t.Run(fmt.Sprint(tc.flags), func(t *testing.T) {
+			withFlags(t, tc.flags)
+			err := validate()
+			if tc.want == "" && err != nil {
+				t.Errorf("rejected: %v", err)
+			}
+			if tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)) {
+				t.Errorf("err = %v, want one naming %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// wrapRecover returns target flag's registry entry with every driver it
+// builds passed through wrap.
+func wrapRecover(t *testing.T, flag string, wrap func(d *uc.Driver)) harness.CrashTarget {
+	t.Helper()
+	tgs, err := harness.CrashTargets(flag, cfg.Instances)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tg, build := tgs[0], tgs[0].New
+	tg.New = func(sz uc.Sizing) *uc.Driver {
+		d := build(sz)
+		wrap(d)
+		return d
+	}
+	return tg
 }
 
 // TestRecoverErrorFailsCycle drives a cycle whose recovery is cut down by
@@ -40,16 +94,10 @@ func TestSystemFlagMatchesRegistry(t *testing.T) {
 // text and the usual repro on the progress stream.
 func TestRecoverErrorFailsCycle(t *testing.T) {
 	withFlags(t, map[string]string{
-		"workers": "2", "epsilon": "16", "log": "128", "seed": "42",
+		"iterations": "1", "workers": "2", "epsilon": "16", "log": "128", "seed": "42",
 		"policy": "targeted", "nested": "1", "bisect": "false",
 	})
-	real, err := drivers.Lookup(drivers.Recoverable(), "prep-durable")
-	if err != nil {
-		t.Fatal(err)
-	}
-	flaky := target{Entry: real}
-	flaky.New = func(sz uc.Sizing) *uc.Driver {
-		d := real.New(sz)
+	flaky := wrapRecover(t, "prep-durable", func(d *uc.Driver) {
 		recov, attempts := d.Recover, 0
 		d.Recover = func(th *sim.Thread, sys *nvm.System) (uc.UC, uc.RecoverInfo, error) {
 			if attempts++; attempts == 2 {
@@ -57,14 +105,14 @@ func TestRecoverErrorFailsCycle(t *testing.T) {
 			}
 			return recov(th, sys)
 		}
-		return d
-	}
+	})
 	for _, check := range []string{"prefix", "linearize"} {
 		withFlags(t, map[string]string{"check": check})
 		var buf bytes.Buffer
-		cyc := runIteration(&buf, flaky, 0, crashEvent(0))
-		if cyc.OK {
-			t.Errorf("%s: cycle whose recovery errored was recorded ok", check)
+		doc, failures := buildDoc(&buf, []harness.CrashTarget{flaky})
+		cyc := doc.Systems[0].Cycles[0]
+		if cyc.OK || failures != 1 {
+			t.Errorf("%s: cycle whose recovery errored was recorded ok (failures=%d)", check, failures)
 		}
 		if cyc.RecoveryAttempts != 2 || cyc.Fault.NestedCrashes != 1 {
 			t.Errorf("%s: attempts=%d nested=%d, want 2 and 1", check, cyc.RecoveryAttempts, cyc.Fault.NestedCrashes)
@@ -74,5 +122,101 @@ func TestRecoverErrorFailsCycle(t *testing.T) {
 			!strings.Contains(out, "repro: crashtest -system=prep-durable -iterations=1") {
 			t.Errorf("%s: progress stream lacks the error or the repro:\n%s", check, out)
 		}
+	}
+}
+
+// counting forwards Execute and counts the calls that returned.
+type counting struct {
+	uc.UC
+	done *int
+}
+
+func (c counting) Execute(t *sim.Thread, tid int, op uc.Op) uint64 {
+	r := c.UC.Execute(t, tid, op)
+	*c.done++
+	return r
+}
+
+// TestBisectShrinksToBoundaryAndReproFails plants a failure that is monotone
+// in the crash point — recovery answers with an error once more than limit
+// Executes completed on the instance before the crash — under the flat
+// prefix, linearize and co-resident cycles. -bisect must shrink the failing
+// crash point to the exact boundary (the cycle passes one event earlier), and
+// the printed repro line, parsed as a command line and run as iteration 0,
+// must fail at that point.
+func TestBisectShrinksToBoundaryAndReproFails(t *testing.T) {
+	const limit = 40
+	for _, tc := range []struct {
+		name  string
+		flags map[string]string
+	}{
+		{"prefix", map[string]string{"workers": "2"}},
+		{"linearize", map[string]string{"workers": "2", "check": "linearize", "epochs": "1"}},
+		{"co-resident", map[string]string{"workers": "4", "instances": "2"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			saved := map[string]string{}
+			flag.VisitAll(func(f *flag.Flag) { saved[f.Name] = f.Value.String() })
+			t.Cleanup(func() {
+				for name, v := range saved {
+					flag.Set(name, v)
+				}
+			})
+			withFlags(t, map[string]string{
+				"iterations": "3", "epsilon": "16", "log": "128", "seed": "7",
+				"policy": "targeted", "system": "prep-durable", "j": "1",
+			})
+			withFlags(t, tc.flags)
+			brittle := wrapRecover(t, "prep-durable", func(d *uc.Driver) {
+				boot, recov, done := d.Boot, d.Recover, 0
+				d.Boot = func(th *sim.Thread, sys *nvm.System) (uc.UC, error) {
+					eng, err := boot(th, sys)
+					return counting{eng, &done}, err
+				}
+				d.Recover = func(th *sim.Thread, sys *nvm.System) (uc.UC, uc.RecoverInfo, error) {
+					if done > limit {
+						return nil, uc.RecoverInfo{}, fmt.Errorf("%d operations completed", done)
+					}
+					return recov(th, sys)
+				}
+			})
+			tgs := []harness.CrashTarget{brittle}
+
+			var buf bytes.Buffer
+			_, failures := buildDoc(&buf, tgs)
+			if failures != 3 {
+				t.Fatalf("%d of 3 cycles failed, want all (crash points are far past the boundary):\n%s", failures, buf.String())
+			}
+			shrunk := regexp.MustCompile(`bisect: crash point shrunk (\d+) -> (\d+)\n\s+repro: crashtest (.*)\n`).
+				FindAllStringSubmatch(buf.String(), -1)
+			if len(shrunk) != 3 {
+				t.Fatalf("want a bisect and a repro line per failed cycle:\n%s", buf.String())
+			}
+			for i, match := range shrunk {
+				// Parse the repro as main would and run it: iteration 0 of the
+				// reproduced run is iteration i of this one.
+				if err := flag.CommandLine.Parse(strings.Fields(match[3])); err != nil {
+					t.Fatal(err)
+				}
+				if err := validate(); err != nil {
+					t.Fatalf("repro %q does not validate: %v", match[3], err)
+				}
+				if cfg.Iterations != 1 || fmt.Sprint(cfg.CrashAt) != match[2] {
+					t.Fatalf("repro %q does not pin one iteration at the bisected point %s", match[3], match[2])
+				}
+				withFlags(t, map[string]string{"bisect": "false"})
+				buf.Reset()
+				doc, failures := buildDoc(&buf, tgs)
+				if cyc := doc.Systems[0].Cycles[0]; failures != 1 || cyc.OK || cyc.CrashAt != cfg.CrashAt {
+					t.Errorf("cycle %d: repro %q did not fail at its crash point:\n%s", i, match[3], buf.String())
+				}
+				// One event earlier the same machine passes: the boundary is exact.
+				withFlags(t, map[string]string{"crash-at": fmt.Sprint(cfg.CrashAt - 1)})
+				if _, failures := buildDoc(&buf, tgs); failures != 0 {
+					t.Errorf("cycle %d: crash point %s is not the boundary, %d also fails", i, match[2], cfg.CrashAt)
+				}
+				t.Logf("cycle %d: %s shrunk to the boundary %s", i, match[1], match[2])
+			}
+		})
 	}
 }

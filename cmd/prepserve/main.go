@@ -52,42 +52,53 @@ import (
 
 	"prepuc/internal/drivers"
 	"prepuc/internal/harness"
-	"prepuc/internal/openloop"
 	"prepuc/internal/shard"
 )
+
+// load is the machine and arrival schedule the flags describe: each flag
+// below is bound to the harness.ServeConfig field it names. The crash
+// instant and the schedule's seed depend on other flags and are filled in by
+// buildDoc.
+var load harness.ServeConfig
+
+func init() {
+	flag.IntVar(&load.Shards, "shards", 4, "submission rings / consumer threads (engine workers)")
+	flag.Uint64Var(&load.RingSize, "ring", 1024, "per-shard ring capacity (power of two)")
+	flag.IntVar(&load.MaxBatch, "batch", 32, "max operations per combiner handoff")
+	flag.BoolVar(&load.Batched, "batched", true, "use the batched submission path where the engine supports it")
+
+	flag.IntVar(&load.Open.Clients, "clients", 200_000, "simulated client population")
+	flag.Uint64Var(&load.Open.Keys, "keys", 1<<16, "key-space size")
+	flag.Float64Var(&load.Open.KeySkew, "skew", 1.2, "Zipf key-skew exponent (≤1: uniform)")
+	flag.IntVar(&load.Open.ReadPct, "readpct", 80, "percentage of read-only operations")
+	flag.Float64Var(&load.Open.Rate, "rate", 4e6, "aggregate arrival rate (ops per virtual second)")
+	flag.Uint64Var(&load.Open.DurationNS, "duration", 3_000_000, "schedule horizon in virtual ns")
+	flag.Uint64Var(&load.Open.ThinkNS, "think", 50_000, "per-client think time in virtual ns")
+	flag.Uint64Var(&load.Open.BurstEveryNS, "burst-every", 500_000, "burst period in virtual ns (0: no bursts)")
+	flag.Uint64Var(&load.Open.BurstLenNS, "burst-len", 100_000, "burst length in virtual ns")
+	flag.Float64Var(&load.Open.BurstFactor, "burst-factor", 4, "arrival-rate multiplier inside bursts")
+
+	flag.StringVar(&load.Policy, "policy", "", "crash-time fault adversary: persistall, dropall, coinflip[=p], targeted[=n] (empty: fence-accurate default)")
+	flag.BoolVar(&load.Check, "check", false, "verify each run for (buffered) durable linearizability; exit 1 on failure")
+	flag.Int64Var(&load.Seed, "seed", 1, "base seed")
+}
 
 var (
 	scenario = flag.String("scenario", "steady", "steady or crash")
 	system   = flag.String("system", "all", strings.Join(drivers.Flags(drivers.All()), ", ")+" or all (the recoverable ones)")
-	shards   = flag.Int("shards", 4, "submission rings / consumer threads (engine workers)")
-	ringSize = flag.Uint64("ring", 1024, "per-shard ring capacity (power of two)")
-	maxBatch = flag.Int("batch", 32, "max operations per combiner handoff")
-	batched  = flag.Bool("batched", true, "use the batched submission path where the engine supports it")
 	epsilon  = flag.Uint64("epsilon", 64, "PREP flush boundary increment ε")
-
-	clients  = flag.Int("clients", 200_000, "simulated client population")
-	keys     = flag.Uint64("keys", 1<<16, "key-space size")
-	skew     = flag.Float64("skew", 1.2, "Zipf key-skew exponent (≤1: uniform)")
-	readPct  = flag.Int("readpct", 80, "percentage of read-only operations")
-	rate     = flag.Float64("rate", 4e6, "aggregate arrival rate (ops per virtual second)")
-	duration = flag.Uint64("duration", 3_000_000, "schedule horizon in virtual ns")
-	thinkNS  = flag.Uint64("think", 50_000, "per-client think time in virtual ns")
-	burstEv  = flag.Uint64("burst-every", 500_000, "burst period in virtual ns (0: no bursts)")
-	burstLen = flag.Uint64("burst-len", 100_000, "burst length in virtual ns")
-	burstX   = flag.Float64("burst-factor", 4, "arrival-rate multiplier inside bursts")
-
-	crashAt = flag.Uint64("crash-at", 0, "crash instant in virtual ns (0: duration/2; crash scenario only)")
-	policy  = flag.String("policy", "", "crash-time fault adversary: persistall, dropall, coinflip[=p], targeted[=n] (empty: fence-accurate default)")
-	check   = flag.Bool("check", false, "verify each run for (buffered) durable linearizability; exit 1 on failure")
-	seed    = flag.Int64("seed", 1, "base seed")
-	format  = flag.String("format", "table", "output format: table or json")
-	outPath = flag.String("o", "", "write results to this file (default stdout)")
+	crashAt  = flag.Uint64("crash-at", 0, "crash instant in virtual ns (0: duration/2; crash scenario only)")
+	format   = flag.String("format", "table", "output format: table or json")
+	outPath  = flag.String("o", "", "write results to this file (default stdout)")
 
 	instances   = flag.Int("instances", 1, "independent machines behind the router (>1: sharded mode; -shards becomes the total worker count)")
-	route       = flag.String("route", "hash", "sharded key partitioning policy: hash or range")
+	route       = flag.String("route", defaultRoute, "sharded key partitioning policy: hash or range")
 	crashShards = flag.String("crash-shards", "", "comma-separated machine indices to crash in sharded crash runs (empty: all)")
 	jobs        = flag.Int("j", 1, "host workers for sharded machine sub-runs (0: all cores; never affects output bytes)")
 )
+
+// defaultRoute is -route's default; validate tells a set flag by it.
+const defaultRoute = "hash"
 
 // ServeSchema identifies the machine-readable prepserve output format.
 // v2 added the detectable-recovery fields to crash blocks (detectable,
@@ -123,24 +134,24 @@ type serveDoc struct {
 // keep the recoverable five, and take it on explicit selection so the
 // sharded sweeps' single-machine baselines come from the same binary.
 func selectSystems() ([]drivers.Entry, error) {
-	var out []drivers.Entry
-	var flags []string
-	for _, sys := range drivers.All() {
-		if sys.SteadyOnly && *scenario != "steady" {
-			if *system == sys.Flag {
-				return nil, fmt.Errorf("%s has no recovery path; steady scenario only", sys.Name)
-			}
-			continue
+	candidates := drivers.All()
+	if *scenario != "steady" {
+		if e, err := drivers.Lookup(candidates, *system); err == nil && e.SteadyOnly {
+			return nil, fmt.Errorf("%s has no recovery path; steady scenario only", e.Name)
 		}
-		flags = append(flags, sys.Flag)
-		if *system == sys.Flag || *system == "all" && (!sys.SteadyOnly || *instances > 1) {
-			out = append(out, sys)
+		candidates = drivers.Recoverable()
+	}
+	if *system != "all" {
+		e, err := drivers.Lookup(candidates, *system)
+		if err != nil {
+			return nil, fmt.Errorf("%w or all", err)
 		}
+		return []drivers.Entry{e}, nil
 	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("unknown system %q (want one of %v or all)", *system, flags)
+	if *instances > 1 {
+		return candidates, nil
 	}
-	return out, nil
+	return drivers.Recoverable(), nil
 }
 
 // buildDoc runs the selected scenario against the selected systems under the
@@ -148,52 +159,58 @@ func selectSystems() ([]drivers.Entry, error) {
 // linearize checks. Table-format rendering goes to progress as the runs
 // finish.
 func buildDoc(progress io.Writer) (*serveDoc, int, error) {
-	cfg := harness.ServeConfig{
-		Shards:   *shards,
-		RingSize: *ringSize,
-		MaxBatch: *maxBatch,
-		Batched:  *batched,
-		Seed:     *seed,
-		Policy:   *policy,
-		Check:    *check,
-		Open: openloop.Config{
-			Clients:      *clients,
-			Keys:         *keys,
-			KeySkew:      *skew,
-			ReadPct:      *readPct,
-			Rate:         *rate,
-			DurationNS:   *duration,
-			ThinkNS:      *thinkNS,
-			BurstEveryNS: *burstEv,
-			BurstLenNS:   *burstLen,
-			BurstFactor:  *burstX,
-			Seed:         *seed + 1000,
-		},
-	}
+	cfg := load
+	cfg.Open.Seed = cfg.Seed + 1000
 	if *scenario == "crash" {
 		cfg.CrashAtNS = *crashAt
 		if cfg.CrashAtNS == 0 {
-			cfg.CrashAtNS = *duration / 2
+			cfg.CrashAtNS = cfg.Open.DurationNS / 2
 		}
 	}
 
 	doc := &serveDoc{
 		Schema: ServeSchema, Scenario: *scenario,
-		Clients: *clients, RateOpsPerSec: *rate,
-		DurationVirtualNS: *duration, Shards: *shards,
-		Batched: *batched, Seed: *seed,
-		Policy: *policy, Check: *check,
+		Clients: cfg.Open.Clients, RateOpsPerSec: cfg.Open.Rate,
+		DurationVirtualNS: cfg.Open.DurationNS, Shards: cfg.Shards,
+		Batched: cfg.Batched, Seed: cfg.Seed,
+		Policy: cfg.Policy, Check: cfg.Check,
 	}
 	systems, err := selectSystems()
 	if err != nil {
 		return nil, 0, err
 	}
+	// run is one system's deployment: the flat machine, or *instances
+	// independent machines with the total worker budget split evenly.
+	run := func(sys drivers.Entry) (*harness.ServeResult, error) {
+		return harness.RunServe(sys.New(harness.ServeSizing(cfg.Shards, *epsilon)), cfg)
+	}
 	if *instances > 1 {
-		return buildShardedDoc(progress, doc, cfg, systems)
+		scfg := harness.ShardedServeConfig{
+			Instances: *instances, Route: *route, TotalWorkers: cfg.Shards,
+			RingSize: cfg.RingSize, MaxBatch: cfg.MaxBatch, Batched: cfg.Batched,
+			Open: cfg.Open, Seed: cfg.Seed, Policy: cfg.Policy, Check: cfg.Check,
+			CrashAtNS: cfg.CrashAtNS, Jobs: *jobs,
+		}
+		if *scenario == "crash" {
+			if scfg.CrashShards, err = shard.ParseSet(*crashShards, *instances); err != nil {
+				return nil, 0, err
+			}
+			if scfg.CrashShards == nil { // default: every machine
+				for i := 0; i < *instances; i++ {
+					scfg.CrashShards = append(scfg.CrashShards, i)
+				}
+			}
+		}
+		doc.Instances, doc.Route, doc.CrashShards = *instances, *route, scfg.CrashShards
+		run = func(sys drivers.Entry) (*harness.ServeResult, error) {
+			return harness.RunShardedServe(func() *harness.ServeDriver {
+				return sys.New(harness.ServeSizing(cfg.Shards / *instances, *epsilon))
+			}, scfg)
+		}
 	}
 	failures := 0
 	for _, sys := range systems {
-		res, err := harness.RunServe(sys.New(harness.ServeSizing(*shards, *epsilon)), cfg)
+		res, err := run(sys)
 		if err != nil {
 			return nil, failures, err
 		}
@@ -208,67 +225,41 @@ func buildDoc(progress io.Writer) (*serveDoc, int, error) {
 	return doc, failures, nil
 }
 
-// buildShardedDoc runs the sharded multi-instance matrix: each selected
-// system deployed as *instances independent machines with the total worker
-// budget split evenly.
-func buildShardedDoc(progress io.Writer, doc *serveDoc, cfg harness.ServeConfig, systems []drivers.Entry) (*serveDoc, int, error) {
-	per := *shards / *instances
-	scfg := harness.ShardedServeConfig{
-		Instances: *instances, Route: *route, TotalWorkers: *shards,
-		RingSize: cfg.RingSize, MaxBatch: cfg.MaxBatch, Batched: cfg.Batched,
-		Open: cfg.Open, Seed: cfg.Seed, Policy: cfg.Policy, Check: cfg.Check,
-		Jobs: *jobs,
+// validate rejects flag combinations no run can honour, naming the flag: an
+// instance count below one, and sharding flags on a single machine, where
+// they would be silently ignored.
+func validate() error {
+	switch {
+	case *scenario != "steady" && *scenario != "crash":
+		return fmt.Errorf("unknown scenario %q", *scenario)
+	case *instances < 1:
+		return fmt.Errorf("-instances=%d: need at least one machine", *instances)
+	case *instances == 1 && *crashShards != "":
+		return fmt.Errorf("-crash-shards=%s needs -instances > 1", *crashShards)
+	case *instances == 1 && *route != defaultRoute:
+		return fmt.Errorf("-route=%s needs -instances > 1", *route)
 	}
-	if *scenario == "crash" {
-		scfg.CrashAtNS = cfg.CrashAtNS
-		set, err := shard.ParseSet(*crashShards, *instances)
-		if err != nil {
-			return nil, 0, err
-		}
-		if set == nil {
-			for i := 0; i < *instances; i++ {
-				set = append(set, i)
-			}
-		}
-		scfg.CrashShards = set
-		doc.CrashShards = set
-	}
-	doc.Instances = *instances
-	doc.Route = *route
+	return nil
+}
 
-	failures := 0
-	for _, sys := range systems {
-		sys := sys
-		res, err := harness.RunShardedServe(func() *harness.ServeDriver {
-			return sys.New(harness.ServeSizing(per, *epsilon))
-		}, scfg)
-		if err != nil {
-			return nil, failures, err
-		}
-		doc.Systems = append(doc.Systems, res)
-		if res.Check != nil && !res.Check.OK {
-			failures++
-		}
-		if *format != "json" {
-			printResult(progress, res)
-		}
-	}
-	return doc, failures, nil
+// fatal reports err and exits: 2 for a command line no run can honour, 1 for
+// a run that failed.
+func fatal(code int, err error) {
+	fmt.Fprintf(os.Stderr, "prepserve: %v\n", err)
+	os.Exit(code)
 }
 
 func main() {
 	flag.Parse()
-	if *scenario != "steady" && *scenario != "crash" {
-		fmt.Fprintf(os.Stderr, "prepserve: unknown scenario %q\n", *scenario)
-		os.Exit(2)
+	if err := validate(); err != nil {
+		fatal(2, err)
 	}
 
 	out := io.Writer(os.Stdout)
 	if *outPath != "" {
 		f, err := os.Create(*outPath)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "prepserve: %v\n", err)
-			os.Exit(1)
+			fatal(1, err)
 		}
 		defer f.Close()
 		out = f
@@ -280,20 +271,17 @@ func main() {
 	}
 	doc, failures, err := buildDoc(progress)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "prepserve: %v\n", err)
-		os.Exit(1)
+		fatal(1, err)
 	}
 	if *format == "json" {
 		enc := json.NewEncoder(out)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(doc); err != nil {
-			fmt.Fprintf(os.Stderr, "prepserve: %v\n", err)
-			os.Exit(1)
+			fatal(1, err)
 		}
 	}
 	if failures > 0 {
-		fmt.Fprintf(os.Stderr, "prepserve: %d system(s) failed the linearize check\n", failures)
-		os.Exit(1)
+		fatal(1, fmt.Errorf("%d system(s) failed the linearize check", failures))
 	}
 }
 

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -38,5 +39,35 @@ func TestSystemFlagMatchesRegistry(t *testing.T) {
 				t.Errorf("%+v: unknown-system error does not list the valid spellings: %v", tc, err)
 			}
 		}
+	}
+}
+
+// TestValidateNamesIgnoredFlags pins the flag combinations main turns into
+// exit 2: an instance count below one used to run flat without a word, and
+// -crash-shards / -route on a single machine were silently ignored.
+func TestValidateNamesIgnoredFlags(t *testing.T) {
+	for _, tc := range []struct {
+		flags map[string]string
+		want  string // substring of the error; "" = accepted
+	}{
+		{map[string]string{}, ""},
+		{map[string]string{"scenario": "crash", "instances": "2", "crash-shards": "1", "route": "range"}, ""},
+		{map[string]string{"instances": "1", "route": "hash"}, ""},
+		{map[string]string{"scenario": "melt"}, `unknown scenario "melt"`},
+		{map[string]string{"instances": "0"}, "-instances=0"},
+		{map[string]string{"instances": "-2"}, "-instances=-2"},
+		{map[string]string{"scenario": "crash", "crash-shards": "0"}, "-crash-shards=0"},
+		{map[string]string{"route": "range"}, "-route=range"},
+	} {
+		t.Run(fmt.Sprint(tc.flags), func(t *testing.T) {
+			withFlags(t, tc.flags)
+			err := validate()
+			if tc.want == "" && err != nil {
+				t.Errorf("rejected: %v", err)
+			}
+			if tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)) {
+				t.Errorf("err = %v, want one naming %q", err, tc.want)
+			}
+		})
 	}
 }

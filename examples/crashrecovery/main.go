@@ -18,12 +18,12 @@ import (
 	"fmt"
 
 	"prepuc/internal/core"
+	"prepuc/internal/harness"
 	"prepuc/internal/history"
 	"prepuc/internal/numa"
 	"prepuc/internal/nvm"
 	"prepuc/internal/seq"
 	"prepuc/internal/sim"
-	"prepuc/internal/uc"
 )
 
 const workers = 8
@@ -41,71 +41,26 @@ func run(single bool, seed int64) (history.Report, bool) {
 		HeapWords: 1 << 20,
 		Ablations: core.Ablations{SinglePReplica: single},
 	}
-	bootSch := sim.New(seed)
+	// The crash cycle of cmd/crashtest (harness.Machine), one instance.
 	// Aggressive background flushing makes the hazard likely.
-	sys := nvm.NewSystem(bootSch, nvm.Config{
+	m, err := harness.BootMachine(topo, seed, nvm.Config{
 		Costs: sim.UnitCosts(), BGFlushOneIn: 8, Seed: uint64(seed) + 5,
-	})
-	var p *core.PREP
-	var err error
-	bootSch.Spawn("boot", 0, 0, func(t *sim.Thread) { p, err = core.New(t, sys, cfg) })
-	bootSch.Run()
+	}, core.NewDriver(cfg))
 	if err != nil {
 		panic(err)
 	}
+	completed, _ := m.InsertUntilCrash(seed+1, 90_000+uint64(seed%13)*21_001, workers, harness.FlatKey)
 
-	sch := sim.New(seed + 1)
-	sch.CrashAtEvent(90_000 + uint64(seed%13)*21_001)
-	sys.SetScheduler(sch)
-	p.SpawnPersistence(0)
-	completed := make([]uint64, workers)
-	for tid := 0; tid < workers; tid++ {
-		tid := tid
-		sch.Spawn("w", topo.NodeOf(tid), 0, func(t *sim.Thread) {
-			defer func() {
-				if r := recover(); r != nil && !sim.Crashed(r) {
-					panic(r)
-				}
-			}()
-			for i := uint64(0); ; i++ {
-				p.Execute(t, tid, uc.Insert(history.Key(tid, i), i))
-				completed[tid] = i + 1
-			}
-		})
-	}
-	sch.Run()
-
-	recSch := sim.New(seed + 2)
-	recSys := sys.Recover(recSch)
-	var rec *core.PREP
-	corrupted := false
-	recSch.Spawn("recover", 0, 0, func(t *sim.Thread) {
-		defer func() {
-			if recover() != nil {
-				corrupted = true // recovery walked torn state
-			}
-		}()
-		rec, _, err = core.Recover(t, recSys, cfg)
-	})
-	recSch.Run()
-	if corrupted || err != nil {
+	corrupted := func() (bad bool) {
+		defer func() { bad = bad || recover() != nil }() // recovery walked torn state
+		_, err := m.Recover(seed+2, nil, nil)
+		return err != nil
+	}()
+	if corrupted {
 		return history.Report{Workers: workers}, true
 	}
-
-	keys := make([][]bool, workers)
-	checkSch := sim.New(seed + 3)
-	recSys.SetScheduler(checkSch)
-	checkSch.Spawn("probe", 0, 0, func(t *sim.Thread) {
-		for tid := 0; tid < workers; tid++ {
-			n := completed[tid] + 32
-			keys[tid] = make([]bool, n)
-			for i := uint64(0); i < n; i++ {
-				keys[tid][i] = rec.Execute(t, 0, uc.Get(history.Key(tid, i))) != uc.NotFound
-			}
-		}
-	})
-	checkSch.Run()
-	rep := history.Check(keys, completed)
+	keys, _ := m.ProbePrefix(seed+3, completed, 32, harness.FlatKey, false)
+	rep := history.Check(keys[0], completed[0])
 	return rep, rep.PrefixViolations > 0
 }
 

@@ -65,11 +65,6 @@ func main() {
 	for tid := 0; tid < workers; tid++ {
 		tid := tid
 		runSch.Spawn("client", cfg.Topology.NodeOf(tid), 0, func(t *sim.Thread) {
-			defer func() {
-				if r := recover(); r != nil && !sim.Crashed(r) {
-					panic(r)
-				}
-			}()
 			for i := uint64(0); ; i++ {
 				store.Execute(t, tid, uc.Insert(history.Key(tid, i), i))
 				acked[tid] = i + 1 // PUT acknowledged to the client

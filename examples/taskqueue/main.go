@@ -64,11 +64,6 @@ func main() {
 	for pid := 0; pid < producers; pid++ {
 		pid := pid
 		runSch.Spawn("producer", topo.NodeOf(pid), 0, func(t *sim.Thread) {
-			defer func() {
-				if r := recover(); r != nil && !sim.Crashed(r) {
-					panic(r)
-				}
-			}()
 			for i := uint64(0); ; i++ {
 				prio := (i*7 + uint64(pid)) % 100
 				q.Execute(t, pid, uc.Enqueue(task(prio, uint64(pid)<<12|i)))
@@ -80,11 +75,6 @@ func main() {
 		c := c
 		tid := producers + c
 		runSch.Spawn("consumer", topo.NodeOf(tid), 0, func(t *sim.Thread) {
-			defer func() {
-				if r := recover(); r != nil && !sim.Crashed(r) {
-					panic(r)
-				}
-			}()
 			for {
 				if q.Execute(t, tid, uc.DeleteMin()) != uc.NotFound {
 					processed[c]++

@@ -72,9 +72,6 @@ func (w *world) runWorkers(workers int, crashAt uint64, fn func(th *sim.Thread, 
 		node := w.p.Config().Topology.NodeOf(tid)
 		sch.Spawn("worker", node, 0, func(th *sim.Thread) {
 			defer func() {
-				if r := recover(); r != nil && !sim.Crashed(r) {
-					panic(r)
-				}
 				remaining--
 				if remaining == 0 && persistent && !sch.Frozen() {
 					w.p.StopPersistence(th)
@@ -460,11 +457,6 @@ func TestDoubleCrash(t *testing.T) {
 	for tid := 0; tid < workers; tid++ {
 		tid := tid
 		sch.Spawn("w2", cfg.Topology.NodeOf(tid), 0, func(th *sim.Thread) {
-			defer func() {
-				if r := recover(); r != nil && !sim.Crashed(r) {
-					panic(r)
-				}
-			}()
 			for i := uint64(0); ; i++ {
 				k := 1<<62 | uint64(tid)<<40 | i
 				res.rec.Execute(th, tid, uc.Insert(k, k))

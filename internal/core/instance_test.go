@@ -49,11 +49,6 @@ func TestMultiInstanceCoResident(t *testing.T) {
 		for tid := 0; tid < workers; tid++ {
 			tid := tid
 			run.Spawn("w", eng.Config().Topology.NodeOf(tid), 0, func(th *sim.Thread) {
-				defer func() {
-					if r := recover(); r != nil && !sim.Crashed(r) {
-						panic(r)
-					}
-				}()
 				for i := uint64(0); ; i++ {
 					k := base | uint64(tid)<<32 | i
 					eng.Execute(th, tid, uc.Insert(k, k))
@@ -159,11 +154,6 @@ func TestInstanceGenerationsIndependent(t *testing.T) {
 	engA.SpawnPersistence(0)
 	completed := uint64(0)
 	run.Spawn("w", 0, 0, func(th *sim.Thread) {
-		defer func() {
-			if r := recover(); r != nil && !sim.Crashed(r) {
-				panic(r)
-			}
-		}()
 		for i := uint64(0); ; i++ {
 			engA.Execute(th, 0, uc.Insert(i, i+1))
 			completed = i + 1
@@ -198,11 +188,6 @@ func TestInstanceGenerationsIndependent(t *testing.T) {
 	recA.SpawnPersistence(0)
 	completed2 := uint64(0)
 	run2.Spawn("w", 0, 0, func(th *sim.Thread) {
-		defer func() {
-			if r := recover(); r != nil && !sim.Crashed(r) {
-				panic(r)
-			}
-		}()
 		for i := uint64(0); ; i++ {
 			recA.Execute(th, 0, uc.Insert(i, i+1))
 			completed2 = i + 1

@@ -109,13 +109,5 @@ func (p *PREP) StopPersistence(t *sim.Thread) {
 // SpawnPersistence starts the persistence thread on the engine's scheduler,
 // pinned to the topology's persistence node, starting at the given clock.
 func (p *PREP) SpawnPersistence(startClock uint64) {
-	p.sys.Scheduler().Spawn("persistence", p.cfg.Topology.PersistenceNode(), startClock,
-		func(t *sim.Thread) {
-			defer func() {
-				if r := recover(); r != nil && !sim.Crashed(r) {
-					panic(r)
-				}
-			}()
-			p.PersistenceLoop(t)
-		})
+	p.sys.Scheduler().Spawn("persistence", p.cfg.Topology.PersistenceNode(), startClock, p.PersistenceLoop)
 }

@@ -1,8 +1,8 @@
 // Package drivers is the registry of construction drivers: every
 // construction the harnesses can deploy is listed here once — display name,
 // -system spelling, capabilities, constructor — next to the sizing presets
-// the tools share and the three lifecycle phases (boot, recover until an
-// attempt completes, probe) they all run. Adding a construction is its
+// the tools share and the four lifecycle phases (boot, run a workload,
+// recover until an attempt completes, probe) they all run. Adding a construction is its
 // package's ConfigFor/NewDriver pair plus one line in all.
 package drivers
 
@@ -142,6 +142,44 @@ func Boot(d *uc.Driver, seed int64, ncfg nvm.Config,
 	})
 	sch.Run()
 	return sys, eng, err
+}
+
+// Run is the workload phase: on a fresh scheduler seeded seed — armed to
+// crash the machine at event crashAt (0: never) — it spawns the
+// auxiliary threads of every driver in ds and then workers worker threads,
+// worker w pinned to tp.NodeOf(w) and running body, and runs sys until every
+// thread has exited. Spawn order is thread-id order, and ids seed the
+// per-thread RNGs and break scheduling ties: auxiliary threads first, in ds
+// order, then the workers by index. When no crash cut the phase short, the
+// last worker out retires the auxiliary threads. The scheduler is returned
+// for its Frozen and Events.
+func Run(sys *nvm.System, seed int64, crashAt uint64, ds []*uc.Driver, tp numa.Topology,
+	workers int, body func(t *sim.Thread, w int)) *sim.Scheduler {
+	sch := sim.New(seed)
+	sch.CrashAtEvent(crashAt)
+	sys.SetScheduler(sch)
+	for _, d := range ds {
+		if d.SpawnAux != nil {
+			d.SpawnAux()
+		}
+	}
+	live := workers
+	for w := 0; w < workers; w++ {
+		w := w
+		sch.Spawn("worker", tp.NodeOf(w), 0, func(t *sim.Thread) {
+			body(t, w)
+			if live--; live > 0 {
+				return
+			}
+			for _, d := range ds {
+				if d.StopAux != nil {
+					d.StopAux(t)
+				}
+			}
+		})
+	}
+	sch.Run()
+	return sch
 }
 
 // Recovery is what Recover measured.

@@ -141,11 +141,6 @@ func runWorkload(cfg *Config, prefix []int, crashAt uint64, record bool) (*workR
 	for tid := 0; tid < cfg.Workers; tid++ {
 		tid := tid
 		sch.Spawn("worker", tp.NodeOf(tid), 0, func(t *sim.Thread) {
-			defer func() {
-				if r := recover(); r != nil && !sim.Crashed(r) {
-					panic(r)
-				}
-			}()
 			for k := tid; k < len(ops); k += cfg.Workers {
 				op := ops[k]
 				if d.Detect {

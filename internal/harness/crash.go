@@ -1,0 +1,754 @@
+package harness
+
+// crash.go is cmd/crashtest minus flags and I/O: the prepuc-crash document,
+// the crash cycle it records — boot K co-resident instances on one machine →
+// drive workers into a full-system crash → recover in waves until an attempt
+// completes → probe → verdict — its linearize and sweep variants, and the
+// bisect/repro reporting of a failed cycle. The flat cycle is the K=1,
+// one-wave case of the co-resident one: untagged keys, the un-shrunk sizing,
+// no isolation scan, no sharded block. Every seed of a cycle derives from
+// CrashConfig.Seed, the iteration index and the target's offset (DESIGN.md
+// §15 seed map); nothing here reads a flag.
+
+import (
+	"bytes"
+	"fmt"
+	"io"
+	"strings"
+	"time"
+
+	"prepuc/internal/drivers"
+	"prepuc/internal/fault"
+	"prepuc/internal/history"
+	"prepuc/internal/linearize"
+	"prepuc/internal/numa"
+	"prepuc/internal/nvm"
+	"prepuc/internal/par"
+	"prepuc/internal/sim"
+	"prepuc/internal/uc"
+	"prepuc/internal/workload"
+)
+
+// CrashSchema identifies the machine-readable crashtest output format.
+const CrashSchema = "prepuc-crash/v2"
+
+// CrashConfig is one crashtest run: cmd/crashtest's flags, one for one (the
+// field comments name them).
+type CrashConfig struct {
+	Iterations  int    // -iterations
+	Workers     int    // -workers
+	Epsilon     uint64 // -epsilon
+	LogSize     uint64 // -log
+	Seed        int64  // -seed
+	Policy      string // -policy
+	Nested      int    // -nested
+	CrashAt     uint64 // -crash-at
+	NestedAt    uint64 // -nested-at
+	Bisect      bool   // -bisect
+	Check       string // -check: "prefix" or "linearize"
+	Epochs      int    // -epochs
+	Jobs        int    // -j
+	Sweep       int    // -sweep
+	SweepStride uint64 // -sweep-stride
+	FlushElide  bool   // -flush-elide
+	Instances   int    // -instances
+}
+
+// CrashTarget is one system under test: its registry entry plus crashtest's
+// own seed offset, which keeps the systems' seed streams disjoint.
+type CrashTarget struct {
+	drivers.Entry
+	offset int64
+}
+
+// The per-system seed offsets, keyed by -system spelling (absent: 0). Flat
+// cycles run the two PREP modes on one stream; co-resident cycles, PREP-only,
+// separate them.
+var (
+	flatSeedOffsets    = map[string]int64{"cx": 50_000, "soft": 90_000, "onll": 130_000}
+	shardedSeedOffsets = map[string]int64{"prep-buffered": 50_000}
+)
+
+// CrashTargets resolves a -system spelling ("all": every one) against the
+// registry: the recoverable constructions, narrowed under instances > 1 to
+// those whose engines can co-reside on one machine.
+func CrashTargets(system string, instances int) ([]CrashTarget, error) {
+	entries, offsets := drivers.Recoverable(), flatSeedOffsets
+	if system != "all" {
+		e, err := drivers.Lookup(entries, system)
+		if err != nil {
+			return nil, fmt.Errorf("%w or all", err)
+		}
+		entries = []drivers.Entry{e}
+	}
+	if instances > 1 {
+		offsets = shardedSeedOffsets
+	}
+	var out []CrashTarget
+	for _, e := range entries {
+		if instances <= 1 || e.Instanced {
+			out = append(out, CrashTarget{e, offsets[e.Flag]})
+		}
+	}
+	if len(out) == 0 {
+		return nil, fmt.Errorf("-instances > 1 needs multi-instance region naming; -system=%s has none", system)
+	}
+	return out, nil
+}
+
+// FaultStats is what the fault adversary did across one scope (a cycle, or
+// the whole run).
+type FaultStats struct {
+	Policy           string `json:"policy"`
+	PendingDropped   uint64 `json:"pending_dropped"`
+	PendingPersisted uint64 `json:"pending_persisted"`
+	RecoveryRestarts uint64 `json:"recovery_restarts"`
+	ReplayHoles      uint64 `json:"replay_holes"`
+	NestedCrashes    uint64 `json:"nested_crashes"`
+}
+
+func (f *FaultStats) add(g FaultStats) {
+	f.PendingDropped += g.PendingDropped
+	f.PendingPersisted += g.PendingPersisted
+	f.RecoveryRestarts += g.RecoveryRestarts
+	f.ReplayHoles += g.ReplayHoles
+	f.NestedCrashes += g.NestedCrashes
+}
+
+// CheckBlock is one cycle's linearizability verdict (-check linearize only;
+// additive to schema v2).
+type CheckBlock struct {
+	// Mode is the checker that produced the verdict ("linearize").
+	Mode string `json:"mode"`
+	// Epochs is how many chained crash/recover epochs the cycle ran.
+	Epochs int `json:"epochs"`
+	// Ops and Partitions total the checked operations and WGL partitions
+	// across the cycle's epochs.
+	Ops        int `json:"ops"`
+	Partitions int `json:"partitions"`
+	// Lost is the total completed-operation loss the checker had to grant
+	// (0 except under the buffered allowance).
+	Lost int  `json:"lost"`
+	OK   bool `json:"ok"`
+	// FailedEpoch / FailedPartition / Reason locate the first failure
+	// (FailedEpoch is -1 when OK).
+	FailedEpoch     int    `json:"failed_epoch"`
+	FailedPartition string `json:"failed_partition,omitempty"`
+	Reason          string `json:"reason,omitempty"`
+}
+
+// CheckerSummary aggregates the run's linearizability checking (-check
+// linearize only; additive to schema v2).
+type CheckerSummary struct {
+	Mode     string `json:"mode"`
+	Epochs   int    `json:"epochs"`
+	Cycles   int    `json:"cycles"`
+	Ops      int    `json:"ops"`
+	Lost     int    `json:"lost"`
+	Failures int    `json:"failures"`
+}
+
+// ShardedBlock is one cycle's multi-instance record (additive to schema v2;
+// absent when -instances is 1).
+type ShardedBlock struct {
+	Instances int `json:"instances"`
+	// RecoveredFirst is the rotating proper subset of instances recovered
+	// in the first wave; the rest recovered on a later scheduler.
+	RecoveredFirst []int `json:"recovered_first"`
+	// ForeignKeys counts keys found in some instance's recovered state
+	// that were inserted into a different instance (must be 0).
+	ForeignKeys uint64          `json:"foreign_keys"`
+	PerInstance []InstanceCycle `json:"per_instance"`
+}
+
+// InstanceCycle is one instance's verdict within a co-resident cycle.
+type InstanceCycle struct {
+	Instance  int    `json:"instance"`
+	Completed uint64 `json:"completed_ops"`
+	Recovered uint64 `json:"recovered_ops"`
+	Lost      uint64 `json:"lost_completed"`
+	Replayed  uint64 `json:"replayed"`
+	OK        bool   `json:"ok"`
+}
+
+// CrashCycle is one iteration's record in the JSON document. The first
+// seven fields are unchanged from schema v1.
+type CrashCycle struct {
+	Iteration int    `json:"iteration"`
+	OK        bool   `json:"ok"`
+	Completed uint64 `json:"completed_ops"`
+	Recovered uint64 `json:"recovered_ops"`
+	Lost      uint64 `json:"lost_completed"`
+	// RecoveryVirtualNS is the virtual time the (final, successful) recovery
+	// procedure took; Replayed the log entries it re-applied (zero for
+	// systems whose recovery attaches to persisted state without replay).
+	RecoveryVirtualNS uint64        `json:"recovery_virtual_ns"`
+	Replayed          uint64        `json:"replayed"`
+	CrashAt           uint64        `json:"crash_at"`
+	RecoveryAttempts  int           `json:"recovery_attempts"`
+	Fault             FaultStats    `json:"fault"`
+	Check             *CheckBlock   `json:"check,omitempty"`
+	Sharded           *ShardedBlock `json:"sharded,omitempty"`
+}
+
+// SweepTiming is what the sweep cost on the host: wall-clock plus the COW
+// substrate's work counters (clones taken, pages privatized on write).
+type SweepTiming struct {
+	WallMS      float64 `json:"wall_ms"`
+	Clones      uint64  `json:"clones"`
+	PagesCopied uint64  `json:"pages_copied"`
+}
+
+// SweepBlock is one system's nested-recovery sweep record (additive to
+// schema v2; present only with -sweep > 0).
+type SweepBlock struct {
+	// Points is the number of swept nested crash points, Stride the event
+	// distance between them, RecoveryEvents the unperturbed recovery's event
+	// count (the sweep ceiling, measured on a clone).
+	Points         int    `json:"points"`
+	Stride         uint64 `json:"stride"`
+	RecoveryEvents uint64 `json:"recovery_events"`
+	// NestedCrashes counts the points whose armed crash actually landed
+	// inside recovery; Failures the points whose final recovered state
+	// violated the system's correctness condition.
+	NestedCrashes int         `json:"nested_crashes"`
+	Failures      int         `json:"failures"`
+	Timing        SweepTiming `json:"timing"`
+}
+
+// CrashSystemDoc groups one system's cycles, plus its nested-recovery sweep
+// record when -sweep is on (additive; absent by default so the document is
+// unchanged for existing consumers).
+type CrashSystemDoc struct {
+	System string       `json:"system"`
+	Cycles []CrashCycle `json:"cycles"`
+	Sweep  *SweepBlock  `json:"sweep,omitempty"`
+}
+
+// CrashDoc is the whole run.
+type CrashDoc struct {
+	Schema     string           `json:"schema"`
+	Iterations int              `json:"iterations"`
+	Workers    int              `json:"workers"`
+	Epsilon    uint64           `json:"epsilon"`
+	LogSize    uint64           `json:"log_size"`
+	Seed       int64            `json:"seed"`
+	Nested     int              `json:"nested"`
+	Instances  int              `json:"instances,omitempty"`
+	Fault      FaultStats       `json:"fault"`
+	Checker    *CheckerSummary  `json:"checker,omitempty"`
+	Systems    []CrashSystemDoc `json:"systems"`
+}
+
+// BuildCrashDoc runs the targets' crash/recover cycles under the configured
+// checker and returns the machine-readable document plus the failure count.
+// It is the whole run minus flag validation and I/O setup, so tests can
+// drive it deterministically.
+func BuildCrashDoc(progress io.Writer, c CrashConfig, tgs []CrashTarget) (CrashDoc, int) {
+	doc := CrashDoc{
+		Schema: CrashSchema, Iterations: c.Iterations, Workers: c.Workers,
+		Epsilon: c.Epsilon, LogSize: c.LogSize, Seed: c.Seed, Nested: c.Nested,
+		Fault: FaultStats{Policy: c.policyLabel()},
+	}
+	banner := "crash/recover cycles"
+	if c.Instances > 1 {
+		doc.Instances = c.Instances
+		banner = fmt.Sprintf("sharded crash/recover cycles (instances=%d)", c.Instances)
+	} else if c.Check == "linearize" {
+		doc.Checker = &CheckerSummary{Mode: "linearize", Epochs: c.Epochs}
+	}
+	failures := 0
+	// Each cycle builds its machine from scratch on a private scheduler, so
+	// cycles of one system fan out across Jobs workers; per-cycle records are
+	// slotted by iteration index and the progress lines (including any
+	// bisected failure repro, which re-runs cycles inside the worker) are
+	// buffered and released in iteration order, making both the document and
+	// the output identical for every -j value.
+	for _, tg := range tgs {
+		fmt.Fprintf(progress, "=== %s: %d %s ===\n", tg.Name, c.Iterations, banner)
+		sd := CrashSystemDoc{System: tg.Name}
+		cycles := make([]CrashCycle, c.Iterations)
+		var seqOut par.Seq
+		par.Do(par.Jobs(c.Jobs), c.Iterations, func(i int) {
+			var buf bytes.Buffer
+			cycles[i] = c.runIteration(&buf, tg, i, c.crashEvent(i))
+			seqOut.Done(i, func() { progress.Write(buf.Bytes()) })
+		})
+		if c.Sweep > 0 {
+			sd.Sweep = c.runSweep(progress, tg)
+			failures += sd.Sweep.Failures
+		}
+		for _, cyc := range cycles {
+			if !cyc.OK {
+				failures++
+			}
+			doc.Fault.add(cyc.Fault)
+			if doc.Checker != nil && cyc.Check != nil {
+				doc.Checker.Cycles++
+				doc.Checker.Ops += cyc.Check.Ops
+				doc.Checker.Lost += cyc.Check.Lost
+				if !cyc.Check.OK {
+					doc.Checker.Failures++
+				}
+			}
+			sd.Cycles = append(sd.Cycles, cyc)
+		}
+		doc.Systems = append(doc.Systems, sd)
+	}
+	return doc, failures
+}
+
+// cycle runs one iteration's crash/recover cycle under the configured
+// checker and returns its record, the checker-specific half of its progress
+// line, and the error boot or recovery answered with, if any — such a cycle
+// is recorded failed.
+func (c *CrashConfig) cycle(tg CrashTarget, iter int, crashAt uint64) (CrashCycle, string, error) {
+	if c.Check == "linearize" {
+		return c.linearizeCycle(tg, iter, crashAt)
+	}
+	return c.prefixCycle(tg, iter, crashAt)
+}
+
+// runIteration is one iteration: the cycle, its progress line and — on
+// failure — the error or check verdict and a one-line repro, the crash point
+// bisected down first when Bisect is on.
+func (c *CrashConfig) runIteration(buf *bytes.Buffer, tg CrashTarget, i int, crashAt uint64) CrashCycle {
+	cyc, detail, err := c.cycle(tg, i, crashAt)
+	status := "OK "
+	if !cyc.OK {
+		status = "FAIL"
+	}
+	fmt.Fprintf(buf, "  [%s] crash %2d @%-6d: %s\n", status, i, crashAt, detail)
+	if cyc.OK {
+		return cyc
+	}
+	if err != nil {
+		fmt.Fprintf(buf, "       error: %v\n", err)
+	} else if cb := cyc.Check; cb != nil {
+		fmt.Fprintf(buf, "       check: epoch %d, %s: %s\n", cb.FailedEpoch, cb.FailedPartition, cb.Reason)
+	}
+	at := crashAt
+	if c.Bisect {
+		at = c.bisectCrash(buf, tg, i, crashAt)
+	}
+	c.reproLine(buf, tg, i, 1, fmt.Sprintf("-crash-at=%d", at))
+	return cyc
+}
+
+func (c *CrashConfig) topo() numa.Topology {
+	return numa.Topology{Nodes: 2, ThreadsPerNode: (c.Workers + 1) / 2}
+}
+
+// sizing is the machine of instance k of K co-resident ones. The only
+// instance of a flat cycle gets the shared crash scale at the configured
+// worker count, log size and ε; co-residents get a per-instance worker
+// slice, their region namespace and a smaller heap (they share the machine).
+func (c *CrashConfig) sizing(k, K int) uc.Sizing {
+	sz := drivers.CrashScale(c.topo(), c.Workers, c.LogSize, c.Epsilon)
+	if K > 1 {
+		sz.Workers, sz.HeapWords, sz.Instance = c.Workers/K, 1<<19, fmt.Sprintf("s%d", k)
+	}
+	return sz
+}
+
+// policyLabel names the adversary in output ("" would be ambiguous).
+func (c *CrashConfig) policyLabel() string {
+	if c.Policy == "" {
+		return "default-coin"
+	}
+	return c.Policy
+}
+
+// iterPolicySpec is the policy spec of one iteration: a bare "targeted"
+// advances its starting drop index with the iteration so that successive
+// cycles sweep different single-line-missing states.
+func (c *CrashConfig) iterPolicySpec(iter int) string {
+	if c.Policy == "targeted" {
+		return fmt.Sprintf("targeted=%d", iter)
+	}
+	return c.Policy
+}
+
+// crashEvent picks the iteration's workload crash point.
+func (c *CrashConfig) crashEvent(iter int) uint64 {
+	if c.CrashAt != 0 {
+		return c.CrashAt
+	}
+	return 20_000 + uint64(iter)*37_511%600_000
+}
+
+// nestedEvent picks the recovery event index at which nested crash attempt
+// a of iteration iter fires. The auto placement stays low so it lands
+// inside even short recovery runs; attempts shift so a retried recovery is
+// not killed at the same point forever.
+func (c *CrashConfig) nestedEvent(iter, attempt int) uint64 {
+	if c.NestedAt != 0 {
+		return c.NestedAt + uint64(attempt)*257
+	}
+	return 400 + (uint64(iter)*733+uint64(attempt)*311)%2600
+}
+
+// nestedArm arms a crash inside the first Nested recovery attempts of
+// iteration iter (drivers.Recover's nestedAt argument).
+func (c *CrashConfig) nestedArm(iter int) func(attempt int) uint64 {
+	return func(attempt int) uint64 {
+		if attempt < c.Nested {
+			return c.nestedEvent(iter, attempt)
+		}
+		return 0
+	}
+}
+
+// addRecovery folds one recover-until-done run into the cycle's record.
+func (cyc *CrashCycle) addRecovery(rec Recovered) {
+	cyc.RecoveryAttempts += rec.Attempts
+	cyc.Fault.NestedCrashes += uint64(rec.NestedCrashes)
+	cyc.RecoveryVirtualNS += rec.VirtualNS
+	for _, n := range rec.Replayed {
+		cyc.Replayed += n
+	}
+}
+
+// recoveryLine renders the recovery half of a flat cycle's progress line.
+func (cyc *CrashCycle) recoveryLine() string {
+	return fmt.Sprintf("replayed=%d attempts=%d nested=%d restarts=%d recovery=%.3fms(virtual)",
+		cyc.Replayed, cyc.RecoveryAttempts, cyc.Fault.NestedCrashes, cyc.Fault.RecoveryRestarts,
+		float64(cyc.RecoveryVirtualNS)/1e6)
+}
+
+// boot boots ds, co-resident, on a fresh machine seeded from base and
+// installs iteration iter's fault policy: a fresh value per machine lineage,
+// because a stateful policy must not be shared across machines.
+func (c *CrashConfig) boot(base int64, iter int, ds ...*uc.Driver) (*Machine, error) {
+	m, err := BootMachine(c.topo(), base, nvm.Config{
+		Costs: sim.UnitCosts(), BGFlushOneIn: 128, Seed: uint64(base) + 7,
+		NoFlushElision: !c.FlushElide,
+	}, ds...)
+	pol, perr := fault.Parse(c.iterPolicySpec(iter), uint64(base)+11)
+	if perr != nil {
+		panic(perr) // the caller validated the spec
+	}
+	m.Sys.SetFaultPolicy(pol)
+	if err != nil {
+		err = fmt.Errorf("boot: %w", err)
+	}
+	return m, err
+}
+
+// finish closes a cycle's record with the adversary's tallies, read from the
+// cycle's final machine.
+func (c *CrashConfig) finish(cyc *CrashCycle, sys *nvm.System) {
+	ms := sys.Metrics().Snapshot()
+	cyc.Fault.Policy = c.policyLabel()
+	cyc.Fault.PendingDropped = ms.CrashLinesDropped
+	cyc.Fault.PendingPersisted = ms.CrashLinesPersisted
+	cyc.Fault.RecoveryRestarts = ms.RecoveryRestarts
+	cyc.Fault.ReplayHoles = ms.ReplayHoles
+}
+
+// instKey tags a per-worker sequence key with its owning instance so
+// cross-instance leakage is observable after recovery. history.Key packs
+// (tid, i) into the low 48 bits; the tag sits above it.
+func instKey(k, tid int, i uint64) uint64 {
+	return uint64(k+1)<<56 | history.Key(tid, i)
+}
+
+// recoverFirst picks the cycle's first-wave recovery subset: a proper
+// subset whose start and size both rotate with the iteration, so an
+// Iterations run sweeps recovery orders. One instance is one wave.
+func recoverFirst(iter, n int) []int {
+	size := 1
+	if n > 1 {
+		size = 1 + iter%(n-1)
+	}
+	first := make([]int, 0, size)
+	for j := 0; j < size; j++ {
+		first = append(first, (iter+j)%n)
+	}
+	return first
+}
+
+// prefixCycle executes one boot(×K) → workload-crash → recover(in waves, the
+// first until an attempt completes) → probe cycle and checks every instance's
+// recovered state against the per-worker prefix condition. The first Nested
+// attempts of wave 0 run with a crash armed inside the recovery itself;
+// recovery must be re-entrant. With K > 1 the instances' keys are tagged,
+// recovery runs in two waves — a rotating proper subset first, so recovery
+// order independence is exercised across iterations — and an isolation scan
+// (recovered Size minus the instance's own surviving keys) proves no
+// instance's recovery resurrected another's writes.
+func (c *CrashConfig) prefixCycle(tg CrashTarget, iter int, crashAt uint64) (CrashCycle, string, error) {
+	K := max(c.Instances, 1)
+	base := c.Seed + int64(iter)*101 + tg.offset
+	cyc := CrashCycle{Iteration: iter, CrashAt: crashAt}
+	ds, key, first := make([]*uc.Driver, K), KeyFunc(FlatKey), recoverFirst(iter, K)
+	for k := range ds {
+		ds[k] = tg.New(c.sizing(k, K))
+	}
+	if K > 1 {
+		key = instKey
+		cyc.Sharded = &ShardedBlock{Instances: K, RecoveredFirst: first}
+	}
+	reps := make([]history.Report, K)
+
+	var completed [][]uint64
+	var rec Recovered
+	m, err := c.boot(base, iter, ds...)
+	if err == nil {
+		completed, _ = m.InsertUntilCrash(base+1, crashAt, c.Workers/K, key)
+		if rec, err = m.Recover(base+2, c.nestedArm(iter), first); err != nil {
+			err = fmt.Errorf("recover: %w", err)
+		}
+		cyc.addRecovery(rec)
+	}
+	if err == nil {
+		keys, foreign := m.ProbePrefix(base+1000, completed, 32, key, K > 1)
+		cyc.OK = true
+		for k := range ds {
+			reps[k] = history.Check(keys[k], completed[k])
+			ok := m.PrefixOK(k, reps[k]) && foreign[k] == 0
+			cyc.OK = cyc.OK && ok
+			cyc.Completed += reps[k].Completed
+			cyc.Recovered += reps[k].Recovered
+			cyc.Lost += reps[k].LostCompleted
+			if blk := cyc.Sharded; blk != nil {
+				blk.ForeignKeys += foreign[k]
+				blk.PerInstance = append(blk.PerInstance, InstanceCycle{
+					Instance: k, Completed: reps[k].Completed, Recovered: reps[k].Recovered,
+					Lost: reps[k].LostCompleted, Replayed: rec.Replayed[k], OK: ok,
+				})
+			}
+		}
+	}
+	c.finish(&cyc, m.Sys)
+	detail := fmt.Sprintf("%s %s", reps[0], cyc.recoveryLine())
+	if blk := cyc.Sharded; blk != nil {
+		detail = fmt.Sprintf("instances=%d first=%v completed=%d recovered=%d lost=%d foreign=%d replayed=%d recovery=%.3fms(virtual)",
+			K, first, cyc.Completed, cyc.Recovered, cyc.Lost, blk.ForeignKeys,
+			cyc.Replayed, float64(cyc.RecoveryVirtualNS)/1e6)
+	}
+	return cyc, detail, err
+}
+
+// linKeyRange keeps the linearize cycle's probe (a Get per key after every
+// epoch) cheap while leaving enough collision pressure to exercise overwrite
+// paths.
+const linKeyRange = 128
+
+// linearizeCycle is the prefix cycle's skeleton (K = 1) under the other
+// checker: every operation of the paper's mixed set workload at 30% reads is
+// recorded with its invoke/response timestamps, and after each of Epochs
+// chained crash/recover epochs the history plus the probed recovered state
+// must admit a durable linearization (buffered durable with the ε+β−1
+// completed-loss allowance for PREP-Buffered). Each epoch's probed state is
+// the next epoch's initial state, so recovery bugs that only corrupt the
+// second crash are still caught. The fault adversary, nested-crash arming and
+// recovery retry loop are the prefix cycle's.
+func (c *CrashConfig) linearizeCycle(tg CrashTarget, iter int, crashAt uint64) (CrashCycle, string, error) {
+	d := tg.New(c.sizing(0, 1))
+	base := c.Seed + int64(iter)*101 + tg.offset
+	spec := workload.SetSpec(30, linKeyRange)
+	spec.Prefill = 0
+	model := linearize.SetModel()
+	opt := linearize.Options{}
+	if d.Buffered {
+		opt = linearize.Options{Buffered: true, Allowance: int(c.Epsilon) + c.topo().ThreadsPerNode - 1}
+	}
+
+	cb := &CheckBlock{Mode: "linearize", Epochs: c.Epochs, OK: true, FailedEpoch: -1}
+	cyc := CrashCycle{Iteration: iter, CrashAt: crashAt, Check: cb}
+	m, failure := c.boot(base, iter, d)
+	if failure != nil {
+		cb.OK, cb.FailedEpoch, cb.Reason = false, 0, failure.Error()
+	}
+	init := model.Empty()
+	for epoch := 0; epoch < c.Epochs && cb.OK; epoch++ {
+		off := int64(epoch) * 23
+		hist := linearize.NewRecorder(c.Workers)
+		m.Run(base+1+off, crashAt+uint64(epoch)*7_777, c.Workers, func(t *sim.Thread, _, tid int) {
+			gen := workload.NewGen(spec, base+int64(epoch)*53+17, tid)
+			for {
+				op := gen.Next()
+				hist.Exec(t, tid, op, func() uint64 { return m.Engines[0].Execute(t, tid, op) })
+			}
+		})
+
+		rec, err := m.Recover(base+2+off, c.nestedArm(iter), nil)
+		cyc.addRecovery(rec)
+		if err != nil {
+			failure = fmt.Errorf("recover: %w", err)
+			cb.OK, cb.FailedEpoch, cb.Reason = false, epoch, failure.Error()
+			break
+		}
+
+		recovered := probeServeState(m.Sys, m.Engines[0], linKeyRange, base+900+off)
+		res := linearize.CheckEpoch(model, init, hist.Ops(), recovered, opt)
+		cb.Ops += res.Ops
+		cb.Partitions += res.Partitions
+		cb.Lost += res.Lost
+		if !res.OK {
+			cb.OK, cb.FailedEpoch, cb.FailedPartition, cb.Reason = false, epoch, res.FailedPartition, res.Reason
+		}
+		init = recovered
+	}
+	c.finish(&cyc, m.Sys)
+	cyc.OK, cyc.Completed, cyc.Lost = cb.OK, uint64(cb.Ops), uint64(cb.Lost)
+	return cyc, fmt.Sprintf("linearize epochs=%d ops=%d partitions=%d lost=%d %s",
+		cb.Epochs, cb.Ops, cb.Partitions, cb.Lost, cyc.recoveryLine()), failure
+}
+
+// reproLine prints the command that re-runs exactly iteration iter's
+// machine: run as iteration 0 with the adjusted -seed it reproduces the
+// iteration's seed stream, and pins fix what the iteration index chose
+// (-crash-at for a cycle, the sweep geometry for a sweep).
+func (c *CrashConfig) reproLine(w io.Writer, tg CrashTarget, iter, iterations int, pins ...string) {
+	args := []string{fmt.Sprintf("-system=%s", tg.Flag)}
+	if c.Instances > 1 {
+		args = append(args, fmt.Sprintf("-instances=%d", c.Instances))
+	}
+	args = append(args,
+		fmt.Sprintf("-iterations=%d", iterations),
+		fmt.Sprintf("-workers=%d", c.Workers),
+		fmt.Sprintf("-epsilon=%d", c.Epsilon),
+		fmt.Sprintf("-log=%d", c.LogSize),
+		fmt.Sprintf("-seed=%d", c.Seed+int64(iter)*101))
+	args = append(args, pins...)
+	if c.Check != "prefix" {
+		args = append(args, fmt.Sprintf("-check=%s", c.Check), fmt.Sprintf("-epochs=%d", c.Epochs))
+	}
+	if !c.FlushElide {
+		args = append(args, "-flush-elide=false")
+	}
+	if c.Policy != "" {
+		args = append(args, fmt.Sprintf("-policy=%s", c.iterPolicySpec(iter)))
+	}
+	if c.Nested > 0 {
+		na := c.NestedAt
+		if na == 0 {
+			na = c.nestedEvent(iter, 0)
+		}
+		args = append(args, fmt.Sprintf("-nested=%d", c.Nested), fmt.Sprintf("-nested-at=%d", na))
+	}
+	fmt.Fprintf(w, "       repro: crashtest %s\n", strings.Join(args, " "))
+}
+
+// bisectCrash binary-searches the smallest failing crash point below the
+// observed failure, assuming (best-effort) that the failure boundary is
+// monotone between a passing low point and the failing high point.
+func (c *CrashConfig) bisectCrash(w io.Writer, tg CrashTarget, iter int, failAt uint64) uint64 {
+	cycleOK := func(crashAt uint64) bool {
+		cyc, _, _ := c.cycle(tg, iter, crashAt)
+		return cyc.OK
+	}
+	lo, hi := uint64(64), failAt // crash during boot replay is uninteresting
+	if !cycleOK(lo) {
+		return lo
+	}
+	for hi-lo > 1 {
+		mid := lo + (hi-lo)/2
+		if cycleOK(mid) {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	fmt.Fprintf(w, "       bisect: crash point shrunk %d -> %d\n", failAt, hi)
+	return hi
+}
+
+// recoverClone runs d.Recover on a copy-on-write clone of the materialized
+// crashed machine, with a crash armed inside the recovery at event at (0:
+// none). It returns the clone, its scheduler (Frozen when the armed crash
+// landed) and the rebuilt engine.
+func recoverClone(d *uc.Driver, crashed *nvm.System, seed int64, at uint64) (*nvm.System, *sim.Scheduler, uc.UC, error) {
+	sch := sim.New(seed)
+	clone := crashed.Clone(sch)
+	sch.CrashAtEvent(at)
+	var eng uc.UC
+	var err error
+	sch.Spawn("recover", 0, 0, func(t *sim.Thread) { eng, _, err = d.Recover(t, clone) })
+	sch.Run()
+	return clone, sch, eng, err
+}
+
+// runSweep executes one system's nested-recovery crash sweep: a stride sweep
+// of nested crash points INSIDE one recovery, materialized with COW clones
+// instead of re-running the workload per point. One machine boots, runs the
+// insert workload to a crash, and is materialized once; every swept point
+// then clones that base (O(pages touched)), arms a crash at k*stride recovery
+// events, recovers through the nested crash and checks the final state. It
+// runs serially — one driver recovers every clone in turn — so point k's
+// verdict and the fault policy's decision stream are functions of the seed
+// alone, and everything in the block except wall_ms (host time, which is why
+// the mode is off by default and absent from the golden documents) is
+// deterministic. A boot or recovery that answers with an error fails the
+// sweep (or the point) and is reported with the sweep's repro.
+func (c *CrashConfig) runSweep(progress io.Writer, tg CrashTarget) *SweepBlock {
+	start := time.Now()
+	d := tg.New(c.sizing(0, 1))
+	base := c.Seed + 909 + tg.offset
+	sb := &SweepBlock{Points: c.Sweep, Stride: c.SweepStride}
+	fail := func(what string, err error) {
+		sb.Failures++
+		fmt.Fprintf(progress, "  sweep: %s: %v\n", what, err)
+		pins := []string{fmt.Sprintf("-sweep=%d", sb.Points), fmt.Sprintf("-sweep-stride=%d", sb.Stride)}
+		if c.CrashAt != 0 {
+			pins = append(pins, fmt.Sprintf("-crash-at=%d", c.CrashAt))
+		}
+		c.reproLine(progress, tg, 0, 0, pins...)
+	}
+
+	m, err := c.boot(base, 0, d)
+	if err != nil {
+		fail("base machine", err)
+		return sb
+	}
+	completed, _ := m.InsertUntilCrash(base+1, c.crashEvent(0), c.Workers, FlatKey)
+
+	// Materialize the crashed machine once; it is the shared base every
+	// swept point clones. Snapshot its substrate counters so the sweep
+	// reports only its own clone/copy work.
+	crashed := m.Sys.Recover(sim.New(base + 2))
+	before := crashed.Metrics().Snapshot()
+
+	// Ceiling probe: recover a clone to completion with no crash armed to
+	// learn how many events an undisturbed recovery takes.
+	probe, probeSch, _, err := recoverClone(d, crashed, base+3, 0)
+	if err != nil {
+		fail("ceiling probe: recover", err)
+		return sb
+	}
+	sb.RecoveryEvents = probeSch.Events()
+	if sb.Stride == 0 {
+		sb.Stride = max(sb.RecoveryEvents/uint64(c.Sweep+1), 1)
+	}
+	var pagesCopied uint64
+	for k := 1; k <= c.Sweep; k++ {
+		at := sb.Stride * uint64(k)
+		cur, trialSch, eng, terr := recoverClone(d, crashed, base+4+int64(k)*13, at)
+		trial := &Machine{Topology: m.Topology, Drivers: m.Drivers, Sys: cur, Engines: []uc.UC{eng}}
+		if trialSch.Frozen() {
+			// The armed crash landed inside recovery: materialize it and
+			// recover the re-crashed machine to completion.
+			sb.NestedCrashes++
+			_, terr = trial.Recover(base+5+int64(k)*13, nil, nil)
+		}
+		if terr != nil {
+			fail(fmt.Sprintf("point %d @%d: recover", k, at), terr)
+		} else if keys, _ := trial.ProbePrefix(base+1000+int64(k)*13, completed, 32, FlatKey, false); !trial.PrefixOK(0, history.Check(keys[0], completed[0])) {
+			sb.Failures++
+		}
+		pagesCopied += trial.Sys.Metrics().Snapshot().PagesCopied - before.PagesCopied
+	}
+
+	after := crashed.Metrics().Snapshot()
+	sb.Timing = SweepTiming{
+		WallMS:      float64(time.Since(start).Microseconds()) / 1e3,
+		Clones:      after.Clones - before.Clones,
+		PagesCopied: pagesCopied + probe.Metrics().Snapshot().PagesCopied - before.PagesCopied,
+	}
+	fmt.Fprintf(progress, "  sweep: %d points stride=%d ceiling=%d nested=%d failures=%d clones=%d pages_copied=%d wall=%.1fms\n",
+		sb.Points, sb.Stride, sb.RecoveryEvents, sb.NestedCrashes, sb.Failures,
+		sb.Timing.Clones, sb.Timing.PagesCopied, sb.Timing.WallMS)
+	return sb
+}

@@ -1,0 +1,191 @@
+package harness
+
+// machine.go is the crash experiment's machine: K co-resident constructions
+// on one nvm.System, taken through the four lifecycle phases of
+// internal/drivers — boot, workload (into a crash), recover, probe. Every
+// crash cycle in the repository is a sequence of these methods: crashtest's
+// cycles and sweep (crash.go), the recovery-time experiment (recovery.go),
+// the sweep benchmark and the integration crash tests. All seeds are
+// arguments; the machine draws none of its own.
+
+import (
+	"fmt"
+	"slices"
+
+	"prepuc/internal/drivers"
+	"prepuc/internal/history"
+	"prepuc/internal/numa"
+	"prepuc/internal/nvm"
+	"prepuc/internal/sim"
+	"prepuc/internal/uc"
+)
+
+// Machine is K ≥ 1 co-resident constructions on one simulated machine. The
+// instances share the substrate — one crash takes all of them down — and
+// nothing else: each keeps its own regions (uc.Sizing.Instance), log and
+// recovery state.
+type Machine struct {
+	// Topology pins the workers of a workload phase (worker w runs on
+	// NodeOf(w), instance-major); its ThreadsPerNode is the β of the buffered
+	// loss bound.
+	Topology numa.Topology
+	Drivers  []*uc.Driver
+	// Sys is the live substrate and Engines the engines to drive, by
+	// instance. Recover replaces both.
+	Sys     *nvm.System
+	Engines []uc.UC
+}
+
+// KeyFunc names the i-th key worker tid of instance k inserts.
+type KeyFunc func(k, tid int, i uint64) uint64
+
+// FlatKey is the single-instance key sequence: history.Key, untagged.
+func FlatKey(_, tid int, i uint64) uint64 { return history.Key(tid, i) }
+
+// BootMachine boots ds, in order, on one fresh machine: a scheduler seeded
+// seed under substrate configuration ncfg. On error the machine (its Sys is
+// always set) and the error are both returned.
+func BootMachine(tp numa.Topology, seed int64, ncfg nvm.Config, ds ...*uc.Driver) (*Machine, error) {
+	m := &Machine{Topology: tp, Drivers: ds, Engines: make([]uc.UC, len(ds))}
+	var err error
+	m.Sys, m.Engines[0], err = drivers.Boot(ds[0], seed, ncfg,
+		func(t *sim.Thread, sys *nvm.System, _ uc.UC) (err error) {
+			for k := 1; k < len(ds) && err == nil; k++ {
+				m.Engines[k], err = ds[k].Boot(t, sys)
+			}
+			return err
+		})
+	return m, err
+}
+
+// Run is one workload phase (drivers.Run) with wp workers per instance:
+// worker tid of instance k runs body(t, k, tid). A nonzero crashAt arms the
+// crash that ends the phase.
+func (m *Machine) Run(seed int64, crashAt uint64, wp int, body func(t *sim.Thread, k, tid int)) *sim.Scheduler {
+	return drivers.Run(m.Sys, seed, crashAt, m.Drivers, m.Topology, len(m.Drivers)*wp,
+		func(t *sim.Thread, w int) { body(t, w/wp, w%wp) })
+}
+
+// InsertUntilCrash is the prefix workload: every worker inserts its key
+// sequence key(k, tid, 0), key(k, tid, 1), … until the crash armed at
+// crashAt. It returns how many inserts each worker of each instance
+// completed, and the frozen scheduler.
+func (m *Machine) InsertUntilCrash(seed int64, crashAt uint64, wp int, key KeyFunc) ([][]uint64, *sim.Scheduler) {
+	completed := make([][]uint64, len(m.Drivers))
+	for k := range completed {
+		completed[k] = make([]uint64, wp)
+	}
+	sch := m.Run(seed, crashAt, wp, func(t *sim.Thread, k, tid int) {
+		for i := uint64(0); ; i++ {
+			m.Engines[k].Execute(t, tid, uc.Insert(key(k, tid, i), i))
+			completed[k][tid] = i + 1
+		}
+	})
+	return completed, sch
+}
+
+// Recovered is what Machine.Recover measured: the recovery runs wave 0 took
+// and how many of them a nested crash cut down, the virtual time of the
+// waves that completed, and the log entries each instance replayed.
+type Recovered struct {
+	Attempts, NestedCrashes int
+	VirtualNS               uint64
+	Replayed                []uint64
+}
+
+// Recover materializes the crash and recovers the instances in waves, each
+// wave one recovery thread taking its instances in ascending index. Wave 0 —
+// the instances listed in first; nil means all of them — is drivers.Recover
+// (seed, nestedAt as there) on the wave's lowest instance, the others
+// recovered from its then hook, so a nested crash re-runs the whole wave. The
+// remaining instances recover on a later scheduler, seeded seed+1, installed
+// on the machine wave 0 left behind. With K > 1 an error names the instance
+// whose recovery answered with it.
+func (m *Machine) Recover(seed int64, nestedAt func(attempt int) uint64, first []int) (Recovered, error) {
+	K := len(m.Drivers)
+	out := Recovered{Replayed: make([]uint64, K)}
+	early := make([]bool, K) // wave 0's members
+	for k := range early {
+		early[k] = first == nil
+	}
+	for _, k := range first {
+		early[k] = true
+	}
+	lead := slices.Index(early, true)
+	failed := lead // whose recovery an error is from: the lead's unless wave says otherwise
+	// wave recovers, from index from up, the instances of wave 0 (or, with
+	// late, the others) and returns the virtual time it took.
+	wave := func(t *sim.Thread, sys *nvm.System, from int, late bool) (uint64, error) {
+		start := t.Clock()
+		for k := from; k < K; k++ {
+			if early[k] == late {
+				continue
+			}
+			eng, info, err := m.Drivers[k].Recover(t, sys)
+			if err != nil {
+				failed = k
+				return 0, err
+			}
+			m.Engines[k], out.Replayed[k] = eng, info.Replayed
+		}
+		return t.Clock() - start, nil
+	}
+
+	var rest uint64
+	rec, err := drivers.Recover(m.Drivers[lead], m.Sys, seed, nestedAt,
+		func(t *sim.Thread, sys *nvm.System, eng uc.UC) (err error) {
+			m.Engines[lead] = eng
+			rest, err = wave(t, sys, lead+1, false)
+			return err
+		})
+	m.Sys = rec.Sys
+	out.Attempts, out.NestedCrashes = rec.Attempts, rec.NestedCrashes
+	out.Replayed[lead] = rec.Info.Replayed
+	out.VirtualNS = rec.VirtualNS + rest
+	if err == nil && slices.Contains(early, false) {
+		drivers.Probe(m.Sys, seed+1, func(t *sim.Thread) {
+			rest, err = wave(t, m.Sys, 0, true)
+			out.VirtualNS += rest
+		})
+	}
+	if err != nil && K > 1 {
+		err = fmt.Errorf("instance %d: %w", failed, err)
+	}
+	return out, err
+}
+
+// ProbePrefix reads back, per instance and worker, which of the worker's
+// first completed+extra keys the engines hold. With scan it also asks each
+// instance its Size and returns how many keys it holds beyond the survivors
+// of its own sequences — keys another instance's recovery leaked into it.
+func (m *Machine) ProbePrefix(seed int64, completed [][]uint64, extra uint64, key KeyFunc, scan bool) (keys [][][]bool, foreign []uint64) {
+	keys, foreign = make([][][]bool, len(completed)), make([]uint64, len(completed))
+	drivers.Probe(m.Sys, seed, func(t *sim.Thread) {
+		for k, eng := range m.Engines {
+			keys[k] = make([][]bool, len(completed[k]))
+			own := uint64(0)
+			for tid, n := range completed[k] {
+				keys[k][tid] = make([]bool, n+extra)
+				for i := range keys[k][tid] {
+					if eng.Execute(t, 0, uc.Get(key(k, tid, uint64(i)))) != uc.NotFound {
+						keys[k][tid][i] = true
+						own++
+					}
+				}
+			}
+			if scan {
+				foreign[k] = eng.Execute(t, 0, uc.Size()) - own
+			}
+		}
+	})
+	return keys, foreign
+}
+
+// PrefixOK applies instance k's correctness condition to a prefix report:
+// buffered durable with the ε+β−1 loss allowance, or strict durable.
+func (m *Machine) PrefixOK(k int, rep history.Report) bool {
+	if d := m.Drivers[k]; d.Buffered {
+		return rep.BufferedOK(d.Epsilon, uint64(m.Topology.ThreadsPerNode))
+	}
+	return rep.DurableOK()
+}

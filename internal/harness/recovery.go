@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"prepuc/internal/core"
-	"prepuc/internal/drivers"
 	"prepuc/internal/nvm"
 	"prepuc/internal/onll"
 	"prepuc/internal/par"
@@ -86,40 +85,24 @@ func RunRecoveryExperiment(sc Scale, seed int64, jobs int, w io.Writer) ([]Recov
 // crashes the quiescent machine, and measures recovery. The schedulers of
 // the three phases are seeded seed+off, +1, +2; the substrate always seed.
 func recoveryPoint(sc Scale, d *uc.Driver, sz uc.Sizing, param string, updates uint64, seed, off int64) (RecoveryPoint, error) {
-	sys, eng, err := drivers.Boot(d, seed+off,
-		nvm.Config{Costs: sc.Costs, Seed: uint64(seed), NoFlushElision: sc.NoFlushElision}, nil)
+	m, err := BootMachine(sz.Topology, seed+off,
+		nvm.Config{Costs: sc.Costs, Seed: uint64(seed), NoFlushElision: sc.NoFlushElision}, d)
 	if err != nil {
 		return RecoveryPoint{}, fmt.Errorf("harness: recovery: %s %s: build: %w", d.Name, param, err)
 	}
-	runSch := sim.New(seed + off + 1)
-	sys.SetScheduler(runSch)
-	if d.SpawnAux != nil {
-		d.SpawnAux()
-	}
-	remaining := sz.Workers
-	for tid := 0; tid < sz.Workers; tid++ {
-		tid := tid
-		runSch.Spawn("w", sz.Topology.NodeOf(tid), 0, func(t *sim.Thread) {
-			defer func() {
-				remaining--
-				if remaining == 0 && d.StopAux != nil {
-					d.StopAux(t)
-				}
-			}()
-			for i := uint64(0); i < updates/uint64(sz.Workers); i++ {
-				eng.Execute(t, tid, uc.Insert(uint64(tid)<<32|i, i))
-			}
-		})
-	}
-	runSch.Run()
-	rec, err := drivers.Recover(d, sys, seed+off+2, nil, nil)
+	m.Run(seed+off+1, 0, sz.Workers, func(t *sim.Thread, _, tid int) {
+		for i := uint64(0); i < updates/uint64(sz.Workers); i++ {
+			m.Engines[0].Execute(t, tid, uc.Insert(uint64(tid)<<32|i, i))
+		}
+	})
+	rec, err := m.Recover(seed+off+2, nil, nil)
 	if err != nil {
 		return RecoveryPoint{}, fmt.Errorf("harness: recovery: %s %s: recover: %w", d.Name, param, err)
 	}
-	ms := rec.Sys.Metrics().Snapshot()
+	ms := m.Sys.Metrics().Snapshot()
 	return RecoveryPoint{
 		System: d.Name, Param: param,
-		UpdatesRun: updates, Replayed: rec.Info.Replayed, VirtualNS: rec.VirtualNS,
+		UpdatesRun: updates, Replayed: rec.Replayed[0], VirtualNS: rec.VirtualNS,
 		Restarts: ms.RecoveryRestarts, Holes: ms.ReplayHoles,
 	}, nil
 }

@@ -40,6 +40,7 @@ import (
 	"prepuc/internal/drivers"
 	"prepuc/internal/fault"
 	"prepuc/internal/linearize"
+	"prepuc/internal/metrics"
 	"prepuc/internal/numa"
 	"prepuc/internal/nvm"
 	"prepuc/internal/openloop"
@@ -554,8 +555,8 @@ func spawnServicePhase(sch *sim.Scheduler, tp numa.Topology, s *svc.Service,
 	}
 }
 
-// finish fills the throughput, latency and ring blocks from the run's
-// tallies. s2 is the post-crash service generation (nil on steady runs);
+// finish fills the submission/completion counts and the summary blocks from
+// the run's tallies. s2 is the post-crash service generation (nil on steady runs);
 // resolved counts descriptor-resolved deliveries, completions that passed
 // through neither generation's ring.
 func finish(res *ServeResult, shards int, s, s2 *svc.Service, sys *nvm.System, ta *tally, resolved uint64) {
@@ -570,17 +571,24 @@ func finish(res *ServeResult, shards int, s, s2 *svc.Service, sys *nvm.System, t
 		}
 	}
 	res.Completed += resolved
-	if ta.endNS > 0 {
-		res.OpsPerSec = float64(res.Completed) * 1e9 / float64(ta.endNS)
+	res.summarize(&ta.hist, ta.endNS, sys.Metrics().Snapshot())
+}
+
+// summarize fills the throughput, latency and ring blocks of a record whose
+// completions are counted: hist holds their latencies, endNS is the last
+// completion instant (the run length) and ms the counters of the machine —
+// or, for a sharded aggregate, the machines' sum.
+func (res *ServeResult) summarize(hist *openloop.Histogram, endNS uint64, ms metrics.Snapshot) {
+	if endNS > 0 {
+		res.OpsPerSec = float64(res.Completed) * 1e9 / float64(endNS)
 	}
 	res.Latency = LatencyNS{
-		P50:  ta.hist.Quantile(0.50),
-		P99:  ta.hist.Quantile(0.99),
-		P999: ta.hist.Quantile(0.999),
-		Max:  ta.hist.Max(),
-		Mean: ta.hist.Mean(),
+		P50:  hist.Quantile(0.50),
+		P99:  hist.Quantile(0.99),
+		P999: hist.Quantile(0.999),
+		Max:  hist.Max(),
+		Mean: hist.Mean(),
 	}
-	ms := sys.Metrics().Snapshot()
 	res.Ring = RingStats{
 		Submits:    ms.RingSubmits,
 		FullStalls: ms.RingFullStalls,

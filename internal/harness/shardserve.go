@@ -178,25 +178,7 @@ func RunShardedServe(mk func() *ServeDriver, cfg ShardedServeConfig) (*ServeResu
 	// Aggregate throughput is total completions over the longest machine's
 	// run: the deployment is only as finished as its slowest shard, so
 	// hot-shard imbalance shows up here, not just in Imbalance.
-	if endNS > 0 {
-		agg.OpsPerSec = float64(agg.Completed) * 1e9 / float64(endNS)
-	}
-	agg.Latency = LatencyNS{
-		P50:  hist.Quantile(0.50),
-		P99:  hist.Quantile(0.99),
-		P999: hist.Quantile(0.999),
-		Max:  hist.Max(),
-		Mean: hist.Mean(),
-	}
-	agg.Ring = RingStats{
-		Submits:    snap.RingSubmits,
-		FullStalls: snap.RingFullStalls,
-		Batches:    snap.RingBatches,
-		BatchedOps: snap.RingBatchedOps,
-	}
-	if snap.RingBatches > 0 {
-		agg.Ring.MeanBatch = float64(snap.RingBatchedOps) / float64(snap.RingBatches)
-	}
+	agg.summarize(&hist, endNS, snap)
 	if agg.Completed > 0 {
 		agg.Imbalance = float64(maxCompleted) * float64(cfg.Instances) / float64(agg.Completed)
 	}

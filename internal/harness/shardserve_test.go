@@ -2,8 +2,10 @@ package harness
 
 import (
 	"encoding/json"
+	"reflect"
 	"testing"
 
+	"prepuc/internal/drivers"
 	"prepuc/internal/openloop"
 )
 
@@ -167,6 +169,50 @@ func TestShardedServeConfigValidation(t *testing.T) {
 		mut(&cfg)
 		if _, err := RunShardedServe(mk, cfg); err == nil {
 			t.Errorf("case %d: invalid config accepted", i)
+		}
+	}
+}
+
+// TestShardedServeOneInstanceEqualsFlat pins the S=1 equivalence: one machine
+// behind the router is the flat serve run. The aggregate record of a
+// single-instance RunShardedServe equals RunServe's record field for field —
+// steady and crash, checked, under the targeted adversary — once the four
+// sharded-only fields are cleared, and so does its one shard breakdown.
+func TestShardedServeOneInstanceEqualsFlat(t *testing.T) {
+	for _, crashAt := range []uint64{0, 200_000} {
+		cfg := serveTestConfig(crashAt)
+		cfg.Policy, cfg.Check = "targeted", true
+		scfg := ShardedServeConfig{
+			Instances: 1, Route: "hash", TotalWorkers: cfg.Shards,
+			RingSize: cfg.RingSize, MaxBatch: cfg.MaxBatch, Batched: cfg.Batched,
+			Open: cfg.Open, Seed: cfg.Seed, Policy: cfg.Policy, Check: cfg.Check,
+			CrashAtNS: crashAt,
+		}
+		if crashAt > 0 {
+			scfg.CrashShards = []int{0}
+		}
+		for _, e := range drivers.Recoverable() {
+			mk := func() *ServeDriver { return e.New(ServeSizing(cfg.Shards, 64)) }
+			flat, err := RunServe(mk(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			agg, err := RunShardedServe(mk, scfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(agg.Shards) != 1 || agg.Composition == nil || !agg.Composition.OK || agg.Imbalance != 1 {
+				t.Fatalf("%s crash@%d: sharded fields of the S=1 aggregate: %+v", e.Name, crashAt, agg)
+			}
+			if sub := agg.Shards[0].Result; !reflect.DeepEqual(sub, flat) {
+				t.Errorf("%s crash@%d: the one shard's record differs from the flat run:\n%+v\n%+v", e.Name, crashAt, sub, flat)
+			}
+			agg.Route, agg.Imbalance, agg.Shards, agg.Composition = "", 0, nil, nil
+			if !reflect.DeepEqual(agg, flat) {
+				a, _ := json.Marshal(agg)
+				f, _ := json.Marshal(flat)
+				t.Errorf("%s crash@%d: S=1 aggregate differs from the flat run:\n%s\n%s", e.Name, crashAt, a, f)
+			}
 		}
 	}
 }

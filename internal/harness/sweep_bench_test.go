@@ -34,39 +34,24 @@ func BenchmarkNestedCrashSweep(b *testing.B) {
 		Topology: tp, Workers: workers, Object: seq.HashMapType(1024),
 		LogSize: 1 << 12, Epsilon: 128, HeapWords: 1 << 21,
 	}))
-	// recoverOn runs d's recovery on sys's current scheduler.
-	recoverOn := func(sys *nvm.System) (err error) {
-		sys.Scheduler().Spawn("recover", 0, 0, func(t *sim.Thread) { _, _, err = d.Recover(t, sys) })
-		sys.Scheduler().Run()
-		return err
-	}
-
-	sys, p, err := drivers.Boot(d, seed, nvm.Config{Costs: sim.UnitCosts(), BGFlushOneIn: 64, Seed: uint64(seed)}, nil)
+	m, err := BootMachine(tp, seed, nvm.Config{Costs: sim.UnitCosts(), BGFlushOneIn: 64, Seed: uint64(seed)}, d)
 	if err != nil {
 		b.Fatal(err)
 	}
-	runSch := sim.New(seed + 1)
-	runSch.CrashAtEvent(400_000)
-	sys.SetScheduler(runSch)
-	d.SpawnAux()
-	for tid := 0; tid < workers; tid++ {
-		tid := tid
-		runSch.Spawn("w", 0, 0, func(t *sim.Thread) {
-			for i := uint64(0); i < updates; i++ {
-				p.Execute(t, tid, uc.Insert(uint64(tid)<<32|i, i))
-			}
-		})
-	}
-	runSch.Run()
+	runSch := m.Run(seed+1, 400_000, workers, func(t *sim.Thread, _, tid int) {
+		for i := uint64(0); i < updates; i++ {
+			m.Engines[0].Execute(t, tid, uc.Insert(uint64(tid)<<32|i, i))
+		}
+	})
 	if !runSch.Frozen() {
 		b.Fatal("workload finished without crashing")
 	}
-	base := sys.Recover(sim.New(seed + 2))
+	base := m.Sys.Recover(sim.New(seed + 2))
 
 	// Probe once for the recovery event ceiling, then spread the sweep's
 	// crash points across it.
-	probeSch := sim.New(seed + 3)
-	if err := recoverOn(base.Clone(probeSch)); err != nil {
+	_, probeSch, _, err := recoverClone(d, base, seed+3, 0)
+	if err != nil {
 		b.Fatal(err)
 	}
 	ceiling := probeSch.Events()
@@ -78,10 +63,7 @@ func BenchmarkNestedCrashSweep(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for k := uint64(1); k <= points; k++ {
-			trialSch := sim.New(seed + 3)
-			trialSch.CrashAtEvent(k * stride)
-			trial := base.Clone(trialSch)
-			recoverOn(trial) // cut down by the armed crash
+			trial, trialSch, _, _ := recoverClone(d, base, seed+3, k*stride) // cut down by the armed crash
 			if !trialSch.Frozen() {
 				b.Fatalf("point %d: recovery finished before armed crash", k)
 			}

@@ -19,6 +19,7 @@ import (
 	"prepuc/internal/core"
 	"prepuc/internal/drivers"
 	"prepuc/internal/gluc"
+	"prepuc/internal/harness"
 	"prepuc/internal/history"
 	"prepuc/internal/numa"
 	"prepuc/internal/nvm"
@@ -30,30 +31,10 @@ import (
 
 func topo() numa.Topology { return numa.Topology{Nodes: 2, ThreadsPerNode: 4} }
 
-type built struct {
-	nsys *nvm.System
-	s    uc.UC
-	d    *uc.Driver
-}
-
-// spawnAux / stopAux bracket a workload phase with the construction's
-// auxiliary threads, when it has any.
-func (b built) spawnAux() {
-	if b.d.SpawnAux != nil {
-		b.d.SpawnAux()
-	}
-}
-
-func (b built) stopAux(th *sim.Thread) {
-	if b.d.StopAux != nil {
-		b.d.StopAux(th)
-	}
-}
-
 // buildAll constructs every system around the same sequential object: the
 // global-lock reference first, then every registered universal construction
 // (SOFT is a fixed-function hashtable, not built around obj).
-func buildAll(t *testing.T, obj uc.ObjectType, seed int64, workers int) []built {
+func buildAll(t *testing.T, obj uc.ObjectType, seed int64, workers int) []*harness.Machine {
 	t.Helper()
 	sz := drivers.CrashScale(topo(), workers, 512, 64)
 	sz.Object = obj
@@ -65,31 +46,26 @@ func buildAll(t *testing.T, obj uc.ObjectType, seed int64, workers int) []built 
 			ds = append(ds, e.New(sz))
 		}
 	}
-	var out []built
+	var out []*harness.Machine
 	for _, d := range ds {
-		ns, s, err := drivers.Boot(d, seed, nvm.Config{Costs: sim.UnitCosts()}, nil)
+		m, err := harness.BootMachine(topo(), seed, nvm.Config{Costs: sim.UnitCosts()}, d)
 		if err != nil {
 			t.Fatalf("build %s: %v", d.Name, err)
 		}
-		out = append(out, built{ns, s, d})
+		out = append(out, m)
 	}
 	return out
 }
 
 // runSingle drives ops through one system on one worker and returns every
 // response.
-func runSingle(b built, seed int64, ops []uc.Op) []uint64 {
-	sch := sim.New(seed)
-	b.nsys.SetScheduler(sch)
-	b.spawnAux()
+func runSingle(m *harness.Machine, seed int64, ops []uc.Op) []uint64 {
 	res := make([]uint64, len(ops))
-	sch.Spawn("w", 0, 0, func(th *sim.Thread) {
-		defer b.stopAux(th)
+	m.Run(seed, 0, 1, func(th *sim.Thread, _, _ int) {
 		for i, op := range ops {
-			res[i] = b.s.Execute(th, 0, op)
+			res[i] = m.Engines[0].Execute(th, 0, op)
 		}
 	})
-	sch.Run()
 	return res
 }
 
@@ -99,12 +75,12 @@ func differential(t *testing.T, obj uc.ObjectType, ops []uc.Op, seed int64) {
 	t.Helper()
 	systems := buildAll(t, obj, seed, 1)
 	ref := runSingle(systems[0], seed+100, ops)
-	for _, b := range systems[1:] {
-		got := runSingle(b, seed+100, ops)
+	for _, m := range systems[1:] {
+		got := runSingle(m, seed+100, ops)
 		for i := range ops {
 			if got[i] != ref[i] {
 				t.Fatalf("%s response %d for %s(%d,%d): got %d, reference %d",
-					b.d.Name, i, uc.OpName(ops[i].Code), ops[i].A0, ops[i].A1, got[i], ref[i])
+					m.Drivers[0].Name, i, uc.OpName(ops[i].Code), ops[i].A0, ops[i].A1, got[i], ref[i])
 			}
 		}
 	}
@@ -159,47 +135,30 @@ func TestCommutingWorkloadConverges(t *testing.T) {
 	const workers, per = 8, 40
 	systems := buildAll(t, seq.HashMapType(64), 7, workers)
 	var ref map[uint64]uint64
-	for _, b := range systems {
-		sch := sim.New(70)
-		b.nsys.SetScheduler(sch)
-		b.spawnAux()
-		remaining := workers
-		for tid := 0; tid < workers; tid++ {
-			tid := tid
-			sch.Spawn("w", topo().NodeOf(tid), 0, func(th *sim.Thread) {
-				defer func() {
-					remaining--
-					if remaining == 0 {
-						b.stopAux(th)
-					}
-				}()
-				for i := uint64(0); i < per; i++ {
-					k := uint64(tid)*1000 + i
-					b.s.Execute(th, tid, uc.Insert(k, k*7))
-				}
-			})
-		}
-		sch.Run()
+	for _, m := range systems {
+		m.Run(70, 0, workers, func(th *sim.Thread, _, tid int) {
+			for i := uint64(0); i < per; i++ {
+				k := uint64(tid)*1000 + i
+				m.Engines[0].Execute(th, tid, uc.Insert(k, k*7))
+			}
+		})
 
 		state := map[uint64]uint64{}
-		sch2 := sim.New(71)
-		b.nsys.SetScheduler(sch2)
-		sch2.Spawn("read", 0, 0, func(th *sim.Thread) {
+		drivers.Probe(m.Sys, 71, func(th *sim.Thread) {
 			for tid := 0; tid < workers; tid++ {
 				for i := uint64(0); i < per; i++ {
 					k := uint64(tid)*1000 + i
-					state[k] = b.s.Execute(th, 0, uc.Get(k))
+					state[k] = m.Engines[0].Execute(th, 0, uc.Get(k))
 				}
 			}
 		})
-		sch2.Run()
 		if ref == nil {
 			ref = state
 			continue
 		}
 		for k, v := range ref {
 			if state[k] != v {
-				t.Errorf("%s: key %d = %d, reference %d", b.d.Name, k, state[k], v)
+				t.Errorf("%s: key %d = %d, reference %d", m.Drivers[0].Name, k, state[k], v)
 			}
 		}
 	}
@@ -212,12 +171,11 @@ func TestCrashPointSweep(t *testing.T) {
 	const workers = 8
 	for _, mode := range []core.Mode{core.Buffered, core.Durable} {
 		for crashAt := uint64(5_000); crashAt <= 155_000; crashAt += 10_000 {
-			d := prepDriver(mode, prepSizing(workers, 128))
-			ns, eng := bootUnit(t, d, int64(crashAt), 200, crashAt+3)
-			completed, _ := insertUntilCrash(t, d, eng, ns, int64(crashAt)+1, crashAt, workers, history.Key)
-			r := recoverOnce(t, d, ns, int64(crashAt)+2)
-			keys := probePrefix(r.Sys, r.Eng, int64(crashAt)+3, completed, 16, history.Key)
-			if rep := history.Check(keys, completed); !durableOK(d, rep) {
+			m := bootUnit(t, prepDriver(mode, prepSizing(workers, 128)), int64(crashAt), 200, crashAt+3)
+			completed, _ := insertUntilCrash(t, m, int64(crashAt)+1, crashAt, workers, harness.FlatKey)
+			recoverOnce(t, m, int64(crashAt)+2)
+			keys := probePrefix(m, int64(crashAt)+3, completed, 16, harness.FlatKey)
+			if rep := history.Check(keys, completed); !m.PrefixOK(0, rep) {
 				t.Errorf("%s crashAt=%d: %s", mode, crashAt, rep)
 			}
 		}
@@ -244,30 +202,25 @@ func TestDurableRecoveryPreservesEveryStructure(t *testing.T) {
 				Topology: topo(), Workers: 4, Object: tc.obj,
 				LogSize: 1 << 12, Epsilon: 128, HeapWords: 1 << 21,
 			})
-			ns, p := bootUnit(t, d, 99, 0, 0)
-			sch := sim.New(100)
-			ns.SetScheduler(sch)
-			d.SpawnAux()
-			sch.Spawn("w", 0, 0, func(th *sim.Thread) {
-				defer d.StopAux(th)
+			m := bootUnit(t, d, 99, 0, 0)
+			m.Run(100, 0, 1, func(th *sim.Thread, _, _ int) {
 				for _, op := range tc.ops {
-					p.Execute(th, 0, op)
+					m.Engines[0].Execute(th, 0, op)
 				}
 			})
-			sch.Run()
 			// The reference state is a read snapshot: the responses of gets
 			// over the key range.
-			snapshot := func(ns *nvm.System, eng uc.UC, seed int64) (vals [100]uint64) {
-				drivers.Probe(ns, seed, func(th *sim.Thread) {
+			snapshot := func(seed int64) (vals [100]uint64) {
+				drivers.Probe(m.Sys, seed, func(th *sim.Thread) {
 					for k := range vals {
-						vals[k] = eng.Execute(th, 0, uc.Get(uint64(k)))
+						vals[k] = m.Engines[0].Execute(th, 0, uc.Get(uint64(k)))
 					}
 				})
 				return vals
 			}
-			before := snapshot(ns, p, 101)
-			r := recoverOnce(t, d, ns, 102)
-			for k, got := range snapshot(r.Sys, r.Eng, 103) {
+			before := snapshot(101)
+			recoverOnce(t, m, 102)
+			for k, got := range snapshot(103) {
 				if got != before[k] {
 					t.Errorf("key %d: recovered %d, want %d", k, got, before[k])
 				}

@@ -15,8 +15,8 @@ import (
 
 	"prepuc/internal/drivers"
 	"prepuc/internal/fault"
+	"prepuc/internal/harness"
 	"prepuc/internal/linearize"
-	"prepuc/internal/nvm"
 	"prepuc/internal/seq"
 	"prepuc/internal/sim"
 	"prepuc/internal/uc"
@@ -46,7 +46,7 @@ func linSizing(obj uc.ObjectType) uc.Sizing {
 func runLinEpochs(t *testing.T, d *uc.Driver, model linearize.Model, spec workload.Spec,
 	seed int64, crashes int, crashAt uint64, tailOps int) {
 	t.Helper()
-	cur, eng := bootUnit(t, d, seed, 128, uint64(seed)+7)
+	m := bootUnit(t, d, seed, 128, uint64(seed)+7)
 
 	init := model.Empty()
 	totalOps := 0
@@ -56,50 +56,32 @@ func runLinEpochs(t *testing.T, d *uc.Driver, model linearize.Model, spec worklo
 		if perr != nil {
 			t.Fatal(perr)
 		}
-		cur.SetFaultPolicy(pol)
+		m.Sys.SetFaultPolicy(pol)
 
-		sch := sim.New(seed + int64(epoch)*29 + 1)
+		// A crash-free epoch is the same phase unarmed: its workers run
+		// tailOps operations each and the last one out stops the background
+		// threads (a crash just unwinds them).
+		at := uint64(0)
 		if crashing {
-			sch.CrashAtEvent(crashAt + uint64(epoch)*7_777)
-		}
-		cur.SetScheduler(sch)
-		if d.SpawnAux != nil {
-			d.SpawnAux()
+			at = crashAt + uint64(epoch)*7_777
 		}
 		rec := linearize.NewRecorder(linWorkers)
-		remaining := linWorkers
-		for tid := 0; tid < linWorkers; tid++ {
-			tid := tid
-			sch.Spawn("worker", topo().NodeOf(tid), 0, func(th *sim.Thread) {
-				defer func() {
-					if r := recover(); r != nil && !sim.Crashed(r) {
-						panic(r)
-					}
-					remaining--
-					if remaining == 0 && !sch.Frozen() && d.StopAux != nil {
-						// Crash-free epoch: the last worker out stops the
-						// background threads (a crash just unwinds them).
-						d.StopAux(th)
-					}
-				}()
-				gen := workload.NewGen(spec, seed+int64(epoch)*101+17, tid)
-				for i := 0; crashing || i < tailOps; i++ {
-					op := gen.Next()
-					rec.Exec(th, tid, op, func() uint64 { return eng.Execute(th, tid, op) })
-				}
-			})
-		}
-		sch.Run()
+		sch := m.Run(seed+int64(epoch)*29+1, at, linWorkers, func(th *sim.Thread, _, tid int) {
+			gen := workload.NewGen(spec, seed+int64(epoch)*101+17, tid)
+			for i := 0; crashing || i < tailOps; i++ {
+				op := gen.Next()
+				rec.Exec(th, tid, op, func() uint64 { return m.Engines[0].Execute(th, tid, op) })
+			}
+		})
 
 		if crashing {
 			if !sch.Frozen() {
 				t.Fatalf("%s epoch %d: crash at %d never fired", d.Name, epoch, crashAt)
 			}
-			r := recoverOnce(t, d, cur, seed+int64(epoch)*29+2)
-			cur, eng = r.Sys, r.Eng
+			recoverOnce(t, m, seed+int64(epoch)*29+2)
 		}
 
-		recovered := linProbe(d, eng, cur, spec, seed+int64(epoch)*29+900)
+		recovered := linProbe(m, spec, seed+int64(epoch)*29+900)
 		opt := linearize.Options{}
 		if crashing && d.Buffered {
 			opt = linearize.Options{Buffered: true, Allowance: linAllowance}
@@ -125,26 +107,19 @@ func runLinEpochs(t *testing.T, d *uc.Driver, model linearize.Model, spec worklo
 // linProbe observes the recovered state on a fresh timeline: key-by-key
 // Gets for sets, a destructive drain for containers (drain updates need the
 // background threads alive on the PREP variants).
-func linProbe(d *uc.Driver, eng uc.UC, cur *nvm.System, spec workload.Spec, seed int64) any {
+func linProbe(m *harness.Machine, spec workload.Spec, seed int64) any {
 	var state any
-	sch := sim.New(seed)
-	cur.SetScheduler(sch)
-	if d.SpawnAux != nil {
-		d.SpawnAux()
-	}
-	sch.Spawn("probe", 0, 0, func(th *sim.Thread) {
-		if d.StopAux != nil {
-			defer d.StopAux(th)
-		}
+	eng := m.Engines[0]
+	m.Run(seed, 0, 1, func(th *sim.Thread, _, _ int) {
 		switch spec.Kind {
 		case workload.Set:
-			m := map[uint64]uint64{}
+			kv := map[uint64]uint64{}
 			for k := uint64(0); k < spec.KeyRange; k++ {
 				if v := eng.Execute(th, 0, uc.Get(k)); v != uc.NotFound {
-					m[k] = v
+					kv[k] = v
 				}
 			}
-			state = m
+			state = kv
 		case workload.Pairs:
 			var vs []uint64
 			for {
@@ -165,7 +140,6 @@ func linProbe(d *uc.Driver, eng uc.UC, cur *nvm.System, spec workload.Spec, seed
 			state = vs
 		}
 	})
-	sch.Run()
 	return state
 }
 

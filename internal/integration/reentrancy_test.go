@@ -9,8 +9,8 @@ import (
 	"prepuc/internal/core"
 	"prepuc/internal/drivers"
 	"prepuc/internal/fault"
+	"prepuc/internal/harness"
 	"prepuc/internal/history"
-	"prepuc/internal/nvm"
 	"prepuc/internal/sim"
 	"prepuc/internal/uc"
 )
@@ -40,9 +40,10 @@ func sortTriples(d []uint64) [][3]uint64 {
 // the sorted DumpState triples where the engine can dump itself (PREP,
 // CX-PUC, ONLL), else — SOFT has no dump — the (Get code, key, value) of
 // every held key among each worker's first completed+extra.
-func recoveredState(ns *nvm.System, eng uc.UC, seed int64, completed []uint64, extra uint64) [][3]uint64 {
+func recoveredState(m *harness.Machine, seed int64, completed []uint64, extra uint64) [][3]uint64 {
 	var dump []uint64
-	drivers.Probe(ns, seed, func(th *sim.Thread) {
+	eng := m.Engines[0]
+	drivers.Probe(m.Sys, seed, func(th *sim.Thread) {
 		if d, ok := eng.(interface{ DumpState(*sim.Thread) []uint64 }); ok {
 			dump = d.DumpState(th)
 			return
@@ -80,16 +81,16 @@ func TestDoubleRecoveryIdempotent(t *testing.T) {
 				t.Fatalf("registry entry %+v built driver %q (recover=%v)", e, d.Name, d.Recover != nil)
 			}
 
-			ns, eng := bootUnit(t, d, 17, 256, 23)
+			m := bootUnit(t, d, 17, 256, 23)
 			pol, err := fault.Parse(fmt.Sprintf("targeted=%d", i), 29)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ns.SetFaultPolicy(pol)
-			completed, _ := insertUntilCrash(t, d, eng, ns, 18, crashAt, workers, history.Key)
+			m.Sys.SetFaultPolicy(pol)
+			completed, _ := insertUntilCrash(t, m, 18, crashAt, workers, harness.FlatKey)
 
 			// First recovery, re-entered once through the armed nested crash.
-			r1, err := drivers.Recover(d, ns, 19, func(attempt int) uint64 {
+			r1, err := m.Recover(19, func(attempt int) uint64 {
 				if attempt == 0 {
 					return nestedAt
 				}
@@ -102,12 +103,12 @@ func TestDoubleRecoveryIdempotent(t *testing.T) {
 				t.Fatalf("attempts=%d nested=%d, want the armed crash to cut down exactly the first attempt",
 					r1.Attempts, r1.NestedCrashes)
 			}
-			keys1 := probePrefix(r1.Sys, r1.Eng, 20, completed, 32, history.Key)
+			keys1 := probePrefix(m, 20, completed, 32, harness.FlatKey)
 			rep := history.Check(keys1, completed)
-			if !durableOK(d, rep) {
+			if !m.PrefixOK(0, rep) {
 				t.Errorf("recovered state violates the durable condition: %s", rep)
 			}
-			state1 := recoveredState(r1.Sys, r1.Eng, 23, completed, 32)
+			state1 := recoveredState(m, 23, completed, 32)
 			if len(state1) == 0 {
 				t.Fatal("first recovery produced an empty state; workload too short to be meaningful")
 			}
@@ -116,9 +117,9 @@ func TestDoubleRecoveryIdempotent(t *testing.T) {
 			// adversarial persistence policy, then recover again through the
 			// same driver (the commit record, not the caller, must resolve
 			// the source generation).
-			r1.Sys.SetFaultPolicy(fault.DropAll())
-			r2 := recoverOnce(t, d, r1.Sys, 21)
-			if state2 := recoveredState(r2.Sys, r2.Eng, 22, completed, 32); !reflect.DeepEqual(state1, state2) {
+			m.Sys.SetFaultPolicy(fault.DropAll())
+			recoverOnce(t, m, 21)
+			if state2 := recoveredState(m, 22, completed, 32); !reflect.DeepEqual(state1, state2) {
 				t.Errorf("recovered states differ: first has %d ops, second %d", len(state1), len(state2))
 			}
 		})
@@ -150,22 +151,22 @@ func TestMultiCrashEpochs(t *testing.T) {
 			// BOOT configuration, the commit record resolves the actual
 			// source generation.
 			d := prepDriver(tc.mode, prepSizing(workers, 256))
-			ns, eng := bootUnit(t, d, 31, 256, 37)
+			m := bootUnit(t, d, 31, 256, 37)
 			if tc.policy != nil {
-				ns.SetFaultPolicy(tc.policy)
+				m.Sys.SetFaultPolicy(tc.policy)
+			}
+			epochKey := func(e int) harness.KeyFunc {
+				return func(_, tid int, i uint64) uint64 { return history.EpochKey(e, tid, i) }
 			}
 			epochs := make([]history.Epoch, tc.k)
 			for e := 0; e < tc.k; e++ {
-				key := func(tid int, i uint64) uint64 { return history.EpochKey(e, tid, i) }
-				epochs[e].Completed, _ = insertUntilCrash(t, d, eng, ns, int64(100*e)+41, uint64(30_000+e*7_000), workers, key)
-				r := recoverOnce(t, d, ns, int64(100*e)+42)
-				ns, eng = r.Sys, r.Eng
+				epochs[e].Completed, _ = insertUntilCrash(t, m, int64(100*e)+41, uint64(30_000+e*7_000), workers, epochKey(e))
+				recoverOnce(t, m, int64(100*e)+42)
 			}
 
 			// Probe every epoch's keys against the FINAL recovered state.
 			for e := 0; e < tc.k; e++ {
-				key := func(tid int, i uint64) uint64 { return history.EpochKey(e, tid, i) }
-				epochs[e].Keys = probePrefix(ns, eng, 43, epochs[e].Completed, 16, key)
+				epochs[e].Keys = probePrefix(m, 43, epochs[e].Completed, 16, epochKey(e))
 			}
 
 			mr := history.CheckEpochs(epochs)

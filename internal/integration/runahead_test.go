@@ -5,7 +5,7 @@ import (
 	"testing"
 
 	"prepuc/internal/core"
-	"prepuc/internal/history"
+	"prepuc/internal/harness"
 	"prepuc/internal/metrics"
 	"prepuc/internal/sim"
 )
@@ -27,18 +27,17 @@ type cycleTrace struct {
 func runCrashCycle(t *testing.T, crashAt uint64) cycleTrace {
 	t.Helper()
 	const workers = 8
-	d := prepDriver(core.Durable, prepSizing(workers, 128))
-	ns, eng := bootUnit(t, d, 11, 200, 13)
-	completed, sch := insertUntilCrash(t, d, eng, ns, 12, crashAt, workers, history.Key)
-	r := recoverOnce(t, d, ns, 13)
+	m := bootUnit(t, prepDriver(core.Durable, prepSizing(workers, 128)), 11, 200, 13)
+	completed, sch := insertUntilCrash(t, m, 12, crashAt, workers, harness.FlatKey)
+	recoverOnce(t, m, 13)
 	tr := cycleTrace{
 		completed:  completed,
 		workEvents: sch.Events(),
-		recEvents:  r.Sys.Scheduler().Events(),
-		metrics:    r.Sys.Metrics().Snapshot(),
+		recEvents:  m.Sys.Scheduler().Events(),
+		metrics:    m.Sys.Metrics().Snapshot(),
 	}
 	// Last: the probe replaces the recovery scheduler read above.
-	tr.keys = probePrefix(r.Sys, r.Eng, 14, completed, 16, history.Key)
+	tr.keys = probePrefix(m, 14, completed, 16, harness.FlatKey)
 	return tr
 }
 

@@ -47,11 +47,6 @@ func (w *world) run(workers int, crashAt uint64, seed int64, fn func(*sim.Thread
 	for tid := 0; tid < workers; tid++ {
 		tid := tid
 		sch.Spawn("w", tid%2, 0, func(th *sim.Thread) {
-			defer func() {
-				if r := recover(); r != nil && !sim.Crashed(r) {
-					panic(r)
-				}
-			}()
 			fn(th, tid)
 		})
 	}
