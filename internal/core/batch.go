@@ -32,6 +32,13 @@ const MaxBatch = 64
 // a crash, the paper's ε+β−1 bound with the batch standing in for the β
 // combining slots.
 //
+// Read-only operations never get descriptors — re-executing a read after a
+// crash is always legal, so their post-crash verdict is simply "never
+// applied, resubmit". Every descriptor of the batch lands in worker tid's
+// slot region; at most one batch of at most MaxBatch = DescSlots operations
+// is outstanding per tid, so an unacknowledged descriptor is never
+// overwritten.
+//
 // len(res) must be at least len(ops), and len(ops) at most MaxBatch.
 func (p *PREP) ExecuteBatch(t *sim.Thread, tid int, ops []uc.Op, res []uint64) uint64 {
 	if len(ops) == 0 {
@@ -40,18 +47,19 @@ func (p *PREP) ExecuteBatch(t *sim.Thread, tid int, ops []uc.Op, res []uint64) u
 	if len(ops) > MaxBatch {
 		panic("core: ExecuteBatch batch exceeds MaxBatch")
 	}
-	node := p.cfg.Topology.NodeOf(tid)
-	rep := p.reps[node]
-	durable := p.cfg.Mode == Durable
+	if len(res) < len(ops) {
+		panic("core: ExecuteBatch result slice shorter than the batch")
+	}
+	rep := p.reps[p.cfg.Topology.NodeOf(tid)]
 	f := rep.flusher // nil outside durable mode
 
 	num := uint64(0)
-	det := false
+	detect := false
 	for _, op := range ops {
 		if !rep.ds.IsReadOnly(op.Code) {
 			num++
 			if op.Invid != 0 && p.desc != nil {
-				det = true
+				detect = true
 			}
 		}
 	}
@@ -60,77 +68,46 @@ func (p *PREP) ExecuteBatch(t *sim.Thread, tid int, ops []uc.Op, res []uint64) u
 
 	// Become the node's combiner. Unlike update() there is no batch slot to
 	// park the ops in, so this blocks rather than waiting for service.
-	var b backoff
+	var b sim.Backoff
 	for !rep.combiner.TryAcquire(t) {
-		b.spin(t, 1024)
-	}
-	if det {
-		return p.executeBatchDetect(t, tid, rep, ops, res, num)
+		b.Spin(t, 1024)
 	}
 
+	// The session of session.go over the batch's updates, in submitted order.
 	var tail, newTail uint64
 	if num > 0 {
 		p.met.ObserveBatch(num)
 		tail = p.reserveLogEntries(t, rep, num)
 		newTail = tail + num
-
-		// Publish the updates into the reserved entries in submitted order,
-		// with the same flush/fence discipline as combine().
-		i := uint64(0)
+		idx := tail
 		for _, op := range ops {
-			if rep.ds.IsReadOnly(op.Code) {
-				continue
+			if !rep.ds.IsReadOnly(op.Code) {
+				p.publishArgs(t, f, idx, op.Code, op.A0, op.A1)
+				idx++
 			}
-			p.log.WriteArgs(t, tail+i, op.Code, op.A0, op.A1)
-			if durable {
-				f.FlushLine(t, p.log.Mem(), p.log.EntryOff(tail+i))
-			}
-			i++
 		}
-		if durable {
-			f.Fence(t)
-		}
-		for i := uint64(0); i < num; i++ {
-			p.log.SetFull(t, tail+i)
-			if durable {
-				f.FlushLine(t, p.log.Mem(), p.log.EntryOff(tail+i))
-			}
+		if !detect {
+			p.raiseFullMarks(t, f, tail, num)
 		}
 	} else {
 		// Pure-read batch: no reservation, just read at the current frontier.
 		newTail = p.log.CompletedTail(t)
 	}
-
 	rep.rw.WriteLock(t)
-	p.applyLog(t, rep.ds, rep.localTail(t), tail, f, func(applied uint64) {
-		rep.setLocalTail(t, applied)
-	})
-	if num > 0 {
-		rep.setLocalTail(t, newTail)
-		if durable {
-			f.Fence(t)
-		}
-		for {
-			ct := p.log.CompletedTail(t)
-			if ct >= newTail {
-				break
-			}
-			if p.log.CASCompletedTail(t, ct, newTail) {
-				break
-			}
-		}
-		if durable {
-			p.log.PersistCompletedTail(t, f)
-		}
-	} else if rep.localTail(t) < newTail {
-		p.catchUp(t, rep, newTail)
+	p.catchUp(t, rep, tail, f)
+	switch {
+	case detect: // the marks go up after the batch's descriptors, below
+	case num > 0:
+		p.publishTail(t, rep, f, newTail)
+	case rep.localTail(t) < newTail:
+		p.catchUp(t, rep, newTail, nil)
 	}
 
 	// Execute the batch in submitted order: updates replay from their log
-	// entries (the log is the source of truth, exactly as in combine());
-	// reads run directly against the caught-up replica and see every earlier
-	// update of their own batch.
-	i := uint64(0)
+	// entries (the log is the source of truth, exactly as in combine) and, in
+	// detectable order, record their descriptors; reads run directly against
+	// the caught-up replica and see every earlier update of their own batch.
+	idx := tail
 	for j, op := range ops {
 		t.Step(p.sys.Costs().OpBase)
 		if rep.ds.IsReadOnly(op.Code) {
@@ -139,106 +116,22 @@ func (p *PREP) ExecuteBatch(t *sim.Thread, tid int, ops []uc.Op, res []uint64) u
 			continue
 		}
 		p.met.Updates++
-		code, a0, a1 := p.log.ReadEntry(t, tail+i)
+		code, a0, a1 := p.log.ReadEntry(t, idx)
 		res[j] = rep.ds.Execute(t, code, a0, a1)
-		i++
+		if detect && op.Invid != 0 {
+			p.recordDescriptor(t, f, tid, op.Invid, idx, res[j])
+		}
+		idx++
+	}
+	if detect {
+		p.raiseFullMarks(t, f, tail, num)
+		p.publishTail(t, rep, f, newTail)
 	}
 	rep.rw.WriteUnlock(t)
 	rep.combiner.Release(t)
 	if num == 0 {
 		return 0
 	}
-	return newTail
-}
-
-// executeBatchDetect is ExecuteBatch past the combiner acquisition when the
-// batch carries invocation ids, in the detectable order of combineDetect:
-// args published not-full, replica caught up, batch applied with a
-// descriptor written (durable: flushed) per detectable update, one fence,
-// and only then the full marks. Every descriptor lands in worker tid's slot
-// region; at most one batch of at most MaxBatch = DescSlots operations is
-// outstanding per tid, so an unacknowledged descriptor is never
-// overwritten. The caller holds the combiner lock; this releases it.
-//
-// Read-only operations in the batch never get descriptors — re-executing a
-// read after a crash is always legal, so their post-crash verdict is simply
-// "never applied, resubmit".
-func (p *PREP) executeBatchDetect(t *sim.Thread, tid int, rep *replica, ops []uc.Op, res []uint64, num uint64) uint64 {
-	durable := p.cfg.Mode == Durable
-	f := rep.flusher
-
-	p.met.ObserveBatch(num)
-	tail := p.reserveLogEntries(t, rep, num)
-	newTail := tail + num
-
-	i := uint64(0)
-	for _, op := range ops {
-		if rep.ds.IsReadOnly(op.Code) {
-			continue
-		}
-		p.log.WriteArgs(t, tail+i, op.Code, op.A0, op.A1)
-		if durable {
-			f.FlushLine(t, p.log.Mem(), p.log.EntryOff(tail+i))
-		}
-		i++
-	}
-
-	rep.rw.WriteLock(t)
-	p.applyLog(t, rep.ds, rep.localTail(t), tail, f, func(applied uint64) {
-		rep.setLocalTail(t, applied)
-	})
-
-	// Execute in submitted order: updates replay from their entries (and
-	// record descriptors), reads run against the replica and see every
-	// earlier update of their own batch.
-	i = 0
-	for j, op := range ops {
-		t.Step(p.sys.Costs().OpBase)
-		if rep.ds.IsReadOnly(op.Code) {
-			p.met.Reads++
-			res[j] = rep.ds.Execute(t, op.Code, op.A0, op.A1)
-			continue
-		}
-		p.met.Updates++
-		code, a0, a1 := p.log.ReadEntry(t, tail+i)
-		res[j] = rep.ds.Execute(t, code, a0, a1)
-		if op.Invid != 0 {
-			off := p.desc.write(t, tid, op.Invid, tail+i, res[j])
-			p.met.DescriptorWrites++
-			if durable {
-				f.FlushLine(t, p.desc.mem, off)
-				p.met.DescriptorFlushes++
-			}
-		}
-		i++
-	}
-	if durable {
-		f.Fence(t) // entries, catch-up lines and descriptors all durable
-	}
-	for k := uint64(0); k < num; k++ {
-		p.log.SetFull(t, tail+k)
-		if durable {
-			f.FlushLine(t, p.log.Mem(), p.log.EntryOff(tail+k))
-		}
-	}
-	rep.setLocalTail(t, newTail)
-	if durable {
-		f.Fence(t)
-	}
-	for {
-		ct := p.log.CompletedTail(t)
-		if ct >= newTail {
-			break
-		}
-		if p.log.CASCompletedTail(t, ct, newTail) {
-			break
-		}
-	}
-	if durable {
-		p.log.PersistCompletedTail(t, f)
-	}
-	rep.rw.WriteUnlock(t)
-	rep.combiner.Release(t)
 	return newTail
 }
 
@@ -266,9 +159,9 @@ func (p *PREP) AwaitDurable(t *sim.Thread, mark uint64) {
 		return
 	}
 	if p.cfg.Mode == Durable {
-		var b backoff
+		var b sim.Backoff
 		for p.log.CompletedTail(t) < mark {
-			b.spin(t, 512)
+			b.Spin(t, 512)
 		}
 		return
 	}
@@ -278,7 +171,7 @@ func (p *PREP) AwaitDurable(t *sim.Thread, mark uint64) {
 		}
 		return 0
 	}
-	var b backoff
+	var b sim.Backoff
 	spins := 0
 	for p.pTail(t, stable()) < mark {
 		spins++
@@ -288,6 +181,6 @@ func (p *PREP) AwaitDurable(t *sim.Thread, mark uint64) {
 				p.met.BoundaryReductions++
 			}
 		}
-		b.spin(t, 4096)
+		b.Spin(t, 4096)
 	}
 }

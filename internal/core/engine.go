@@ -106,11 +106,11 @@ type pReplica struct {
 
 // PREP is one instance of the PREP-UC universal construction.
 type PREP struct {
-	cfg   Config
-	sys   *nvm.System
-	log   *oplog.Log
-	beta  uint64
-	nodes int
+	cfg    Config
+	sys    *nvm.System
+	log    *oplog.Log
+	beta   uint64
+	nodes  int
 	reps   []*replica
 	preps  []*pReplica
 	meta   *nvm.Memory
@@ -348,24 +348,6 @@ func (p *PREP) setPTail(t *sim.Thread, pr *pReplica, v uint64) {
 // activeP reads the volatile mirror of p_activePReplica.
 func (p *PREP) activeP(t *sim.Thread) uint64 { return p.gctrl.Load(t, gActive) }
 
-// backoff is truncated exponential backoff for spin loops. Under the
-// virtual-time scheduler a blocked thread otherwise wakes every dozen
-// nanoseconds, which is both unrealistic (real spinners execute PAUSE and
-// get descheduled) and slow to simulate.
-type backoff struct{ cur uint64 }
-
-func (b *backoff) spin(t *sim.Thread, cap uint64) {
-	if b.cur == 0 {
-		b.cur = 16
-	}
-	t.Step(b.cur)
-	if b.cur < cap {
-		b.cur *= 2
-	}
-}
-
-func (b *backoff) reset() { b.cur = 0 }
-
 // Execute implements the paper's ExecuteConcurrent: run op on behalf of
 // worker tid and return its result.
 func (p *PREP) Execute(t *sim.Thread, tid int, op uc.Op) uint64 {
@@ -386,35 +368,23 @@ func (p *PREP) Execute(t *sim.Thread, tid int, op uc.Op) uint64 {
 // then reads under its slot of the distributed reader lock (§3).
 func (p *PREP) readOnly(t *sim.Thread, rep *replica, slot int, op uc.Op) uint64 {
 	ct := p.log.CompletedTail(t)
-	var b backoff
+	var b sim.Backoff
 	for rep.localTail(t) < ct {
 		if rep.combiner.TryAcquire(t) {
 			if rep.localTail(t) < ct {
 				rep.rw.WriteLock(t)
-				p.catchUp(t, rep, p.log.CompletedTail(t))
+				p.catchUp(t, rep, p.log.CompletedTail(t), nil)
 				rep.rw.WriteUnlock(t)
 			}
 			rep.combiner.Release(t)
 			break
 		}
-		b.spin(t, 512)
+		b.Spin(t, 512)
 	}
 	rep.rw.ReadLock(t, slot)
 	res := rep.ds.Execute(t, op.Code, op.A0, op.A1)
 	rep.rw.ReadUnlock(t, slot)
 	return res
-}
-
-// catchUp applies log entries [localTail, upTo) to rep. Callers hold the
-// replica's combiner lock and write lock.
-func (p *PREP) catchUp(t *sim.Thread, rep *replica, upTo uint64) {
-	from := rep.localTail(t)
-	if from >= upTo {
-		return
-	}
-	p.applyLog(t, rep.ds, from, upTo, nil, func(applied uint64) {
-		rep.setLocalTail(t, applied)
-	})
 }
 
 // applyLog replays entries [from, to) onto ds, spinning until each entry is
@@ -431,11 +401,11 @@ func (p *PREP) catchUp(t *sim.Thread, rep *replica, upTo uint64) {
 // localTail to move past the reuse horizon — without incremental progress
 // the two would deadlock.
 func (p *PREP) applyLog(t *sim.Thread, ds uc.DataStructure, from, to uint64, f *nvm.Flusher, progress func(uint64)) {
-	var b backoff
+	var b sim.Backoff
 	for idx := from; idx < to; idx++ {
-		b.reset() // each entry restarts the truncated-exponential ladder
+		b.Reset() // each entry restarts the truncated-exponential ladder
 		for !p.log.IsFull(t, idx) {
-			b.spin(t, 512)
+			b.Spin(t, 512)
 		}
 		code, a0, a1 := p.log.ReadEntry(t, idx)
 		if f != nil {
@@ -460,7 +430,7 @@ func (p *PREP) update(t *sim.Thread, rep *replica, slot int, op uc.Op) uint64 {
 		rep.ctrl.Store(t, so+slotInvid, op.Invid)
 	}
 	rep.ctrl.Store(t, so+slotState, slotPending)
-	var b backoff
+	var b sim.Backoff
 	for {
 		if rep.ctrl.Load(t, so+slotState) == slotDone {
 			rep.ctrl.Store(t, so+slotState, slotEmpty)
@@ -477,212 +447,6 @@ func (p *PREP) update(t *sim.Thread, rep *replica, slot int, op uc.Op) uint64 {
 			rep.combiner.Release(t)
 			return res
 		}
-		b.spin(t, 1024)
+		b.Spin(t, 1024)
 	}
-}
-
-// combine runs the combiner protocol for rep. The caller holds rep's
-// combiner lock and has a pending op in mySlot. Returns the caller's result.
-func (p *PREP) combine(t *sim.Thread, rep *replica, mySlot int) uint64 {
-	durable := p.cfg.Mode == Durable
-	f := rep.flusher // nil outside durable mode
-
-	// Collect the batch: every pending slot on this node (or just ours under
-	// the no-batching ablation). The scratch buffer is combiner-lock
-	// protected, so reusing it allocates only on the first combine.
-	batch := rep.batchScratch[:0]
-	if p.cfg.NoBatching {
-		batch = append(batch, mySlot)
-	} else {
-		for s := 0; s < int(p.beta); s++ {
-			if rep.ctrl.Load(t, rep.slotOff(s)+slotState) == slotPending {
-				batch = append(batch, s)
-			}
-		}
-	}
-	rep.batchScratch = batch // keep any growth for the next combiner
-	num := uint64(len(batch))
-	p.met.ObserveBatch(num)
-
-	if p.desc != nil {
-		for _, s := range batch {
-			if rep.ctrl.Load(t, rep.slotOff(s)+slotInvid) != 0 {
-				return p.combineDetect(t, rep, mySlot, batch)
-			}
-		}
-	}
-
-	tail := p.reserveLogEntries(t, rep, num)
-	newTail := tail + num
-
-	// Write arguments and codes for the whole batch; durable mode flushes
-	// each entry line and fences once (§4.1), then sets emptyBits, flushes
-	// and fences again so full marks are durable before completedTail can
-	// cover them.
-	for i, s := range batch {
-		so := rep.slotOff(s)
-		code := rep.ctrl.Load(t, so+slotCode)
-		a0 := rep.ctrl.Load(t, so+slotA0)
-		a1 := rep.ctrl.Load(t, so+slotA1)
-		p.log.WriteArgs(t, tail+uint64(i), code, a0, a1)
-		if durable {
-			f.FlushLine(t, p.log.Mem(), p.log.EntryOff(tail+uint64(i)))
-		}
-	}
-	if durable {
-		f.Fence(t)
-	}
-	for i := uint64(0); i < num; i++ {
-		p.log.SetFull(t, tail+i)
-		if durable {
-			f.FlushLine(t, p.log.Mem(), p.log.EntryOff(tail+i))
-		}
-	}
-
-	rep.rw.WriteLock(t)
-	// Bring the local replica up to date with operations preceding our
-	// batch; in durable mode their entry lines join our pending flush set.
-	// localTail is published per applied entry (see applyLog) and then
-	// advanced over our own batch, which we are guaranteed to apply below.
-	p.applyLog(t, rep.ds, rep.localTail(t), tail, f, func(applied uint64) {
-		rep.setLocalTail(t, applied)
-	})
-	rep.setLocalTail(t, newTail)
-	if durable {
-		f.Fence(t)
-	}
-
-	// Advance completedTail to cover the batch (monotonic CAS loop), and in
-	// durable mode make it persistent before any response is written.
-	for {
-		ct := p.log.CompletedTail(t)
-		if ct >= newTail {
-			break
-		}
-		if p.log.CASCompletedTail(t, ct, newTail) {
-			break
-		}
-	}
-	if durable {
-		p.log.PersistCompletedTail(t, f)
-	}
-
-	// Apply the batch and deliver responses.
-	var myRes uint64
-	for i, s := range batch {
-		code, a0, a1 := p.log.ReadEntry(t, tail+uint64(i))
-		res := rep.ds.Execute(t, code, a0, a1)
-		so := rep.slotOff(s)
-		if s == mySlot {
-			myRes = res
-			rep.ctrl.Store(t, so+slotState, slotEmpty)
-		} else {
-			rep.ctrl.Store(t, so+slotResp, res)
-			rep.ctrl.Store(t, so+slotState, slotDone)
-		}
-	}
-	rep.rw.WriteUnlock(t)
-	return myRes
-}
-
-// combineDetect is combine() in detectable order, taken when the batch
-// carries at least one invocation id. The difference from the legacy path
-// is *when* the batch executes and the full marks appear: the local replica
-// is caught up and the batch applied (computing results) first, each
-// detectable operation's descriptor is written — and, durable, flushed —
-// next, and only after the fence covering those descriptors do the full
-// marks go up. The full marks are the operations' only escape hatch: no
-// other combiner, no persistence thread, and no persisted completedTail can
-// cover an entry before its mark is set, so by the time any effect of the
-// batch can survive a crash, its descriptors already have. Cost relative to
-// the legacy path: one flush per detectable operation and zero extra fences
-// (the descriptor flushes share the fence the entry args already needed).
-//
-// Liveness is unchanged: between reservation and the full marks this
-// combiner only waits on entries *below* its reservation (the catch-up),
-// exactly like the legacy path waits during its own catch-up; induction on
-// the earliest unfull reserved entry goes through as before.
-func (p *PREP) combineDetect(t *sim.Thread, rep *replica, mySlot int, batch []int) uint64 {
-	durable := p.cfg.Mode == Durable
-	f := rep.flusher
-	num := uint64(len(batch))
-
-	tail := p.reserveLogEntries(t, rep, num)
-	newTail := tail + num
-
-	// Publish the batch's args (entries stay not-full).
-	for i, s := range batch {
-		so := rep.slotOff(s)
-		p.log.WriteArgs(t, tail+uint64(i),
-			rep.ctrl.Load(t, so+slotCode), rep.ctrl.Load(t, so+slotA0), rep.ctrl.Load(t, so+slotA1))
-		if durable {
-			f.FlushLine(t, p.log.Mem(), p.log.EntryOff(tail+uint64(i)))
-		}
-	}
-
-	rep.rw.WriteLock(t)
-	p.applyLog(t, rep.ds, rep.localTail(t), tail, f, func(applied uint64) {
-		rep.setLocalTail(t, applied)
-	})
-
-	// Apply the batch in log order, recording a descriptor per detectable
-	// operation. Results are buffered host-side and delivered only after
-	// persist-before-respond below.
-	if cap(rep.resScratch) < len(batch) {
-		rep.resScratch = make([]uint64, p.beta)
-	}
-	resBuf := rep.resScratch[:len(batch)]
-	for i, s := range batch {
-		so := rep.slotOff(s)
-		code, a0, a1 := p.log.ReadEntry(t, tail+uint64(i))
-		resBuf[i] = rep.ds.Execute(t, code, a0, a1)
-		if invid := rep.ctrl.Load(t, so+slotInvid); invid != 0 {
-			w := rep.node*int(p.beta) + s // slot owner's worker tid
-			off := p.desc.write(t, w, invid, tail+uint64(i), resBuf[i])
-			p.met.DescriptorWrites++
-			if durable {
-				f.FlushLine(t, p.desc.mem, off)
-				p.met.DescriptorFlushes++
-			}
-		}
-	}
-	if durable {
-		f.Fence(t) // entries, catch-up lines and descriptors all durable
-	}
-	for i := uint64(0); i < num; i++ {
-		p.log.SetFull(t, tail+i)
-		if durable {
-			f.FlushLine(t, p.log.Mem(), p.log.EntryOff(tail+i))
-		}
-	}
-	rep.setLocalTail(t, newTail)
-	if durable {
-		f.Fence(t)
-	}
-	for {
-		ct := p.log.CompletedTail(t)
-		if ct >= newTail {
-			break
-		}
-		if p.log.CASCompletedTail(t, ct, newTail) {
-			break
-		}
-	}
-	if durable {
-		p.log.PersistCompletedTail(t, f)
-	}
-
-	var myRes uint64
-	for i, s := range batch {
-		so := rep.slotOff(s)
-		if s == mySlot {
-			myRes = resBuf[i]
-			rep.ctrl.Store(t, so+slotState, slotEmpty)
-		} else {
-			rep.ctrl.Store(t, so+slotResp, resBuf[i])
-			rep.ctrl.Store(t, so+slotState, slotDone)
-		}
-	}
-	rep.rw.WriteUnlock(t)
-	return myRes
 }

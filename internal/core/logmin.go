@@ -29,7 +29,7 @@ const crossHelpSpins = 64
 // modes only), then settle the reuse horizon before returning the start
 // index.
 func (p *PREP) reserveLogEntries(t *sim.Thread, rep *replica, num uint64) uint64 {
-	var b backoff
+	var b sim.Backoff
 	for {
 		tail := p.log.LogTail(t)
 		if p.cfg.Mode.Persistent() && p.flushBoundary(t) < tail {
@@ -40,16 +40,16 @@ func (p *PREP) reserveLogEntries(t *sim.Thread, rep *replica, num uint64) uint64
 			start := t.Clock()
 			for p.flushBoundary(t) < tail {
 				p.serviceUpdateNow(t, rep)
-				b.spin(t, 4096)
+				b.Spin(t, 4096)
 			}
 			p.met.FlushBoundaryStallNS += t.Clock() - start
-			b.reset()
+			b.Reset()
 		}
 		if p.log.CASLogTail(t, tail, tail+num) {
 			p.updateOrWaitOnLogMin(t, rep, tail+num)
 			return tail
 		}
-		b.spin(t, 256)
+		b.Spin(t, 256)
 	}
 }
 
@@ -62,7 +62,7 @@ func (p *PREP) serviceUpdateNow(t *sim.Thread, rep *replica) {
 	}
 	p.met.UpdateNowServices++
 	rep.rw.WriteLock(t)
-	p.catchUp(t, rep, p.log.CompletedTail(t))
+	p.catchUp(t, rep, p.log.CompletedTail(t), nil)
 	rep.rw.WriteUnlock(t)
 	rep.setUpdateNow(t, 0)
 }
@@ -74,7 +74,7 @@ func (p *PREP) serviceUpdateNow(t *sim.Thread, rep *replica) {
 // replica to catch up.
 func (p *PREP) updateOrWaitOnLogMin(t *sim.Thread, rep *replica, newTail uint64) {
 	lowMark := p.log.LogMin(t) - p.beta
-	var b backoff
+	var b sim.Backoff
 	for lowMark < newTail {
 		// Scan the localTails of every replica: N volatile plus the
 		// persistent ones (the paper's "replicas + p_replicas").
@@ -113,26 +113,26 @@ func (p *PREP) updateOrWaitOnLogMin(t *sim.Thread, rep *replica, newTail uint64)
 						p.met.BoundaryReductions++
 					}
 				}
-				b.spin(t, 4096)
+				b.Spin(t, 4096)
 			case stragVol == rep.node:
 				// We are the straggler: catch up ourselves (we already hold
 				// our combiner lock).
 				rep.rw.WriteLock(t)
-				p.catchUp(t, rep, p.log.CompletedTail(t))
+				p.catchUp(t, rep, p.log.CompletedTail(t), nil)
 				rep.rw.WriteUnlock(t)
 			default:
 				straggler := p.reps[stragVol]
 				straggler.setUpdateNow(t, 1)
 				waited := 0
-				var wb backoff
+				var wb sim.Backoff
 				for straggler.localTail(t) == lowest {
-					wb.spin(t, 2048)
+					wb.Spin(t, 2048)
 					waited++
 					if waited >= crossHelpSpins {
 						// The node may be quiescent; help it directly.
 						if straggler.combiner.TryAcquire(t) {
 							straggler.rw.WriteLock(t)
-							p.catchUp(t, straggler, p.log.CompletedTail(t))
+							p.catchUp(t, straggler, p.log.CompletedTail(t), nil)
 							straggler.rw.WriteUnlock(t)
 							straggler.combiner.Release(t)
 							p.met.CrossNodeHelps++
@@ -146,6 +146,6 @@ func (p *PREP) updateOrWaitOnLogMin(t *sim.Thread, rep *replica, newTail uint64)
 		}
 		p.log.AdvanceLogMin(t, lowest+p.cfg.LogSize-1)
 		lowMark = p.log.LogMin(t) - p.beta
-		b.reset()
+		b.Reset()
 	}
 }

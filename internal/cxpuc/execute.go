@@ -15,7 +15,7 @@ func (cx *CX) qTail(t *sim.Thread) uint64 { return cx.ctrl.Load(t, ctrlQTail) }
 // enqueue appends op to the global queue and returns its 1-based
 // linearization index.
 func (cx *CX) enqueue(t *sim.Thread, op uc.Op) uint64 {
-	var b backoff
+	var b sim.Backoff
 	for {
 		tail := cx.ctrl.Load(t, ctrlQTail)
 		if tail >= cx.cfg.QueueCapacity {
@@ -30,16 +30,16 @@ func (cx *CX) enqueue(t *sim.Thread, op uc.Op) uint64 {
 			cx.queue.Store(t, off+qeState, 1) // ready
 			return tail + 1
 		}
-		b.spin(t)
+		b.Spin(t, 2048)
 	}
 }
 
 // readQueued fetches the i-th (1-based) update, spinning until it is ready.
 func (cx *CX) readQueued(t *sim.Thread, i uint64) (code, a0, a1 uint64) {
 	off := (i - 1) * nvm.WordsPerLine
-	var b backoff
+	var b sim.Backoff
 	for cx.queue.Load(t, off+qeState) == 0 {
-		b.spin(t)
+		b.Spin(t, 2048)
 	}
 	return cx.queue.Load(t, off+qeCode), cx.queue.Load(t, off+qeA0), cx.queue.Load(t, off+qeA1)
 }
@@ -77,7 +77,7 @@ func (cx *CX) Execute(t *sim.Thread, tid int, op uc.Op) uint64 {
 // read executes a read-only operation on the currently published replica
 // under its shared try-lock.
 func (cx *CX) read(t *sim.Thread, op uc.Op) uint64 {
-	var b backoff
+	var b sim.Backoff
 	for {
 		_, repID := cx.latest(t)
 		r := cx.reps[repID]
@@ -91,7 +91,7 @@ func (cx *CX) read(t *sim.Thread, op uc.Op) uint64 {
 			}
 			r.lock.ReadUnlock(t)
 		}
-		b.spin(t)
+		b.Spin(t, 2048)
 	}
 }
 
@@ -100,7 +100,7 @@ func (cx *CX) read(t *sim.Thread, op uc.Op) uint64 {
 // and publishes it.
 func (cx *CX) updateOp(t *sim.Thread, op uc.Op) uint64 {
 	myIdx := cx.enqueue(t, op)
-	var b backoff
+	var b sim.Backoff
 	for {
 		// Fast path: someone already applied (and durably published) our op.
 		applied, _ := cx.latest(t)
@@ -109,7 +109,7 @@ func (cx *CX) updateOp(t *sim.Thread, op uc.Op) uint64 {
 			// our queue keeps responses alongside entries.
 			off := (myIdx - 1) * nvm.WordsPerLine
 			for cx.queue.Load(t, off+qeState) != 2 {
-				b.spin(t)
+				b.Spin(t, 2048)
 			}
 			return cx.queue.Load(t, off+4)
 		}
@@ -137,7 +137,7 @@ func (cx *CX) updateOp(t *sim.Thread, op uc.Op) uint64 {
 			r.lock.WriteUnlock(t)
 			return res
 		}
-		b.spin(t)
+		b.Spin(t, 2048)
 	}
 }
 
@@ -234,17 +234,4 @@ func (cx *CX) DumpState(t *sim.Thread) []uint64 {
 		out = append(out, code, a0, a1)
 	})
 	return out
-}
-
-// backoff mirrors core's truncated exponential backoff.
-type backoff struct{ cur uint64 }
-
-func (b *backoff) spin(t *sim.Thread) {
-	if b.cur == 0 {
-		b.cur = 16
-	}
-	t.Step(b.cur)
-	if b.cur < 2048 {
-		b.cur *= 2
-	}
 }

@@ -325,12 +325,7 @@ func (s *Scheduler) Spawn(name string, node int, startClock uint64, fn func(*Thr
 		t.yield = yield
 		defer func() {
 			if r := recover(); r != nil && !Crashed(r) {
-				// A real bug: keep the first for Run to re-raise and crash the
-				// machine, so that every other thread unwinds and exits too.
-				if s.fault == "" {
-					s.fault = fmt.Sprintf("sim thread %q: %v", t.name, r)
-				}
-				s.frozen = true
+				s.fail(t, r)
 			}
 			s.exit(t)
 		}()
@@ -458,22 +453,64 @@ func (s *Scheduler) park(t, next *Thread) {
 	}
 }
 
+// Backoff is truncated exponential backoff for spin loops: each Spin steps
+// the ladder 16, 32, … ns, doubling until it reaches the caller's cap. Under
+// the virtual-time scheduler a blocked thread otherwise wakes every dozen
+// nanoseconds, which is both unrealistic (real spinners execute PAUSE and
+// get descheduled) and slow to simulate. The zero value is ready to use.
+type Backoff struct{ cur uint64 }
+
+// Spin waits out the current rung and moves to the next.
+func (b *Backoff) Spin(t *Thread, cap uint64) {
+	if b.cur == 0 {
+		b.cur = 16
+	}
+	t.Step(b.cur)
+	if b.cur < cap {
+		b.cur *= 2
+	}
+}
+
+// Reset restarts the ladder.
+func (b *Backoff) Reset() { b.cur = 0 }
+
+// fail records a bug panic raised on thread t — the first one is kept for Run
+// to re-raise — and crashes the machine, so that every other thread unwinds
+// and exits too.
+func (s *Scheduler) fail(t *Thread, r any) {
+	if s.fault == "" {
+		s.fault = fmt.Sprintf("sim thread %q: %v", t.name, r)
+	}
+	s.frozen = true
+}
+
 // exit removes the thread from the scheduler and names its successor; the
 // thread's coroutine then returns into the transfer loop of whoever resumed
 // it, which passes the baton on, or ends Run when t was the last live thread.
+// exit runs after Spawn's wrapper has recovered, so a panic here — a Chooser
+// that panics or returns a bad index at this handoff — would unwind across
+// the coroutine switch; it is recorded like a thread panic instead, and the
+// remaining threads drain in clock order.
 func (s *Scheduler) exit(t *Thread) {
 	t.active = false
 	s.live--
+	s.next = nil
 	if s.live == 0 {
-		s.next = nil
 		return
 	}
 	if len(s.heap.ts) == 0 {
-		// Remaining threads exist but none is runnable: every live thread is
-		// parked inside Step waiting for the baton, which is impossible
-		// because Step always re-enqueues before parking. Treat as a bug.
-		panic("sim: no runnable thread but live threads remain")
+		// Impossible: Step re-enqueues a thread before parking it, so every
+		// live thread but t is in the heap. Treat as a bug; with nobody to hand
+		// the baton to, it goes back to Run.
+		s.fail(t, "sim: no runnable thread but live threads remain")
+		return
 	}
+	defer func() {
+		if r := recover(); r != nil {
+			s.fail(t, r)
+			s.next = s.heap.popMin()
+		}
+	}()
 	s.next = s.pickNext()
 }
 

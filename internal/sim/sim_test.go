@@ -37,6 +37,31 @@ func TestClockAdvances(t *testing.T) {
 	}
 }
 
+// TestBackoffLadder pins the step sequence every spin loop in the repo
+// charges: 16 doubling to the call's cap, restarted by Reset.
+func TestBackoffLadder(t *testing.T) {
+	s := New(1)
+	var got []uint64
+	s.Spawn("w", 0, 0, func(th *Thread) {
+		var b Backoff
+		spin := func(cap uint64) {
+			before := th.Clock()
+			b.Spin(th, cap)
+			got = append(got, th.Clock()-before)
+		}
+		for i := 0; i < 4; i++ {
+			spin(64)
+		}
+		spin(256) // the cap bounds the next rung, not the one charged now
+		b.Reset()
+		spin(64)
+	})
+	s.Run()
+	if want := []uint64{16, 32, 64, 64, 64, 16}; !slices.Equal(got, want) {
+		t.Fatalf("backoff steps = %v, want %v", got, want)
+	}
+}
+
 func TestMinClockThreadRunsFirst(t *testing.T) {
 	// Two threads with different step costs: the cheap-step thread must
 	// complete more steps in the same virtual window.
@@ -365,58 +390,85 @@ func TestCrashAfterZeroDisarms(t *testing.T) {
 // re-raises it on the caller's goroutine with the thread's name prefixed
 // once. The culprit panics at the top of a four-deep resume chain, and the
 // bystander directly below it recovers everything: with resumes nested in
-// thread frames, a panic crossing the switch would be swallowed there.
+// thread frames, a panic crossing the switch would be swallowed there. The
+// second case raises the panic after the culprit's body returned, inside its
+// exit handoff: the chooser returns an out-of-range index there.
 func TestThreadPanicSurfacesFromRun(t *testing.T) {
-	s := New(1)
-	var ths []*Thread
-	var seen []any // everything the bystander recovered
-	depthAtPanic := 0
-	spawn := func(name string, start uint64, fn func(*Thread)) {
-		ths = append(ths, s.Spawn(name, 0, start, fn))
-	}
-	// Staggered starts: each thread's first Step overshoots the next one's
-	// start clock, so each resumes the next: Run → a → b → bystander → culprit.
-	for i, name := range []string{"a", "b"} {
-		spawn(name, uint64(10*i), func(th *Thread) {
-			for j := 0; j < 100; j++ {
-				th.Step(100)
+	for _, tc := range []struct {
+		name    string
+		culprit func()
+		chooser func(s *Scheduler) Chooser
+		want    string
+	}{
+		{name: "thread body", culprit: func() { panic("boom 42") },
+			want: `sim thread "culprit": boom 42`},
+		{name: "exit handoff", culprit: func() {},
+			chooser: func(s *Scheduler) Chooser {
+				return chooserFunc(func(caller int, cands []Candidate) int {
+					if caller == -1 && s.events > 0 {
+						return len(cands) // a, b and the bystander are waiting
+					}
+					return MinClock(cands)
+				})
+			},
+			want: `sim thread "culprit": sim: chooser returned index 3 of 3 candidates`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := New(1)
+			if tc.chooser != nil {
+				s.SetChooser(tc.chooser(s))
+			}
+			var ths []*Thread
+			var seen []any // everything the bystander recovered
+			depthAtPanic := 0
+			spawn := func(name string, start uint64, fn func(*Thread)) {
+				ths = append(ths, s.Spawn(name, 0, start, fn))
+			}
+			// Staggered starts: each thread's first Step overshoots the next one's
+			// start clock, so each resumes the next: Run → a → b → bystander → culprit.
+			for i, name := range []string{"a", "b"} {
+				spawn(name, uint64(10*i), func(th *Thread) {
+					for j := 0; j < 100; j++ {
+						th.Step(100)
+					}
+				})
+			}
+			spawn("bystander", 20, func(th *Thread) {
+				for j := 0; j < 3; j++ {
+					func() {
+						defer func() { seen = append(seen, recover()) }()
+						th.Step(100)
+					}()
+				}
+			})
+			spawn("culprit", 30, func(th *Thread) {
+				th.Step(5)
+				depthAtPanic = chainDepth(ths)
+				tc.culprit()
+			})
+			var got any
+			func() {
+				defer func() { got = recover() }()
+				s.Run()
+			}()
+			if got != tc.want {
+				t.Fatalf("Run panicked with %#v, want %q", got, tc.want)
+			}
+			if depthAtPanic != 4 {
+				t.Fatalf("culprit panicked at chain depth %d, want 4", depthAtPanic)
+			}
+			if len(seen) != 3 {
+				t.Fatalf("bystander recovered %d values, want 3", len(seen))
+			}
+			for _, r := range seen {
+				if !Crashed(r) {
+					t.Fatalf("bystander recovered %#v, want only Crash{}", r)
+				}
+			}
+			if d := chainDepth(ths); d != 0 || s.live != 0 {
+				t.Fatalf("after Run: %d threads active, %d live", d, s.live)
 			}
 		})
-	}
-	spawn("bystander", 20, func(th *Thread) {
-		for j := 0; j < 3; j++ {
-			func() {
-				defer func() { seen = append(seen, recover()) }()
-				th.Step(100)
-			}()
-		}
-	})
-	spawn("culprit", 30, func(th *Thread) {
-		th.Step(5)
-		depthAtPanic = chainDepth(ths)
-		panic("boom 42")
-	})
-	var got any
-	func() {
-		defer func() { got = recover() }()
-		s.Run()
-	}()
-	if want := `sim thread "culprit": boom 42`; got != want {
-		t.Fatalf("Run panicked with %#v, want %q", got, want)
-	}
-	if depthAtPanic != 4 {
-		t.Fatalf("culprit panicked at chain depth %d, want 4", depthAtPanic)
-	}
-	if len(seen) != 3 {
-		t.Fatalf("bystander recovered %d values, want 3", len(seen))
-	}
-	for _, r := range seen {
-		if !Crashed(r) {
-			t.Fatalf("bystander recovered %#v, want only Crash{}", r)
-		}
-	}
-	if d := chainDepth(ths); d != 0 || s.live != 0 {
-		t.Fatalf("after Run: %d threads active, %d live", d, s.live)
 	}
 }
 

@@ -137,9 +137,9 @@ func newEngine(t *sim.Thread, sys *nvm.System, cfg Config) *Soft {
 // the flush/fence profile, which is the property under evaluation.
 func (s *Soft) lockAlloc(t *sim.Thread) locks.TryLock {
 	l := locks.NewTryLock(s.vmem, s.slabOff+2)
-	var b backoff
+	var b sim.Backoff
 	for !l.TryAcquire(t) {
-		b.spin(t)
+		b.Spin(t, 1024)
 	}
 	return l
 }
@@ -187,9 +187,9 @@ func (s *Soft) bucket(key uint64) uint64 { return splitmix64(key) % s.cfg.Bucket
 
 func (s *Soft) lockBucket(t *sim.Thread, key uint64) locks.TryLock {
 	l := locks.NewTryLock(s.vmem, s.locksOff+s.bucket(key))
-	var b backoff
+	var b sim.Backoff
 	for !l.TryAcquire(t) {
-		b.spin(t)
+		b.Spin(t, 1024)
 	}
 	return l
 }
@@ -381,18 +381,6 @@ func (s *Soft) DebugChainLen(t *sim.Thread, b, max uint64) uint64 {
 		n++
 	}
 	return n
-}
-
-type backoff struct{ cur uint64 }
-
-func (b *backoff) spin(t *sim.Thread) {
-	if b.cur == 0 {
-		b.cur = 16
-	}
-	t.Step(b.cur)
-	if b.cur < 1024 {
-		b.cur *= 2
-	}
 }
 
 func splitmix64(x uint64) uint64 {

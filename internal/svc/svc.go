@@ -23,8 +23,8 @@ import (
 	"fmt"
 
 	"prepuc/internal/metrics"
-	"prepuc/internal/nvm"
 	"prepuc/internal/numa"
+	"prepuc/internal/nvm"
 	"prepuc/internal/sim"
 	"prepuc/internal/uc"
 )
@@ -116,9 +116,9 @@ type Future struct {
 // Wait blocks (spinning in virtual time) until the future completes and
 // returns its result.
 func (f *Future) Wait(t *sim.Thread) uint64 {
-	var b spin
+	var b sim.Backoff
 	for !f.Done {
-		b.spin(t, 1024)
+		b.Spin(t, 1024)
 	}
 	return f.Result
 }
@@ -355,12 +355,12 @@ func (c *Client) TrySubmit(t *sim.Thread, op uc.Op, arrivalNS uint64) (*Future, 
 // Submit enqueues op, blocking (with backoff) while the ring is full. The
 // arrival stamp is the submission instant.
 func (c *Client) Submit(t *sim.Thread, op uc.Op) *Future {
-	var b spin
+	var b sim.Backoff
 	for {
 		if f, ok := c.TrySubmit(t, op, t.Clock()); ok {
 			return f
 		}
-		b.spin(t, 4096)
+		b.Spin(t, 4096)
 	}
 }
 
@@ -440,19 +440,5 @@ func (s *Service) Serve(t *sim.Thread, shard int) {
 				s.cfg.OnComplete(shard, f)
 			}
 		}
-	}
-}
-
-// spin is truncated exponential backoff (mirrors core's; kept local so the
-// engine internals stay unexported).
-type spin struct{ cur uint64 }
-
-func (b *spin) spin(t *sim.Thread, cap uint64) {
-	if b.cur == 0 {
-		b.cur = 16
-	}
-	t.Step(b.cur)
-	if b.cur < cap {
-		b.cur *= 2
 	}
 }
