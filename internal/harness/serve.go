@@ -261,44 +261,38 @@ func (ta *tally) resolvedDelivery(doneNS, arrivalNS uint64) {
 	}
 }
 
-// inject releases arrivals[start:] into the client at their scheduled
-// instants. A full ring never blocks the arrival timeline: rejected
-// operations queue host-side in FIFO order (they already "arrived"; the
-// injector keeps offering them ahead of newer arrivals) and their original
-// stamps ride along, so ring backpressure shows up as latency.
-func inject(t *sim.Thread, c *svc.Client, arrivals []openloop.Arrival, start int) {
-	var overflow []openloop.Arrival
-	offer := func() {
-		for len(overflow) > 0 {
-			if _, ok := c.TrySubmit(t, overflow[0].Op, overflow[0].At); !ok {
-				return
-			}
-			overflow = overflow[1:]
+// inject releases arrivals into the client at their scheduled instants. A
+// full ring never blocks the arrival timeline: rejected operations wait
+// host-side in FIFO order (they already "arrived"; the injector keeps
+// offering them ahead of newer arrivals) and are posted with their original
+// stamps, so ring backpressure shows up as latency. The backlog is fed in
+// schedule order and drained from its front, so it is always the contiguous
+// run arrivals[lo:i] — two cursors, no queue.
+func inject(t *sim.Thread, c *svc.Client, arrivals []openloop.Arrival) {
+	lo := 0 // first arrival the ring has not accepted yet
+	// offer posts arrivals[lo:hi] in order until the ring rejects one.
+	offer := func(hi int) {
+		for lo < hi && c.Post(t, arrivals[lo].Op, arrivals[lo].At) {
+			lo++
 		}
 	}
-	for _, a := range arrivals[start:] {
-		if a.At > t.Clock() {
-			t.Step(a.At - t.Clock())
+	for i := range arrivals {
+		if at := arrivals[i].At; at > t.Clock() {
+			t.Step(at - t.Clock())
 		}
-		offer()
-		if len(overflow) > 0 {
-			overflow = append(overflow, a)
-			continue
-		}
-		if _, ok := c.TrySubmit(t, a.Op, a.At); !ok {
-			overflow = append(overflow, a)
-		}
+		// The backlog first, then — only if it emptied — arrival i itself.
+		offer(i + 1)
 	}
-	for len(overflow) > 0 {
-		offer()
-		if len(overflow) > 0 {
+	for lo < len(arrivals) {
+		offer(len(arrivals))
+		if lo < len(arrivals) {
 			t.Step(serveRetryNS)
 		}
 	}
 }
 
-// serveRetryNS is the injector's poll interval while draining its overflow
-// queue against a full ring.
+// serveRetryNS is the injector's poll interval while draining its backlog
+// against a full ring.
 const serveRetryNS = 512
 
 // RunServe executes one open-loop service run — steady-state, or
@@ -309,9 +303,15 @@ func RunServe(d *ServeDriver, cfg ServeConfig) (*ServeResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, _, err := runServeArrivals(d, cfg, arrivals)
+	perShard := openloop.Split(arrivals, cfg.Shards, func(a *openloop.Arrival) int {
+		return ringOf(a, cfg.Shards)
+	})
+	res, _, err := runServeArrivals(d, cfg, perShard)
 	return res, err
 }
+
+// ringOf shards a machine's schedule across its rings by client.
+func ringOf(a *openloop.Arrival, shards int) int { return int(a.Client) % shards }
 
 // serveRun exposes one machine's post-run internals to the sharded harness:
 // the final system and engine (post-recovery on crash runs) for state
@@ -325,21 +325,16 @@ type serveRun struct {
 	perShard [][]openloop.Arrival
 }
 
-// runServeArrivals is RunServe on a pre-generated arrival schedule: the
-// sharded harness partitions one global schedule across machines and runs
-// each machine through here.
-func runServeArrivals(d *ServeDriver, cfg ServeConfig, arrivals []openloop.Arrival) (*ServeResult, *serveRun, error) {
-	if len(arrivals) == 0 {
+// runServeArrivals is RunServe on a pre-generated arrival schedule already
+// split across the machine's rings (perShard[s] is ring s's time-sorted
+// share): the sharded harness splits one global schedule by machine and
+// ring and runs each machine through here.
+func runServeArrivals(d *ServeDriver, cfg ServeConfig, perShard [][]openloop.Arrival) (*ServeResult, *serveRun, error) {
+	if scheduledOn(perShard) == 0 {
 		return nil, nil, fmt.Errorf("serve: empty arrival schedule")
 	}
 	if cfg.CrashAtNS > 0 && d.Recover == nil {
 		return nil, nil, fmt.Errorf("serve: %s has no recovery path; steady scenario only", d.Name)
-	}
-	// Shard the schedule by client (order within a shard stays time-sorted).
-	perShard := make([][]openloop.Arrival, cfg.Shards)
-	for _, a := range arrivals {
-		s := int(a.Client) % cfg.Shards
-		perShard[s] = append(perShard[s], a)
 	}
 	tp := serveTopo(cfg.Shards)
 	ta := &tally{}
@@ -379,7 +374,7 @@ func runServeArrivals(d *ServeDriver, cfg ServeConfig, arrivals []openloop.Arriv
 	if d.SpawnAux != nil {
 		d.SpawnAux()
 	}
-	spawnServicePhase(sch, tp, s, d, cfg, perShard, make([]int, cfg.Shards), 0)
+	spawnServicePhase(sch, tp, s, d, cfg, perShard, 0)
 	if cfg.CrashAtNS > 0 {
 		sch.Spawn("crasher", 0, 0, func(t *sim.Thread) {
 			t.Step(cfg.CrashAtNS)
@@ -456,7 +451,6 @@ func runServeArrivals(d *ServeDriver, cfg ServeConfig, arrivals []openloop.Arriv
 			continue
 		}
 		crash.InFlightResolved += uint64(len(win))
-		lst := make([]openloop.Arrival, 0, len(all)-resume[shard])
 		for k, a := range win {
 			seq := resume[shard] + k
 			if _, committed := info.Resolved[svc.InvocationID(0, shard, uint64(seq))]; committed {
@@ -464,10 +458,9 @@ func runServeArrivals(d *ServeDriver, cfg ServeConfig, arrivals []openloop.Arriv
 				ta.resolvedDelivery(resumeNS, a.At)
 				continue
 			}
-			lst = append(lst, a)
 			resubSeq[shard] = append(resubSeq[shard], seq)
 		}
-		phaseB[shard] = append(lst, all[submitted[shard]:]...)
+		phaseB[shard] = resumePlan(all, resume[shard], submitted[shard], resubSeq[shard])
 	}
 	if d.Detect {
 		// Audit the plan: a resubmission recovery proved committed would be
@@ -507,7 +500,7 @@ func runServeArrivals(d *ServeDriver, cfg ServeConfig, arrivals []openloop.Arriv
 	if d.SpawnAux != nil {
 		d.SpawnAux()
 	}
-	spawnServicePhase(schB, tp, s2, d, cfg, phaseB, make([]int, cfg.Shards), resumeNS)
+	spawnServicePhase(schB, tp, s2, d, cfg, phaseB, resumeNS)
 	schB.Run()
 	if schB.Frozen() {
 		return nil, nil, fmt.Errorf("serve: %s: phase B froze unexpectedly", d.Name)
@@ -527,13 +520,28 @@ func runServeArrivals(d *ServeDriver, cfg ServeConfig, arrivals []openloop.Arriv
 	return res, &serveRun{sys: cur, eng: engB, ta: ta, perShard: perShard}, nil
 }
 
+// resumePlan is one ring's phase-B schedule: the in-flight window
+// all[resume:submitted] cut down to the operations to resubmit (resub, their
+// ascending sequence numbers), then everything not yet submitted. With the
+// whole window resubmitted that is the rest of the schedule as it stands,
+// which is shared, not copied.
+func resumePlan(all []openloop.Arrival, resume, submitted int, resub []int) []openloop.Arrival {
+	if len(resub) == submitted-resume {
+		return all[resume:]
+	}
+	plan := make([]openloop.Arrival, 0, len(resub)+len(all)-submitted)
+	for _, seq := range resub {
+		plan = append(plan, all[seq])
+	}
+	return append(plan, all[submitted:]...)
+}
+
 // spawnServicePhase spawns one phase's consumers and injectors: consumer
 // shard runs as worker tid shard on its home node; the last finishing
 // injector stops the service, the last finishing consumer retires the
 // auxiliary threads.
 func spawnServicePhase(sch *sim.Scheduler, tp numa.Topology, s *svc.Service,
-	d *ServeDriver, cfg ServeConfig, perShard [][]openloop.Arrival,
-	resume []int, startNS uint64) {
+	d *ServeDriver, cfg ServeConfig, perShard [][]openloop.Arrival, startNS uint64) {
 	consumersLive := cfg.Shards
 	injectorsLive := cfg.Shards
 	for shard := 0; shard < cfg.Shards; shard++ {
@@ -546,13 +554,22 @@ func spawnServicePhase(sch *sim.Scheduler, tp numa.Topology, s *svc.Service,
 			}
 		})
 		sch.Spawn("inject", tp.NodeOf(shard), startNS, func(t *sim.Thread) {
-			inject(t, s.Client(shard), perShard[shard], resume[shard])
+			inject(t, s.Client(shard), perShard[shard])
 			injectorsLive--
 			if injectorsLive == 0 {
 				s.Stop()
 			}
 		})
 	}
+}
+
+// scheduledOn counts the arrivals of a ring-split schedule.
+func scheduledOn(perShard [][]openloop.Arrival) int {
+	n := 0
+	for _, arr := range perShard {
+		n += len(arr)
+	}
+	return n
 }
 
 // finish fills the submission/completion counts and the summary blocks from

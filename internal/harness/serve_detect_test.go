@@ -8,6 +8,7 @@ package harness
 
 import (
 	"encoding/json"
+	"reflect"
 	"testing"
 
 	"prepuc/internal/openloop"
@@ -178,5 +179,52 @@ func TestRunServeCrashStride(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestResumePlan: a ring's phase-B schedule is the window operations still
+// to resubmit followed by everything not yet submitted. With the whole
+// window resubmitted that is the rest of the ring's schedule as it stands —
+// shared with phase A's slice, not copied; once recovery resolved part of
+// the window as committed, it is rebuilt without those operations and the
+// pre-crash schedule (which the check still zips completions against) is
+// left alone.
+func TestResumePlan(t *testing.T) {
+	all := make([]openloop.Arrival, 12)
+	for i := range all {
+		all[i].At = uint64(100 + i)
+	}
+	const resume, submitted = 3, 8 // window: sequence numbers 3..7
+	ats := func(arr []openloop.Arrival) (out []uint64) {
+		for _, a := range arr {
+			out = append(out, a.At)
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		name   string
+		resub  []int
+		shared bool
+		want   []uint64
+	}{
+		{"nothing committed", []int{3, 4, 5, 6, 7}, true, []uint64{103, 104, 105, 106, 107, 108, 109, 110, 111}},
+		{"middle committed", []int{3, 5, 7}, false, []uint64{103, 105, 107, 108, 109, 110, 111}},
+		{"all committed", nil, false, []uint64{108, 109, 110, 111}},
+	} {
+		plan := resumePlan(all, resume, submitted, tc.resub)
+		if got := ats(plan); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: plan %v, want %v", tc.name, got, tc.want)
+		}
+		if shared := &plan[0] == &all[resume]; shared != tc.shared {
+			t.Errorf("%s: plan shares the schedule = %v, want %v", tc.name, shared, tc.shared)
+		}
+	}
+	if empty := resumePlan(all, len(all), len(all), nil); len(empty) != 0 {
+		t.Errorf("ring with nothing left plans %v", ats(empty))
+	}
+	for i, a := range all {
+		if a.At != uint64(100+i) {
+			t.Fatalf("planning modified the pre-crash schedule at %d", i)
+		}
 	}
 }

@@ -4,8 +4,9 @@ package harness
 // independent PREP machines — each with its own scheduler, NVM system,
 // engine, rings and recovery state machine — behind one key-space router.
 // One global open-loop arrival schedule is partitioned by shard.Router at
-// submission time (routing is a pure function of the op's key), each
-// machine runs the ordinary single-machine serve harness over its slice,
+// submission time (routing is a pure function of the op's key; the harness
+// splits once, by machine and ring), each machine runs the ordinary
+// single-machine serve harness over its per-ring schedules,
 // and the harness aggregates: throughput against the latest completion
 // instant across machines, one merged latency histogram, ring counters via
 // metrics.Snapshot.Add.
@@ -128,7 +129,13 @@ func RunShardedServe(mk func() *ServeDriver, cfg ShardedServeConfig) (*ServeResu
 	if err != nil {
 		return nil, err
 	}
-	parts := router.Partition(arrivals)
+	// One split, by (machine, ring): machine i's rings are the consecutive
+	// run rings[i*per:(i+1)*per], each the stable sub-schedule the router
+	// followed by the machine's own client sharding would deliver — an
+	// arrival is copied at most once after generation.
+	rings := openloop.Split(arrivals, cfg.Instances*per, func(a *openloop.Arrival) int {
+		return router.RouteOp(a.Op)*per + ringOf(a, per)
+	})
 
 	// Every machine runs independently; slot i owns all of machine i's
 	// state, so completion order across host goroutines never shows.
@@ -145,7 +152,7 @@ func RunShardedServe(mk func() *ServeDriver, cfg ShardedServeConfig) (*ServeResu
 		if crashed[i] {
 			sub.CrashAtNS = cfg.CrashAtNS
 		}
-		subRes[i], subRun[i], subErr[i] = runServeArrivals(mk(), sub, parts[i])
+		subRes[i], subRun[i], subErr[i] = runServeArrivals(mk(), sub, rings[i*per:(i+1)*per])
 	})
 	for i, e := range subErr {
 		if e != nil {
@@ -172,7 +179,7 @@ func RunShardedServe(mk func() *ServeDriver, cfg ShardedServeConfig) (*ServeResu
 		snap = snap.Add(run.sys.Metrics().Snapshot())
 		agg.Shards = append(agg.Shards, &ShardServeResult{
 			Shard: i, Workers: per, Crashed: crashed[i],
-			Arrivals: uint64(len(parts[i])), Result: r,
+			Arrivals: uint64(scheduledOn(run.perShard)), Result: r,
 		})
 	}
 	// Aggregate throughput is total completions over the longest machine's
@@ -186,7 +193,7 @@ func RunShardedServe(mk func() *ServeDriver, cfg ShardedServeConfig) (*ServeResu
 		agg.Crash = aggregateCrash(subRes, crashed)
 	}
 	if cfg.Check {
-		agg.Check, agg.Composition = shardedCheck(cfg, router, per, parts, subRes, subRun, crashed)
+		agg.Check, agg.Composition = shardedCheck(cfg, router, per, subRes, subRun, crashed)
 	}
 	return agg, nil
 }
@@ -236,8 +243,7 @@ func aggregateCrash(subRes []*ServeResult, crashed []bool) *CrashStats {
 // the recorded data, and — when no machine crashed — a union epoch
 // re-checks everything against the merged final state.
 func shardedCheck(cfg ShardedServeConfig, router *shard.Router, per int,
-	parts [][]openloop.Arrival, subRes []*ServeResult, subRun []*serveRun,
-	crashed []bool) (*CheckStats, *CompositionStats) {
+	subRes []*ServeResult, subRun []*serveRun, crashed []bool) (*CheckStats, *CompositionStats) {
 	cb := &CheckStats{Mode: "linearize", OK: true, FailedEpoch: -1}
 	for i, r := range subRes {
 		c := r.Check
@@ -254,17 +260,19 @@ func shardedCheck(cfg ShardedServeConfig, router *shard.Router, per int,
 		}
 	}
 
-	// Routing audit: every machine's full recorded traffic (the arrival
-	// slice it was handed — completed, in-flight and never-drained alike)
-	// plus its probed final state.
+	// Routing audit: every machine's full recorded traffic (the per-ring
+	// schedules it was handed — completed, in-flight and never-drained
+	// alike) plus its probed final state.
 	anyCrashed := false
 	histories := make([]linearize.ShardHistory, len(subRun))
 	var unionOps []linearize.Op
 	unionFinal := map[uint64]uint64{}
 	for i, run := range subRun {
 		sh := linearize.ShardHistory{Shard: i}
-		for _, a := range parts[i] {
-			sh.Ops = append(sh.Ops, linearize.Op{Client: i, Code: a.Op.Code, A0: a.Op.A0})
+		for _, arr := range run.perShard {
+			for _, a := range arr {
+				sh.Ops = append(sh.Ops, linearize.Op{Client: i, Code: a.Op.Code, A0: a.Op.A0})
+			}
 		}
 		sh.Final = probeServeState(run.sys, run.eng,
 			cfg.Open.Keys, cfg.Seed+int64(i)*subSeedStride+977)

@@ -13,6 +13,7 @@ package openloop
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"prepuc/internal/uc"
@@ -62,8 +63,16 @@ func (c Config) Validate() error {
 	if c.Clients <= 0 {
 		return fmt.Errorf("openloop: Clients must be positive, got %d", c.Clients)
 	}
+	if uint64(c.Clients) > math.MaxUint32 {
+		// Arrival.Client is 32 bits wide: larger ids would alias.
+		return fmt.Errorf("openloop: Clients %d exceeds the 32-bit client id (max %d)", c.Clients, uint32(math.MaxUint32))
+	}
 	if c.Keys == 0 {
 		return fmt.Errorf("openloop: Keys must be positive")
+	}
+	if c.Keys > math.MaxInt64 {
+		// The uniform draw is rand.Int63n(int64(Keys)).
+		return fmt.Errorf("openloop: Keys %d exceeds the drawable key space (max %d)", c.Keys, int64(math.MaxInt64))
 	}
 	if c.Rate <= 0 {
 		return fmt.Errorf("openloop: Rate must be positive, got %g", c.Rate)
@@ -100,9 +109,15 @@ func Generate(cfg Config) ([]Arrival, error) {
 		}
 		return uint64(rng.Int63n(int64(cfg.Keys)))
 	}
-	nextFree := make([]uint64, cfg.Clients)
+	// Without think time every client is always eligible (nextFree[c] never
+	// exceeds the monotone arrival instant), and the probe below draws
+	// nothing from the RNG, so the table is skipped with an identical stream.
+	var nextFree []uint64
+	if cfg.ThinkNS > 0 {
+		nextFree = make([]uint64, cfg.Clients)
+	}
 
-	var out []Arrival
+	out := make([]Arrival, 0, expectedArrivals(cfg))
 	now := float64(0)
 	for {
 		rate := cfg.Rate
@@ -122,10 +137,12 @@ func Generate(cfg Config) ([]Arrival, error) {
 		// Attribute the arrival to a thinking-done client: draw one, probe
 		// forward past clients still in their think window.
 		c := rng.Intn(cfg.Clients)
-		for probe := 0; probe < thinkProbe && nextFree[c] > at; probe++ {
-			c = (c + 1) % cfg.Clients
+		if nextFree != nil {
+			for probe := 0; probe < thinkProbe && nextFree[c] > at; probe++ {
+				c = (c + 1) % cfg.Clients
+			}
+			nextFree[c] = at + cfg.ThinkNS
 		}
-		nextFree[c] = at + cfg.ThinkNS
 
 		var op uc.Op
 		k := key()
@@ -140,4 +157,46 @@ func Generate(cfg Config) ([]Arrival, error) {
 		out = append(out, Arrival{At: at, Client: uint32(c), Op: op})
 	}
 	return out, nil
+}
+
+// expectedArrivals is Generate's capacity hint: the mean count of the
+// burst-modulated Poisson process over the horizon plus six standard
+// deviations, so the result is allocated once (append growth remains the
+// fallback for the one-in-a-billion schedule that runs past it).
+func expectedArrivals(cfg Config) int {
+	mean := cfg.Rate * float64(cfg.DurationNS) / 1e9
+	if cfg.BurstEveryNS > 0 {
+		mean *= 1 + (cfg.BurstFactor-1)*float64(cfg.BurstLenNS)/float64(cfg.BurstEveryNS)
+	}
+	// Arrivals are at least 1 ns apart, which also bounds the hint for
+	// absurd rates.
+	return int(math.Min(mean+6*math.Sqrt(mean)+1, float64(cfg.DurationNS)))
+}
+
+// Split partitions a schedule into n sub-schedules, arrival a going to
+// sub-schedule bucket(a) in [0, n). The split is stable, so every
+// sub-schedule of a time-sorted schedule is time-sorted. It sizes exactly:
+// one counting pass, then one backing array carved into the n results; a
+// single bucket is the input itself, not a copy.
+func Split(arrivals []Arrival, n int, bucket func(*Arrival) int) [][]Arrival {
+	if n == 1 {
+		return [][]Arrival{arrivals}
+	}
+	counts := make([]int, n)
+	for i := range arrivals {
+		counts[bucket(&arrivals[i])]++
+	}
+	backing := make([]Arrival, len(arrivals))
+	out := make([][]Arrival, n)
+	for b, off := 0, 0; b < n; b++ {
+		// Full slice expressions: appending to one sub-schedule can never
+		// run into its neighbour.
+		out[b] = backing[off : off : off+counts[b]]
+		off += counts[b]
+	}
+	for i := range arrivals {
+		b := bucket(&arrivals[i])
+		out[b] = append(out[b], arrivals[i])
+	}
+	return out
 }

@@ -1,6 +1,9 @@
 package openloop
 
 import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -201,5 +204,118 @@ func TestHistogramMerge(t *testing.T) {
 	a.Merge(&b)
 	if a != all {
 		t.Fatal("merged histogram differs from directly recorded one")
+	}
+}
+
+// TestGenerateStreamPinned pins the arrival stream itself: an FNV-1a digest
+// over every field of every arrival, for a uniform schedule, a Zipf 1.2 one
+// (both without think time, where Generate keeps no per-client table) and a
+// bursty one with think time. The digests were recorded before Generate
+// presized its result and elided the think-time table, so they prove both
+// changes draw the same random stream.
+func TestGenerateStreamPinned(t *testing.T) {
+	base := Config{Clients: 50_000, Keys: 1 << 14, ReadPct: 60, Rate: 8e6, DurationNS: 1_000_000, Seed: 7}
+	zipf := base
+	zipf.KeySkew = 1.2
+	bursty := testConfig()
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		n    int
+		want uint64
+	}{
+		{"uniform", base, 7927, 0x5295172953b614d4},
+		{"zipf1.2", zipf, 7929, 0x28013ec3831b4b96},
+		{"bursts+think", bursty, 16085, 0x3f412f531b7caa57},
+	} {
+		arr, err := Generate(tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := fnv.New64a()
+		var b [8]byte
+		for _, a := range arr {
+			for _, w := range [...]uint64{a.At, uint64(a.Client), a.Op.Code, a.Op.A0, a.Op.A1} {
+				binary.LittleEndian.PutUint64(b[:], w)
+				h.Write(b[:])
+			}
+		}
+		if got := h.Sum64(); len(arr) != tc.n || got != tc.want {
+			t.Errorf("%s: %d arrivals, digest %#x; want %d, %#x", tc.name, len(arr), got, tc.n, tc.want)
+		}
+		if hint := expectedArrivals(tc.cfg); cap(arr) != hint || hint > len(arr)+len(arr)/10 {
+			t.Errorf("%s: %d arrivals in capacity %d, hint %d: result regrown or oversized", tc.name, len(arr), cap(arr), hint)
+		}
+	}
+}
+
+// TestValidateRejects: every out-of-range field is an error from Validate
+// (and so from Generate) — including the two widths the schedule cannot
+// represent: client ids past 32 bits, which Arrival.Client would alias, and
+// key spaces past int64, which the uniform draw would panic on.
+func TestValidateRejects(t *testing.T) {
+	ok := testConfig()
+	if err := ok.Validate(); err != nil {
+		t.Fatalf("valid config rejected: %v", err)
+	}
+	edge := ok
+	edge.Keys = math.MaxInt64
+	if err := edge.Validate(); err != nil {
+		t.Fatalf("Keys = MaxInt64 rejected: %v", err)
+	}
+	for _, tc := range []struct {
+		name string
+		mut  func(*Config)
+	}{
+		{"no clients", func(c *Config) { c.Clients = 0 }},
+		{"clients past uint32", func(c *Config) { c.Clients = math.MaxUint32 + 1 }},
+		{"no keys", func(c *Config) { c.Keys = 0 }},
+		{"keys past int64", func(c *Config) { c.Keys = math.MaxInt64 + 1 }},
+		{"keys past int64, zipf", func(c *Config) { c.Keys, c.KeySkew = math.MaxUint64, 1.2 }},
+		{"no rate", func(c *Config) { c.Rate = 0 }},
+		{"no duration", func(c *Config) { c.DurationNS = 0 }},
+		{"burst longer than its window", func(c *Config) { c.BurstLenNS = c.BurstEveryNS + 1 }},
+		{"burst factor zero", func(c *Config) { c.BurstFactor = 0 }},
+	} {
+		cfg := testConfig()
+		tc.mut(&cfg)
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
+		if _, err := Generate(cfg); err == nil {
+			t.Errorf("%s: Generate accepted", tc.name)
+		}
+	}
+}
+
+// TestSplit: the split is a stable partition sized exactly — each
+// sub-schedule is full to its capacity, appending to one never reaches its
+// neighbour — and a single bucket is the input itself.
+func TestSplit(t *testing.T) {
+	arr, err := Generate(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 5
+	bucket := func(a *Arrival) int { return int(a.Client) % n }
+	parts := Split(arr, n, bucket)
+	want := make([][]Arrival, n)
+	for _, a := range arr {
+		want[bucket(&a)] = append(want[bucket(&a)], a)
+	}
+	for b := range parts {
+		if !reflect.DeepEqual(parts[b], want[b]) {
+			t.Fatalf("bucket %d differs from the append split", b)
+		}
+		if cap(parts[b]) != len(parts[b]) {
+			t.Fatalf("bucket %d: cap %d != len %d", b, cap(parts[b]), len(parts[b]))
+		}
+	}
+	one := Split(arr, 1, func(*Arrival) int { panic("single bucket needs no routing") })
+	if len(one) != 1 || len(one[0]) != len(arr) || &one[0][0] != &arr[0] {
+		t.Fatal("single-bucket split copied the schedule")
+	}
+	if empty := Split(nil, 3, bucket); len(empty) != 3 || len(empty[0])+len(empty[1])+len(empty[2]) != 0 {
+		t.Fatalf("empty schedule split into %v", empty)
 	}
 }

@@ -114,14 +114,9 @@ func (r *Router) RouteOp(op uc.Op) int { return r.Route(op.A0) }
 // routing each arrival by its operation's key. Order within a shard stays
 // time-sorted (the split is stable), so each shard sees a valid open-loop
 // schedule — the same schedule a router in front of S independent machines
-// would deliver.
+// would deliver. With one shard the schedule is returned as is, not copied.
 func (r *Router) Partition(arrivals []openloop.Arrival) [][]openloop.Arrival {
-	per := make([][]openloop.Arrival, r.shards)
-	for _, a := range arrivals {
-		s := r.RouteOp(a.Op)
-		per[s] = append(per[s], a)
-	}
-	return per
+	return openloop.Split(arrivals, r.shards, func(a *openloop.Arrival) int { return r.RouteOp(a.Op) })
 }
 
 // mix64 is the splitmix64 finalizer: a full-avalanche bijection on uint64,

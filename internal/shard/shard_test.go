@@ -93,6 +93,11 @@ func TestPartitionConservesAndOrders(t *testing.T) {
 	if total != len(arr) {
 		t.Fatalf("partition lost arrivals: %d in, %d out", len(arr), total)
 	}
+	// One shard owns everything: the schedule itself, not a copy.
+	r1, _ := NewRouter(Hash, 1, 1<<10)
+	if one := r1.Partition(arr); len(one) != 1 || len(one[0]) != len(arr) || &one[0][0] != &arr[0] {
+		t.Fatal("single-shard partition copied the schedule")
+	}
 }
 
 func TestParseSet(t *testing.T) {

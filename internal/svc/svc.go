@@ -169,6 +169,8 @@ type Config struct {
 	Batched bool
 	// OnComplete, if set, is invoked for every completed future (after its
 	// fields are final). The open-loop harness hooks latency histograms here.
+	// For an operation submitted with Client.Post the record lives in the
+	// consumer's scratch and is valid only for the duration of the callback.
 	OnComplete func(shard int, f *Future)
 	// Detect stamps every submission with a unique invocation id
 	// (InvocationID) so a detectable engine (core.Config.Detect) durably
@@ -193,9 +195,15 @@ type Service struct {
 // ring is one shard's MPSC submission queue plus its host-side future table
 // and engine binding (per-ring with Config.Engines, shared otherwise).
 type ring struct {
-	mem     *nvm.Memory
-	size    uint64
-	futures []*Future
+	mem  *nvm.Memory
+	size uint64
+	// futures and arrivals are the host-side halves of the slots: the
+	// submitter's handle, or nil for a posted operation, whose arrival stamp
+	// is kept beside it for the completion record the consumer builds. A
+	// slot is restamped as soon as ringHead has moved past it, so the
+	// consumer copies both out while draining, before it stores ringHead.
+	futures  []*Future
+	arrivals []uint64
 	// eng executes the ring's operations; batcher is its batched path (nil
 	// when disabled or unimplemented), waiter its durability barrier.
 	eng     uc.UC
@@ -259,10 +267,11 @@ func New(t *sim.Thread, sys *nvm.System, cfg Config) (*Service, error) {
 		mem := sys.NewMemory(fmt.Sprintf("%s.ring%d", cfg.NamePrefix, shard),
 			nvm.Volatile, cfg.Topology.NodeOf(shard), ringEntries+cfg.RingSize*entryWords)
 		r := &ring{
-			mem:     mem,
-			size:    cfg.RingSize,
-			futures: make([]*Future, cfg.RingSize),
-			eng:     eng,
+			mem:      mem,
+			size:     cfg.RingSize,
+			futures:  make([]*Future, cfg.RingSize),
+			arrivals: make([]uint64, cfg.RingSize),
+			eng:      eng,
 		}
 		if cfg.Batched {
 			r.batcher, _ = eng.(Batcher)
@@ -320,8 +329,25 @@ func (rc *RoutedClient) Submit(t *sim.Thread, op uc.Op) *Future {
 
 // TrySubmit attempts to enqueue op, stamping the future with arrivalNS. It
 // fails (nil, false) when the ring is full — open-loop injectors keep their
-// own overflow queue rather than blocking the arrival timeline.
+// own backlog rather than blocking the arrival timeline. The future is the
+// caller's to keep: it stays valid however many times the ring laps it.
 func (c *Client) TrySubmit(t *sim.Thread, op uc.Op, arrivalNS uint64) (*Future, bool) {
+	return c.enqueue(t, op, arrivalNS, true)
+}
+
+// Post is TrySubmit without the handle: the same ring traffic, no Future
+// allocated. The operation's completion is observable only through
+// Config.OnComplete, on a record the consumer owns (see there) — the path
+// for producers that never look at a result, like the open-loop injectors.
+func (c *Client) Post(t *sim.Thread, op uc.Op, arrivalNS uint64) bool {
+	_, ok := c.enqueue(t, op, arrivalNS, false)
+	return ok
+}
+
+// enqueue is the submission body behind TrySubmit and Post: claim a slot
+// with the tail CAS, write the entry, raise its full mark. handle selects
+// whether the slot carries a heap Future back to the caller.
+func (c *Client) enqueue(t *sim.Thread, op uc.Op, arrivalNS uint64, handle bool) (*Future, bool) {
 	r := c.r
 	for {
 		tail := r.mem.Load(t, ringTail)
@@ -332,7 +358,12 @@ func (c *Client) TrySubmit(t *sim.Thread, op uc.Op, arrivalNS uint64) (*Future, 
 		if !r.mem.CAS(t, ringTail, tail, tail+1) {
 			continue
 		}
-		f := &Future{r: r, ArrivalNS: arrivalNS}
+		var f *Future
+		if handle {
+			f = &Future{r: r, ArrivalNS: arrivalNS}
+		} else {
+			r.arrivals[tail%r.size] = arrivalNS
+		}
 		r.futures[tail%r.size] = f
 		off := r.entryOff(tail)
 		r.mem.Store(t, off+entryCode, op.Code)
@@ -342,8 +373,11 @@ func (c *Client) TrySubmit(t *sim.Thread, op uc.Op, arrivalNS uint64) (*Future, 
 			if tail > MaxInvidSeq {
 				panic("svc: per-shard sequence number exceeds the invocation-id seq field")
 			}
-			f.Invid = InvocationID(c.svc.cfg.InvidEpoch, c.shard, tail)
-			r.mem.Store(t, off+entryInvid, f.Invid)
+			invid := InvocationID(c.svc.cfg.InvidEpoch, c.shard, tail)
+			if handle {
+				f.Invid = invid
+			}
+			r.mem.Store(t, off+entryInvid, invid)
 		}
 		r.mem.Store(t, off+entryState, r.fullMark(tail))
 		r.submitted++
@@ -388,6 +422,7 @@ func (s *Service) Serve(t *sim.Thread, shard int) {
 	ops := make([]uc.Op, s.cfg.MaxBatch)
 	res := make([]uint64, s.cfg.MaxBatch)
 	futs := make([]*Future, s.cfg.MaxBatch)
+	posted := make([]Future, s.cfg.MaxBatch) // completion records of handle-free entries
 	for {
 		head := r.mem.Load(t, ringHead)
 		n := 0
@@ -407,7 +442,14 @@ func (s *Service) Serve(t *sim.Thread, shard int) {
 			if s.cfg.Detect {
 				ops[n].Invid = r.mem.Load(t, off+entryInvid)
 			}
-			futs[n] = r.futures[idx%r.size]
+			// Everything host-side the completion needs leaves the slot now:
+			// once ringHead is stored below, a producer may restamp it.
+			f := r.futures[idx%r.size]
+			if f == nil {
+				f = &posted[n]
+				*f = Future{r: r, ArrivalNS: r.arrivals[idx%r.size], Invid: ops[n].Invid}
+			}
+			futs[n] = f
 			n++
 		}
 		if n == 0 {

@@ -332,3 +332,122 @@ func TestDetectStampsAndCursors(t *testing.T) {
 		}
 	}
 }
+
+// batchSpy records, in execution order, every operation a ring's consumer
+// hands to the engine and the result it got back. With one ring that order
+// is the ring's submission order, so the spy tells the test which
+// submission a completion must belong to.
+type batchSpy struct {
+	*core.PREP
+	ops []uc.Op
+	res []uint64
+}
+
+func (s *batchSpy) ExecuteBatch(t *sim.Thread, tid int, ops []uc.Op, res []uint64) uint64 {
+	mark := s.PREP.ExecuteBatch(t, tid, ops, res)
+	s.ops = append(s.ops, ops...)
+	s.res = append(s.res, res[:len(ops)]...)
+	return mark
+}
+
+// TestPostedCompletionsSurviveSlotReuse drives a 4-entry ring with two
+// producers that refill every slot the moment the consumer's head store
+// frees it, while the consumer is still executing the batch it drained from
+// those slots. A posted operation has no heap future: its completion record
+// is assembled by the consumer, and everything in it that came from the slot
+// — the arrival stamp and the invocation id — must have been copied out
+// before ringHead moved, or it reads the next lap's operation. Each
+// operation carries a unique token as its arrival stamp and as its value
+// operand, so the k-th completion is checked field by field against the k-th
+// operation the engine executed. One producer alternates Post with TrySubmit
+// and keeps the futures; they must stay intact however often the ring laps
+// them.
+func TestPostedCompletionsSurviveSlotReuse(t *testing.T) {
+	const (
+		ringSize = 4
+		per      = 300 // operations per producer: 150 laps of the ring
+		epoch    = 2
+	)
+	w := newWorld(t, core.Durable, 16, 1, true, 21)
+	spy := &batchSpy{PREP: w.p}
+	var completions []svc.Future
+	sch := sim.New(22)
+	w.sys.SetScheduler(sch)
+	var err error
+	sch.Spawn("reboot", 0, 0, func(th *sim.Thread) {
+		w.s, err = svc.New(th, w.sys, svc.Config{
+			Engine: spy, Topology: topo(), Shards: 1,
+			RingSize: ringSize, MaxBatch: ringSize, Batched: true,
+			NamePrefix: "lap", Detect: true, InvidEpoch: epoch,
+			OnComplete: func(shard int, f *svc.Future) {
+				if !f.Done || shard != 0 {
+					t.Errorf("completion on shard %d, done=%v", shard, f.Done)
+				}
+				completions = append(completions, *f) // valid only during the callback
+			},
+		})
+	})
+	sch.Run()
+	if err != nil {
+		t.Fatalf("reboot: %v", err)
+	}
+
+	token := func(pid int, i uint64) uint64 { return uint64(pid+1)<<32 | i }
+	held := map[uint64]*svc.Future{} // TrySubmit futures by token
+	w.run(23, 2, func(th *sim.Thread, pid int) {
+		c := w.s.Client(0)
+		for i := uint64(0); i < per; i++ {
+			tok := token(pid, i)
+			// A small shared key space and a delete every third operation
+			// make the 0/1 results depend on what ran before.
+			op := uc.Op{Code: uc.OpInsert, A0: i % 5, A1: tok}
+			if i%3 == 2 {
+				op.Code = uc.OpDelete
+			}
+			for {
+				if pid == 1 && i%2 == 0 {
+					if f, ok := c.TrySubmit(th, op, tok); ok {
+						held[tok] = f
+						break
+					}
+				} else if c.Post(th, op, tok) {
+					break
+				}
+				th.Step(16) // far shorter than a durable batch: the ring stays full
+			}
+		}
+	})
+
+	if st := w.p.Stats(); st.RingFullStalls == 0 {
+		t.Fatal("the ring never filled: slots were not being reused under the consumer")
+	}
+	if len(completions) != 2*per || len(spy.ops) != 2*per {
+		t.Fatalf("%d completions, %d executed, want %d", len(completions), len(spy.ops), 2*per)
+	}
+	seen := map[uint64]bool{}
+	for k, f := range completions {
+		op := spy.ops[k]
+		if want := svc.InvocationID(epoch, 0, uint64(k)); op.Invid != want || f.Invid != want {
+			t.Fatalf("completion %d: invid %#x, executed %#x, want %#x", k, f.Invid, op.Invid, want)
+		}
+		if f.ArrivalNS != op.A1 {
+			t.Fatalf("completion %d carries arrival token %#x, its operation's is %#x", k, f.ArrivalNS, op.A1)
+		}
+		if f.Result != spy.res[k] {
+			t.Fatalf("completion %d: result %d, engine returned %d", k, f.Result, spy.res[k])
+		}
+		if f.ExecNS > f.DoneNS || f.ExecNS == 0 {
+			t.Fatalf("completion %d: exec %d, done %d", k, f.ExecNS, f.DoneNS)
+		}
+		if seen[f.ArrivalNS] {
+			t.Fatalf("token %#x completed twice", f.ArrivalNS)
+		}
+		seen[f.ArrivalNS] = true
+		if h := held[f.ArrivalNS]; h != nil && *h != f {
+			t.Fatalf("held future for token %#x is %+v after the run, completed as %+v", f.ArrivalNS, *h, f)
+		}
+	}
+	if len(held) != per/2 {
+		t.Fatalf("%d futures held, want %d", len(held), per/2)
+	}
+}
