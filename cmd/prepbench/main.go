@@ -107,7 +107,8 @@ func run() (retErr error) {
 	}
 
 	// In table mode progress and tables go to the output; in json mode the
-	// document is the output and progress lines go to stderr.
+	// document is the output and progress lines go to stderr. Wall-time lines
+	// always go to stderr: they are the one thing a seed does not determine.
 	out := io.Writer(os.Stdout)
 	if *outPath != "" {
 		f, err := os.Create(*outPath)
@@ -135,7 +136,7 @@ func run() (retErr error) {
 				return err
 			}
 			doc.AddRecovery(points)
-			fmt.Fprintf(progress, "(wall time %.1fs)\n", time.Since(start).Seconds())
+			fmt.Fprintf(os.Stderr, "(wall time %.1fs)\n", time.Since(start).Seconds())
 			continue
 		}
 		fig := figs[id]
@@ -148,7 +149,7 @@ func run() (retErr error) {
 		if *format == "table" {
 			harness.WriteTable(out, fig, points)
 		}
-		fmt.Fprintf(progress, "(wall time %.1fs)\n", time.Since(start).Seconds())
+		fmt.Fprintf(os.Stderr, "(wall time %.1fs)\n", time.Since(start).Seconds())
 	}
 	if *format == "json" {
 		return doc.WriteBenchJSON(out)

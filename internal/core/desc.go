@@ -30,7 +30,13 @@ import (
 // did not persist is indistinguishable from an absent one — which recovery
 // answers "never applied", the safe verdict, because the fence-before-full
 // ordering guarantees no full mark (and so no committed effect) can exist
-// for an operation whose descriptor is not durable. See DESIGN.md §11.
+// for an operation whose descriptor is not durable. A line can also persist
+// in the middle of a rewrite — the substrate's background eviction may write
+// it back after any store — so a record is published last: logpos, result
+// and flags first, the invocation id after them. Every store prefix then
+// reads either as the slot's previous occupant, whose verdict nobody asks
+// for any more (see the slot discipline), or as the complete new record;
+// never as the new id beside the old occupant's fields. See DESIGN.md §11.
 //
 // Slot discipline: worker w owns DescSlots slots used round-robin. A slot
 // is reused only after DescSlots further operations of the same worker,
@@ -86,16 +92,16 @@ func (d *descTable) off(w int, slot uint64) uint64 {
 	return (uint64(w)*DescSlots + slot%DescSlots) * descWords
 }
 
-// write records (invid, logpos, result) in worker w's next slot and returns
-// the record's word offset so a durable-mode caller can flush its line. The
-// caller holds the combiner lock of w's node.
+// write records (invid, logpos, result) in worker w's next slot, the id
+// last, and returns the record's word offset so a durable-mode caller can
+// flush its line. The caller holds the combiner lock of w's node.
 func (d *descTable) write(t *sim.Thread, w int, invid, logpos, result uint64) uint64 {
 	off := d.off(w, d.seq[w])
 	d.seq[w]++
-	d.mem.Store(t, off+descInvid, invid)
 	d.mem.Store(t, off+descLogPos, logpos)
 	d.mem.Store(t, off+descResult, result)
 	d.mem.Store(t, off+descFlags, descLive)
+	d.mem.Store(t, off+descInvid, invid)
 	return off
 }
 
@@ -105,10 +111,10 @@ func (d *descTable) write(t *sim.Thread, w int, invid, logpos, result uint64) ui
 func (d *descTable) carry(t *sim.Thread, w int, invid, result uint64) {
 	off := d.off(w, d.seq[w])
 	d.seq[w]++
-	d.mem.Store(t, off+descInvid, invid)
 	d.mem.Store(t, off+descLogPos, ^uint64(0))
 	d.mem.Store(t, off+descResult, result)
 	d.mem.Store(t, off+descFlags, descResolved)
+	d.mem.Store(t, off+descInvid, invid)
 }
 
 // scanDescriptors reads the persisted view of a crashed generation's

@@ -279,3 +279,56 @@ func assertSameResolved(t *testing.T, want, got map[uint64]uint64) {
 		}
 	}
 }
+
+// TestTornDescriptorRewriteCannotLie evicts a descriptor line after every
+// store (BGFlushOneIn: 1 writes each one back at once) and crashes a slot's
+// reuse after each of its four stores, over a descLive and over a
+// descResolved previous occupant, rewritten by write and by carry. Under a
+// horizon that admits every live record — the worst case — the persisted
+// slot must never name the new invocation before its last store, and must
+// carry its own result once it does.
+func TestTornDescriptorRewriteCannotLie(t *testing.T) {
+	const oldID, newID, oldRes, newRes = 7, 9, 111, 222
+	const horizon = ^uint64(0)
+	for _, prev := range []uint64{descLive, descResolved} {
+		for _, rewrite := range []uint64{descLive, descResolved} {
+			for stores := uint64(0); stores <= 4; stores++ {
+				sch := sim.New(1)
+				sys := nvm.NewSystem(sch, nvm.Config{Costs: sim.UnitCosts(), BGFlushOneIn: 1})
+				mem := sys.NewMemory("desc", nvm.NVM, nvm.Interleaved, descTableWords(1))
+				d := newDescTable(mem, 1)
+				put := func(th *sim.Thread, flags, invid, logpos, res uint64) {
+					if flags == descResolved {
+						d.carry(th, 0, invid, res)
+					} else {
+						d.write(th, 0, invid, logpos, res)
+					}
+				}
+				sch.Spawn("combiner", 0, 0, func(th *sim.Thread) {
+					put(th, prev, oldID, 3, oldRes)
+					for i := uint64(1); i < DescSlots; i++ { // the worker's window laps the table
+						put(th, descLive, 100+i, 3+i, 0)
+					}
+					// The (stores+1)-th Step from here is the crash: Store steps
+					// before it writes, so exactly `stores` stores land.
+					sch.CrashAtEvent(sch.Events() + stores + 1)
+					put(th, rewrite, newID, 3+DescSlots, newRes)
+				})
+				sch.Run()
+				if !sch.Frozen() && stores < 4 {
+					t.Fatalf("prev=%d rewrite=%d stores=%d: no crash", prev, rewrite, stores)
+				}
+				resolved, _ := scanDescriptors(mem, 1, horizon)
+				res, named := resolved[newID]
+				switch {
+				case stores < 4 && named:
+					t.Errorf("prev=%d rewrite=%d: new id committed (result %d) after %d of 4 stores",
+						prev, rewrite, res, stores)
+				case stores == 4 && (!named || res != newRes):
+					t.Errorf("prev=%d rewrite=%d: complete record reads (%d, %v), want (%d, true)",
+						prev, rewrite, res, named, newRes)
+				}
+			}
+		}
+	}
+}

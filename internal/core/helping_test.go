@@ -163,7 +163,7 @@ func TestVolatileModeHasNoPersistentMachinery(t *testing.T) {
 	if w.p.meta != nil || len(w.p.preps) != 0 {
 		t.Error("volatile engine built persistent replicas")
 	}
-	if w.sys.WBINVDs() != 0 {
+	if w.sys.Metrics().Snapshot().WBINVDs != 0 {
 		t.Error("volatile engine executed WBINVD")
 	}
 	// And spawning the persistence loop must panic.

@@ -117,13 +117,13 @@ func TestReplicaCountCapped(t *testing.T) {
 
 func TestWholeReplicaFlushHappens(t *testing.T) {
 	w := build(t, testCfg(2), nvm.Config{Costs: sim.UnitCosts()}, 5)
-	before := w.sys.Fences()
+	before := w.sys.Metrics().Snapshot().Fences
 	w.run(2, 0, 500, func(th *sim.Thread, tid int) {
 		for i := uint64(0); i < 10; i++ {
 			w.cx.Execute(th, tid, uc.Insert(uint64(tid)*100 + i, 1))
 		}
 	})
-	if w.sys.Fences() <= before {
+	if w.sys.Metrics().Snapshot().Fences <= before {
 		t.Error("no replica flushes recorded for an update workload")
 	}
 }

@@ -11,7 +11,9 @@ import (
 	"io"
 	"sort"
 
+	"prepuc/internal/drivers"
 	"prepuc/internal/metrics"
+	"prepuc/internal/numa"
 	"prepuc/internal/nvm"
 	"prepuc/internal/par"
 	"prepuc/internal/sim"
@@ -111,57 +113,70 @@ func RunFigure(fig Figure, sc Scale, seed int64, jobs int, w io.Writer) ([]Point
 	return points, nil
 }
 
+// bootedCell is one closed-loop figure cell, booted and prefilled: the
+// machine, the system under test, and that system's optional Background
+// lifecycle as the uc.Driver the shared phases (drivers.Boot, drivers.Run)
+// take.
+type bootedCell struct {
+	sys  *nvm.System
+	impl System
+	aux  []*uc.Driver
+	tp   numa.Topology
+}
+
+// bootCell builds algo for threads workers on a fresh machine and prefills
+// it, all on the boot thread.
+func bootCell(sc Scale, algo AlgoSpec, threads int, seed int64, prefill []uc.Op) (*bootedCell, error) {
+	d := &uc.Driver{Name: algo.Name}
+	c := &bootedCell{tp: sc.Topology, aux: []*uc.Driver{d}}
+	d.Boot = func(t *sim.Thread, sys *nvm.System) (uc.UC, error) {
+		impl, err := algo.Build(t, sys, sc, threads)
+		if err != nil {
+			return nil, err
+		}
+		c.impl = impl
+		if bg, ok := impl.(Background); ok {
+			d.SpawnAux, d.StopAux = bg.SpawnBackground, bg.StopBackground
+		}
+		return impl, nil
+	}
+	var err error
+	c.sys, _, err = drivers.Boot(d, seed,
+		nvm.Config{Costs: sc.Costs, Seed: uint64(seed) + 1, NoFlushElision: sc.NoFlushElision},
+		func(t *sim.Thread, _ *nvm.System, _ uc.UC) error {
+			c.impl.Prefill(t, prefill)
+			return nil
+		})
+	if err != nil {
+		return nil, fmt.Errorf("build: %w", err)
+	}
+	return c, nil
+}
+
+// run is one phase on a fresh virtual timeline: the background threads, then
+// workers threads running body; the last one out retires the background.
+func (c *bootedCell) run(seed int64, workers int, body func(t *sim.Thread, w int)) {
+	drivers.Run(c.sys, seed, 0, c.aux, c.tp, workers, body)
+}
+
 // runPoint measures one (algo, threads) configuration.
 func runPoint(fig Figure, sc Scale, algo AlgoSpec, threads int, seed int64) (Point, error) {
-	// Boot phase: build and prefill on a single thread.
-	bootSch := sim.New(seed)
-	sys := nvm.NewSystem(bootSch, nvm.Config{Costs: sc.Costs, Seed: uint64(seed) + 1, NoFlushElision: sc.NoFlushElision})
-	var sysImpl System
-	var err error
-	bootSch.Spawn("boot", 0, 0, func(t *sim.Thread) {
-		sysImpl, err = algo.Build(t, sys, sc, threads)
-		if err != nil {
-			return
-		}
-		sysImpl.Prefill(t, fig.Workload.PrefillOps(seed))
-	})
-	bootSch.Run()
+	c, err := bootCell(sc, algo, threads, seed, fig.Workload.PrefillOps(seed))
 	if err != nil {
-		return Point{}, fmt.Errorf("build: %w", err)
+		return Point{}, err
 	}
 	// Counter state after boot+prefill; subtracted from the post-measurement
 	// snapshot so the point carries measurement-phase deltas only.
-	base := sys.Metrics().Snapshot()
+	base := c.sys.Metrics().Snapshot()
 
-	// Measurement phase: fresh virtual timeline.
-	sch := sim.New(seed + 7)
-	sys.SetScheduler(sch)
-	if bg, ok := sysImpl.(Background); ok {
-		bg.SpawnBackground()
-	}
 	opsDone := make([]uint64, threads)
-	remaining := threads
-	for tid := 0; tid < threads; tid++ {
-		tid := tid
-		node := sc.Topology.NodeOf(tid)
-		sch.Spawn("worker", node, 0, func(t *sim.Thread) {
-			defer func() {
-				remaining--
-				if remaining == 0 {
-					if bg, ok := sysImpl.(Background); ok {
-						bg.StopBackground(t)
-					}
-				}
-			}()
-			gen := workload.NewGen(fig.Workload, seed+13, tid)
-			for t.Clock() < sc.DurationNS {
-				op := gen.Next()
-				sysImpl.Execute(t, tid, op)
-				opsDone[tid]++
-			}
-		})
-	}
-	sch.Run()
+	c.run(seed+7, threads, func(t *sim.Thread, tid int) {
+		gen := workload.NewGen(fig.Workload, seed+13, tid)
+		for t.Clock() < sc.DurationNS {
+			c.impl.Execute(t, tid, gen.Next())
+			opsDone[tid]++
+		}
+	})
 
 	var total uint64
 	for _, n := range opsDone {
@@ -172,7 +187,7 @@ func runPoint(fig Figure, sc Scale, algo AlgoSpec, threads int, seed int64) (Poi
 		Threads:   threads,
 		Ops:       total,
 		OpsPerSec: float64(total) / (float64(sc.DurationNS) / 1e9),
-		Metrics:   sys.Metrics().Snapshot().Sub(base).Wire(),
+		Metrics:   c.sys.Metrics().Snapshot().Sub(base).Wire(),
 	}, nil
 }
 

@@ -3,38 +3,7 @@ package harness
 import (
 	"bytes"
 	"testing"
-
-	"prepuc/internal/sim"
 )
-
-// TestRunAheadEquivalenceFig1a runs fig1a cells with the scheduler's
-// run-ahead fast path on and off and requires identical points — ops,
-// throughput, and the full metrics snapshot (every counter is charged at a
-// virtual-time point, so any schedule divergence shows up here).
-func TestRunAheadEquivalenceFig1a(t *testing.T) {
-	defer func(v bool) { sim.DefaultRunAhead = v }(sim.DefaultRunAhead)
-	sc := TinyScale()
-	fig := Catalog(sc)["fig1a"]
-
-	sim.DefaultRunAhead = true
-	on, err := RunFigure(fig, sc, 1, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim.DefaultRunAhead = false
-	off, err := RunFigure(fig, sc, 1, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(on) != len(off) {
-		t.Fatalf("point counts differ: %d vs %d", len(on), len(off))
-	}
-	for i := range on {
-		if on[i] != off[i] {
-			t.Errorf("point %d diverges with run-ahead:\n  on:  %+v\n  off: %+v", i, on[i], off[i])
-		}
-	}
-}
 
 // TestParallelJobsIdenticalJSON renders the same sweep (a figure plus the
 // recovery experiment) through 1 and 8 workers and requires byte-identical

@@ -228,3 +228,37 @@ func TestResumePlan(t *testing.T) {
 		}
 	}
 }
+
+// TestRunServeTornDescriptorRepros: at these two crash instants the
+// substrate's background eviction writes a descriptor line back in the
+// middle of a slot's rewrite. A record that published its invocation id
+// first persisted the new id beside the previous occupant's live flag,
+// position and result; recovery resolved the insert of key 314 as committed
+// and the resume never resubmitted it. Update-only saturation on small
+// rings, so descriptor slots are reused throughout.
+func TestRunServeTornDescriptorRepros(t *testing.T) {
+	for _, crashAt := range []uint64{153_110, 153_421} {
+		cfg := ServeConfig{
+			Shards: 2, RingSize: 64, MaxBatch: 32, Batched: true, Seed: 1,
+			CrashAtNS: crashAt, Check: true,
+			Open: openloop.Config{
+				Clients: 20_000, Keys: 1 << 12, KeySkew: 1.2, ReadPct: 0,
+				Rate: 2e7, DurationNS: 300_000, ThinkNS: 50_000,
+				BurstEveryNS: 500_000, BurstLenNS: 100_000, BurstFactor: 4,
+				Seed: 1001,
+			},
+		}
+		res, err := RunServe(ServeDrivers(2, 64)[0], cfg)
+		if err != nil {
+			t.Fatalf("crash@%d: %v", crashAt, err)
+		}
+		if cb := res.Check; !cb.OK {
+			t.Errorf("crash@%d: check failed: epoch %d, %s: %s",
+				crashAt, cb.FailedEpoch, cb.FailedPartition, cb.Reason)
+		}
+		if c := res.Crash; c.InFlightResolved != c.LostInflight || *c.DuplicatesApplied != 0 {
+			t.Errorf("crash@%d: resolved %d of %d in flight, %d duplicates",
+				crashAt, c.InFlightResolved, c.LostInflight, *c.DuplicatesApplied)
+		}
+	}
+}

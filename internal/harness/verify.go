@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"prepuc/internal/linearize"
-	"prepuc/internal/nvm"
 	"prepuc/internal/sim"
 	"prepuc/internal/uc"
 	"prepuc/internal/workload"
@@ -48,54 +47,25 @@ func VerifyPoint(fig Figure, sc Scale, algo AlgoSpec, threads int, seed int64, o
 	prefill := fig.Workload.PrefillOps(seed)
 	init := linearize.Replay(model, nil, prefill)
 
-	// Boot phase, mirroring runPoint.
-	bootSch := sim.New(seed)
-	sys := nvm.NewSystem(bootSch, nvm.Config{Costs: sc.Costs, Seed: uint64(seed) + 1, NoFlushElision: sc.NoFlushElision})
-	var sysImpl System
-	bootSch.Spawn("boot", 0, 0, func(t *sim.Thread) {
-		sysImpl, err = algo.Build(t, sys, sc, threads)
-		if err != nil {
-			return
-		}
-		sysImpl.Prefill(t, prefill)
-	})
-	bootSch.Run()
+	c, err := bootCell(sc, algo, threads, seed, prefill)
 	if err != nil {
-		return linearize.Result{}, fmt.Errorf("build: %w", err)
+		return linearize.Result{}, err
 	}
 
 	// Recorded workload phase.
 	rec := linearize.NewRecorder(threads)
-	sch := sim.New(seed + 7)
-	sys.SetScheduler(sch)
-	if bg, ok := sysImpl.(Background); ok {
-		bg.SpawnBackground()
-	}
-	remaining := threads
-	for tid := 0; tid < threads; tid++ {
-		tid := tid
-		sch.Spawn("worker", sc.Topology.NodeOf(tid), 0, func(t *sim.Thread) {
-			defer func() {
-				remaining--
-				if remaining == 0 {
-					if bg, ok := sysImpl.(Background); ok {
-						bg.StopBackground(t)
-					}
-				}
-			}()
-			gen := workload.NewGen(fig.Workload, seed+13, tid)
-			for i := 0; i < opsPerWorker; i++ {
-				op := gen.Next()
-				rec.Exec(t, tid, op, func() uint64 {
-					return sysImpl.Execute(t, tid, op)
-				})
-			}
-		})
-	}
-	sch.Run()
+	c.run(seed+7, threads, func(t *sim.Thread, tid int) {
+		gen := workload.NewGen(fig.Workload, seed+13, tid)
+		for i := 0; i < opsPerWorker; i++ {
+			op := gen.Next()
+			rec.Exec(t, tid, op, func() uint64 {
+				return c.impl.Execute(t, tid, op)
+			})
+		}
+	})
 
 	// Probe phase: observe the final state on a fresh timeline.
-	final, err := probeState(sys, sysImpl, fig.Workload, seed+1000)
+	final, err := c.probeState(fig.Workload, seed+1000)
 	if err != nil {
 		return linearize.Result{}, err
 	}
@@ -108,33 +78,22 @@ func VerifyPoint(fig Figure, sc Scale, algo AlgoSpec, threads int, seed int64, o
 // pairs drain issues updates, which on the PREP variants block on the
 // background persister for buffer space — so the probe phase runs with
 // background threads alive, like the measured phase.
-func probeState(sys *nvm.System, s System, spec workload.Spec, seed int64) (any, error) {
-	sch := sim.New(seed)
-	sys.SetScheduler(sch)
-	if bg, ok := s.(Background); ok {
-		bg.SpawnBackground()
-	}
+func (c *bootedCell) probeState(spec workload.Spec, seed int64) (any, error) {
 	var state any
-	sch.Spawn("probe", 0, 0, func(t *sim.Thread) {
-		defer func() {
-			if bg, ok := s.(Background); ok {
-				bg.StopBackground(t)
-			}
-		}()
+	c.run(seed, 1, func(t *sim.Thread, _ int) {
 		switch spec.Kind {
 		case workload.Set:
 			m := map[uint64]uint64{}
 			for k := uint64(0); k < spec.KeyRange; k++ {
-				if v := s.Execute(t, 0, uc.Get(k)); v != uc.NotFound {
+				if v := c.impl.Execute(t, 0, uc.Get(k)); v != uc.NotFound {
 					m[k] = v
 				}
 			}
 			state = m
 		case workload.Pairs:
-			state = drain(t, s, spec.PushCode, spec.PopCode)
+			state = drain(t, c.impl, spec.PushCode, spec.PopCode)
 		}
 	})
-	sch.Run()
 	if state == nil {
 		return nil, fmt.Errorf("harness: cannot probe workload kind %d", spec.Kind)
 	}

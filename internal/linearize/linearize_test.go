@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"prepuc/internal/history"
 	"prepuc/internal/uc"
 )
 
@@ -127,6 +128,31 @@ func TestBufferedLossMustBeSuffixWithinPartition(t *testing.T) {
 		co(0, uc.OpInsert, 6, 60, 1, 20, 30),
 	}
 	mustFail(t, CheckEpoch(SetModel(), nil, ops2, setState(5, 51, 6, 60), Options{Buffered: true, Allowance: 8}))
+}
+
+// TestBufferedCutAcrossKeysNeedsHistory pins why the repository keeps two
+// oracles. One worker completes inserts of k0, k1, k2 in that order; the
+// recovered state holds k0 and k2 only. No prefix of the worker's history
+// has that state, but the set model partitions by key and the buffered check
+// spends its allowance per partition: k1's partition loses one operation,
+// within budget, and nothing relates its cut to k2's. history.Check, which
+// orders one worker's keys, sees the hole.
+func TestBufferedCutAcrossKeysNeedsHistory(t *testing.T) {
+	ops := []Op{
+		co(0, uc.OpInsert, history.Key(0, 0), 1, 1, 0, 10),
+		co(0, uc.OpInsert, history.Key(0, 1), 1, 1, 20, 30),
+		co(0, uc.OpInsert, history.Key(0, 2), 1, 1, 40, 50),
+	}
+	recovered := setState(history.Key(0, 0), 1, history.Key(0, 2), 1)
+	r := CheckEpoch(SetModel(), nil, ops, recovered, Options{Buffered: true, Allowance: 1})
+	mustOK(t, r)
+	if r.Lost != 1 || r.Partitions != 3 {
+		t.Fatalf("lost %d in %d partitions, want 1 in 3", r.Lost, r.Partitions)
+	}
+	h := history.Check([][]bool{{true, false, true}}, []uint64{3})
+	if h.PrefixViolations != 1 || h.BufferedOK(1, 1) {
+		t.Fatalf("history accepted an inconsistent cut: %s", h)
+	}
 }
 
 func TestUntouchedKeyMustNotChange(t *testing.T) {

@@ -69,9 +69,6 @@ func (l TryLock) TryAcquire(t *sim.Thread) bool {
 // Release unlocks. Only the holder may call it.
 func (l TryLock) Release(t *sim.Thread) { l.m.Store(t, l.off, 0) }
 
-// Held reports whether some thread holds the lock (racy snapshot).
-func (l TryLock) Held(t *sim.Thread) bool { return l.m.Load(t, l.off) != 0 }
-
 // RWLock is a word-based reader–writer spin lock. The word holds the reader
 // count; the writer bit is the top bit.
 type RWLock struct {

@@ -99,9 +99,9 @@ func TestFlushRegionElidesCleanLines(t *testing.T) {
 func TestFlushRegionEmptyRangeJustFences(t *testing.T) {
 	runOne(t, Config{}, 0, func(th *sim.Thread, sys *System) {
 		m := sys.NewMemory("m", NVM, 0, 64)
-		fences := sys.Fences()
+		fences := sys.Metrics().Snapshot().Fences
 		m.FlushRegion(th, 10, 10)
-		if sys.Fences() != fences+1 {
+		if sys.Metrics().Snapshot().Fences != fences+1 {
 			t.Error("empty-range FlushRegion did not fence")
 		}
 	})

@@ -138,8 +138,6 @@ func (s *System) Clone(sch *sim.Scheduler) *System {
 		mems:     make(map[string]*Memory),
 		bgProb:   s.bgProb,
 		rngState: s.rngState,
-		fences:   s.fences,
-		wbinvds:  s.wbinvds,
 		policy:   s.policy,
 		elide:    s.elide,
 		met:      &met,
@@ -155,7 +153,6 @@ func (s *System) Clone(sch *sim.Scheduler) *System {
 			owner:     m.owner.share(&met.PagesCopied),
 			ownerNode: m.ownerNode.share(&met.PagesCopied),
 			bgState:   m.bgState,
-			stats:     m.stats,
 		}
 		if m.kind == NVM {
 			nm.persisted = m.persisted.share(&met.PagesCopied)

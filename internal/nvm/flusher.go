@@ -64,13 +64,11 @@ func (f *Flusher) FlushLine(t *sim.Thread, m *Memory, off uint64) {
 		f.sys.met.FlushElisionChecks++
 		if !track {
 			t.Step(f.sys.costs.FlushCheck)
-			m.stats.FlushesElided++
 			f.sys.met.FlushesElided++
 			return
 		}
 	}
 	t.Step(f.sys.costs.FlushLine)
-	m.stats.FlushAsync++
 	f.sys.met.FlushAsync++
 	if !track {
 		return
@@ -98,7 +96,6 @@ func (f *Flusher) FlushLineSync(t *sim.Thread, m *Memory, off uint64) {
 	if f.sys.elide && !dirty {
 		f.sys.met.FlushElisionChecks++
 		t.Step(f.sys.costs.FlushCheck)
-		m.stats.FlushesElided++
 		f.sys.met.FlushesElided++
 		f.dropPending(p)
 		return
@@ -107,7 +104,6 @@ func (f *Flusher) FlushLineSync(t *sim.Thread, m *Memory, off uint64) {
 		f.sys.met.FlushElisionChecks++
 	}
 	t.Step(f.sys.costs.FlushSync)
-	m.stats.FlushSync++
 	f.sys.met.FlushSync++
 	if dirty {
 		m.persistLine(line)
@@ -138,7 +134,6 @@ func (f *Flusher) Fence(t *sim.Thread) {
 	f.sys.announce(Access{Thread: t.ID(), Kind: AccFence, Mem: "", Line: NoLine, NVM: true})
 	n := uint64(len(f.pending))
 	t.Step(f.sys.costs.Fence + f.sys.costs.FencePerPending*n)
-	f.sys.fences++
 	f.sys.met.Fences++
 	for _, p := range f.pending {
 		p.m.persistLine(p.line)

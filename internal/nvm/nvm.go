@@ -62,16 +62,6 @@ func (k Kind) String() string {
 // real NUMA machines for the hot lines these algorithms fight over.
 const Interleaved = -1
 
-// Stats counts simulated-hardware events for one Memory.
-type Stats struct {
-	Loads, Stores, CASes   uint64
-	FlushAsync, FlushSync  uint64
-	FlushesElided          uint64 // clean-line flush requests skipped (FliT)
-	BGFlushes              uint64
-	LinesWrittenBack       uint64 // by any mechanism
-	WBINVDLinesWrittenBack uint64
-}
-
 // Memory is one simulated region. Offsets are word indices. All views live
 // in copy-on-write slabs (see cow.go) so cloning and crash recovery share
 // pages with the source machine instead of copying the region.
@@ -100,7 +90,6 @@ type Memory struct {
 	owner     slab[int32]
 	ownerNode slab[int32]
 	bgState   uint64 // xorshift state for background-flush draws
-	stats     Stats
 }
 
 // ownerShared marks a line readable by everyone without transfer cost. It is
@@ -133,8 +122,6 @@ type System struct {
 	flushers []*Flusher
 	bgProb   uint64 // background flush: 1-in-bgProb stores; 0 disables
 	rngState uint64
-	fences   uint64
-	wbinvds  uint64
 	// policy decides the fate of flushed-but-unfenced lines at a crash; nil
 	// selects the built-in fair coin (see Recover).
 	policy fault.Policy
@@ -197,16 +184,10 @@ func NewSystem(sch *sim.Scheduler, cfg Config) *System {
 // Recover and Clone.
 func (s *System) SetFlushElision(on bool) { s.elide = on }
 
-// FlushElision reports whether clean-line flush elision is enabled.
-func (s *System) FlushElision() bool { return s.elide }
-
 // SetFaultPolicy replaces the crash-time persistence adversary. A nil policy
 // restores the default fair coin. The policy applies to this system's next
 // Recover and is carried into the recovered system.
 func (s *System) SetFaultPolicy(p fault.Policy) { s.policy = p }
-
-// FaultPolicy returns the installed crash-time adversary (nil = fair coin).
-func (s *System) FaultPolicy() fault.Policy { return s.policy }
 
 // SetBGFlushOneIn overrides the background write-back rate (one store in n
 // leaks its line to the persisted view; 0 disables). Crash harnesses raise
@@ -227,12 +208,6 @@ func (s *System) Costs() sim.Costs { return s.costs }
 
 // Metrics returns the machine-wide metrics registry.
 func (s *System) Metrics() *metrics.Registry { return s.met }
-
-// Fences returns the number of fences executed system-wide.
-func (s *System) Fences() uint64 { return s.fences }
-
-// WBINVDs returns the number of whole-cache write-backs executed.
-func (s *System) WBINVDs() uint64 { return s.wbinvds }
 
 // NewMemory allocates a region of the given size in words. Names must be
 // unique within a System; NVM memories are recovered by name after a crash.
@@ -297,9 +272,6 @@ func (m *Memory) Kind() Kind { return m.kind }
 // Words returns the region size in words.
 func (m *Memory) Words() uint64 { return m.words }
 
-// Stats returns a copy of the region's event counters.
-func (m *Memory) Stats() Stats { return m.stats }
-
 // Metrics returns the owning system's metrics registry; packages that only
 // hold a Memory (oplog, locks) record their events through it.
 func (m *Memory) Metrics() *metrics.Registry { return m.sys.met }
@@ -358,7 +330,6 @@ func (m *Memory) storeCost(t *sim.Thread, line uint64) uint64 {
 func (m *Memory) Load(t *sim.Thread, off uint64) uint64 {
 	m.announce(t, AccLoad, off/WordsPerLine, false)
 	t.Step(m.loadCost(t, off/WordsPerLine))
-	m.stats.Loads++
 	m.sys.met.Loads++
 	return m.data.load(off)
 }
@@ -382,7 +353,6 @@ func (m *Memory) Store(t *sim.Thread, off uint64, v uint64) {
 	line := off / WordsPerLine
 	m.announce(t, AccStore, line, false)
 	t.Step(m.storeCost(t, line))
-	m.stats.Stores++
 	m.sys.met.Stores++
 	m.data.store(off, v)
 	if m.kind == NVM {
@@ -390,7 +360,6 @@ func (m *Memory) Store(t *sim.Thread, off uint64, v uint64) {
 		bg := m.sys.bgProb != 0 && m.nextBG()%m.sys.bgProb == 0
 		if bg {
 			m.persistLine(line)
-			m.stats.BGFlushes++
 			m.sys.met.BGFlushes++
 		}
 		if h := m.sys.peHook; h != nil && (bg || m.linePending(line)) {
@@ -420,7 +389,6 @@ func (m *Memory) CAS(t *sim.Thread, off, old, new uint64) bool {
 	line := off / WordsPerLine
 	m.announce(t, AccCAS, line, false)
 	t.Step(m.storeCost(t, line))
-	m.stats.CASes++
 	m.sys.met.CASes++
 	if m.data.load(off) != old {
 		return false
@@ -431,7 +399,6 @@ func (m *Memory) CAS(t *sim.Thread, off, old, new uint64) bool {
 		bg := m.sys.bgProb != 0 && m.nextBG()%m.sys.bgProb == 0
 		if bg {
 			m.persistLine(line)
-			m.stats.BGFlushes++
 			m.sys.met.BGFlushes++
 		}
 		if h := m.sys.peHook; h != nil && (bg || m.linePending(line)) {
@@ -455,7 +422,6 @@ func (m *Memory) nextBG() uint64 {
 func (m *Memory) copyLine(line uint64) {
 	base := line * WordsPerLine
 	copy(m.persisted.wline(base, WordsPerLine), m.data.line(base, WordsPerLine))
-	m.stats.LinesWrittenBack++
 	m.sys.met.LinesWrittenBack++
 }
 
@@ -551,7 +517,6 @@ func (m *Memory) FlushRegion(t *sim.Thread, from, to uint64) {
 	}
 	if from >= to {
 		t.Step(m.sys.costs.Fence)
-		m.sys.fences++
 		m.sys.met.Fences++
 		return
 	}
@@ -580,7 +545,6 @@ func (m *Memory) FlushRegion(t *sim.Thread, from, to uint64) {
 		}
 		t.Step(m.sys.costs.FlushLine*dirty + m.sys.costs.FlushCheck*(lines-dirty) +
 			m.sys.costs.Fence + m.sys.costs.FencePerPending*lines)
-		m.sys.fences++
 		m.sys.met.Fences++
 		var wrote uint64
 		for line := first; line <= last; line++ {
@@ -589,20 +553,16 @@ func (m *Memory) FlushRegion(t *sim.Thread, from, to uint64) {
 				wrote++
 			}
 		}
-		m.stats.FlushAsync += wrote
 		m.sys.met.FlushAsync += wrote
-		m.stats.FlushesElided += lines - wrote
 		m.sys.met.FlushesElided += lines - wrote
 		m.sys.met.FlushElisionChecks += lines
 		return
 	}
 	t.Step(m.sys.costs.FlushLine*lines + m.sys.costs.Fence + m.sys.costs.FencePerPending*lines)
-	m.sys.fences++
 	m.sys.met.Fences++
 	for line := first; line <= last; line++ {
 		m.persistLine(line)
 	}
-	m.stats.FlushAsync += lines
 	m.sys.met.FlushAsync += lines
 }
 
@@ -617,10 +577,8 @@ func (m *Memory) FlushAllDirty(t *sim.Thread) {
 	m.announce(t, AccFlushAllDirty, NoLine, false)
 	lines := m.DirtyLines()
 	t.Step(m.sys.costs.FlushLine*lines + m.sys.costs.Fence + m.sys.costs.FencePerPending*lines)
-	m.sys.fences++
 	m.sys.met.Fences++
 	m.sweepDirty(nil)
-	m.stats.FlushAsync += lines
 	m.sys.met.FlushAsync += lines
 }
 
@@ -641,13 +599,8 @@ func (s *System) WBINVD(t *sim.Thread, mems ...*Memory) {
 		lines += m.DirtyLines()
 	}
 	t.Step(s.costs.WBINVDBase + s.costs.WBINVDPerLine*lines)
-	s.wbinvds++
 	s.met.WBINVDs++
 	for _, m := range mems {
-		m := m
-		m.sweepDirty(func() {
-			m.stats.WBINVDLinesWrittenBack++
-			s.met.WBINVDLines++
-		})
+		m.sweepDirty(func() { s.met.WBINVDLines++ })
 	}
 }

@@ -127,8 +127,8 @@ func TestWBINVDWritesBackAllDirty(t *testing.T) {
 				t.Errorf("word %d persisted = %d, want %d", w, got, w+1)
 			}
 		}
-		if sys.WBINVDs() != 1 {
-			t.Errorf("WBINVDs = %d, want 1", sys.WBINVDs())
+		if sys.Metrics().Snapshot().WBINVDs != 1 {
+			t.Errorf("WBINVDs = %d, want 1", sys.Metrics().Snapshot().WBINVDs)
 		}
 	})
 }
@@ -248,7 +248,7 @@ func TestBackgroundFlushesHappen(t *testing.T) {
 		for w := uint64(0); w < 8192; w++ {
 			m.Store(th, w, 1)
 		}
-		if m.Stats().BGFlushes == 0 {
+		if sys.Metrics().Snapshot().BGFlushes == 0 {
 			t.Error("no background flushes after 8192 NVM stores with 1/16 probability")
 		}
 	})
@@ -260,7 +260,7 @@ func TestBackgroundFlushesDisabledByDefault(t *testing.T) {
 		for w := uint64(0); w < 8192; w++ {
 			m.Store(th, w, 1)
 		}
-		if got := m.Stats().BGFlushes; got != 0 {
+		if got := sys.Metrics().Snapshot().BGFlushes; got != 0 {
 			t.Errorf("BGFlushes = %d with feature disabled, want 0", got)
 		}
 	})
@@ -453,15 +453,15 @@ func TestStatsCounters(t *testing.T) {
 		f.Fence(th)
 		m.Store(th, 0, 3) // re-dirty: a sync flush of a clean line is elided
 		f.FlushLineSync(th, m, 0)
-		st := m.Stats()
+		st := sys.Metrics().Snapshot()
 		if st.Stores != 2 || st.Loads != 1 || st.CASes != 1 {
 			t.Errorf("stats = %+v", st)
 		}
 		if st.FlushAsync != 1 || st.FlushSync != 1 {
 			t.Errorf("flush stats = %+v", st)
 		}
-		if sys.Fences() != 1 {
-			t.Errorf("fences = %d, want 1", sys.Fences())
+		if sys.Metrics().Snapshot().Fences != 1 {
+			t.Errorf("fences = %d, want 1", sys.Metrics().Snapshot().Fences)
 		}
 	})
 }

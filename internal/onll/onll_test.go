@@ -80,27 +80,27 @@ func TestReadsDoNotFlushOrFence(t *testing.T) {
 			w.o.Execute(th, tid, uc.Insert(k, k))
 		}
 	})
-	before := w.sys.Fences()
+	before := w.sys.Metrics().Snapshot().Fences
 	w.run(1, 0, 201, func(th *sim.Thread, tid int) {
 		for k := uint64(0); k < 100; k++ {
 			w.o.Execute(th, tid, uc.Get(k % 20))
 		}
 	})
-	if got := w.sys.Fences(); got != before {
+	if got := w.sys.Metrics().Snapshot().Fences; got != before {
 		t.Errorf("reads executed %d fences; ONLL reads must not fence", got-before)
 	}
 }
 
 func TestOneFencePerUpdate(t *testing.T) {
 	w := build(t, testCfg(1), nvm.Config{Costs: sim.UnitCosts()}, 3)
-	before := w.sys.Fences()
+	before := w.sys.Metrics().Snapshot().Fences
 	const updates = 30
 	w.run(1, 0, 300, func(th *sim.Thread, tid int) {
 		for k := uint64(0); k < updates; k++ {
 			w.o.Execute(th, tid, uc.Insert(k, k))
 		}
 	})
-	if got := w.sys.Fences() - before; got != updates {
+	if got := w.sys.Metrics().Snapshot().Fences - before; got != updates {
 		t.Errorf("%d fences for %d updates, want one each", got, updates)
 	}
 }

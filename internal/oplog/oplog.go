@@ -145,10 +145,6 @@ func (l *Log) CASCompletedTail(t *sim.Thread, old, new uint64) bool {
 	return l.mem.CAS(t, offCompletedTail, old, new)
 }
 
-// CompletedTailOff returns the word offset of completedTail so the UC can
-// flush its line.
-func (l *Log) CompletedTailOff() uint64 { return offCompletedTail }
-
 // PersistCompletedTail makes the current completedTail durable. The paper's
 // §5.2 flush-elision optimization — a CASing thread skips its CLFLUSH when a
 // later value is already persisted — falls out of the substrate's FliT-style
@@ -169,9 +165,6 @@ func (l *Log) PersistedCompletedTail() uint64 {
 
 // LogMin loads the reuse horizon.
 func (l *Log) LogMin(t *sim.Thread) uint64 { return l.mem.Load(t, offLogMin) }
-
-// SetLogMin advances the reuse horizon.
-func (l *Log) SetLogMin(t *sim.Thread, v uint64) { l.mem.Store(t, offLogMin, v) }
 
 // AdvanceLogMin moves logMin forward to v if v is larger, using CAS so a
 // delayed combiner holding a stale localTail scan can never move the reuse

@@ -185,7 +185,7 @@ func TestLogMin(t *testing.T) {
 		if got := l.LogMin(th); got != 15 {
 			t.Errorf("fresh logMin = %d, want size-1", got)
 		}
-		l.SetLogMin(th, 20)
+		l.AdvanceLogMin(th, 20)
 		if got := l.LogMin(th); got != 20 {
 			t.Errorf("logMin = %d, want 20", got)
 		}

@@ -164,9 +164,5 @@ func (a *Allocator) Root(t *sim.Thread, slot int) uint64 {
 	return a.m.Load(t, offRoot0+uint64(slot))
 }
 
-// RootOffset returns the word offset of a root slot so callers can flush
-// the line containing it.
-func RootOffset(slot int) uint64 { return offRoot0 + uint64(slot) }
-
 // HeapTop returns the bump pointer (for tests and capacity accounting).
 func (a *Allocator) HeapTop(t *sim.Thread) uint64 { return a.m.Load(t, offHeapTop) }

@@ -160,7 +160,7 @@ func TestAttachAfterCrashSeesRoots(t *testing.T) {
 		a.SetRoot(th, 0, off)
 		// Persist the header line (magic + root) and the block.
 		f.FlushLineSync(th, m, offMagic)
-		f.FlushLineSync(th, m, RootOffset(0))
+		f.FlushLineSync(th, m, offRoot0)
 		f.FlushLineSync(th, m, off)
 	})
 	sch.Run()

@@ -2,17 +2,18 @@ package sim
 
 import "testing"
 
-// benchSteps runs one scheduler to completion with the given thread count.
-// The cost mix mirrors the memory model — mostly cheap (cache-hit) steps
-// with occasional expensive (NVM/coherence-miss) ones — which is what gives
-// the run-ahead fast path its hits: after a thread pays a big step, the
-// minimum thread issues a run of cheap steps without a single handoff.
-func benchSteps(b *testing.B, threads int, runahead bool) {
+// BenchmarkSimStep is the dispatch-cost benchmark the CI smoke test guards:
+// ns reported per Step, 8 simulated threads. The cost mix mirrors the memory
+// model — mostly cheap (cache-hit) steps with occasional expensive
+// (NVM/coherence-miss) ones — which is what gives the run-ahead fast path its
+// hits: after a thread pays a big step, the minimum thread issues a run of
+// cheap steps without a single handoff.
+func BenchmarkSimStep(b *testing.B) {
+	const threads = 8
 	b.ReportAllocs()
 	for iter := 0; iter < b.N; iter += threads * 1000 {
 		b.StopTimer()
 		s := New(1)
-		s.SetRunAhead(runahead)
 		for i := 0; i < threads; i++ {
 			s.Spawn("w", i%2, 0, func(t *Thread) {
 				rng := t.Rand()
@@ -29,14 +30,6 @@ func benchSteps(b *testing.B, threads int, runahead bool) {
 		s.Run()
 	}
 }
-
-// BenchmarkSimStep is the dispatch-cost benchmark the CI smoke test guards:
-// ns reported per Step, 8 simulated threads, run-ahead on (the default).
-func BenchmarkSimStep(b *testing.B) { benchSteps(b, 8, true) }
-
-// BenchmarkSimStepReference measures the same workload through the
-// full-reinsertion reference dispatch, for before/after comparisons.
-func BenchmarkSimStepReference(b *testing.B) { benchSteps(b, 8, false) }
 
 // BenchmarkSimPingPong is the pattern the serve path lives on — ring producer
 // and consumer, worker and combiner: two threads, every Step a forced

@@ -73,11 +73,6 @@ func DefaultCosts() Costs {
 	}
 }
 
-// ZeroCosts returns an all-zero model; unit tests use it so logic is
-// exercised without virtual-time noise. The scheduler still charges its
-// 1ns-per-event floor, so scheduling degenerates to fair round-robin.
-func ZeroCosts() Costs { return Costs{} }
-
 // UnitCosts charges one nanosecond per event regardless of kind; tests use
 // it when they need clocks to advance deterministically.
 func UnitCosts() Costs {

@@ -26,8 +26,8 @@
 //
 // Spawn may be called from the host goroutine before Run, or from a running
 // simulated thread; it must not be called from a foreign goroutine while the
-// scheduler is dispatching. Control methods (CrashAtEvent, CrashAfter,
-// CrashNow, Events, Frozen) may be called from the host goroutine only while
+// scheduler is dispatching. Control methods (CrashAtEvent, CrashNow, Events,
+// Frozen) may be called from the host goroutine only while
 // the scheduler is quiescent (before Run, or after Run returned), or from
 // inside a running simulated thread. Every simulated thread is a coroutine
 // (iter.Pull), and exactly one of them — the baton holder — executes at any
@@ -102,22 +102,14 @@ func (t *Thread) Rand() *rand.Rand { return t.rng }
 // Scheduler returns the owning scheduler.
 func (t *Thread) Scheduler() *Scheduler { return t.sch }
 
-// DefaultRunAhead is the run-ahead setting New installs on fresh schedulers.
-// It exists so equivalence tests (and bisection of a suspected scheduler bug)
-// can globally fall back to the reference full-reinsertion dispatch without
-// threading a knob through every harness layer. Flip it only from tests, and
-// restore it; the package default is on.
-var DefaultRunAhead = true
-
 // Scheduler runs simulated threads in virtual-time order. All of its state
 // is owned by the baton holder; see the package-level concurrency contract.
 type Scheduler struct {
-	seed     int64
-	nextID   int
-	heap     threadHeap
-	live     int
-	started  bool
-	runahead bool
+	seed    int64
+	nextID  int
+	heap    threadHeap
+	live    int
+	started bool
 
 	// next is the thread the baton is moving to; a thread names its successor
 	// here before it parks or exits. nil once every thread exited.
@@ -149,26 +141,10 @@ type Scheduler struct {
 // source, making whole runs reproducible.
 func New(seed int64) *Scheduler {
 	return &Scheduler{
-		seed:     seed,
-		runahead: DefaultRunAhead,
-		heap:     threadHeap{ts: make([]*Thread, 0, 16)},
+		seed: seed,
+		heap: threadHeap{ts: make([]*Thread, 0, 16)},
 	}
 }
-
-// SetRunAhead toggles the run-ahead fast path (on by default). With it off,
-// every Step re-inserts the caller into the ready heap and pops the minimum —
-// the textbook discrete-event loop. Both modes produce the identical
-// schedule (see DESIGN.md); the reference mode exists for the equivalence
-// tests that prove it. Call before Run.
-func (s *Scheduler) SetRunAhead(on bool) {
-	if s.started {
-		panic("sim: SetRunAhead after Run")
-	}
-	s.runahead = on
-}
-
-// RunAhead reports whether the run-ahead fast path is enabled.
-func (s *Scheduler) RunAhead() bool { return s.runahead }
 
 // Candidate describes one dispatchable thread at a scheduling decision
 // point, in the canonical (ascending thread id) candidate order.
@@ -266,31 +242,15 @@ func (s *Scheduler) Events() uint64 { return s.events }
 // index (1-based). It may be set at any time before the event fires. A value
 // of 0 disables crashing.
 //
-// Arming is last-wins: a crash already armed (by CrashAtEvent or CrashAfter)
-// is silently replaced. The previously armed absolute event index is
-// returned (0 = none was armed) so harnesses that stack adversaries — the
-// exhaustive explorer arms one crash per branch on schedulers it may reuse —
-// can detect, restore, or assert on an arm they would otherwise clobber.
+// Arming is last-wins: a crash already armed is silently replaced. The
+// previously armed event index is returned (0 = none was armed) so harnesses
+// that stack adversaries — the exhaustive explorer arms one crash per branch
+// on schedulers it may reuse — can detect, restore, or assert on an arm they
+// would otherwise clobber. To place a crash inside a phase whose absolute
+// index is unknown in advance (a recovery run), arm Events()+n.
 func (s *Scheduler) CrashAtEvent(n uint64) (prev uint64) {
 	prev = s.crashAt
 	s.crashAt = n
-	return prev
-}
-
-// CrashAfter arms a crash n events from now. Harnesses use it to place a
-// crash inside a phase whose absolute event index is unknown in advance —
-// most importantly inside a recovery run, exercising crash-during-recovery
-// schedules. n must be at least 1; 0 disables crashing.
-//
-// Like CrashAtEvent, arming is last-wins and the previously armed absolute
-// event index is returned (0 = none).
-func (s *Scheduler) CrashAfter(n uint64) (prev uint64) {
-	prev = s.crashAt
-	if n == 0 {
-		s.crashAt = 0
-		return prev
-	}
-	s.crashAt = s.events + n
 	return prev
 }
 
@@ -401,7 +361,7 @@ func (s *Scheduler) pickNext() *Thread {
 // A handoff swaps the caller with the heap root in a single sift-down
 // (replaceMin); because (clock, id) keys are unique, the minimum popped from
 // any valid heap arrangement is the same thread, so the schedule is
-// identical to the reference mode's full reinsertion (SetRunAhead(false)).
+// identical to a full reinsertion (push the caller, pop the minimum).
 func (t *Thread) Step(cost uint64) {
 	if cost == 0 {
 		// A zero-cost event would let the caller keep the minimum clock and
@@ -426,20 +386,10 @@ func (t *Thread) Step(cost uint64) {
 		s.park(t, next)
 		return
 	}
-	if s.runahead {
-		if len(s.heap.ts) == 0 || !s.heap.ts[0].less(t) {
-			return // still the minimum: run ahead, no heap op, no handoff
-		}
-		s.park(t, s.heap.replaceMin(t))
-		return
+	if len(s.heap.ts) == 0 || !s.heap.ts[0].less(t) {
+		return // still the minimum: run ahead, no heap op, no handoff
 	}
-	// Reference mode: full reinsertion through the heap.
-	s.heap.push(t)
-	next := s.heap.popMin()
-	if next == t {
-		return
-	}
-	s.park(t, next)
+	s.park(t, s.heap.replaceMin(t))
 }
 
 // park hands the baton to next and returns when it comes back to t,

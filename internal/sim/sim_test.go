@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"bytes"
 	"fmt"
 	"runtime"
 	"slices"
@@ -336,8 +335,8 @@ func TestManyThreadsStress(t *testing.T) {
 }
 
 func TestCrashAfterRelative(t *testing.T) {
-	// CrashAfter arms relative to the current event count: armed mid-run
-	// after 10 events, the 15th Step must be the one that freezes.
+	// Armed mid-run, after 10 events, at five events from now: the 15th Step
+	// must be the one that freezes.
 	s := New(1)
 	steps := 0
 	s.Spawn("w", 0, 0, func(th *Thread) {
@@ -348,7 +347,7 @@ func TestCrashAfterRelative(t *testing.T) {
 		}()
 		for i := 0; i < 100; i++ {
 			if i == 10 {
-				s.CrashAfter(5)
+				s.CrashAtEvent(s.Events() + 5)
 			}
 			th.Step(1)
 			steps++
@@ -373,7 +372,7 @@ func TestCrashAfterZeroDisarms(t *testing.T) {
 				panic(r)
 			}
 		}()
-		s.CrashAfter(0) // disarm before the crash fires
+		s.CrashAtEvent(0) // disarm before the crash fires
 		for i := 0; i < 20; i++ {
 			th.Step(1)
 		}
@@ -381,7 +380,7 @@ func TestCrashAfterZeroDisarms(t *testing.T) {
 	})
 	s.Run()
 	if s.Frozen() || !done {
-		t.Fatal("CrashAfter(0) did not disarm the pending crash")
+		t.Fatal("CrashAtEvent(0) did not disarm the pending crash")
 	}
 }
 
@@ -607,7 +606,7 @@ func TestSwitchesNeverExceedTwicePerHandoff(t *testing.T) {
 					if (sc.spawn || sc.crash) && markDepth == 0 && i >= 100 && d >= 3 {
 						markDepth = d
 						if sc.crash {
-							s.CrashAfter(1)
+							s.CrashAtEvent(s.Events() + 1)
 						}
 						for c := 0; sc.spawn && c < 2; c++ {
 							ths = append(ths, s.Spawn("child", 1, th.Clock(), body))
@@ -662,27 +661,30 @@ func TestFirstDispatchOnFrozenSchedulerSkipsFn(t *testing.T) {
 	}
 }
 
-// The three dispatch paths — run-ahead, reference reinsertion, and a chooser
-// answering MinClock — must drive one program through the identical schedule,
-// to completion and into a mid-run crash alike. Sixteen threads, so that the
-// handoffs run over resume chains many links deep.
+// The two dispatch paths — run-ahead and a chooser answering MinClock, the
+// path the explorer runs on — must drive one program through the identical
+// schedule, to completion and into a mid-run crash alike. Sixteen threads, so
+// that the handoffs run over resume chains many links deep.
 func TestDispatchModesSameTrace(t *testing.T) {
 	type ev struct {
 		id    int
 		clock uint64
 	}
-	run := func(mode string, crashAt uint64) ([]ev, []byte) {
+	type final struct {
+		events uint64
+		frozen bool
+		clocks []uint64
+	}
+	run := func(chooser bool, crashAt uint64) ([]ev, final) {
 		s := New(11)
-		switch mode {
-		case "reference":
-			s.SetRunAhead(false)
-		case "chooser":
+		if chooser {
 			s.SetChooser(chooserFunc(func(_ int, cands []Candidate) int { return MinClock(cands) }))
 		}
 		s.CrashAtEvent(crashAt)
 		var trace []ev
+		var ths []*Thread
 		for w := 0; w < 16; w++ {
-			s.Spawn("w", w%2, uint64(w%3), func(th *Thread) {
+			ths = append(ths, s.Spawn("w", w%2, uint64(w%3), func(th *Thread) {
 				for i := 0; i < 200; i++ {
 					c := uint64(th.Rand().Intn(4))
 					if th.Rand().Intn(16) == 0 {
@@ -691,26 +693,29 @@ func TestDispatchModesSameTrace(t *testing.T) {
 					th.Step(c)
 					trace = append(trace, ev{th.ID(), th.Clock()})
 				}
-			})
+			}))
 		}
 		s.Run()
-		st := s.CaptureState()
-		st.RunAhead = true // the one field that names the mode
-		return trace, st.Encode()
+		end := final{events: s.Events(), frozen: s.Frozen()}
+		for _, th := range ths {
+			end.clocks = append(end.clocks, th.Clock())
+		}
+		return trace, end
 	}
 	for _, crashAt := range []uint64{0, 1400} {
-		want, wantState := run("runahead", crashAt)
+		want, wantEnd := run(false, crashAt)
 		if crashAt == 0 && len(want) != 16*200 {
 			t.Fatalf("trace has %d events, want %d", len(want), 16*200)
 		}
-		for _, mode := range []string{"reference", "chooser"} {
-			got, gotState := run(mode, crashAt)
-			if !slices.Equal(got, want) {
-				t.Errorf("crashAt=%d: %s trace differs from run-ahead (%d vs %d events)", crashAt, mode, len(got), len(want))
-			}
-			if !bytes.Equal(gotState, wantState) {
-				t.Errorf("crashAt=%d: %s final state %x, run-ahead %x", crashAt, mode, gotState, wantState)
-			}
+		if wantEnd.frozen != (crashAt != 0) {
+			t.Fatalf("crashAt=%d: frozen = %v", crashAt, wantEnd.frozen)
+		}
+		got, gotEnd := run(true, crashAt)
+		if !slices.Equal(got, want) {
+			t.Errorf("crashAt=%d: chooser trace differs from run-ahead (%d vs %d events)", crashAt, len(got), len(want))
+		}
+		if gotEnd.events != wantEnd.events || gotEnd.frozen != wantEnd.frozen || !slices.Equal(gotEnd.clocks, wantEnd.clocks) {
+			t.Errorf("crashAt=%d: chooser ends at %+v, run-ahead at %+v", crashAt, gotEnd, wantEnd)
 		}
 	}
 }

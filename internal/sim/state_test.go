@@ -1,14 +1,11 @@
 package sim
 
-import (
-	"bytes"
-	"testing"
-)
+import "testing"
 
 // TestCrashArmReturnsPrevious pins the re-arm contract the explorer relies
-// on: arming is last-wins, and both arming calls return the previously armed
-// absolute event index (0 = none) so a harness stacking adversaries can see
-// what it is replacing.
+// on: arming is last-wins, and arming returns the previously armed event
+// index (0 = none) so a harness stacking adversaries can see what it is
+// replacing.
 func TestCrashArmReturnsPrevious(t *testing.T) {
 	s := New(1)
 	if prev := s.CrashAtEvent(10); prev != 0 {
@@ -17,13 +14,11 @@ func TestCrashArmReturnsPrevious(t *testing.T) {
 	if prev := s.CrashAtEvent(5); prev != 10 {
 		t.Fatalf("re-arm returned prev=%d, want 10", prev)
 	}
-	// CrashAfter is relative to the current event counter (0 here) but
-	// returns the previous arm as an absolute index.
-	if prev := s.CrashAfter(3); prev != 5 {
-		t.Fatalf("CrashAfter returned prev=%d, want 5", prev)
+	if prev := s.CrashAtEvent(s.Events() + 3); prev != 5 {
+		t.Fatalf("relative re-arm returned prev=%d, want 5", prev)
 	}
-	if prev := s.CrashAfter(0); prev != 3 {
-		t.Fatalf("disarming CrashAfter returned prev=%d, want 3", prev)
+	if prev := s.CrashAtEvent(0); prev != 3 {
+		t.Fatalf("disarming returned prev=%d, want 3", prev)
 	}
 	if prev := s.CrashAtEvent(7); prev != 0 {
 		t.Fatalf("arm after disarm returned prev=%d, want 0", prev)
@@ -43,7 +38,7 @@ func TestCrashArmReturnsPrevious(t *testing.T) {
 	}
 }
 
-// CrashAfter mid-run must report the pending arm as an absolute index.
+// Re-arming mid-run, relative to the events so far, reports the pending arm.
 func TestCrashAfterMidRunReturnsAbsolutePrev(t *testing.T) {
 	s := New(1)
 	s.Spawn("w", 0, 0, func(th *Thread) {
@@ -51,8 +46,8 @@ func TestCrashAfterMidRunReturnsAbsolutePrev(t *testing.T) {
 			th.Step(1)
 		}
 		s.CrashAtEvent(100)
-		if prev := s.CrashAfter(50); prev != 100 {
-			t.Errorf("CrashAfter returned prev=%d, want 100", prev)
+		if prev := s.CrashAtEvent(s.Events() + 50); prev != 100 {
+			t.Errorf("re-arm returned prev=%d, want 100", prev)
 		}
 		if s.Events() != 4 {
 			t.Errorf("events=%d, want 4", s.Events())
@@ -131,58 +126,5 @@ func TestChooserMinClockMatchesDefault(t *testing.T) {
 		if def[i] != chosen[i] {
 			t.Fatalf("schedules diverge at %d: default %v, chooser %v", i, def, chosen)
 		}
-	}
-}
-
-// TestSchedStateRoundTrip pins the byte-identical capture/restore contract:
-// restoring a snapshot onto a scheduler with the same spawned threads makes
-// its own capture encode byte-identically, and Encode/Decode invert.
-func TestSchedStateRoundTrip(t *testing.T) {
-	mk := func(clocks []uint64) *Scheduler {
-		s := New(3)
-		for i, c := range clocks {
-			_ = i
-			s.Spawn("w", 0, c, func(th *Thread) {})
-		}
-		return s
-	}
-	a := mk([]uint64{5, 2, 9, 2})
-	a.CrashAtEvent(40)
-	st := a.CaptureState()
-	if len(st.Heap) != 4 || st.CrashAt != 40 || st.Frozen {
-		t.Fatalf("capture = %+v", st)
-	}
-
-	// A scheduler built with different clocks (hence a different heap
-	// arrangement) must round-trip to the identical encoding after restore.
-	b := mk([]uint64{1, 1, 1, 1})
-	if err := b.RestoreState(st); err != nil {
-		t.Fatalf("RestoreState: %v", err)
-	}
-	got, want := b.CaptureState().Encode(), st.Encode()
-	if !bytes.Equal(got, want) {
-		t.Fatalf("post-restore capture differs:\n got %x\nwant %x", got, want)
-	}
-
-	dec, err := DecodeSchedState(want)
-	if err != nil {
-		t.Fatalf("DecodeSchedState: %v", err)
-	}
-	if !bytes.Equal(dec.Encode(), want) {
-		t.Fatalf("Encode(Decode(b)) != b")
-	}
-
-	// Restored scheduler must also dispatch identically: drain both and
-	// compare event counts (threads are empty bodies, one exit each).
-	a.Run()
-	b.Run()
-	if a.Events() != b.Events() {
-		t.Fatalf("post-restore run diverged: %d vs %d events", a.Events(), b.Events())
-	}
-
-	// Mismatched thread sets are rejected.
-	c := mk([]uint64{0, 0})
-	if err := c.RestoreState(st); err == nil {
-		t.Fatal("RestoreState accepted a snapshot with a different thread count")
 	}
 }

@@ -75,7 +75,7 @@ func TestReadsDoNotFlushOrFence(t *testing.T) {
 			w.s.Execute(th, tid, uc.Insert(k, k))
 		}
 	})
-	fencesBefore := w.sys.Fences()
+	fencesBefore := w.sys.Metrics().Snapshot().Fences
 	statsBefore := w.sys.Scheduler()
 	_ = statsBefore
 	w.run(1, 0, 201, func(th *sim.Thread, tid int) {
@@ -84,21 +84,21 @@ func TestReadsDoNotFlushOrFence(t *testing.T) {
 			w.s.Execute(th, tid, uc.Contains(k % 50))
 		}
 	})
-	if got := w.sys.Fences(); got != fencesBefore {
+	if got := w.sys.Metrics().Snapshot().Fences; got != fencesBefore {
 		t.Errorf("reads executed %d fences; SOFT reads must not fence", got-fencesBefore)
 	}
 }
 
 func TestOneFlushOneFencePerUpdate(t *testing.T) {
 	w := build(t, Config{Buckets: 64}, nvm.Config{Costs: sim.UnitCosts()}, 3)
-	before := w.sys.Fences()
+	before := w.sys.Metrics().Snapshot().Fences
 	const updates = 40
 	w.run(1, 0, 300, func(th *sim.Thread, tid int) {
 		for k := uint64(0); k < updates; k++ {
 			w.s.Execute(th, tid, uc.Insert(k, k))
 		}
 	})
-	if got := w.sys.Fences() - before; got != updates {
+	if got := w.sys.Metrics().Snapshot().Fences - before; got != updates {
 		t.Errorf("%d fences for %d inserts; want exactly one each", got, updates)
 	}
 }

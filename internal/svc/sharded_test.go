@@ -9,124 +9,16 @@ import (
 	"prepuc/internal/seq"
 	"prepuc/internal/sim"
 	"prepuc/internal/svc"
-	"prepuc/internal/uc"
 )
 
-// TestPerRingEngines binds each submission ring to its own engine
-// (Config.Engines): two independent volatile PREP instances co-reside on one
-// system via core.Config.Instance, ring s drains into engine s, and a routed
-// client dispatches each operation by key parity. Afterwards each engine
-// must hold exactly the keys routed to it — the routing invariant at the
-// single-machine scale.
-func TestPerRingEngines(t *testing.T) {
-	const producers, per = 4, 60
-	route := func(op uc.Op) int { return int(op.A0 % 2) }
-
-	sch := sim.New(31)
-	sys := nvm.NewSystem(sch, nvm.Config{Costs: sim.UnitCosts()})
-	obj := seq.HashMapType(64)
-	engines := make([]*core.PREP, 2)
-	var s *svc.Service
-	var err error
-	sch.Spawn("boot", 0, 0, func(th *sim.Thread) {
-		for i := range engines {
-			engines[i], err = core.New(th, sys, core.Config{
-				Mode: core.Volatile, Topology: topo(), Workers: 2,
-				LogSize: 1024,
-				Factory: obj.New, Attacher: obj.Attach, HeapWords: 1 << 20,
-				Instance: []string{"e0", "e1"}[i],
-			})
-			if err != nil {
-				return
-			}
-		}
-		s, err = svc.New(th, sys, svc.Config{
-			Engines: []uc.UC{engines[0], engines[1]}, Topology: topo(),
-			Shards: 2, RingSize: 256, MaxBatch: 32, Batched: true,
-		})
-	})
-	sch.Run()
-	if err != nil {
-		t.Fatalf("boot: %v", err)
-	}
-
-	run := sim.New(32)
-	sys.SetScheduler(run)
-	for shard := 0; shard < 2; shard++ {
-		shard := shard
-		run.Spawn("consumer", topo().NodeOf(shard), 0, func(th *sim.Thread) {
-			s.Serve(th, shard)
-		})
-	}
-	producersLive := producers
-	for pid := 0; pid < producers; pid++ {
-		pid := pid
-		run.Spawn("producer", topo().NodeOf(pid%8), 0, func(th *sim.Thread) {
-			rc := s.Routed(route)
-			for i := uint64(0); i < per; i++ {
-				k := uint64(pid)*1000 + i
-				f := rc.Submit(th, uc.Insert(k, k+3))
-				if got := f.Wait(th); got != 1 {
-					t.Errorf("insert(%d) = %d, want 1", k, got)
-				}
-			}
-			producersLive--
-			if producersLive == 0 {
-				s.Stop()
-			}
-		})
-	}
-	run.Run()
-
-	// Per-ring tallies must cover exactly the routed traffic.
-	routed := [2]uint64{}
-	for pid := 0; pid < producers; pid++ {
-		for i := uint64(0); i < per; i++ {
-			routed[(uint64(pid)*1000+i)%2]++
-		}
-	}
-	for shard := 0; shard < 2; shard++ {
-		c := s.Client(shard)
-		if c.Submitted() != routed[shard] || c.Completed() != routed[shard] {
-			t.Errorf("ring %d: submitted/completed = %d/%d, want %d",
-				shard, c.Submitted(), c.Completed(), routed[shard])
-		}
-	}
-
-	// Each engine holds its partition and nothing else.
-	check := sim.New(33)
-	sys.SetScheduler(check)
-	check.Spawn("inspect", 0, 0, func(th *sim.Thread) {
-		for e := 0; e < 2; e++ {
-			if got := engines[e].Execute(th, 0, uc.Size()); got != routed[e] {
-				t.Errorf("engine %d size = %d, want %d", e, got, routed[e])
-			}
-		}
-		for pid := 0; pid < producers; pid++ {
-			for i := uint64(0); i < per; i++ {
-				k := uint64(pid)*1000 + i
-				own, other := engines[k%2], engines[1-k%2]
-				if got := own.Execute(th, 0, uc.Get(k)); got != k+3 {
-					t.Errorf("owning engine missing key %d: got %d", k, got)
-				}
-				if got := other.Execute(th, 0, uc.Get(k)); got != uc.NotFound {
-					t.Errorf("foreign engine holds key %d", k)
-				}
-			}
-		}
-	})
-	check.Run()
-}
-
-// TestEngineConfigValidation: exactly one of Engine/Engines, with matching
-// lengths.
+// TestEngineConfigValidation: a service needs its engine.
 func TestEngineConfigValidation(t *testing.T) {
 	sch := sim.New(41)
 	sys := nvm.NewSystem(sch, nvm.Config{})
 	obj := seq.HashMapType(64)
-	var eng *core.PREP
 	var err error
 	sch.Spawn("boot", 0, 0, func(th *sim.Thread) {
+		var eng *core.PREP
 		eng, err = core.New(th, sys, core.Config{
 			Mode: core.Volatile, Topology: topo(), Workers: 2,
 			LogSize: 64, Factory: obj.New, Attacher: obj.Attach, HeapWords: 1 << 16,
@@ -134,26 +26,13 @@ func TestEngineConfigValidation(t *testing.T) {
 		if err != nil {
 			return
 		}
-		base := svc.Config{Topology: topo(), Shards: 2, RingSize: 16}
-		cases := []struct {
-			name string
-			mut  func(*svc.Config)
-		}{
-			{"neither", func(c *svc.Config) {}},
-			{"both", func(c *svc.Config) { c.Engine = eng; c.Engines = []uc.UC{eng, eng} }},
-			{"short", func(c *svc.Config) { c.Engines = []uc.UC{eng} }},
+		cfg := svc.Config{Topology: topo(), Shards: 2, RingSize: 16}
+		if _, e := svc.New(th, sys, cfg); e == nil {
+			t.Error("config without an engine accepted")
 		}
-		for _, tc := range cases {
-			cfg := base
-			tc.mut(&cfg)
-			if _, e := svc.New(th, sys, cfg); e == nil {
-				t.Errorf("%s: config accepted", tc.name)
-			}
-		}
-		cfg := base
-		cfg.Engines = []uc.UC{eng, eng} // a ring group over one engine is legal
+		cfg.Engine = eng
 		if _, e := svc.New(th, sys, cfg); e != nil {
-			t.Errorf("ring group rejected: %v", e)
+			t.Errorf("config with an engine rejected: %v", e)
 		}
 	})
 	sch.Run()

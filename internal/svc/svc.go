@@ -110,7 +110,7 @@ type Future struct {
 	// window; history checkers want it.
 	ExecNS uint64
 
-	r *ring // the submission ring (and engine binding) that carried the op
+	svc *Service // for the engine's durability barrier
 }
 
 // Wait blocks (spinning in virtual time) until the future completes and
@@ -128,8 +128,8 @@ func (f *Future) Wait(t *sim.Thread) uint64 {
 // For constructions without a DurabilityWaiter it is identical to Wait.
 func (f *Future) Durable(t *sim.Thread) uint64 {
 	res := f.Wait(t)
-	if f.r.waiter != nil && f.Mark != 0 {
-		f.r.waiter.AwaitDurable(t, f.Mark)
+	if f.svc.waiter != nil && f.Mark != 0 {
+		f.svc.waiter.AwaitDurable(t, f.Mark)
 	}
 	return res
 }
@@ -138,17 +138,7 @@ func (f *Future) Durable(t *sim.Thread) uint64 {
 type Config struct {
 	// Engine executes operations; if it also implements Batcher, drained
 	// batches go through ExecuteBatch, otherwise one Execute per op.
-	// Exactly one of Engine and Engines must be set.
 	Engine uc.UC
-	// Engines binds each submission ring to its own engine: ring s drains
-	// into Engines[s] — S independent combiner pipelines behind one service
-	// front-end, the sharded deployment's single-machine form. Length must
-	// equal Shards. Each engine's batched path (Batcher) and durability
-	// barrier (DurabilityWaiter) are resolved independently. When set,
-	// producers are expected to route operations to rings by key
-	// (Service.Routed); nothing enforces it here — the routing invariant is
-	// the router's contract, checked end to end by linearize.CheckComposition.
-	Engines []uc.UC
 	// Topology places each shard's ring on the consumer's node.
 	Topology numa.Topology
 	// Shards is the number of submission rings (and consumer threads).
@@ -186,14 +176,17 @@ type Config struct {
 
 // Service owns the per-shard submission rings.
 type Service struct {
-	cfg     Config
-	met     *metrics.Registry
-	rings   []*ring
+	cfg   Config
+	met   *metrics.Registry
+	rings []*ring
+	// batcher is the engine's batched path (nil when disabled or
+	// unimplemented), waiter its durability barrier.
+	batcher Batcher
+	waiter  DurabilityWaiter
 	stopped bool
 }
 
-// ring is one shard's MPSC submission queue plus its host-side future table
-// and engine binding (per-ring with Config.Engines, shared otherwise).
+// ring is one shard's MPSC submission queue plus its host-side future table.
 type ring struct {
 	mem  *nvm.Memory
 	size uint64
@@ -204,11 +197,6 @@ type ring struct {
 	// consumer copies both out while draining, before it stores ringHead.
 	futures  []*Future
 	arrivals []uint64
-	// eng executes the ring's operations; batcher is its batched path (nil
-	// when disabled or unimplemented), waiter its durability barrier.
-	eng     uc.UC
-	batcher Batcher
-	waiter  DurabilityWaiter
 	// submitted, drained and completed are host-side tallies the crash
 	// harness reads to size the in-flight window at a crash cut: entries in
 	// [completed, drained) had reached the engine, entries in
@@ -234,12 +222,8 @@ func New(t *sim.Thread, sys *nvm.System, cfg Config) (*Service, error) {
 	if cfg.RingSize == 0 || cfg.RingSize&(cfg.RingSize-1) != 0 {
 		return nil, fmt.Errorf("svc: RingSize must be a power of two, got %d", cfg.RingSize)
 	}
-	if (cfg.Engine == nil) == (cfg.Engines == nil) {
-		return nil, fmt.Errorf("svc: exactly one of Engine and Engines must be set")
-	}
-	if cfg.Engines != nil && len(cfg.Engines) != cfg.Shards {
-		return nil, fmt.Errorf("svc: %d engines for %d rings (lengths must match)",
-			len(cfg.Engines), cfg.Shards)
+	if cfg.Engine == nil {
+		return nil, fmt.Errorf("svc: Engine must be set")
 	}
 	if cfg.Detect {
 		// Reject packings InvocationID would corrupt (see MaxInvid*).
@@ -259,25 +243,19 @@ func New(t *sim.Thread, sys *nvm.System, cfg Config) (*Service, error) {
 		cfg.NamePrefix = "svc"
 	}
 	s := &Service{cfg: cfg, met: sys.Metrics()}
+	if cfg.Batched {
+		s.batcher, _ = cfg.Engine.(Batcher)
+	}
+	s.waiter, _ = cfg.Engine.(DurabilityWaiter)
 	for shard := 0; shard < cfg.Shards; shard++ {
-		eng := cfg.Engine
-		if cfg.Engines != nil {
-			eng = cfg.Engines[shard]
-		}
 		mem := sys.NewMemory(fmt.Sprintf("%s.ring%d", cfg.NamePrefix, shard),
 			nvm.Volatile, cfg.Topology.NodeOf(shard), ringEntries+cfg.RingSize*entryWords)
-		r := &ring{
+		s.rings = append(s.rings, &ring{
 			mem:      mem,
 			size:     cfg.RingSize,
 			futures:  make([]*Future, cfg.RingSize),
 			arrivals: make([]uint64, cfg.RingSize),
-			eng:      eng,
-		}
-		if cfg.Batched {
-			r.batcher, _ = eng.(Batcher)
-		}
-		r.waiter, _ = eng.(DurabilityWaiter)
-		s.rings = append(s.rings, r)
+		})
 	}
 	return s, nil
 }
@@ -293,38 +271,6 @@ type Client struct {
 // Client returns the handle for shard.
 func (s *Service) Client(shard int) *Client {
 	return &Client{svc: s, shard: shard, r: s.rings[shard]}
-}
-
-// RoutedClient dispatches each submission to a ring chosen from the
-// operation's key — the client-side half of the sharded deployment: the
-// route function (typically shard.Router.RouteOp) is pure host-side state,
-// so routing costs no virtual time, exactly like a client library picking a
-// connection before the request leaves the process.
-type RoutedClient struct {
-	clients []*Client
-	route   func(op uc.Op) int
-}
-
-// Routed returns a routing submission handle over all of the service's
-// rings. route must return an index in [0, Shards) for every operation.
-func (s *Service) Routed(route func(op uc.Op) int) *RoutedClient {
-	rc := &RoutedClient{route: route}
-	for shard := 0; shard < s.cfg.Shards; shard++ {
-		rc.clients = append(rc.clients, s.Client(shard))
-	}
-	return rc
-}
-
-// TrySubmit routes op by its key and attempts to enqueue it on the owning
-// shard's ring.
-func (rc *RoutedClient) TrySubmit(t *sim.Thread, op uc.Op, arrivalNS uint64) (*Future, bool) {
-	return rc.clients[rc.route(op)].TrySubmit(t, op, arrivalNS)
-}
-
-// Submit routes op by its key and enqueues it on the owning shard's ring,
-// blocking while that ring is full.
-func (rc *RoutedClient) Submit(t *sim.Thread, op uc.Op) *Future {
-	return rc.clients[rc.route(op)].Submit(t, op)
 }
 
 // TrySubmit attempts to enqueue op, stamping the future with arrivalNS. It
@@ -360,7 +306,7 @@ func (c *Client) enqueue(t *sim.Thread, op uc.Op, arrivalNS uint64, handle bool)
 		}
 		var f *Future
 		if handle {
-			f = &Future{r: r, ArrivalNS: arrivalNS}
+			f = &Future{svc: c.svc, ArrivalNS: arrivalNS}
 		} else {
 			r.arrivals[tail%r.size] = arrivalNS
 		}
@@ -413,10 +359,7 @@ const serveIdleCost = 200
 
 // Serve is shard's consumer loop: drain up to MaxBatch contiguous submitted
 // entries, execute them as one batch, complete the futures, repeat. It runs
-// as worker tid shard and returns after Stop once the ring is empty. With
-// per-ring engines (Config.Engines) the batch goes to the ring's own engine,
-// still as worker tid shard — an engine bound to ring s must therefore be
-// configured with Workers > s.
+// as worker tid shard and returns after Stop once the ring is empty.
 func (s *Service) Serve(t *sim.Thread, shard int) {
 	r := s.rings[shard]
 	ops := make([]uc.Op, s.cfg.MaxBatch)
@@ -447,7 +390,7 @@ func (s *Service) Serve(t *sim.Thread, shard int) {
 			f := r.futures[idx%r.size]
 			if f == nil {
 				f = &posted[n]
-				*f = Future{r: r, ArrivalNS: r.arrivals[idx%r.size], Invid: ops[n].Invid}
+				*f = Future{svc: s, ArrivalNS: r.arrivals[idx%r.size], Invid: ops[n].Invid}
 			}
 			futs[n] = f
 			n++
@@ -463,11 +406,11 @@ func (s *Service) Serve(t *sim.Thread, shard int) {
 		r.drained = head + uint64(n)
 		execNS := t.Clock()
 		var mark uint64
-		if r.batcher != nil {
-			mark = r.batcher.ExecuteBatch(t, shard, ops[:n], res[:n])
+		if s.batcher != nil {
+			mark = s.batcher.ExecuteBatch(t, shard, ops[:n], res[:n])
 		} else {
 			for i := 0; i < n; i++ {
-				res[i] = r.eng.Execute(t, shard, ops[i])
+				res[i] = s.cfg.Engine.Execute(t, shard, ops[i])
 			}
 		}
 		for i := 0; i < n; i++ {
