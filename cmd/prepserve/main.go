@@ -50,6 +50,7 @@ import (
 	"os"
 	"strings"
 
+	"prepuc/internal/core"
 	"prepuc/internal/drivers"
 	"prepuc/internal/harness"
 	"prepuc/internal/shard"
@@ -226,14 +227,18 @@ func buildDoc(progress io.Writer) (*serveDoc, int, error) {
 }
 
 // validate rejects flag combinations no run can honour, naming the flag: an
-// instance count below one, and sharding flags on a single machine, where
-// they would be silently ignored.
+// instance or ring count below one, a batch cap the engine cannot take, and
+// sharding flags on a single machine, where they would be silently ignored.
 func validate() error {
 	switch {
 	case *scenario != "steady" && *scenario != "crash":
 		return fmt.Errorf("unknown scenario %q", *scenario)
 	case *instances < 1:
 		return fmt.Errorf("-instances=%d: need at least one machine", *instances)
+	case load.Shards < 1:
+		return fmt.Errorf("-shards=%d: need at least one ring", load.Shards)
+	case load.MaxBatch < 1 || load.MaxBatch > core.MaxBatch:
+		return fmt.Errorf("-batch=%d: a combiner handoff takes 1 to %d operations", load.MaxBatch, core.MaxBatch)
 	case *instances == 1 && *crashShards != "":
 		return fmt.Errorf("-crash-shards=%s needs -instances > 1", *crashShards)
 	case *instances == 1 && *route != defaultRoute:

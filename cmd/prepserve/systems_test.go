@@ -43,8 +43,9 @@ func TestSystemFlagMatchesRegistry(t *testing.T) {
 }
 
 // TestValidateNamesIgnoredFlags pins the flag combinations main turns into
-// exit 2: an instance count below one used to run flat without a word, and
-// -crash-shards / -route on a single machine were silently ignored.
+// exit 2: an instance count below one used to run flat without a word,
+// -shards 0 and -batch 65 used to panic inside the run, and -crash-shards /
+// -route on a single machine were silently ignored.
 func TestValidateNamesIgnoredFlags(t *testing.T) {
 	for _, tc := range []struct {
 		flags map[string]string
@@ -56,6 +57,10 @@ func TestValidateNamesIgnoredFlags(t *testing.T) {
 		{map[string]string{"scenario": "melt"}, `unknown scenario "melt"`},
 		{map[string]string{"instances": "0"}, "-instances=0"},
 		{map[string]string{"instances": "-2"}, "-instances=-2"},
+		{map[string]string{"shards": "0"}, "-shards=0"},
+		{map[string]string{"batch": "65"}, "-batch=65"},
+		{map[string]string{"batch": "0"}, "-batch=0"},
+		{map[string]string{"batch": "64"}, ""},
 		{map[string]string{"scenario": "crash", "crash-shards": "0"}, "-crash-shards=0"},
 		{map[string]string{"route": "range"}, "-route=range"},
 	} {

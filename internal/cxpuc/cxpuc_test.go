@@ -104,14 +104,14 @@ func TestConcurrentDistinctKeys(t *testing.T) {
 
 func TestReplicaCountCapped(t *testing.T) {
 	w := build(t, testCfg(6), nvm.Config{}, 3)
-	if w.cx.Replicas() != 8 {
-		t.Errorf("replicas = %d, want cap 8", w.cx.Replicas())
+	if len(w.cx.reps) != 8 {
+		t.Errorf("replicas = %d, want cap 8", len(w.cx.reps))
 	}
 	cfg := testCfg(2)
 	cfg.CapReplicas = 0
 	w2 := build(t, cfg, nvm.Config{}, 4)
-	if w2.cx.Replicas() != 4 {
-		t.Errorf("replicas = %d, want 2n = 4", w2.cx.Replicas())
+	if len(w2.cx.reps) != 4 {
+		t.Errorf("replicas = %d, want 2n = 4", len(w2.cx.reps))
 	}
 }
 

@@ -181,9 +181,6 @@ func (cx *CX) Prefill(t *sim.Thread, ops []uc.Op) {
 	cx.flush.FlushLineSync(t, cx.meta, metaLatest)
 }
 
-// Replicas returns the replica count (tests).
-func (cx *CX) Replicas() int { return len(cx.reps) }
-
 // Recover rebuilds a CX-PUC instance from NVM after a crash: the committed
 // generation's published replica (its heap was fully flushed before
 // publication) seeds every replica of a fresh generation. oldCfg may carry

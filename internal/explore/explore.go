@@ -367,19 +367,18 @@ func Run(cfg Config) (*Report, error) {
 
 // exploreSchedule runs phase B for one recorded execution: the crash-free
 // completion leaf, then every (crash class x persist mask [x nested crash x
-// nested mask]) leaf reachable along it.
+// nested mask]) leaf reachable along it. A leaf that fails — a recovery or
+// probe that hangs, errors or panics included — is recorded and the
+// remaining branches still get explored.
 func exploreSchedule(cfg *Config, prefix []int, wr *workRun) bRes {
 	out := bRes{maxDepth: 1}
-
-	// Completion leaf: no crash, so strict durable linearizability even for
-	// buffered constructions — completion must reflect every operation.
-	probed, perr := probeState(cfg, wr.eng, wr.sys)
-	if perr != nil {
-		out.ces = append(out.ces, mkCE(cfg, "completion", prefix, wr.tr, 0, 0, 0, 0,
-			linearize.Result{Reason: perr.Error()}))
-	} else if res := adjudicate(cfg, wr.d, wr.rec, nil, probed, true); !res.OK {
-		out.ces = append(out.ces, mkCE(cfg, "completion", prefix, wr.tr, 0, 0, 0, 0, res))
+	check := func(lf Leaf, res linearize.Result) {
+		if !res.OK {
+			out.ces = append(out.ces, mkCE(cfg, lf, wr.tr, res))
+		}
 	}
+
+	check(Leaf{Schedule: prefix}, completion(cfg, wr))
 	out.leaves++
 
 	// Crash classes: one representative per equivalence class — the
@@ -405,11 +404,7 @@ func exploreSchedule(cfg *Config, prefix []int, wr *workRun) bRes {
 			out.err = err
 			return out
 		}
-		if !cw.sch.Frozen() {
-			// The quiescent class: the armed event never arrives, the
-			// workload completes, and the crash hits the idle machine.
-			cw.sch.CrashNow()
-		}
+		cw.quiesce()
 		out.crashBranches++
 		masks, capped := maskList(cw.sys.PendingLines(), cfg.MaskBits)
 		if capped {
@@ -418,24 +413,15 @@ func exploreSchedule(cfg *Config, prefix []int, wr *workRun) bRes {
 		}
 		for _, mask := range masks {
 			out.maskBranches++
-			trace2 := cfg.Depth >= 2
-			rr, err := recoverOnce(cfg, cw.d, cw.sys, mask, 0, trace2)
+			lf := Leaf{Schedule: prefix, CrashAt: n, Mask: mask}
+			rr, res := settle(cfg, cw, cw.sys, mask, cfg.Depth >= 2)
 			out.leaves++
-			if err != nil {
-				// A recovery that hangs, errors, or panics is this leaf's
-				// verdict; the remaining branches still get explored.
-				out.ces = append(out.ces, mkCE(cfg, "crash", prefix, wr.tr, n, mask, 0, 0,
-					linearize.Result{Reason: err.Error()}))
+			check(lf, res)
+			if rr == nil {
 				continue
 			}
 			out.fps = append(out.fps, rr.fp)
-			if probed, perr := probeState(cfg, rr.eng, rr.sys); perr != nil {
-				out.ces = append(out.ces, mkCE(cfg, "crash", prefix, wr.tr, n, mask, 0, 0,
-					linearize.Result{Reason: perr.Error()}))
-			} else if res := adjudicate(cfg, cw.d, cw.rec, rr.resolved, probed, false); !res.OK {
-				out.ces = append(out.ces, mkCE(cfg, "crash", prefix, wr.tr, n, mask, 0, 0, res))
-			}
-			if !trace2 {
+			if cfg.Depth < 2 {
 				continue
 			}
 
@@ -448,13 +434,13 @@ func exploreSchedule(cfg *Config, prefix []int, wr *workRun) bRes {
 			nested, tr2 := sampleUint64(nested, cfg.MaxNested)
 			out.truncated = out.truncated || tr2
 			for _, n2 := range nested {
+				lf.NestedAt, lf.NestedMask = n2, 0
 				r1, err := recoverOnce(cfg, cw.d, cw.sys, mask, n2, false)
 				if err != nil {
 					// The nested arm was set but the recovery failed on its
 					// own (an error or panic before event n2).
 					out.nestedBranches++
-					out.ces = append(out.ces, mkCE(cfg, "crash", prefix, wr.tr, n, mask, n2, 0,
-						linearize.Result{Reason: err.Error()}))
+					check(lf, linearize.Result{Reason: err.Error()})
 					continue
 				}
 				if !r1.frozen {
@@ -471,23 +457,11 @@ func exploreSchedule(cfg *Config, prefix []int, wr *workRun) bRes {
 				}
 				for _, m2 := range masks2 {
 					out.maskBranches++
-					fr, err := recoverOnce(cfg, cw.d, r1.sys, m2, 0, false)
+					lf.NestedMask = m2
+					_, res := settle(cfg, cw, r1.sys, m2, false)
 					out.leaves++
 					out.maxDepth = 2
-					if err != nil {
-						out.ces = append(out.ces,
-							mkCE(cfg, "crash", prefix, wr.tr, n, mask, n2, m2,
-								linearize.Result{Reason: err.Error()}))
-						continue
-					}
-					if probed2, perr := probeState(cfg, fr.eng, fr.sys); perr != nil {
-						out.ces = append(out.ces,
-							mkCE(cfg, "crash", prefix, wr.tr, n, mask, n2, m2,
-								linearize.Result{Reason: perr.Error()}))
-					} else if res := adjudicate(cfg, cw.d, cw.rec, fr.resolved, probed2, false); !res.OK {
-						out.ces = append(out.ces,
-							mkCE(cfg, "crash", prefix, wr.tr, n, mask, n2, m2, res))
-					}
+					check(lf, res)
 				}
 			}
 		}
@@ -495,23 +469,24 @@ func exploreSchedule(cfg *Config, prefix []int, wr *workRun) bRes {
 	return out
 }
 
-// mkCE assembles one counterexample record. nestedAt == 0 means depth 1.
-func mkCE(cfg *Config, phase string, prefix []int, tr *runTrace,
-	crashAt, mask, nestedAt, nestedMask uint64, res linearize.Result) Counterexample {
+// mkCE assembles the counterexample record of a failed leaf: lf.CrashAt == 0
+// is the completion leaf, lf.NestedAt == 0 a depth-1 crash leaf.
+func mkCE(cfg *Config, lf Leaf, tr *runTrace, res linearize.Result) Counterexample {
 	ce := Counterexample{
 		System:    cfg.System,
-		Phase:     phase,
-		Schedule:  append([]int(nil), prefix...),
-		CrashAt:   crashAt,
+		Phase:     "completion",
+		Schedule:  append([]int(nil), lf.Schedule...),
+		CrashAt:   lf.CrashAt,
 		Partition: res.FailedPartition,
 		Reason:    res.Reason,
-		Trace:     renderTrace(tr, crashAt),
+		Trace:     renderTrace(tr, lf.CrashAt),
 	}
-	if phase != "completion" {
-		ce.Mask = fmt.Sprintf("0x%x", mask)
-		if nestedAt != 0 {
-			ce.NestedAt = nestedAt
-			ce.NestedMask = fmt.Sprintf("0x%x", nestedMask)
+	if lf.CrashAt != 0 {
+		ce.Phase = "crash"
+		ce.Mask = fmt.Sprintf("0x%x", lf.Mask)
+		if lf.NestedAt != 0 {
+			ce.NestedAt = lf.NestedAt
+			ce.NestedMask = fmt.Sprintf("0x%x", lf.NestedMask)
 		}
 	}
 	ce.Repro = reproLine(cfg, &ce)
@@ -584,66 +559,38 @@ type Leaf struct {
 	NestedMask uint64
 }
 
-// Repro replays exactly one leaf and re-adjudicates it, returning the
-// verdict and (on failure) the counterexample record.
+// Repro replays exactly one leaf through the evaluation Run found it with,
+// returning the verdict and (on failure) the counterexample record.
 func Repro(cfg Config, lf Leaf) (linearize.Result, *Counterexample, error) {
 	cfg.defaults()
 	wr, err := runWorkload(&cfg, lf.Schedule, lf.CrashAt, true)
 	if err != nil {
 		return linearize.Result{}, nil, err
 	}
-	// Leaf failures (hung/panicked recovery or probe) are verdicts, same as
-	// in Run.
-	fail := func(phase string, reason string) (linearize.Result, *Counterexample, error) {
-		res := linearize.Result{Reason: reason}
-		ce := mkCE(&cfg, phase, lf.Schedule, wr.tr, lf.CrashAt, lf.Mask, lf.NestedAt, lf.NestedMask, res)
-		return res, &ce, nil
-	}
-	if lf.CrashAt == 0 {
-		probed, perr := probeState(&cfg, wr.eng, wr.sys)
-		if perr != nil {
-			return fail("completion", perr.Error())
-		}
-		res := adjudicate(&cfg, wr.d, wr.rec, nil, probed, true)
-		if res.OK {
-			return res, nil, nil
-		}
-		ce := mkCE(&cfg, "completion", lf.Schedule, wr.tr, 0, 0, 0, 0, res)
-		return res, &ce, nil
-	}
-	if !wr.sch.Frozen() {
-		wr.sch.CrashNow()
-	}
-	var rr *recRun
-	if lf.NestedAt != 0 {
+	var res linearize.Result
+	switch {
+	case lf.CrashAt == 0:
+		res = completion(&cfg, wr)
+	case lf.NestedAt == 0:
+		wr.quiesce()
+		_, res = settle(&cfg, wr, wr.sys, lf.Mask, false)
+	default:
+		wr.quiesce()
 		r1, err := recoverOnce(&cfg, wr.d, wr.sys, lf.Mask, lf.NestedAt, false)
-		if err != nil {
-			return fail("crash", err.Error())
-		}
-		if !r1.frozen {
-			return linearize.Result{}, nil, fmt.Errorf(
-				"explore: nested crash at %d never fired (recovery ran %d events)",
+		switch {
+		case err != nil:
+			res.Reason = err.Error()
+		case !r1.frozen:
+			return res, nil, fmt.Errorf("explore: nested crash at %d never fired (recovery ran %d events)",
 				lf.NestedAt, r1.events)
-		}
-		rr, err = recoverOnce(&cfg, wr.d, r1.sys, lf.NestedMask, 0, false)
-		if err != nil {
-			return fail("crash", err.Error())
-		}
-	} else {
-		rr, err = recoverOnce(&cfg, wr.d, wr.sys, lf.Mask, 0, false)
-		if err != nil {
-			return fail("crash", err.Error())
+		default:
+			_, res = settle(&cfg, wr, r1.sys, lf.NestedMask, false)
 		}
 	}
-	probed, perr := probeState(&cfg, rr.eng, rr.sys)
-	if perr != nil {
-		return fail("crash", perr.Error())
-	}
-	res := adjudicate(&cfg, wr.d, wr.rec, rr.resolved, probed, false)
 	if res.OK {
 		return res, nil, nil
 	}
-	ce := mkCE(&cfg, "crash", lf.Schedule, wr.tr, lf.CrashAt, lf.Mask, lf.NestedAt, lf.NestedMask, res)
+	ce := mkCE(&cfg, lf, wr.tr, res)
 	return res, &ce, nil
 }
 
@@ -670,9 +617,7 @@ func StrideSweep(cfg Config, stride uint64) ([]uint64, error) {
 		if err != nil {
 			return err
 		}
-		if !wr.sch.Frozen() {
-			wr.sch.CrashNow()
-		}
+		wr.quiesce()
 		r := wr.sys.Recover(sim.New(cfg.Seed + 2))
 		fps = append(fps, r.PersistedFingerprint())
 		return nil

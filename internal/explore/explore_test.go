@@ -141,7 +141,7 @@ func mutationCfg() Config {
 // TestExploreCatchesInPlaceReplayMutation reintroduces the historical
 // recovery bug (replaying the log into the crashed heap in place instead of
 // into a private clone) behind core.DebugInPlaceReplay and requires the
-// explorer to find it with a replayable counterexample. The same
+// explorer to find it, every counterexample replayable. The same
 // configuration with the mutation off must be clean — the bug is only
 // visible to systematic crash exploration, which is the point of the
 // explorer.
@@ -169,17 +169,25 @@ func TestExploreCatchesInPlaceReplayMutation(t *testing.T) {
 		ce.Phase, ce.CrashAt, ce.Mask, ce.NestedAt, ce.Reason)
 	t.Logf("repro: %s", ce.Repro)
 
-	// The counterexample must replay: feeding its four-tuple back through
-	// Repro re-fails with the mutation still armed.
-	lf := Leaf{Schedule: ce.Schedule, CrashAt: ce.CrashAt,
-		Mask: parseMask(t, ce.Mask), NestedAt: ce.NestedAt,
-		NestedMask: parseMask(t, ce.NestedMask)}
-	res, rce, err := Repro(mutationCfg(), lf)
-	if err != nil {
-		t.Fatalf("replay errored: %v", err)
-	}
-	if res.OK || rce == nil {
-		t.Fatalf("counterexample did not replay: ok=%v", res.OK)
+	// Every counterexample must replay: feeding its four-tuple back through
+	// Repro re-fails with the mutation still armed, for the same reason and
+	// under the same repro line — Repro evaluates a leaf with the code Run
+	// found it with.
+	for i, c := range rep.Counterexamples {
+		lf := Leaf{Schedule: c.Schedule, CrashAt: c.CrashAt,
+			Mask: parseMask(t, c.Mask), NestedAt: c.NestedAt,
+			NestedMask: parseMask(t, c.NestedMask)}
+		res, rce, err := Repro(mutationCfg(), lf)
+		if err != nil {
+			t.Fatalf("counterexample %d: replay errored: %v", i, err)
+		}
+		if res.OK || rce == nil {
+			t.Fatalf("counterexample %d did not replay: ok=%v\nrepro: %s", i, res.OK, c.Repro)
+		}
+		if rce.Reason != c.Reason || rce.Repro != c.Repro {
+			t.Errorf("counterexample %d replayed differently:\nfound:    %q\n          %s\nreplayed: %q\n          %s",
+				i, c.Reason, c.Repro, rce.Reason, rce.Repro)
+		}
 	}
 
 	// With the mutation reverted the same crash point must recover clean.
@@ -187,7 +195,7 @@ func TestExploreCatchesInPlaceReplayMutation(t *testing.T) {
 	// mutated recovery's execution, which the fixed recovery (a different,
 	// shorter execution) never reaches.
 	core.DebugInPlaceReplay = false
-	res, rce, err = Repro(mutationCfg(), Leaf{Schedule: ce.Schedule,
+	res, rce, err := Repro(mutationCfg(), Leaf{Schedule: ce.Schedule,
 		CrashAt: ce.CrashAt, Mask: parseMask(t, ce.Mask)})
 	if err != nil {
 		t.Fatalf("fixed replay errored: %v", err)
@@ -211,22 +219,6 @@ func parseMask(t *testing.T, s string) uint64 {
 		t.Fatalf("bad mask %q: %v", s, err)
 	}
 	return v
-}
-
-// BenchmarkExploreSmall is the wall-clock guard for the explorer: one full
-// depth-1 exploration of PREP-Durable at 2 workers x 2 ops with the delay
-// bound at 2. Tracked in BENCH_wallclock.json; CI fails on a >2x regression.
-func BenchmarkExploreSmall(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rep, err := Run(Config{System: "prep-durable", Workers: 2, Ops: 2,
-			MaxRounds: 2, Jobs: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rep.Counterexamples) != 0 {
-			b.Fatalf("counterexamples: %d", len(rep.Counterexamples))
-		}
-	}
 }
 
 // TestSystemMatchesRegistry pins the accepted Config.System set to the

@@ -218,16 +218,7 @@ func recoverOnce(cfg *Config, d *uc.Driver, frozenSys *nvm.System, mask uint64,
 	}
 	var rerr error
 	recSch.Spawn("recover", 0, 0, func(t *sim.Thread) {
-		defer func() {
-			if rc := recover(); rc == nil || sim.Crashed(rc) {
-				return
-			} else if rerr == nil {
-				// A panic on corrupted state (e.g. a torn heap driving an
-				// allocator or structure walk out of bounds) is a recovery
-				// failure to report, not an explorer crash.
-				rerr = fmt.Errorf("recovery panicked: %v", rc)
-			}
-		}()
+		defer panicToErr("recovery", &rerr)
 		var info uc.RecoverInfo
 		out.eng, info, rerr = d.Recover(t, r)
 		out.resolved = info.Resolved
@@ -253,6 +244,16 @@ func recoverOnce(cfg *Config, d *uc.Driver, frozenSys *nvm.System, mask uint64,
 	return out, nil
 }
 
+// panicToErr, deferred in a simulated thread, turns a panic on corrupted
+// state (e.g. a torn heap driving an allocator or structure walk out of
+// bounds) into the run's error — a leaf verdict to report, not an explorer
+// crash. The simulator's own crash unwind passes through.
+func panicToErr(what string, err *error) {
+	if rc := recover(); rc != nil && !sim.Crashed(rc) && *err == nil {
+		*err = fmt.Errorf("%s panicked: %v", what, rc)
+	}
+}
+
 // probeState reads back the recovered (or live) state over the probe keys
 // on a fresh scheduler. A probe that spins forever or panics (a read walk
 // over a corrupted structure) is a leaf verdict like a failed recovery.
@@ -263,13 +264,7 @@ func probeState(cfg *Config, eng uc.UC, sys *nvm.System) (map[uint64]uint64, err
 	sch.CrashAtEvent(cfg.MaxRunEvents)
 	var perr error
 	sch.Spawn("probe", 0, 0, func(t *sim.Thread) {
-		defer func() {
-			if rc := recover(); rc == nil || sim.Crashed(rc) {
-				return
-			} else if perr == nil {
-				perr = fmt.Errorf("probe panicked: %v", rc)
-			}
-		}()
+		defer panicToErr("probe", &perr)
 		for _, k := range cfg.probeTargets() {
 			if v := eng.Execute(t, 0, uc.Get(k)); v != uc.NotFound {
 				out[k] = v
@@ -323,6 +318,44 @@ func adjudicate(cfg *Config, d *uc.Driver, rec *linearize.Recorder,
 	}
 	init := linearize.Replay(model, nil, cfg.prefill())
 	return linearize.CheckEpoch(model, init, ops, probed, opt)
+}
+
+// quiesce turns a workload whose armed crash never arrived (the quiescent
+// crash class: the threshold lies past the last event) into a crash of the
+// idle machine, so every crash branch hands on a frozen one.
+func (wr *workRun) quiesce() {
+	if !wr.sch.Frozen() {
+		wr.sch.CrashNow()
+	}
+}
+
+// completion evaluates the crash-free leaf of wr: nothing crashed, so strict
+// durable linearizability even for buffered constructions — the probed state
+// must reflect every operation.
+func completion(cfg *Config, wr *workRun) linearize.Result {
+	probed, err := probeState(cfg, wr.eng, wr.sys)
+	if err != nil {
+		return linearize.Result{Reason: err.Error()}
+	}
+	return adjudicate(cfg, wr.d, wr.rec, nil, probed, true)
+}
+
+// settle evaluates one crash leaf of the workload cw: recover the frozen
+// machine (cw's own, or the wreck of a recovery a nested crash cut short)
+// under mask to completion, probe the result, adjudicate it against cw's
+// history. A recovery or probe that hangs, errors or panics is the leaf's
+// verdict. The recovery run comes back whenever it completed — even if the
+// probe then failed — and nil otherwise.
+func settle(cfg *Config, cw *workRun, frozen *nvm.System, mask uint64, trace bool) (*recRun, linearize.Result) {
+	rr, err := recoverOnce(cfg, cw.d, frozen, mask, 0, trace)
+	if err != nil {
+		return nil, linearize.Result{Reason: err.Error()}
+	}
+	probed, err := probeState(cfg, rr.eng, rr.sys)
+	if err != nil {
+		return rr, linearize.Result{Reason: err.Error()}
+	}
+	return rr, adjudicate(cfg, cw.d, cw.rec, rr.resolved, probed, false)
 }
 
 // sampleUint64 evenly samples at most max values (0 = no cap), always

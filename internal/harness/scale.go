@@ -112,7 +112,7 @@ func PaperScale() Scale {
 	}
 }
 
-// TinyScale is for the repository's testing.B benchmarks: one data point
+// TinyScale is `prepbench -scale tiny` and the tests' size: one data point
 // must finish in well under a second.
 func TinyScale() Scale {
 	sc := SmallScale()

@@ -37,6 +37,7 @@ package harness
 import (
 	"fmt"
 
+	"prepuc/internal/core"
 	"prepuc/internal/drivers"
 	"prepuc/internal/fault"
 	"prepuc/internal/linearize"
@@ -299,6 +300,12 @@ const serveRetryNS = 512
 // crash-and-recover-under-load when cfg.CrashAtNS is set — and returns the
 // measured record.
 func RunServe(d *ServeDriver, cfg ServeConfig) (*ServeResult, error) {
+	if cfg.Shards < 1 {
+		return nil, fmt.Errorf("serve: Shards must be positive, got %d", cfg.Shards)
+	}
+	if err := checkBatch(cfg.Batched, cfg.MaxBatch); err != nil {
+		return nil, err
+	}
 	arrivals, err := openloop.Generate(cfg.Open)
 	if err != nil {
 		return nil, err
@@ -308,6 +315,16 @@ func RunServe(d *ServeDriver, cfg ServeConfig) (*ServeResult, error) {
 	})
 	res, _, err := runServeArrivals(d, cfg, perShard)
 	return res, err
+}
+
+// checkBatch rejects a drain cap the batched path cannot run: a consumer
+// hands its whole drain to the engine's ExecuteBatch, which takes at most
+// core.MaxBatch operations (one descriptor slot each) and panics past it.
+func checkBatch(batched bool, maxBatch int) error {
+	if batched && maxBatch > core.MaxBatch {
+		return fmt.Errorf("serve: MaxBatch %d exceeds the batched path's limit of %d", maxBatch, core.MaxBatch)
+	}
+	return nil
 }
 
 // ringOf shards a machine's schedule across its rings by client.

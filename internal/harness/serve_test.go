@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"prepuc/internal/core"
 	"prepuc/internal/drivers"
 	"prepuc/internal/openloop"
 )
@@ -87,6 +88,24 @@ func TestRunServeCrashAllSystems(t *testing.T) {
 				t.Errorf("outage left no latency tail: %+v", res.Latency)
 			}
 		})
+	}
+}
+
+// TestRunServeRejectsUnrunnableGeometry: a ring count below one used to
+// divide by zero splitting the schedule, and a batched drain cap past
+// core.MaxBatch used to panic inside a simulated consumer thread; both are
+// errors from the entry point (TestShardedServeConfigValidation holds the
+// sharded one to the same).
+func TestRunServeRejectsUnrunnableGeometry(t *testing.T) {
+	for name, mut := range map[string]func(*ServeConfig){
+		"Shards=0":    func(c *ServeConfig) { c.Shards = 0 },
+		"MaxBatch=65": func(c *ServeConfig) { c.MaxBatch = core.MaxBatch + 1 },
+	} {
+		cfg := serveTestConfig(0)
+		mut(&cfg)
+		if _, err := RunServe(ServeDrivers(2, 64)[0], cfg); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
 	}
 }
 

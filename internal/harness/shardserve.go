@@ -106,6 +106,9 @@ func RunShardedServe(mk func() *ServeDriver, cfg ShardedServeConfig) (*ServeResu
 		return nil, fmt.Errorf("sharded serve: TotalWorkers %d does not divide across %d instances",
 			cfg.TotalWorkers, cfg.Instances)
 	}
+	if err := checkBatch(cfg.Batched, cfg.MaxBatch); err != nil {
+		return nil, err
+	}
 	pol, err := shard.ParsePolicy(cfg.Route)
 	if err != nil {
 		return nil, err

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"prepuc/internal/core"
 	"prepuc/internal/drivers"
 	"prepuc/internal/openloop"
 )
@@ -159,6 +160,8 @@ func TestShardedServeConfigValidation(t *testing.T) {
 	bad := []func(*ShardedServeConfig){
 		func(c *ShardedServeConfig) { c.Instances = 0 },
 		func(c *ShardedServeConfig) { c.TotalWorkers = 3 },
+		func(c *ShardedServeConfig) { c.TotalWorkers = 0 },
+		func(c *ShardedServeConfig) { c.MaxBatch = core.MaxBatch + 1 },
 		func(c *ShardedServeConfig) { c.Route = "modulo" },
 		func(c *ShardedServeConfig) { c.CrashShards = []int{4}; c.CrashAtNS = 1 },
 		func(c *ShardedServeConfig) { c.CrashShards = []int{1} },

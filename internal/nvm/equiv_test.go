@@ -40,7 +40,8 @@ func equivWorkload(seed uint64, policy fault.Policy, noElide bool) equivResult {
 	res := equivResult{persisted: map[string][]uint64{}, dirty: map[string]uint64{}}
 
 	sch := sim.New(int64(seed))
-	sys := NewSystem(sch, Config{Costs: sim.UnitCosts(), BGFlushOneIn: 32, Seed: seed, Policy: policy, NoFlushElision: noElide})
+	sys := NewSystem(sch, Config{Costs: sim.UnitCosts(), BGFlushOneIn: 32, Seed: seed, NoFlushElision: noElide})
+	sys.SetFaultPolicy(policy)
 	a := sys.NewMemory("a", NVM, 0, memWordsA)
 	b := sys.NewMemory("b", NVM, 0, memWordsB)
 	v := sys.NewMemory("v", Volatile, 0, 512)
@@ -196,7 +197,8 @@ func TestDirtyListEquivalence(t *testing.T) {
 func TestRecoverShortCircuitsEmptyPending(t *testing.T) {
 	run := func(policy fault.Policy, fenceBeforeCrash bool) (*System, uint64) {
 		sch := sim.New(7)
-		sys := NewSystem(sch, Config{Costs: sim.UnitCosts(), Seed: 7, Policy: policy})
+		sys := NewSystem(sch, Config{Costs: sim.UnitCosts(), Seed: 7})
+		sys.SetFaultPolicy(policy)
 		m := sys.NewMemory("m", NVM, 0, 64*WordsPerLine)
 		sch.Spawn("w", 0, 0, func(t *sim.Thread) {
 			f := sys.NewFlusher()

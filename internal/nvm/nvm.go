@@ -151,9 +151,6 @@ type Config struct {
 	BGFlushOneIn uint64
 	// Seed drives crash-time persistence coin flips and background flushes.
 	Seed uint64
-	// Policy overrides the crash-time materialization of pending (flushed
-	// but unfenced) lines. Nil keeps the substrate's default fair coin.
-	Policy fault.Policy
 	// NoFlushElision disables the FliT-style clean-line flush elision and
 	// restores the reference cost model where every flush request charges a
 	// full FlushLine/FlushSync. The persisted views are identical in both
@@ -173,7 +170,6 @@ func NewSystem(sch *sim.Scheduler, cfg Config) *System {
 		mems:     make(map[string]*Memory),
 		bgProb:   cfg.BGFlushOneIn,
 		rngState: seed,
-		policy:   cfg.Policy,
 		elide:    !cfg.NoFlushElision,
 		met:      metrics.NewRegistry(),
 	}

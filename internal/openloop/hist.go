@@ -62,9 +62,8 @@ func (h *Histogram) Merge(other *Histogram) {
 	}
 }
 
-// Count, Max and Mean report the exact tallies.
-func (h *Histogram) Count() uint64 { return h.count }
-func (h *Histogram) Max() uint64   { return h.max }
+// Max and Mean report the exact tallies.
+func (h *Histogram) Max() uint64 { return h.max }
 func (h *Histogram) Mean() float64 {
 	if h.count == 0 {
 		return 0

@@ -169,8 +169,8 @@ func TestHistogramExactQuantiles(t *testing.T) {
 	if h.Max() != ref[len(ref)-1] {
 		t.Fatalf("Max %d != %d", h.Max(), ref[len(ref)-1])
 	}
-	if h.Count() != uint64(len(ref)) {
-		t.Fatalf("Count %d != %d", h.Count(), len(ref))
+	if h.count != uint64(len(ref)) {
+		t.Fatalf("Count %d != %d", h.count, len(ref))
 	}
 }
 

@@ -361,28 +361,6 @@ func Recover(t *sim.Thread, recSys *nvm.System, oldCfg Config) (*Soft, uint64, e
 	return s, recovered, nil
 }
 
-// DebugHeldLocks returns the bucket indexes whose lock word is nonzero
-// (tests and tooling only).
-func (s *Soft) DebugHeldLocks(t *sim.Thread) []uint64 {
-	var held []uint64
-	for b := uint64(0); b < s.cfg.Buckets; b++ {
-		if s.vmem.Load(t, s.locksOff+b) != 0 {
-			held = append(held, b)
-		}
-	}
-	return held
-}
-
-// DebugChainLen walks bucket b's volatile chain up to max nodes and returns
-// the count (max indicates a probable cycle). Tests and tooling only.
-func (s *Soft) DebugChainLen(t *sim.Thread, b, max uint64) uint64 {
-	var n uint64
-	for v := s.vmem.Load(t, s.bucketsOff+b); v != 0 && n < max; v = s.vmem.Load(t, v+vnNext) {
-		n++
-	}
-	return n
-}
-
 func splitmix64(x uint64) uint64 {
 	x += 0x9E3779B97F4A7C15
 	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9

@@ -170,11 +170,11 @@ func TestConcurrentMixedWorkloadOverlappingKeys(t *testing.T) {
 	// The table must still be structurally sound: no lock left held, no
 	// cycles, every remaining key in range.
 	w.run(1, 0, 1101, func(th *sim.Thread, tid int) {
-		if held := w.s.DebugHeldLocks(th); len(held) != 0 {
+		if held := w.s.heldLocks(th); len(held) != 0 {
 			t.Errorf("bucket locks still held after quiescence: %v", held)
 		}
 		for b := uint64(0); b < 1024; b++ {
-			if c := w.s.DebugChainLen(th, b, 1<<16); c >= 1<<16 {
+			if c := w.s.chainLen(th, b, 1<<16); c >= 1<<16 {
 				t.Fatalf("bucket %d chain has a cycle", b)
 			}
 		}
@@ -261,4 +261,25 @@ func TestDeletedKeysStayDeletedAfterCrash(t *testing.T) {
 		}
 	})
 	sch2.Run()
+}
+
+// heldLocks returns the bucket indexes whose lock word is nonzero.
+func (s *Soft) heldLocks(t *sim.Thread) []uint64 {
+	var held []uint64
+	for b := uint64(0); b < s.cfg.Buckets; b++ {
+		if s.vmem.Load(t, s.locksOff+b) != 0 {
+			held = append(held, b)
+		}
+	}
+	return held
+}
+
+// chainLen walks bucket b's volatile chain up to max nodes and returns the
+// count (max indicates a probable cycle).
+func (s *Soft) chainLen(t *sim.Thread, b, max uint64) uint64 {
+	var n uint64
+	for v := s.vmem.Load(t, s.bucketsOff+b); v != 0 && n < max; v = s.vmem.Load(t, v+vnNext) {
+		n++
+	}
+	return n
 }

@@ -71,21 +71,6 @@ func OpName(code uint64) string {
 	}
 }
 
-// opCodes is OpName inverted, built once at init so OpCode is a single map
-// lookup instead of a scan that re-renders every name per query.
-var opCodes = func() map[string]uint64 {
-	m := make(map[string]uint64, OpMin)
-	for code := OpGet; code <= OpMin; code++ {
-		m[OpName(code)] = code
-	}
-	return m
-}()
-
-// OpCode is the inverse of OpName: it resolves a human-readable operation
-// name (as used in workload specs and bench output) back to its code,
-// returning 0 for names OpName never produces.
-func OpCode(name string) uint64 { return opCodes[name] }
-
 // Op is one encoded operation.
 type Op struct {
 	Code, A0, A1 uint64

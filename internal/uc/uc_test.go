@@ -74,21 +74,3 @@ func TestNotFoundSentinel(t *testing.T) {
 		t.Error("NotFound sentinel changed; log-encoded responses depend on it")
 	}
 }
-
-func TestOpCodeRoundTrip(t *testing.T) {
-	for code := OpGet; code <= OpMin; code++ {
-		name := OpName(code)
-		if name == "unknown" {
-			t.Fatalf("code %d has no name", code)
-		}
-		if got := OpCode(name); got != code {
-			t.Errorf("OpCode(OpName(%d)) = %d, want %d", code, got, code)
-		}
-	}
-	if got := OpCode("unknown"); got != 0 {
-		t.Errorf("OpCode(\"unknown\") = %d, want 0", got)
-	}
-	if got := OpCode("no-such-op"); got != 0 {
-		t.Errorf("OpCode of bogus name = %d, want 0", got)
-	}
-}
