@@ -41,7 +41,7 @@
 //     stream are identical for every value.
 //
 // Every cycle also measures recovery's virtual time and replayed entries and
-// what the adversary did; -format json emits them as one "prepuc-crash/v2"
+// what the adversary did; -format json emits them as one "prepuc-crash/v3"
 // document. Exit status: 0 every cycle passed, 1 a cycle failed or the run
 // could not be carried out, 2 flags no run can honour.
 package main

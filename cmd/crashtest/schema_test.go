@@ -48,13 +48,15 @@ func buildDoc(progress *bytes.Buffer, tgs []harness.CrashTarget) (harness.CrashD
 	return harness.BuildCrashDoc(progress, cfg, tgs)
 }
 
-// TestSchemaGolden locks the prepuc-crash/v2 JSON document byte for byte:
+// TestSchemaGolden locks the prepuc-crash/v3 JSON document byte for byte:
 // every field of a run is virtual-time or seed-derived, so a tiny
 // deterministic run must reproduce its golden exactly. One golden covers
 // the v1-compatible prefix checker, one the -check linearize additions
 // (per-cycle "check" blocks and the top-level "checker" summary). Run
 // `go test ./cmd/crashtest -run TestSchemaGolden -update` to regenerate
-// after an intentional (additive-only) schema change.
+// after an intentional (additive-only) schema change. Each cycle's "metrics"
+// block — the machine's whole counter set — must agree with the "fault" block
+// derived from it.
 func TestSchemaGolden(t *testing.T) {
 	base := map[string]string{
 		"iterations": "2", "workers": "2", "epsilon": "16", "log": "128",
@@ -65,11 +67,11 @@ func TestSchemaGolden(t *testing.T) {
 		golden string
 		extra  map[string]string
 	}{
-		{"prefix", "crash_v2_prefix.golden.json",
+		{"prefix", "crash_v3_prefix.golden.json",
 			map[string]string{"system": "prep-durable", "check": "prefix"}},
-		{"linearize", "crash_v2_linearize.golden.json",
+		{"linearize", "crash_v3_linearize.golden.json",
 			map[string]string{"system": "prep-buffered", "check": "linearize", "epochs": "2"}},
-		{"sharded", "crash_v2_sharded.golden.json",
+		{"sharded", "crash_v3_sharded.golden.json",
 			map[string]string{"system": "all", "check": "prefix",
 				"instances": "2", "nested": "0"}},
 	}
@@ -82,6 +84,15 @@ func TestSchemaGolden(t *testing.T) {
 			doc, failures := buildDoc(&progress, selected(t))
 			if failures != 0 {
 				t.Fatalf("deterministic run failed %d cycles:\n%s", failures, progress.String())
+			}
+			for _, sd := range doc.Systems {
+				for _, cyc := range sd.Cycles {
+					if m, f := cyc.Metrics, cyc.Fault; m.CrashLinesDropped != f.PendingDropped ||
+						m.CrashLinesPersisted != f.PendingPersisted ||
+						m.RecoveryRestarts != f.RecoveryRestarts || m.ReplayHoles != f.ReplayHoles || m.Stores == 0 {
+						t.Errorf("%s cycle %d: metrics block %+v disagrees with fault block %+v", sd.System, cyc.Iteration, m, f)
+					}
+				}
 			}
 			got, err := json.MarshalIndent(doc, "", "  ")
 			if err != nil {
@@ -142,7 +153,7 @@ func TestSweepBlock(t *testing.T) {
 	if sw.Timing.PagesCopied == 0 {
 		t.Error("timing.pages_copied = 0, want > 0 (recovery writes must privatize pages)")
 	}
-	// Wire names: the block is additive to prepuc-crash/v2 and its field
+	// Wire names: the block is additive to the cycle record and its field
 	// spellings are contract.
 	raw, err := json.Marshal(doc)
 	if err != nil {
@@ -210,8 +221,8 @@ func TestShardedCrashFields(t *testing.T) {
 				t.Errorf("cycle %d sharded block is missing %q", i, k)
 			}
 		}
-		if sb["foreign_keys"].(float64) != 0 {
-			t.Errorf("cycle %d: %v foreign keys", i, sb["foreign_keys"])
+		if sb["foreign_keys"].(float64) != 0 || sb["instances"].(float64) != 2 || cm["ok"] != true {
+			t.Errorf("cycle %d: ok=%v with %v foreign keys over %v instances", i, cm["ok"], sb["foreign_keys"], sb["instances"])
 		}
 		first := sb["recovered_first"].([]any)
 		if len(first) == 0 || len(first) >= 2 {
@@ -253,7 +264,9 @@ func TestShardedCrashFields(t *testing.T) {
 
 // TestSchemaRequiredFields guards the stability contract independently of
 // the golden bytes: the v1 field names and the v2/check additions must
-// survive any refactor of the Go structs.
+// survive any refactor of the Go structs, and the fault and checker
+// summaries say what ran (the adversary's label, the checker's mode, epochs,
+// a nonzero op count and no failure).
 func TestSchemaRequiredFields(t *testing.T) {
 	withFlags(t, map[string]string{
 		"iterations": "1", "workers": "2", "epsilon": "16", "log": "128",
@@ -284,7 +297,7 @@ func TestSchemaRequiredFields(t *testing.T) {
 	systems := m["systems"].([]any)
 	cycle := systems[0].(map[string]any)["cycles"].([]any)[0].(map[string]any)
 	for _, k := range []string{"iteration", "ok", "completed_ops", "recovered_ops", "lost_completed",
-		"recovery_virtual_ns", "replayed", "crash_at", "recovery_attempts", "fault", "check"} {
+		"recovery_virtual_ns", "replayed", "crash_at", "recovery_attempts", "fault", "metrics", "check"} {
 		if _, ok := cycle[k]; !ok {
 			t.Errorf("cycle is missing field %q", k)
 		}
@@ -299,6 +312,46 @@ func TestSchemaRequiredFields(t *testing.T) {
 	for _, k := range []string{"mode", "epochs", "cycles", "ops", "lost", "failures"} {
 		if _, ok := checker[k]; !ok {
 			t.Errorf("checker summary is missing field %q", k)
+		}
+	}
+	if checker["mode"] != "linearize" || checker["epochs"].(float64) != 1 ||
+		checker["ops"].(float64) == 0 || checker["failures"].(float64) != 0 || check["ok"] != true {
+		t.Errorf("checker summary %v over cycle check %v", checker, check)
+	}
+	if p := m["fault"].(map[string]any)["policy"]; p != "targeted" || cycle["fault"].(map[string]any)["policy"] != p {
+		t.Errorf("fault blocks do not name the adversary: %v, %v", m["fault"], cycle["fault"])
+	}
+}
+
+// TestNestedCrashTortureAllSystems is CI's nested-crash smoke as a test:
+// under the worst-case adversary with one crash armed inside each recovery,
+// in both flush cost models, all five systems pass every cycle, every armed
+// crash lands (one nested crash per cycle, summed in the document's fault
+// block) and recovery is re-entered exactly once per nested crash.
+func TestNestedCrashTortureAllSystems(t *testing.T) {
+	withFlags(t, map[string]string{
+		"iterations": "2", "workers": "2", "epsilon": "16", "log": "128",
+		"seed": "42", "policy": "dropall", "nested": "1", "system": "all",
+	})
+	for _, elide := range []string{"true", "false"} {
+		withFlags(t, map[string]string{"flush-elide": elide})
+		var progress bytes.Buffer
+		doc, failures := buildDoc(&progress, selected(t))
+		if failures != 0 || len(doc.Systems) != 5 {
+			t.Fatalf("flush-elide=%s: %d failures over %d systems:\n%s", elide, failures, len(doc.Systems), progress.String())
+		}
+		cycles := uint64(0)
+		for _, sd := range doc.Systems {
+			for _, cyc := range sd.Cycles {
+				cycles++
+				if n := cyc.Fault.NestedCrashes; !cyc.OK || n != 1 || cyc.RecoveryAttempts != int(n)+1 {
+					t.Errorf("flush-elide=%s %s cycle %d: ok=%v nested=%d attempts=%d",
+						elide, sd.System, cyc.Iteration, cyc.OK, n, cyc.RecoveryAttempts)
+				}
+			}
+		}
+		if doc.Fault.Policy != "dropall" || doc.Fault.NestedCrashes != cycles {
+			t.Errorf("flush-elide=%s: document fault block %+v over %d cycles", elide, doc.Fault, cycles)
 		}
 	}
 }

@@ -15,7 +15,7 @@
 // counts down the rows, one throughput column (ops per virtual second) per
 // system, matching the series of the corresponding figure in the paper.
 // With -format json the run emits one machine-readable document (schema
-// "prepuc-bench/v1") whose per-point records carry the full metrics
+// "prepuc-bench/v2") whose per-point records carry the full metrics
 // breakdown — flushes, fences, WBINVD invocations, coherence transfers,
 // combiner batch statistics — of the measurement phase. Absolute numbers are
 // simulator-relative; the shapes (who wins, by what factor, where the

@@ -23,12 +23,12 @@
 // (persistall, dropall, coinflip[=p], targeted[=n]). -check verifies every
 // run for (buffered) durable linearizability — the crash epoch's in-flight
 // operations held to their descriptor verdicts — and the process exits
-// nonzero if any system fails it.
+// nonzero if any system fails it, or reports duplicates_applied > 0.
 //
 // Both scenarios run against all five recoverable constructions
 // (PREP-Durable, PREP-Buffered, CX-PUC, SOFT, ONLL) unless -system narrows
 // the set. -format json emits one machine-readable document with schema
-// "prepuc-serve/v3".
+// "prepuc-serve/v4".
 //
 // -instances S > 1 selects the sharded multi-instance deployment: S fully
 // independent machines (each with its own scheduler, NVM, engine, rings and
@@ -107,9 +107,10 @@ const defaultRoute = "hash"
 // "policy" and the optional per-system "check" block. v3 adds the sharded
 // multi-instance mode: top-level instances/route/crash_shards, and — on
 // sharded documents only — per-system route, imbalance, shards breakdowns
-// and the composition verdict. Single-instance documents keep the v2 shape
-// apart from the schema string; all v3 additions are strictly additive.
-const ServeSchema = "prepuc-serve/v3"
+// and the composition verdict. v4 adds the "metrics" block — the machine's
+// whole metrics.Snapshot, the block a prepuc-bench point carries — to every
+// record, per-machine and aggregate. Every addition is strictly additive.
+const ServeSchema = "prepuc-serve/v4"
 
 // serveDoc is the whole run.
 type serveDoc struct {
@@ -157,8 +158,7 @@ func selectSystems() ([]drivers.Entry, error) {
 
 // buildDoc runs the selected scenario against the selected systems under the
 // current flag values and returns the document plus the number of failed
-// linearize checks. Table-format rendering goes to progress as the runs
-// finish.
+// systems. Table-format rendering goes to progress as the runs finish.
 func buildDoc(progress io.Writer) (*serveDoc, int, error) {
 	cfg := load
 	cfg.Open.Seed = cfg.Seed + 1000
@@ -216,7 +216,7 @@ func buildDoc(progress io.Writer) (*serveDoc, int, error) {
 			return nil, failures, err
 		}
 		doc.Systems = append(doc.Systems, res)
-		if res.Check != nil && !res.Check.OK {
+		if failed(res) {
 			failures++
 		}
 		if *format != "json" {
@@ -224,6 +224,14 @@ func buildDoc(progress io.Writer) (*serveDoc, int, error) {
 		}
 	}
 	return doc, failures, nil
+}
+
+// failed is the verdict a record carries against the run: a linearize check
+// that did not pass, or a crash resume that resubmitted an operation recovery
+// had proved committed (a double apply).
+func failed(r *harness.ServeResult) bool {
+	return r.Check != nil && !r.Check.OK ||
+		r.Crash != nil && r.Crash.DuplicatesApplied != nil && *r.Crash.DuplicatesApplied > 0
 }
 
 // validate rejects flag combinations no run can honour, naming the flag: an
@@ -286,7 +294,7 @@ func main() {
 		}
 	}
 	if failures > 0 {
-		fatal(1, fmt.Errorf("%d system(s) failed the linearize check", failures))
+		fatal(1, fmt.Errorf("%d system(s) failed the linearize check or applied a duplicate", failures))
 	}
 }
 

@@ -7,6 +7,9 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"prepuc/internal/harness"
+	"prepuc/internal/metrics"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -37,28 +40,29 @@ var serveBase = map[string]string{
 	"seed": "42", "format": "json",
 }
 
-// TestSchemaGolden locks the prepuc-serve/v3 JSON document byte for byte.
+// TestSchemaGolden locks the prepuc-serve/v4 JSON document byte for byte.
 // One golden covers the steady scenario, one the checked crash scenario
 // under the targeted fault adversary, and two the sharded multi-instance
 // mode — a steady 4-machine deployment (all six systems, PREP-Volatile
 // included) and a partial crash of machines {0,2} with survivors serving
 // through. Run `go test ./cmd/prepserve -run TestSchemaGolden -update` to
-// regenerate after an intentional (additive-only) schema change.
+// regenerate after an intentional (additive-only) schema change. Every
+// record of the four documents is also held to checkMetrics.
 func TestSchemaGolden(t *testing.T) {
 	cases := []struct {
 		name   string
 		golden string
 		extra  map[string]string
 	}{
-		{"steady", "serve_v3_steady.golden.json",
+		{"steady", "serve_v4_steady.golden.json",
 			map[string]string{"scenario": "steady", "check": "true"}},
-		{"crash", "serve_v3_crash.golden.json",
+		{"crash", "serve_v4_crash.golden.json",
 			map[string]string{"scenario": "crash", "crash-at": "200000",
 				"policy": "targeted", "check": "true"}},
-		{"sharded-steady", "serve_v3_sharded_steady.golden.json",
+		{"sharded-steady", "serve_v4_sharded_steady.golden.json",
 			map[string]string{"scenario": "steady", "check": "true",
 				"instances": "4", "shards": "4"}},
-		{"sharded-crash", "serve_v3_sharded_crash.golden.json",
+		{"sharded-crash", "serve_v4_sharded_crash.golden.json",
 			map[string]string{"scenario": "crash", "crash-at": "200000",
 				"crash-shards": "0,2", "policy": "targeted", "check": "true",
 				"instances": "4", "shards": "4"}},
@@ -75,6 +79,9 @@ func TestSchemaGolden(t *testing.T) {
 			}
 			if failures != 0 {
 				t.Fatalf("deterministic run failed %d checks", failures)
+			}
+			for _, r := range doc.Systems {
+				checkMetrics(t, r)
 			}
 			got, err := json.MarshalIndent(doc, "", "  ")
 			if err != nil {
@@ -99,9 +106,48 @@ func TestSchemaGolden(t *testing.T) {
 	}
 }
 
+// checkMetrics holds a record's "metrics" block — the machine's whole counter
+// set, the block a prepuc-bench point carries — against the blocks derived
+// from the same counters: the ring counters equal the "ring" block, the dedup
+// hits of a detectable crash resume equal resolved_completed, operation
+// descriptors are written by exactly the detectable (recoverable PREP)
+// drivers, and a sharded aggregate's block is the field-wise sum of its
+// machines'.
+func checkMetrics(t *testing.T, r *harness.ServeResult) {
+	t.Helper()
+	m := r.Metrics
+	if m.RingSubmits != r.Ring.Submits || m.RingFullStalls != r.Ring.FullStalls ||
+		m.RingBatches != r.Ring.Batches || m.RingBatchedOps != r.Ring.BatchedOps {
+		t.Errorf("%s: metrics ring counters %d/%d/%d/%d differ from the ring block %+v", r.System,
+			m.RingSubmits, m.RingFullStalls, m.RingBatches, m.RingBatchedOps, r.Ring)
+	}
+	if c := r.Crash; c != nil && c.Detectable && m.DedupHits != c.ResolvedCompleted {
+		t.Errorf("%s: dedup_hits = %d, resolved_completed = %d", r.System, m.DedupHits, c.ResolvedCompleted)
+	}
+	if detect := r.System == "PREP-Durable" || r.System == "PREP-Buffered"; detect != (m.DescriptorWrites > 0) {
+		t.Errorf("%s: descriptor_writes = %d", r.System, m.DescriptorWrites)
+	}
+	if len(r.Shards) == 0 {
+		return
+	}
+	var sum metrics.Snapshot
+	for _, sh := range r.Shards {
+		checkMetrics(t, sh.Result)
+		sum = sum.Add(sh.Result.Metrics)
+	}
+	if sum != m {
+		t.Errorf("%s: aggregate metrics block is not the sum of its shards':\n got %+v\nwant %+v", r.System, m, sum)
+	}
+}
+
 // TestSchemaRequiredFields guards the wire contract independently of the
 // golden bytes: the v1 field names and the v2 detect/check additions must
-// survive any refactor of the Go structs.
+// survive any refactor of the Go structs. It also holds, on the decoded
+// document, what CI's Python used to assert on the smoke runs' output: the
+// header echoes the flags, latency percentiles are monotone, recovery stalls
+// the clients at least as long as it runs, exactly the PREP drivers are
+// detectable and resolve their whole in-flight window, both epochs are
+// checked, and PREP-Durable's batched path engages.
 func TestSchemaRequiredFields(t *testing.T) {
 	withFlags(t, serveBase)
 	withFlags(t, map[string]string{
@@ -133,6 +179,9 @@ func TestSchemaRequiredFields(t *testing.T) {
 			t.Errorf("document is missing top-level field %q", k)
 		}
 	}
+	if m["scenario"] != "crash" || m["policy"] != "coinflip" || m["check"] != true {
+		t.Errorf("header scenario=%v policy=%v check=%v does not echo the flags", m["scenario"], m["policy"], m["check"])
+	}
 	systems := m["systems"].([]any)
 	if len(systems) != 5 {
 		t.Fatalf("got %d systems, want 5", len(systems))
@@ -145,6 +194,24 @@ func TestSchemaRequiredFields(t *testing.T) {
 				t.Errorf("%s: record is missing field %q", name, k)
 			}
 		}
+		num := func(block map[string]any, k string) float64 {
+			v, ok := block[k].(float64)
+			if !ok {
+				t.Errorf("%s: field %q is %v, want a number", name, k, block[k])
+			}
+			return v
+		}
+		lat, ring := sm["latency_ns"].(map[string]any), sm["ring"].(map[string]any)
+		if p50, p99, p999 := num(lat, "p50"), num(lat, "p99"), num(lat, "p999"); num(sm, "completed") == 0 ||
+			p50 > p99 || p99 > p999 || p999 > num(lat, "max") || num(lat, "mean") == 0 {
+			t.Errorf("%s: completed=%v with latency %v", name, sm["completed"], lat)
+		}
+		for _, k := range []string{"submits", "full_stalls", "batches", "batched_ops", "mean_batch"} {
+			num(ring, k)
+		}
+		if name == "PREP-Durable" && (num(ring, "batches") == 0 || num(ring, "mean_batch") < 1) {
+			t.Errorf("%s: the batched path did not engage: %v", name, ring)
+		}
 		crash := sm["crash"].(map[string]any)
 		for _, k := range []string{"crash_at_ns", "recovery_virtual_ns", "replayed",
 			"stall_ns", "lost_inflight", "backlog_at_resume", "backlog_drain_ns",
@@ -153,7 +220,13 @@ func TestSchemaRequiredFields(t *testing.T) {
 				t.Errorf("%s: crash block is missing field %q", name, k)
 			}
 		}
+		if rec := num(crash, "recovery_virtual_ns"); rec == 0 || num(crash, "stall_ns") < rec {
+			t.Errorf("%s: stall %v ns, recovery %v ns", name, crash["stall_ns"], rec)
+		}
 		detect := crash["detectable"].(bool)
+		if detect != (name == "PREP-Durable" || name == "PREP-Buffered") {
+			t.Errorf("%s: detectable = %v", name, detect)
+		}
 		dup, hasDup := crash["duplicates_applied"]
 		if detect != hasDup {
 			t.Errorf("%s: detectable=%v but duplicates_applied present=%v", name, detect, hasDup)
@@ -174,15 +247,19 @@ func TestSchemaRequiredFields(t *testing.T) {
 				t.Errorf("%s: check block is missing field %q", name, k)
 			}
 		}
-		if check["ok"] != true {
-			t.Errorf("%s: check failed: %v", name, check)
+		if check["ok"] != true || num(check, "epochs") != 2 {
+			t.Errorf("%s: check failed or skipped an epoch: %v", name, check)
 		}
 	}
 }
 
 // TestShardedSchemaFields guards the v3 sharded additions: top-level
 // instances/route (and crash_shards on crash runs), per-system breakdowns
-// with one entry per machine, and the composition verdict.
+// with one entry per machine, and the composition verdict — by value where
+// CI's Python used to: a crashed machine stalls and, detectable, applies no
+// duplicate; every machine passes its own check; the audit finds nothing
+// misrouted and no foreign key, and unions the histories only when no
+// machine crashed.
 func TestShardedSchemaFields(t *testing.T) {
 	withFlags(t, serveBase)
 	withFlags(t, map[string]string{
@@ -233,17 +310,29 @@ func TestShardedSchemaFields(t *testing.T) {
 				t.Errorf("%s shard %d: %v", name, i, em)
 			}
 			rm := em["result"].(map[string]any)
-			if _, hasCrash := rm["crash"]; hasCrash != wantCrash {
+			c, hasCrash := rm["crash"].(map[string]any)
+			if hasCrash != wantCrash {
 				t.Errorf("%s shard %d: crash block present=%v, want %v", name, i, hasCrash, wantCrash)
 			}
+			if hasCrash && (c["stall_ns"].(float64) == 0 || c["detectable"] == true && c["duplicates_applied"].(float64) != 0) {
+				t.Errorf("%s shard %d: crash block %v", name, i, c)
+			}
+			if rm["check"].(map[string]any)["ok"] != true {
+				t.Errorf("%s shard %d: check failed: %v", name, i, rm["check"])
+			}
+		}
+		if sm["route"] != "hash" || sm["imbalance"].(float64) < 1 {
+			t.Errorf("%s: route=%v imbalance=%v", name, sm["route"], sm["imbalance"])
 		}
 		comp := sm["composition"].(map[string]any)
-		if comp["ok"] != true {
-			t.Errorf("%s: composition failed: %v", name, comp)
+		if comp["ok"] != true || comp["misrouted_ops"].(float64) != 0 || comp["foreign_keys"].(float64) != 0 ||
+			comp["union_checked"] != false {
+			t.Errorf("%s: composition of a partial crash: %v", name, comp)
 		}
 		crash := sm["crash"].(map[string]any)
-		if crash["detectable"] == true && crash["duplicates_applied"].(float64) != 0 {
-			t.Errorf("%s: aggregate duplicates_applied = %v", name, crash["duplicates_applied"])
+		if crash["detectable"] == true && (crash["duplicates_applied"].(float64) != 0 ||
+			crash["in_flight_resolved"] != crash["lost_inflight"]) {
+			t.Errorf("%s: aggregate crash block %v", name, crash)
 		}
 		if sm["check"].(map[string]any)["ok"] != true {
 			t.Errorf("%s: aggregate check failed", name)
@@ -261,6 +350,11 @@ func TestShardedSchemaFields(t *testing.T) {
 			names[i] = s.System
 		}
 		t.Fatalf("steady sharded matrix = %v, want PREP-Volatile + the 5 recoverable", names)
+	}
+	for _, s := range doc.Systems {
+		if c := s.Composition; !c.OK || !c.UnionChecked || c.UnionOps == 0 {
+			t.Errorf("%s: steady composition did not union the histories: %+v", s.System, c)
+		}
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"prepuc/internal/drivers"
+	"prepuc/internal/harness"
 )
 
 // TestSystemFlagMatchesRegistry pins the accepted -system set to the
@@ -74,5 +75,59 @@ func TestValidateNamesIgnoredFlags(t *testing.T) {
 				t.Errorf("err = %v, want one naming %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestRunRejectsWhatItCannotMeasure pins the runs that used to exit 0 with a
+// record of something else: a crash instant past the drained load reported a
+// crash under load (stall 0, nothing in flight), flat and per crashed machine,
+// and a read share outside [0, 100] ran all-read or update-only under the
+// requested label.
+func TestRunRejectsWhatItCannotMeasure(t *testing.T) {
+	withFlags(t, map[string]string{
+		"shards": "2", "keys": "256", "clients": "500", "rate": "1e6", "system": "prep-durable",
+		"duration": "60000", "think": "5000", "burst-every": "0", "format": "json",
+	})
+	for _, tc := range []struct {
+		flags map[string]string
+		want  string
+	}{
+		{map[string]string{"scenario": "crash", "crash-at": "999999999"}, "never fired (load drained first)"},
+		{map[string]string{"scenario": "crash", "crash-at": "999999999", "instances": "2", "crash-shards": "1"}, "never fired (load drained first)"},
+		{map[string]string{"readpct": "101"}, "ReadPct"},
+		{map[string]string{"readpct": "-1"}, "ReadPct"},
+	} {
+		t.Run(fmt.Sprint(tc.flags), func(t *testing.T) {
+			withFlags(t, tc.flags)
+			if _, _, err := buildDoc(&bytes.Buffer{}); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("err = %v, want one naming %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// TestDuplicateFailsRun: a record reporting duplicates_applied > 0 counts
+// against the run like a failed check (main exits 1) — prepserve used to
+// print the count and exit 0, and only CI's Python read it. The count itself
+// is forced in internal/harness (TestDuplicateAuditCountsCommittedResubmissions).
+func TestDuplicateFailsRun(t *testing.T) {
+	dup := func(n uint64) *harness.CrashStats {
+		return &harness.CrashStats{Detectable: true, DuplicatesApplied: &n}
+	}
+	for _, tc := range []struct {
+		name string
+		rec  harness.ServeResult
+		want bool
+	}{
+		{"steady, unchecked", harness.ServeResult{}, false},
+		{"blind retry, no verdicts", harness.ServeResult{Crash: &harness.CrashStats{}}, false},
+		{"exactly once", harness.ServeResult{Crash: dup(0), Check: &harness.CheckStats{OK: true}}, false},
+		{"one double apply", harness.ServeResult{Crash: dup(1), Check: &harness.CheckStats{OK: true}}, true},
+		{"one double apply, unchecked", harness.ServeResult{Crash: dup(1)}, true},
+		{"failed check", harness.ServeResult{Crash: dup(0), Check: &harness.CheckStats{}}, true},
+	} {
+		if got := failed(&tc.rec); got != tc.want {
+			t.Errorf("%s: failed = %v, want %v", tc.name, got, tc.want)
+		}
 	}
 }

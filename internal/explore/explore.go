@@ -22,6 +22,7 @@
 package explore
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
 	"strings"
@@ -98,53 +99,41 @@ type Config struct {
 	HeapWords uint64
 }
 
-func (cfg *Config) defaults() {
-	if cfg.System == "" {
-		cfg.System = "prep-durable"
+// defaults rejects the sizes no run can honour, naming the field, and fills in
+// the zero ones.
+func (cfg *Config) defaults() error {
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"Workers", cfg.Workers}, {"Ops", cfg.Ops}, {"PrefillN", cfg.PrefillN}} {
+		if f.v < 0 {
+			return fmt.Errorf("explore: %s must not be negative, got %d", f.name, f.v)
+		}
 	}
-	if cfg.Workers == 0 {
-		cfg.Workers = 2
+	if cfg.Depth < 0 || cfg.Depth > 2 {
+		return fmt.Errorf("explore: Depth must be 1 or 2 (0: the default, 1), got %d", cfg.Depth)
 	}
-	if cfg.Ops == 0 {
-		cfg.Ops = 3
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 1
-	}
-	if cfg.Depth == 0 {
-		cfg.Depth = 1
-	}
-	if cfg.Depth >= 2 && cfg.MaxNested == 0 {
+	cfg.System = cmp.Or(cfg.System, "prep-durable")
+	cfg.Workers = cmp.Or(cfg.Workers, 2)
+	cfg.Ops = cmp.Or(cfg.Ops, 3)
+	cfg.Seed = cmp.Or(cfg.Seed, 1)
+	cfg.Depth = cmp.Or(cfg.Depth, 1)
+	if cfg.Depth >= 2 {
 		// Depth-2 multiplies every mask branch by (nested points x nested
 		// masks); unsampled it dwarfs depth 1 without finding different
 		// bugs. Explicit MaxNested<0 is "really all".
-		cfg.MaxNested = 2
+		cfg.MaxNested = cmp.Or(cfg.MaxNested, 2)
 	}
-	if cfg.MaskBits == 0 {
-		cfg.MaskBits = 10
-	}
-	if cfg.MaxRounds == 0 {
-		cfg.MaxRounds = 3
-	}
-	if cfg.MaxSchedules == 0 {
-		cfg.MaxSchedules = 4096
-	}
-	if cfg.MaxRunEvents == 0 {
-		cfg.MaxRunEvents = 5_000_000
-	}
-	if cfg.Nodes == 0 {
-		cfg.Nodes = 2
-	}
+	cfg.MaskBits = cmp.Or(cfg.MaskBits, 10)
+	cfg.MaxRounds = cmp.Or(cfg.MaxRounds, 3)
+	cfg.MaxSchedules = cmp.Or(cfg.MaxSchedules, 4096)
+	cfg.MaxRunEvents = cmp.Or(cfg.MaxRunEvents, 5_000_000)
+	cfg.Nodes = cmp.Or(cfg.Nodes, 2)
 	scale := drivers.ExploreScale()
-	if cfg.Epsilon == 0 {
-		cfg.Epsilon = scale.Epsilon
-	}
-	if cfg.LogSize == 0 {
-		cfg.LogSize = scale.LogSize
-	}
-	if cfg.HeapWords == 0 {
-		cfg.HeapWords = scale.HeapWords
-	}
+	cfg.Epsilon = cmp.Or(cfg.Epsilon, scale.Epsilon)
+	cfg.LogSize = cmp.Or(cfg.LogSize, scale.LogSize)
+	cfg.HeapWords = cmp.Or(cfg.HeapWords, scale.HeapWords)
+	return nil
 }
 
 // Counterexample is one leaf that failed adjudication, with everything
@@ -237,7 +226,9 @@ type bRes struct {
 // mines DPOR backtracks, phase B crash-explores the novel schedules; all
 // aggregation happens in frontier index order.
 func Run(cfg Config) (*Report, error) {
-	cfg.defaults()
+	if err := cfg.defaults(); err != nil {
+		return nil, err
+	}
 	start := time.Now()
 	rep := &Report{
 		Schema: Schema, System: cfg.System, Workers: cfg.Workers, Ops: cfg.Ops,
@@ -562,7 +553,9 @@ type Leaf struct {
 // Repro replays exactly one leaf through the evaluation Run found it with,
 // returning the verdict and (on failure) the counterexample record.
 func Repro(cfg Config, lf Leaf) (linearize.Result, *Counterexample, error) {
-	cfg.defaults()
+	if err := cfg.defaults(); err != nil {
+		return linearize.Result{}, nil, err
+	}
 	wr, err := runWorkload(&cfg, lf.Schedule, lf.CrashAt, true)
 	if err != nil {
 		return linearize.Result{}, nil, err
@@ -602,7 +595,9 @@ func Repro(cfg Config, lf Leaf) (linearize.Result, *Counterexample, error) {
 // class, persist mask) leaf of Run on the same Config — the cross-check that
 // validates crash-class pruning (internal/harness).
 func StrideSweep(cfg Config, stride uint64) ([]uint64, error) {
-	cfg.defaults()
+	if err := cfg.defaults(); err != nil {
+		return nil, err
+	}
 	if stride == 0 {
 		stride = 1
 	}

@@ -58,6 +58,10 @@ func TestExploreSmallAllSystems(t *testing.T) {
 				t.Errorf("distinct states = %d, want >= 2 (crash images all identical?)",
 					rep.DistinctStates)
 			}
+			if rep.Schema != Schema || len(rep.Fingerprints) != rep.DistinctStates {
+				t.Errorf("schema %q with %d fingerprints for %d distinct states",
+					rep.Schema, len(rep.Fingerprints), rep.DistinctStates)
+			}
 			t.Logf("%s: %d schedules, %d crash branches, %d leaves, %d states, pruned %d, wall %.0fms",
 				sys, rep.Schedules, rep.CrashBranches, rep.Leaves,
 				rep.DistinctStates, rep.DPORPruned, rep.WallMS)
@@ -236,6 +240,37 @@ func TestSystemMatchesRegistry(t *testing.T) {
 		}
 		if err != nil && !strings.Contains(err.Error(), "prep-durable") {
 			t.Errorf("System=%s: error does not list the valid spellings: %v", sys, err)
+		}
+	}
+}
+
+// TestConfigRejectsUnrunnableSizes: a negative size used to die with a
+// makeslice stack trace inside the simulated boot thread, -depth 3 wrote a
+// report whose depth contradicted its max_depth and -depth -1 silently
+// explored depth 1. Run and Repro share the one validation, which names the
+// field.
+func TestConfigRejectsUnrunnableSizes(t *testing.T) {
+	for _, tc := range []struct {
+		cfg  Config
+		want string // substring of the error; "" = accepted
+	}{
+		{Config{Ops: -2}, "Ops"},
+		{Config{PrefillN: -1}, "PrefillN"},
+		{Config{Workers: -1}, "Workers"},
+		{Config{Depth: 3}, "Depth"},
+		{Config{Depth: -1}, "Depth"},
+		{Config{Depth: 2, Workers: 1, Ops: 1, MaxRounds: 1}, ""},
+		{Config{Workers: 1, Ops: 1, MaxRounds: 1}, ""},
+	} {
+		_, runErr := Run(tc.cfg)
+		_, _, reproErr := Repro(tc.cfg, Leaf{})
+		for name, err := range map[string]error{"Run": runErr, "Repro": reproErr} {
+			if tc.want == "" && err != nil {
+				t.Errorf("%s(%+v) rejected: %v", name, tc.cfg, err)
+			}
+			if tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)) {
+				t.Errorf("%s(%+v): err = %v, want one naming %s", name, tc.cfg, err, tc.want)
+			}
 		}
 	}
 }

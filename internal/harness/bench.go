@@ -9,7 +9,7 @@ import (
 // BenchSchema identifies the machine-readable bench output format. Bump the
 // version suffix on any incompatible change to BenchDoc or its nested
 // structures; consumers must check it before interpreting the document.
-const BenchSchema = "prepuc-bench/v1"
+const BenchSchema = "prepuc-bench/v2"
 
 // BenchDoc is the machine-readable result of one prepbench invocation: run
 // parameters plus every experiment's points, each carrying the metrics

@@ -21,6 +21,7 @@ import (
 	"prepuc/internal/fault"
 	"prepuc/internal/history"
 	"prepuc/internal/linearize"
+	"prepuc/internal/metrics"
 	"prepuc/internal/numa"
 	"prepuc/internal/nvm"
 	"prepuc/internal/par"
@@ -30,7 +31,7 @@ import (
 )
 
 // CrashSchema identifies the machine-readable crashtest output format.
-const CrashSchema = "prepuc-crash/v2"
+const CrashSchema = "prepuc-crash/v3"
 
 // CrashConfig is one crashtest run: cmd/crashtest's flags, one for one (the
 // field comments name them).
@@ -172,7 +173,8 @@ type InstanceCycle struct {
 }
 
 // CrashCycle is one iteration's record in the JSON document. The first
-// seven fields are unchanged from schema v1.
+// seven fields are unchanged from schema v1; Metrics is the whole counter set
+// of the cycle's machine lineage (boot, workload, every crash and recovery).
 type CrashCycle struct {
 	Iteration int    `json:"iteration"`
 	OK        bool   `json:"ok"`
@@ -182,13 +184,14 @@ type CrashCycle struct {
 	// RecoveryVirtualNS is the virtual time the (final, successful) recovery
 	// procedure took; Replayed the log entries it re-applied (zero for
 	// systems whose recovery attaches to persisted state without replay).
-	RecoveryVirtualNS uint64        `json:"recovery_virtual_ns"`
-	Replayed          uint64        `json:"replayed"`
-	CrashAt           uint64        `json:"crash_at"`
-	RecoveryAttempts  int           `json:"recovery_attempts"`
-	Fault             FaultStats    `json:"fault"`
-	Check             *CheckBlock   `json:"check,omitempty"`
-	Sharded           *ShardedBlock `json:"sharded,omitempty"`
+	RecoveryVirtualNS uint64           `json:"recovery_virtual_ns"`
+	Replayed          uint64           `json:"replayed"`
+	CrashAt           uint64           `json:"crash_at"`
+	RecoveryAttempts  int              `json:"recovery_attempts"`
+	Fault             FaultStats       `json:"fault"`
+	Metrics           metrics.Snapshot `json:"metrics"`
+	Check             *CheckBlock      `json:"check,omitempty"`
+	Sharded           *ShardedBlock    `json:"sharded,omitempty"`
 }
 
 // SweepTiming is what the sweep cost on the host: wall-clock plus the COW
@@ -435,10 +438,11 @@ func (c *CrashConfig) boot(base int64, iter int, ds ...*uc.Driver) (*Machine, er
 	return m, err
 }
 
-// finish closes a cycle's record with the adversary's tallies, read from the
-// cycle's final machine.
+// finish closes a cycle's record with the counters of the cycle's final
+// machine and, from them, the adversary's tallies.
 func (c *CrashConfig) finish(cyc *CrashCycle, sys *nvm.System) {
 	ms := sys.Metrics().Snapshot()
+	cyc.Metrics = ms
 	cyc.Fault.Policy = c.policyLabel()
 	cyc.Fault.PendingDropped = ms.CrashLinesDropped
 	cyc.Fault.PendingPersisted = ms.CrashLinesPersisted

@@ -187,7 +187,7 @@ func runPoint(fig Figure, sc Scale, algo AlgoSpec, threads int, seed int64) (Poi
 		Threads:   threads,
 		Ops:       total,
 		OpsPerSec: float64(total) / (float64(sc.DurationNS) / 1e9),
-		Metrics:   c.sys.Metrics().Snapshot().Sub(base).Wire(),
+		Metrics:   c.sys.Metrics().Snapshot().Sub(base),
 	}, nil
 }
 

@@ -76,7 +76,8 @@ type ServeConfig struct {
 	Open openloop.Config
 	// CrashAtNS, when nonzero, freezes the machine at that virtual instant
 	// and runs the crash-and-recover-under-load scenario. It must lie inside
-	// the load's lifetime (before the last completion drains).
+	// the load's lifetime (before the last completion drains): an instant
+	// that misses the load is an error, not a crash of the idle machine.
 	CrashAtNS uint64
 	// Seed derives every scheduler seed of the run.
 	Seed int64
@@ -164,19 +165,22 @@ type CheckStats struct {
 	Reason            string `json:"reason,omitempty"`
 }
 
-// ServeResult is one system's record in the prepuc-serve document. The
-// sharded fields are set only on aggregate records produced by
-// RunShardedServe; single-machine records (and each entry under Shards)
-// leave them empty.
+// ServeResult is one system's record in the prepuc-serve document. Metrics
+// is the machine's whole counter set at the end of the run (boot, both
+// service generations and recovery included) — on an aggregate record the
+// Add-fold of its machines'. The sharded fields are set only on aggregate
+// records produced by RunShardedServe; single-machine records (and each
+// entry under Shards) leave them empty.
 type ServeResult struct {
-	System    string      `json:"system"`
-	Submitted uint64      `json:"submitted"`
-	Completed uint64      `json:"completed"`
-	OpsPerSec float64     `json:"ops_per_sec"`
-	Latency   LatencyNS   `json:"latency_ns"`
-	Ring      RingStats   `json:"ring"`
-	Crash     *CrashStats `json:"crash,omitempty"`
-	Check     *CheckStats `json:"check,omitempty"`
+	System    string           `json:"system"`
+	Submitted uint64           `json:"submitted"`
+	Completed uint64           `json:"completed"`
+	OpsPerSec float64          `json:"ops_per_sec"`
+	Latency   LatencyNS        `json:"latency_ns"`
+	Ring      RingStats        `json:"ring"`
+	Metrics   metrics.Snapshot `json:"metrics"`
+	Crash     *CrashStats      `json:"crash,omitempty"`
+	Check     *CheckStats      `json:"check,omitempty"`
 	// Route is the key-partitioning policy of a sharded run. Imbalance is
 	// the hottest machine's completed share relative to a perfectly even
 	// split (1.0 = balanced; Zipf-skewed range partitions run hot).
@@ -347,7 +351,8 @@ type serveRun struct {
 // share): the sharded harness splits one global schedule by machine and
 // ring and runs each machine through here.
 func runServeArrivals(d *ServeDriver, cfg ServeConfig, perShard [][]openloop.Arrival) (*ServeResult, *serveRun, error) {
-	if scheduledOn(perShard) == 0 {
+	scheduled := scheduledOn(perShard)
+	if scheduled == 0 {
 		return nil, nil, fmt.Errorf("serve: empty arrival schedule")
 	}
 	if cfg.CrashAtNS > 0 && d.Recover == nil {
@@ -395,7 +400,15 @@ func runServeArrivals(d *ServeDriver, cfg ServeConfig, perShard [][]openloop.Arr
 	if cfg.CrashAtNS > 0 {
 		sch.Spawn("crasher", 0, 0, func(t *sim.Thread) {
 			t.Step(cfg.CrashAtNS)
-			sch.CrashNow()
+			// Crash only a machine still under load: with every scheduled
+			// arrival completed the run ends unfrozen, which is the error below.
+			done := uint64(0)
+			for shard := 0; shard < cfg.Shards; shard++ {
+				done += s.Client(shard).Completed()
+			}
+			if done < uint64(scheduled) {
+				sch.CrashNow()
+			}
 		})
 	}
 	sch.Run()
@@ -480,17 +493,7 @@ func runServeArrivals(d *ServeDriver, cfg ServeConfig, perShard [][]openloop.Arr
 		phaseB[shard] = resumePlan(all, resume[shard], submitted[shard], resubSeq[shard])
 	}
 	if d.Detect {
-		// Audit the plan: a resubmission recovery proved committed would be
-		// a double apply. This re-derives the verdict per planned entry, so
-		// a dedup regression shows up here as a nonzero count.
-		dup := uint64(0)
-		for shard, seqs := range resubSeq {
-			for _, seq := range seqs {
-				if _, committed := info.Resolved[svc.InvocationID(0, shard, uint64(seq))]; committed {
-					dup++
-				}
-			}
-		}
+		dup := duplicatesIn(resubSeq, info.Resolved)
 		crash.DuplicatesApplied = &dup
 		cur.Metrics().DedupHits += crash.ResolvedCompleted
 	}
@@ -535,6 +538,22 @@ func runServeArrivals(d *ServeDriver, cfg ServeConfig, perShard [][]openloop.Arr
 		res.Check = crashCheck(d, cfg, cur, engB, perShard, phaseB, resume, submitted, drained, info, recState, ta)
 	}
 	return res, &serveRun{sys: cur, eng: engB, ta: ta, perShard: perShard}, nil
+}
+
+// duplicatesIn audits a resume plan: of the window operations it resubmits
+// (per ring, by original sequence number), how many recovery proved committed
+// — each would be a double apply. It re-derives the verdict per planned
+// entry, so a dedup regression shows up as a nonzero count, which fails a
+// prepserve run.
+func duplicatesIn(resubSeq [][]int, resolved map[uint64]uint64) (dup uint64) {
+	for shard, seqs := range resubSeq {
+		for _, seq := range seqs {
+			if _, committed := resolved[svc.InvocationID(0, shard, uint64(seq))]; committed {
+				dup++
+			}
+		}
+	}
+	return dup
 }
 
 // resumePlan is one ring's phase-B schedule: the in-flight window
@@ -608,10 +627,10 @@ func finish(res *ServeResult, shards int, s, s2 *svc.Service, sys *nvm.System, t
 	res.summarize(&ta.hist, ta.endNS, sys.Metrics().Snapshot())
 }
 
-// summarize fills the throughput, latency and ring blocks of a record whose
-// completions are counted: hist holds their latencies, endNS is the last
-// completion instant (the run length) and ms the counters of the machine —
-// or, for a sharded aggregate, the machines' sum.
+// summarize fills the throughput, latency, ring and metrics blocks of a record
+// whose completions are counted: hist holds their latencies, endNS is the
+// last completion instant (the run length) and ms the counters of the machine
+// — or, for a sharded aggregate, the machines' sum.
 func (res *ServeResult) summarize(hist *openloop.Histogram, endNS uint64, ms metrics.Snapshot) {
 	if endNS > 0 {
 		res.OpsPerSec = float64(res.Completed) * 1e9 / float64(endNS)
@@ -623,6 +642,7 @@ func (res *ServeResult) summarize(hist *openloop.Histogram, endNS uint64, ms met
 		Max:  hist.Max(),
 		Mean: hist.Mean(),
 	}
+	res.Metrics = ms
 	res.Ring = RingStats{
 		Submits:    ms.RingSubmits,
 		FullStalls: ms.RingFullStalls,

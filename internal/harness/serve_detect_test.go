@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"prepuc/internal/openloop"
+	"prepuc/internal/svc"
 )
 
 // detectConfig is serveTestConfig with a higher-pressure crash instant so
@@ -226,6 +227,28 @@ func TestResumePlan(t *testing.T) {
 		if a.At != uint64(100+i) {
 			t.Fatalf("planning modified the pre-crash schedule at %d", i)
 		}
+	}
+}
+
+// TestDuplicateAuditCountsCommittedResubmissions forces the one verdict no
+// healthy run produces: a resume plan drawn up against an empty resolved map
+// resubmits the whole in-flight window, and the audit, consulting the map
+// recovery actually returned, counts each planned resubmission it proves
+// committed. The count is the record's duplicates_applied, which fails a
+// prepserve run (cmd/prepserve TestDuplicateFailsRun).
+func TestDuplicateAuditCountsCommittedResubmissions(t *testing.T) {
+	resubSeq := [][]int{{3, 4, 5}, {7}} // ring 0 and ring 1 windows, all resubmitted
+	resolved := map[uint64]uint64{
+		svc.InvocationID(0, 0, 4): 11, // committed before the cut: a double apply
+		svc.InvocationID(0, 1, 7): 12, // likewise
+		svc.InvocationID(0, 1, 3): 13, // committed, but not in the plan
+		svc.InvocationID(1, 0, 5): 14, // another service generation's id
+	}
+	if dup := duplicatesIn(resubSeq, resolved); dup != 2 {
+		t.Errorf("audit counted %d duplicates, want 2", dup)
+	}
+	if dup := duplicatesIn(resubSeq, nil); dup != 0 {
+		t.Errorf("audit against the plan's own (empty) map counted %d duplicates", dup)
 	}
 }
 

@@ -30,9 +30,10 @@ func backpressureConfig() ServeConfig {
 
 // backpressureRecord is RunServe's record at backpressureConfig, produced
 // by the injector that kept rejected arrivals in an append/pop-front queue
-// (commit 5cf41ba). The injector issues submit attempts and Steps only, so
-// any other sequence of them moves a counter or a percentile here.
-const backpressureRecord = `{"system":"PREP-Durable","submitted":6319,"completed":6319,"ops_per_sec":15355753.36507034,"latency_ns":{"p50":151551,"p99":311295,"p999":311806,"max":311806,"mean":152069.08482354804},"ring":{"submits":6319,"full_stalls":7345,"batches":798,"batched_ops":6319,"mean_batch":7.9185463659147866}}`
+// (commit 5cf41ba; the metrics block, which that record predates, is the
+// same run's). The injector issues submit attempts and Steps only, so any
+// other sequence of them moves a counter or a percentile here.
+const backpressureRecord = `{"system":"PREP-Durable","submitted":6319,"completed":6319,"ops_per_sec":15355753.36507034,"latency_ns":{"p50":151551,"p99":311295,"p999":311806,"max":311806,"mean":152069.08482354804},"ring":{"submits":6319,"full_stalls":7345,"batches":798,"batched_ops":6319,"mean_batch":7.9185463659147866},"metrics":{"loads":266261,"stores":169649,"cas_ops":9515,"flush_async":18825,"flush_sync":892,"flush_elision_checks":19855,"flushes_elided":138,"fences":1694,"wbinvd_count":99,"wbinvd_lines":5617,"bg_flushes":746,"lines_written_back":26080,"coherence_local":28548,"coherence_remote":6808,"crash_lines_persisted":0,"crash_lines_dropped":0,"clones":0,"pages_copied":224,"lines_scanned_at_crash":0,"recovery_restarts":0,"replay_holes":0,"logtail_cas_attempts":798,"logtail_cas_failures":0,"log_wraps":1,"lock_acquisitions":1596,"lock_handoffs":186,"updates":6319,"reads":0,"combiner_acquisitions":798,"combined_ops":6319,"batch_hist":[6,1,10,781,0,0,0,0],"flush_boundary_stall_ns":42618,"persist_cycles":98,"persist_cycle_ns":6497,"boundary_reductions":0,"cross_node_helps":0,"update_now_services":0,"ring_submits":6319,"ring_full_stalls":7345,"ring_batches":798,"ring_batched_ops":6319,"descriptor_writes":6319,"descriptor_flushes":6319,"dedup_hits":0,"flushes":19717,"mean_batch_size":7.9185463659147866}}`
 
 // TestInjectUnderBackpressure pins injection against full rings: the record
 // equals the queue injector's byte for byte, every scheduled arrival is

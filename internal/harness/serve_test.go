@@ -3,6 +3,7 @@ package harness
 import (
 	"encoding/json"
 	"reflect"
+	"strings"
 	"testing"
 
 	"prepuc/internal/core"
@@ -105,6 +106,23 @@ func TestRunServeRejectsUnrunnableGeometry(t *testing.T) {
 		mut(&cfg)
 		if _, err := RunServe(ServeDrivers(2, 64)[0], cfg); err == nil {
 			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
+// TestRunServeCrashMissesLoad: a crash instant past the last completion used
+// to freeze the drained, idle machine and report stall 0 and nothing in
+// flight as a crash under load. The crasher now leaves such a machine alone,
+// so the run ends unfrozen and the entry points answer with the error
+// ServeConfig.CrashAtNS documents — flat, and for a crashed machine of a
+// sharded run.
+func TestRunServeCrashMissesLoad(t *testing.T) {
+	const late = 999_999_999
+	_, flatErr := RunServe(ServeDrivers(2, 64)[0], serveTestConfig(late))
+	_, shardedErr := RunShardedServe(durableFactory(2), shardedTestConfig(2, late, []int{1}))
+	for name, err := range map[string]error{"flat": flatErr, "sharded": shardedErr} {
+		if err == nil || !strings.Contains(err.Error(), "never fired (load drained first)") {
+			t.Errorf("%s: err = %v, want the crash-never-fired error", name, err)
 		}
 	}
 }

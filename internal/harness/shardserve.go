@@ -179,7 +179,7 @@ func RunShardedServe(mk func() *ServeDriver, cfg ShardedServeConfig) (*ServeResu
 		if run.ta.endNS > endNS {
 			endNS = run.ta.endNS
 		}
-		snap = snap.Add(run.sys.Metrics().Snapshot())
+		snap = snap.Add(r.Metrics)
 		agg.Shards = append(agg.Shards, &ShardServeResult{
 			Shard: i, Workers: per, Crashed: crashed[i],
 			Arrivals: uint64(scheduledOn(run.perShard)), Result: r,

@@ -25,7 +25,8 @@ const BatchHistBuckets = 8
 // Counters is every raw, monotonically increasing event counter of one
 // simulated machine. Each field is incremented at its single source of
 // truth; see the package comments of nvm, oplog, locks and core for exactly
-// where. JSON tags define the wire names of the bench output schema.
+// where. JSON tags define the wire names every document's "metrics" block
+// carries; every field has one (metrics_test.go enforces it).
 type Counters struct {
 	// Simulated-memory traffic (internal/nvm).
 	Loads  uint64 `json:"loads"`
@@ -64,17 +65,16 @@ type Counters struct {
 	CrashLinesPersisted uint64 `json:"crash_lines_persisted"`
 	CrashLinesDropped   uint64 `json:"crash_lines_dropped"`
 
-	// Snapshot machinery (internal/nvm). Host-side substrate work, not
-	// simulated-hardware events, so these are excluded from the wire format
-	// (`json:"-"`): adding them must not change any byte of the bench or
-	// crashtest documents. Clones counts System.Clone calls; PagesCopied
-	// counts COW pages privatized on first write after a Clone/Recover;
-	// LinesScannedAtCrash counts pending (flushed-but-unfenced) lines
-	// examined by crash materializations — with an empty pending set,
-	// Recover short-circuits and the counter shows exactly zero scan work.
-	Clones              uint64 `json:"-"`
-	PagesCopied         uint64 `json:"-"`
-	LinesScannedAtCrash uint64 `json:"-"`
+	// Snapshot machinery (internal/nvm): host-side substrate work rather than
+	// simulated-hardware events. Clones counts System.Clone calls;
+	// PagesCopied counts COW pages privatized on first write after a
+	// Clone/Recover; LinesScannedAtCrash counts pending
+	// (flushed-but-unfenced) lines examined by crash materializations — with
+	// an empty pending set, Recover short-circuits and the counter shows
+	// exactly zero scan work.
+	Clones              uint64 `json:"clones"`
+	PagesCopied         uint64 `json:"pages_copied"`
+	LinesScannedAtCrash uint64 `json:"lines_scanned_at_crash"`
 
 	// Recovery (internal/core and the other constructions' Recover paths).
 	// RecoveryRestarts counts partially built generations a re-entrant
@@ -109,36 +109,21 @@ type Counters struct {
 	UpdateNowServices    uint64                   `json:"update_now_services"`
 
 	// Async submission layer (internal/svc, internal/core ExecuteBatch).
-	// Excluded from the wire format like the snapshot counters above: the
-	// bench and crashtest documents predate the service layer and their
-	// goldens must not change. prepserve reads these from live snapshots.
-	RingSubmits    uint64 `json:"-"` // ops accepted into a submission ring
-	RingFullStalls uint64 `json:"-"` // TrySubmit rejections on a full ring
-	RingBatches    uint64 `json:"-"` // ExecuteBatch calls from ring consumers
-	RingBatchedOps uint64 `json:"-"` // ops carried by those calls
+	RingSubmits    uint64 `json:"ring_submits"`     // ops accepted into a submission ring
+	RingFullStalls uint64 `json:"ring_full_stalls"` // TrySubmit rejections on a full ring
+	RingBatches    uint64 `json:"ring_batches"`     // ExecuteBatch calls from ring consumers
+	RingBatchedOps uint64 `json:"ring_batched_ops"` // ops carried by those calls
 
 	// Detectable execution (internal/core desc.go, internal/harness resume).
-	// Wire-excluded like the ring counters: the bench/crashtest goldens
-	// predate descriptors. DescriptorWrites counts operation descriptors
-	// written by combiners; DescriptorFlushes counts the explicit per-line
-	// descriptor flushes of the durable path (zero in Volatile and Buffered
-	// modes, whose descriptors ride the checkpoint WBINVD); DedupHits counts
-	// in-flight operations a post-crash resume resolved as already committed
-	// and therefore did not resubmit.
-	DescriptorWrites  uint64 `json:"-"`
-	DescriptorFlushes uint64 `json:"-"`
-	DedupHits         uint64 `json:"-"`
-}
-
-// Wire returns the counters with the host-side substrate fields (`json:"-"`,
-// see above) zeroed: exactly what survives a marshal/unmarshal round-trip.
-// Document builders use it so a point carries only simulated-hardware
-// counters — host-side work is not part of the machine being measured.
-func (c Counters) Wire() Counters {
-	c.Clones, c.PagesCopied, c.LinesScannedAtCrash = 0, 0, 0
-	c.RingSubmits, c.RingFullStalls, c.RingBatches, c.RingBatchedOps = 0, 0, 0, 0
-	c.DescriptorWrites, c.DescriptorFlushes, c.DedupHits = 0, 0, 0
-	return c
+	// DescriptorWrites counts operation descriptors written by combiners;
+	// DescriptorFlushes counts the explicit per-line descriptor flushes of
+	// the durable path (zero in Volatile and Buffered modes, whose
+	// descriptors ride the checkpoint WBINVD); DedupHits counts in-flight
+	// operations a post-crash resume resolved as already committed and
+	// therefore did not resubmit.
+	DescriptorWrites  uint64 `json:"descriptor_writes"`
+	DescriptorFlushes uint64 `json:"descriptor_flushes"`
+	DedupHits         uint64 `json:"dedup_hits"`
 }
 
 // Registry is the live, mutable counter set of one simulated machine
@@ -188,24 +173,15 @@ func (r *Registry) Snapshot() Snapshot { return finish(r.Counters) }
 // Sub returns the counter deltas s − base with derived fields recomputed
 // over the delta. base must be an earlier snapshot of the same registry.
 func (s Snapshot) Sub(base Snapshot) Snapshot {
-	return finish(subCounters(s.Counters, base.Counters))
+	return finish(combineCounters(s.Counters, base.Counters, func(x, y uint64) uint64 { return x - y }))
 }
 
 // Add returns the field-wise sum s + other with derived fields recomputed
 // over the sum — the cross-instance aggregation primitive of the sharded
 // harness: S independent machines each own a registry, and the aggregate
-// record is the Add-fold of their snapshots. Like Sub it is field-complete
-// by reflection, so a newly added counter can never silently be dropped
-// from aggregates.
+// record is the Add-fold of their snapshots.
 func (s Snapshot) Add(other Snapshot) Snapshot {
-	return finish(addCounters(s.Counters, other.Counters))
-}
-
-// Wire is Counters.Wire lifted to a snapshot: the result survives a JSON
-// round-trip unchanged.
-func (s Snapshot) Wire() Snapshot {
-	s.Counters = s.Counters.Wire()
-	return s
+	return finish(combineCounters(s.Counters, other.Counters, func(x, y uint64) uint64 { return x + y }))
 }
 
 func finish(c Counters) Snapshot {
@@ -216,20 +192,11 @@ func finish(c Counters) Snapshot {
 	return snap
 }
 
-// subCounters subtracts b from a field-wise. Counters is a flat struct of
-// uint64s and uint64 arrays; reflection keeps the subtraction in lockstep
-// with the field list (a new counter can never be forgotten here). This is a
-// cold path — once per measured point — so reflection cost is irrelevant.
-func subCounters(a, b Counters) Counters {
-	return combineCounters(a, b, func(x, y uint64) uint64 { return x - y })
-}
-
-// addCounters sums a and b field-wise, with the same reflection-enforced
-// field completeness as subCounters.
-func addCounters(a, b Counters) Counters {
-	return combineCounters(a, b, func(x, y uint64) uint64 { return x + y })
-}
-
+// combineCounters applies op field-wise to a and b. Counters is a flat struct
+// of uint64s and uint64 arrays; reflection keeps Sub and Add in lockstep with
+// the field list (a new counter can never be forgotten, or silently dropped
+// from an aggregate). This is a cold path — once per measured point or
+// machine — so reflection cost is irrelevant.
 func combineCounters(a, b Counters, op func(x, y uint64) uint64) Counters {
 	va := reflect.ValueOf(&a).Elem()
 	vb := reflect.ValueOf(b)

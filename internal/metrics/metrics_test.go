@@ -3,6 +3,7 @@ package metrics
 import (
 	"encoding/json"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -83,6 +84,30 @@ func TestSubCoversEveryField(t *testing.T) {
 	}
 }
 
+// fillDistinct sets every scalar slot of c (each uint64 field, each array
+// element) to a distinct nonzero value counting up from next, and returns
+// the first value it did not use.
+func fillDistinct(t *testing.T, c *Counters, next uint64) uint64 {
+	t.Helper()
+	v := reflect.ValueOf(c).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		f := v.Field(i)
+		switch f.Kind() {
+		case reflect.Uint64:
+			f.SetUint(next)
+			next++
+		case reflect.Array:
+			for j := 0; j < f.Len(); j++ {
+				f.Index(j).SetUint(next)
+				next++
+			}
+		default:
+			t.Fatalf("unsupported Counters field kind %v", f.Kind())
+		}
+	}
+	return next
+}
+
 // TestAddIsFieldComplete proves Add sums *every* Counters field exactly,
 // via reflection: each scalar field (and array element) of the operands is
 // set to a distinct nonzero value, and the sum is verified field by field.
@@ -90,28 +115,8 @@ func TestSubCoversEveryField(t *testing.T) {
 // future counter cannot silently be dropped from cross-shard aggregates.
 func TestAddIsFieldComplete(t *testing.T) {
 	var a, b Counters
-	va := reflect.ValueOf(&a).Elem()
-	vb := reflect.ValueOf(&b).Elem()
-	next := uint64(1)
-	fill := func(v reflect.Value) {
-		for i := 0; i < v.NumField(); i++ {
-			f := v.Field(i)
-			switch f.Kind() {
-			case reflect.Uint64:
-				f.SetUint(next)
-				next++
-			case reflect.Array:
-				for j := 0; j < f.Len(); j++ {
-					f.Index(j).SetUint(next)
-					next++
-				}
-			default:
-				t.Fatalf("unsupported Counters field kind %v", f.Kind())
-			}
-		}
-	}
-	fill(va)
-	fill(vb)
+	next := fillDistinct(t, &b, fillDistinct(t, &a, 1))
+	va, vb := reflect.ValueOf(a), reflect.ValueOf(b)
 
 	sum := Snapshot{Counters: a}.Add(Snapshot{Counters: b})
 	vs := reflect.ValueOf(sum.Counters)
@@ -163,30 +168,47 @@ func TestAddSubRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSnapshotJSONRoundTrip is the wire rule: every Counters field has a
+// wire name of its own — non-empty, unique, never "-" — and a snapshot with
+// every scalar slot set to a distinct nonzero value survives marshal →
+// unmarshal unchanged. A counter hidden from the documents, or two sharing a
+// name, fails here.
 func TestSnapshotJSONRoundTrip(t *testing.T) {
-	r := NewRegistry()
-	r.Fences = 2
-	r.WBINVDs = 1
-	r.CoherenceLocal = 7
-	r.CoherenceRemote = 9
-	r.FlushAsync = 11
-	r.ObserveBatch(4)
-	s := r.Snapshot()
+	seen := map[string]string{}
+	for _, typ := range []reflect.Type{reflect.TypeOf(Counters{}), reflect.TypeOf(Snapshot{})} {
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			if f.Anonymous {
+				continue // Snapshot embeds Counters; its fields are checked above
+			}
+			name, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+			if name == "" || name == "-" {
+				t.Errorf("%s.%s has no wire name (json tag %q)", typ.Name(), f.Name, f.Tag.Get("json"))
+			}
+			if prev, dup := seen[name]; dup {
+				t.Errorf("%s.%s and %s share the wire name %q", typ.Name(), f.Name, prev, name)
+			}
+			seen[name] = typ.Name() + "." + f.Name
+		}
+	}
+
+	var c Counters
+	fillDistinct(t, &c, 1)
+	s := finish(c)
 	b, err := json.Marshal(s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The wire names the bench schema promises must be present.
 	var m map[string]any
 	if err := json.Unmarshal(b, &m); err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{
-		"flushes", "fences", "wbinvd_count", "coherence_local",
-		"coherence_remote", "combiner_acquisitions", "mean_batch_size",
-	} {
-		if _, ok := m[key]; !ok {
-			t.Errorf("snapshot JSON missing key %q", key)
+	if len(m) != len(seen) {
+		t.Errorf("snapshot JSON has %d keys, the structs declare %d wire names", len(m), len(seen))
+	}
+	for name := range seen {
+		if _, ok := m[name]; !ok {
+			t.Errorf("snapshot JSON missing key %q", name)
 		}
 	}
 	var back Snapshot

@@ -133,9 +133,9 @@ func equivWorkload(seed uint64, policy fault.Policy, noElide bool) equivResult {
 		}
 		res.persisted[m.Name()] = view
 	}
-	// The wire-format snapshot covers every simulated-hardware counter;
-	// host-side snapshot counters (json:"-") are excluded by construction —
-	// they measure the substrate implementation, not the machine.
+	// The marshalled snapshot is every counter there is, the host-side
+	// substrate ones (clones, pages_copied, lines_scanned_at_crash) included:
+	// the two dirty-tracking strategies agree on all of them, none is excluded.
 	res.snap = sys.Metrics().Snapshot()
 	js, err := json.Marshal(res.snap)
 	if err != nil {

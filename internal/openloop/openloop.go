@@ -74,6 +74,9 @@ func (c Config) Validate() error {
 		// The uniform draw is rand.Int63n(int64(Keys)).
 		return fmt.Errorf("openloop: Keys %d exceeds the drawable key space (max %d)", c.Keys, int64(math.MaxInt64))
 	}
+	if c.ReadPct < 0 || c.ReadPct > 100 {
+		return fmt.Errorf("openloop: ReadPct must be in [0, 100], got %d", c.ReadPct)
+	}
 	if c.Rate <= 0 {
 		return fmt.Errorf("openloop: Rate must be positive, got %g", c.Rate)
 	}

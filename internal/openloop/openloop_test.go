@@ -263,6 +263,12 @@ func TestValidateRejects(t *testing.T) {
 	if err := edge.Validate(); err != nil {
 		t.Fatalf("Keys = MaxInt64 rejected: %v", err)
 	}
+	for _, pct := range []int{0, 100} {
+		edge.ReadPct = pct
+		if err := edge.Validate(); err != nil {
+			t.Fatalf("ReadPct = %d rejected: %v", pct, err)
+		}
+	}
 	for _, tc := range []struct {
 		name string
 		mut  func(*Config)
@@ -273,6 +279,8 @@ func TestValidateRejects(t *testing.T) {
 		{"keys past int64", func(c *Config) { c.Keys = math.MaxInt64 + 1 }},
 		{"keys past int64, zipf", func(c *Config) { c.Keys, c.KeySkew = math.MaxUint64, 1.2 }},
 		{"no rate", func(c *Config) { c.Rate = 0 }},
+		{"more than every operation a read", func(c *Config) { c.ReadPct = 101 }},
+		{"negative read share", func(c *Config) { c.ReadPct = -1 }},
 		{"no duration", func(c *Config) { c.DurationNS = 0 }},
 		{"burst longer than its window", func(c *Config) { c.BurstLenNS = c.BurstEveryNS + 1 }},
 		{"burst factor zero", func(c *Config) { c.BurstFactor = 0 }},
