@@ -109,6 +109,10 @@ func validate() error {
 		return fmt.Errorf("-epochs=%d: need at least one epoch", cfg.Epochs)
 	case cfg.Instances < 1:
 		return fmt.Errorf("-instances=%d: need at least one instance", cfg.Instances)
+	case cfg.Nested < 0:
+		return fmt.Errorf("-nested=%d: a count of nested crashes (0: none)", cfg.Nested)
+	case cfg.Sweep < 0:
+		return fmt.Errorf("-sweep=%d: a count of swept crash points (0: off)", cfg.Sweep)
 	}
 	if _, err := fault.Parse(cfg.Policy, 1); err != nil {
 		return err

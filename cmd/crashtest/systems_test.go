@@ -51,6 +51,8 @@ func TestValidateRejectsVacuousRuns(t *testing.T) {
 		{map[string]string{"workers": "0"}, "-workers=0"},
 		{map[string]string{"check": "linearize", "epochs": "0"}, "-epochs=0"},
 		{map[string]string{"instances": "0"}, "-instances=0"},
+		{map[string]string{"nested": "-1"}, "-nested=-1"},
+		{map[string]string{"sweep": "-1"}, "-sweep=-1"},
 		{map[string]string{"instances": "3"}, "-workers=8 not divisible by -instances=3"},
 		{map[string]string{"instances": "2", "nested": "1"}, "-nested"},
 		{map[string]string{"instances": "2", "check": "linearize"}, "-check prefix"},
@@ -88,39 +90,72 @@ func wrapRecover(t *testing.T, flag string, wrap func(d *uc.Driver)) harness.Cra
 	return tg
 }
 
-// TestRecoverErrorFailsCycle drives a cycle whose recovery is cut down by
-// the armed nested crash and then answers its second attempt with an error:
-// the cycle must be recorded failed — not panic the run — with the error
-// text and the usual repro on the progress stream.
+// exhausted forwards Execute until its budget of calls is spent, then panics
+// as an allocator out of heap does.
+type exhausted struct {
+	uc.UC
+	left *int
+}
+
+func (e exhausted) Execute(t *sim.Thread, tid int, op uc.Op) uint64 {
+	if *e.left--; *e.left < 0 {
+		panic(`pmem: out of memory in "g0.rheap0"`)
+	}
+	return e.UC.Execute(t, tid, op)
+}
+
+// TestRecoverErrorFailsCycle drives cycles that cannot complete: one whose
+// recovery is cut down by the armed nested crash and then answers its second
+// attempt with an error, and one whose workers run out of heap before the
+// crash point (crashtest -crash-at past what the heap holds). Either must be
+// recorded failed — not panic the run — with the error text and the usual
+// repro on the progress stream.
 func TestRecoverErrorFailsCycle(t *testing.T) {
-	withFlags(t, map[string]string{
-		"iterations": "1", "workers": "2", "epsilon": "16", "log": "128", "seed": "42",
-		"policy": "targeted", "nested": "1", "bisect": "false",
-	})
-	flaky := wrapRecover(t, "prep-durable", func(d *uc.Driver) {
-		recov, attempts := d.Recover, 0
-		d.Recover = func(th *sim.Thread, sys *nvm.System) (uc.UC, uc.RecoverInfo, error) {
-			if attempts++; attempts == 2 {
-				return nil, uc.RecoverInfo{}, errors.New("persisted image not mine")
+	for _, tc := range []struct {
+		name             string
+		wrap             func(d *uc.Driver)
+		attempts, nested int
+		want             string
+	}{
+		{"recovery-error", func(d *uc.Driver) {
+			recov, attempts := d.Recover, 0
+			d.Recover = func(th *sim.Thread, sys *nvm.System) (uc.UC, uc.RecoverInfo, error) {
+				if attempts++; attempts == 2 {
+					return nil, uc.RecoverInfo{}, errors.New("persisted image not mine")
+				}
+				return recov(th, sys)
 			}
-			return recov(th, sys)
-		}
-	})
-	for _, check := range []string{"prefix", "linearize"} {
-		withFlags(t, map[string]string{"check": check})
-		var buf bytes.Buffer
-		doc, failures := buildDoc(&buf, []harness.CrashTarget{flaky})
-		cyc := doc.Systems[0].Cycles[0]
-		if cyc.OK || failures != 1 {
-			t.Errorf("%s: cycle whose recovery errored was recorded ok (failures=%d)", check, failures)
-		}
-		if cyc.RecoveryAttempts != 2 || cyc.Fault.NestedCrashes != 1 {
-			t.Errorf("%s: attempts=%d nested=%d, want 2 and 1", check, cyc.RecoveryAttempts, cyc.Fault.NestedCrashes)
-		}
-		out := buf.String()
-		if !strings.Contains(out, "error: recover: persisted image not mine") ||
-			!strings.Contains(out, "repro: crashtest -system=prep-durable -iterations=1") {
-			t.Errorf("%s: progress stream lacks the error or the repro:\n%s", check, out)
+		}, 2, 1, "error: recover: persisted image not mine"},
+		{"worker-out-of-heap", func(d *uc.Driver) {
+			boot, left := d.Boot, 40
+			d.Boot = func(th *sim.Thread, sys *nvm.System) (uc.UC, error) {
+				eng, err := boot(th, sys)
+				return exhausted{eng, &left}, err
+			}
+		}, 0, 0, `error: cycle panicked: sim thread "worker": pmem: out of memory in "g0.rheap0"`},
+	} {
+		withFlags(t, map[string]string{
+			"iterations": "1", "workers": "2", "epsilon": "16", "log": "128", "seed": "42",
+			"policy": "targeted", "nested": "1", "bisect": "false",
+		})
+		broken := wrapRecover(t, "prep-durable", tc.wrap)
+		for _, check := range []string{"prefix", "linearize"} {
+			withFlags(t, map[string]string{"check": check})
+			var buf bytes.Buffer
+			doc, failures := buildDoc(&buf, []harness.CrashTarget{broken})
+			cyc := doc.Systems[0].Cycles[0]
+			if cyc.OK || failures != 1 {
+				t.Errorf("%s/%s: the cycle was recorded ok (failures=%d)", tc.name, check, failures)
+			}
+			if cyc.RecoveryAttempts != tc.attempts || int(cyc.Fault.NestedCrashes) != tc.nested {
+				t.Errorf("%s/%s: attempts=%d nested=%d, want %d and %d", tc.name, check,
+					cyc.RecoveryAttempts, cyc.Fault.NestedCrashes, tc.attempts, tc.nested)
+			}
+			out := buf.String()
+			if !strings.Contains(out, tc.want) ||
+				!strings.Contains(out, "repro: crashtest -system=prep-durable -iterations=1") {
+				t.Errorf("%s/%s: progress stream lacks the error or the repro:\n%s", tc.name, check, out)
+			}
 		}
 	}
 }

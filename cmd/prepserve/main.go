@@ -235,10 +235,13 @@ func failed(r *harness.ServeResult) bool {
 }
 
 // validate rejects flag combinations no run can honour, naming the flag: an
-// instance or ring count below one, a batch cap the engine cannot take, and
-// sharding flags on a single machine, where they would be silently ignored.
+// output format nothing renders, an instance or ring count below one, a
+// batch cap the engine cannot take, and sharding flags on a single machine,
+// where they would be silently ignored.
 func validate() error {
 	switch {
+	case *format != "table" && *format != "json":
+		return fmt.Errorf("-format=%s: want table or json", *format)
 	case *scenario != "steady" && *scenario != "crash":
 		return fmt.Errorf("unknown scenario %q", *scenario)
 	case *instances < 1:

@@ -55,6 +55,8 @@ func TestValidateNamesIgnoredFlags(t *testing.T) {
 		{map[string]string{}, ""},
 		{map[string]string{"scenario": "crash", "instances": "2", "crash-shards": "1", "route": "range"}, ""},
 		{map[string]string{"instances": "1", "route": "hash"}, ""},
+		{map[string]string{"format": "json"}, ""},
+		{map[string]string{"format": "xml"}, "-format=xml"},
 		{map[string]string{"scenario": "melt"}, `unknown scenario "melt"`},
 		{map[string]string{"instances": "0"}, "-instances=0"},
 		{map[string]string{"instances": "-2"}, "-instances=-2"},

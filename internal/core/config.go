@@ -75,9 +75,6 @@ type Config struct {
 	Attacher uc.Attacher
 	// HeapWords is the per-replica heap size in words.
 	HeapWords uint64
-	// Generation disambiguates memory names across crash/recovery cycles;
-	// Recover bumps it automatically.
-	Generation int
 	// Instance namespaces every region name (log, replicas, generations,
 	// descriptors, commit record) so multiple fully independent PREP engines
 	// can co-reside on one nvm.System — the multi-instance boot path of the

@@ -52,13 +52,6 @@ const (
 // Persistent metadata memory layout (NVM).
 const metaActive = 0 // p_activePReplica
 
-// commitMemName is the generation-commit record (uc.CommitCell): one NVM
-// line, shared by every generation (the name carries no g%d prefix).
-// Recovery starts from the committed generation and flips the record only
-// after the rebuilt generation's checkpoint, which is what makes Recover
-// re-entrant: killed at any event and re-run, it reads the same source state.
-const commitMemName = "prep.commit"
-
 // The heap root slot where each persistent replica stores its localTail
 // (slot 0 is the sequential object's own root).
 const pTailRootSlot = 1
@@ -106,18 +99,18 @@ type pReplica struct {
 
 // PREP is one instance of the PREP-UC universal construction.
 type PREP struct {
-	cfg    Config
-	sys    *nvm.System
-	log    *oplog.Log
-	beta   uint64
-	nodes  int
-	reps   []*replica
-	preps  []*pReplica
-	meta   *nvm.Memory
-	commit uc.CommitCell // generation-commit record; zero in Volatile mode
-	gctrl  *nvm.Memory
-	desc   *descTable // operation descriptors; nil unless cfg.Detect
-	met    *metrics.Registry
+	cfg   Config
+	sys   *nvm.System
+	log   *oplog.Log
+	beta  uint64
+	nodes int
+	reps  []*replica
+	preps []*pReplica
+	meta  *nvm.Memory
+	lin   uc.Lineage // the generation built at; commit record attached in persistent modes only
+	gctrl *nvm.Memory
+	desc  *descTable // operation descriptors; nil unless cfg.Detect
+	met   *metrics.Registry
 }
 
 var (
@@ -125,43 +118,30 @@ var (
 	_ uc.Instrumented = (*PREP)(nil)
 )
 
-func (c Config) memName(s string) string {
-	if c.Instance == "" {
-		return fmt.Sprintf("g%d.%s", c.Generation, s)
-	}
-	return fmt.Sprintf("%s.g%d.%s", c.Instance, c.Generation, s)
-}
-
-// commitName is the instance's generation-commit record name. Like memName
-// it is prefixed by Config.Instance, so co-resident engines keep disjoint
-// commit records; the bare name is preserved for single-instance systems
-// (every existing persisted layout).
-func (c Config) commitName() string {
-	if c.Instance == "" {
-		return commitMemName
-	}
-	return c.Instance + "." + commitMemName
-}
+// lineage is generation 0 of the engine's lineage: Config.Instance namespaces
+// the regions and the commit record alike, so co-resident engines keep
+// disjoint generations, and the empty instance keeps the bare names.
+func (c Config) lineage() uc.Lineage { return uc.NewLineage(c.Instance, "prep.commit") }
 
 // New builds a PREP-UC instance inside sys. In persistent modes it also
 // writes the initial checkpoint (empty persistent replicas plus metadata)
 // and commits the generation, so a crash before the first persistence cycle
 // recovers an empty object.
 func New(t *sim.Thread, sys *nvm.System, cfg Config) (*PREP, error) {
-	p, err := newEngine(t, sys, cfg)
+	p, err := newEngine(t, sys, cfg, cfg.lineage())
 	if err != nil {
 		return nil, err
 	}
 	if cfg.Mode.Persistent() {
-		p.commitGeneration(t)
+		p.lin.Commit(t)
 	}
 	return p, nil
 }
 
-// newEngine builds the engine without committing its generation. Recover
-// uses it directly: the new generation must not become the recovery source
-// until its replicas hold the recovered state and are checkpointed.
-func newEngine(t *sim.Thread, sys *nvm.System, cfg Config) (*PREP, error) {
+// newEngine builds the engine at generation lin without committing it.
+// Recover uses it directly: the new generation must not become the recovery
+// source until its replicas hold the recovered state and are checkpointed.
+func newEngine(t *sim.Thread, sys *nvm.System, cfg Config, lin uc.Lineage) (*PREP, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -174,6 +154,7 @@ func newEngine(t *sim.Thread, sys *nvm.System, cfg Config) (*PREP, error) {
 	p := &PREP{
 		cfg:   cfg,
 		sys:   sys,
+		lin:   lin,
 		beta:  uint64(cfg.Topology.ThreadsPerNode),
 		nodes: cfg.Topology.NodesFor(cfg.Workers),
 		met:   sys.Metrics(),
@@ -182,10 +163,10 @@ func newEngine(t *sim.Thread, sys *nvm.System, cfg Config) (*PREP, error) {
 	if cfg.Mode == Durable {
 		logKind = nvm.NVM
 	}
-	logMem := sys.NewMemory(cfg.memName("log"), logKind, nvm.Interleaved, oplog.WordsFor(cfg.LogSize))
+	logMem := sys.NewMemory(lin.Name("log"), logKind, nvm.Interleaved, oplog.WordsFor(cfg.LogSize))
 	p.log = oplog.New(t, logMem, cfg.LogSize)
 
-	p.gctrl = sys.NewMemory(cfg.memName("gctrl"), nvm.Volatile, nvm.Interleaved, 64)
+	p.gctrl = sys.NewMemory(lin.Name("gctrl"), nvm.Volatile, nvm.Interleaved, 64)
 	if cfg.Mode.Persistent() {
 		p.gctrl.Store(t, gFlushBoundary, cfg.Epsilon)
 	}
@@ -200,20 +181,20 @@ func newEngine(t *sim.Thread, sys *nvm.System, cfg Config) (*PREP, error) {
 			descKind = nvm.NVM
 		}
 		p.desc = newDescTable(
-			sys.NewMemory(cfg.memName("desc"), descKind, nvm.Interleaved, descTableWords(cfg.Workers)),
+			sys.NewMemory(lin.Name("desc"), descKind, nvm.Interleaved, descTableWords(cfg.Workers)),
 			cfg.Workers)
 	}
 
 	slotsBase := ctrlRW + locks.DistRWLockWords(int(p.beta))
 	for node := 0; node < p.nodes; node++ {
-		heap := sys.NewMemory(cfg.memName(fmt.Sprintf("rheap%d", node)), nvm.Volatile, node, cfg.HeapWords)
+		heap := sys.NewMemory(lin.Name(fmt.Sprintf("rheap%d", node)), nvm.Volatile, node, cfg.HeapWords)
 		alloc := pmem.New(t, heap)
 		r := &replica{
 			node:      node,
 			heap:      heap,
 			alloc:     alloc,
 			ds:        cfg.Factory(t, alloc),
-			ctrl:      sys.NewMemory(cfg.memName(fmt.Sprintf("rctrl%d", node)), nvm.Volatile, node, slotsBase+p.beta*slotWords),
+			ctrl:      sys.NewMemory(lin.Name(fmt.Sprintf("rctrl%d", node)), nvm.Volatile, node, slotsBase+p.beta*slotWords),
 			slotsBase: slotsBase,
 		}
 		r.batchScratch = make([]int, 0, p.beta) // a batch holds at most β slots
@@ -227,13 +208,13 @@ func newEngine(t *sim.Thread, sys *nvm.System, cfg Config) (*PREP, error) {
 
 	if cfg.Mode.Persistent() {
 		pn := cfg.Topology.PersistenceNode()
-		p.meta = sys.NewMemory(cfg.memName("meta"), nvm.NVM, pn, nvm.WordsPerLine)
+		p.meta = sys.NewMemory(lin.Name("meta"), nvm.NVM, pn, nvm.WordsPerLine)
 		nP := 2
 		if cfg.SinglePReplica {
 			nP = 1
 		}
 		for i := 0; i < nP; i++ {
-			heap := sys.NewMemory(cfg.memName(fmt.Sprintf("pheap%d", i)), nvm.NVM, pn, cfg.HeapWords)
+			heap := sys.NewMemory(lin.Name(fmt.Sprintf("pheap%d", i)), nvm.NVM, pn, cfg.HeapWords)
 			alloc := pmem.New(t, heap)
 			pr := &pReplica{id: i, heap: heap, alloc: alloc, ds: cfg.Factory(t, alloc)}
 			alloc.SetRoot(t, pTailRootSlot, 0)
@@ -241,27 +222,10 @@ func newEngine(t *sim.Thread, sys *nvm.System, cfg Config) (*PREP, error) {
 		}
 		p.meta.Store(t, metaActive, 0)
 		p.gctrl.Store(t, gActive, 0)
-		// The commit record spans generations, so only the first engine in a
-		// machine's lineage creates it; recovered generations attach.
-		p.commit = uc.EnsureCommitCell(sys, cfg.commitName(), pn)
+		p.lin.EnsureCommit(sys, pn)
 		p.checkpoint(t)
 	}
 	return p, nil
-}
-
-// commitGeneration durably marks this engine's generation as the one
-// recovery must start from. Callers run it only after the generation's
-// persistent replicas hold their intended initial state and are
-// checkpointed.
-func (p *PREP) commitGeneration(t *sim.Thread) {
-	p.commit.Commit(t, p.cfg.Generation)
-}
-
-// committedGeneration reads the instance's persisted commit record,
-// returning fallback when the record is absent (a machine booted by a
-// pre-commit-record build) or unwritten.
-func committedGeneration(recSys *nvm.System, cfg Config, fallback int) int {
-	return uc.CommittedGeneration(recSys, cfg.commitName(), fallback)
 }
 
 // checkpoint persists every persistent replica and the metadata word. With

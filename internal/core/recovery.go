@@ -13,9 +13,7 @@ import (
 // RecoveryReport describes what recovery found and rebuilt.
 type RecoveryReport struct {
 	// SourceGeneration is the generation recovery read its state from: the
-	// last committed generation, which trails oldCfg.Generation while earlier
-	// recovery attempts keep crashing and leads it once one succeeds (callers
-	// may keep passing the boot configuration).
+	// last committed one (uc.Lineage.Source).
 	SourceGeneration int
 	// Generation is the rebuilt engine's generation.
 	Generation int
@@ -63,12 +61,11 @@ type RecoveryReport struct {
 var DebugInPlaceReplay = false
 
 // Recover rebuilds a PREP-UC instance from the NVM contents that survived a
-// crash (§5.1, §5.2). recSys must come from nvm.System.Recover, and oldCfg
-// must be the configuration of the crashed lineage (any generation of it:
-// the persisted generation-commit record, not oldCfg.Generation, selects the
-// state recovery reads). The rebuilt engine takes the first generation whose
-// memory names are unused; the source generation's NVM regions are read but
-// never written. In particular, durable log replay executes into the NEW
+// crash (§5.1, §5.2). recSys must come from nvm.System.Recover, and cfg must
+// be the configuration the crashed lineage was booted with. The lineage
+// (uc.Lineage) selects the committed generation recovery reads and the free
+// one the rebuilt engine takes; the source generation's NVM regions are read
+// but never written. In particular, durable log replay executes into the NEW
 // generation's first persistent replica, never into the source generation's
 // stable heap: the stable heap is the only consistent copy in existence, and
 // mutating it would make a crash during recovery unrecoverable (background
@@ -86,65 +83,58 @@ var DebugInPlaceReplay = false
 // state and then replays the persisted log entries in
 // [stable.localTail, completedTail) on top of the clone, so every completed
 // operation is recovered.
-func Recover(t *sim.Thread, recSys *nvm.System, oldCfg Config) (*PREP, *RecoveryReport, error) {
-	if !oldCfg.Mode.Persistent() {
+func Recover(t *sim.Thread, recSys *nvm.System, cfg Config) (*PREP, *RecoveryReport, error) {
+	if !cfg.Mode.Persistent() {
 		return nil, nil, fmt.Errorf("core: cannot recover a volatile instance")
 	}
 	met := recSys.Metrics()
 	rep := &RecoveryReport{}
 
-	srcCfg := oldCfg
-	srcCfg.Generation = committedGeneration(recSys, oldCfg, oldCfg.Generation)
-	rep.SourceGeneration = srcCfg.Generation
+	src, err := cfg.lineage().Source(recSys)
+	if err != nil {
+		return nil, nil, err
+	}
+	rep.SourceGeneration = src.Generation()
 
 	// Identify the stable persistent replica via p_activePReplica.
-	meta := recSys.Memory(srcCfg.memName("meta"))
+	meta := recSys.Memory(src.Name("meta"))
 	active := meta.Load(t, metaActive)
 	stable := 1 - active
-	if srcCfg.SinglePReplica {
+	if cfg.SinglePReplica {
 		stable = 0
 	}
 	rep.StableReplica = int(stable)
 
-	sheap := recSys.Memory(srcCfg.memName(fmt.Sprintf("pheap%d", stable)))
+	sheap := recSys.Memory(src.Name(fmt.Sprintf("pheap%d", stable)))
 	salloc := pmem.Attach(t, sheap)
-	sds := srcCfg.Attacher(t, salloc)
+	sds := cfg.Attacher(t, salloc)
 	rep.StableLocalTail = salloc.Root(t, pTailRootSlot)
 
-	// Build a fresh engine in the first free generation: recovery attempts
-	// that crashed mid-build left their partially constructed NVM regions
-	// behind under the generations between the committed one and here.
-	ncfg := srcCfg
-	ncfg.Generation++
-	for recSys.HasMemory(ncfg.memName("meta")) ||
-		recSys.HasMemory(ncfg.memName("log")) ||
-		recSys.HasMemory(ncfg.memName("pheap0")) {
-		ncfg.Generation++
-		rep.Restarts++
-		met.RecoveryRestarts++
-	}
-	rep.Generation = ncfg.Generation
-	// The source generation is only read from here on: its stable heap seeds
-	// the new generation's first persistent replica, durable replay runs on
-	// that copy, and every other replica is cloned from the result. The new
+	// Build a fresh engine in the first free generation. The source
+	// generation is only read from here on: its stable heap seeds the new
+	// generation's first persistent replica, durable replay runs on that
+	// copy, and every other replica is cloned from the result. The new
 	// generation stays uncommitted until its state is checkpointed.
-	p, err := newEngine(t, recSys, ncfg)
+	next := src.Next(recSys)
+	rep.Generation = next.Generation()
+	rep.Restarts = uint64(rep.Generation - rep.SourceGeneration - 1)
+	p, err := newEngine(t, recSys, cfg, next)
 	if err != nil {
 		return nil, nil, err
 	}
 	rds := p.preps[0].ds
-	inPlace := DebugInPlaceReplay && srcCfg.Mode == Durable
+	inPlace := DebugInPlaceReplay && cfg.Mode == Durable
 	if !inPlace {
 		uc.Clone(t, sds, rds)
 	}
 
-	if srcCfg.Mode == Durable {
+	if cfg.Mode == Durable {
 		target := rds
 		if inPlace {
 			target = sds
 		}
-		logMem := recSys.Memory(srcCfg.memName("log"))
-		l := oplog.Attach(logMem, srcCfg.LogSize)
+		logMem := recSys.Memory(src.Name("log"))
+		l := oplog.Attach(logMem, cfg.LogSize)
 		rep.CompletedTail = l.PersistedCompletedTail()
 		for idx := rep.StableLocalTail; idx < rep.CompletedTail; idx++ {
 			if !l.PersistedIsFull(idx) {
@@ -161,7 +151,7 @@ func Recover(t *sim.Thread, recSys *nvm.System, oldCfg Config) (*PREP, *Recovery
 		}
 	}
 
-	if srcCfg.Detect {
+	if cfg.Detect {
 		// Resolve every operation descriptor of the crashed generation
 		// against the recovery horizon: in Durable mode an operation is in
 		// the recovered state iff its log position precedes the persisted
@@ -172,11 +162,11 @@ func Recover(t *sim.Thread, recSys *nvm.System, oldCfg Config) (*PREP, *Recovery
 		// fence-before-full-mark order guarantees any operation whose effect
 		// survived has a present descriptor (DESIGN.md §11).
 		horizon := rep.StableLocalTail
-		if srcCfg.Mode == Durable {
+		if cfg.Mode == Durable {
 			horizon = rep.CompletedTail
 		}
 		resolved, byWorker := scanDescriptors(
-			recSys.Memory(srcCfg.memName("desc")), srcCfg.Workers, horizon)
+			recSys.Memory(src.Name("desc")), cfg.Workers, horizon)
 		rep.Resolved = resolved
 		// Carry the verdicts into the new generation's table (flags mark
 		// them committed unconditionally): a nested crash re-scans either
@@ -202,6 +192,6 @@ func Recover(t *sim.Thread, recSys *nvm.System, oldCfg Config) (*PREP, *Recovery
 	// commit record: an immediate second crash — anywhere, including between
 	// these two steps — recovers the same state.
 	p.checkpoint(t)
-	p.commitGeneration(t)
+	p.lin.Commit(t)
 	return p, rep, nil
 }

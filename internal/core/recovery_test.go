@@ -16,13 +16,38 @@ import (
 // per recovery event index, so total work is quadratic in the recovery event
 // count. One NUMA node, a small heap and a short workload keep the full
 // stride-1 sweep to a few million simulated events.
-func sweepCfg() Config {
-	cfg := hashCfg(Durable, 4, 128, 16)
+func sweepCfg(mode Mode, detect bool) Config {
+	cfg := hashCfg(mode, 4, 128, 16)
 	cfg.HeapWords = 1 << 13
+	cfg.Detect = detect
 	return cfg
 }
 
-// sweepWorld runs a durable workload to a crash and materializes the
+// sweepRows is the nested-crash table: every persistent mode, with and
+// without the descriptor table. Buffered with Detect is the row whose first
+// NVM region of a generation is the descriptor table (its log is volatile),
+// which a free-generation rule probing for named roles overlooked.
+var sweepRows = []struct {
+	name   string
+	mode   Mode
+	detect bool
+}{
+	{"durable", Durable, false},
+	{"durable-detect", Durable, true},
+	{"buffered", Buffered, false},
+	{"buffered-detect", Buffered, true},
+}
+
+// prefixOK is cfg's correctness condition for a recovered prefix: strict
+// durable, or buffered durable at the configured ε and β.
+func prefixOK(cfg Config, r history.Report) bool {
+	if cfg.Mode == Buffered {
+		return r.BufferedOK(cfg.Epsilon, uint64(cfg.Topology.ThreadsPerNode))
+	}
+	return r.DurableOK()
+}
+
+// sweepWorld runs cfg's workload to a crash and materializes the
 // post-crash NVM state once. Sweep harnesses Clone it per crash point, so
 // every sweep iteration recovers the exact same machine.
 type sweepWorld struct {
@@ -31,15 +56,16 @@ type sweepWorld struct {
 	completed []uint64
 }
 
-func newSweepWorld(t *testing.T, seed int64, crashAt uint64) *sweepWorld {
+func newSweepWorld(t *testing.T, cfg Config, seed int64, crashAt uint64) *sweepWorld {
 	t.Helper()
-	cfg := sweepCfg()
 	const workers = 4
 	w := newWorld(t, cfg, nvm.Config{Costs: sim.UnitCosts(), BGFlushOneIn: 64, Seed: uint64(seed)}, seed)
 	sw := &sweepWorld{cfg: cfg, completed: make([]uint64, workers)}
 	sch := w.runWorkers(workers, crashAt, func(th *sim.Thread, tid int) {
 		for i := uint64(0); ; i++ {
-			w.p.Execute(th, tid, uc.Insert(history.Key(tid, i), history.Key(tid, i)))
+			op := uc.Insert(history.Key(tid, i), history.Key(tid, i))
+			op.Invid = invidOf(tid, i) // ignored unless cfg.Detect
+			w.p.Execute(th, tid, op)
 			sw.completed[tid] = i + 1
 		}
 	})
@@ -106,51 +132,57 @@ func probeDurable(t *testing.T, sys *nvm.System, rec *PREP, completed []uint64, 
 	return history.Check(keys, completed)
 }
 
-// TestCrashSweepInsideRecovery is the tentpole's acceptance test: a crash at
-// EVERY event index inside a durable recovery with a non-trivial replay
-// window, each followed by a second recovery that must satisfy durable
-// linearizability. The fixed Recover passes the whole sweep because the
-// source generation is never written: however much of the new generation the
-// nested crash destroys, the second attempt reads the same committed state.
+// TestCrashSweepInsideRecovery crashes recovery at EVERY event index, in every
+// persistent mode with and without descriptors, and follows each crash with a
+// second recovery that must satisfy the mode's correctness condition. Recover
+// passes the whole sweep because the source generation is never written and
+// the generation it builds into is one no earlier attempt touched: however
+// much of the new generation the nested crash destroys, the second attempt
+// reads the same committed state. The durable rows need a non-trivial replay
+// window to mean anything.
 func TestCrashSweepInsideRecovery(t *testing.T) {
 	const seed = 101
-	sw := newSweepWorld(t, seed, 9000)
+	for _, row := range sweepRows {
+		t.Run(row.name, func(t *testing.T) {
+			sw := newSweepWorld(t, sweepCfg(row.mode, row.detect), seed, 9000)
 
-	// Establish the sweep ceiling and sanity-check the scenario on an
-	// uncrashed clone: recovery must have a non-trivial replay window.
-	probe := sw.base.Clone(sim.New(seed + 1))
-	rec0, rep0, _ := recoverOn(t, probe, sw.cfg, seed+1, 0)
-	if rec0 == nil {
-		t.Fatal("baseline recovery failed")
-	}
-	if rep0.Replayed == 0 {
-		t.Fatalf("replay window is trivial (stable tail %d = completed tail %d); re-tune the workload",
-			rep0.StableLocalTail, rep0.CompletedTail)
-	}
-	events := probe.Scheduler().Events()
-	t.Logf("recovery spans %d events, replayed %d ops (window [%d,%d))",
-		events, rep0.Replayed, rep0.StableLocalTail, rep0.CompletedTail)
+			// Establish the sweep ceiling and sanity-check the scenario on an
+			// uncrashed clone.
+			probe := sw.base.Clone(sim.New(seed + 1))
+			rec0, rep0, _ := recoverOn(t, probe, sw.cfg, seed+1, 0)
+			if rec0 == nil {
+				t.Fatal("baseline recovery failed")
+			}
+			if row.mode == Durable && rep0.Replayed == 0 {
+				t.Fatalf("replay window is trivial (stable tail %d = completed tail %d); re-tune the workload",
+					rep0.StableLocalTail, rep0.CompletedTail)
+			}
+			events := probe.Scheduler().Events()
+			t.Logf("recovery spans %d events, replayed %d ops (window [%d,%d))",
+				events, rep0.Replayed, rep0.StableLocalTail, rep0.CompletedTail)
 
-	for k := uint64(1); k <= events; k++ {
-		trial := sw.base.Clone(sim.New(seed + 1)) // same seed: identical schedule
-		_, _, frozen := recoverOn(t, trial, sw.cfg, seed+1, k)
-		if !frozen {
-			t.Fatalf("crash-at=%d: recovery completed before the armed crash (nondeterministic schedule?)", k)
-		}
-		// Materialize the nested crash — unfenced lines resolved, volatile
-		// memories gone — and recover from scratch.
-		after := trial.Recover(sim.New(seed + 2))
-		rec2, rep2, frozen2 := recoverOn(t, after, sw.cfg, seed+2, 0)
-		if frozen2 {
-			t.Fatalf("crash-at=%d: second recovery froze without an armed crash", k)
-		}
-		if rec2 == nil {
-			t.Fatalf("crash-at=%d: second recovery failed", k)
-		}
-		if r := probeDurable(t, after, rec2, sw.completed, seed+3); !r.DurableOK() {
-			t.Fatalf("crash-at=%d: second recovery not durable-linearizable: %s (restarts=%d)",
-				k, r, rep2.Restarts)
-		}
+			for k := uint64(1); k <= events; k++ {
+				trial := sw.base.Clone(sim.New(seed + 1)) // same seed: identical schedule
+				_, _, frozen := recoverOn(t, trial, sw.cfg, seed+1, k)
+				if !frozen {
+					t.Fatalf("crash-at=%d: recovery completed before the armed crash (nondeterministic schedule?)", k)
+				}
+				// Materialize the nested crash — unfenced lines resolved,
+				// volatile memories gone — and recover from scratch.
+				after := trial.Recover(sim.New(seed + 2))
+				rec2, rep2, frozen2 := recoverOn(t, after, sw.cfg, seed+2, 0)
+				if frozen2 {
+					t.Fatalf("crash-at=%d: second recovery froze without an armed crash", k)
+				}
+				if rec2 == nil {
+					t.Fatalf("crash-at=%d: second recovery failed", k)
+				}
+				if r := probeDurable(t, after, rec2, sw.completed, seed+3); !prefixOK(sw.cfg, r) {
+					t.Fatalf("crash-at=%d: second recovery violates the prefix condition: %s (restarts=%d)",
+						k, r, rep2.Restarts)
+				}
+			}
+		})
 	}
 }
 
@@ -161,18 +193,20 @@ func TestCrashSweepInsideRecovery(t *testing.T) {
 // heap into its persisted view — and the stable heap was the only consistent
 // copy, so the next recovery attempt starts from corrupt state.
 func buggyRecoverInPlace(t *sim.Thread, recSys *nvm.System, cfg Config) {
-	srcCfg := cfg
-	srcCfg.Generation = committedGeneration(recSys, cfg, cfg.Generation)
-	meta := recSys.Memory(srcCfg.memName("meta"))
+	src, err := cfg.lineage().Source(recSys)
+	if err != nil {
+		panic(err)
+	}
+	meta := recSys.Memory(src.Name("meta"))
 	active := meta.Load(t, metaActive)
 	stable := 1 - active
-	sheap := recSys.Memory(srcCfg.memName(fmt.Sprintf("pheap%d", stable)))
+	sheap := recSys.Memory(src.Name(fmt.Sprintf("pheap%d", stable)))
 	salloc := pmem.Attach(t, sheap)
-	sds := srcCfg.Attacher(t, salloc)
+	sds := cfg.Attacher(t, salloc)
 	stableTail := salloc.Root(t, pTailRootSlot)
 
-	logMem := recSys.Memory(srcCfg.memName("log"))
-	l := oplog.Attach(logMem, srcCfg.LogSize)
+	logMem := recSys.Memory(src.Name("log"))
+	l := oplog.Attach(logMem, cfg.LogSize)
 	for idx := stableTail; idx < l.PersistedCompletedTail(); idx++ {
 		if !l.PersistedIsFull(idx) {
 			continue
@@ -191,7 +225,7 @@ func buggyRecoverInPlace(t *sim.Thread, recSys *nvm.System, cfg Config) {
 // same schedule.
 func TestInPlaceReplayFailsSweep(t *testing.T) {
 	const seed = 101
-	sw := newSweepWorld(t, seed, 9000)
+	sw := newSweepWorld(t, sweepCfg(Durable, false), seed, 9000)
 
 	// Background flushes are the leak vector; make them aggressive during
 	// the buggy replay so partially replayed lines hit the persisted view.
@@ -250,32 +284,45 @@ func TestInPlaceReplayFailsSweep(t *testing.T) {
 // TestRecoveryRestartsCounted checks the free-generation scan: a crash
 // inside recovery leaves a partial generation behind, and the next attempt
 // must skip it, reporting the restart in both the report and the metrics
-// registry.
+// registry — whichever region of the generation the crashed attempt got to
+// create first.
 func TestRecoveryRestartsCounted(t *testing.T) {
 	const seed = 211
-	sw := newSweepWorld(t, seed, 9000)
+	for _, row := range sweepRows {
+		// Two crash points inside the rebuild: one where the new generation
+		// holds little more than its first region, one where it holds all.
+		for _, crashAt := range []uint64{16, 2000} {
+			t.Run(fmt.Sprintf("%s@%d", row.name, crashAt), func(t *testing.T) {
+				sw := newSweepWorld(t, sweepCfg(row.mode, row.detect), seed, 9000)
 
-	trial := sw.base.Clone(sim.New(seed + 1))
-	// Crash somewhere inside the rebuild, late enough that the new
-	// generation's NVM names exist.
-	_, _, frozen := recoverOn(t, trial, sw.cfg, seed+1, 2000)
-	if !frozen {
-		t.Skip("recovery completed before event 2000; nothing to restart")
-	}
-	after := trial.Recover(sim.New(seed + 2))
-	base := after.Metrics().Snapshot()
-	rec2, rep2, _ := recoverOn(t, after, sw.cfg, seed+2, 0)
-	if rec2 == nil {
-		t.Fatal("second recovery failed")
-	}
-	if rep2.Restarts == 0 {
-		t.Skip("crash point preceded the new generation's first NVM allocation")
-	}
-	if rep2.Generation != rep2.SourceGeneration+1+int(rep2.Restarts) {
-		t.Errorf("generation arithmetic: src=%d restarts=%d new=%d",
-			rep2.SourceGeneration, rep2.Restarts, rep2.Generation)
-	}
-	if d := after.Metrics().Snapshot().Sub(base); d.RecoveryRestarts != rep2.Restarts {
-		t.Errorf("metrics recovery_restarts = %d, report says %d", d.RecoveryRestarts, rep2.Restarts)
+				trial := sw.base.Clone(sim.New(seed + 1))
+				if _, _, frozen := recoverOn(t, trial, sw.cfg, seed+1, crashAt); !frozen {
+					t.Fatalf("recovery completed before event %d; nothing to restart", crashAt)
+				}
+				after := trial.Recover(sim.New(seed + 2))
+				// The crashed attempt was building generation 1; it is abandoned
+				// iff any of its NVM regions made it onto the machine (at event
+				// 16 Buffered without descriptors has created none yet).
+				want := uint64(0)
+				if after.HasMemoryPrefix("g1.") {
+					want = 1
+				}
+				base := after.Metrics().Snapshot()
+				rec2, rep2, _ := recoverOn(t, after, sw.cfg, seed+2, 0)
+				if rec2 == nil {
+					t.Fatal("second recovery failed")
+				}
+				if rep2.Restarts != want {
+					t.Errorf("restarts = %d, want %d", rep2.Restarts, want)
+				}
+				if rep2.Generation != rep2.SourceGeneration+1+int(rep2.Restarts) {
+					t.Errorf("generation arithmetic: src=%d restarts=%d new=%d",
+						rep2.SourceGeneration, rep2.Restarts, rep2.Generation)
+				}
+				if d := after.Metrics().Snapshot().Sub(base); d.RecoveryRestarts != rep2.Restarts {
+					t.Errorf("metrics recovery_restarts = %d, report says %d", d.RecoveryRestarts, rep2.Restarts)
+				}
+			})
+		}
 	}
 }

@@ -46,8 +46,6 @@ type Config struct {
 	QueueCapacity uint64
 	// CapReplicas bounds the replica count (the original uses 2n).
 	CapReplicas int
-	// Generation disambiguates memory names across crash/recovery cycles.
-	Generation int
 }
 
 // Queue entry layout: one line per op [state, code, a0, a1].
@@ -62,15 +60,11 @@ const (
 // index<<8 | replicaID (index = number of ops applied in that replica).
 const metaLatest = 0
 
-// commitMemName is CX-PUC's generation-commit record (uc.CommitCell),
-// shared by every generation of a lineage. Without it, a crash inside
-// Recover would be unrecoverable: New publishes an EMPTY replica 0 before
-// the recovered state is cloned in, so a nested crash at that point would
-// leave the new generation's meta pointing at an empty replica — and a
-// naive second recovery reading the newest generation would lose every key.
-// The commit record keeps the old generation the recovery source until the
-// new one's replicas are persisted.
-const commitMemName = "cx.commit"
+// lineage is generation 0 of CX-PUC's lineage. The commit record is what
+// keeps a crash inside Recover recoverable here: newEngine publishes an EMPTY
+// replica 0 before the recovered state is cloned in, so a recovery that read
+// the newest generation instead of the committed one would lose every key.
+var lineage = uc.NewLineage("cx", "commit")
 
 const ctrlQTail = 0 // queue tail index, in volatile control memory
 
@@ -91,10 +85,10 @@ type CX struct {
 	sys   *nvm.System
 	queue *nvm.Memory // volatile op queue
 	ctrl  *nvm.Memory // volatile control (queue tail)
-	meta   *nvm.Memory // NVM: published (index, replica) word
-	commit uc.CommitCell
-	reps   []*cxReplica
-	flush  *nvm.Flusher
+	meta  *nvm.Memory // NVM: published (index, replica) word
+	lin   uc.Lineage  // the generation the instance was built at
+	reps  []*cxReplica
+	flush *nvm.Flusher
 }
 
 var (
@@ -105,28 +99,22 @@ var (
 // Stats snapshots the machine-wide metrics registry (uc.Instrumented).
 func (c *CX) Stats() metrics.Snapshot { return c.sys.Metrics().Snapshot() }
 
-func (c Config) memName(s string) string { return fmt.Sprintf("cx.g%d.%s", c.Generation, s) }
-
-// Config returns the instance's (normalized) configuration; recovery
-// harnesses feed it back to Recover after a crash.
-func (c *CX) Config() Config { return c.cfg }
-
 // New builds a CX-PUC instance inside sys and commits its generation, so a
 // crash right after boot recovers the empty object.
 func New(t *sim.Thread, sys *nvm.System, cfg Config) (*CX, error) {
-	cx, err := newEngine(t, sys, cfg)
+	cx, err := newEngine(t, sys, cfg, lineage)
 	if err != nil {
 		return nil, err
 	}
-	cx.commit.Commit(t, cx.cfg.Generation)
+	cx.lin.Commit(t)
 	return cx, nil
 }
 
-// newEngine builds the instance without committing its generation. Recover
-// uses it directly: the new generation publishes an empty replica here and
-// must not become the recovery source until the recovered state has been
-// cloned in and persisted.
-func newEngine(t *sim.Thread, sys *nvm.System, cfg Config) (*CX, error) {
+// newEngine builds the instance at generation lin without committing it.
+// Recover uses it directly: the new generation publishes an empty replica
+// here and must not become the recovery source until the recovered state has
+// been cloned in and persisted.
+func newEngine(t *sim.Thread, sys *nvm.System, cfg Config, lin uc.Lineage) (*CX, error) {
 	if cfg.Workers <= 0 || cfg.Factory == nil || cfg.HeapWords == 0 {
 		return nil, fmt.Errorf("cxpuc: incomplete config")
 	}
@@ -140,18 +128,18 @@ func newEngine(t *sim.Thread, sys *nvm.System, cfg Config) (*CX, error) {
 	if nReps < 2 {
 		nReps = 2
 	}
-	cx := &CX{cfg: cfg, sys: sys}
-	cx.queue = sys.NewMemory(cfg.memName("queue"), nvm.Volatile, nvm.Interleaved,
+	cx := &CX{cfg: cfg, sys: sys, lin: lin}
+	cx.queue = sys.NewMemory(lin.Name("queue"), nvm.Volatile, nvm.Interleaved,
 		cfg.QueueCapacity*nvm.WordsPerLine)
 	// Control memory: queue tail at word 0, then one lock word per replica
 	// (each on its own line). Lock state is volatile in CX-PUC too.
-	cx.ctrl = sys.NewMemory(cfg.memName("ctrl"), nvm.Volatile, nvm.Interleaved,
+	cx.ctrl = sys.NewMemory(lin.Name("ctrl"), nvm.Volatile, nvm.Interleaved,
 		uint64(nReps+1)*nvm.WordsPerLine)
-	cx.meta = sys.NewMemory(cfg.memName("meta"), nvm.NVM, 0, nvm.WordsPerLine)
-	cx.commit = uc.EnsureCommitCell(sys, commitMemName, 0)
+	cx.meta = sys.NewMemory(lin.Name("meta"), nvm.NVM, 0, nvm.WordsPerLine)
+	cx.lin.EnsureCommit(sys, 0)
 	cx.flush = sys.NewFlusher()
 	for i := 0; i < nReps; i++ {
-		heap := sys.NewMemory(cfg.memName(fmt.Sprintf("rep%d", i)), nvm.NVM, i%2, cfg.HeapWords)
+		heap := sys.NewMemory(lin.Name(fmt.Sprintf("rep%d", i)), nvm.NVM, i%2, cfg.HeapWords)
 		alloc := pmem.New(t, heap)
 		r := &cxReplica{
 			id:    i,

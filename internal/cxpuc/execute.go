@@ -183,33 +183,26 @@ func (cx *CX) Prefill(t *sim.Thread, ops []uc.Op) {
 
 // Recover rebuilds a CX-PUC instance from NVM after a crash: the committed
 // generation's published replica (its heap was fully flushed before
-// publication) seeds every replica of a fresh generation. oldCfg may carry
-// any generation of the crashed lineage — the persisted commit record, not
-// oldCfg.Generation, selects the source.
+// publication) seeds every replica of a fresh generation. cfg is the
+// configuration the crashed lineage was booted with.
 //
 // Recover is re-entrant: the new generation's commit record flips only after
 // its replica 0 and meta are persisted, so a crash at any event inside
 // Recover leaves the previous committed generation as the source for the
 // next attempt.
-func Recover(t *sim.Thread, recSys *nvm.System, oldCfg Config) (*CX, error) {
-	srcCfg := oldCfg
-	srcCfg.Generation = uc.CommittedGeneration(recSys, commitMemName, oldCfg.Generation)
-	meta := recSys.Memory(srcCfg.memName("meta"))
+func Recover(t *sim.Thread, recSys *nvm.System, cfg Config) (*CX, error) {
+	src, err := lineage.Source(recSys)
+	if err != nil {
+		return nil, err
+	}
+	meta := recSys.Memory(src.Name("meta"))
 	w := meta.Load(t, metaLatest)
 	repID := int(w & 0xFF)
-	heap := recSys.Memory(srcCfg.memName(fmt.Sprintf("rep%d", repID)))
+	heap := recSys.Memory(src.Name(fmt.Sprintf("rep%d", repID)))
 	alloc := pmem.Attach(t, heap)
-	sds := srcCfg.Attacher(t, alloc)
+	sds := cfg.Attacher(t, alloc)
 
-	// Skip generations a crashed earlier recovery attempt left behind.
-	met := recSys.Metrics()
-	ncfg := srcCfg
-	ncfg.Generation++
-	for recSys.HasMemory(ncfg.memName("meta")) {
-		ncfg.Generation++
-		met.RecoveryRestarts++
-	}
-	cx, err := newEngine(t, recSys, ncfg)
+	cx, err := newEngine(t, recSys, cfg, src.Next(recSys))
 	if err != nil {
 		return nil, err
 	}
@@ -219,7 +212,7 @@ func Recover(t *sim.Thread, recSys *nvm.System, oldCfg Config) (*CX, error) {
 	r0 := cx.reps[0]
 	r0.heap.FlushRegion(t, 0, r0.alloc.HeapTop(t))
 	cx.flush.FlushLineSync(t, cx.meta, metaLatest)
-	cx.commit.Commit(t, ncfg.Generation)
+	cx.lin.Commit(t)
 	return cx, nil
 }
 

@@ -136,6 +136,7 @@ func Boot(d *uc.Driver, seed int64, ncfg nvm.Config,
 	var eng uc.UC
 	var err error
 	sch.Spawn("boot", 0, 0, func(t *sim.Thread) {
+		defer sim.PanicToErr("boot", &err)
 		if eng, err = d.Boot(t, sys); err == nil && then != nil {
 			err = then(t, sys, eng)
 		}

@@ -248,7 +248,8 @@ func TestSystemMatchesRegistry(t *testing.T) {
 // makeslice stack trace inside the simulated boot thread, -depth 3 wrote a
 // report whose depth contradicted its max_depth and -depth -1 silently
 // explored depth 1. Run and Repro share the one validation, which names the
-// field.
+// field. A heap the boot itself exhausts is found by booting; it is the same
+// kind of error, not the boot thread's stack trace.
 func TestConfigRejectsUnrunnableSizes(t *testing.T) {
 	for _, tc := range []struct {
 		cfg  Config
@@ -259,6 +260,7 @@ func TestConfigRejectsUnrunnableSizes(t *testing.T) {
 		{Config{Workers: -1}, "Workers"},
 		{Config{Depth: 3}, "Depth"},
 		{Config{Depth: -1}, "Depth"},
+		{Config{Workers: 2, Ops: 2, HeapWords: 16}, "-heap=16"},
 		{Config{Depth: 2, Workers: 1, Ops: 1, MaxRounds: 1}, ""},
 		{Config{Workers: 1, Ops: 1, MaxRounds: 1}, ""},
 	} {

@@ -115,7 +115,8 @@ func runWorkload(cfg *Config, prefix []int, crashAt uint64, record bool) (*workR
 		return nil
 	})
 	if berr != nil {
-		return nil, fmt.Errorf("explore: boot: %w", berr)
+		return nil, fmt.Errorf("explore: boot of a machine sized -heap=%d -log=%d -eps=%d: %w",
+			cfg.HeapWords, cfg.LogSize, cfg.Epsilon, berr)
 	}
 
 	sch := sim.New(base + 1)
@@ -218,7 +219,7 @@ func recoverOnce(cfg *Config, d *uc.Driver, frozenSys *nvm.System, mask uint64,
 	}
 	var rerr error
 	recSch.Spawn("recover", 0, 0, func(t *sim.Thread) {
-		defer panicToErr("recovery", &rerr)
+		defer sim.PanicToErr("recovery", &rerr)
 		var info uc.RecoverInfo
 		out.eng, info, rerr = d.Recover(t, r)
 		out.resolved = info.Resolved
@@ -244,16 +245,6 @@ func recoverOnce(cfg *Config, d *uc.Driver, frozenSys *nvm.System, mask uint64,
 	return out, nil
 }
 
-// panicToErr, deferred in a simulated thread, turns a panic on corrupted
-// state (e.g. a torn heap driving an allocator or structure walk out of
-// bounds) into the run's error — a leaf verdict to report, not an explorer
-// crash. The simulator's own crash unwind passes through.
-func panicToErr(what string, err *error) {
-	if rc := recover(); rc != nil && !sim.Crashed(rc) && *err == nil {
-		*err = fmt.Errorf("%s panicked: %v", what, rc)
-	}
-}
-
 // probeState reads back the recovered (or live) state over the probe keys
 // on a fresh scheduler. A probe that spins forever or panics (a read walk
 // over a corrupted structure) is a leaf verdict like a failed recovery.
@@ -264,7 +255,7 @@ func probeState(cfg *Config, eng uc.UC, sys *nvm.System) (map[uint64]uint64, err
 	sch.CrashAtEvent(cfg.MaxRunEvents)
 	var perr error
 	sch.Spawn("probe", 0, 0, func(t *sim.Thread) {
-		defer panicToErr("probe", &perr)
+		defer sim.PanicToErr("probe", &perr)
 		for _, k := range cfg.probeTargets() {
 			if v := eng.Execute(t, 0, uc.Get(k)); v != uc.NotFound {
 				out[k] = v
@@ -313,8 +304,7 @@ func adjudicate(cfg *Config, d *uc.Driver, rec *linearize.Recorder,
 	}
 	opt := linearize.Options{}
 	if d.Buffered && !strict {
-		// ε+β−1: PREP-Buffered's per-crash completed-loss bound.
-		opt = linearize.Options{Buffered: true, Allowance: int(d.Epsilon) + cfg.topology().ThreadsPerNode - 1}
+		opt = linearize.Options{Buffered: true, Allowance: d.LossBound(cfg.topology().ThreadsPerNode)}
 	}
 	init := linearize.Replay(model, nil, cfg.prefill())
 	return linearize.CheckEpoch(model, init, ops, probed, opt)

@@ -304,8 +304,12 @@ func BuildCrashDoc(progress io.Writer, c CrashConfig, tgs []CrashTarget) (CrashD
 // cycle runs one iteration's crash/recover cycle under the configured
 // checker and returns its record, the checker-specific half of its progress
 // line, and the error boot or recovery answered with, if any — such a cycle
-// is recorded failed.
-func (c *CrashConfig) cycle(tg CrashTarget, iter int, crashAt uint64) (CrashCycle, string, error) {
+// is recorded failed. A simulated thread's bug panic (a worker out of heap
+// before a pinned crash point the heap cannot reach), which Scheduler.Run
+// re-raises on this goroutine, is such an error too.
+func (c *CrashConfig) cycle(tg CrashTarget, iter int, crashAt uint64) (cyc CrashCycle, detail string, err error) {
+	cyc = CrashCycle{Iteration: iter, CrashAt: crashAt}
+	defer sim.PanicToErr("cycle", &err)
 	if c.Check == "linearize" {
 		return c.linearizeCycle(tg, iter, crashAt)
 	}
@@ -331,7 +335,9 @@ func (c *CrashConfig) runIteration(buf *bytes.Buffer, tg CrashTarget, i int, cra
 		fmt.Fprintf(buf, "       check: epoch %d, %s: %s\n", cb.FailedEpoch, cb.FailedPartition, cb.Reason)
 	}
 	at := crashAt
-	if c.Bisect {
+	if c.Bisect && (err == nil || cyc.RecoveryAttempts > 0) {
+		// A cycle that failed before any recovery ran — boot, or a worker
+		// that died before the crash point — fails the same at every one.
 		at = c.bisectCrash(buf, tg, i, crashAt)
 	}
 	c.reproLine(buf, tg, i, 1, fmt.Sprintf("-crash-at=%d", at))
@@ -554,10 +560,7 @@ func (c *CrashConfig) linearizeCycle(tg CrashTarget, iter int, crashAt uint64) (
 	spec := workload.SetSpec(30, linKeyRange)
 	spec.Prefill = 0
 	model := linearize.SetModel()
-	opt := linearize.Options{}
-	if d.Buffered {
-		opt = linearize.Options{Buffered: true, Allowance: int(c.Epsilon) + c.topo().ThreadsPerNode - 1}
-	}
+	opt := linearize.Options{Buffered: d.Buffered, Allowance: d.LossBound(c.topo().ThreadsPerNode)}
 
 	cb := &CheckBlock{Mode: "linearize", Epochs: c.Epochs, OK: true, FailedEpoch: -1}
 	cyc := CrashCycle{Iteration: iter, CrashAt: crashAt, Check: cb}

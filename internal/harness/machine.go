@@ -184,8 +184,6 @@ func (m *Machine) ProbePrefix(seed int64, completed [][]uint64, extra uint64, ke
 // PrefixOK applies instance k's correctness condition to a prefix report:
 // buffered durable with the ε+β−1 loss allowance, or strict durable.
 func (m *Machine) PrefixOK(k int, rep history.Report) bool {
-	if d := m.Drivers[k]; d.Buffered {
-		return rep.BufferedOK(d.Epsilon, uint64(m.Topology.ThreadsPerNode))
-	}
-	return rep.DurableOK()
+	return rep.PrefixViolations == 0 &&
+		rep.LostCompleted <= uint64(m.Drivers[k].LossBound(m.Topology.ThreadsPerNode))
 }

@@ -675,13 +675,7 @@ func probeServeState(sys *nvm.System, eng uc.UC, keys uint64, seed int64) map[ui
 // consumers can hold one combiner session of up to MaxBatch completed
 // operations past the last checkpoint.
 func serveOptions(d *ServeDriver, cfg ServeConfig) linearize.Options {
-	if !d.Buffered {
-		return linearize.Options{}
-	}
-	return linearize.Options{
-		Buffered:  true,
-		Allowance: int(d.Epsilon) + cfg.Shards*cfg.MaxBatch - 1,
-	}
+	return linearize.Options{Buffered: d.Buffered, Allowance: d.LossBound(cfg.Shards * cfg.MaxBatch)}
 }
 
 // completedOps zips one shard's completion records with its arrival slice:

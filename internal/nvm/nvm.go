@@ -28,6 +28,8 @@ package nvm
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
 	"prepuc/internal/fault"
 	"prepuc/internal/metrics"
@@ -248,6 +250,11 @@ func (s *System) Memory(name string) *Memory {
 func (s *System) HasMemory(name string) bool {
 	_, ok := s.mems[name]
 	return ok
+}
+
+// HasMemoryPrefix reports whether any region's name starts with prefix.
+func (s *System) HasMemoryPrefix(prefix string) bool {
+	return slices.ContainsFunc(s.order, func(m *Memory) bool { return strings.HasPrefix(m.name, prefix) })
 }
 
 func (s *System) nextRand() uint64 {

@@ -45,8 +45,6 @@ type Config struct {
 	HeapWords uint64
 	// LogEntries is each thread's persistent log capacity in entries.
 	LogEntries uint64
-	// Generation disambiguates memory names across crashes.
-	Generation int
 }
 
 // Control memory layout: the distributed reader–writer lock region starts
@@ -71,13 +69,11 @@ const (
 	opRecWords  = 4
 )
 
-// commitMemName is ONLL's generation-commit record (uc.CommitCell). Recovery
-// replays the committed generation's logs into a fresh generation's logs
-// (one re-logged entry per replayed op); a nested crash mid-replay leaves
-// the new generation's logs holding only a prefix, so the record flips to
-// the new generation only after replay completes — keeping the full source
-// logs authoritative for the next recovery attempt.
-const commitMemName = "onll.commit"
+// lineage is generation 0 of ONLL's lineage. Recovery replays the committed
+// generation's logs into a fresh generation's logs (one re-logged entry per
+// replayed op), so a nested crash mid-replay leaves the new logs holding only
+// a prefix: the full source logs stay authoritative until replay completes.
+var lineage = uc.NewLineage("onll", "commit")
 
 // ONLL is one instance of the construction.
 type ONLL struct {
@@ -94,7 +90,7 @@ type ONLL struct {
 	flushers  []*nvm.Flusher
 	logPos    []uint64 // next entry slot per thread (volatile bookkeeping)
 	entrySize uint64
-	commit    uc.CommitCell
+	lin       uc.Lineage // the generation the instance was built at
 }
 
 var (
@@ -105,8 +101,6 @@ var (
 // Stats snapshots the machine-wide metrics registry (uc.Instrumented).
 func (o *ONLL) Stats() metrics.Snapshot { return o.sys.Metrics().Snapshot() }
 
-func (c Config) memName(s string) string { return fmt.Sprintf("onll.g%d.%s", c.Generation, s) }
-
 // entryWords returns the line-rounded entry footprint for n ops.
 func entryWords(n int) uint64 {
 	w := uint64(entOps + n*opRecWords)
@@ -116,43 +110,39 @@ func entryWords(n int) uint64 {
 	return w
 }
 
-// Config returns the instance's (normalized) configuration; recovery
-// harnesses feed it back to Recover after a crash.
-func (o *ONLL) Config() Config { return o.cfg }
-
 // New builds an ONLL instance inside sys and commits its generation, so a
 // crash right after boot recovers the empty object.
 func New(t *sim.Thread, sys *nvm.System, cfg Config) (*ONLL, error) {
-	o, err := newEngine(t, sys, cfg)
+	o, err := newEngine(t, sys, cfg, lineage)
 	if err != nil {
 		return nil, err
 	}
-	o.commit.Commit(t, o.cfg.Generation)
+	o.lin.Commit(t)
 	return o, nil
 }
 
-// newEngine builds the instance without committing its generation (see
-// commitMemName; Recover commits only after replay completes).
-func newEngine(t *sim.Thread, sys *nvm.System, cfg Config) (*ONLL, error) {
+// newEngine builds the instance at generation lin without committing it
+// (Recover commits only after replay completes).
+func newEngine(t *sim.Thread, sys *nvm.System, cfg Config, lin uc.Lineage) (*ONLL, error) {
 	if cfg.Workers <= 0 || cfg.Factory == nil || cfg.HeapWords == 0 {
 		return nil, fmt.Errorf("onll: incomplete config")
 	}
 	if cfg.LogEntries == 0 {
 		cfg.LogEntries = 1 << 16
 	}
-	o := &ONLL{cfg: cfg, sys: sys, entrySize: entryWords(cfg.Workers)}
-	o.heap = sys.NewMemory(cfg.memName("heap"), nvm.Volatile, nvm.Interleaved, cfg.HeapWords)
+	o := &ONLL{cfg: cfg, sys: sys, lin: lin, entrySize: entryWords(cfg.Workers)}
+	o.heap = sys.NewMemory(lin.Name("heap"), nvm.Volatile, nvm.Interleaved, cfg.HeapWords)
 	o.alloc = pmem.New(t, o.heap)
 	o.ds = cfg.Factory(t, o.alloc)
 	o.ticketOff = ctrlLock + locks.DistRWLockWords(cfg.Workers)
 	o.slotsOff = o.ticketOff + nvm.WordsPerLine
-	o.ctrl = sys.NewMemory(cfg.memName("ctrl"), nvm.Volatile, nvm.Interleaved,
+	o.ctrl = sys.NewMemory(lin.Name("ctrl"), nvm.Volatile, nvm.Interleaved,
 		o.slotsOff+uint64(cfg.Workers)*slotWords)
 	o.lock = locks.NewDistRWLock(o.ctrl, ctrlLock, cfg.Workers)
-	o.commit = uc.EnsureCommitCell(sys, commitMemName, nvm.Interleaved)
+	o.lin.EnsureCommit(sys, nvm.Interleaved)
 	o.logPos = make([]uint64, cfg.Workers)
 	for tid := 0; tid < cfg.Workers; tid++ {
-		o.logs = append(o.logs, sys.NewMemory(cfg.memName(fmt.Sprintf("log%d", tid)),
+		o.logs = append(o.logs, sys.NewMemory(lin.Name(fmt.Sprintf("log%d", tid)),
 			nvm.NVM, nvm.Interleaved, cfg.LogEntries*o.entrySize))
 		o.flushers = append(o.flushers, sys.NewFlusher())
 	}
@@ -265,20 +255,22 @@ func (o *ONLL) Prefill(t *sim.Thread, ops []uc.Op) {
 // Recover rebuilds an ONLL instance after a crash: the union of the
 // committed generation's valid persisted log entries, replayed in
 // linearization order up to the first gap. Returns the instance and the
-// number of replayed operations. oldCfg may carry any generation of the
-// crashed lineage; the persisted commit record selects the source logs, and
-// the record flips to the rebuilt generation only after replay completes —
-// so Recover killed at any event re-runs from the same source.
-func Recover(t *sim.Thread, recSys *nvm.System, oldCfg Config) (*ONLL, uint64, error) {
-	srcCfg := oldCfg
-	srcCfg.Generation = uc.CommittedGeneration(recSys, commitMemName, oldCfg.Generation)
-	entrySize := entryWords(srcCfg.Workers)
+// number of replayed operations. cfg is the configuration the crashed
+// lineage was booted with; the commit record flips to the rebuilt generation
+// only after replay completes, so Recover killed at any event re-runs from
+// the same source.
+func Recover(t *sim.Thread, recSys *nvm.System, cfg Config) (*ONLL, uint64, error) {
+	src, err := lineage.Source(recSys)
+	if err != nil {
+		return nil, 0, err
+	}
+	entrySize := entryWords(cfg.Workers)
 	byIndex := map[uint64]opRec{}
-	for tid := 0; tid < srcCfg.Workers; tid++ {
-		log := recSys.Memory(srcCfg.memName(fmt.Sprintf("log%d", tid)))
+	for tid := 0; tid < cfg.Workers; tid++ {
+		log := recSys.Memory(src.Name(fmt.Sprintf("log%d", tid)))
 		for base := uint64(0); base+entrySize <= log.Words(); base += entrySize {
 			count := log.Load(t, base+entCount)
-			if count == 0 || count > uint64(oldCfg.Workers) {
+			if count == 0 || count > uint64(cfg.Workers) {
 				break // end of this thread's log (or torn final entry)
 			}
 			recs := make([]opRec, count)
@@ -305,16 +297,7 @@ func Recover(t *sim.Thread, recSys *nvm.System, oldCfg Config) (*ONLL, uint64, e
 	}
 	sort.Slice(indexes, func(a, b int) bool { return indexes[a] < indexes[b] })
 
-	// Skip generations a crashed earlier recovery attempt left behind (their
-	// logs hold only a replay prefix).
-	met := recSys.Metrics()
-	ncfg := srcCfg
-	ncfg.Generation++
-	for recSys.HasMemory(ncfg.memName("log0")) {
-		ncfg.Generation++
-		met.RecoveryRestarts++
-	}
-	o, err := newEngine(t, recSys, ncfg)
+	o, err := newEngine(t, recSys, cfg, src.Next(recSys))
 	if err != nil {
 		return nil, 0, err
 	}
@@ -329,7 +312,7 @@ func Recover(t *sim.Thread, recSys *nvm.System, oldCfg Config) (*ONLL, uint64, e
 		replayed++
 		next++
 	}
-	o.commit.Commit(t, ncfg.Generation)
+	o.lin.Commit(t)
 	return o, replayed, nil
 }
 

@@ -4,41 +4,41 @@ import "prepuc/internal/uc"
 
 // ObjectType descriptors for every sequential structure in this package:
 // the catalog (and any other builder) names a structure once and gets its
-// factory, attacher and checker model together instead of threading the
-// pieces around as parallel arguments.
+// factory and attacher together instead of threading the pieces around as
+// parallel arguments.
 
 // HashMapType describes the resizable hashmap with the given initial bucket
 // count.
 func HashMapType(initialBuckets uint64) uc.ObjectType {
-	return uc.ObjectType{Name: "hashmap", New: HashMapFactory(initialBuckets), Attach: HashMapAttacher, Model: uc.ModelSet}
+	return uc.ObjectType{Name: "hashmap", New: HashMapFactory(initialBuckets), Attach: HashMapAttacher}
 }
 
 // RBTreeType describes the red-black tree set.
 func RBTreeType() uc.ObjectType {
-	return uc.ObjectType{Name: "rbtree", New: RBTreeFactory(), Attach: RBTreeAttacher, Model: uc.ModelSet}
+	return uc.ObjectType{Name: "rbtree", New: RBTreeFactory(), Attach: RBTreeAttacher}
 }
 
 // SkipListType describes the skip-list set.
 func SkipListType() uc.ObjectType {
-	return uc.ObjectType{Name: "skiplist", New: SkipListFactory(), Attach: SkipListAttacher, Model: uc.ModelSet}
+	return uc.ObjectType{Name: "skiplist", New: SkipListFactory(), Attach: SkipListAttacher}
 }
 
 // ListSetType describes the sorted linked-list set.
 func ListSetType() uc.ObjectType {
-	return uc.ObjectType{Name: "listset", New: ListSetFactory(), Attach: ListSetAttacher, Model: uc.ModelSet}
+	return uc.ObjectType{Name: "listset", New: ListSetFactory(), Attach: ListSetAttacher}
 }
 
 // QueueType describes the FIFO queue.
 func QueueType() uc.ObjectType {
-	return uc.ObjectType{Name: "queue", New: QueueFactory(), Attach: QueueAttacher, Model: uc.ModelQueue}
+	return uc.ObjectType{Name: "queue", New: QueueFactory(), Attach: QueueAttacher}
 }
 
 // StackType describes the stack.
 func StackType() uc.ObjectType {
-	return uc.ObjectType{Name: "stack", New: StackFactory(), Attach: StackAttacher, Model: uc.ModelStack}
+	return uc.ObjectType{Name: "stack", New: StackFactory(), Attach: StackAttacher}
 }
 
 // PQueueType describes the priority queue.
 func PQueueType() uc.ObjectType {
-	return uc.ObjectType{Name: "pqueue", New: PQueueFactory(), Attach: PQueueAttacher, Model: uc.ModelPQueue}
+	return uc.ObjectType{Name: "pqueue", New: PQueueFactory(), Attach: PQueueAttacher}
 }

@@ -61,6 +61,17 @@ func Crashed(v any) bool {
 	return ok
 }
 
+// PanicToErr, deferred in a simulated thread — or around Scheduler.Run, which
+// re-raises a thread's bug panic on its caller — turns the panic into *err
+// (an earlier error is kept): a construction walking a corrupted image, or
+// exhausting a heap a flag sized, is the run's verdict to report, not the
+// tool's crash. The simulator's own crash unwind passes through.
+func PanicToErr(what string, err *error) {
+	if rc := recover(); rc != nil && !Crashed(rc) && *err == nil {
+		*err = fmt.Errorf("%s panicked: %v", what, rc)
+	}
+}
+
 // Thread is a simulated hardware thread. All methods must be called from the
 // function that was handed the Thread by Spawn.
 type Thread struct {

@@ -20,8 +20,6 @@
 package soft
 
 import (
-	"fmt"
-
 	"prepuc/internal/locks"
 	"prepuc/internal/metrics"
 	"prepuc/internal/nvm"
@@ -59,16 +57,13 @@ type Config struct {
 	Buckets uint64
 	// VolatileWords / PersistentWords size the two regions.
 	VolatileWords, PersistentWords uint64
-	// Generation disambiguates memory names across crashes.
-	Generation int
 }
 
-// commitMemName is SOFT's generation-commit record (uc.CommitCell).
-// Recovery re-inserts the committed generation's surviving persistent nodes
-// into a fresh generation's slab; a nested crash mid-scan leaves the new
-// slab holding only a subset, so the record flips to the new generation
-// only after the scan completes.
-const commitMemName = "soft.commit"
+// lineage is generation 0 of SOFT's lineage. Recovery re-inserts the
+// committed generation's surviving persistent nodes into a fresh generation's
+// slab, so a nested crash mid-scan leaves the new slab holding only a subset:
+// the source slab stays authoritative until the scan completes.
+var lineage = uc.NewLineage("soft", "commit")
 
 // Soft is one SOFT hashtable.
 type Soft struct {
@@ -77,7 +72,7 @@ type Soft struct {
 	vmem   *nvm.Memory // buckets, locks, volatile nodes
 	valloc *pmem.Allocator
 	pmem   *nvm.Memory // persistent node slab
-	commit uc.CommitCell
+	lin    uc.Lineage  // the generation the table was built at
 	// Offsets inside vmem.
 	bucketsOff, locksOff uint64
 	slabOff              uint64 // [0]=bump index, [1]=free-list head, [2]=slab lock
@@ -92,23 +87,17 @@ var (
 // Stats snapshots the machine-wide metrics registry (uc.Instrumented).
 func (s *Soft) Stats() metrics.Snapshot { return s.sys.Metrics().Snapshot() }
 
-func (c Config) memName(s string) string { return fmt.Sprintf("soft.g%d.%s", c.Generation, s) }
-
-// Config returns the table's (normalized) configuration; recovery harnesses
-// feed it back to Recover after a crash.
-func (s *Soft) Config() Config { return s.cfg }
-
 // New builds an empty table inside sys and commits its generation, so a
 // crash right after boot recovers the empty table.
 func New(t *sim.Thread, sys *nvm.System, cfg Config) *Soft {
-	s := newEngine(t, sys, cfg)
-	s.commit.Commit(t, s.cfg.Generation)
+	s := newEngine(t, sys, cfg, lineage)
+	s.lin.Commit(t)
 	return s
 }
 
-// newEngine builds the table without committing its generation (see
-// commitMemName; Recover commits only after its slab scan completes).
-func newEngine(t *sim.Thread, sys *nvm.System, cfg Config) *Soft {
+// newEngine builds the table at generation lin without committing it
+// (Recover commits only after its slab scan completes).
+func newEngine(t *sim.Thread, sys *nvm.System, cfg Config, lin uc.Lineage) *Soft {
 	if cfg.Buckets == 0 {
 		cfg.Buckets = 1024
 	}
@@ -118,11 +107,11 @@ func newEngine(t *sim.Thread, sys *nvm.System, cfg Config) *Soft {
 	if cfg.PersistentWords == 0 {
 		cfg.PersistentWords = 1 << 22
 	}
-	s := &Soft{cfg: cfg, sys: sys}
-	s.vmem = sys.NewMemory(cfg.memName("volatile"), nvm.Volatile, nvm.Interleaved, cfg.VolatileWords)
+	s := &Soft{cfg: cfg, sys: sys, lin: lin}
+	s.vmem = sys.NewMemory(lin.Name("volatile"), nvm.Volatile, nvm.Interleaved, cfg.VolatileWords)
 	s.valloc = pmem.New(t, s.vmem)
-	s.pmem = sys.NewMemory(cfg.memName("persistent"), nvm.NVM, nvm.Interleaved, cfg.PersistentWords)
-	s.commit = uc.EnsureCommitCell(sys, commitMemName, nvm.Interleaved)
+	s.pmem = sys.NewMemory(lin.Name("persistent"), nvm.NVM, nvm.Interleaved, cfg.PersistentWords)
+	s.lin.EnsureCommit(sys, nvm.Interleaved)
 	s.bucketsOff = s.valloc.Alloc(t, cfg.Buckets)
 	s.locksOff = s.valloc.Alloc(t, cfg.Buckets)
 	s.slabOff = s.valloc.Alloc(t, 4)
@@ -328,24 +317,17 @@ func (s *Soft) Prefill(t *sim.Thread, ops []uc.Op) {
 // Recover rebuilds a table after a crash by scanning the committed
 // generation's persistent node slab — SOFT's actual recovery strategy
 // (links are never persisted). Returns the rebuilt table and the number of
-// recovered keys. oldCfg may carry any generation of the crashed lineage;
-// the persisted commit record selects the source slab, and the record flips
-// to the rebuilt generation only after the scan completes — so Recover
-// killed at any event re-runs from the same source.
-func Recover(t *sim.Thread, recSys *nvm.System, oldCfg Config) (*Soft, uint64, error) {
-	srcCfg := oldCfg
-	srcCfg.Generation = uc.CommittedGeneration(recSys, commitMemName, oldCfg.Generation)
-	old := recSys.Memory(srcCfg.memName("persistent"))
-	// Skip generations a crashed earlier recovery attempt left behind (their
-	// slabs hold only a subset of the keys).
-	met := recSys.Metrics()
-	ncfg := srcCfg
-	ncfg.Generation++
-	for recSys.HasMemory(ncfg.memName("persistent")) {
-		ncfg.Generation++
-		met.RecoveryRestarts++
+// recovered keys. cfg is the configuration the crashed lineage was booted
+// with; the commit record flips to the rebuilt generation only after the
+// scan completes, so Recover killed at any event re-runs from the same
+// source.
+func Recover(t *sim.Thread, recSys *nvm.System, cfg Config) (*Soft, uint64, error) {
+	src, err := lineage.Source(recSys)
+	if err != nil {
+		return nil, 0, err
 	}
-	s := newEngine(t, recSys, ncfg)
+	old := recSys.Memory(src.Name("persistent"))
+	s := newEngine(t, recSys, cfg, src.Next(recSys))
 	f := s.flusherFor(0)
 	var recovered uint64
 	for off := uint64(pnBase); off+pnWords <= old.Words(); off += pnWords {
@@ -357,7 +339,7 @@ func Recover(t *sim.Thread, recSys *nvm.System, oldCfg Config) (*Soft, uint64, e
 			}
 		}
 	}
-	s.commit.Commit(t, ncfg.Generation)
+	s.lin.Commit(t)
 	return s, recovered, nil
 }
 

@@ -40,9 +40,21 @@ type Driver struct {
 	Detect bool
 	// Buffered marks a driver whose recovered state may lose a completed
 	// suffix (PREP-Buffered); Epsilon is its checkpoint interval, from which
-	// callers derive the loss allowance.
+	// LossBound derives the loss allowance.
 	Buffered bool
 	Epsilon  uint64
+}
+
+// LossBound is how many completed updates one crash may take from the
+// recovered state: 0 for a durably linearizable driver, ε+window−1 for a
+// buffered one. window is β under closed-loop workers (the paper's ε+β−1)
+// and Shards·MaxBatch under the serve front-end, each of whose consumers can
+// hold one combiner session of up to MaxBatch operations.
+func (d *Driver) LossBound(window int) int {
+	if !d.Buffered {
+		return 0
+	}
+	return int(d.Epsilon) + window - 1
 }
 
 // RecoverInfo is what Driver.Recover reports back to the harness.

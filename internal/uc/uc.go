@@ -109,21 +109,10 @@ type Factory func(t *sim.Thread, a *pmem.Allocator) DataStructure
 // in a heap that survived a crash.
 type Attacher func(t *sim.Thread, a *pmem.Allocator) DataStructure
 
-// Sequential-model names for ObjectType.Model. They are strings rather than
-// linearize.Model values because the checker imports this package; the
-// harness maps a name to the concrete model.
-const (
-	ModelSet    = "set"
-	ModelQueue  = "queue"
-	ModelStack  = "stack"
-	ModelPQueue = "pqueue"
-)
-
 // ObjectType bundles everything the harness and service layers need to know
-// about one sequential object: how to create it, how to re-open it after a
-// crash, and which sequential model checks histories driven through it. It
-// replaces the parallel Factory/Attacher pairs that used to be threaded
-// through every builder signature side by side.
+// about one sequential object: how to create it and how to re-open it after a
+// crash. It replaces the parallel Factory/Attacher pairs that used to be
+// threaded through every builder signature side by side.
 type ObjectType struct {
 	// Name identifies the structure in catalogs and output ("hashmap", ...).
 	Name string
@@ -131,9 +120,6 @@ type ObjectType struct {
 	New Factory
 	// Attach re-opens a crashed instance created by New.
 	Attach Attacher
-	// Model names the sequential specification for the linearizability
-	// checker (ModelSet, ModelQueue, ModelStack or ModelPQueue).
-	Model string
 }
 
 // UC is a universal construction: it turns the sequential object it was
