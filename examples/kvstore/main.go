@@ -40,7 +40,7 @@ func config() core.Config {
 
 func main() {
 	cfg := config()
-	bootSch := sim.New(1)
+	bootSch := sim.New(0)
 	// Background flushes on: the adversarial cache behaviour real NVM has.
 	sys := nvm.NewSystem(bootSch, nvm.Config{
 		Costs: sim.DefaultCosts(), BGFlushOneIn: 256, Seed: 42,
@@ -57,7 +57,7 @@ func main() {
 
 	// Phase 1: serve writes until the power fails. Each worker records,
 	// host-side, how many of its PUTs were acknowledged.
-	runSch := sim.New(2)
+	runSch := sim.New(0)
 	runSch.CrashAtEvent(400_000) // pull the plug mid-run
 	sys.SetScheduler(runSch)
 	store.SpawnPersistence(0)
@@ -79,7 +79,7 @@ func main() {
 	fmt.Printf("power failure after %d acknowledged PUTs\n", total)
 
 	// Phase 2: recover from NVM.
-	recSch := sim.New(3)
+	recSch := sim.New(0)
 	recSys := sys.Recover(recSch)
 	var recovered *core.PREP
 	var report *core.RecoveryReport
@@ -95,7 +95,7 @@ func main() {
 
 	// Phase 3: verify durable linearizability — every acknowledged PUT is
 	// present — then keep serving.
-	verifySch := sim.New(4)
+	verifySch := sim.New(0)
 	recSys.SetScheduler(verifySch)
 	lost := 0
 	verifySch.Spawn("verify", 0, 0, func(t *sim.Thread) {
@@ -114,7 +114,7 @@ func main() {
 	fmt.Printf("all %d acknowledged PUTs survived the crash\n", total)
 
 	// Phase 4: the recovered store serves new traffic.
-	serveSch := sim.New(5)
+	serveSch := sim.New(0)
 	recSys.SetScheduler(serveSch)
 	recovered.SpawnPersistence(0)
 	remaining := workers

@@ -21,7 +21,7 @@ func main() {
 	// A simulated machine: 2 NUMA nodes × 4 hardware threads, calibrated
 	// Optane-like latencies, deterministic from the seed.
 	topo := numa.Topology{Nodes: 2, ThreadsPerNode: 4}
-	bootSch := sim.New(1)
+	bootSch := sim.New(0)
 	sys := nvm.NewSystem(bootSch, nvm.Config{Costs: sim.DefaultCosts()})
 
 	// Build PREP-Buffered around the sequential hashmap. The sequential
@@ -50,7 +50,7 @@ func main() {
 
 	// Run 7 workers concurrently (in deterministic virtual time); the
 	// dedicated persistence thread checkpoints the object as they go.
-	runSch := sim.New(2)
+	runSch := sim.New(0)
 	sys.SetScheduler(runSch)
 	p.SpawnPersistence(0)
 	const perWorker = 500
@@ -78,7 +78,7 @@ func main() {
 	runSch.Run()
 
 	// Inspect the final state.
-	checkSch := sim.New(3)
+	checkSch := sim.New(0)
 	sys.SetScheduler(checkSch)
 	checkSch.Spawn("check", 0, 0, func(t *sim.Thread) {
 		size := p.Execute(t, 0, uc.Size())

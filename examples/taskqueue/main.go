@@ -44,7 +44,7 @@ func main() {
 		Attacher:  seq.PQueueAttacher,
 		HeapWords: 1 << 20,
 	}
-	bootSch := sim.New(1)
+	bootSch := sim.New(0)
 	sys := nvm.NewSystem(bootSch, nvm.Config{Costs: sim.DefaultCosts(), BGFlushOneIn: 256, Seed: 9})
 	var q *core.PREP
 	var err error
@@ -55,7 +55,7 @@ func main() {
 	}
 
 	// Producers submit prioritized tasks; consumers pop the most urgent.
-	runSch := sim.New(2)
+	runSch := sim.New(0)
 	runSch.CrashAtEvent(300_000)
 	sys.SetScheduler(runSch)
 	q.SpawnPersistence(0)
@@ -94,7 +94,7 @@ func main() {
 
 	// Recover and inspect the queue: it must be consistent (a prefix of the
 	// pre-crash history), and the loss window bounded.
-	recSch := sim.New(3)
+	recSch := sim.New(0)
 	recSys := sys.Recover(recSch)
 	var rq *core.PREP
 	var report *core.RecoveryReport
@@ -108,7 +108,7 @@ func main() {
 	fmt.Printf("recovered from stable replica %d (checkpoint at log index %d)\n",
 		report.StableReplica, report.StableLocalTail)
 
-	checkSch := sim.New(4)
+	checkSch := sim.New(0)
 	recSys.SetScheduler(checkSch)
 	// Draining performs updates, so the recovered engine needs its
 	// persistence thread back.

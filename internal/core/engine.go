@@ -287,9 +287,6 @@ func (p *PREP) Log() *oplog.Log { return p.log }
 // Stats snapshots the machine-wide metrics registry (uc.Instrumented).
 func (p *PREP) Stats() metrics.Snapshot { return p.met.Snapshot() }
 
-// Nodes returns the number of populated NUMA nodes (volatile replicas).
-func (p *PREP) Nodes() int { return p.nodes }
-
 // flushBoundary accessors.
 func (p *PREP) flushBoundary(t *sim.Thread) uint64 { return p.gctrl.Load(t, gFlushBoundary) }
 func (p *PREP) setFlushBoundary(t *sim.Thread, v uint64) {

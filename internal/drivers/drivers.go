@@ -124,14 +124,13 @@ func ExploreScale() uc.Sizing {
 	}
 }
 
-// Boot creates a fresh machine — a scheduler seeded seed under substrate
-// configuration ncfg — and boots d on its single boot thread. then, when
-// non-nil, runs on that thread after a successful d.Boot: the place for
-// whatever else must exist before the first workload thread (service rings,
-// prefill, co-resident engines).
-func Boot(d *uc.Driver, seed int64, ncfg nvm.Config,
+// Boot creates a fresh machine under substrate configuration ncfg and boots
+// d on its single boot thread. then, when non-nil, runs on that thread after
+// a successful d.Boot: the place for whatever else must exist before the
+// first workload thread (service rings, prefill, co-resident engines).
+func Boot(d *uc.Driver, ncfg nvm.Config,
 	then func(t *sim.Thread, sys *nvm.System, eng uc.UC) error) (*nvm.System, uc.UC, error) {
-	sch := sim.New(seed)
+	sch := sim.New(0)
 	sys := nvm.NewSystem(sch, ncfg)
 	var eng uc.UC
 	var err error
@@ -145,18 +144,17 @@ func Boot(d *uc.Driver, seed int64, ncfg nvm.Config,
 	return sys, eng, err
 }
 
-// Run is the workload phase: on a fresh scheduler seeded seed — armed to
-// crash the machine at event crashAt (0: never) — it spawns the
-// auxiliary threads of every driver in ds and then workers worker threads,
-// worker w pinned to tp.NodeOf(w) and running body, and runs sys until every
-// thread has exited. Spawn order is thread-id order, and ids seed the
-// per-thread RNGs and break scheduling ties: auxiliary threads first, in ds
-// order, then the workers by index. When no crash cut the phase short, the
-// last worker out retires the auxiliary threads. The scheduler is returned
-// for its Frozen and Events.
-func Run(sys *nvm.System, seed int64, crashAt uint64, ds []*uc.Driver, tp numa.Topology,
+// Run is the workload phase: on a fresh scheduler — armed to crash the
+// machine at event crashAt (0: never) — it spawns the auxiliary threads of
+// every driver in ds and then workers worker threads, worker w pinned to
+// tp.NodeOf(w) and running body, and runs sys until every thread has exited.
+// Spawn order is thread-id order, and ids break scheduling ties: auxiliary
+// threads first, in ds order, then the workers by index. When no crash cut
+// the phase short, the last worker out retires the auxiliary threads. The
+// scheduler is returned for its Frozen and Events.
+func Run(sys *nvm.System, crashAt uint64, ds []*uc.Driver, tp numa.Topology,
 	workers int, body func(t *sim.Thread, w int)) *sim.Scheduler {
-	sch := sim.New(seed)
+	sch := sim.New(0)
 	sch.CrashAtEvent(crashAt)
 	sys.SetScheduler(sch)
 	for _, d := range ds {
@@ -200,18 +198,18 @@ type Recovery struct {
 
 // Recover materializes the crash of frozen and runs d.Recover until an
 // attempt completes: a recovery cut down by a crash of its own is recovered
-// again from the re-crashed machine. Attempt a runs on a scheduler seeded
-// seed + 17a; nestedAt, when non-nil, names the event at which attempt a
-// crashes (0: unarmed). then, when non-nil, runs on the recovery thread
-// after a successful d.Recover — the place to rebuild volatile state
-// (service rings) before the first post-recovery thread. A recovery that
-// answers with an error ends the loop: the error is returned along with
-// what was measured up to it.
-func Recover(d *uc.Driver, frozen *nvm.System, seed int64, nestedAt func(attempt int) uint64,
+// again from the re-crashed machine. nestedAt, when non-nil, names the event
+// at which attempt a crashes (0: unarmed). then, when non-nil, runs on the
+// recovery thread after a successful d.Recover — the place to rebuild
+// volatile state (service rings) before the first post-recovery thread. A
+// recovery that answers with an error — or panics on a bug: a construction
+// walking an image it cannot make sense of — ends the loop: the error is
+// returned along with what was measured up to it.
+func Recover(d *uc.Driver, frozen *nvm.System, nestedAt func(attempt int) uint64,
 	then func(t *sim.Thread, sys *nvm.System, eng uc.UC) error) (Recovery, error) {
 	r := Recovery{Sys: frozen}
 	for {
-		sch := sim.New(seed + int64(r.Attempts)*17)
+		sch := sim.New(0)
 		if nestedAt != nil {
 			if at := nestedAt(r.Attempts); at != 0 {
 				sch.CrashAtEvent(at)
@@ -221,6 +219,7 @@ func Recover(d *uc.Driver, frozen *nvm.System, seed int64, nestedAt func(attempt
 		r.Attempts++
 		var err error
 		sch.Spawn("recover", 0, 0, func(t *sim.Thread) {
+			defer sim.PanicToErr("recovery", &err)
 			start := t.Clock()
 			r.Eng, r.Info, err = d.Recover(t, r.Sys)
 			r.VirtualNS = t.Clock() - start
@@ -239,8 +238,8 @@ func Recover(d *uc.Driver, frozen *nvm.System, seed int64, nestedAt func(attempt
 
 // Probe runs fn on one thread of a throwaway scheduler installed on sys:
 // the state observation between phases. Its timeline is never reported.
-func Probe(sys *nvm.System, seed int64, fn func(t *sim.Thread)) {
-	sch := sim.New(seed)
+func Probe(sys *nvm.System, fn func(t *sim.Thread)) {
+	sch := sim.New(0)
 	sys.SetScheduler(sch)
 	sch.Spawn("probe", 0, 0, fn)
 	sch.Run()

@@ -15,8 +15,8 @@
 //
 // Everything is deterministic: the simulator's virtual machine under a
 // forced dispatch prefix replays executions exactly, fault.Subset pins the
-// crash materialization, and the driver seeds every scheduler from
-// Config.Seed — so a counterexample is a four-tuple (schedule prefix,
+// crash materialization, and Config.Seed seeds the one RNG there is, the
+// substrate's — so a counterexample is a four-tuple (schedule prefix,
 // crash event, persist mask, nested pair) that reproduces on any host,
 // any -j, any time.
 package explore
@@ -50,7 +50,7 @@ type Config struct {
 	// the epoch starts; for PREP they are checkpointed and absent from the
 	// log, so recovery must preserve rather than re-create them.
 	PrefillN int
-	// Seed derives every scheduler and substrate RNG seed.
+	// Seed seeds the substrate RNG (+7); the schedulers draw nothing.
 	Seed int64
 	// Jobs is host-side parallelism (<=0: GOMAXPROCS). The report is
 	// invariant under Jobs.
@@ -613,7 +613,7 @@ func StrideSweep(cfg Config, stride uint64) ([]uint64, error) {
 			return err
 		}
 		wr.quiesce()
-		r := wr.sys.Recover(sim.New(cfg.Seed + 2))
+		r := wr.sys.Recover(sim.New(0))
 		fps = append(fps, r.PersistedFingerprint())
 		return nil
 	}

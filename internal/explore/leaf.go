@@ -94,11 +94,10 @@ func runWorkload(cfg *Config, prefix []int, crashAt uint64, record bool) (*workR
 	if err != nil {
 		return nil, err
 	}
-	base := cfg.Seed
 	tp := cfg.topology()
 
-	sys, eng, berr := drivers.Boot(d, base, nvm.Config{
-		Costs: sim.UnitCosts(), BGFlushOneIn: cfg.BGFlushOneIn, Seed: uint64(base) + 7,
+	sys, eng, berr := drivers.Boot(d, nvm.Config{
+		Costs: sim.UnitCosts(), BGFlushOneIn: cfg.BGFlushOneIn, Seed: uint64(cfg.Seed) + 7,
 	}, func(t *sim.Thread, _ *nvm.System, eng uc.UC) error {
 		ops := cfg.prefill()
 		if p, ok := eng.(*core.PREP); ok && len(ops) > 0 {
@@ -119,7 +118,7 @@ func runWorkload(cfg *Config, prefix []int, crashAt uint64, record bool) (*workR
 			cfg.HeapWords, cfg.LogSize, cfg.Epsilon, berr)
 	}
 
-	sch := sim.New(base + 1)
+	sch := sim.New(0)
 	ch := &chooser{sch: sch, forced: prefix}
 	if record {
 		ch.rec = &runTrace{}
@@ -186,17 +185,16 @@ type recRun struct {
 
 // recoverOnce clones the frozen machine frozenSys, materializes its crash
 // under fault.Subset(mask), and runs the driver's recovery procedure on a
-// fresh scheduler (seeded deterministically so traced and replayed recovery
-// runs coincide). nestedAt > 0 arms a crash inside the recovery; trace
+// fresh scheduler. nestedAt > 0 arms a crash inside the recovery; trace
 // collects the recovery's own persist-relevant crash thresholds for depth-2
 // branching. The clone leaves frozenSys untouched, so one frozen machine
 // fans out across every mask and nested point.
 func recoverOnce(cfg *Config, d *uc.Driver, frozenSys *nvm.System, mask uint64,
 	nestedAt uint64, trace bool) (*recRun, error) {
-	aux := sim.New(cfg.Seed + 7777) // never run: the clone is immediately recovered
+	aux := sim.New(0) // never run: the clone is immediately recovered
 	c := frozenSys.Clone(aux)
 	c.SetFaultPolicy(fault.Subset(mask))
-	recSch := sim.New(cfg.Seed + 2)
+	recSch := sim.New(0)
 	r := c.Recover(recSch)
 	out := &recRun{sys: r, fp: r.PersistedFingerprint()}
 	if trace {
@@ -250,7 +248,7 @@ func recoverOnce(cfg *Config, d *uc.Driver, frozenSys *nvm.System, mask uint64,
 // over a corrupted structure) is a leaf verdict like a failed recovery.
 func probeState(cfg *Config, eng uc.UC, sys *nvm.System) (map[uint64]uint64, error) {
 	out := map[uint64]uint64{}
-	sch := sim.New(cfg.Seed + 900)
+	sch := sim.New(0)
 	sys.SetScheduler(sch)
 	sch.CrashAtEvent(cfg.MaxRunEvents)
 	var perr error

@@ -6,9 +6,10 @@ package harness
 // completes → probe → verdict — its linearize and sweep variants, and the
 // bisect/repro reporting of a failed cycle. The flat cycle is the K=1,
 // one-wave case of the co-resident one: untagged keys, the un-shrunk sizing,
-// no isolation scan, no sharded block. Every seed of a cycle derives from
-// CrashConfig.Seed, the iteration index and the target's offset (DESIGN.md
-// §15 seed map); nothing here reads a flag.
+// no isolation scan, no sharded block. A cycle's base — CrashConfig.Seed, the
+// iteration index and the target's offset — seeds its substrate RNG, fault
+// policy and workload generators (DESIGN.md §15, "Which seeds exist"); its
+// schedulers draw nothing. Nothing here reads a flag.
 
 import (
 	"bytes"
@@ -425,11 +426,12 @@ func (cyc *CrashCycle) recoveryLine() string {
 		float64(cyc.RecoveryVirtualNS)/1e6)
 }
 
-// boot boots ds, co-resident, on a fresh machine seeded from base and
-// installs iteration iter's fault policy: a fresh value per machine lineage,
-// because a stateful policy must not be shared across machines.
+// boot boots ds, co-resident, on a fresh machine whose substrate RNG is
+// seeded from base and installs iteration iter's fault policy: a fresh value
+// per machine lineage, because a stateful policy must not be shared across
+// machines.
 func (c *CrashConfig) boot(base int64, iter int, ds ...*uc.Driver) (*Machine, error) {
-	m, err := BootMachine(c.topo(), base, nvm.Config{
+	m, err := BootMachine(c.topo(), nvm.Config{
 		Costs: sim.UnitCosts(), BGFlushOneIn: 128, Seed: uint64(base) + 7,
 		NoFlushElision: !c.FlushElide,
 	}, ds...)
@@ -505,14 +507,14 @@ func (c *CrashConfig) prefixCycle(tg CrashTarget, iter int, crashAt uint64) (Cra
 	var rec Recovered
 	m, err := c.boot(base, iter, ds...)
 	if err == nil {
-		completed, _ = m.InsertUntilCrash(base+1, crashAt, c.Workers/K, key)
-		if rec, err = m.Recover(base+2, c.nestedArm(iter), first); err != nil {
+		completed, _ = m.InsertUntilCrash(crashAt, c.Workers/K, key)
+		if rec, err = m.Recover(c.nestedArm(iter), first); err != nil {
 			err = fmt.Errorf("recover: %w", err)
 		}
 		cyc.addRecovery(rec)
 	}
 	if err == nil {
-		keys, foreign := m.ProbePrefix(base+1000, completed, 32, key, K > 1)
+		keys, foreign := m.ProbePrefix(completed, 32, key, K > 1)
 		cyc.OK = true
 		for k := range ds {
 			reps[k] = history.Check(keys[k], completed[k])
@@ -570,9 +572,8 @@ func (c *CrashConfig) linearizeCycle(tg CrashTarget, iter int, crashAt uint64) (
 	}
 	init := model.Empty()
 	for epoch := 0; epoch < c.Epochs && cb.OK; epoch++ {
-		off := int64(epoch) * 23
 		hist := linearize.NewRecorder(c.Workers)
-		m.Run(base+1+off, crashAt+uint64(epoch)*7_777, c.Workers, func(t *sim.Thread, _, tid int) {
+		m.Run(crashAt+uint64(epoch)*7_777, c.Workers, func(t *sim.Thread, _, tid int) {
 			gen := workload.NewGen(spec, base+int64(epoch)*53+17, tid)
 			for {
 				op := gen.Next()
@@ -580,7 +581,7 @@ func (c *CrashConfig) linearizeCycle(tg CrashTarget, iter int, crashAt uint64) (
 			}
 		})
 
-		rec, err := m.Recover(base+2+off, c.nestedArm(iter), nil)
+		rec, err := m.Recover(c.nestedArm(iter), nil)
 		cyc.addRecovery(rec)
 		if err != nil {
 			failure = fmt.Errorf("recover: %w", err)
@@ -588,7 +589,7 @@ func (c *CrashConfig) linearizeCycle(tg CrashTarget, iter int, crashAt uint64) (
 			break
 		}
 
-		recovered := probeServeState(m.Sys, m.Engines[0], linKeyRange, base+900+off)
+		recovered := probeServeState(m.Sys, m.Engines[0], linKeyRange)
 		res := linearize.CheckEpoch(model, init, hist.Ops(), recovered, opt)
 		cb.Ops += res.Ops
 		cb.Partitions += res.Partitions
@@ -667,8 +668,8 @@ func (c *CrashConfig) bisectCrash(w io.Writer, tg CrashTarget, iter int, failAt 
 // crashed machine, with a crash armed inside the recovery at event at (0:
 // none). It returns the clone, its scheduler (Frozen when the armed crash
 // landed) and the rebuilt engine.
-func recoverClone(d *uc.Driver, crashed *nvm.System, seed int64, at uint64) (*nvm.System, *sim.Scheduler, uc.UC, error) {
-	sch := sim.New(seed)
+func recoverClone(d *uc.Driver, crashed *nvm.System, at uint64) (*nvm.System, *sim.Scheduler, uc.UC, error) {
+	sch := sim.New(0)
 	clone := crashed.Clone(sch)
 	sch.CrashAtEvent(at)
 	var eng uc.UC
@@ -710,17 +711,17 @@ func (c *CrashConfig) runSweep(progress io.Writer, tg CrashTarget) *SweepBlock {
 		fail("base machine", err)
 		return sb
 	}
-	completed, _ := m.InsertUntilCrash(base+1, c.crashEvent(0), c.Workers, FlatKey)
+	completed, _ := m.InsertUntilCrash(c.crashEvent(0), c.Workers, FlatKey)
 
 	// Materialize the crashed machine once; it is the shared base every
 	// swept point clones. Snapshot its substrate counters so the sweep
 	// reports only its own clone/copy work.
-	crashed := m.Sys.Recover(sim.New(base + 2))
+	crashed := m.Sys.Recover(sim.New(0))
 	before := crashed.Metrics().Snapshot()
 
 	// Ceiling probe: recover a clone to completion with no crash armed to
 	// learn how many events an undisturbed recovery takes.
-	probe, probeSch, _, err := recoverClone(d, crashed, base+3, 0)
+	probe, probeSch, _, err := recoverClone(d, crashed, 0)
 	if err != nil {
 		fail("ceiling probe: recover", err)
 		return sb
@@ -732,17 +733,17 @@ func (c *CrashConfig) runSweep(progress io.Writer, tg CrashTarget) *SweepBlock {
 	var pagesCopied uint64
 	for k := 1; k <= c.Sweep; k++ {
 		at := sb.Stride * uint64(k)
-		cur, trialSch, eng, terr := recoverClone(d, crashed, base+4+int64(k)*13, at)
+		cur, trialSch, eng, terr := recoverClone(d, crashed, at)
 		trial := &Machine{Topology: m.Topology, Drivers: m.Drivers, Sys: cur, Engines: []uc.UC{eng}}
 		if trialSch.Frozen() {
 			// The armed crash landed inside recovery: materialize it and
 			// recover the re-crashed machine to completion.
 			sb.NestedCrashes++
-			_, terr = trial.Recover(base+5+int64(k)*13, nil, nil)
+			_, terr = trial.Recover(nil, nil)
 		}
 		if terr != nil {
 			fail(fmt.Sprintf("point %d @%d: recover", k, at), terr)
-		} else if keys, _ := trial.ProbePrefix(base+1000+int64(k)*13, completed, 32, FlatKey, false); !trial.PrefixOK(0, history.Check(keys[0], completed[0])) {
+		} else if keys, _ := trial.ProbePrefix(completed, 32, FlatKey, false); !trial.PrefixOK(0, history.Check(keys[0], completed[0])) {
 			sb.Failures++
 		}
 		pagesCopied += trial.Sys.Metrics().Snapshot().PagesCopied - before.PagesCopied

@@ -141,7 +141,7 @@ func bootCell(sc Scale, algo AlgoSpec, threads int, seed int64, prefill []uc.Op)
 		return impl, nil
 	}
 	var err error
-	c.sys, _, err = drivers.Boot(d, seed,
+	c.sys, _, err = drivers.Boot(d,
 		nvm.Config{Costs: sc.Costs, Seed: uint64(seed) + 1, NoFlushElision: sc.NoFlushElision},
 		func(t *sim.Thread, _ *nvm.System, _ uc.UC) error {
 			c.impl.Prefill(t, prefill)
@@ -155,8 +155,8 @@ func bootCell(sc Scale, algo AlgoSpec, threads int, seed int64, prefill []uc.Op)
 
 // run is one phase on a fresh virtual timeline: the background threads, then
 // workers threads running body; the last one out retires the background.
-func (c *bootedCell) run(seed int64, workers int, body func(t *sim.Thread, w int)) {
-	drivers.Run(c.sys, seed, 0, c.aux, c.tp, workers, body)
+func (c *bootedCell) run(workers int, body func(t *sim.Thread, w int)) {
+	drivers.Run(c.sys, 0, c.aux, c.tp, workers, body)
 }
 
 // runPoint measures one (algo, threads) configuration.
@@ -170,7 +170,7 @@ func runPoint(fig Figure, sc Scale, algo AlgoSpec, threads int, seed int64) (Poi
 	base := c.sys.Metrics().Snapshot()
 
 	opsDone := make([]uint64, threads)
-	c.run(seed+7, threads, func(t *sim.Thread, tid int) {
+	c.run(threads, func(t *sim.Thread, tid int) {
 		gen := workload.NewGen(fig.Workload, seed+13, tid)
 		for t.Clock() < sc.DurationNS {
 			c.impl.Execute(t, tid, gen.Next())

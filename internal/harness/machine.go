@@ -5,8 +5,9 @@ package harness
 // internal/drivers — boot, workload (into a crash), recover, probe. Every
 // crash cycle in the repository is a sequence of these methods: crashtest's
 // cycles and sweep (crash.go), the recovery-time experiment (recovery.go),
-// the sweep benchmark and the integration crash tests. All seeds are
-// arguments; the machine draws none of its own.
+// the sweep benchmark and the integration crash tests. The machine draws no
+// random number: what randomness a cycle has is in its nvm.Config (substrate
+// seed, fault policy) and its workload bodies.
 
 import (
 	"fmt"
@@ -42,13 +43,13 @@ type KeyFunc func(k, tid int, i uint64) uint64
 // FlatKey is the single-instance key sequence: history.Key, untagged.
 func FlatKey(_, tid int, i uint64) uint64 { return history.Key(tid, i) }
 
-// BootMachine boots ds, in order, on one fresh machine: a scheduler seeded
-// seed under substrate configuration ncfg. On error the machine (its Sys is
-// always set) and the error are both returned.
-func BootMachine(tp numa.Topology, seed int64, ncfg nvm.Config, ds ...*uc.Driver) (*Machine, error) {
+// BootMachine boots ds, in order, on one fresh machine under substrate
+// configuration ncfg. On error the machine (its Sys is always set) and the
+// error are both returned.
+func BootMachine(tp numa.Topology, ncfg nvm.Config, ds ...*uc.Driver) (*Machine, error) {
 	m := &Machine{Topology: tp, Drivers: ds, Engines: make([]uc.UC, len(ds))}
 	var err error
-	m.Sys, m.Engines[0], err = drivers.Boot(ds[0], seed, ncfg,
+	m.Sys, m.Engines[0], err = drivers.Boot(ds[0], ncfg,
 		func(t *sim.Thread, sys *nvm.System, _ uc.UC) (err error) {
 			for k := 1; k < len(ds) && err == nil; k++ {
 				m.Engines[k], err = ds[k].Boot(t, sys)
@@ -61,8 +62,8 @@ func BootMachine(tp numa.Topology, seed int64, ncfg nvm.Config, ds ...*uc.Driver
 // Run is one workload phase (drivers.Run) with wp workers per instance:
 // worker tid of instance k runs body(t, k, tid). A nonzero crashAt arms the
 // crash that ends the phase.
-func (m *Machine) Run(seed int64, crashAt uint64, wp int, body func(t *sim.Thread, k, tid int)) *sim.Scheduler {
-	return drivers.Run(m.Sys, seed, crashAt, m.Drivers, m.Topology, len(m.Drivers)*wp,
+func (m *Machine) Run(crashAt uint64, wp int, body func(t *sim.Thread, k, tid int)) *sim.Scheduler {
+	return drivers.Run(m.Sys, crashAt, m.Drivers, m.Topology, len(m.Drivers)*wp,
 		func(t *sim.Thread, w int) { body(t, w/wp, w%wp) })
 }
 
@@ -70,12 +71,12 @@ func (m *Machine) Run(seed int64, crashAt uint64, wp int, body func(t *sim.Threa
 // sequence key(k, tid, 0), key(k, tid, 1), … until the crash armed at
 // crashAt. It returns how many inserts each worker of each instance
 // completed, and the frozen scheduler.
-func (m *Machine) InsertUntilCrash(seed int64, crashAt uint64, wp int, key KeyFunc) ([][]uint64, *sim.Scheduler) {
+func (m *Machine) InsertUntilCrash(crashAt uint64, wp int, key KeyFunc) ([][]uint64, *sim.Scheduler) {
 	completed := make([][]uint64, len(m.Drivers))
 	for k := range completed {
 		completed[k] = make([]uint64, wp)
 	}
-	sch := m.Run(seed, crashAt, wp, func(t *sim.Thread, k, tid int) {
+	sch := m.Run(crashAt, wp, func(t *sim.Thread, k, tid int) {
 		for i := uint64(0); ; i++ {
 			m.Engines[k].Execute(t, tid, uc.Insert(key(k, tid, i), i))
 			completed[k][tid] = i + 1
@@ -96,12 +97,12 @@ type Recovered struct {
 // Recover materializes the crash and recovers the instances in waves, each
 // wave one recovery thread taking its instances in ascending index. Wave 0 —
 // the instances listed in first; nil means all of them — is drivers.Recover
-// (seed, nestedAt as there) on the wave's lowest instance, the others
-// recovered from its then hook, so a nested crash re-runs the whole wave. The
-// remaining instances recover on a later scheduler, seeded seed+1, installed
-// on the machine wave 0 left behind. With K > 1 an error names the instance
+// (nestedAt as there) on the wave's lowest instance, the others recovered
+// from its then hook, so a nested crash re-runs the whole wave. The remaining
+// instances recover on a later scheduler installed on the machine wave 0 left
+// behind. With K > 1 an error names the instance
 // whose recovery answered with it.
-func (m *Machine) Recover(seed int64, nestedAt func(attempt int) uint64, first []int) (Recovered, error) {
+func (m *Machine) Recover(nestedAt func(attempt int) uint64, first []int) (Recovered, error) {
 	K := len(m.Drivers)
 	out := Recovered{Replayed: make([]uint64, K)}
 	early := make([]bool, K) // wave 0's members
@@ -132,7 +133,7 @@ func (m *Machine) Recover(seed int64, nestedAt func(attempt int) uint64, first [
 	}
 
 	var rest uint64
-	rec, err := drivers.Recover(m.Drivers[lead], m.Sys, seed, nestedAt,
+	rec, err := drivers.Recover(m.Drivers[lead], m.Sys, nestedAt,
 		func(t *sim.Thread, sys *nvm.System, eng uc.UC) (err error) {
 			m.Engines[lead] = eng
 			rest, err = wave(t, sys, lead+1, false)
@@ -143,7 +144,7 @@ func (m *Machine) Recover(seed int64, nestedAt func(attempt int) uint64, first [
 	out.Replayed[lead] = rec.Info.Replayed
 	out.VirtualNS = rec.VirtualNS + rest
 	if err == nil && slices.Contains(early, false) {
-		drivers.Probe(m.Sys, seed+1, func(t *sim.Thread) {
+		drivers.Probe(m.Sys, func(t *sim.Thread) {
 			rest, err = wave(t, m.Sys, 0, true)
 			out.VirtualNS += rest
 		})
@@ -158,9 +159,9 @@ func (m *Machine) Recover(seed int64, nestedAt func(attempt int) uint64, first [
 // first completed+extra keys the engines hold. With scan it also asks each
 // instance its Size and returns how many keys it holds beyond the survivors
 // of its own sequences — keys another instance's recovery leaked into it.
-func (m *Machine) ProbePrefix(seed int64, completed [][]uint64, extra uint64, key KeyFunc, scan bool) (keys [][][]bool, foreign []uint64) {
+func (m *Machine) ProbePrefix(completed [][]uint64, extra uint64, key KeyFunc, scan bool) (keys [][][]bool, foreign []uint64) {
 	keys, foreign = make([][][]bool, len(completed)), make([]uint64, len(completed))
-	drivers.Probe(m.Sys, seed, func(t *sim.Thread) {
+	drivers.Probe(m.Sys, func(t *sim.Thread) {
 		for k, eng := range m.Engines {
 			keys[k] = make([][]bool, len(completed[k]))
 			own := uint64(0)

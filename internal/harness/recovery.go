@@ -47,7 +47,7 @@ func RunRecoveryExperiment(sc Scale, seed int64, jobs int, w io.Writer) ([]Recov
 		sz.Epsilon = eps
 		run = append(run, func() (RecoveryPoint, error) {
 			d := core.NewDriver(core.ConfigFor(core.Durable, sz))
-			return recoveryPoint(sc, d, sz, fmt.Sprintf("e=%d", sz.Epsilon), 4000, seed, 0)
+			return recoveryPoint(sc, d, sz, fmt.Sprintf("e=%d", sz.Epsilon), 4000, seed)
 		})
 	}
 	for _, hist := range []uint64{1000, 2000, 4000, 8000} {
@@ -55,7 +55,7 @@ func RunRecoveryExperiment(sc Scale, seed int64, jobs int, w io.Writer) ([]Recov
 		sz.ONLLLogEntries = hist + 64
 		run = append(run, func() (RecoveryPoint, error) {
 			d := onll.NewDriver(onll.ConfigFor(sz))
-			return recoveryPoint(sc, d, sz, fmt.Sprintf("hist=%d", hist), hist, seed, 10)
+			return recoveryPoint(sc, d, sz, fmt.Sprintf("hist=%d", hist), hist, seed)
 		})
 	}
 
@@ -82,20 +82,20 @@ func RunRecoveryExperiment(sc Scale, seed int64, jobs int, w io.Writer) ([]Recov
 }
 
 // recoveryPoint runs updates disjoint inserts through d's construction,
-// crashes the quiescent machine, and measures recovery. The schedulers of
-// the three phases are seeded seed+off, +1, +2; the substrate always seed.
-func recoveryPoint(sc Scale, d *uc.Driver, sz uc.Sizing, param string, updates uint64, seed, off int64) (RecoveryPoint, error) {
-	m, err := BootMachine(sz.Topology, seed+off,
+// crashes the quiescent machine, and measures recovery. seed is the
+// substrate's: the three phases draw nothing else.
+func recoveryPoint(sc Scale, d *uc.Driver, sz uc.Sizing, param string, updates uint64, seed int64) (RecoveryPoint, error) {
+	m, err := BootMachine(sz.Topology,
 		nvm.Config{Costs: sc.Costs, Seed: uint64(seed), NoFlushElision: sc.NoFlushElision}, d)
 	if err != nil {
 		return RecoveryPoint{}, fmt.Errorf("harness: recovery: %s %s: build: %w", d.Name, param, err)
 	}
-	m.Run(seed+off+1, 0, sz.Workers, func(t *sim.Thread, _, tid int) {
+	m.Run(0, sz.Workers, func(t *sim.Thread, _, tid int) {
 		for i := uint64(0); i < updates/uint64(sz.Workers); i++ {
 			m.Engines[0].Execute(t, tid, uc.Insert(uint64(tid)<<32|i, i))
 		}
 	})
-	rec, err := m.Recover(seed+off+2, nil, nil)
+	rec, err := m.Recover(nil, nil)
 	if err != nil {
 		return RecoveryPoint{}, fmt.Errorf("harness: recovery: %s %s: recover: %w", d.Name, param, err)
 	}

@@ -79,7 +79,9 @@ type ServeConfig struct {
 	// the load's lifetime (before the last completion drains): an instant
 	// that misses the load is an error, not a crash of the idle machine.
 	CrashAtNS uint64
-	// Seed derives every scheduler seed of the run.
+	// Seed seeds the substrate RNG (+7: background write-backs, the fate of
+	// unfenced lines) and the fault policy (+11). The arrival schedule has
+	// its own, Open.Seed; the schedulers draw nothing.
 	Seed int64
 	// Policy is the crash-time fault-adversary spec (internal/fault syntax:
 	// "", "persistall", "dropall", "coinflip[=p]", "targeted[=n]"). It
@@ -371,7 +373,7 @@ func runServeArrivals(d *ServeDriver, cfg ServeConfig, perShard [][]openloop.Arr
 
 	// Boot: construction plus generation-0 service rings.
 	var s *svc.Service
-	sys, engA, err := drivers.Boot(d, cfg.Seed, nvm.Config{
+	sys, engA, err := drivers.Boot(d, nvm.Config{
 		Costs: sim.UnitCosts(), BGFlushOneIn: 128, Seed: uint64(cfg.Seed) + 7,
 	}, func(t *sim.Thread, sys *nvm.System, eng uc.UC) (err error) {
 		s, err = svc.New(t, sys, svc.Config{
@@ -391,7 +393,7 @@ func runServeArrivals(d *ServeDriver, cfg ServeConfig, perShard [][]openloop.Arr
 	}
 
 	// Phase A: open-loop load, optionally cut short by the crash.
-	sch := sim.New(cfg.Seed + 1)
+	sch := sim.New(0)
 	sys.SetScheduler(sch)
 	if d.SpawnAux != nil {
 		d.SpawnAux()
@@ -445,7 +447,7 @@ func runServeArrivals(d *ServeDriver, cfg ServeConfig, perShard [][]openloop.Arr
 	// volatile; generation 1 needs fresh memory names).
 	var s2 *svc.Service
 	var resumeDelta uint64
-	rec, err := drivers.Recover(d, sys, cfg.Seed+3, nil, func(t *sim.Thread, cur *nvm.System, eng uc.UC) (err error) {
+	rec, err := drivers.Recover(d, sys, nil, func(t *sim.Thread, cur *nvm.System, eng uc.UC) (err error) {
 		s2, err = svc.New(t, cur, svc.Config{
 			Engine: eng, Topology: tp, Shards: cfg.Shards,
 			RingSize: cfg.RingSize, MaxBatch: cfg.MaxBatch,
@@ -509,13 +511,13 @@ func runServeArrivals(d *ServeDriver, cfg ServeConfig, perShard [][]openloop.Arr
 	// it: probe it key by key on a throwaway timeline.
 	var recState map[uint64]uint64
 	if cfg.Check {
-		recState = probeServeState(cur, engB, cfg.Open.Keys, cfg.Seed+901)
+		recState = probeServeState(cur, engB, cfg.Open.Keys)
 	}
 
 	// Phase B: resume the load on the recovered machine. Every thread starts
 	// at the resume instant; backlog arrivals submit immediately with their
 	// original stamps, so their latencies absorb the outage.
-	schB := sim.New(cfg.Seed + 5)
+	schB := sim.New(0)
 	cur.SetScheduler(schB)
 	if d.SpawnAux != nil {
 		d.SpawnAux()
@@ -657,9 +659,9 @@ func (res *ServeResult) summarize(hist *openloop.Histogram, endNS uint64, ms met
 // probeServeState reads the hashmap's live state through one Get per key on
 // a throwaway timeline — the serve harness's recovered/final state
 // observation for the linearize check.
-func probeServeState(sys *nvm.System, eng uc.UC, keys uint64, seed int64) map[uint64]uint64 {
+func probeServeState(sys *nvm.System, eng uc.UC, keys uint64) map[uint64]uint64 {
 	state := map[uint64]uint64{}
-	drivers.Probe(sys, seed, func(t *sim.Thread) {
+	drivers.Probe(sys, func(t *sim.Thread) {
 		for k := uint64(0); k < keys; k++ {
 			if v := eng.Execute(t, 0, uc.Get(k)); v != uc.NotFound {
 				state[k] = v
@@ -719,7 +721,7 @@ func steadyCheck(d *ServeDriver, cfg ServeConfig, sys *nvm.System, eng uc.UC,
 	for shard := range perShard {
 		ops = append(ops, completedOps(shard, perShard[shard], ta.recA[shard])...)
 	}
-	final := probeServeState(sys, eng, cfg.Open.Keys, cfg.Seed+903)
+	final := probeServeState(sys, eng, cfg.Open.Keys)
 	applyCheck(cb, 0, linearize.CheckEpoch(linearize.SetModel(), nil, ops, final, linearize.Options{}))
 	return cb
 }
@@ -772,7 +774,7 @@ func crashCheck(d *ServeDriver, cfg ServeConfig, cur *nvm.System, eng uc.UC,
 	for shard := range phaseB {
 		epoch2 = append(epoch2, completedOps(shard, phaseB[shard], ta.recB[shard])...)
 	}
-	final := probeServeState(cur, eng, cfg.Open.Keys, cfg.Seed+903)
+	final := probeServeState(cur, eng, cfg.Open.Keys)
 	init2 := make(map[uint64]uint64, len(recState))
 	for k, v := range recState {
 		init2[k] = v

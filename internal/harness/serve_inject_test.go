@@ -74,7 +74,7 @@ func TestInjectUnderBackpressure(t *testing.T) {
 	d = ServeDrivers(cfg.Shards, 64)[0]
 	tp := serveTopo(cfg.Shards)
 	var s *svc.Service
-	sys, _, err := drivers.Boot(d, cfg.Seed, nvm.Config{Costs: sim.UnitCosts()},
+	sys, _, err := drivers.Boot(d, nvm.Config{Costs: sim.UnitCosts()},
 		func(t *sim.Thread, sys *nvm.System, eng uc.UC) (err error) {
 			s, err = svc.New(t, sys, svc.Config{
 				Engine: eng, Topology: tp, Shards: cfg.Shards,

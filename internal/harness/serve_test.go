@@ -8,7 +8,10 @@ import (
 
 	"prepuc/internal/core"
 	"prepuc/internal/drivers"
+	"prepuc/internal/nvm"
 	"prepuc/internal/openloop"
+	"prepuc/internal/sim"
+	"prepuc/internal/uc"
 )
 
 func serveTestConfig(crashAt uint64) ServeConfig {
@@ -148,5 +151,28 @@ func TestServeSystemLists(t *testing.T) {
 	}
 	if !reflect.DeepEqual(recoverable, want[1:]) {
 		t.Errorf("ServeDrivers = %v, want %v", recoverable, want[1:])
+	}
+}
+
+// TestRunServeRecoveryPanicIsAnError: a bug panic inside a construction's
+// Recover is the run's verdict — the error crashtest reports for the same
+// fault — not a stack trace out of Scheduler.Run, flat or sharded.
+func TestRunServeRecoveryPanicIsAnError(t *testing.T) {
+	panicky := func(per int) func() *ServeDriver {
+		return func() *ServeDriver {
+			d := *ServeDrivers(per, 64)[0]
+			d.Recover = func(*sim.Thread, *nvm.System) (uc.UC, uc.RecoverInfo, error) {
+				panic("walked a torn image")
+			}
+			return &d
+		}
+	}
+	const want = "serve: recover PREP-Durable: recovery panicked: walked a torn image"
+	if _, err := RunServe(panicky(2)(), serveTestConfig(200_000)); err == nil || err.Error() != want {
+		t.Errorf("flat: error %v, want %q", err, want)
+	}
+	_, err := RunShardedServe(panicky(1), shardedTestConfig(4, 200_000, []int{2}))
+	if err == nil || err.Error() != "sharded serve: shard 2: "+want {
+		t.Errorf("sharded: error %v, want shard 2's %q", err, want)
 	}
 }

@@ -29,9 +29,10 @@ package harness
 // machine's coherent timeline, and set semantics impose no cross-key
 // ordering obligation.
 //
-// Determinism: each machine's sub-run derives every seed from its own
-// slot (Seed + shardIdx*1009) and writes into its own result index, so the
-// document is byte-identical at any host parallelism (-j).
+// Determinism: each machine's sub-run seeds its substrate RNG and fault
+// policy from its own slot (Seed + shardIdx*1009) and writes into its own
+// result index, so the document is byte-identical at any host parallelism
+// (-j).
 
 import (
 	"fmt"
@@ -88,9 +89,9 @@ type CompositionStats struct {
 	UnionReason  string `json:"union_reason,omitempty"`
 }
 
-// subSeedStride separates consecutive machines' seed spaces; the
-// single-machine harness derives every scheduler seed within +0..+1000 of
-// its base.
+// subSeedStride separates consecutive machines' seed spaces: the
+// single-machine harness derives its substrate and fault-policy seeds within
+// +0..+11 of its base.
 const subSeedStride = 1009
 
 // RunShardedServe executes one sharded service run: mk builds a fresh
@@ -277,8 +278,7 @@ func shardedCheck(cfg ShardedServeConfig, router *shard.Router, per int,
 				sh.Ops = append(sh.Ops, linearize.Op{Client: i, Code: a.Op.Code, A0: a.Op.A0})
 			}
 		}
-		sh.Final = probeServeState(run.sys, run.eng,
-			cfg.Open.Keys, cfg.Seed+int64(i)*subSeedStride+977)
+		sh.Final = probeServeState(run.sys, run.eng, cfg.Open.Keys)
 		histories[i] = sh
 		if crashed[i] {
 			anyCrashed = true

@@ -54,7 +54,7 @@ func VerifyPoint(fig Figure, sc Scale, algo AlgoSpec, threads int, seed int64, o
 
 	// Recorded workload phase.
 	rec := linearize.NewRecorder(threads)
-	c.run(seed+7, threads, func(t *sim.Thread, tid int) {
+	c.run(threads, func(t *sim.Thread, tid int) {
 		gen := workload.NewGen(fig.Workload, seed+13, tid)
 		for i := 0; i < opsPerWorker; i++ {
 			op := gen.Next()
@@ -65,7 +65,7 @@ func VerifyPoint(fig Figure, sc Scale, algo AlgoSpec, threads int, seed int64, o
 	})
 
 	// Probe phase: observe the final state on a fresh timeline.
-	final, err := c.probeState(fig.Workload, seed+1000)
+	final, err := c.probeState(fig.Workload)
 	if err != nil {
 		return linearize.Result{}, err
 	}
@@ -78,9 +78,9 @@ func VerifyPoint(fig Figure, sc Scale, algo AlgoSpec, threads int, seed int64, o
 // pairs drain issues updates, which on the PREP variants block on the
 // background persister for buffer space — so the probe phase runs with
 // background threads alive, like the measured phase.
-func (c *bootedCell) probeState(spec workload.Spec, seed int64) (any, error) {
+func (c *bootedCell) probeState(spec workload.Spec) (any, error) {
 	var state any
-	c.run(seed, 1, func(t *sim.Thread, _ int) {
+	c.run(1, func(t *sim.Thread, _ int) {
 		switch spec.Kind {
 		case workload.Set:
 			m := map[uint64]uint64{}

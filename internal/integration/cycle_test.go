@@ -29,9 +29,9 @@ func prepDriver(mode core.Mode, sz uc.Sizing) *uc.Driver {
 }
 
 // bootUnit boots d on a fresh unit-cost machine.
-func bootUnit(t *testing.T, d *uc.Driver, seed int64, bgFlushOneIn, nvmSeed uint64) *harness.Machine {
+func bootUnit(t *testing.T, d *uc.Driver, bgFlushOneIn, nvmSeed uint64) *harness.Machine {
 	t.Helper()
-	m, err := harness.BootMachine(topo(), seed, nvm.Config{Costs: sim.UnitCosts(), BGFlushOneIn: bgFlushOneIn, Seed: nvmSeed}, d)
+	m, err := harness.BootMachine(topo(), nvm.Config{Costs: sim.UnitCosts(), BGFlushOneIn: bgFlushOneIn, Seed: nvmSeed}, d)
 	if err != nil {
 		t.Fatalf("%s boot: %v", d.Name, err)
 	}
@@ -41,10 +41,10 @@ func bootUnit(t *testing.T, d *uc.Driver, seed int64, bgFlushOneIn, nvmSeed uint
 // insertUntilCrash runs workers inserting their per-worker key sequences
 // into the crash armed at crashAt, and returns how many inserts each
 // completed plus the frozen scheduler.
-func insertUntilCrash(t *testing.T, m *harness.Machine, seed int64, crashAt uint64, workers int,
+func insertUntilCrash(t *testing.T, m *harness.Machine, crashAt uint64, workers int,
 	key harness.KeyFunc) ([]uint64, *sim.Scheduler) {
 	t.Helper()
-	completed, sch := m.InsertUntilCrash(seed, crashAt, workers, key)
+	completed, sch := m.InsertUntilCrash(crashAt, workers, key)
 	if !sch.Frozen() {
 		t.Fatalf("%s: crash at %d never fired", m.Drivers[0].Name, crashAt)
 	}
@@ -52,16 +52,16 @@ func insertUntilCrash(t *testing.T, m *harness.Machine, seed int64, crashAt uint
 }
 
 // recoverOnce recovers the crashed machine, no nested crash armed.
-func recoverOnce(t *testing.T, m *harness.Machine, seed int64) {
+func recoverOnce(t *testing.T, m *harness.Machine) {
 	t.Helper()
-	if _, err := m.Recover(seed, nil, nil); err != nil {
+	if _, err := m.Recover(nil, nil); err != nil {
 		t.Fatalf("%s recover: %v", m.Drivers[0].Name, err)
 	}
 }
 
 // probePrefix reads back, per worker, which of its first completed+extra
 // keys the engine holds.
-func probePrefix(m *harness.Machine, seed int64, completed []uint64, extra uint64, key harness.KeyFunc) [][]bool {
-	keys, _ := m.ProbePrefix(seed, [][]uint64{completed}, extra, key, false)
+func probePrefix(m *harness.Machine, completed []uint64, extra uint64, key harness.KeyFunc) [][]bool {
+	keys, _ := m.ProbePrefix([][]uint64{completed}, extra, key, false)
 	return keys[0]
 }

@@ -34,7 +34,7 @@ func topo() numa.Topology { return numa.Topology{Nodes: 2, ThreadsPerNode: 4} }
 // buildAll constructs every system around the same sequential object: the
 // global-lock reference first, then every registered universal construction
 // (SOFT is a fixed-function hashtable, not built around obj).
-func buildAll(t *testing.T, obj uc.ObjectType, seed int64, workers int) []*harness.Machine {
+func buildAll(t *testing.T, obj uc.ObjectType, workers int) []*harness.Machine {
 	t.Helper()
 	sz := drivers.CrashScale(topo(), workers, 512, 64)
 	sz.Object = obj
@@ -48,7 +48,7 @@ func buildAll(t *testing.T, obj uc.ObjectType, seed int64, workers int) []*harne
 	}
 	var out []*harness.Machine
 	for _, d := range ds {
-		m, err := harness.BootMachine(topo(), seed, nvm.Config{Costs: sim.UnitCosts()}, d)
+		m, err := harness.BootMachine(topo(), nvm.Config{Costs: sim.UnitCosts()}, d)
 		if err != nil {
 			t.Fatalf("build %s: %v", d.Name, err)
 		}
@@ -59,9 +59,9 @@ func buildAll(t *testing.T, obj uc.ObjectType, seed int64, workers int) []*harne
 
 // runSingle drives ops through one system on one worker and returns every
 // response.
-func runSingle(m *harness.Machine, seed int64, ops []uc.Op) []uint64 {
+func runSingle(m *harness.Machine, ops []uc.Op) []uint64 {
 	res := make([]uint64, len(ops))
-	m.Run(seed, 0, 1, func(th *sim.Thread, _, _ int) {
+	m.Run(0, 1, func(th *sim.Thread, _, _ int) {
 		for i, op := range ops {
 			res[i] = m.Engines[0].Execute(th, 0, op)
 		}
@@ -71,12 +71,12 @@ func runSingle(m *harness.Machine, seed int64, ops []uc.Op) []uint64 {
 
 // differential runs the same stream through every system and compares
 // responses against the global-lock reference.
-func differential(t *testing.T, obj uc.ObjectType, ops []uc.Op, seed int64) {
+func differential(t *testing.T, obj uc.ObjectType, ops []uc.Op) {
 	t.Helper()
-	systems := buildAll(t, obj, seed, 1)
-	ref := runSingle(systems[0], seed+100, ops)
+	systems := buildAll(t, obj, 1)
+	ref := runSingle(systems[0], ops)
 	for _, m := range systems[1:] {
-		got := runSingle(m, seed+100, ops)
+		got := runSingle(m, ops)
 		for i := range ops {
 			if got[i] != ref[i] {
 				t.Fatalf("%s response %d for %s(%d,%d): got %d, reference %d",
@@ -96,19 +96,19 @@ func randomSetOps(seed int64, n int, keyRange uint64) []uc.Op {
 }
 
 func TestDifferentialHashMap(t *testing.T) {
-	differential(t, seq.HashMapType(64), randomSetOps(1, 800, 100), 10)
+	differential(t, seq.HashMapType(64), randomSetOps(1, 800, 100))
 }
 
 func TestDifferentialRBTree(t *testing.T) {
-	differential(t, seq.RBTreeType(), randomSetOps(2, 800, 100), 20)
+	differential(t, seq.RBTreeType(), randomSetOps(2, 800, 100))
 }
 
 func TestDifferentialSkipList(t *testing.T) {
-	differential(t, seq.SkipListType(), randomSetOps(3, 800, 100), 30)
+	differential(t, seq.SkipListType(), randomSetOps(3, 800, 100))
 }
 
 func TestDifferentialListSet(t *testing.T) {
-	differential(t, seq.ListSetType(), randomSetOps(4, 600, 60), 40)
+	differential(t, seq.ListSetType(), randomSetOps(4, 600, 60))
 }
 
 func TestDifferentialStack(t *testing.T) {
@@ -117,7 +117,7 @@ func TestDifferentialStack(t *testing.T) {
 	for i := range ops {
 		ops[i] = g.Next()
 	}
-	differential(t, seq.StackType(), ops, 50)
+	differential(t, seq.StackType(), ops)
 }
 
 func TestDifferentialPQueue(t *testing.T) {
@@ -126,17 +126,17 @@ func TestDifferentialPQueue(t *testing.T) {
 	for i := range ops {
 		ops[i] = g.Next()
 	}
-	differential(t, seq.PQueueType(), ops, 60)
+	differential(t, seq.PQueueType(), ops)
 }
 
 // TestCommutingWorkloadConverges runs 8 workers inserting disjoint keys on
 // every system; all final states must agree.
 func TestCommutingWorkloadConverges(t *testing.T) {
 	const workers, per = 8, 40
-	systems := buildAll(t, seq.HashMapType(64), 7, workers)
+	systems := buildAll(t, seq.HashMapType(64), workers)
 	var ref map[uint64]uint64
 	for _, m := range systems {
-		m.Run(70, 0, workers, func(th *sim.Thread, _, tid int) {
+		m.Run(0, workers, func(th *sim.Thread, _, tid int) {
 			for i := uint64(0); i < per; i++ {
 				k := uint64(tid)*1000 + i
 				m.Engines[0].Execute(th, tid, uc.Insert(k, k*7))
@@ -144,7 +144,7 @@ func TestCommutingWorkloadConverges(t *testing.T) {
 		})
 
 		state := map[uint64]uint64{}
-		drivers.Probe(m.Sys, 71, func(th *sim.Thread) {
+		drivers.Probe(m.Sys, func(th *sim.Thread) {
 			for tid := 0; tid < workers; tid++ {
 				for i := uint64(0); i < per; i++ {
 					k := uint64(tid)*1000 + i
@@ -171,10 +171,10 @@ func TestCrashPointSweep(t *testing.T) {
 	const workers = 8
 	for _, mode := range []core.Mode{core.Buffered, core.Durable} {
 		for crashAt := uint64(5_000); crashAt <= 155_000; crashAt += 10_000 {
-			m := bootUnit(t, prepDriver(mode, prepSizing(workers, 128)), int64(crashAt), 200, crashAt+3)
-			completed, _ := insertUntilCrash(t, m, int64(crashAt)+1, crashAt, workers, harness.FlatKey)
-			recoverOnce(t, m, int64(crashAt)+2)
-			keys := probePrefix(m, int64(crashAt)+3, completed, 16, harness.FlatKey)
+			m := bootUnit(t, prepDriver(mode, prepSizing(workers, 128)), 200, crashAt+3)
+			completed, _ := insertUntilCrash(t, m, crashAt, workers, harness.FlatKey)
+			recoverOnce(t, m)
+			keys := probePrefix(m, completed, 16, harness.FlatKey)
 			if rep := history.Check(keys, completed); !m.PrefixOK(0, rep) {
 				t.Errorf("%s crashAt=%d: %s", mode, crashAt, rep)
 			}
@@ -202,25 +202,25 @@ func TestDurableRecoveryPreservesEveryStructure(t *testing.T) {
 				Topology: topo(), Workers: 4, Object: tc.obj,
 				LogSize: 1 << 12, Epsilon: 128, HeapWords: 1 << 21,
 			})
-			m := bootUnit(t, d, 99, 0, 0)
-			m.Run(100, 0, 1, func(th *sim.Thread, _, _ int) {
+			m := bootUnit(t, d, 0, 0)
+			m.Run(0, 1, func(th *sim.Thread, _, _ int) {
 				for _, op := range tc.ops {
 					m.Engines[0].Execute(th, 0, op)
 				}
 			})
 			// The reference state is a read snapshot: the responses of gets
 			// over the key range.
-			snapshot := func(seed int64) (vals [100]uint64) {
-				drivers.Probe(m.Sys, seed, func(th *sim.Thread) {
+			snapshot := func() (vals [100]uint64) {
+				drivers.Probe(m.Sys, func(th *sim.Thread) {
 					for k := range vals {
 						vals[k] = m.Engines[0].Execute(th, 0, uc.Get(uint64(k)))
 					}
 				})
 				return vals
 			}
-			before := snapshot(101)
-			recoverOnce(t, m, 102)
-			for k, got := range snapshot(103) {
+			before := snapshot()
+			recoverOnce(t, m)
+			for k, got := range snapshot() {
 				if got != before[k] {
 					t.Errorf("key %d: recovered %d, want %d", k, got, before[k])
 				}

@@ -23,8 +23,8 @@ func exploreDriver(e drivers.Entry, workers int) *uc.Driver {
 
 // insertSome runs workers inserting per of their keys each into the crash
 // armed at crashAt (0: the workload completes).
-func insertSome(m *harness.Machine, seed int64, crashAt uint64, workers int, per uint64) *sim.Scheduler {
-	return m.Run(seed, crashAt, workers, func(th *sim.Thread, _, tid int) {
+func insertSome(m *harness.Machine, crashAt uint64, workers int, per uint64) *sim.Scheduler {
+	return m.Run(crashAt, workers, func(th *sim.Thread, _, tid int) {
 		for i := uint64(0); i < per; i++ {
 			m.Engines[0].Execute(th, tid, uc.Insert(harness.FlatKey(0, tid, i), i))
 		}
@@ -49,14 +49,14 @@ func TestRecoveryFingerprintsPinned(t *testing.T) {
 	const workers = 2
 	for _, e := range drivers.Recoverable() {
 		t.Run(e.Name, func(t *testing.T) {
-			m := bootUnit(t, exploreDriver(e, workers), 51, 64, 53)
+			m := bootUnit(t, exploreDriver(e, workers), 64, 53)
 			m.Sys.SetFaultPolicy(fault.DropAll())
-			if sch := insertSome(m, 52, 1500, workers, 24); !sch.Frozen() {
+			if sch := insertSome(m, 1500, workers, 24); !sch.Frozen() {
 				t.Fatal("workload finished before the crash; lower crashAt")
 			}
 			var got [2]uint64
 			for i := range got {
-				recoverOnce(t, m, 54+int64(i))
+				recoverOnce(t, m)
 				got[i] = m.Sys.PersistedFingerprint()
 			}
 			if got != want[e.Name] {
@@ -90,18 +90,18 @@ func TestForeignOrHeadlessImageIsAnError(t *testing.T) {
 				continue
 			}
 			t.Run(a.Flag+"→"+b.Flag, func(t *testing.T) {
-				m := bootUnit(t, exploreDriver(a, workers), 61, 64, 63)
-				insertSome(m, 62, 0, workers, 4)
+				m := bootUnit(t, exploreDriver(a, workers), 64, 63)
+				insertSome(m, 0, workers, 4)
 				missing := 0
 				if a.Flag == b.Flag {
 					missing = 7
-					drivers.Probe(m.Sys, 64, func(th *sim.Thread) {
+					drivers.Probe(m.Sys, func(th *sim.Thread) {
 						cell := m.Sys.Memory(commitRecords[a.Flag])
 						cell.Store(th, 0, uint64(missing)+1)
 						m.Sys.NewFlusher().FlushLineSync(th, cell, 0)
 					})
 				}
-				_, err := drivers.Recover(exploreDriver(b, workers), m.Sys, 65, nil, nil)
+				_, err := drivers.Recover(exploreDriver(b, workers), m.Sys, nil, nil)
 				if err == nil {
 					t.Fatal("recovery succeeded")
 				}

@@ -46,7 +46,7 @@ func linSizing(obj uc.ObjectType) uc.Sizing {
 func runLinEpochs(t *testing.T, d *uc.Driver, model linearize.Model, spec workload.Spec,
 	seed int64, crashes int, crashAt uint64, tailOps int) {
 	t.Helper()
-	m := bootUnit(t, d, seed, 128, uint64(seed)+7)
+	m := bootUnit(t, d, 128, uint64(seed)+7)
 
 	init := model.Empty()
 	totalOps := 0
@@ -66,7 +66,7 @@ func runLinEpochs(t *testing.T, d *uc.Driver, model linearize.Model, spec worklo
 			at = crashAt + uint64(epoch)*7_777
 		}
 		rec := linearize.NewRecorder(linWorkers)
-		sch := m.Run(seed+int64(epoch)*29+1, at, linWorkers, func(th *sim.Thread, _, tid int) {
+		sch := m.Run(at, linWorkers, func(th *sim.Thread, _, tid int) {
 			gen := workload.NewGen(spec, seed+int64(epoch)*101+17, tid)
 			for i := 0; crashing || i < tailOps; i++ {
 				op := gen.Next()
@@ -78,10 +78,10 @@ func runLinEpochs(t *testing.T, d *uc.Driver, model linearize.Model, spec worklo
 			if !sch.Frozen() {
 				t.Fatalf("%s epoch %d: crash at %d never fired", d.Name, epoch, crashAt)
 			}
-			recoverOnce(t, m, seed+int64(epoch)*29+2)
+			recoverOnce(t, m)
 		}
 
-		recovered := linProbe(m, spec, seed+int64(epoch)*29+900)
+		recovered := linProbe(m, spec)
 		opt := linearize.Options{}
 		if crashing && d.Buffered {
 			opt = linearize.Options{Buffered: true, Allowance: linAllowance}
@@ -107,10 +107,10 @@ func runLinEpochs(t *testing.T, d *uc.Driver, model linearize.Model, spec worklo
 // linProbe observes the recovered state on a fresh timeline: key-by-key
 // Gets for sets, a destructive drain for containers (drain updates need the
 // background threads alive on the PREP variants).
-func linProbe(m *harness.Machine, spec workload.Spec, seed int64) any {
+func linProbe(m *harness.Machine, spec workload.Spec) any {
 	var state any
 	eng := m.Engines[0]
-	m.Run(seed, 0, 1, func(th *sim.Thread, _, _ int) {
+	m.Run(0, 1, func(th *sim.Thread, _, _ int) {
 		switch spec.Kind {
 		case workload.Set:
 			kv := map[uint64]uint64{}

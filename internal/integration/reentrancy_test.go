@@ -40,10 +40,10 @@ func sortTriples(d []uint64) [][3]uint64 {
 // the sorted DumpState triples where the engine can dump itself (PREP,
 // CX-PUC, ONLL), else — SOFT has no dump — the (Get code, key, value) of
 // every held key among each worker's first completed+extra.
-func recoveredState(m *harness.Machine, seed int64, completed []uint64, extra uint64) [][3]uint64 {
+func recoveredState(m *harness.Machine, completed []uint64, extra uint64) [][3]uint64 {
 	var dump []uint64
 	eng := m.Engines[0]
-	drivers.Probe(m.Sys, seed, func(th *sim.Thread) {
+	drivers.Probe(m.Sys, func(th *sim.Thread) {
 		if d, ok := eng.(interface{ DumpState(*sim.Thread) []uint64 }); ok {
 			dump = d.DumpState(th)
 			return
@@ -81,16 +81,16 @@ func TestDoubleRecoveryIdempotent(t *testing.T) {
 				t.Fatalf("registry entry %+v built driver %q (recover=%v)", e, d.Name, d.Recover != nil)
 			}
 
-			m := bootUnit(t, d, 17, 256, 23)
+			m := bootUnit(t, d, 256, 23)
 			pol, err := fault.Parse(fmt.Sprintf("targeted=%d", i), 29)
 			if err != nil {
 				t.Fatal(err)
 			}
 			m.Sys.SetFaultPolicy(pol)
-			completed, _ := insertUntilCrash(t, m, 18, crashAt, workers, harness.FlatKey)
+			completed, _ := insertUntilCrash(t, m, crashAt, workers, harness.FlatKey)
 
 			// First recovery, re-entered once through the armed nested crash.
-			r1, err := m.Recover(19, func(attempt int) uint64 {
+			r1, err := m.Recover(func(attempt int) uint64 {
 				if attempt == 0 {
 					return nestedAt
 				}
@@ -103,12 +103,12 @@ func TestDoubleRecoveryIdempotent(t *testing.T) {
 				t.Fatalf("attempts=%d nested=%d, want the armed crash to cut down exactly the first attempt",
 					r1.Attempts, r1.NestedCrashes)
 			}
-			keys1 := probePrefix(m, 20, completed, 32, harness.FlatKey)
+			keys1 := probePrefix(m, completed, 32, harness.FlatKey)
 			rep := history.Check(keys1, completed)
 			if !m.PrefixOK(0, rep) {
 				t.Errorf("recovered state violates the durable condition: %s", rep)
 			}
-			state1 := recoveredState(m, 23, completed, 32)
+			state1 := recoveredState(m, completed, 32)
 			if len(state1) == 0 {
 				t.Fatal("first recovery produced an empty state; workload too short to be meaningful")
 			}
@@ -118,8 +118,8 @@ func TestDoubleRecoveryIdempotent(t *testing.T) {
 			// same driver (the commit record, not the caller, must resolve
 			// the source generation).
 			m.Sys.SetFaultPolicy(fault.DropAll())
-			recoverOnce(t, m, 21)
-			if state2 := recoveredState(m, 22, completed, 32); !reflect.DeepEqual(state1, state2) {
+			recoverOnce(t, m)
+			if state2 := recoveredState(m, completed, 32); !reflect.DeepEqual(state1, state2) {
 				t.Errorf("recovered states differ: first has %d ops, second %d", len(state1), len(state2))
 			}
 		})
@@ -151,7 +151,7 @@ func TestMultiCrashEpochs(t *testing.T) {
 			// BOOT configuration, the commit record resolves the actual
 			// source generation.
 			d := prepDriver(tc.mode, prepSizing(workers, 256))
-			m := bootUnit(t, d, 31, 256, 37)
+			m := bootUnit(t, d, 256, 37)
 			if tc.policy != nil {
 				m.Sys.SetFaultPolicy(tc.policy)
 			}
@@ -160,13 +160,13 @@ func TestMultiCrashEpochs(t *testing.T) {
 			}
 			epochs := make([]history.Epoch, tc.k)
 			for e := 0; e < tc.k; e++ {
-				epochs[e].Completed, _ = insertUntilCrash(t, m, int64(100*e)+41, uint64(30_000+e*7_000), workers, epochKey(e))
-				recoverOnce(t, m, int64(100*e)+42)
+				epochs[e].Completed, _ = insertUntilCrash(t, m, uint64(30_000+e*7_000), workers, epochKey(e))
+				recoverOnce(t, m)
 			}
 
 			// Probe every epoch's keys against the FINAL recovered state.
 			for e := 0; e < tc.k; e++ {
-				epochs[e].Keys = probePrefix(m, 43, epochs[e].Completed, 16, epochKey(e))
+				epochs[e].Keys = probePrefix(m, epochs[e].Completed, 16, epochKey(e))
 			}
 
 			mr := history.CheckEpochs(epochs)

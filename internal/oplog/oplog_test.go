@@ -1,6 +1,7 @@
 package oplog
 
 import (
+	"math/rand"
 	"testing"
 
 	"prepuc/internal/nvm"
@@ -259,8 +260,9 @@ func TestConcurrentReservations(t *testing.T) {
 	for w := 0; w < 6; w++ {
 		w := w
 		sch2.Spawn("c", w%2, 0, func(th *sim.Thread) {
+			rng := rand.New(rand.NewSource(int64(th.ID())))
 			for i := 0; i < 50; i++ {
-				n := uint64(th.Rand().Intn(4) + 1)
+				n := uint64(rng.Intn(4) + 1)
 				for {
 					tail := l.LogTail(th)
 					if l.CASLogTail(th, tail, tail+n) {

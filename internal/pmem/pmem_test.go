@@ -1,6 +1,7 @@
 package pmem
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -219,7 +220,7 @@ func TestAllocFreeChurnProperty(t *testing.T) {
 	// Property: arbitrary alloc/free sequences never hand out overlapping
 	// live blocks.
 	run(t, 1<<20, func(th *sim.Thread, a *Allocator) {
-		rng := th.Rand()
+		rng := rand.New(rand.NewSource(int64(th.ID())))
 		type blk struct{ off, words uint64 }
 		var live []blk
 		overlap := func(x, y blk) bool {

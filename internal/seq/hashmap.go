@@ -168,11 +168,6 @@ func (h *HashMap) resize(t *sim.Thread) {
 	h.a.Free(t, oldBuckets)
 }
 
-// Buckets returns the current bucket count (for tests).
-func (h *HashMap) Buckets(t *sim.Thread) uint64 {
-	return h.a.Memory().Load(t, h.hdr+hmNBucket)
-}
-
 // Execute dispatches an encoded operation (the paper's Execute switch).
 func (h *HashMap) Execute(t *sim.Thread, code, a0, a1 uint64) uint64 {
 	switch code {

@@ -1,6 +1,7 @@
 package seq
 
 import (
+	"math/rand"
 	"testing"
 
 	"prepuc/internal/pmem"
@@ -63,7 +64,7 @@ func TestSkipListAgainstModel(t *testing.T) {
 	run(t, 1<<22, func(th *sim.Thread, a *pmem.Allocator) {
 		s := NewSkipList(th, a)
 		model := map[uint64]uint64{}
-		rng := th.Rand()
+		rng := rand.New(rand.NewSource(int64(th.ID())))
 		for i := 0; i < 4000; i++ {
 			k := uint64(rng.Intn(200))
 			switch rng.Intn(3) {
@@ -104,7 +105,7 @@ func TestSkipListAgainstModel(t *testing.T) {
 func TestSkipListDumpSorted(t *testing.T) {
 	run(t, 1<<20, func(th *sim.Thread, a *pmem.Allocator) {
 		s := NewSkipList(th, a)
-		rng := th.Rand()
+		rng := rand.New(rand.NewSource(int64(th.ID())))
 		for i := 0; i < 300; i++ {
 			s.Put(th, rng.Uint64()%5000, 1)
 		}
@@ -196,7 +197,7 @@ func TestListSetAgainstModel(t *testing.T) {
 	run(t, 1<<20, func(th *sim.Thread, a *pmem.Allocator) {
 		l := NewListSet(th, a)
 		model := map[uint64]uint64{}
-		rng := th.Rand()
+		rng := rand.New(rand.NewSource(int64(th.ID())))
 		for i := 0; i < 2500; i++ {
 			k := uint64(rng.Intn(100))
 			switch rng.Intn(3) {

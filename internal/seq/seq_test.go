@@ -1,6 +1,7 @@
 package seq
 
 import (
+	"math/rand"
 	"sort"
 	"testing"
 
@@ -97,11 +98,12 @@ func TestHashMapDeleteMiddleOfChain(t *testing.T) {
 func TestHashMapResizes(t *testing.T) {
 	run(t, 1<<20, func(th *sim.Thread, a *pmem.Allocator) {
 		h := NewHashMap(th, a, 4)
-		before := h.Buckets(th)
+		buckets := func() uint64 { return a.Memory().Load(th, h.hdr+hmNBucket) }
+		before := buckets()
 		for k := uint64(0); k < 1000; k++ {
 			h.Put(th, k, k)
 		}
-		if after := h.Buckets(th); after <= before {
+		if after := buckets(); after <= before {
 			t.Errorf("buckets %d -> %d, expected growth", before, after)
 		}
 		for k := uint64(0); k < 1000; k++ {
@@ -119,7 +121,7 @@ func TestHashMapAgainstModel(t *testing.T) {
 	run(t, 1<<22, func(th *sim.Thread, a *pmem.Allocator) {
 		h := NewHashMap(th, a, 8)
 		model := map[uint64]uint64{}
-		rng := th.Rand()
+		rng := rand.New(rand.NewSource(int64(th.ID())))
 		for i := 0; i < 5000; i++ {
 			k := uint64(rng.Intn(300))
 			switch rng.Intn(3) {
@@ -298,7 +300,7 @@ func TestRBTreeAgainstModel(t *testing.T) {
 	run(t, 1<<22, func(th *sim.Thread, a *pmem.Allocator) {
 		r := NewRBTree(th, a)
 		model := map[uint64]uint64{}
-		rng := th.Rand()
+		rng := rand.New(rand.NewSource(int64(th.ID())))
 		for i := 0; i < 4000; i++ {
 			k := uint64(rng.Intn(250))
 			switch rng.Intn(3) {
@@ -346,7 +348,7 @@ func TestRBTreeAgainstModel(t *testing.T) {
 func TestRBTreeDumpSorted(t *testing.T) {
 	run(t, 1<<20, func(th *sim.Thread, a *pmem.Allocator) {
 		r := NewRBTree(th, a)
-		rng := th.Rand()
+		rng := rand.New(rand.NewSource(int64(th.ID())))
 		inserted := map[uint64]bool{}
 		for i := 0; i < 500; i++ {
 			k := rng.Uint64() % 10000
@@ -424,7 +426,7 @@ func TestPQueueAgainstModel(t *testing.T) {
 	run(t, 1<<20, func(th *sim.Thread, a *pmem.Allocator) {
 		p := NewPQueue(th, a)
 		var model []uint64
-		rng := th.Rand()
+		rng := rand.New(rand.NewSource(int64(th.ID())))
 		for i := 0; i < 3000; i++ {
 			if len(model) == 0 || rng.Intn(2) == 0 {
 				k := rng.Uint64() % 1000
@@ -536,7 +538,7 @@ func TestQueueInterleavedEnqDeq(t *testing.T) {
 	run(t, 1<<18, func(th *sim.Thread, a *pmem.Allocator) {
 		q := NewQueue(th, a)
 		var model []uint64
-		rng := th.Rand()
+		rng := rand.New(rand.NewSource(int64(th.ID())))
 		for i := 0; i < 2000; i++ {
 			if len(model) == 0 || rng.Intn(2) == 0 {
 				v := rng.Uint64()

@@ -15,7 +15,8 @@
 //     shared state touched between Step calls is free of data races by
 //     construction, and compare-and-swap is trivially atomic.
 //   - Throughput is measured as operations per virtual second, which is
-//     independent of the host CPU count and fully reproducible from a seed.
+//     independent of the host CPU count and fully reproducible: dispatch is
+//     by minimum (clock, id) and the scheduler draws no random number.
 //
 // A crash (modelling a power failure) freezes the scheduler: every
 // subsequent Step panics with a value recognized by Crashed, unwinding each
@@ -46,7 +47,6 @@ package sim
 import (
 	"fmt"
 	"iter"
-	"math/rand"
 )
 
 // Crash is the panic value raised by Step once the scheduler is frozen.
@@ -80,7 +80,6 @@ type Thread struct {
 	node  int // NUMA node the thread is pinned to
 	clock uint64
 	sch   *Scheduler
-	rng   *rand.Rand
 
 	// The thread's coroutine: resume switches into it, from Run or from the
 	// thread handing it the baton; yield switches back to whoever resumed it.
@@ -107,16 +106,12 @@ func (t *Thread) Node() int { return t.node }
 // Clock returns the thread's virtual time in nanoseconds.
 func (t *Thread) Clock() uint64 { return t.clock }
 
-// Rand returns the thread's private deterministic random source.
-func (t *Thread) Rand() *rand.Rand { return t.rng }
-
 // Scheduler returns the owning scheduler.
 func (t *Thread) Scheduler() *Scheduler { return t.sch }
 
 // Scheduler runs simulated threads in virtual-time order. All of its state
 // is owned by the baton holder; see the package-level concurrency contract.
 type Scheduler struct {
-	seed    int64
 	nextID  int
 	heap    threadHeap
 	live    int
@@ -148,11 +143,11 @@ type Scheduler struct {
 	cview   []Candidate
 }
 
-// New creates a scheduler. The seed determines every per-thread random
-// source, making whole runs reproducible.
-func New(seed int64) *Scheduler {
+// New creates a scheduler. Its parameter is ignored — the scheduler has no
+// random state to seed — and remains only because the frozen
+// benchmark/micro.go passes one (ROADMAP item 1h); pass 0.
+func New(int64) *Scheduler {
 	return &Scheduler{
-		seed: seed,
 		heap: threadHeap{ts: make([]*Thread, 0, 16)},
 	}
 }
@@ -283,7 +278,6 @@ func (s *Scheduler) Spawn(name string, node int, startClock uint64, fn func(*Thr
 		clock: startClock,
 		sch:   s,
 	}
-	t.rng = rand.New(rand.NewSource(s.seed + int64(t.id)*int64(0x9E3779B97F4A7C15&0x7FFFFFFFFFFFFFFF)))
 	s.nextID++
 	s.live++
 	s.heap.push(t)

@@ -2,10 +2,15 @@ package sim
 
 import (
 	"fmt"
+	"math/rand"
 	"runtime"
 	"slices"
 	"testing"
 )
+
+// threadRand is a thread body's private random source, a function of the
+// thread id alone: the scheduler has none to hand out.
+func threadRand(th *Thread) *rand.Rand { return rand.New(rand.NewSource(int64(th.ID()))) }
 
 func TestSingleThreadRunsToCompletion(t *testing.T) {
 	s := New(1)
@@ -97,8 +102,9 @@ func TestDeterministicInterleaving(t *testing.T) {
 		for w := 0; w < 4; w++ {
 			w := w
 			s.Spawn("w", 0, 0, func(th *Thread) {
+				rng := threadRand(th)
 				for i := 0; i < 50; i++ {
-					th.Step(uint64(th.Rand().Intn(20) + 1))
+					th.Step(uint64(rng.Intn(20) + 1))
 					order = append(order, w)
 				}
 			})
@@ -320,8 +326,9 @@ func TestManyThreadsStress(t *testing.T) {
 	for w := 0; w < n; w++ {
 		w := w
 		s.Spawn("w", w%4, 0, func(th *Thread) {
+			rng := threadRand(th)
 			for i := 0; i < 200; i++ {
-				th.Step(uint64(1 + th.Rand().Intn(5)))
+				th.Step(uint64(1 + rng.Intn(5)))
 				counts[w]++
 			}
 		})
@@ -494,6 +501,7 @@ func TestNoGoroutineLeak(t *testing.T) {
 		}
 		for w := 0; w < 4; w++ {
 			s.Spawn("w", 0, uint64(w*40), func(th *Thread) {
+				rng := threadRand(th)
 				th.Step(3)
 				s.Spawn("child", 1, th.Clock(), func(c *Thread) {
 					for j := 0; j < 10; j++ {
@@ -501,7 +509,7 @@ func TestNoGoroutineLeak(t *testing.T) {
 					}
 				})
 				for j := 0; j < 30; j++ {
-					th.Step(uint64(1 + th.Rand().Intn(4)))
+					th.Step(uint64(1 + rng.Intn(4)))
 					if i%3 == 2 && th.ID() == 2 && j == 10+i%15 {
 						panic("bug")
 					}
@@ -554,19 +562,19 @@ func TestSwitchesNeverExceedTwicePerHandoff(t *testing.T) {
 	type scenario struct {
 		name    string
 		threads int
-		cost    func(th *Thread) uint64
+		cost    func(rng *rand.Rand) uint64
 		// What the first thread to find itself at least three links up the
 		// chain, a hundred steps in, does there: spawn two children, or arm a
 		// crash for the very next event.
 		spawn, crash bool
 		minDepth     int // the chain must get at least this deep
 	}
-	equal := func(*Thread) uint64 { return 3 }
-	random := func(th *Thread) uint64 {
-		if th.Rand().Intn(16) == 0 {
+	equal := func(*rand.Rand) uint64 { return 3 }
+	random := func(rng *rand.Rand) uint64 {
+		if rng.Intn(16) == 0 {
 			return 300
 		}
-		return uint64(1 + th.Rand().Intn(4))
+		return uint64(1 + rng.Intn(4))
 	}
 	for _, sc := range []scenario{
 		{name: "round-robin", threads: 8, cost: equal, minDepth: 8},
@@ -600,8 +608,9 @@ func TestSwitchesNeverExceedTwicePerHandoff(t *testing.T) {
 						}
 					}
 				}()
+				rng := threadRand(th)
 				for i := 1; i <= 300; i++ {
-					th.Step(sc.cost(th))
+					th.Step(sc.cost(rng))
 					d := check(th)
 					if (sc.spawn || sc.crash) && markDepth == 0 && i >= 100 && d >= 3 {
 						markDepth = d
@@ -685,9 +694,10 @@ func TestDispatchModesSameTrace(t *testing.T) {
 		var ths []*Thread
 		for w := 0; w < 16; w++ {
 			ths = append(ths, s.Spawn("w", w%2, uint64(w%3), func(th *Thread) {
+				rng := threadRand(th)
 				for i := 0; i < 200; i++ {
-					c := uint64(th.Rand().Intn(4))
-					if th.Rand().Intn(16) == 0 {
+					c := uint64(rng.Intn(4))
+					if rng.Intn(16) == 0 {
 						c = 300
 					}
 					th.Step(c)
@@ -717,5 +727,23 @@ func TestDispatchModesSameTrace(t *testing.T) {
 		if gotEnd.events != wantEnd.events || gotEnd.frozen != wantEnd.frozen || !slices.Equal(gotEnd.clocks, wantEnd.clocks) {
 			t.Errorf("crashAt=%d: chooser ends at %+v, run-ahead at %+v", crashAt, gotEnd, wantEnd)
 		}
+	}
+}
+
+// The scheduler draws no random number, so a Spawn must not pay for a
+// generator: math/rand's source alone is 5.4 KB, more than everything else a
+// thread allocates.
+func TestSpawnBuildsNoRNG(t *testing.T) {
+	const n = 1000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s := New(0)
+	for i := 0; i < n; i++ {
+		s.Spawn("w", 0, 0, func(*Thread) {})
+	}
+	s.Run()
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / n; per >= 2<<10 {
+		t.Fatalf("%d bytes allocated per spawned thread, want under 2 KB", per)
 	}
 }

@@ -1,6 +1,7 @@
 package soft
 
 import (
+	"math/rand"
 	"testing"
 
 	"prepuc/internal/nvm"
@@ -154,7 +155,7 @@ func TestConcurrentMixedWorkloadOverlappingKeys(t *testing.T) {
 	const workers, perWorker = 8, 400
 	w := build(t, Config{Buckets: 1024}, nvm.Config{Costs: sim.UnitCosts()}, 11)
 	w.run(workers, 0, 1100, func(th *sim.Thread, tid int) {
-		rng := th.Rand()
+		rng := rand.New(rand.NewSource(int64(th.ID())))
 		for i := 0; i < perWorker; i++ {
 			k := uint64(rng.Intn(512)) // heavy key overlap across workers
 			switch rng.Intn(3) {

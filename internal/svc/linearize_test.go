@@ -36,9 +36,9 @@ func linOp(rng *rand.Rand, pid, i int) uc.Op {
 }
 
 // probeSet reads the engine's full set state on a fresh scheduler.
-func probeSet(sys *nvm.System, engine uc.UC, seed int64) map[uint64]uint64 {
+func probeSet(sys *nvm.System, engine uc.UC) map[uint64]uint64 {
 	recovered := map[uint64]uint64{}
-	drivers.Probe(sys, seed, func(t *sim.Thread) {
+	drivers.Probe(sys, func(t *sim.Thread) {
 		for k := uint64(0); k < linKeys; k++ {
 			if v := engine.Execute(t, 0, uc.Get(k)); v != uc.NotFound {
 				recovered[k] = v
@@ -65,7 +65,7 @@ func TestAsyncHistoryLinearizes(t *testing.T) {
 			})
 		}
 	})
-	recovered := probeSet(w.sys, w.p, 2200)
+	recovered := probeSet(w.sys, w.p)
 	res := linearize.CheckEpoch(linearize.SetModel(), nil, rec.Ops(), recovered, linearize.Options{})
 	if !res.OK {
 		t.Fatalf("async history not linearizable: %s", res)
@@ -87,7 +87,7 @@ func TestAsyncHistoryLinearizesAcrossCrash(t *testing.T) {
 	}
 	d := core.NewDriver(core.ConfigFor(core.Durable, sz))
 	var s *svc.Service
-	sys, _, err := drivers.Boot(d, 31, nvm.Config{
+	sys, _, err := drivers.Boot(d, nvm.Config{
 		Costs: sim.UnitCosts(), BGFlushOneIn: 128, Seed: 38,
 	}, func(th *sim.Thread, sys *nvm.System, p uc.UC) (err error) {
 		s, err = svc.New(th, sys, svc.Config{
@@ -135,12 +135,12 @@ func TestAsyncHistoryLinearizesAcrossCrash(t *testing.T) {
 		t.Fatal("no operations completed before the crash")
 	}
 
-	r, err := drivers.Recover(d, sys, 3200, nil, nil)
+	r, err := drivers.Recover(d, sys, nil, nil)
 	if err != nil {
 		t.Fatalf("recover: %v", err)
 	}
 
-	recovered := probeSet(r.Sys, r.Eng, 3300)
+	recovered := probeSet(r.Sys, r.Eng)
 	res := linearize.CheckEpoch(linearize.SetModel(), nil, rec.Ops(), recovered, linearize.Options{})
 	if !res.OK {
 		t.Fatalf("crash epoch not durably linearizable: %s", res)

@@ -1,9 +1,8 @@
 // Package workload generates the operation mixes of the paper's evaluation
 // (§6): key-set workloads with a configurable read percentage over a
-// uniform (or, via KeySkew, Zipfian) key distribution, and 100%-update
-// "pair" workloads where every worker alternates an insertion-type
-// operation with a removal-type operation (enqueue/dequeue for queues,
-// push/pop for stacks).
+// uniform key distribution, and 100%-update "pair" workloads where every
+// worker alternates an insertion-type operation with a removal-type
+// operation (enqueue/dequeue for queues, push/pop for stacks).
 package workload
 
 import (
@@ -32,11 +31,6 @@ type Spec struct {
 	// KeyRange is the key universe size (Set only). The paper uses 1M keys
 	// and prefills to 50%.
 	KeyRange uint64
-	// KeySkew > 1 draws Set keys from a Zipf distribution with that
-	// exponent (key 0 hottest) instead of uniformly; anything ≤ 1 keeps
-	// the paper's uniform draw, with an RNG stream identical to before the
-	// knob existed.
-	KeySkew float64
 	// PushCode/PopCode are the update pair (Pairs only).
 	PushCode, PopCode uint64
 	// Prefill is the number of elements present before measurement.
@@ -80,17 +74,12 @@ func (s Spec) PrefillOps(seed int64) []uc.Op {
 type Gen struct {
 	spec Spec
 	rng  *rand.Rand
-	zipf *rand.Zipf // non-nil when KeySkew > 1
-	flip bool       // Pairs: next op is pop
+	flip bool // Pairs: next op is pop
 }
 
 // NewGen creates worker tid's deterministic generator.
 func NewGen(spec Spec, seed int64, tid int) *Gen {
-	g := &Gen{spec: spec, rng: rand.New(rand.NewSource(seed + int64(tid)*1_000_003))}
-	if spec.Kind == Set && spec.KeySkew > 1 {
-		g.zipf = rand.NewZipf(g.rng, spec.KeySkew, 1, spec.KeyRange-1)
-	}
-	return g
+	return &Gen{spec: spec, rng: rand.New(rand.NewSource(seed + int64(tid)*1_000_003))}
 }
 
 // Next returns the worker's next operation.
@@ -105,12 +94,7 @@ func (g *Gen) Next() uc.Op {
 		return uc.Op{Code: g.spec.PushCode, A0: g.rng.Uint64() % (1 << 30)}
 	default:
 		roll := g.rng.Intn(100)
-		var key uint64
-		if g.zipf != nil {
-			key = g.zipf.Uint64()
-		} else {
-			key = g.rng.Uint64() % g.spec.KeyRange
-		}
+		key := g.rng.Uint64() % g.spec.KeyRange
 		switch {
 		case roll < g.spec.ReadPct:
 			return uc.Contains(key)

@@ -107,30 +107,3 @@ func TestGenDeterministicPerSeed(t *testing.T) {
 		t.Error("different tids produced identical streams")
 	}
 }
-
-// TestKeySkewZipf: with KeySkew on, key 0 dominates far beyond its uniform
-// share; with it off, the stream is the uniform one (bit-compatible with
-// specs predating the knob).
-func TestKeySkewZipf(t *testing.T) {
-	spec := SetSpec(0, 1<<16)
-	spec.KeySkew = 1.5
-	g := NewGen(spec, 7, 0)
-	const n = 20000
-	zero := 0
-	for i := 0; i < n; i++ {
-		if g.Next().A0 == 0 {
-			zero++
-		}
-	}
-	if zero < n/10 {
-		t.Errorf("key 0 drawn %d of %d times; skew not engaging", zero, n)
-	}
-
-	uniform := SetSpec(0, 1<<16)
-	a, b := NewGen(uniform, 7, 0), NewGen(uniform, 7, 0)
-	for i := 0; i < 1000; i++ {
-		if a.Next() != b.Next() {
-			t.Fatal("uniform generator not deterministic")
-		}
-	}
-}
