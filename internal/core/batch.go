@@ -68,9 +68,14 @@ func (p *PREP) ExecuteBatch(t *sim.Thread, tid int, ops []uc.Op, res []uint64) u
 
 	// Become the node's combiner. Unlike update() there is no batch slot to
 	// park the ops in, so this blocks rather than waiting for service.
-	var b sim.Backoff
-	for !rep.combiner.TryAcquire(t) {
-		b.Spin(t, 1024)
+	w := p.waiter(t)
+	*w = waiter{lock: &rep.combiner, cap: 1024}
+	for {
+		t.Await(w)
+		if rep.combiner.Take(t) {
+			break
+		}
+		w.seg = segSpin
 	}
 
 	// The session of session.go over the batch's updates, in submitted order.
@@ -159,10 +164,9 @@ func (p *PREP) AwaitDurable(t *sim.Thread, mark uint64) {
 		return
 	}
 	if p.cfg.Mode == Durable {
-		var b sim.Backoff
-		for p.log.CompletedTail(t) < mark {
-			b.Spin(t, 512)
-		}
+		w := p.waiter(t)
+		*w = waiter{watch: watchTail, log: p.log, want: mark, cap: 512}
+		t.Await(w)
 		return
 	}
 	stable := func() int {

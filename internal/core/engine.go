@@ -111,6 +111,7 @@ type PREP struct {
 	gctrl *nvm.Memory
 	desc  *descTable // operation descriptors; nil unless cfg.Detect
 	met   *metrics.Registry
+	waits []*waiter // by thread id (wait.go)
 }
 
 var (
@@ -329,9 +330,14 @@ func (p *PREP) Execute(t *sim.Thread, tid int, op uc.Op) uint64 {
 // then reads under its slot of the distributed reader lock (§3).
 func (p *PREP) readOnly(t *sim.Thread, rep *replica, slot int, op uc.Op) uint64 {
 	ct := p.log.CompletedTail(t)
-	var b sim.Backoff
-	for rep.localTail(t) < ct {
-		if rep.combiner.TryAcquire(t) {
+	w := p.waiter(t)
+	*w = waiter{watch: watchWord, mem: rep.ctrl, off: ctrlLocalTail, want: ct, lock: &rep.combiner, cap: 512}
+	for {
+		t.Await(w)
+		if w.served {
+			break
+		}
+		if rep.combiner.Take(t) {
 			if rep.localTail(t) < ct {
 				rep.rw.WriteLock(t)
 				p.catchUp(t, rep, p.log.CompletedTail(t), nil)
@@ -340,7 +346,7 @@ func (p *PREP) readOnly(t *sim.Thread, rep *replica, slot int, op uc.Op) uint64 
 			rep.combiner.Release(t)
 			break
 		}
-		b.Spin(t, 512)
+		w.seg = segSpin
 	}
 	rep.rw.ReadLock(t, slot)
 	res := rep.ds.Execute(t, op.Code, op.A0, op.A1)
@@ -362,12 +368,11 @@ func (p *PREP) readOnly(t *sim.Thread, rep *replica, slot int, op uc.Op) uint64 
 // localTail to move past the reuse horizon — without incremental progress
 // the two would deadlock.
 func (p *PREP) applyLog(t *sim.Thread, ds uc.DataStructure, from, to uint64, f *nvm.Flusher, progress func(uint64)) {
-	var b sim.Backoff
+	w := p.waiter(t)
 	for idx := from; idx < to; idx++ {
-		b.Reset() // each entry restarts the truncated-exponential ladder
-		for !p.log.IsFull(t, idx) {
-			b.Spin(t, 512)
-		}
+		// Each entry restarts the truncated-exponential ladder.
+		*w = waiter{watch: watchFull, log: p.log, want: idx, cap: 512}
+		t.Await(w)
 		code, a0, a1 := p.log.ReadEntry(t, idx)
 		if f != nil {
 			f.FlushLine(t, p.log.Mem(), p.log.EntryOff(idx))
@@ -391,13 +396,17 @@ func (p *PREP) update(t *sim.Thread, rep *replica, slot int, op uc.Op) uint64 {
 		rep.ctrl.Store(t, so+slotInvid, op.Invid)
 	}
 	rep.ctrl.Store(t, so+slotState, slotPending)
-	var b sim.Backoff
+	// Wait until a combiner serves the slot (slotDone is the largest state)
+	// or the combiner lock looks free.
+	w := p.waiter(t)
+	*w = waiter{watch: watchWord, mem: rep.ctrl, off: so + slotState, want: slotDone, lock: &rep.combiner, cap: 1024}
 	for {
-		if rep.ctrl.Load(t, so+slotState) == slotDone {
+		t.Await(w)
+		if w.served {
 			rep.ctrl.Store(t, so+slotState, slotEmpty)
 			return rep.ctrl.Load(t, so+slotResp)
 		}
-		if rep.combiner.TryAcquire(t) {
+		if rep.combiner.Take(t) {
 			if rep.ctrl.Load(t, so+slotState) == slotDone {
 				// A previous combiner already serviced us.
 				rep.combiner.Release(t)
@@ -408,6 +417,6 @@ func (p *PREP) update(t *sim.Thread, rep *replica, slot int, op uc.Op) uint64 {
 			rep.combiner.Release(t)
 			return res
 		}
-		b.Spin(t, 1024)
+		w.seg = segSpin
 	}
 }

@@ -1,0 +1,115 @@
+package core
+
+import (
+	"prepuc/internal/locks"
+	"prepuc/internal/nvm"
+	"prepuc/internal/oplog"
+	"prepuc/internal/sim"
+)
+
+// This file is the engine's one wait idiom. Every wait whose loop only loads
+// — a worker waiting for its batch slot to be served or its replica to catch
+// up, a would-be combiner waiting for the combiner lock, an applier waiting
+// for a log entry's full mark, a client waiting for completedTail — is a
+// waiter run by sim.Thread.Await: the same loads, lock probes and backoff
+// rungs as the Load / TryAcquire / Backoff.Spin loop it replaces, in the same
+// order, cut into poll segments at their Steps. Loops that store, CAS or
+// count their spins (logmin.go's boundary and straggler helpers, the
+// Buffered branch of AwaitDurable, the reader–writer lock) keep Backoff.Spin.
+
+// What a waiter watches.
+const (
+	watchNone = iota // nothing: the wait is the lock probe alone
+	watchWord        // mem[off] reaches want
+	watchFull        // log entry want is full
+	watchTail        // completedTail reaches want
+)
+
+// Poll segments. One round is segLoad (announce the watched load, or the
+// probe of a lock-only wait), segRead (read it; on a miss announce the lock
+// probe, if any), segLock (read the probe) and the backoff Step.
+const (
+	segLoad = iota
+	segRead
+	segLock
+	segSpin // the backoff alone: the round after a lost CAS
+)
+
+// A waiter is one thread's wait loop. A wait arms it by assigning a fresh
+// value, which also restarts the backoff ladder.
+type waiter struct {
+	watch int
+	mem   *nvm.Memory // watchWord's word is mem[off]
+	off   uint64
+	log   *oplog.Log // the log of watchFull and watchTail
+	want  uint64
+	lock  *locks.TryLock // probed after every missed load; nil: none
+	cap   uint64         // backoff cap
+	b     sim.Backoff
+	seg   int
+	// served reports, once Await returns, that the watched word ended the
+	// wait; otherwise the lock looked free and the caller tries Take — and on
+	// a lost CAS sets seg to segSpin and awaits again.
+	served bool
+}
+
+// Poll runs the waiter's next segment (sim.Poller).
+func (w *waiter) Poll(t *sim.Thread) (uint64, bool) {
+	switch w.seg {
+	case segLoad:
+		if w.watch == watchNone {
+			w.seg = segLock
+			return w.lock.ProbeBegin(t), false
+		}
+		w.seg = segRead
+		return w.loadBegin(t), false
+	case segRead:
+		if w.served = w.loadEnd(); w.served {
+			return 0, true
+		}
+		if w.lock != nil {
+			w.seg = segLock
+			return w.lock.ProbeBegin(t), false
+		}
+	case segLock:
+		if w.lock.ProbeEnd() {
+			return 0, true
+		}
+	}
+	w.seg = segLoad
+	return w.b.Next(w.cap), false
+}
+
+func (w *waiter) loadBegin(t *sim.Thread) uint64 {
+	switch w.watch {
+	case watchFull:
+		return w.log.IsFullBegin(t, w.want)
+	case watchTail:
+		return w.log.CompletedTailBegin(t)
+	}
+	return w.mem.LoadBegin(t, w.off)
+}
+
+func (w *waiter) loadEnd() bool {
+	switch w.watch {
+	case watchFull:
+		return w.log.IsFullEnd(w.want)
+	case watchTail:
+		return w.log.CompletedTailEnd() >= w.want
+	}
+	return w.mem.LoadEnd(w.off) >= w.want
+}
+
+// waiter returns t's waiter on this engine. A thread waits on one thing at a
+// time, so one waiter serves every wait it makes; it is allocated at the
+// thread's first wait and reused, so a warm wait allocates nothing.
+func (p *PREP) waiter(t *sim.Thread) *waiter {
+	id := t.ID()
+	for id >= len(p.waits) {
+		p.waits = append(p.waits, nil)
+	}
+	if p.waits[id] == nil {
+		p.waits[id] = new(waiter)
+	}
+	return p.waits[id]
+}

@@ -53,12 +53,23 @@ func NewTryLock(m *nvm.Memory, off uint64) TryLock {
 	return TryLock{m, off, &holder{last: noHolder}}
 }
 
-// TryAcquire attempts to take the lock; it never blocks.
+// TryAcquire attempts to take the lock; it never blocks. It is
+// test-and-test-and-set — a probe load, so a held lock is not hammered with
+// CASes, then the CAS — composed of the halves a poller (sim.Thread.Await)
+// runs in separate segments: ProbeBegin, its Step, ProbeEnd, then Take.
 func (l TryLock) TryAcquire(t *sim.Thread) bool {
-	// Test-and-test-and-set: avoid hammering CAS on a held lock.
-	if l.m.Load(t, l.off) != 0 {
-		return false
-	}
+	t.Step(l.ProbeBegin(t))
+	return l.ProbeEnd() && l.Take(t)
+}
+
+// ProbeBegin is the probe load's pre-Step half (nvm.Memory.LoadBegin).
+func (l TryLock) ProbeBegin(t *sim.Thread) uint64 { return l.m.LoadBegin(t, l.off) }
+
+// ProbeEnd is the probe load's post-Step half: whether the lock looked free.
+func (l TryLock) ProbeEnd() bool { return l.m.LoadEnd(l.off) == 0 }
+
+// Take is the CAS half: it takes the lock if it is still free.
+func (l TryLock) Take(t *sim.Thread) bool {
 	if !l.m.CAS(t, l.off, 0, 1) {
 		return false
 	}

@@ -329,10 +329,24 @@ func (m *Memory) storeCost(t *sim.Thread, line uint64) uint64 {
 	return cost
 }
 
-// Load reads the word at off.
+// Load reads the word at off: LoadBegin, the Step it prices, LoadEnd.
 func (m *Memory) Load(t *sim.Thread, off uint64) uint64 {
-	m.announce(t, AccLoad, off/WordsPerLine, false)
-	t.Step(m.loadCost(t, off/WordsPerLine))
+	t.Step(m.LoadBegin(t, off))
+	return m.LoadEnd(off)
+}
+
+// LoadBegin is Load's pre-Step half: it announces the load and prices it,
+// which is where MSI ownership moves. A poll segment (sim.Thread.Await)
+// returns this cost for its Step and reads the word with LoadEnd in the
+// next segment, so a poller's loads are Loads to every observer.
+func (m *Memory) LoadBegin(t *sim.Thread, off uint64) uint64 {
+	line := off / WordsPerLine
+	m.announce(t, AccLoad, line, false)
+	return m.loadCost(t, line)
+}
+
+// LoadEnd is Load's post-Step half: it counts the load and reads the word.
+func (m *Memory) LoadEnd(off uint64) uint64 {
 	m.sys.met.Loads++
 	return m.data.load(off)
 }

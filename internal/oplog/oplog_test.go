@@ -19,6 +19,13 @@ func runLog(t *testing.T, kind nvm.Kind, size uint64, fn func(*sim.Thread, *nvm.
 	sch.Run()
 }
 
+// isFull is the full-mark load a plain (non-polling) reader makes: both
+// halves around their Step.
+func (l *Log) isFull(t *sim.Thread, idx uint64) bool {
+	t.Step(l.IsFullBegin(t, idx))
+	return l.IsFullEnd(idx)
+}
+
 func TestFullMarkAlternatesPerPass(t *testing.T) {
 	runLog(t, nvm.Volatile, 4, func(th *sim.Thread, _ *nvm.System, l *Log) {
 		// pass 0 (idx 0..3): full = 1; pass 1 (idx 4..7): full = 0; pass 2: 1.
@@ -41,7 +48,7 @@ func TestFullMarkAlternatesPerPass(t *testing.T) {
 func TestFreshEntriesAreEmpty(t *testing.T) {
 	runLog(t, nvm.Volatile, 8, func(th *sim.Thread, _ *nvm.System, l *Log) {
 		for idx := uint64(0); idx < 8; idx++ {
-			if l.IsFull(th, idx) {
+			if l.isFull(th, idx) {
 				t.Errorf("fresh entry %d reports full", idx)
 			}
 		}
@@ -51,11 +58,11 @@ func TestFreshEntriesAreEmpty(t *testing.T) {
 func TestWriteThenSetFullRoundTrip(t *testing.T) {
 	runLog(t, nvm.Volatile, 8, func(th *sim.Thread, _ *nvm.System, l *Log) {
 		l.WriteArgs(th, 3, 7, 100, 200)
-		if l.IsFull(th, 3) {
+		if l.isFull(th, 3) {
 			t.Error("entry full before SetFull")
 		}
 		l.SetFull(th, 3)
-		if !l.IsFull(th, 3) {
+		if !l.isFull(th, 3) {
 			t.Error("entry not full after SetFull")
 		}
 		code, a0, a1 := l.ReadEntry(th, 3)
@@ -71,16 +78,16 @@ func TestReusedEntryNotFullForNextPass(t *testing.T) {
 		l.SetFull(th, 1)
 		// Index 5 maps to the same slot but belongs to pass 1: the stale
 		// pass-0 mark must read as empty for index 5.
-		if l.IsFull(th, 5) {
+		if l.isFull(th, 5) {
 			t.Error("stale pass-0 entry reads full for pass-1 index")
 		}
 		l.WriteArgs(th, 5, 10, 0, 0)
 		l.SetFull(th, 5)
-		if !l.IsFull(th, 5) {
+		if !l.isFull(th, 5) {
 			t.Error("pass-1 entry not full after SetFull")
 		}
 		// And a pass-2 reader of the same slot must see empty again.
-		if l.IsFull(th, 9) {
+		if l.isFull(th, 9) {
 			t.Error("pass-1 mark reads full for pass-2 index")
 		}
 	})

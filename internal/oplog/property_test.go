@@ -65,11 +65,11 @@ func TestWriteReadRoundTripProperty(t *testing.T) {
 		for _, p := range probes {
 			l.WriteArgs(th, p.idx, p.code, p.a0, p.a1)
 			l.SetFull(th, p.idx)
-			if !l.IsFull(th, p.idx) {
+			if !l.isFull(th, p.idx) {
 				ok = false
 				return
 			}
-			if l.IsFull(th, p.idx+64) {
+			if l.isFull(th, p.idx+64) {
 				ok = false
 				return
 			}

@@ -39,8 +39,11 @@
 // the bottom of that chain and holds the baton before the first and after
 // the last thread. Each switch is a happens-before edge, so Step needs no
 // locks or atomics: its run-ahead fast path is a clock add, a counter
-// increment and one heap-top comparison. A panic never crosses a switch:
-// Spawn's wrapper ends it in the thread that raised it. See DESIGN.md
+// increment and one heap-top comparison. A poll segment of a thread parked in
+// Await executes on the baton holder's goroutine, not its own (see Await);
+// the switches that carried the baton there order it like any other baton
+// holder's code. A panic never crosses a switch: Spawn's wrapper, and for a
+// segment the inline loop, end it in the thread it belongs to. See DESIGN.md
 // ("Run-ahead scheduling") for the schedule-preservation argument.
 package sim
 
@@ -92,6 +95,12 @@ type Thread struct {
 	// and after exit. Calling resume on an active thread would re-enter a
 	// running coroutine; transfer yields towards it instead.
 	active bool
+
+	// poll is set while the thread is parked inside Await with a poll segment
+	// pending: transfer runs that segment inline instead of switching in. It
+	// is cleared when the wait is done or the machine froze, which is the
+	// signal for the thread to be switched in.
+	poll Poller
 }
 
 // ID returns the thread's scheduler-wide identifier.
@@ -134,6 +143,10 @@ type Scheduler struct {
 	// fault is the first bug panic (not a Crash) raised by a simulated
 	// thread, already prefixed with the thread's name; Run re-raises it.
 	fault string
+
+	// seg is the thread whose poll segment is executing, nil between
+	// segments: Step refuses to run inside one.
+	seg *Thread
 
 	// chooser, when non-nil, replaces the minimum-(clock,id) dispatch rule:
 	// every dispatch decision is delegated to it. cands/cview are the reused
@@ -332,9 +345,18 @@ func (s *Scheduler) Run() {
 // resume, and each resume is undone by at most one yield or by the thread's
 // exit: two threads alternating pay one switch per handoff, and no schedule
 // pays more than two on average.
+//
+// A successor parked inside Await with a poll segment pending is not switched
+// in: its segments run right here, on the baton holder's goroutine (runPoll),
+// until it hands the baton on — often straight back to self, which then
+// switches not at all — or its wait is done.
 func (s *Scheduler) transfer(self *Thread) {
 	for s.next != self {
 		n := s.next
+		if n.poll != nil {
+			s.runPoll(n)
+			continue
+		}
 		s.switches++
 		if n.active {
 			self.active = false
@@ -368,18 +390,11 @@ func (s *Scheduler) pickNext() *Thread {
 // any valid heap arrangement is the same thread, so the schedule is
 // identical to a full reinsertion (push the caller, pop the minimum).
 func (t *Thread) Step(cost uint64) {
-	if cost == 0 {
-		// A zero-cost event would let the caller keep the minimum clock and
-		// starve every other thread; charge the 1ns floor.
-		cost = 1
-	}
 	s := t.sch
-	t.clock += cost
-	s.events++
-	if s.crashAt != 0 && s.events >= s.crashAt {
-		s.frozen = true
+	if s.seg != nil {
+		panic(fmt.Sprintf("sim: Step inside a poll segment of %q", s.seg.name))
 	}
-	if s.frozen {
+	if s.charge(t, cost) {
 		panic(Crash{})
 	}
 	if s.chooser != nil {
@@ -391,10 +406,113 @@ func (t *Thread) Step(cost uint64) {
 		s.park(t, next)
 		return
 	}
-	if len(s.heap.ts) == 0 || !s.heap.ts[0].less(t) {
-		return // still the minimum: run ahead, no heap op, no handoff
+	if s.runsAhead(t) {
+		return // still the minimum: no heap op, no handoff
 	}
 	s.park(t, s.heap.replaceMin(t))
+}
+
+// charge books one event of cost on t's clock and reports whether the
+// machine is now frozen. A zero-cost event would let the caller keep the
+// minimum clock and starve every other thread, so it is charged the 1 ns
+// floor.
+func (s *Scheduler) charge(t *Thread, cost uint64) (frozen bool) {
+	if cost == 0 {
+		cost = 1
+	}
+	t.clock += cost
+	s.events++
+	if s.crashAt != 0 && s.events >= s.crashAt {
+		s.frozen = true
+	}
+	return s.frozen
+}
+
+// runsAhead reports whether t, having just charged an event, is still the
+// minimum-(clock, id) thread and so keeps the baton.
+func (s *Scheduler) runsAhead(t *Thread) bool {
+	return len(s.heap.ts) == 0 || !s.heap.ts[0].less(t)
+}
+
+// Poller is one wait loop cut at its Steps. Poll runs the next segment — the
+// host-side code between two Steps, which must not call Step itself — on
+// behalf of t, and returns either done or the cost of the Step that follows
+// the segment.
+type Poller interface {
+	Poll(t *Thread) (cost uint64, done bool)
+}
+
+// Await runs p's wait loop on t. It is defined as
+//
+//	for { c, done := p.Poll(t); if done { return }; t.Step(c) }
+//
+// and runs exactly that under a Chooser. Under the built-in dispatch rule a
+// thread parked in Await is never switched in just to poll: whichever thread
+// holds the baton when it comes due runs its next segment inline, charging
+// what Step charges at the same dispatch instant, and the thread is resumed
+// only once a segment reports done or the machine has frozen. The segments,
+// their order and their virtual instants are the definition loop's; only the
+// coroutine switches between them go away (DESIGN.md §7).
+//
+// A bug panic inside a segment — wherever it runs — is recorded as the
+// poller's fault and the poller unwinds with Crash{}.
+func (t *Thread) Await(p Poller) {
+	s := t.sch
+	defer func() {
+		if r := recover(); r != nil {
+			s.seg, t.poll = nil, nil
+			if !Crashed(r) {
+				s.fail(t, r)
+			}
+			panic(Crash{})
+		}
+	}()
+	for {
+		s.seg = t
+		c, done := p.Poll(t)
+		s.seg = nil
+		if done {
+			return
+		}
+		if s.chooser != nil {
+			t.Step(c)
+			continue
+		}
+		t.poll = p
+		t.Step(c)
+		if t.poll == nil {
+			return // the rest of the wait ran inline, to done
+		}
+		t.poll = nil
+	}
+}
+
+// runPoll runs the pending poll segments of the parked thread n on the baton
+// holder's goroutine, each followed by what Step charges, until n hands the
+// baton on (s.next changes) or n must be switched in: its wait is done, or
+// the machine froze — then n.poll is clear and n's park raises Crash{}. A bug
+// panic in a segment is n's fault, not the baton holder's.
+func (s *Scheduler) runPoll(n *Thread) {
+	defer func() {
+		if r := recover(); r != nil {
+			s.seg, n.poll = nil, nil
+			s.fail(n, r)
+		}
+	}()
+	for !s.frozen {
+		s.seg = n
+		c, done := n.poll.Poll(n)
+		s.seg = nil
+		if done || s.charge(n, c) {
+			break
+		}
+		if !s.runsAhead(n) {
+			s.handoffs++
+			s.next = s.heap.replaceMin(n)
+			return
+		}
+	}
+	n.poll = nil
 }
 
 // park hands the baton to next and returns when it comes back to t,
@@ -416,14 +534,19 @@ func (s *Scheduler) park(t, next *Thread) {
 type Backoff struct{ cur uint64 }
 
 // Spin waits out the current rung and moves to the next.
-func (b *Backoff) Spin(t *Thread, cap uint64) {
+func (b *Backoff) Spin(t *Thread, cap uint64) { t.Step(b.Next(cap)) }
+
+// Next returns the current rung's cost and moves to the next rung: the Step
+// a Spin takes, for pollers that return it from a segment (Await).
+func (b *Backoff) Next(cap uint64) uint64 {
 	if b.cur == 0 {
 		b.cur = 16
 	}
-	t.Step(b.cur)
+	c := b.cur
 	if b.cur < cap {
 		b.cur *= 2
 	}
+	return c
 }
 
 // Reset restarts the ladder.
