@@ -15,10 +15,10 @@
 // against the host-side completion record. Background flushes and unfenced
 // write-back resolution are enabled to make the crash states adversarial.
 //
-// The cycle itself — its co-resident (-instances), linearize (-check) and
-// sweep (-sweep) variants, the bisected one-line repro of a failure, and the
-// document — lives in internal/harness (crash.go, machine.go); this command
-// is its flags, validation, I/O and exit codes. What the flags select:
+// The cycle itself — its co-resident (-instances) and linearize (-check)
+// variants, the bisected one-line repro of a failure, and the document —
+// lives in internal/harness (crash.go, machine.go); this command is its
+// flags, validation, I/O and exit codes. What the flags select:
 //
 //   - -policy: the fault adversary that decides which flushed-but-unfenced
 //     lines survive each crash. A bare "targeted" advances its dropped-line
@@ -34,9 +34,6 @@
 //   - -instances N: N co-resident PREP instances on one machine, crashed
 //     together, recovered in two rotating waves, scanned for cross-instance
 //     leakage.
-//   - -sweep N: N nested crash points strided across one recovery, each on a
-//     copy-on-write clone of the crashed machine; adds a "sweep" block whose
-//     wall_ms is host time, so the mode is off by default.
 //   - -j N: cycles of a system run on N host workers; document and progress
 //     stream are identical for every value.
 //
@@ -87,9 +84,6 @@ func init() {
 	flag.StringVar(&cfg.Check, "check", "prefix", "correctness checker: prefix (per-worker key-prefix condition) or linearize (WGL durable-linearizability check of the recorded history)")
 	flag.IntVar(&cfg.Epochs, "epochs", 2, "chained crash/recover epochs per iteration (linearize checker only)")
 	flag.IntVar(&cfg.Jobs, "j", 0, "run up to N crash/recover cycles in parallel (0 = GOMAXPROCS)")
-	flag.IntVar(&cfg.Sweep, "sweep", 0, "per system, sweep N nested crash points inside one recovery via COW clones and report a timing block (0: off)")
-	flag.Uint64Var(&cfg.SweepStride, "sweep-stride", 0, "event stride between swept nested crash points (0: recovery_events/(sweep+1))")
-	flag.BoolVar(&cfg.FlushElide, "flush-elide", true, "FliT-style clean-line flush elision in the NVM substrate (false: reference no-elision cost model)")
 	flag.IntVar(&cfg.Instances, "instances", 1, "co-resident PREP instances per machine; >1 runs sharded crash cycles (PREP systems only, -check prefix)")
 }
 
@@ -111,8 +105,6 @@ func validate() error {
 		return fmt.Errorf("-instances=%d: need at least one instance", cfg.Instances)
 	case cfg.Nested < 0:
 		return fmt.Errorf("-nested=%d: a count of nested crashes (0: none)", cfg.Nested)
-	case cfg.Sweep < 0:
-		return fmt.Errorf("-sweep=%d: a count of swept crash points (0: off)", cfg.Sweep)
 	}
 	if _, err := fault.Parse(cfg.Policy, 1); err != nil {
 		return err
@@ -123,8 +115,8 @@ func validate() error {
 			return fmt.Errorf("-workers=%d not divisible by -instances=%d", cfg.Workers, cfg.Instances)
 		case cfg.Check != "prefix":
 			return errors.New("-instances > 1 supports only -check prefix (sharded linearizability lives in prepserve -check)")
-		case cfg.Nested > 0 || cfg.Sweep > 0:
-			return errors.New("-instances > 1 does not compose with -nested or -sweep")
+		case cfg.Nested > 0:
+			return errors.New("-instances > 1 does not compose with -nested")
 		}
 	}
 	return nil

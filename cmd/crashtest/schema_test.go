@@ -117,66 +117,6 @@ func TestSchemaGolden(t *testing.T) {
 	}
 }
 
-// TestSweepBlock covers the -sweep addition by field assertion rather than
-// golden bytes: timing.wall_ms is host wall-clock and nondeterministic, so
-// the block can never appear in a golden document — which is also why the
-// mode must stay off by default (the goldens above prove the default
-// document carries no "sweep" key).
-func TestSweepBlock(t *testing.T) {
-	withFlags(t, map[string]string{
-		"iterations": "1", "workers": "2", "epsilon": "16", "log": "128",
-		"seed": "42", "policy": "dropall", "j": "1",
-		"system": "prep-durable", "sweep": "4",
-	})
-	var progress bytes.Buffer
-	doc, failures := buildDoc(&progress, selected(t))
-	if failures != 0 {
-		t.Fatalf("deterministic sweep run failed %d cycles/points:\n%s", failures, progress.String())
-	}
-	sw := doc.Systems[0].Sweep
-	if sw == nil {
-		t.Fatal("-sweep=4 produced no sweep block")
-	}
-	if sw.Points != 4 {
-		t.Errorf("sweep points = %d, want 4", sw.Points)
-	}
-	if sw.Stride == 0 || sw.RecoveryEvents == 0 {
-		t.Errorf("sweep stride=%d recovery_events=%d, want both nonzero", sw.Stride, sw.RecoveryEvents)
-	}
-	if sw.NestedCrashes == 0 {
-		t.Error("auto stride placed no point inside recovery")
-	}
-	// One clone per swept point plus the ceiling probe.
-	if want := uint64(sw.Points + 1); sw.Timing.Clones != want {
-		t.Errorf("timing.clones = %d, want %d", sw.Timing.Clones, want)
-	}
-	if sw.Timing.PagesCopied == 0 {
-		t.Error("timing.pages_copied = 0, want > 0 (recovery writes must privatize pages)")
-	}
-	// Wire names: the block is additive to the cycle record and its field
-	// spellings are contract.
-	raw, err := json.Marshal(doc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var m map[string]any
-	if err := json.Unmarshal(raw, &m); err != nil {
-		t.Fatal(err)
-	}
-	swm := m["systems"].([]any)[0].(map[string]any)["sweep"].(map[string]any)
-	for _, k := range []string{"points", "stride", "recovery_events", "nested_crashes", "failures", "timing"} {
-		if _, ok := swm[k]; !ok {
-			t.Errorf("sweep block is missing field %q", k)
-		}
-	}
-	timing := swm["timing"].(map[string]any)
-	for _, k := range []string{"wall_ms", "clones", "pages_copied"} {
-		if _, ok := timing[k]; !ok {
-			t.Errorf("timing summary is missing field %q", k)
-		}
-	}
-}
-
 // TestShardedCrashFields guards the -instances additions: the top-level
 // instances field, the per-cycle "sharded" block with one verdict per
 // co-resident instance, zero cross-instance foreign keys, rotating
@@ -325,33 +265,30 @@ func TestSchemaRequiredFields(t *testing.T) {
 
 // TestNestedCrashTortureAllSystems is CI's nested-crash smoke as a test:
 // under the worst-case adversary with one crash armed inside each recovery,
-// in both flush cost models, all five systems pass every cycle, every armed
-// crash lands (one nested crash per cycle, summed in the document's fault
-// block) and recovery is re-entered exactly once per nested crash.
+// all five systems pass every cycle, every armed crash lands (one nested
+// crash per cycle, summed in the document's fault block) and recovery is
+// re-entered exactly once per nested crash.
 func TestNestedCrashTortureAllSystems(t *testing.T) {
 	withFlags(t, map[string]string{
 		"iterations": "2", "workers": "2", "epsilon": "16", "log": "128",
 		"seed": "42", "policy": "dropall", "nested": "1", "system": "all",
 	})
-	for _, elide := range []string{"true", "false"} {
-		withFlags(t, map[string]string{"flush-elide": elide})
-		var progress bytes.Buffer
-		doc, failures := buildDoc(&progress, selected(t))
-		if failures != 0 || len(doc.Systems) != 5 {
-			t.Fatalf("flush-elide=%s: %d failures over %d systems:\n%s", elide, failures, len(doc.Systems), progress.String())
-		}
-		cycles := uint64(0)
-		for _, sd := range doc.Systems {
-			for _, cyc := range sd.Cycles {
-				cycles++
-				if n := cyc.Fault.NestedCrashes; !cyc.OK || n != 1 || cyc.RecoveryAttempts != int(n)+1 {
-					t.Errorf("flush-elide=%s %s cycle %d: ok=%v nested=%d attempts=%d",
-						elide, sd.System, cyc.Iteration, cyc.OK, n, cyc.RecoveryAttempts)
-				}
+	var progress bytes.Buffer
+	doc, failures := buildDoc(&progress, selected(t))
+	if failures != 0 || len(doc.Systems) != 5 {
+		t.Fatalf("%d failures over %d systems:\n%s", failures, len(doc.Systems), progress.String())
+	}
+	cycles := uint64(0)
+	for _, sd := range doc.Systems {
+		for _, cyc := range sd.Cycles {
+			cycles++
+			if n := cyc.Fault.NestedCrashes; !cyc.OK || n != 1 || cyc.RecoveryAttempts != int(n)+1 {
+				t.Errorf("%s cycle %d: ok=%v nested=%d attempts=%d",
+					sd.System, cyc.Iteration, cyc.OK, n, cyc.RecoveryAttempts)
 			}
 		}
-		if doc.Fault.Policy != "dropall" || doc.Fault.NestedCrashes != cycles {
-			t.Errorf("flush-elide=%s: document fault block %+v over %d cycles", elide, doc.Fault, cycles)
-		}
+	}
+	if doc.Fault.Policy != "dropall" || doc.Fault.NestedCrashes != cycles {
+		t.Errorf("document fault block %+v over %d cycles", doc.Fault, cycles)
 	}
 }

@@ -52,7 +52,6 @@ func TestValidateRejectsVacuousRuns(t *testing.T) {
 		{map[string]string{"check": "linearize", "epochs": "0"}, "-epochs=0"},
 		{map[string]string{"instances": "0"}, "-instances=0"},
 		{map[string]string{"nested": "-1"}, "-nested=-1"},
-		{map[string]string{"sweep": "-1"}, "-sweep=-1"},
 		{map[string]string{"instances": "3"}, "-workers=8 not divisible by -instances=3"},
 		{map[string]string{"instances": "2", "nested": "1"}, "-nested"},
 		{map[string]string{"instances": "2", "check": "linearize"}, "-check prefix"},

@@ -51,7 +51,6 @@ func run() (retErr error) {
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile to this file")
 	list := flag.Bool("list", false, "list available experiments and exit")
-	flushElide := flag.Bool("flush-elide", true, "FliT-style clean-line flush elision in the NVM substrate (false: reference no-elision cost model for every cell)")
 	flag.Parse()
 
 	stopProf, err := prof.Start(*cpuProfile, *memProfile)
@@ -76,7 +75,6 @@ func run() (retErr error) {
 		fmt.Fprintf(os.Stderr, "unknown scale %q\n", *scaleName)
 		os.Exit(2)
 	}
-	sc.NoFlushElision = !*flushElide
 	if *format != "table" && *format != "json" {
 		fmt.Fprintf(os.Stderr, "unknown format %q (want table or json)\n", *format)
 		os.Exit(2)

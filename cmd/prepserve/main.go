@@ -248,6 +248,8 @@ func validate() error {
 		return fmt.Errorf("-instances=%d: need at least one machine", *instances)
 	case load.Shards < 1:
 		return fmt.Errorf("-shards=%d: need at least one ring", load.Shards)
+	case load.RingSize == 0 || load.RingSize&(load.RingSize-1) != 0:
+		return fmt.Errorf("-ring=%d: a ring's capacity is a power of two", load.RingSize)
 	case load.MaxBatch < 1 || load.MaxBatch > core.MaxBatch:
 		return fmt.Errorf("-batch=%d: a combiner handoff takes 1 to %d operations", load.MaxBatch, core.MaxBatch)
 	case *instances == 1 && *crashShards != "":

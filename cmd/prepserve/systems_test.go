@@ -45,8 +45,9 @@ func TestSystemFlagMatchesRegistry(t *testing.T) {
 
 // TestValidateNamesIgnoredFlags pins the flag combinations main turns into
 // exit 2: an instance count below one used to run flat without a word,
-// -shards 0 and -batch 65 used to panic inside the run, and -crash-shards /
-// -route on a single machine were silently ignored.
+// -shards 0 and -batch 65 used to panic inside the run, a -ring that is not a
+// power of two failed only after boot, and -crash-shards / -route on a single
+// machine were silently ignored.
 func TestValidateNamesIgnoredFlags(t *testing.T) {
 	for _, tc := range []struct {
 		flags map[string]string
@@ -64,6 +65,9 @@ func TestValidateNamesIgnoredFlags(t *testing.T) {
 		{map[string]string{"batch": "65"}, "-batch=65"},
 		{map[string]string{"batch": "0"}, "-batch=0"},
 		{map[string]string{"batch": "64"}, ""},
+		{map[string]string{"ring": "1000"}, "-ring=1000"},
+		{map[string]string{"ring": "0"}, "-ring=0"},
+		{map[string]string{"ring": "1"}, ""},
 		{map[string]string{"scenario": "crash", "crash-shards": "0"}, "-crash-shards=0"},
 		{map[string]string{"route": "range"}, "-route=range"},
 	} {

@@ -51,11 +51,14 @@ func run(single bool, seed int64) (history.Report, bool) {
 	}
 	completed, _ := m.InsertUntilCrash(90_000+uint64(seed%13)*21_001, workers, harness.FlatKey)
 
-	// A recovery that walked torn state answers with an error.
+	// A recovery or read-back that walked torn state answers with an error.
 	if _, err := m.Recover(nil, nil); err != nil {
 		return history.Report{Workers: workers}, true
 	}
-	keys, _ := m.ProbePrefix(completed, 32, harness.FlatKey, false)
+	keys, _, err := m.ProbePrefix(completed, 32, harness.FlatKey, false)
+	if err != nil {
+		return history.Report{Workers: workers}, true
+	}
 	rep := history.Check(keys[0], completed[0])
 	return rep, rep.PrefixViolations > 0
 }

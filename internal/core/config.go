@@ -105,13 +105,6 @@ type Config struct {
 // Ablations are the switches that disable individual design elements of the
 // paper for ablation studies. The zero value is the paper's design.
 type Ablations struct {
-	// NoFlushElision disables the substrate's FliT-style clean-line flush
-	// elision (nvm.Config.NoFlushElision applied to the engine's system),
-	// restoring the reference cost model where every flush request pays a
-	// full write-back. This subsumes the old completedTail-only §5.2 elision
-	// ablation: the substrate facility elides that flush and every other
-	// clean-line flush on the durable path.
-	NoFlushElision bool
 	// PerLineFlush replaces WBINVD checkpointing with flushing exactly the
 	// dirty lines of the active persistent replica — the write-tracking
 	// strategy a black-box PUC cannot actually implement; quantifies the

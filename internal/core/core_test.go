@@ -62,14 +62,14 @@ func (w *world) runWorkers(workers int, crashAt uint64, fn func(th *sim.Thread, 
 		sch.CrashAtEvent(crashAt)
 	}
 	w.sys.SetScheduler(sch)
-	persistent := w.p.Config().Mode.Persistent()
+	persistent := w.p.cfg.Mode.Persistent()
 	if persistent {
 		w.p.SpawnPersistence(0)
 	}
 	remaining := workers
 	for tid := 0; tid < workers; tid++ {
 		tid := tid
-		node := w.p.Config().Topology.NodeOf(tid)
+		node := w.p.cfg.Topology.NodeOf(tid)
 		sch.Spawn("worker", node, 0, func(th *sim.Thread) {
 			defer func() {
 				remaining--
@@ -173,8 +173,8 @@ func TestStackResponsesLinearizable(t *testing.T) {
 		popped[tid] = map[uint64]int{}
 		for i := uint64(0); i < pairs; i++ {
 			v := uint64(tid)*1000 + i + 1
-			w.p.Execute(th, tid, uc.Push(v))
-			res := w.p.Execute(th, tid, uc.Pop())
+			w.p.Execute(th, tid, uc.Op{Code: uc.OpPush, A0: v})
+			res := w.p.Execute(th, tid, uc.Op{Code: uc.OpPop})
 			if res == uc.NotFound {
 				emptyPops[tid]++
 			} else {
@@ -224,7 +224,7 @@ func TestLogWrapsManyTimes(t *testing.T) {
 		if got := w.p.Execute(th, 0, uc.Size()); got != workers*perWorker {
 			t.Errorf("size = %d, want %d", got, workers*perWorker)
 		}
-		if tail := w.p.Log().LogTail(th); tail != workers*perWorker {
+		if tail := w.p.log.LogTail(th); tail != workers*perWorker {
 			t.Errorf("logTail = %d, want %d (one entry per update)", tail, workers*perWorker)
 		}
 	})
@@ -470,7 +470,7 @@ func TestDoubleCrash(t *testing.T) {
 	}
 	recSch := sim.New(889)
 	recSys2 := res.recSys.Recover(recSch)
-	cfg2 := res.rec.Config()
+	cfg2 := res.rec.cfg
 	var rec2 *PREP
 	var err error
 	recSch.Spawn("recover2", 0, 0, func(th *sim.Thread) {
@@ -538,17 +538,19 @@ func TestSinglePReplicaUnsound(t *testing.T) {
 func TestAblationVariantsRun(t *testing.T) {
 	const workers, perWorker = 8, 40
 	for _, tc := range []struct {
-		name string
-		mut  func(*Config)
+		name    string
+		mut     func(*Config)
+		noElide bool // the ablation-flushelide cell's substrate switch
 	}{
-		{"NoBatching", func(c *Config) { c.NoBatching = true }},
-		{"PerLineFlush", func(c *Config) { c.PerLineFlush = true }},
-		{"NoFlushElision", func(c *Config) { c.NoFlushElision = true }},
+		{"NoBatching", func(c *Config) { c.NoBatching = true }, false},
+		{"PerLineFlush", func(c *Config) { c.PerLineFlush = true }, false},
+		{"NoFlushElision", func(*Config) {}, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := hashCfg(Durable, workers, 128, 32)
 			tc.mut(&cfg)
 			w := newWorld(t, cfg, nvm.Config{Costs: sim.UnitCosts()}, 61)
+			w.sys.SetFlushElision(!tc.noElide)
 			w.runWorkers(workers, 0, func(th *sim.Thread, tid int) {
 				for i := uint64(0); i < perWorker; i++ {
 					k := uint64(tid)*1000 + i

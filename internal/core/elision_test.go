@@ -18,7 +18,7 @@ func runStaggered(w *world, tids []int, starts []uint64, fn func(th *sim.Thread,
 	w.sys.SetScheduler(sch)
 	for i, tid := range tids {
 		tid := tid
-		node := w.p.Config().Topology.NodeOf(tid)
+		node := w.p.cfg.Topology.NodeOf(tid)
 		sch.Spawn("worker", node, starts[i], func(th *sim.Thread) { fn(th, tid) })
 	}
 	sch.Run()
@@ -71,8 +71,8 @@ func TestDurableBatchElisionExactCounts(t *testing.T) {
 		async, sync, elided, checks uint64
 	}, size uint64) {
 		cfg := hashCfg(Durable, 8, 256, 64)
-		cfg.NoFlushElision = noElide
 		w := newWorld(t, cfg, nvm.Config{Costs: sim.UnitCosts(), Seed: 22}, 6)
+		w.sys.SetFlushElision(!noElide)
 		base := w.p.Stats()
 		ops := func(tid int) []uc.Op {
 			out := make([]uc.Op, k)

@@ -114,10 +114,7 @@ type PREP struct {
 	waits []*waiter // by thread id (wait.go)
 }
 
-var (
-	_ uc.UC           = (*PREP)(nil)
-	_ uc.Instrumented = (*PREP)(nil)
-)
+var _ uc.UC = (*PREP)(nil)
 
 // lineage is generation 0 of the engine's lineage: Config.Instance namespaces
 // the regions and the commit record alike, so co-resident engines keep
@@ -145,12 +142,6 @@ func New(t *sim.Thread, sys *nvm.System, cfg Config) (*PREP, error) {
 func newEngine(t *sim.Thread, sys *nvm.System, cfg Config, lin uc.Lineage) (*PREP, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
-	}
-	if cfg.NoFlushElision {
-		// The ablation only ever disables elision: a system booted with
-		// elision off (nvm.Config.NoFlushElision) stays off regardless of the
-		// engine config, so a harness-wide reference run cannot be undone.
-		sys.SetFlushElision(false)
 	}
 	p := &PREP{
 		cfg:   cfg,
@@ -269,9 +260,6 @@ func (p *PREP) Prefill(t *sim.Thread, ops []uc.Op) {
 	}
 }
 
-// Config returns the configuration the engine was built with.
-func (p *PREP) Config() Config { return p.cfg }
-
 // DumpState returns replica 0's state as the flat (code, a0, a1) triples its
 // Dump emits. Tests compare dumps across recovery attempts for idempotence.
 func (p *PREP) DumpState(t *sim.Thread) []uint64 {
@@ -282,10 +270,7 @@ func (p *PREP) DumpState(t *sim.Thread) []uint64 {
 	return out
 }
 
-// Log exposes the shared log (tests and the harness use it).
-func (p *PREP) Log() *oplog.Log { return p.log }
-
-// Stats snapshots the machine-wide metrics registry (uc.Instrumented).
+// Stats snapshots the machine-wide metrics registry.
 func (p *PREP) Stats() metrics.Snapshot { return p.met.Snapshot() }
 
 // flushBoundary accessors.

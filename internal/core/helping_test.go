@@ -195,7 +195,7 @@ func TestDurableFlushesLogEntries(t *testing.T) {
 			w.p.Execute(th, tid, uc.Insert(uint64(tid)*1000 + i, i))
 		}
 	})
-	l := w.p.Log()
+	l := w.p.log
 	ct := l.PersistedCompletedTail()
 	if ct == 0 {
 		t.Fatal("completedTail never persisted")

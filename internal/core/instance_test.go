@@ -48,7 +48,7 @@ func TestMultiInstanceCoResident(t *testing.T) {
 	spawn := func(eng *PREP, completed []uint64, base uint64) {
 		for tid := 0; tid < workers; tid++ {
 			tid := tid
-			run.Spawn("w", eng.Config().Topology.NodeOf(tid), 0, func(th *sim.Thread) {
+			run.Spawn("w", eng.cfg.Topology.NodeOf(tid), 0, func(th *sim.Thread) {
 				for i := uint64(0); ; i++ {
 					k := base | uint64(tid)<<32 | i
 					eng.Execute(th, tid, uc.Insert(k, k))
@@ -204,7 +204,7 @@ func TestInstanceGenerationsIndependent(t *testing.T) {
 	var recA2, recB2 *PREP
 	var repA2, repB2 *RecoveryReport
 	recSch2.Spawn("recover2", 0, 0, func(th *sim.Thread) {
-		recA2, repA2, errA = Recover(th, recSys2, recA.Config())
+		recA2, repA2, errA = Recover(th, recSys2, recA.cfg)
 		recB2, repB2, errB = Recover(th, recSys2, cfgB)
 	})
 	recSch2.Run()

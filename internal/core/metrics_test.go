@@ -17,7 +17,7 @@ func runBare(w *world, workers int, fn func(th *sim.Thread, tid int)) {
 	w.sys.SetScheduler(sch)
 	for tid := 0; tid < workers; tid++ {
 		tid := tid
-		node := w.p.Config().Topology.NodeOf(tid)
+		node := w.p.cfg.Topology.NodeOf(tid)
 		sch.Spawn("worker", node, 0, func(th *sim.Thread) { fn(th, tid) })
 	}
 	sch.Run()

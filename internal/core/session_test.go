@@ -193,7 +193,7 @@ func TestExecuteBatchRejectsBadSlicesUpFront(t *testing.T) {
 				t.Fatalf("ExecuteBatch panicked with %#v, want %q", got, tc.wantPanic)
 			}
 			w.query(func(th *sim.Thread) {
-				if tail := w.p.Log().LogTail(th); tail != 0 {
+				if tail := w.p.log.LogTail(th); tail != 0 {
 					t.Errorf("logTail = %d after a refused batch, want 0", tail)
 				}
 				if got := w.p.Execute(th, 0, uc.Insert(7, 7)); got != 1 {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"prepuc/internal/nvm"
@@ -18,39 +19,39 @@ func TestSnapshotIndexInvariants(t *testing.T) {
 		}
 	})
 	w.query(func(th *sim.Thread) {
-		s := w.p.Snapshot(th)
+		logTail, completedTail := w.p.log.LogTail(th), w.p.log.CompletedTail(th)
 		total := uint64(workers * perWorker)
-		if s.LogTail != total {
-			t.Errorf("LogTail = %d, want %d", s.LogTail, total)
+		if logTail != total {
+			t.Errorf("LogTail = %d, want %d", logTail, total)
 		}
-		if s.CompletedTail > s.LogTail {
-			t.Errorf("CompletedTail %d > LogTail %d", s.CompletedTail, s.LogTail)
+		if completedTail > logTail {
+			t.Errorf("CompletedTail %d > LogTail %d", completedTail, logTail)
 		}
-		if s.CompletedTail != total {
-			t.Errorf("CompletedTail = %d after quiescence, want %d", s.CompletedTail, total)
+		if completedTail != total {
+			t.Errorf("CompletedTail = %d after quiescence, want %d", completedTail, total)
 		}
-		for i, lt := range s.LocalTails {
-			if lt > s.LogTail {
+		var tails []uint64
+		for i, r := range w.p.reps {
+			lt := r.localTail(th)
+			if lt > logTail {
 				t.Errorf("replica %d localTail %d > LogTail", i, lt)
 			}
+			tails = append(tails, lt)
 		}
-		for i, pt := range s.PTails {
-			if pt > s.CompletedTail {
-				t.Errorf("pReplica %d tail %d > CompletedTail %d", i, pt, s.CompletedTail)
+		for i := range w.p.preps {
+			pt := w.p.pTail(th, i)
+			if pt > completedTail {
+				t.Errorf("pReplica %d tail %d > CompletedTail %d", i, pt, completedTail)
 			}
+			tails = append(tails, pt)
 		}
-		if len(s.PTails) != 2 {
-			t.Errorf("PTails = %v, want 2 persistent replicas", s.PTails)
+		if len(w.p.preps) != 2 {
+			t.Errorf("%d persistent replicas, want 2", len(w.p.preps))
 		}
 		// logMin invariant: reusable horizon never admits unapplied entries.
-		lowest := s.LocalTails[0]
-		for _, lt := range append(append([]uint64{}, s.LocalTails...), s.PTails...) {
-			if lt < lowest {
-				lowest = lt
-			}
-		}
-		if s.LogMin > lowest+cfg.LogSize-1 {
-			t.Errorf("LogMin %d beyond lowest localTail %d + size − 1", s.LogMin, lowest)
+		lowest := slices.Min(tails)
+		if logMin := w.p.log.LogMin(th); logMin > lowest+cfg.LogSize-1 {
+			t.Errorf("LogMin %d beyond lowest localTail %d + size − 1", logMin, lowest)
 		}
 	})
 }
@@ -61,12 +62,11 @@ func TestSnapshotVolatileMode(t *testing.T) {
 		w.p.Execute(th, tid, uc.Insert(uint64(tid), 1))
 	})
 	w.query(func(th *sim.Thread) {
-		s := w.p.Snapshot(th)
-		if s.FlushBoundary != 0 || len(s.PTails) != 0 {
-			t.Errorf("volatile snapshot has persistence fields: %+v", s)
+		if fb := w.p.flushBoundary(th); fb != 0 || len(w.p.preps) != 0 {
+			t.Errorf("volatile engine has persistence state: flushBoundary=%d, %d persistent replicas", fb, len(w.p.preps))
 		}
-		if s.LogTail != 4 {
-			t.Errorf("LogTail = %d, want 4", s.LogTail)
+		if tail := w.p.log.LogTail(th); tail != 4 {
+			t.Errorf("LogTail = %d, want 4", tail)
 		}
 	})
 }

@@ -29,7 +29,6 @@ import (
 	"fmt"
 
 	"prepuc/internal/locks"
-	"prepuc/internal/metrics"
 	"prepuc/internal/nvm"
 	"prepuc/internal/pmem"
 	"prepuc/internal/sim"
@@ -91,13 +90,7 @@ type CX struct {
 	flush *nvm.Flusher
 }
 
-var (
-	_ uc.UC           = (*CX)(nil)
-	_ uc.Instrumented = (*CX)(nil)
-)
-
-// Stats snapshots the machine-wide metrics registry (uc.Instrumented).
-func (c *CX) Stats() metrics.Snapshot { return c.sys.Metrics().Snapshot() }
+var _ uc.UC = (*CX)(nil)
 
 // New builds a CX-PUC instance inside sys and commits its generation, so a
 // crash right after boot recovers the empty object.

@@ -9,9 +9,6 @@ import (
 	"prepuc/internal/uc"
 )
 
-// qTail loads the queue tail (number of enqueued updates).
-func (cx *CX) qTail(t *sim.Thread) uint64 { return cx.ctrl.Load(t, ctrlQTail) }
-
 // enqueue appends op to the global queue and returns its 1-based
 // linearization index.
 func (cx *CX) enqueue(t *sim.Thread, op uc.Op) uint64 {

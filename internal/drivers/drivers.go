@@ -237,10 +237,16 @@ func Recover(d *uc.Driver, frozen *nvm.System, nestedAt func(attempt int) uint64
 }
 
 // Probe runs fn on one thread of a throwaway scheduler installed on sys:
-// the state observation between phases. Its timeline is never reported.
-func Probe(sys *nvm.System, fn func(t *sim.Thread)) {
+// the state observation between phases. Its timeline is never reported. A
+// bug panic in fn — a construction's read walk over an image it cannot make
+// sense of — is returned as the error, as Boot and Recover return theirs.
+func Probe(sys *nvm.System, fn func(t *sim.Thread)) (err error) {
 	sch := sim.New(0)
 	sys.SetScheduler(sch)
-	sch.Spawn("probe", 0, 0, fn)
+	sch.Spawn("probe", 0, 0, func(t *sim.Thread) {
+		defer sim.PanicToErr("probe", &err)
+		fn(t)
+	})
 	sch.Run()
+	return err
 }

@@ -44,8 +44,6 @@ import (
 // media. Policies may be stateful across crashes (Targeted is); a policy
 // value must only be attached to one machine's crash lineage.
 type Policy interface {
-	// Name identifies the policy in CLI flags and JSON output.
-	Name() string
 	// BeginCrash is called once per crash with the number of pending lines,
 	// before any PersistPending query for that crash.
 	BeginCrash(pending int)
@@ -59,7 +57,6 @@ type persistAll struct{}
 // PersistAll returns the policy under which every pending line persists.
 func PersistAll() Policy { return persistAll{} }
 
-func (persistAll) Name() string            { return "persistall" }
 func (persistAll) BeginCrash(int)          {}
 func (persistAll) PersistPending(int) bool { return true }
 
@@ -68,7 +65,6 @@ type dropAll struct{}
 // DropAll returns the policy under which no pending line persists.
 func DropAll() Policy { return dropAll{} }
 
-func (dropAll) Name() string            { return "dropall" }
 func (dropAll) BeginCrash(int)          {}
 func (dropAll) PersistPending(int) bool { return false }
 
@@ -89,7 +85,6 @@ func CoinFlip(p float64, seed uint64) Policy {
 	return &coinFlip{p: p, state: seed}
 }
 
-func (c *coinFlip) Name() string   { return fmt.Sprintf("coinflip=%g", c.p) }
 func (c *coinFlip) BeginCrash(int) {}
 func (c *coinFlip) PersistPending(int) bool {
 	x := c.state
@@ -119,8 +114,6 @@ func Targeted(first int) Policy {
 	return &targeted{crashes: first, drop: -1}
 }
 
-func (p *targeted) Name() string { return "targeted" }
-
 func (p *targeted) BeginCrash(pending int) {
 	if pending == 0 {
 		p.drop = -1
@@ -146,8 +139,6 @@ type subset struct{ mask uint64 }
 // Stateless, so one value may be shared across machines; crashes with more
 // than 64 pending lines panic rather than silently truncate the enumeration.
 func Subset(mask uint64) Policy { return subset{mask: mask} }
-
-func (s subset) Name() string { return fmt.Sprintf("subset=%#x", s.mask) }
 
 func (s subset) BeginCrash(pending int) {
 	if pending > subsetMax {

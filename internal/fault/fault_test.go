@@ -1,6 +1,9 @@
 package fault
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 func decisions(p Policy, pending int) []bool {
 	p.BeginCrash(pending)
@@ -81,14 +84,14 @@ func TestTargetedSweepsDropIndex(t *testing.T) {
 func TestParse(t *testing.T) {
 	cases := []struct {
 		spec string
-		name string
+		want Policy
 	}{
-		{"dropall", "dropall"},
-		{"persistall", "persistall"},
-		{"coinflip", "coinflip=0.5"},
-		{"coinflip=0.25", "coinflip=0.25"},
-		{"targeted", "targeted"},
-		{"targeted=3", "targeted"},
+		{"dropall", DropAll()},
+		{"persistall", PersistAll()},
+		{"coinflip", CoinFlip(0.5, 1)},
+		{"coinflip=0.25", CoinFlip(0.25, 1)},
+		{"targeted", Targeted(0)},
+		{"targeted=3", Targeted(3)},
 	}
 	for _, tc := range cases {
 		p, err := Parse(tc.spec, 1)
@@ -96,8 +99,8 @@ func TestParse(t *testing.T) {
 			t.Errorf("Parse(%q): %v", tc.spec, err)
 			continue
 		}
-		if p.Name() != tc.name {
-			t.Errorf("Parse(%q).Name() = %q, want %q", tc.spec, p.Name(), tc.name)
+		if !reflect.DeepEqual(p, tc.want) {
+			t.Errorf("Parse(%q) = %#v, want %#v", tc.spec, p, tc.want)
 		}
 	}
 	if p, err := Parse("", 1); p != nil || err != nil {
@@ -188,9 +191,6 @@ func TestSubsetPolicy(t *testing.T) {
 			}
 		}
 	}
-	if got := Subset(0).Name(); got != "subset=0x0" {
-		t.Errorf("Name() = %q", got)
-	}
 	defer func() {
 		if recover() == nil {
 			t.Error("BeginCrash(65) did not panic")
@@ -208,7 +208,7 @@ func TestParseSubset(t *testing.T) {
 	if got := decisions(p, 3); !got[0] || got[1] || !got[2] {
 		t.Errorf("subset=0x5 decisions = %v", got)
 	}
-	if p, err := Parse("subset=9", 1); err != nil || p.Name() != "subset=0x9" {
+	if p, err := Parse("subset=9", 1); err != nil || p != Subset(9) {
 		t.Errorf("Parse(subset=9) = %v, %v", p, err)
 	}
 	for _, bad := range []string{"subset", "subset=", "subset=zz", "subset=-1"} {

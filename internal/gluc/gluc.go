@@ -7,7 +7,6 @@ package gluc
 
 import (
 	"prepuc/internal/locks"
-	"prepuc/internal/metrics"
 	"prepuc/internal/nvm"
 	"prepuc/internal/pmem"
 	"prepuc/internal/sim"
@@ -38,10 +37,7 @@ type GL struct {
 	readersShare bool
 }
 
-var (
-	_ uc.UC           = (*GL)(nil)
-	_ uc.Instrumented = (*GL)(nil)
-)
+var _ uc.UC = (*GL)(nil)
 
 // New builds the construction inside sys.
 func New(t *sim.Thread, sys *nvm.System, cfg Config) *GL {
@@ -58,9 +54,6 @@ func New(t *sim.Thread, sys *nvm.System, cfg Config) *GL {
 		readersShare: cfg.ReadersShare,
 	}
 }
-
-// Stats snapshots the machine-wide metrics registry (uc.Instrumented).
-func (g *GL) Stats() metrics.Snapshot { return g.sys.Metrics().Snapshot() }
 
 // Execute runs one operation under the global lock.
 func (g *GL) Execute(t *sim.Thread, tid int, op uc.Op) uint64 {

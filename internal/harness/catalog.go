@@ -5,7 +5,9 @@ import (
 	"sort"
 
 	"prepuc/internal/core"
+	"prepuc/internal/nvm"
 	"prepuc/internal/seq"
+	"prepuc/internal/sim"
 	"prepuc/internal/uc"
 	"prepuc/internal/workload"
 )
@@ -198,13 +200,18 @@ func Catalog(sc Scale) map[string]Figure {
 		ExpectedShape: "ONLL's flush-free reads are competitive at 90% reads, but its serialized updates and per-op logging cap scaling below PREP; its recovery replays the whole history (see ext-recovery)",
 	}
 
+	// Flush elision is a substrate switch, not an engine one: the
+	// always-flush cell turns it off on its machine before the engine boots.
+	durable := PREPBuilder(core.Durable, sc.EpsLarge, hashmap, setHeap)
 	figs["ablation-flushelide"] = Figure{
 		ID: "ablation-flushelide", Title: "FliT-style flush elision (PREP-Durable)",
 		Workload: workload.SetSpec(50, sc.KeyRange),
 		Algos: []AlgoSpec{
-			{"elide", PREPBuilder(core.Durable, sc.EpsLarge, hashmap, setHeap)},
-			{"always-flush", PREPAblationBuilder(core.Durable, sc.EpsLarge, hashmap, setHeap,
-				func(c *core.Config) { c.NoFlushElision = true })},
+			{"elide", durable},
+			{"always-flush", func(t *sim.Thread, sys *nvm.System, sc Scale, workers int) (System, error) {
+				sys.SetFlushElision(false)
+				return durable(t, sys, sc, workers)
+			}},
 		},
 		ExpectedShape: "elision matches or beats always-flush; flush_async drops, flushes_elided accounts for the delta",
 	}

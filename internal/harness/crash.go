@@ -3,20 +3,19 @@ package harness
 // crash.go is cmd/crashtest minus flags and I/O: the prepuc-crash document,
 // the crash cycle it records — boot K co-resident instances on one machine →
 // drive workers into a full-system crash → recover in waves until an attempt
-// completes → probe → verdict — its linearize and sweep variants, and the
-// bisect/repro reporting of a failed cycle. The flat cycle is the K=1,
-// one-wave case of the co-resident one: untagged keys, the un-shrunk sizing,
-// no isolation scan, no sharded block. A cycle's base — CrashConfig.Seed, the
-// iteration index and the target's offset — seeds its substrate RNG, fault
-// policy and workload generators (DESIGN.md §15, "Which seeds exist"); its
-// schedulers draw nothing. Nothing here reads a flag.
+// completes → probe → verdict — its linearize variant, and the bisect/repro
+// reporting of a failed cycle. The flat cycle is the K=1, one-wave case of
+// the co-resident one: untagged keys, the un-shrunk sizing, no isolation
+// scan, no sharded block. A cycle's base — CrashConfig.Seed, the iteration
+// index and the target's offset — seeds its substrate RNG, fault policy and
+// workload generators (DESIGN.md §15, "Which seeds exist"); its schedulers
+// draw nothing. Nothing here reads a flag.
 
 import (
 	"bytes"
 	"fmt"
 	"io"
 	"strings"
-	"time"
 
 	"prepuc/internal/drivers"
 	"prepuc/internal/fault"
@@ -37,23 +36,20 @@ const CrashSchema = "prepuc-crash/v3"
 // CrashConfig is one crashtest run: cmd/crashtest's flags, one for one (the
 // field comments name them).
 type CrashConfig struct {
-	Iterations  int    // -iterations
-	Workers     int    // -workers
-	Epsilon     uint64 // -epsilon
-	LogSize     uint64 // -log
-	Seed        int64  // -seed
-	Policy      string // -policy
-	Nested      int    // -nested
-	CrashAt     uint64 // -crash-at
-	NestedAt    uint64 // -nested-at
-	Bisect      bool   // -bisect
-	Check       string // -check: "prefix" or "linearize"
-	Epochs      int    // -epochs
-	Jobs        int    // -j
-	Sweep       int    // -sweep
-	SweepStride uint64 // -sweep-stride
-	FlushElide  bool   // -flush-elide
-	Instances   int    // -instances
+	Iterations int    // -iterations
+	Workers    int    // -workers
+	Epsilon    uint64 // -epsilon
+	LogSize    uint64 // -log
+	Seed       int64  // -seed
+	Policy     string // -policy
+	Nested     int    // -nested
+	CrashAt    uint64 // -crash-at
+	NestedAt   uint64 // -nested-at
+	Bisect     bool   // -bisect
+	Check      string // -check: "prefix" or "linearize"
+	Epochs     int    // -epochs
+	Jobs       int    // -j
+	Instances  int    // -instances
 }
 
 // CrashTarget is one system under test: its registry entry plus crashtest's
@@ -195,38 +191,10 @@ type CrashCycle struct {
 	Sharded           *ShardedBlock    `json:"sharded,omitempty"`
 }
 
-// SweepTiming is what the sweep cost on the host: wall-clock plus the COW
-// substrate's work counters (clones taken, pages privatized on write).
-type SweepTiming struct {
-	WallMS      float64 `json:"wall_ms"`
-	Clones      uint64  `json:"clones"`
-	PagesCopied uint64  `json:"pages_copied"`
-}
-
-// SweepBlock is one system's nested-recovery sweep record (additive to
-// schema v2; present only with -sweep > 0).
-type SweepBlock struct {
-	// Points is the number of swept nested crash points, Stride the event
-	// distance between them, RecoveryEvents the unperturbed recovery's event
-	// count (the sweep ceiling, measured on a clone).
-	Points         int    `json:"points"`
-	Stride         uint64 `json:"stride"`
-	RecoveryEvents uint64 `json:"recovery_events"`
-	// NestedCrashes counts the points whose armed crash actually landed
-	// inside recovery; Failures the points whose final recovered state
-	// violated the system's correctness condition.
-	NestedCrashes int         `json:"nested_crashes"`
-	Failures      int         `json:"failures"`
-	Timing        SweepTiming `json:"timing"`
-}
-
-// CrashSystemDoc groups one system's cycles, plus its nested-recovery sweep
-// record when -sweep is on (additive; absent by default so the document is
-// unchanged for existing consumers).
+// CrashSystemDoc groups one system's cycles.
 type CrashSystemDoc struct {
 	System string       `json:"system"`
 	Cycles []CrashCycle `json:"cycles"`
-	Sweep  *SweepBlock  `json:"sweep,omitempty"`
 }
 
 // CrashDoc is the whole run.
@@ -278,10 +246,6 @@ func BuildCrashDoc(progress io.Writer, c CrashConfig, tgs []CrashTarget) (CrashD
 			cycles[i] = c.runIteration(&buf, tg, i, c.crashEvent(i))
 			seqOut.Done(i, func() { progress.Write(buf.Bytes()) })
 		})
-		if c.Sweep > 0 {
-			sd.Sweep = c.runSweep(progress, tg)
-			failures += sd.Sweep.Failures
-		}
 		for _, cyc := range cycles {
 			if !cyc.OK {
 				failures++
@@ -341,7 +305,7 @@ func (c *CrashConfig) runIteration(buf *bytes.Buffer, tg CrashTarget, i int, cra
 		// that died before the crash point — fails the same at every one.
 		at = c.bisectCrash(buf, tg, i, crashAt)
 	}
-	c.reproLine(buf, tg, i, 1, fmt.Sprintf("-crash-at=%d", at))
+	c.reproLine(buf, tg, i, at)
 	return cyc
 }
 
@@ -433,7 +397,6 @@ func (cyc *CrashCycle) recoveryLine() string {
 func (c *CrashConfig) boot(base int64, iter int, ds ...*uc.Driver) (*Machine, error) {
 	m, err := BootMachine(c.topo(), nvm.Config{
 		Costs: sim.UnitCosts(), BGFlushOneIn: 128, Seed: uint64(base) + 7,
-		NoFlushElision: !c.FlushElide,
 	}, ds...)
 	pol, perr := fault.Parse(c.iterPolicySpec(iter), uint64(base)+11)
 	if perr != nil {
@@ -513,8 +476,12 @@ func (c *CrashConfig) prefixCycle(tg CrashTarget, iter int, crashAt uint64) (Cra
 		}
 		cyc.addRecovery(rec)
 	}
+	var keys [][][]bool
+	var foreign []uint64
 	if err == nil {
-		keys, foreign := m.ProbePrefix(completed, 32, key, K > 1)
+		keys, foreign, err = m.ProbePrefix(completed, 32, key, K > 1)
+	}
+	if err == nil {
 		cyc.OK = true
 		for k := range ds {
 			reps[k] = history.Check(keys[k], completed[k])
@@ -583,13 +550,18 @@ func (c *CrashConfig) linearizeCycle(tg CrashTarget, iter int, crashAt uint64) (
 
 		rec, err := m.Recover(c.nestedArm(iter), nil)
 		cyc.addRecovery(rec)
+		var recovered map[uint64]uint64
 		if err != nil {
-			failure = fmt.Errorf("recover: %w", err)
+			err = fmt.Errorf("recover: %w", err)
+		} else {
+			recovered, err = probeServeState(m.Sys, m.Engines[0], linKeyRange)
+		}
+		if err != nil {
+			failure = err
 			cb.OK, cb.FailedEpoch, cb.Reason = false, epoch, failure.Error()
 			break
 		}
 
-		recovered := probeServeState(m.Sys, m.Engines[0], linKeyRange)
 		res := linearize.CheckEpoch(model, init, hist.Ops(), recovered, opt)
 		cb.Ops += res.Ops
 		cb.Partitions += res.Partitions
@@ -606,26 +578,23 @@ func (c *CrashConfig) linearizeCycle(tg CrashTarget, iter int, crashAt uint64) (
 }
 
 // reproLine prints the command that re-runs exactly iteration iter's
-// machine: run as iteration 0 with the adjusted -seed it reproduces the
-// iteration's seed stream, and pins fix what the iteration index chose
-// (-crash-at for a cycle, the sweep geometry for a sweep).
-func (c *CrashConfig) reproLine(w io.Writer, tg CrashTarget, iter, iterations int, pins ...string) {
+// machine crashed at crashAt: run as the only iteration with the adjusted
+// -seed it reproduces the iteration's seed stream, and -crash-at pins what
+// the iteration index chose.
+func (c *CrashConfig) reproLine(w io.Writer, tg CrashTarget, iter int, crashAt uint64) {
 	args := []string{fmt.Sprintf("-system=%s", tg.Flag)}
 	if c.Instances > 1 {
 		args = append(args, fmt.Sprintf("-instances=%d", c.Instances))
 	}
 	args = append(args,
-		fmt.Sprintf("-iterations=%d", iterations),
+		"-iterations=1",
 		fmt.Sprintf("-workers=%d", c.Workers),
 		fmt.Sprintf("-epsilon=%d", c.Epsilon),
 		fmt.Sprintf("-log=%d", c.LogSize),
-		fmt.Sprintf("-seed=%d", c.Seed+int64(iter)*101))
-	args = append(args, pins...)
+		fmt.Sprintf("-seed=%d", c.Seed+int64(iter)*101),
+		fmt.Sprintf("-crash-at=%d", crashAt))
 	if c.Check != "prefix" {
 		args = append(args, fmt.Sprintf("-check=%s", c.Check), fmt.Sprintf("-epochs=%d", c.Epochs))
-	}
-	if !c.FlushElide {
-		args = append(args, "-flush-elide=false")
 	}
 	if c.Policy != "" {
 		args = append(args, fmt.Sprintf("-policy=%s", c.iterPolicySpec(iter)))
@@ -662,101 +631,4 @@ func (c *CrashConfig) bisectCrash(w io.Writer, tg CrashTarget, iter int, failAt 
 	}
 	fmt.Fprintf(w, "       bisect: crash point shrunk %d -> %d\n", failAt, hi)
 	return hi
-}
-
-// recoverClone runs d.Recover on a copy-on-write clone of the materialized
-// crashed machine, with a crash armed inside the recovery at event at (0:
-// none). It returns the clone, its scheduler (Frozen when the armed crash
-// landed) and the rebuilt engine.
-func recoverClone(d *uc.Driver, crashed *nvm.System, at uint64) (*nvm.System, *sim.Scheduler, uc.UC, error) {
-	sch := sim.New(0)
-	clone := crashed.Clone(sch)
-	sch.CrashAtEvent(at)
-	var eng uc.UC
-	var err error
-	sch.Spawn("recover", 0, 0, func(t *sim.Thread) { eng, _, err = d.Recover(t, clone) })
-	sch.Run()
-	return clone, sch, eng, err
-}
-
-// runSweep executes one system's nested-recovery crash sweep: a stride sweep
-// of nested crash points INSIDE one recovery, materialized with COW clones
-// instead of re-running the workload per point. One machine boots, runs the
-// insert workload to a crash, and is materialized once; every swept point
-// then clones that base (O(pages touched)), arms a crash at k*stride recovery
-// events, recovers through the nested crash and checks the final state. It
-// runs serially — one driver recovers every clone in turn — so point k's
-// verdict and the fault policy's decision stream are functions of the seed
-// alone, and everything in the block except wall_ms (host time, which is why
-// the mode is off by default and absent from the golden documents) is
-// deterministic. A boot or recovery that answers with an error fails the
-// sweep (or the point) and is reported with the sweep's repro.
-func (c *CrashConfig) runSweep(progress io.Writer, tg CrashTarget) *SweepBlock {
-	start := time.Now()
-	d := tg.New(c.sizing(0, 1))
-	base := c.Seed + 909 + tg.offset
-	sb := &SweepBlock{Points: c.Sweep, Stride: c.SweepStride}
-	fail := func(what string, err error) {
-		sb.Failures++
-		fmt.Fprintf(progress, "  sweep: %s: %v\n", what, err)
-		pins := []string{fmt.Sprintf("-sweep=%d", sb.Points), fmt.Sprintf("-sweep-stride=%d", sb.Stride)}
-		if c.CrashAt != 0 {
-			pins = append(pins, fmt.Sprintf("-crash-at=%d", c.CrashAt))
-		}
-		c.reproLine(progress, tg, 0, 0, pins...)
-	}
-
-	m, err := c.boot(base, 0, d)
-	if err != nil {
-		fail("base machine", err)
-		return sb
-	}
-	completed, _ := m.InsertUntilCrash(c.crashEvent(0), c.Workers, FlatKey)
-
-	// Materialize the crashed machine once; it is the shared base every
-	// swept point clones. Snapshot its substrate counters so the sweep
-	// reports only its own clone/copy work.
-	crashed := m.Sys.Recover(sim.New(0))
-	before := crashed.Metrics().Snapshot()
-
-	// Ceiling probe: recover a clone to completion with no crash armed to
-	// learn how many events an undisturbed recovery takes.
-	probe, probeSch, _, err := recoverClone(d, crashed, 0)
-	if err != nil {
-		fail("ceiling probe: recover", err)
-		return sb
-	}
-	sb.RecoveryEvents = probeSch.Events()
-	if sb.Stride == 0 {
-		sb.Stride = max(sb.RecoveryEvents/uint64(c.Sweep+1), 1)
-	}
-	var pagesCopied uint64
-	for k := 1; k <= c.Sweep; k++ {
-		at := sb.Stride * uint64(k)
-		cur, trialSch, eng, terr := recoverClone(d, crashed, at)
-		trial := &Machine{Topology: m.Topology, Drivers: m.Drivers, Sys: cur, Engines: []uc.UC{eng}}
-		if trialSch.Frozen() {
-			// The armed crash landed inside recovery: materialize it and
-			// recover the re-crashed machine to completion.
-			sb.NestedCrashes++
-			_, terr = trial.Recover(nil, nil)
-		}
-		if terr != nil {
-			fail(fmt.Sprintf("point %d @%d: recover", k, at), terr)
-		} else if keys, _ := trial.ProbePrefix(completed, 32, FlatKey, false); !trial.PrefixOK(0, history.Check(keys[0], completed[0])) {
-			sb.Failures++
-		}
-		pagesCopied += trial.Sys.Metrics().Snapshot().PagesCopied - before.PagesCopied
-	}
-
-	after := crashed.Metrics().Snapshot()
-	sb.Timing = SweepTiming{
-		WallMS:      float64(time.Since(start).Microseconds()) / 1e3,
-		Clones:      after.Clones - before.Clones,
-		PagesCopied: pagesCopied + probe.Metrics().Snapshot().PagesCopied - before.PagesCopied,
-	}
-	fmt.Fprintf(progress, "  sweep: %d points stride=%d ceiling=%d nested=%d failures=%d clones=%d pages_copied=%d wall=%.1fms\n",
-		sb.Points, sb.Stride, sb.RecoveryEvents, sb.NestedCrashes, sb.Failures,
-		sb.Timing.Clones, sb.Timing.PagesCopied, sb.Timing.WallMS)
-	return sb
 }

@@ -52,7 +52,7 @@ func TestExploreSubsumesStrideSweep(t *testing.T) {
 
 	for fp := range sweepSet {
 		if !leafSet[fp] {
-			t.Errorf("sweep fingerprint %s not among the explorer's %d leaf states:"+
+			t.Errorf("stride-sweep fingerprint %s not among the explorer's %d leaf states:"+
 				" crash-class pruning or a persist-effect hook is unsound", fp, len(leafSet))
 		}
 	}
@@ -60,6 +60,6 @@ func TestExploreSubsumesStrideSweep(t *testing.T) {
 		t.Errorf("subset not strict: sweep %d states vs explorer %d — "+
 			"the explorer is not branching beyond the sweep", len(sweepSet), len(leafSet))
 	}
-	t.Logf("sweep: %d points, %d distinct states; explorer: %d distinct states",
+	t.Logf("stride sweep: %d points, %d distinct states; explorer: %d distinct states",
 		len(fps), len(sweepSet), len(leafSet))
 }

@@ -22,9 +22,9 @@ import (
 )
 
 // System is what the harness drives: any universal construction (uc.UC)
-// that additionally supports a direct prefill before measurement. Every
-// construction in this repository also implements uc.Instrumented, which the
-// harness uses to attach a metrics snapshot to each measured point.
+// that additionally supports a direct prefill before measurement. Each
+// measured point carries the counter deltas of its cell's machine
+// (nvm.System.Metrics).
 type System interface {
 	uc.UC
 	Prefill(t *sim.Thread, ops []uc.Op)
@@ -142,7 +142,7 @@ func bootCell(sc Scale, algo AlgoSpec, threads int, seed int64, prefill []uc.Op)
 	}
 	var err error
 	c.sys, _, err = drivers.Boot(d,
-		nvm.Config{Costs: sc.Costs, Seed: uint64(seed) + 1, NoFlushElision: sc.NoFlushElision},
+		nvm.Config{Costs: sc.Costs, Seed: uint64(seed) + 1},
 		func(t *sim.Thread, _ *nvm.System, _ uc.UC) error {
 			c.impl.Prefill(t, prefill)
 			return nil

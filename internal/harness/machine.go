@@ -4,10 +4,10 @@ package harness
 // on one nvm.System, taken through the four lifecycle phases of
 // internal/drivers — boot, workload (into a crash), recover, probe. Every
 // crash cycle in the repository is a sequence of these methods: crashtest's
-// cycles and sweep (crash.go), the recovery-time experiment (recovery.go),
-// the sweep benchmark and the integration crash tests. The machine draws no
-// random number: what randomness a cycle has is in its nvm.Config (substrate
-// seed, fault policy) and its workload bodies.
+// cycles (crash.go), the recovery-time experiment (recovery.go) and the
+// integration crash tests. The machine draws no random number: what
+// randomness a cycle has is in its nvm.Config (substrate seed, fault policy)
+// and its workload bodies.
 
 import (
 	"fmt"
@@ -144,10 +144,12 @@ func (m *Machine) Recover(nestedAt func(attempt int) uint64, first []int) (Recov
 	out.Replayed[lead] = rec.Info.Replayed
 	out.VirtualNS = rec.VirtualNS + rest
 	if err == nil && slices.Contains(early, false) {
-		drivers.Probe(m.Sys, func(t *sim.Thread) {
+		if perr := drivers.Probe(m.Sys, func(t *sim.Thread) {
 			rest, err = wave(t, m.Sys, 0, true)
 			out.VirtualNS += rest
-		})
+		}); err == nil {
+			err = perr
+		}
 	}
 	if err != nil && K > 1 {
 		err = fmt.Errorf("instance %d: %w", failed, err)
@@ -159,9 +161,10 @@ func (m *Machine) Recover(nestedAt func(attempt int) uint64, first []int) (Recov
 // first completed+extra keys the engines hold. With scan it also asks each
 // instance its Size and returns how many keys it holds beyond the survivors
 // of its own sequences — keys another instance's recovery leaked into it.
-func (m *Machine) ProbePrefix(completed [][]uint64, extra uint64, key KeyFunc, scan bool) (keys [][][]bool, foreign []uint64) {
+// The error is a read walk's panic (drivers.Probe).
+func (m *Machine) ProbePrefix(completed [][]uint64, extra uint64, key KeyFunc, scan bool) (keys [][][]bool, foreign []uint64, err error) {
 	keys, foreign = make([][][]bool, len(completed)), make([]uint64, len(completed))
-	drivers.Probe(m.Sys, func(t *sim.Thread) {
+	err = drivers.Probe(m.Sys, func(t *sim.Thread) {
 		for k, eng := range m.Engines {
 			keys[k] = make([][]bool, len(completed[k]))
 			own := uint64(0)
@@ -179,7 +182,7 @@ func (m *Machine) ProbePrefix(completed [][]uint64, extra uint64, key KeyFunc, s
 			}
 		}
 	})
-	return keys, foreign
+	return keys, foreign, err
 }
 
 // PrefixOK applies instance k's correctness condition to a prefix report:

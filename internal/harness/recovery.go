@@ -86,7 +86,7 @@ func RunRecoveryExperiment(sc Scale, seed int64, jobs int, w io.Writer) ([]Recov
 // substrate's: the three phases draw nothing else.
 func recoveryPoint(sc Scale, d *uc.Driver, sz uc.Sizing, param string, updates uint64, seed int64) (RecoveryPoint, error) {
 	m, err := BootMachine(sz.Topology,
-		nvm.Config{Costs: sc.Costs, Seed: uint64(seed), NoFlushElision: sc.NoFlushElision}, d)
+		nvm.Config{Costs: sc.Costs, Seed: uint64(seed)}, d)
 	if err != nil {
 		return RecoveryPoint{}, fmt.Errorf("harness: recovery: %s %s: build: %w", d.Name, param, err)
 	}

@@ -46,10 +46,6 @@ type Scale struct {
 	CXQueueCap uint64
 	// ONLLLogEntries sizes ONLL's per-thread persistent logs for the run.
 	ONLLLogEntries uint64
-	// NoFlushElision disables the substrate's FliT-style clean-line flush
-	// elision for every cell of the run (reference cost model; see
-	// nvm.Config.NoFlushElision). The zero value keeps elision on.
-	NoFlushElision bool
 }
 
 // SmallScale is the default: every structural feature of the evaluation at

@@ -337,13 +337,11 @@ func checkBatch(batched bool, maxBatch int) error {
 func ringOf(a *openloop.Arrival, shards int) int { return int(a.Client) % shards }
 
 // serveRun exposes one machine's post-run internals to the sharded harness:
-// the final system and engine (post-recovery on crash runs) for state
-// probing, the measurement tally for histogram/endpoint merging, and the
-// ring-partitioned arrival schedule for zipping completion records back to
-// operations.
+// the probed final state (Check runs only), the measurement tally for
+// histogram/endpoint merging, and the ring-partitioned arrival schedule for
+// zipping completion records back to operations.
 type serveRun struct {
-	sys      *nvm.System
-	eng      uc.UC
+	final    map[uint64]uint64
 	ta       *tally
 	perShard [][]openloop.Arrival
 }
@@ -415,16 +413,28 @@ func runServeArrivals(d *ServeDriver, cfg ServeConfig, perShard [][]openloop.Arr
 	}
 	sch.Run()
 
+	// probe reads a machine's state for the linearize check.
+	probe := func(sys *nvm.System, eng uc.UC) (map[uint64]uint64, error) {
+		state, err := probeServeState(sys, eng, cfg.Open.Keys)
+		if err != nil {
+			err = fmt.Errorf("serve: probe %s: %w", d.Name, err)
+		}
+		return state, err
+	}
 	res := &ServeResult{System: d.Name}
+	run := &serveRun{ta: ta, perShard: perShard}
 	if cfg.CrashAtNS == 0 || !sch.Frozen() {
 		if cfg.CrashAtNS > 0 {
 			return nil, nil, fmt.Errorf("serve: %s: crash at %d ns never fired (load drained first)", d.Name, cfg.CrashAtNS)
 		}
 		finish(res, cfg.Shards, s, nil, sys, ta, 0)
 		if cfg.Check {
-			res.Check = steadyCheck(d, cfg, sys, engA, perShard, ta)
+			if run.final, err = probe(sys, engA); err != nil {
+				return nil, nil, err
+			}
+			res.Check = steadyCheck(perShard, ta, run.final)
 		}
-		return res, &serveRun{sys: sys, eng: engA, ta: ta, perShard: perShard}, nil
+		return res, run, nil
 	}
 
 	// Crash cut: read the generation-0 tallies. Completion order equals
@@ -511,7 +521,9 @@ func runServeArrivals(d *ServeDriver, cfg ServeConfig, perShard [][]openloop.Arr
 	// it: probe it key by key on a throwaway timeline.
 	var recState map[uint64]uint64
 	if cfg.Check {
-		recState = probeServeState(cur, engB, cfg.Open.Keys)
+		if recState, err = probe(cur, engB); err != nil {
+			return nil, nil, err
+		}
 	}
 
 	// Phase B: resume the load on the recovered machine. Every thread starts
@@ -537,9 +549,12 @@ func runServeArrivals(d *ServeDriver, cfg ServeConfig, perShard [][]openloop.Arr
 	finish(res, cfg.Shards, s, s2, cur, ta, crash.ResolvedCompleted)
 	res.Crash = crash
 	if cfg.Check {
-		res.Check = crashCheck(d, cfg, cur, engB, perShard, phaseB, resume, submitted, drained, info, recState, ta)
+		if run.final, err = probe(cur, engB); err != nil {
+			return nil, nil, err
+		}
+		res.Check = crashCheck(d, cfg, perShard, phaseB, resume, submitted, drained, info, recState, run.final, ta)
 	}
-	return res, &serveRun{sys: cur, eng: engB, ta: ta, perShard: perShard}, nil
+	return res, run, nil
 }
 
 // duplicatesIn audits a resume plan: of the window operations it resubmits
@@ -658,17 +673,18 @@ func (res *ServeResult) summarize(hist *openloop.Histogram, endNS uint64, ms met
 
 // probeServeState reads the hashmap's live state through one Get per key on
 // a throwaway timeline — the serve harness's recovered/final state
-// observation for the linearize check.
-func probeServeState(sys *nvm.System, eng uc.UC, keys uint64) map[uint64]uint64 {
+// observation for the linearize check. The error is a read walk's panic
+// (drivers.Probe).
+func probeServeState(sys *nvm.System, eng uc.UC, keys uint64) (map[uint64]uint64, error) {
 	state := map[uint64]uint64{}
-	drivers.Probe(sys, func(t *sim.Thread) {
+	err := drivers.Probe(sys, func(t *sim.Thread) {
 		for k := uint64(0); k < keys; k++ {
 			if v := eng.Execute(t, 0, uc.Get(k)); v != uc.NotFound {
 				state[k] = v
 			}
 		}
 	})
-	return state
+	return state, err
 }
 
 // serveOptions is the crash-cut epoch's correctness condition: buffered
@@ -714,14 +730,12 @@ func applyCheck(cb *CheckStats, epoch int, r linearize.Result) {
 // steadyCheck verifies a crash-free run: one epoch of completed operations
 // against the engine's final probed state. The live probe sees every
 // completed effect, so the condition is strict even for buffered drivers.
-func steadyCheck(d *ServeDriver, cfg ServeConfig, sys *nvm.System, eng uc.UC,
-	perShard [][]openloop.Arrival, ta *tally) *CheckStats {
+func steadyCheck(perShard [][]openloop.Arrival, ta *tally, final map[uint64]uint64) *CheckStats {
 	cb := &CheckStats{Mode: "linearize", OK: true, Epochs: 1, FailedEpoch: -1}
 	var ops []linearize.Op
 	for shard := range perShard {
 		ops = append(ops, completedOps(shard, perShard[shard], ta.recA[shard])...)
 	}
-	final := probeServeState(sys, eng, cfg.Open.Keys)
 	applyCheck(cb, 0, linearize.CheckEpoch(linearize.SetModel(), nil, ops, final, linearize.Options{}))
 	return cb
 }
@@ -738,9 +752,9 @@ func steadyCheck(d *ServeDriver, cfg ServeConfig, sys *nvm.System, eng uc.UC,
 // generation from that state to the final probe; a duplicate apply slipping
 // through the resume plan shows up there as an inexplicable response or
 // state.
-func crashCheck(d *ServeDriver, cfg ServeConfig, cur *nvm.System, eng uc.UC,
+func crashCheck(d *ServeDriver, cfg ServeConfig,
 	perShard, phaseB [][]openloop.Arrival, resume, submitted, drained []int,
-	info RecoverInfo, recState map[uint64]uint64, ta *tally) *CheckStats {
+	info RecoverInfo, recState, final map[uint64]uint64, ta *tally) *CheckStats {
 	cb := &CheckStats{Mode: "linearize", OK: true, Epochs: 2, FailedEpoch: -1}
 	var epoch1 []linearize.Op
 	for shard := range perShard {
@@ -774,7 +788,6 @@ func crashCheck(d *ServeDriver, cfg ServeConfig, cur *nvm.System, eng uc.UC,
 	for shard := range phaseB {
 		epoch2 = append(epoch2, completedOps(shard, phaseB[shard], ta.recB[shard])...)
 	}
-	final := probeServeState(cur, eng, cfg.Open.Keys)
 	init2 := make(map[uint64]uint64, len(recState))
 	for k, v := range recState {
 		init2[k] = v

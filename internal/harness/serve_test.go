@@ -176,3 +176,43 @@ func TestRunServeRecoveryPanicIsAnError(t *testing.T) {
 		t.Errorf("sharded: error %v, want shard 2's %q", err, want)
 	}
 }
+
+// TestRunServeProbePanicIsAnError: a construction whose read walk panics on
+// its recovered image fails a checked run with that error — as a panic
+// inside Recover does — instead of a stack trace out of Scheduler.Run, flat
+// or sharded.
+func TestRunServeProbePanicIsAnError(t *testing.T) {
+	panicky := func(per int) func() *ServeDriver {
+		return func() *ServeDriver {
+			d := *ServeDrivers(per, 64)[0]
+			rec := d.Recover
+			d.Recover = func(t *sim.Thread, sys *nvm.System) (uc.UC, uc.RecoverInfo, error) {
+				eng, info, err := rec(t, sys)
+				return tornReads{eng}, info, err
+			}
+			return &d
+		}
+	}
+	const want = "serve: probe PREP-Durable: probe panicked: walked a torn image"
+	cfg := serveTestConfig(200_000)
+	cfg.Check = true
+	if _, err := RunServe(panicky(2)(), cfg); err == nil || err.Error() != want {
+		t.Errorf("flat: error %v, want %q", err, want)
+	}
+	scfg := shardedTestConfig(4, 200_000, []int{2})
+	scfg.Check = true
+	_, err := RunShardedServe(panicky(1), scfg)
+	if err == nil || err.Error() != "sharded serve: shard 2: "+want {
+		t.Errorf("sharded: error %v, want shard 2's %q", err, want)
+	}
+}
+
+// tornReads is an engine whose reads walk an image they cannot make sense of.
+type tornReads struct{ uc.UC }
+
+func (e tornReads) Execute(t *sim.Thread, tid int, op uc.Op) uint64 {
+	if op.Code == uc.OpGet {
+		panic("walked a torn image")
+	}
+	return e.UC.Execute(t, tid, op)
+}

@@ -278,7 +278,7 @@ func shardedCheck(cfg ShardedServeConfig, router *shard.Router, per int,
 				sh.Ops = append(sh.Ops, linearize.Op{Client: i, Code: a.Op.Code, A0: a.Op.A0})
 			}
 		}
-		sh.Final = probeServeState(run.sys, run.eng, cfg.Open.Keys)
+		sh.Final = run.final
 		histories[i] = sh
 		if crashed[i] {
 			anyCrashed = true

@@ -61,7 +61,11 @@ func recoverOnce(t *testing.T, m *harness.Machine) {
 
 // probePrefix reads back, per worker, which of its first completed+extra
 // keys the engine holds.
-func probePrefix(m *harness.Machine, completed []uint64, extra uint64, key harness.KeyFunc) [][]bool {
-	keys, _ := m.ProbePrefix([][]uint64{completed}, extra, key, false)
+func probePrefix(t *testing.T, m *harness.Machine, completed []uint64, extra uint64, key harness.KeyFunc) [][]bool {
+	t.Helper()
+	keys, _, err := m.ProbePrefix([][]uint64{completed}, extra, key, false)
+	if err != nil {
+		t.Fatalf("%s probe: %v", m.Drivers[0].Name, err)
+	}
 	return keys[0]
 }

@@ -174,7 +174,7 @@ func TestCrashPointSweep(t *testing.T) {
 			m := bootUnit(t, prepDriver(mode, prepSizing(workers, 128)), 200, crashAt+3)
 			completed, _ := insertUntilCrash(t, m, crashAt, workers, harness.FlatKey)
 			recoverOnce(t, m)
-			keys := probePrefix(m, completed, 16, harness.FlatKey)
+			keys := probePrefix(t, m, completed, 16, harness.FlatKey)
 			if rep := history.Check(keys, completed); !m.PrefixOK(0, rep) {
 				t.Errorf("%s crashAt=%d: %s", mode, crashAt, rep)
 			}

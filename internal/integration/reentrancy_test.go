@@ -103,7 +103,7 @@ func TestDoubleRecoveryIdempotent(t *testing.T) {
 				t.Fatalf("attempts=%d nested=%d, want the armed crash to cut down exactly the first attempt",
 					r1.Attempts, r1.NestedCrashes)
 			}
-			keys1 := probePrefix(m, completed, 32, harness.FlatKey)
+			keys1 := probePrefix(t, m, completed, 32, harness.FlatKey)
 			rep := history.Check(keys1, completed)
 			if !m.PrefixOK(0, rep) {
 				t.Errorf("recovered state violates the durable condition: %s", rep)
@@ -166,7 +166,7 @@ func TestMultiCrashEpochs(t *testing.T) {
 
 			// Probe every epoch's keys against the FINAL recovered state.
 			for e := 0; e < tc.k; e++ {
-				epochs[e].Keys = probePrefix(m, epochs[e].Completed, 16, epochKey(e))
+				epochs[e].Keys = probePrefix(t, m, epochs[e].Completed, 16, epochKey(e))
 			}
 
 			mr := history.CheckEpochs(epochs)

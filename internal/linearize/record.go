@@ -51,36 +51,3 @@ func (r *Recorder) Ops() []Op {
 	}
 	return all
 }
-
-// Completed counts operations whose responses were observed.
-func (r *Recorder) Completed() int {
-	n := 0
-	for _, log := range r.logs {
-		for i := range log {
-			if log[i].Class == Completed {
-				n++
-			}
-		}
-	}
-	return n
-}
-
-// InFlight counts operations cut off by a crash.
-func (r *Recorder) InFlight() int {
-	n := 0
-	for _, log := range r.logs {
-		for i := range log {
-			if log[i].Class == InFlight {
-				n++
-			}
-		}
-	}
-	return n
-}
-
-// Reset clears the logs for the next epoch, keeping the client count.
-func (r *Recorder) Reset() {
-	for i := range r.logs {
-		r.logs[i] = nil
-	}
-}

@@ -1,7 +1,7 @@
 // Package metrics is the engine-wide observability layer: a flat set of
 // event counters and virtual-time phase accumulators recorded inline by the
 // instrumented packages (nvm, oplog, locks, core) and exposed as immutable
-// snapshots through uc.Instrumented and the harness bench output.
+// snapshots through nvm.System.Metrics and every harness document.
 //
 // Counters are host-side Go integers, not simulated memory: incrementing one
 // performs no sim.Thread.Step and therefore costs zero *virtual* time, so

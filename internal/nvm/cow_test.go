@@ -111,7 +111,7 @@ func TestCloneCOWStress(t *testing.T) {
 				for i := uint64(0); i < 16; i++ {
 					f.FlushLine(th, h, (i*3)*WordsPerLine)
 				}
-				s.Crash()
+				s.sch.CrashNow()
 			})
 			sch.Run()
 			rec := s.Recover(sim.New(int64(id) + 100))
@@ -174,7 +174,7 @@ func TestCloneRefcountsBalanceAfterChain(t *testing.T) {
 					cm.Store(th, j*WordsPerLine, uint64(i))
 				}
 			}
-			c.Crash()
+			c.sch.CrashNow()
 		})
 		csch.Run()
 		cur = c.Recover(sim.New(int64(i) + 150))

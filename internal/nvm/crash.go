@@ -2,11 +2,6 @@ package nvm
 
 import "prepuc/internal/sim"
 
-// Crash freezes the machine, modelling a power failure: every simulated
-// thread is unwound from its next memory access. The persisted state is
-// materialized lazily by Recover.
-func (s *System) Crash() { s.sch.CrashNow() }
-
 // Recover materializes the machine's post-crash persistent state and returns
 // a fresh System, attached to the given (new) scheduler, that contains only
 // the NVM memories — each with its current view re-read from the persisted

@@ -94,18 +94,19 @@ func TestFlushLineSyncDropsPending(t *testing.T) {
 	}{{"elide", false}, {"reference", true}} {
 		mode := mode
 		t.Run(mode.name, func(t *testing.T) {
-			runOne(t, Config{NoFlushElision: mode.noElide}, 0, func(th *sim.Thread, sys *System) {
+			runOne(t, Config{}, 0, func(th *sim.Thread, sys *System) {
+				sys.SetFlushElision(!mode.noElide)
 				m := sys.NewMemory("m", NVM, 0, 64)
 				f := sys.NewFlusher()
 				m.Store(th, 0, 1)             // line 0
 				m.Store(th, WordsPerLine, 2)  // line 1
 				f.FlushLine(th, m, 0)
 				f.FlushLine(th, m, WordsPerLine)
-				if got := f.Pending(); got != 2 {
+				if got := len(f.pending); got != 2 {
 					t.Fatalf("pending = %d after two dirty flushes, want 2", got)
 				}
 				f.FlushLineSync(th, m, 0)
-				if got := f.Pending(); got != 1 {
+				if got := len(f.pending); got != 1 {
 					t.Fatalf("pending = %d after sync flush, want 1 (stale entry kept)", got)
 				}
 				if got := m.PersistedLoad(0); got != 1 {
@@ -115,11 +116,11 @@ func TestFlushLineSyncDropsPending(t *testing.T) {
 				// new value is tracked and the fence persists it.
 				m.Store(th, 0, 3)
 				f.FlushLine(th, m, 0)
-				if got := f.Pending(); got != 2 {
+				if got := len(f.pending); got != 2 {
 					t.Fatalf("pending = %d after re-store+re-flush, want 2 (dedup mark not dropped)", got)
 				}
 				f.Fence(th)
-				if got := f.Pending(); got != 0 {
+				if got := len(f.pending); got != 0 {
 					t.Fatalf("pending = %d after fence, want 0", got)
 				}
 				if got := m.PersistedLoad(0); got != 3 {
@@ -157,8 +158,8 @@ func TestElisionCleanAndPendingElsewhere(t *testing.T) {
 		if d := sys.Metrics().Snapshot().Sub(base); d.FlushesElided != 0 || d.FlushAsync != 1 {
 			t.Fatalf("pending-elsewhere flush: elided=%d async=%d, want 0,1 (must not be elided)", d.FlushesElided, d.FlushAsync)
 		}
-		if fb.Pending() != 1 {
-			t.Fatalf("fb pending = %d, want 1: fb's fence must cover the line itself", fb.Pending())
+		if len(fb.pending) != 1 {
+			t.Fatalf("fb pending = %d, want 1: fb's fence must cover the line itself", len(fb.pending))
 		}
 
 		fa.Fence(th) // persists the line: now genuinely clean

@@ -40,7 +40,8 @@ func equivWorkload(seed uint64, policy fault.Policy, noElide bool) equivResult {
 	res := equivResult{persisted: map[string][]uint64{}, dirty: map[string]uint64{}}
 
 	sch := sim.New(int64(seed))
-	sys := NewSystem(sch, Config{Costs: sim.UnitCosts(), BGFlushOneIn: 32, Seed: seed, NoFlushElision: noElide})
+	sys := NewSystem(sch, Config{Costs: sim.UnitCosts(), BGFlushOneIn: 32, Seed: seed})
+	sys.SetFlushElision(!noElide)
 	sys.SetFaultPolicy(policy)
 	a := sys.NewMemory("a", NVM, 0, memWordsA)
 	b := sys.NewMemory("b", NVM, 0, memWordsB)
@@ -114,7 +115,7 @@ func equivWorkload(seed uint64, policy fault.Policy, noElide bool) equivResult {
 	a, b = sys.Memory("a"), sys.Memory("b")
 	// A drained final pass sweeps what remains so the sweep machinery runs
 	// once more on post-recovery dirty state.
-	sch.Spawn("sweep", 0, 0, func(t *sim.Thread) {
+	sch.Spawn("final", 0, 0, func(t *sim.Thread) {
 		for i := uint64(0); i < 64; i++ {
 			a.Store(t, (i*17)%a.Words(), i)
 			b.Store(t, (i*13)%b.Words(), i)
@@ -209,7 +210,7 @@ func TestRecoverShortCircuitsEmptyPending(t *testing.T) {
 			if fenceBeforeCrash {
 				f.Fence(t)
 			}
-			sys.Crash()
+			sys.sch.CrashNow()
 		})
 		sch.Run()
 		rec := sys.Recover(sim.New(8))
@@ -239,7 +240,7 @@ func TestRecoverShortCircuitsEmptyPending(t *testing.T) {
 			m.Store(t, i*WordsPerLine, 100+i)
 			f.FlushLine(t, m, i*WordsPerLine)
 		}
-		recA.Crash()
+		recA.sch.CrashNow()
 	})
 	sch.Run()
 	recB := recA.Recover(sim.New(10))

@@ -91,7 +91,7 @@ func TestTargetedDropsExactlyOneAndSweeps(t *testing.T) {
 func TestPolicyCarriedIntoRecoveredSystem(t *testing.T) {
 	sys := pendingLines(4, fault.DropAll())
 	rec := sys.Recover(sim.New(2))
-	if rec.policy == nil || rec.policy.Name() != "dropall" {
+	if rec.policy != fault.DropAll() {
 		t.Error("fault policy not carried across Recover")
 	}
 }

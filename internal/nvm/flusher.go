@@ -141,6 +141,3 @@ func (f *Flusher) Fence(t *sim.Thread) {
 	f.pending = f.pending[:0]
 	f.gen++ // invalidates every seen entry without touching the map
 }
-
-// Pending returns the number of lines issued but not yet fenced.
-func (f *Flusher) Pending() int { return len(f.pending) }

@@ -153,11 +153,6 @@ type Config struct {
 	BGFlushOneIn uint64
 	// Seed drives crash-time persistence coin flips and background flushes.
 	Seed uint64
-	// NoFlushElision disables the FliT-style clean-line flush elision and
-	// restores the reference cost model where every flush request charges a
-	// full FlushLine/FlushSync. The persisted views are identical in both
-	// modes; equivalence and ablation runs use this as the baseline.
-	NoFlushElision bool
 }
 
 // NewSystem creates a machine attached to the given scheduler.
@@ -172,14 +167,17 @@ func NewSystem(sch *sim.Scheduler, cfg Config) *System {
 		mems:     make(map[string]*Memory),
 		bgProb:   cfg.BGFlushOneIn,
 		rngState: seed,
-		elide:    !cfg.NoFlushElision,
+		elide:    true,
 		met:      metrics.NewRegistry(),
 	}
 }
 
-// SetFlushElision switches FliT-style clean-line flush elision on or off.
-// Engine ablations call it after boot; the setting is carried through
-// Recover and Clone.
+// SetFlushElision switches FliT-style clean-line flush elision on (the
+// default) or off. Off restores the reference cost model where every flush
+// request charges a full FlushLine/FlushSync; the persisted views are
+// identical in both modes (DESIGN.md §12). The ablation-flushelide cell turns
+// it off before it builds its engine; the setting is carried through Recover
+// and Clone.
 func (s *System) SetFlushElision(on bool) { s.elide = on }
 
 // SetFaultPolicy replaces the crash-time persistence adversary. A nil policy
@@ -268,9 +266,6 @@ func (s *System) nextRand() uint64 {
 
 // Name returns the region's name.
 func (m *Memory) Name() string { return m.name }
-
-// Kind returns whether the region is volatile or NVM.
-func (m *Memory) Kind() Kind { return m.kind }
 
 // Words returns the region size in words.
 func (m *Memory) Words() uint64 { return m.words }

@@ -103,8 +103,8 @@ func TestFlushDeduplicatesPendingLines(t *testing.T) {
 		m.Store(th, 0, 1)
 		f.FlushLine(th, m, 0)
 		f.FlushLine(th, m, 3) // same line (words 0..7)
-		if f.Pending() != 1 {
-			t.Errorf("pending = %d, want 1 (same line deduped)", f.Pending())
+		if len(f.pending) != 1 {
+			t.Errorf("pending = %d, want 1 (same line deduped)", len(f.pending))
 		}
 	})
 }

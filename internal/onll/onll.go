@@ -30,7 +30,6 @@ import (
 	"sort"
 
 	"prepuc/internal/locks"
-	"prepuc/internal/metrics"
 	"prepuc/internal/nvm"
 	"prepuc/internal/pmem"
 	"prepuc/internal/sim"
@@ -93,13 +92,7 @@ type ONLL struct {
 	lin       uc.Lineage // the generation the instance was built at
 }
 
-var (
-	_ uc.UC           = (*ONLL)(nil)
-	_ uc.Instrumented = (*ONLL)(nil)
-)
-
-// Stats snapshots the machine-wide metrics registry (uc.Instrumented).
-func (o *ONLL) Stats() metrics.Snapshot { return o.sys.Metrics().Snapshot() }
+var _ uc.UC = (*ONLL)(nil)
 
 // entryWords returns the line-rounded entry footprint for n ops.
 func entryWords(n int) uint64 {

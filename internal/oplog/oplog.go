@@ -76,9 +76,6 @@ func Attach(mem *nvm.Memory, size uint64) *Log {
 // Mem exposes the backing memory (for flush protocols owned by the UC).
 func (l *Log) Mem() *nvm.Memory { return l.mem }
 
-// Size returns the number of entries.
-func (l *Log) Size() uint64 { return l.size }
-
 // EntryOff returns the word offset of the entry for absolute index idx.
 func (l *Log) EntryOff(idx uint64) uint64 { return entryBase + (idx%l.size)*EntryWords }
 

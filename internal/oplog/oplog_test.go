@@ -168,7 +168,8 @@ func TestPersistCompletedTailNoElisionMode(t *testing.T) {
 	// With elision disabled every persist pays a full sync flush; the
 	// persisted view is the same either way.
 	sch := sim.New(1)
-	sys := nvm.NewSystem(sch, nvm.Config{NoFlushElision: true})
+	sys := nvm.NewSystem(sch, nvm.Config{})
+	sys.SetFlushElision(false)
 	m := sys.NewMemory("log", nvm.NVM, nvm.Interleaved, WordsFor(8))
 	sch.Spawn("t", 0, 0, func(th *sim.Thread) {
 		l := New(th, m, 8)

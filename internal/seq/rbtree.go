@@ -431,45 +431,3 @@ func (r *RBTree) Dump(t *sim.Thread, emit func(code, a0, a1 uint64)) {
 		}
 	}
 }
-
-// checkInvariants validates red-black properties (tests only). It returns
-// the black height and panics on violations.
-func (r *RBTree) checkInvariants(t *sim.Thread) int {
-	m := r.a.Memory()
-	nilN := r.nilNode(t)
-	root := r.root(t)
-	if root != nilN && m.Load(t, root+rnColor) != black {
-		panic("rbtree: root is red")
-	}
-	var walk func(n uint64, lo, hi uint64, hasLo, hasHi bool) int
-	walk = func(n uint64, lo, hi uint64, hasLo, hasHi bool) int {
-		if n == nilN {
-			return 1
-		}
-		k := m.Load(t, n+rnKey)
-		if hasLo && k <= lo {
-			panic("rbtree: BST order violated (low)")
-		}
-		if hasHi && k >= hi {
-			panic("rbtree: BST order violated (high)")
-		}
-		c := m.Load(t, n+rnColor)
-		l := m.Load(t, n+rnLeft)
-		rt := m.Load(t, n+rnRight)
-		if c == red {
-			if m.Load(t, l+rnColor) == red || m.Load(t, rt+rnColor) == red {
-				panic("rbtree: red node with red child")
-			}
-		}
-		lh := walk(l, lo, k, hasLo, true)
-		rh := walk(rt, k, hi, true, hasHi)
-		if lh != rh {
-			panic("rbtree: black height mismatch")
-		}
-		if c == black {
-			return lh + 1
-		}
-		return lh
-	}
-	return walk(root, 0, 0, false, false)
-}

@@ -620,3 +620,45 @@ func TestAllStructuresImplementDataStructure(t *testing.T) {
 	var _ uc.DataStructure = (*Stack)(nil)
 	var _ uc.DataStructure = (*Queue)(nil)
 }
+
+// checkInvariants validates red-black properties. It returns
+// the black height and panics on violations.
+func (r *RBTree) checkInvariants(t *sim.Thread) int {
+	m := r.a.Memory()
+	nilN := r.nilNode(t)
+	root := r.root(t)
+	if root != nilN && m.Load(t, root+rnColor) != black {
+		panic("rbtree: root is red")
+	}
+	var walk func(n uint64, lo, hi uint64, hasLo, hasHi bool) int
+	walk = func(n uint64, lo, hi uint64, hasLo, hasHi bool) int {
+		if n == nilN {
+			return 1
+		}
+		k := m.Load(t, n+rnKey)
+		if hasLo && k <= lo {
+			panic("rbtree: BST order violated (low)")
+		}
+		if hasHi && k >= hi {
+			panic("rbtree: BST order violated (high)")
+		}
+		c := m.Load(t, n+rnColor)
+		l := m.Load(t, n+rnLeft)
+		rt := m.Load(t, n+rnRight)
+		if c == red {
+			if m.Load(t, l+rnColor) == red || m.Load(t, rt+rnColor) == red {
+				panic("rbtree: red node with red child")
+			}
+		}
+		lh := walk(l, lo, k, hasLo, true)
+		rh := walk(rt, k, hi, true, hasHi)
+		if lh != rh {
+			panic("rbtree: black height mismatch")
+		}
+		if c == black {
+			return lh + 1
+		}
+		return lh
+	}
+	return walk(root, 0, 0, false, false)
+}

@@ -20,7 +20,6 @@ import (
 	"strconv"
 	"strings"
 
-	"prepuc/internal/openloop"
 	"prepuc/internal/uc"
 )
 
@@ -85,12 +84,6 @@ func NewRouter(policy Policy, shards int, keys uint64) (*Router, error) {
 	}, nil
 }
 
-// Shards returns the shard count S.
-func (r *Router) Shards() int { return r.shards }
-
-// Policy returns the routing policy.
-func (r *Router) Policy() Policy { return r.policy }
-
 // Route maps a key to its owning shard. Keys at or beyond the declared key
 // space are legal (hash routes them like any other; range clamps them to
 // the last shard) so callers need not range-check hostile inputs.
@@ -109,15 +102,6 @@ func (r *Router) Route(key uint64) int {
 // operation carries its key in A0 (uc.Get/Insert/Delete constructors), so
 // this is the routing hook Client.Submit-level dispatch uses.
 func (r *Router) RouteOp(op uc.Op) int { return r.Route(op.A0) }
-
-// Partition splits a time-sorted arrival schedule into per-shard schedules,
-// routing each arrival by its operation's key. Order within a shard stays
-// time-sorted (the split is stable), so each shard sees a valid open-loop
-// schedule — the same schedule a router in front of S independent machines
-// would deliver. With one shard the schedule is returned as is, not copied.
-func (r *Router) Partition(arrivals []openloop.Arrival) [][]openloop.Arrival {
-	return openloop.Split(arrivals, r.shards, func(a *openloop.Arrival) int { return r.RouteOp(a.Op) })
-}
 
 // mix64 is the splitmix64 finalizer: a full-avalanche bijection on uint64,
 // so hash routing is a fixed pseudo-random spread with zero state.

@@ -74,7 +74,7 @@ func TestPartitionConservesAndOrders(t *testing.T) {
 		t.Fatal(err)
 	}
 	r, _ := NewRouter(Hash, 4, 1<<10)
-	per := r.Partition(arr)
+	per := openloop.Split(arr, 4, func(a *openloop.Arrival) int { return r.RouteOp(a.Op) })
 	total := 0
 	for s, lst := range per {
 		total += len(lst)
@@ -95,7 +95,7 @@ func TestPartitionConservesAndOrders(t *testing.T) {
 	}
 	// One shard owns everything: the schedule itself, not a copy.
 	r1, _ := NewRouter(Hash, 1, 1<<10)
-	if one := r1.Partition(arr); len(one) != 1 || len(one[0]) != len(arr) || &one[0][0] != &arr[0] {
+	if one := openloop.Split(arr, 1, func(a *openloop.Arrival) int { return r1.RouteOp(a.Op) }); len(one) != 1 || len(one[0]) != len(arr) || &one[0][0] != &arr[0] {
 		t.Fatal("single-shard partition copied the schedule")
 	}
 }
@@ -153,7 +153,7 @@ func TestParsePolicyRoundTrip(t *testing.T) {
 // shard's expected share of the op stream is the sum of the pmf over the
 // keys it owns.
 func zipfMass(r *Router, keys uint64, skew float64) []float64 {
-	mass := make([]float64, r.Shards())
+	mass := make([]float64, r.shards)
 	total := 0.0
 	for k := uint64(0); k < keys; k++ {
 		p := math.Pow(float64(1+k), -skew)

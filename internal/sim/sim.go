@@ -106,9 +106,6 @@ type Thread struct {
 // ID returns the thread's scheduler-wide identifier.
 func (t *Thread) ID() int { return t.id }
 
-// Name returns the name given at Spawn time.
-func (t *Thread) Name() string { return t.name }
-
 // Node returns the NUMA node the thread is pinned to.
 func (t *Thread) Node() int { return t.node }
 

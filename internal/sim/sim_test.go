@@ -254,8 +254,8 @@ func TestSpawnDuringRun(t *testing.T) {
 func TestThreadAccessors(t *testing.T) {
 	s := New(3)
 	s.Spawn("alpha", 2, 100, func(th *Thread) {
-		if th.Name() != "alpha" {
-			t.Errorf("Name = %q", th.Name())
+		if th.name != "alpha" {
+			t.Errorf("name = %q", th.name)
 		}
 		if th.Node() != 2 {
 			t.Errorf("Node = %d", th.Node())

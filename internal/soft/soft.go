@@ -21,7 +21,6 @@ package soft
 
 import (
 	"prepuc/internal/locks"
-	"prepuc/internal/metrics"
 	"prepuc/internal/nvm"
 	"prepuc/internal/pmem"
 	"prepuc/internal/sim"
@@ -79,13 +78,7 @@ type Soft struct {
 	flushers             []*nvm.Flusher
 }
 
-var (
-	_ uc.UC           = (*Soft)(nil)
-	_ uc.Instrumented = (*Soft)(nil)
-)
-
-// Stats snapshots the machine-wide metrics registry (uc.Instrumented).
-func (s *Soft) Stats() metrics.Snapshot { return s.sys.Metrics().Snapshot() }
+var _ uc.UC = (*Soft)(nil)
 
 // New builds an empty table inside sys and commits its generation, so a
 // crash right after boot recovers the empty table.
@@ -260,17 +253,6 @@ func (s *Soft) Delete(t *sim.Thread, key uint64, f *nvm.Flusher) uint64 {
 		prev, n = n, next
 	}
 	return 0
-}
-
-// Size counts keys (tests; not part of SOFT's interface).
-func (s *Soft) Size(t *sim.Thread) uint64 {
-	var n uint64
-	for b := uint64(0); b < s.cfg.Buckets; b++ {
-		for v := s.vmem.Load(t, s.bucketsOff+b); v != 0; v = s.vmem.Load(t, v+vnNext) {
-			n++
-		}
-	}
-	return n
 }
 
 // Execute adapts SOFT to the uc.UC interface so the harness can drive it

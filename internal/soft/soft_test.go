@@ -9,6 +9,17 @@ import (
 	"prepuc/internal/uc"
 )
 
+// size counts the keys of the volatile index.
+func (s *Soft) size(t *sim.Thread) uint64 {
+	var n uint64
+	for b := uint64(0); b < s.cfg.Buckets; b++ {
+		for v := s.vmem.Load(t, s.bucketsOff+b); v != 0; v = s.vmem.Load(t, v+vnNext) {
+			n++
+		}
+	}
+	return n
+}
+
 type world struct {
 	sys *nvm.System
 	s   *Soft
@@ -116,7 +127,7 @@ func TestConcurrentDistinctKeys(t *testing.T) {
 		}
 	})
 	w.run(1, 0, 401, func(th *sim.Thread, tid int) {
-		if got := w.s.Size(th); got != workers*per {
+		if got := w.s.size(th); got != workers*per {
 			t.Errorf("size = %d, want %d", got, workers*per)
 		}
 		for tid2 := 0; tid2 < workers; tid2++ {

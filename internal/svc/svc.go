@@ -7,9 +7,9 @@
 //
 // Completion and durability are decoupled (delay-free style): Future.Wait
 // returns as soon as the operation has executed and its result is known,
-// while Future.Durable additionally blocks until the operation would survive
-// a crash — an explicit persistence barrier the client pays only when it
-// needs the guarantee.
+// and the future's Mark, handed to the engine's DurabilityWaiter, blocks
+// until the operation would survive a crash — an explicit persistence
+// barrier the client pays only when it needs the guarantee.
 //
 // The ring is a fixed-size MPSC queue in simulated node-local volatile
 // memory, so producers pay realistic coherence costs for the tail CAS and
@@ -109,8 +109,6 @@ type Future struct {
 	// the operation's linearization point far tighter than the arrival
 	// window; history checkers want it.
 	ExecNS uint64
-
-	svc *Service // for the engine's durability barrier
 }
 
 // Wait blocks (spinning in virtual time) until the future completes and
@@ -121,17 +119,6 @@ func (f *Future) Wait(t *sim.Thread) uint64 {
 		b.Spin(t, 1024)
 	}
 	return f.Result
-}
-
-// Durable waits for completion and then for the operation's durability: on
-// return the operation's effect would survive a crash at any later instant.
-// For constructions without a DurabilityWaiter it is identical to Wait.
-func (f *Future) Durable(t *sim.Thread) uint64 {
-	res := f.Wait(t)
-	if f.svc.waiter != nil && f.Mark != 0 {
-		f.svc.waiter.AwaitDurable(t, f.Mark)
-	}
-	return res
 }
 
 // Config configures a Service.
@@ -180,9 +167,8 @@ type Service struct {
 	met   *metrics.Registry
 	rings []*ring
 	// batcher is the engine's batched path (nil when disabled or
-	// unimplemented), waiter its durability barrier.
+	// unimplemented).
 	batcher Batcher
-	waiter  DurabilityWaiter
 	stopped bool
 }
 
@@ -246,7 +232,6 @@ func New(t *sim.Thread, sys *nvm.System, cfg Config) (*Service, error) {
 	if cfg.Batched {
 		s.batcher, _ = cfg.Engine.(Batcher)
 	}
-	s.waiter, _ = cfg.Engine.(DurabilityWaiter)
 	for shard := 0; shard < cfg.Shards; shard++ {
 		mem := sys.NewMemory(fmt.Sprintf("%s.ring%d", cfg.NamePrefix, shard),
 			nvm.Volatile, cfg.Topology.NodeOf(shard), ringEntries+cfg.RingSize*entryWords)
@@ -306,7 +291,7 @@ func (c *Client) enqueue(t *sim.Thread, op uc.Op, arrivalNS uint64, handle bool)
 		}
 		var f *Future
 		if handle {
-			f = &Future{svc: c.svc, ArrivalNS: arrivalNS}
+			f = &Future{ArrivalNS: arrivalNS}
 		} else {
 			r.arrivals[tail%r.size] = arrivalNS
 		}
@@ -390,7 +375,7 @@ func (s *Service) Serve(t *sim.Thread, shard int) {
 			f := r.futures[idx%r.size]
 			if f == nil {
 				f = &posted[n]
-				*f = Future{svc: s, ArrivalNS: r.arrivals[idx%r.size], Invid: ops[n].Invid}
+				*f = Future{ArrivalNS: r.arrivals[idx%r.size], Invid: ops[n].Invid}
 			}
 			futs[n] = f
 			n++

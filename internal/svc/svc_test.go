@@ -17,6 +17,7 @@ func topo() numa.Topology { return numa.Topology{Nodes: 2, ThreadsPerNode: 4} }
 type world struct {
 	t      *testing.T
 	sys    *nvm.System
+	mode   core.Mode
 	p      *core.PREP
 	s      *svc.Service
 	shards int
@@ -26,7 +27,7 @@ func newWorld(t *testing.T, mode core.Mode, eps uint64, shards int, batched bool
 	t.Helper()
 	sch := sim.New(seed)
 	sys := nvm.NewSystem(sch, nvm.Config{Costs: sim.UnitCosts()})
-	w := &world{t: t, sys: sys, shards: shards}
+	w := &world{t: t, sys: sys, mode: mode, shards: shards}
 	var err error
 	sch.Spawn("boot", 0, 0, func(th *sim.Thread) {
 		obj := seq.HashMapType(64)
@@ -50,13 +51,23 @@ func newWorld(t *testing.T, mode core.Mode, eps uint64, shards int, batched bool
 	return w
 }
 
+// durable waits for f's result and then for its durability mark: on return
+// the operation's effect would survive a crash at any later instant.
+func (w *world) durable(th *sim.Thread, f *svc.Future) uint64 {
+	res := f.Wait(th)
+	if f.Mark != 0 {
+		w.p.AwaitDurable(th, f.Mark)
+	}
+	return res
+}
+
 // run spawns the consumers plus fn-per-producer and drives the machine until
 // everything drains; returns the largest consumer finish clock.
 func (w *world) run(seed int64, producers int, fn func(th *sim.Thread, pid int)) uint64 {
 	w.t.Helper()
 	sch := sim.New(seed)
 	w.sys.SetScheduler(sch)
-	persistent := w.p.Config().Mode.Persistent()
+	persistent := w.mode.Persistent()
 	if persistent {
 		w.p.SpawnPersistence(0)
 	}
@@ -168,7 +179,7 @@ func TestDurableBarrierDurableMode(t *testing.T) {
 		c := w.s.Client(pid % 2)
 		for i := uint64(0); i < 30; i++ {
 			f := c.Submit(th, uc.Insert(uint64(pid)*100+i, i))
-			if got := f.Durable(th); got != 1 {
+			if got := w.durable(th, f); got != 1 {
 				t.Errorf("durable insert = %d", got)
 			}
 			if f.Mark == 0 {
@@ -180,13 +191,13 @@ func TestDurableBarrierDurableMode(t *testing.T) {
 
 func TestDurableBarrierForcesCycleInBufferedMode(t *testing.T) {
 	// Buffered mode with a huge ε: no persistence cycle would happen
-	// naturally within this run, so Future.Durable must force one through
+	// naturally within this run, so the durability barrier must force one through
 	// the boundary-reduction helping path.
 	w := newWorld(t, core.Buffered, 512, 2, true, 7)
 	w.run(700, 2, func(th *sim.Thread, pid int) {
 		c := w.s.Client(pid % 2)
 		f := c.Submit(th, uc.Insert(uint64(pid), 1))
-		f.Durable(th)
+		w.durable(th, f)
 	})
 	st := w.p.Stats()
 	if st.PersistCycles == 0 {

@@ -21,26 +21,8 @@ func Delete(k uint64) Op { return Op{Code: OpDelete, A0: k} }
 // Size reports the number of elements.
 func Size() Op { return Op{Code: OpSize} }
 
-// Push pushes v onto a stack.
-func Push(v uint64) Op { return Op{Code: OpPush, A0: v} }
-
-// Pop pops the top of a stack, returning NotFound when empty.
-func Pop() Op { return Op{Code: OpPop} }
-
-// Top peeks at the top of a stack without removing it.
-func Top() Op { return Op{Code: OpTop} }
-
 // Enqueue appends v to a FIFO queue (or inserts into a priority queue).
 func Enqueue(v uint64) Op { return Op{Code: OpEnqueue, A0: v} }
 
-// Dequeue removes the head of a FIFO queue, returning NotFound when empty.
-func Dequeue() Op { return Op{Code: OpDequeue} }
-
-// Peek reads the head of a FIFO queue without removing it.
-func Peek() Op { return Op{Code: OpPeek} }
-
 // DeleteMin removes the minimum of a priority queue.
 func DeleteMin() Op { return Op{Code: OpDeleteMin} }
-
-// Min reads the minimum of a priority queue without removing it.
-func Min() Op { return Op{Code: OpMin} }

@@ -11,7 +11,6 @@
 package uc
 
 import (
-	"prepuc/internal/metrics"
 	"prepuc/internal/pmem"
 	"prepuc/internal/sim"
 )
@@ -128,13 +127,6 @@ type UC interface {
 	// Execute performs op on behalf of worker tid (the paper's
 	// ExecuteConcurrent). It returns the operation's result.
 	Execute(t *sim.Thread, tid int, op Op) uint64
-}
-
-// Instrumented is implemented by constructions that expose the machine-wide
-// metrics registry. Stats snapshots cumulative counters since boot; callers
-// isolating a phase subtract two snapshots (metrics.Snapshot.Sub).
-type Instrumented interface {
-	Stats() metrics.Snapshot
 }
 
 // Clone replays src's state into dst via Dump/Execute. Both sides are
