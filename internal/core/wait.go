@@ -16,6 +16,13 @@ import (
 // order, cut into poll segments at their Steps. Loops that store, CAS or
 // count their spins (logmin.go's boundary and straggler helpers, the
 // Buffered branch of AwaitDurable, the reader–writer lock) keep Backoff.Spin.
+//
+// A waiter is also a sim.Parker: between two rounds, when the watched word
+// still misses, the lock is still held and every line the round loads is
+// shared or the waiter's own, each later round can only fail the same way
+// until some thread stores to one of those lines. The waiter then watches
+// them (nvm.Memory.Watch) and leaves the dispatch heap; the store wakes it,
+// and its skipped rounds are replayed (DESIGN.md §7, "Parked pollers").
 
 // What a waiter watches.
 const (
@@ -62,9 +69,11 @@ func (w *waiter) Poll(t *sim.Thread) (uint64, bool) {
 			return w.lock.ProbeBegin(t), false
 		}
 		w.seg = segRead
-		return w.loadBegin(t), false
+		mem, off := w.word()
+		return mem.LoadBegin(t, off), false
 	case segRead:
-		if w.served = w.loadEnd(); w.served {
+		mem, off := w.word()
+		if w.served = w.hit(mem.LoadEnd(off)); w.served {
 			return 0, true
 		}
 		if w.lock != nil {
@@ -80,24 +89,56 @@ func (w *waiter) Poll(t *sim.Thread) (uint64, bool) {
 	return w.b.Next(w.cap), false
 }
 
-func (w *waiter) loadBegin(t *sim.Thread) uint64 {
-	switch w.watch {
-	case watchFull:
-		return w.log.IsFullBegin(t, w.want)
-	case watchTail:
-		return w.log.CompletedTailBegin(t)
+// Park reports whether the wait is steady (sim.Parker): t is between two
+// rounds, the watched word still misses, the lock is still held, and each
+// line the round loads costs t the base price. Then t watches those lines.
+func (w *waiter) Park(t *sim.Thread) bool {
+	if w.seg != segLoad {
+		return false
 	}
-	return w.mem.LoadBegin(t, w.off)
+	steady := true
+	if w.watch != watchNone {
+		mem, off := w.word()
+		v, ok := mem.Watch(t, off)
+		steady = ok && !w.hit(v)
+	}
+	if steady && w.lock != nil {
+		steady = w.lock.Watch(t)
+	}
+	if !steady {
+		w.Unpark(t)
+	}
+	return steady
 }
 
-func (w *waiter) loadEnd() bool {
+// Unpark ends the watches Park set (sim.Parker).
+func (w *waiter) Unpark(t *sim.Thread) {
+	if w.watch != watchNone {
+		mem, _ := w.word()
+		mem.Unwatch(t)
+	}
+	if w.lock != nil {
+		w.lock.Unwatch(t)
+	}
+}
+
+// word is the word the round loads, unless the wait is the lock alone.
+func (w *waiter) word() (*nvm.Memory, uint64) {
 	switch w.watch {
 	case watchFull:
-		return w.log.IsFullEnd(w.want)
+		return w.log.Mem(), w.log.FullMarkOff(w.want)
 	case watchTail:
-		return w.log.CompletedTailEnd() >= w.want
+		return w.log.Mem(), w.log.CompletedTailOff()
 	}
-	return w.mem.LoadEnd(w.off) >= w.want
+	return w.mem, w.off
+}
+
+// hit reports whether the loaded word v ends the wait.
+func (w *waiter) hit(v uint64) bool {
+	if w.watch == watchFull {
+		return v == w.log.FullMark(w.want)
+	}
+	return v >= w.want
 }
 
 // waiter returns t's waiter on this engine. A thread waits on one thing at a

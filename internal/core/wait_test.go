@@ -68,35 +68,64 @@ func goid() int {
 	return id
 }
 
+// twinRun is one run of runTwin's worker phase.
+type twinRun struct {
+	mode    Mode
+	detect  bool
+	readPct int
+	chooser bool   // under a MinClock Chooser: Await's definition loop
+	crashAt uint64 // CrashAtEvent, armed before Run
+	// crashNowAt, if set, spawns a crasher thread after the workers that
+	// calls CrashNow once its clock reaches it.
+	crashNowAt uint64
+	trace      bool // install the access hook and return every access
+}
+
+// twinTally is what a run reports beside its twinResult: the accesses it
+// traced, the waiters that parked, and how many were parked when the crasher
+// called CrashNow.
+type twinTally struct {
+	accesses      []twinAccess
+	parks         uint64
+	parkedAtCrash int
+}
+
+// parkTally reads the scheduler's test-only park tally and the number of
+// waiters parked right now, without waking any.
+func parkTally(sch *sim.Scheduler) (parks uint64, parked int) {
+	v := reflect.ValueOf(sch).Elem()
+	return v.FieldByName("parks").Uint(), v.FieldByName("parked").Len()
+}
+
 // runTwin boots an engine with 8 workers on the 2×4 test topology and runs
 // one worker phase, under the built-in dispatch rule or under a MinClock
-// Chooser — which runs Await's definition loop, no segment inline. With
-// trace set it also returns every access, marked inline or not.
-func runTwin(t *testing.T, mode Mode, detect bool, readPct int, chooser bool, crashAt uint64, trace bool) (twinResult, []twinAccess) {
+// Chooser — which runs Await's definition loop, no segment inline and no
+// waiter parked.
+func runTwin(t *testing.T, r twinRun) (twinResult, twinTally) {
 	t.Helper()
 	const workers, perWorker = 8, 24
-	cfg := hashCfg(mode, workers, 64, 16)
-	cfg.Detect = detect
+	cfg := hashCfg(r.mode, workers, 64, 16)
+	cfg.Detect = r.detect
 	cfg.HeapWords = 1 << 14 // fingerprints walk every persistent heap
 	w := newWorld(t, cfg, nvm.Config{Seed: 3, BGFlushOneIn: 256}, 1)
 
 	sch := sim.New(0)
-	if chooser {
+	if r.chooser {
 		sch.SetChooser(minClockChooser{})
 	}
-	sch.CrashAtEvent(crashAt)
+	sch.CrashAtEvent(r.crashAt)
 	w.sys.SetScheduler(sch)
+	var tally twinTally
 	own := map[int]int{} // thread id → its own goroutine
-	var accesses []twinAccess
-	if trace {
+	if r.trace {
 		w.sys.SetAccessHook(func(a nvm.Access) {
-			accesses = append(accesses, twinAccess{sch.Events(), a.Thread, goid() != own[a.Thread]})
+			tally.accesses = append(tally.accesses, twinAccess{sch.Events(), a.Thread, goid() != own[a.Thread]})
 		})
 	}
 	var ths []*sim.Thread
 	spawn := func(name string, node int, fn func(th *sim.Thread)) {
 		ths = append(ths, sch.Spawn(name, node, 0, func(th *sim.Thread) {
-			if trace {
+			if r.trace {
 				own[th.ID()] = goid()
 			}
 			fn(th)
@@ -112,13 +141,24 @@ func runTwin(t *testing.T, mode Mode, detect bool, readPct int, chooser bool, cr
 					w.p.StopPersistence(th)
 				}
 			}()
-			for _, op := range twinOps(tid, perWorker, readPct, detect) {
+			for _, op := range twinOps(tid, perWorker, r.readPct, r.detect) {
 				res.results[tid] = append(res.results[tid], w.p.Execute(th, tid, op))
 			}
 		})
 	}
+	if r.crashNowAt != 0 {
+		spawn("crasher", 0, func(th *sim.Thread) {
+			for th.Clock() < r.crashNowAt {
+				th.Step(250)
+			}
+			_, tally.parkedAtCrash = parkTally(sch)
+			sch.CrashNow()
+			th.Step(1)
+		})
+	}
 	sch.Run()
 	w.sys.SetAccessHook(nil)
+	tally.parks, _ = parkTally(sch)
 
 	res.events, res.frozen = sch.Events(), sch.Frozen()
 	for _, th := range ths {
@@ -138,7 +178,7 @@ func runTwin(t *testing.T, mode Mode, detect bool, readPct int, chooser bool, cr
 		}
 		res.recovered = recSys.PersistedFingerprint()
 	}
-	return res, accesses
+	return res, tally
 }
 
 type minClockChooser struct{}
@@ -180,44 +220,74 @@ func crashWindow(accesses []twinAccess, events uint64) (lo, hi uint64, ok bool) 
 	return 0, 0, false
 }
 
-// Inline poll segments are indistinguishable from Await's definition loop:
-// for both persistent modes, with and without detectable execution, over an
-// update-only and a half-read mix, the run under the built-in rule must end
-// exactly where its Chooser twin (no run-ahead, no inline segment) ends —
-// event count, every thread's clock, every op's result, the metrics and the
-// persisted image — and so must every crash armed inside a window in which
-// at least three waits ran inline, down to the crash image and the recovered
-// machine.
+// Inline poll segments and parked waiters are indistinguishable from Await's
+// definition loop: for both persistent modes, with and without detectable
+// execution, over an update-only and a half-read mix, the run under the
+// built-in rule — which parks waiters, every configuration at least once —
+// must end exactly where its Chooser twin (no run-ahead, no inline segment,
+// no park) ends: event count, every thread's clock, every op's result, the
+// metrics and the persisted image. So must every crash armed inside a window
+// in which at least three waits ran inline (found by a hooked run, which
+// parks nothing), and a crasher's CrashNow at instants where waiters are
+// parked, down to the crash image and the recovered machine.
 func TestAwaitMatchesChooserTwin(t *testing.T) {
 	for _, mode := range []Mode{Durable, Buffered} {
 		for _, detect := range []bool{false, true} {
 			for _, readPct := range []int{0, 50} {
 				name := fmt.Sprintf("%s/detect=%v/reads=%d%%", mode, detect, readPct)
 				t.Run(name, func(t *testing.T) {
-					plain, accesses := runTwin(t, mode, detect, readPct, false, 0, true)
-					twin, _ := runTwin(t, mode, detect, readPct, true, 0, false)
+					base := twinRun{mode: mode, detect: detect, readPct: readPct}
+					both := func(r twinRun) (got, want twinResult, tally twinTally) {
+						got, tally = runTwin(t, r)
+						r.chooser = true
+						want, _ = runTwin(t, r)
+						return got, want, tally
+					}
+					plain, twin, tally := both(base)
 					if !reflect.DeepEqual(plain, twin) {
 						t.Fatalf("inline run differs from its Chooser twin:\n inline %+v\n   twin %+v", plain, twin)
 					}
+					if tally.parks == 0 {
+						t.Fatal("no waiter parked")
+					}
+					hooked := base
+					hooked.trace = true
+					_, traced := runTwin(t, hooked)
 					inline := 0
-					for _, a := range accesses {
+					for _, a := range traced.accesses {
 						if a.inline {
 							inline++
 						}
 					}
-					lo, hi, ok := crashWindow(accesses, plain.events)
+					lo, hi, ok := crashWindow(traced.accesses, plain.events)
 					if !ok {
 						t.Fatalf("no crash window with three inline waits (%d inline accesses in all)", inline)
 					}
 					for at := lo; at < hi; at++ {
-						got, _ := runTwin(t, mode, detect, readPct, false, at, false)
-						want, _ := runTwin(t, mode, detect, readPct, true, at, false)
+						r := base
+						r.crashAt = at
+						got, want, _ := both(r)
 						if !got.frozen || !reflect.DeepEqual(got, want) {
 							t.Fatalf("crash at event %d: inline run differs from its Chooser twin:\n inline %+v\n   twin %+v", at, got, want)
 						}
 					}
-					t.Logf("%d events, %d of %d accesses inline; crashed at every event of [%d, %d)",
-						plain.events, inline, len(accesses), lo, hi)
+					end, parkedCrashes := plain.clocks[1], 0
+					for i := uint64(1); i <= 4; i++ {
+						r := base
+						r.crashNowAt = end * i / 5
+						got, want, ct := both(r)
+						if !got.frozen || !reflect.DeepEqual(got, want) {
+							t.Fatalf("CrashNow at %d ns: parked run differs from its Chooser twin:\n parked %+v\n   twin %+v", r.crashNowAt, got, want)
+						}
+						if ct.parkedAtCrash > 0 {
+							parkedCrashes++
+						}
+					}
+					if parkedCrashes == 0 {
+						t.Fatal("no CrashNow found a waiter parked")
+					}
+					t.Logf("%d events, %d parks, %d of %d accesses inline; crashed at every event of [%d, %d); %d of 4 CrashNow instants found waiters parked",
+						plain.events, tally.parks, inline, len(traced.accesses), lo, hi, parkedCrashes)
 				})
 			}
 		}
@@ -225,25 +295,32 @@ func TestAwaitMatchesChooserTwin(t *testing.T) {
 }
 
 // A warm update wait allocates nothing: the worker's waiter is the engine's,
-// armed in place, and parking it costs the scheduler no allocation either.
+// armed in place, and neither running its segments inline nor parking it
+// and waking it costs an allocation — the parked set and the watch lists
+// reuse their capacity.
 func TestUpdateWaitAllocatesNothing(t *testing.T) {
 	w := newWorld(t, hashCfg(Volatile, 2, 256, 0), nvm.Config{}, 1)
 	rep := w.p.reps[0]
 	so := rep.slotOff(0)
 	done := false
 	var allocs float64
+	var parks uint64
 	sch := sim.New(0)
 	w.sys.SetScheduler(sch)
 	sch.Spawn("worker", 0, 0, func(th *sim.Thread) {
 		allocs = testing.AllocsPerRun(50, func() {
+			before, _ := parkTally(sch)
 			if got := w.p.update(th, rep, 0, uc.Insert(1, 1)); got != 42 {
 				t.Errorf("update = %d, want the served 42", got)
 			}
+			after, _ := parkTally(sch)
+			parks += after - before
 		})
 		done = true
 	})
 	// The server holds the combiner lock, so the worker can only wait, and
-	// serves its slot a few backoff rungs after it goes pending.
+	// serves its slot a few backoff rungs after it goes pending: the worker
+	// parks while the server's long Step runs, and the response wakes it.
 	sch.Spawn("server", 0, 0, func(th *sim.Thread) {
 		if !rep.combiner.TryAcquire(th) {
 			t.Error("server could not take the combiner lock")
@@ -264,4 +341,8 @@ func TestUpdateWaitAllocatesNothing(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("a warm update wait allocates %v times, want 0", allocs)
 	}
+	if parks < 51 {
+		t.Fatalf("the worker parked %d times in 51 waits, want at least once per wait", parks)
+	}
+	t.Logf("%d parks in 51 waits", parks)
 }

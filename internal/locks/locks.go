@@ -68,6 +68,18 @@ func (l TryLock) ProbeBegin(t *sim.Thread) uint64 { return l.m.LoadBegin(t, l.of
 // ProbeEnd is the probe load's post-Step half: whether the lock looked free.
 func (l TryLock) ProbeEnd() bool { return l.m.LoadEnd(l.off) == 0 }
 
+// Watch is the probe's parking check (nvm.Memory.Watch): it reports whether
+// every probe from here on fails alike until a store to the lock word — the
+// lock is held and the probe costs t the base price — and if so t watches
+// the word.
+func (l TryLock) Watch(t *sim.Thread) bool {
+	v, ok := l.m.Watch(t, l.off)
+	return ok && v != 0
+}
+
+// Unwatch ends t's watches on the lock's memory (nvm.Memory.Unwatch).
+func (l TryLock) Unwatch(t *sim.Thread) { l.m.Unwatch(t) }
+
 // Take is the CAS half: it takes the lock if it is still free.
 func (l TryLock) Take(t *sim.Thread) bool {
 	if !l.m.CAS(t, l.off, 0, 1) {

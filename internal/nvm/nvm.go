@@ -92,6 +92,16 @@ type Memory struct {
 	owner     slab[int32]
 	ownerNode slab[int32]
 	bgState   uint64 // xorshift state for background-flush draws
+	// watch lists the parked waiters (sim.Parker) watching lines of this
+	// memory; a Store or CAS to one of those lines wakes them. Host-side,
+	// empty whenever no waiter is parked.
+	watch []watcher
+}
+
+// watcher is one thread watching one line.
+type watcher struct {
+	line uint64
+	t    *sim.Thread
 }
 
 // ownerShared marks a line readable by everyone without transfer cost. It is
@@ -292,11 +302,18 @@ func (m *Memory) loadCost(t *sim.Thread, line uint64) uint64 {
 	if m.kind == NVM {
 		cost += m.sys.costs.NVMLoadExtra
 	}
-	if own := m.owner.load(line); own != ownerShared && own != ownerOf(t.ID()) {
+	if m.ownedElsewhere(t, line) {
 		cost += m.transferCost(t, line)
 		m.owner.store(line, ownerShared)
 	}
 	return cost
+}
+
+// ownedElsewhere reports whether another thread holds the line exclusively,
+// so that t's load of it pays a transfer and downgrades it to shared.
+func (m *Memory) ownedElsewhere(t *sim.Thread, line uint64) bool {
+	own := m.owner.load(line)
+	return own != ownerShared && own != ownerOf(t.ID())
 }
 
 // storeCost prices a store (or CAS) and takes exclusive ownership: stores to
@@ -346,6 +363,50 @@ func (m *Memory) LoadEnd(off uint64) uint64 {
 	return m.data.load(off)
 }
 
+// Watch is a poller's parking check (sim.Parker). It reports whether t's
+// next loads of the word at off are all alike — each costs the base price and
+// moves no ownership, because the line is shared or t's own and no access
+// hook would announce them — and the word's current value, read without a
+// load. When they are, t now watches the line: the next Store or CAS to it
+// wakes t (sim.Scheduler.Wake) before each of its halves. Unwatch ends it.
+func (m *Memory) Watch(t *sim.Thread, off uint64) (v uint64, ok bool) {
+	line := off / WordsPerLine
+	if m.sys.accHook != nil || m.ownedElsewhere(t, line) {
+		return 0, false
+	}
+	m.watch = append(m.watch, watcher{line, t})
+	return m.data.load(off), true
+}
+
+// Unwatch ends every watch t holds on lines of m.
+func (m *Memory) Unwatch(t *sim.Thread) {
+	m.watch = slices.DeleteFunc(m.watch, func(w watcher) bool { return w.t == t })
+}
+
+// wake wakes every thread watching line. A Store or CAS calls it before both
+// of its halves: the pre-Step ownership change and the post-Step write. A
+// waiter may park between the two — its own load made the announced line
+// shared again — so watching one half alone would miss the write.
+func (m *Memory) wake(line uint64) {
+	if len(m.watch) != 0 {
+		m.wakeLine(line)
+	}
+}
+
+func (m *Memory) wakeLine(line uint64) {
+	for i := 0; i < len(m.watch); {
+		w := m.watch[i]
+		if w.line != line {
+			i++
+			continue
+		}
+		m.watch = slices.Delete(m.watch, i, i+1)
+		// The waiter's Unpark drops its other watches, here and elsewhere.
+		w.t.Scheduler().Wake(w.t)
+		i = 0
+	}
+}
+
 // markDirty sets the line's dirty bit and enrolls it in the dirty list the
 // first time it is dirtied since the last full sweep.
 func (m *Memory) markDirty(line uint64) {
@@ -363,8 +424,10 @@ func (m *Memory) markDirty(line uint64) {
 // containing line and may trigger a background write-back.
 func (m *Memory) Store(t *sim.Thread, off uint64, v uint64) {
 	line := off / WordsPerLine
+	m.wake(line)
 	m.announce(t, AccStore, line, false)
 	t.Step(m.storeCost(t, line))
+	m.wake(line)
 	m.sys.met.Stores++
 	m.data.store(off, v)
 	if m.kind == NVM {
@@ -399,8 +462,10 @@ func (m *Memory) linePending(line uint64) bool {
 // acquire the line exclusively, as on real hardware.
 func (m *Memory) CAS(t *sim.Thread, off, old, new uint64) bool {
 	line := off / WordsPerLine
+	m.wake(line)
 	m.announce(t, AccCAS, line, false)
 	t.Step(m.storeCost(t, line))
+	m.wake(line)
 	m.sys.met.CASes++
 	if m.data.load(off) != old {
 		return false

@@ -98,22 +98,15 @@ func (l *Log) SetFull(t *sim.Thread, idx uint64) {
 	l.mem.Store(t, l.EntryOff(idx)+entEmpty, l.FullMark(idx))
 }
 
-// IsFullBegin and IsFullEnd are the two halves (nvm.Memory.LoadBegin,
-// LoadEnd) of the load that tells whether entry idx currently holds the
-// operation for absolute index idx, as opposed to a previous pass or nothing.
-// Their only reader is a poller waiting on the full mark (sim.Thread.Await),
-// which runs them in consecutive segments around the load's Step.
-func (l *Log) IsFullBegin(t *sim.Thread, idx uint64) uint64 {
-	return l.mem.LoadBegin(t, l.EntryOff(idx)+entEmpty)
-}
-
-// IsFullEnd reads the full mark IsFullBegin announced.
-func (l *Log) IsFullEnd(idx uint64) bool {
-	return l.mem.LoadEnd(l.EntryOff(idx)+entEmpty) == l.FullMark(idx)
-}
+// FullMarkOff returns the offset in Mem of entry idx's emptyBit word: the
+// entry holds the operation for absolute index idx, as opposed to a previous
+// pass or nothing, once the word equals FullMark(idx). Its only reader is a
+// poller waiting on the full mark (sim.Thread.Await), which loads and watches
+// the word itself.
+func (l *Log) FullMarkOff(idx uint64) uint64 { return l.EntryOff(idx) + entEmpty }
 
 // ReadEntry returns the operation stored for absolute index idx. Callers
-// must have observed entry idx full (IsFullEnd).
+// must have observed entry idx full (FullMarkOff).
 func (l *Log) ReadEntry(t *sim.Thread, idx uint64) (code, a0, a1 uint64) {
 	off := l.EntryOff(idx)
 	return l.mem.Load(t, off+entCode), l.mem.Load(t, off+entA0), l.mem.Load(t, off+entA1)
@@ -144,14 +137,9 @@ func (l *Log) CompletedTail(t *sim.Thread) uint64 {
 	return l.mem.Load(t, offCompletedTail)
 }
 
-// CompletedTailBegin and CompletedTailEnd are CompletedTail's load halves,
-// for pollers that wait on it (sim.Thread.Await).
-func (l *Log) CompletedTailBegin(t *sim.Thread) uint64 {
-	return l.mem.LoadBegin(t, offCompletedTail)
-}
-
-// CompletedTailEnd reads the completedTail CompletedTailBegin announced.
-func (l *Log) CompletedTailEnd() uint64 { return l.mem.LoadEnd(offCompletedTail) }
+// CompletedTailOff returns the offset in Mem of the completedTail word, for
+// pollers that wait on it (sim.Thread.Await).
+func (l *Log) CompletedTailOff() uint64 { return offCompletedTail }
 
 // CASCompletedTail advances completedTail from old to new. It returns false
 // if completedTail was not old.

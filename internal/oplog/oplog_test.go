@@ -19,11 +19,9 @@ func runLog(t *testing.T, kind nvm.Kind, size uint64, fn func(*sim.Thread, *nvm.
 	sch.Run()
 }
 
-// isFull is the full-mark load a plain (non-polling) reader makes: both
-// halves around their Step.
+// isFull is the full-mark load a plain (non-polling) reader makes.
 func (l *Log) isFull(t *sim.Thread, idx uint64) bool {
-	t.Step(l.IsFullBegin(t, idx))
-	return l.IsFullEnd(idx)
+	return l.mem.Load(t, l.FullMarkOff(idx)) == l.FullMark(idx)
 }
 
 func TestFullMarkAlternatesPerPass(t *testing.T) {

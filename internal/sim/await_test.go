@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -207,5 +208,267 @@ func TestStepInsideSegmentPanics(t *testing.T) {
 		if s.seg != nil || !s.Frozen() || strings.Count(s.fault, "poll segment") != 1 {
 			t.Fatalf("inline=%v: seg %v, frozen %v, fault %q", inline, s.seg, s.Frozen(), s.fault)
 		}
+	}
+}
+
+// parkPoller is a flagPoller that is also a Parker: between rounds, while the
+// flag is down, it parks until store wakes it. A non-zero limit ends the wait
+// at that many reads, flag or not; the poller parks only before half of them.
+type parkPoller struct {
+	flagPoller
+	th       *Thread
+	limit    int
+	watching bool // parked: a store to the flag must wake it
+}
+
+func (p *parkPoller) Poll(th *Thread) (uint64, bool) {
+	c, done := p.flagPoller.Poll(th)
+	return c, done || p.limit != 0 && p.polls == p.limit
+}
+
+func (p *parkPoller) Park(*Thread) bool {
+	p.watching = !p.read && !*p.flag && (p.limit == 0 || 2*p.polls < p.limit)
+	return p.watching
+}
+
+func (p *parkPoller) Unpark(*Thread) { p.watching = false }
+
+// scene is one writer and k parkPollers on a scheduler, under the built-in
+// rule or its Chooser twin (Await's definition loop, which never parks).
+type scene struct {
+	s    *Scheduler
+	flag bool
+	ps   []*parkPoller
+	ths  []*Thread
+	seen [][]int // what the writer observed, per observation
+}
+
+// sceneResult is what the two runs of a scene must agree on.
+type sceneResult struct {
+	events uint64
+	frozen bool
+	fault  any
+	clocks []uint64
+	polls  []int
+	seen   [][]int
+}
+
+// runScene spawns writer (thread 0), then k pollers starting at clocks
+// 0..k-1, and runs them.
+func runScene(chooser bool, k, limit int, writer func(sc *scene, th *Thread)) (sceneResult, *Scheduler) {
+	sc := &scene{s: New(0)}
+	if chooser {
+		sc.s.SetChooser(chooserFunc(func(_ int, cands []Candidate) int { return MinClock(cands) }))
+	}
+	sc.ths = append(sc.ths, sc.s.Spawn("writer", 0, 0, func(th *Thread) { writer(sc, th) }))
+	for i := 0; i < k; i++ {
+		p := &parkPoller{flagPoller: flagPoller{flag: &sc.flag}, limit: limit}
+		p.th = sc.s.Spawn("poller", 1, uint64(i), func(th *Thread) {
+			th.Await(p)
+			th.Step(1)
+		})
+		sc.ps = append(sc.ps, p)
+		sc.ths = append(sc.ths, p.th)
+	}
+	var res sceneResult
+	func() {
+		defer func() { res.fault = recover() }()
+		sc.s.Run()
+	}()
+	res.events, res.frozen, res.seen = sc.s.Events(), sc.s.Frozen(), sc.seen
+	for _, th := range sc.ths {
+		res.clocks = append(res.clocks, th.Clock())
+	}
+	for _, p := range sc.ps {
+		res.polls = append(res.polls, p.polls)
+	}
+	return res, sc.s
+}
+
+// observe records every poller's read count as the writer sees it now.
+func (sc *scene) observe() {
+	var polls []int
+	for _, p := range sc.ps {
+		polls = append(polls, p.polls)
+	}
+	sc.seen = append(sc.seen, polls)
+}
+
+// wake wakes every watching poller, as nvm.Memory's store halves do.
+func (sc *scene) wake(th *Thread) {
+	for _, p := range sc.ps {
+		if p.watching {
+			th.Scheduler().Wake(p.th)
+		}
+	}
+}
+
+// store raises the flag the way nvm.Memory.Store writes a watched word: wake,
+// Step, wake, write. It observes at its own dispatch instant, right after the
+// first wake, and returns how many pollers parked between its two halves.
+func (sc *scene) store(th *Thread) (between int) {
+	sc.wake(th)
+	sc.observe()
+	th.Step(200)
+	for _, p := range sc.ps {
+		if p.watching {
+			between++
+		}
+	}
+	sc.wake(th)
+	sc.flag = true
+	return between
+}
+
+// checkTwin runs a scene both ways and requires the same result, with the
+// built-in run parked at least once.
+func checkTwin(t *testing.T, k, limit int, writer func(sc *scene, th *Thread)) sceneResult {
+	t.Helper()
+	got, s := runScene(false, k, limit, writer)
+	want, _ := runScene(true, k, limit, writer)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("parked run differs from its Chooser twin:\n parked %+v\n   twin %+v", got, want)
+	}
+	if s.parks == 0 || len(s.parked) != 0 {
+		t.Fatalf("%d parks, %d still parked after Run: the scene did not exercise parking", s.parks, len(s.parked))
+	}
+	t.Logf("%d events, %d parks, %d handoffs, %d switches", got.events, s.parks, s.handoffs, s.switches)
+	return got
+}
+
+// The wake replays exactly the polls that precede the writer's dispatch:
+// what the writer observes right after the first wake of its store is what
+// it observes under Await's definition loop. The pollers that park between
+// the store's two halves — the flag is still down until the write — are
+// woken by the second one.
+func TestParkedWakeHorizon(t *testing.T) {
+	between := 0
+	checkTwin(t, 6, 0, func(sc *scene, th *Thread) {
+		for i := 0; i < 40; i++ {
+			th.Step(97)
+		}
+		between += sc.store(th)
+		th.Step(5)
+	})
+	if between == 0 {
+		t.Fatal("no poller parked between the store's two halves")
+	}
+}
+
+// Events read mid-run counts every poll that precedes the reader's dispatch,
+// parked or not.
+func TestParkedEventsMidRun(t *testing.T) {
+	got := checkTwin(t, 4, 0, func(sc *scene, th *Thread) {
+		for i := 0; i < 12; i++ {
+			th.Step(313)
+			sc.seen = append(sc.seen, []int{int(th.Scheduler().Events())})
+		}
+		sc.store(th)
+	})
+	if len(got.seen) != 13 {
+		t.Fatalf("%d observations, want 13", len(got.seen))
+	}
+}
+
+// Arming a crash mid-run wakes the parked waiters first, and none parks
+// while it is armed, so the crash fires at the event index the definition
+// loop reaches it at.
+func TestParkedCrashArmedMidRun(t *testing.T) {
+	writer := func(arm func(*Thread)) func(sc *scene, th *Thread) {
+		return func(sc *scene, th *Thread) {
+			for i := 0; i < 6; i++ {
+				th.Step(313)
+			}
+			arm(th)
+			for i := 0; i < 6; i++ {
+				th.Step(313)
+			}
+			sc.store(th)
+		}
+	}
+	var at uint64
+	runScene(false, 4, 0, writer(func(th *Thread) { at = th.Scheduler().Events() + 40 }))
+	got := checkTwin(t, 4, 0, writer(func(th *Thread) { th.Scheduler().CrashAtEvent(at) }))
+	if !got.frozen || got.events != at {
+		t.Fatalf("frozen %v after %d events, want a crash at event %d", got.frozen, got.events, at)
+	}
+}
+
+// A bug panic in a segment that a wake replays, on the writer's goroutine, is
+// the poller's fault: Run names the poller. The poller parks while it runs
+// inline past the writer's first Step of a pair, and the writer wakes it
+// after the second, so a replay reaches back over one writer Step only: the
+// machine stops exactly where the definition loop's panic stops it. (A round
+// that panics breaks the Parker contract — its rounds were to repeat alike —
+// so a writer that ran several Steps ahead would stop later than that.)
+func TestParkedReplayPanicNamesPoller(t *testing.T) {
+	writer := func(sc *scene, th *Thread) {
+		for i := 0; i < 10; i++ {
+			th.Step(1000)
+			th.Step(1000)
+			sc.wake(th)
+		}
+		sc.store(th)
+	}
+	// inReplay reports whether the poller's segment runs in a wake by th.
+	inReplay := func(sc *scene, th *Thread) bool { return sc.s.seg == sc.ps[0].th && sc.s.next == th }
+	// The read to panic in: the first one a wake replays.
+	first := 0
+	runScene(false, 1, 0, func(sc *scene, th *Thread) {
+		sc.ps[0].onRead = func(*Thread) {
+			if first == 0 && inReplay(sc, th) {
+				first = sc.ps[0].polls
+			}
+		}
+		writer(sc, th)
+	})
+	if first == 0 {
+		t.Fatal("no wake replayed a read")
+	}
+	replayed := false
+	got := checkTwin(t, 1, 0, func(sc *scene, th *Thread) {
+		sc.ps[0].onRead = func(*Thread) {
+			if sc.ps[0].polls == first {
+				if sc.s.chooser == nil {
+					replayed = inReplay(sc, th)
+				}
+				panic("boom")
+			}
+		}
+		writer(sc, th)
+	})
+	if want := `sim thread "poller": boom`; got.fault != want || !got.frozen {
+		t.Fatalf("Run panicked with %#v (frozen %v), want %q", got.fault, got.frozen, want)
+	}
+	if !replayed {
+		t.Fatalf("the panicking read %d was not replayed by the writer's wake", first)
+	}
+}
+
+// A bug panic in a thread's own code is an observation point: the parked
+// waiters' polls that precede it are replayed before the machine freezes, so
+// the run stops where the definition loop's does.
+func TestParkedBugPanicWakesWaiters(t *testing.T) {
+	got := checkTwin(t, 3, 0, func(_ *scene, th *Thread) {
+		for i := 0; i < 8; i++ {
+			th.Step(700)
+		}
+		panic("boom")
+	})
+	if want := `sim thread "writer": boom`; got.fault != want || !got.frozen {
+		t.Fatalf("Run panicked with %#v (frozen %v), want %q", got.fault, got.frozen, want)
+	}
+}
+
+// When the last thread in the heap exits, the parked waiters come back, their
+// polls up to the exit replayed, and run on.
+func TestParkedExitWakesWaiters(t *testing.T) {
+	got := checkTwin(t, 1, 200, func(_ *scene, th *Thread) {
+		for i := 0; i < 5; i++ {
+			th.Step(1000)
+		}
+	})
+	if got.polls[0] != 200 {
+		t.Fatalf("poller read %d times, want its limit 200", got.polls[0])
 	}
 }

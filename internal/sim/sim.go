@@ -40,16 +40,19 @@
 // the last thread. Each switch is a happens-before edge, so Step needs no
 // locks or atomics: its run-ahead fast path is a clock add, a counter
 // increment and one heap-top comparison. A poll segment of a thread parked in
-// Await executes on the baton holder's goroutine, not its own (see Await);
-// the switches that carried the baton there order it like any other baton
-// holder's code. A panic never crosses a switch: Spawn's wrapper, and for a
-// segment the inline loop, end it in the thread it belongs to. See DESIGN.md
-// ("Run-ahead scheduling") for the schedule-preservation argument.
+// Await executes on the baton holder's goroutine, not its own (see Await) —
+// and a parked waiter's segments on the goroutine of the thread that wakes it
+// (see Wake); the switches that carried the baton there order them like any
+// other baton holder's code. A panic never crosses a switch: Spawn's wrapper,
+// and for a segment the inline loop or the replay, end it in the thread it
+// belongs to. See DESIGN.md ("Run-ahead scheduling") for the
+// schedule-preservation argument.
 package sim
 
 import (
 	"fmt"
 	"iter"
+	"slices"
 )
 
 // Crash is the panic value raised by Step once the scheduler is frozen.
@@ -124,7 +127,8 @@ type Scheduler struct {
 	started bool
 
 	// next is the thread the baton is moving to; a thread names its successor
-	// here before it parks or exits. nil once every thread exited.
+	// here before it parks or exits. Once the baton arrived it is the baton
+	// holder itself; nil once every thread exited.
 	next *Thread
 
 	events  uint64
@@ -133,9 +137,11 @@ type Scheduler struct {
 
 	// handoffs counts park calls, switches the coroutine switches transfer
 	// spent delivering them (resumes and yields; a thread's final return is
-	// not counted). Test-only tallies for the switches-per-handoff bounds.
+	// not counted), parks the waiters that left the heap. Test-only tallies
+	// for the switches-per-handoff bounds and the parking tests.
 	handoffs uint64
 	switches uint64
+	parks    uint64
 
 	// fault is the first bug panic (not a Crash) raised by a simulated
 	// thread, already prefixed with the thread's name; Run re-raises it.
@@ -151,6 +157,11 @@ type Scheduler struct {
 	chooser Chooser
 	cands   []*Thread
 	cview   []Candidate
+
+	// parked holds the waiters a steady wait took off the heap (Parker), in
+	// park order; Wake puts them back. It sits after the fields Step reads,
+	// off their cache lines.
+	parked []*Thread
 }
 
 // New creates a scheduler. Its parameter is ignored — the scheduler has no
@@ -251,12 +262,19 @@ func (s *Scheduler) chooseNext(caller *Thread) *Thread {
 }
 
 // Events returns the number of Step calls executed so far. Like Frozen, it
-// must be read from a quiescent scheduler or the baton holder.
-func (s *Scheduler) Events() uint64 { return s.events }
+// must be read from a quiescent scheduler or the baton holder. Read mid-run
+// it is an observation point: every parked waiter is woken first (Wake), so
+// the count includes each of their polls that precedes the holder's dispatch.
+func (s *Scheduler) Events() uint64 {
+	s.wakeAll(s.next)
+	return s.events
+}
 
 // CrashAtEvent arranges for the system to freeze at the given global event
 // index (1-based). It may be set at any time before the event fires. A value
-// of 0 disables crashing.
+// of 0 disables crashing. Arming a crash mid-run wakes every parked waiter
+// first, as Events does, and no waiter parks while one is armed: event
+// indexes are exact from here on.
 //
 // Arming is last-wins: a crash already armed is silently replaced. The
 // previously armed event index is returned (0 = none was armed) so harnesses
@@ -265,6 +283,9 @@ func (s *Scheduler) Events() uint64 { return s.events }
 // would otherwise clobber. To place a crash inside a phase whose absolute
 // index is unknown in advance (a recovery run), arm Events()+n.
 func (s *Scheduler) CrashAtEvent(n uint64) (prev uint64) {
+	if n != 0 {
+		s.wakeAll(s.next)
+	}
 	prev = s.crashAt
 	s.crashAt = n
 	return prev
@@ -439,6 +460,22 @@ type Poller interface {
 	Poll(t *Thread) (cost uint64, done bool)
 }
 
+// Parker is a Poller that can tell when its wait is steady. When its thread
+// loses the baton inside the inline loop (runPoll), Park is asked whether
+// every segment from here on can only repeat a failed round, with the same
+// result, until some thread stores to a line the rounds read — and whether
+// each of those loads costs the base price and moves no line ownership. If
+// so, Park arranges for each Store or CAS to such a line to call Wake first,
+// at both of its halves, and the thread leaves the dispatch heap: its
+// segments are not run until the wake replays them. Unpark undoes Park's
+// arrangement; Wake calls it. No thread parks under a Chooser or while a
+// crash is armed.
+type Parker interface {
+	Poller
+	Park(t *Thread) bool
+	Unpark(t *Thread)
+}
+
 // Await runs p's wait loop on t. It is defined as
 //
 //	for { c, done := p.Poll(t); if done { return }; t.Step(c) }
@@ -449,7 +486,9 @@ type Poller interface {
 // what Step charges at the same dispatch instant, and the thread is resumed
 // only once a segment reports done or the machine has frozen. The segments,
 // their order and their virtual instants are the definition loop's; only the
-// coroutine switches between them go away (DESIGN.md §7).
+// coroutine switches between them go away (DESIGN.md §7). A steady Parker
+// goes further and leaves the heap until a store wakes it; Wake then replays
+// the segments it skipped, each charged at its own instant.
 //
 // A bug panic inside a segment — wherever it runs — is recorded as the
 // poller's fault and the poller unwinds with Crash{}.
@@ -488,7 +527,8 @@ func (t *Thread) Await(p Poller) {
 // holder's goroutine, each followed by what Step charges, until n hands the
 // baton on (s.next changes) or n must be switched in: its wait is done, or
 // the machine froze — then n.poll is clear and n's park raises Crash{}. A bug
-// panic in a segment is n's fault, not the baton holder's.
+// panic in a segment is n's fault, not the baton holder's. A steady Parker
+// hands the baton on by leaving the heap instead of re-entering it.
 func (s *Scheduler) runPoll(n *Thread) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -505,11 +545,74 @@ func (s *Scheduler) runPoll(n *Thread) {
 		}
 		if !s.runsAhead(n) {
 			s.handoffs++
+			if p, ok := n.poll.(Parker); ok && s.crashAt == 0 && p.Park(n) {
+				s.parks++
+				s.parked = append(s.parked, n)
+				s.next = s.heap.popMin()
+				return
+			}
 			s.next = s.heap.replaceMin(n)
 			return
 		}
 	}
 	n.poll = nil
+}
+
+// Wake returns the parked thread t (Parker) to the heap; a thread that is not
+// parked is left alone. It is called by the baton holder when it is about to
+// store to a line t watches. First it replays t's pending poll segments whose
+// (clock, id) precedes the holder's — they would have run before the holder's
+// code — each charged what Step charges. Like Step, it panics with Crash{} if
+// the machine froze, which only a bug panic in a replayed segment can do.
+func (s *Scheduler) Wake(t *Thread) {
+	if i := slices.Index(s.parked, t); i >= 0 {
+		s.wake(i, s.next)
+		if s.frozen {
+			panic(Crash{})
+		}
+	}
+}
+
+// wakeAll wakes every parked waiter up to h's dispatch: the baton holder's at
+// an observation point (Events, CrashAtEvent, CrashNow, an exit that would
+// leave only parked threads), the faulting thread's at a bug panic.
+func (s *Scheduler) wakeAll(h *Thread) {
+	for len(s.parked) > 0 {
+		s.wake(len(s.parked)-1, h)
+	}
+}
+
+// wake takes s.parked[i] off the parked set, replays its segments that
+// precede h's dispatch, and pushes it back on the heap. A bug panic in a
+// replayed segment is the waiter's fault, as in runPoll.
+func (s *Scheduler) wake(i int, h *Thread) {
+	t := s.parked[i]
+	s.parked = slices.Delete(s.parked, i, i+1)
+	s.replay(t, h)
+	s.heap.push(t)
+}
+
+// replay ends t's watches and runs its pending segments whose dispatch
+// precedes h's, each charged what Step charges. By the Parker contract every
+// one of them fails its round again; one that ends the wait is t's bug.
+func (s *Scheduler) replay(t, h *Thread) {
+	seg := s.seg
+	defer func() {
+		if r := recover(); r != nil {
+			s.seg, t.poll = seg, nil
+			s.fail(t, r)
+		}
+	}()
+	t.poll.(Parker).Unpark(t)
+	for !s.frozen && t.less(h) {
+		s.seg = t
+		c, done := t.poll.Poll(t)
+		s.seg = seg
+		if done {
+			panic("sim: a parked wait ended before its wake")
+		}
+		s.charge(t, c)
+	}
 }
 
 // park hands the baton to next and returns when it comes back to t,
@@ -524,10 +627,11 @@ func (s *Scheduler) park(t, next *Thread) {
 }
 
 // Backoff is truncated exponential backoff for spin loops: each Spin steps
-// the ladder 16, 32, … ns, doubling until it reaches the caller's cap. Under
-// the virtual-time scheduler a blocked thread otherwise wakes every dozen
-// nanoseconds, which is both unrealistic (real spinners execute PAUSE and
-// get descheduled) and slow to simulate. The zero value is ready to use.
+// the ladder 16, 32, … ns, doubling until it reaches the caller's cap; no
+// rung is above the cap. Under the virtual-time scheduler a blocked thread
+// otherwise wakes every dozen nanoseconds, which is both unrealistic (real
+// spinners execute PAUSE and get descheduled) and slow to simulate. The zero
+// value is ready to use.
 type Backoff struct{ cur uint64 }
 
 // Spin waits out the current rung and moves to the next.
@@ -539,7 +643,7 @@ func (b *Backoff) Next(cap uint64) uint64 {
 	if b.cur == 0 {
 		b.cur = 16
 	}
-	c := b.cur
+	c := min(b.cur, cap)
 	if b.cur < cap {
 		b.cur *= 2
 	}
@@ -551,8 +655,10 @@ func (b *Backoff) Reset() { b.cur = 0 }
 
 // fail records a bug panic raised on thread t — the first one is kept for Run
 // to re-raise — and crashes the machine, so that every other thread unwinds
-// and exits too.
+// and exits too. The parked waiters' polls that precede t's dispatch ran
+// before the panic, so they are replayed first.
 func (s *Scheduler) fail(t *Thread, r any) {
+	s.wakeAll(t)
 	if s.fault == "" {
 		s.fault = fmt.Sprintf("sim thread %q: %v", t.name, r)
 	}
@@ -574,9 +680,13 @@ func (s *Scheduler) exit(t *Thread) {
 		return
 	}
 	if len(s.heap.ts) == 0 {
-		// Impossible: Step re-enqueues a thread before parking it, so every
-		// live thread but t is in the heap. Treat as a bug; with nobody to hand
-		// the baton to, it goes back to Run.
+		// Every live thread but t is in the heap or parked: the parked ones
+		// come back, their polls up to t's exit replayed.
+		s.wakeAll(t)
+	}
+	if len(s.heap.ts) == 0 {
+		// Impossible by the invariant above. Treat as a bug; with nobody to
+		// hand the baton to, it goes back to Run.
 		s.fail(t, "sim: no runnable thread but live threads remain")
 		return
 	}
@@ -590,9 +700,13 @@ func (s *Scheduler) exit(t *Thread) {
 }
 
 // CrashNow freezes the system from within a simulated thread. The calling
-// thread panics with Crash{} on its next Step; parked threads panic when the
-// baton reaches them.
-func (s *Scheduler) CrashNow() { s.frozen = true }
+// thread panics with Crash{} on its next Step; threads suspended in Step
+// panic when the baton reaches them. Parked waiters (Parker) are woken
+// first, as by Events, so they unwind too.
+func (s *Scheduler) CrashNow() {
+	s.wakeAll(s.next)
+	s.frozen = true
+}
 
 // less orders threads by (clock, id) for deterministic tie-breaking.
 func (t *Thread) less(u *Thread) bool {

@@ -66,6 +66,28 @@ func TestBackoffLadder(t *testing.T) {
 	}
 }
 
+// No rung is above the cap, whether or not the cap is a rung of the ladder.
+func TestBackoffNextClampsToCap(t *testing.T) {
+	for _, tc := range []struct {
+		cap  uint64
+		want []uint64
+	}{
+		{8, []uint64{8, 8, 8}},
+		{16, []uint64{16, 16, 16}},
+		{1000, []uint64{16, 32, 64, 128, 256, 512, 1000, 1000}},
+		{1024, []uint64{16, 32, 64, 128, 256, 512, 1024, 1024}},
+	} {
+		var b Backoff
+		var got []uint64
+		for range tc.want {
+			got = append(got, b.Next(tc.cap))
+		}
+		if !slices.Equal(got, tc.want) {
+			t.Errorf("cap %d: rungs %v, want %v", tc.cap, got, tc.want)
+		}
+	}
+}
+
 func TestMinClockThreadRunsFirst(t *testing.T) {
 	// Two threads with different step costs: the cheap-step thread must
 	// complete more steps in the same virtual window.
