@@ -268,34 +268,80 @@ func (ta *tally) resolvedDelivery(doneNS, arrivalNS uint64) {
 	}
 }
 
-// inject releases arrivals into the client at their scheduled instants. A
-// full ring never blocks the arrival timeline: rejected operations wait
-// host-side in FIFO order (they already "arrived"; the injector keeps
-// offering them ahead of newer arrivals) and are posted with their original
-// stamps, so ring backpressure shows up as latency. The backlog is fed in
-// schedule order and drained from its front, so it is always the contiguous
-// run arrivals[lo:i] — two cursors, no queue.
-func inject(t *sim.Thread, c *svc.Client, arrivals []openloop.Arrival) {
-	lo := 0 // first arrival the ring has not accepted yet
-	// offer posts arrivals[lo:hi] in order until the ring rejects one.
-	offer := func(hi int) {
-		for lo < hi && c.Post(t, arrivals[lo].Op, arrivals[lo].At) {
-			lo++
+// injector releases one ring's arrivals into its client at their scheduled
+// instants. A full ring never blocks the arrival timeline: rejected
+// operations wait host-side in FIFO order (they already "arrived"; the
+// injector keeps offering them ahead of newer arrivals) and are submitted
+// with their original stamps, so ring backpressure shows up as latency. The
+// backlog is fed in schedule order and drained from its front, so it is
+// always the contiguous run arrivals[lo:rel] — two cursors, no queue.
+//
+// The injector is a sim.Poller: its thread runs it under Thread.Await, so the
+// arrival sleeps, the submissions' accesses (svc.Submission's segments) and
+// the retries against a full ring all run wherever the baton is, and the
+// thread is switched in only to start and to finish. In plain code it reads
+//
+//	for i := range arrivals {
+//		if at := arrivals[i].At; at > t.Clock() { t.Step(at - t.Clock()) }
+//		offer(i + 1) // the backlog first, then — only if it emptied — arrival i
+//	}
+//	for lo < len(arrivals) {
+//		offer(len(arrivals))
+//		if lo < len(arrivals) { t.Step(serveRetryNS) }
+//	}
+//
+// where offer(hi) submits arrivals[lo:hi] in order until the ring rejects one.
+type injector struct {
+	c        *svc.Client
+	arrivals []openloop.Arrival
+	lo       int // first arrival the ring has not accepted yet
+	rel      int // arrivals released so far
+	sub      svc.Submission
+	offering bool // sub has segments left
+	backoff  bool // the last offer round after the final release left a backlog
+}
+
+// Poll runs the injector's next segment (sim.Poller).
+func (in *injector) Poll(t *sim.Thread) (uint64, bool) {
+	for {
+		if in.offering {
+			c, done := in.sub.Poll(t)
+			if !done {
+				return c, false
+			}
+			in.offering = false
+			if in.sub.Accepted() {
+				in.lo++
+				if in.lo < in.rel {
+					in.offer()
+					continue
+				}
+			}
 		}
-	}
-	for i := range arrivals {
-		if at := arrivals[i].At; at > t.Clock() {
-			t.Step(at - t.Clock())
+		// Between offer rounds.
+		switch n := len(in.arrivals); {
+		case in.rel < n:
+			if at := in.arrivals[in.rel].At; at > t.Clock() {
+				return at - t.Clock(), false
+			}
+			in.rel++
+		case in.lo == n:
+			return 0, true
+		case in.backoff:
+			in.backoff = false
+			return serveRetryNS, false
+		default:
+			in.backoff = true
 		}
-		// The backlog first, then — only if it emptied — arrival i itself.
-		offer(i + 1)
+		in.offer()
 	}
-	for lo < len(arrivals) {
-		offer(len(arrivals))
-		if lo < len(arrivals) {
-			t.Step(serveRetryNS)
-		}
-	}
+}
+
+// offer arms the submission of the oldest arrival the ring has not accepted.
+func (in *injector) offer() {
+	a := &in.arrivals[in.lo]
+	in.sub = in.c.Submission(a.Op, a.At)
+	in.offering = true
 }
 
 // serveRetryNS is the injector's poll interval while draining its backlog
@@ -592,28 +638,30 @@ func resumePlan(all []openloop.Arrival, resume, submitted int, resub []int) []op
 // spawnServicePhase spawns one phase's consumers and injectors: consumer
 // shard runs as worker tid shard on its home node; the last finishing
 // injector stops the service, the last finishing consumer retires the
-// auxiliary threads.
+// auxiliary threads. It returns the threads, each shard's consumer and then
+// its injector.
 func spawnServicePhase(sch *sim.Scheduler, tp numa.Topology, s *svc.Service,
-	d *ServeDriver, cfg ServeConfig, perShard [][]openloop.Arrival, startNS uint64) {
+	d *ServeDriver, cfg ServeConfig, perShard [][]openloop.Arrival, startNS uint64) []*sim.Thread {
 	consumersLive := cfg.Shards
 	injectorsLive := cfg.Shards
+	var ths []*sim.Thread
 	for shard := 0; shard < cfg.Shards; shard++ {
 		shard := shard
-		sch.Spawn("serve", tp.NodeOf(shard), startNS, func(t *sim.Thread) {
+		ths = append(ths, sch.Spawn("serve", tp.NodeOf(shard), startNS, func(t *sim.Thread) {
 			s.Serve(t, shard)
 			consumersLive--
 			if consumersLive == 0 && d.StopAux != nil {
 				d.StopAux(t)
 			}
-		})
-		sch.Spawn("inject", tp.NodeOf(shard), startNS, func(t *sim.Thread) {
-			inject(t, s.Client(shard), perShard[shard])
+		}), sch.Spawn("inject", tp.NodeOf(shard), startNS, func(t *sim.Thread) {
+			t.Await(&injector{c: s.Client(shard), arrivals: perShard[shard]})
 			injectorsLive--
 			if injectorsLive == 0 {
 				s.Stop()
 			}
-		})
+		}))
 	}
+	return ths
 }
 
 // scheduledOn counts the arrivals of a ring-split schedule.

@@ -2,9 +2,11 @@ package harness
 
 import (
 	"encoding/json"
+	"reflect"
 	"testing"
 
 	"prepuc/internal/drivers"
+	"prepuc/internal/metrics"
 	"prepuc/internal/nvm"
 	"prepuc/internal/openloop"
 	"prepuc/internal/sim"
@@ -64,24 +66,56 @@ func TestInjectUnderBackpressure(t *testing.T) {
 	// Completion order per ring, observed through the service's own hook:
 	// the same phase spawner and injector, on a machine booted here so the
 	// test can see each completion's identity.
-	perShard := make([][]openloop.Arrival, cfg.Shards)
-	for _, a := range arrivals {
-		s := int(a.Client) % cfg.Shards
-		perShard[s] = append(perShard[s], a)
+	perShard := openloop.Split(arrivals, cfg.Shards, func(a *openloop.Arrival) int { return ringOf(a, cfg.Shards) })
+	run, _, _ := runServePhase(t, cfg, perShard, false)
+	if run.metrics.RingFullStalls == 0 {
+		t.Fatal("no ring-full stalls on the observed machine")
 	}
-	type done struct{ arrival, invid uint64 }
-	seen := make([][]done, cfg.Shards)
-	d = ServeDrivers(cfg.Shards, 64)[0]
+	for shard, arr := range perShard {
+		if len(run.done[shard]) != len(arr) {
+			t.Fatalf("ring %d completed %d of %d", shard, len(run.done[shard]), len(arr))
+		}
+		for k, a := range arr {
+			// The k-th completion carries the k-th submission's id and the
+			// k-th scheduled arrival's stamp.
+			got := run.done[shard][k]
+			if want := svc.InvocationID(0, shard, uint64(k)); got.arrival != a.At || got.invid != want {
+				t.Fatalf("ring %d completion %d = %+v, want arrival %d, invid %#x", shard, k, got, a.At, want)
+			}
+		}
+	}
+}
+
+// completion is one completion record as the service's hook delivers it.
+type completion struct{ arrival, invid, result, exec, done uint64 }
+
+// servePhaseRun is what one service phase leaves behind.
+type servePhaseRun struct {
+	events  uint64
+	clocks  []uint64 // the phase's consumers and injectors, in spawn order
+	metrics metrics.Snapshot
+	done    [][]completion // per ring, in completion order
+}
+
+// runServePhase boots PREP-Durable with detectable submission rings at cfg,
+// as RunServe does, and runs one spawnServicePhase over perShard — under the
+// built-in dispatch rule, or under a MinClock Chooser, where Await runs its
+// definition loop and no segment runs inline. It returns the phase's
+// scheduler and threads for their test-only tallies.
+func runServePhase(t *testing.T, cfg ServeConfig, perShard [][]openloop.Arrival, chooser bool) (servePhaseRun, *sim.Scheduler, []*sim.Thread) {
+	t.Helper()
+	d := ServeDrivers(cfg.Shards, 64)[0]
 	tp := serveTopo(cfg.Shards)
+	run := servePhaseRun{done: make([][]completion, cfg.Shards)}
 	var s *svc.Service
-	sys, _, err := drivers.Boot(d, nvm.Config{Costs: sim.UnitCosts()},
+	sys, _, err := drivers.Boot(d, nvm.Config{Costs: sim.UnitCosts(), BGFlushOneIn: 128, Seed: uint64(cfg.Seed) + 7},
 		func(t *sim.Thread, sys *nvm.System, eng uc.UC) (err error) {
 			s, err = svc.New(t, sys, svc.Config{
 				Engine: eng, Topology: tp, Shards: cfg.Shards,
 				RingSize: cfg.RingSize, MaxBatch: cfg.MaxBatch, Batched: true,
 				Detect: true,
 				OnComplete: func(shard int, f *svc.Future) {
-					seen[shard] = append(seen[shard], done{f.ArrivalNS, f.Invid})
+					run.done[shard] = append(run.done[shard], completion{f.ArrivalNS, f.Invid, f.Result, f.ExecNS, f.DoneNS})
 				},
 			})
 			return err
@@ -89,25 +123,75 @@ func TestInjectUnderBackpressure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sch := sim.New(cfg.Seed + 1)
+	sch := sim.New(0)
+	if chooser {
+		sch.SetChooser(minClockChooser{})
+	}
 	sys.SetScheduler(sch)
 	d.SpawnAux()
-	spawnServicePhase(sch, tp, s, d, cfg, perShard, 0)
+	ths := spawnServicePhase(sch, tp, s, d, cfg, perShard, 0)
 	sch.Run()
-	if sys.Metrics().Snapshot().RingFullStalls == 0 {
-		t.Fatal("no ring-full stalls on the observed machine")
+	run.events = sch.Events()
+	for _, th := range ths {
+		run.clocks = append(run.clocks, th.Clock())
 	}
-	for shard, arr := range perShard {
-		if len(seen[shard]) != len(arr) {
-			t.Fatalf("ring %d completed %d of %d", shard, len(seen[shard]), len(arr))
-		}
-		for k, a := range arr {
-			// The k-th completion carries the k-th submission's id and the
-			// k-th scheduled arrival's stamp.
-			want := done{a.At, svc.InvocationID(0, shard, uint64(k))}
-			if seen[shard][k] != want {
-				t.Fatalf("ring %d completion %d = %+v, want %+v", shard, k, seen[shard][k], want)
-			}
+	run.metrics = sys.Metrics().Snapshot()
+	return run, sch, ths
+}
+
+type minClockChooser struct{}
+
+func (minClockChooser) Choose(_ int, cands []sim.Candidate) int { return sim.MinClock(cands) }
+
+// TestServePhaseMatchesChooserTwin runs a service phase under backpressure
+// plain — the injectors and the idle consumers' waits run as poll segments on
+// whatever thread holds the baton, and a submission's stores run there too —
+// and under a MinClock Chooser, which runs Await's definition loop. The two
+// must agree on events, every consumer and injector clock, the metrics and
+// every ring's completion records. The plain run's handoffs and coroutine
+// switches are pinned: they are deterministic, so a segment that leaks a
+// Step, or a wait that stops running inline, moves them. An injector is
+// switched in at most twice, to start and to finish.
+func TestServePhaseMatchesChooserTwin(t *testing.T) {
+	cfg := backpressureConfig()
+	arrivals, err := openloop.Generate(cfg.Open)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perShard := openloop.Split(arrivals, cfg.Shards, func(a *openloop.Arrival) int { return ringOf(a, cfg.Shards) })
+	got, sch, ths := runServePhase(t, cfg, perShard, false)
+	want, _, _ := runServePhase(t, cfg, perShard, true)
+	if !reflect.DeepEqual(got.clocks, want.clocks) || got.events != want.events {
+		t.Fatalf("events %d, clocks %v; Chooser twin: events %d, clocks %v", got.events, got.clocks, want.events, want.clocks)
+	}
+	if got.metrics != want.metrics {
+		t.Fatalf("metrics differ from the Chooser twin's:\n plain %+v\n  twin %+v", got.metrics, want.metrics)
+	}
+	if !reflect.DeepEqual(got.done, want.done) {
+		t.Fatal("completion records differ from the Chooser twin's")
+	}
+	if got.metrics.RingFullStalls == 0 {
+		t.Fatal("no ring-full stalls: the phase does not exercise the backlog")
+	}
+
+	// The same phase with the injector and the consumer's idle wait stepping
+	// on their own goroutines took the same 365 106 handoffs and 385 275
+	// switches.
+	const wantHandoffs, wantSwitches = 365_106, 284_545
+	v := reflect.ValueOf(sch).Elem()
+	handoffs, switches := v.FieldByName("handoffs").Uint(), v.FieldByName("switches").Uint()
+	var ins []uint64
+	for _, th := range ths {
+		ins = append(ins, reflect.ValueOf(th).Elem().FieldByName("ins").Uint())
+	}
+	t.Logf("%d events, %d handoffs, %d switches; switched in (consumer, injector per ring): %v",
+		got.events, handoffs, switches, ins)
+	if handoffs != wantHandoffs || switches != wantSwitches {
+		t.Errorf("%d handoffs, %d switches; pinned at %d and %d", handoffs, switches, wantHandoffs, wantSwitches)
+	}
+	for i := 1; i < len(ins); i += 2 {
+		if ins[i] > 2 {
+			t.Errorf("injector %d switched in %d times, want at most 2", i/2, ins[i])
 		}
 	}
 }

@@ -421,7 +421,9 @@ func (m *Memory) markDirty(line uint64) {
 }
 
 // Store writes v to the word at off. For NVM memories the store dirties the
-// containing line and may trigger a background write-back.
+// containing line and may trigger a background write-back. It is StoreBegin,
+// the Step it prices, StoreEnd — written out rather than called, so the hot
+// path pays no extra call (TestSplitAccessesEqualWhole pins the equality).
 func (m *Memory) Store(t *sim.Thread, off uint64, v uint64) {
 	line := off / WordsPerLine
 	m.wake(line)
@@ -458,8 +460,71 @@ func (m *Memory) linePending(line uint64) bool {
 	return false
 }
 
+// StoreBegin is Store's pre-Step half: it wakes the line's watchers,
+// announces the store and prices it, which is where MSI ownership moves. A
+// poll segment (sim.Thread.Await) returns this cost for its Step and writes
+// with StoreEnd in the next segment, so a poller's stores are Stores to every
+// observer.
+func (m *Memory) StoreBegin(t *sim.Thread, off uint64) uint64 {
+	line := off / WordsPerLine
+	m.wake(line)
+	m.announce(t, AccStore, line, false)
+	return m.storeCost(t, line)
+}
+
+// StoreEnd is Store's post-Step half: it wakes the line's watchers again,
+// counts the store and writes v.
+func (m *Memory) StoreEnd(t *sim.Thread, off uint64, v uint64) {
+	line := off / WordsPerLine
+	m.wake(line)
+	m.sys.met.Stores++
+	m.data.store(off, v)
+	m.written(t, line)
+}
+
+// CASBegin is CAS's pre-Step half, as StoreBegin is Store's.
+func (m *Memory) CASBegin(t *sim.Thread, off uint64) uint64 {
+	line := off / WordsPerLine
+	m.wake(line)
+	m.announce(t, AccCAS, line, false)
+	return m.storeCost(t, line)
+}
+
+// CASEnd is CAS's post-Step half: it wakes the line's watchers again, counts
+// the CAS and swaps in new if the word still holds old.
+func (m *Memory) CASEnd(t *sim.Thread, off, old, new uint64) bool {
+	line := off / WordsPerLine
+	m.wake(line)
+	m.sys.met.CASes++
+	if m.data.load(off) != old {
+		return false
+	}
+	m.data.store(off, new)
+	m.written(t, line)
+	return true
+}
+
+// written is the end halves' NVM bookkeeping after a write to line, as Store
+// and CAS do it: dirty the line, draw a background write-back, and tell the
+// persist-effect hook when the write changed what a crash materializes.
+func (m *Memory) written(t *sim.Thread, line uint64) {
+	if m.kind != NVM {
+		return
+	}
+	m.markDirty(line)
+	bg := m.sys.bgProb != 0 && m.nextBG()%m.sys.bgProb == 0
+	if bg {
+		m.persistLine(line)
+		m.sys.met.BGFlushes++
+	}
+	if h := m.sys.peHook; h != nil && (bg || m.linePending(line)) {
+		h(t.ID())
+	}
+}
+
 // CAS atomically compares and swaps the word at off. Failed CASes still
-// acquire the line exclusively, as on real hardware.
+// acquire the line exclusively, as on real hardware. Like Store, it is its
+// two halves written out: CASBegin, the Step, CASEnd.
 func (m *Memory) CAS(t *sim.Thread, off, old, new uint64) bool {
 	line := off / WordsPerLine
 	m.wake(line)

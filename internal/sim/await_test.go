@@ -355,6 +355,68 @@ func TestParkedWakeHorizon(t *testing.T) {
 	}
 }
 
+// storePoller is a writer cut into poll segments, as the open-loop injector
+// is: stores times, 97 ns of work, then a store in two halves as sc.store
+// makes it — wake and observe; Step 200; wake and write — whose last one
+// raises the flag. It counts the stores whose halves ran inline (runPoll, on
+// another thread's goroutine) and the pollers parked between such halves.
+type storePoller struct {
+	sc             *scene
+	stores, i, seg int
+	inline         int
+	between        int
+}
+
+func (w *storePoller) Poll(th *Thread) (uint64, bool) {
+	switch w.seg {
+	case 1: // the store's first half
+		w.sc.wake(th)
+		w.sc.observe()
+		w.seg = 2
+		return 200, false
+	case 2: // its second half
+		if th.poll != nil {
+			w.inline++
+			for _, p := range w.sc.ps {
+				if p.watching {
+					w.between++
+				}
+			}
+		}
+		w.sc.wake(th)
+		if w.i++; w.i == w.stores {
+			w.sc.flag = true
+		}
+	}
+	if w.i == w.stores {
+		return 0, true
+	}
+	w.seg = 1
+	return 97, false
+}
+
+// A store whose halves run inside a poll segment — on whichever thread holds
+// the baton, not the writer's own goroutine — wakes a parked waiter up to the
+// writer's dispatch, the horizon it has on its own goroutine: the scheduler
+// names the segment's owner as the thread the baton is moving to. The run
+// must be its Chooser twin's, with stores run inline and pollers parked
+// between their halves.
+func TestParkedWakeFromInlineStore(t *testing.T) {
+	var inline, between int
+	checkTwin(t, 5, 0, func(sc *scene, th *Thread) {
+		w := &storePoller{sc: sc, stores: 12}
+		th.Await(w)
+		if sc.s.chooser == nil {
+			inline, between = w.inline, w.between
+		}
+		th.Step(5)
+	})
+	if inline == 0 || between == 0 {
+		t.Fatalf("%d stores ran inline, %d pollers parked between their halves: want both", inline, between)
+	}
+	t.Logf("%d inline stores, %d pollers parked between their halves", inline, between)
+}
+
 // Events read mid-run counts every poll that precedes the reader's dispatch,
 // parked or not.
 func TestParkedEventsMidRun(t *testing.T) {

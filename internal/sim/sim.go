@@ -104,6 +104,12 @@ type Thread struct {
 	// is cleared when the wait is done or the machine froze, which is the
 	// signal for the thread to be switched in.
 	poll Poller
+
+	// ins counts the dispatches that reached the thread by a coroutine
+	// switch, its first one included — not the switches that only pass
+	// through it on their way down the resume chain. A test-only tally, like
+	// the scheduler's handoffs and switches.
+	ins uint64
 }
 
 // ID returns the thread's scheduler-wide identifier.
@@ -319,6 +325,7 @@ func (s *Scheduler) Spawn(name string, node int, startClock uint64, fn func(*Thr
 	// thread handed over the baton, and that thread's fn could swallow it.
 	t.resume, _ = iter.Pull(func(yield func(struct{}) bool) {
 		t.yield = yield
+		t.ins++
 		defer func() {
 			if r := recover(); r != nil && !Crashed(r) {
 				s.fail(t, r)
@@ -383,6 +390,9 @@ func (s *Scheduler) transfer(self *Thread) {
 		} else {
 			n.active = true
 			n.resume()
+		}
+		if s.next == self && self != nil {
+			self.ins++ // the baton arrived by this switch
 		}
 	}
 }
@@ -562,8 +572,11 @@ func (s *Scheduler) runPoll(n *Thread) {
 // parked is left alone. It is called by the baton holder when it is about to
 // store to a line t watches. First it replays t's pending poll segments whose
 // (clock, id) precedes the holder's — they would have run before the holder's
-// code — each charged what Step charges. Like Step, it panics with Crash{} if
-// the machine froze, which only a bug panic in a replayed segment can do.
+// code — each charged what Step charges. A store inside a poll segment run
+// inline is its owner's: runPoll keeps the owner in s.next, so the horizon is
+// the owner's dispatch, as on its own goroutine. Like Step, it panics with
+// Crash{} if the machine froze, which only a bug panic in a replayed segment
+// can do.
 func (s *Scheduler) Wake(t *Thread) {
 	if i := slices.Index(s.parked, t); i >= 0 {
 		s.wake(i, s.next)

@@ -146,8 +146,9 @@ type Config struct {
 	Batched bool
 	// OnComplete, if set, is invoked for every completed future (after its
 	// fields are final). The open-loop harness hooks latency histograms here.
-	// For an operation submitted with Client.Post the record lives in the
-	// consumer's scratch and is valid only for the duration of the callback.
+	// For a handle-free submission (Client.Submission) the record lives in
+	// the consumer's scratch and is valid only for the duration of the
+	// callback.
 	OnComplete func(shard int, f *Future)
 	// Detect stamps every submission with a unique invocation id
 	// (InvocationID) so a detectable engine (core.Config.Detect) durably
@@ -177,7 +178,7 @@ type ring struct {
 	mem  *nvm.Memory
 	size uint64
 	// futures and arrivals are the host-side halves of the slots: the
-	// submitter's handle, or nil for a posted operation, whose arrival stamp
+	// submitter's handle, or nil for a handle-free one, whose arrival stamp
 	// is kept beside it for the completion record the consumer builds. A
 	// slot is restamped as soon as ringHead has moved past it, so the
 	// consumer copies both out while draining, before it stores ringHead.
@@ -263,58 +264,132 @@ func (s *Service) Client(shard int) *Client {
 // own backlog rather than blocking the arrival timeline. The future is the
 // caller's to keep: it stays valid however many times the ring laps it.
 func (c *Client) TrySubmit(t *sim.Thread, op uc.Op, arrivalNS uint64) (*Future, bool) {
-	return c.enqueue(t, op, arrivalNS, true)
-}
-
-// Post is TrySubmit without the handle: the same ring traffic, no Future
-// allocated. The operation's completion is observable only through
-// Config.OnComplete, on a record the consumer owns (see there) — the path
-// for producers that never look at a result, like the open-loop injectors.
-func (c *Client) Post(t *sim.Thread, op uc.Op, arrivalNS uint64) bool {
-	_, ok := c.enqueue(t, op, arrivalNS, false)
-	return ok
-}
-
-// enqueue is the submission body behind TrySubmit and Post: claim a slot
-// with the tail CAS, write the entry, raise its full mark. handle selects
-// whether the slot carries a heap Future back to the caller.
-func (c *Client) enqueue(t *sim.Thread, op uc.Op, arrivalNS uint64, handle bool) (*Future, bool) {
-	r := c.r
+	e := Submission{c: c, op: op, arrival: arrivalNS, handle: true}
 	for {
-		tail := r.mem.Load(t, ringTail)
-		if tail-r.mem.Load(t, ringHead) >= r.size {
-			c.svc.met.RingFullStalls++
-			return nil, false
+		cost, done := e.Poll(t)
+		if done {
+			return e.f, e.ok
 		}
-		if !r.mem.CAS(t, ringTail, tail, tail+1) {
-			continue
-		}
-		var f *Future
-		if handle {
-			f = &Future{ArrivalNS: arrivalNS}
-		} else {
-			r.arrivals[tail%r.size] = arrivalNS
-		}
-		r.futures[tail%r.size] = f
-		off := r.entryOff(tail)
-		r.mem.Store(t, off+entryCode, op.Code)
-		r.mem.Store(t, off+entryA0, op.A0)
-		r.mem.Store(t, off+entryA1, op.A1)
-		if c.svc.cfg.Detect {
-			if tail > MaxInvidSeq {
-				panic("svc: per-shard sequence number exceeds the invocation-id seq field")
-			}
-			invid := InvocationID(c.svc.cfg.InvidEpoch, c.shard, tail)
-			if handle {
-				f.Invid = invid
-			}
-			r.mem.Store(t, off+entryInvid, invid)
-		}
-		r.mem.Store(t, off+entryState, r.fullMark(tail))
-		r.submitted++
-		c.svc.met.RingSubmits++
-		return f, true
+		t.Step(cost)
 	}
+}
+
+// A Submission is the enqueue protocol of one operation cut into poll
+// segments at its Steps (a sim.Poller): load the tail, load the head — on a
+// full ring count a stall and report done, rejected — CAS the tail, a lost
+// CAS restarting at the tail load, then store the entry's code, A0, A1, the
+// invocation id (Config.Detect only) and last its full mark. Every access is
+// split into its Begin half, which ends a segment and prices its Step, and
+// its End half, which starts the next one, so the submission is the same
+// ring traffic wherever its segments run. TrySubmit runs one with the plain
+// Poll-and-Step loop; an injector hands its own poller's segments to one
+// (Client.Submission) and runs them all under sim.Thread.Await.
+type Submission struct {
+	c       *Client
+	op      uc.Op
+	arrival uint64
+	// handle selects whether the slot carries a heap Future back to the
+	// caller (TrySubmit) or the arrival stamp beside it, for the completion
+	// record the consumer builds (a handle-free submission).
+	handle bool
+	seg    int
+	tail   uint64
+	f      *Future
+	ok     bool
+}
+
+// Submission segments: each names the access whose End half starts it.
+const (
+	subStart = iota
+	subTail
+	subHead
+	subCAS
+	subCode
+	subA0
+	subA1
+	subInvid
+	subState
+)
+
+// Submission arms a handle-free submission of op, stamped arrivalNS, to the
+// client's ring: the same ring traffic as TrySubmit, no Future allocated.
+// The operation's completion is observable only through Config.OnComplete,
+// on a record the consumer owns (see there) — the path for producers that
+// never look at a result, like the open-loop injectors.
+func (c *Client) Submission(op uc.Op, arrivalNS uint64) Submission {
+	return Submission{c: c, op: op, arrival: arrivalNS}
+}
+
+// Accepted reports, once Poll has reported done, whether the ring took the
+// operation; false means it was full.
+func (e *Submission) Accepted() bool { return e.ok }
+
+// Poll runs the submission's next segment (sim.Poller). It never Steps: it
+// returns the cost of the Step that follows the segment, or done.
+func (e *Submission) Poll(t *sim.Thread) (uint64, bool) {
+	r := e.c.r
+	off := r.entryOff(e.tail)
+	switch e.seg {
+	case subStart:
+	case subTail:
+		e.tail = r.mem.LoadEnd(ringTail)
+		e.seg = subHead
+		return r.mem.LoadBegin(t, ringHead), false
+	case subHead:
+		if e.tail-r.mem.LoadEnd(ringHead) >= r.size {
+			e.c.svc.met.RingFullStalls++
+			return 0, true
+		}
+		e.seg = subCAS
+		return r.mem.CASBegin(t, ringTail), false
+	case subCAS:
+		if !r.mem.CASEnd(t, ringTail, e.tail, e.tail+1) {
+			break // lost: restart at the tail load
+		}
+		if e.handle {
+			e.f = &Future{ArrivalNS: e.arrival}
+		} else {
+			r.arrivals[e.tail%r.size] = e.arrival
+		}
+		r.futures[e.tail%r.size] = e.f
+		e.seg = subCode
+		return r.mem.StoreBegin(t, off+entryCode), false
+	case subCode:
+		r.mem.StoreEnd(t, off+entryCode, e.op.Code)
+		e.seg = subA0
+		return r.mem.StoreBegin(t, off+entryA0), false
+	case subA0:
+		r.mem.StoreEnd(t, off+entryA0, e.op.A0)
+		e.seg = subA1
+		return r.mem.StoreBegin(t, off+entryA1), false
+	case subA1:
+		r.mem.StoreEnd(t, off+entryA1, e.op.A1)
+		if !e.c.svc.cfg.Detect {
+			e.seg = subState
+			return r.mem.StoreBegin(t, off+entryState), false
+		}
+		if e.tail > MaxInvidSeq {
+			panic("svc: per-shard sequence number exceeds the invocation-id seq field")
+		}
+		e.seg = subInvid
+		return r.mem.StoreBegin(t, off+entryInvid), false
+	case subInvid:
+		invid := InvocationID(e.c.svc.cfg.InvidEpoch, e.c.shard, e.tail)
+		if e.handle {
+			e.f.Invid = invid
+		}
+		r.mem.StoreEnd(t, off+entryInvid, invid)
+		e.seg = subState
+		return r.mem.StoreBegin(t, off+entryState), false
+	case subState:
+		r.mem.StoreEnd(t, off+entryState, r.fullMark(e.tail))
+		r.submitted++
+		e.c.svc.met.RingSubmits++
+		e.ok = true
+		return 0, true
+	}
+	e.seg = subTail
+	return r.mem.LoadBegin(t, ringTail), false
 }
 
 // Submit enqueues op, blocking (with backoff) while the ring is full. The
@@ -342,6 +417,39 @@ func (s *Service) Stop() { s.stopped = true }
 // serveIdleCost is the virtual cost of one empty consumer poll.
 const serveIdleCost = 200
 
+// headWait is the consumer's wait for a full head entry, cut into poll
+// segments (a sim.Poller run by Thread.Await): load ringHead, load that
+// entry's state; on a miss report done if Stop was called, else step
+// serveIdleCost and start over. An idle consumer thus polls an empty ring
+// without being switched in.
+type headWait struct {
+	s    *Service
+	r    *ring
+	seg  int    // 0: load ringHead; 1: read it, load its entry's state; 2: read that
+	head uint64 // the head entry's index
+	full bool   // the wait ended on a full head entry, not on Stop
+}
+
+// Poll runs the wait's next segment (sim.Poller).
+func (w *headWait) Poll(t *sim.Thread) (uint64, bool) {
+	r := w.r
+	switch w.seg {
+	case 0:
+		w.seg = 1
+		return r.mem.LoadBegin(t, ringHead), false
+	case 1:
+		w.head = r.mem.LoadEnd(ringHead)
+		w.seg = 2
+		return r.mem.LoadBegin(t, r.entryOff(w.head)+entryState), false
+	}
+	w.seg = 0
+	w.full = r.mem.LoadEnd(r.entryOff(w.head)+entryState) == r.fullMark(w.head)
+	if w.full || w.s.stopped {
+		return 0, true
+	}
+	return serveIdleCost, false
+}
+
 // Serve is shard's consumer loop: drain up to MaxBatch contiguous submitted
 // entries, execute them as one batch, complete the futures, repeat. It runs
 // as worker tid shard and returns after Stop once the ring is empty.
@@ -351,17 +459,17 @@ func (s *Service) Serve(t *sim.Thread, shard int) {
 	res := make([]uint64, s.cfg.MaxBatch)
 	futs := make([]*Future, s.cfg.MaxBatch)
 	posted := make([]Future, s.cfg.MaxBatch) // completion records of handle-free entries
+	wait := &headWait{s: s, r: r}
 	for {
-		head := r.mem.Load(t, ringHead)
+		t.Await(wait)
+		if !wait.full {
+			return // stopped, and the ring is empty
+		}
+		head := wait.head
 		n := 0
-		for n < s.cfg.MaxBatch {
+		for {
 			idx := head + uint64(n)
 			off := r.entryOff(idx)
-			// Stop at the first entry not yet fully written — including a
-			// slot a producer has CASed but not filled.
-			if r.mem.Load(t, off+entryState) != r.fullMark(idx) {
-				break
-			}
 			ops[n] = uc.Op{
 				Code: r.mem.Load(t, off+entryCode),
 				A0:   r.mem.Load(t, off+entryA0),
@@ -379,13 +487,12 @@ func (s *Service) Serve(t *sim.Thread, shard int) {
 			}
 			futs[n] = f
 			n++
-		}
-		if n == 0 {
-			if s.stopped {
-				return
+			// Stop at the first entry not yet fully written — including a
+			// slot a producer has CASed but not filled. The wait read the
+			// head entry's state.
+			if n == s.cfg.MaxBatch || r.mem.Load(t, r.entryOff(idx+1)+entryState) != r.fullMark(idx+1) {
+				break
 			}
-			t.Step(serveIdleCost)
-			continue
 		}
 		r.mem.Store(t, ringHead, head+uint64(n))
 		r.drained = head + uint64(n)

@@ -364,15 +364,17 @@ func (s *batchSpy) ExecuteBatch(t *sim.Thread, tid int, ops []uc.Op, res []uint6
 // TestPostedCompletionsSurviveSlotReuse drives a 4-entry ring with two
 // producers that refill every slot the moment the consumer's head store
 // frees it, while the consumer is still executing the batch it drained from
-// those slots. A posted operation has no heap future: its completion record
-// is assembled by the consumer, and everything in it that came from the slot
-// — the arrival stamp and the invocation id — must have been copied out
-// before ringHead moved, or it reads the next lap's operation. Each
+// those slots. A handle-free submission has no heap future: its completion
+// record is assembled by the consumer, and everything in it that came from
+// the slot — the arrival stamp and the invocation id — must have been copied
+// out before ringHead moved, or it reads the next lap's operation. Each
 // operation carries a unique token as its arrival stamp and as its value
 // operand, so the k-th completion is checked field by field against the k-th
-// operation the engine executed. One producer alternates Post with TrySubmit
-// and keeps the futures; they must stay intact however often the ring laps
-// them.
+// operation the engine executed. The handle-free submissions run under
+// Thread.Await, their segments inline on whichever thread holds the baton, as
+// the open-loop injectors run them. One producer alternates them with
+// TrySubmit and keeps the futures; they must stay intact however often the
+// ring laps them.
 func TestPostedCompletionsSurviveSlotReuse(t *testing.T) {
 	const (
 		ringSize = 4
@@ -421,8 +423,12 @@ func TestPostedCompletionsSurviveSlotReuse(t *testing.T) {
 						held[tok] = f
 						break
 					}
-				} else if c.Post(th, op, tok) {
-					break
+				} else {
+					sub := c.Submission(op, tok)
+					th.Await(&sub)
+					if sub.Accepted() {
+						break
+					}
 				}
 				th.Step(16) // far shorter than a durable batch: the ring stays full
 			}
