@@ -1,6 +1,7 @@
 package core
 
 import (
+	"prepuc/internal/locks"
 	"prepuc/internal/sim"
 	"prepuc/internal/uc"
 )
@@ -68,15 +69,7 @@ func (p *PREP) ExecuteBatch(t *sim.Thread, tid int, ops []uc.Op, res []uint64) u
 
 	// Become the node's combiner. Unlike update() there is no batch slot to
 	// park the ops in, so this blocks rather than waiting for service.
-	w := p.waiter(t)
-	*w = waiter{lock: &rep.combiner, cap: 1024}
-	for {
-		t.Await(w)
-		if rep.combiner.Take(t) {
-			break
-		}
-		w.seg = segSpin
-	}
+	rep.combiner.Acquire(t, p.waits.Of(t), 1024)
 
 	// The session of session.go over the batch's updates, in submitted order.
 	var tail, newTail uint64
@@ -164,8 +157,8 @@ func (p *PREP) AwaitDurable(t *sim.Thread, mark uint64) {
 		return
 	}
 	if p.cfg.Mode == Durable {
-		w := p.waiter(t)
-		*w = waiter{watch: watchTail, log: p.log, want: mark, cap: 512}
+		w := p.waits.Of(t)
+		*w = locks.Wait{Mem: p.log.Mem(), Off: p.log.CompletedTailOff(), Want: mark, Cap: 512}
 		t.Await(w)
 		return
 	}
@@ -185,6 +178,6 @@ func (p *PREP) AwaitDurable(t *sim.Thread, mark uint64) {
 				p.met.BoundaryReductions++
 			}
 		}
-		b.Spin(t, 4096)
+		t.Step(b.Next(4096))
 	}
 }

@@ -69,8 +69,7 @@ const (
 // descTable is the per-generation descriptor region: Workers contiguous
 // per-worker blocks of DescSlots one-line records.
 type descTable struct {
-	mem     *nvm.Memory
-	workers int
+	mem *nvm.Memory
 	// seq is the host-side next-slot cursor per worker (slot = seq mod
 	// DescSlots). It is accessed only while holding the combiner lock of
 	// the worker's node, which serializes all descriptor writers for that
@@ -84,7 +83,7 @@ func descTableWords(workers int) uint64 {
 }
 
 func newDescTable(mem *nvm.Memory, workers int) *descTable {
-	return &descTable{mem: mem, workers: workers, seq: make([]uint64, workers)}
+	return &descTable{mem: mem, seq: make([]uint64, workers)}
 }
 
 // off returns the word offset of worker w's slot.

@@ -59,8 +59,6 @@ const pTailRootSlot = 1
 // replica is one NUMA node's volatile replica with its flat-combining state.
 type replica struct {
 	node     int
-	heap     *nvm.Memory
-	alloc    *pmem.Allocator
 	ds       uc.DataStructure
 	ctrl     *nvm.Memory
 	combiner locks.TryLock
@@ -83,7 +81,6 @@ func (r *replica) localTail(t *sim.Thread) uint64 { return r.ctrl.Load(t, ctrlLo
 func (r *replica) setLocalTail(t *sim.Thread, v uint64) {
 	r.ctrl.Store(t, ctrlLocalTail, v)
 }
-func (r *replica) updateNow(t *sim.Thread) bool { return r.ctrl.Load(t, ctrlUpdateNow) != 0 }
 func (r *replica) setUpdateNow(t *sim.Thread, v uint64) {
 	r.ctrl.Store(t, ctrlUpdateNow, v)
 }
@@ -111,7 +108,7 @@ type PREP struct {
 	gctrl *nvm.Memory
 	desc  *descTable // operation descriptors; nil unless cfg.Detect
 	met   *metrics.Registry
-	waits []*waiter // by thread id (wait.go)
+	waits locks.Waits
 }
 
 var _ uc.UC = (*PREP)(nil)
@@ -180,12 +177,9 @@ func newEngine(t *sim.Thread, sys *nvm.System, cfg Config, lin uc.Lineage) (*PRE
 	slotsBase := ctrlRW + locks.DistRWLockWords(int(p.beta))
 	for node := 0; node < p.nodes; node++ {
 		heap := sys.NewMemory(lin.Name(fmt.Sprintf("rheap%d", node)), nvm.Volatile, node, cfg.HeapWords)
-		alloc := pmem.New(t, heap)
 		r := &replica{
 			node:      node,
-			heap:      heap,
-			alloc:     alloc,
-			ds:        cfg.Factory(t, alloc),
+			ds:        cfg.Factory(t, pmem.New(t, heap)),
 			ctrl:      sys.NewMemory(lin.Name(fmt.Sprintf("rctrl%d", node)), nvm.Volatile, node, slotsBase+p.beta*slotWords),
 			slotsBase: slotsBase,
 		}
@@ -315,11 +309,11 @@ func (p *PREP) Execute(t *sim.Thread, tid int, op uc.Op) uint64 {
 // then reads under its slot of the distributed reader lock (§3).
 func (p *PREP) readOnly(t *sim.Thread, rep *replica, slot int, op uc.Op) uint64 {
 	ct := p.log.CompletedTail(t)
-	w := p.waiter(t)
-	*w = waiter{watch: watchWord, mem: rep.ctrl, off: ctrlLocalTail, want: ct, lock: &rep.combiner, cap: 512}
+	w := p.waits.Of(t)
+	*w = locks.Wait{Mem: rep.ctrl, Off: ctrlLocalTail, Want: ct, Lock: &rep.combiner, Cap: 512}
 	for {
 		t.Await(w)
-		if w.served {
+		if w.Served {
 			break
 		}
 		if rep.combiner.Take(t) {
@@ -331,7 +325,7 @@ func (p *PREP) readOnly(t *sim.Thread, rep *replica, slot int, op uc.Op) uint64 
 			rep.combiner.Release(t)
 			break
 		}
-		w.seg = segSpin
+		w.Retry()
 	}
 	rep.rw.ReadLock(t, slot)
 	res := rep.ds.Execute(t, op.Code, op.A0, op.A1)
@@ -353,10 +347,10 @@ func (p *PREP) readOnly(t *sim.Thread, rep *replica, slot int, op uc.Op) uint64 
 // localTail to move past the reuse horizon — without incremental progress
 // the two would deadlock.
 func (p *PREP) applyLog(t *sim.Thread, ds uc.DataStructure, from, to uint64, f *nvm.Flusher, progress func(uint64)) {
-	w := p.waiter(t)
+	w := p.waits.Of(t)
 	for idx := from; idx < to; idx++ {
 		// Each entry restarts the truncated-exponential ladder.
-		*w = waiter{watch: watchFull, log: p.log, want: idx, cap: 512}
+		*w = locks.Wait{Mem: p.log.Mem(), Off: p.log.FullMarkOff(idx), Want: p.log.FullMark(idx), Exact: true, Cap: 512}
 		t.Await(w)
 		code, a0, a1 := p.log.ReadEntry(t, idx)
 		if f != nil {
@@ -383,11 +377,11 @@ func (p *PREP) update(t *sim.Thread, rep *replica, slot int, op uc.Op) uint64 {
 	rep.ctrl.Store(t, so+slotState, slotPending)
 	// Wait until a combiner serves the slot (slotDone is the largest state)
 	// or the combiner lock looks free.
-	w := p.waiter(t)
-	*w = waiter{watch: watchWord, mem: rep.ctrl, off: so + slotState, want: slotDone, lock: &rep.combiner, cap: 1024}
+	w := p.waits.Of(t)
+	*w = locks.Wait{Mem: rep.ctrl, Off: so + slotState, Want: slotDone, Lock: &rep.combiner, Cap: 1024}
 	for {
 		t.Await(w)
-		if w.served {
+		if w.Served {
 			rep.ctrl.Store(t, so+slotState, slotEmpty)
 			return rep.ctrl.Load(t, so+slotResp)
 		}
@@ -402,6 +396,6 @@ func (p *PREP) update(t *sim.Thread, rep *replica, slot int, op uc.Op) uint64 {
 			rep.combiner.Release(t)
 			return res
 		}
-		w.seg = segSpin
+		w.Retry()
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"prepuc/internal/locks"
 	"prepuc/internal/sim"
 )
 
@@ -20,9 +21,9 @@ import (
 //     combiner and writer locks — preserving deadlock freedom even when a
 //     node has gone idle.
 
-// crossHelpSpins is how many backoff spins a combiner waits on a stale
-// volatile replica before helping it across nodes.
-const crossHelpSpins = 64
+// crossHelpRounds is how many rounds a combiner waits on a stale volatile
+// replica before it tries to help it across nodes.
+const crossHelpRounds = 64
 
 // reserveLogEntries implements Algorithm 4: reserve num contiguous log
 // entries, blocking while the flush boundary forbids growth (persistent
@@ -35,12 +36,20 @@ func (p *PREP) reserveLogEntries(t *sim.Thread, rep *replica, num uint64) uint64
 		if p.cfg.Mode.Persistent() && p.flushBoundary(t) < tail {
 			// Blocked until the stable persistent replica is up to date with
 			// the boundary; keep our own replica from stalling the system
-			// while we wait. The stall is the price of checkpoint pacing, so
-			// its virtual duration is accumulated for the bench output.
+			// while we wait: a round that finds rep's updateReplicaNow flag
+			// raised services it, then resumes at its backoff. The stall is
+			// the price of checkpoint pacing, so its virtual duration is
+			// accumulated for the bench output. The ladder runs on from the
+			// lost CASes above.
 			start := t.Clock()
-			for p.flushBoundary(t) < tail {
+			w := p.waits.Of(t)
+			*w = locks.Wait{Mem: p.gctrl, Off: gFlushBoundary, Want: tail,
+				Flag: rep.ctrl, FlagOff: ctrlUpdateNow, Cap: 4096, B: b}
+			for t.Await(w); !w.Served; t.Await(w) {
+				stall := *w // the service waits too
 				p.serviceUpdateNow(t, rep)
-				b.Spin(t, 4096)
+				*w = stall
+				w.Retry()
 			}
 			p.met.FlushBoundaryStallNS += t.Clock() - start
 			b.Reset()
@@ -49,17 +58,14 @@ func (p *PREP) reserveLogEntries(t *sim.Thread, rep *replica, num uint64) uint64
 			p.updateOrWaitOnLogMin(t, rep, tail+num)
 			return tail
 		}
-		b.Spin(t, 256)
+		t.Step(b.Next(256))
 	}
 }
 
-// serviceUpdateNow brings rep up to date with completedTail if another
-// combiner flagged it as the straggler blocking logMin. The caller holds
-// rep's combiner lock.
+// serviceUpdateNow brings rep up to date with completedTail: another combiner
+// flagged it as the straggler blocking logMin. The caller holds rep's
+// combiner lock.
 func (p *PREP) serviceUpdateNow(t *sim.Thread, rep *replica) {
-	if !rep.updateNow(t) {
-		return
-	}
 	p.met.UpdateNowServices++
 	rep.rw.WriteLock(t)
 	p.catchUp(t, rep, p.log.CompletedTail(t), nil)
@@ -113,7 +119,7 @@ func (p *PREP) updateOrWaitOnLogMin(t *sim.Thread, rep *replica, newTail uint64)
 						p.met.BoundaryReductions++
 					}
 				}
-				b.Spin(t, 4096)
+				t.Step(b.Next(4096))
 			case stragVol == rep.node:
 				// We are the straggler: catch up ourselves (we already hold
 				// our combiner lock).
@@ -123,21 +129,24 @@ func (p *PREP) updateOrWaitOnLogMin(t *sim.Thread, rep *replica, newTail uint64)
 			default:
 				straggler := p.reps[stragVol]
 				straggler.setUpdateNow(t, 1)
-				waited := 0
+				// Wait for the straggler's localTail to move. The wait ends on
+				// its own every crossHelpRounds rounds, so it never parks: the
+				// node may be quiescent, and then we help it directly.
 				var wb sim.Backoff
-				for straggler.localTail(t) == lowest {
-					wb.Spin(t, 2048)
-					waited++
-					if waited >= crossHelpSpins {
-						// The node may be quiescent; help it directly.
-						if straggler.combiner.TryAcquire(t) {
-							straggler.rw.WriteLock(t)
-							p.catchUp(t, straggler, p.log.CompletedTail(t), nil)
-							straggler.rw.WriteUnlock(t)
-							straggler.combiner.Release(t)
-							p.met.CrossNodeHelps++
-						}
-						waited = 0
+				for {
+					w := p.waits.Of(t)
+					*w = locks.Wait{Mem: straggler.ctrl, Off: ctrlLocalTail, Want: lowest + 1,
+						Cap: 2048, Rounds: crossHelpRounds, B: wb}
+					if t.Await(w); w.Served {
+						break
+					}
+					wb = w.B
+					if straggler.combiner.TryAcquire(t) {
+						straggler.rw.WriteLock(t)
+						p.catchUp(t, straggler, p.log.CompletedTail(t), nil)
+						straggler.rw.WriteUnlock(t)
+						straggler.combiner.Release(t)
+						p.met.CrossNodeHelps++
 					}
 				}
 				straggler.setUpdateNow(t, 0)

@@ -15,12 +15,11 @@ type RecoveryReport struct {
 	// SourceGeneration is the generation recovery read its state from: the
 	// last committed one (uc.Lineage.Source).
 	SourceGeneration int
-	// Generation is the rebuilt engine's generation.
+	// Generation is the rebuilt engine's generation. The generations between
+	// the two are abandoned, partially built ones this recovery skipped over —
+	// one per crash that hit an earlier recovery attempt since the last
+	// committed generation.
 	Generation int
-	// Restarts is the number of abandoned, partially built generations this
-	// recovery skipped over — one per crash that hit an earlier recovery
-	// attempt since the last committed generation.
-	Restarts uint64
 	// StableReplica is the persistent replica recovery started from.
 	StableReplica int
 	// StableLocalTail is the log index the stable replica was persisted at.
@@ -117,7 +116,6 @@ func Recover(t *sim.Thread, recSys *nvm.System, cfg Config) (*PREP, *RecoveryRep
 	// generation stays uncommitted until its state is checkpointed.
 	next := src.Next(recSys)
 	rep.Generation = next.Generation()
-	rep.Restarts = uint64(rep.Generation - rep.SourceGeneration - 1)
 	p, err := newEngine(t, recSys, cfg, next)
 	if err != nil {
 		return nil, nil, err

@@ -178,8 +178,8 @@ func TestCrashSweepInsideRecovery(t *testing.T) {
 					t.Fatalf("crash-at=%d: second recovery failed", k)
 				}
 				if r := probeDurable(t, after, rec2, sw.completed, seed+3); !prefixOK(sw.cfg, r) {
-					t.Fatalf("crash-at=%d: second recovery violates the prefix condition: %s (restarts=%d)",
-						k, r, rep2.Restarts)
+					t.Fatalf("crash-at=%d: second recovery violates the prefix condition: %s (generations %d → %d)",
+						k, r, rep2.SourceGeneration, rep2.Generation)
 				}
 			}
 		})
@@ -312,15 +312,12 @@ func TestRecoveryRestartsCounted(t *testing.T) {
 				if rec2 == nil {
 					t.Fatal("second recovery failed")
 				}
-				if rep2.Restarts != want {
-					t.Errorf("restarts = %d, want %d", rep2.Restarts, want)
+				restarts := uint64(rep2.Generation - rep2.SourceGeneration - 1)
+				if restarts != want {
+					t.Errorf("restarts = %d (generations %d → %d), want %d", restarts, rep2.SourceGeneration, rep2.Generation, want)
 				}
-				if rep2.Generation != rep2.SourceGeneration+1+int(rep2.Restarts) {
-					t.Errorf("generation arithmetic: src=%d restarts=%d new=%d",
-						rep2.SourceGeneration, rep2.Restarts, rep2.Generation)
-				}
-				if d := after.Metrics().Snapshot().Sub(base); d.RecoveryRestarts != rep2.Restarts {
-					t.Errorf("metrics recovery_restarts = %d, report says %d", d.RecoveryRestarts, rep2.Restarts)
+				if d := after.Metrics().Snapshot().Sub(base); d.RecoveryRestarts != restarts {
+					t.Errorf("metrics recovery_restarts = %d, generations say %d", d.RecoveryRestarts, restarts)
 				}
 			})
 		}

@@ -294,55 +294,80 @@ func TestAwaitMatchesChooserTwin(t *testing.T) {
 	}
 }
 
-// A warm update wait allocates nothing: the worker's waiter is the engine's,
-// armed in place, and neither running its segments inline nor parking it
-// and waking it costs an allocation — the parked set and the watch lists
-// reuse their capacity.
+// A warm wait allocates nothing: the worker's Wait is the engine's or the
+// lock's, armed in place, and neither running its segments inline nor parking
+// it and waking it costs an allocation — the parked set and the watch lists
+// reuse their capacity. Two waits: the update's slot/lock wait, served by a
+// combiner that holds the lock — every one of them parks — and the
+// distributed reader–writer lock's, whose reader waits out a writer that in
+// turn waits for the reader to drain.
 func TestUpdateWaitAllocatesNothing(t *testing.T) {
-	w := newWorld(t, hashCfg(Volatile, 2, 256, 0), nvm.Config{}, 1)
-	rep := w.p.reps[0]
-	so := rep.slotOff(0)
-	done := false
-	var allocs float64
-	var parks uint64
-	sch := sim.New(0)
-	w.sys.SetScheduler(sch)
-	sch.Spawn("worker", 0, 0, func(th *sim.Thread) {
-		allocs = testing.AllocsPerRun(50, func() {
-			before, _ := parkTally(sch)
+	for _, tc := range []struct {
+		name           string
+		minParks       uint64
+		worker, server func(w *world, rep *replica, th *sim.Thread, done *bool)
+	}{
+		{"update", 51, func(w *world, rep *replica, th *sim.Thread, _ *bool) {
 			if got := w.p.update(th, rep, 0, uc.Insert(1, 1)); got != 42 {
 				t.Errorf("update = %d, want the served 42", got)
 			}
-			after, _ := parkTally(sch)
-			parks += after - before
-		})
-		done = true
-	})
-	// The server holds the combiner lock, so the worker can only wait, and
-	// serves its slot a few backoff rungs after it goes pending: the worker
-	// parks while the server's long Step runs, and the response wakes it.
-	sch.Spawn("server", 0, 0, func(th *sim.Thread) {
-		if !rep.combiner.TryAcquire(th) {
-			t.Error("server could not take the combiner lock")
-			return
-		}
-		var b sim.Backoff
-		for !done {
-			if rep.ctrl.Load(th, so+slotState) != slotPending {
-				b.Spin(th, 64)
-				continue
+		}, func(_ *world, rep *replica, th *sim.Thread, done *bool) {
+			// The server holds the combiner lock, so the worker can only wait,
+			// and serves its slot a few backoff rungs after it goes pending:
+			// the worker parks while the server's long Step runs, and the
+			// response wakes it.
+			if !rep.combiner.TryAcquire(th) {
+				t.Error("server could not take the combiner lock")
+				return
 			}
-			th.Step(5000)
-			rep.respond(th, 0, false, 42)
-			b.Reset()
+			var b sim.Backoff
+			for !*done {
+				if rep.ctrl.Load(th, rep.slotOff(0)+slotState) != slotPending {
+					th.Step(b.Next(64))
+					continue
+				}
+				th.Step(5000)
+				rep.respond(th, 0, false, 42)
+				b.Reset()
+			}
+		}},
+		{"rwlock", 1, func(_ *world, rep *replica, th *sim.Thread, _ *bool) {
+			rep.rw.ReadLock(th, 0)
+			th.Step(300)
+			rep.rw.ReadUnlock(th, 0)
+		}, func(_ *world, rep *replica, th *sim.Thread, done *bool) {
+			for !*done {
+				rep.rw.WriteLock(th)
+				th.Step(5000)
+				rep.rw.WriteUnlock(th)
+				th.Step(400)
+			}
+		}},
+	} {
+		w := newWorld(t, hashCfg(Volatile, 2, 256, 0), nvm.Config{}, 1)
+		rep := w.p.reps[0]
+		done := false
+		var allocs float64
+		var parks uint64
+		sch := sim.New(0)
+		w.sys.SetScheduler(sch)
+		sch.Spawn("worker", 0, 0, func(th *sim.Thread) {
+			allocs = testing.AllocsPerRun(50, func() {
+				before, _ := parkTally(sch)
+				tc.worker(w, rep, th, &done)
+				after, _ := parkTally(sch)
+				parks += after - before
+			})
+			done = true
+		})
+		sch.Spawn("server", 0, 0, func(th *sim.Thread) { tc.server(w, rep, th, &done) })
+		sch.Run()
+		if allocs != 0 {
+			t.Fatalf("%s: a warm wait allocates %v times, want 0", tc.name, allocs)
 		}
-	})
-	sch.Run()
-	if allocs != 0 {
-		t.Fatalf("a warm update wait allocates %v times, want 0", allocs)
+		if parks < tc.minParks {
+			t.Fatalf("%s: the worker parked %d times in 51 waits, want at least %d", tc.name, parks, tc.minParks)
+		}
+		t.Logf("%s: %d parks in 51 waits", tc.name, parks)
 	}
-	if parks < 51 {
-		t.Fatalf("the worker parked %d times in 51 waits, want at least once per wait", parks)
-	}
-	t.Logf("%d parks in 51 waits", parks)
 }

@@ -88,6 +88,7 @@ type CX struct {
 	lin   uc.Lineage  // the generation the instance was built at
 	reps  []*cxReplica
 	flush *nvm.Flusher
+	waits locks.Waits
 }
 
 var _ uc.UC = (*CX)(nil)

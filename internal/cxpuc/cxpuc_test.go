@@ -1,6 +1,7 @@
 package cxpuc
 
 import (
+	"reflect"
 	"testing"
 
 	"prepuc/internal/nvm"
@@ -55,6 +56,42 @@ func (w *world) run(workers int, crashAt uint64, seed int64, fn func(*sim.Thread
 	}
 	sch.Run()
 	return sch
+}
+
+// A warm CX-PUC queue wait allocates nothing: the helper waits for each entry
+// in the instance's reused Wait, parked while the enqueuer is slow to write
+// it, until the entry's state store wakes it.
+func TestUpdateWaitAllocatesNothing(t *testing.T) {
+	w := build(t, testCfg(2), nvm.Config{}, 1)
+	sch := sim.New(0)
+	w.sys.SetScheduler(sch)
+	var allocs float64
+	sch.Spawn("helper", 0, 0, func(th *sim.Thread) {
+		i := uint64(0)
+		allocs = testing.AllocsPerRun(50, func() {
+			i++
+			if code, a0, _ := w.cx.readQueued(th, i); code != uc.OpInsert || a0 != i-1 {
+				t.Errorf("entry %d reads op %d on key %d, want the insert of key %d", i, code, a0, i-1)
+			}
+		})
+	})
+	// The enqueuer works in short steps before each entry, so the helper's
+	// rounds run inline between them and park.
+	sch.Spawn("enqueuer", 1, 0, func(th *sim.Thread) {
+		for k := uint64(0); k < 51; k++ {
+			for j := 0; j < 50; j++ {
+				th.Step(100)
+			}
+			w.cx.enqueue(th, uc.Insert(k, k))
+		}
+	})
+	sch.Run()
+	if allocs != 0 {
+		t.Fatalf("a warm queue wait allocates %v times, want 0", allocs)
+	}
+	if parks := reflect.ValueOf(sch).Elem().FieldByName("parks").Uint(); parks < 51 {
+		t.Fatalf("the helper parked %d times in 51 waits, want at least once per wait", parks)
+	}
 }
 
 func TestSequentialSemantics(t *testing.T) {

@@ -3,6 +3,7 @@ package cxpuc
 import (
 	"fmt"
 
+	"prepuc/internal/locks"
 	"prepuc/internal/nvm"
 	"prepuc/internal/pmem"
 	"prepuc/internal/sim"
@@ -27,17 +28,16 @@ func (cx *CX) enqueue(t *sim.Thread, op uc.Op) uint64 {
 			cx.queue.Store(t, off+qeState, 1) // ready
 			return tail + 1
 		}
-		b.Spin(t, 2048)
+		t.Step(b.Next(2048))
 	}
 }
 
-// readQueued fetches the i-th (1-based) update, spinning until it is ready.
+// readQueued fetches the i-th (1-based) update, waiting until it is ready.
 func (cx *CX) readQueued(t *sim.Thread, i uint64) (code, a0, a1 uint64) {
 	off := (i - 1) * nvm.WordsPerLine
-	var b sim.Backoff
-	for cx.queue.Load(t, off+qeState) == 0 {
-		b.Spin(t, 2048)
-	}
+	w := cx.waits.Of(t)
+	*w = locks.Wait{Mem: cx.queue, Off: off + qeState, Want: 1, Cap: 2048}
+	t.Await(w)
 	return cx.queue.Load(t, off+qeCode), cx.queue.Load(t, off+qeA0), cx.queue.Load(t, off+qeA1)
 }
 
@@ -88,7 +88,7 @@ func (cx *CX) read(t *sim.Thread, op uc.Op) uint64 {
 			}
 			r.lock.ReadUnlock(t)
 		}
-		b.Spin(t, 2048)
+		t.Step(b.Next(2048))
 	}
 }
 
@@ -103,11 +103,12 @@ func (cx *CX) updateOp(t *sim.Thread, op uc.Op) uint64 {
 		applied, _ := cx.latest(t)
 		if applied >= myIdx {
 			// CX-PUC returns the response computed when the op was applied;
-			// our queue keeps responses alongside entries.
+			// our queue keeps responses alongside entries. The wait's ladder
+			// runs on from the retries below.
 			off := (myIdx - 1) * nvm.WordsPerLine
-			for cx.queue.Load(t, off+qeState) != 2 {
-				b.Spin(t, 2048)
-			}
+			w := cx.waits.Of(t)
+			*w = locks.Wait{Mem: cx.queue, Off: off + qeState, Want: 2, Cap: 2048, B: b}
+			t.Await(w)
 			return cx.queue.Load(t, off+4)
 		}
 		_, published := cx.latest(t)
@@ -134,7 +135,7 @@ func (cx *CX) updateOp(t *sim.Thread, op uc.Op) uint64 {
 			r.lock.WriteUnlock(t)
 			return res
 		}
-		b.Spin(t, 2048)
+		t.Step(b.Next(2048))
 	}
 }
 

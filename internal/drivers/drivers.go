@@ -239,8 +239,10 @@ func Recover(d *uc.Driver, frozen *nvm.System, nestedAt func(attempt int) uint64
 // Probe runs fn on one thread of a throwaway scheduler installed on sys:
 // the state observation between phases. Its timeline is never reported. A
 // bug panic in fn — a construction's read walk over an image it cannot make
-// sense of — is returned as the error, as Boot and Recover return theirs.
+// sense of — is returned as the error, as Boot and Recover return theirs, and
+// so is a deadlock among the threads fn spawned.
 func Probe(sys *nvm.System, fn func(t *sim.Thread)) (err error) {
+	defer sim.PanicToErr("probe", &err)
 	sch := sim.New(0)
 	sys.SetScheduler(sch)
 	sch.Spawn("probe", 0, 0, func(t *sim.Thread) {

@@ -17,52 +17,31 @@ import (
 type Config struct {
 	Factory   uc.Factory
 	HeapWords uint64
-	// HomeNode is the NUMA node the single copy lives on (0 in the paper's
-	// setup, so threads on other sockets pay cross-socket latency).
-	HomeNode int
-	// ReadersShare lets read-only operations take the lock in shared mode.
-	// The paper's "Global Lock (GL)" baseline is a plain mutex; sharing is
-	// off by default and exists for the ablation benchmark.
-	ReadersShare bool
 }
 
-// GL is the global-lock universal construction.
+// GL is the global-lock universal construction. The single copy lives on
+// node 0, as in the paper's setup, so threads on other sockets pay
+// cross-socket latency.
 type GL struct {
-	sys          *nvm.System
-	heap         *nvm.Memory
-	alloc        *pmem.Allocator
-	ds           uc.DataStructure
-	ctrl         *nvm.Memory
-	lock         locks.RWLock
-	readersShare bool
+	ds   uc.DataStructure
+	lock locks.RWLock
 }
 
 var _ uc.UC = (*GL)(nil)
 
 // New builds the construction inside sys.
 func New(t *sim.Thread, sys *nvm.System, cfg Config) *GL {
-	heap := sys.NewMemory("gl.heap", nvm.Volatile, cfg.HomeNode, cfg.HeapWords)
-	ctrl := sys.NewMemory("gl.ctrl", nvm.Volatile, cfg.HomeNode, nvm.WordsPerLine)
-	alloc := pmem.New(t, heap)
+	heap := sys.NewMemory("gl.heap", nvm.Volatile, 0, cfg.HeapWords)
+	ctrl := sys.NewMemory("gl.ctrl", nvm.Volatile, 0, nvm.WordsPerLine)
 	return &GL{
-		sys:          sys,
-		heap:         heap,
-		alloc:        alloc,
-		ds:           cfg.Factory(t, alloc),
-		ctrl:         ctrl,
-		lock:         locks.NewRWLock(ctrl, 0),
-		readersShare: cfg.ReadersShare,
+		ds:   cfg.Factory(t, pmem.New(t, heap)),
+		lock: locks.NewRWLock(ctrl, 0),
 	}
 }
 
-// Execute runs one operation under the global lock.
+// Execute runs one operation, read-only or update, under the global lock: the
+// paper's "Global Lock (GL)" baseline is a plain mutex.
 func (g *GL) Execute(t *sim.Thread, tid int, op uc.Op) uint64 {
-	if g.readersShare && g.ds.IsReadOnly(op.Code) {
-		g.lock.ReadLock(t)
-		res := g.ds.Execute(t, op.Code, op.A0, op.A1)
-		g.lock.ReadUnlock(t)
-		return res
-	}
 	g.lock.WriteLock(t)
 	res := g.ds.Execute(t, op.Code, op.A0, op.A1)
 	g.lock.WriteUnlock(t)

@@ -80,16 +80,3 @@ func TestPrefill(t *testing.T) {
 	})
 	sch.Run()
 }
-
-func TestReadersShareMode(t *testing.T) {
-	sys, g := build(t, Config{Factory: seq.HashMapFactory(16), HeapWords: 1 << 16, ReadersShare: true}, 8)
-	sch := sim.New(9)
-	sys.SetScheduler(sch)
-	sch.Spawn("w", 0, 0, func(th *sim.Thread) {
-		g.Execute(th, 0, uc.Insert(1, 2))
-		if got := g.Execute(th, 0, uc.Get(1)); got != 2 {
-			t.Errorf("shared-mode get = %d", got)
-		}
-	})
-	sch.Run()
-}

@@ -59,7 +59,6 @@ func GLBuilder(obj uc.ObjectType, heapWords func(Scale) uint64) BuildFunc {
 		return gluc.New(t, sys, gluc.Config{
 			Factory:   obj.New,
 			HeapWords: heapWords(sc),
-			HomeNode:  0,
 		}), nil
 	}
 }

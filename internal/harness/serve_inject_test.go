@@ -175,9 +175,10 @@ func TestServePhaseMatchesChooserTwin(t *testing.T) {
 	}
 
 	// The same phase with the injector and the consumer's idle wait stepping
-	// on their own goroutines took the same 365 106 handoffs and 385 275
-	// switches.
-	const wantHandoffs, wantSwitches = 365_106, 284_545
+	// on their own goroutines took 365 106 handoffs and 385 275 switches;
+	// with the distributed reader–writer lock's waits stepping there too,
+	// 365 106 handoffs and 284 545 switches.
+	const wantHandoffs, wantSwitches = 364_044, 283_065
 	v := reflect.ValueOf(sch).Elem()
 	handoffs, switches := v.FieldByName("handoffs").Uint(), v.FieldByName("switches").Uint()
 	var ins []uint64

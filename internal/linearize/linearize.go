@@ -254,7 +254,6 @@ type search struct {
 	ranked   bool
 	head     *entry // sentinel; list holds unlinearized entries, invoke-sorted
 	bits     []uint64
-	nbits    int
 	memo     map[string]struct{}
 }
 
@@ -304,7 +303,7 @@ func newSearch(p *Problem, buffered bool, budget int) *search {
 	}
 	return &search{
 		p: p, buffered: buffered, budget: budget, ranked: p.Rank != nil,
-		head: head, bits: make([]uint64, (n+63)/64), nbits: n,
+		head: head, bits: make([]uint64, (n+63)/64),
 		memo: make(map[string]struct{}),
 	}
 }

@@ -8,11 +8,13 @@
 // volatile cache/DRAM.
 //
 // Every successful acquisition is recorded in the system's metrics registry
-// (metrics.LockAcquisitions); locks constructed once and shared (the
-// combiner TryLock, the RW locks) additionally record hand-offs — a
-// successful acquisition by a different thread than the previous holder,
-// the event that makes a lock line migrate between caches. The hand-off
-// state is host-side and costs no virtual time.
+// (metrics.LockAcquisitions); an exclusive one additionally records a
+// hand-off when it is by a different thread than the previous holder, the
+// event that makes a lock line migrate between caches. The hand-off state is
+// host-side and costs no virtual time.
+//
+// Every blocking acquisition, like every other wait of the constructions
+// whose rounds only load, is one Wait (wait.go).
 package locks
 
 import (
@@ -20,9 +22,13 @@ import (
 	"prepuc/internal/sim"
 )
 
-// holder tracks the last thread to successfully acquire a lock, for
-// hand-off accounting. It is shared by every by-value copy of the lock.
-type holder struct{ last int32 }
+// holder is the state every by-value copy of a lock shares: the last thread
+// to successfully acquire it, for hand-off accounting, and the Waits its
+// blocking acquisitions wait in.
+type holder struct {
+	last  int32
+	waits Waits
+}
 
 const noHolder = int32(-1)
 
@@ -31,9 +37,6 @@ const noHolder = int32(-1)
 func (h *holder) recordAcquire(t *sim.Thread, m *nvm.Memory) {
 	met := m.Metrics()
 	met.LockAcquisitions++
-	if h == nil {
-		return
-	}
 	if h.last != noHolder && h.last != int32(t.ID()) {
 		met.LockHandoffs++
 	}
@@ -54,31 +57,24 @@ func NewTryLock(m *nvm.Memory, off uint64) TryLock {
 }
 
 // TryAcquire attempts to take the lock; it never blocks. It is
-// test-and-test-and-set — a probe load, so a held lock is not hammered with
-// CASes, then the CAS — composed of the halves a poller (sim.Thread.Await)
-// runs in separate segments: ProbeBegin, its Step, ProbeEnd, then Take.
+// test-and-test-and-set: a probe load, so a held lock is not hammered with
+// CASes, then the CAS (Take).
 func (l TryLock) TryAcquire(t *sim.Thread) bool {
-	t.Step(l.ProbeBegin(t))
-	return l.ProbeEnd() && l.Take(t)
+	return l.m.Load(t, l.off) == 0 && l.Take(t)
 }
 
-// ProbeBegin is the probe load's pre-Step half (nvm.Memory.LoadBegin).
-func (l TryLock) ProbeBegin(t *sim.Thread) uint64 { return l.m.LoadBegin(t, l.off) }
-
-// ProbeEnd is the probe load's post-Step half: whether the lock looked free.
-func (l TryLock) ProbeEnd() bool { return l.m.LoadEnd(l.off) == 0 }
-
-// Watch is the probe's parking check (nvm.Memory.Watch): it reports whether
-// every probe from here on fails alike until a store to the lock word — the
-// lock is held and the probe costs t the base price — and if so t watches
-// the word.
-func (l TryLock) Watch(t *sim.Thread) bool {
-	v, ok := l.m.Watch(t, l.off)
-	return ok && v != 0
+// Acquire blocks until it takes the lock: w waits until the lock looks free,
+// then Take; a lost CAS takes one backoff round (cap) before the next probe.
+func (l *TryLock) Acquire(t *sim.Thread, w *Wait, cap uint64) {
+	*w = Wait{Lock: l, Cap: cap}
+	for {
+		t.Await(w)
+		if l.Take(t) {
+			return
+		}
+		w.Retry()
+	}
 }
-
-// Unwatch ends t's watches on the lock's memory (nvm.Memory.Unwatch).
-func (l TryLock) Unwatch(t *sim.Thread) { l.m.Unwatch(t) }
 
 // Take is the CAS half: it takes the lock if it is still free.
 func (l TryLock) Take(t *sim.Thread) bool {
@@ -107,18 +103,6 @@ func NewRWLock(m *nvm.Memory, off uint64) RWLock {
 	return RWLock{m, off, &holder{last: noHolder}}
 }
 
-// ReadLock blocks (spins in virtual time) until no writer holds the lock.
-func (l RWLock) ReadLock(t *sim.Thread) {
-	for {
-		w := l.m.Load(t, l.off)
-		if w&writerBit == 0 && l.m.CAS(t, l.off, w, w+1) {
-			l.m.Metrics().LockAcquisitions++
-			return
-		}
-		t.Step(spinCost(t))
-	}
-}
-
 // ReadUnlock releases one reader.
 func (l RWLock) ReadUnlock(t *sim.Thread) {
 	for {
@@ -126,19 +110,23 @@ func (l RWLock) ReadUnlock(t *sim.Thread) {
 		if l.m.CAS(t, l.off, w, w-1) {
 			return
 		}
-		t.Step(spinCost(t))
+		t.Step(pause)
 	}
 }
 
 // WriteLock blocks until the lock is completely free, then takes it
-// exclusively.
+// exclusively: it waits for the word to read zero, then CASes; a lost CAS
+// takes one pause before the next load.
 func (l RWLock) WriteLock(t *sim.Thread) {
+	w := l.h.waits.Of(t)
+	*w = Wait{Mem: l.m, Off: l.off, Exact: true, Cap: pause}
 	for {
-		if l.m.Load(t, l.off) == 0 && l.m.CAS(t, l.off, 0, writerBit) {
+		t.Await(w)
+		if l.m.CAS(t, l.off, 0, writerBit) {
 			l.h.recordAcquire(t, l.m)
 			return
 		}
-		t.Step(spinCost(t))
+		w.Retry()
 	}
 }
 
@@ -165,14 +153,11 @@ func (l RWLock) TryReadLock(t *sim.Thread) bool {
 	return false
 }
 
-// spinCost is the virtual-time price of one failed acquisition loop
-// iteration (a PAUSE instruction plus scheduling slack).
-func spinCost(t *sim.Thread) uint64 {
-	// The costs table lives on the nvm system; locks only see memories, so
-	// the spin price rides on the thread via a fixed small constant. Memory
-	// accesses in the loop already dominate the charged time.
-	return 8
-}
+// pause is the virtual-time price of one failed round of a reader–writer
+// lock's loop (a PAUSE instruction plus scheduling slack): the Step of its
+// retries and the cap of its waits, whose backoff ladder it flattens. The
+// loop's memory accesses dominate the charged time.
+const pause = 8
 
 // DistRWLock is the distributed reader–writer lock of node replication:
 // each reader thread owns a whole cache line for its reader flag, so
@@ -217,10 +202,15 @@ func (l DistRWLock) ReadLock(t *sim.Thread, slot int) {
 		}
 		// A writer is active or arriving: stand down and wait.
 		l.m.Store(t, l.slotOff(slot), 0)
-		for l.m.Load(t, l.writerOff()) != 0 {
-			t.Step(spinCost(t))
-		}
+		l.await(t, l.writerOff())
 	}
+}
+
+// await waits for the word at off to read zero.
+func (l DistRWLock) await(t *sim.Thread, off uint64) {
+	w := l.h.waits.Of(t)
+	*w = Wait{Mem: l.m, Off: off, Exact: true, Cap: pause}
+	t.Await(w)
 }
 
 // ReadUnlock releases the reader slot.
@@ -232,12 +222,10 @@ func (l DistRWLock) ReadUnlock(t *sim.Thread, slot int) {
 // for every reader flag to drain.
 func (l DistRWLock) WriteLock(t *sim.Thread) {
 	for !l.m.CAS(t, l.writerOff(), 0, 1) {
-		t.Step(spinCost(t))
+		t.Step(pause)
 	}
 	for s := 0; s < l.slots; s++ {
-		for l.m.Load(t, l.slotOff(s)) != 0 {
-			t.Step(spinCost(t))
-		}
+		l.await(t, l.slotOff(s))
 	}
 	l.h.recordAcquire(t, l.m)
 }

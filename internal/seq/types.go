@@ -10,35 +10,35 @@ import "prepuc/internal/uc"
 // HashMapType describes the resizable hashmap with the given initial bucket
 // count.
 func HashMapType(initialBuckets uint64) uc.ObjectType {
-	return uc.ObjectType{Name: "hashmap", New: HashMapFactory(initialBuckets), Attach: HashMapAttacher}
+	return uc.ObjectType{New: HashMapFactory(initialBuckets), Attach: HashMapAttacher}
 }
 
 // RBTreeType describes the red-black tree set.
 func RBTreeType() uc.ObjectType {
-	return uc.ObjectType{Name: "rbtree", New: RBTreeFactory(), Attach: RBTreeAttacher}
+	return uc.ObjectType{New: RBTreeFactory(), Attach: RBTreeAttacher}
 }
 
 // SkipListType describes the skip-list set.
 func SkipListType() uc.ObjectType {
-	return uc.ObjectType{Name: "skiplist", New: SkipListFactory(), Attach: SkipListAttacher}
+	return uc.ObjectType{New: SkipListFactory(), Attach: SkipListAttacher}
 }
 
 // ListSetType describes the sorted linked-list set.
 func ListSetType() uc.ObjectType {
-	return uc.ObjectType{Name: "listset", New: ListSetFactory(), Attach: ListSetAttacher}
+	return uc.ObjectType{New: ListSetFactory(), Attach: ListSetAttacher}
 }
 
 // QueueType describes the FIFO queue.
 func QueueType() uc.ObjectType {
-	return uc.ObjectType{Name: "queue", New: QueueFactory(), Attach: QueueAttacher}
+	return uc.ObjectType{New: QueueFactory(), Attach: QueueAttacher}
 }
 
 // StackType describes the stack.
 func StackType() uc.ObjectType {
-	return uc.ObjectType{Name: "stack", New: StackFactory(), Attach: StackAttacher}
+	return uc.ObjectType{New: StackFactory(), Attach: StackAttacher}
 }
 
 // PQueueType describes the priority queue.
 func PQueueType() uc.ObjectType {
-	return uc.ObjectType{Name: "pqueue", New: PQueueFactory(), Attach: PQueueAttacher}
+	return uc.ObjectType{New: PQueueFactory(), Attach: PQueueAttacher}
 }

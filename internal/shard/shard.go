@@ -64,7 +64,6 @@ func ParsePolicy(s string) (Policy, error) {
 type Router struct {
 	policy Policy
 	shards int
-	keys   uint64
 	per    uint64 // Range interval width ⌈keys/shards⌉
 }
 
@@ -79,7 +78,6 @@ func NewRouter(policy Policy, shards int, keys uint64) (*Router, error) {
 	return &Router{
 		policy: policy,
 		shards: shards,
-		keys:   keys,
 		per:    (keys + uint64(shards) - 1) / uint64(shards),
 	}, nil
 }

@@ -233,6 +233,9 @@ func (p *parkPoller) Park(*Thread) bool {
 
 func (p *parkPoller) Unpark(*Thread) { p.watching = false }
 
+// String names what the poller waits on, for the deadlock verdict.
+func (p *parkPoller) String() string { return "the flag" }
+
 // scene is one writer and k parkPollers on a scheduler, under the built-in
 // rule or its Chooser twin (Await's definition loop, which never parks).
 type scene struct {
@@ -522,15 +525,36 @@ func TestParkedBugPanicWakesWaiters(t *testing.T) {
 	}
 }
 
-// When the last thread in the heap exits, the parked waiters come back, their
-// polls up to the exit replayed, and run on.
-func TestParkedExitWakesWaiters(t *testing.T) {
-	got := checkTwin(t, 1, 200, func(_ *scene, th *Thread) {
-		for i := 0; i < 5; i++ {
-			th.Step(1000)
+// A machine left with only steady waiters is deadlocked: by the Parker
+// contract nothing but a store could end their waits, and no thread is left
+// to make one. The run ends with the verdict, naming every waiter in id order
+// and what it waits on, and every waiter unwinds with Crash{} — whether the
+// last other thread exits while they are parked, or a lone waiter runs ahead
+// into its steady wait, on its own goroutine or inline in an exiting thread.
+func TestParkedDeadlockVerdict(t *testing.T) {
+	const two = `sim: deadlock: "poller" waits on the flag; "poller" waits on the flag`
+	for _, tc := range []struct {
+		name   string
+		k      int
+		writer func(sc *scene, th *Thread)
+		want   string
+	}{
+		{"exit leaves parked waiters", 2, func(_ *scene, th *Thread) {
+			for i := 0; i < 5; i++ {
+				th.Step(1000)
+			}
+		}, two},
+		{"a lone waiter runs ahead inline", 1, func(_ *scene, th *Thread) { th.Step(1) },
+			`sim: deadlock: "poller" waits on the flag`},
+		{"a lone waiter runs ahead on its own goroutine", 1, func(_ *scene, th *Thread) {},
+			`sim: deadlock: "poller" waits on the flag`},
+	} {
+		got, s := runScene(false, tc.k, 0, tc.writer)
+		if got.fault != tc.want || !got.frozen {
+			t.Errorf("%s: Run panicked with %#v (frozen %v), want %q", tc.name, got.fault, got.frozen, tc.want)
 		}
-	})
-	if got.polls[0] != 200 {
-		t.Fatalf("poller read %d times, want its limit 200", got.polls[0])
+		if s.live != 0 || len(s.parked) != 0 || len(s.heap.ts) != 0 {
+			t.Errorf("%s: after Run: %d live, %d parked, %d in the heap", tc.name, s.live, len(s.parked), len(s.heap.ts))
+		}
 	}
 }

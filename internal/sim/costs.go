@@ -8,10 +8,6 @@ type Costs struct {
 	// LocalAccess is a load/store/CAS on a line already in the caller's
 	// cache (own or shared state) — an L1/L2 hit, amortized.
 	LocalAccess uint64
-	// RemoteAccess is retained for compatibility with fixed-distance cost
-	// accounting (interleaved structures' cold misses); the dynamic
-	// coherence costs below dominate in practice.
-	RemoteAccess uint64
 	// CoherenceLocal is the extra cost of acquiring a line last written by
 	// another thread on the same NUMA node (an L1-to-L1/L2 transfer).
 	// CoherenceRemote is the same across sockets. These model the MESI
@@ -42,8 +38,6 @@ type Costs struct {
 	// dirty line written back.
 	WBINVDBase    uint64
 	WBINVDPerLine uint64
-	// SpinIter is one iteration of a busy-wait loop (a PAUSE plus a re-read).
-	SpinIter uint64
 	// OpBase is fixed per-operation overhead outside shared memory
 	// (argument marshalling, branch logic) charged once per ExecuteConcurrent.
 	OpBase uint64
@@ -56,7 +50,6 @@ type Costs struct {
 func DefaultCosts() Costs {
 	return Costs{
 		LocalAccess:     15,
-		RemoteAccess:    120,
 		CoherenceLocal:  45,
 		CoherenceRemote: 130,
 		NVMStoreExtra:   60,
@@ -68,7 +61,6 @@ func DefaultCosts() Costs {
 		FencePerPending: 350,
 		WBINVDBase:      150_000,
 		WBINVDPerLine:   40,
-		SpinIter:        12,
 		OpBase:          30,
 	}
 }
@@ -77,9 +69,9 @@ func DefaultCosts() Costs {
 // it when they need clocks to advance deterministically.
 func UnitCosts() Costs {
 	return Costs{
-		LocalAccess: 1, RemoteAccess: 1, CoherenceLocal: 1, CoherenceRemote: 1,
+		LocalAccess: 1, CoherenceLocal: 1, CoherenceRemote: 1,
 		NVMStoreExtra: 1, NVMLoadExtra: 1,
 		FlushLine: 1, FlushSync: 1, FlushCheck: 1, Fence: 1, FencePerPending: 1,
-		WBINVDBase: 1, WBINVDPerLine: 1, SpinIter: 1, OpBase: 1,
+		WBINVDBase: 1, WBINVDPerLine: 1, OpBase: 1,
 	}
 }

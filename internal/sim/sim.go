@@ -53,6 +53,7 @@ import (
 	"fmt"
 	"iter"
 	"slices"
+	"strings"
 )
 
 // Crash is the panic value raised by Step once the scheduler is frozen.
@@ -343,7 +344,9 @@ func (s *Scheduler) Spawn(name string, node int, startClock uint64, fn func(*Thr
 // goroutine, once every spawned thread has exited. A panic inside a
 // simulated thread other than a Crash freezes the scheduler, so every other
 // thread unwinds as in a crash; Run then panics with the first such value,
-// prefixed with the name of the thread that raised it.
+// prefixed with the name of the thread that raised it. A deadlock — every
+// live thread in a steady wait (Parker) — ends the run the same way, with
+// the "sim: deadlock: …" verdict as the value.
 func (s *Scheduler) Run() {
 	if s.started {
 		panic("sim: Run called twice")
@@ -480,6 +483,10 @@ type Poller interface {
 // segments are not run until the wake replays them. Unpark undoes Park's
 // arrangement; Wake calls it. No thread parks under a Chooser or while a
 // crash is armed.
+//
+// When every live thread is in a steady wait, no store can ever come: the
+// machine is deadlocked, and the run ends with the verdict (Run). A Parker
+// that is a fmt.Stringer names there what it waits on.
 type Parker interface {
 	Poller
 	Park(t *Thread) bool
@@ -498,7 +505,8 @@ type Parker interface {
 // their order and their virtual instants are the definition loop's; only the
 // coroutine switches between them go away (DESIGN.md §7). A steady Parker
 // goes further and leaves the heap until a store wakes it; Wake then replays
-// the segments it skipped, each charged at its own instant.
+// the segments it skipped, each charged at its own instant. A steady Parker
+// left with nobody to wake it is the deadlock verdict.
 //
 // A bug panic inside a segment — wherever it runs — is recorded as the
 // poller's fault and the poller unwinds with Crash{}.
@@ -529,6 +537,10 @@ func (t *Thread) Await(p Poller) {
 		if t.poll == nil {
 			return // the rest of the wait ran inline, to done
 		}
+		if len(s.heap.ts) == 0 && s.steady(t) {
+			s.deadlock(t)
+			panic(Crash{})
+		}
 		t.poll = nil
 	}
 }
@@ -538,7 +550,8 @@ func (t *Thread) Await(p Poller) {
 // baton on (s.next changes) or n must be switched in: its wait is done, or
 // the machine froze — then n.poll is clear and n's park raises Crash{}. A bug
 // panic in a segment is n's fault, not the baton holder's. A steady Parker
-// hands the baton on by leaving the heap instead of re-entering it.
+// hands the baton on by leaving the heap instead of re-entering it; one that
+// runs ahead with nobody else in the heap is the deadlock verdict.
 func (s *Scheduler) runPoll(n *Thread) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -555,7 +568,7 @@ func (s *Scheduler) runPoll(n *Thread) {
 		}
 		if !s.runsAhead(n) {
 			s.handoffs++
-			if p, ok := n.poll.(Parker); ok && s.crashAt == 0 && p.Park(n) {
+			if s.steady(n) {
 				s.parks++
 				s.parked = append(s.parked, n)
 				s.next = s.heap.popMin()
@@ -564,8 +577,46 @@ func (s *Scheduler) runPoll(n *Thread) {
 			s.next = s.heap.replaceMin(n)
 			return
 		}
+		if len(s.heap.ts) == 0 && s.steady(n) {
+			s.deadlock(n)
+		}
 	}
 	n.poll = nil
+}
+
+// steady asks t's pending poller whether its wait is steady (Parker) — never
+// while a crash is armed, so that event indexes stay exact.
+func (s *Scheduler) steady(t *Thread) bool {
+	p, ok := t.poll.(Parker)
+	return ok && s.crashAt == 0 && p.Park(t)
+}
+
+// deadlock records the verdict on a machine where every live thread waits
+// steadily: the parked ones, and t (nil at an exit) whose wait was just found
+// steady with nobody else in the heap. By the Parker contract each can only
+// fail its rounds again until a store to a line it watches, and no thread is
+// left to make one. The verdict names every waiter and what it waits on; the
+// watches end and the machine freezes, so that the waiters unwind with
+// Crash{} as after a bug panic, and Run raises the verdict.
+func (s *Scheduler) deadlock(t *Thread) {
+	ws := slices.Clone(s.parked)
+	if t != nil {
+		ws = append(ws, t)
+	}
+	slices.SortFunc(ws, func(a, b *Thread) int { return a.id - b.id })
+	verdict := make([]string, len(ws))
+	for i, w := range ws {
+		verdict[i] = fmt.Sprintf("%q waits on %v", w.name, w.poll)
+		w.poll.(Parker).Unpark(w)
+	}
+	for _, w := range s.parked {
+		s.heap.push(w)
+	}
+	s.parked = s.parked[:0]
+	if s.fault == "" {
+		s.fault = "sim: deadlock: " + strings.Join(verdict, "; ")
+	}
+	s.frozen = true
 }
 
 // Wake returns the parked thread t (Parker) to the heap; a thread that is not
@@ -587,8 +638,8 @@ func (s *Scheduler) Wake(t *Thread) {
 }
 
 // wakeAll wakes every parked waiter up to h's dispatch: the baton holder's at
-// an observation point (Events, CrashAtEvent, CrashNow, an exit that would
-// leave only parked threads), the faulting thread's at a bug panic.
+// an observation point (Events, CrashAtEvent, CrashNow), the faulting
+// thread's at a bug panic.
 func (s *Scheduler) wakeAll(h *Thread) {
 	for len(s.parked) > 0 {
 		s.wake(len(s.parked)-1, h)
@@ -639,19 +690,17 @@ func (s *Scheduler) park(t, next *Thread) {
 	}
 }
 
-// Backoff is truncated exponential backoff for spin loops: each Spin steps
-// the ladder 16, 32, … ns, doubling until it reaches the caller's cap; no
-// rung is above the cap. Under the virtual-time scheduler a blocked thread
-// otherwise wakes every dozen nanoseconds, which is both unrealistic (real
-// spinners execute PAUSE and get descheduled) and slow to simulate. The zero
-// value is ready to use.
+// Backoff is truncated exponential backoff for waits and retries: the ladder
+// 16, 32, … ns, doubling until it reaches the caller's cap; no rung is above
+// the cap. Under the virtual-time scheduler a blocked thread otherwise wakes
+// every dozen nanoseconds, which is both unrealistic (real spinners execute
+// PAUSE and get descheduled) and slow to simulate. The zero value is ready
+// to use.
 type Backoff struct{ cur uint64 }
 
-// Spin waits out the current rung and moves to the next.
-func (b *Backoff) Spin(t *Thread, cap uint64) { t.Step(b.Next(cap)) }
-
 // Next returns the current rung's cost and moves to the next rung: the Step
-// a Spin takes, for pollers that return it from a segment (Await).
+// a retry takes (t.Step(b.Next(cap))), or a poller returns from a segment
+// (Await).
 func (b *Backoff) Next(cap uint64) uint64 {
 	if b.cur == 0 {
 		b.cur = 16
@@ -693,9 +742,9 @@ func (s *Scheduler) exit(t *Thread) {
 		return
 	}
 	if len(s.heap.ts) == 0 {
-		// Every live thread but t is in the heap or parked: the parked ones
-		// come back, their polls up to t's exit replayed.
-		s.wakeAll(t)
+		// Every live thread but t is in the heap or parked: all of them are
+		// parked, and none can be woken.
+		s.deadlock(nil)
 	}
 	if len(s.heap.ts) == 0 {
 		// Impossible by the invariant above. Treat as a bug; with nobody to

@@ -41,7 +41,7 @@ func TestClockAdvances(t *testing.T) {
 	}
 }
 
-// TestBackoffLadder pins the step sequence every spin loop in the repo
+// TestBackoffLadder pins the step sequence every wait and retry in the repo
 // charges: 16 doubling to the call's cap, restarted by Reset.
 func TestBackoffLadder(t *testing.T) {
 	s := New(1)
@@ -50,7 +50,7 @@ func TestBackoffLadder(t *testing.T) {
 		var b Backoff
 		spin := func(cap uint64) {
 			before := th.Clock()
-			b.Spin(th, cap)
+			th.Step(b.Next(cap))
 			got = append(got, th.Clock()-before)
 		}
 		for i := 0; i < 4; i++ {
@@ -330,8 +330,8 @@ func TestZeroCostStepsRoundRobin(t *testing.T) {
 
 func TestDefaultCostsOrdering(t *testing.T) {
 	c := DefaultCosts()
-	if c.RemoteAccess <= c.LocalAccess {
-		t.Error("remote access should cost more than local")
+	if c.CoherenceRemote <= c.CoherenceLocal {
+		t.Error("a cross-socket line transfer should cost more than a local one")
 	}
 	if c.WBINVDBase <= c.FlushSync {
 		t.Error("WBINVD should dwarf a single line flush")

@@ -73,9 +73,14 @@ type Soft struct {
 	pmem   *nvm.Memory // persistent node slab
 	lin    uc.Lineage  // the generation the table was built at
 	// Offsets inside vmem.
-	bucketsOff, locksOff uint64
-	slabOff              uint64 // [0]=bump index, [1]=free-list head, [2]=slab lock
-	flushers             []*nvm.Flusher
+	bucketsOff uint64
+	slabOff    uint64 // [0]=bump index, [1]=free-list head, [2]=slab lock
+	// The per-bucket locks and the allocation lock, built once over their
+	// words in vmem, so hand-offs count and an acquisition allocates nothing.
+	bucketLocks []locks.TryLock
+	allocLock   locks.TryLock
+	waits       locks.Waits
+	flushers    []*nvm.Flusher
 }
 
 var _ uc.UC = (*Soft)(nil)
@@ -106,8 +111,13 @@ func newEngine(t *sim.Thread, sys *nvm.System, cfg Config, lin uc.Lineage) *Soft
 	s.pmem = sys.NewMemory(lin.Name("persistent"), nvm.NVM, nvm.Interleaved, cfg.PersistentWords)
 	s.lin.EnsureCommit(sys, nvm.Interleaved)
 	s.bucketsOff = s.valloc.Alloc(t, cfg.Buckets)
-	s.locksOff = s.valloc.Alloc(t, cfg.Buckets)
+	locksOff := s.valloc.Alloc(t, cfg.Buckets)
 	s.slabOff = s.valloc.Alloc(t, 4)
+	s.bucketLocks = make([]locks.TryLock, cfg.Buckets)
+	for b := range s.bucketLocks {
+		s.bucketLocks[b] = locks.NewTryLock(s.vmem, locksOff+uint64(b))
+	}
+	s.allocLock = locks.NewTryLock(s.vmem, s.slabOff+2)
 	return s
 }
 
@@ -117,12 +127,13 @@ func newEngine(t *sim.Thread, sys *nvm.System, cfg Config, lin uc.Lineage) *Soft
 // under its combiner/writer lock; SOFT's fine-grained bucket locks do not).
 // The original SOFT uses per-thread allocation pools; a spinlock preserves
 // the flush/fence profile, which is the property under evaluation.
-func (s *Soft) lockAlloc(t *sim.Thread) locks.TryLock {
-	l := locks.NewTryLock(s.vmem, s.slabOff+2)
-	var b sim.Backoff
-	for !l.TryAcquire(t) {
-		b.Spin(t, 1024)
-	}
+func (s *Soft) lockAlloc(t *sim.Thread) *locks.TryLock {
+	return s.lock(t, &s.allocLock)
+}
+
+// lock takes l, waiting in t's Wait.
+func (s *Soft) lock(t *sim.Thread, l *locks.TryLock) *locks.TryLock {
+	l.Acquire(t, s.waits.Of(t), 1024)
 	return l
 }
 
@@ -167,13 +178,8 @@ func (s *Soft) pnFree(t *sim.Thread, off uint64) {
 
 func (s *Soft) bucket(key uint64) uint64 { return splitmix64(key) % s.cfg.Buckets }
 
-func (s *Soft) lockBucket(t *sim.Thread, key uint64) locks.TryLock {
-	l := locks.NewTryLock(s.vmem, s.locksOff+s.bucket(key))
-	var b sim.Backoff
-	for !l.TryAcquire(t) {
-		b.Spin(t, 1024)
-	}
-	return l
+func (s *Soft) lockBucket(t *sim.Thread, key uint64) *locks.TryLock {
+	return s.lock(t, &s.bucketLocks[s.bucket(key)])
 }
 
 // Get returns the value for key or uc.NotFound. No flushes, no fences, no

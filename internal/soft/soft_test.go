@@ -275,15 +275,66 @@ func TestDeletedKeysStayDeletedAfterCrash(t *testing.T) {
 	sch2.Run()
 }
 
-// heldLocks returns the bucket indexes whose lock word is nonzero.
+// heldLocks returns the indexes of the buckets whose lock cannot be taken.
 func (s *Soft) heldLocks(t *sim.Thread) []uint64 {
 	var held []uint64
-	for b := uint64(0); b < s.cfg.Buckets; b++ {
-		if s.vmem.Load(t, s.locksOff+b) != 0 {
-			held = append(held, b)
+	for b := range s.bucketLocks {
+		if l := &s.bucketLocks[b]; l.TryAcquire(t) {
+			l.Release(t)
+		} else {
+			held = append(held, uint64(b))
 		}
 	}
 	return held
+}
+
+// Four threads inserting into one bucket hand its lock to each other, and
+// the hand-offs count: every SOFT lock is built once, with the table.
+func TestBucketLockHandoffs(t *testing.T) {
+	w := build(t, Config{Buckets: 1}, nvm.Config{}, 1)
+	w.run(4, 0, 2, func(th *sim.Thread, tid int) {
+		for i := uint64(0); i < 20; i++ {
+			w.s.Execute(th, tid, uc.Insert(uint64(tid)*100+i, i))
+		}
+	})
+	if met := w.sys.Metrics(); met.LockHandoffs == 0 {
+		t.Fatalf("%d lock acquisitions, no hand-off", met.LockAcquisitions)
+	}
+}
+
+// A warm SOFT lock acquisition allocates nothing, waiting or not: the locks
+// are built once, and each thread waits in its own reused Wait.
+func TestUpdateWaitAllocatesNothing(t *testing.T) {
+	w := build(t, Config{Buckets: 1}, nvm.Config{}, 1)
+	sch := sim.New(0)
+	w.sys.SetScheduler(sch)
+	var allocs float64
+	done := false
+	sch.Spawn("worker", 0, 0, func(th *sim.Thread) {
+		allocs = testing.AllocsPerRun(50, func() {
+			l := w.s.lockBucket(th, 1)
+			th.Step(100)
+			l.Release(th)
+		})
+		done = true
+	})
+	// The rival holds the table's one bucket lock for long stretches, so the
+	// worker's acquisitions wait.
+	sch.Spawn("rival", 1, 0, func(th *sim.Thread) {
+		for !done {
+			l := w.s.lockBucket(th, 2)
+			th.Step(3000)
+			l.Release(th)
+			th.Step(500)
+		}
+	})
+	sch.Run()
+	if allocs != 0 {
+		t.Fatalf("a warm SOFT lock acquisition allocates %v times, want 0", allocs)
+	}
+	if met := w.sys.Metrics(); met.LockHandoffs == 0 {
+		t.Fatal("the worker never waited for the rival")
+	}
 }
 
 // chainLen walks bucket b's volatile chain up to max nodes and returns the

@@ -111,14 +111,27 @@ type Future struct {
 	ExecNS uint64
 }
 
-// Wait blocks (spinning in virtual time) until the future completes and
+// Wait blocks (polling in virtual time) until the future completes and
 // returns its result.
 func (f *Future) Wait(t *sim.Thread) uint64 {
-	var b sim.Backoff
-	for !f.Done {
-		b.Spin(t, 1024)
-	}
+	t.Await(&doneWait{f: f})
 	return f.Result
+}
+
+// doneWait is Future.Wait's poller: each round reads Done and, while it is
+// false, steps the backoff ladder. Done is a host-side flag, not a memory
+// line, so no store announces the completion: the wait never parks.
+type doneWait struct {
+	f *Future
+	b sim.Backoff
+}
+
+// Poll runs one round (sim.Poller).
+func (w *doneWait) Poll(*sim.Thread) (uint64, bool) {
+	if w.f.Done {
+		return 0, true
+	}
+	return w.b.Next(1024), false
 }
 
 // Config configures a Service.
@@ -400,7 +413,7 @@ func (c *Client) Submit(t *sim.Thread, op uc.Op) *Future {
 		if f, ok := c.TrySubmit(t, op, t.Clock()); ok {
 			return f
 		}
-		b.Spin(t, 4096)
+		t.Step(b.Next(4096))
 	}
 }
 

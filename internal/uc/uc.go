@@ -113,8 +113,6 @@ type Attacher func(t *sim.Thread, a *pmem.Allocator) DataStructure
 // crash. It replaces the parallel Factory/Attacher pairs that used to be
 // threaded through every builder signature side by side.
 type ObjectType struct {
-	// Name identifies the structure in catalogs and output ("hashmap", ...).
-	Name string
 	// New creates a fresh instance (the former free-standing Factory).
 	New Factory
 	// Attach re-opens a crashed instance created by New.

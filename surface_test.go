@@ -10,6 +10,7 @@ import (
 	"maps"
 	"path"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -64,6 +65,120 @@ func TestNoTestOnlyExports(t *testing.T) {
 	}
 }
 
+// unreadAllowed lists the struct fields under internal/ that no non-test file
+// reads, each with the test that needs it.
+var unreadAllowed = map[string]string{
+	"internal/core.RecoveryReport.SourceGeneration":   "internal/core's TestInstanceGenerationsIndependent and TestRecoveryRestartsCounted check which generation recovery read",
+	"internal/core.RecoveryReport.Generation":         "internal/core's TestRecoveryRestartsCounted derives the abandoned generations from it",
+	"internal/core.RecoveryReport.Holes":              "internal/core's TestDurableCrashLosesNoCompletedOp requires no hole below completedTail",
+	"internal/core.RecoveryReport.DescriptorsCarried": "internal/core's TestDetectDoubleRecoveryIdempotent requires every resolved verdict carried forward",
+	"internal/sim.Scheduler.handoffs":                 "internal/sim's switch bounds and internal/harness's TestServePhaseMatchesChooserTwin pin dispatch counts through it",
+	"internal/sim.Scheduler.switches":                 "as sim.Scheduler.handoffs",
+	"internal/sim.Scheduler.parks":                    "internal/core's TestAwaitMatchesChooserTwin and internal/drivers' TestWaitsMatchChooserTwin require waiters to have parked",
+	"internal/sim.Thread.ins":                         "internal/harness's TestServePhaseMatchesChooserTwin bounds how often an injector is switched in",
+	"internal/svc.Future.Invid": "internal/svc's TestDetectStampsAndCursors and TestPostedCompletionsSurviveSlotReuse check the invocation id a completion carries",
+	"internal/svc.Future.Mark":  "internal/svc's TestDurableBarrierDurableMode, TestDurableBarrierForcesCycleInBufferedMode and TestPerOpFallback hand it to AwaitDurable",
+}
+
+// TestNoUnreadFields requires every field of a struct type declared under
+// internal/ to be read by some non-test file: selected anywhere but as the
+// target of an assignment or an increment (a composite literal's key only
+// writes it). A json-tagged field counts as read, as encoding/json reads it,
+// and so does an embedded field whose promoted fields or methods are used. A
+// field of a generic type is its origin's. What it catches is state that is
+// kept up to date and never consulted.
+//
+// A field read only by its own package's tests has no home in a _test.go
+// file, so it is allowed with the test that reads it.
+func TestNoUnreadFields(t *testing.T) {
+	m, err := loadModule()
+	if err != nil {
+		t.Fatal(err)
+	}
+	read, used := m.readFields(), m.usedObjects()
+	found := map[string]bool{}
+	for _, ip := range slices.Sorted(maps.Keys(m.pkgs)) {
+		dir, _ := strings.CutPrefix(ip, "prepuc/")
+		if !strings.HasPrefix(dir, "internal/") {
+			continue
+		}
+		scope := m.pkgs[ip].Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || tn.IsAlias() {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			// An embedded field is read where a method promoted through it is
+			// used, through an interface included.
+			promoted := map[int]bool{}
+			mset := types.NewMethodSet(types.NewPointer(tn.Type()))
+			for j := 0; j < mset.Len(); j++ {
+				if sel := mset.At(j); len(sel.Index()) > 1 && used[origin(sel.Obj())] {
+					promoted[sel.Index()[0]] = true
+				}
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				if tag, ok := reflect.StructTag(st.Tag(i)).Lookup("json"); read[st.Field(i)] || promoted[i] || ok && tag != "-" {
+					continue
+				}
+				key := dir + "." + name + "." + st.Field(i).Name()
+				found[key] = true
+				if _, ok := unreadAllowed[key]; !ok {
+					t.Errorf("%s: no non-test file reads it: delete it, or allow it with the test that needs it", key)
+				}
+			}
+		}
+	}
+	for _, key := range slices.Sorted(maps.Keys(unreadAllowed)) {
+		if !found[key] {
+			t.Errorf("%s is allowed as unread but is read: drop it from unreadAllowed", key)
+		}
+	}
+}
+
+// readFields is every struct field (as its origin) that a selector in a
+// non-test file reads, outside an assignment's or an increment's target, plus
+// every embedded field a selector's path passes through.
+func (m *module) readFields() map[*types.Var]bool {
+	written := map[ast.Expr]bool{}
+	for _, f := range m.files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					written[lhs] = true
+				}
+			case *ast.IncDecStmt:
+				written[n.X] = true
+			}
+			return true
+		})
+	}
+	read := map[*types.Var]bool{}
+	for se, sel := range m.info.Selections {
+		path, typ := sel.Index(), sel.Recv()
+		last := len(path) - 1
+		for i, x := range path {
+			if i == last && sel.Kind() != types.FieldVal {
+				break // a method, not a field
+			}
+			if p, ok := typ.(*types.Pointer); ok {
+				typ = p.Elem()
+			}
+			f := typ.Underlying().(*types.Struct).Field(x)
+			if i < last || !written[se] {
+				read[f.Origin()] = true
+			}
+			typ = f.Type()
+		}
+	}
+	return read
+}
+
 // module is the type-checked non-test code of the repository.
 type module struct {
 	info  *types.Info
@@ -86,7 +201,11 @@ func loadModule() (*module, error) {
 	const modPath = "prepuc"
 	fset := token.NewFileSet()
 	m := &module{
-		info: &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}},
+		info: &types.Info{
+			Defs:       map[*ast.Ident]types.Object{},
+			Uses:       map[*ast.Ident]types.Object{},
+			Selections: map[*ast.SelectorExpr]*types.Selection{},
+		},
 		pkgs: map[string]*types.Package{},
 	}
 	dirs := map[string][]*ast.File{} // import path → files
