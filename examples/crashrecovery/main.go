@@ -36,8 +36,8 @@ func run(single bool, seed int64) (history.Report, bool) {
 		Workers:   workers,
 		LogSize:   128,
 		Epsilon:   32,
-		Factory:   seq.HashMapFactory(64),
-		Attacher:  seq.HashMapAttacher,
+		Factory:   seq.HashMapType(64).New,
+		Attacher:  seq.HashMapType(64).Attach,
 		HeapWords: 1 << 20,
 		Ablations: core.Ablations{SinglePReplica: single},
 	}

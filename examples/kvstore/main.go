@@ -32,8 +32,8 @@ func config() core.Config {
 		Workers:   workers,
 		LogSize:   1 << 10,
 		Epsilon:   128,
-		Factory:   seq.HashMapFactory(512),
-		Attacher:  seq.HashMapAttacher,
+		Factory:   seq.HashMapType(512).New,
+		Attacher:  seq.HashMapType(512).Attach,
 		HeapWords: 1 << 21,
 	}
 }

@@ -33,9 +33,9 @@ func main() {
 		Topology:  topo,
 		Workers:   7, // leave one hardware thread for the persistence thread
 		LogSize:   1 << 12,
-		Epsilon:   256, // at most ε+β−1 completed ops lost per crash
-		Factory:   seq.HashMapFactory(1024),
-		Attacher:  seq.HashMapAttacher,
+		Epsilon:   256,                       // at most ε+β−1 completed ops lost per crash
+		Factory:   seq.HashMapType(1024).New, // any sequential black box
+		Attacher:  seq.HashMapType(1024).Attach,
 		HeapWords: 1 << 20,
 	}
 	var p *core.PREP
@@ -66,7 +66,7 @@ func main() {
 			}()
 			for i := uint64(0); i < perWorker; i++ {
 				key := uint64(tid)*1_000_000 + i
-				p.Execute(t, tid, uc.Insert(key, key * 2))
+				p.Execute(t, tid, uc.Insert(key, key*2))
 				// Read-only operations take the local replica's reader lock
 				// and never touch the log.
 				if got := p.Execute(t, tid, uc.Get(key)); got != key*2 {

@@ -40,8 +40,8 @@ func main() {
 		Workers:   workers,
 		LogSize:   1 << 10,
 		Epsilon:   64, // lose at most 64+4−1 submissions per crash
-		Factory:   seq.PQueueFactory(),
-		Attacher:  seq.PQueueAttacher,
+		Factory:   seq.PQueueType().New,
+		Attacher:  seq.PQueueType().Attach,
 		HeapWords: 1 << 20,
 	}
 	bootSch := sim.New(0)

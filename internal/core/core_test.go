@@ -14,14 +14,15 @@ import (
 func testTopo() numa.Topology { return numa.Topology{Nodes: 2, ThreadsPerNode: 4} }
 
 func hashCfg(mode Mode, workers int, logSize, eps uint64) Config {
+	obj := seq.HashMapType(64)
 	return Config{
 		Mode:      mode,
 		Topology:  testTopo(),
 		Workers:   workers,
 		LogSize:   logSize,
 		Epsilon:   eps,
-		Factory:   seq.HashMapFactory(64),
-		Attacher:  seq.HashMapAttacher,
+		Factory:   obj.New,
+		Attacher:  obj.Attach,
 		HeapWords: 1 << 20,
 	}
 }
@@ -97,7 +98,7 @@ func TestVolatileSingleWorkerSequential(t *testing.T) {
 	w := newWorld(t, hashCfg(Volatile, 1, 256, 0), nvm.Config{}, 1)
 	w.runWorkers(1, 0, func(th *sim.Thread, tid int) {
 		for k := uint64(0); k < 50; k++ {
-			if got := w.p.Execute(th, tid, uc.Insert(k, k * 2)); got != 1 {
+			if got := w.p.Execute(th, tid, uc.Insert(k, k*2)); got != 1 {
 				t.Errorf("insert(%d) = %d, want 1", k, got)
 			}
 		}
@@ -121,7 +122,7 @@ func TestVolatileConcurrentDistinctKeys(t *testing.T) {
 	w.runWorkers(workers, 0, func(th *sim.Thread, tid int) {
 		for i := uint64(0); i < perWorker; i++ {
 			k := uint64(tid)*1000 + i
-			if got := w.p.Execute(th, tid, uc.Insert(k, k + 7)); got != 1 {
+			if got := w.p.Execute(th, tid, uc.Insert(k, k+7)); got != 1 {
 				t.Errorf("worker %d insert(%d) = %d", tid, k, got)
 			}
 		}
@@ -164,8 +165,8 @@ func TestStackResponsesLinearizable(t *testing.T) {
 	// pushed exactly once, or NotFound, and accounting must balance.
 	const workers, pairs = 8, 50
 	cfg := hashCfg(Volatile, workers, 1024, 0)
-	cfg.Factory = seq.StackFactory()
-	cfg.Attacher = seq.StackAttacher
+	stack := seq.StackType()
+	cfg.Factory, cfg.Attacher = stack.New, stack.Attach
 	w := newWorld(t, cfg, nvm.Config{Costs: sim.UnitCosts()}, 4)
 	popped := make([]map[uint64]int, workers)
 	emptyPops := make([]int, workers)

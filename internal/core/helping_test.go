@@ -43,11 +43,11 @@ func TestCrossNodeHelpWhenNodeQuiescent(t *testing.T) {
 	// First touch node 1's replica so it exists and is behind, then go idle.
 	w.runWorkers(8, 0, func(th *sim.Thread, tid int) {
 		if tid >= 4 { // node 1 workers do one op then stop
-			w.p.Execute(th, tid, uc.Insert(9999 + uint64(tid), 1))
+			w.p.Execute(th, tid, uc.Insert(9999+uint64(tid), 1))
 			return
 		}
 		for i := uint64(0); i < 200; i++ { // node 0 wraps the log many times
-			w.p.Execute(th, tid, uc.Insert(uint64(tid)*1000 + i, i))
+			w.p.Execute(th, tid, uc.Insert(uint64(tid)*1000+i, i))
 		}
 	})
 	if w.p.Stats().CrossNodeHelps == 0 {
@@ -68,7 +68,7 @@ func TestBoundaryReductionUnblocksStablePReplica(t *testing.T) {
 	w := newWorld(t, cfg, nvm.Config{Costs: sim.UnitCosts()}, 303)
 	w.runWorkers(8, 0, func(th *sim.Thread, tid int) {
 		for i := uint64(0); i < 100; i++ {
-			w.p.Execute(th, tid, uc.Insert(uint64(tid)*1000 + i, i))
+			w.p.Execute(th, tid, uc.Insert(uint64(tid)*1000+i, i))
 		}
 	})
 	// The run completing at all (log of 64, 800 updates, two p-replicas)
@@ -90,7 +90,7 @@ func TestBatchingCollectsConcurrentOps(t *testing.T) {
 	w := newWorld(t, hashCfg(Volatile, 8, 1024, 0), nvm.Config{Costs: sim.UnitCosts()}, 304)
 	w.runWorkers(8, 0, func(th *sim.Thread, tid int) {
 		for i := uint64(0); i < 100; i++ {
-			w.p.Execute(th, tid, uc.Insert(uint64(tid)*1000 + i, i))
+			w.p.Execute(th, tid, uc.Insert(uint64(tid)*1000+i, i))
 		}
 	})
 	st := w.p.Stats()
@@ -110,7 +110,7 @@ func TestNoBatchingAblationBatchesExactlyOne(t *testing.T) {
 	w := newWorld(t, cfg, nvm.Config{Costs: sim.UnitCosts()}, 305)
 	w.runWorkers(8, 0, func(th *sim.Thread, tid int) {
 		for i := uint64(0); i < 50; i++ {
-			w.p.Execute(th, tid, uc.Insert(uint64(tid)*1000 + i, i))
+			w.p.Execute(th, tid, uc.Insert(uint64(tid)*1000+i, i))
 		}
 	})
 	st := w.p.Stats()
@@ -126,7 +126,7 @@ func TestPersistenceThreadTracksCompletedTail(t *testing.T) {
 	w := newWorld(t, cfg, nvm.Config{Costs: sim.UnitCosts()}, 306)
 	w.runWorkers(4, 0, func(th *sim.Thread, tid int) {
 		for i := uint64(0); i < 150; i++ {
-			w.p.Execute(th, tid, uc.Insert(uint64(tid)*1000 + i, i))
+			w.p.Execute(th, tid, uc.Insert(uint64(tid)*1000+i, i))
 		}
 	})
 	// After a clean run both p-replica states must replay-match the full
@@ -192,7 +192,7 @@ func TestDurableFlushesLogEntries(t *testing.T) {
 	w := newWorld(t, cfg, nvm.Config{Costs: sim.UnitCosts()}, 311)
 	w.runWorkers(4, 0, func(th *sim.Thread, tid int) {
 		for i := uint64(0); i < 50; i++ {
-			w.p.Execute(th, tid, uc.Insert(uint64(tid)*1000 + i, i))
+			w.p.Execute(th, tid, uc.Insert(uint64(tid)*1000+i, i))
 		}
 	})
 	l := w.p.log
@@ -211,23 +211,21 @@ func TestSeqDataStructuresAcrossEngine(t *testing.T) {
 	// Every sequential structure must run under the engine unchanged.
 	cases := []struct {
 		name     string
-		factory  uc.Factory
-		attacher uc.Attacher
+		obj      uc.ObjectType
 		ops      []uc.Op
 		wantSize uint64
 	}{
-		{"skiplist", seq.SkipListFactory(), seq.SkipListAttacher,
+		{"skiplist", seq.SkipListType(),
 			[]uc.Op{{Code: uc.OpInsert, A0: 1, A1: 2}, {Code: uc.OpInsert, A0: 3, A1: 4}}, 2},
-		{"listset", seq.ListSetFactory(), seq.ListSetAttacher,
+		{"listset", seq.ListSetType(),
 			[]uc.Op{{Code: uc.OpInsert, A0: 5, A1: 6}}, 1},
-		{"queue", seq.QueueFactory(), seq.QueueAttacher,
+		{"queue", seq.QueueType(),
 			[]uc.Op{{Code: uc.OpEnqueue, A0: 7}, {Code: uc.OpEnqueue, A0: 8}}, 2},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := hashCfg(Buffered, 4, 128, 32)
-			cfg.Factory = tc.factory
-			cfg.Attacher = tc.attacher
+			cfg.Factory, cfg.Attacher = tc.obj.New, tc.obj.Attach
 			w := newWorld(t, cfg, nvm.Config{Costs: sim.UnitCosts()}, 313)
 			w.runWorkers(1, 0, func(th *sim.Thread, tid int) {
 				for _, op := range tc.ops {

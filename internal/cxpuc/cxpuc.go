@@ -37,9 +37,9 @@ import (
 
 // Config parameterizes CX-PUC.
 type Config struct {
-	Workers   int
-	Factory   uc.Factory
-	Attacher  uc.Attacher
+	Workers int
+	// Object is the sequential object each replica holds.
+	Object    uc.ObjectType
 	HeapWords uint64
 	// QueueCapacity bounds the operation queue; the run must not exceed it.
 	QueueCapacity uint64
@@ -109,7 +109,7 @@ func New(t *sim.Thread, sys *nvm.System, cfg Config) (*CX, error) {
 // here and must not become the recovery source until the recovered state has
 // been cloned in and persisted.
 func newEngine(t *sim.Thread, sys *nvm.System, cfg Config, lin uc.Lineage) (*CX, error) {
-	if cfg.Workers <= 0 || cfg.Factory == nil || cfg.HeapWords == 0 {
+	if cfg.Workers <= 0 || cfg.Object.New == nil || cfg.HeapWords == 0 {
 		return nil, fmt.Errorf("cxpuc: incomplete config")
 	}
 	if cfg.QueueCapacity == 0 {
@@ -139,7 +139,7 @@ func newEngine(t *sim.Thread, sys *nvm.System, cfg Config, lin uc.Lineage) (*CX,
 			id:    i,
 			heap:  heap,
 			alloc: alloc,
-			ds:    cfg.Factory(t, alloc),
+			ds:    cfg.Object.New(t, alloc),
 			lock:  locks.NewRWLock(cx.ctrl, uint64(i+1)*nvm.WordsPerLine),
 		}
 		alloc.SetRoot(t, appliedRootSlot, 0)

@@ -13,8 +13,7 @@ import (
 func testCfg(workers int) Config {
 	return Config{
 		Workers:       workers,
-		Factory:       seq.HashMapFactory(64),
-		Attacher:      seq.HashMapAttacher,
+		Object:        seq.HashMapType(64),
 		HeapWords:     1 << 18,
 		QueueCapacity: 1 << 14,
 		CapReplicas:   8,
@@ -98,7 +97,7 @@ func TestSequentialSemantics(t *testing.T) {
 	w := build(t, testCfg(1), nvm.Config{}, 1)
 	w.run(1, 0, 100, func(th *sim.Thread, tid int) {
 		for k := uint64(0); k < 30; k++ {
-			if got := w.cx.Execute(th, tid, uc.Insert(k, k * 3)); got != 1 {
+			if got := w.cx.Execute(th, tid, uc.Insert(k, k*3)); got != 1 {
 				t.Errorf("insert(%d) = %d", k, got)
 			}
 		}
@@ -157,7 +156,7 @@ func TestWholeReplicaFlushHappens(t *testing.T) {
 	before := w.sys.Metrics().Snapshot().Fences
 	w.run(2, 0, 500, func(th *sim.Thread, tid int) {
 		for i := uint64(0); i < 10; i++ {
-			w.cx.Execute(th, tid, uc.Insert(uint64(tid)*100 + i, 1))
+			w.cx.Execute(th, tid, uc.Insert(uint64(tid)*100+i, 1))
 		}
 	})
 	if w.sys.Metrics().Snapshot().Fences <= before {
@@ -212,7 +211,7 @@ func TestPrefillVisible(t *testing.T) {
 	w.run(1, 0, 800, func(th *sim.Thread, tid int) {
 		ops := make([]uc.Op, 50)
 		for i := range ops {
-			ops[i] = uc.Insert(uint64(i), uint64(i) * 2)
+			ops[i] = uc.Insert(uint64(i), uint64(i)*2)
 		}
 		w.cx.Prefill(th, ops)
 		for i := uint64(0); i < 50; i++ {

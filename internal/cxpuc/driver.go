@@ -9,7 +9,7 @@ import (
 // ConfigFor maps a harness sizing to CX-PUC's configuration.
 func ConfigFor(sz uc.Sizing) Config {
 	return Config{
-		Workers: sz.Workers, Factory: sz.Object.New, Attacher: sz.Object.Attach,
+		Workers: sz.Workers, Object: sz.Object,
 		HeapWords: sz.CXHeapWords, QueueCapacity: sz.CXQueueCap, CapReplicas: sz.CXCapReplicas,
 	}
 }

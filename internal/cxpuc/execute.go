@@ -198,7 +198,7 @@ func Recover(t *sim.Thread, recSys *nvm.System, cfg Config) (*CX, error) {
 	repID := int(w & 0xFF)
 	heap := recSys.Memory(src.Name(fmt.Sprintf("rep%d", repID)))
 	alloc := pmem.Attach(t, heap)
-	sds := cfg.Attacher(t, alloc)
+	sds := cfg.Object.Attach(t, alloc)
 
 	cx, err := newEngine(t, recSys, cfg, src.Next(recSys))
 	if err != nil {

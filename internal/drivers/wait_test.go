@@ -10,7 +10,6 @@ import (
 	"prepuc/internal/metrics"
 	"prepuc/internal/numa"
 	"prepuc/internal/nvm"
-	"prepuc/internal/seq"
 	"prepuc/internal/sim"
 	"prepuc/internal/uc"
 )
@@ -103,11 +102,7 @@ func TestWaitsMatchChooserTwin(t *testing.T) {
 	sz := ExploreScale()
 	sz.Topology = numa.Topology{Nodes: 2, ThreadsPerNode: 2}
 	sz.Workers = 4
-	gl := func() *uc.Driver {
-		return &uc.Driver{Name: "GL", Boot: func(th *sim.Thread, sys *nvm.System) (uc.UC, error) {
-			return gluc.New(th, sys, gluc.Config{Factory: seq.HashMapFactory(8), HeapWords: 1 << 12}), nil
-		}}
-	}
+	gl := func() *uc.Driver { return gluc.NewDriver(gluc.ConfigFor(sz)) }
 	mustPark := map[string]bool{"PREP-Buffered": true, "SOFT": true, "GL": true}
 	builders := []func() *uc.Driver{gl}
 	for _, e := range All() {

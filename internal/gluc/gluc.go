@@ -15,7 +15,7 @@ import (
 
 // Config parameterizes the construction.
 type Config struct {
-	Factory   uc.Factory
+	Object    uc.ObjectType
 	HeapWords uint64
 }
 
@@ -34,7 +34,7 @@ func New(t *sim.Thread, sys *nvm.System, cfg Config) *GL {
 	heap := sys.NewMemory("gl.heap", nvm.Volatile, 0, cfg.HeapWords)
 	ctrl := sys.NewMemory("gl.ctrl", nvm.Volatile, 0, nvm.WordsPerLine)
 	return &GL{
-		ds:   cfg.Factory(t, pmem.New(t, heap)),
+		ds:   cfg.Object.New(t, pmem.New(t, heap)),
 		lock: locks.NewRWLock(ctrl, 0),
 	}
 }

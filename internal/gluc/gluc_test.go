@@ -22,12 +22,12 @@ func build(t *testing.T, cfg Config, seed int64) (*nvm.System, *GL) {
 }
 
 func TestSequential(t *testing.T) {
-	sys, g := build(t, Config{Factory: seq.HashMapFactory(16), HeapWords: 1 << 16}, 1)
+	sys, g := build(t, Config{Object: seq.HashMapType(16), HeapWords: 1 << 16}, 1)
 	sch := sim.New(2)
 	sys.SetScheduler(sch)
 	sch.Spawn("w", 0, 0, func(th *sim.Thread) {
 		for k := uint64(0); k < 40; k++ {
-			if got := g.Execute(th, 0, uc.Insert(k, k + 1)); got != 1 {
+			if got := g.Execute(th, 0, uc.Insert(k, k+1)); got != 1 {
 				t.Errorf("insert = %d", got)
 			}
 		}
@@ -42,7 +42,7 @@ func TestSequential(t *testing.T) {
 
 func TestConcurrentCounterExact(t *testing.T) {
 	// Read-modify-write through the lock must never lose updates.
-	sys, g := build(t, Config{Factory: seq.HashMapFactory(16), HeapWords: 1 << 16}, 3)
+	sys, g := build(t, Config{Object: seq.HashMapType(16), HeapWords: 1 << 16}, 3)
 	sch := sim.New(4)
 	sys.SetScheduler(sch)
 	const workers, per = 8, 30
@@ -69,7 +69,7 @@ func TestConcurrentCounterExact(t *testing.T) {
 }
 
 func TestPrefill(t *testing.T) {
-	sys, g := build(t, Config{Factory: seq.HashMapFactory(16), HeapWords: 1 << 16}, 6)
+	sys, g := build(t, Config{Object: seq.HashMapType(16), HeapWords: 1 << 16}, 6)
 	sch := sim.New(7)
 	sys.SetScheduler(sch)
 	sch.Spawn("w", 0, 0, func(th *sim.Thread) {

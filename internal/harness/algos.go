@@ -1,13 +1,8 @@
 package harness
 
 import (
-	"prepuc/internal/core"
-	"prepuc/internal/cxpuc"
-	"prepuc/internal/gluc"
 	"prepuc/internal/nvm"
-	"prepuc/internal/onll"
 	"prepuc/internal/sim"
-	"prepuc/internal/soft"
 	"prepuc/internal/uc"
 )
 
@@ -28,10 +23,12 @@ func (sc Scale) sizing(workers int, obj uc.ObjectType, heapWords uint64) uc.Sizi
 	}
 }
 
-// drivenSystem is a PREP engine booted through its driver, whose auxiliary
-// thread lifecycle (the persistence thread) it exposes as Background.
+// drivenSystem is a construction booted through its driver: the engine the
+// harness prefills and drives, and the driver's auxiliary thread lifecycle
+// (PREP's persistence thread) as Background, a no-op for drivers without
+// auxiliary threads.
 type drivenSystem struct {
-	*core.PREP
+	System
 	d *uc.Driver
 }
 
@@ -47,60 +44,21 @@ func (s drivenSystem) StopBackground(t *sim.Thread) {
 	}
 }
 
-// PREPBuilder builds PREP-V / PREP-Buffered / PREP-Durable around the given
-// sequential object type.
-func PREPBuilder(mode core.Mode, epsilon uint64, obj uc.ObjectType, heapWords func(Scale) uint64) BuildFunc {
-	return PREPAblationBuilder(mode, epsilon, obj, heapWords, func(*core.Config) {})
-}
-
-// GLBuilder builds the global-lock baseline.
-func GLBuilder(obj uc.ObjectType, heapWords func(Scale) uint64) BuildFunc {
+// curve is the one figure-curve builder: each cell boots the driver mk makes
+// at the cell's sizing of obj with heapWords, after edit (when non-nil) has
+// adjusted that sizing.
+func curve(mk func(uc.Sizing) *uc.Driver, obj uc.ObjectType, heapWords uint64,
+	edit func(*uc.Sizing)) BuildFunc {
 	return func(t *sim.Thread, sys *nvm.System, sc Scale, workers int) (System, error) {
-		return gluc.New(t, sys, gluc.Config{
-			Factory:   obj.New,
-			HeapWords: heapWords(sc),
-		}), nil
-	}
-}
-
-// CXBuilder builds the CX-PUC baseline.
-func CXBuilder(obj uc.ObjectType, heapWords func(Scale) uint64) BuildFunc {
-	return func(t *sim.Thread, sys *nvm.System, sc Scale, workers int) (System, error) {
-		return cxpuc.New(t, sys, cxpuc.ConfigFor(sc.sizing(workers, obj, heapWords(sc))))
-	}
-}
-
-// SOFTBuilder builds the hand-crafted SOFT hashtable baseline.
-func SOFTBuilder(buckets func(Scale) uint64) BuildFunc {
-	return func(t *sim.Thread, sys *nvm.System, sc Scale, workers int) (System, error) {
-		sz := sc.sizing(workers, uc.ObjectType{}, 0)
-		sz.SoftBuckets = buckets(sc)
-		return soft.New(t, sys, soft.ConfigFor(sz)), nil
-	}
-}
-
-// ONLLBuilder builds the ONLL extension baseline (per-thread persistent
-// logs, durable linearizability).
-func ONLLBuilder(obj uc.ObjectType, heapWords func(Scale) uint64) BuildFunc {
-	return func(t *sim.Thread, sys *nvm.System, sc Scale, workers int) (System, error) {
-		return onll.New(t, sys, onll.ConfigFor(sc.sizing(workers, obj, heapWords(sc))))
-	}
-}
-
-// PREPAblationBuilder exposes the engine's ablation switches: mut edits the
-// configuration the scale maps to before the engine is built.
-func PREPAblationBuilder(mode core.Mode, epsilon uint64, obj uc.ObjectType,
-	heapWords func(Scale) uint64, mut func(*core.Config)) BuildFunc {
-	return func(t *sim.Thread, sys *nvm.System, sc Scale, workers int) (System, error) {
-		sz := sc.sizing(workers, obj, heapWords(sc))
-		sz.Epsilon = epsilon
-		cfg := core.ConfigFor(mode, sz)
-		mut(&cfg)
-		d := core.NewDriver(cfg)
+		sz := sc.sizing(workers, obj, heapWords)
+		if edit != nil {
+			edit(&sz)
+		}
+		d := mk(sz)
 		eng, err := d.Boot(t, sys)
 		if err != nil {
 			return nil, err
 		}
-		return drivenSystem{eng.(*core.PREP), d}, nil
+		return drivenSystem{eng.(System), d}, nil
 	}
 }

@@ -11,9 +11,7 @@ import (
 	"io"
 	"sort"
 
-	"prepuc/internal/drivers"
 	"prepuc/internal/metrics"
-	"prepuc/internal/numa"
 	"prepuc/internal/nvm"
 	"prepuc/internal/par"
 	"prepuc/internal/sim"
@@ -113,67 +111,46 @@ func RunFigure(fig Figure, sc Scale, seed int64, jobs int, w io.Writer) ([]Point
 	return points, nil
 }
 
-// bootedCell is one closed-loop figure cell, booted and prefilled: the
-// machine, the system under test, and that system's optional Background
-// lifecycle as the uc.Driver the shared phases (drivers.Boot, drivers.Run)
-// take.
-type bootedCell struct {
-	sys  *nvm.System
-	impl System
-	aux  []*uc.Driver
-	tp   numa.Topology
-}
-
-// bootCell builds algo for threads workers on a fresh machine and prefills
-// it, all on the boot thread.
-func bootCell(sc Scale, algo AlgoSpec, threads int, seed int64, prefill []uc.Op) (*bootedCell, error) {
+// cellMachine boots one closed-loop figure cell: algo built for threads
+// workers on a fresh machine and prefilled, all on the boot thread. The
+// cell's one driver takes its auxiliary threads from the built system's
+// Background.
+func cellMachine(sc Scale, algo AlgoSpec, threads int, seed int64, prefill []uc.Op) (*Machine, error) {
 	d := &uc.Driver{Name: algo.Name}
-	c := &bootedCell{tp: sc.Topology, aux: []*uc.Driver{d}}
 	d.Boot = func(t *sim.Thread, sys *nvm.System) (uc.UC, error) {
 		impl, err := algo.Build(t, sys, sc, threads)
 		if err != nil {
 			return nil, err
 		}
-		c.impl = impl
 		if bg, ok := impl.(Background); ok {
 			d.SpawnAux, d.StopAux = bg.SpawnBackground, bg.StopBackground
 		}
+		impl.Prefill(t, prefill)
 		return impl, nil
 	}
-	var err error
-	c.sys, _, err = drivers.Boot(d,
-		nvm.Config{Costs: sc.Costs, Seed: uint64(seed) + 1},
-		func(t *sim.Thread, _ *nvm.System, _ uc.UC) error {
-			c.impl.Prefill(t, prefill)
-			return nil
-		})
+	m, err := BootMachine(sc.Topology, nvm.Config{Costs: sc.Costs, Seed: uint64(seed) + 1}, d)
 	if err != nil {
 		return nil, fmt.Errorf("build: %w", err)
 	}
-	return c, nil
-}
-
-// run is one phase on a fresh virtual timeline: the background threads, then
-// workers threads running body; the last one out retires the background.
-func (c *bootedCell) run(workers int, body func(t *sim.Thread, w int)) {
-	drivers.Run(c.sys, 0, c.aux, c.tp, workers, body)
+	return m, nil
 }
 
 // runPoint measures one (algo, threads) configuration.
 func runPoint(fig Figure, sc Scale, algo AlgoSpec, threads int, seed int64) (Point, error) {
-	c, err := bootCell(sc, algo, threads, seed, fig.Workload.PrefillOps(seed))
+	m, err := cellMachine(sc, algo, threads, seed, fig.Workload.PrefillOps(seed))
 	if err != nil {
 		return Point{}, err
 	}
 	// Counter state after boot+prefill; subtracted from the post-measurement
 	// snapshot so the point carries measurement-phase deltas only.
-	base := c.sys.Metrics().Snapshot()
+	base := m.Sys.Metrics().Snapshot()
 
+	eng := m.Engines[0]
 	opsDone := make([]uint64, threads)
-	c.run(threads, func(t *sim.Thread, tid int) {
+	m.Run(0, threads, func(t *sim.Thread, _, tid int) {
 		gen := workload.NewGen(fig.Workload, seed+13, tid)
 		for t.Clock() < sc.DurationNS {
-			c.impl.Execute(t, tid, gen.Next())
+			eng.Execute(t, tid, gen.Next())
 			opsDone[tid]++
 		}
 	})
@@ -187,7 +164,7 @@ func runPoint(fig Figure, sc Scale, algo AlgoSpec, threads int, seed int64) (Poi
 		Threads:   threads,
 		Ops:       total,
 		OpsPerSec: float64(total) / (float64(sc.DurationNS) / 1e9),
-		Metrics:   c.sys.Metrics().Snapshot().Sub(base),
+		Metrics:   m.Sys.Metrics().Snapshot().Sub(base),
 	}, nil
 }
 

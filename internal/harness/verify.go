@@ -47,25 +47,26 @@ func VerifyPoint(fig Figure, sc Scale, algo AlgoSpec, threads int, seed int64, o
 	prefill := fig.Workload.PrefillOps(seed)
 	init := linearize.Replay(model, nil, prefill)
 
-	c, err := bootCell(sc, algo, threads, seed, prefill)
+	m, err := cellMachine(sc, algo, threads, seed, prefill)
 	if err != nil {
 		return linearize.Result{}, err
 	}
 
 	// Recorded workload phase.
+	eng := m.Engines[0]
 	rec := linearize.NewRecorder(threads)
-	c.run(threads, func(t *sim.Thread, tid int) {
+	m.Run(0, threads, func(t *sim.Thread, _, tid int) {
 		gen := workload.NewGen(fig.Workload, seed+13, tid)
 		for i := 0; i < opsPerWorker; i++ {
 			op := gen.Next()
 			rec.Exec(t, tid, op, func() uint64 {
-				return c.impl.Execute(t, tid, op)
+				return eng.Execute(t, tid, op)
 			})
 		}
 	})
 
 	// Probe phase: observe the final state on a fresh timeline.
-	final, err := c.probeState(fig.Workload)
+	final, err := probeState(m, fig.Workload)
 	if err != nil {
 		return linearize.Result{}, err
 	}
@@ -78,20 +79,21 @@ func VerifyPoint(fig Figure, sc Scale, algo AlgoSpec, threads int, seed int64, o
 // pairs drain issues updates, which on the PREP variants block on the
 // background persister for buffer space — so the probe phase runs with
 // background threads alive, like the measured phase.
-func (c *bootedCell) probeState(spec workload.Spec) (any, error) {
+func probeState(m *Machine, spec workload.Spec) (any, error) {
 	var state any
-	c.run(1, func(t *sim.Thread, _ int) {
+	eng := m.Engines[0]
+	m.Run(0, 1, func(t *sim.Thread, _, _ int) {
 		switch spec.Kind {
 		case workload.Set:
 			m := map[uint64]uint64{}
 			for k := uint64(0); k < spec.KeyRange; k++ {
-				if v := c.impl.Execute(t, 0, uc.Get(k)); v != uc.NotFound {
+				if v := eng.Execute(t, 0, uc.Get(k)); v != uc.NotFound {
 					m[k] = v
 				}
 			}
 			state = m
 		case workload.Pairs:
-			state = drain(t, c.impl, spec.PushCode, spec.PopCode)
+			state = drain(t, eng, spec.PushCode, spec.PopCode)
 		}
 	})
 	if state == nil {
@@ -103,7 +105,7 @@ func (c *bootedCell) probeState(spec workload.Spec) (any, error) {
 // drain pops until empty and returns the content as the model's canonical
 // state: FIFO order for queues, bottom-first for stacks (pop order
 // reversed), ascending for priority queues (DeleteMin drains sorted).
-func drain(t *sim.Thread, s System, pushCode, popCode uint64) []uint64 {
+func drain(t *sim.Thread, s uc.UC, pushCode, popCode uint64) []uint64 {
 	var popped []uint64
 	for {
 		v := s.Execute(t, 0, uc.Op{Code: popCode, A0: 0})

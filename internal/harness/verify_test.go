@@ -3,7 +3,6 @@ package harness
 import (
 	"testing"
 
-	"prepuc/internal/core"
 	"prepuc/internal/seq"
 	"prepuc/internal/uc"
 	"prepuc/internal/workload"
@@ -17,7 +16,7 @@ func verifyScale() Scale {
 	return sc
 }
 
-func heap21(Scale) uint64 { return 1 << 21 }
+const heap21 = 1 << 21
 
 // TestVerifyPointSetWorkload checks the recorded mixed set workload of
 // every construction the evaluation compares — the same ExecuteConcurrent
@@ -29,13 +28,14 @@ func TestVerifyPointSetWorkload(t *testing.T) {
 		ID:       "verify-set",
 		Workload: workload.SetSpec(30, sc.KeyRange),
 		Algos: []AlgoSpec{
-			{"GL", GLBuilder(seq.HashMapType(64), heap21)},
-			{"PREP-V", PREPBuilder(core.Volatile, 0, seq.HashMapType(64), heap21)},
-			{"PREP-Buffered", PREPBuilder(core.Buffered, sc.EpsSmall, seq.HashMapType(64), heap21)},
-			{"PREP-Durable", PREPBuilder(core.Durable, sc.EpsSmall, seq.HashMapType(64), heap21)},
-			{"CX-PUC", CXBuilder(seq.HashMapType(64), heap21)},
-			{"ONLL", ONLLBuilder(seq.HashMapType(64), heap21)},
-			{"SOFT", SOFTBuilder(func(Scale) uint64 { return 64 })},
+			{"GL", curve(glDriver, seq.HashMapType(64), heap21, nil)},
+			{"PREP-V", prepCurve("prep-volatile", 0, seq.HashMapType(64), heap21)},
+			{"PREP-Buffered", prepCurve("prep-buffered", sc.EpsSmall, seq.HashMapType(64), heap21)},
+			{"PREP-Durable", prepCurve("prep-durable", sc.EpsSmall, seq.HashMapType(64), heap21)},
+			{"CX-PUC", curve(registered("cx"), seq.HashMapType(64), heap21, nil)},
+			{"ONLL", curve(registered("onll"), seq.HashMapType(64), heap21, nil)},
+			{"SOFT", curve(registered("soft"), uc.ObjectType{}, heap21,
+				func(sz *uc.Sizing) { sz.SoftBuckets = 64 })},
 		},
 	}
 	for _, algo := range fig.Algos {
@@ -74,11 +74,11 @@ func TestVerifyPointPairsWorkloads(t *testing.T) {
 				ID:       "verify-" + tc.name,
 				Workload: tc.spec,
 				Algos: []AlgoSpec{
-					{"GL", GLBuilder(tc.obj, heap21)},
-					{"PREP-Buffered", PREPBuilder(core.Buffered, sc.EpsSmall, tc.obj, heap21)},
-					{"PREP-Durable", PREPBuilder(core.Durable, sc.EpsSmall, tc.obj, heap21)},
-					{"CX-PUC", CXBuilder(tc.obj, heap21)},
-					{"ONLL", ONLLBuilder(tc.obj, heap21)},
+					{"GL", curve(glDriver, tc.obj, heap21, nil)},
+					{"PREP-Buffered", prepCurve("prep-buffered", sc.EpsSmall, tc.obj, heap21)},
+					{"PREP-Durable", prepCurve("prep-durable", sc.EpsSmall, tc.obj, heap21)},
+					{"CX-PUC", curve(registered("cx"), tc.obj, heap21, nil)},
+					{"ONLL", curve(registered("onll"), tc.obj, heap21, nil)},
 				},
 			}
 			for _, algo := range fig.Algos {

@@ -38,9 +38,7 @@ func buildAll(t *testing.T, obj uc.ObjectType, workers int) []*harness.Machine {
 	t.Helper()
 	sz := drivers.CrashScale(topo(), workers, 512, 64)
 	sz.Object = obj
-	ds := []*uc.Driver{{Name: "GL", Boot: func(th *sim.Thread, ns *nvm.System) (uc.UC, error) {
-		return gluc.New(th, ns, gluc.Config{Factory: obj.New, HeapWords: sz.HeapWords}), nil
-	}}}
+	ds := []*uc.Driver{gluc.NewDriver(gluc.ConfigFor(sz))}
 	for _, e := range drivers.All() {
 		if e.Flag != "soft" {
 			ds = append(ds, e.New(sz))

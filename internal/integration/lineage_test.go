@@ -37,14 +37,16 @@ func insertSome(m *harness.Machine, crashAt uint64, workers int, per uint64) *si
 // second recovery of every recoverable construction. The constants were
 // recorded by running this file against the commit before the generation
 // lineage moved into internal/uc: region naming, the commit record and the
-// free-generation rule may be restated, never moved.
+// free-generation rule may be restated, never moved. ONLL's pair was
+// re-recorded when its recovery began re-logging each operation under the
+// worker that logged it instead of worker 0.
 func TestRecoveryFingerprintsPinned(t *testing.T) {
 	want := map[string][2]uint64{
 		"PREP-Durable":  {0x410ee6e560c9cca5, 0x898ed13c9f1044f0},
 		"PREP-Buffered": {0x8c0c38612f911034, 0xa4bcfae39da7594e},
 		"CX-PUC":        {0xaab8cd70fe63e33d, 0x0d7bb3f542251b3d},
 		"SOFT":          {0xa90f2bddb7680245, 0xd456349c4eea867d},
-		"ONLL":          {0xfbcb166024d4d1e5, 0xd15f8655659c35ad},
+		"ONLL":          {0xd140300fcbc2dd05, 0xf6dc86fcec664a89},
 	}
 	const workers = 2
 	for _, e := range drivers.Recoverable() {

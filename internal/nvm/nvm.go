@@ -420,29 +420,12 @@ func (m *Memory) markDirty(line uint64) {
 	m.dstate.store(line, lineDirty|lineListed)
 }
 
-// Store writes v to the word at off. For NVM memories the store dirties the
-// containing line and may trigger a background write-back. It is StoreBegin,
-// the Step it prices, StoreEnd — written out rather than called, so the hot
-// path pays no extra call (TestSplitAccessesEqualWhole pins the equality).
+// Store writes v to the word at off: StoreBegin, the Step it prices,
+// StoreEnd. For NVM memories the store dirties the containing line and may
+// trigger a background write-back.
 func (m *Memory) Store(t *sim.Thread, off uint64, v uint64) {
-	line := off / WordsPerLine
-	m.wake(line)
-	m.announce(t, AccStore, line, false)
-	t.Step(m.storeCost(t, line))
-	m.wake(line)
-	m.sys.met.Stores++
-	m.data.store(off, v)
-	if m.kind == NVM {
-		m.markDirty(line)
-		bg := m.sys.bgProb != 0 && m.nextBG()%m.sys.bgProb == 0
-		if bg {
-			m.persistLine(line)
-			m.sys.met.BGFlushes++
-		}
-		if h := m.sys.peHook; h != nil && (bg || m.linePending(line)) {
-			h(t.ID())
-		}
-	}
+	t.Step(m.StoreBegin(t, off))
+	m.StoreEnd(t, off, v)
 }
 
 // linePending reports whether the line sits in some flusher's pending set. A
@@ -504,9 +487,9 @@ func (m *Memory) CASEnd(t *sim.Thread, off, old, new uint64) bool {
 	return true
 }
 
-// written is the end halves' NVM bookkeeping after a write to line, as Store
-// and CAS do it: dirty the line, draw a background write-back, and tell the
-// persist-effect hook when the write changed what a crash materializes.
+// written is the one NVM bookkeeping after a write to line, shared by
+// StoreEnd and CASEnd: dirty the line, draw a background write-back, and tell
+// the persist-effect hook when the write changed what a crash materializes.
 func (m *Memory) written(t *sim.Thread, line uint64) {
 	if m.kind != NVM {
 		return
@@ -522,32 +505,12 @@ func (m *Memory) written(t *sim.Thread, line uint64) {
 	}
 }
 
-// CAS atomically compares and swaps the word at off. Failed CASes still
-// acquire the line exclusively, as on real hardware. Like Store, it is its
-// two halves written out: CASBegin, the Step, CASEnd.
+// CAS atomically compares and swaps the word at off: CASBegin, the Step it
+// prices, CASEnd. Failed CASes still acquire the line exclusively, as on real
+// hardware.
 func (m *Memory) CAS(t *sim.Thread, off, old, new uint64) bool {
-	line := off / WordsPerLine
-	m.wake(line)
-	m.announce(t, AccCAS, line, false)
-	t.Step(m.storeCost(t, line))
-	m.wake(line)
-	m.sys.met.CASes++
-	if m.data.load(off) != old {
-		return false
-	}
-	m.data.store(off, new)
-	if m.kind == NVM {
-		m.markDirty(line)
-		bg := m.sys.bgProb != 0 && m.nextBG()%m.sys.bgProb == 0
-		if bg {
-			m.persistLine(line)
-			m.sys.met.BGFlushes++
-		}
-		if h := m.sys.peHook; h != nil && (bg || m.linePending(line)) {
-			h(t.ID())
-		}
-	}
-	return true
+	t.Step(m.CASBegin(t, off))
+	return m.CASEnd(t, off, old, new)
 }
 
 func (m *Memory) nextBG() uint64 {

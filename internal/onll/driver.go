@@ -9,7 +9,7 @@ import (
 // ConfigFor maps a harness sizing to ONLL's configuration.
 func ConfigFor(sz uc.Sizing) Config {
 	return Config{
-		Workers: sz.Workers, Factory: sz.Object.New,
+		Workers: sz.Workers, Object: sz.Object,
 		HeapWords: sz.HeapWords, LogEntries: sz.ONLLLogEntries,
 	}
 }

@@ -39,7 +39,9 @@ import (
 // Config parameterizes an ONLL instance.
 type Config struct {
 	Workers int
-	Factory uc.Factory
+	// Object is the sequential object; recovery replays the logs into a
+	// fresh one, so only its New is used.
+	Object uc.ObjectType
 	// HeapWords sizes the single volatile object's heap.
 	HeapWords uint64
 	// LogEntries is each thread's persistent log capacity in entries.
@@ -117,7 +119,7 @@ func New(t *sim.Thread, sys *nvm.System, cfg Config) (*ONLL, error) {
 // newEngine builds the instance at generation lin without committing it
 // (Recover commits only after replay completes).
 func newEngine(t *sim.Thread, sys *nvm.System, cfg Config, lin uc.Lineage) (*ONLL, error) {
-	if cfg.Workers <= 0 || cfg.Factory == nil || cfg.HeapWords == 0 {
+	if cfg.Workers <= 0 || cfg.Object.New == nil || cfg.HeapWords == 0 {
 		return nil, fmt.Errorf("onll: incomplete config")
 	}
 	if cfg.LogEntries == 0 {
@@ -126,7 +128,7 @@ func newEngine(t *sim.Thread, sys *nvm.System, cfg Config, lin uc.Lineage) (*ONL
 	o := &ONLL{cfg: cfg, sys: sys, lin: lin, entrySize: entryWords(cfg.Workers)}
 	o.heap = sys.NewMemory(lin.Name("heap"), nvm.Volatile, nvm.Interleaved, cfg.HeapWords)
 	o.alloc = pmem.New(t, o.heap)
-	o.ds = cfg.Factory(t, o.alloc)
+	o.ds = cfg.Object.New(t, o.alloc)
 	o.ticketOff = ctrlLock + locks.DistRWLockWords(cfg.Workers)
 	o.slotsOff = o.ticketOff + nvm.WordsPerLine
 	o.ctrl = sys.NewMemory(lin.Name("ctrl"), nvm.Volatile, nvm.Interleaved,
@@ -247,11 +249,15 @@ func (o *ONLL) Prefill(t *sim.Thread, ops []uc.Op) {
 
 // Recover rebuilds an ONLL instance after a crash: the union of the
 // committed generation's valid persisted log entries, replayed in
-// linearization order up to the first gap. Returns the instance and the
-// number of replayed operations. cfg is the configuration the crashed
-// lineage was booted with; the commit record flips to the rebuilt generation
-// only after replay completes, so Recover killed at any event re-runs from
-// the same source.
+// linearization order up to the first gap. Each operation is replayed, and so
+// re-logged, under the worker whose entry it heads (holds the highest index
+// of), or under the first log it appears in when its own entry was torn: no
+// log of the new generation holds more entries than the same log of the
+// source, so a history that fit the source's logs fits the rebuilt ones.
+// Returns the instance and the number of replayed operations. cfg is the
+// configuration the crashed lineage was booted with; the commit record flips
+// to the rebuilt generation only after replay completes, so Recover killed at
+// any event re-runs from the same source.
 func Recover(t *sim.Thread, recSys *nvm.System, cfg Config) (*ONLL, uint64, error) {
 	src, err := lineage.Source(recSys)
 	if err != nil {
@@ -259,6 +265,9 @@ func Recover(t *sim.Thread, recSys *nvm.System, cfg Config) (*ONLL, uint64, erro
 	}
 	entrySize := entryWords(cfg.Workers)
 	byIndex := map[uint64]opRec{}
+	// owner is the worker an index is replayed under: the one whose entry
+	// it heads, else the first whose log holds it.
+	owner := map[uint64]int{}
 	for tid := 0; tid < cfg.Workers; tid++ {
 		log := recSys.Memory(src.Name(fmt.Sprintf("log%d", tid)))
 		for base := uint64(0); base+entrySize <= log.Words(); base += entrySize {
@@ -279,9 +288,15 @@ func Recover(t *sim.Thread, recSys *nvm.System, cfg Config) (*ONLL, uint64, erro
 			if log.Load(t, base+entChecksum) != checksum(recs) {
 				break // torn final entry: its op never completed
 			}
+			head := recs[0].index
 			for _, r := range recs {
 				byIndex[r.index] = r
+				head = max(head, r.index)
+				if _, ok := owner[r.index]; !ok {
+					owner[r.index] = tid
+				}
 			}
+			owner[head] = tid
 		}
 	}
 	indexes := make([]uint64, 0, len(byIndex))
@@ -301,7 +316,7 @@ func Recover(t *sim.Thread, recSys *nvm.System, cfg Config) (*ONLL, uint64, erro
 			break // gap: everything beyond was in flight, never completed
 		}
 		r := byIndex[i]
-		o.update(t, 0, uc.Op{Code: r.code, A0: r.a0, A1: r.a1})
+		o.update(t, owner[i], uc.Op{Code: r.code, A0: r.a0, A1: r.a1})
 		replayed++
 		next++
 	}

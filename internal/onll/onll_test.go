@@ -13,7 +13,7 @@ import (
 func testCfg(workers int) Config {
 	return Config{
 		Workers:    workers,
-		Factory:    seq.HashMapFactory(128),
+		Object:     seq.HashMapType(128),
 		HeapWords:  1 << 20,
 		LogEntries: 1 << 12,
 	}
@@ -58,7 +58,7 @@ func TestSequentialSemantics(t *testing.T) {
 	w := build(t, testCfg(1), nvm.Config{}, 1)
 	w.run(1, 0, 100, func(th *sim.Thread, tid int) {
 		for k := uint64(0); k < 40; k++ {
-			if got := w.o.Execute(th, tid, uc.Insert(k, k * 2)); got != 1 {
+			if got := w.o.Execute(th, tid, uc.Insert(k, k*2)); got != 1 {
 				t.Errorf("insert = %d", got)
 			}
 		}
@@ -83,7 +83,7 @@ func TestReadsDoNotFlushOrFence(t *testing.T) {
 	before := w.sys.Metrics().Snapshot().Fences
 	w.run(1, 0, 201, func(th *sim.Thread, tid int) {
 		for k := uint64(0); k < 100; k++ {
-			w.o.Execute(th, tid, uc.Get(k % 20))
+			w.o.Execute(th, tid, uc.Get(k%20))
 		}
 	})
 	if got := w.sys.Metrics().Snapshot().Fences; got != before {
@@ -202,7 +202,7 @@ func TestRecoveredInstanceUsableAndRecrashable(t *testing.T) {
 	recSys.SetScheduler(sch)
 	sch.Spawn("w", 0, 0, func(th *sim.Thread) {
 		for i := uint64(0); i < 10; i++ {
-			rec.Execute(th, 0, uc.Insert(1<<40 | i, i))
+			rec.Execute(th, 0, uc.Insert(1<<40|i, i))
 		}
 	})
 	sch.Run()
@@ -221,7 +221,7 @@ func TestRecoveredInstanceUsableAndRecrashable(t *testing.T) {
 	recSys2.SetScheduler(chk)
 	chk.Spawn("chk", 0, 0, func(th *sim.Thread) {
 		for i := uint64(0); i < 10; i++ {
-			if got := rec2.Execute(th, 0, uc.Get(1<<40 | i)); got != i {
+			if got := rec2.Execute(th, 0, uc.Get(1<<40|i)); got != i {
 				t.Errorf("second recovery lost op %d", i)
 			}
 		}
@@ -247,4 +247,46 @@ func TestEntryWordsLineAligned(t *testing.T) {
 			t.Errorf("entryWords(%d) = %d not line aligned", n, w)
 		}
 	}
+}
+
+// Recovery re-logs every replayed operation, so a rebuilt generation's logs
+// must fit whatever the source's logs held: replayed under the worker that
+// logged it, an operation lands in the log it came from. Two chained epochs
+// of 4×12 inserts total 96 operations, more than one 64-entry log, while
+// each worker's share (24) stays below it.
+func TestChainedRecoveriesFitPerWorkerLogs(t *testing.T) {
+	const workers, per = 4, 12
+	cfg := testCfg(workers)
+	cfg.LogEntries = 64
+	w := build(t, cfg, nvm.Config{Costs: sim.UnitCosts()}, 11)
+	for epoch := uint64(0); epoch < 2; epoch++ {
+		w.run(workers, 0, int64(1100+epoch), func(th *sim.Thread, tid int) {
+			for i := epoch * per; i < (epoch+1)*per; i++ {
+				w.o.Execute(th, tid, uc.Insert(history.Key(tid, i), i))
+			}
+		})
+		recSch := sim.New(0)
+		w.sys = w.sys.Recover(recSch)
+		var replayed uint64
+		var err error
+		recSch.Spawn("rec", 0, 0, func(th *sim.Thread) {
+			w.o, replayed, err = Recover(th, w.sys, cfg)
+		})
+		recSch.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := (epoch + 1) * per * workers; replayed != want {
+			t.Fatalf("epoch %d: replayed %d ops, want %d", epoch, replayed, want)
+		}
+	}
+	w.run(1, 0, 1102, func(th *sim.Thread, _ int) {
+		for tid := 0; tid < workers; tid++ {
+			for i := uint64(0); i < 2*per; i++ {
+				if got := w.o.Execute(th, 0, uc.Get(history.Key(tid, i))); got != i {
+					t.Errorf("get(worker %d, %d) = %d", tid, i, got)
+				}
+			}
+		}
+	})
 }

@@ -12,7 +12,9 @@
 // fences of its own.
 //
 // Each structure registers its header block in the allocator's root slot 0,
-// so an instance can be re-attached to a heap that survived a crash.
+// so an instance can be re-attached to a heap that survived a crash. Each
+// exports NewX, AttachX and XType, the uc.ObjectType that hands both to a
+// construction.
 package seq
 
 import "prepuc/internal/sim"

@@ -47,7 +47,7 @@ func decodeSetOps(data []byte) []uc.Op {
 		key := uint64(kb % 24)
 		switch sel % 8 {
 		case 0, 1, 2:
-			ops = append(ops, uc.Insert(key, uint64(i+1)*131 + uint64(sel)))
+			ops = append(ops, uc.Insert(key, uint64(i+1)*131+uint64(sel)))
 		case 3, 4:
 			ops = append(ops, uc.Delete(key))
 		case 5:
@@ -158,21 +158,21 @@ func fuzzPairs(f *testing.F, factory uc.Factory, model linearize.Model, push, po
 	})
 }
 
-func FuzzHashMapVsModel(f *testing.F)  { fuzzSet(f, HashMapFactory(4)) } // tiny table: force chains
-func FuzzRBTreeVsModel(f *testing.F)   { fuzzSet(f, RBTreeFactory()) }
-func FuzzSkipListVsModel(f *testing.F) { fuzzSet(f, SkipListFactory()) }
-func FuzzListSetVsModel(f *testing.F)  { fuzzSet(f, ListSetFactory()) }
+func FuzzHashMapVsModel(f *testing.F)  { fuzzSet(f, HashMapType(4).New) } // tiny table: force chains
+func FuzzRBTreeVsModel(f *testing.F)   { fuzzSet(f, RBTreeType().New) }
+func FuzzSkipListVsModel(f *testing.F) { fuzzSet(f, SkipListType().New) }
+func FuzzListSetVsModel(f *testing.F)  { fuzzSet(f, ListSetType().New) }
 
 func FuzzQueueVsModel(f *testing.F) {
-	fuzzPairs(f, QueueFactory(), linearize.QueueModel(), uc.OpEnqueue, uc.OpDequeue, uc.OpPeek)
+	fuzzPairs(f, QueueType().New, linearize.QueueModel(), uc.OpEnqueue, uc.OpDequeue, uc.OpPeek)
 }
 
 func FuzzStackVsModel(f *testing.F) {
-	fuzzPairs(f, StackFactory(), linearize.StackModel(), uc.OpPush, uc.OpPop, uc.OpTop)
+	fuzzPairs(f, StackType().New, linearize.StackModel(), uc.OpPush, uc.OpPop, uc.OpTop)
 }
 
 func FuzzPQueueVsModel(f *testing.F) {
-	fuzzPairs(f, PQueueFactory(), linearize.PQueueModel(), uc.OpInsert, uc.OpDeleteMin, uc.OpMin)
+	fuzzPairs(f, PQueueType().New, linearize.PQueueModel(), uc.OpInsert, uc.OpDeleteMin, uc.OpMin)
 }
 
 // TestDifferentialLongStreams runs larger deterministic streams than the
@@ -182,15 +182,15 @@ func TestDifferentialLongStreams(t *testing.T) {
 	for s := 0; s < 4; s++ {
 		data := fuzzSeed(1000+s, 2048)
 		t.Run(fmt.Sprintf("seed%d", s), func(t *testing.T) {
-			diffRun(t, HashMapFactory(4), linearize.SetModel(), decodeSetOps(data))
-			diffRun(t, RBTreeFactory(), linearize.SetModel(), decodeSetOps(data))
-			diffRun(t, SkipListFactory(), linearize.SetModel(), decodeSetOps(data))
-			diffRun(t, ListSetFactory(), linearize.SetModel(), decodeSetOps(data))
-			diffRun(t, QueueFactory(), linearize.QueueModel(),
+			diffRun(t, HashMapType(4).New, linearize.SetModel(), decodeSetOps(data))
+			diffRun(t, RBTreeType().New, linearize.SetModel(), decodeSetOps(data))
+			diffRun(t, SkipListType().New, linearize.SetModel(), decodeSetOps(data))
+			diffRun(t, ListSetType().New, linearize.SetModel(), decodeSetOps(data))
+			diffRun(t, QueueType().New, linearize.QueueModel(),
 				decodePairOps(data, uc.OpEnqueue, uc.OpDequeue, uc.OpPeek))
-			diffRun(t, StackFactory(), linearize.StackModel(),
+			diffRun(t, StackType().New, linearize.StackModel(),
 				decodePairOps(data, uc.OpPush, uc.OpPop, uc.OpTop))
-			diffRun(t, PQueueFactory(), linearize.PQueueModel(),
+			diffRun(t, PQueueType().New, linearize.PQueueModel(),
 				decodePairOps(data, uc.OpInsert, uc.OpDeleteMin, uc.OpMin))
 		})
 	}

@@ -52,17 +52,13 @@ func AttachHashMap(t *sim.Thread, a *pmem.Allocator) *HashMap {
 	return &HashMap{a: a, hdr: a.Root(t, rootSlot)}
 }
 
-// HashMapFactory returns a uc.Factory creating maps with the given initial
-// bucket count.
-func HashMapFactory(initialBuckets uint64) uc.Factory {
-	return func(t *sim.Thread, a *pmem.Allocator) uc.DataStructure {
-		return NewHashMap(t, a, initialBuckets)
+// HashMapType describes the resizable hashmap with the given initial bucket
+// count.
+func HashMapType(initialBuckets uint64) uc.ObjectType {
+	return uc.ObjectType{
+		New:    func(t *sim.Thread, a *pmem.Allocator) uc.DataStructure { return NewHashMap(t, a, initialBuckets) },
+		Attach: func(t *sim.Thread, a *pmem.Allocator) uc.DataStructure { return AttachHashMap(t, a) },
 	}
-}
-
-// HashMapAttacher is the uc.Attacher for HashMapFactory heaps.
-func HashMapAttacher(t *sim.Thread, a *pmem.Allocator) uc.DataStructure {
-	return AttachHashMap(t, a)
 }
 
 // Size returns the number of keys.

@@ -42,16 +42,12 @@ func AttachListSet(t *sim.Thread, a *pmem.Allocator) *ListSet {
 	return &ListSet{a: a, hdr: a.Root(t, rootSlot)}
 }
 
-// ListSetFactory is the uc.Factory for sorted linked lists.
-func ListSetFactory() uc.Factory {
-	return func(t *sim.Thread, a *pmem.Allocator) uc.DataStructure {
-		return NewListSet(t, a)
+// ListSetType describes the sorted linked-list set.
+func ListSetType() uc.ObjectType {
+	return uc.ObjectType{
+		New:    func(t *sim.Thread, a *pmem.Allocator) uc.DataStructure { return NewListSet(t, a) },
+		Attach: func(t *sim.Thread, a *pmem.Allocator) uc.DataStructure { return AttachListSet(t, a) },
 	}
-}
-
-// ListSetAttacher is the uc.Attacher for ListSetFactory heaps.
-func ListSetAttacher(t *sim.Thread, a *pmem.Allocator) uc.DataStructure {
-	return AttachListSet(t, a)
 }
 
 // Size returns the number of keys.

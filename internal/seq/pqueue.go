@@ -46,16 +46,12 @@ func AttachPQueue(t *sim.Thread, a *pmem.Allocator) *PQueue {
 	return &PQueue{a: a, hdr: a.Root(t, rootSlot)}
 }
 
-// PQueueFactory is the uc.Factory for priority queues.
-func PQueueFactory() uc.Factory {
-	return func(t *sim.Thread, a *pmem.Allocator) uc.DataStructure {
-		return NewPQueue(t, a)
+// PQueueType describes the priority queue.
+func PQueueType() uc.ObjectType {
+	return uc.ObjectType{
+		New:    func(t *sim.Thread, a *pmem.Allocator) uc.DataStructure { return NewPQueue(t, a) },
+		Attach: func(t *sim.Thread, a *pmem.Allocator) uc.DataStructure { return AttachPQueue(t, a) },
 	}
-}
-
-// PQueueAttacher is the uc.Attacher for PQueueFactory heaps.
-func PQueueAttacher(t *sim.Thread, a *pmem.Allocator) uc.DataStructure {
-	return AttachPQueue(t, a)
 }
 
 // Size returns the number of queued keys.

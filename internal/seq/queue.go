@@ -42,16 +42,12 @@ func AttachQueue(t *sim.Thread, a *pmem.Allocator) *Queue {
 	return &Queue{a: a, hdr: a.Root(t, rootSlot)}
 }
 
-// QueueFactory is the uc.Factory for FIFO queues.
-func QueueFactory() uc.Factory {
-	return func(t *sim.Thread, a *pmem.Allocator) uc.DataStructure {
-		return NewQueue(t, a)
+// QueueType describes the FIFO queue.
+func QueueType() uc.ObjectType {
+	return uc.ObjectType{
+		New:    func(t *sim.Thread, a *pmem.Allocator) uc.DataStructure { return NewQueue(t, a) },
+		Attach: func(t *sim.Thread, a *pmem.Allocator) uc.DataStructure { return AttachQueue(t, a) },
 	}
-}
-
-// QueueAttacher is the uc.Attacher for QueueFactory heaps.
-func QueueAttacher(t *sim.Thread, a *pmem.Allocator) uc.DataStructure {
-	return AttachQueue(t, a)
 }
 
 // Size returns the number of queued values.

@@ -55,16 +55,12 @@ func AttachRBTree(t *sim.Thread, a *pmem.Allocator) *RBTree {
 	return &RBTree{a: a, hdr: a.Root(t, rootSlot)}
 }
 
-// RBTreeFactory is the uc.Factory for red-black trees.
-func RBTreeFactory() uc.Factory {
-	return func(t *sim.Thread, a *pmem.Allocator) uc.DataStructure {
-		return NewRBTree(t, a)
+// RBTreeType describes the red-black tree set.
+func RBTreeType() uc.ObjectType {
+	return uc.ObjectType{
+		New:    func(t *sim.Thread, a *pmem.Allocator) uc.DataStructure { return NewRBTree(t, a) },
+		Attach: func(t *sim.Thread, a *pmem.Allocator) uc.DataStructure { return AttachRBTree(t, a) },
 	}
-}
-
-// RBTreeAttacher is the uc.Attacher for RBTreeFactory heaps.
-func RBTreeAttacher(t *sim.Thread, a *pmem.Allocator) uc.DataStructure {
-	return AttachRBTree(t, a)
 }
 
 func (r *RBTree) nilNode(t *sim.Thread) uint64 { return r.a.Memory().Load(t, r.hdr+rtNil) }

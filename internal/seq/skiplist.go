@@ -59,16 +59,12 @@ func AttachSkipList(t *sim.Thread, a *pmem.Allocator) *SkipList {
 	return &SkipList{a: a, hdr: a.Root(t, rootSlot)}
 }
 
-// SkipListFactory is the uc.Factory for skip lists.
-func SkipListFactory() uc.Factory {
-	return func(t *sim.Thread, a *pmem.Allocator) uc.DataStructure {
-		return NewSkipList(t, a)
+// SkipListType describes the skip-list set.
+func SkipListType() uc.ObjectType {
+	return uc.ObjectType{
+		New:    func(t *sim.Thread, a *pmem.Allocator) uc.DataStructure { return NewSkipList(t, a) },
+		Attach: func(t *sim.Thread, a *pmem.Allocator) uc.DataStructure { return AttachSkipList(t, a) },
 	}
-}
-
-// SkipListAttacher is the uc.Attacher for SkipListFactory heaps.
-func SkipListAttacher(t *sim.Thread, a *pmem.Allocator) uc.DataStructure {
-	return AttachSkipList(t, a)
 }
 
 // Size returns the number of keys.

@@ -43,16 +43,12 @@ func AttachStack(t *sim.Thread, a *pmem.Allocator) *Stack {
 	return &Stack{a: a, hdr: a.Root(t, rootSlot)}
 }
 
-// StackFactory is the uc.Factory for stacks.
-func StackFactory() uc.Factory {
-	return func(t *sim.Thread, a *pmem.Allocator) uc.DataStructure {
-		return NewStack(t, a)
+// StackType describes the stack.
+func StackType() uc.ObjectType {
+	return uc.ObjectType{
+		New:    func(t *sim.Thread, a *pmem.Allocator) uc.DataStructure { return NewStack(t, a) },
+		Attach: func(t *sim.Thread, a *pmem.Allocator) uc.DataStructure { return AttachStack(t, a) },
 	}
-}
-
-// StackAttacher is the uc.Attacher for StackFactory heaps.
-func StackAttacher(t *sim.Thread, a *pmem.Allocator) uc.DataStructure {
-	return AttachStack(t, a)
 }
 
 // Size returns the number of stacked values.

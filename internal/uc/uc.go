@@ -108,12 +108,12 @@ type Factory func(t *sim.Thread, a *pmem.Allocator) DataStructure
 // in a heap that survived a crash.
 type Attacher func(t *sim.Thread, a *pmem.Allocator) DataStructure
 
-// ObjectType bundles everything the harness and service layers need to know
-// about one sequential object: how to create it and how to re-open it after a
-// crash. It replaces the parallel Factory/Attacher pairs that used to be
-// threaded through every builder signature side by side.
+// ObjectType is the one description of a sequential object: how to create
+// it and how to re-open it after a crash. Every seq structure names itself
+// with one (seq.HashMapType, …) and the constructions take it whole, except
+// core.Config, which keeps the two functions as separate fields.
 type ObjectType struct {
-	// New creates a fresh instance (the former free-standing Factory).
+	// New creates a fresh instance.
 	New Factory
 	// Attach re-opens a crashed instance created by New.
 	Attach Attacher
