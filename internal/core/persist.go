@@ -38,6 +38,13 @@ func (p *PREP) PersistenceLoop(t *sim.Thread) {
 		panic("core: PersistenceLoop in volatile mode")
 	}
 	f := p.sys.NewFlusher()
+	// No other thread reads or writes the persistent replicas while this
+	// loop runs, so their accesses need no dispatch decision (DESIGN.md §7,
+	// "Private memories"). A crash ends the declaration with the machine:
+	// Recover and Clone do not carry it over.
+	for _, pr := range p.preps {
+		pr.heap.SetPrivate(t, true)
+	}
 	// A previous persistence thread's stop request (StopPersistence sets
 	// gStop and never clears it) must not kill this run: the loop is
 	// re-entrant so a stopped engine can be driven again — e.g. the
@@ -63,6 +70,9 @@ func (p *PREP) PersistenceLoop(t *sim.Thread) {
 		} else if p.log.CompletedTail(t) <= tail {
 			t.Step(persistIdleCost)
 		}
+	}
+	for _, pr := range p.preps {
+		pr.heap.SetPrivate(t, false)
 	}
 }
 

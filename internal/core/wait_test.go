@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"runtime"
 	"strconv"
+	"strings"
 	"testing"
 
 	"prepuc/internal/metrics"
@@ -37,12 +38,15 @@ func twinOps(tid, n, readPct int, detect bool) []uc.Op {
 }
 
 // twinAccess is one announced access of a traced run: the event index it
-// was announced after, its thread, and whether it was announced on another
-// thread's goroutine — a poll segment run inline.
+// was announced after, its thread and the thread's clock, whether it was
+// announced on another thread's goroutine — a poll segment run inline — and
+// whether it touched a persistent replica's heap.
 type twinAccess struct {
 	event  uint64
 	thread int
+	clock  uint64
 	inline bool
+	pheap  bool
 }
 
 // twinResult is everything a worker phase leaves behind that the twin runs
@@ -75,19 +79,20 @@ type twinRun struct {
 	readPct int
 	chooser bool   // under a MinClock Chooser: Await's definition loop
 	crashAt uint64 // CrashAtEvent, armed before Run
-	// crashNowAt, if set, spawns a crasher thread after the workers that
-	// calls CrashNow once its clock reaches it.
-	crashNowAt uint64
-	trace      bool // install the access hook and return every access
+	// instant, if set, arms a crash at that virtual instant (CrashAtInstant).
+	instant uint64
+	bgOneIn uint64 // BGFlushOneIn; 0 is 256
+	trace   bool   // install the access hook and return every access
 }
 
 // twinTally is what a run reports beside its twinResult: the accesses it
-// traced, the waiters that parked, and how many were parked when the crasher
-// called CrashNow.
+// traced, the waiters that parked, and how many were parked at the crash
+// instant.
 type twinTally struct {
 	accesses      []twinAccess
 	parks         uint64
 	parkedAtCrash int
+	charged       bool // some access charged ahead (sim.Thread.Charge)
 }
 
 // parkTally reads the scheduler's test-only park tally and the number of
@@ -107,7 +112,11 @@ func runTwin(t *testing.T, r twinRun) (twinResult, twinTally) {
 	cfg := hashCfg(r.mode, workers, 64, 16)
 	cfg.Detect = r.detect
 	cfg.HeapWords = 1 << 14 // fingerprints walk every persistent heap
-	w := newWorld(t, cfg, nvm.Config{Seed: 3, BGFlushOneIn: 256}, 1)
+	bg := r.bgOneIn
+	if bg == 0 {
+		bg = 256
+	}
+	w := newWorld(t, cfg, nvm.Config{Seed: 3, BGFlushOneIn: bg}, 1)
 
 	sch := sim.New(0)
 	if r.chooser {
@@ -117,12 +126,13 @@ func runTwin(t *testing.T, r twinRun) (twinResult, twinTally) {
 	w.sys.SetScheduler(sch)
 	var tally twinTally
 	own := map[int]int{} // thread id → its own goroutine
+	var ths []*sim.Thread
 	if r.trace {
 		w.sys.SetAccessHook(func(a nvm.Access) {
-			tally.accesses = append(tally.accesses, twinAccess{sch.Events(), a.Thread, goid() != own[a.Thread]})
+			tally.accesses = append(tally.accesses, twinAccess{sch.Events(), a.Thread, ths[a.Thread].Clock(),
+				goid() != own[a.Thread], strings.Contains(a.Mem, "pheap")})
 		})
 	}
-	var ths []*sim.Thread
 	spawn := func(name string, node int, fn func(th *sim.Thread)) {
 		ths = append(ths, sch.Spawn(name, node, 0, func(th *sim.Thread) {
 			if r.trace {
@@ -146,19 +156,16 @@ func runTwin(t *testing.T, r twinRun) (twinResult, twinTally) {
 			}
 		})
 	}
-	if r.crashNowAt != 0 {
-		spawn("crasher", 0, func(th *sim.Thread) {
-			for th.Clock() < r.crashNowAt {
-				th.Step(250)
-			}
+	if r.instant != 0 {
+		sch.CrashAtInstant(r.instant, func() bool {
 			_, tally.parkedAtCrash = parkTally(sch)
-			sch.CrashNow()
-			th.Step(1)
+			return true
 		})
 	}
 	sch.Run()
 	w.sys.SetAccessHook(nil)
 	tally.parks, _ = parkTally(sch)
+	tally.charged = reflect.ValueOf(sch).Elem().FieldByName("pastNS").Uint() != 0
 
 	res.events, res.frozen = sch.Events(), sch.Frozen()
 	for _, th := range ths {
@@ -220,16 +227,44 @@ func crashWindow(accesses []twinAccess, events uint64) (lo, hi uint64, ok bool) 
 	return 0, 0, false
 }
 
+// applyInstants returns crash instants inside the persistence thread's
+// apply stretches, from the middle of a traced run on: for the first four
+// pairs of consecutive heap accesses of that thread (id 0) between which
+// another thread ran, the second access's clock and the nanoseconds either
+// side of it. Unhooked, the persistence thread charges such a pair without
+// a dispatch decision, so the cut lands inside a stretch it ran ahead.
+func applyInstants(accesses []twinAccess, events uint64) []uint64 {
+	var out []uint64
+	stretch, other := false, false
+	for _, a := range accesses {
+		switch {
+		case a.thread != 0:
+			other = true
+		case !a.pheap:
+			stretch = false
+		default:
+			if stretch && other && a.event >= events/2 && len(out) < 12 {
+				out = append(out, a.clock-1, a.clock, a.clock+1)
+			}
+			stretch, other = true, false
+		}
+	}
+	return out
+}
+
 // Inline poll segments and parked waiters are indistinguishable from Await's
 // definition loop: for both persistent modes, with and without detectable
 // execution, over an update-only and a half-read mix, the run under the
 // built-in rule — which parks waiters, every configuration at least once —
 // must end exactly where its Chooser twin (no run-ahead, no inline segment,
-// no park) ends: event count, every thread's clock, every op's result, the
-// metrics and the persisted image. So must every crash armed inside a window
-// in which at least three waits ran inline (found by a hooked run, which
-// parks nothing), and a crasher's CrashNow at instants where waiters are
-// parked, down to the crash image and the recovered machine.
+// no park, no Charge) ends: event count, every thread's clock, every op's
+// result, the metrics and the persisted image. So must every crash armed
+// inside a window in which at least three waits ran inline (found by a
+// hooked run, which parks and charges ahead nothing), crashes armed at
+// instants where waiters are parked, and crash instants swept through the
+// persistence thread's apply stretches — which it charges without a dispatch
+// decision — with background write-backs at one store in eight, down to the
+// crash image and the recovered machine.
 func TestAwaitMatchesChooserTwin(t *testing.T) {
 	for _, mode := range []Mode{Durable, Buffered} {
 		for _, detect := range []bool{false, true} {
@@ -247,8 +282,8 @@ func TestAwaitMatchesChooserTwin(t *testing.T) {
 					if !reflect.DeepEqual(plain, twin) {
 						t.Fatalf("inline run differs from its Chooser twin:\n inline %+v\n   twin %+v", plain, twin)
 					}
-					if tally.parks == 0 {
-						t.Fatal("no waiter parked")
+					if tally.parks == 0 || !tally.charged {
+						t.Fatalf("%d waiters parked, charged ahead: %v; want both", tally.parks, tally.charged)
 					}
 					hooked := base
 					hooked.trace = true
@@ -274,20 +309,32 @@ func TestAwaitMatchesChooserTwin(t *testing.T) {
 					end, parkedCrashes := plain.clocks[1], 0
 					for i := uint64(1); i <= 4; i++ {
 						r := base
-						r.crashNowAt = end * i / 5
+						r.instant = end * i / 5
 						got, want, ct := both(r)
 						if !got.frozen || !reflect.DeepEqual(got, want) {
-							t.Fatalf("CrashNow at %d ns: parked run differs from its Chooser twin:\n parked %+v\n   twin %+v", r.crashNowAt, got, want)
+							t.Fatalf("crash at %d ns: parked run differs from its Chooser twin:\n parked %+v\n   twin %+v", r.instant, got, want)
 						}
 						if ct.parkedAtCrash > 0 {
 							parkedCrashes++
 						}
 					}
 					if parkedCrashes == 0 {
-						t.Fatal("no CrashNow found a waiter parked")
+						t.Fatal("no crash instant found a waiter parked")
 					}
-					t.Logf("%d events, %d parks, %d of %d accesses inline; crashed at every event of [%d, %d); %d of 4 CrashNow instants found waiters parked",
-						plain.events, tally.parks, inline, len(traced.accesses), lo, hi, parkedCrashes)
+					instants := applyInstants(traced.accesses, plain.events)
+					if len(instants) == 0 {
+						t.Fatal("no apply stretch of the persistence thread that another thread interrupts")
+					}
+					for _, at := range instants {
+						r := base
+						r.instant, r.bgOneIn = at, 8
+						got, want, _ := both(r)
+						if !got.frozen || !reflect.DeepEqual(got, want) {
+							t.Fatalf("crash at %d ns inside an apply stretch: run differs from its Chooser twin:\n plain %+v\n  twin %+v", at, got, want)
+						}
+					}
+					t.Logf("%d events, %d parks, %d of %d accesses inline; crashed at every event of [%d, %d); %d of 4 crash instants found waiters parked; %d crash instants in apply stretches",
+						plain.events, tally.parks, inline, len(traced.accesses), lo, hi, parkedCrashes, len(instants))
 				})
 			}
 		}

@@ -444,17 +444,14 @@ func runServeArrivals(d *ServeDriver, cfg ServeConfig, perShard [][]openloop.Arr
 	}
 	spawnServicePhase(sch, tp, s, d, cfg, perShard, 0)
 	if cfg.CrashAtNS > 0 {
-		sch.Spawn("crasher", 0, 0, func(t *sim.Thread) {
-			t.Step(cfg.CrashAtNS)
+		sch.CrashAtInstant(cfg.CrashAtNS, func() bool {
 			// Crash only a machine still under load: with every scheduled
 			// arrival completed the run ends unfrozen, which is the error below.
 			done := uint64(0)
 			for shard := 0; shard < cfg.Shards; shard++ {
 				done += s.Client(shard).Completed()
 			}
-			if done < uint64(scheduled) {
-				sch.CrashNow()
-			}
+			return done < uint64(scheduled)
 		})
 	}
 	sch.Run()

@@ -177,16 +177,19 @@ func TestServePhaseMatchesChooserTwin(t *testing.T) {
 	// The same phase with the injector and the consumer's idle wait stepping
 	// on their own goroutines took 365 106 handoffs and 385 275 switches;
 	// with the distributed reader–writer lock's waits stepping there too,
-	// 365 106 handoffs and 284 545 switches.
-	const wantHandoffs, wantSwitches = 364_044, 283_065
+	// 365 106 handoffs and 284 545 switches; with the persistence thread's
+	// replica-heap accesses each a dispatch decision, 364 044 handoffs and
+	// 283 065 switches; with the consumer's idle wait never parking,
+	// 189 064 handoffs and 113 125 switches.
+	const wantHandoffs, wantSwitches = 188_183, 113_125
 	v := reflect.ValueOf(sch).Elem()
-	handoffs, switches := v.FieldByName("handoffs").Uint(), v.FieldByName("switches").Uint()
+	handoffs, switches, parks := v.FieldByName("handoffs").Uint(), v.FieldByName("switches").Uint(), v.FieldByName("parks").Uint()
 	var ins []uint64
 	for _, th := range ths {
 		ins = append(ins, reflect.ValueOf(th).Elem().FieldByName("ins").Uint())
 	}
-	t.Logf("%d events, %d handoffs, %d switches; switched in (consumer, injector per ring): %v",
-		got.events, handoffs, switches, ins)
+	t.Logf("%d events, %d handoffs, %d switches, %d parks; switched in (consumer, injector per ring): %v",
+		got.events, handoffs, switches, parks, ins)
 	if handoffs != wantHandoffs || switches != wantSwitches {
 		t.Errorf("%d handoffs, %d switches; pinned at %d and %d", handoffs, switches, wantHandoffs, wantSwitches)
 	}

@@ -115,8 +115,8 @@ func TestRunServeRejectsUnrunnableGeometry(t *testing.T) {
 
 // TestRunServeCrashMissesLoad: a crash instant past the last completion used
 // to freeze the drained, idle machine and report stall 0 and nothing in
-// flight as a crash under load. The crasher now leaves such a machine alone,
-// so the run ends unfrozen and the entry points answer with the error
+// flight as a crash under load. The crash instant now leaves such a machine
+// alone, so the run ends unfrozen and the entry points answer with the error
 // ServeConfig.CrashAtNS documents — flat, and for a crashed machine of a
 // sharded run.
 func TestRunServeCrashMissesLoad(t *testing.T) {

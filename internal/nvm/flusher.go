@@ -56,6 +56,7 @@ func (f *Flusher) FlushLine(t *sim.Thread, m *Memory, off uint64) {
 	if m.kind != NVM {
 		panic("nvm: FlushLine on volatile memory " + m.name)
 	}
+	m.settle(t)
 	line := off / WordsPerLine
 	p := pendingFlush{m, line}
 	track := m.dstate.load(line)&lineDirty != 0 && f.seen[p] != f.gen
@@ -89,6 +90,7 @@ func (f *Flusher) FlushLineSync(t *sim.Thread, m *Memory, off uint64) {
 	if m.kind != NVM {
 		panic("nvm: FlushLineSync on volatile memory " + m.name)
 	}
+	m.settle(t)
 	line := off / WordsPerLine
 	p := pendingFlush{m, line}
 	dirty := m.dstate.load(line)&lineDirty != 0
@@ -131,6 +133,7 @@ func (f *Flusher) dropPending(p pendingFlush) {
 // Fence executes an SFENCE: every line previously issued through FlushLine
 // on this flusher is persisted before Fence returns.
 func (f *Flusher) Fence(t *sim.Thread) {
+	t.Settle()
 	f.sys.announce(Access{Thread: t.ID(), Kind: AccFence, Mem: "", Line: NoLine, NVM: true})
 	n := uint64(len(f.pending))
 	t.Step(f.sys.costs.Fence + f.sys.costs.FencePerPending*n)

@@ -72,6 +72,7 @@ type Memory struct {
 	kind      Kind
 	home      int // NUMA node, or Interleaved (metadata; see access costs)
 	sys       *System
+	priv      *sim.Thread // SetPrivate's owner, nil while shared; every access reads it, as kind and sys
 	words     uint64
 	data      slab[uint64] // current (cache/DRAM) view
 	persisted slab[uint64] // NVM view; absent for volatile memories
@@ -341,9 +342,77 @@ func (m *Memory) storeCost(t *sim.Thread, line uint64) uint64 {
 	return cost
 }
 
+// SetPrivate declares m private to t (on) or shared again (off). While it is
+// private, only t may access it — any other thread's access, flush or Watch
+// is a bug panic naming m and both threads — and t's Loads, Stores and CASes
+// to it charge their cost and event without a dispatch decision
+// (sim.Thread.Charge), except where a skipped decision would show: under an
+// access or persist-effect hook, and wherever Charge refuses. Every other
+// effect of t settles first (sim.Thread.Settle), and so does the release, so
+// that the next thread to touch m finds it as the definition schedule
+// leaves it. Clone and Recover never carry the declaration over; a crash
+// ends it with the machine.
+func (m *Memory) SetPrivate(t *sim.Thread, on bool) {
+	switch {
+	case on && m.priv != nil:
+		panic(fmt.Sprintf("nvm: %s is already private to thread %q", m.name, m.priv.Name()))
+	case on && len(m.watch) != 0:
+		panic(fmt.Sprintf("nvm: %s has watchers and cannot be private to thread %q", m.name, t.Name()))
+	case on:
+		m.priv = t
+	case m.priv != t:
+		panic(fmt.Sprintf("nvm: thread %q released %s, which is not private to it", t.Name(), m.name))
+	default:
+		t.Settle()
+		m.priv = nil
+	}
+}
+
+// gated reports whether an access of t to m leaves the shared path: m is
+// private, or t charged ahead and must settle first. It is the shared path's
+// one test, two loads of lines the access reads anyway.
+func (m *Memory) gated(t *sim.Thread) bool { return m.priv != nil || t.Ahead() }
+
+// enter is the check at the start of a gated access: to a private memory it
+// must be the owner's, and before any other, t settles.
+func (m *Memory) enter(t *sim.Thread) {
+	if m.priv == nil {
+		t.Settle()
+	} else if m.priv != t {
+		m.foreign(t, "accessed")
+	}
+}
+
+// settle is the check before a flush or write-back of m by t, an effect a
+// crash can see: m, if private, must be t's, and t settles either way.
+func (m *Memory) settle(t *sim.Thread) {
+	if m.priv != nil && m.priv != t {
+		m.foreign(t, "accessed")
+	}
+	t.Settle()
+}
+
+func (m *Memory) foreign(t *sim.Thread, what string) {
+	panic(fmt.Sprintf("nvm: thread %q %s %s, private to thread %q", t.Name(), what, m.name, m.priv.Name()))
+}
+
+// step is the Step of a gated access, entered: on t's private memory a
+// Charge where no hook must see a dispatch decision and sim grants it, else
+// the Step.
+func (m *Memory) step(t *sim.Thread, cost uint64) {
+	if m.priv == nil || m.sys.accHook != nil || m.sys.peHook != nil || !t.Charge(cost) {
+		t.Step(cost)
+	}
+}
+
 // Load reads the word at off: LoadBegin, the Step it prices, LoadEnd.
 func (m *Memory) Load(t *sim.Thread, off uint64) uint64 {
-	t.Step(m.LoadBegin(t, off))
+	if m.gated(t) {
+		m.enter(t)
+		m.step(t, m.loadBegin(t, off))
+	} else {
+		t.Step(m.loadBegin(t, off))
+	}
 	return m.LoadEnd(off)
 }
 
@@ -352,6 +421,13 @@ func (m *Memory) Load(t *sim.Thread, off uint64) uint64 {
 // returns this cost for its Step and reads the word with LoadEnd in the
 // next segment, so a poller's loads are Loads to every observer.
 func (m *Memory) LoadBegin(t *sim.Thread, off uint64) uint64 {
+	if m.gated(t) {
+		m.enter(t)
+	}
+	return m.loadBegin(t, off)
+}
+
+func (m *Memory) loadBegin(t *sim.Thread, off uint64) uint64 {
 	line := off / WordsPerLine
 	m.announce(t, AccLoad, line, false)
 	return m.loadCost(t, line)
@@ -370,6 +446,9 @@ func (m *Memory) LoadEnd(off uint64) uint64 {
 // load. When they are, t now watches the line: the next Store or CAS to it
 // wakes t (sim.Scheduler.Wake) before each of its halves. Unwatch ends it.
 func (m *Memory) Watch(t *sim.Thread, off uint64) (v uint64, ok bool) {
+	if m.priv != nil {
+		m.foreign(t, "watched")
+	}
 	line := off / WordsPerLine
 	if m.sys.accHook != nil || m.ownedElsewhere(t, line) {
 		return 0, false
@@ -424,7 +503,12 @@ func (m *Memory) markDirty(line uint64) {
 // StoreEnd. For NVM memories the store dirties the containing line and may
 // trigger a background write-back.
 func (m *Memory) Store(t *sim.Thread, off uint64, v uint64) {
-	t.Step(m.StoreBegin(t, off))
+	if m.gated(t) {
+		m.enter(t)
+		m.step(t, m.storeBegin(t, off, AccStore))
+	} else {
+		t.Step(m.storeBegin(t, off, AccStore))
+	}
 	m.StoreEnd(t, off, v)
 }
 
@@ -449,9 +533,17 @@ func (m *Memory) linePending(line uint64) bool {
 // with StoreEnd in the next segment, so a poller's stores are Stores to every
 // observer.
 func (m *Memory) StoreBegin(t *sim.Thread, off uint64) uint64 {
+	if m.gated(t) {
+		m.enter(t)
+	}
+	return m.storeBegin(t, off, AccStore)
+}
+
+// storeBegin is the pre-Step half of a Store or a CAS (kind).
+func (m *Memory) storeBegin(t *sim.Thread, off uint64, kind AccessKind) uint64 {
 	line := off / WordsPerLine
 	m.wake(line)
-	m.announce(t, AccStore, line, false)
+	m.announce(t, kind, line, false)
 	return m.storeCost(t, line)
 }
 
@@ -467,10 +559,10 @@ func (m *Memory) StoreEnd(t *sim.Thread, off uint64, v uint64) {
 
 // CASBegin is CAS's pre-Step half, as StoreBegin is Store's.
 func (m *Memory) CASBegin(t *sim.Thread, off uint64) uint64 {
-	line := off / WordsPerLine
-	m.wake(line)
-	m.announce(t, AccCAS, line, false)
-	return m.storeCost(t, line)
+	if m.gated(t) {
+		m.enter(t)
+	}
+	return m.storeBegin(t, off, AccCAS)
 }
 
 // CASEnd is CAS's post-Step half: it wakes the line's watchers again, counts
@@ -509,7 +601,12 @@ func (m *Memory) written(t *sim.Thread, line uint64) {
 // prices, CASEnd. Failed CASes still acquire the line exclusively, as on real
 // hardware.
 func (m *Memory) CAS(t *sim.Thread, off, old, new uint64) bool {
-	t.Step(m.CASBegin(t, off))
+	if m.gated(t) {
+		m.enter(t)
+		m.step(t, m.storeBegin(t, off, AccCAS))
+	} else {
+		t.Step(m.storeBegin(t, off, AccCAS))
+	}
 	return m.CASEnd(t, off, old, new)
 }
 
@@ -616,6 +713,7 @@ func (m *Memory) FlushRegion(t *sim.Thread, from, to uint64) {
 	if m.kind != NVM {
 		panic("nvm: FlushRegion on volatile memory " + m.name)
 	}
+	m.settle(t)
 	m.announce(t, AccFlushRegion, NoLine, false)
 	if to > m.Words() {
 		to = m.Words()
@@ -679,6 +777,7 @@ func (m *Memory) FlushAllDirty(t *sim.Thread) {
 	if m.kind != NVM {
 		panic("nvm: FlushAllDirty on volatile memory " + m.name)
 	}
+	m.settle(t)
 	m.announce(t, AccFlushAllDirty, NoLine, false)
 	lines := m.DirtyLines()
 	t.Step(m.sys.costs.FlushLine*lines + m.sys.costs.Fence + m.sys.costs.FencePerPending*lines)
@@ -695,6 +794,9 @@ func (m *Memory) FlushAllDirty(t *sim.Thread) {
 // memories it writes, which the caller passes here. Cost is a large fixed
 // base plus a per-line charge.
 func (s *System) WBINVD(t *sim.Thread, mems ...*Memory) {
+	for _, m := range mems {
+		m.settle(t)
+	}
 	s.announce(Access{Thread: t.ID(), Kind: AccWBINVD, Mem: "", Line: NoLine, NVM: true})
 	var lines uint64
 	for _, m := range mems {

@@ -14,12 +14,17 @@
 //     Exactly one simulated thread executes at any real instant, so all
 //     shared state touched between Step calls is free of data races by
 //     construction, and compare-and-swap is trivially atomic.
+//   - An access nobody else can observe — to a memory private to its thread
+//     — calls Thread.Charge instead: the clock advances, but no dispatch
+//     decision is made until the thread settles (Thread.Settle) before its
+//     next effect another thread or a crash could see.
 //   - Throughput is measured as operations per virtual second, which is
 //     independent of the host CPU count and fully reproducible: dispatch is
 //     by minimum (clock, id) and the scheduler draws no random number.
 //
-// A crash (modelling a power failure) freezes the scheduler: every
-// subsequent Step panics with a value recognized by Crashed, unwinding each
+// A crash (modelling a power failure) — at an event index, at a virtual
+// instant, or called by a thread — freezes the scheduler: every subsequent
+// Step panics with a value recognized by Crashed, unwinding each
 // simulated thread out of whatever operation it was executing — so crashes
 // land mid-operation, as they do on hardware.
 //
@@ -52,6 +57,7 @@ package sim
 import (
 	"fmt"
 	"iter"
+	"math"
 	"slices"
 	"strings"
 )
@@ -88,6 +94,12 @@ type Thread struct {
 	clock uint64
 	sch   *Scheduler
 
+	// ahead is set by Charge: the thread may have charged past the heap
+	// minimum and must Settle before its next effect another thread or a
+	// crash can see. Step leaves it set; the Settle it then costs finds the
+	// thread the minimum and returns.
+	ahead bool
+
 	// The thread's coroutine: resume switches into it, from Run or from the
 	// thread handing it the baton; yield switches back to whoever resumed it.
 	resume func() (struct{}, bool)
@@ -118,6 +130,9 @@ func (t *Thread) ID() int { return t.id }
 
 // Node returns the NUMA node the thread is pinned to.
 func (t *Thread) Node() int { return t.node }
+
+// Name returns the name the thread was spawned with.
+func (t *Thread) Name() string { return t.name }
 
 // Clock returns the thread's virtual time in nanoseconds.
 func (t *Thread) Clock() uint64 { return t.clock }
@@ -169,6 +184,18 @@ type Scheduler struct {
 	// park order; Wake puts them back. It sits after the fields Step reads,
 	// off their cache lines.
 	parked []*Thread
+
+	// cut is the crash armed at a virtual instant (CrashAtInstant): a
+	// pseudo-thread in the heap at (instant, largest id) that no coroutine
+	// backs. The dispatch that pops it is the cut; cutIf, if set, decides
+	// there whether the machine freezes. nil when none is armed.
+	cut   *Thread
+	cutIf func() bool
+
+	// pastNS/pastID is the latest (clock, id) a Charge reached: a cut at an
+	// earlier dispatch would land behind an effect already made (checkCut).
+	pastNS uint64
+	pastID int
 }
 
 // New creates a scheduler. Its parameter is ignored — the scheduler has no
@@ -240,7 +267,16 @@ func (s *Scheduler) chooseNext(caller *Thread) *Thread {
 	if caller != nil {
 		s.cands = append(s.cands, caller)
 	}
-	s.cands = append(s.cands, s.heap.ts...)
+	for _, u := range s.heap.ts {
+		if u != s.cut {
+			s.cands = append(s.cands, u)
+		}
+	}
+	if len(s.cands) == 0 {
+		// Only the crash instant is left: it is the dispatch.
+		s.heap.remove(s.cut)
+		return s.cut
+	}
 	// Canonical ascending-id order (insertion sort: the set is small). Heap
 	// array order is deterministic but an implementation detail; id order is
 	// the stable contract choosers and traces key on.
@@ -262,6 +298,11 @@ func (s *Scheduler) chooseNext(caller *Thread) *Thread {
 		panic(fmt.Sprintf("sim: chooser returned index %d of %d candidates", idx, len(s.cands)))
 	}
 	next := s.cands[idx]
+	if s.cut != nil && s.cut.less(next) {
+		// The chosen segment starts past the crash instant: the cut comes
+		// first.
+		next = s.cut
+	}
 	if next != caller {
 		s.heap.remove(next)
 	}
@@ -272,6 +313,9 @@ func (s *Scheduler) chooseNext(caller *Thread) *Thread {
 // must be read from a quiescent scheduler or the baton holder. Read mid-run
 // it is an observation point: every parked waiter is woken first (Wake), so
 // the count includes each of their polls that precedes the holder's dispatch.
+// It also includes every event a thread charged ahead (Charge), which the
+// definition schedule may not have reached yet: the count is exact at
+// quiescence.
 func (s *Scheduler) Events() uint64 {
 	s.wakeAll(s.next)
 	return s.events
@@ -288,14 +332,50 @@ func (s *Scheduler) Events() uint64 {
 // that stack adversaries — the exhaustive explorer arms one crash per branch
 // on schedulers it may reuse — can detect, restore, or assert on an arm they
 // would otherwise clobber. To place a crash inside a phase whose absolute
-// index is unknown in advance (a recovery run), arm Events()+n.
+// index is unknown in advance (a recovery run), arm Events()+n. Armed
+// mid-run it panics if a thread has charged ahead (Charge) past the caller's
+// dispatch: the event indexes already counted would not be the schedule's.
 func (s *Scheduler) CrashAtEvent(n uint64) (prev uint64) {
 	if n != 0 {
+		s.checkCut("CrashAtEvent")
 		s.wakeAll(s.next)
 	}
 	prev = s.crashAt
 	s.crashAt = n
 	return prev
+}
+
+// CrashAtInstant arms a crash at virtual instant ns. The machine freezes
+// where a thread with the largest id, stepping to ns, would call CrashNow:
+// every segment dispatched at a clock ≤ ns runs, none later, and the parked
+// waiters are replayed up to that cut. If cond is non-nil it is asked there,
+// on the baton holder's goroutine, and false leaves the machine running. A
+// crash instant is no thread: it charges no event and, if every thread has
+// exited before it, is asked at the last exit. Under a Chooser the cut comes
+// before the first chosen segment that starts past ns. Call it only before
+// Run; a second call replaces the first.
+func (s *Scheduler) CrashAtInstant(ns uint64, cond func() bool) {
+	if s.started {
+		panic("sim: CrashAtInstant after Run")
+	}
+	if s.cut != nil {
+		s.heap.remove(s.cut)
+	}
+	s.cut = &Thread{id: math.MaxInt, name: "crash instant", clock: ns, sch: s}
+	s.cutIf = cond
+	s.heap.push(s.cut)
+}
+
+// strike takes the armed crash instant off the scheduler and, unless its
+// condition declines, freezes the machine at it: the cut CrashNow makes from
+// the instant's (clock, id). The caller has taken it out of the heap.
+func (s *Scheduler) strike() {
+	c, cond := s.cut, s.cutIf
+	s.cut, s.cutIf = nil, nil
+	if !s.frozen && (cond == nil || cond()) {
+		s.wakeAll(c)
+		s.frozen = true
+	}
 }
 
 // Frozen reports whether the system has crashed. Call it from the host only
@@ -381,6 +461,15 @@ func (s *Scheduler) Run() {
 func (s *Scheduler) transfer(self *Thread) {
 	for s.next != self {
 		n := s.next
+		if n == s.cut {
+			// Every thread's next segment starts past the crash instant.
+			s.strike()
+			if len(s.heap.ts) == 0 {
+				s.deadlock(nil) // the condition declined, and all left are parked
+			}
+			s.next = s.pickNext()
+			continue
+		}
 		if n.poll != nil {
 			s.runPoll(n)
 			continue
@@ -465,6 +554,74 @@ func (s *Scheduler) runsAhead(t *Thread) bool {
 	return len(s.heap.ts) == 0 || !s.heap.ts[0].less(t)
 }
 
+// Charge books cost on t's clock and counts the event as Step does, but
+// makes no dispatch decision: t keeps the baton whatever the other threads'
+// clocks. It is the price of an access nobody else can observe — to a memory
+// private to t — and t must Settle before any effect another thread or a
+// crash could see. Charge refuses, charging nothing, where a skipped decision
+// would show: under a Chooser, while a crash is armed by event, inside a poll
+// segment, on a frozen machine, and when the new clock would pass the crash
+// instant (CrashAtInstant). The caller then Steps instead.
+func (t *Thread) Charge(cost uint64) bool {
+	s := t.sch
+	if cost == 0 {
+		cost = 1
+	}
+	if s.chooser != nil || s.crashAt != 0 || s.seg != nil || s.frozen ||
+		s.cut != nil && t.clock+cost > s.cut.clock {
+		return false
+	}
+	t.clock += cost
+	s.events++
+	t.ahead = true
+	if t.clock > s.pastNS || t.clock == s.pastNS && t.id > s.pastID {
+		s.pastNS, s.pastID = t.clock, t.id
+	}
+	return true
+}
+
+// Ahead reports whether t has charged (Charge) since it last settled.
+func (t *Thread) Ahead() bool { return t.ahead }
+
+// Settle ends a stretch of Charges: t yields, without a charge, until it is
+// the minimum-(clock, id) thread again, so that every thread whose segment
+// the stretch skipped has run it. A thread that charged nothing since its
+// last dispatch decision returns at once. Like Step, it panics with Crash{}
+// if the machine froze meanwhile.
+//
+// Why the schedule is the definition's: a Charge changes only t's clock, the
+// event count, t's private memory and commutative counter sums, and no other
+// thread reads any of them. The threads t ran ahead of therefore take the
+// same segments in the same order when the Settle lets them run, and t's
+// next effect comes at the dispatch the definition schedule gives it.
+func (t *Thread) Settle() {
+	if t.ahead {
+		t.settle()
+	}
+}
+
+func (t *Thread) settle() {
+	s := t.sch
+	t.ahead = false
+	if !s.runsAhead(t) {
+		s.park(t, s.heap.replaceMin(t))
+	}
+}
+
+// checkCut panics when a cut at the baton holder's dispatch — CrashNow, or an
+// event crash armed mid-run — would be inexact: a thread charged ahead past
+// it (Charge), so an effect the cut must exclude has already been made.
+func (s *Scheduler) checkCut(what string) {
+	h := s.next
+	if h == nil {
+		return // quiescent
+	}
+	if s.pastNS > h.clock || s.pastNS == h.clock && s.pastID > h.id || h.ahead && !s.runsAhead(h) {
+		panic(fmt.Sprintf("sim: %s at thread %q's clock %d cuts through accesses charged ahead to %d",
+			what, h.name, h.clock, max(s.pastNS, h.clock)))
+	}
+}
+
 // Poller is one wait loop cut at its Steps. Poll runs the next segment — the
 // host-side code between two Steps, which must not call Step itself — on
 // behalf of t, and returns either done or the cost of the Step that follows
@@ -511,6 +668,7 @@ type Parker interface {
 // A bug panic inside a segment — wherever it runs — is recorded as the
 // poller's fault and the poller unwinds with Crash{}.
 func (t *Thread) Await(p Poller) {
+	t.Settle()
 	s := t.sch
 	defer func() {
 		if r := recover(); r != nil {
@@ -739,6 +897,10 @@ func (s *Scheduler) exit(t *Thread) {
 	s.live--
 	s.next = nil
 	if s.live == 0 {
+		if s.cut != nil {
+			s.heap.remove(s.cut)
+			s.strike()
+		}
 		return
 	}
 	if len(s.heap.ts) == 0 {
@@ -764,8 +926,11 @@ func (s *Scheduler) exit(t *Thread) {
 // CrashNow freezes the system from within a simulated thread. The calling
 // thread panics with Crash{} on its next Step; threads suspended in Step
 // panic when the baton reaches them. Parked waiters (Parker) are woken
-// first, as by Events, so they unwind too.
+// first, as by Events, so they unwind too. It panics if a thread has charged
+// ahead (Charge) past the caller's dispatch: that cut would be inexact. A
+// crash at an instant is CrashAtInstant's.
 func (s *Scheduler) CrashNow() {
+	s.checkCut("CrashNow")
 	s.wakeAll(s.next)
 	s.frozen = true
 }

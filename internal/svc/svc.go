@@ -204,6 +204,8 @@ type ring struct {
 	submitted uint64
 	drained   uint64
 	completed uint64
+	// parked is the consumer while its head wait is parked, for Stop to wake.
+	parked *sim.Thread
 }
 
 // fullMark is the nonzero state value marking entry idx written; the parity
@@ -424,17 +426,28 @@ func (c *Client) Completed() uint64 { return c.r.completed }
 
 // Stop asks every consumer to exit once its ring is drained. Host-side: the
 // caller decides the machine is done (e.g. all injectors finished), which no
-// simulated agent needs to observe.
-func (s *Service) Stop() { s.stopped = true }
+// simulated agent needs to observe. The caller must hold the baton, as the
+// last injector does. A parked consumer (its head wait is a sim.Parker) is
+// woken first, because no store announces the flag: the rounds it skipped
+// up to the caller's dispatch replay with Stop not yet raised.
+func (s *Service) Stop() {
+	for _, r := range s.rings {
+		if t := r.parked; t != nil {
+			t.Scheduler().Wake(t)
+		}
+	}
+	s.stopped = true
+}
 
 // serveIdleCost is the virtual cost of one empty consumer poll.
 const serveIdleCost = 200
 
 // headWait is the consumer's wait for a full head entry, cut into poll
-// segments (a sim.Poller run by Thread.Await): load ringHead, load that
+// segments (a sim.Parker run by Thread.Await): load ringHead, load that
 // entry's state; on a miss report done if Stop was called, else step
 // serveIdleCost and start over. An idle consumer thus polls an empty ring
-// without being switched in.
+// without being switched in, and between two rounds that can only miss again
+// it parks until a store to ringHead's line or the head entry's.
 type headWait struct {
 	s    *Service
 	r    *ring
@@ -461,6 +474,39 @@ func (w *headWait) Poll(t *sim.Thread) (uint64, bool) {
 		return 0, true
 	}
 	return serveIdleCost, false
+}
+
+// Park reports whether the wait is steady (sim.Parker): t is between two
+// rounds, Stop is not raised, the head entry is still empty, and both lines
+// a round loads are shared or t's own. Then t watches them.
+func (w *headWait) Park(t *sim.Thread) bool {
+	if w.seg != 0 || w.s.stopped {
+		return false
+	}
+	r := w.r
+	head, ok := r.mem.Watch(t, ringHead)
+	if ok {
+		var state uint64
+		state, ok = r.mem.Watch(t, r.entryOff(head)+entryState)
+		ok = ok && state != r.fullMark(head)
+	}
+	if !ok {
+		r.mem.Unwatch(t)
+		return false
+	}
+	r.parked = t
+	return true
+}
+
+// Unpark ends the watches Park set (sim.Parker).
+func (w *headWait) Unpark(t *sim.Thread) {
+	w.r.mem.Unwatch(t)
+	w.r.parked = nil
+}
+
+// String names what the wait watches, for the scheduler's deadlock verdict.
+func (w *headWait) String() string {
+	return w.r.mem.Name() + " head entry full, or Stop"
 }
 
 // Serve is shard's consumer loop: drain up to MaxBatch contiguous submitted
