@@ -371,10 +371,12 @@ func RunServe(d *ServeDriver, cfg ServeConfig) (*ServeResult, error) {
 
 // checkBatch rejects a drain cap the batched path cannot run: a consumer
 // hands its whole drain to the engine's ExecuteBatch, which takes at most
-// core.MaxBatch operations (one descriptor slot each) and panics past it.
+// core.MaxBatch operations (one descriptor slot each) and panics past it. A
+// cap below one is rejected on either path: the crash check's loss allowance
+// is computed from it.
 func checkBatch(batched bool, maxBatch int) error {
-	if batched && maxBatch > core.MaxBatch {
-		return fmt.Errorf("serve: MaxBatch %d exceeds the batched path's limit of %d", maxBatch, core.MaxBatch)
+	if maxBatch < 1 || batched && maxBatch > core.MaxBatch {
+		return fmt.Errorf("serve: MaxBatch %d: a combiner handoff takes 1 to %d operations", maxBatch, core.MaxBatch)
 	}
 	return nil
 }

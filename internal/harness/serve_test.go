@@ -96,19 +96,31 @@ func TestRunServeCrashAllSystems(t *testing.T) {
 }
 
 // TestRunServeRejectsUnrunnableGeometry: a ring count below one used to
-// divide by zero splitting the schedule, and a batched drain cap past
-// core.MaxBatch used to panic inside a simulated consumer thread; both are
-// errors from the entry point (TestShardedServeConfigValidation holds the
-// sharded one to the same).
+// divide by zero splitting the schedule; it is an error from the entry
+// point.
 func TestRunServeRejectsUnrunnableGeometry(t *testing.T) {
-	for name, mut := range map[string]func(*ServeConfig){
-		"Shards=0":    func(c *ServeConfig) { c.Shards = 0 },
-		"MaxBatch=65": func(c *ServeConfig) { c.MaxBatch = core.MaxBatch + 1 },
-	} {
+	cfg := serveTestConfig(0)
+	cfg.Shards = 0
+	if _, err := RunServe(ServeDrivers(2, 64)[0], cfg); err == nil {
+		t.Error("Shards=0: accepted")
+	}
+}
+
+// TestServeRejectsBatchOutOfRange: a batched drain cap past core.MaxBatch
+// used to panic inside a simulated consumer thread, and a cap below one ran
+// with svc's default of 64 while the crash check granted the loss allowance
+// of a cap of zero. Both entry points reject either.
+func TestServeRejectsBatchOutOfRange(t *testing.T) {
+	for _, maxBatch := range []int{0, -1, core.MaxBatch + 1} {
 		cfg := serveTestConfig(0)
-		mut(&cfg)
+		cfg.MaxBatch = maxBatch
 		if _, err := RunServe(ServeDrivers(2, 64)[0], cfg); err == nil {
-			t.Errorf("%s: accepted", name)
+			t.Errorf("RunServe: MaxBatch %d accepted", maxBatch)
+		}
+		scfg := shardedTestConfig(2, 0, nil)
+		scfg.MaxBatch = maxBatch
+		if _, err := RunShardedServe(durableFactory(2), scfg); err == nil {
+			t.Errorf("RunShardedServe: MaxBatch %d accepted", maxBatch)
 		}
 	}
 }

@@ -14,9 +14,10 @@ package harness
 // Machines fail independently. CrashShards names the subset whose sub-run
 // arms the crash-and-recover scenario; survivors run their load start to
 // finish uninterrupted — there is no global freeze, because each machine
-// owns a private sim.Scheduler and sim.CrashNow unwinds only that
-// machine's threads. Each crashed shard reports its own recovery stall and
-// backlog drain, and the aggregate crash block sums/maxes them.
+// owns a private sim.Scheduler and the crash its CrashAtInstant arms
+// unwinds only that machine's threads. Each crashed shard reports its own
+// recovery stall and backlog drain, and the aggregate crash block
+// sums/maxes them.
 //
 // Checking composes per-machine verdicts: every machine's history passes
 // its own CheckEpoch (steady or two-epoch crash check, per the

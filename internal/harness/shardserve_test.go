@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"prepuc/internal/core"
 	"prepuc/internal/drivers"
 	"prepuc/internal/openloop"
 )
@@ -161,7 +160,6 @@ func TestShardedServeConfigValidation(t *testing.T) {
 		func(c *ShardedServeConfig) { c.Instances = 0 },
 		func(c *ShardedServeConfig) { c.TotalWorkers = 3 },
 		func(c *ShardedServeConfig) { c.TotalWorkers = 0 },
-		func(c *ShardedServeConfig) { c.MaxBatch = core.MaxBatch + 1 },
 		func(c *ShardedServeConfig) { c.Route = "modulo" },
 		func(c *ShardedServeConfig) { c.CrashShards = []int{4}; c.CrashAtNS = 1 },
 		func(c *ShardedServeConfig) { c.CrashShards = []int{1} },

@@ -1,6 +1,8 @@
 package prepuc
 
 import (
+	"errors"
+	"fmt"
 	"go/ast"
 	"go/importer"
 	"go/parser"
@@ -8,11 +10,15 @@ import (
 	"go/types"
 	"io/fs"
 	"maps"
+	"os"
 	"path"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"slices"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -43,7 +49,7 @@ var testOnlyAllowed = map[string]string{
 // interface that non-test code calls — or that fmt calls, String and Error.
 // What it catches is a knob, codec or counter set that only tests reach.
 func TestNoTestOnlyExports(t *testing.T) {
-	m, err := loadModule()
+	m, err := theModule()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,8 +82,8 @@ var unreadAllowed = map[string]string{
 	"internal/sim.Scheduler.switches":                 "as sim.Scheduler.handoffs",
 	"internal/sim.Scheduler.parks":                    "internal/core's TestAwaitMatchesChooserTwin and internal/drivers' TestWaitsMatchChooserTwin require waiters to have parked",
 	"internal/sim.Thread.ins":                         "internal/harness's TestServePhaseMatchesChooserTwin bounds how often an injector is switched in",
-	"internal/svc.Future.Invid": "internal/svc's TestDetectStampsAndCursors and TestPostedCompletionsSurviveSlotReuse check the invocation id a completion carries",
-	"internal/svc.Future.Mark":  "internal/svc's TestDurableBarrierDurableMode, TestDurableBarrierForcesCycleInBufferedMode and TestPerOpFallback hand it to AwaitDurable",
+	"internal/svc.Future.Invid":                       "internal/svc's TestDetectStampsAndCursors and TestPostedCompletionsSurviveSlotReuse check the invocation id a completion carries",
+	"internal/svc.Future.Mark":                        "internal/svc's TestDurableBarrierDurableMode, TestDurableBarrierForcesCycleInBufferedMode and TestPerOpFallback hand it to AwaitDurable",
 }
 
 // TestNoUnreadFields requires every field of a struct type declared under
@@ -91,7 +97,7 @@ var unreadAllowed = map[string]string{
 // A field read only by its own package's tests has no home in a _test.go
 // file, so it is allowed with the test that reads it.
 func TestNoUnreadFields(t *testing.T) {
-	m, err := loadModule()
+	m, err := theModule()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,11 +185,15 @@ func (m *module) readFields() map[*types.Var]bool {
 	return read
 }
 
-// module is the type-checked non-test code of the repository.
+// module is the repository's Go code: the non-test files type-checked, the
+// _test.go files parsed only.
 type module struct {
+	fset  *token.FileSet
+	imp   types.Importer // module packages as checked, the rest from export data
 	info  *types.Info
 	pkgs  map[string]*types.Package // by import path
 	files []*ast.File
+	tests []*ast.File
 	decls []surfaceDecl
 }
 
@@ -194,18 +204,19 @@ type surfaceDecl struct {
 	obj types.Object
 }
 
-// loadModule parses every non-test Go file below the module root, grouped by
-// directory, and type-checks the packages in import order; standard-library
-// imports come from the toolchain's export data.
+const modPath = "prepuc"
+
+// theModule is the module every test of this package reads; loading it
+// once keeps the package's run short.
+var theModule = sync.OnceValues(loadModule)
+
+// loadModule parses every Go file below the module root, grouped by
+// directory, and type-checks the non-test packages in import order;
+// standard-library imports come from the toolchain's export data.
 func loadModule() (*module, error) {
-	const modPath = "prepuc"
-	fset := token.NewFileSet()
 	m := &module{
-		info: &types.Info{
-			Defs:       map[*ast.Ident]types.Object{},
-			Uses:       map[*ast.Ident]types.Object{},
-			Selections: map[*ast.SelectorExpr]*types.Selection{},
-		},
+		fset: token.NewFileSet(),
+		info: newInfo(),
 		pkgs: map[string]*types.Package{},
 	}
 	dirs := map[string][]*ast.File{} // import path → files
@@ -219,12 +230,16 @@ func loadModule() (*module, error) {
 			}
 			return nil
 		}
-		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
+		if !strings.HasSuffix(p, ".go") {
 			return nil
 		}
-		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
+		f, err := parser.ParseFile(m.fset, filepath.ToSlash(p), nil, parser.SkipObjectResolution)
 		if err != nil {
 			return err
+		}
+		if strings.HasSuffix(p, "_test.go") {
+			m.tests = append(m.tests, f)
+			return nil
 		}
 		ip := path.Join(modPath, filepath.ToSlash(filepath.Dir(p)))
 		dirs[ip] = append(dirs[ip], f)
@@ -234,13 +249,19 @@ func loadModule() (*module, error) {
 		return nil, err
 	}
 	std := importer.Default()
-	var imp importerFunc
-	check := func(ip string) (*types.Package, error) {
+	var check func(ip string) (*types.Package, error)
+	m.imp = importerFunc(func(ip string) (*types.Package, error) {
+		if _, ok := dirs[ip]; ok {
+			return check(ip)
+		}
+		return std.Import(ip)
+	})
+	check = func(ip string) (*types.Package, error) {
 		if pkg, ok := m.pkgs[ip]; ok {
 			return pkg, nil
 		}
 		files := dirs[ip]
-		pkg, err := (&types.Config{Importer: imp}).Check(ip, fset, files, m.info)
+		pkg, err := (&types.Config{Importer: m.imp}).Check(ip, m.fset, files, m.info)
 		if err != nil {
 			return nil, err
 		}
@@ -251,18 +272,21 @@ func loadModule() (*module, error) {
 		}
 		return pkg, nil
 	}
-	imp = func(ip string) (*types.Package, error) {
-		if _, ok := dirs[ip]; ok {
-			return check(ip)
-		}
-		return std.Import(ip)
-	}
 	for _, ip := range slices.Sorted(maps.Keys(dirs)) {
 		if _, err := check(ip); err != nil {
 			return nil, err
 		}
 	}
 	return m, nil
+}
+
+func newInfo() *types.Info {
+	return &types.Info{
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Defs:       map[*ast.Ident]types.Object{},
+		Uses:       map[*ast.Ident]types.Object{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
+	}
 }
 
 type importerFunc func(path string) (*types.Package, error)
@@ -442,4 +466,596 @@ func recvName(e ast.Expr) string {
 			return ""
 		}
 	}
+}
+
+// shapeRules hold the protocol's code to its shape: each one names a thing
+// the repository does in exactly one way, and reports a second way growing
+// back. Every rule but the interpreter count matches on the syntax tree or
+// on types, so a comment never trips one, and a string trips only the two
+// whose subject is a string literal. Each fixture is a violation laid over
+// the tree that the rule must report.
+var shapeRules = []shapeRule{
+	{
+		// Every tool sizes constructions through uc.Sizing and the packages'
+		// ConfigFor mappings; a Config literal outside the owning package is
+		// a private driver table growing back.
+		name: "One construction Config literal per package",
+		checks: []shapeCheck{{shipped, func(t *tree, files []goFile) (out []string) {
+			t.inspect(files, func(f goFile, n ast.Node) {
+				if lit, ok := n.(*ast.CompositeLit); ok {
+					if obj := typeName(f.info.TypeOf(lit)); obj != nil && obj.Name() == "Config" &&
+						constructions[obj.Pkg().Path()] && obj.Pkg().Path() != f.pkg() {
+						out = append(out, t.at(lit)+": "+obj.Pkg().Name()+".Config literal outside its package (use its ConfigFor)")
+					}
+				}
+			})
+			return out
+		}}},
+		fixtures: []fixture{
+			cmdFile(`import "prepuc/internal/core"; var cfg = core.Config{}`),
+			cmdFile(`import g "prepuc/internal/gluc"; var cfgs = []g.Config{{}}`),
+		},
+	},
+	{
+		// Every harness boots a construction through its package's
+		// NewDriver(ConfigFor(sz)), and every sequential object is one
+		// uc.ObjectType (seq.XType). A direct constructor call outside the
+		// owning package is a private builder table growing back; a Factory
+		// or Attacher function in internal/seq is the second object
+		// descriptor growing back.
+		name: "One way to build a construction",
+		checks: []shapeCheck{
+			{shipped, func(t *tree, files []goFile) (out []string) {
+				t.inspect(files, func(f goFile, n ast.Node) {
+					if fn := callee(f, n); fn != nil && fn.Name() == "New" && fn.Signature().Recv() == nil &&
+						constructions[fn.Pkg().Path()] && fn.Pkg().Path() != f.pkg() {
+						out = append(out, t.at(n)+": "+fn.Pkg().Name()+".New outside its package (use its NewDriver(ConfigFor(sz)))")
+					}
+				})
+				return out
+			}},
+			{scope{under: []string{"internal/seq/"}, code: true, tests: true}, func(t *tree, files []goFile) (out []string) {
+				t.inspect(files, func(f goFile, n ast.Node) {
+					if fd, ok := n.(*ast.FuncDecl); ok && fd.Recv == nil &&
+						(strings.HasSuffix(fd.Name.Name, "Factory") || strings.HasSuffix(fd.Name.Name, "Attacher")) {
+						out = append(out, t.at(fd)+": "+fd.Name.Name+" in internal/seq (describe the object with its XType)")
+					}
+				})
+				return out
+			}},
+		},
+		fixtures: []fixture{
+			cmdFile(`import ("prepuc/internal/nvm"; "prepuc/internal/sim"; softuc "prepuc/internal/soft")
+				func build(t *sim.Thread, sys *nvm.System, cfg softuc.Config) *softuc.Soft { return softuc.New(t, sys, cfg) }`),
+			{"internal/seq/shapefixture.go": add("package seq\n\nfunc HashMapFactory() {}\n")},
+		},
+	},
+	{
+		// Every cmd/ is a flag-parsing shell over internal/harness and
+		// internal/explore; one that creates a scheduler or spawns simulated
+		// threads is harness logic growing back into a CLI.
+		name: "No simulated threads spawned from cmd/",
+		checks: []shapeCheck{{scope{under: []string{"cmd/"}, code: true}, func(t *tree, files []goFile) []string {
+			return t.callsTo(files, "cmd/ spawns simulated threads (move the experiment into internal/harness)",
+				"internal/sim.New", "internal/sim.Scheduler.Spawn")
+		}}},
+		fixtures: []fixture{
+			cmdFile(`import "prepuc/internal/sim"; func run() { sim.New(0).Run() }`),
+			cmdFile(`import "prepuc/internal/sim"; func spawn(s *sim.Scheduler) { s.Spawn("w", 0, 0, func(*sim.Thread) {}) }`),
+		},
+	},
+	{
+		// The publish / fence / full-mark / completedTail protocol is written
+		// once (internal/core/session.go, DESIGN.md §3); a second call site
+		// of one of its primitives is a second copy of the ordering growing
+		// back.
+		name: "One combiner session in internal/core",
+		checks: []shapeCheck{{scope{under: []string{"internal/core/"}, code: true}, func(t *tree, files []goFile) (out []string) {
+			for _, name := range []string{"internal/oplog.Log.SetFull", "internal/oplog.Log.CASCompletedTail",
+				"internal/oplog.Log.PersistCompletedTail", "internal/core.descTable.write"} {
+				if sites := t.callsTo(files, "call site of "+name, name); len(sites) > 1 {
+					out = append(out, sites...)
+				}
+			}
+			return out
+		}}},
+		fixtures: []fixture{
+			{"internal/core/shapefixture.go": add(coreFixture + "p.log.SetFull(t, 0) }\n")},
+			{"internal/core/shapefixture.go": add(coreFixture + "p.log.CASCompletedTail(t, 0, 1) }\n")},
+			{"internal/core/shapefixture.go": add(coreFixture + "p.log.PersistCompletedTail(t, p.sys.NewFlusher()) }\n")},
+			{"internal/core/shapefixture.go": add(coreFixture + "p.desc.write(t, 0, 0, 0, 0) }\n")},
+		},
+	},
+	{
+		// Host time is measured by benchmark/ (BENCHMARK.json) and gated by
+		// CI's parent-against-head compare. A testing.B function anywhere
+		// else is the second stack growing back: a number nothing records
+		// and no gate holds.
+		name: "One host-time measurement stack",
+		checks: []shapeCheck{{scope{under: []string{""}, except: []string{"benchmark/"}, tests: true}, func(t *tree, files []goFile) (out []string) {
+			t.inspect(files, func(f goFile, n ast.Node) {
+				if fd, ok := n.(*ast.FuncDecl); ok && fd.Recv == nil && strings.HasPrefix(fd.Name.Name, "Benchmark") {
+					out = append(out, t.at(fd)+": testing.B benchmark outside benchmark/ (add a workload or micro-driver there instead)")
+				}
+			})
+			return out
+		}}},
+		fixtures: []fixture{
+			{"internal/seq/shapefixture_test.go": add("package seq\n\nimport \"testing\"\n\nfunc BenchmarkHashMap(b *testing.B) {}\n")},
+		},
+	},
+	{
+		// What a document must contain is asserted once, in Go, next to the
+		// structs that produce it (DESIGN.md §16). The one interpreter
+		// invocation in ci.yml reads the frozen benchmark's own output line;
+		// a second one is the second checker growing back.
+		name: "One schema checker",
+		checks: []shapeCheck{{scope{}, func(t *tree, _ []goFile) []string {
+			n := 0
+			for _, line := range strings.Split(t.ci, "\n") {
+				if strings.Contains(line, "python3") {
+					n++
+				}
+			}
+			if n != 1 {
+				return []string{fmt.Sprintf("%s: %d lines invoke an interpreter, want 1 (assert it in a Go schema test)", ciPath, n)}
+			}
+			return nil
+		}}},
+		fixtures: []fixture{
+			{ciPath: func(old string) string { return old + "      - run: python3 -c 'import json'\n" }},
+		},
+	},
+	{
+		// Region names, the commit record, the committed generation and the
+		// free one are uc.Lineage's (DESIGN.md §15); a construction that
+		// formats a g<n> name or probes the machine for one is a hand-kept
+		// region list growing back (log%d and ring%d are not generations).
+		name: "One generation lineage",
+		checks: []shapeCheck{{scope{under: []string{"internal/", "cmd/"}, except: []string{"internal/uc/", "internal/nvm/"}, code: true},
+			func(t *tree, files []goFile) []string {
+				const why = "generation naming or probing outside internal/uc (use uc.Lineage)"
+				out := t.callsTo(files, why, "internal/nvm.System.HasMemory")
+				t.inspect(files, func(f goFile, n ast.Node) {
+					if s, ok := stringLit(n); ok && (strings.HasPrefix(s, "g%d.") || strings.Contains(s, ".g%d.")) {
+						out = append(out, t.at(n)+": "+why)
+					}
+				})
+				return out
+			}}},
+		fixtures: []fixture{
+			cmdFile(`import "prepuc/internal/nvm"; func probe(sys *nvm.System) bool { return sys.HasMemory("rheap0") }`),
+			cmdFile(`const region = "rheap.g%d.0"`),
+		},
+	},
+	{
+		// Dispatch is by minimum (clock, id); every seed a run has feeds the
+		// substrate RNG, the fault policy or a workload generator (DESIGN.md
+		// §15). A math/rand import in internal/sim is a per-thread generator
+		// nothing observes growing back.
+		name: "The scheduler draws no random number",
+		checks: []shapeCheck{{scope{under: []string{"internal/sim/"}, code: true}, func(t *tree, files []goFile) (out []string) {
+			t.inspect(files, func(f goFile, n ast.Node) {
+				if imp, ok := n.(*ast.ImportSpec); ok && imp.Path.Value == `"math/rand"` {
+					out = append(out, t.at(imp)+": internal/sim imports math/rand (seed the substrate, the fault policy or the generator instead)")
+				}
+			})
+			return out
+		}}},
+		fixtures: []fixture{
+			{"internal/sim/shapefixture.go": add("package sim\n\nimport \"math/rand\"\n\nvar _ = rand.Int\n")},
+		},
+	},
+	{
+		// A loop whose rounds only load waits through locks.Wait (DESIGN.md
+		// §7); a loop whose rounds store or CAS retries with
+		// t.Step(b.Next(cap)). A Spin call, a fixed spin cost or a
+		// construction-local waiter is a second wait growing back.
+		name: "One way to wait",
+		checks: []shapeCheck{{scope{under: []string{""}, code: true, tests: true}, func(t *tree, files []goFile) (out []string) {
+			const why = "spin loop outside locks.Wait (wait through locks.Wait, or retry with t.Step(b.Next(cap)))"
+			t.inspect(files, func(f goFile, n ast.Node) {
+				switch n := n.(type) {
+				case *ast.CallExpr:
+					if sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr); ok && sel.Sel.Name == "Spin" {
+						out = append(out, t.at(n)+": "+why)
+					}
+				case *ast.Ident:
+					if strings.Contains(n.Name, "spinCost") {
+						out = append(out, t.at(n)+": "+why)
+					}
+				}
+			})
+			if slices.ContainsFunc(t.files, func(f goFile) bool { return f.path == "internal/core/wait.go" }) {
+				out = append(out, "internal/core/wait.go is back (core waits through locks.Wait)")
+			}
+			return out
+		}}},
+		fixtures: []fixture{
+			{"internal/locks/shapefixture_test.go": add("package locks\n\nfunc spin(b interface{ Spin() }) { b.Spin() }\n")},
+			{"internal/locks/shapefixture_test.go": add("package locks\n\nconst spinCost = 8\n")},
+			{"internal/core/wait.go": add("package core\n")},
+		},
+	},
+	{
+		// A private memory's owner charges its accesses without a dispatch
+		// decision (DESIGN.md §7, "Private memories"); the persistence
+		// thread's replica heaps are the one such declaration. Another is a
+		// new exactness argument, not a one-line change.
+		name: "Private memories are declared in one place",
+		checks: []shapeCheck{{scope{under: []string{""}, code: true}, func(t *tree, files []goFile) []string {
+			const persist = "internal/core/persist.go"
+			sites := t.callsTo(files, "SetPrivate called outside "+persist, "internal/nvm.Memory.SetPrivate")
+			out := slices.DeleteFunc(slices.Clone(sites), func(s string) bool { return strings.HasPrefix(s, persist+":") })
+			if len(out) == len(sites) {
+				out = append(out, persist+" no longer declares the replica heaps private")
+			}
+			return out
+		}}},
+		fixtures: []fixture{
+			cmdFile(`import ("prepuc/internal/nvm"; "prepuc/internal/sim"); func own(m *nvm.Memory, t *sim.Thread) { m.SetPrivate(t, true) }`),
+			{"internal/core/persist.go": func(old string) string {
+				return regexp.MustCompile(`pr\.heap\.SetPrivate\(t, (true|false)\)`).ReplaceAllString(old, "_ = pr.heap")
+			}},
+		},
+	},
+	{
+		// A crash at a virtual instant is sim.Scheduler.CrashAtInstant: a
+		// thread that steps to the instant and calls CrashNow would cut
+		// through the accesses a private memory's owner charged ahead
+		// (CrashNow panics).
+		name: "Crashes at an instant are armed on the scheduler",
+		checks: []shapeCheck{{scope{under: []string{""}, code: true}, func(t *tree, files []goFile) (out []string) {
+			t.inspect(files, func(f goFile, n ast.Node) {
+				if s, ok := stringLit(n); ok && s == "crasher" {
+					out = append(out, t.at(n)+": a crasher thread outside tests (arm sim.Scheduler.CrashAtInstant)")
+				}
+			})
+			return out
+		}}},
+		fixtures: []fixture{
+			cmdFile(`const name = "crasher"`),
+		},
+	},
+	{
+		// go test -run passes when nothing matches, so a test renamed away
+		// from a race step's pattern would drop out of the race job without
+		// a failure. Every alternative of every -run pattern in ci.yml must
+		// match a Test function of the packages its command lists.
+		name: "CI's named race tests exist",
+		checks: []shapeCheck{{scope{under: []string{""}, tests: true}, func(t *tree, files []goFile) (out []string) {
+			tests := map[string][]string{} // directory → its Test functions
+			t.inspect(files, func(f goFile, n ast.Node) {
+				if fd, ok := n.(*ast.FuncDecl); ok && fd.Recv == nil && strings.HasPrefix(fd.Name.Name, "Test") {
+					tests[f.dir()] = append(tests[f.dir()], fd.Name.Name)
+				}
+			})
+			for _, cmd := range goTestRun.FindAllStringSubmatch(t.ci, -1) {
+				if cmd[1] == "^$" {
+					continue // runs no test, by design
+				}
+				var names []string
+				for _, arg := range strings.Fields(cmd[2]) {
+					if dir, ok := strings.CutPrefix(arg, "./"); ok {
+						names = append(names, tests[path.Clean(dir)]...)
+					}
+				}
+				for _, alt := range strings.Split(cmd[1], "|") {
+					re, err := regexp.Compile(alt)
+					if err != nil || !slices.ContainsFunc(names, re.MatchString) {
+						out = append(out, fmt.Sprintf("%s: -run alternative %q matches no test of %s", ciPath, alt, strings.TrimSpace(cmd[2])))
+					}
+				}
+			}
+			return out
+		}}},
+		fixtures: []fixture{
+			{ciPath: func(old string) string { return strings.Replace(old, "|SlotReuse|", "|SlotReused|", 1) }},
+		},
+	},
+}
+
+const ciPath = ".github/workflows/ci.yml"
+
+// goTestRun matches a go test command with a -run pattern: the pattern, then
+// the rest of the line, which lists the packages.
+var goTestRun = regexp.MustCompile(`go test [^\n]*?-run '([^']*)'([^\n]*)`)
+
+// constructions are the packages whose Config literals and New calls
+// belong in the package itself.
+var constructions = map[string]bool{
+	"prepuc/internal/core": true, "prepuc/internal/cxpuc": true, "prepuc/internal/soft": true,
+	"prepuc/internal/onll": true, "prepuc/internal/gluc": true,
+}
+
+// shipped is the code users run: every non-test file outside the examples
+// and the frozen benchmark.
+var shipped = scope{under: []string{""}, except: []string{"examples/", "benchmark/"}, code: true}
+
+// coreFixture opens a method of core.PREP for a fixture to finish.
+const coreFixture = "package core\n\nimport \"prepuc/internal/sim\"\n\nfunc (p *PREP) shapeFixture(t *sim.Thread) { "
+
+// shapeRule is one thing the repository does in one way; name is the CI
+// step the rule replaced.
+type shapeRule struct {
+	name     string
+	checks   []shapeCheck
+	fixtures []fixture // violations, each of which some check must report
+}
+
+// shapeCheck reports, one "file:line: what" each, the violations among the
+// files in its scope; t also carries the files outside it and ci.yml.
+type shapeCheck struct {
+	scope scope
+	match func(t *tree, files []goFile) []string
+}
+
+// scope is the Go files under one of the path prefixes and under none of
+// the exceptions, non-test files (type-checked) if code is set and _test.go
+// files (parsed only) if tests is.
+type scope struct {
+	under, except []string
+	code, tests   bool
+}
+
+// fixture lays files over the tree: each path's new content, given its old
+// one ("" for a file the tree lacks).
+type fixture map[string]func(old string) string
+
+// add is a fixture file the tree lacks.
+func add(src string) func(string) string { return func(string) string { return src } }
+
+// cmdFile is a fixture adding a file with the given declarations to a
+// command under cmd/.
+func cmdFile(decls string) fixture {
+	return fixture{"cmd/shapefixture/fixture.go": add("package shapefixture\n\n" + decls + "\n")}
+}
+
+// TestShapeRules runs every shape rule on the tree, which must pass it, and
+// on each of the rule's fixtures, which must fail it.
+func TestShapeRules(t *testing.T) {
+	m, err := theModule()
+	if err != nil {
+		t.Fatal(err)
+	}
+	clean, err := m.tree(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range shapeRules {
+		t.Run(r.name, func(t *testing.T) {
+			for _, v := range r.check(clean) {
+				t.Error(v)
+			}
+			for i, fx := range r.fixtures {
+				tr, err := m.tree(fx)
+				if err != nil {
+					t.Fatalf("fixture %d: %v", i, err)
+				}
+				if len(r.check(tr)) == 0 {
+					t.Errorf("fixture %d (%s) is not reported", i, strings.Join(slices.Sorted(maps.Keys(fx)), ", "))
+				}
+			}
+		})
+	}
+}
+
+// TestShapeRulesReadNoCommentOrString: every rule's subject written into
+// comments, and into strings where a string is not the subject, trips no
+// rule.
+func TestShapeRulesReadNoCommentOrString(t *testing.T) {
+	const said = `core.Config{} softuc.New(t, sys, cfg) sim.New(0) s.Spawn("w") p.log.SetFull(t, 0) desc.write( ` +
+		`sys.HasMemory("x") import "math/rand" b.Spin() spinCost m.SetPrivate(t, true) func BenchmarkX(b *testing.B)`
+	m, err := theModule()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := m.tree(fixture{
+		"cmd/shapefixture/fixture.go":       add("package shapefixture\n\n// " + said + ` "g%d." "crasher"` + "\nconst said = `" + said + "`\n"),
+		"internal/core/shapefixture.go":     add("package core\n\n// " + said + "\nconst said = `" + said + "`\n"),
+		"internal/sim/shapefixture.go":      add("package sim\n\n// " + said + "\nconst said = `" + said + "`\n"),
+		"internal/seq/shapefixture_test.go": add("package seq\n\n// " + said + "\nconst said = `" + said + "`\n"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range shapeRules {
+		for _, v := range r.check(tr) {
+			t.Errorf("%s: %s", r.name, v)
+		}
+	}
+}
+
+// check is every violation the rule's checks report.
+func (r shapeRule) check(t *tree) []string {
+	var out []string
+	for _, c := range r.checks {
+		out = append(out, c.match(t, t.in(c.scope))...)
+	}
+	return out
+}
+
+// tree is the repository as the shape rules read it: every Go file, sorted
+// by path, and ci.yml.
+type tree struct {
+	fset  *token.FileSet
+	files []goFile
+	ci    string // ci.yml's content
+}
+
+// goFile is one Go file; info is its package's type information, nil for a
+// _test.go file.
+type goFile struct {
+	path string // slash-separated, from the module root
+	ast  *ast.File
+	info *types.Info
+}
+
+func (f goFile) test() bool  { return strings.HasSuffix(f.path, "_test.go") }
+func (f goFile) dir() string { return path.Dir(f.path) }
+func (f goFile) pkg() string { return path.Join(modPath, f.dir()) }
+
+// tree is the module's tree with the fixture laid over it. A package a
+// fixture touches is type-checked again, importing the module's packages
+// as they are.
+func (m *module) tree(fx fixture) (*tree, error) {
+	ci, err := os.ReadFile(ciPath)
+	if err != nil {
+		return nil, err
+	}
+	t := &tree{fset: m.fset, ci: string(ci)}
+	byPath := map[string]goFile{}
+	for _, f := range m.files {
+		p := m.fset.File(f.Pos()).Name()
+		byPath[p] = goFile{p, f, m.info}
+	}
+	for _, f := range m.tests {
+		p := m.fset.File(f.Pos()).Name()
+		byPath[p] = goFile{p, f, nil}
+	}
+	touched := map[string]bool{} // directories whose code is checked again
+	for p, edit := range fx {
+		old, err := os.ReadFile(p)
+		if err != nil && !errors.Is(err, fs.ErrNotExist) {
+			return nil, err
+		}
+		src := edit(string(old))
+		if src == string(old) {
+			return nil, fmt.Errorf("the fixture leaves %s as it is", p)
+		}
+		if p == ciPath {
+			t.ci = src
+			continue
+		}
+		f, err := parser.ParseFile(m.fset, p, src, parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		byPath[p] = goFile{p, f, nil}
+		if !byPath[p].test() {
+			touched[path.Dir(p)] = true
+		}
+	}
+	for _, p := range slices.Sorted(maps.Keys(byPath)) {
+		t.files = append(t.files, byPath[p])
+	}
+	for dir := range touched {
+		var files []*ast.File
+		for _, f := range t.files {
+			if f.dir() == dir && !f.test() {
+				files = append(files, f.ast)
+			}
+		}
+		info := newInfo()
+		if _, err := (&types.Config{Importer: m.imp}).Check(path.Join(modPath, dir), m.fset, files, info); err != nil {
+			return nil, err
+		}
+		for i, f := range t.files {
+			if f.dir() == dir && !f.test() {
+				t.files[i].info = info
+			}
+		}
+	}
+	return t, nil
+}
+
+// in is the tree's files in scope s.
+func (t *tree) in(s scope) []goFile {
+	var out []goFile
+	for _, f := range t.files {
+		has := func(prefix string) bool { return strings.HasPrefix(f.path, prefix) }
+		if (f.test() && s.tests || !f.test() && s.code) && slices.ContainsFunc(s.under, has) && !slices.ContainsFunc(s.except, has) {
+			out = append(out, f)
+		}
+	}
+	return out
+}
+
+// inspect calls visit on every node of files.
+func (t *tree) inspect(files []goFile, visit func(goFile, ast.Node)) {
+	for _, f := range files {
+		ast.Inspect(f.ast, func(n ast.Node) bool {
+			if n != nil {
+				visit(f, n)
+			}
+			return true
+		})
+	}
+}
+
+// callsTo lists the calls in files that resolve to one of the named
+// functions, each as "file:line: why".
+func (t *tree) callsTo(files []goFile, why string, names ...string) []string {
+	var out []string
+	t.inspect(files, func(f goFile, n ast.Node) {
+		if fn := callee(f, n); fn != nil && slices.Contains(names, funcName(fn)) {
+			out = append(out, t.at(n)+": "+why)
+		}
+	})
+	return out
+}
+
+// at is a node's position as "file:line".
+func (t *tree) at(n ast.Node) string {
+	p := t.fset.Position(n.Pos())
+	return fmt.Sprintf("%s:%d", p.Filename, p.Line)
+}
+
+// callee is the function or method a call in a non-test file resolves to,
+// nil if n is no such call.
+func callee(f goFile, n ast.Node) *types.Func {
+	call, ok := n.(*ast.CallExpr)
+	if !ok || f.test() {
+		return nil
+	}
+	fun := ast.Unparen(call.Fun)
+	switch x := fun.(type) {
+	case *ast.IndexExpr:
+		fun = x.X
+	case *ast.IndexListExpr:
+		fun = x.X
+	}
+	if sel, ok := fun.(*ast.SelectorExpr); ok {
+		fun = sel.Sel
+	}
+	id, _ := fun.(*ast.Ident)
+	fn, _ := f.info.Uses[id].(*types.Func)
+	if fn == nil || fn.Pkg() == nil {
+		return nil
+	}
+	return fn.Origin()
+}
+
+// funcName names a module function "internal/sim.New" and a method
+// "internal/oplog.Log.SetFull".
+func funcName(fn *types.Func) string {
+	name := strings.TrimPrefix(fn.Pkg().Path(), modPath+"/") + "."
+	if recv := fn.Signature().Recv(); recv != nil {
+		if named := namedOf(recv.Type()); named != nil {
+			name += named.Obj().Name() + "."
+		}
+	}
+	return name + fn.Name()
+}
+
+// typeName is the named type of a value of type t (or of *t), nil if it has
+// none.
+func typeName(t types.Type) *types.TypeName {
+	if t == nil {
+		return nil
+	}
+	if named := namedOf(types.Unalias(t)); named != nil && named.Obj().Pkg() != nil {
+		return named.Obj()
+	}
+	return nil
+}
+
+// stringLit is the value of a string literal.
+func stringLit(n ast.Node) (string, bool) {
+	lit, ok := n.(*ast.BasicLit)
+	if !ok || lit.Kind != token.STRING {
+		return "", false
+	}
+	s, err := strconv.Unquote(lit.Value)
+	return s, err == nil
 }
