@@ -91,7 +91,7 @@ func (p *PREP) ExecuteBatch(t *sim.Thread, tid int, ops []uc.Op, res []uint64) u
 		// Pure-read batch: no reservation, just read at the current frontier.
 		newTail = p.log.CompletedTail(t)
 	}
-	rep.rw.WriteLock(t)
+	rep.writeLock(t)
 	p.catchUp(t, rep, tail, f)
 	switch {
 	case detect: // the marks go up after the batch's descriptors, below
@@ -125,7 +125,7 @@ func (p *PREP) ExecuteBatch(t *sim.Thread, tid int, ops []uc.Op, res []uint64) u
 		p.raiseFullMarks(t, f, tail, num)
 		p.publishTail(t, rep, f, newTail)
 	}
-	rep.rw.WriteUnlock(t)
+	rep.writeUnlock(t)
 	rep.combiner.Release(t)
 	if num == 0 {
 		return 0

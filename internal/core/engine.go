@@ -60,6 +60,7 @@ const pTailRootSlot = 1
 type replica struct {
 	node     int
 	ds       uc.DataStructure
+	heap     *nvm.Memory // ds's memory, declared under rw (rwlock.go)
 	ctrl     *nvm.Memory
 	combiner locks.TryLock
 	rw       locks.DistRWLock
@@ -180,6 +181,7 @@ func newEngine(t *sim.Thread, sys *nvm.System, cfg Config, lin uc.Lineage) (*PRE
 		r := &replica{
 			node:      node,
 			ds:        cfg.Factory(t, pmem.New(t, heap)),
+			heap:      heap,
 			ctrl:      sys.NewMemory(lin.Name(fmt.Sprintf("rctrl%d", node)), nvm.Volatile, node, slotsBase+p.beta*slotWords),
 			slotsBase: slotsBase,
 		}
@@ -318,18 +320,18 @@ func (p *PREP) readOnly(t *sim.Thread, rep *replica, slot int, op uc.Op) uint64 
 		}
 		if rep.combiner.Take(t) {
 			if rep.localTail(t) < ct {
-				rep.rw.WriteLock(t)
+				rep.writeLock(t)
 				p.catchUp(t, rep, p.log.CompletedTail(t), nil)
-				rep.rw.WriteUnlock(t)
+				rep.writeUnlock(t)
 			}
 			rep.combiner.Release(t)
 			break
 		}
 		w.Retry()
 	}
-	rep.rw.ReadLock(t, slot)
+	rep.readLock(t, slot)
 	res := rep.ds.Execute(t, op.Code, op.A0, op.A1)
-	rep.rw.ReadUnlock(t, slot)
+	rep.readUnlock(t, slot)
 	return res
 }
 

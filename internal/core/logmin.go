@@ -67,9 +67,9 @@ func (p *PREP) reserveLogEntries(t *sim.Thread, rep *replica, num uint64) uint64
 // combiner lock.
 func (p *PREP) serviceUpdateNow(t *sim.Thread, rep *replica) {
 	p.met.UpdateNowServices++
-	rep.rw.WriteLock(t)
+	rep.writeLock(t)
 	p.catchUp(t, rep, p.log.CompletedTail(t), nil)
-	rep.rw.WriteUnlock(t)
+	rep.writeUnlock(t)
 	rep.setUpdateNow(t, 0)
 }
 
@@ -123,9 +123,9 @@ func (p *PREP) updateOrWaitOnLogMin(t *sim.Thread, rep *replica, newTail uint64)
 			case stragVol == rep.node:
 				// We are the straggler: catch up ourselves (we already hold
 				// our combiner lock).
-				rep.rw.WriteLock(t)
+				rep.writeLock(t)
 				p.catchUp(t, rep, p.log.CompletedTail(t), nil)
-				rep.rw.WriteUnlock(t)
+				rep.writeUnlock(t)
 			default:
 				straggler := p.reps[stragVol]
 				straggler.setUpdateNow(t, 1)
@@ -142,9 +142,9 @@ func (p *PREP) updateOrWaitOnLogMin(t *sim.Thread, rep *replica, newTail uint64)
 					}
 					wb = w.B
 					if straggler.combiner.TryAcquire(t) {
-						straggler.rw.WriteLock(t)
+						straggler.writeLock(t)
 						p.catchUp(t, straggler, p.log.CompletedTail(t), nil)
-						straggler.rw.WriteUnlock(t)
+						straggler.writeUnlock(t)
 						straggler.combiner.Release(t)
 						p.met.CrossNodeHelps++
 					}

@@ -162,7 +162,7 @@ func (p *PREP) combine(t *sim.Thread, rep *replica, mySlot int) uint64 {
 	if !detect {
 		p.raiseFullMarks(t, f, tail, num)
 	}
-	rep.rw.WriteLock(t)
+	rep.writeLock(t)
 	p.catchUp(t, rep, tail, f)
 	if !detect {
 		p.publishTail(t, rep, f, tail+num)
@@ -198,6 +198,6 @@ func (p *PREP) combine(t *sim.Thread, rep *replica, mySlot int) uint64 {
 			rep.respond(t, s, s == mySlot, rep.resScratch[i])
 		}
 	}
-	rep.rw.WriteUnlock(t)
+	rep.writeUnlock(t)
 	return myRes
 }

@@ -11,6 +11,7 @@ import (
 
 	"prepuc/internal/metrics"
 	"prepuc/internal/nvm"
+	"prepuc/internal/pmem"
 	"prepuc/internal/sim"
 	"prepuc/internal/uc"
 )
@@ -40,13 +41,14 @@ func twinOps(tid, n, readPct int, detect bool) []uc.Op {
 // twinAccess is one announced access of a traced run: the event index it
 // was announced after, its thread and the thread's clock, whether it was
 // announced on another thread's goroutine — a poll segment run inline — and
-// whether it touched a persistent replica's heap.
+// the replica heap it touched, if any: 'p' for a persistent replica's, 'r'
+// for a volatile one's.
 type twinAccess struct {
 	event  uint64
 	thread int
 	clock  uint64
 	inline bool
-	pheap  bool
+	heap   byte
 }
 
 // twinResult is everything a worker phase leaves behind that the twin runs
@@ -86,13 +88,29 @@ type twinRun struct {
 }
 
 // twinTally is what a run reports beside its twinResult: the accesses it
-// traced, the waiters that parked, and how many were parked at the crash
-// instant.
+// traced, the waiters that parked, how many were parked at the crash
+// instant, and whether a worker's operation on its replica ran ahead.
 type twinTally struct {
 	accesses      []twinAccess
 	parks         uint64
 	parkedAtCrash int
 	charged       bool // some access charged ahead (sim.Thread.Charge)
+	// A worker's read (under the read lock) or update (under the write
+	// lock) on its volatile replica left it ahead.
+	chargedRead, chargedWrite bool
+}
+
+// aheadObject is a replica's object that tells after each operation whether
+// the thread that ran it has charged ahead since it last settled.
+type aheadObject struct {
+	uc.DataStructure
+	after func(th *sim.Thread, readOnly bool)
+}
+
+func (o aheadObject) Execute(th *sim.Thread, code, a0, a1 uint64) uint64 {
+	res := o.DataStructure.Execute(th, code, a0, a1)
+	o.after(th, o.IsReadOnly(code))
+	return res
 }
 
 // parkTally reads the scheduler's test-only park tally and the number of
@@ -102,10 +120,10 @@ func parkTally(sch *sim.Scheduler) (parks uint64, parked int) {
 	return v.FieldByName("parks").Uint(), v.FieldByName("parked").Len()
 }
 
-// runTwin boots an engine with 8 workers on the 2×4 test topology and runs
-// one worker phase, under the built-in dispatch rule or under a MinClock
-// Chooser — which runs Await's definition loop, no segment inline and no
-// waiter parked.
+// runTwin boots an engine with 8 workers on the 2×4 test topology, fills its
+// map for a read-only mix, and runs one worker phase, under the built-in
+// dispatch rule or under a MinClock Chooser — which runs Await's definition
+// loop, no segment inline and no waiter parked.
 func runTwin(t *testing.T, r twinRun) (twinResult, twinTally) {
 	t.Helper()
 	const workers, perWorker = 8, 24
@@ -116,7 +134,32 @@ func runTwin(t *testing.T, r twinRun) (twinResult, twinTally) {
 	if bg == 0 {
 		bg = 256
 	}
+	var tally twinTally
+	obj := cfg.Factory
+	cfg.Factory = func(th *sim.Thread, a *pmem.Allocator) uc.DataStructure {
+		return aheadObject{obj(th, a), func(th *sim.Thread, readOnly bool) {
+			// Thread 0 is the persistence thread; a worker runs operations
+			// on its volatile replica only.
+			if th.ID() != 0 && th.Ahead() {
+				tally.chargedRead = tally.chargedRead || readOnly
+				tally.chargedWrite = tally.chargedWrite || !readOnly
+			}
+		}}
+	}
 	w := newWorld(t, cfg, nvm.Config{Seed: 3, BGFlushOneIn: bg}, 1)
+	if r.readPct == 100 {
+		// A read-only mix reads a populated map, as closed_read does.
+		fill := sim.New(0)
+		w.sys.SetScheduler(fill)
+		fill.Spawn("prefill", 0, 0, func(th *sim.Thread) {
+			var ops []uc.Op
+			for k := uint64(0); k < 29; k++ {
+				ops = append(ops, uc.Insert(k, k))
+			}
+			w.p.Prefill(th, ops)
+		})
+		fill.Run()
+	}
 
 	sch := sim.New(0)
 	if r.chooser {
@@ -124,13 +167,16 @@ func runTwin(t *testing.T, r twinRun) (twinResult, twinTally) {
 	}
 	sch.CrashAtEvent(r.crashAt)
 	w.sys.SetScheduler(sch)
-	var tally twinTally
 	own := map[int]int{} // thread id → its own goroutine
 	var ths []*sim.Thread
 	if r.trace {
 		w.sys.SetAccessHook(func(a nvm.Access) {
+			var heap byte
+			if i := strings.Index(a.Mem, "heap"); i > 0 {
+				heap = a.Mem[i-1]
+			}
 			tally.accesses = append(tally.accesses, twinAccess{sch.Events(), a.Thread, ths[a.Thread].Clock(),
-				goid() != own[a.Thread], strings.Contains(a.Mem, "pheap")})
+				goid() != own[a.Thread], heap})
 		})
 	}
 	spawn := func(name string, node int, fn func(th *sim.Thread)) {
@@ -227,48 +273,54 @@ func crashWindow(accesses []twinAccess, events uint64) (lo, hi uint64, ok bool) 
 	return 0, 0, false
 }
 
-// applyInstants returns crash instants inside the persistence thread's
-// apply stretches, from the middle of a traced run on: for the first four
-// pairs of consecutive heap accesses of that thread (id 0) between which
-// another thread ran, the second access's clock and the nanoseconds either
-// side of it. Unhooked, the persistence thread charges such a pair without
-// a dispatch decision, so the cut lands inside a stretch it ran ahead.
-func applyInstants(accesses []twinAccess, events uint64) []uint64 {
+// stretchInstants returns crash instants inside stretches of replica-heap
+// accesses, from the middle of a traced run on: for the first four pairs of
+// consecutive accesses of one thread to heaps of the given kind ('p' or 'r')
+// between which another thread ran, the second access's clock and the
+// nanoseconds either side of it. Unhooked, the thread charges such a pair
+// without a dispatch decision — the persistence thread its persistent
+// replicas, a writer or a reader its volatile replica under the lock — so
+// the cut lands inside a stretch it ran ahead.
+func stretchInstants(accesses []twinAccess, events uint64, heap byte) []uint64 {
 	var out []uint64
-	stretch, other := false, false
+	stretch, other := map[int]bool{}, map[int]bool{} // per thread
 	for _, a := range accesses {
-		switch {
-		case a.thread != 0:
-			other = true
-		case !a.pheap:
-			stretch = false
-		default:
-			if stretch && other && a.event >= events/2 && len(out) < 12 {
-				out = append(out, a.clock-1, a.clock, a.clock+1)
-			}
-			stretch, other = true, false
+		for th := range other {
+			other[th] = other[th] || th != a.thread
 		}
+		if a.heap != heap {
+			stretch[a.thread] = false
+			continue
+		}
+		if stretch[a.thread] && other[a.thread] && a.event >= events/2 && len(out) < 12 {
+			out = append(out, a.clock-1, a.clock, a.clock+1)
+		}
+		stretch[a.thread], other[a.thread] = true, false
 	}
 	return out
 }
 
-// Inline poll segments and parked waiters are indistinguishable from Await's
-// definition loop: for both persistent modes, with and without detectable
-// execution, over an update-only and a half-read mix, the run under the
-// built-in rule — which parks waiters, every configuration at least once —
-// must end exactly where its Chooser twin (no run-ahead, no inline segment,
-// no park, no Charge) ends: event count, every thread's clock, every op's
-// result, the metrics and the persisted image. So must every crash armed
-// inside a window in which at least three waits ran inline (found by a
+// Inline poll segments, parked waiters and accesses charged without a
+// dispatch decision are indistinguishable from Await's definition loop and
+// from Steps: for both persistent modes, with and without detectable
+// execution, over an update-only, a half-read and a read-only mix, the run
+// under the built-in rule — which parks waiters in every mix that has
+// updates to wait for, and in which workers' operations on their volatile
+// replicas run ahead, under the write lock and under the read lock as the mix
+// has them — must end exactly where its Chooser twin (no run-ahead, no inline
+// segment, no park, no Charge) ends: event count, every thread's clock,
+// every op's result, the metrics and the persisted image. So must every crash
+// armed inside a window in which at least three waits ran inline (found by a
 // hooked run, which parks and charges ahead nothing), crashes armed at
 // instants where waiters are parked, and crash instants swept through the
-// persistence thread's apply stretches — which it charges without a dispatch
+// persistence thread's apply stretches and through the workers' write and
+// read stretches on their replicas — which they charge without a dispatch
 // decision — with background write-backs at one store in eight, down to the
 // crash image and the recovered machine.
 func TestAwaitMatchesChooserTwin(t *testing.T) {
 	for _, mode := range []Mode{Durable, Buffered} {
 		for _, detect := range []bool{false, true} {
-			for _, readPct := range []int{0, 50} {
+			for _, readPct := range []int{0, 50, 100} {
 				name := fmt.Sprintf("%s/detect=%v/reads=%d%%", mode, detect, readPct)
 				t.Run(name, func(t *testing.T) {
 					base := twinRun{mode: mode, detect: detect, readPct: readPct}
@@ -278,12 +330,16 @@ func TestAwaitMatchesChooserTwin(t *testing.T) {
 						want, _ = runTwin(t, r)
 						return got, want, tally
 					}
+					waits := readPct < 100 // a read-only mix waits for nothing
 					plain, twin, tally := both(base)
 					if !reflect.DeepEqual(plain, twin) {
 						t.Fatalf("inline run differs from its Chooser twin:\n inline %+v\n   twin %+v", plain, twin)
 					}
-					if tally.parks == 0 || !tally.charged {
+					if waits && tally.parks == 0 || !tally.charged {
 						t.Fatalf("%d waiters parked, charged ahead: %v; want both", tally.parks, tally.charged)
+					}
+					if readPct > 0 && !tally.chargedRead || readPct < 100 && !tally.chargedWrite {
+						t.Fatalf("a worker ran ahead on its replica under the read lock: %v, under the write lock: %v", tally.chargedRead, tally.chargedWrite)
 					}
 					hooked := base
 					hooked.trace = true
@@ -295,7 +351,7 @@ func TestAwaitMatchesChooserTwin(t *testing.T) {
 						}
 					}
 					lo, hi, ok := crashWindow(traced.accesses, plain.events)
-					if !ok {
+					if waits && !ok {
 						t.Fatalf("no crash window with three inline waits (%d inline accesses in all)", inline)
 					}
 					for at := lo; at < hi; at++ {
@@ -318,23 +374,27 @@ func TestAwaitMatchesChooserTwin(t *testing.T) {
 							parkedCrashes++
 						}
 					}
-					if parkedCrashes == 0 {
+					if waits && parkedCrashes == 0 {
 						t.Fatal("no crash instant found a waiter parked")
 					}
-					instants := applyInstants(traced.accesses, plain.events)
-					if len(instants) == 0 {
+					applies := stretchInstants(traced.accesses, plain.events, 'p')
+					if waits && len(applies) == 0 {
 						t.Fatal("no apply stretch of the persistence thread that another thread interrupts")
 					}
-					for _, at := range instants {
+					replicas := stretchInstants(traced.accesses, plain.events, 'r')
+					if len(replicas) == 0 {
+						t.Fatal("no stretch of a worker on its replica that another thread interrupts")
+					}
+					for _, at := range append(applies, replicas...) {
 						r := base
 						r.instant, r.bgOneIn = at, 8
 						got, want, _ := both(r)
 						if !got.frozen || !reflect.DeepEqual(got, want) {
-							t.Fatalf("crash at %d ns inside an apply stretch: run differs from its Chooser twin:\n plain %+v\n  twin %+v", at, got, want)
+							t.Fatalf("crash at %d ns inside a heap stretch: run differs from its Chooser twin:\n plain %+v\n  twin %+v", at, got, want)
 						}
 					}
-					t.Logf("%d events, %d parks, %d of %d accesses inline; crashed at every event of [%d, %d); %d of 4 crash instants found waiters parked; %d crash instants in apply stretches",
-						plain.events, tally.parks, inline, len(traced.accesses), lo, hi, parkedCrashes, len(instants))
+					t.Logf("%d events, %d parks, %d of %d accesses inline; crashed at every event of [%d, %d); %d of 4 crash instants found waiters parked; %d crash instants in apply stretches, %d in replica stretches",
+						plain.events, tally.parks, inline, len(traced.accesses), lo, hi, parkedCrashes, len(applies), len(replicas))
 				})
 			}
 		}
@@ -347,7 +407,8 @@ func TestAwaitMatchesChooserTwin(t *testing.T) {
 // reuse their capacity. Two waits: the update's slot/lock wait, served by a
 // combiner that holds the lock — every one of them parks — and the
 // distributed reader–writer lock's, whose reader waits out a writer that in
-// turn waits for the reader to drain.
+// turn waits for the reader to drain; both take it through the replica's
+// lock helpers, whose heap declarations allocate nothing either.
 func TestUpdateWaitAllocatesNothing(t *testing.T) {
 	for _, tc := range []struct {
 		name           string
@@ -379,14 +440,14 @@ func TestUpdateWaitAllocatesNothing(t *testing.T) {
 			}
 		}},
 		{"rwlock", 1, func(_ *world, rep *replica, th *sim.Thread, _ *bool) {
-			rep.rw.ReadLock(th, 0)
+			rep.readLock(th, 0)
 			th.Step(300)
-			rep.rw.ReadUnlock(th, 0)
+			rep.readUnlock(th, 0)
 		}, func(_ *world, rep *replica, th *sim.Thread, done *bool) {
 			for !*done {
-				rep.rw.WriteLock(th)
+				rep.writeLock(th)
 				th.Step(5000)
-				rep.rw.WriteUnlock(th)
+				rep.writeUnlock(th)
 				th.Step(400)
 			}
 		}},

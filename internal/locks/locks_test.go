@@ -1,6 +1,7 @@
 package locks
 
 import (
+	"fmt"
 	"testing"
 
 	"prepuc/internal/nvm"
@@ -171,5 +172,105 @@ func TestWriteLockWaitsForReaders(t *testing.T) {
 	sch.Run()
 	if !writerEntered {
 		t.Error("writer never entered")
+	}
+}
+
+// seededChooser picks a uniformly drawn candidate at every decision point: a
+// schedule that owes nothing to the virtual clocks.
+type seededChooser struct{ x uint64 }
+
+func (c *seededChooser) Choose(_ int, cands []sim.Candidate) int {
+	c.x ^= c.x << 13
+	c.x ^= c.x >> 7
+	c.x ^= c.x << 17
+	return int(c.x % uint64(len(cands)))
+}
+
+// The distributed reader–writer lock excludes: with four readers on their
+// own slots and two writers, no writer's section overlaps another section —
+// in the order the sections run, under seeded Chooser schedules and under
+// run-ahead, and in virtual time under run-ahead — readers do share it, and
+// every reader slot and the writer word drain to zero.
+func TestDistRWLockExcludes(t *testing.T) {
+	const readers, writers, rounds = 4, 2, 40
+	for seed := uint64(0); seed <= 8; seed++ {
+		name := "run-ahead"
+		if seed != 0 {
+			name = fmt.Sprintf("chooser seed %d", seed)
+		}
+		t.Run(name, func(t *testing.T) {
+			sch := sim.New(0)
+			if seed != 0 {
+				sch.SetChooser(&seededChooser{x: seed * 0x9E3779B97F4A7C15})
+			}
+			sys := nvm.NewSystem(sch, nvm.Config{Costs: sim.DefaultCosts()})
+			m := sys.NewMemory("m", nvm.Volatile, 0, DistRWLockWords(readers))
+			l := NewDistRWLock(m, 0, readers)
+			type section struct {
+				write      bool
+				start, end uint64
+			}
+			var sections []section
+			inW, inR, maxR := 0, 0, 0
+			for w := 0; w < writers; w++ {
+				sch.Spawn("writer", w, 0, func(th *sim.Thread) {
+					for i := 0; i < rounds; i++ {
+						l.WriteLock(th)
+						if inW++; inW != 1 || inR != 0 {
+							t.Errorf("writer entered beside %d writers and %d readers", inW-1, inR)
+						}
+						start := th.Clock()
+						th.Step(uint64(50 + 30*w))
+						sections = append(sections, section{true, start, th.Clock()})
+						inW--
+						l.WriteUnlock(th)
+						th.Step(uint64(200 + 70*w))
+					}
+				})
+			}
+			for r := 0; r < readers; r++ {
+				sch.Spawn("reader", r%2, 0, func(th *sim.Thread) {
+					for i := 0; i < rounds; i++ {
+						l.ReadLock(th, r)
+						if inR++; inW != 0 {
+							t.Errorf("reader entered beside a writer")
+						}
+						maxR = max(maxR, inR)
+						start := th.Clock()
+						th.Step(uint64(80 + 20*r))
+						sections = append(sections, section{false, start, th.Clock()})
+						inR--
+						l.ReadUnlock(th, r)
+						th.Step(uint64(30 + 10*r))
+					}
+				})
+			}
+			sch.Run()
+			if want := (readers + writers) * rounds; len(sections) != want {
+				t.Fatalf("%d sections ran, want %d", len(sections), want)
+			}
+			if maxR < 2 {
+				t.Errorf("at most %d readers shared the lock, want at least 2", maxR)
+			}
+			if seed == 0 {
+				for i, a := range sections {
+					for _, b := range sections[i+1:] {
+						if (a.write || b.write) && a.start < b.end && b.start < a.end {
+							t.Errorf("sections overlap in virtual time: %+v and %+v", a, b)
+						}
+					}
+				}
+			}
+			drain := sim.New(0)
+			sys.SetScheduler(drain)
+			drain.Spawn("drain", 0, 0, func(th *sim.Thread) {
+				for off := uint64(0); off < m.Words(); off++ {
+					if v := m.Load(th, off); v != 0 {
+						t.Errorf("word %d of the lock reads %d after every holder left", off, v)
+					}
+				}
+			})
+			drain.Run()
+		})
 	}
 }

@@ -72,7 +72,8 @@ type Memory struct {
 	kind      Kind
 	home      int // NUMA node, or Interleaved (metadata; see access costs)
 	sys       *System
-	priv      *sim.Thread // SetPrivate's owner, nil while shared; every access reads it, as kind and sys
+	priv      *sim.Thread   // SetPrivate's owner, frozen while SetFrozen's holders read it, nil while shared; every access reads it, as kind and sys
+	holders   []*sim.Thread // SetFrozen's holders, while priv is frozen
 	words     uint64
 	data      slab[uint64] // current (cache/DRAM) view
 	persisted slab[uint64] // NVM view; absent for volatile memories
@@ -354,6 +355,8 @@ func (m *Memory) storeCost(t *sim.Thread, line uint64) uint64 {
 // ends it with the machine.
 func (m *Memory) SetPrivate(t *sim.Thread, on bool) {
 	switch {
+	case on && m.priv == frozen:
+		panic(fmt.Sprintf("nvm: %s is frozen under thread %q and cannot be private to thread %q", m.name, m.holders[0].Name(), t.Name()))
 	case on && m.priv != nil:
 		panic(fmt.Sprintf("nvm: %s is already private to thread %q", m.name, m.priv.Name()))
 	case on && len(m.watch) != 0:
@@ -368,13 +371,54 @@ func (m *Memory) SetPrivate(t *sim.Thread, on bool) {
 	}
 }
 
+// frozen is priv's value while m is frozen: a sentinel no thread is, so
+// every access takes the gated path and none passes for the owner's.
+var frozen = new(sim.Thread)
+
+// SetFrozen adds t to m's holders (on) or removes it (off). While m has
+// holders it is frozen: nobody stores to it. A holder's Load of a line that
+// is shared or its own runs its Begin half, which then moves nothing, and
+// charges without a dispatch decision where a private memory's would; such
+// loads commute with every other holder's. A load of a line owned elsewhere
+// settles first and steps, because its Begin half moves the line's owner and
+// who pays that transfer depends on the order. A non-holder's access, and
+// any Store, CAS, flush, write-back or Watch, is a bug panic naming m, the
+// offender and a holder, and so is freezing a private memory. Each holder's
+// release settles. Clone and Recover never carry the declaration over.
+func (m *Memory) SetFrozen(t *sim.Thread, on bool) {
+	switch {
+	case on && m.priv != nil && m.priv != frozen:
+		panic(fmt.Sprintf("nvm: %s is private to thread %q and cannot be frozen under thread %q", m.name, m.priv.Name(), t.Name()))
+	case on && len(m.watch) != 0:
+		panic(fmt.Sprintf("nvm: %s has watchers and cannot be frozen under thread %q", m.name, t.Name()))
+	case on && m.holds(t):
+		panic(fmt.Sprintf("nvm: %s is already frozen under thread %q", m.name, t.Name()))
+	case on:
+		m.priv = frozen
+		m.holders = append(m.holders, t)
+	case !m.holds(t):
+		panic(fmt.Sprintf("nvm: thread %q released %s, which is not frozen under it", t.Name(), m.name))
+	default:
+		t.Settle()
+		m.holders = slices.DeleteFunc(m.holders, func(h *sim.Thread) bool { return h == t })
+		if len(m.holders) == 0 {
+			m.priv = nil
+		}
+	}
+}
+
+// holds reports whether t is one of m's holders, which m has only while it is
+// frozen.
+func (m *Memory) holds(t *sim.Thread) bool { return slices.Contains(m.holders, t) }
+
 // gated reports whether an access of t to m leaves the shared path: m is
-// private, or t charged ahead and must settle first. It is the shared path's
-// one test, two loads of lines the access reads anyway.
+// private or frozen, or t charged ahead and must settle first. It is the
+// shared path's one test, two loads of lines the access reads anyway.
 func (m *Memory) gated(t *sim.Thread) bool { return m.priv != nil || t.Ahead() }
 
 // enter is the check at the start of a gated access: to a private memory it
-// must be the owner's, and before any other, t settles.
+// must be the owner's, and before any other, t settles. No access but a
+// holder's load (enterLoad) enters a frozen memory.
 func (m *Memory) enter(t *sim.Thread) {
 	if m.priv == nil {
 		t.Settle()
@@ -383,8 +427,27 @@ func (m *Memory) enter(t *sim.Thread) {
 	}
 }
 
+// enterLoad is enter for a load, which a frozen memory's holders may make.
+// It reports whether the load may charge: on a frozen memory, only a load of
+// a line that is not owned elsewhere, and any other settles first.
+func (m *Memory) enterLoad(t *sim.Thread, line uint64) bool {
+	if m.priv != frozen {
+		m.enter(t)
+		return true
+	}
+	if !m.holds(t) {
+		m.foreign(t, "accessed")
+	}
+	if m.ownedElsewhere(t, line) {
+		t.Settle()
+		return false
+	}
+	return true
+}
+
 // settle is the check before a flush or write-back of m by t, an effect a
-// crash can see: m, if private, must be t's, and t settles either way.
+// crash can see: m, if private, must be t's, and t settles either way. A
+// frozen memory refuses it.
 func (m *Memory) settle(t *sim.Thread) {
 	if m.priv != nil && m.priv != t {
 		m.foreign(t, "accessed")
@@ -393,12 +456,15 @@ func (m *Memory) settle(t *sim.Thread) {
 }
 
 func (m *Memory) foreign(t *sim.Thread, what string) {
+	if m.priv == frozen {
+		panic(fmt.Sprintf("nvm: thread %q %s %s, frozen under thread %q", t.Name(), what, m.name, m.holders[0].Name()))
+	}
 	panic(fmt.Sprintf("nvm: thread %q %s %s, private to thread %q", t.Name(), what, m.name, m.priv.Name()))
 }
 
-// step is the Step of a gated access, entered: on t's private memory a
-// Charge where no hook must see a dispatch decision and sim grants it, else
-// the Step.
+// step is the Step of a gated access, entered: on t's private memory, and
+// for a load that may charge on a frozen one, a Charge where no hook must
+// see a dispatch decision and sim grants it, else the Step.
 func (m *Memory) step(t *sim.Thread, cost uint64) {
 	if m.priv == nil || m.sys.accHook != nil || m.sys.peHook != nil || !t.Charge(cost) {
 		t.Step(cost)
@@ -407,8 +473,9 @@ func (m *Memory) step(t *sim.Thread, cost uint64) {
 
 // Load reads the word at off: LoadBegin, the Step it prices, LoadEnd.
 func (m *Memory) Load(t *sim.Thread, off uint64) uint64 {
-	if m.gated(t) {
-		m.enter(t)
+	if !m.gated(t) {
+		t.Step(m.loadBegin(t, off))
+	} else if m.enterLoad(t, off/WordsPerLine) {
 		m.step(t, m.loadBegin(t, off))
 	} else {
 		t.Step(m.loadBegin(t, off))
@@ -422,7 +489,7 @@ func (m *Memory) Load(t *sim.Thread, off uint64) uint64 {
 // next segment, so a poller's loads are Loads to every observer.
 func (m *Memory) LoadBegin(t *sim.Thread, off uint64) uint64 {
 	if m.gated(t) {
-		m.enter(t)
+		m.enterLoad(t, off/WordsPerLine)
 	}
 	return m.loadBegin(t, off)
 }

@@ -678,24 +678,58 @@ var shapeRules = []shapeRule{
 		},
 	},
 	{
-		// A private memory's owner charges its accesses without a dispatch
-		// decision (DESIGN.md §7, "Private memories"); the persistence
-		// thread's replica heaps are the one such declaration. Another is a
-		// new exactness argument, not a one-line change.
+		// A private memory's owner, and a frozen memory's holders, charge
+		// accesses without a dispatch decision (DESIGN.md §7, "Private
+		// memories"). Two arguments make that exact, and each has one site:
+		// the persistence thread alone touches the persistent replica heaps
+		// while its loop runs (persist.go), and a replica's reader–writer
+		// lock keeps every other thread off its heap under the write lock
+		// and every store off it under a read lock (rwlock.go, whose helpers
+		// are the lock's only callers and declare the heap in each mode). A
+		// declaration elsewhere is a new exactness argument, not a one-line
+		// change.
 		name: "Private memories are declared in one place",
-		checks: []shapeCheck{{scope{under: []string{""}, code: true}, func(t *tree, files []goFile) []string {
-			const persist = "internal/core/persist.go"
-			sites := t.callsTo(files, "SetPrivate called outside "+persist, "internal/nvm.Memory.SetPrivate")
-			out := slices.DeleteFunc(slices.Clone(sites), func(s string) bool { return strings.HasPrefix(s, persist+":") })
-			if len(out) == len(sites) {
-				out = append(out, persist+" no longer declares the replica heaps private")
+		checks: []shapeCheck{{scope{under: []string{""}, code: true}, func(t *tree, files []goFile) (out []string) {
+			const persist, rwlock = "internal/core/persist.go", "internal/core/rwlock.go"
+			declared := map[string]bool{} // "file Method(on)" for every declaration
+			t.inspect(files, func(f goFile, n ast.Node) {
+				fn := callee(f, n)
+				if fn == nil {
+					return
+				}
+				switch name := funcName(fn); name {
+				case "internal/nvm.Memory.SetPrivate", "internal/nvm.Memory.SetFrozen":
+					if f.path != persist && f.path != rwlock {
+						out = append(out, t.at(n)+": "+fn.Name()+" called outside "+persist+" and "+rwlock)
+					}
+					declared[fmt.Sprintf("%s %s(%s)", f.path, fn.Name(), types.ExprString(n.(*ast.CallExpr).Args[1]))] = true
+				case "internal/locks.DistRWLock.WriteLock", "internal/locks.DistRWLock.WriteUnlock",
+					"internal/locks.DistRWLock.ReadLock", "internal/locks.DistRWLock.ReadUnlock":
+					if f.pkg() == "prepuc/internal/core" && f.path != rwlock {
+						out = append(out, t.at(n)+": a replica lock taken outside "+rwlock+"'s helpers")
+					}
+				}
+			})
+			for _, want := range []string{persist + " SetPrivate(true)", rwlock + " SetPrivate(true)",
+				rwlock + " SetPrivate(false)", rwlock + " SetFrozen(true)", rwlock + " SetFrozen(false)"} {
+				if !declared[want] {
+					out = append(out, strings.Replace(want, " ", ": no ", 1)+" (a lock helper or the persistence loop lost its declaration)")
+				}
 			}
 			return out
 		}}},
 		fixtures: []fixture{
 			cmdFile(`import ("prepuc/internal/nvm"; "prepuc/internal/sim"); func own(m *nvm.Memory, t *sim.Thread) { m.SetPrivate(t, true) }`),
+			cmdFile(`import ("prepuc/internal/nvm"; "prepuc/internal/sim"); func freeze(m *nvm.Memory, t *sim.Thread) { m.SetFrozen(t, true) }`),
+			{"internal/core/shapefixture.go": add(coreFixture + "p.reps[0].rw.WriteLock(t) }\n")},
 			{"internal/core/persist.go": func(old string) string {
 				return regexp.MustCompile(`pr\.heap\.SetPrivate\(t, (true|false)\)`).ReplaceAllString(old, "_ = pr.heap")
+			}},
+			{"internal/core/rwlock.go": func(old string) string {
+				return strings.Replace(old, "r.heap.SetFrozen(t, true)", "_ = r.heap", 1)
+			}},
+			{"internal/core/rwlock.go": func(old string) string {
+				return strings.Replace(old, "r.heap.SetPrivate(t, false)", "_ = r.heap", 1)
 			}},
 		},
 	},
@@ -845,7 +879,7 @@ func TestShapeRules(t *testing.T) {
 // rule.
 func TestShapeRulesReadNoCommentOrString(t *testing.T) {
 	const said = `core.Config{} softuc.New(t, sys, cfg) sim.New(0) s.Spawn("w") p.log.SetFull(t, 0) desc.write( ` +
-		`sys.HasMemory("x") import "math/rand" b.Spin() spinCost m.SetPrivate(t, true) func BenchmarkX(b *testing.B)`
+		`sys.HasMemory("x") import "math/rand" b.Spin() spinCost m.SetPrivate(t, true) m.SetFrozen(t, true) rep.rw.WriteLock(t) func BenchmarkX(b *testing.B)`
 	m, err := theModule()
 	if err != nil {
 		t.Fatal(err)
