@@ -250,7 +250,7 @@ func validate() error {
 		return fmt.Errorf("-shards=%d: need at least one ring", load.Shards)
 	case load.RingSize == 0 || load.RingSize&(load.RingSize-1) != 0:
 		return fmt.Errorf("-ring=%d: a ring's capacity is a power of two", load.RingSize)
-	case load.MaxBatch < 1 || load.MaxBatch > core.MaxBatch:
+	case load.MaxBatch < 1 || load.Batched && load.MaxBatch > core.MaxBatch:
 		return fmt.Errorf("-batch=%d: a combiner handoff takes 1 to %d operations", load.MaxBatch, core.MaxBatch)
 	case *instances == 1 && *crashShards != "":
 		return fmt.Errorf("-crash-shards=%s needs -instances > 1", *crashShards)

@@ -65,6 +65,8 @@ func TestValidateNamesIgnoredFlags(t *testing.T) {
 		{map[string]string{"batch": "65"}, "-batch=65"},
 		{map[string]string{"batch": "0"}, "-batch=0"},
 		{map[string]string{"batch": "64"}, ""},
+		{map[string]string{"batched": "false", "batch": "65"}, ""},
+		{map[string]string{"batched": "false", "batch": "0"}, "-batch=0"},
 		{map[string]string{"ring": "1000"}, "-ring=1000"},
 		{map[string]string{"ring": "0"}, "-ring=0"},
 		{map[string]string{"ring": "1"}, ""},

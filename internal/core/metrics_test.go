@@ -86,8 +86,8 @@ func TestVolatileZeroPersistenceTraffic(t *testing.T) {
 	base := w.p.Stats()
 	runBare(w, workers, func(th *sim.Thread, tid int) {
 		for i := uint64(0); i < 50; i++ {
-			w.p.Execute(th, tid, uc.Insert(uint64(tid)<<32 | i, i))
-			w.p.Execute(th, tid, uc.Get(uint64(tid) << 32))
+			w.p.Execute(th, tid, uc.Insert(uint64(tid)<<32|i, i))
+			w.p.Execute(th, tid, uc.Get(uint64(tid)<<32))
 		}
 	})
 	d := w.p.Stats().Sub(base)

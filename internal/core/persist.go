@@ -39,11 +39,11 @@ func (p *PREP) PersistenceLoop(t *sim.Thread) {
 	}
 	f := p.sys.NewFlusher()
 	// No other thread reads or writes the persistent replicas while this
-	// loop runs, so their accesses need no dispatch decision (DESIGN.md §7,
-	// "Private memories"). A crash ends the declaration with the machine:
-	// Recover and Clone do not carry it over.
+	// loop runs, so it holds them as their one writer and their accesses need
+	// no dispatch decision (DESIGN.md §7, "Private memories"). A crash ends
+	// the hold with the machine: Recover and Clone do not carry it over.
 	for _, pr := range p.preps {
-		pr.heap.SetPrivate(t, true)
+		pr.heap.Hold(t, true)
 	}
 	// A previous persistence thread's stop request (StopPersistence sets
 	// gStop and never clears it) must not kill this run: the loop is
@@ -72,7 +72,7 @@ func (p *PREP) PersistenceLoop(t *sim.Thread) {
 		}
 	}
 	for _, pr := range p.preps {
-		pr.heap.SetPrivate(t, false)
+		pr.heap.Release(t)
 	}
 }
 

@@ -15,7 +15,7 @@ func TestSnapshotIndexInvariants(t *testing.T) {
 	w := newWorld(t, cfg, nvm.Config{Costs: sim.UnitCosts()}, 401)
 	w.runWorkers(workers, 0, func(th *sim.Thread, tid int) {
 		for i := uint64(0); i < perWorker; i++ {
-			w.p.Execute(th, tid, uc.Insert(uint64(tid)*1000 + i, i))
+			w.p.Execute(th, tid, uc.Insert(uint64(tid)*1000+i, i))
 		}
 	})
 	w.query(func(th *sim.Thread) {

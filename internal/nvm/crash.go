@@ -29,45 +29,30 @@ import "prepuc/internal/sim"
 func (s *System) Recover(sch *sim.Scheduler) *System {
 	// Materialize unfenced asynchronous flushes. Pending lines are visited
 	// in flusher-creation then issue order, which is deterministic, so a
-	// policy's per-index decisions reproduce from the run's seed.
+	// policy's per-index decisions reproduce from the run's seed. A stateful
+	// policy (fault.Targeted) sees every crash, an empty pending set included.
+	policy := s.policy
+	if policy == nil {
+		policy = coin{s}
+	}
 	var total int
 	for _, f := range s.flushers {
 		total += len(f.pending)
 	}
 	s.met.LinesScannedAtCrash += uint64(total)
-	switch {
-	case s.policy == nil:
-		for _, f := range s.flushers {
-			for _, p := range f.pending {
-				if s.nextRand()&1 == 0 {
-					p.m.persistLine(p.line)
-					s.met.CrashLinesPersisted++
-				} else {
-					s.met.CrashLinesDropped++
-				}
-			}
-			f.pending = nil
-		}
-	case total == 0:
-		// Nothing to materialize, but a stateful policy (fault.Targeted)
-		// must still see this crash: its per-crash state advances even over
-		// an empty pending set.
-		s.policy.BeginCrash(0)
-	default:
-		pending := make([]pendingFlush, 0, total)
-		for _, f := range s.flushers {
-			pending = append(pending, f.pending...)
-			f.pending = nil
-		}
-		s.policy.BeginCrash(len(pending))
-		for i, p := range pending {
-			if s.policy.PersistPending(i) {
+	policy.BeginCrash(total)
+	i := 0
+	for _, f := range s.flushers {
+		for _, p := range f.pending {
+			if policy.PersistPending(i) {
 				p.m.persistLine(p.line)
 				s.met.CrashLinesPersisted++
 			} else {
 				s.met.CrashLinesDropped++
 			}
+			i++
 		}
+		f.pending = nil
 	}
 	ns := &System{
 		sch:      sch,
@@ -110,6 +95,14 @@ func (s *System) Recover(sch *sim.Scheduler) *System {
 	}
 	return ns
 }
+
+// coin is the built-in fault policy, installed while none is set: each
+// pending line persists on a fair coin drawn from the crashed system's seeded
+// RNG.
+type coin struct{ s *System }
+
+func (coin) BeginCrash(int)            {}
+func (c coin) PersistPending(int) bool { return c.s.nextRand()&1 == 0 }
 
 // Clone snapshots the machine — every memory's current and persisted views,
 // dirty and ownership state, pending flush sets, RNG states and a private

@@ -98,8 +98,8 @@ func TestFlushLineSyncDropsPending(t *testing.T) {
 				sys.SetFlushElision(!mode.noElide)
 				m := sys.NewMemory("m", NVM, 0, 64)
 				f := sys.NewFlusher()
-				m.Store(th, 0, 1)             // line 0
-				m.Store(th, WordsPerLine, 2)  // line 1
+				m.Store(th, 0, 1)            // line 0
+				m.Store(th, WordsPerLine, 2) // line 1
 				f.FlushLine(th, m, 0)
 				f.FlushLine(th, m, WordsPerLine)
 				if got := len(f.pending); got != 2 {

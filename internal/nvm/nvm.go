@@ -72,8 +72,8 @@ type Memory struct {
 	kind      Kind
 	home      int // NUMA node, or Interleaved (metadata; see access costs)
 	sys       *System
-	priv      *sim.Thread   // SetPrivate's owner, frozen while SetFrozen's holders read it, nil while shared; every access reads it, as kind and sys
-	holders   []*sim.Thread // SetFrozen's holders, while priv is frozen
+	holders   []*sim.Thread // Hold's holders, empty while m is shared; every access reads it, as kind and sys
+	writer    bool          // the one holder writes; else every holder reads
 	words     uint64
 	data      slab[uint64] // current (cache/DRAM) view
 	persisted slab[uint64] // NVM view; absent for volatile memories
@@ -343,140 +343,99 @@ func (m *Memory) storeCost(t *sim.Thread, line uint64) uint64 {
 	return cost
 }
 
-// SetPrivate declares m private to t (on) or shared again (off). While it is
-// private, only t may access it — any other thread's access, flush or Watch
-// is a bug panic naming m and both threads — and t's Loads, Stores and CASes
-// to it charge their cost and event without a dispatch decision
-// (sim.Thread.Charge), except where a skipped decision would show: under an
-// access or persist-effect hook, and wherever Charge refuses. Every other
-// effect of t settles first (sim.Thread.Settle), and so does the release, so
-// that the next thread to touch m finds it as the definition schedule
-// leaves it. Clone and Recover never carry the declaration over; a crash
-// ends it with the machine.
-func (m *Memory) SetPrivate(t *sim.Thread, on bool) {
+// Hold declares that t holds m until Release(t): alone if write, else among
+// other readers. A writer's Loads, Stores and CASes, and a reader's Loads of
+// lines that are shared or its own, charge their cost and event without a
+// dispatch decision (sim.Thread.Charge), except where a skipped decision
+// would show: under an access or persist-effect hook, and wherever Charge
+// refuses. A reader's load of a line owned elsewhere settles first and steps,
+// because its Begin half moves the line's owner and who pays that transfer
+// depends on the order. Every other effect of a holder settles first
+// (sim.Thread.Settle), and so does Release, so that the next thread to touch
+// m finds it as the definition schedule leaves it.
+//
+// Anything else is a bug panic naming m, the offender and a holder if m has
+// one: a non-holder's access, flush or write-back; a Store, CAS, flush or
+// write-back of a reader-held memory; a Watch of a held one; a hold beside a
+// writer, a write hold beside readers, a second hold by one thread or a hold
+// of a watched memory; and a release by a thread that holds nothing. Clone and Recover never carry a hold over; a crash ends it
+// with the machine.
+func (m *Memory) Hold(t *sim.Thread, write bool) {
 	switch {
-	case on && m.priv == frozen:
-		panic(fmt.Sprintf("nvm: %s is frozen under thread %q and cannot be private to thread %q", m.name, m.holders[0].Name(), t.Name()))
-	case on && m.priv != nil:
-		panic(fmt.Sprintf("nvm: %s is already private to thread %q", m.name, m.priv.Name()))
-	case on && len(m.watch) != 0:
-		panic(fmt.Sprintf("nvm: %s has watchers and cannot be private to thread %q", m.name, t.Name()))
-	case on:
-		m.priv = t
-	case m.priv != t:
-		panic(fmt.Sprintf("nvm: thread %q released %s, which is not private to it", t.Name(), m.name))
-	default:
-		t.Settle()
-		m.priv = nil
+	case m.writer || write && len(m.holders) != 0 || m.holds(t):
+		m.foreign(t, "held")
+	case len(m.watch) != 0:
+		panic(fmt.Sprintf("nvm: %s has watchers and cannot be held by thread %q", m.name, t.Name()))
 	}
+	m.holders = append(m.holders, t)
+	m.writer = write
 }
 
-// frozen is priv's value while m is frozen: a sentinel no thread is, so
-// every access takes the gated path and none passes for the owner's.
-var frozen = new(sim.Thread)
-
-// SetFrozen adds t to m's holders (on) or removes it (off). While m has
-// holders it is frozen: nobody stores to it. A holder's Load of a line that
-// is shared or its own runs its Begin half, which then moves nothing, and
-// charges without a dispatch decision where a private memory's would; such
-// loads commute with every other holder's. A load of a line owned elsewhere
-// settles first and steps, because its Begin half moves the line's owner and
-// who pays that transfer depends on the order. A non-holder's access, and
-// any Store, CAS, flush, write-back or Watch, is a bug panic naming m, the
-// offender and a holder, and so is freezing a private memory. Each holder's
-// release settles. Clone and Recover never carry the declaration over.
-func (m *Memory) SetFrozen(t *sim.Thread, on bool) {
-	switch {
-	case on && m.priv != nil && m.priv != frozen:
-		panic(fmt.Sprintf("nvm: %s is private to thread %q and cannot be frozen under thread %q", m.name, m.priv.Name(), t.Name()))
-	case on && len(m.watch) != 0:
-		panic(fmt.Sprintf("nvm: %s has watchers and cannot be frozen under thread %q", m.name, t.Name()))
-	case on && m.holds(t):
-		panic(fmt.Sprintf("nvm: %s is already frozen under thread %q", m.name, t.Name()))
-	case on:
-		m.priv = frozen
-		m.holders = append(m.holders, t)
-	case !m.holds(t):
-		panic(fmt.Sprintf("nvm: thread %q released %s, which is not frozen under it", t.Name(), m.name))
-	default:
-		t.Settle()
-		m.holders = slices.DeleteFunc(m.holders, func(h *sim.Thread) bool { return h == t })
-		if len(m.holders) == 0 {
-			m.priv = nil
-		}
+// Release ends t's hold on m, which settles t.
+func (m *Memory) Release(t *sim.Thread) {
+	if !m.holds(t) {
+		panic(fmt.Sprintf("nvm: thread %q released %s, which it does not hold", t.Name(), m.name))
 	}
+	t.Settle()
+	m.holders = slices.DeleteFunc(m.holders, func(h *sim.Thread) bool { return h == t })
+	m.writer = false
 }
 
-// holds reports whether t is one of m's holders, which m has only while it is
-// frozen.
 func (m *Memory) holds(t *sim.Thread) bool { return slices.Contains(m.holders, t) }
 
 // gated reports whether an access of t to m leaves the shared path: m is
-// private or frozen, or t charged ahead and must settle first. It is the
-// shared path's one test, two loads of lines the access reads anyway.
-func (m *Memory) gated(t *sim.Thread) bool { return m.priv != nil || t.Ahead() }
+// held, or t charged ahead and must settle first. It is the shared path's one
+// test, two loads of fields the access reads anyway.
+func (m *Memory) gated(t *sim.Thread) bool { return len(m.holders) != 0 || t.Ahead() }
 
-// enter is the check at the start of a gated access: to a private memory it
-// must be the owner's, and before any other, t settles. No access but a
-// holder's load (enterLoad) enters a frozen memory.
-func (m *Memory) enter(t *sim.Thread) {
-	if m.priv == nil {
+// enter is the gate of a gated access of t to line, a Store or CAS if store.
+// It reports whether the access may charge; where it may not, t settles
+// first. Only a holder's access passes a held memory's gate.
+func (m *Memory) enter(t *sim.Thread, line uint64, store bool) (charge bool) {
+	switch {
+	case len(m.holders) == 0:
 		t.Settle()
-	} else if m.priv != t {
-		m.foreign(t, "accessed")
-	}
-}
-
-// enterLoad is enter for a load, which a frozen memory's holders may make.
-// It reports whether the load may charge: on a frozen memory, only a load of
-// a line that is not owned elsewhere, and any other settles first.
-func (m *Memory) enterLoad(t *sim.Thread, line uint64) bool {
-	if m.priv != frozen {
-		m.enter(t)
+		return false
+	case m.writer && m.holders[0] == t:
 		return true
-	}
-	if !m.holds(t) {
+	case m.writer || store || !m.holds(t):
 		m.foreign(t, "accessed")
-	}
-	if m.ownedElsewhere(t, line) {
+	case m.ownedElsewhere(t, line):
 		t.Settle()
 		return false
 	}
 	return true
 }
 
-// settle is the check before a flush or write-back of m by t, an effect a
-// crash can see: m, if private, must be t's, and t settles either way. A
-// frozen memory refuses it.
+// settle is the gate of a flush or write-back of m by t, an effect a crash
+// can see: it passes where a store would, and t settles even where a store
+// would charge.
 func (m *Memory) settle(t *sim.Thread) {
-	if m.priv != nil && m.priv != t {
-		m.foreign(t, "accessed")
+	if m.enter(t, NoLine, true) {
+		t.Settle()
 	}
-	t.Settle()
 }
 
 func (m *Memory) foreign(t *sim.Thread, what string) {
-	if m.priv == frozen {
-		panic(fmt.Sprintf("nvm: thread %q %s %s, frozen under thread %q", t.Name(), what, m.name, m.holders[0].Name()))
+	held := "frozen under"
+	if m.writer {
+		held = "private to"
 	}
-	panic(fmt.Sprintf("nvm: thread %q %s %s, private to thread %q", t.Name(), what, m.name, m.priv.Name()))
+	panic(fmt.Sprintf("nvm: thread %q %s %s, %s thread %q", t.Name(), what, m.name, held, m.holders[0].Name()))
 }
 
-// step is the Step of a gated access, entered: on t's private memory, and
-// for a load that may charge on a frozen one, a Charge where no hook must
-// see a dispatch decision and sim grants it, else the Step.
-func (m *Memory) step(t *sim.Thread, cost uint64) {
-	if m.priv == nil || m.sys.accHook != nil || m.sys.peHook != nil || !t.Charge(cost) {
+// charge is the Step of an access the gate let charge: a Charge where no hook
+// must see a dispatch decision and sim grants it, else the Step.
+func (m *Memory) charge(t *sim.Thread, cost uint64) {
+	if m.sys.accHook != nil || m.sys.peHook != nil || !t.Charge(cost) {
 		t.Step(cost)
 	}
 }
 
 // Load reads the word at off: LoadBegin, the Step it prices, LoadEnd.
 func (m *Memory) Load(t *sim.Thread, off uint64) uint64 {
-	if !m.gated(t) {
-		t.Step(m.loadBegin(t, off))
-	} else if m.enterLoad(t, off/WordsPerLine) {
-		m.step(t, m.loadBegin(t, off))
+	if m.gated(t) && m.enter(t, off/WordsPerLine, false) {
+		m.charge(t, m.loadBegin(t, off))
 	} else {
 		t.Step(m.loadBegin(t, off))
 	}
@@ -489,7 +448,7 @@ func (m *Memory) Load(t *sim.Thread, off uint64) uint64 {
 // next segment, so a poller's loads are Loads to every observer.
 func (m *Memory) LoadBegin(t *sim.Thread, off uint64) uint64 {
 	if m.gated(t) {
-		m.enterLoad(t, off/WordsPerLine)
+		m.enter(t, off/WordsPerLine, false)
 	}
 	return m.loadBegin(t, off)
 }
@@ -513,7 +472,7 @@ func (m *Memory) LoadEnd(off uint64) uint64 {
 // load. When they are, t now watches the line: the next Store or CAS to it
 // wakes t (sim.Scheduler.Wake) before each of its halves. Unwatch ends it.
 func (m *Memory) Watch(t *sim.Thread, off uint64) (v uint64, ok bool) {
-	if m.priv != nil {
+	if len(m.holders) != 0 {
 		m.foreign(t, "watched")
 	}
 	line := off / WordsPerLine
@@ -570,9 +529,8 @@ func (m *Memory) markDirty(line uint64) {
 // StoreEnd. For NVM memories the store dirties the containing line and may
 // trigger a background write-back.
 func (m *Memory) Store(t *sim.Thread, off uint64, v uint64) {
-	if m.gated(t) {
-		m.enter(t)
-		m.step(t, m.storeBegin(t, off, AccStore))
+	if m.gated(t) && m.enter(t, off/WordsPerLine, true) {
+		m.charge(t, m.storeBegin(t, off, AccStore))
 	} else {
 		t.Step(m.storeBegin(t, off, AccStore))
 	}
@@ -601,7 +559,7 @@ func (m *Memory) linePending(line uint64) bool {
 // observer.
 func (m *Memory) StoreBegin(t *sim.Thread, off uint64) uint64 {
 	if m.gated(t) {
-		m.enter(t)
+		m.enter(t, off/WordsPerLine, true)
 	}
 	return m.storeBegin(t, off, AccStore)
 }
@@ -627,7 +585,7 @@ func (m *Memory) StoreEnd(t *sim.Thread, off uint64, v uint64) {
 // CASBegin is CAS's pre-Step half, as StoreBegin is Store's.
 func (m *Memory) CASBegin(t *sim.Thread, off uint64) uint64 {
 	if m.gated(t) {
-		m.enter(t)
+		m.enter(t, off/WordsPerLine, true)
 	}
 	return m.storeBegin(t, off, AccCAS)
 }
@@ -668,9 +626,8 @@ func (m *Memory) written(t *sim.Thread, line uint64) {
 // prices, CASEnd. Failed CASes still acquire the line exclusively, as on real
 // hardware.
 func (m *Memory) CAS(t *sim.Thread, off, old, new uint64) bool {
-	if m.gated(t) {
-		m.enter(t)
-		m.step(t, m.storeBegin(t, off, AccCAS))
+	if m.gated(t) && m.enter(t, off/WordsPerLine, true) {
+		m.charge(t, m.storeBegin(t, off, AccCAS))
 	} else {
 		t.Step(m.storeBegin(t, off, AccCAS))
 	}
@@ -793,47 +750,41 @@ func (m *Memory) FlushRegion(t *sim.Thread, from, to uint64) {
 	first := from / WordsPerLine
 	last := (to - 1) / WordsPerLine
 	lines := last - first + 1
+	// With FliT-style elision on, only the range's dirty lines are charged a
+	// FlushLine and written back, and clean lines cost one state check each;
+	// off, every line is both. Persisting a clean line is a no-op, so only the
+	// cost model and the accounting differ. The cost is priced from the
+	// pre-Step dirty count and the write-back happens after the Step, so both
+	// modes observe the same post-yield line state. FencePerPending is charged
+	// for every line in the range either way: the trailing fence's drain walk
+	// covers the whole region, and the region flush stays the same number of
+	// unit-cost steps in both modes, so elision-on and reference runs stay
+	// schedule-identical under sim.UnitCosts (the property the on/off
+	// equivalence suite pins word-for-word).
+	dirty := lines
 	if m.sys.elide {
-		// FliT-style elision: only the dirty lines in the range are written
-		// back and charged; clean lines cost one state check each. The
-		// persisted view is identical either way (persisting a clean line is
-		// a no-op), so only the cost model and accounting change. The cost is
-		// priced from the pre-Step dirty count and the write-back happens
-		// after the Step, mirroring the reference branch's charge-then-act
-		// order so both modes observe the same post-yield line state.
-		// FencePerPending is charged for every line in the range, not just
-		// the written-back subset: the trailing fence's drain walk covers the
-		// whole region either way — and it keeps a region flush the same
-		// number of unit-cost steps in both modes, so elision-on and
-		// reference runs stay schedule-identical under sim.UnitCosts (the
-		// property the on/off equivalence suite pins word-for-word).
-		var dirty uint64
+		dirty = 0
 		for line := first; line <= last; line++ {
 			if m.dstate.load(line)&lineDirty != 0 {
 				dirty++
 			}
 		}
-		t.Step(m.sys.costs.FlushLine*dirty + m.sys.costs.FlushCheck*(lines-dirty) +
-			m.sys.costs.Fence + m.sys.costs.FencePerPending*lines)
-		m.sys.met.Fences++
-		var wrote uint64
-		for line := first; line <= last; line++ {
-			if m.dstate.load(line)&lineDirty != 0 {
-				m.persistLine(line)
-				wrote++
-			}
+	}
+	t.Step(m.sys.costs.FlushLine*dirty + m.sys.costs.FlushCheck*(lines-dirty) +
+		m.sys.costs.Fence + m.sys.costs.FencePerPending*lines)
+	m.sys.met.Fences++
+	var wrote uint64
+	for line := first; line <= last; line++ {
+		if !m.sys.elide || m.dstate.load(line)&lineDirty != 0 {
+			m.persistLine(line)
+			wrote++
 		}
-		m.sys.met.FlushAsync += wrote
+	}
+	m.sys.met.FlushAsync += wrote
+	if m.sys.elide {
 		m.sys.met.FlushesElided += lines - wrote
 		m.sys.met.FlushElisionChecks += lines
-		return
 	}
-	t.Step(m.sys.costs.FlushLine*lines + m.sys.costs.Fence + m.sys.costs.FencePerPending*lines)
-	m.sys.met.Fences++
-	for line := first; line <= last; line++ {
-		m.persistLine(line)
-	}
-	m.sys.met.FlushAsync += lines
 }
 
 // FlushAllDirty write-backs every currently dirty line and fences, as one

@@ -92,8 +92,8 @@ func TestReadsDoNotFlushOrFence(t *testing.T) {
 	_ = statsBefore
 	w.run(1, 0, 201, func(th *sim.Thread, tid int) {
 		for k := uint64(0); k < 200; k++ {
-			w.s.Execute(th, tid, uc.Get(k % 50))
-			w.s.Execute(th, tid, uc.Contains(k % 50))
+			w.s.Execute(th, tid, uc.Get(k%50))
+			w.s.Execute(th, tid, uc.Contains(k%50))
 		}
 	})
 	if got := w.sys.Metrics().Snapshot().Fences; got != fencesBefore {
@@ -121,7 +121,7 @@ func TestConcurrentDistinctKeys(t *testing.T) {
 	w.run(workers, 0, 400, func(th *sim.Thread, tid int) {
 		for i := uint64(0); i < per; i++ {
 			k := uint64(tid)*1000 + i
-			if got := w.s.Execute(th, tid, uc.Insert(k, k + 5)); got != 1 {
+			if got := w.s.Execute(th, tid, uc.Insert(k, k+5)); got != 1 {
 				t.Errorf("insert = %d", got)
 			}
 		}

@@ -26,7 +26,7 @@ func TestEngineConfigValidation(t *testing.T) {
 		if err != nil {
 			return
 		}
-		cfg := svc.Config{Topology: topo(), Shards: 2, RingSize: 16}
+		cfg := svc.Config{Topology: topo(), Shards: 2, RingSize: 16, MaxBatch: 8}
 		if _, e := svc.New(th, sys, cfg); e == nil {
 			t.Error("config without an engine accepted")
 		}
@@ -87,14 +87,14 @@ func TestInvocationIDBounds(t *testing.T) {
 		}
 		_, err = svc.New(th, sys, svc.Config{
 			Engine: eng, Topology: topo(), Shards: svc.MaxInvidShard + 2,
-			RingSize: 16, Detect: true,
+			RingSize: 16, MaxBatch: 8, Detect: true,
 		})
 		if err == nil || !strings.Contains(err.Error(), "invocation-id") {
 			t.Errorf("oversized shard count: err = %v, want invocation-id bound error", err)
 		}
 		_, err = svc.New(th, sys, svc.Config{
 			Engine: eng, Topology: topo(), Shards: 2,
-			RingSize: 16, Detect: true, InvidEpoch: svc.MaxInvidEpoch + 1,
+			RingSize: 16, MaxBatch: 8, Detect: true, InvidEpoch: svc.MaxInvidEpoch + 1,
 		})
 		if err == nil || !strings.Contains(err.Error(), "invocation-id") {
 			t.Errorf("oversized epoch: err = %v, want invocation-id bound error", err)
@@ -104,7 +104,7 @@ func TestInvocationIDBounds(t *testing.T) {
 		// ring memories are real.)
 		_, err = svc.New(th, sys, svc.Config{
 			Engine: eng, Topology: topo(), Shards: 2,
-			RingSize: 16, InvidEpoch: svc.MaxInvidEpoch + 1,
+			RingSize: 16, MaxBatch: 8, InvidEpoch: svc.MaxInvidEpoch + 1,
 		})
 		if err != nil {
 			t.Errorf("non-detect config rejected: %v", err)

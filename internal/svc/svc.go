@@ -146,8 +146,8 @@ type Config struct {
 	Shards int
 	// RingSize is the per-shard ring capacity in entries (power of two).
 	RingSize uint64
-	// MaxBatch caps how many contiguous entries one drain hands to
-	// ExecuteBatch; 0 means core.MaxBatch-compatible 64.
+	// MaxBatch caps how many contiguous entries one drain takes, handed to
+	// ExecuteBatch or executed one by one; it must be positive.
 	MaxBatch int
 	// NamePrefix namespaces the ring memories. Memory names are global to a
 	// System and survive Recover, so a service built on a recovered system
@@ -224,6 +224,9 @@ func New(t *sim.Thread, sys *nvm.System, cfg Config) (*Service, error) {
 	if cfg.RingSize == 0 || cfg.RingSize&(cfg.RingSize-1) != 0 {
 		return nil, fmt.Errorf("svc: RingSize must be a power of two, got %d", cfg.RingSize)
 	}
+	if cfg.MaxBatch <= 0 {
+		return nil, fmt.Errorf("svc: MaxBatch must be positive, got %d", cfg.MaxBatch)
+	}
 	if cfg.Engine == nil {
 		return nil, fmt.Errorf("svc: Engine must be set")
 	}
@@ -237,9 +240,6 @@ func New(t *sim.Thread, sys *nvm.System, cfg Config) (*Service, error) {
 			return nil, fmt.Errorf("svc: InvidEpoch %d exceeds the invocation-id epoch field (max %d)",
 				cfg.InvidEpoch, MaxInvidEpoch)
 		}
-	}
-	if cfg.MaxBatch <= 0 {
-		cfg.MaxBatch = 64
 	}
 	if cfg.NamePrefix == "" {
 		cfg.NamePrefix = "svc"

@@ -1,6 +1,7 @@
 package svc_test
 
 import (
+	"strings"
 	"testing"
 
 	"prepuc/internal/core"
@@ -287,6 +288,9 @@ func TestConfigValidation(t *testing.T) {
 		}
 		if _, err := svc.New(th, sys, svc.Config{Shards: 1, RingSize: 100}); err == nil {
 			t.Error("non-power-of-two RingSize accepted")
+		}
+		if _, err := svc.New(th, sys, svc.Config{Shards: 1, RingSize: 64}); err == nil || !strings.Contains(err.Error(), "MaxBatch") {
+			t.Errorf("MaxBatch=0: err = %v, want one naming MaxBatch", err)
 		}
 	})
 	sch.Run()

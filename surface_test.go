@@ -1,9 +1,11 @@
 package prepuc
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"go/ast"
+	"go/format"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -194,6 +196,7 @@ type module struct {
 	pkgs  map[string]*types.Package // by import path
 	files []*ast.File
 	tests []*ast.File
+	src   map[string][]byte // every Go file's source, by path
 	decls []surfaceDecl
 }
 
@@ -218,6 +221,7 @@ func loadModule() (*module, error) {
 		fset: token.NewFileSet(),
 		info: newInfo(),
 		pkgs: map[string]*types.Package{},
+		src:  map[string][]byte{},
 	}
 	dirs := map[string][]*ast.File{} // import path → files
 	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
@@ -233,7 +237,12 @@ func loadModule() (*module, error) {
 		if !strings.HasSuffix(p, ".go") {
 			return nil
 		}
-		f, err := parser.ParseFile(m.fset, filepath.ToSlash(p), nil, parser.SkipObjectResolution)
+		src, err := os.ReadFile(p)
+		if err != nil {
+			return err
+		}
+		m.src[filepath.ToSlash(p)] = src
+		f, err := parser.ParseFile(m.fset, filepath.ToSlash(p), src, parser.SkipObjectResolution)
 		if err != nil {
 			return err
 		}
@@ -470,10 +479,10 @@ func recvName(e ast.Expr) string {
 
 // shapeRules hold the protocol's code to its shape: each one names a thing
 // the repository does in exactly one way, and reports a second way growing
-// back. Every rule but the interpreter count matches on the syntax tree or
-// on types, so a comment never trips one, and a string trips only the two
-// whose subject is a string literal. Each fixture is a violation laid over
-// the tree that the rule must report.
+// back. Every rule but the interpreter count and the layout rule matches on
+// the syntax tree or on types, so a comment never trips one, and a string
+// trips only the two whose subject is a string literal. Each fixture is a
+// violation laid over the tree that the rule must report.
 var shapeRules = []shapeRule{
 	{
 		// Every tool sizes constructions through uc.Sizing and the packages'
@@ -678,31 +687,41 @@ var shapeRules = []shapeRule{
 		},
 	},
 	{
-		// A private memory's owner, and a frozen memory's holders, charge
-		// accesses without a dispatch decision (DESIGN.md §7, "Private
-		// memories"). Two arguments make that exact, and each has one site:
-		// the persistence thread alone touches the persistent replica heaps
-		// while its loop runs (persist.go), and a replica's reader–writer
-		// lock keeps every other thread off its heap under the write lock
-		// and every store off it under a read lock (rwlock.go, whose helpers
-		// are the lock's only callers and declare the heap in each mode). A
-		// declaration elsewhere is a new exactness argument, not a one-line
-		// change.
+		// A held memory's holders charge accesses without a dispatch
+		// decision (DESIGN.md §7, "Private memories"). Two arguments make
+		// that exact, and each has one site: the persistence thread alone
+		// touches the persistent replica heaps while its loop runs
+		// (persist.go), and a replica's reader–writer lock keeps every other
+		// thread off its heap under the write lock and every store off it
+		// under a read lock (rwlock.go, whose four helpers are the lock's
+		// only callers and each take or release the heap's hold). A hold
+		// elsewhere is a new exactness argument, not a one-line change.
 		name: "Private memories are declared in one place",
 		checks: []shapeCheck{{scope{under: []string{""}, code: true}, func(t *tree, files []goFile) (out []string) {
 			const persist, rwlock = "internal/core/persist.go", "internal/core/rwlock.go"
-			declared := map[string]bool{} // "file Method(on)" for every declaration
+			held := map[string]bool{} // "file func Hold(write)" and "file func Release" for every call
+			decl := ""                // the top-level function being walked
 			t.inspect(files, func(f goFile, n ast.Node) {
+				switch n := n.(type) {
+				case *ast.FuncDecl:
+					decl = n.Name.Name
+				case *ast.GenDecl:
+					decl = ""
+				}
 				fn := callee(f, n)
 				if fn == nil {
 					return
 				}
 				switch name := funcName(fn); name {
-				case "internal/nvm.Memory.SetPrivate", "internal/nvm.Memory.SetFrozen":
+				case "internal/nvm.Memory.Hold", "internal/nvm.Memory.Release":
 					if f.path != persist && f.path != rwlock {
 						out = append(out, t.at(n)+": "+fn.Name()+" called outside "+persist+" and "+rwlock)
 					}
-					declared[fmt.Sprintf("%s %s(%s)", f.path, fn.Name(), types.ExprString(n.(*ast.CallExpr).Args[1]))] = true
+					call := f.path + " " + decl + " " + fn.Name()
+					if args := n.(*ast.CallExpr).Args; len(args) == 2 {
+						call += "(" + types.ExprString(args[1]) + ")"
+					}
+					held[call] = true
 				case "internal/locks.DistRWLock.WriteLock", "internal/locks.DistRWLock.WriteUnlock",
 					"internal/locks.DistRWLock.ReadLock", "internal/locks.DistRWLock.ReadUnlock":
 					if f.pkg() == "prepuc/internal/core" && f.path != rwlock {
@@ -710,26 +729,37 @@ var shapeRules = []shapeRule{
 					}
 				}
 			})
-			for _, want := range []string{persist + " SetPrivate(true)", rwlock + " SetPrivate(true)",
-				rwlock + " SetPrivate(false)", rwlock + " SetFrozen(true)", rwlock + " SetFrozen(false)"} {
-				if !declared[want] {
-					out = append(out, strings.Replace(want, " ", ": no ", 1)+" (a lock helper or the persistence loop lost its declaration)")
+			for _, want := range []string{persist + " PersistenceLoop Hold(true)", persist + " PersistenceLoop Release",
+				rwlock + " writeLock Hold(true)", rwlock + " writeUnlock Release",
+				rwlock + " readLock Hold(false)", rwlock + " readUnlock Release"} {
+				if !held[want] {
+					file, call, _ := strings.Cut(want, " ")
+					out = append(out, file+": no "+call+" (a lock helper or the persistence loop lost its hold)")
 				}
 			}
 			return out
 		}}},
 		fixtures: []fixture{
-			cmdFile(`import ("prepuc/internal/nvm"; "prepuc/internal/sim"); func own(m *nvm.Memory, t *sim.Thread) { m.SetPrivate(t, true) }`),
-			cmdFile(`import ("prepuc/internal/nvm"; "prepuc/internal/sim"); func freeze(m *nvm.Memory, t *sim.Thread) { m.SetFrozen(t, true) }`),
+			cmdFile(`import ("prepuc/internal/nvm"; "prepuc/internal/sim"); func own(m *nvm.Memory, t *sim.Thread) { m.Hold(t, true) }`),
+			cmdFile(`import ("prepuc/internal/nvm"; "prepuc/internal/sim"); func drop(m *nvm.Memory, t *sim.Thread) { m.Release(t) }`),
 			{"internal/core/shapefixture.go": add(coreFixture + "p.reps[0].rw.WriteLock(t) }\n")},
 			{"internal/core/persist.go": func(old string) string {
-				return regexp.MustCompile(`pr\.heap\.SetPrivate\(t, (true|false)\)`).ReplaceAllString(old, "_ = pr.heap")
+				return strings.Replace(old, "pr.heap.Hold(t, true)", "_ = pr.heap", 1)
+			}},
+			{"internal/core/persist.go": func(old string) string {
+				return strings.Replace(old, "pr.heap.Release(t)", "_ = pr.heap", 1)
 			}},
 			{"internal/core/rwlock.go": func(old string) string {
-				return strings.Replace(old, "r.heap.SetFrozen(t, true)", "_ = r.heap", 1)
+				return strings.Replace(old, "r.heap.Hold(t, true)", "_ = r.heap", 1)
 			}},
 			{"internal/core/rwlock.go": func(old string) string {
-				return strings.Replace(old, "r.heap.SetPrivate(t, false)", "_ = r.heap", 1)
+				return strings.Replace(old, "r.heap.Release(t)\n\tr.rw.WriteUnlock(t)", "_ = r.heap\n\tr.rw.WriteUnlock(t)", 1)
+			}},
+			{"internal/core/rwlock.go": func(old string) string {
+				return strings.Replace(old, "r.heap.Hold(t, false)", "_ = r.heap", 1)
+			}},
+			{"internal/core/rwlock.go": func(old string) string {
+				return strings.Replace(old, "r.heap.Release(t)\n\tr.rw.ReadUnlock(t, slot)", "_ = r.heap\n\tr.rw.ReadUnlock(t, slot)", 1)
 			}},
 		},
 	},
@@ -749,6 +779,24 @@ var shapeRules = []shapeRule{
 		}}},
 		fixtures: []fixture{
 			cmdFile(`const name = "crasher"`),
+		},
+	},
+	{
+		// Go source has one layout, gofmt's, tests included; CI runs no
+		// formatter of its own, so this is where an unformatted file fails.
+		// The frozen benchmark is left as it is.
+		name: "Go files are gofmt-clean",
+		checks: []shapeCheck{{scope{under: []string{""}, except: []string{"benchmark/"}, code: true, tests: true}, func(t *tree, files []goFile) (out []string) {
+			for _, f := range files {
+				if formatted, err := format.Source(f.src); err != nil || !bytes.Equal(formatted, f.src) {
+					out = append(out, f.path+": not gofmt-clean (run gofmt -w)")
+				}
+			}
+			return out
+		}}},
+		fixtures: []fixture{
+			cmdFile("var  unformatted = 1"),
+			{"internal/seq/shapefixture_test.go": add("package seq\n\nfunc unformatted() {\nreturn\n}\n")},
 		},
 	},
 	{
@@ -879,7 +927,7 @@ func TestShapeRules(t *testing.T) {
 // rule.
 func TestShapeRulesReadNoCommentOrString(t *testing.T) {
 	const said = `core.Config{} softuc.New(t, sys, cfg) sim.New(0) s.Spawn("w") p.log.SetFull(t, 0) desc.write( ` +
-		`sys.HasMemory("x") import "math/rand" b.Spin() spinCost m.SetPrivate(t, true) m.SetFrozen(t, true) rep.rw.WriteLock(t) func BenchmarkX(b *testing.B)`
+		`sys.HasMemory("x") import "math/rand" b.Spin() spinCost m.Hold(t, true) m.Release(t) rep.rw.WriteLock(t) func BenchmarkX(b *testing.B)`
 	m, err := theModule()
 	if err != nil {
 		t.Fatal(err)
@@ -923,6 +971,7 @@ type goFile struct {
 	path string // slash-separated, from the module root
 	ast  *ast.File
 	info *types.Info
+	src  []byte
 }
 
 func (f goFile) test() bool  { return strings.HasSuffix(f.path, "_test.go") }
@@ -941,11 +990,11 @@ func (m *module) tree(fx fixture) (*tree, error) {
 	byPath := map[string]goFile{}
 	for _, f := range m.files {
 		p := m.fset.File(f.Pos()).Name()
-		byPath[p] = goFile{p, f, m.info}
+		byPath[p] = goFile{p, f, m.info, m.src[p]}
 	}
 	for _, f := range m.tests {
 		p := m.fset.File(f.Pos()).Name()
-		byPath[p] = goFile{p, f, nil}
+		byPath[p] = goFile{p, f, nil, m.src[p]}
 	}
 	touched := map[string]bool{} // directories whose code is checked again
 	for p, edit := range fx {
@@ -965,7 +1014,7 @@ func (m *module) tree(fx fixture) (*tree, error) {
 		if err != nil {
 			return nil, err
 		}
-		byPath[p] = goFile{p, f, nil}
+		byPath[p] = goFile{p, f, nil, []byte(src)}
 		if !byPath[p].test() {
 			touched[path.Dir(p)] = true
 		}
