@@ -239,18 +239,25 @@ func (p *PREP) checkpoint(t *sim.Thread) {
 // Prefill applies ops directly to every replica — volatile and persistent —
 // before measurement, then re-checkpoints the persistent state. It must run
 // before any worker executes operations (the log stays empty; prefilled
-// state plays the role of the recovered-from checkpoint).
+// state plays the role of the recovered-from checkpoint). The ops are
+// replayed once, into replica 0, while nvm.Memory.Mirror applies every access
+// to the other replica heaps too: each heap, its persisted view and the boot
+// thread's clock end exactly as a replay into each replica would leave them
+// (DESIGN.md §7, "Prefill by mirror").
 func (p *PREP) Prefill(t *sim.Thread, ops []uc.Op) {
-	for _, r := range p.reps {
-		for _, op := range ops {
-			r.ds.Execute(t, op.Code, op.A0, op.A1)
-		}
+	src := p.reps[0]
+	dsts := make([]*nvm.Memory, 0, len(p.reps)-1+len(p.preps))
+	for _, r := range p.reps[1:] {
+		dsts = append(dsts, r.heap)
 	}
 	for _, pr := range p.preps {
-		for _, op := range ops {
-			pr.ds.Execute(t, op.Code, op.A0, op.A1)
-		}
+		dsts = append(dsts, pr.heap)
 	}
+	src.heap.Mirror(t, dsts...)
+	for _, op := range ops {
+		src.ds.Execute(t, op.Code, op.A0, op.A1)
+	}
+	src.heap.Release(t)
 	if p.cfg.Mode.Persistent() {
 		p.checkpoint(t)
 	}

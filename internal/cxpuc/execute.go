@@ -167,14 +167,21 @@ func (cx *CX) applyThrough(t *sim.Thread, r *cxReplica, upTo uint64) uint64 {
 }
 
 // Prefill applies ops directly to every replica before measurement and
-// persists the published one.
+// persists the published one. The ops are replayed once, into replica 0,
+// while nvm.Memory.Mirror applies every access to the other replica heaps
+// too, so each ends exactly as a replay into it would leave it (DESIGN.md §7,
+// "Prefill by mirror").
 func (cx *CX) Prefill(t *sim.Thread, ops []uc.Op) {
-	for _, r := range cx.reps {
-		for _, op := range ops {
-			r.ds.Execute(t, op.Code, op.A0, op.A1)
-		}
-	}
 	r0 := cx.reps[0]
+	dsts := make([]*nvm.Memory, 0, len(cx.reps)-1)
+	for _, r := range cx.reps[1:] {
+		dsts = append(dsts, r.heap)
+	}
+	r0.heap.Mirror(t, dsts...)
+	for _, op := range ops {
+		r0.ds.Execute(t, op.Code, op.A0, op.A1)
+	}
+	r0.heap.Release(t)
 	r0.heap.FlushRegion(t, 0, r0.alloc.HeapTop(t))
 	cx.flush.FlushLineSync(t, cx.meta, metaLatest)
 }

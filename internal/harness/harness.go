@@ -112,9 +112,11 @@ func RunFigure(fig Figure, sc Scale, seed int64, jobs int, w io.Writer) ([]Point
 }
 
 // cellMachine boots one closed-loop figure cell: algo built for threads
-// workers on a fresh machine and prefilled, all on the boot thread. The
-// cell's one driver takes its auxiliary threads from the built system's
-// Background.
+// workers on a fresh machine and prefilled, all on the boot thread. A
+// construction with several replicas replays the prefill once and mirrors it
+// to the others (nvm.Memory.Mirror; DESIGN.md §7, "Prefill by mirror"), so
+// set-up costs one replay per construction, not one per replica. The cell's
+// one driver takes its auxiliary threads from the built system's Background.
 func cellMachine(sc Scale, algo AlgoSpec, threads int, seed int64, prefill []uc.Op) (*Machine, error) {
 	d := &uc.Driver{Name: algo.Name}
 	d.Boot = func(t *sim.Thread, sys *nvm.System) (uc.UC, error) {

@@ -1,6 +1,9 @@
 package nvm
 
-import "sync/atomic"
+import (
+	"slices"
+	"sync/atomic"
+)
 
 // Copy-on-write slabs back every Memory view (data, persisted, ownership,
 // dirty state) so that creating, cloning and crash-recovering a System costs
@@ -117,4 +120,22 @@ func (s *slab[T]) share(copied *uint64) slab[T] {
 		atomic.AddInt32(&p.ref, 1)
 	}
 	return slab[T]{pages: append([]*page[T](nil), s.pages...), copied: copied}
+}
+
+// zero reports whether p is a zero page, which no slab writes.
+func (p *page[T]) zero() bool { return atomic.LoadInt32(&p.ref) > zeroPinned/2 }
+
+// sameSlabs reports whether a and b hold the same values. A page the two
+// share, or a zero page in both, compares without a walk, so two fresh slabs
+// compare in O(pages).
+func sameSlabs[T comparable](a, b *slab[T]) bool {
+	if len(a.pages) != len(b.pages) {
+		return false
+	}
+	for i, p := range a.pages {
+		if q := b.pages[i]; p != q && !(p.zero() && q.zero()) && !slices.Equal(p.vals, q.vals) {
+			return false
+		}
+	}
+	return true
 }

@@ -74,6 +74,7 @@ type Memory struct {
 	sys       *System
 	holders   []*sim.Thread // Hold's holders, empty while m is shared; every access reads it, as kind and sys
 	writer    bool          // the one holder writes; else every holder reads
+	mirrored  bool          // m is a Mirror's source or destination (mir); in writer's padding, so no field moves
 	words     uint64
 	data      slab[uint64] // current (cache/DRAM) view
 	persisted slab[uint64] // NVM view; absent for volatile memories
@@ -98,6 +99,7 @@ type Memory struct {
 	// memory; a Store or CAS to one of those lines wakes them. Host-side,
 	// empty whenever no waiter is parked.
 	watch []watcher
+	mir   *mirror // the mirror m belongs to while mirrored; only mirror code reads it
 }
 
 // watcher is one thread watching one line.
@@ -297,13 +299,24 @@ func (m *Memory) transferCost(t *sim.Thread, line uint64) uint64 {
 	return m.sys.costs.CoherenceRemote
 }
 
+// basePrice is what a load, or a store or CAS if store, of a line costs
+// where it moves no ownership: loadCost and storeCost add the rest.
+func (m *Memory) basePrice(store bool) uint64 {
+	cost := m.sys.costs.LocalAccess
+	switch {
+	case m.kind != NVM:
+	case store:
+		cost += m.sys.costs.NVMStoreExtra
+	default:
+		cost += m.sys.costs.NVMLoadExtra
+	}
+	return cost
+}
+
 // loadCost prices a load of the line from thread t and downgrades foreign
 // exclusively-owned lines to shared (MSI's M→S on a remote read).
 func (m *Memory) loadCost(t *sim.Thread, line uint64) uint64 {
-	cost := m.sys.costs.LocalAccess
-	if m.kind == NVM {
-		cost += m.sys.costs.NVMLoadExtra
-	}
+	cost := m.basePrice(false)
 	if m.ownedElsewhere(t, line) {
 		cost += m.transferCost(t, line)
 		m.owner.store(line, ownerShared)
@@ -322,10 +335,7 @@ func (m *Memory) ownedElsewhere(t *sim.Thread, line uint64) bool {
 // shared lines pay an invalidation, stores to foreign-owned lines a
 // transfer (MSI's S/M→M elsewhere → M here).
 func (m *Memory) storeCost(t *sim.Thread, line uint64) uint64 {
-	cost := m.sys.costs.LocalAccess
-	if m.kind == NVM {
-		cost += m.sys.costs.NVMStoreExtra
-	}
+	cost := m.basePrice(true)
 	switch own := m.owner.load(line); {
 	case own == ownerOf(t.ID()):
 		// already exclusive; ownership state is already exactly what the
@@ -359,7 +369,8 @@ func (m *Memory) storeCost(t *sim.Thread, line uint64) uint64 {
 // write-back of a reader-held memory; a Watch of a held one; a hold beside a
 // writer, a write hold beside readers, a second hold by one thread or a hold
 // of a watched memory; and a release by a thread that holds nothing. Clone and Recover never carry a hold over; a crash ends it
-// with the machine.
+// with the machine. Mirror is a write hold with destinations attached, and
+// Release ends it too.
 func (m *Memory) Hold(t *sim.Thread, write bool) {
 	switch {
 	case m.writer || write && len(m.holders) != 0 || m.holds(t):
@@ -376,9 +387,17 @@ func (m *Memory) Release(t *sim.Thread) {
 	if !m.holds(t) {
 		panic(fmt.Sprintf("nvm: thread %q released %s, which it does not hold", t.Name(), m.name))
 	}
+	var mr *mirror
+	if m.mirrored {
+		mr = m.mir
+		mr.detach(t, m)
+	}
 	t.Settle()
 	m.holders = slices.DeleteFunc(m.holders, func(h *sim.Thread) bool { return h == t })
 	m.writer = false
+	if mr != nil && mr.cost != 0 {
+		t.Step(mr.cost)
+	}
 }
 
 func (m *Memory) holds(t *sim.Thread) bool { return slices.Contains(m.holders, t) }
@@ -388,40 +407,66 @@ func (m *Memory) holds(t *sim.Thread) bool { return slices.Contains(m.holders, t
 // test, two loads of fields the access reads anyway.
 func (m *Memory) gated(t *sim.Thread) bool { return len(m.holders) != 0 || t.Ahead() }
 
+// gate is how a gated access proceeds past enter.
+type gate uint8
+
+const (
+	stepGate   gate = iota // t has settled; the access Steps
+	chargeGate             // the access charges (charge)
+	mirrorGate             // the access is a Mirror's, which applies it (mirror.go)
+)
+
 // enter is the gate of a gated access of t to line, a Store or CAS if store.
-// It reports whether the access may charge; where it may not, t settles
-// first. Only a holder's access passes a held memory's gate.
-func (m *Memory) enter(t *sim.Thread, line uint64, store bool) (charge bool) {
+// Where the access may not charge, t settles first. Only a holder's access
+// passes a held memory's gate, and a mirror's holder's only to the source.
+func (m *Memory) enter(t *sim.Thread, line uint64, store bool) gate {
 	switch {
 	case len(m.holders) == 0:
 		t.Settle()
-		return false
+		return stepGate
 	case m.writer && m.holders[0] == t:
-		return true
+		if m.mirrored {
+			return m.mir.enter(t, m)
+		}
+		return chargeGate
 	case m.writer || store || !m.holds(t):
 		m.foreign(t, "accessed")
 	case m.ownedElsewhere(t, line):
 		t.Settle()
-		return false
+		return stepGate
 	}
-	return true
+	return chargeGate
 }
 
 // settle is the gate of a flush or write-back of m by t, an effect a crash
 // can see: it passes where a store would, and t settles even where a store
 // would charge.
 func (m *Memory) settle(t *sim.Thread) {
-	if m.enter(t, NoLine, true) {
+	switch m.enter(t, NoLine, true) {
+	case chargeGate:
 		t.Settle()
+	case mirrorGate:
+		m.foreign(t, "wrote back")
 	}
 }
 
+// foreign panics: t's effect what on the held memory m is refused.
 func (m *Memory) foreign(t *sim.Thread, what string) {
-	held := "frozen under"
-	if m.writer {
-		held = "private to"
+	panic(fmt.Sprintf("nvm: thread %q %s %s, %s", t.Name(), what, m.name, m.held()))
+}
+
+// held says how m is held, and by whom, for a refusal.
+func (m *Memory) held() string {
+	by := fmt.Sprintf("thread %q", m.holders[0].Name())
+	switch {
+	case m.mirrored && m.mir.src == m:
+		return "mirrored to " + m.mir.names() + " by " + by
+	case m.mirrored:
+		return "mirrored from " + m.mir.src.name + " by " + by
+	case m.writer:
+		return "private to " + by
 	}
-	panic(fmt.Sprintf("nvm: thread %q %s %s, %s thread %q", t.Name(), what, m.name, held, m.holders[0].Name()))
+	return "frozen under " + by
 }
 
 // charge is the Step of an access the gate let charge: a Charge where no hook
@@ -434,8 +479,15 @@ func (m *Memory) charge(t *sim.Thread, cost uint64) {
 
 // Load reads the word at off: LoadBegin, the Step it prices, LoadEnd.
 func (m *Memory) Load(t *sim.Thread, off uint64) uint64 {
-	if m.gated(t) && m.enter(t, off/WordsPerLine, false) {
-		m.charge(t, m.loadBegin(t, off))
+	if m.gated(t) {
+		switch m.enter(t, off/WordsPerLine, false) {
+		case chargeGate:
+			m.charge(t, m.loadBegin(t, off))
+		case mirrorGate:
+			m.mir.load(t, off)
+		default:
+			t.Step(m.loadBegin(t, off))
+		}
 	} else {
 		t.Step(m.loadBegin(t, off))
 	}
@@ -447,8 +499,8 @@ func (m *Memory) Load(t *sim.Thread, off uint64) uint64 {
 // returns this cost for its Step and reads the word with LoadEnd in the
 // next segment, so a poller's loads are Loads to every observer.
 func (m *Memory) LoadBegin(t *sim.Thread, off uint64) uint64 {
-	if m.gated(t) {
-		m.enter(t, off/WordsPerLine, false)
+	if m.gated(t) && m.enter(t, off/WordsPerLine, false) == mirrorGate {
+		m.foreign(t, "took LoadBegin on")
 	}
 	return m.loadBegin(t, off)
 }
@@ -529,8 +581,15 @@ func (m *Memory) markDirty(line uint64) {
 // StoreEnd. For NVM memories the store dirties the containing line and may
 // trigger a background write-back.
 func (m *Memory) Store(t *sim.Thread, off uint64, v uint64) {
-	if m.gated(t) && m.enter(t, off/WordsPerLine, true) {
-		m.charge(t, m.storeBegin(t, off, AccStore))
+	if m.gated(t) {
+		switch m.enter(t, off/WordsPerLine, true) {
+		case chargeGate:
+			m.charge(t, m.storeBegin(t, off, AccStore))
+		case mirrorGate:
+			m.mir.store(t, off, v)
+		default:
+			t.Step(m.storeBegin(t, off, AccStore))
+		}
 	} else {
 		t.Step(m.storeBegin(t, off, AccStore))
 	}
@@ -558,8 +617,8 @@ func (m *Memory) linePending(line uint64) bool {
 // with StoreEnd in the next segment, so a poller's stores are Stores to every
 // observer.
 func (m *Memory) StoreBegin(t *sim.Thread, off uint64) uint64 {
-	if m.gated(t) {
-		m.enter(t, off/WordsPerLine, true)
+	if m.gated(t) && m.enter(t, off/WordsPerLine, true) == mirrorGate {
+		m.foreign(t, "took StoreBegin on")
 	}
 	return m.storeBegin(t, off, AccStore)
 }
@@ -584,8 +643,8 @@ func (m *Memory) StoreEnd(t *sim.Thread, off uint64, v uint64) {
 
 // CASBegin is CAS's pre-Step half, as StoreBegin is Store's.
 func (m *Memory) CASBegin(t *sim.Thread, off uint64) uint64 {
-	if m.gated(t) {
-		m.enter(t, off/WordsPerLine, true)
+	if m.gated(t) && m.enter(t, off/WordsPerLine, true) == mirrorGate {
+		m.foreign(t, "took CASBegin on")
 	}
 	return m.storeBegin(t, off, AccCAS)
 }
@@ -626,8 +685,15 @@ func (m *Memory) written(t *sim.Thread, line uint64) {
 // prices, CASEnd. Failed CASes still acquire the line exclusively, as on real
 // hardware.
 func (m *Memory) CAS(t *sim.Thread, off, old, new uint64) bool {
-	if m.gated(t) && m.enter(t, off/WordsPerLine, true) {
-		m.charge(t, m.storeBegin(t, off, AccCAS))
+	if m.gated(t) {
+		switch m.enter(t, off/WordsPerLine, true) {
+		case chargeGate:
+			m.charge(t, m.storeBegin(t, off, AccCAS))
+		case mirrorGate:
+			m.mir.cas(t, off, old, new)
+		default:
+			t.Step(m.storeBegin(t, off, AccCAS))
+		}
 	} else {
 		t.Step(m.storeBegin(t, off, AccCAS))
 	}

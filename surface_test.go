@@ -714,7 +714,11 @@ var shapeRules = []shapeRule{
 				}
 				switch name := funcName(fn); name {
 				case "internal/nvm.Memory.Hold", "internal/nvm.Memory.Release":
-					if f.path != persist && f.path != rwlock {
+					// Mirror holds its source and destinations, and a mirror's
+					// release is its end ("Replicas are prefilled in one place").
+					if f.path != persist && f.path != rwlock &&
+						!(name == "internal/nvm.Memory.Hold" && f.path+" "+decl == mirrorSite) &&
+						!(name == "internal/nvm.Memory.Release" && prefillSites[f.path+" "+decl]) {
 						out = append(out, t.at(n)+": "+fn.Name()+" called outside "+persist+" and "+rwlock)
 					}
 					call := f.path + " " + decl + " " + fn.Name()
@@ -742,6 +746,7 @@ var shapeRules = []shapeRule{
 		fixtures: []fixture{
 			cmdFile(`import ("prepuc/internal/nvm"; "prepuc/internal/sim"); func own(m *nvm.Memory, t *sim.Thread) { m.Hold(t, true) }`),
 			cmdFile(`import ("prepuc/internal/nvm"; "prepuc/internal/sim"); func drop(m *nvm.Memory, t *sim.Thread) { m.Release(t) }`),
+			{"internal/nvm/shapefixture.go": add("package nvm\n\nimport \"prepuc/internal/sim\"\n\nfunc own(m *Memory, t *sim.Thread) { m.Hold(t, true) }\n")},
 			{"internal/core/shapefixture.go": add(coreFixture + "p.reps[0].rw.WriteLock(t) }\n")},
 			{"internal/core/persist.go": func(old string) string {
 				return strings.Replace(old, "pr.heap.Hold(t, true)", "_ = pr.heap", 1)
@@ -760,6 +765,72 @@ var shapeRules = []shapeRule{
 			}},
 			{"internal/core/rwlock.go": func(old string) string {
 				return strings.Replace(old, "r.heap.Release(t)\n\tr.rw.ReadUnlock(t, slot)", "_ = r.heap\n\tr.rw.ReadUnlock(t, slot)", 1)
+			}},
+		},
+	},
+	{
+		// A construction's Prefill replays its ops once, into one replica,
+		// while nvm.Memory.Mirror applies every access to the other replica
+		// heaps (DESIGN.md §7, "Prefill by mirror"). The mirror is exact for
+		// destinations that start as the source does, under one thread,
+		// which a freshly built construction's Prefill guarantees; a mirror
+		// elsewhere is a new exactness argument, and a Prefill that replays
+		// into its replicas in turn again is the cost the mirror took away.
+		name: "Replicas are prefilled in one place",
+		checks: []shapeCheck{{scope{under: []string{""}, code: true}, func(t *tree, files []goFile) (out []string) {
+			const mirror, execute = "internal/nvm.Memory.Mirror", "internal/uc.DataStructure.Execute"
+			mirrors := map[string]bool{}
+			site := "" // the file and top-level function being walked
+			t.inspect(files, func(f goFile, n ast.Node) {
+				switch n := n.(type) {
+				case *ast.FuncDecl:
+					site = f.path + " " + n.Name.Name
+					if !prefillSites[site] {
+						return
+					}
+					// One replay: one Execute, inside no loop nested in another.
+					replays, nested := calls(f, n.Body, execute), false
+					ast.Inspect(n.Body, func(m ast.Node) bool {
+						if outer, ok := m.(*ast.RangeStmt); ok {
+							ast.Inspect(outer.Body, func(in ast.Node) bool {
+								if inner, ok := in.(*ast.RangeStmt); ok && calls(f, inner.Body, execute) != 0 {
+									nested = true
+								}
+								return true
+							})
+						}
+						return true
+					})
+					if replays != 1 || nested {
+						out = append(out, t.at(n)+": "+site+" replays into its replicas in turn (replay once under nvm.Memory.Mirror)")
+					}
+				case *ast.GenDecl:
+					site = ""
+				}
+				if fn := callee(f, n); fn != nil && funcName(fn) == mirror {
+					if !prefillSites[site] {
+						out = append(out, t.at(n)+": Mirror called outside a construction's Prefill")
+					}
+					mirrors[site] = true
+				}
+			})
+			for _, s := range slices.Sorted(maps.Keys(prefillSites)) {
+				if !mirrors[s] {
+					out = append(out, s+": no Mirror (the Prefill lost its mirror)")
+				}
+			}
+			return out
+		}}},
+		fixtures: []fixture{
+			cmdFile(`import ("prepuc/internal/nvm"; "prepuc/internal/sim"); func copyAll(m, d *nvm.Memory, t *sim.Thread) { m.Mirror(t, d) }`),
+			{"internal/core/engine.go": func(old string) string {
+				return strings.Replace(old, "\tsrc.heap.Mirror(t, dsts...)\n", "\tsrc.heap.Mirror(t, dsts...)\n\tfor _, r := range p.reps[1:] {\n\t\tfor _, op := range ops {\n\t\t\tr.ds.Execute(t, op.Code, op.A0, op.A1)\n\t\t}\n\t}\n", 1)
+			}},
+			{"internal/cxpuc/execute.go": func(old string) string {
+				return strings.Replace(old, "\t\tr0.ds.Execute(t, op.Code, op.A0, op.A1)\n", "\t\tfor _, r := range cx.reps {\n\t\t\tr.ds.Execute(t, op.Code, op.A0, op.A1)\n\t\t}\n", 1)
+			}},
+			{"internal/cxpuc/execute.go": func(old string) string {
+				return strings.Replace(old, "r0.heap.Mirror(t, dsts...)", "r0.heap.Hold(t, true)", 1)
 			}},
 		},
 	},
@@ -842,6 +913,14 @@ const ciPath = ".github/workflows/ci.yml"
 // goTestRun matches a go test command with a -run pattern: the pattern, then
 // the rest of the line, which lists the packages.
 var goTestRun = regexp.MustCompile(`go test [^\n]*?-run '([^']*)'([^\n]*)`)
+
+// mirrorSite is the one function outside internal/core that holds a memory:
+// nvm's Mirror, as "file function".
+const mirrorSite = "internal/nvm/mirror.go Mirror"
+
+// prefillSites are the two Prefills that mirror a replay to their other
+// replicas, each as "file function".
+var prefillSites = map[string]bool{"internal/core/engine.go Prefill": true, "internal/cxpuc/execute.go Prefill": true}
 
 // constructions are the packages whose Config literals and New calls
 // belong in the package itself.
@@ -927,7 +1006,7 @@ func TestShapeRules(t *testing.T) {
 // rule.
 func TestShapeRulesReadNoCommentOrString(t *testing.T) {
 	const said = `core.Config{} softuc.New(t, sys, cfg) sim.New(0) s.Spawn("w") p.log.SetFull(t, 0) desc.write( ` +
-		`sys.HasMemory("x") import "math/rand" b.Spin() spinCost m.Hold(t, true) m.Release(t) rep.rw.WriteLock(t) func BenchmarkX(b *testing.B)`
+		`sys.HasMemory("x") import "math/rand" b.Spin() spinCost m.Hold(t, true) m.Mirror(t, d) m.Release(t) rep.rw.WriteLock(t) func BenchmarkX(b *testing.B)`
 	m, err := theModule()
 	if err != nil {
 		t.Fatal(err)
@@ -1082,6 +1161,17 @@ func (t *tree) callsTo(files []goFile, why string, names ...string) []string {
 func (t *tree) at(n ast.Node) string {
 	p := t.fset.Position(n.Pos())
 	return fmt.Sprintf("%s:%d", p.Filename, p.Line)
+}
+
+// calls counts the calls under root that resolve to the named function.
+func calls(f goFile, root ast.Node, name string) (n int) {
+	ast.Inspect(root, func(m ast.Node) bool {
+		if fn := callee(f, m); fn != nil && funcName(fn) == name {
+			n++
+		}
+		return true
+	})
+	return n
 }
 
 // callee is the function or method a call in a non-test file resolves to,
