@@ -4,41 +4,41 @@
 //
 //	PREP-Durable   durable linearizability — no completed operation lost;
 //	PREP-Buffered  buffered durable linearizability — the recovered state is
-//	               a per-worker prefix, with at most ε+β−1 completed
-//	               operations lost per crash;
+//	               the state of one consistent cut of a linearization, with
+//	               at most ε+β−1 completed updates lost per crash;
 //	CX-PUC         durable linearizability;
 //	SOFT, ONLL     durable linearizability.
 //
-// Each iteration runs workers inserting per-worker key sequences, freezes
-// the machine at a pseudo-random event (mid-operation: threads are unwound
-// from their next memory access), recovers, and checks the recovered state
-// against the host-side completion record. Background flushes and unfenced
-// write-back resolution are enabled to make the crash states adversarial.
+// Each iteration runs workers on the paper's mixed set workload, recording
+// every operation's invoke and response on the virtual clock, freezes the
+// machine at a pseudo-random event (mid-operation: threads are unwound from
+// their next memory access), recovers, probes the recovered state, and
+// checks the recorded history against it (internal/linearize), over
+// -epochs chained crash/recover epochs on one machine. A probe also compares
+// the recovered Size with the keys it read: a key beyond the workload's
+// range fails the cycle. Background flushes and unfenced write-back
+// resolution are enabled to make the crash states adversarial.
 //
-// The cycle itself — its co-resident (-instances) and linearize (-check)
-// variants, the bisected one-line repro of a failure, and the document —
-// lives in internal/harness (crash.go, machine.go); this command is its
-// flags, validation, I/O and exit codes. What the flags select:
+// The cycle itself, the bisected one-line repro of a failure, and the
+// document live in internal/harness (crash.go, machine.go); this command is
+// its flags, validation, I/O and exit codes. What the flags select:
 //
 //   - -policy: the fault adversary that decides which flushed-but-unfenced
 //     lines survive each crash. A bare "targeted" advances its dropped-line
 //     index with the iteration, so a run sweeps single-line-missing states.
-//   - -nested N: a crash INSIDE the first N recovery attempts of every cycle
-//     (re-entrant recovery); the cycle recovers until an attempt completes.
+//   - -nested N: a crash INSIDE the first N recovery attempts of every epoch
+//     (re-entrant recovery); the epoch recovers until an attempt completes.
 //   - -crash-at / -nested-at: pinned crash points, as a repro line prints
 //     them; -bisect shrinks a failing crash point by binary search first.
-//   - -check linearize: a full durable-linearizability check (WGL, with the
-//     ε+β−1 loss allowance for PREP-Buffered) of a recorded mixed set
-//     workload over -epochs chained crash/recover epochs on one machine,
-//     instead of the per-worker prefix condition.
-//   - -instances N: N co-resident PREP instances on one machine, crashed
-//     together, recovered in two rotating waves, scanned for cross-instance
-//     leakage.
+//   - -instances N: N co-resident PREP instances on one machine with
+//     disjoint key ranges, crashed together, recovered in two rotating
+//     waves; each instance gets its own crash cut, and the composition of
+//     their histories is audited (linearize.CheckComposition).
 //   - -j N: cycles of a system run on N host workers; document and progress
 //     stream are identical for every value.
 //
 // Every cycle also measures recovery's virtual time and replayed entries and
-// what the adversary did; -format json emits them as one "prepuc-crash/v3"
+// what the adversary did; -format json emits them as one "prepuc-crash/v4"
 // document. Exit status: 0 every cycle passed, 1 a cycle failed or the run
 // could not be carried out, 2 flags no run can honour.
 package main
@@ -81,10 +81,9 @@ func init() {
 	flag.Uint64Var(&cfg.CrashAt, "crash-at", 0, "pin the workload crash to this event index (0: per-iteration pseudo-random)")
 	flag.Uint64Var(&cfg.NestedAt, "nested-at", 0, "pin nested crashes to this recovery event index (0: per-attempt pseudo-random)")
 	flag.BoolVar(&cfg.Bisect, "bisect", true, "on failure, bisect the crash point before printing the repro")
-	flag.StringVar(&cfg.Check, "check", "prefix", "correctness checker: prefix (per-worker key-prefix condition) or linearize (WGL durable-linearizability check of the recorded history)")
-	flag.IntVar(&cfg.Epochs, "epochs", 2, "chained crash/recover epochs per iteration (linearize checker only)")
+	flag.IntVar(&cfg.Epochs, "epochs", 2, "chained crash/recover epochs per iteration")
 	flag.IntVar(&cfg.Jobs, "j", 0, "run up to N crash/recover cycles in parallel (0 = GOMAXPROCS)")
-	flag.IntVar(&cfg.Instances, "instances", 1, "co-resident PREP instances per machine; >1 runs sharded crash cycles (PREP systems only, -check prefix)")
+	flag.IntVar(&cfg.Instances, "instances", 1, "co-resident PREP instances per machine; >1 runs sharded crash cycles (PREP systems only)")
 }
 
 // validate rejects flag values no run can honour — among them counts below
@@ -93,8 +92,6 @@ func validate() error {
 	switch {
 	case *format != "table" && *format != "json":
 		return fmt.Errorf("unknown format %q (want table or json)", *format)
-	case cfg.Check != "prefix" && cfg.Check != "linearize":
-		return fmt.Errorf("unknown checker %q (want prefix or linearize)", cfg.Check)
 	case cfg.Iterations < 1:
 		return fmt.Errorf("-iterations=%d: need at least one cycle", cfg.Iterations)
 	case cfg.Workers < 1:
@@ -113,8 +110,6 @@ func validate() error {
 		switch {
 		case cfg.Workers%cfg.Instances != 0:
 			return fmt.Errorf("-workers=%d not divisible by -instances=%d", cfg.Workers, cfg.Instances)
-		case cfg.Check != "prefix":
-			return errors.New("-instances > 1 supports only -check prefix (sharded linearizability lives in prepserve -check)")
 		case cfg.Nested > 0:
 			return errors.New("-instances > 1 does not compose with -nested")
 		}

@@ -48,13 +48,12 @@ func buildDoc(progress *bytes.Buffer, tgs []harness.CrashTarget) (harness.CrashD
 	return harness.BuildCrashDoc(progress, cfg, tgs)
 }
 
-// TestSchemaGolden locks the prepuc-crash/v3 JSON document byte for byte:
+// TestSchemaGolden locks the prepuc-crash/v4 JSON document byte for byte:
 // every field of a run is virtual-time or seed-derived, so a tiny
-// deterministic run must reproduce its golden exactly. One golden covers
-// the v1-compatible prefix checker, one the -check linearize additions
-// (per-cycle "check" blocks and the top-level "checker" summary). Run
-// `go test ./cmd/crashtest -run TestSchemaGolden -update` to regenerate
-// after an intentional (additive-only) schema change. Each cycle's "metrics"
+// deterministic run must reproduce its golden exactly. One golden covers a
+// flat run, one a co-resident (-instances) run with its per-cycle "sharded"
+// blocks. Run `go test ./cmd/crashtest -run TestSchemaGolden -update` to
+// regenerate after an intentional schema change. Each cycle's "metrics"
 // block — the machine's whole counter set — must agree with the "fault" block
 // derived from it.
 func TestSchemaGolden(t *testing.T) {
@@ -67,13 +66,10 @@ func TestSchemaGolden(t *testing.T) {
 		golden string
 		extra  map[string]string
 	}{
-		{"prefix", "crash_v3_prefix.golden.json",
-			map[string]string{"system": "prep-durable", "check": "prefix"}},
-		{"linearize", "crash_v3_linearize.golden.json",
-			map[string]string{"system": "prep-buffered", "check": "linearize", "epochs": "2"}},
-		{"sharded", "crash_v3_sharded.golden.json",
-			map[string]string{"system": "all", "check": "prefix",
-				"instances": "2", "nested": "0"}},
+		{"linearize", "crash_v4.golden.json",
+			map[string]string{"system": "prep-buffered", "epochs": "2"}},
+		{"sharded", "crash_v4_sharded.golden.json",
+			map[string]string{"system": "all", "instances": "2", "nested": "0"}},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -119,14 +115,14 @@ func TestSchemaGolden(t *testing.T) {
 
 // TestShardedCrashFields guards the -instances additions: the top-level
 // instances field, the per-cycle "sharded" block with one verdict per
-// co-resident instance, zero cross-instance foreign keys, rotating
-// first-wave recovery subsets across iterations, and -j independence of
-// the document bytes.
+// co-resident instance and a clean composition audit, zero foreign keys,
+// rotating first-wave recovery subsets across iterations, and -j
+// independence of the document bytes.
 func TestShardedCrashFields(t *testing.T) {
 	base := map[string]string{
 		"iterations": "3", "workers": "4", "epsilon": "16", "log": "128",
 		"seed": "42", "policy": "targeted", "j": "1", "nested": "0",
-		"system": "prep-durable", "check": "prefix", "instances": "2",
+		"system": "prep-durable", "instances": "2",
 	}
 	withFlags(t, base)
 	var progress bytes.Buffer
@@ -156,13 +152,17 @@ func TestShardedCrashFields(t *testing.T) {
 		if !ok {
 			t.Fatalf("cycle %d has no sharded block", i)
 		}
-		for _, k := range []string{"instances", "recovered_first", "foreign_keys", "per_instance"} {
+		for _, k := range []string{"instances", "recovered_first", "composition", "per_instance"} {
 			if _, ok := sb[k]; !ok {
 				t.Errorf("cycle %d sharded block is missing %q", i, k)
 			}
 		}
-		if sb["foreign_keys"].(float64) != 0 || sb["instances"].(float64) != 2 || cm["ok"] != true {
-			t.Errorf("cycle %d: ok=%v with %v foreign keys over %v instances", i, cm["ok"], sb["foreign_keys"], sb["instances"])
+		check := cm["check"].(map[string]any)
+		comp := sb["composition"].(map[string]any)
+		if check["foreign_keys"].(float64) != 0 || sb["instances"].(float64) != 2 || cm["ok"] != true ||
+			comp["ok"] != true || comp["shards"].(float64) != 2 || comp["ops_audited"].(float64) != check["ops"].(float64) {
+			t.Errorf("cycle %d: ok=%v with %v foreign keys over %v instances, composition %v of %v ops",
+				i, cm["ok"], check["foreign_keys"], sb["instances"], comp, check["ops"])
 		}
 		first := sb["recovered_first"].([]any)
 		if len(first) == 0 || len(first) >= 2 {
@@ -176,14 +176,13 @@ func TestShardedCrashFields(t *testing.T) {
 		var sum float64
 		for k, e := range per {
 			em := e.(map[string]any)
-			if em["instance"].(float64) != float64(k) || em["ok"] != true {
+			if em["instance"].(float64) != float64(k) || em["ok"] != true || em["ops"].(float64) == 0 {
 				t.Errorf("cycle %d instance %d: %v", i, k, em)
 			}
-			sum += em["completed_ops"].(float64)
+			sum += em["ops"].(float64)
 		}
-		if sum != cm["completed_ops"].(float64) {
-			t.Errorf("cycle %d: per-instance completed sums to %v, cycle says %v",
-				i, sum, cm["completed_ops"])
+		if sum != check["ops"].(float64) {
+			t.Errorf("cycle %d: per-instance ops sum to %v, cycle says %v", i, sum, check["ops"])
 		}
 	}
 	if len(firsts) < 2 {
@@ -203,15 +202,14 @@ func TestShardedCrashFields(t *testing.T) {
 }
 
 // TestSchemaRequiredFields guards the stability contract independently of
-// the golden bytes: the v1 field names and the v2/check additions must
-// survive any refactor of the Go structs, and the fault and checker
-// summaries say what ran (the adversary's label, the checker's mode, epochs,
-// a nonzero op count and no failure).
+// the golden bytes: the field names must survive any refactor of the Go
+// structs, and the fault and checker summaries say what ran (the
+// adversary's label, epochs, a nonzero op count and no failure).
 func TestSchemaRequiredFields(t *testing.T) {
 	withFlags(t, map[string]string{
 		"iterations": "1", "workers": "2", "epsilon": "16", "log": "128",
 		"seed": "7", "policy": "targeted", "j": "1",
-		"system": "prep-buffered", "check": "linearize", "epochs": "1",
+		"system": "prep-buffered", "epochs": "1",
 	})
 	var progress bytes.Buffer
 	doc, failures := buildDoc(&progress, selected(t))
@@ -236,25 +234,25 @@ func TestSchemaRequiredFields(t *testing.T) {
 	}
 	systems := m["systems"].([]any)
 	cycle := systems[0].(map[string]any)["cycles"].([]any)[0].(map[string]any)
-	for _, k := range []string{"iteration", "ok", "completed_ops", "recovered_ops", "lost_completed",
-		"recovery_virtual_ns", "replayed", "crash_at", "recovery_attempts", "fault", "metrics", "check"} {
+	for _, k := range []string{"iteration", "ok", "recovery_virtual_ns", "replayed", "crash_at",
+		"recovery_attempts", "fault", "metrics", "check"} {
 		if _, ok := cycle[k]; !ok {
 			t.Errorf("cycle is missing field %q", k)
 		}
 	}
 	check := cycle["check"].(map[string]any)
-	for _, k := range []string{"mode", "epochs", "ops", "partitions", "lost", "ok", "failed_epoch"} {
+	for _, k := range []string{"epochs", "ops", "partitions", "lost", "foreign_keys", "ok", "failed_epoch"} {
 		if _, ok := check[k]; !ok {
 			t.Errorf("check block is missing field %q", k)
 		}
 	}
 	checker := m["checker"].(map[string]any)
-	for _, k := range []string{"mode", "epochs", "cycles", "ops", "lost", "failures"} {
+	for _, k := range []string{"epochs", "cycles", "ops", "lost", "failures"} {
 		if _, ok := checker[k]; !ok {
 			t.Errorf("checker summary is missing field %q", k)
 		}
 	}
-	if checker["mode"] != "linearize" || checker["epochs"].(float64) != 1 ||
+	if checker["epochs"].(float64) != 1 ||
 		checker["ops"].(float64) == 0 || checker["failures"].(float64) != 0 || check["ok"] != true {
 		t.Errorf("checker summary %v over cycle check %v", checker, check)
 	}
@@ -266,7 +264,7 @@ func TestSchemaRequiredFields(t *testing.T) {
 // TestNestedCrashTortureAllSystems is CI's nested-crash smoke as a test:
 // under the worst-case adversary with one crash armed inside each recovery,
 // all five systems pass every cycle, every armed crash lands (one nested
-// crash per cycle, summed in the document's fault block) and recovery is
+// crash per epoch, summed in the document's fault block) and recovery is
 // re-entered exactly once per nested crash.
 func TestNestedCrashTortureAllSystems(t *testing.T) {
 	withFlags(t, map[string]string{
@@ -282,13 +280,13 @@ func TestNestedCrashTortureAllSystems(t *testing.T) {
 	for _, sd := range doc.Systems {
 		for _, cyc := range sd.Cycles {
 			cycles++
-			if n := cyc.Fault.NestedCrashes; !cyc.OK || n != 1 || cyc.RecoveryAttempts != int(n)+1 {
+			if n := cyc.Fault.NestedCrashes; !cyc.OK || n != uint64(cfg.Epochs) || cyc.RecoveryAttempts != 2*int(n) {
 				t.Errorf("%s cycle %d: ok=%v nested=%d attempts=%d",
 					sd.System, cyc.Iteration, cyc.OK, n, cyc.RecoveryAttempts)
 			}
 		}
 	}
-	if doc.Fault.Policy != "dropall" || doc.Fault.NestedCrashes != cycles {
+	if doc.Fault.Policy != "dropall" || doc.Fault.NestedCrashes != cycles*uint64(cfg.Epochs) {
 		t.Errorf("document fault block %+v over %d cycles", doc.Fault, cycles)
 	}
 }

@@ -15,7 +15,7 @@ import (
 	"log"
 
 	"prepuc/internal/core"
-	"prepuc/internal/history"
+	"prepuc/internal/harness"
 	"prepuc/internal/numa"
 	"prepuc/internal/nvm"
 	"prepuc/internal/seq"
@@ -66,7 +66,7 @@ func main() {
 		tid := tid
 		runSch.Spawn("client", cfg.Topology.NodeOf(tid), 0, func(t *sim.Thread) {
 			for i := uint64(0); ; i++ {
-				store.Execute(t, tid, uc.Insert(history.Key(tid, i), i))
+				store.Execute(t, tid, uc.Insert(harness.Key(tid, i), i))
 				acked[tid] = i + 1 // PUT acknowledged to the client
 			}
 		})
@@ -101,7 +101,7 @@ func main() {
 	verifySch.Spawn("verify", 0, 0, func(t *sim.Thread) {
 		for tid := 0; tid < workers; tid++ {
 			for i := uint64(0); i < acked[tid]; i++ {
-				if recovered.Execute(t, 0, uc.Get(history.Key(tid, i))) == uc.NotFound {
+				if recovered.Execute(t, 0, uc.Get(harness.Key(tid, i))) == uc.NotFound {
 					lost++
 				}
 			}
@@ -128,7 +128,7 @@ func main() {
 				}
 			}()
 			for i := uint64(0); i < 200; i++ {
-				k := uint64(1)<<62 | history.Key(tid, i)
+				k := uint64(1)<<62 | harness.Key(tid, i)
 				recovered.Execute(t, tid, uc.Insert(k, i))
 			}
 		})

@@ -3,7 +3,6 @@ package core
 import (
 	"testing"
 
-	"prepuc/internal/history"
 	"prepuc/internal/nvm"
 	"prepuc/internal/sim"
 	"prepuc/internal/uc"
@@ -120,7 +119,7 @@ func newDetectWorld(t *testing.T, mode Mode, seed int64, crashAt uint64) *detect
 		completed: make([]uint64, workers), submitted: make([]uint64, workers)}
 	sch := w.runWorkers(workers, crashAt, func(th *sim.Thread, tid int) {
 		for i := uint64(0); ; i++ {
-			op := uc.Insert(history.Key(tid, i), history.Key(tid, i))
+			op := uc.Insert(workerKey(tid, i), workerKey(tid, i))
 			op.Invid = invidOf(tid, i)
 			dw.submitted[tid] = i + 1
 			w.p.Execute(th, tid, op)
@@ -153,7 +152,7 @@ func (dw *detectWorld) corroborate(t *testing.T, sys *nvm.System, rec *PREP, res
 					}
 					continue
 				}
-				present := rec.Execute(th, 0, uc.Get(history.Key(tid, i))) != uc.NotFound
+				present := rec.Execute(th, 0, uc.Get(workerKey(tid, i))) != uc.NotFound
 				if committed != present {
 					t.Errorf("worker %d op %d: verdict committed=%v but key present=%v",
 						tid, i, committed, present)

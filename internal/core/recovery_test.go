@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"testing"
 
-	"prepuc/internal/history"
+	"prepuc/internal/linearize"
 	"prepuc/internal/nvm"
 	"prepuc/internal/oplog"
 	"prepuc/internal/pmem"
@@ -38,42 +38,34 @@ var sweepRows = []struct {
 	{"buffered-detect", Buffered, true},
 }
 
-// prefixOK is cfg's correctness condition for a recovered prefix: strict
-// durable, or buffered durable at the configured ε and β.
-func prefixOK(cfg Config, r history.Report) bool {
-	if cfg.Mode == Buffered {
-		return r.BufferedOK(cfg.Epsilon, uint64(cfg.Topology.ThreadsPerNode))
-	}
-	return r.DurableOK()
-}
+// workerKey is worker tid's i-th key of the insert workload.
+func workerKey(tid int, i uint64) uint64 { return uint64(tid)<<32 | i }
 
 // sweepWorld runs cfg's workload to a crash and materializes the
 // post-crash NVM state once. Sweep harnesses Clone it per crash point, so
 // every sweep iteration recovers the exact same machine.
 type sweepWorld struct {
-	cfg       Config
-	base      *nvm.System // materialized post-crash state (scheduler drained)
-	completed []uint64
+	cfg  Config
+	base *nvm.System // materialized post-crash state (scheduler drained)
+	ops  []linearize.Op
 }
 
 func newSweepWorld(t *testing.T, cfg Config, seed int64, crashAt uint64) *sweepWorld {
 	t.Helper()
 	const workers = 4
 	w := newWorld(t, cfg, nvm.Config{Costs: sim.UnitCosts(), BGFlushOneIn: 64, Seed: uint64(seed)}, seed)
-	sw := &sweepWorld{cfg: cfg, completed: make([]uint64, workers)}
+	hist := linearize.NewRecorder(workers)
 	sch := w.runWorkers(workers, crashAt, func(th *sim.Thread, tid int) {
 		for i := uint64(0); ; i++ {
-			op := uc.Insert(history.Key(tid, i), history.Key(tid, i))
+			op := uc.Insert(workerKey(tid, i), workerKey(tid, i))
 			op.Invid = invidOf(tid, i) // ignored unless cfg.Detect
-			w.p.Execute(th, tid, op)
-			sw.completed[tid] = i + 1
+			hist.Exec(th, tid, op, func() uint64 { return w.p.Execute(th, tid, op) })
 		}
 	})
 	if !sch.Frozen() {
 		t.Fatal("workload finished without crashing; raise crashAt")
 	}
-	sw.base = w.sys.Recover(sim.New(seed + 5000))
-	return sw
+	return &sweepWorld{cfg: cfg, base: w.sys.Recover(sim.New(seed + 5000)), ops: hist.Ops()}
 }
 
 // recoverOn runs core.Recover on sys with a fresh scheduler, optionally
@@ -110,26 +102,35 @@ func recoverOn(t *testing.T, sys *nvm.System, cfg Config, seed int64, crashAt ui
 	return rec, rep, false
 }
 
-// probeDurable checks every completed pre-crash op against the recovered
-// engine, returning a history report. Probing may panic if recovery rebuilt
-// corrupt state; the caller sees that as a nil-engine failure instead.
-func probeDurable(t *testing.T, sys *nvm.System, rec *PREP, completed []uint64, seed int64) history.Report {
+// probeDurable checks the recorded pre-crash history against the recovered
+// engine under cfg's condition: strict durable, or buffered durable with the
+// ε+β−1 loss allowance. The probe reads every invoked key and 16 past each
+// worker's last. Probing may panic if recovery rebuilt corrupt state; the
+// caller sees that as a nil-engine failure instead.
+func probeDurable(t *testing.T, sys *nvm.System, rec *PREP, cfg Config, ops []linearize.Op, seed int64) linearize.Result {
 	t.Helper()
-	keys := make([][]bool, len(completed))
+	invoked := map[int]uint64{}
+	for _, op := range ops {
+		invoked[op.Client]++
+	}
+	state := map[uint64]uint64{}
 	sch := sim.New(seed)
 	sys.SetScheduler(sch)
 	sch.Spawn("inspect", 0, 0, func(th *sim.Thread) {
-		for tid := range completed {
-			n := completed[tid] + 16
-			keys[tid] = make([]bool, n)
-			for i := uint64(0); i < n; i++ {
-				got := rec.Execute(th, 0, uc.Get(history.Key(tid, i)))
-				keys[tid][i] = got != uc.NotFound
+		for tid := 0; tid < len(invoked); tid++ {
+			for i := uint64(0); i < invoked[tid]+16; i++ {
+				if got := rec.Execute(th, 0, uc.Get(workerKey(tid, i))); got != uc.NotFound {
+					state[workerKey(tid, i)] = got
+				}
 			}
 		}
 	})
 	sch.Run()
-	return history.Check(keys, completed)
+	opt := linearize.Options{}
+	if cfg.Mode == Buffered {
+		opt = linearize.Options{Buffered: true, Allowance: int(cfg.Epsilon) + cfg.Topology.ThreadsPerNode - 1}
+	}
+	return linearize.CheckEpoch(linearize.SetModel(), nil, ops, state, opt)
 }
 
 // TestCrashSweepInsideRecovery crashes recovery at EVERY event index, in every
@@ -177,8 +178,8 @@ func TestCrashSweepInsideRecovery(t *testing.T) {
 				if rec2 == nil {
 					t.Fatalf("crash-at=%d: second recovery failed", k)
 				}
-				if r := probeDurable(t, after, rec2, sw.completed, seed+3); !prefixOK(sw.cfg, r) {
-					t.Fatalf("crash-at=%d: second recovery violates the prefix condition: %s (generations %d → %d)",
+				if r := probeDurable(t, after, rec2, sw.cfg, sw.ops, seed+3); !r.OK {
+					t.Fatalf("crash-at=%d: second recovery violates the mode's condition: %s (generations %d → %d)",
 						k, r, rep2.SourceGeneration, rep2.Generation)
 				}
 			}
@@ -269,7 +270,7 @@ func TestInPlaceReplayFailsSweep(t *testing.T) {
 				violations++
 				return
 			}
-			if r := probeDurable(t, after, rec2, sw.completed, seed+3); !r.DurableOK() {
+			if r := probeDurable(t, after, rec2, sw.cfg, sw.ops, seed+3); !r.OK {
 				violations++
 			}
 		}()

@@ -2,12 +2,12 @@ package harness
 
 // crash.go is cmd/crashtest minus flags and I/O: the prepuc-crash document,
 // the crash cycle it records — boot K co-resident instances on one machine →
-// drive workers into a full-system crash → recover in waves until an attempt
-// completes → probe → verdict — its linearize variant, and the bisect/repro
-// reporting of a failed cycle. The flat cycle is the K=1, one-wave case of
-// the co-resident one: untagged keys, the un-shrunk sizing, no isolation
-// scan, no sharded block. A cycle's base — CrashConfig.Seed, the iteration
-// index and the target's offset — seeds its substrate RNG, fault policy and
+// drive recorded workers into a full-system crash → recover in waves until
+// an attempt completes → probe → verdict, over chained epochs — and the
+// bisect/repro reporting of a failed cycle. The flat cycle is the K=1,
+// one-wave case of the co-resident one: untagged keys, the un-shrunk sizing,
+// no sharded block. A cycle's base — CrashConfig.Seed, the iteration index
+// and the target's offset — seeds its substrate RNG, fault policy and
 // workload generators (DESIGN.md §15, "Which seeds exist"); its schedulers
 // draw nothing. Nothing here reads a flag.
 
@@ -19,7 +19,6 @@ import (
 
 	"prepuc/internal/drivers"
 	"prepuc/internal/fault"
-	"prepuc/internal/history"
 	"prepuc/internal/linearize"
 	"prepuc/internal/metrics"
 	"prepuc/internal/numa"
@@ -31,7 +30,7 @@ import (
 )
 
 // CrashSchema identifies the machine-readable crashtest output format.
-const CrashSchema = "prepuc-crash/v3"
+const CrashSchema = "prepuc-crash/v4"
 
 // CrashConfig is one crashtest run: cmd/crashtest's flags, one for one (the
 // field comments name them).
@@ -46,7 +45,6 @@ type CrashConfig struct {
 	CrashAt    uint64 // -crash-at
 	NestedAt   uint64 // -nested-at
 	Bisect     bool   // -bisect
-	Check      string // -check: "prefix" or "linearize"
 	Epochs     int    // -epochs
 	Jobs       int    // -j
 	Instances  int    // -instances
@@ -113,21 +111,22 @@ func (f *FaultStats) add(g FaultStats) {
 	f.NestedCrashes += g.NestedCrashes
 }
 
-// CheckBlock is one cycle's linearizability verdict (-check linearize only;
-// additive to schema v2).
+// CheckBlock is one cycle's verdict: every instance's recorded history
+// against its probed recovered state, epoch by epoch.
 type CheckBlock struct {
-	// Mode is the checker that produced the verdict ("linearize").
-	Mode string `json:"mode"`
 	// Epochs is how many chained crash/recover epochs the cycle ran.
 	Epochs int `json:"epochs"`
 	// Ops and Partitions total the checked operations and WGL partitions
-	// across the cycle's epochs.
+	// across the cycle's epochs and instances.
 	Ops        int `json:"ops"`
 	Partitions int `json:"partitions"`
-	// Lost is the total completed-operation loss the checker had to grant
+	// Lost is the total completed-update loss the checker had to grant
 	// (0 except under the buffered allowance).
-	Lost int  `json:"lost"`
-	OK   bool `json:"ok"`
+	Lost int `json:"lost"`
+	// ForeignKeys counts keys the isolation scan found in a recovered
+	// instance beyond its probed key range (must be 0).
+	ForeignKeys uint64 `json:"foreign_keys"`
+	OK          bool   `json:"ok"`
 	// FailedEpoch / FailedPartition / Reason locate the first failure
 	// (FailedEpoch is -1 when OK).
 	FailedEpoch     int    `json:"failed_epoch"`
@@ -135,51 +134,46 @@ type CheckBlock struct {
 	Reason          string `json:"reason,omitempty"`
 }
 
-// CheckerSummary aggregates the run's linearizability checking (-check
-// linearize only; additive to schema v2).
+// CheckerSummary aggregates the run's checking.
 type CheckerSummary struct {
-	Mode     string `json:"mode"`
-	Epochs   int    `json:"epochs"`
-	Cycles   int    `json:"cycles"`
-	Ops      int    `json:"ops"`
-	Lost     int    `json:"lost"`
-	Failures int    `json:"failures"`
+	Epochs   int `json:"epochs"`
+	Cycles   int `json:"cycles"`
+	Ops      int `json:"ops"`
+	Lost     int `json:"lost"`
+	Failures int `json:"failures"`
 }
 
-// ShardedBlock is one cycle's multi-instance record (additive to schema v2;
-// absent when -instances is 1).
+// ShardedBlock is one cycle's multi-instance record (absent when -instances
+// is 1).
 type ShardedBlock struct {
 	Instances int `json:"instances"`
 	// RecoveredFirst is the rotating proper subset of instances recovered
 	// in the first wave; the rest recovered on a later scheduler.
 	RecoveredFirst []int `json:"recovered_first"`
-	// ForeignKeys counts keys found in some instance's recovered state
-	// that were inserted into a different instance (must be 0).
-	ForeignKeys uint64          `json:"foreign_keys"`
-	PerInstance []InstanceCycle `json:"per_instance"`
+	// Composition audits the routing: every instance's recorded operations,
+	// in every epoch, and its last probed keys belong to it.
+	Composition linearize.CompositionResult `json:"composition"`
+	PerInstance []InstanceCycle             `json:"per_instance"`
 }
 
-// InstanceCycle is one instance's verdict within a co-resident cycle.
+// InstanceCycle is one instance's verdict within a co-resident cycle, its
+// own crash cut in every epoch.
 type InstanceCycle struct {
-	Instance  int    `json:"instance"`
-	Completed uint64 `json:"completed_ops"`
-	Recovered uint64 `json:"recovered_ops"`
-	Lost      uint64 `json:"lost_completed"`
-	Replayed  uint64 `json:"replayed"`
-	OK        bool   `json:"ok"`
+	Instance int    `json:"instance"`
+	Ops      int    `json:"ops"`
+	Lost     int    `json:"lost"`
+	Replayed uint64 `json:"replayed"`
+	OK       bool   `json:"ok"`
 }
 
-// CrashCycle is one iteration's record in the JSON document. The first
-// seven fields are unchanged from schema v1; Metrics is the whole counter set
-// of the cycle's machine lineage (boot, workload, every crash and recovery).
+// CrashCycle is one iteration's record in the JSON document. Metrics is the
+// whole counter set of the cycle's machine lineage (boot, workload, every
+// crash, recovery and probe).
 type CrashCycle struct {
-	Iteration int    `json:"iteration"`
-	OK        bool   `json:"ok"`
-	Completed uint64 `json:"completed_ops"`
-	Recovered uint64 `json:"recovered_ops"`
-	Lost      uint64 `json:"lost_completed"`
+	Iteration int  `json:"iteration"`
+	OK        bool `json:"ok"`
 	// RecoveryVirtualNS is the virtual time the (final, successful) recovery
-	// procedure took; Replayed the log entries it re-applied (zero for
+	// procedures took; Replayed the log entries they re-applied (zero for
 	// systems whose recovery attaches to persisted state without replay).
 	RecoveryVirtualNS uint64           `json:"recovery_virtual_ns"`
 	Replayed          uint64           `json:"replayed"`
@@ -187,7 +181,7 @@ type CrashCycle struct {
 	RecoveryAttempts  int              `json:"recovery_attempts"`
 	Fault             FaultStats       `json:"fault"`
 	Metrics           metrics.Snapshot `json:"metrics"`
-	Check             *CheckBlock      `json:"check,omitempty"`
+	Check             CheckBlock       `json:"check"`
 	Sharded           *ShardedBlock    `json:"sharded,omitempty"`
 }
 
@@ -208,26 +202,23 @@ type CrashDoc struct {
 	Nested     int              `json:"nested"`
 	Instances  int              `json:"instances,omitempty"`
 	Fault      FaultStats       `json:"fault"`
-	Checker    *CheckerSummary  `json:"checker,omitempty"`
+	Checker    CheckerSummary   `json:"checker"`
 	Systems    []CrashSystemDoc `json:"systems"`
 }
 
-// BuildCrashDoc runs the targets' crash/recover cycles under the configured
-// checker and returns the machine-readable document plus the failure count.
+// BuildCrashDoc runs the targets' crash/recover cycles and returns the machine-readable document plus the failure count.
 // It is the whole run minus flag validation and I/O setup, so tests can
 // drive it deterministically.
 func BuildCrashDoc(progress io.Writer, c CrashConfig, tgs []CrashTarget) (CrashDoc, int) {
 	doc := CrashDoc{
 		Schema: CrashSchema, Iterations: c.Iterations, Workers: c.Workers,
 		Epsilon: c.Epsilon, LogSize: c.LogSize, Seed: c.Seed, Nested: c.Nested,
-		Fault: FaultStats{Policy: c.policyLabel()},
+		Fault: FaultStats{Policy: c.policyLabel()}, Checker: CheckerSummary{Epochs: c.Epochs},
 	}
 	banner := "crash/recover cycles"
 	if c.Instances > 1 {
 		doc.Instances = c.Instances
 		banner = fmt.Sprintf("sharded crash/recover cycles (instances=%d)", c.Instances)
-	} else if c.Check == "linearize" {
-		doc.Checker = &CheckerSummary{Mode: "linearize", Epochs: c.Epochs}
 	}
 	failures := 0
 	// Each cycle builds its machine from scratch on a private scheduler, so
@@ -251,13 +242,11 @@ func BuildCrashDoc(progress io.Writer, c CrashConfig, tgs []CrashTarget) (CrashD
 				failures++
 			}
 			doc.Fault.add(cyc.Fault)
-			if doc.Checker != nil && cyc.Check != nil {
-				doc.Checker.Cycles++
-				doc.Checker.Ops += cyc.Check.Ops
-				doc.Checker.Lost += cyc.Check.Lost
-				if !cyc.Check.OK {
-					doc.Checker.Failures++
-				}
+			doc.Checker.Cycles++
+			doc.Checker.Ops += cyc.Check.Ops
+			doc.Checker.Lost += cyc.Check.Lost
+			if !cyc.Check.OK {
+				doc.Checker.Failures++
 			}
 			sd.Cycles = append(sd.Cycles, cyc)
 		}
@@ -266,19 +255,20 @@ func BuildCrashDoc(progress io.Writer, c CrashConfig, tgs []CrashTarget) (CrashD
 	return doc, failures
 }
 
-// cycle runs one iteration's crash/recover cycle under the configured
-// checker and returns its record, the checker-specific half of its progress
-// line, and the error boot or recovery answered with, if any — such a cycle
-// is recorded failed. A simulated thread's bug panic (a worker out of heap
-// before a pinned crash point the heap cannot reach), which Scheduler.Run
-// re-raises on this goroutine, is such an error too.
+// cycle runs one iteration's crash/recover cycle and returns its record, its
+// progress line and the error boot, recovery or a probe answered with, if
+// any — such a cycle is recorded failed. A simulated thread's bug panic (a
+// worker out of heap before a pinned crash point the heap cannot reach),
+// which Scheduler.Run re-raises on this goroutine, is such an error too.
 func (c *CrashConfig) cycle(tg CrashTarget, iter int, crashAt uint64) (cyc CrashCycle, detail string, err error) {
-	cyc = CrashCycle{Iteration: iter, CrashAt: crashAt}
+	cyc = CrashCycle{Iteration: iter, CrashAt: crashAt, Check: CheckBlock{Epochs: c.Epochs, OK: true, FailedEpoch: -1}}
+	defer func() {
+		if cb := &cyc.Check; err != nil && cb.OK {
+			cyc.OK, cb.OK, cb.FailedEpoch, cb.Reason = false, false, 0, err.Error()
+		}
+	}()
 	defer sim.PanicToErr("cycle", &err)
-	if c.Check == "linearize" {
-		return c.linearizeCycle(tg, iter, crashAt)
-	}
-	return c.prefixCycle(tg, iter, crashAt)
+	return c.run(tg, iter, crashAt)
 }
 
 // runIteration is one iteration: the cycle, its progress line and — on
@@ -296,7 +286,8 @@ func (c *CrashConfig) runIteration(buf *bytes.Buffer, tg CrashTarget, i int, cra
 	}
 	if err != nil {
 		fmt.Fprintf(buf, "       error: %v\n", err)
-	} else if cb := cyc.Check; cb != nil {
+	} else {
+		cb := cyc.Check
 		fmt.Fprintf(buf, "       check: epoch %d, %s: %s\n", cb.FailedEpoch, cb.FailedPartition, cb.Reason)
 	}
 	at := crashAt
@@ -421,12 +412,17 @@ func (c *CrashConfig) finish(cyc *CrashCycle, sys *nvm.System) {
 	cyc.Fault.ReplayHoles = ms.ReplayHoles
 }
 
-// instKey tags a per-worker sequence key with its owning instance so
-// cross-instance leakage is observable after recovery. history.Key packs
-// (tid, i) into the low 48 bits; the tag sits above it.
-func instKey(k, tid int, i uint64) uint64 {
-	return uint64(k+1)<<56 | history.Key(tid, i)
-}
+// keyRange is each instance's key range: small enough that probing all of
+// it after every epoch is cheap, large enough to leave collision pressure
+// that exercises the overwrite paths.
+const keyRange = 128
+
+// instKey is instance k's j-th key. The instance index sits above the key
+// range, so the flat cycle's instance 0 is untagged and every key routes
+// back to its owner (instOf).
+func instKey(k int, j uint64) uint64 { return uint64(k)<<56 | j }
+
+func instOf(key uint64) int { return int(key >> 56) }
 
 // recoverFirst picks the cycle's first-wave recovery subset: a proper
 // subset whose start and size both rotate with the iteration, so an
@@ -443,138 +439,115 @@ func recoverFirst(iter, n int) []int {
 	return first
 }
 
-// prefixCycle executes one boot(×K) → workload-crash → recover(in waves, the
-// first until an attempt completes) → probe cycle and checks every instance's
-// recovered state against the per-worker prefix condition. The first Nested
-// attempts of wave 0 run with a crash armed inside the recovery itself;
-// recovery must be re-entrant. With K > 1 the instances' keys are tagged,
-// recovery runs in two waves — a rotating proper subset first, so recovery
-// order independence is exercised across iterations — and an isolation scan
-// (recovered Size minus the instance's own surviving keys) proves no
-// instance's recovery resurrected another's writes.
-func (c *CrashConfig) prefixCycle(tg CrashTarget, iter int, crashAt uint64) (CrashCycle, string, error) {
+// run is the cycle: boot K instances, then, Epochs times, drive every
+// instance's workers — the paper's mixed set workload at 30% reads, every
+// operation recorded with its invoke/response timestamps — into a
+// full-system crash, recover in waves (wave 0 until an attempt completes,
+// its first Nested attempts cut down by a crash armed inside them; with
+// K > 1 a rotating proper subset first, so recovery order independence is
+// exercised across iterations), probe every instance's key range and Size,
+// and check each instance's epoch against its own recovered state under
+// its own condition — durable, or buffered durable with the ε+β−1 loss
+// allowance — with its own crash cut: buffered durable linearizability is
+// not local, so instances are not cut together. The isolation scan fails
+// the cycle on any key an instance holds beyond its range. Each epoch's
+// probed state is the next epoch's initial state, so recovery bugs that
+// only corrupt the second crash are still caught. With K > 1 the epochs'
+// histories and the last probed states also go through
+// linearize.CheckComposition.
+func (c *CrashConfig) run(tg CrashTarget, iter int, crashAt uint64) (CrashCycle, string, error) {
 	K := max(c.Instances, 1)
-	base := c.Seed + int64(iter)*101 + tg.offset
-	cyc := CrashCycle{Iteration: iter, CrashAt: crashAt}
-	ds, key, first := make([]*uc.Driver, K), KeyFunc(FlatKey), recoverFirst(iter, K)
+	wp, base, first := c.Workers/K, c.Seed+int64(iter)*101+tg.offset, recoverFirst(iter, K)
+	cyc := CrashCycle{Iteration: iter, CrashAt: crashAt, Check: CheckBlock{Epochs: c.Epochs, OK: true, FailedEpoch: -1}}
+	cb := &cyc.Check
+	fail := func(epoch int, partition, reason string) {
+		if cb.OK {
+			cb.OK, cb.FailedEpoch, cb.FailedPartition, cb.Reason = false, epoch, partition, reason
+		}
+	}
+	ds, keys, per := make([]*uc.Driver, K), make([][]uint64, K), make([]InstanceCycle, K)
 	for k := range ds {
 		ds[k] = tg.New(c.sizing(k, K))
-	}
-	if K > 1 {
-		key = instKey
-		cyc.Sharded = &ShardedBlock{Instances: K, RecoveredFirst: first}
-	}
-	reps := make([]history.Report, K)
-
-	var completed [][]uint64
-	var rec Recovered
-	m, err := c.boot(base, iter, ds...)
-	if err == nil {
-		completed, _ = m.InsertUntilCrash(crashAt, c.Workers/K, key)
-		if rec, err = m.Recover(c.nestedArm(iter), first); err != nil {
-			err = fmt.Errorf("recover: %w", err)
+		for j := uint64(0); j < keyRange; j++ {
+			keys[k] = append(keys[k], instKey(k, j))
 		}
-		cyc.addRecovery(rec)
+		per[k] = InstanceCycle{Instance: k, OK: true}
 	}
-	var keys [][][]bool
-	var foreign []uint64
-	if err == nil {
-		keys, foreign, err = m.ProbePrefix(completed, 32, key, K > 1)
-	}
-	if err == nil {
-		cyc.OK = true
-		for k := range ds {
-			reps[k] = history.Check(keys[k], completed[k])
-			ok := m.PrefixOK(k, reps[k]) && foreign[k] == 0
-			cyc.OK = cyc.OK && ok
-			cyc.Completed += reps[k].Completed
-			cyc.Recovered += reps[k].Recovered
-			cyc.Lost += reps[k].LostCompleted
-			if blk := cyc.Sharded; blk != nil {
-				blk.ForeignKeys += foreign[k]
-				blk.PerInstance = append(blk.PerInstance, InstanceCycle{
-					Instance: k, Completed: reps[k].Completed, Recovered: reps[k].Recovered,
-					Lost: reps[k].LostCompleted, Replayed: rec.Replayed[k], OK: ok,
-				})
-			}
-		}
-	}
-	c.finish(&cyc, m.Sys)
-	detail := fmt.Sprintf("%s %s", reps[0], cyc.recoveryLine())
-	if blk := cyc.Sharded; blk != nil {
-		detail = fmt.Sprintf("instances=%d first=%v completed=%d recovered=%d lost=%d foreign=%d replayed=%d recovery=%.3fms(virtual)",
-			K, first, cyc.Completed, cyc.Recovered, cyc.Lost, blk.ForeignKeys,
-			cyc.Replayed, float64(cyc.RecoveryVirtualNS)/1e6)
-	}
-	return cyc, detail, err
-}
-
-// linKeyRange keeps the linearize cycle's probe (a Get per key after every
-// epoch) cheap while leaving enough collision pressure to exercise overwrite
-// paths.
-const linKeyRange = 128
-
-// linearizeCycle is the prefix cycle's skeleton (K = 1) under the other
-// checker: every operation of the paper's mixed set workload at 30% reads is
-// recorded with its invoke/response timestamps, and after each of Epochs
-// chained crash/recover epochs the history plus the probed recovered state
-// must admit a durable linearization (buffered durable with the ε+β−1
-// completed-loss allowance for PREP-Buffered). Each epoch's probed state is
-// the next epoch's initial state, so recovery bugs that only corrupt the
-// second crash are still caught. The fault adversary, nested-crash arming and
-// recovery retry loop are the prefix cycle's.
-func (c *CrashConfig) linearizeCycle(tg CrashTarget, iter int, crashAt uint64) (CrashCycle, string, error) {
-	d := tg.New(c.sizing(0, 1))
-	base := c.Seed + int64(iter)*101 + tg.offset
-	spec := workload.SetSpec(30, linKeyRange)
+	spec := workload.SetSpec(30, keyRange)
 	spec.Prefill = 0
-	model := linearize.SetModel()
-	opt := linearize.Options{Buffered: d.Buffered, Allowance: d.LossBound(c.topo().ThreadsPerNode)}
+	hists := make([]linearize.ShardHistory, K)
 
-	cb := &CheckBlock{Mode: "linearize", Epochs: c.Epochs, OK: true, FailedEpoch: -1}
-	cyc := CrashCycle{Iteration: iter, CrashAt: crashAt, Check: cb}
-	m, failure := c.boot(base, iter, d)
-	if failure != nil {
-		cb.OK, cb.FailedEpoch, cb.Reason = false, 0, failure.Error()
+	m, err := c.boot(base, iter, ds...)
+	if err != nil {
+		fail(0, "", err.Error())
 	}
-	init := model.Empty()
-	for epoch := 0; epoch < c.Epochs && cb.OK; epoch++ {
-		hist := linearize.NewRecorder(c.Workers)
-		m.Run(crashAt+uint64(epoch)*7_777, c.Workers, func(t *sim.Thread, _, tid int) {
-			gen := workload.NewGen(spec, base+int64(epoch)*53+17, tid)
+	inits := make([]any, K)
+	epoch := 0
+	for ; epoch < c.Epochs && cb.OK; epoch++ {
+		recs := make([]*linearize.Recorder, K)
+		for k := range recs {
+			recs[k] = linearize.NewRecorder(wp)
+		}
+		m.Run(crashAt+uint64(epoch)*7_777, wp, func(t *sim.Thread, k, tid int) {
+			gen := workload.NewGen(spec, base+int64(epoch)*53+17, k*wp+tid)
 			for {
 				op := gen.Next()
-				hist.Exec(t, tid, op, func() uint64 { return m.Engines[0].Execute(t, tid, op) })
+				op.A0 = instKey(k, op.A0)
+				recs[k].Exec(t, tid, op, func() uint64 { return m.Engines[k].Execute(t, tid, op) })
 			}
 		})
 
-		rec, err := m.Recover(c.nestedArm(iter), nil)
+		rec, rerr := m.Recover(c.nestedArm(iter), first)
 		cyc.addRecovery(rec)
-		var recovered map[uint64]uint64
-		if err != nil {
+		var states []map[uint64]uint64
+		var foreign []uint64
+		if err = rerr; err != nil {
 			err = fmt.Errorf("recover: %w", err)
 		} else {
-			recovered, err = probeServeState(m.Sys, m.Engines[0], linKeyRange)
+			states, foreign, err = m.ProbeState(keys)
 		}
 		if err != nil {
-			failure = err
-			cb.OK, cb.FailedEpoch, cb.Reason = false, epoch, failure.Error()
+			fail(epoch, "", err.Error())
 			break
 		}
 
-		res := linearize.CheckEpoch(model, init, hist.Ops(), recovered, opt)
-		cb.Ops += res.Ops
-		cb.Partitions += res.Partitions
-		cb.Lost += res.Lost
-		if !res.OK {
-			cb.OK, cb.FailedEpoch, cb.FailedPartition, cb.Reason = false, epoch, res.FailedPartition, res.Reason
+		for k := range ds {
+			res := m.CheckEpoch(k, inits[k], recs[k].Ops(), states[k])
+			cb.Ops += res.Ops
+			cb.Partitions += res.Partitions
+			cb.Lost += res.Lost
+			cb.ForeignKeys += foreign[k]
+			pi := &per[k]
+			pi.Ops, pi.Lost, pi.Replayed = pi.Ops+res.Ops, pi.Lost+res.Lost, pi.Replayed+rec.Replayed[k]
+			pi.OK = pi.OK && res.OK && foreign[k] == 0
+			where := res.FailedPartition
+			if K > 1 {
+				where = fmt.Sprintf("instance %d: %s", k, where)
+			}
+			switch {
+			case !res.OK:
+				fail(epoch, where, res.Reason)
+			case foreign[k] > 0:
+				fail(epoch, where, fmt.Sprintf("%d keys beyond the probed range", foreign[k]))
+			}
+			inits[k] = states[k]
+			hists[k] = linearize.ShardHistory{Shard: k, Ops: append(hists[k].Ops, recs[k].Ops()...), Final: states[k]}
 		}
-		init = recovered
 	}
 	c.finish(&cyc, m.Sys)
-	cyc.OK, cyc.Completed, cyc.Lost = cb.OK, uint64(cb.Ops), uint64(cb.Lost)
-	return cyc, fmt.Sprintf("linearize epochs=%d ops=%d partitions=%d lost=%d %s",
-		cb.Epochs, cb.Ops, cb.Partitions, cb.Lost, cyc.recoveryLine()), failure
+	detail := fmt.Sprintf("epochs=%d ops=%d partitions=%d lost=%d foreign=%d %s",
+		cb.Epochs, cb.Ops, cb.Partitions, cb.Lost, cb.ForeignKeys, cyc.recoveryLine())
+	if K > 1 {
+		comp := linearize.CheckComposition(instOf, hists)
+		if !comp.OK {
+			fail(epoch-1, "composition", comp.Reason)
+		}
+		cyc.Sharded = &ShardedBlock{Instances: K, RecoveredFirst: first, Composition: comp, PerInstance: per}
+		detail = fmt.Sprintf("instances=%d first=%v epochs=%d ops=%d lost=%d foreign=%d replayed=%d recovery=%.3fms(virtual)",
+			K, first, cb.Epochs, cb.Ops, cb.Lost, cb.ForeignKeys, cyc.Replayed, float64(cyc.RecoveryVirtualNS)/1e6)
+	}
+	cyc.OK = cb.OK
+	return cyc, detail, err
 }
 
 // reproLine prints the command that re-runs exactly iteration iter's
@@ -593,9 +566,7 @@ func (c *CrashConfig) reproLine(w io.Writer, tg CrashTarget, iter int, crashAt u
 		fmt.Sprintf("-log=%d", c.LogSize),
 		fmt.Sprintf("-seed=%d", c.Seed+int64(iter)*101),
 		fmt.Sprintf("-crash-at=%d", crashAt))
-	if c.Check != "prefix" {
-		args = append(args, fmt.Sprintf("-check=%s", c.Check), fmt.Sprintf("-epochs=%d", c.Epochs))
-	}
+	args = append(args, fmt.Sprintf("-epochs=%d", c.Epochs))
 	if c.Policy != "" {
 		args = append(args, fmt.Sprintf("-policy=%s", c.iterPolicySpec(iter)))
 	}

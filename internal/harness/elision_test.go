@@ -26,7 +26,7 @@ var elisionCounters = []string{
 func TestFlushElisionCycleIdentity(t *testing.T) {
 	c := CrashConfig{
 		Iterations: 1, Workers: 2, Epsilon: 16, LogSize: 128, Seed: 42,
-		Policy: "dropall", Nested: 1, Check: "prefix", Epochs: 1,
+		Policy: "dropall", Nested: 1, Epochs: 1,
 	}
 	tgs, err := CrashTargets("all", 1)
 	if err != nil {
@@ -60,7 +60,7 @@ type elisionRun struct {
 	fingerprint uint64
 }
 
-// elisionCycle runs iteration 0 of tg's prefix cycle with flush elision set
+// elisionCycle runs iteration 0 of tg's crash cycle with flush elision set
 // to elide from boot on.
 func elisionCycle(t *testing.T, c CrashConfig, tg CrashTarget, elide bool) elisionRun {
 	t.Helper()

@@ -14,7 +14,7 @@ import (
 	"slices"
 
 	"prepuc/internal/drivers"
-	"prepuc/internal/history"
+	"prepuc/internal/linearize"
 	"prepuc/internal/numa"
 	"prepuc/internal/nvm"
 	"prepuc/internal/sim"
@@ -40,8 +40,12 @@ type Machine struct {
 // KeyFunc names the i-th key worker tid of instance k inserts.
 type KeyFunc func(k, tid int, i uint64) uint64
 
-// FlatKey is the single-instance key sequence: history.Key, untagged.
-func FlatKey(_, tid int, i uint64) uint64 { return history.Key(tid, i) }
+// Key encodes worker tid's i-th key of an insert workload: distinct keys,
+// one ordered sequence per worker.
+func Key(tid int, i uint64) uint64 { return uint64(tid)<<32 | i }
+
+// FlatKey is the single-instance key sequence: Key, untagged.
+func FlatKey(_, tid int, i uint64) uint64 { return Key(tid, i) }
 
 // BootMachine boots ds, in order, on one fresh machine under substrate
 // configuration ncfg. On error the machine (its Sys is always set) and the
@@ -67,22 +71,23 @@ func (m *Machine) Run(crashAt uint64, wp int, body func(t *sim.Thread, k, tid in
 		func(t *sim.Thread, w int) { body(t, w/wp, w%wp) })
 }
 
-// InsertUntilCrash is the prefix workload: every worker inserts its key
+// InsertUntilCrash is the insert workload: every worker inserts its key
 // sequence key(k, tid, 0), key(k, tid, 1), … until the crash armed at
-// crashAt. It returns how many inserts each worker of each instance
-// completed, and the frozen scheduler.
-func (m *Machine) InsertUntilCrash(crashAt uint64, wp int, key KeyFunc) ([][]uint64, *sim.Scheduler) {
-	completed := make([][]uint64, len(m.Drivers))
-	for k := range completed {
-		completed[k] = make([]uint64, wp)
+// crashAt. Instance k's recorder holds its workers' inserts, the one each
+// worker had begun at the crash recorded in flight. It also returns the
+// frozen scheduler.
+func (m *Machine) InsertUntilCrash(crashAt uint64, wp int, key KeyFunc) ([]*linearize.Recorder, *sim.Scheduler) {
+	recs := make([]*linearize.Recorder, len(m.Drivers))
+	for k := range recs {
+		recs[k] = linearize.NewRecorder(wp)
 	}
 	sch := m.Run(crashAt, wp, func(t *sim.Thread, k, tid int) {
 		for i := uint64(0); ; i++ {
-			m.Engines[k].Execute(t, tid, uc.Insert(key(k, tid, i), i))
-			completed[k][tid] = i + 1
+			op := uc.Insert(key(k, tid, i), i)
+			recs[k].Exec(t, tid, op, func() uint64 { return m.Engines[k].Execute(t, tid, op) })
 		}
 	})
-	return completed, sch
+	return recs, sch
 }
 
 // Recovered is what Machine.Recover measured: the recovery runs wave 0 took
@@ -157,37 +162,34 @@ func (m *Machine) Recover(nestedAt func(attempt int) uint64, first []int) (Recov
 	return out, err
 }
 
-// ProbePrefix reads back, per instance and worker, which of the worker's
-// first completed+extra keys the engines hold. With scan it also asks each
-// instance its Size and returns how many keys it holds beyond the survivors
-// of its own sequences — keys another instance's recovery leaked into it.
-// The error is a read walk's panic (drivers.Probe).
-func (m *Machine) ProbePrefix(completed [][]uint64, extra uint64, key KeyFunc, scan bool) (keys [][][]bool, foreign []uint64, err error) {
-	keys, foreign = make([][][]bool, len(completed)), make([]uint64, len(completed))
+// ProbeState reads back, on one throwaway timeline, instance k's value of
+// every key in keys[k] and its Size: state[k] holds the keys present, and
+// foreign[k] counts the keys the instance holds beyond them — keys no
+// operation of the probed range explains, such as another instance's
+// writes resurrected by recovery. The error is a read walk's panic
+// (drivers.Probe).
+func (m *Machine) ProbeState(keys [][]uint64) (state []map[uint64]uint64, foreign []uint64, err error) {
+	state, foreign = make([]map[uint64]uint64, len(m.Engines)), make([]uint64, len(m.Engines))
 	err = drivers.Probe(m.Sys, func(t *sim.Thread) {
 		for k, eng := range m.Engines {
-			keys[k] = make([][]bool, len(completed[k]))
-			own := uint64(0)
-			for tid, n := range completed[k] {
-				keys[k][tid] = make([]bool, n+extra)
-				for i := range keys[k][tid] {
-					if eng.Execute(t, 0, uc.Get(key(k, tid, uint64(i)))) != uc.NotFound {
-						keys[k][tid][i] = true
-						own++
-					}
+			state[k] = map[uint64]uint64{}
+			for _, key := range keys[k] {
+				if v := eng.Execute(t, 0, uc.Get(key)); v != uc.NotFound {
+					state[k][key] = v
 				}
 			}
-			if scan {
-				foreign[k] = eng.Execute(t, 0, uc.Size()) - own
-			}
+			foreign[k] = eng.Execute(t, 0, uc.Size()) - uint64(len(state[k]))
 		}
 	})
-	return keys, foreign, err
+	return state, foreign, err
 }
 
-// PrefixOK applies instance k's correctness condition to a prefix report:
-// buffered durable with the ε+β−1 loss allowance, or strict durable.
-func (m *Machine) PrefixOK(k int, rep history.Report) bool {
-	return rep.PrefixViolations == 0 &&
-		rep.LostCompleted <= uint64(m.Drivers[k].LossBound(m.Topology.ThreadsPerNode))
+// CheckEpoch applies instance k's correctness condition to one epoch of
+// its recorded set operations, from state init (nil: empty) to the
+// recovered one: buffered durable with the ε+β−1 loss allowance, or strict
+// durable.
+func (m *Machine) CheckEpoch(k int, init any, ops []linearize.Op, recovered map[uint64]uint64) linearize.Result {
+	d := m.Drivers[k]
+	return linearize.CheckEpoch(linearize.SetModel(), init, ops, recovered,
+		linearize.Options{Buffered: d.Buffered, Allowance: d.LossBound(m.Topology.ThreadsPerNode)})
 }

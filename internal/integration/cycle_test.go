@@ -5,6 +5,7 @@ import (
 
 	"prepuc/internal/core"
 	"prepuc/internal/harness"
+	"prepuc/internal/linearize"
 	"prepuc/internal/nvm"
 	"prepuc/internal/seq"
 	"prepuc/internal/sim"
@@ -39,16 +40,26 @@ func bootUnit(t *testing.T, d *uc.Driver, bgFlushOneIn, nvmSeed uint64) *harness
 }
 
 // insertUntilCrash runs workers inserting their per-worker key sequences
-// into the crash armed at crashAt, and returns how many inserts each
-// completed plus the frozen scheduler.
+// into the crash armed at crashAt, and returns the recorded inserts plus the
+// frozen scheduler.
 func insertUntilCrash(t *testing.T, m *harness.Machine, crashAt uint64, workers int,
-	key harness.KeyFunc) ([]uint64, *sim.Scheduler) {
+	key harness.KeyFunc) ([]linearize.Op, *sim.Scheduler) {
 	t.Helper()
-	completed, sch := m.InsertUntilCrash(crashAt, workers, key)
+	recs, sch := m.InsertUntilCrash(crashAt, workers, key)
 	if !sch.Frozen() {
 		t.Fatalf("%s: crash at %d never fired", m.Drivers[0].Name, crashAt)
 	}
-	return completed[0], sch
+	return recs[0].Ops(), sch
+}
+
+// invoked counts, per worker, the inserts ops recorded: worker tid's keys
+// are key(0, tid, i) for i below it.
+func invoked(ops []linearize.Op, workers int) []uint64 {
+	n := make([]uint64, workers)
+	for _, op := range ops {
+		n[op.Client]++
+	}
+	return n
 }
 
 // recoverOnce recovers the crashed machine, no nested crash armed.
@@ -59,13 +70,20 @@ func recoverOnce(t *testing.T, m *harness.Machine) {
 	}
 }
 
-// probePrefix reads back, per worker, which of its first completed+extra
-// keys the engine holds.
-func probePrefix(t *testing.T, m *harness.Machine, completed []uint64, extra uint64, key harness.KeyFunc) [][]bool {
+// checkInserts probes the keys of the recorded inserts plus extra keys past
+// each worker's last one, and returns the instance's verdict on them and how
+// many keys the instance holds beyond them.
+func checkInserts(t *testing.T, m *harness.Machine, ops []linearize.Op, workers int, extra uint64, key harness.KeyFunc) (linearize.Result, uint64) {
 	t.Helper()
-	keys, _, err := m.ProbePrefix([][]uint64{completed}, extra, key, false)
+	var keys []uint64
+	for tid, n := range invoked(ops, workers) {
+		for i := uint64(0); i < n+extra; i++ {
+			keys = append(keys, key(0, tid, i))
+		}
+	}
+	states, foreign, err := m.ProbeState([][]uint64{keys})
 	if err != nil {
 		t.Fatalf("%s probe: %v", m.Drivers[0].Name, err)
 	}
-	return keys[0]
+	return m.CheckEpoch(0, nil, ops, states[0]), foreign[0]
 }

@@ -20,7 +20,6 @@ import (
 	"prepuc/internal/drivers"
 	"prepuc/internal/gluc"
 	"prepuc/internal/harness"
-	"prepuc/internal/history"
 	"prepuc/internal/numa"
 	"prepuc/internal/nvm"
 	"prepuc/internal/seq"
@@ -170,11 +169,10 @@ func TestCrashPointSweep(t *testing.T) {
 	for _, mode := range []core.Mode{core.Buffered, core.Durable} {
 		for crashAt := uint64(5_000); crashAt <= 155_000; crashAt += 10_000 {
 			m := bootUnit(t, prepDriver(mode, prepSizing(workers, 128)), 200, crashAt+3)
-			completed, _ := insertUntilCrash(t, m, crashAt, workers, harness.FlatKey)
+			ops, _ := insertUntilCrash(t, m, crashAt, workers, harness.FlatKey)
 			recoverOnce(t, m)
-			keys := probePrefix(t, m, completed, 16, harness.FlatKey)
-			if rep := history.Check(keys, completed); !m.PrefixOK(0, rep) {
-				t.Errorf("%s crashAt=%d: %s", mode, crashAt, rep)
+			if res, foreign := checkInserts(t, m, ops, workers, 16, harness.FlatKey); !res.OK || foreign != 0 {
+				t.Errorf("%s crashAt=%d: %s, %d foreign keys", mode, crashAt, res, foreign)
 			}
 		}
 	}

@@ -10,7 +10,7 @@ import (
 	"prepuc/internal/drivers"
 	"prepuc/internal/fault"
 	"prepuc/internal/harness"
-	"prepuc/internal/history"
+	"prepuc/internal/linearize"
 	"prepuc/internal/sim"
 	"prepuc/internal/uc"
 )
@@ -39,8 +39,8 @@ func sortTriples(d []uint64) [][3]uint64 {
 // recoveredState is the complete recovered state of eng in canonical order:
 // the sorted DumpState triples where the engine can dump itself (PREP,
 // CX-PUC, ONLL), else — SOFT has no dump — the (Get code, key, value) of
-// every held key among each worker's first completed+extra.
-func recoveredState(m *harness.Machine, completed []uint64, extra uint64) [][3]uint64 {
+// every held key among each worker's first invoked+extra.
+func recoveredState(m *harness.Machine, invoked []uint64, extra uint64) [][3]uint64 {
 	var dump []uint64
 	eng := m.Engines[0]
 	drivers.Probe(m.Sys, func(th *sim.Thread) {
@@ -48,9 +48,9 @@ func recoveredState(m *harness.Machine, completed []uint64, extra uint64) [][3]u
 			dump = d.DumpState(th)
 			return
 		}
-		for tid, n := range completed {
+		for tid, n := range invoked {
 			for i := uint64(0); i < n+extra; i++ {
-				op := uc.Get(history.Key(tid, i))
+				op := uc.Get(harness.Key(tid, i))
 				if v := eng.Execute(th, 0, op); v != uc.NotFound {
 					dump = append(dump, op.Code, op.A0, v)
 				}
@@ -87,7 +87,7 @@ func TestDoubleRecoveryIdempotent(t *testing.T) {
 				t.Fatal(err)
 			}
 			m.Sys.SetFaultPolicy(pol)
-			completed, _ := insertUntilCrash(t, m, crashAt, workers, harness.FlatKey)
+			ops, _ := insertUntilCrash(t, m, crashAt, workers, harness.FlatKey)
 
 			// First recovery, re-entered once through the armed nested crash.
 			r1, err := m.Recover(func(attempt int) uint64 {
@@ -103,12 +103,10 @@ func TestDoubleRecoveryIdempotent(t *testing.T) {
 				t.Fatalf("attempts=%d nested=%d, want the armed crash to cut down exactly the first attempt",
 					r1.Attempts, r1.NestedCrashes)
 			}
-			keys1 := probePrefix(t, m, completed, 32, harness.FlatKey)
-			rep := history.Check(keys1, completed)
-			if !m.PrefixOK(0, rep) {
-				t.Errorf("recovered state violates the durable condition: %s", rep)
+			if res, foreign := checkInserts(t, m, ops, workers, 32, harness.FlatKey); !res.OK || foreign != 0 {
+				t.Errorf("recovered state violates the durable condition: %s, %d foreign keys", res, foreign)
 			}
-			state1 := recoveredState(m, completed, 32)
+			state1 := recoveredState(m, invoked(ops, workers), 32)
 			if len(state1) == 0 {
 				t.Fatal("first recovery produced an empty state; workload too short to be meaningful")
 			}
@@ -119,7 +117,7 @@ func TestDoubleRecoveryIdempotent(t *testing.T) {
 			// the source generation).
 			m.Sys.SetFaultPolicy(fault.DropAll())
 			recoverOnce(t, m)
-			if state2 := recoveredState(m, completed, 32); !reflect.DeepEqual(state1, state2) {
+			if state2 := recoveredState(m, invoked(ops, workers), 32); !reflect.DeepEqual(state1, state2) {
 				t.Errorf("recovered states differ: first has %d ops, second %d", len(state1), len(state2))
 			}
 		})
@@ -128,13 +126,15 @@ func TestDoubleRecoveryIdempotent(t *testing.T) {
 
 // TestMultiCrashEpochs drives K consecutive crash/recover cycles through
 // PREP, giving each epoch a disjoint key range, and verifies the final state
-// against every epoch at once: durable mode must preserve every epoch's
-// completed ops; buffered mode must lose at most ε+β−1 per epoch (total
+// against every epoch at once: no later epoch touches an earlier one's keys,
+// so the final state restricted to epoch e's range must satisfy epoch e's
+// condition. Durable mode must preserve every epoch's completed ops;
+// buffered mode must lose at most ε+β−1 completed updates per epoch (total
 // K·(ε+β−1)). The durable variant runs under DropAll — strictly more
 // adversarial than the default coin.
 func TestMultiCrashEpochs(t *testing.T) {
 	const workers = 4
-	beta := uint64(topo().ThreadsPerNode)
+	beta := topo().ThreadsPerNode
 	for _, tc := range []struct {
 		name   string
 		mode   core.Mode
@@ -156,33 +156,28 @@ func TestMultiCrashEpochs(t *testing.T) {
 				m.Sys.SetFaultPolicy(tc.policy)
 			}
 			epochKey := func(e int) harness.KeyFunc {
-				return func(_, tid int, i uint64) uint64 { return history.EpochKey(e, tid, i) }
+				return func(_, tid int, i uint64) uint64 { return uint64(e)<<48 | harness.Key(tid, i) }
 			}
-			epochs := make([]history.Epoch, tc.k)
-			for e := 0; e < tc.k; e++ {
-				epochs[e].Completed, _ = insertUntilCrash(t, m, uint64(30_000+e*7_000), workers, epochKey(e))
+			epochs := make([][]linearize.Op, tc.k)
+			for e := range epochs {
+				epochs[e], _ = insertUntilCrash(t, m, uint64(30_000+e*7_000), workers, epochKey(e))
 				recoverOnce(t, m)
 			}
 
-			// Probe every epoch's keys against the FINAL recovered state.
-			for e := 0; e < tc.k; e++ {
-				epochs[e].Keys = probePrefix(t, m, epochs[e].Completed, 16, epochKey(e))
+			// Check every epoch's keys against the FINAL recovered state.
+			total, bound := 0, int(d.Epsilon)+beta-1
+			for e, ops := range epochs {
+				res, _ := checkInserts(t, m, ops, workers, 16, epochKey(e))
+				if !res.OK {
+					t.Errorf("epoch %d: multi-crash %s violation: %s", e, tc.mode, res)
+				}
+				if tc.mode == core.Buffered && res.Lost > bound {
+					t.Errorf("epoch %d: lost %d, per-epoch bound ε+β−1 = %d", e, res.Lost, bound)
+				}
+				total += res.Lost
 			}
-
-			mr := history.CheckEpochs(epochs)
-			switch tc.mode {
-			case core.Durable:
-				if !mr.DurableOK() {
-					t.Errorf("multi-crash durable violation: %s", mr)
-				}
-			case core.Buffered:
-				if !mr.BufferedOK(d.Epsilon, beta) {
-					t.Errorf("multi-crash buffered violation (per-epoch bound %d): %s",
-						d.Epsilon+beta-1, mr)
-				}
-				if limit := uint64(tc.k) * (d.Epsilon + beta - 1); mr.TotalLost() > limit {
-					t.Errorf("total loss %d exceeds K·(ε+β−1) = %d", mr.TotalLost(), limit)
-				}
+			if limit := tc.k * bound; total > limit {
+				t.Errorf("total loss %d exceeds K·(ε+β−1) = %d", total, limit)
 			}
 		})
 	}

@@ -82,7 +82,9 @@ func TestMutationQueueDoubleApply(t *testing.T) {
 
 // In buffered mode the crash cut may lose completed operations, but never a
 // resolved-committed one: the resolution horizon is the recovered state's
-// own persisted tail.
+// own persisted tail. Nor may it lose an operation that precedes a kept one
+// in real time: the insert at [0,10] returned before the committed insert
+// was invoked at 12, so keeping the latter keeps the former.
 func TestInFlightCommittedNotLosable(t *testing.T) {
 	ops := []Op{
 		co(0, uc.OpInsert, 1, 11, 1, 0, 10),
@@ -91,12 +93,17 @@ func TestInFlightCommittedNotLosable(t *testing.T) {
 	// Both effects present: fine.
 	mustOK(t, CheckEpoch(SetModel(), nil, ops, setState(1, 11, 2, 22),
 		Options{Buffered: true, Allowance: 2}))
-	// The completed insert may fall into the lost suffix...
-	mustOK(t, CheckEpoch(SetModel(), nil, ops, setState(2, 22),
+	// The completed insert cannot fall into the lost suffix behind the
+	// committed one...
+	mustFail(t, CheckEpoch(SetModel(), nil, ops, setState(2, 22),
 		Options{Buffered: true, Allowance: 2}))
-	// ...the resolved-committed one may not, whatever the allowance.
+	// ...and the resolved-committed one may not, whatever the allowance.
 	mustFail(t, CheckEpoch(SetModel(), nil, ops, setState(1, 11),
 		Options{Buffered: true, Allowance: 8}))
+	// Overlapping the committed insert, the completed one may be lost.
+	ops[0].Return = 15
+	mustOK(t, CheckEpoch(SetModel(), nil, ops, setState(2, 22),
+		Options{Buffered: true, Allowance: 2}))
 }
 
 // Mixed verdicts across one client's in-flight window: the committed prefix

@@ -14,8 +14,8 @@
 //     suffix; resolved-never-applied (InFlightNever) operations must not
 //     take effect at all;
 //   - the recovered state must be the state of a legal linearization
-//     (durable), or of a prefix of one with at most Allowance completed
-//     operations lost to the crash (buffered durable, PREP-Buffered's
+//     (durable), or of one consistent cut of one, with at most Allowance
+//     completed updates after the cut (buffered durable, PREP-Buffered's
 //     ε+β−1 suffix-loss bound).
 //
 // Histories are recorded by Recorder (record.go) with the simulator's
@@ -29,11 +29,13 @@
 // Tractability: Model.Partition splits a history into independently
 // checkable sub-problems — the set models partition by key, collapsing the
 // exponential WGL search into many trivial per-key searches — and the
-// search memoizes (linearized-set, state) configurations à la Lowe.
+// search memoizes (linearized-set, state) configurations à la Lowe. A
+// buffered crash cut is one instant shared by every partition (cut.go).
 package linearize
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"prepuc/internal/uc"
@@ -136,12 +138,13 @@ type Model interface {
 // Options selects the correctness condition for one epoch.
 type Options struct {
 	// Buffered selects buffered durable linearizability: the recovered
-	// state may reflect only a prefix of the linearization, losing up to
-	// Allowance completed operations (PREP-Buffered's ε+β−1). When false,
-	// the check is strict durable linearizability: the recovered state
-	// must reflect every completed operation.
+	// state is the state of one consistent cut of a linearization, and the
+	// completed updates after the cut — operations whose step changes the
+	// state — are lost, at most Allowance of them (PREP-Buffered's ε+β−1).
+	// When false, the check is strict durable linearizability: the
+	// recovered state must reflect every completed operation.
 	Buffered bool
-	// Allowance is the completed-operation loss budget (Buffered only).
+	// Allowance is the completed-update loss budget (Buffered only).
 	Allowance int
 }
 
@@ -151,10 +154,12 @@ type Result struct {
 	OK bool
 	// Ops and Partitions count what was checked.
 	Ops, Partitions int
-	// Lost is the minimal number of completed operations that had to be
-	// declared lost (0 unless Buffered).
+	// Lost is the least number of completed updates any admissible cut
+	// loses (0 unless Buffered).
 	Lost int
-	// FailedPartition and Reason describe the first failing partition.
+	// FailedPartition and Reason describe the failure: the partition no
+	// linearization of fits or, for a buffered epoch, the one that rejected
+	// the last candidate cut instant.
 	FailedPartition string
 	Reason          string
 }
@@ -172,10 +177,8 @@ func (r Result) String() string {
 // init is the full state at the start of the epoch (nil = Model.Empty());
 // recovered is the observed full state after the epoch — pass nil to leave
 // the final state unconstrained (crash-free checking of responses only).
-//
-// The Allowance budget is global: partitions consume it greedily by their
-// individual minimum loss, which sums to the global minimum because
-// partitions are independent.
+// A buffered epoch's cut is one instant shared by every partition
+// (oneCut).
 func CheckEpoch(m Model, init any, ops []Op, recovered any, opt Options) Result {
 	if init == nil {
 		init = m.Empty()
@@ -185,24 +188,27 @@ func CheckEpoch(m Model, init any, ops []Op, recovered any, opt Options) Result 
 		return Result{OK: false, Ops: len(ops), FailedPartition: m.Name(), Reason: err.Error()}
 	}
 	res := Result{OK: true, Ops: len(ops), Partitions: len(problems)}
-	remaining := 0
-	if opt.Buffered {
-		remaining = opt.Allowance
+	fail := func(p *Problem, reason string) Result {
+		res.OK, res.FailedPartition, res.Reason = false, p.Label, reason
+		return res
 	}
-	for i := range problems {
-		p := &problems[i]
-		lost, ok := checkProblem(p, opt.Buffered, remaining)
-		if !ok {
-			return Result{
-				OK: false, Ops: len(ops), Partitions: len(problems),
-				Lost: res.Lost, FailedPartition: p.Label,
-				Reason: fmt.Sprintf("no linearization of %d ops within loss budget %d",
-					len(p.Ops), remaining),
+	if !opt.Buffered {
+		for i := range problems {
+			if newSearch(&problems[i], 0).lossDurable() > 0 {
+				return fail(&problems[i], fmt.Sprintf("no linearization of %d ops", len(problems[i].Ops)))
 			}
 		}
-		res.Lost += lost
-		remaining -= lost
+		return res
 	}
+	ss := make([]*search, len(problems))
+	for i := range problems {
+		ss[i] = newSearch(&problems[i], opt.Allowance)
+	}
+	lost, failed, reason := oneCut(ss, opt.Allowance)
+	if failed != nil {
+		return fail(failed, reason)
+	}
+	res.Lost = lost
 	return res
 }
 
@@ -220,44 +226,41 @@ func Replay(m Model, init any, ops []uc.Op) any {
 	return s
 }
 
-// checkProblem finds the minimal completed-operation loss with which the
-// partition linearizes, bounded by budget. In strict (non-buffered) mode
-// the loss is always 0 and a single search decides.
-func checkProblem(p *Problem, buffered bool, budget int) (lost int, ok bool) {
-	if !buffered {
-		return 0, newSearch(p, false, 0).run()
-	}
-	// Iterate the budget upward: the first feasible k is the partition's
-	// minimum loss. Most partitions succeed immediately at k=0.
-	for k := 0; k <= budget; k++ {
-		if newSearch(p, true, k).run() {
-			return k, true
-		}
-	}
-	return 0, false
-}
-
 // entry is one operation in the invoke-sorted working list.
 type entry struct {
-	op         *Op
-	idx        int // bit index in the linearized set
-	ret        uint64
-	rank       int // exploration priority from Problem.Rank (0 if none)
+	op   *Op
+	idx  int // bit index in the linearized set
+	ret  uint64
+	rank int // exploration priority from Problem.Rank (0 if none)
+	// keep marks an operation the cut must follow, excl one it must
+	// precede (set per cut by search.constrain).
+	keep, excl bool
 	prev, next *entry
 }
 
-// search is one WGL run over a partition with a fixed loss budget.
+// search is the WGL search over one partition: the least number of
+// completed updates a linearization must place after the crash cut, under
+// the cut's keep/excl constraints.
 type search struct {
-	p        *Problem
-	buffered bool
-	budget   int
-	ranked   bool
-	head     *entry // sentinel; list holds unlinearized entries, invoke-sorted
-	bits     []uint64
-	memo     map[string]struct{}
+	p       *Problem
+	budget  int // losses above budget are infeasible: reported as budget+1
+	ranked  bool
+	entries []entry
+	head    *entry // sentinel; list holds unlinearized entries, invoke-sorted
+	bits    []uint64
+	memo    map[string]int
+	// keeps and obls count the entries the cut must follow and the
+	// obligations (Completed and InFlightCommitted) of the current cut.
+	keeps, obls int
+	// rets and invs are the sorted Return stamps of the completed entries
+	// and the Invoke stamps of every entry; class and classLoss cache the
+	// last cut instant's constraint class and its loss (oneCut).
+	rets, invs []uint64
+	class      [2]int
+	classLoss  int
 }
 
-func newSearch(p *Problem, buffered bool, budget int) *search {
+func newSearch(p *Problem, budget int) *search {
 	n := 0
 	for i := range p.Ops {
 		// InFlightNever operations are excluded from the working list: they
@@ -269,7 +272,12 @@ func newSearch(p *Problem, buffered bool, budget int) *search {
 			n++
 		}
 	}
-	entries := make([]entry, n)
+	s := &search{
+		p: p, budget: budget, ranked: p.Rank != nil,
+		entries: make([]entry, n), head: &entry{},
+		bits: make([]uint64, (n+63)/64), memo: make(map[string]int),
+		class: [2]int{-1, -1},
+	}
 	order := make([]*entry, 0, n)
 	for i := range p.Ops {
 		op := &p.Ops[i]
@@ -279,14 +287,17 @@ func newSearch(p *Problem, buffered bool, budget int) *search {
 		ret := op.Return
 		if op.Class != Completed {
 			ret = ^uint64(0) // never returned: blocks nothing
+		} else {
+			s.rets = append(s.rets, ret)
 		}
+		s.invs = append(s.invs, op.Invoke)
 		rank := 0
 		if p.Rank != nil {
 			rank = p.Rank(op)
 		}
 		idx := len(order)
-		entries[idx] = entry{op: op, idx: idx, ret: ret, rank: rank}
-		order = append(order, &entries[idx])
+		s.entries[idx] = entry{op: op, idx: idx, ret: ret, rank: rank}
+		order = append(order, &s.entries[idx])
 	}
 	sort.SliceStable(order, func(a, b int) bool {
 		if order[a].op.Invoke != order[b].op.Invoke {
@@ -294,60 +305,83 @@ func newSearch(p *Problem, buffered bool, budget int) *search {
 		}
 		return order[a].op.Client < order[b].op.Client
 	})
-	head := &entry{}
-	cur := head
+	slices.Sort(s.rets)
+	slices.Sort(s.invs)
+	cur := s.head
 	for _, e := range order {
 		cur.next = e
 		e.prev = cur
 		cur = e
 	}
-	return &search{
-		p: p, buffered: buffered, budget: budget, ranked: p.Rank != nil,
-		head: head, bits: make([]uint64, (n+63)/64),
-		memo: make(map[string]struct{}),
-	}
+	return s
 }
 
-func (s *search) run() bool {
-	// Obligations: operations that must linearize. Completed ones observed
-	// their response; InFlightCommitted ones have a recovery-issued verdict
-	// the post-crash state must corroborate.
-	completed := 0
-	for i := range s.p.Ops {
-		if c := s.p.Ops[i].Class; c == Completed || c == InFlightCommitted {
-			completed++
+// lossDurable is 0 if the partition linearizes with every completed
+// operation before the cut — the durable condition — and infeasible if not.
+func (s *search) lossDurable() int {
+	return s.constrain(func(op *Op) (keep, excl bool) { return op.Class == Completed, false })
+}
+
+// lossAt is the partition's least loss with the crash cut at instant t:
+// every completed operation that returned before t precedes the cut, every
+// operation invoked after t follows it.
+func (s *search) lossAt(t uint64) int {
+	return s.constrain(func(op *Op) (keep, excl bool) {
+		return op.Class == Completed && op.Return < t, op.Invoke > t
+	})
+}
+
+// lossFree is the partition's least loss with its cut placed freely: with
+// one partition every prefix of its linearization is a consistent cut, so
+// this is the loss; with more it is each partition's lower bound.
+func (s *search) lossFree() int {
+	return s.constrain(func(*Op) (keep, excl bool) { return false, false })
+}
+
+// constrain runs the search with the cut constraints at assigns to each
+// operation. A resolved-committed operation's effect is inside the
+// recovered state by construction, so it always precedes the cut.
+func (s *search) constrain(at func(op *Op) (keep, excl bool)) int {
+	s.keeps, s.obls = 0, 0
+	for i := range s.entries {
+		e := &s.entries[i]
+		e.keep, e.excl = at(e.op)
+		switch e.op.Class {
+		case InFlightCommitted:
+			e.keep = true
+			s.obls++
+		case Completed:
+			s.obls++
 		}
-	}
-	return s.dfs(s.p.Init, false, 0, completed)
-}
-
-// dfs explores linearization extensions from the current configuration:
-// state is the sequential state after the linearized set (s.bits),
-// cutTaken and lost track the buffered crash cut, completedLeft counts
-// completed operations not yet linearized.
-func (s *search) dfs(state any, cutTaken bool, lost int, completedLeft int) bool {
-	stateOK := !s.p.HasRecovered || s.p.Equal(state, s.p.Recovered)
-	if completedLeft == 0 {
-		if s.buffered {
-			// The cut may sit here, at the very end, if the state matches.
-			if cutTaken || stateOK {
-				return true
+		if e.keep {
+			if e.excl {
+				return s.budget + 1
 			}
-		} else if stateOK {
-			return true
+			s.keeps++
 		}
-		// State mismatch: in-flight operations may still need to take
-		// effect (or, buffered, the cut may come later) — keep searching.
 	}
-	if !s.memoAdd(cutTaken, lost, state) {
-		return false
+	clear(s.memo)
+	return s.dfs(s.p.Init, false, s.keeps, s.obls)
+}
+
+// dfs returns the least loss that completes the current configuration:
+// state is the sequential state after the linearized set (s.bits), cut
+// whether the crash cut is behind it, keepLeft and oblLeft the entries
+// still to place that must precede the cut and that must linearize at all.
+// A configuration's answer depends on nothing else, so it is memoized.
+func (s *search) dfs(state any, cut bool, keepLeft, oblLeft int) int {
+	if cut && oblLeft == 0 {
+		return 0 // the rest is in flight: it may vanish
 	}
-	// Buffered: take the crash cut here if the observed recovered state
-	// matches; everything linearized afterwards is lost to the crash.
-	if s.buffered && !cutTaken && stateOK {
-		if s.dfs(state, true, lost, completedLeft) {
-			return true
-		}
+	key := s.memoKey(cut, state)
+	if v, seen := s.memo[key]; seen {
+		return v
+	}
+	best := s.budget + 1
+	// The cut may sit here once everything it must follow is placed and
+	// the state is the recovered one.
+	if !cut && keepLeft == 0 && (!s.p.HasRecovered || s.p.Equal(state, s.p.Recovered)) {
+		best = min(best, s.dfs(state, true, 0, oblLeft))
 	}
 	// Candidates: unlinearized ops x, scanned in invoke order, such that no
 	// other unlinearized y has ret(y) < inv(x). Only earlier-invoked
@@ -360,7 +394,9 @@ func (s *search) dfs(state any, cutTaken bool, lost int, completedLeft int) bool
 		if e.op.Invoke > minRet {
 			break
 		}
-		cands = append(cands, e)
+		if !e.excl || cut {
+			cands = append(cands, e)
+		}
 		if e.ret < minRet {
 			minRet = e.ret
 		}
@@ -375,61 +411,55 @@ func (s *search) dfs(state any, cutTaken bool, lost int, completedLeft int) bool
 		}
 	}
 	for _, e := range cands {
-		if cutTaken && e.op.Class == InFlightCommitted {
-			// A resolved-committed operation's effect is inside the
-			// recovered state by construction; it cannot land in the lost
-			// suffix after the crash cut.
-			continue
+		if best == 0 {
+			break
 		}
 		s2, res := s.p.Step(state, e.op.Code, e.op.A0, e.op.A1)
-		legal := e.op.Class == InFlight || res == e.op.Result
-		if legal {
-			lost2 := lost
-			if cutTaken && e.op.Class == Completed {
-				lost2++
-			}
-			if !cutTaken || lost2 <= s.budget {
-				left2 := completedLeft
-				if c := e.op.Class; c == Completed || c == InFlightCommitted {
-					left2--
-				}
-				e.prev.next = e.next
-				if e.next != nil {
-					e.next.prev = e.prev
-				}
-				s.bits[e.idx>>6] |= 1 << (uint(e.idx) & 63)
-				ok := s.dfs(s2, cutTaken, lost2, left2)
-				s.bits[e.idx>>6] &^= 1 << (uint(e.idx) & 63)
-				e.prev.next = e
-				if e.next != nil {
-					e.next.prev = e
-				}
-				if ok {
-					return true
-				}
-			}
+		if e.op.Class != InFlight && res != e.op.Result {
+			continue
+		}
+		// A completed update after the cut is lost.
+		cost := 0
+		if cut && e.op.Class == Completed && !s.p.Equal(s2, state) {
+			cost = 1
+		}
+		if cost >= best {
+			continue
+		}
+		keep, obl := keepLeft, oblLeft
+		if e.keep {
+			keep--
+		}
+		if c := e.op.Class; c == Completed || c == InFlightCommitted {
+			obl--
+		}
+		e.prev.next = e.next
+		if e.next != nil {
+			e.next.prev = e.prev
+		}
+		s.bits[e.idx>>6] |= 1 << (uint(e.idx) & 63)
+		best = min(best, cost+s.dfs(s2, cut, keep, obl))
+		s.bits[e.idx>>6] &^= 1 << (uint(e.idx) & 63)
+		e.prev.next = e
+		if e.next != nil {
+			e.next.prev = e
 		}
 	}
-	return false
+	s.memo[key] = best
+	return best
 }
 
-// memoAdd records the configuration, reporting false if it was already
-// explored.
-func (s *search) memoAdd(cutTaken bool, lost int, state any) bool {
-	key := make([]byte, 0, len(s.bits)*8+len(s.p.Ops)/4+10)
+// memoKey encodes a configuration: the linearized set, the cut, the state.
+func (s *search) memoKey(cut bool, state any) string {
+	key := make([]byte, 0, len(s.bits)*8+1)
 	for _, w := range s.bits {
 		key = append(key, byte(w), byte(w>>8), byte(w>>16), byte(w>>24),
 			byte(w>>32), byte(w>>40), byte(w>>48), byte(w>>56))
 	}
-	cut := byte(0)
-	if cutTaken {
-		cut = 1
+	if cut {
+		key = append(key, 1)
+	} else {
+		key = append(key, 0)
 	}
-	key = append(key, cut, byte(lost), byte(lost>>8))
-	k := string(key) + s.p.Key(state)
-	if _, seen := s.memo[k]; seen {
-		return false
-	}
-	s.memo[k] = struct{}{}
-	return true
+	return string(key) + s.p.Key(state)
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"prepuc/internal/history"
 	"prepuc/internal/uc"
 )
 
@@ -95,19 +94,20 @@ func TestInFlightTakesEffectOrNot(t *testing.T) {
 
 func TestBufferedAllowance(t *testing.T) {
 	// Insert completed, then a Get of the same key observed it; a crash
-	// lost both. The cut must sit before the insert, losing 2 completed
-	// ops — legal iff the allowance covers both.
+	// lost both. The cut must sit before the insert. Only the insert
+	// changed the state, so the loss is one completed update: legal iff the
+	// allowance covers it. The lost Get spends nothing.
 	ops := []Op{
 		co(0, uc.OpInsert, 5, 50, 1, 0, 10),
 		co(1, uc.OpGet, 5, 0, 50, 20, 30),
 	}
 	empty := setState()
 	mustFail(t, CheckEpoch(SetModel(), nil, ops, empty, Options{}))
-	mustFail(t, CheckEpoch(SetModel(), nil, ops, empty, Options{Buffered: true, Allowance: 1}))
-	r := CheckEpoch(SetModel(), nil, ops, empty, Options{Buffered: true, Allowance: 2})
+	mustFail(t, CheckEpoch(SetModel(), nil, ops, empty, Options{Buffered: true, Allowance: 0}))
+	r := CheckEpoch(SetModel(), nil, ops, empty, Options{Buffered: true, Allowance: 1})
 	mustOK(t, r)
-	if r.Lost != 2 {
-		t.Fatalf("lost = %d, want 2", r.Lost)
+	if r.Lost != 1 {
+		t.Fatalf("lost = %d, want 1", r.Lost)
 	}
 }
 
@@ -130,28 +130,37 @@ func TestBufferedLossMustBeSuffixWithinPartition(t *testing.T) {
 	mustFail(t, CheckEpoch(SetModel(), nil, ops2, setState(5, 51, 6, 60), Options{Buffered: true, Allowance: 8}))
 }
 
-// TestBufferedCutAcrossKeysNeedsHistory pins why the repository keeps two
-// oracles. One worker completes inserts of k0, k1, k2 in that order; the
-// recovered state holds k0 and k2 only. No prefix of the worker's history
-// has that state, but the set model partitions by key and the buffered check
-// spends its allowance per partition: k1's partition loses one operation,
-// within budget, and nothing relates its cut to k2's. history.Check, which
-// orders one worker's keys, sees the hole.
-func TestBufferedCutAcrossKeysNeedsHistory(t *testing.T) {
+// TestBufferedCutIsOneInstant pins that a buffered crash cut is one cut of
+// the whole history, not one per partition. One worker completes inserts of
+// k0, k1, k2 in that order; the recovered state holds k0 and k2 only. Each
+// key alone is a prefix of its own sub-history, but no prefix of the
+// worker's history has that state: keeping k2 puts the cut after its
+// invocation, which is after k1 returned, so k1 must be kept too. No
+// allowance excuses it.
+func TestBufferedCutIsOneInstant(t *testing.T) {
 	ops := []Op{
-		co(0, uc.OpInsert, history.Key(0, 0), 1, 1, 0, 10),
-		co(0, uc.OpInsert, history.Key(0, 1), 1, 1, 20, 30),
-		co(0, uc.OpInsert, history.Key(0, 2), 1, 1, 40, 50),
+		co(0, uc.OpInsert, 0, 1, 1, 0, 10),
+		co(0, uc.OpInsert, 1, 1, 1, 20, 30),
+		co(0, uc.OpInsert, 2, 1, 1, 40, 50),
 	}
-	recovered := setState(history.Key(0, 0), 1, history.Key(0, 2), 1)
-	r := CheckEpoch(SetModel(), nil, ops, recovered, Options{Buffered: true, Allowance: 1})
-	mustOK(t, r)
-	if r.Lost != 1 || r.Partitions != 3 {
-		t.Fatalf("lost %d in %d partitions, want 1 in 3", r.Lost, r.Partitions)
+	for allowance := 0; allowance <= len(ops); allowance++ {
+		r := CheckEpoch(SetModel(), nil, ops, setState(0, 1, 2, 1), Options{Buffered: true, Allowance: allowance})
+		mustFail(t, r)
+		if r.Partitions != 3 {
+			t.Fatalf("allowance %d: %d partitions, want 3", allowance, r.Partitions)
+		}
 	}
-	h := history.Check([][]bool{{true, false, true}}, []uint64{3})
-	if h.PrefixViolations != 1 || h.BufferedOK(1, 1) {
-		t.Fatalf("history accepted an inconsistent cut: %s", h)
+	// The prefixes themselves pass, each losing what follows it.
+	for n := 0; n <= len(ops); n++ {
+		kv := []uint64{}
+		for k := 0; k < n; k++ {
+			kv = append(kv, uint64(k), 1)
+		}
+		r := CheckEpoch(SetModel(), nil, ops, setState(kv...), Options{Buffered: true, Allowance: len(ops)})
+		mustOK(t, r)
+		if r.Lost != len(ops)-n {
+			t.Fatalf("prefix of %d: lost %d, want %d", n, r.Lost, len(ops)-n)
+		}
 	}
 }
 

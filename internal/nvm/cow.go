@@ -100,9 +100,15 @@ func (s *slab[T]) wline(base, n uint64) []T {
 // privatize replaces the shared page pi with a private copy. The copy
 // completes before the old page's count is dropped, so a sibling that then
 // observes ref==1 may write the old page in place without racing the copy.
+// A copy of the zero page is a fresh zeroed allocation: nothing to read.
 func (s *slab[T]) privatize(pi uint64) *page[T] {
 	p := s.pages[pi]
-	np := &page[T]{ref: 1, vals: append([]T(nil), p.vals...)}
+	np := &page[T]{ref: 1}
+	if p.zero() {
+		np.vals = make([]T, pageWords)
+	} else {
+		np.vals = append([]T(nil), p.vals...)
+	}
 	s.pages[pi] = np
 	atomic.AddInt32(&p.ref, -1)
 	*s.copied++

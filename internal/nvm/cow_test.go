@@ -187,3 +187,34 @@ func TestCloneRefcountsBalanceAfterChain(t *testing.T) {
 		t.Errorf("chain recorded clones=%d pages_copied=%d, want both nonzero", snap.Clones, snap.PagesCopied)
 	}
 }
+
+// TestZeroPagePrivatizesZeroed writes through a fresh slab, whose pages all
+// alias the pinned zero page: the privatized page must read zero everywhere
+// but the written word, the pinned page must stay zero, and the write counts
+// as one page copy like any other privatization.
+func TestZeroPagePrivatizesZeroed(t *testing.T) {
+	var copied uint64
+	s := newZeroSlab[uint64](2*pageWords, &copied)
+	zero := s.pages[1]
+	s.store(pageWords+7, 42)
+	if copied != 1 {
+		t.Fatalf("copied = %d after one write to a zero page, want 1", copied)
+	}
+	if s.pages[1] == zero || s.pages[1].zero() || s.pages[0] != zero {
+		t.Fatal("the write did not privatize exactly its own page")
+	}
+	for i := uint64(0); i < 2*pageWords; i++ {
+		want := uint64(0)
+		if i == pageWords+7 {
+			want = 42
+		}
+		if got := s.load(i); got != want {
+			t.Fatalf("word %d = %d, want %d", i, got, want)
+		}
+	}
+	for i, v := range zero.vals {
+		if v != 0 {
+			t.Fatalf("pinned zero page word %d = %d after a write through it", i, v)
+		}
+	}
+}

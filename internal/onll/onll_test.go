@@ -3,7 +3,7 @@ package onll
 import (
 	"testing"
 
-	"prepuc/internal/history"
+	"prepuc/internal/linearize"
 	"prepuc/internal/nvm"
 	"prepuc/internal/seq"
 	"prepuc/internal/sim"
@@ -128,16 +128,21 @@ func TestConcurrentDistinctKeys(t *testing.T) {
 	})
 }
 
+// workerKey is worker tid's i-th key of the insert workload.
+func workerKey(tid int, i uint64) uint64 { return uint64(tid)<<32 | i }
+
 func TestCrashLosesNoCompletedOp(t *testing.T) {
 	const workers = 6
 	for _, crashAt := range []uint64{30_000, 90_000, 250_000} {
 		cfg := testCfg(workers)
 		w := build(t, cfg, nvm.Config{Costs: sim.UnitCosts(), BGFlushOneIn: 128, Seed: crashAt}, int64(crashAt))
-		completed := make([]uint64, workers)
+		hist := linearize.NewRecorder(workers)
+		invoked := make([]uint64, workers)
 		sch := w.run(workers, crashAt, int64(crashAt)+1, func(th *sim.Thread, tid int) {
 			for i := uint64(0); ; i++ {
-				w.o.Execute(th, tid, uc.Insert(history.Key(tid, i), i))
-				completed[tid] = i + 1
+				op := uc.Insert(workerKey(tid, i), i)
+				invoked[tid] = i + 1
+				hist.Exec(th, tid, op, func() uint64 { return w.o.Execute(th, tid, op) })
 			}
 		})
 		if !sch.Frozen() {
@@ -154,22 +159,21 @@ func TestCrashLosesNoCompletedOp(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		keys := make([][]bool, workers)
+		state := map[uint64]uint64{}
 		chk := sim.New(int64(crashAt) + 3)
 		recSys.SetScheduler(chk)
 		chk.Spawn("probe", 0, 0, func(th *sim.Thread) {
 			for tid := 0; tid < workers; tid++ {
-				n := completed[tid] + 16
-				keys[tid] = make([]bool, n)
-				for i := uint64(0); i < n; i++ {
-					keys[tid][i] = rec.Execute(th, 0, uc.Get(history.Key(tid, i))) != uc.NotFound
+				for i := uint64(0); i < invoked[tid]+16; i++ {
+					if v := rec.Execute(th, 0, uc.Get(workerKey(tid, i))); v != uc.NotFound {
+						state[workerKey(tid, i)] = v
+					}
 				}
 			}
 		})
 		chk.Run()
-		rep := history.Check(keys, completed)
-		if !rep.DurableOK() {
-			t.Errorf("crashAt=%d: %s", crashAt, rep)
+		if res := linearize.CheckEpoch(linearize.SetModel(), nil, hist.Ops(), state, linearize.Options{}); !res.OK {
+			t.Errorf("crashAt=%d: %s", crashAt, res)
 		}
 	}
 }
@@ -179,7 +183,7 @@ func TestRecoveredInstanceUsableAndRecrashable(t *testing.T) {
 	w := build(t, cfg, nvm.Config{Costs: sim.UnitCosts()}, 9)
 	w.run(4, 0, 900, func(th *sim.Thread, tid int) {
 		for i := uint64(0); i < 25; i++ {
-			w.o.Execute(th, tid, uc.Insert(history.Key(tid, i), i))
+			w.o.Execute(th, tid, uc.Insert(workerKey(tid, i), i))
 		}
 	})
 	recSch := sim.New(901)
@@ -262,7 +266,7 @@ func TestChainedRecoveriesFitPerWorkerLogs(t *testing.T) {
 	for epoch := uint64(0); epoch < 2; epoch++ {
 		w.run(workers, 0, int64(1100+epoch), func(th *sim.Thread, tid int) {
 			for i := epoch * per; i < (epoch+1)*per; i++ {
-				w.o.Execute(th, tid, uc.Insert(history.Key(tid, i), i))
+				w.o.Execute(th, tid, uc.Insert(workerKey(tid, i), i))
 			}
 		})
 		recSch := sim.New(0)
@@ -283,7 +287,7 @@ func TestChainedRecoveriesFitPerWorkerLogs(t *testing.T) {
 	w.run(1, 0, 1102, func(th *sim.Thread, _ int) {
 		for tid := 0; tid < workers; tid++ {
 			for i := uint64(0); i < 2*per; i++ {
-				if got := w.o.Execute(th, 0, uc.Get(history.Key(tid, i))); got != i {
+				if got := w.o.Execute(th, 0, uc.Get(workerKey(tid, i))); got != i {
 					t.Errorf("get(worker %d, %d) = %d", tid, i, got)
 				}
 			}

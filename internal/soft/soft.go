@@ -194,6 +194,17 @@ func (s *Soft) Get(t *sim.Thread, key uint64) uint64 {
 	return uc.NotFound
 }
 
+// size counts the keys present: Get's lock-free walk over every bucket.
+func (s *Soft) size(t *sim.Thread) uint64 {
+	n := uint64(0)
+	for b := uint64(0); b < s.cfg.Buckets; b++ {
+		for v := s.vmem.Load(t, s.bucketsOff+b); v != 0; v = s.vmem.Load(t, v+vnNext) {
+			n++
+		}
+	}
+	return n
+}
+
 // Contains reports (as 0/1) whether key is present.
 func (s *Soft) Contains(t *sim.Thread, key uint64) uint64 {
 	if s.Get(t, key) == uc.NotFound {
@@ -274,6 +285,8 @@ func (s *Soft) Execute(t *sim.Thread, tid int, op uc.Op) uint64 {
 		return s.Insert(t, op.A0, op.A1, s.flusherFor(tid))
 	case uc.OpDelete:
 		return s.Delete(t, op.A0, s.flusherFor(tid))
+	case uc.OpSize:
+		return s.size(t)
 	default:
 		panic("soft: unsupported operation")
 	}

@@ -9,17 +9,6 @@ import (
 	"prepuc/internal/uc"
 )
 
-// size counts the keys of the volatile index.
-func (s *Soft) size(t *sim.Thread) uint64 {
-	var n uint64
-	for b := uint64(0); b < s.cfg.Buckets; b++ {
-		for v := s.vmem.Load(t, s.bucketsOff+b); v != 0; v = s.vmem.Load(t, v+vnNext) {
-			n++
-		}
-	}
-	return n
-}
-
 type world struct {
 	sys *nvm.System
 	s   *Soft

@@ -29,18 +29,13 @@ import (
 // the named test of another package needs it, which an unexported name or a
 // _test.go file cannot serve.
 var testOnlyAllowed = map[string]string{
-	"internal/nvm.System.SetBGFlushOneIn":     "internal/core's TestInPlaceReplayFailsSweep raises eviction for the recovery phase of an already-booted machine",
-	"internal/core.PREP.DumpState":            "internal/integration's TestDoubleRecoveryIdempotent compares whole recovered states across double recovery through it",
-	"internal/cxpuc.CX.DumpState":             "as core.PREP.DumpState",
-	"internal/onll.ONLL.DumpState":            "as core.PREP.DumpState",
-	"internal/explore.StrideSweep":            "the sampling reference internal/harness's TestExploreSubsumesStrideSweep holds the explorer's crash classes against",
-	"internal/history.CheckEpochs":            "internal/integration's TestMultiCrashEpochs adjudicates its epochs with the second oracle (DESIGN.md §8)",
-	"internal/history.EpochKey":               "the key encoding of TestMultiCrashEpochs's workload",
-	"internal/history.MultiReport.DurableOK":  "TestMultiCrashEpochs's durable verdict",
-	"internal/history.MultiReport.BufferedOK": "TestMultiCrashEpochs's buffered verdict",
-	"internal/history.MultiReport.TotalLost":  "the K·(ε+β−1) loss bound TestMultiCrashEpochs asserts",
-	"internal/seq.ListSetType":                "internal/integration's TestDifferentialListSet and TestDurableRecoveryPreservesEveryStructure run it under the constructions",
-	"internal/seq.SkipListType":               "as seq.ListSetType, in TestDifferentialSkipList",
+	"internal/nvm.System.SetBGFlushOneIn": "internal/core's TestInPlaceReplayFailsSweep raises eviction for the recovery phase of an already-booted machine",
+	"internal/core.PREP.DumpState":        "internal/integration's TestDoubleRecoveryIdempotent compares whole recovered states across double recovery through it",
+	"internal/cxpuc.CX.DumpState":         "as core.PREP.DumpState",
+	"internal/onll.ONLL.DumpState":        "as core.PREP.DumpState",
+	"internal/explore.StrideSweep":        "the sampling reference internal/harness's TestExploreSubsumesStrideSweep holds the explorer's crash classes against",
+	"internal/seq.ListSetType":            "internal/integration's TestDifferentialListSet and TestDurableRecoveryPreservesEveryStructure run it under the constructions",
+	"internal/seq.SkipListType":           "as seq.ListSetType, in TestDifferentialSkipList",
 }
 
 // TestNoTestOnlyExports type-checks every non-test file of the module and
