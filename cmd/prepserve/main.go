@@ -30,16 +30,18 @@
 // the set. -format json emits one machine-readable document with schema
 // "prepuc-serve/v4".
 //
-// -instances S > 1 selects the sharded multi-instance deployment: S fully
+// Every run is one harness.RunShardedServe over -instances S fully
 // independent machines (each with its own scheduler, NVM, engine, rings and
 // recovery state machine) behind a -route key-space router, with -shards
 // read as the TOTAL worker count split evenly across machines — so a
-// scaling sweep holds total resources fixed while varying S. The steady
-// sharded matrix adds PREP-Volatile (the scaling headline's engine); the
-// crash scenario crashes the -crash-shards subset of machines (default:
-// all) while survivors keep serving, each crashed shard recovering
-// independently. -j caps host-side parallelism across machine sub-runs;
-// the document is byte-identical at any -j.
+// scaling sweep holds total resources fixed while varying S. S = 1, the
+// default, is the one machine: its record is the machine's own, and the
+// document carries no sharded fields. At S > 1 the steady matrix adds
+// PREP-Volatile (the scaling headline's engine); the crash scenario crashes
+// the -crash-shards subset of machines (default: all) while survivors keep
+// serving, each crashed shard recovering independently. -j caps host-side
+// parallelism across machine sub-runs; the document is byte-identical at
+// any -j.
 package main
 
 import (
@@ -54,16 +56,17 @@ import (
 	"prepuc/internal/drivers"
 	"prepuc/internal/harness"
 	"prepuc/internal/shard"
+	"prepuc/internal/uc"
 )
 
-// load is the machine and arrival schedule the flags describe: each flag
-// below is bound to the harness.ServeConfig field it names. The crash
-// instant and the schedule's seed depend on other flags and are filled in by
-// buildDoc.
-var load harness.ServeConfig
+// load is the deployment and arrival schedule the flags describe: each flag
+// below is bound to the harness.ShardedServeConfig field it names. The crash
+// instant, the crashed machines and the schedule's seed depend on other
+// flags and are filled in by buildDoc.
+var load harness.ShardedServeConfig
 
 func init() {
-	flag.IntVar(&load.Shards, "shards", 4, "submission rings / consumer threads (engine workers)")
+	flag.IntVar(&load.TotalWorkers, "shards", 4, "submission rings / consumer threads (engine workers)")
 	flag.Uint64Var(&load.RingSize, "ring", 1024, "per-shard ring capacity (power of two)")
 	flag.IntVar(&load.MaxBatch, "batch", 32, "max operations per combiner handoff")
 	flag.BoolVar(&load.Batched, "batched", true, "use the batched submission path where the engine supports it")
@@ -82,6 +85,10 @@ func init() {
 	flag.StringVar(&load.Policy, "policy", "", "crash-time fault adversary: persistall, dropall, coinflip[=p], targeted[=n] (empty: fence-accurate default)")
 	flag.BoolVar(&load.Check, "check", false, "verify each run for (buffered) durable linearizability; exit 1 on failure")
 	flag.Int64Var(&load.Seed, "seed", 1, "base seed")
+
+	flag.IntVar(&load.Instances, "instances", 1, "independent machines behind the router (>1: sharded mode; -shards becomes the total worker count)")
+	flag.StringVar(&load.Route, "route", defaultRoute, "sharded key partitioning policy: hash or range")
+	flag.IntVar(&load.Jobs, "j", 1, "host workers for sharded machine sub-runs (0: all cores; never affects output bytes)")
 }
 
 var (
@@ -92,10 +99,7 @@ var (
 	format   = flag.String("format", "table", "output format: table or json")
 	outPath  = flag.String("o", "", "write results to this file (default stdout)")
 
-	instances   = flag.Int("instances", 1, "independent machines behind the router (>1: sharded mode; -shards becomes the total worker count)")
-	route       = flag.String("route", defaultRoute, "sharded key partitioning policy: hash or range")
 	crashShards = flag.String("crash-shards", "", "comma-separated machine indices to crash in sharded crash runs (empty: all)")
-	jobs        = flag.Int("j", 1, "host workers for sharded machine sub-runs (0: all cores; never affects output bytes)")
 )
 
 // defaultRoute is -route's default; validate tells a set flag by it.
@@ -150,7 +154,7 @@ func selectSystems() ([]drivers.Entry, error) {
 		}
 		return []drivers.Entry{e}, nil
 	}
-	if *instances > 1 {
+	if load.Instances > 1 {
 		return candidates, nil
 	}
 	return drivers.Recoverable(), nil
@@ -172,7 +176,7 @@ func buildDoc(progress io.Writer) (*serveDoc, int, error) {
 	doc := &serveDoc{
 		Schema: ServeSchema, Scenario: *scenario,
 		Clients: cfg.Open.Clients, RateOpsPerSec: cfg.Open.Rate,
-		DurationVirtualNS: cfg.Open.DurationNS, Shards: cfg.Shards,
+		DurationVirtualNS: cfg.Open.DurationNS, Shards: cfg.TotalWorkers,
 		Batched: cfg.Batched, Seed: cfg.Seed,
 		Policy: cfg.Policy, Check: cfg.Check,
 	}
@@ -180,38 +184,24 @@ func buildDoc(progress io.Writer) (*serveDoc, int, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	// run is one system's deployment: the flat machine, or *instances
-	// independent machines with the total worker budget split evenly.
-	run := func(sys drivers.Entry) (*harness.ServeResult, error) {
-		return harness.RunServe(sys.New(harness.ServeSizing(cfg.Shards, *epsilon)), cfg)
+	if *scenario == "crash" {
+		if cfg.CrashShards, err = shard.ParseSet(*crashShards, cfg.Instances); err != nil {
+			return nil, 0, err
+		}
+		if cfg.CrashShards == nil { // default: every machine
+			for i := 0; i < cfg.Instances; i++ {
+				cfg.CrashShards = append(cfg.CrashShards, i)
+			}
+		}
 	}
-	if *instances > 1 {
-		scfg := harness.ShardedServeConfig{
-			Instances: *instances, Route: *route, TotalWorkers: cfg.Shards,
-			RingSize: cfg.RingSize, MaxBatch: cfg.MaxBatch, Batched: cfg.Batched,
-			Open: cfg.Open, Seed: cfg.Seed, Policy: cfg.Policy, Check: cfg.Check,
-			CrashAtNS: cfg.CrashAtNS, Jobs: *jobs,
-		}
-		if *scenario == "crash" {
-			if scfg.CrashShards, err = shard.ParseSet(*crashShards, *instances); err != nil {
-				return nil, 0, err
-			}
-			if scfg.CrashShards == nil { // default: every machine
-				for i := 0; i < *instances; i++ {
-					scfg.CrashShards = append(scfg.CrashShards, i)
-				}
-			}
-		}
-		doc.Instances, doc.Route, doc.CrashShards = *instances, *route, scfg.CrashShards
-		run = func(sys drivers.Entry) (*harness.ServeResult, error) {
-			return harness.RunShardedServe(func() *harness.ServeDriver {
-				return sys.New(harness.ServeSizing(cfg.Shards / *instances, *epsilon))
-			}, scfg)
-		}
+	if cfg.Instances > 1 {
+		doc.Instances, doc.Route, doc.CrashShards = cfg.Instances, cfg.Route, cfg.CrashShards
 	}
 	failures := 0
 	for _, sys := range systems {
-		res, err := run(sys)
+		res, err := harness.RunShardedServe(func() *uc.Driver {
+			return sys.New(harness.ServeSizing(cfg.TotalWorkers/cfg.Instances, *epsilon))
+		}, cfg)
 		if err != nil {
 			return nil, failures, err
 		}
@@ -244,18 +234,18 @@ func validate() error {
 		return fmt.Errorf("-format=%s: want table or json", *format)
 	case *scenario != "steady" && *scenario != "crash":
 		return fmt.Errorf("unknown scenario %q", *scenario)
-	case *instances < 1:
-		return fmt.Errorf("-instances=%d: need at least one machine", *instances)
-	case load.Shards < 1:
-		return fmt.Errorf("-shards=%d: need at least one ring", load.Shards)
+	case load.Instances < 1:
+		return fmt.Errorf("-instances=%d: need at least one machine", load.Instances)
+	case load.TotalWorkers < 1:
+		return fmt.Errorf("-shards=%d: need at least one ring", load.TotalWorkers)
 	case load.RingSize == 0 || load.RingSize&(load.RingSize-1) != 0:
 		return fmt.Errorf("-ring=%d: a ring's capacity is a power of two", load.RingSize)
 	case load.MaxBatch < 1 || load.Batched && load.MaxBatch > core.MaxBatch:
 		return fmt.Errorf("-batch=%d: a combiner handoff takes 1 to %d operations", load.MaxBatch, core.MaxBatch)
-	case *instances == 1 && *crashShards != "":
+	case load.Instances == 1 && *crashShards != "":
 		return fmt.Errorf("-crash-shards=%s needs -instances > 1", *crashShards)
-	case *instances == 1 && *route != defaultRoute:
-		return fmt.Errorf("-route=%s needs -instances > 1", *route)
+	case load.Instances == 1 && load.Route != defaultRoute:
+		return fmt.Errorf("-route=%s needs -instances > 1", load.Route)
 	}
 	return nil
 }

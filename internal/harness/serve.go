@@ -1,12 +1,15 @@
 package harness
 
-// serve.go drives the asynchronous service front-end (internal/svc) with an
-// open-loop arrival schedule (internal/openloop): per-shard injector threads
-// release operations at their pre-generated arrival instants into the
-// submission rings, consumer threads drain them in batches, and every
-// completion's latency (DoneNS − ArrivalNS) lands in a log-linear histogram —
-// so a stalled server accumulates queueing delay against the percentiles
-// instead of silently thinning the arrival stream (no coordinated omission).
+// serve.go runs one machine of the serve path: the asynchronous service
+// front-end (internal/svc) driven with an open-loop arrival schedule
+// (internal/openloop). Per-shard injector threads release operations at
+// their pre-generated arrival instants into the submission rings, consumer
+// threads drain them in batches, and every completion's latency
+// (DoneNS − ArrivalNS) lands in a log-linear histogram — so a stalled server
+// accumulates queueing delay against the percentiles instead of silently
+// thinning the arrival stream (no coordinated omission). The entry point is
+// RunShardedServe (shardserve.go), which runs one machine exactly like this
+// and returns its record, and several behind a router.
 //
 // The crash scenario freezes the whole machine at a fixed virtual instant
 // while the open-loop load is running, recovers the construction, rebuilds
@@ -52,15 +55,15 @@ import (
 
 // ServeDriver and RecoverInfo are the construction descriptor of
 // internal/uc under the names this package exported before the descriptor
-// moved there. The aliases are a compatibility shim for the frozen
-// benchmark/, which decorates drivers from outside under these names; new
-// code should spell uc.Driver.
+// moved there. The aliases are kept, like RunServe and ServeDrivers, only
+// because the frozen benchmark/ compiles against them; code here spells
+// uc.Driver.
 type (
 	ServeDriver = uc.Driver
 	RecoverInfo = uc.RecoverInfo
 )
 
-// ServeConfig parameterizes one service run.
+// ServeConfig parameterizes one machine's service run.
 type ServeConfig struct {
 	// Shards is the number of submission rings / consumer threads (also the
 	// engine's worker count).
@@ -170,9 +173,10 @@ type CheckStats struct {
 // ServeResult is one system's record in the prepuc-serve document. Metrics
 // is the machine's whole counter set at the end of the run (boot, both
 // service generations and recovery included) — on an aggregate record the
-// Add-fold of its machines'. The sharded fields are set only on aggregate
-// records produced by RunShardedServe; single-machine records (and each
-// entry under Shards) leave them empty.
+// Add-fold of its machines'. The sharded fields are set only on the
+// aggregate record of a run of more than one machine; a machine's own
+// record — the whole record of a one-machine run, and each entry under
+// Shards — leaves them empty.
 type ServeResult struct {
 	System    string           `json:"system"`
 	Submitted uint64           `json:"submitted"`
@@ -212,17 +216,19 @@ type tally struct {
 	hist  openloop.Histogram
 	endNS uint64 // latest completion instant (run length for throughput)
 
-	// Crash-scenario fields, active during phase B only.
-	phaseB     bool
+	// gen is the service generation completing now — once the run is over,
+	// the last one. Generation 1 (after a crash) also tracks the outage and
+	// the backlog drain.
+	gen        int
 	resumeNS   uint64
 	firstB     uint64 // first post-crash completion instant (0 = none yet)
 	backlogMax uint64 // latest completion of a pre-resume arrival
 
-	// Completion records per shard, kept only when the linearize check is
-	// on (nil otherwise). Per-shard completion order equals submission
-	// order equals arrival order, so index k zips with the k-th operation
-	// of the shard's (phase-specific) arrival slice.
-	recA, recB [][]compRec
+	// Completion records per generation and shard, kept only when the
+	// linearize check is on (nil otherwise). Per-shard completion order
+	// equals submission order equals arrival order, so index k zips with the
+	// k-th operation of the shard's arrival slice in that generation.
+	rec [2][][]compRec
 }
 
 // compRec is one completion's check-relevant fields. exec is the drain
@@ -233,38 +239,27 @@ type tally struct {
 type compRec struct{ result, exec, done uint64 }
 
 func (ta *tally) onComplete(shard int, f *svc.Future) {
-	ta.hist.Record(f.DoneNS - f.ArrivalNS)
-	if f.DoneNS > ta.endNS {
-		ta.endNS = f.DoneNS
-	}
-	rec := ta.recA
-	if ta.phaseB {
-		if ta.firstB == 0 {
-			ta.firstB = f.DoneNS
-		}
-		if f.ArrivalNS < ta.resumeNS && f.DoneNS > ta.backlogMax {
-			ta.backlogMax = f.DoneNS
-		}
-		rec = ta.recB
-	}
-	if rec != nil {
+	ta.complete(f.ArrivalNS, f.DoneNS)
+	if rec := ta.rec[ta.gen]; rec != nil {
 		rec[shard] = append(rec[shard], compRec{f.Result, f.ExecNS, f.DoneNS})
 	}
 }
 
-// resolvedDelivery accounts one descriptor-resolved in-flight operation
-// whose pre-crash result is handed back at the resume instant: it completes
-// (latency charged from arrival to resume) without ever being resubmitted.
-func (ta *tally) resolvedDelivery(doneNS, arrivalNS uint64) {
+// complete accounts one completion: a drained one, or a descriptor-resolved
+// in-flight operation whose pre-crash result is handed back at the resume
+// instant without ever being resubmitted.
+func (ta *tally) complete(arrivalNS, doneNS uint64) {
 	ta.hist.Record(doneNS - arrivalNS)
 	if doneNS > ta.endNS {
 		ta.endNS = doneNS
 	}
-	if ta.firstB == 0 {
-		ta.firstB = doneNS
-	}
-	if arrivalNS < ta.resumeNS && doneNS > ta.backlogMax {
-		ta.backlogMax = doneNS
+	if ta.gen == 1 {
+		if ta.firstB == 0 {
+			ta.firstB = doneNS
+		}
+		if arrivalNS < ta.resumeNS && doneNS > ta.backlogMax {
+			ta.backlogMax = doneNS
+		}
 	}
 }
 
@@ -348,25 +343,23 @@ func (in *injector) offer() {
 // against a full ring.
 const serveRetryNS = 512
 
-// RunServe executes one open-loop service run — steady-state, or
+// RunServe executes one open-loop service run on one machine — steady, or
 // crash-and-recover-under-load when cfg.CrashAtNS is set — and returns the
-// measured record.
-func RunServe(d *ServeDriver, cfg ServeConfig) (*ServeResult, error) {
-	if cfg.Shards < 1 {
-		return nil, fmt.Errorf("serve: Shards must be positive, got %d", cfg.Shards)
+// machine's record. It is RunShardedServe at one instance, the configuration
+// prepserve runs at -instances 1, kept (like the ServeDriver and RecoverInfo
+// aliases and ServeDrivers) only because the frozen benchmark/ compiles
+// against it.
+func RunServe(d *uc.Driver, cfg ServeConfig) (*ServeResult, error) {
+	scfg := ShardedServeConfig{
+		Instances: 1, Route: "hash", TotalWorkers: cfg.Shards,
+		RingSize: cfg.RingSize, MaxBatch: cfg.MaxBatch, Batched: cfg.Batched,
+		Open: cfg.Open, Seed: cfg.Seed, Policy: cfg.Policy, Check: cfg.Check,
+		CrashAtNS: cfg.CrashAtNS,
 	}
-	if err := checkBatch(cfg.Batched, cfg.MaxBatch); err != nil {
-		return nil, err
+	if cfg.CrashAtNS > 0 {
+		scfg.CrashShards = []int{0}
 	}
-	arrivals, err := openloop.Generate(cfg.Open)
-	if err != nil {
-		return nil, err
-	}
-	perShard := openloop.Split(arrivals, cfg.Shards, func(a *openloop.Arrival) int {
-		return ringOf(a, cfg.Shards)
-	})
-	res, _, err := runServeArrivals(d, cfg, perShard)
-	return res, err
+	return RunShardedServe(func() *uc.Driver { return d }, scfg)
 }
 
 // checkBatch rejects a drain cap the batched path cannot run: a consumer
@@ -394,11 +387,15 @@ type serveRun struct {
 	perShard [][]openloop.Arrival
 }
 
-// runServeArrivals is RunServe on a pre-generated arrival schedule already
-// split across the machine's rings (perShard[s] is ring s's time-sorted
-// share): the sharded harness splits one global schedule by machine and
-// ring and runs each machine through here.
-func runServeArrivals(d *ServeDriver, cfg ServeConfig, perShard [][]openloop.Arrival) (*ServeResult, *serveRun, error) {
+// runServeArrivals runs one machine on its share of the arrival schedule,
+// already split across its rings (perShard[s] is ring s's time-sorted share).
+//
+// A service generation is one set of submission rings over the machine's
+// engine and the load that runs through them: generation 0 on the booted
+// machine and, after a crash, generation 1 on the recovered one. The rings
+// are volatile, so every generation builds its own, under its own memory
+// names and invocation-id epoch; both generations go through build and serve.
+func runServeArrivals(d *uc.Driver, cfg ServeConfig, perShard [][]openloop.Arrival) (*ServeResult, *serveRun, error) {
 	scheduled := scheduledOn(perShard)
 	if scheduled == 0 {
 		return nil, nil, fmt.Errorf("serve: empty arrival schedule")
@@ -406,58 +403,54 @@ func runServeArrivals(d *ServeDriver, cfg ServeConfig, perShard [][]openloop.Arr
 	if cfg.CrashAtNS > 0 && d.Recover == nil {
 		return nil, nil, fmt.Errorf("serve: %s has no recovery path; steady scenario only", d.Name)
 	}
-	tp := serveTopo(cfg.Shards)
-	ta := &tally{}
-	if cfg.Check {
-		ta.recA = make([][]compRec, cfg.Shards)
-		ta.recB = make([][]compRec, cfg.Shards)
-	}
 	pol, err := fault.Parse(cfg.Policy, uint64(cfg.Seed)+11)
 	if err != nil {
 		return nil, nil, err
 	}
-
-	// Boot: construction plus generation-0 service rings.
-	var s *svc.Service
-	sys, engA, err := drivers.Boot(d, nvm.Config{
-		Costs: sim.UnitCosts(), BGFlushOneIn: 128, Seed: uint64(cfg.Seed) + 7,
-	}, func(t *sim.Thread, sys *nvm.System, eng uc.UC) (err error) {
-		s, err = svc.New(t, sys, svc.Config{
-			Engine: eng, Topology: tp, Shards: cfg.Shards,
-			RingSize: cfg.RingSize, MaxBatch: cfg.MaxBatch,
-			NamePrefix: "svc0", Batched: cfg.Batched,
-			OnComplete: ta.onComplete,
-			Detect:     d.Detect, InvidEpoch: 0,
-		})
-		return err
-	})
-	if err != nil {
-		return nil, nil, fmt.Errorf("serve: boot %s: %w", d.Name, err)
-	}
-	if pol != nil {
-		sys.SetFaultPolicy(pol)
+	tp := serveTopo(cfg.Shards)
+	ta := &tally{}
+	if cfg.Check {
+		ta.rec = [2][][]compRec{make([][]compRec, cfg.Shards), make([][]compRec, cfg.Shards)}
 	}
 
-	// Phase A: open-loop load, optionally cut short by the crash.
-	sch := sim.New(0)
-	sys.SetScheduler(sch)
-	if d.SpawnAux != nil {
-		d.SpawnAux()
+	var gens [2]*svc.Service
+	var builtNS uint64 // the building thread's clock once the latest rings stood
+	build := func(gen int) func(*sim.Thread, *nvm.System, uc.UC) error {
+		return func(t *sim.Thread, sys *nvm.System, eng uc.UC) (err error) {
+			gens[gen], err = svc.New(t, sys, svc.Config{
+				Engine: eng, Topology: tp, Shards: cfg.Shards,
+				RingSize: cfg.RingSize, MaxBatch: cfg.MaxBatch,
+				NamePrefix: fmt.Sprintf("svc%d", gen), Batched: cfg.Batched,
+				OnComplete: ta.onComplete,
+				Detect:     d.Detect, InvidEpoch: uint64(gen),
+			})
+			builtNS = t.Clock()
+			return err
+		}
 	}
-	spawnServicePhase(sch, tp, s, d, cfg, perShard, 0)
-	if cfg.CrashAtNS > 0 {
-		sch.CrashAtInstant(cfg.CrashAtNS, func() bool {
-			// Crash only a machine still under load: with every scheduled
-			// arrival completed the run ends unfrozen, which is the error below.
-			done := uint64(0)
-			for shard := 0; shard < cfg.Shards; shard++ {
-				done += s.Client(shard).Completed()
-			}
-			return done < uint64(scheduled)
-		})
+	// serve runs generation gen's load, plan, on sys from startNS and reports
+	// whether the crash cut it short. Generation 0 arms the crash, which cuts
+	// only a machine still under load: with every scheduled arrival completed
+	// the run ends unfrozen.
+	serve := func(gen int, sys *nvm.System, plan [][]openloop.Arrival, startNS uint64) bool {
+		sch := sim.New(0)
+		sys.SetScheduler(sch)
+		if d.SpawnAux != nil {
+			d.SpawnAux()
+		}
+		spawnServicePhase(sch, tp, gens[gen], d, cfg, plan, startNS)
+		if gen == 0 && cfg.CrashAtNS > 0 {
+			sch.CrashAtInstant(cfg.CrashAtNS, func() bool {
+				done := uint64(0)
+				for shard := 0; shard < cfg.Shards; shard++ {
+					done += gens[0].Client(shard).Completed()
+				}
+				return done < uint64(scheduled)
+			})
+		}
+		sch.Run()
+		return sch.Frozen()
 	}
-	sch.Run()
-
 	// probe reads a machine's state for the linearize check.
 	probe := func(sys *nvm.System, eng uc.UC) (map[uint64]uint64, error) {
 		state, err := probeServeState(sys, eng, cfg.Open.Keys)
@@ -466,138 +459,127 @@ func runServeArrivals(d *ServeDriver, cfg ServeConfig, perShard [][]openloop.Arr
 		}
 		return state, err
 	}
+
+	sys, eng, err := drivers.Boot(d, nvm.Config{
+		Costs: sim.UnitCosts(), BGFlushOneIn: 128, Seed: uint64(cfg.Seed) + 7,
+	}, build(0))
+	if err != nil {
+		return nil, nil, fmt.Errorf("serve: boot %s: %w", d.Name, err)
+	}
+	if pol != nil {
+		sys.SetFaultPolicy(pol)
+	}
+	crashed := serve(0, sys, perShard, 0)
+	if cfg.CrashAtNS > 0 && !crashed {
+		return nil, nil, fmt.Errorf("serve: %s: crash at %d ns never fired (load drained first)", d.Name, cfg.CrashAtNS)
+	}
 	res := &ServeResult{System: d.Name}
-	run := &serveRun{ta: ta, perShard: perShard}
-	if cfg.CrashAtNS == 0 || !sch.Frozen() {
-		if cfg.CrashAtNS > 0 {
-			return nil, nil, fmt.Errorf("serve: %s: crash at %d ns never fired (load drained first)", d.Name, cfg.CrashAtNS)
+	// plan is the last generation's schedule, from the state its epoch starts
+	// from (nil: empty).
+	plan := perShard
+	var from map[uint64]uint64
+	if crashed {
+		rec, err := drivers.Recover(d, sys, nil, build(1))
+		if err != nil {
+			return nil, nil, fmt.Errorf("serve: recover %s: %w", d.Name, err)
 		}
-		finish(res, cfg.Shards, s, nil, sys, ta, 0)
+		sys, eng = rec.Sys, rec.Eng
+		resumeNS := cfg.CrashAtNS + builtNS
+		ta.gen, ta.resumeNS = 1, resumeNS
+		crash := &CrashStats{
+			CrashAtNS: cfg.CrashAtNS, Detectable: d.Detect,
+			Replayed: rec.Info.Replayed, RecoveryVirtualNS: rec.VirtualNS,
+		}
+
+		// Resume plan, ring by ring. Completion order equals submission order
+		// per ring, so the ring's completed count at the cut is the resume
+		// index into its arrival list, and everything submitted beyond it was
+		// in flight. For a detectable driver that window splits by recovery's
+		// verdicts: resolved-committed operations complete right here with
+		// their recorded results (exactly-once), everything else is
+		// resubmitted. A non-detectable driver resubmits the whole window.
+		// resubSeq keeps each resubmitted window operation's original
+		// submission sequence number so the duplicate audit below can
+		// re-check the final plan against the verdict map independently of
+		// how it was built.
+		phaseB := make([][]openloop.Arrival, cfg.Shards)
+		resubSeq := make([][]int, cfg.Shards)
+		for shard := 0; shard < cfg.Shards; shard++ {
+			c, all := gens[0].Client(shard), perShard[shard]
+			resume, submitted := int(c.Completed()), int(c.Submitted())
+			crash.LostInflight += uint64(submitted - resume)
+			phaseB[shard] = all[resume:]
+			if d.Detect {
+				crash.InFlightResolved += uint64(submitted - resume)
+				for seq := resume; seq < submitted; seq++ {
+					if _, committed := rec.Info.Resolved[svc.InvocationID(0, shard, uint64(seq))]; committed {
+						crash.ResolvedCompleted++
+						ta.complete(all[seq].At, resumeNS)
+						continue
+					}
+					resubSeq[shard] = append(resubSeq[shard], seq)
+				}
+				phaseB[shard] = resumePlan(all, resume, submitted, resubSeq[shard])
+			}
+			for _, a := range phaseB[shard] {
+				if a.At < resumeNS {
+					crash.BacklogAtResume++
+				}
+			}
+		}
+		if d.Detect {
+			dup := duplicatesIn(resubSeq, rec.Info.Resolved)
+			crash.DuplicatesApplied = &dup
+			sys.Metrics().DedupHits += crash.ResolvedCompleted
+		}
+
+		// The crash epoch ends in the recovered state: probe it before
+		// generation 1 mutates it.
 		if cfg.Check {
-			if run.final, err = probe(sys, engA); err != nil {
+			if from, err = probe(sys, eng); err != nil {
 				return nil, nil, err
 			}
-			res.Check = steadyCheck(perShard, ta, run.final)
+			res.Check = &CheckStats{Mode: "linearize", OK: true, Epochs: 2, FailedEpoch: -1}
+			crashEpoch(res.Check, d, cfg, perShard, gens[0], rec.Info, from, ta)
 		}
-		return res, run, nil
+
+		// Resume the load on the recovered machine. Every thread starts at
+		// the resume instant; backlog arrivals submit immediately with their
+		// original stamps, so their latencies absorb the outage.
+		if serve(1, sys, phaseB, resumeNS) {
+			return nil, nil, fmt.Errorf("serve: %s: phase B froze unexpectedly", d.Name)
+		}
+		if ta.firstB > cfg.CrashAtNS {
+			crash.StallNS = ta.firstB - cfg.CrashAtNS
+		}
+		if ta.backlogMax > resumeNS {
+			crash.BacklogDrainNS = ta.backlogMax - resumeNS
+		}
+		res.Crash = crash
+		res.Completed = crash.ResolvedCompleted // delivered through no ring
+		plan = phaseB
 	}
 
-	// Crash cut: read the generation-0 tallies. Completion order equals
-	// submission order per shard, so each shard's completed count is the
-	// resume index into its arrival list; everything submitted beyond it was
-	// in flight at the cut.
-	crash := &CrashStats{CrashAtNS: cfg.CrashAtNS, Detectable: d.Detect}
-	resume := make([]int, cfg.Shards)
-	submitted := make([]int, cfg.Shards)
-	drained := make([]int, cfg.Shards)
-	for shard := 0; shard < cfg.Shards; shard++ {
-		c := s.Client(shard)
-		crash.LostInflight += c.Submitted() - c.Completed()
-		resume[shard] = int(c.Completed())
-		submitted[shard] = int(c.Submitted())
-		drained[shard] = int(c.Drained())
-	}
-
-	// Recover the construction and rebuild the service (the rings are
-	// volatile; generation 1 needs fresh memory names).
-	var s2 *svc.Service
-	var resumeDelta uint64
-	rec, err := drivers.Recover(d, sys, nil, func(t *sim.Thread, cur *nvm.System, eng uc.UC) (err error) {
-		s2, err = svc.New(t, cur, svc.Config{
-			Engine: eng, Topology: tp, Shards: cfg.Shards,
-			RingSize: cfg.RingSize, MaxBatch: cfg.MaxBatch,
-			NamePrefix: "svc1", Batched: cfg.Batched,
-			OnComplete: ta.onComplete,
-			Detect:     d.Detect, InvidEpoch: 1,
-		})
-		resumeDelta = t.Clock()
-		return err
-	})
-	if err != nil {
-		return nil, nil, fmt.Errorf("serve: recover %s: %w", d.Name, err)
-	}
-	cur, engB, info := rec.Sys, rec.Eng, rec.Info
-	crash.Replayed, crash.RecoveryVirtualNS = info.Replayed, rec.VirtualNS
-	resumeNS := cfg.CrashAtNS + resumeDelta
-	ta.phaseB, ta.resumeNS = true, resumeNS
-
-	// Resume plan: for a detectable driver the in-flight window splits by
-	// recovery's verdicts — resolved-committed operations complete right
-	// here with their recorded results (exactly-once), everything else is
-	// resubmitted; a non-detectable driver resubmits the whole window.
-	// resubSeq keeps each resubmitted window operation's original submission
-	// sequence number so the duplicate audit below can re-check the final
-	// plan against the verdict map independently of how it was built.
-	phaseB := make([][]openloop.Arrival, cfg.Shards)
-	resubSeq := make([][]int, cfg.Shards)
-	for shard := 0; shard < cfg.Shards; shard++ {
-		all := perShard[shard]
-		win := all[resume[shard]:submitted[shard]]
-		if !d.Detect {
-			phaseB[shard] = all[resume[shard]:]
-			continue
-		}
-		crash.InFlightResolved += uint64(len(win))
-		for k, a := range win {
-			seq := resume[shard] + k
-			if _, committed := info.Resolved[svc.InvocationID(0, shard, uint64(seq))]; committed {
-				crash.ResolvedCompleted++
-				ta.resolvedDelivery(resumeNS, a.At)
-				continue
-			}
-			resubSeq[shard] = append(resubSeq[shard], seq)
-		}
-		phaseB[shard] = resumePlan(all, resume[shard], submitted[shard], resubSeq[shard])
-	}
-	if d.Detect {
-		dup := duplicatesIn(resubSeq, info.Resolved)
-		crash.DuplicatesApplied = &dup
-		cur.Metrics().DedupHits += crash.ResolvedCompleted
-	}
-	for shard := 0; shard < cfg.Shards; shard++ {
-		for _, a := range phaseB[shard] {
-			if a.At < resumeNS {
-				crash.BacklogAtResume++
-			}
+	for _, s := range gens[:ta.gen+1] {
+		for shard := 0; shard < cfg.Shards; shard++ {
+			res.Submitted += s.Client(shard).Submitted()
+			res.Completed += s.Client(shard).Completed()
 		}
 	}
-
-	// The linearize check needs the recovered state before phase B mutates
-	// it: probe it key by key on a throwaway timeline.
-	var recState map[uint64]uint64
+	res.summarize(&ta.hist, ta.endNS, sys.Metrics().Snapshot())
+	run := &serveRun{ta: ta, perShard: perShard}
 	if cfg.Check {
-		if recState, err = probe(cur, engB); err != nil {
+		// The last generation's epoch: its completed operations from where it
+		// started to the final state. The live probe sees every completed
+		// effect, so the condition is strict even for buffered drivers.
+		if run.final, err = probe(sys, eng); err != nil {
 			return nil, nil, err
 		}
-	}
-
-	// Phase B: resume the load on the recovered machine. Every thread starts
-	// at the resume instant; backlog arrivals submit immediately with their
-	// original stamps, so their latencies absorb the outage.
-	schB := sim.New(0)
-	cur.SetScheduler(schB)
-	if d.SpawnAux != nil {
-		d.SpawnAux()
-	}
-	spawnServicePhase(schB, tp, s2, d, cfg, phaseB, resumeNS)
-	schB.Run()
-	if schB.Frozen() {
-		return nil, nil, fmt.Errorf("serve: %s: phase B froze unexpectedly", d.Name)
-	}
-
-	if ta.firstB > cfg.CrashAtNS {
-		crash.StallNS = ta.firstB - cfg.CrashAtNS
-	}
-	if ta.backlogMax > resumeNS {
-		crash.BacklogDrainNS = ta.backlogMax - resumeNS
-	}
-	finish(res, cfg.Shards, s, s2, cur, ta, crash.ResolvedCompleted)
-	res.Crash = crash
-	if cfg.Check {
-		if run.final, err = probe(cur, engB); err != nil {
-			return nil, nil, err
+		if res.Check == nil {
+			res.Check = &CheckStats{Mode: "linearize", OK: true, Epochs: 1, FailedEpoch: -1}
 		}
-		res.Check = crashCheck(d, cfg, perShard, phaseB, resume, submitted, drained, info, recState, run.final, ta)
+		applyCheck(res.Check, ta.gen, linearize.CheckEpoch(linearize.SetModel(), from,
+			completedEpoch(plan, ta.rec[ta.gen]), run.final, linearize.Options{}))
 	}
 	return res, run, nil
 }
@@ -640,7 +622,7 @@ func resumePlan(all []openloop.Arrival, resume, submitted int, resub []int) []op
 // auxiliary threads. It returns the threads, each shard's consumer and then
 // its injector.
 func spawnServicePhase(sch *sim.Scheduler, tp numa.Topology, s *svc.Service,
-	d *ServeDriver, cfg ServeConfig, perShard [][]openloop.Arrival, startNS uint64) []*sim.Thread {
+	d *uc.Driver, cfg ServeConfig, perShard [][]openloop.Arrival, startNS uint64) []*sim.Thread {
 	consumersLive := cfg.Shards
 	injectorsLive := cfg.Shards
 	var ths []*sim.Thread
@@ -670,25 +652,6 @@ func scheduledOn(perShard [][]openloop.Arrival) int {
 		n += len(arr)
 	}
 	return n
-}
-
-// finish fills the submission/completion counts and the summary blocks from
-// the run's tallies. s2 is the post-crash service generation (nil on steady runs);
-// resolved counts descriptor-resolved deliveries, completions that passed
-// through neither generation's ring.
-func finish(res *ServeResult, shards int, s, s2 *svc.Service, sys *nvm.System, ta *tally, resolved uint64) {
-	for shard := 0; shard < shards; shard++ {
-		c := s.Client(shard)
-		res.Submitted += c.Submitted()
-		res.Completed += c.Completed()
-		if s2 != nil {
-			c2 := s2.Client(shard)
-			res.Submitted += c2.Submitted()
-			res.Completed += c2.Completed()
-		}
-	}
-	res.Completed += resolved
-	res.summarize(&ta.hist, ta.endNS, sys.Metrics().Snapshot())
 }
 
 // summarize fills the throughput, latency, ring and metrics blocks of a record
@@ -739,25 +702,27 @@ func probeServeState(sys *nvm.System, eng uc.UC, keys uint64) (map[uint64]uint64
 // ε plus one full batch per consumer minus one — each of the Shards
 // consumers can hold one combiner session of up to MaxBatch completed
 // operations past the last checkpoint.
-func serveOptions(d *ServeDriver, cfg ServeConfig) linearize.Options {
+func serveOptions(d *uc.Driver, cfg ServeConfig) linearize.Options {
 	return linearize.Options{Buffered: d.Buffered, Allowance: d.LossBound(cfg.Shards * cfg.MaxBatch)}
 }
 
-// completedOps zips one shard's completion records with its arrival slice:
-// per-shard completion order equals arrival order, so record k's operation
-// is arr[k]. The window is [drain, done], not [arrival, done]: execution
-// cannot start before the consumer drains the batch, so the tighter stamp is
-// sound, and it keeps the check's concurrency at the real consumer count
-// instead of the queue depth.
-func completedOps(shard int, arr []openloop.Arrival, recs []compRec) []linearize.Op {
-	ops := make([]linearize.Op, 0, len(recs))
-	for k, r := range recs {
-		a := arr[k]
-		ops = append(ops, linearize.Op{
-			Client: shard, Code: a.Op.Code, A0: a.Op.A0, A1: a.Op.A1,
-			Result: r.result, Invoke: r.exec, Return: r.done,
-			Class: linearize.Completed,
-		})
+// completedEpoch zips a generation's completion records with its plan, ring
+// by ring: per-ring completion order equals arrival order, so ring s's record
+// k is the operation plan[s][k], and ring s is client s. The window is
+// [drain, done], not [arrival, done]: execution cannot start before the
+// consumer drains the batch, so the tighter stamp is sound, and it keeps the
+// check's concurrency at the real consumer count instead of the queue depth.
+func completedEpoch(plan [][]openloop.Arrival, recs [][]compRec) []linearize.Op {
+	var ops []linearize.Op
+	for shard, arr := range plan {
+		for k, r := range recs[shard] {
+			a := arr[k]
+			ops = append(ops, linearize.Op{
+				Client: shard, Code: a.Op.Code, A0: a.Op.A0, A1: a.Op.A1,
+				Result: r.result, Invoke: r.exec, Return: r.done,
+				Class: linearize.Completed,
+			})
+		}
 	}
 	return ops
 }
@@ -774,40 +739,25 @@ func applyCheck(cb *CheckStats, epoch int, r linearize.Result) {
 	}
 }
 
-// steadyCheck verifies a crash-free run: one epoch of completed operations
-// against the engine's final probed state. The live probe sees every
-// completed effect, so the condition is strict even for buffered drivers.
-func steadyCheck(perShard [][]openloop.Arrival, ta *tally, final map[uint64]uint64) *CheckStats {
-	cb := &CheckStats{Mode: "linearize", OK: true, Epochs: 1, FailedEpoch: -1}
-	var ops []linearize.Op
-	for shard := range perShard {
-		ops = append(ops, completedOps(shard, perShard[shard], ta.recA[shard])...)
-	}
-	applyCheck(cb, 0, linearize.CheckEpoch(linearize.SetModel(), nil, ops, final, linearize.Options{}))
-	return cb
-}
-
-// crashCheck verifies a crash run as two epochs. Epoch 0 is the pre-crash
-// generation: its completed prefix plus the in-flight window, the latter
-// classified by the driver's recovery verdicts — resolved-committed
-// operations must linearize with the resolved result and cannot be lost,
-// resolved-never-applied ones must not take effect — against the probed
-// recovered state. A non-detectable driver's window splits on the drained
-// cursor instead: operations the consumer never drained provably never
-// reached the engine (InFlightNever for any driver), only the drained tail
-// stays genuinely unknown (at-most-once InFlight). Epoch 1 is the resumed
-// generation from that state to the final probe; a duplicate apply slipping
-// through the resume plan shows up there as an inexplicable response or
-// state.
-func crashCheck(d *ServeDriver, cfg ServeConfig,
-	perShard, phaseB [][]openloop.Arrival, resume, submitted, drained []int,
-	info RecoverInfo, recState, final map[uint64]uint64, ta *tally) *CheckStats {
-	cb := &CheckStats{Mode: "linearize", OK: true, Epochs: 2, FailedEpoch: -1}
-	var epoch1 []linearize.Op
-	for shard := range perShard {
-		epoch1 = append(epoch1, completedOps(shard, perShard[shard], ta.recA[shard])...)
-		for k, a := range perShard[shard][resume[shard]:submitted[shard]] {
-			seq := resume[shard] + k
+// crashEpoch checks epoch 0 of a crash run, the pre-crash generation: its
+// completed operations plus the in-flight window, the latter classified by
+// the driver's recovery verdicts — resolved-committed operations must
+// linearize with the resolved result and cannot be lost, resolved-never-
+// applied ones must not take effect — against the probed recovered state. A
+// non-detectable driver's window splits on the drained cursor instead:
+// operations the consumer never drained provably never reached the engine
+// (InFlightNever for any driver), only the drained tail stays genuinely
+// unknown (at-most-once InFlight). Epoch 1, the resumed generation from that
+// state to the final probe, is where a duplicate apply slipping through the
+// resume plan shows up, as an inexplicable response or state.
+func crashEpoch(cb *CheckStats, d *uc.Driver, cfg ServeConfig, perShard [][]openloop.Arrival,
+	gen0 *svc.Service, info uc.RecoverInfo, recState map[uint64]uint64, ta *tally) {
+	ops := completedEpoch(perShard, ta.rec[0])
+	for shard, all := range perShard {
+		c := gen0.Client(shard)
+		drained := int(c.Drained())
+		for seq := int(c.Completed()); seq < int(c.Submitted()); seq++ {
+			a := all[seq]
 			op := linearize.Op{
 				Client: shard, Code: a.Op.Code, A0: a.Op.A0, A1: a.Op.A1,
 				Invoke: a.At, Return: ^uint64(0), Class: linearize.InFlight,
@@ -821,26 +771,15 @@ func crashCheck(d *ServeDriver, cfg ServeConfig,
 					op.Class = linearize.InFlightNever
 					cb.InFlightNever++
 				}
-			case seq >= drained[shard]:
+			case seq >= drained:
 				// Still queued in the (volatile) ring at the cut: the engine
 				// never saw it, so its effect cannot be in the recovered state.
 				op.Class = linearize.InFlightNever
 			}
-			epoch1 = append(epoch1, op)
+			ops = append(ops, op)
 		}
 	}
-	applyCheck(cb, 0, linearize.CheckEpoch(linearize.SetModel(), nil, epoch1, recState, serveOptions(d, cfg)))
-
-	var epoch2 []linearize.Op
-	for shard := range phaseB {
-		epoch2 = append(epoch2, completedOps(shard, phaseB[shard], ta.recB[shard])...)
-	}
-	init2 := make(map[uint64]uint64, len(recState))
-	for k, v := range recState {
-		init2[k] = v
-	}
-	applyCheck(cb, 1, linearize.CheckEpoch(linearize.SetModel(), init2, epoch2, final, linearize.Options{}))
-	return cb
+	applyCheck(cb, 0, linearize.CheckEpoch(linearize.SetModel(), nil, ops, recState, serveOptions(d, cfg)))
 }
 
 // ServeSizing is the serve machine at the given shard count (= engine
@@ -856,9 +795,11 @@ func ServeSizing(shards int, epsilon uint64) uc.Sizing {
 // ServeDrivers builds the recoverable constructions' drivers — the
 // single-machine crash matrix — in registry (= document) order. Every call
 // builds fresh ones: driver closures hold per-machine engine state, so
-// independent machines can never share a driver instance.
-func ServeDrivers(shards int, epsilon uint64) []*ServeDriver {
-	var out []*ServeDriver
+// independent machines can never share a driver instance. prepserve builds
+// its drivers from the registry; this list stays, like RunServe, for the
+// frozen benchmark/.
+func ServeDrivers(shards int, epsilon uint64) []*uc.Driver {
+	var out []*uc.Driver
 	for _, e := range drivers.Recoverable() {
 		out = append(out, e.New(ServeSizing(shards, epsilon)))
 	}

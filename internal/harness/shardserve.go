@@ -1,15 +1,17 @@
 package harness
 
-// shardserve.go drives the sharded multi-instance deployment: S fully
+// shardserve.go is the serve path's entry point, RunShardedServe: S fully
 // independent PREP machines — each with its own scheduler, NVM system,
 // engine, rings and recovery state machine — behind one key-space router.
 // One global open-loop arrival schedule is partitioned by shard.Router at
 // submission time (routing is a pure function of the op's key; the harness
-// splits once, by machine and ring), each machine runs the ordinary
-// single-machine serve harness over its per-ring schedules,
-// and the harness aggregates: throughput against the latest completion
-// instant across machines, one merged latency histogram, ring counters via
-// metrics.Snapshot.Add.
+// splits once, by machine and ring), each machine runs the single-machine
+// serve harness (serve.go) over its per-ring schedules, and the harness
+// aggregates: throughput against the latest completion instant across
+// machines, one merged latency histogram, ring counters via
+// metrics.Snapshot.Add. S = 1 is one machine and nothing more: the schedule
+// splits by ring alone, and the run's record is the machine's own, with no
+// aggregate, breakdown or composition audit around it.
 //
 // Machines fail independently. CrashShards names the subset whose sub-run
 // arms the crash-and-recover scenario; survivors run their load start to
@@ -43,9 +45,10 @@ import (
 	"prepuc/internal/openloop"
 	"prepuc/internal/par"
 	"prepuc/internal/shard"
+	"prepuc/internal/uc"
 )
 
-// ShardedServeConfig parameterizes one sharded service run.
+// ShardedServeConfig parameterizes one service run on Instances machines.
 type ShardedServeConfig struct {
 	// Instances is S, the number of independent machines.
 	Instances int
@@ -95,11 +98,13 @@ type CompositionStats struct {
 // +0..+11 of its base.
 const subSeedStride = 1009
 
-// RunShardedServe executes one sharded service run: mk builds a fresh
-// driver per machine (never share driver instances across machines), cfg
-// says how to partition and what to crash. The returned aggregate record
-// carries the per-machine breakdowns under Shards.
-func RunShardedServe(mk func() *ServeDriver, cfg ShardedServeConfig) (*ServeResult, error) {
+// RunShardedServe executes one service run: mk builds a fresh driver per
+// machine (never share driver instances across machines), cfg says how many
+// machines, how to partition and what to crash. Over several machines the
+// returned aggregate record carries the per-machine breakdowns under Shards;
+// one machine's run returns that machine's record, and its error, as they
+// are.
+func RunShardedServe(mk func() *uc.Driver, cfg ShardedServeConfig) (*ServeResult, error) {
 	if cfg.Instances <= 0 {
 		return nil, fmt.Errorf("sharded serve: Instances must be positive, got %d", cfg.Instances)
 	}
@@ -130,17 +135,20 @@ func RunShardedServe(mk func() *ServeDriver, cfg ShardedServeConfig) (*ServeResu
 	if err != nil {
 		return nil, err
 	}
-	router, err := shard.NewRouter(pol, cfg.Instances, cfg.Open.Keys)
-	if err != nil {
-		return nil, err
-	}
 	// One split, by (machine, ring): machine i's rings are the consecutive
 	// run rings[i*per:(i+1)*per], each the stable sub-schedule the router
 	// followed by the machine's own client sharding would deliver — an
-	// arrival is copied at most once after generation.
-	rings := openloop.Split(arrivals, cfg.Instances*per, func(a *openloop.Arrival) int {
-		return router.RouteOp(a.Op)*per + ringOf(a, per)
-	})
+	// arrival is copied at most once after generation. One machine's split
+	// is by ring alone: no arrival asks the router.
+	var router *shard.Router
+	ring := func(a *openloop.Arrival) int { return ringOf(a, per) }
+	if cfg.Instances > 1 {
+		if router, err = shard.NewRouter(pol, cfg.Instances, cfg.Open.Keys); err != nil {
+			return nil, err
+		}
+		ring = func(a *openloop.Arrival) int { return router.RouteOp(a.Op)*per + ringOf(a, per) }
+	}
+	rings := openloop.Split(arrivals, cfg.Instances*per, ring)
 
 	// Every machine runs independently; slot i owns all of machine i's
 	// state, so completion order across host goroutines never shows.
@@ -159,6 +167,9 @@ func RunShardedServe(mk func() *ServeDriver, cfg ShardedServeConfig) (*ServeResu
 		}
 		subRes[i], subRun[i], subErr[i] = runServeArrivals(mk(), sub, rings[i*per:(i+1)*per])
 	})
+	if cfg.Instances == 1 {
+		return subRes[0], subErr[0]
+	}
 	for i, e := range subErr {
 		if e != nil {
 			return nil, fmt.Errorf("sharded serve: shard %d: %w", i, e)
@@ -287,13 +298,11 @@ func shardedCheck(cfg ShardedServeConfig, router *shard.Router, per int,
 		}
 		// Steady machines contribute to the union epoch: completed records
 		// zip with the per-ring arrival order, clients offset per machine.
-		for s := range run.perShard {
-			ops := completedOps(s, run.perShard[s], run.ta.recA[s])
-			for j := range ops {
-				ops[j].Client = i*per + s
-			}
-			unionOps = append(unionOps, ops...)
+		ops := completedEpoch(run.perShard, run.ta.rec[0])
+		for j := range ops {
+			ops[j].Client += i * per
 		}
+		unionOps = append(unionOps, ops...)
 		for k, v := range sh.Final {
 			unionFinal[k] = v
 		}

@@ -87,8 +87,10 @@ type Op struct {
 // Model.Partition: its operations, boundary states, and the sequential
 // step semantics for the partition's state representation.
 type Problem struct {
-	// Label names the partition in failure reports (e.g. "key=17").
-	Label string
+	// Label names the partition in failure reports (e.g. "key=17"). It is
+	// called for the failing partition only: a check that passes builds no
+	// name.
+	Label func(p *Problem) string
 	// Ops is the partition's slice of the history.
 	Ops []Op
 	// Init is the partition's state at the start of the epoch.
@@ -189,7 +191,7 @@ func CheckEpoch(m Model, init any, ops []Op, recovered any, opt Options) Result 
 	}
 	res := Result{OK: true, Ops: len(ops), Partitions: len(problems)}
 	fail := func(p *Problem, reason string) Result {
-		res.OK, res.FailedPartition, res.Reason = false, p.Label, reason
+		res.OK, res.FailedPartition, res.Reason = false, p.Label(p), reason
 		return res
 	}
 	if !opt.Buffered {

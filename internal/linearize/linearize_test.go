@@ -59,6 +59,30 @@ func TestWrongResultRejected(t *testing.T) {
 	mustFail(t, CheckEpoch(SetModel(), nil, ops, nil, Options{}))
 }
 
+// TestFailedPartitionNamed: a failure names the partition it happened in —
+// the set model's key, a container model's name — in the strict and the
+// buffered condition alike, though a passing check never builds a name.
+func TestFailedPartitionNamed(t *testing.T) {
+	wrongGet := []Op{
+		co(0, uc.OpInsert, 3, 30, 1, 0, 10),
+		co(0, uc.OpInsert, 17, 70, 1, 0, 10),
+		co(0, uc.OpGet, 17, 0, 71, 20, 30),
+	}
+	for _, tc := range []struct {
+		name string
+		r    Result
+		want string
+	}{
+		{"durable", CheckEpoch(SetModel(), nil, wrongGet, nil, Options{}), "key=17"},
+		{"buffered", CheckEpoch(SetModel(), nil, wrongGet, setState(3, 30), Options{Buffered: true, Allowance: 1}), "key=17"},
+		{"queue", CheckEpoch(QueueModel(), nil, []Op{co(0, uc.OpDequeue, 0, 0, 7, 0, 10)}, nil, Options{}), "queue"},
+	} {
+		if tc.r.OK || tc.r.FailedPartition != tc.want {
+			t.Errorf("%s: %s, want a failure in %s", tc.name, tc.r, tc.want)
+		}
+	}
+}
+
 func TestConcurrentInsertGetAmbiguity(t *testing.T) {
 	// Get overlaps the insert: both "not yet" and "already" responses are
 	// legal, but only those two.

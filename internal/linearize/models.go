@@ -144,7 +144,7 @@ func (setModel) Partition(ops []Op, init, recovered any, hasRecovered bool) ([]P
 			continue
 		}
 		p := Problem{
-			Label: fmt.Sprintf("key=%d", k),
+			Label: keyLabel,
 			Ops:   byKey[k],
 			Init:  iv,
 			Step:  setKeyStep, Key: u64Key, Equal: u64Equal,
@@ -156,6 +156,10 @@ func (setModel) Partition(ops []Op, init, recovered any, hasRecovered bool) ([]P
 	}
 	return problems, nil
 }
+
+// keyLabel names a set-model partition by its key, the one every operation
+// of it names.
+func keyLabel(p *Problem) string { return fmt.Sprintf("key=%d", p.Ops[0].A0) }
 
 // --- sequence-state helpers shared by queue/stack/pqueue ---
 
@@ -306,7 +310,7 @@ func (m pairsModel) Partition(ops []Op, init, recovered any, hasRecovered bool) 
 		}
 	}
 	p := Problem{
-		Label: m.name,
+		Label: func(*Problem) string { return m.name },
 		Ops:   ops,
 		Init:  init,
 		Step: func(s any, code, a0, _ uint64) (any, uint64) {
