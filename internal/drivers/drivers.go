@@ -1,12 +1,13 @@
 // Package drivers is the registry of construction drivers: every
 // construction the harnesses can deploy is listed here once — display name,
 // -system spelling, capabilities, constructor — next to the sizing presets
-// the tools share and the four lifecycle phases (boot, run a workload,
-// recover until an attempt completes, probe) they all run. Adding a construction is its
-// package's ConfigFor/NewDriver pair plus one line in all.
+// the tools share and the phases they all run, each one call of Phase. Adding
+// a construction is its package's ConfigFor/NewDriver pair plus one line in
+// all.
 package drivers
 
 import (
+	"cmp"
 	"fmt"
 
 	"prepuc/internal/core"
@@ -124,64 +125,76 @@ func ExploreScale() uc.Sizing {
 	}
 }
 
+// Phase is one phase of a machine's life, the one place a scheduler is made:
+// it installs a fresh scheduler on sys, lets spawn arm it (a crash, a
+// Chooser, sys's hooks, a runaway guard) and spawn the threads in its own
+// order, runs them and returns the scheduler. A bug panic or a deadlock
+// verdict that Run raises is the error, as Run worded it; it froze the
+// scheduler too, so only with a nil error does Frozen mean a crash.
+func Phase(sys *nvm.System, spawn func(sch *sim.Scheduler)) (sch *sim.Scheduler, err error) {
+	sch = sim.New(0)
+	sys.SetScheduler(sch)
+	spawn(sch)
+	defer func() {
+		if rc := recover(); rc != nil {
+			err = fmt.Errorf("%v", rc)
+		}
+	}()
+	sch.Run()
+	return sch, nil
+}
+
 // Boot creates a fresh machine under substrate configuration ncfg and boots
 // d on its single boot thread. then, when non-nil, runs on that thread after
 // a successful d.Boot: the place for whatever else must exist before the
 // first workload thread (service rings, prefill, co-resident engines).
 func Boot(d *uc.Driver, ncfg nvm.Config,
-	then func(t *sim.Thread, sys *nvm.System, eng uc.UC) error) (*nvm.System, uc.UC, error) {
-	sch := sim.New(0)
-	sys := nvm.NewSystem(sch, ncfg)
-	var eng uc.UC
-	var err error
-	sch.Spawn("boot", 0, 0, func(t *sim.Thread) {
-		defer sim.PanicToErr("boot", &err)
-		if eng, err = d.Boot(t, sys); err == nil && then != nil {
-			err = then(t, sys, eng)
-		}
-	})
-	sch.Run()
-	return sys, eng, err
-}
-
-// Run is the workload phase: on a fresh scheduler — armed to crash the
-// machine at event crashAt (0: never) — it spawns the auxiliary threads of
-// every driver in ds and then workers worker threads, worker w pinned to
-// tp.NodeOf(w) and running body, and runs sys until every thread has exited.
-// Spawn order is thread-id order, and ids break scheduling ties: auxiliary
-// threads first, in ds order, then the workers by index. When no crash cut
-// the phase short, the last worker out retires the auxiliary threads. The
-// scheduler is returned for its Frozen and Events.
-func Run(sys *nvm.System, crashAt uint64, ds []*uc.Driver, tp numa.Topology,
-	workers int, body func(t *sim.Thread, w int)) *sim.Scheduler {
-	sch := sim.New(0)
-	sch.CrashAtEvent(crashAt)
-	sys.SetScheduler(sch)
-	for _, d := range ds {
-		if d.SpawnAux != nil {
-			d.SpawnAux()
-		}
-	}
-	live := workers
-	for w := 0; w < workers; w++ {
-		w := w
-		sch.Spawn("worker", tp.NodeOf(w), 0, func(t *sim.Thread) {
-			body(t, w)
-			if live--; live > 0 {
-				return
-			}
-			for _, d := range ds {
-				if d.StopAux != nil {
-					d.StopAux(t)
-				}
+	then func(t *sim.Thread, sys *nvm.System, eng uc.UC) error) (sys *nvm.System, eng uc.UC, err error) {
+	sys = nvm.NewSystem(nil, ncfg)
+	_, verdict := Phase(sys, func(sch *sim.Scheduler) {
+		sch.Spawn("boot", 0, 0, func(t *sim.Thread) {
+			defer sim.PanicToErr("boot", &err)
+			if eng, err = d.Boot(t, sys); err == nil && then != nil {
+				err = then(t, sys, eng)
 			}
 		})
-	}
-	sch.Run()
-	return sch
+	})
+	return sys, eng, cmp.Or(err, verdict)
 }
 
-// Recovery is what Recover measured.
+// Run is the workload phase, armed to crash the machine at event crashAt (0:
+// never): the auxiliary threads of every driver in ds, in ds order, then
+// workers worker threads by index, worker w pinned to tp.NodeOf(w) and
+// running body (spawn order is thread-id order, and ids break scheduling
+// ties). When no crash cut the phase short, the last worker out retires the
+// auxiliary threads.
+func Run(sys *nvm.System, crashAt uint64, ds []*uc.Driver, tp numa.Topology,
+	workers int, body func(t *sim.Thread, w int)) (*sim.Scheduler, error) {
+	return Phase(sys, func(sch *sim.Scheduler) {
+		sch.CrashAtEvent(crashAt)
+		for _, d := range ds {
+			if d.SpawnAux != nil {
+				d.SpawnAux()
+			}
+		}
+		live := workers
+		for w := 0; w < workers; w++ {
+			sch.Spawn("worker", tp.NodeOf(w), 0, func(t *sim.Thread) {
+				body(t, w)
+				if live--; live > 0 {
+					return
+				}
+				for _, d := range ds {
+					if d.StopAux != nil {
+						d.StopAux(t)
+					}
+				}
+			})
+		}
+	})
+}
+
+// Recovery is what Recover, or one RecoverOnce, measured.
 type Recovery struct {
 	// Sys is the machine the last attempt ran on and Eng the engine it
 	// rebuilt.
@@ -196,59 +209,68 @@ type Recovery struct {
 	VirtualNS uint64
 }
 
-// Recover materializes the crash of frozen and runs d.Recover until an
+// RecoverOnce is one recovery attempt: d.Recover on the recovery thread of
+// sys, a machine a crash was just materialized into (nvm.System.Recover),
+// after arm armed the phase; NestedCrashes is 1 if an armed crash cut it
+// down. then, when non-nil, runs on the recovery thread after a successful
+// d.Recover — the place to rebuild volatile state (service rings). An error,
+// a bug panic ("recovery panicked: …", an image the construction cannot make
+// sense of) or a deadlock is returned with what was measured up to it.
+func RecoverOnce(d *uc.Driver, sys *nvm.System, arm func(*sim.Scheduler),
+	then func(t *sim.Thread, sys *nvm.System, eng uc.UC) error) (r Recovery, err error) {
+	r = Recovery{Sys: sys, Attempts: 1}
+	sch, verdict := Phase(sys, func(sch *sim.Scheduler) {
+		arm(sch)
+		sch.Spawn("recover", 0, 0, func(t *sim.Thread) {
+			defer sim.PanicToErr("recovery", &err)
+			start := t.Clock()
+			r.Eng, r.Info, err = d.Recover(t, sys)
+			r.VirtualNS = t.Clock() - start
+			if err == nil && then != nil {
+				err = then(t, sys, r.Eng)
+			}
+		})
+	})
+	if verdict == nil && sch.Frozen() {
+		r.NestedCrashes = 1
+	}
+	return r, cmp.Or(err, verdict)
+}
+
+// Recover materializes the crash of frozen and runs RecoverOnce until an
 // attempt completes: a recovery cut down by a crash of its own is recovered
 // again from the re-crashed machine. nestedAt, when non-nil, names the event
-// at which attempt a crashes (0: unarmed). then, when non-nil, runs on the
-// recovery thread after a successful d.Recover — the place to rebuild
-// volatile state (service rings) before the first post-recovery thread. A
-// recovery that answers with an error — or panics on a bug: a construction
-// walking an image it cannot make sense of — ends the loop: the error is
-// returned along with what was measured up to it.
+// at which attempt a crashes (0: unarmed); then is RecoverOnce's. An attempt's
+// error ends the loop.
 func Recover(d *uc.Driver, frozen *nvm.System, nestedAt func(attempt int) uint64,
 	then func(t *sim.Thread, sys *nvm.System, eng uc.UC) error) (Recovery, error) {
 	r := Recovery{Sys: frozen}
 	for {
-		sch := sim.New(0)
-		if nestedAt != nil {
-			if at := nestedAt(r.Attempts); at != 0 {
-				sch.CrashAtEvent(at)
+		a, err := RecoverOnce(d, r.Sys.Recover(nil), func(sch *sim.Scheduler) {
+			if nestedAt != nil {
+				sch.CrashAtEvent(nestedAt(r.Attempts))
 			}
+		}, then)
+		cut := a.NestedCrashes
+		a.Attempts, a.NestedCrashes = r.Attempts+1, r.NestedCrashes+cut
+		if err != nil || cut == 0 {
+			return a, err
 		}
-		r.Sys = r.Sys.Recover(sch)
-		r.Attempts++
-		var err error
-		sch.Spawn("recover", 0, 0, func(t *sim.Thread) {
-			defer sim.PanicToErr("recovery", &err)
-			start := t.Clock()
-			r.Eng, r.Info, err = d.Recover(t, r.Sys)
-			r.VirtualNS = t.Clock() - start
-			if err == nil && then != nil {
-				err = then(t, r.Sys, r.Eng)
-			}
-		})
-		sch.Run()
-		if sch.Frozen() {
-			r.NestedCrashes++
-			continue
-		}
-		return r, err
+		r = a
 	}
 }
 
 // Probe runs fn on one thread of a throwaway scheduler installed on sys:
 // the state observation between phases. Its timeline is never reported. A
 // bug panic in fn — a construction's read walk over an image it cannot make
-// sense of — is returned as the error, as Boot and Recover return theirs, and
-// so is a deadlock among the threads fn spawned.
+// sense of — is returned as the error "probe panicked: …", and a deadlock
+// among the threads fn spawned as Run's verdict.
 func Probe(sys *nvm.System, fn func(t *sim.Thread)) (err error) {
-	defer sim.PanicToErr("probe", &err)
-	sch := sim.New(0)
-	sys.SetScheduler(sch)
-	sch.Spawn("probe", 0, 0, func(t *sim.Thread) {
-		defer sim.PanicToErr("probe", &err)
-		fn(t)
+	_, verdict := Phase(sys, func(sch *sim.Scheduler) {
+		sch.Spawn("probe", 0, 0, func(t *sim.Thread) {
+			defer sim.PanicToErr("probe", &err)
+			fn(t)
+		})
 	})
-	sch.Run()
-	return err
+	return cmp.Or(err, verdict)
 }

@@ -170,3 +170,50 @@ func TestDeadlockVerdict(t *testing.T) {
 		t.Fatalf("Probe returned %v, want an error ending in %q", err, want)
 	}
 }
+
+// stallDriver is a construction whose boot (or, with inRecovery, whose
+// recovery) waits on a word of a fresh memory "w" that nothing stores.
+func stallDriver(inRecovery bool) *uc.Driver {
+	stall := func(th *sim.Thread, sys *nvm.System) {
+		w := sys.NewMemory("w", nvm.Volatile, 0, nvm.WordsPerLine)
+		th.Await(&locks.Wait{Mem: w, Want: 1, Cap: 64})
+	}
+	d := &uc.Driver{Name: "stall"}
+	d.Boot = func(th *sim.Thread, sys *nvm.System) (uc.UC, error) {
+		if !inRecovery {
+			stall(th, sys)
+		}
+		return nil, nil
+	}
+	d.Recover = func(th *sim.Thread, sys *nvm.System) (uc.UC, uc.RecoverInfo, error) {
+		stall(th, sys)
+		return nil, uc.RecoverInfo{}, nil
+	}
+	return d
+}
+
+// A boot or a recovery left with nothing but a wait nobody can serve ends
+// with the deadlock verdict as the phase's error, not a panic. The verdict
+// freezes the scheduler, and Recover must not take that for a crash inside
+// the recovery: it returns after one attempt, no nested crash counted.
+func TestPhaseDeadlockVerdict(t *testing.T) {
+	ncfg := nvm.Config{Costs: sim.UnitCosts()}
+	const wantBoot = `sim: deadlock: "boot" waits on w[line 0] ≥ 1`
+	if _, _, err := Boot(stallDriver(false), ncfg, nil); err == nil || !strings.HasSuffix(err.Error(), wantBoot) {
+		t.Fatalf("Boot returned %v, want an error ending in %q", err, wantBoot)
+	}
+
+	d := stallDriver(true)
+	sys, _, err := Boot(d, ncfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const wantRecover = `sim: deadlock: "recover" waits on w[line 0] ≥ 1`
+	rec, err := Recover(d, sys, nil, nil)
+	if err == nil || !strings.HasSuffix(err.Error(), wantRecover) {
+		t.Fatalf("Recover returned %v, want an error ending in %q", err, wantRecover)
+	}
+	if rec.Attempts != 1 || rec.NestedCrashes != 0 {
+		t.Fatalf("Recover made %d attempts, %d nested crashes; want 1 and 0", rec.Attempts, rec.NestedCrashes)
+	}
+}

@@ -31,7 +31,6 @@ import (
 	"prepuc/internal/drivers"
 	"prepuc/internal/linearize"
 	"prepuc/internal/par"
-	"prepuc/internal/sim"
 )
 
 // Schema identifies the explorer's JSON report format.
@@ -613,7 +612,7 @@ func StrideSweep(cfg Config, stride uint64) ([]uint64, error) {
 			return err
 		}
 		wr.quiesce()
-		r := wr.sys.Recover(sim.New(0))
+		r := wr.sys.Recover(nil)
 		fps = append(fps, r.PersistedFingerprint())
 		return nil
 	}

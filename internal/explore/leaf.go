@@ -7,6 +7,7 @@ package explore
 // durable-linearizability checker.
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
 
@@ -118,52 +119,50 @@ func runWorkload(cfg *Config, prefix []int, crashAt uint64, record bool) (*workR
 			cfg.HeapWords, cfg.LogSize, cfg.Epsilon, berr)
 	}
 
-	sch := sim.New(0)
-	ch := &chooser{sch: sch, forced: prefix}
-	if record {
-		ch.rec = &runTrace{}
-		sys.SetAccessHook(ch.noteAccess)
-		sys.SetPersistEffectHook(func(int) { ch.rec.addCrashPoint(sch.Events() + 1) })
-	}
-	sch.SetChooser(ch)
-	if crashAt != 0 {
-		sch.CrashAtEvent(crashAt)
-	} else {
-		sch.CrashAtEvent(cfg.MaxRunEvents)
-	}
-	sys.SetScheduler(sch)
-
 	rec := linearize.NewRecorder(cfg.Workers)
 	ops := cfg.ops()
-	// The scheduler is cooperative (one goroutine holds the baton at a
-	// time), so a plain counter coordinates the aux-thread shutdown.
-	running := cfg.Workers
-	for tid := 0; tid < cfg.Workers; tid++ {
-		tid := tid
-		sch.Spawn("worker", tp.NodeOf(tid), 0, func(t *sim.Thread) {
-			for k := tid; k < len(ops); k += cfg.Workers {
-				op := ops[k]
-				if d.Detect {
-					op.Invid = uint64(k + 1)
+	var ch *chooser
+	sch, err := drivers.Phase(sys, func(sch *sim.Scheduler) {
+		ch = &chooser{sch: sch, forced: prefix}
+		if record {
+			ch.rec = &runTrace{}
+			sys.SetAccessHook(ch.noteAccess)
+			sys.SetPersistEffectHook(func(int) { ch.rec.addCrashPoint(sch.Events() + 1) })
+		}
+		sch.SetChooser(ch)
+		sch.CrashAtEvent(cmp.Or(crashAt, cfg.MaxRunEvents))
+		// The scheduler is cooperative (one goroutine holds the baton at a
+		// time), so a plain counter coordinates the aux-thread shutdown.
+		running := cfg.Workers
+		for tid := 0; tid < cfg.Workers; tid++ {
+			sch.Spawn("worker", tp.NodeOf(tid), 0, func(t *sim.Thread) {
+				for k := tid; k < len(ops); k += cfg.Workers {
+					op := ops[k]
+					if d.Detect {
+						op.Invid = uint64(k + 1)
+					}
+					rec.Exec(t, tid, op, func() uint64 { return eng.Execute(t, tid, op) })
 				}
-				rec.Exec(t, tid, op, func() uint64 { return eng.Execute(t, tid, op) })
-			}
-			running--
-			if running == 0 && d.StopAux != nil {
-				d.StopAux(t)
-			}
-		})
-	}
-	// The persistence thread (Algorithm 2) is scheduled and crashed like any
-	// other thread: its WBINVD / replica-swap cycles are the protocol's most
-	// crash-sensitive window. The last worker to finish stops it.
-	if d.SpawnAux != nil {
-		d.SpawnAux()
-	}
-	sch.Run()
+				running--
+				if running == 0 && d.StopAux != nil {
+					d.StopAux(t)
+				}
+			})
+		}
+		// The persistence thread (Algorithm 2) is scheduled and crashed like
+		// any other thread: its WBINVD / replica-swap cycles are the
+		// protocol's most crash-sensitive window. The last worker to finish
+		// stops it.
+		if d.SpawnAux != nil {
+			d.SpawnAux()
+		}
+	})
 	if record {
 		sys.SetAccessHook(nil)
 		sys.SetPersistEffectHook(nil)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("explore: %s workload: %w", d.Name, err)
 	}
 	if crashAt == 0 && sch.Frozen() {
 		return nil, fmt.Errorf("explore: %s workload did not quiesce within %d events",
@@ -184,61 +183,47 @@ type recRun struct {
 }
 
 // recoverOnce clones the frozen machine frozenSys, materializes its crash
-// under fault.Subset(mask), and runs the driver's recovery procedure on a
-// fresh scheduler. nestedAt > 0 arms a crash inside the recovery; trace
-// collects the recovery's own persist-relevant crash thresholds for depth-2
-// branching. The clone leaves frozenSys untouched, so one frozen machine
-// fans out across every mask and nested point.
+// under fault.Subset(mask), and runs one attempt of the driver's recovery
+// procedure on it (drivers.RecoverOnce). nestedAt > 0 arms a crash inside
+// the recovery; trace collects the recovery's own persist-relevant crash
+// thresholds for depth-2 branching. The clone leaves frozenSys untouched, so
+// one frozen machine fans out across every mask and nested point.
 func recoverOnce(cfg *Config, d *uc.Driver, frozenSys *nvm.System, mask uint64,
 	nestedAt uint64, trace bool) (*recRun, error) {
-	aux := sim.New(0) // never run: the clone is immediately recovered
-	c := frozenSys.Clone(aux)
+	c := frozenSys.Clone(nil) // never run: the clone is immediately recovered
 	c.SetFaultPolicy(fault.Subset(mask))
-	recSch := sim.New(0)
-	r := c.Recover(recSch)
+	r := c.Recover(nil)
 	out := &recRun{sys: r, fp: r.PersistedFingerprint()}
-	if trace {
-		addPt := func(n uint64) {
-			if len(out.nested) == 0 || out.nested[len(out.nested)-1] != n {
-				out.nested = append(out.nested, n)
-			}
+	var recSch *sim.Scheduler
+	var nested runTrace
+	rec, err := drivers.RecoverOnce(d, r, func(sch *sim.Scheduler) {
+		recSch = sch
+		if trace {
+			r.SetAccessHook(func(a nvm.Access) {
+				if a.PersistEffect() {
+					nested.addCrashPoint(sch.Events() + 1)
+				}
+			})
+			r.SetPersistEffectHook(func(int) { nested.addCrashPoint(sch.Events() + 1) })
 		}
-		r.SetAccessHook(func(a nvm.Access) {
-			if a.PersistEffect() {
-				addPt(recSch.Events() + 1)
-			}
-		})
-		r.SetPersistEffectHook(func(int) { addPt(recSch.Events() + 1) })
-	}
-	if nestedAt != 0 {
-		recSch.CrashAtEvent(nestedAt)
-	} else {
-		recSch.CrashAtEvent(cfg.MaxRunEvents)
-	}
-	var rerr error
-	recSch.Spawn("recover", 0, 0, func(t *sim.Thread) {
-		defer sim.PanicToErr("recovery", &rerr)
-		var info uc.RecoverInfo
-		out.eng, info, rerr = d.Recover(t, r)
-		out.resolved = info.Resolved
-	})
-	recSch.Run()
+		sch.CrashAtEvent(cmp.Or(nestedAt, cfg.MaxRunEvents))
+	}, nil)
 	if trace {
 		r.SetAccessHook(nil)
 		r.SetPersistEffectHook(nil)
 	}
-	out.frozen = recSch.Frozen()
-	out.events = recSch.Events()
+	out.eng, out.resolved, out.nested = rec.Eng, rec.Info.Resolved, nested.crashPts
+	out.frozen, out.events = rec.NestedCrashes > 0, recSch.Events()
 	// Every failure mode of the recovery run itself — spinning forever on a
-	// corrupted structure, returning an error, panicking — is a *leaf
-	// verdict* (the protocol failed to recover this crash), reported as a
-	// counterexample by the caller, not an explorer failure.
+	// corrupted structure, returning an error, panicking, deadlocking — is a
+	// *leaf verdict* (the protocol failed to recover this crash), reported as
+	// a counterexample by the caller, not an explorer failure.
 	if out.frozen && nestedAt == 0 {
 		return nil, fmt.Errorf("%s recovery did not quiesce within %d events",
 			d.Name, cfg.MaxRunEvents)
 	}
-	if !out.frozen && rerr != nil {
-		return nil, fmt.Errorf("%s recovery failed: %w", d.Name, rerr)
+	if err != nil {
+		return nil, fmt.Errorf("%s recovery failed: %w", d.Name, err)
 	}
 	return out, nil
 }
@@ -248,25 +233,24 @@ func recoverOnce(cfg *Config, d *uc.Driver, frozenSys *nvm.System, mask uint64,
 // over a corrupted structure) is a leaf verdict like a failed recovery.
 func probeState(cfg *Config, eng uc.UC, sys *nvm.System) (map[uint64]uint64, error) {
 	out := map[uint64]uint64{}
-	sch := sim.New(0)
-	sys.SetScheduler(sch)
-	sch.CrashAtEvent(cfg.MaxRunEvents)
 	var perr error
-	sch.Spawn("probe", 0, 0, func(t *sim.Thread) {
-		defer sim.PanicToErr("probe", &perr)
-		for _, k := range cfg.probeTargets() {
-			if v := eng.Execute(t, 0, uc.Get(k)); v != uc.NotFound {
-				out[k] = v
+	sch, err := drivers.Phase(sys, func(sch *sim.Scheduler) {
+		sch.CrashAtEvent(cfg.MaxRunEvents)
+		sch.Spawn("probe", 0, 0, func(t *sim.Thread) {
+			defer sim.PanicToErr("probe", &perr)
+			for _, k := range cfg.probeTargets() {
+				if v := eng.Execute(t, 0, uc.Get(k)); v != uc.NotFound {
+					out[k] = v
+				}
 			}
-		}
+		})
 	})
-	sch.Run()
+	if err := cmp.Or(perr, err); err != nil {
+		return nil, err
+	}
 	if sch.Frozen() {
 		return nil, fmt.Errorf("probe of recovered state did not quiesce within %d events",
 			cfg.MaxRunEvents)
-	}
-	if perr != nil {
-		return nil, perr
 	}
 	return out, nil
 }

@@ -255,22 +255,6 @@ func BuildCrashDoc(progress io.Writer, c CrashConfig, tgs []CrashTarget) (CrashD
 	return doc, failures
 }
 
-// cycle runs one iteration's crash/recover cycle and returns its record, its
-// progress line and the error boot, recovery or a probe answered with, if
-// any — such a cycle is recorded failed. A simulated thread's bug panic (a
-// worker out of heap before a pinned crash point the heap cannot reach),
-// which Scheduler.Run re-raises on this goroutine, is such an error too.
-func (c *CrashConfig) cycle(tg CrashTarget, iter int, crashAt uint64) (cyc CrashCycle, detail string, err error) {
-	cyc = CrashCycle{Iteration: iter, CrashAt: crashAt, Check: CheckBlock{Epochs: c.Epochs, OK: true, FailedEpoch: -1}}
-	defer func() {
-		if cb := &cyc.Check; err != nil && cb.OK {
-			cyc.OK, cb.OK, cb.FailedEpoch, cb.Reason = false, false, 0, err.Error()
-		}
-	}()
-	defer sim.PanicToErr("cycle", &err)
-	return c.run(tg, iter, crashAt)
-}
-
 // runIteration is one iteration: the cycle, its progress line and — on
 // failure — the error or check verdict and a one-line repro, the crash point
 // bisected down first when Bisect is on.
@@ -439,23 +423,25 @@ func recoverFirst(iter, n int) []int {
 	return first
 }
 
-// run is the cycle: boot K instances, then, Epochs times, drive every
-// instance's workers — the paper's mixed set workload at 30% reads, every
-// operation recorded with its invoke/response timestamps — into a
-// full-system crash, recover in waves (wave 0 until an attempt completes,
-// its first Nested attempts cut down by a crash armed inside them; with
-// K > 1 a rotating proper subset first, so recovery order independence is
-// exercised across iterations), probe every instance's key range and Size,
-// and check each instance's epoch against its own recovered state under
-// its own condition — durable, or buffered durable with the ε+β−1 loss
-// allowance — with its own crash cut: buffered durable linearizability is
-// not local, so instances are not cut together. The isolation scan fails
-// the cycle on any key an instance holds beyond its range. Each epoch's
-// probed state is the next epoch's initial state, so recovery bugs that
-// only corrupt the second crash are still caught. With K > 1 the epochs'
-// histories and the last probed states also go through
+// cycle runs one iteration and returns its record, its progress line and the
+// error a phase answered with, if any (a worker out of heap before the crash
+// point is one): such a cycle is recorded failed. The cycle: boot K
+// instances, then, Epochs times, drive every instance's workers — the
+// paper's mixed set workload at 30% reads, every operation recorded with its
+// invoke/response timestamps — into a full-system crash, recover in waves
+// (wave 0 until an attempt completes, its first Nested attempts cut down by
+// a crash armed inside them; with K > 1 a rotating proper subset first, so
+// recovery order independence is exercised across iterations), probe every
+// instance's key range and Size, and check each instance's epoch against its
+// own recovered state under its own condition — durable, or buffered durable
+// with the ε+β−1 loss allowance — with its own crash cut: buffered durable
+// linearizability is not local, so instances are not cut together. The
+// isolation scan fails the cycle on any key an instance holds beyond its
+// range. Each epoch's probed state is the next epoch's initial state, so
+// recovery bugs that only corrupt the second crash are still caught. With
+// K > 1 the epochs' histories and the last probed states also go through
 // linearize.CheckComposition.
-func (c *CrashConfig) run(tg CrashTarget, iter int, crashAt uint64) (CrashCycle, string, error) {
+func (c *CrashConfig) cycle(tg CrashTarget, iter int, crashAt uint64) (CrashCycle, string, error) {
 	K := max(c.Instances, 1)
 	wp, base, first := c.Workers/K, c.Seed+int64(iter)*101+tg.offset, recoverFirst(iter, K)
 	cyc := CrashCycle{Iteration: iter, CrashAt: crashAt, Check: CheckBlock{Epochs: c.Epochs, OK: true, FailedEpoch: -1}}
@@ -488,14 +474,18 @@ func (c *CrashConfig) run(tg CrashTarget, iter int, crashAt uint64) (CrashCycle,
 		for k := range recs {
 			recs[k] = linearize.NewRecorder(wp)
 		}
-		m.Run(crashAt+uint64(epoch)*7_777, wp, func(t *sim.Thread, k, tid int) {
+		if _, err = m.Run(crashAt+uint64(epoch)*7_777, wp, func(t *sim.Thread, k, tid int) {
 			gen := workload.NewGen(spec, base+int64(epoch)*53+17, k*wp+tid)
 			for {
 				op := gen.Next()
 				op.A0 = instKey(k, op.A0)
 				recs[k].Exec(t, tid, op, func() uint64 { return m.Engines[k].Execute(t, tid, op) })
 			}
-		})
+		}); err != nil {
+			err = fmt.Errorf("cycle panicked: %w", err)
+			fail(epoch, "", err.Error())
+			break
+		}
 
 		rec, rerr := m.Recover(c.nestedArm(iter), first)
 		cyc.addRecovery(rec)

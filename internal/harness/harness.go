@@ -149,13 +149,15 @@ func runPoint(fig Figure, sc Scale, algo AlgoSpec, threads int, seed int64) (Poi
 
 	eng := m.Engines[0]
 	opsDone := make([]uint64, threads)
-	m.Run(0, threads, func(t *sim.Thread, _, tid int) {
+	if _, err := m.Run(0, threads, func(t *sim.Thread, _, tid int) {
 		gen := workload.NewGen(fig.Workload, seed+13, tid)
 		for t.Clock() < sc.DurationNS {
 			eng.Execute(t, tid, gen.Next())
 			opsDone[tid]++
 		}
-	})
+	}); err != nil {
+		return Point{}, fmt.Errorf("run: %w", err)
+	}
 
 	var total uint64
 	for _, n := range opsDone {

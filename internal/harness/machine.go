@@ -65,8 +65,8 @@ func BootMachine(tp numa.Topology, ncfg nvm.Config, ds ...*uc.Driver) (*Machine,
 
 // Run is one workload phase (drivers.Run) with wp workers per instance:
 // worker tid of instance k runs body(t, k, tid). A nonzero crashAt arms the
-// crash that ends the phase.
-func (m *Machine) Run(crashAt uint64, wp int, body func(t *sim.Thread, k, tid int)) *sim.Scheduler {
+// crash that ends the phase; the error is drivers.Phase's.
+func (m *Machine) Run(crashAt uint64, wp int, body func(t *sim.Thread, k, tid int)) (*sim.Scheduler, error) {
 	return drivers.Run(m.Sys, crashAt, m.Drivers, m.Topology, len(m.Drivers)*wp,
 		func(t *sim.Thread, w int) { body(t, w/wp, w%wp) })
 }
@@ -74,20 +74,20 @@ func (m *Machine) Run(crashAt uint64, wp int, body func(t *sim.Thread, k, tid in
 // InsertUntilCrash is the insert workload: every worker inserts its key
 // sequence key(k, tid, 0), key(k, tid, 1), … until the crash armed at
 // crashAt. Instance k's recorder holds its workers' inserts, the one each
-// worker had begun at the crash recorded in flight. It also returns the
-// frozen scheduler.
-func (m *Machine) InsertUntilCrash(crashAt uint64, wp int, key KeyFunc) ([]*linearize.Recorder, *sim.Scheduler) {
+// worker had begun at the crash recorded in flight. The workers never return:
+// the phase ends in the crash or in Run's error (the heap ran out first).
+func (m *Machine) InsertUntilCrash(crashAt uint64, wp int, key KeyFunc) ([]*linearize.Recorder, error) {
 	recs := make([]*linearize.Recorder, len(m.Drivers))
 	for k := range recs {
 		recs[k] = linearize.NewRecorder(wp)
 	}
-	sch := m.Run(crashAt, wp, func(t *sim.Thread, k, tid int) {
+	_, err := m.Run(crashAt, wp, func(t *sim.Thread, k, tid int) {
 		for i := uint64(0); ; i++ {
 			op := uc.Insert(key(k, tid, i), i)
 			recs[k].Exec(t, tid, op, func() uint64 { return m.Engines[k].Execute(t, tid, op) })
 		}
 	})
-	return recs, sch
+	return recs, err
 }
 
 // Recovered is what Machine.Recover measured: the recovery runs wave 0 took

@@ -90,11 +90,13 @@ func recoveryPoint(sc Scale, d *uc.Driver, sz uc.Sizing, param string, updates u
 	if err != nil {
 		return RecoveryPoint{}, fmt.Errorf("harness: recovery: %s %s: build: %w", d.Name, param, err)
 	}
-	m.Run(0, sz.Workers, func(t *sim.Thread, _, tid int) {
+	if _, err := m.Run(0, sz.Workers, func(t *sim.Thread, _, tid int) {
 		for i := uint64(0); i < updates/uint64(sz.Workers); i++ {
 			m.Engines[0].Execute(t, tid, uc.Insert(uint64(tid)<<32|i, i))
 		}
-	})
+	}); err != nil {
+		return RecoveryPoint{}, fmt.Errorf("harness: recovery: %s %s: run: %w", d.Name, param, err)
+	}
 	rec, err := m.Recover(nil, nil)
 	if err != nil {
 		return RecoveryPoint{}, fmt.Errorf("harness: recovery: %s %s: recover: %w", d.Name, param, err)

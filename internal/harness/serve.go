@@ -432,32 +432,38 @@ func runServeArrivals(d *uc.Driver, cfg ServeConfig, perShard [][]openloop.Arriv
 	// whether the crash cut it short. Generation 0 arms the crash, which cuts
 	// only a machine still under load: with every scheduled arrival completed
 	// the run ends unfrozen.
-	serve := func(gen int, sys *nvm.System, plan [][]openloop.Arrival, startNS uint64) bool {
-		sch := sim.New(0)
-		sys.SetScheduler(sch)
-		if d.SpawnAux != nil {
-			d.SpawnAux()
-		}
-		spawnServicePhase(sch, tp, gens[gen], d, cfg, plan, startNS)
-		if gen == 0 && cfg.CrashAtNS > 0 {
-			sch.CrashAtInstant(cfg.CrashAtNS, func() bool {
-				done := uint64(0)
-				for shard := 0; shard < cfg.Shards; shard++ {
-					done += gens[0].Client(shard).Completed()
-				}
-				return done < uint64(scheduled)
-			})
-		}
-		sch.Run()
-		return sch.Frozen()
-	}
-	// probe reads a machine's state for the linearize check.
-	probe := func(sys *nvm.System, eng uc.UC) (map[uint64]uint64, error) {
-		state, err := probeServeState(sys, eng, cfg.Open.Keys)
+	serve := func(gen int, sys *nvm.System, plan [][]openloop.Arrival, startNS uint64) (bool, error) {
+		sch, err := drivers.Phase(sys, func(sch *sim.Scheduler) {
+			spawnServicePhase(sch, tp, gens[gen], d, cfg, plan, startNS)
+			if gen == 0 && cfg.CrashAtNS > 0 {
+				sch.CrashAtInstant(cfg.CrashAtNS, func() bool {
+					done := uint64(0)
+					for shard := 0; shard < cfg.Shards; shard++ {
+						done += gens[0].Client(shard).Completed()
+					}
+					return done < uint64(scheduled)
+				})
+			}
+		})
 		if err != nil {
-			err = fmt.Errorf("serve: probe %s: %w", d.Name, err)
+			return false, fmt.Errorf("serve: %s: %w", d.Name, err)
 		}
-		return state, err
+		return sch.Frozen(), nil
+	}
+	// probe reads a machine's hashmap state for the linearize check, one Get
+	// per key on a throwaway timeline; the error is a read walk's panic.
+	probe := func(sys *nvm.System, eng uc.UC) (map[uint64]uint64, error) {
+		state := map[uint64]uint64{}
+		if err := drivers.Probe(sys, func(t *sim.Thread) {
+			for k := uint64(0); k < cfg.Open.Keys; k++ {
+				if v := eng.Execute(t, 0, uc.Get(k)); v != uc.NotFound {
+					state[k] = v
+				}
+			}
+		}); err != nil {
+			return nil, fmt.Errorf("serve: probe %s: %w", d.Name, err)
+		}
+		return state, nil
 	}
 
 	sys, eng, err := drivers.Boot(d, nvm.Config{
@@ -469,7 +475,10 @@ func runServeArrivals(d *uc.Driver, cfg ServeConfig, perShard [][]openloop.Arriv
 	if pol != nil {
 		sys.SetFaultPolicy(pol)
 	}
-	crashed := serve(0, sys, perShard, 0)
+	crashed, err := serve(0, sys, perShard, 0)
+	if err != nil {
+		return nil, nil, err
+	}
 	if cfg.CrashAtNS > 0 && !crashed {
 		return nil, nil, fmt.Errorf("serve: %s: crash at %d ns never fired (load drained first)", d.Name, cfg.CrashAtNS)
 	}
@@ -546,8 +555,8 @@ func runServeArrivals(d *uc.Driver, cfg ServeConfig, perShard [][]openloop.Arriv
 		// Resume the load on the recovered machine. Every thread starts at
 		// the resume instant; backlog arrivals submit immediately with their
 		// original stamps, so their latencies absorb the outage.
-		if serve(1, sys, phaseB, resumeNS) {
-			return nil, nil, fmt.Errorf("serve: %s: phase B froze unexpectedly", d.Name)
+		if _, err := serve(1, sys, phaseB, resumeNS); err != nil {
+			return nil, nil, err
 		}
 		if ta.firstB > cfg.CrashAtNS {
 			crash.StallNS = ta.firstB - cfg.CrashAtNS
@@ -616,18 +625,20 @@ func resumePlan(all []openloop.Arrival, resume, submitted int, resub []int) []op
 	return append(plan, all[submitted:]...)
 }
 
-// spawnServicePhase spawns one phase's consumers and injectors: consumer
-// shard runs as worker tid shard on its home node; the last finishing
-// injector stops the service, the last finishing consumer retires the
-// auxiliary threads. It returns the threads, each shard's consumer and then
-// its injector.
+// spawnServicePhase spawns one phase's threads: d's auxiliary threads, then
+// the consumers and injectors. Consumer shard runs as worker tid shard on its
+// home node; the last finishing injector stops the service, the last
+// finishing consumer retires the auxiliary threads. It returns the consumers
+// and injectors, each shard's consumer and then its injector.
 func spawnServicePhase(sch *sim.Scheduler, tp numa.Topology, s *svc.Service,
 	d *uc.Driver, cfg ServeConfig, perShard [][]openloop.Arrival, startNS uint64) []*sim.Thread {
+	if d.SpawnAux != nil {
+		d.SpawnAux()
+	}
 	consumersLive := cfg.Shards
 	injectorsLive := cfg.Shards
 	var ths []*sim.Thread
 	for shard := 0; shard < cfg.Shards; shard++ {
-		shard := shard
 		ths = append(ths, sch.Spawn("serve", tp.NodeOf(shard), startNS, func(t *sim.Thread) {
 			s.Serve(t, shard)
 			consumersLive--
@@ -679,22 +690,6 @@ func (res *ServeResult) summarize(hist *openloop.Histogram, endNS uint64, ms met
 	if ms.RingBatches > 0 {
 		res.Ring.MeanBatch = float64(ms.RingBatchedOps) / float64(ms.RingBatches)
 	}
-}
-
-// probeServeState reads the hashmap's live state through one Get per key on
-// a throwaway timeline — the serve harness's recovered/final state
-// observation for the linearize check. The error is a read walk's panic
-// (drivers.Probe).
-func probeServeState(sys *nvm.System, eng uc.UC, keys uint64) (map[uint64]uint64, error) {
-	state := map[uint64]uint64{}
-	err := drivers.Probe(sys, func(t *sim.Thread) {
-		for k := uint64(0); k < keys; k++ {
-			if v := eng.Execute(t, 0, uc.Get(k)); v != uc.NotFound {
-				state[k] = v
-			}
-		}
-	})
-	return state, err
 }
 
 // serveOptions is the crash-cut epoch's correctness condition: buffered

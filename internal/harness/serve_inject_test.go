@@ -123,14 +123,16 @@ func runServePhase(t *testing.T, cfg ServeConfig, perShard [][]openloop.Arrival,
 	if err != nil {
 		t.Fatal(err)
 	}
-	sch := sim.New(0)
-	if chooser {
-		sch.SetChooser(minClockChooser{})
+	var ths []*sim.Thread
+	sch, err := drivers.Phase(sys, func(sch *sim.Scheduler) {
+		if chooser {
+			sch.SetChooser(minClockChooser{})
+		}
+		ths = spawnServicePhase(sch, tp, s, d, cfg, perShard, 0)
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	sys.SetScheduler(sch)
-	d.SpawnAux()
-	ths := spawnServicePhase(sch, tp, s, d, cfg, perShard, 0)
-	sch.Run()
 	run.events = sch.Events()
 	for _, th := range ths {
 		run.clocks = append(run.clocks, th.Clock())

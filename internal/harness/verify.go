@@ -55,7 +55,7 @@ func VerifyPoint(fig Figure, sc Scale, algo AlgoSpec, threads int, seed int64, o
 	// Recorded workload phase.
 	eng := m.Engines[0]
 	rec := linearize.NewRecorder(threads)
-	m.Run(0, threads, func(t *sim.Thread, _, tid int) {
+	if _, err := m.Run(0, threads, func(t *sim.Thread, _, tid int) {
 		gen := workload.NewGen(fig.Workload, seed+13, tid)
 		for i := 0; i < opsPerWorker; i++ {
 			op := gen.Next()
@@ -63,7 +63,9 @@ func VerifyPoint(fig Figure, sc Scale, algo AlgoSpec, threads int, seed int64, o
 				return eng.Execute(t, tid, op)
 			})
 		}
-	})
+	}); err != nil {
+		return linearize.Result{}, fmt.Errorf("run: %w", err)
+	}
 
 	// Probe phase: observe the final state on a fresh timeline.
 	final, err := probeState(m, fig.Workload)
@@ -82,7 +84,7 @@ func VerifyPoint(fig Figure, sc Scale, algo AlgoSpec, threads int, seed int64, o
 func probeState(m *Machine, spec workload.Spec) (any, error) {
 	var state any
 	eng := m.Engines[0]
-	m.Run(0, 1, func(t *sim.Thread, _, _ int) {
+	if _, err := m.Run(0, 1, func(t *sim.Thread, _, _ int) {
 		switch spec.Kind {
 		case workload.Set:
 			m := map[uint64]uint64{}
@@ -95,7 +97,9 @@ func probeState(m *Machine, spec workload.Spec) (any, error) {
 		case workload.Pairs:
 			state = drain(t, eng, spec.PushCode, spec.PopCode)
 		}
-	})
+	}); err != nil {
+		return nil, fmt.Errorf("probe: %w", err)
+	}
 	if state == nil {
 		return nil, fmt.Errorf("harness: cannot probe workload kind %d", spec.Kind)
 	}

@@ -40,16 +40,15 @@ func bootUnit(t *testing.T, d *uc.Driver, bgFlushOneIn, nvmSeed uint64) *harness
 }
 
 // insertUntilCrash runs workers inserting their per-worker key sequences
-// into the crash armed at crashAt, and returns the recorded inserts plus the
-// frozen scheduler.
+// into the crash armed at crashAt, and returns the recorded inserts.
 func insertUntilCrash(t *testing.T, m *harness.Machine, crashAt uint64, workers int,
-	key harness.KeyFunc) ([]linearize.Op, *sim.Scheduler) {
+	key harness.KeyFunc) []linearize.Op {
 	t.Helper()
-	recs, sch := m.InsertUntilCrash(crashAt, workers, key)
-	if !sch.Frozen() {
-		t.Fatalf("%s: crash at %d never fired", m.Drivers[0].Name, crashAt)
+	recs, err := m.InsertUntilCrash(crashAt, workers, key)
+	if err != nil {
+		t.Fatalf("%s: workload before the crash at %d: %v", m.Drivers[0].Name, crashAt, err)
 	}
-	return recs[0].Ops(), sch
+	return recs[0].Ops()
 }
 
 // invoked counts, per worker, the inserts ops recorded: worker tid's keys

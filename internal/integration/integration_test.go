@@ -58,11 +58,13 @@ func buildAll(t *testing.T, obj uc.ObjectType, workers int) []*harness.Machine {
 // response.
 func runSingle(m *harness.Machine, ops []uc.Op) []uint64 {
 	res := make([]uint64, len(ops))
-	m.Run(0, 1, func(th *sim.Thread, _, _ int) {
+	if _, err := m.Run(0, 1, func(th *sim.Thread, _, _ int) {
 		for i, op := range ops {
 			res[i] = m.Engines[0].Execute(th, 0, op)
 		}
-	})
+	}); err != nil {
+		panic(err)
+	}
 	return res
 }
 
@@ -133,12 +135,14 @@ func TestCommutingWorkloadConverges(t *testing.T) {
 	systems := buildAll(t, seq.HashMapType(64), workers)
 	var ref map[uint64]uint64
 	for _, m := range systems {
-		m.Run(0, workers, func(th *sim.Thread, _, tid int) {
+		if _, err := m.Run(0, workers, func(th *sim.Thread, _, tid int) {
 			for i := uint64(0); i < per; i++ {
 				k := uint64(tid)*1000 + i
 				m.Engines[0].Execute(th, tid, uc.Insert(k, k*7))
 			}
-		})
+		}); err != nil {
+			t.Fatal(err)
+		}
 
 		state := map[uint64]uint64{}
 		drivers.Probe(m.Sys, func(th *sim.Thread) {
@@ -169,7 +173,7 @@ func TestCrashPointSweep(t *testing.T) {
 	for _, mode := range []core.Mode{core.Buffered, core.Durable} {
 		for crashAt := uint64(5_000); crashAt <= 155_000; crashAt += 10_000 {
 			m := bootUnit(t, prepDriver(mode, prepSizing(workers, 128)), 200, crashAt+3)
-			ops, _ := insertUntilCrash(t, m, crashAt, workers, harness.FlatKey)
+			ops := insertUntilCrash(t, m, crashAt, workers, harness.FlatKey)
 			recoverOnce(t, m)
 			if res, foreign := checkInserts(t, m, ops, workers, 16, harness.FlatKey); !res.OK || foreign != 0 {
 				t.Errorf("%s crashAt=%d: %s, %d foreign keys", mode, crashAt, res, foreign)
@@ -199,11 +203,13 @@ func TestDurableRecoveryPreservesEveryStructure(t *testing.T) {
 				LogSize: 1 << 12, Epsilon: 128, HeapWords: 1 << 21,
 			})
 			m := bootUnit(t, d, 0, 0)
-			m.Run(0, 1, func(th *sim.Thread, _, _ int) {
+			if _, err := m.Run(0, 1, func(th *sim.Thread, _, _ int) {
 				for _, op := range tc.ops {
 					m.Engines[0].Execute(th, 0, op)
 				}
-			})
+			}); err != nil {
+				t.Fatal(err)
+			}
 			// The reference state is a read snapshot: the responses of gets
 			// over the key range.
 			snapshot := func() (vals [100]uint64) {

@@ -23,12 +23,17 @@ func exploreDriver(e drivers.Entry, workers int) *uc.Driver {
 
 // insertSome runs workers inserting per of their keys each into the crash
 // armed at crashAt (0: the workload completes).
-func insertSome(m *harness.Machine, crashAt uint64, workers int, per uint64) *sim.Scheduler {
-	return m.Run(crashAt, workers, func(th *sim.Thread, _, tid int) {
+func insertSome(t *testing.T, m *harness.Machine, crashAt uint64, workers int, per uint64) *sim.Scheduler {
+	t.Helper()
+	sch, err := m.Run(crashAt, workers, func(th *sim.Thread, _, tid int) {
 		for i := uint64(0); i < per; i++ {
 			m.Engines[0].Execute(th, tid, uc.Insert(harness.FlatKey(0, tid, i), i))
 		}
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sch
 }
 
 // TestRecoveryFingerprintsPinned pins what a recovery leaves on the media —
@@ -53,7 +58,7 @@ func TestRecoveryFingerprintsPinned(t *testing.T) {
 		t.Run(e.Name, func(t *testing.T) {
 			m := bootUnit(t, exploreDriver(e, workers), 64, 53)
 			m.Sys.SetFaultPolicy(fault.DropAll())
-			if sch := insertSome(m, 1500, workers, 24); !sch.Frozen() {
+			if sch := insertSome(t, m, 1500, workers, 24); !sch.Frozen() {
 				t.Fatal("workload finished before the crash; lower crashAt")
 			}
 			var got [2]uint64
@@ -93,7 +98,7 @@ func TestForeignOrHeadlessImageIsAnError(t *testing.T) {
 			}
 			t.Run(a.Flag+"→"+b.Flag, func(t *testing.T) {
 				m := bootUnit(t, exploreDriver(a, workers), 64, 63)
-				insertSome(m, 0, workers, 4)
+				insertSome(t, m, 0, workers, 4)
 				missing := 0
 				if a.Flag == b.Flag {
 					missing = 7

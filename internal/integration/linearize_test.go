@@ -66,13 +66,16 @@ func runLinEpochs(t *testing.T, d *uc.Driver, model linearize.Model, spec worklo
 			at = crashAt + uint64(epoch)*7_777
 		}
 		rec := linearize.NewRecorder(linWorkers)
-		sch := m.Run(at, linWorkers, func(th *sim.Thread, _, tid int) {
+		sch, err := m.Run(at, linWorkers, func(th *sim.Thread, _, tid int) {
 			gen := workload.NewGen(spec, seed+int64(epoch)*101+17, tid)
 			for i := 0; crashing || i < tailOps; i++ {
 				op := gen.Next()
 				rec.Exec(th, tid, op, func() uint64 { return m.Engines[0].Execute(th, tid, op) })
 			}
 		})
+		if err != nil {
+			t.Fatalf("%s epoch %d: %v", d.Name, epoch, err)
+		}
 
 		if crashing {
 			if !sch.Frozen() {
@@ -110,7 +113,7 @@ func runLinEpochs(t *testing.T, d *uc.Driver, model linearize.Model, spec worklo
 func linProbe(m *harness.Machine, spec workload.Spec) any {
 	var state any
 	eng := m.Engines[0]
-	m.Run(0, 1, func(th *sim.Thread, _, _ int) {
+	if _, err := m.Run(0, 1, func(th *sim.Thread, _, _ int) {
 		switch spec.Kind {
 		case workload.Set:
 			kv := map[uint64]uint64{}
@@ -139,7 +142,9 @@ func linProbe(m *harness.Machine, spec workload.Spec) any {
 			}
 			state = vs
 		}
-	})
+	}); err != nil {
+		panic(err)
+	}
 	return state
 }
 

@@ -87,7 +87,7 @@ func TestDoubleRecoveryIdempotent(t *testing.T) {
 				t.Fatal(err)
 			}
 			m.Sys.SetFaultPolicy(pol)
-			ops, _ := insertUntilCrash(t, m, crashAt, workers, harness.FlatKey)
+			ops := insertUntilCrash(t, m, crashAt, workers, harness.FlatKey)
 
 			// First recovery, re-entered once through the armed nested crash.
 			r1, err := m.Recover(func(attempt int) uint64 {
@@ -160,7 +160,7 @@ func TestMultiCrashEpochs(t *testing.T) {
 			}
 			epochs := make([][]linearize.Op, tc.k)
 			for e := range epochs {
-				epochs[e], _ = insertUntilCrash(t, m, uint64(30_000+e*7_000), workers, epochKey(e))
+				epochs[e] = insertUntilCrash(t, m, uint64(30_000+e*7_000), workers, epochKey(e))
 				recoverOnce(t, m)
 			}
 

@@ -7,7 +7,9 @@
 package linearize
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"prepuc/internal/uc"
@@ -95,36 +97,25 @@ func u64Key(s any) string {
 
 func u64Equal(a, b any) bool { return a.(uint64) == b.(uint64) }
 
+// Partition carves the partitions from one stable sort of a copy of ops by
+// key (each key's operations keep their recording order); the smallest key
+// no operation names whose value changed is the error.
 func (setModel) Partition(ops []Op, init, recovered any, hasRecovered bool) ([]Problem, error) {
 	im := init.(map[uint64]uint64)
 	var rm map[uint64]uint64
 	if hasRecovered {
 		rm = recovered.(map[uint64]uint64)
 	}
-	byKey := map[uint64][]Op{}
 	for _, op := range ops {
 		switch op.Code {
 		case uc.OpInsert, uc.OpDelete, uc.OpGet, uc.OpContains:
-			byKey[op.A0] = append(byKey[op.A0], op)
 		default:
 			return nil, fmt.Errorf("set model: %s is not key-partitionable", uc.OpName(op.Code))
 		}
 	}
-	keys := map[uint64]bool{}
-	for k := range byKey {
-		keys[k] = true
-	}
-	for k := range im {
-		keys[k] = true
-	}
-	for k := range rm {
-		keys[k] = true
-	}
-	sorted := make([]uint64, 0, len(keys))
-	for k := range keys {
-		sorted = append(sorted, k)
-	}
-	sort.Slice(sorted, func(a, b int) bool { return sorted[a] < sorted[b] })
+	onKey := func(op Op, k uint64) int { return cmp.Compare(op.A0, k) }
+	byKey := slices.Clone(ops)
+	slices.SortStableFunc(byKey, func(a, b Op) int { return onKey(a, b.A0) })
 
 	valueOr := func(m map[uint64]uint64, k uint64) uint64 {
 		if v, ok := m[k]; ok {
@@ -132,21 +123,30 @@ func (setModel) Partition(ops []Op, init, recovered any, hasRecovered bool) ([]P
 		}
 		return uc.NotFound
 	}
-	var problems []Problem
-	for _, k := range sorted {
-		iv := valueOr(im, k)
-		if len(byKey[k]) == 0 {
-			// No operation touched this key: its value cannot have changed.
-			if hasRecovered && valueOr(rm, k) != iv {
-				return nil, fmt.Errorf("set model: key %d changed %d -> %d with no operation on it",
-					k, iv, valueOr(rm, k))
+	var changed []uint64 // keys whose value changed with no operation on them
+	for _, m := range []map[uint64]uint64{im, rm} {
+		for k := range m {
+			if !hasRecovered || valueOr(rm, k) == valueOr(im, k) {
+				continue
 			}
-			continue
+			if _, touched := slices.BinarySearchFunc(byKey, k, onKey); !touched {
+				changed = append(changed, k)
+			}
+		}
+	}
+	if len(changed) > 0 {
+		k := slices.Min(changed)
+		return nil, fmt.Errorf("set model: key %d changed %d -> %d with no operation on it", k, valueOr(im, k), valueOr(rm, k))
+	}
+	var problems []Problem
+	for i, j := 0, 0; i < len(byKey); i = j {
+		k := byKey[i].A0
+		for j = i + 1; j < len(byKey) && byKey[j].A0 == k; j++ {
 		}
 		p := Problem{
 			Label: keyLabel,
-			Ops:   byKey[k],
-			Init:  iv,
+			Ops:   byKey[i:j:j],
+			Init:  valueOr(im, k),
 			Step:  setKeyStep, Key: u64Key, Equal: u64Equal,
 		}
 		if hasRecovered {

@@ -3,7 +3,7 @@ package nvm
 import "prepuc/internal/sim"
 
 // Recover materializes the machine's post-crash persistent state and returns
-// a fresh System, attached to the given (new) scheduler, that contains only
+// a fresh System, attached to sch (nil: none until a phase runs), with only
 // the NVM memories — each with its current view re-read from the persisted
 // media. Volatile memories are gone; recovery code recreates them.
 //
@@ -106,7 +106,7 @@ func (c coin) PersistPending(int) bool { return c.s.nextRand()&1 == 0 }
 
 // Clone snapshots the machine — every memory's current and persisted views,
 // dirty and ownership state, pending flush sets, RNG states and a private
-// copy of the metrics registry — attached to the given scheduler. Memory
+// copy of the metrics registry — attached to sch (nil as for Recover). Memory
 // views are shared with the parent copy-on-write, so a clone costs O(page
 // tables), not O(words); pages privatize as either machine writes. Crash-
 // sweep harnesses use it to materialize the same frozen machine many times,

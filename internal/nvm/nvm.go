@@ -169,7 +169,7 @@ type Config struct {
 	Seed uint64
 }
 
-// NewSystem creates a machine attached to the given scheduler.
+// NewSystem creates a machine attached to sch (nil: none until a phase runs).
 func NewSystem(sch *sim.Scheduler, cfg Config) *System {
 	seed := cfg.Seed
 	if seed == 0 {

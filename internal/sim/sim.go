@@ -74,11 +74,11 @@ func Crashed(v any) bool {
 	return ok
 }
 
-// PanicToErr, deferred in a simulated thread — or around Scheduler.Run, which
-// re-raises a thread's bug panic on its caller — turns the panic into *err
-// (an earlier error is kept): a construction walking a corrupted image, or
-// exhausting a heap a flag sized, is the run's verdict to report, not the
-// tool's crash. The simulator's own crash unwind passes through.
+// PanicToErr, deferred in a phase's own simulated thread, turns its bug panic
+// into *err (an earlier error is kept): a corrupted image or a heap a flag
+// sized is the run's verdict, not the tool's crash. The crash unwind passes
+// through. What Run re-raises — another thread's panic, a deadlock — is
+// drivers.Phase's error: Phase holds the failure contract of every phase.
 func PanicToErr(what string, err *error) {
 	if rc := recover(); rc != nil && !Crashed(rc) && *err == nil {
 		*err = fmt.Errorf("%s panicked: %v", what, rc)

@@ -549,6 +549,24 @@ var shapeRules = []shapeRule{
 		},
 	},
 	{
+		// Every phase — boot, workload, recovery attempt, probe, serve's
+		// service generations, the explorer's runs — is one drivers.Phase,
+		// the one place a scheduler is made. Phase holds the failure
+		// contract: a bug panic or a deadlock is the phase's error and is
+		// never taken for a crash. A scheduler made anywhere else is a phase
+		// runner growing back without it; a machine that is materialized or
+		// cloned but never run takes no scheduler (nil).
+		name: "One way to run a phase",
+		checks: []shapeCheck{{scope{under: []string{"internal/", "cmd/"}, except: []string{"internal/drivers/"}, code: true}, func(t *tree, files []goFile) []string {
+			return t.callsTo(files, "scheduler made outside internal/drivers (run the phase through drivers.Phase)", "internal/sim.New")
+		}}},
+		fixtures: []fixture{
+			cmdFile(`import "prepuc/internal/sim"; var sch = sim.New(0)`),
+			{"internal/explore/shapefixture.go": add("package explore\n\nimport (\"prepuc/internal/nvm\"; \"prepuc/internal/sim\")\n\nfunc clone(s *nvm.System) *nvm.System { return s.Clone(sim.New(0)) }\n")},
+			{"internal/harness/shapefixture.go": add("package harness\n\nimport \"prepuc/internal/sim\"\n\nfunc run() { sch := sim.New(0); sch.Run() }\n")},
+		},
+	},
+	{
 		// The publish / fence / full-mark / completedTail protocol is written
 		// once (internal/core/session.go, DESIGN.md §3); a second call site
 		// of one of its primitives is a second copy of the ordering growing
