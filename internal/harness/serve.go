@@ -335,7 +335,7 @@ func (in *injector) Poll(t *sim.Thread) (uint64, bool) {
 // offer arms the submission of the oldest arrival the ring has not accepted.
 func (in *injector) offer() {
 	a := &in.arrivals[in.lo]
-	in.sub = in.c.Submission(a.Op, a.At)
+	in.sub = in.c.Submission(a.Op(), a.At)
 	in.offering = true
 }
 
@@ -713,7 +713,7 @@ func completedEpoch(plan [][]openloop.Arrival, recs [][]compRec) []linearize.Op 
 		for k, r := range recs[shard] {
 			a := arr[k]
 			ops = append(ops, linearize.Op{
-				Client: shard, Code: a.Op.Code, A0: a.Op.A0, A1: a.Op.A1,
+				Client: shard, Code: uint64(a.Code), A0: a.A0, A1: a.A1,
 				Result: r.result, Invoke: r.exec, Return: r.done,
 				Class: linearize.Completed,
 			})
@@ -754,7 +754,7 @@ func crashEpoch(cb *CheckStats, d *uc.Driver, cfg ServeConfig, perShard [][]open
 		for seq := int(c.Completed()); seq < int(c.Submitted()); seq++ {
 			a := all[seq]
 			op := linearize.Op{
-				Client: shard, Code: a.Op.Code, A0: a.Op.A0, A1: a.Op.A1,
+				Client: shard, Code: uint64(a.Code), A0: a.A0, A1: a.A1,
 				Invoke: a.At, Return: ^uint64(0), Class: linearize.InFlight,
 			}
 			switch {

@@ -137,16 +137,17 @@ func RunShardedServe(mk func() *uc.Driver, cfg ShardedServeConfig) (*ServeResult
 	}
 	// One split, by (machine, ring): machine i's rings are the consecutive
 	// run rings[i*per:(i+1)*per], each the stable sub-schedule the router
-	// followed by the machine's own client sharding would deliver — an
-	// arrival is copied at most once after generation. One machine's split
-	// is by ring alone: no arrival asks the router.
+	// followed by the machine's own client sharding would deliver. The split
+	// reorders the generated schedule in place, so no arrival is copied after
+	// generation and every machine reads its own sub-slices of the one
+	// array. One machine's split is by ring alone: no arrival asks the router.
 	var router *shard.Router
 	ring := func(a *openloop.Arrival) int { return ringOf(a, per) }
 	if cfg.Instances > 1 {
 		if router, err = shard.NewRouter(pol, cfg.Instances, cfg.Open.Keys); err != nil {
 			return nil, err
 		}
-		ring = func(a *openloop.Arrival) int { return router.RouteOp(a.Op)*per + ringOf(a, per) }
+		ring = func(a *openloop.Arrival) int { return router.RouteOp(a.Op())*per + ringOf(a, per) }
 	}
 	rings := openloop.Split(arrivals, cfg.Instances*per, ring)
 
@@ -287,7 +288,7 @@ func shardedCheck(cfg ShardedServeConfig, router *shard.Router, per int,
 		sh := linearize.ShardHistory{Shard: i}
 		for _, arr := range run.perShard {
 			for _, a := range arr {
-				sh.Ops = append(sh.Ops, linearize.Op{Client: i, Code: a.Op.Code, A0: a.Op.A0})
+				sh.Ops = append(sh.Ops, linearize.Op{Client: i, Code: uint64(a.Code), A0: a.A0})
 			}
 		}
 		sh.Final = run.final

@@ -145,14 +145,16 @@ func TestCommutingWorkloadConverges(t *testing.T) {
 		}
 
 		state := map[uint64]uint64{}
-		drivers.Probe(m.Sys, func(th *sim.Thread) {
+		if err := drivers.Probe(m.Sys, func(th *sim.Thread) {
 			for tid := 0; tid < workers; tid++ {
 				for i := uint64(0); i < per; i++ {
 					k := uint64(tid)*1000 + i
 					state[k] = m.Engines[0].Execute(th, 0, uc.Get(k))
 				}
 			}
-		})
+		}); err != nil {
+			t.Fatalf("%s: probe: %v", m.Drivers[0].Name, err)
+		}
 		if ref == nil {
 			ref = state
 			continue
@@ -213,11 +215,13 @@ func TestDurableRecoveryPreservesEveryStructure(t *testing.T) {
 			// The reference state is a read snapshot: the responses of gets
 			// over the key range.
 			snapshot := func() (vals [100]uint64) {
-				drivers.Probe(m.Sys, func(th *sim.Thread) {
+				if err := drivers.Probe(m.Sys, func(th *sim.Thread) {
 					for k := range vals {
 						vals[k] = m.Engines[0].Execute(th, 0, uc.Get(uint64(k)))
 					}
-				})
+				}); err != nil {
+					t.Fatalf("probe: %v", err)
+				}
 				return vals
 			}
 			before := snapshot()

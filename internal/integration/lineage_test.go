@@ -102,11 +102,13 @@ func TestForeignOrHeadlessImageIsAnError(t *testing.T) {
 				missing := 0
 				if a.Flag == b.Flag {
 					missing = 7
-					drivers.Probe(m.Sys, func(th *sim.Thread) {
+					if err := drivers.Probe(m.Sys, func(th *sim.Thread) {
 						cell := m.Sys.Memory(commitRecords[a.Flag])
 						cell.Store(th, 0, uint64(missing)+1)
 						m.Sys.NewFlusher().FlushLineSync(th, cell, 0)
-					})
+					}); err != nil {
+						t.Fatalf("forging the commit record: %v", err)
+					}
 				}
 				_, err := drivers.Recover(exploreDriver(b, workers), m.Sys, nil, nil)
 				if err == nil {

@@ -40,10 +40,11 @@ func sortTriples(d []uint64) [][3]uint64 {
 // the sorted DumpState triples where the engine can dump itself (PREP,
 // CX-PUC, ONLL), else — SOFT has no dump — the (Get code, key, value) of
 // every held key among each worker's first invoked+extra.
-func recoveredState(m *harness.Machine, invoked []uint64, extra uint64) [][3]uint64 {
+func recoveredState(t *testing.T, m *harness.Machine, invoked []uint64, extra uint64) [][3]uint64 {
+	t.Helper()
 	var dump []uint64
 	eng := m.Engines[0]
-	drivers.Probe(m.Sys, func(th *sim.Thread) {
+	if err := drivers.Probe(m.Sys, func(th *sim.Thread) {
 		if d, ok := eng.(interface{ DumpState(*sim.Thread) []uint64 }); ok {
 			dump = d.DumpState(th)
 			return
@@ -56,7 +57,9 @@ func recoveredState(m *harness.Machine, invoked []uint64, extra uint64) [][3]uin
 				}
 			}
 		}
-	})
+	}); err != nil {
+		t.Fatalf("probe: %v", err)
+	}
 	return sortTriples(dump)
 }
 
@@ -106,7 +109,7 @@ func TestDoubleRecoveryIdempotent(t *testing.T) {
 			if res, foreign := checkInserts(t, m, ops, workers, 32, harness.FlatKey); !res.OK || foreign != 0 {
 				t.Errorf("recovered state violates the durable condition: %s, %d foreign keys", res, foreign)
 			}
-			state1 := recoveredState(m, invoked(ops, workers), 32)
+			state1 := recoveredState(t, m, invoked(ops, workers), 32)
 			if len(state1) == 0 {
 				t.Fatal("first recovery produced an empty state; workload too short to be meaningful")
 			}
@@ -117,7 +120,7 @@ func TestDoubleRecoveryIdempotent(t *testing.T) {
 			// the source generation).
 			m.Sys.SetFaultPolicy(fault.DropAll())
 			recoverOnce(t, m)
-			if state2 := recoveredState(m, invoked(ops, workers), 32); !reflect.DeepEqual(state1, state2) {
+			if state2 := recoveredState(t, m, invoked(ops, workers), 32); !reflect.DeepEqual(state1, state2) {
 				t.Errorf("recovered states differ: first has %d ops, second %d", len(state1), len(state2))
 			}
 		})

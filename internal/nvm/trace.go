@@ -13,11 +13,7 @@ package nvm
 // (two crash points with the same set of executed persist effects
 // materialize identically).
 
-import (
-	"hash/fnv"
-
-	"prepuc/internal/sim"
-)
+import "prepuc/internal/sim"
 
 // AccessKind classifies one announced memory-system operation.
 type AccessKind uint8
@@ -159,34 +155,63 @@ func (s *System) PendingLines() int {
 // name and size) into one 64-bit FNV-1a digest: two machines with equal
 // fingerprints hold the same crash-surviving state. Memories are visited in
 // creation order, which recovery reproduces, so fingerprints are comparable
-// across a machine and its clones and recoveries. The walk is O(words) —
-// meant for the explorer's small machines, not production-sized heaps.
+// across a machine and its clones and recoveries. Each word is hashed as its
+// eight big-endian bytes. The walk is O(written pages): a page still aliasing
+// the pinned zero page contributes only zero bytes, which FNV-1a's xor leaves
+// alone, so its n words hash in one multiply by the prime to the 8n-th power.
 func (s *System) PersistedFingerprint() uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	word := func(v uint64) {
-		buf[0] = byte(v >> 56)
-		buf[1] = byte(v >> 48)
-		buf[2] = byte(v >> 40)
-		buf[3] = byte(v >> 32)
-		buf[4] = byte(v >> 24)
-		buf[5] = byte(v >> 16)
-		buf[6] = byte(v >> 8)
-		buf[7] = byte(v)
-		h.Write(buf[:])
-	}
+	h := uint64(fnvOffset)
 	for _, m := range s.order {
 		if m.kind != NVM {
 			continue
 		}
-		h.Write([]byte(m.name))
-		h.Write([]byte{0})
-		word(m.words)
-		for base := uint64(0); base < m.words; base += WordsPerLine {
-			for _, v := range m.persisted.line(base, WordsPerLine) {
-				word(v)
+		for i := 0; i < len(m.name); i++ {
+			h = (h ^ uint64(m.name[i])) * fnvPrime
+		}
+		h *= fnvPrime // the name's terminating zero byte
+		h = fnvWord(h, m.words)
+		for pi, p := range m.persisted.pages {
+			// A short final page holds only the memory's remaining words.
+			n := min(pageWords, m.words-uint64(pi)*pageWords)
+			if p.zero() {
+				h *= fnvPow(8 * n)
+				continue
+			}
+			for _, v := range p.vals[:n] {
+				h = fnvWord(h, v)
 			}
 		}
 	}
-	return h.Sum64()
+	return h
+}
+
+// 64-bit FNV-1a parameters.
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+// fnvWord folds v's eight big-endian bytes into the FNV-1a state h.
+func fnvWord(h, v uint64) uint64 {
+	h = (h ^ v>>56) * fnvPrime
+	h = (h ^ v>>48&0xff) * fnvPrime
+	h = (h ^ v>>40&0xff) * fnvPrime
+	h = (h ^ v>>32&0xff) * fnvPrime
+	h = (h ^ v>>24&0xff) * fnvPrime
+	h = (h ^ v>>16&0xff) * fnvPrime
+	h = (h ^ v>>8&0xff) * fnvPrime
+	return (h ^ v&0xff) * fnvPrime
+}
+
+// fnvPow is fnvPrime to the n-th power mod 2⁶⁴: what FNV-1a multiplies its
+// state by over n zero bytes.
+func fnvPow(n uint64) uint64 {
+	r, b := uint64(1), uint64(fnvPrime)
+	for ; n > 0; n >>= 1 {
+		if n&1 != 0 {
+			r *= b
+		}
+		b *= b
+	}
+	return r
 }

@@ -48,15 +48,23 @@ type Config struct {
 	Seed int64
 }
 
-// Arrival is one scheduled operation.
+// Arrival is one scheduled operation: 32 bytes, the arrival instant, the
+// operation's two arguments and, packed into the last word, the issuing
+// client and the operation code. A schedule carries no invocation id (every
+// uc.Op it hands out has Invid 0), so the record stores none.
 type Arrival struct {
 	// At is the arrival instant in virtual nanoseconds.
 	At uint64
+	// A0 and A1 are the operation's arguments (uc.Op.A0, uc.Op.A1).
+	A0, A1 uint64
 	// Client is the issuing client's id in [0, Clients).
 	Client uint32
-	// Op is the operation.
-	Op uc.Op
+	// Code is the operation code (uc.Op.Code).
+	Code uint32
 }
+
+// Op is the scheduled operation.
+func (a *Arrival) Op() uc.Op { return uc.Op{Code: uint64(a.Code), A0: a.A0, A1: a.A1} }
 
 // Validate reports configuration errors.
 func (c Config) Validate() error {
@@ -157,7 +165,11 @@ func Generate(cfg Config) ([]Arrival, error) {
 		default:
 			op = uc.Delete(k)
 		}
-		out = append(out, Arrival{At: at, Client: uint32(c), Op: op})
+		out = append(out, Arrival{At: at, A0: op.A0, A1: op.A1, Client: uint32(c), Code: uint32(op.Code)})
+	}
+	if len(out) > math.MaxInt32 {
+		// Split indexes a schedule with 32-bit positions.
+		return nil, fmt.Errorf("openloop: %d arrivals exceed the %d a schedule can hold", len(out), math.MaxInt32)
 	}
 	return out, nil
 }
@@ -177,29 +189,50 @@ func expectedArrivals(cfg Config) int {
 }
 
 // Split partitions a schedule into n sub-schedules, arrival a going to
-// sub-schedule bucket(a) in [0, n). The split is stable, so every
-// sub-schedule of a time-sorted schedule is time-sorted. It sizes exactly:
-// one counting pass, then one backing array carved into the n results; a
-// single bucket is the input itself, not a copy.
+// sub-schedule bucket(a) in [0, n), and returns them as sub-slices of
+// arrivals: it reorders its input in place, so the caller's slice afterwards
+// holds bucket 0's arrivals, then bucket 1's, and so on. The partition is
+// stable, so every sub-schedule of a time-sorted schedule is time-sorted, and
+// each sub-schedule's capacity is its length, so appending to one can never
+// run into its neighbour. bucket is called once per arrival, before any
+// arrival moves. No arrival is copied out of the input: the only scratch is
+// one 4-byte destination index per arrival, and a single bucket is the input
+// itself. Split panics on more than math.MaxInt32 arrivals, which the index
+// cannot address and Generate never returns.
 func Split(arrivals []Arrival, n int, bucket func(*Arrival) int) [][]Arrival {
 	if n == 1 {
-		return [][]Arrival{arrivals}
+		return [][]Arrival{arrivals[:len(arrivals):len(arrivals)]}
 	}
-	counts := make([]int, n)
-	for i := range arrivals {
-		counts[bucket(&arrivals[i])]++
+	if len(arrivals) > math.MaxInt32 {
+		panic(fmt.Sprintf("openloop: Split of %d arrivals exceeds the 32-bit index", len(arrivals)))
 	}
-	backing := make([]Arrival, len(arrivals))
-	out := make([][]Arrival, n)
-	for b, off := 0, 0; b < n; b++ {
-		// Full slice expressions: appending to one sub-schedule can never
-		// run into its neighbour.
-		out[b] = backing[off : off : off+counts[b]]
-		off += counts[b]
-	}
+	// dest[i] holds arrival i's bucket, then its final index: bucket b's
+	// arrivals fill, in input order, the run that follows buckets 0..b-1.
+	dest := make([]int32, len(arrivals))
+	next := make([]int32, n)
 	for i := range arrivals {
 		b := bucket(&arrivals[i])
-		out[b] = append(out[b], arrivals[i])
+		dest[i] = int32(b)
+		next[b]++
+	}
+	out := make([][]Arrival, n)
+	off := int32(0)
+	for b, c := range next {
+		out[b] = arrivals[off : off+c : off+c]
+		next[b] = off
+		off += c
+	}
+	for i, b := range dest {
+		dest[i] = next[b]
+		next[b]++
+	}
+	// Apply the permutation cycle by cycle: each swap puts one arrival at its
+	// final position, so the walk is linear.
+	for i := range arrivals {
+		for d := dest[i]; int(d) != i; d = dest[i] {
+			arrivals[i], arrivals[d] = arrivals[d], arrivals[i]
+			dest[i], dest[d] = dest[d], d
+		}
 	}
 	return out
 }

@@ -2,13 +2,17 @@ package openloop
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/fnv"
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
+	"unsafe"
 
+	"prepuc/internal/shard"
 	"prepuc/internal/uc"
 )
 
@@ -77,7 +81,7 @@ func TestGenerateShape(t *testing.T) {
 			t.Fatalf("arrival %d violates client %d's think time", i, a.Client)
 		}
 		nextFree[a.Client] = a.At + cfg.ThinkNS
-		if a.Op.Code == uc.OpGet {
+		if a.Op().Code == uc.OpGet {
 			reads++
 		}
 		if a.At%cfg.BurstEveryNS < cfg.BurstLenNS {
@@ -109,7 +113,7 @@ func TestGenerateZipfSkew(t *testing.T) {
 	}
 	counts := map[uint64]int{}
 	for _, a := range arr {
-		counts[a.Op.A0]++
+		counts[a.Op().A0]++
 	}
 	top := 0
 	for _, n := range counts {
@@ -235,7 +239,7 @@ func TestGenerateStreamPinned(t *testing.T) {
 		h := fnv.New64a()
 		var b [8]byte
 		for _, a := range arr {
-			for _, w := range [...]uint64{a.At, uint64(a.Client), a.Op.Code, a.Op.A0, a.Op.A1} {
+			for _, w := range [...]uint64{a.At, uint64(a.Client), a.Op().Code, a.Op().A0, a.Op().A1} {
 				binary.LittleEndian.PutUint64(b[:], w)
 				h.Write(b[:])
 			}
@@ -296,9 +300,54 @@ func TestValidateRejects(t *testing.T) {
 	}
 }
 
-// TestSplit: the split is a stable partition sized exactly — each
-// sub-schedule is full to its capacity, appending to one never reaches its
-// neighbour — and a single bucket is the input itself.
+// splitCopy is the reference split: a stable copy of each bucket's arrivals,
+// in input order, into a fresh slice per bucket.
+func splitCopy(arrivals []Arrival, n int, bucket func(*Arrival) int) [][]Arrival {
+	out := make([][]Arrival, n)
+	for i := range arrivals {
+		b := bucket(&arrivals[i])
+		out[b] = append(out[b], arrivals[i])
+	}
+	return out
+}
+
+// checkSplit splits arr in place and holds the result to the reference
+// split of a copy taken before the call: equal buckets, each a full-capacity
+// sub-slice of arr laid out in bucket order, and bucket called exactly once
+// per arrival.
+func checkSplit(t *testing.T, name string, arr []Arrival, n int, bucket func(*Arrival) int) {
+	t.Helper()
+	before := slices.Clone(arr)
+	want := splitCopy(before, n, bucket)
+	calls := 0
+	parts := Split(arr, n, func(a *Arrival) int { calls++; return bucket(a) })
+	if len(parts) != n {
+		t.Fatalf("%s: %d buckets, want %d", name, len(parts), n)
+	}
+	if n > 1 && calls != len(arr) {
+		t.Fatalf("%s: bucket called %d times for %d arrivals", name, calls, len(arr))
+	}
+	off := 0
+	for b, part := range parts {
+		if !slices.Equal(part, want[b]) {
+			t.Fatalf("%s: bucket %d differs from the reference copy-split", name, b)
+		}
+		if cap(part) != len(part) {
+			t.Fatalf("%s: bucket %d: cap %d != len %d", name, b, cap(part), len(part))
+		}
+		if len(part) > 0 && &part[0] != &arr[off] {
+			t.Fatalf("%s: bucket %d is not arr[%d:], in place", name, b, off)
+		}
+		off += len(part)
+	}
+	if off != len(arr) {
+		t.Fatalf("%s: buckets hold %d of %d arrivals", name, off, len(arr))
+	}
+}
+
+// TestSplit: the split is a stable partition of its input, in place and
+// sized exactly — each sub-schedule is full to its capacity, so appending to
+// one never reaches its neighbour — and a single bucket is the input itself.
 func TestSplit(t *testing.T) {
 	arr, err := Generate(testConfig())
 	if err != nil {
@@ -306,24 +355,56 @@ func TestSplit(t *testing.T) {
 	}
 	const n = 5
 	bucket := func(a *Arrival) int { return int(a.Client) % n }
-	parts := Split(arr, n, bucket)
-	want := make([][]Arrival, n)
-	for _, a := range arr {
-		want[bucket(&a)] = append(want[bucket(&a)], a)
-	}
-	for b := range parts {
-		if !reflect.DeepEqual(parts[b], want[b]) {
-			t.Fatalf("bucket %d differs from the append split", b)
-		}
-		if cap(parts[b]) != len(parts[b]) {
-			t.Fatalf("bucket %d: cap %d != len %d", b, cap(parts[b]), len(parts[b]))
-		}
-	}
+	checkSplit(t, "by client", arr, n, bucket)
 	one := Split(arr, 1, func(*Arrival) int { panic("single bucket needs no routing") })
 	if len(one) != 1 || len(one[0]) != len(arr) || &one[0][0] != &arr[0] {
 		t.Fatal("single-bucket split copied the schedule")
 	}
 	if empty := Split(nil, 3, bucket); len(empty) != 3 || len(empty[0])+len(empty[1])+len(empty[2]) != 0 {
 		t.Fatalf("empty schedule split into %v", empty)
+	}
+}
+
+// TestSplitMatchesCopySplit: the in-place partition equals the reference
+// copy-split on seeded schedules at several bucket counts, on an empty
+// schedule, with every arrival in one bucket, and under the sharded
+// harness's (machine, ring) bucket, a hash router's machine times the ring
+// count plus the machine's own client ring.
+func TestSplitMatchesCopySplit(t *testing.T) {
+	for _, seed := range []int64{1, 2, 3} {
+		cfg := testConfig()
+		cfg.Seed = seed
+		arr, err := Generate(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range []int{1, 2, 4, 5, 7} {
+			checkSplit(t, fmt.Sprintf("seed %d, %d by client", seed, n), slices.Clone(arr), n,
+				func(a *Arrival) int { return int(a.Client) % n })
+			checkSplit(t, fmt.Sprintf("seed %d, %d by key", seed, n), slices.Clone(arr), n,
+				func(a *Arrival) int { return int(a.A0 % uint64(n)) })
+		}
+		checkSplit(t, fmt.Sprintf("seed %d, all in the last bucket", seed), slices.Clone(arr), 4,
+			func(*Arrival) int { return 3 })
+		checkSplit(t, fmt.Sprintf("seed %d, all in the first bucket", seed), slices.Clone(arr), 4,
+			func(*Arrival) int { return 0 })
+		const machines, rings = 4, 3
+		router, err := shard.NewRouter(shard.Hash, machines, cfg.Keys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkSplit(t, fmt.Sprintf("seed %d, (machine, ring)", seed), slices.Clone(arr), machines*rings,
+			func(a *Arrival) int { return router.RouteOp(a.Op())*rings + int(a.Client)%rings })
+	}
+	for _, n := range []int{1, 2, 7} {
+		checkSplit(t, fmt.Sprintf("empty, %d", n), []Arrival{}, n, func(*Arrival) int { panic("no arrival to route") })
+	}
+}
+
+// TestArrivalSize pins the schedule's record at 32 bytes: every arrival of
+// a run is held for the run's whole length.
+func TestArrivalSize(t *testing.T) {
+	if got := unsafe.Sizeof(Arrival{}); got != 32 {
+		t.Fatalf("Arrival is %d bytes, want 32", got)
 	}
 }

@@ -74,15 +74,15 @@ func TestPartitionConservesAndOrders(t *testing.T) {
 		t.Fatal(err)
 	}
 	r, _ := NewRouter(Hash, 4, 1<<10)
-	per := openloop.Split(arr, 4, func(a *openloop.Arrival) int { return r.RouteOp(a.Op) })
+	per := openloop.Split(arr, 4, func(a *openloop.Arrival) int { return r.RouteOp(a.Op()) })
 	total := 0
 	for s, lst := range per {
 		total += len(lst)
 		last := uint64(0)
 		for _, a := range lst {
-			if r.RouteOp(a.Op) != s {
+			if r.RouteOp(a.Op()) != s {
 				t.Fatalf("arrival for key %d landed on shard %d, routes to %d",
-					a.Op.A0, s, r.RouteOp(a.Op))
+					a.A0, s, r.RouteOp(a.Op()))
 			}
 			if a.At < last {
 				t.Fatalf("shard %d schedule not time-sorted", s)
@@ -95,7 +95,7 @@ func TestPartitionConservesAndOrders(t *testing.T) {
 	}
 	// One shard owns everything: the schedule itself, not a copy.
 	r1, _ := NewRouter(Hash, 1, 1<<10)
-	if one := openloop.Split(arr, 1, func(a *openloop.Arrival) int { return r1.RouteOp(a.Op) }); len(one) != 1 || len(one[0]) != len(arr) || &one[0][0] != &arr[0] {
+	if one := openloop.Split(arr, 1, func(a *openloop.Arrival) int { return r1.RouteOp(a.Op()) }); len(one) != 1 || len(one[0]) != len(arr) || &one[0][0] != &arr[0] {
 		t.Fatal("single-shard partition copied the schedule")
 	}
 }
@@ -189,7 +189,7 @@ func TestRoutingMatchesZipfMass(t *testing.T) {
 			r, _ := NewRouter(pol, 4, keys)
 			counts := make([]uint64, 4)
 			for _, a := range arr {
-				counts[r.RouteOp(a.Op)]++
+				counts[r.RouteOp(a.Op())]++
 			}
 			want := zipfMass(r, keys, skew)
 			for s := range counts {

@@ -36,15 +36,18 @@ func linOp(rng *rand.Rand, pid, i int) uc.Op {
 }
 
 // probeSet reads the engine's full set state on a fresh scheduler.
-func probeSet(sys *nvm.System, engine uc.UC) map[uint64]uint64 {
+func probeSet(t *testing.T, sys *nvm.System, engine uc.UC) map[uint64]uint64 {
+	t.Helper()
 	recovered := map[uint64]uint64{}
-	drivers.Probe(sys, func(t *sim.Thread) {
+	if err := drivers.Probe(sys, func(th *sim.Thread) {
 		for k := uint64(0); k < linKeys; k++ {
-			if v := engine.Execute(t, 0, uc.Get(k)); v != uc.NotFound {
+			if v := engine.Execute(th, 0, uc.Get(k)); v != uc.NotFound {
 				recovered[k] = v
 			}
 		}
-	})
+	}); err != nil {
+		t.Fatalf("probe: %v", err)
+	}
 	return recovered
 }
 
@@ -65,7 +68,7 @@ func TestAsyncHistoryLinearizes(t *testing.T) {
 			})
 		}
 	})
-	recovered := probeSet(w.sys, w.p)
+	recovered := probeSet(t, w.sys, w.p)
 	res := linearize.CheckEpoch(linearize.SetModel(), nil, rec.Ops(), recovered, linearize.Options{})
 	if !res.OK {
 		t.Fatalf("async history not linearizable: %s", res)
@@ -148,7 +151,7 @@ func TestAsyncHistoryLinearizesAcrossCrash(t *testing.T) {
 		t.Fatalf("recover: %v", err)
 	}
 
-	recovered := probeSet(r.Sys, r.Eng)
+	recovered := probeSet(t, r.Sys, r.Eng)
 	res := linearize.CheckEpoch(linearize.SetModel(), nil, rec.Ops(), recovered, linearize.Options{})
 	if !res.OK {
 		t.Fatalf("crash epoch not durably linearizable: %s", res)
