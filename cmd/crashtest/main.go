@@ -19,9 +19,10 @@
 // range fails the cycle. Background flushes and unfenced write-back
 // resolution are enabled to make the crash states adversarial.
 //
-// The cycle itself, the bisected one-line repro of a failure, and the
-// document live in internal/harness (crash.go, machine.go); this command is
-// its flags, validation, I/O and exit codes. What the flags select:
+// The cycle itself, the declaration of its flags (harness.CrashConfig.Flags),
+// a failure's bisected one-line repro rendered from that declaration, and
+// the document live in internal/harness (crash.go, machine.go); this command
+// is validation, I/O and exit codes. What the flags select:
 //
 //   - -policy: the fault adversary that decides which flushed-but-unfenced
 //     lines survive each crash. A bare "targeted" advances its dropped-line
@@ -50,41 +51,24 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
-	"prepuc/internal/drivers"
 	"prepuc/internal/fault"
 	"prepuc/internal/harness"
 	"prepuc/internal/prof"
 )
 
-// cfg is the run the flags describe: every flag but the five below, which
-// select systems and I/O, is bound to the harness.CrashConfig field it names.
+// cfg is the run the flags describe: every flag but the four below, which
+// select output and profiling, is declared by harness.CrashConfig.Flags.
 var cfg harness.CrashConfig
 
 var (
-	system     = flag.String("system", "all", strings.Join(drivers.Flags(drivers.Recoverable()), ", ")+" or all")
 	format     = flag.String("format", "table", "output format: table or json")
 	outPath    = flag.String("o", "", "write results to this file (default stdout)")
 	cpuProfile = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 	memProfile = flag.String("memprofile", "", "write a pprof heap profile to this file")
 )
 
-func init() {
-	flag.IntVar(&cfg.Iterations, "iterations", 20, "crash/recover cycles per system")
-	flag.IntVar(&cfg.Workers, "workers", 8, "worker threads")
-	flag.Uint64Var(&cfg.Epsilon, "epsilon", 64, "PREP flush boundary increment ε")
-	flag.Uint64Var(&cfg.LogSize, "log", 256, "shared log entries")
-	flag.Int64Var(&cfg.Seed, "seed", 1, "base seed")
-	flag.StringVar(&cfg.Policy, "policy", "", "fault policy for unfenced lines at crash: dropall, persistall, coinflip[=p], targeted[=k] (empty: built-in fair coin)")
-	flag.IntVar(&cfg.Nested, "nested", 0, "nested crashes to inject inside recovery, per cycle")
-	flag.Uint64Var(&cfg.CrashAt, "crash-at", 0, "pin the workload crash to this event index (0: per-iteration pseudo-random)")
-	flag.Uint64Var(&cfg.NestedAt, "nested-at", 0, "pin nested crashes to this recovery event index (0: per-attempt pseudo-random)")
-	flag.BoolVar(&cfg.Bisect, "bisect", true, "on failure, bisect the crash point before printing the repro")
-	flag.IntVar(&cfg.Epochs, "epochs", 2, "chained crash/recover epochs per iteration")
-	flag.IntVar(&cfg.Jobs, "j", 0, "run up to N crash/recover cycles in parallel (0 = GOMAXPROCS)")
-	flag.IntVar(&cfg.Instances, "instances", 1, "co-resident PREP instances per machine; >1 runs sharded crash cycles (PREP systems only)")
-}
+func init() { cfg.Flags(flag.CommandLine) }
 
 // validate rejects flag values no run can honour — among them counts below
 // one, which would check nothing and report success.
@@ -129,7 +113,7 @@ func main() {
 	if err := validate(); err != nil {
 		fatal(2, err)
 	}
-	tgs, err := harness.CrashTargets(*system, cfg.Instances)
+	tgs, err := harness.CrashTargets(cfg.System, cfg.Instances)
 	if err != nil {
 		fatal(2, err)
 	}

@@ -36,7 +36,7 @@ func selected(t *testing.T) []harness.CrashTarget {
 	if err := validate(); err != nil {
 		t.Fatal(err)
 	}
-	tgs, err := harness.CrashTargets(*system, cfg.Instances)
+	tgs, err := harness.CrashTargets(cfg.System, cfg.Instances)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,6 +20,9 @@
 // combiner batch statistics — of the measurement phase. Absolute numbers are
 // simulator-relative; the shapes (who wins, by what factor, where the
 // crossovers fall) are the reproduction target — see EXPERIMENTS.md.
+//
+// Exit status: 0 the run completed, 1 a run or I/O error, 2 flags no run
+// can honour (an unknown -scale, -format or -experiment).
 package main
 
 import (
@@ -41,6 +44,13 @@ func main() {
 	}
 }
 
+// usage reports a command line no run can honour and exits 2. Every flag is
+// checked before profiling starts, so a usage error leaves no profile file.
+func usage(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "prepbench: "+format+"\n", args...)
+	os.Exit(2)
+}
+
 func run() (retErr error) {
 	scaleName := flag.String("scale", "small", "experiment scale: tiny, small or paper")
 	expList := flag.String("experiment", "all", "comma-separated figure IDs, or 'all'")
@@ -53,6 +63,34 @@ func run() (retErr error) {
 	list := flag.Bool("list", false, "list available experiments and exit")
 	flag.Parse()
 
+	var sc harness.Scale
+	switch *scaleName {
+	case "tiny":
+		sc = harness.TinyScale()
+	case "small":
+		sc = harness.SmallScale()
+	case "paper":
+		sc = harness.PaperScale()
+	default:
+		usage("unknown scale %q", *scaleName)
+	}
+	if *format != "table" && *format != "json" {
+		usage("unknown format %q (want table or json)", *format)
+	}
+	figs := harness.Catalog(sc)
+	var ids []string
+	if *expList == "all" {
+		ids = append(harness.FigureIDs(figs), "ext-recovery")
+	} else {
+		for _, id := range strings.Split(*expList, ",") {
+			id = strings.TrimSpace(id)
+			if _, ok := figs[id]; !ok && id != "ext-recovery" {
+				usage("unknown experiment %q (try -list)", id)
+			}
+			ids = append(ids, id)
+		}
+	}
+
 	stopProf, err := prof.Start(*cpuProfile, *memProfile)
 	if err != nil {
 		return err
@@ -63,24 +101,6 @@ func run() (retErr error) {
 		}
 	}()
 
-	var sc harness.Scale
-	switch *scaleName {
-	case "tiny":
-		sc = harness.TinyScale()
-	case "small":
-		sc = harness.SmallScale()
-	case "paper":
-		sc = harness.PaperScale()
-	default:
-		fmt.Fprintf(os.Stderr, "unknown scale %q\n", *scaleName)
-		os.Exit(2)
-	}
-	if *format != "table" && *format != "json" {
-		fmt.Fprintf(os.Stderr, "unknown format %q (want table or json)\n", *format)
-		os.Exit(2)
-	}
-	figs := harness.Catalog(sc)
-
 	if *list {
 		for _, id := range harness.FigureIDs(figs) {
 			fmt.Printf("%-18s %s\n", id, figs[id].Title)
@@ -88,20 +108,6 @@ func run() (retErr error) {
 		fmt.Printf("%-18s %s\n", "ext-recovery",
 			"Recovery time: PREP-Durable ε windows vs ONLL full-history replay")
 		return nil
-	}
-
-	var ids []string
-	if *expList == "all" {
-		ids = append(harness.FigureIDs(figs), "ext-recovery")
-	} else {
-		for _, id := range strings.Split(*expList, ",") {
-			id = strings.TrimSpace(id)
-			if _, ok := figs[id]; !ok && id != "ext-recovery" {
-				fmt.Fprintf(os.Stderr, "unknown experiment %q (try -list)\n", id)
-				os.Exit(2)
-			}
-			ids = append(ids, id)
-		}
 	}
 
 	// In table mode progress and tables go to the output; in json mode the

@@ -6,100 +6,57 @@
 // durable linearizability at every leaf.
 //
 // The default mode explores and emits one JSON document (schema
-// "prepuc-explore/v1") on stdout or -o; the exit status is 1 when any leaf
-// produced a counterexample, so CI can gate on it directly. Every
-// counterexample carries a one-line repro invocation built from the
-// -repro-* flags:
+// "prepuc-explore/v1") on stdout or -o. Every counterexample carries a
+// one-line repro invocation: the run's flags and the -repro-* flags naming
+// its leaf, each that differs from its default (-repro-schedule always), e.g.
 //
-//	prepexplore -system=prep-durable -workers=2 -ops=3 -seed=1 \
-//	    -repro-schedule=1,0,0 -repro-crash-at=63 -repro-mask=0x2
+//	prepexplore -epsilon=2 -repro-crash-at=63 -repro-mask=2 \
+//	    -repro-schedule=1,0,0 -system=prep-buffered
 //
 // replays exactly that leaf (forced dispatch prefix, crash event threshold,
 // persist mask, optional nested pair) and re-adjudicates it, printing the
 // verdict. -repro-schedule= (present but empty) names the root
 // minimum-clock schedule. The report is deterministic: invariant across
 // hosts, runs, and -j, except the wall_ms field (dropped with -strip-wall).
+//
+// Exit status: 0 no leaf failed, 1 a counterexample (or a replayed leaf
+// that fails) or a run or I/O error, 2 a command line no run can honour.
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 	"strings"
 
-	"prepuc/internal/drivers"
 	"prepuc/internal/explore"
 )
 
+// cfg and leaf are the run and the replayed leaf the flags describe: every
+// flag but -o and -strip-wall, which select output, is declared by
+// explore.Config.Flags or explore.Leaf.Flags.
 var (
-	system   = flag.String("system", "prep-durable", "construction: "+strings.Join(drivers.Flags(drivers.Recoverable()), ", "))
-	workers  = flag.Int("workers", 2, "concurrent workload clients")
-	ops      = flag.Int("ops", 3, "workload operations, round-robined over the workers")
-	prefill  = flag.Int("prefill", 0, "keys inserted (and checkpointed) before the explored epoch")
-	seed     = flag.Int64("seed", 1, "base seed for every scheduler and substrate RNG")
-	jobs     = flag.Int("j", 0, "host-side parallelism (0 = GOMAXPROCS; the report is invariant under -j)")
-	depth    = flag.Int("depth", 1, "crash nesting depth: 2 also crashes each recovery at its persist-relevant points")
-	detect   = flag.Bool("detect", false, "detectable execution: adjudicate crash-cut ops as InFlightCommitted/InFlightNever (PREP only)")
-	bg       = flag.Uint64("bg", 0, "background write-back rate: one-in-N chance per NVM store (0: off)")
-	rounds   = flag.Int("rounds", 0, "DPOR delay bound in BFS rounds (0: default 3; negative: unbounded)")
-	maskBits = flag.Int("mask-bits", 0, "exhaustive persist-mask limit: crashes with <= N pending lines branch over all 2^N subsets (0: default 10)")
-	maxSched = flag.Int("max-schedules", 0, "schedule-prefix execution budget (0: default 4096)")
-	maxCrash = flag.Int("max-crash-points", 0, "sample at most N crash classes per schedule (0: all)")
-	maxNest  = flag.Int("max-nested", 0, "sample at most N nested crash points per mask branch (0: depth-2 default 2; negative: all)")
-	maxEvts  = flag.Uint64("max-events", 0, "per-execution event guard against non-quiescing runs (0: default 5e6)")
-	nodes    = flag.Int("nodes", 0, "NUMA nodes (0: default 2)")
-	eps      = flag.Uint64("eps", 0, "PREP flush boundary increment ε (0: default 8)")
-	logSize  = flag.Uint64("log", 0, "shared log entries (0: default 64)")
-	heap     = flag.Uint64("heap", 0, "persistent heap words (0: default 4096)")
-	outPath  = flag.String("o", "", "write the JSON report to this file (default stdout)")
-	stripW   = flag.Bool("strip-wall", false, "zero the wall_ms field (byte-identical reports across runs)")
-
-	reproSched  = flag.String("repro-schedule", "", "repro mode: forced dispatch prefix, comma-separated thread ids (empty value = root schedule)")
-	reproCrash  = flag.Uint64("repro-crash-at", 0, "repro mode: crash event threshold (0: crash-free completion leaf)")
-	reproMask   = flag.String("repro-mask", "0x0", "repro mode: persist mask, hex")
-	reproNestAt = flag.Uint64("repro-nested-at", 0, "repro mode: nested crash event inside recovery (0: depth 1)")
-	reproNestMk = flag.String("repro-nested-mask", "0x0", "repro mode: nested persist mask, hex")
+	cfg     explore.Config
+	leaf    explore.Leaf
+	outPath = flag.String("o", "", "write the JSON report to this file (default stdout)")
+	stripW  = flag.Bool("strip-wall", false, "zero the wall_ms field (byte-identical reports across runs)")
 )
 
+func init() {
+	cfg.Flags(flag.CommandLine)
+	leaf.Flags(flag.CommandLine)
+}
+
+// fatal reports err and exits: 2 for a configuration no run can honour, 1
+// for a run or I/O that failed.
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "prepexplore:", err)
-	os.Exit(2)
-}
-
-func config() explore.Config {
-	return explore.Config{
-		System: *system, Workers: *workers, Ops: *ops, PrefillN: *prefill,
-		Seed: *seed, Jobs: *jobs, Depth: *depth, Detect: *detect,
-		BGFlushOneIn: *bg, MaskBits: *maskBits, MaxRounds: *rounds,
-		MaxSchedules: *maxSched, MaxCrashPoints: *maxCrash, MaxNested: *maxNest,
-		MaxRunEvents: *maxEvts,
-		Nodes:        *nodes, Epsilon: *eps, LogSize: *logSize, HeapWords: *heap,
+	if errors.As(err, new(explore.UsageError)) {
+		os.Exit(2)
 	}
-}
-
-func parseMask(s string) (uint64, error) {
-	if s == "" {
-		return 0, nil
-	}
-	return strconv.ParseUint(strings.TrimPrefix(s, "0x"), 16, 64)
-}
-
-func parseSchedule(s string) ([]int, error) {
-	if s == "" {
-		return nil, nil
-	}
-	parts := strings.Split(s, ",")
-	out := make([]int, len(parts))
-	for i, p := range parts {
-		v, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil {
-			return nil, fmt.Errorf("bad -repro-schedule entry %q: %v", p, err)
-		}
-		out[i] = v
-	}
-	return out, nil
+	os.Exit(1)
 }
 
 func main() {
@@ -118,7 +75,7 @@ func main() {
 		return
 	}
 
-	rep, err := explore.Run(config())
+	rep, err := explore.Run(cfg)
 	if err != nil {
 		fatal(err)
 	}
@@ -145,21 +102,7 @@ func main() {
 }
 
 func runRepro() {
-	sched, err := parseSchedule(*reproSched)
-	if err != nil {
-		fatal(err)
-	}
-	mask, err := parseMask(*reproMask)
-	if err != nil {
-		fatal(err)
-	}
-	nmask, err := parseMask(*reproNestMk)
-	if err != nil {
-		fatal(err)
-	}
-	lf := explore.Leaf{Schedule: sched, CrashAt: *reproCrash, Mask: mask,
-		NestedAt: *reproNestAt, NestedMask: nmask}
-	res, ce, err := explore.Repro(config(), lf)
+	res, ce, err := explore.Repro(cfg, leaf)
 	if err != nil {
 		fatal(err)
 	}

@@ -33,7 +33,7 @@ func withFlags(t *testing.T, vals map[string]string) {
 // `prepexplore -strip-wall` prints it: every recoverable system at the
 // default bounds, depth-2 (crashes inside recovery) runs of PREP-Durable and
 // CX-PUC, detectable execution on PREP-Durable, and PREP-Buffered with its
-// checkpoint windows in reach (-eps=2) under detection and depth 2. Every
+// checkpoint windows in reach (-epsilon=2) under detection and depth 2. Every
 // count, schedule and leaf of the report is seed-derived. Run `go test
 // ./cmd/prepexplore -run TestSchemaGolden -update` to regenerate after an
 // intentional change.
@@ -51,12 +51,12 @@ func TestSchemaGolden(t *testing.T) {
 		{"cx-depth2", map[string]string{"system": "cx", "depth": "2", "rounds": "2"}},
 		{"prep-durable-detect", map[string]string{"system": "prep-durable", "detect": "true", "rounds": "2"}},
 		{"prep-buffered-eps2-detect-depth2", map[string]string{"system": "prep-buffered",
-			"eps": "2", "detect": "true", "depth": "2", "rounds": "2"}},
+			"epsilon": "2", "detect": "true", "depth": "2", "rounds": "2"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			withFlags(t, tc.flags)
-			rep, err := explore.Run(config())
+			rep, err := explore.Run(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

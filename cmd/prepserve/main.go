@@ -9,21 +9,23 @@
 // Two scenarios:
 //
 //	steady  the full schedule runs against an undisturbed machine;
-//	crash   the whole machine freezes mid-load at -crash-at, the
-//	        construction recovers, the (volatile) submission rings are
-//	        rebuilt, and the load resumes: the in-flight window is
-//	        deduplicated against recovery's operation descriptors where
-//	        the construction records them (the PREP drivers — exactly
-//	        once, duplicates_applied measured) and blindly retried where
-//	        it does not, the outage window's arrivals are charged their
-//	        full queueing delay, and the report carries the recovery
-//	        stall window, backlog drain time and resolution tallies.
+//	crash   the whole machine freezes mid-load at the virtual instant
+//	        -crash-ns, the construction recovers, the (volatile)
+//	        submission rings are rebuilt, and the load resumes: the
+//	        in-flight window is deduplicated against recovery's
+//	        operation descriptors where the construction records them
+//	        (the PREP drivers — exactly once, duplicates_applied
+//	        measured) and blindly retried where it does not, the outage
+//	        window's arrivals are charged their full queueing delay, and
+//	        the report carries the recovery stall window, backlog drain
+//	        time and resolution tallies.
 //
 // -policy arms a fault adversary over the crash cut's unfenced lines
 // (persistall, dropall, coinflip[=p], targeted[=n]). -check verifies every
 // run for (buffered) durable linearizability — the crash epoch's in-flight
-// operations held to their descriptor verdicts — and the process exits
-// nonzero if any system fails it, or reports duplicates_applied > 0.
+// operations held to their descriptor verdicts. A system that fails it, or
+// reports duplicates_applied > 0, prints a one-line repro on stderr: the
+// run's flags that differ from their defaults, -system narrowed to it.
 //
 // Both scenarios run against all five recoverable constructions
 // (PREP-Durable, PREP-Buffered, CX-PUC, SOFT, ONLL) unless -system narrows
@@ -32,8 +34,8 @@
 //
 // Every run is one harness.RunShardedServe over -instances S fully
 // independent machines (each with its own scheduler, NVM, engine, rings and
-// recovery state machine) behind a -route key-space router, with -shards
-// read as the TOTAL worker count split evenly across machines — so a
+// recovery state machine) behind a -route key-space router, with -workers
+// the TOTAL worker count split evenly across machines — so a
 // scaling sweep holds total resources fixed while varying S. S = 1, the
 // default, is the one machine: its record is the machine's own, and the
 // document carries no sharded fields. At S > 1 the steady matrix adds
@@ -42,6 +44,10 @@
 // serving, each crashed shard recovering independently. -j caps host-side
 // parallelism across machine sub-runs; the document is byte-identical at
 // any -j.
+//
+// Exit status: 0 every system passed, 1 a system failed its check or applied
+// a duplicate, or the run could not be carried out, 2 flags no run can
+// honour (an unknown -system among them).
 package main
 
 import (
@@ -55,52 +61,59 @@ import (
 	"prepuc/internal/core"
 	"prepuc/internal/drivers"
 	"prepuc/internal/harness"
+	"prepuc/internal/runflag"
 	"prepuc/internal/shard"
 	"prepuc/internal/uc"
 )
 
-// load is the deployment and arrival schedule the flags describe: each flag
-// below is bound to the harness.ShardedServeConfig field it names. The crash
-// instant, the crashed machines and the schedule's seed depend on other
-// flags and are filled in by buildDoc.
-var load harness.ShardedServeConfig
-
-func init() {
-	flag.IntVar(&load.TotalWorkers, "shards", 4, "submission rings / consumer threads (engine workers)")
-	flag.Uint64Var(&load.RingSize, "ring", 1024, "per-shard ring capacity (power of two)")
-	flag.IntVar(&load.MaxBatch, "batch", 32, "max operations per combiner handoff")
-	flag.BoolVar(&load.Batched, "batched", true, "use the batched submission path where the engine supports it")
-
-	flag.IntVar(&load.Open.Clients, "clients", 200_000, "simulated client population")
-	flag.Uint64Var(&load.Open.Keys, "keys", 1<<16, "key-space size")
-	flag.Float64Var(&load.Open.KeySkew, "skew", 1.2, "Zipf key-skew exponent (≤1: uniform)")
-	flag.IntVar(&load.Open.ReadPct, "readpct", 80, "percentage of read-only operations")
-	flag.Float64Var(&load.Open.Rate, "rate", 4e6, "aggregate arrival rate (ops per virtual second)")
-	flag.Uint64Var(&load.Open.DurationNS, "duration", 3_000_000, "schedule horizon in virtual ns")
-	flag.Uint64Var(&load.Open.ThinkNS, "think", 50_000, "per-client think time in virtual ns")
-	flag.Uint64Var(&load.Open.BurstEveryNS, "burst-every", 500_000, "burst period in virtual ns (0: no bursts)")
-	flag.Uint64Var(&load.Open.BurstLenNS, "burst-len", 100_000, "burst length in virtual ns")
-	flag.Float64Var(&load.Open.BurstFactor, "burst-factor", 4, "arrival-rate multiplier inside bursts")
-
-	flag.StringVar(&load.Policy, "policy", "", "crash-time fault adversary: persistall, dropall, coinflip[=p], targeted[=n] (empty: fence-accurate default)")
-	flag.BoolVar(&load.Check, "check", false, "verify each run for (buffered) durable linearizability; exit 1 on failure")
-	flag.Int64Var(&load.Seed, "seed", 1, "base seed")
-
-	flag.IntVar(&load.Instances, "instances", 1, "independent machines behind the router (>1: sharded mode; -shards becomes the total worker count)")
-	flag.StringVar(&load.Route, "route", defaultRoute, "sharded key partitioning policy: hash or range")
-	flag.IntVar(&load.Jobs, "j", 1, "host workers for sharded machine sub-runs (0: all cores; never affects output bytes)")
+// run is one prepserve run, its output aside: every flag but -format and -o
+// is declared by run.Flags. The crash instant, the crashed machines and the
+// schedule's seed depend on other flags and are filled in by buildDoc.
+type run struct {
+	load                          harness.ShardedServeConfig // the deployment and arrival schedule
+	scenario, system, crashShards string
+	epsilon, crashNS              uint64
 }
 
-var (
-	scenario = flag.String("scenario", "steady", "steady or crash")
-	system   = flag.String("system", "all", strings.Join(drivers.Flags(drivers.All()), ", ")+" or all (the recoverable ones)")
-	epsilon  = flag.Uint64("epsilon", 64, "PREP flush boundary increment ε")
-	crashAt  = flag.Uint64("crash-at", 0, "crash instant in virtual ns (0: duration/2; crash scenario only)")
-	format   = flag.String("format", "table", "output format: table or json")
-	outPath  = flag.String("o", "", "write results to this file (default stdout)")
+// Flags declares r's flags on fs, with prepserve's defaults.
+func (r *run) Flags(fs *flag.FlagSet) {
+	l := &r.load
+	fs.IntVar(&l.TotalWorkers, "workers", 4, "total engine workers: submission rings / consumer threads, split evenly across -instances")
+	fs.Uint64Var(&l.RingSize, "ring", 1024, "per-worker ring capacity (power of two)")
+	fs.IntVar(&l.MaxBatch, "batch", 32, "max operations per combiner handoff")
+	fs.BoolVar(&l.Batched, "batched", true, "use the batched submission path where the engine supports it")
+	fs.IntVar(&l.Open.Clients, "clients", 200_000, "simulated client population")
+	fs.Uint64Var(&l.Open.Keys, "keys", 1<<16, "key-space size")
+	fs.Float64Var(&l.Open.KeySkew, "skew", 1.2, "Zipf key-skew exponent (≤1: uniform)")
+	fs.IntVar(&l.Open.ReadPct, "readpct", 80, "percentage of read-only operations")
+	fs.Float64Var(&l.Open.Rate, "rate", 4e6, "aggregate arrival rate (ops per virtual second)")
+	fs.Uint64Var(&l.Open.DurationNS, "duration", 3_000_000, "schedule horizon in virtual ns")
+	fs.Uint64Var(&l.Open.ThinkNS, "think", 50_000, "per-client think time in virtual ns")
+	fs.Uint64Var(&l.Open.BurstEveryNS, "burst-every", 500_000, "burst period in virtual ns (0: no bursts)")
+	fs.Uint64Var(&l.Open.BurstLenNS, "burst-len", 100_000, "burst length in virtual ns")
+	fs.Float64Var(&l.Open.BurstFactor, "burst-factor", 4, "arrival-rate multiplier inside bursts")
+	fs.StringVar(&l.Policy, "policy", "", "crash-time fault adversary: persistall, dropall, coinflip[=p], targeted[=n] (empty: fence-accurate default)")
+	fs.BoolVar(&l.Check, "check", false, "verify each run for (buffered) durable linearizability; exit 1 on failure")
+	fs.Int64Var(&l.Seed, "seed", 1, "base seed")
+	fs.IntVar(&l.Instances, "instances", 1, "independent machines behind the router (>1: sharded mode)")
+	fs.StringVar(&l.Route, "route", defaultRoute, "sharded key partitioning policy: hash or range")
+	fs.IntVar(&l.Jobs, "j", 1, "host workers for sharded machine sub-runs (0: all cores; never affects output bytes)")
+	fs.StringVar(&r.scenario, "scenario", "steady", "steady or crash")
+	fs.StringVar(&r.system, "system", "all", strings.Join(drivers.Flags(drivers.All()), ", ")+" or all (the recoverable ones)")
+	fs.Uint64Var(&r.epsilon, "epsilon", 64, "PREP flush boundary increment ε")
+	fs.Uint64Var(&r.crashNS, "crash-ns", 0, "crash instant in virtual ns (0: duration/2; crash scenario only)")
+	fs.StringVar(&r.crashShards, "crash-shards", "", "comma-separated machine indices to crash in sharded crash runs (empty: all)")
+}
 
-	crashShards = flag.String("crash-shards", "", "comma-separated machine indices to crash in sharded crash runs (empty: all)")
+// cfg is the run the command line describes.
+var cfg run
+
+var (
+	format  = flag.String("format", "table", "output format: table or json")
+	outPath = flag.String("o", "", "write results to this file (default stdout)")
 )
+
+func init() { cfg.Flags(flag.CommandLine) }
 
 // defaultRoute is -route's default; validate tells a set flag by it.
 const defaultRoute = "hash"
@@ -139,81 +152,80 @@ type serveDoc struct {
 // scenario; "all" includes it on sharded steady runs only — flat documents
 // keep the recoverable five, and take it on explicit selection so the
 // sharded sweeps' single-machine baselines come from the same binary.
-func selectSystems() ([]drivers.Entry, error) {
+func (r *run) selectSystems() ([]drivers.Entry, error) {
 	candidates := drivers.All()
-	if *scenario != "steady" {
-		if e, err := drivers.Lookup(candidates, *system); err == nil && e.SteadyOnly {
+	if r.scenario != "steady" {
+		if e, err := drivers.Lookup(candidates, r.system); err == nil && e.SteadyOnly {
 			return nil, fmt.Errorf("%s has no recovery path; steady scenario only", e.Name)
 		}
 		candidates = drivers.Recoverable()
 	}
-	if *system != "all" {
-		e, err := drivers.Lookup(candidates, *system)
+	if r.system != "all" {
+		e, err := drivers.Lookup(candidates, r.system)
 		if err != nil {
 			return nil, fmt.Errorf("%w or all", err)
 		}
 		return []drivers.Entry{e}, nil
 	}
-	if load.Instances > 1 {
+	if r.load.Instances > 1 {
 		return candidates, nil
 	}
 	return drivers.Recoverable(), nil
 }
 
-// buildDoc runs the selected scenario against the selected systems under the
-// current flag values and returns the document plus the number of failed
-// systems. Table-format rendering goes to progress as the runs finish.
-func buildDoc(progress io.Writer) (*serveDoc, int, error) {
-	cfg := load
-	cfg.Open.Seed = cfg.Seed + 1000
-	if *scenario == "crash" {
-		cfg.CrashAtNS = *crashAt
-		if cfg.CrashAtNS == 0 {
-			cfg.CrashAtNS = cfg.Open.DurationNS / 2
+// buildDoc runs r's scenario against systems and returns the document plus
+// the repro line of each failed system. Table-format rendering goes to
+// progress as the runs finish.
+func (r *run) buildDoc(progress io.Writer, systems []drivers.Entry) (*serveDoc, []string, error) {
+	sc := r.load
+	sc.Open.Seed = sc.Seed + 1000
+	if r.scenario == "crash" {
+		sc.CrashAtNS = r.crashNS
+		if sc.CrashAtNS == 0 {
+			sc.CrashAtNS = sc.Open.DurationNS / 2
 		}
 	}
 
 	doc := &serveDoc{
-		Schema: ServeSchema, Scenario: *scenario,
-		Clients: cfg.Open.Clients, RateOpsPerSec: cfg.Open.Rate,
-		DurationVirtualNS: cfg.Open.DurationNS, Shards: cfg.TotalWorkers,
-		Batched: cfg.Batched, Seed: cfg.Seed,
-		Policy: cfg.Policy, Check: cfg.Check,
+		Schema: ServeSchema, Scenario: r.scenario,
+		Clients: sc.Open.Clients, RateOpsPerSec: sc.Open.Rate,
+		DurationVirtualNS: sc.Open.DurationNS, Shards: sc.TotalWorkers,
+		Batched: sc.Batched, Seed: sc.Seed,
+		Policy: sc.Policy, Check: sc.Check,
 	}
-	systems, err := selectSystems()
-	if err != nil {
-		return nil, 0, err
-	}
-	if *scenario == "crash" {
-		if cfg.CrashShards, err = shard.ParseSet(*crashShards, cfg.Instances); err != nil {
-			return nil, 0, err
+	if r.scenario == "crash" {
+		var err error
+		if sc.CrashShards, err = shard.ParseSet(r.crashShards, sc.Instances); err != nil {
+			return nil, nil, err
 		}
-		if cfg.CrashShards == nil { // default: every machine
-			for i := 0; i < cfg.Instances; i++ {
-				cfg.CrashShards = append(cfg.CrashShards, i)
+		if sc.CrashShards == nil { // default: every machine
+			for i := 0; i < sc.Instances; i++ {
+				sc.CrashShards = append(sc.CrashShards, i)
 			}
 		}
 	}
-	if cfg.Instances > 1 {
-		doc.Instances, doc.Route, doc.CrashShards = cfg.Instances, cfg.Route, cfg.CrashShards
+	if sc.Instances > 1 {
+		doc.Instances, doc.Route, doc.CrashShards = sc.Instances, sc.Route, sc.CrashShards
 	}
-	failures := 0
+	var repros []string
 	for _, sys := range systems {
 		res, err := harness.RunShardedServe(func() *uc.Driver {
-			return sys.New(harness.ServeSizing(cfg.TotalWorkers/cfg.Instances, *epsilon))
-		}, cfg)
+			return sys.New(harness.ServeSizing(sc.TotalWorkers/sc.Instances, r.epsilon))
+		}, sc)
 		if err != nil {
-			return nil, failures, err
+			return nil, repros, err
 		}
 		doc.Systems = append(doc.Systems, res)
 		if failed(res) {
-			failures++
+			narrowed := *r
+			narrowed.system = sys.Flag
+			repros = append(repros, runflag.Line("prepserve", narrowed))
 		}
 		if *format != "json" {
 			printResult(progress, res)
 		}
 	}
-	return doc, failures, nil
+	return doc, repros, nil
 }
 
 // failed is the verdict a record carries against the run: a linearize check
@@ -228,24 +240,25 @@ func failed(r *harness.ServeResult) bool {
 // output format nothing renders, an instance or ring count below one, a
 // batch cap the engine cannot take, and sharding flags on a single machine,
 // where they would be silently ignored.
-func validate() error {
+func (r *run) validate() error {
+	l := &r.load
 	switch {
 	case *format != "table" && *format != "json":
 		return fmt.Errorf("-format=%s: want table or json", *format)
-	case *scenario != "steady" && *scenario != "crash":
-		return fmt.Errorf("unknown scenario %q", *scenario)
-	case load.Instances < 1:
-		return fmt.Errorf("-instances=%d: need at least one machine", load.Instances)
-	case load.TotalWorkers < 1:
-		return fmt.Errorf("-shards=%d: need at least one ring", load.TotalWorkers)
-	case load.RingSize == 0 || load.RingSize&(load.RingSize-1) != 0:
-		return fmt.Errorf("-ring=%d: a ring's capacity is a power of two", load.RingSize)
-	case load.MaxBatch < 1 || load.Batched && load.MaxBatch > core.MaxBatch:
-		return fmt.Errorf("-batch=%d: a combiner handoff takes 1 to %d operations", load.MaxBatch, core.MaxBatch)
-	case load.Instances == 1 && *crashShards != "":
-		return fmt.Errorf("-crash-shards=%s needs -instances > 1", *crashShards)
-	case load.Instances == 1 && load.Route != defaultRoute:
-		return fmt.Errorf("-route=%s needs -instances > 1", load.Route)
+	case r.scenario != "steady" && r.scenario != "crash":
+		return fmt.Errorf("unknown scenario %q", r.scenario)
+	case l.Instances < 1:
+		return fmt.Errorf("-instances=%d: need at least one machine", l.Instances)
+	case l.TotalWorkers < 1:
+		return fmt.Errorf("-workers=%d: need at least one ring", l.TotalWorkers)
+	case l.RingSize == 0 || l.RingSize&(l.RingSize-1) != 0:
+		return fmt.Errorf("-ring=%d: a ring's capacity is a power of two", l.RingSize)
+	case l.MaxBatch < 1 || l.Batched && l.MaxBatch > core.MaxBatch:
+		return fmt.Errorf("-batch=%d: a combiner handoff takes 1 to %d operations", l.MaxBatch, core.MaxBatch)
+	case l.Instances == 1 && r.crashShards != "":
+		return fmt.Errorf("-crash-shards=%s needs -instances > 1", r.crashShards)
+	case l.Instances == 1 && l.Route != defaultRoute:
+		return fmt.Errorf("-route=%s needs -instances > 1", l.Route)
 	}
 	return nil
 }
@@ -259,7 +272,11 @@ func fatal(code int, err error) {
 
 func main() {
 	flag.Parse()
-	if err := validate(); err != nil {
+	if err := cfg.validate(); err != nil {
+		fatal(2, err)
+	}
+	systems, err := cfg.selectSystems()
+	if err != nil {
 		fatal(2, err)
 	}
 
@@ -277,7 +294,7 @@ func main() {
 	if *format == "json" {
 		progress = io.Discard
 	}
-	doc, failures, err := buildDoc(progress)
+	doc, repros, err := cfg.buildDoc(progress, systems)
 	if err != nil {
 		fatal(1, err)
 	}
@@ -288,8 +305,11 @@ func main() {
 			fatal(1, err)
 		}
 	}
-	if failures > 0 {
-		fatal(1, fmt.Errorf("%d system(s) failed the linearize check or applied a duplicate", failures))
+	for _, line := range repros {
+		fmt.Fprintf(os.Stderr, "prepserve: repro: %s\n", line)
+	}
+	if len(repros) > 0 {
+		fatal(1, fmt.Errorf("%d system(s) failed the linearize check or applied a duplicate", len(repros)))
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -30,10 +31,20 @@ func withFlags(t *testing.T, vals map[string]string) {
 	}
 }
 
+// buildSelected is main's run: the systems -system selects, through
+// buildDoc.
+func buildSelected(progress io.Writer) (*serveDoc, []string, error) {
+	systems, err := cfg.selectSystems()
+	if err != nil {
+		return nil, nil, err
+	}
+	return cfg.buildDoc(progress, systems)
+}
+
 // serveBase is a small deterministic run: every field of the document is
 // virtual-time or seed-derived, so the goldens lock it byte for byte.
 var serveBase = map[string]string{
-	"shards": "2", "ring": "256", "batch": "32", "epsilon": "16",
+	"workers": "2", "ring": "256", "batch": "32", "epsilon": "16",
 	"clients": "20000", "keys": "4096", "skew": "1.2", "readpct": "80",
 	"rate": "2e+06", "duration": "400000", "think": "20000",
 	"burst-every": "100000", "burst-len": "20000", "burst-factor": "4",
@@ -57,15 +68,15 @@ func TestSchemaGolden(t *testing.T) {
 		{"steady", "serve_v4_steady.golden.json",
 			map[string]string{"scenario": "steady", "check": "true"}},
 		{"crash", "serve_v4_crash.golden.json",
-			map[string]string{"scenario": "crash", "crash-at": "200000",
+			map[string]string{"scenario": "crash", "crash-ns": "200000",
 				"policy": "targeted", "check": "true"}},
 		{"sharded-steady", "serve_v4_sharded_steady.golden.json",
 			map[string]string{"scenario": "steady", "check": "true",
-				"instances": "4", "shards": "4"}},
+				"instances": "4", "workers": "4"}},
 		{"sharded-crash", "serve_v4_sharded_crash.golden.json",
-			map[string]string{"scenario": "crash", "crash-at": "200000",
+			map[string]string{"scenario": "crash", "crash-ns": "200000",
 				"crash-shards": "0,2", "policy": "targeted", "check": "true",
-				"instances": "4", "shards": "4"}},
+				"instances": "4", "workers": "4"}},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -73,12 +84,12 @@ func TestSchemaGolden(t *testing.T) {
 			withFlags(t, serveBase)
 			withFlags(t, tc.extra)
 			var progress bytes.Buffer
-			doc, failures, err := buildDoc(&progress)
+			doc, failures, err := buildSelected(&progress)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if failures != 0 {
-				t.Fatalf("deterministic run failed %d checks", failures)
+			if len(failures) != 0 {
+				t.Fatalf("deterministic run failed %d checks: %q", len(failures), failures)
 			}
 			for _, r := range doc.Systems {
 				checkMetrics(t, r)
@@ -151,16 +162,16 @@ func checkMetrics(t *testing.T, r *harness.ServeResult) {
 func TestSchemaRequiredFields(t *testing.T) {
 	withFlags(t, serveBase)
 	withFlags(t, map[string]string{
-		"scenario": "crash", "crash-at": "200000",
+		"scenario": "crash", "crash-ns": "200000",
 		"policy": "coinflip", "check": "true",
 	})
 	var progress bytes.Buffer
-	doc, failures, err := buildDoc(&progress)
+	doc, failures, err := buildSelected(&progress)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if failures != 0 {
-		t.Fatalf("run failed %d checks", failures)
+	if len(failures) != 0 {
+		t.Fatalf("run failed %d checks: %q", len(failures), failures)
 	}
 	raw, err := json.Marshal(doc)
 	if err != nil {
@@ -263,17 +274,17 @@ func TestSchemaRequiredFields(t *testing.T) {
 func TestShardedSchemaFields(t *testing.T) {
 	withFlags(t, serveBase)
 	withFlags(t, map[string]string{
-		"scenario": "crash", "crash-at": "200000", "crash-shards": "1,3",
+		"scenario": "crash", "crash-ns": "200000", "crash-shards": "1,3",
 		"policy": "coinflip", "check": "true",
-		"instances": "4", "shards": "4",
+		"instances": "4", "workers": "4",
 	})
 	var progress bytes.Buffer
-	doc, failures, err := buildDoc(&progress)
+	doc, failures, err := buildSelected(&progress)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if failures != 0 {
-		t.Fatalf("run failed %d checks", failures)
+	if len(failures) != 0 {
+		t.Fatalf("run failed %d checks: %q", len(failures), failures)
 	}
 	raw, _ := json.Marshal(doc)
 	var m map[string]any
@@ -340,9 +351,9 @@ func TestShardedSchemaFields(t *testing.T) {
 	}
 	// The steady sharded matrix adds PREP-Volatile.
 	withFlags(t, map[string]string{"scenario": "steady", "crash-shards": "", "policy": ""})
-	doc, failures, err = buildDoc(&progress)
-	if err != nil || failures != 0 {
-		t.Fatalf("steady sharded: err=%v failures=%d", err, failures)
+	doc, failures, err = buildSelected(&progress)
+	if err != nil || len(failures) != 0 {
+		t.Fatalf("steady sharded: err=%v failures=%q", err, failures)
 	}
 	if len(doc.Systems) != 6 || doc.Systems[0].System != "PREP-Volatile" {
 		names := make([]string, len(doc.Systems))
@@ -364,7 +375,7 @@ func TestCheckOffByDefault(t *testing.T) {
 	withFlags(t, serveBase)
 	withFlags(t, map[string]string{"scenario": "steady", "system": "soft"})
 	var progress bytes.Buffer
-	doc, _, err := buildDoc(&progress)
+	doc, _, err := buildSelected(&progress)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,12 +2,18 @@ package main
 
 import (
 	"bytes"
+	"flag"
 	"fmt"
+	"io"
+	"reflect"
 	"strings"
 	"testing"
 
 	"prepuc/internal/drivers"
 	"prepuc/internal/harness"
+	"prepuc/internal/nvm"
+	"prepuc/internal/sim"
+	"prepuc/internal/uc"
 )
 
 // TestSystemFlagMatchesRegistry pins the accepted -system set to the
@@ -16,7 +22,7 @@ import (
 // the error for anything else lists the spellings that would have worked.
 func TestSystemFlagMatchesRegistry(t *testing.T) {
 	withFlags(t, map[string]string{
-		"shards": "2", "keys": "256", "clients": "500", "rate": "1e6",
+		"workers": "2", "keys": "256", "clients": "500", "rate": "1e6",
 		"duration": "60000", "think": "5000", "burst-every": "0", "format": "json",
 	})
 	for _, tc := range []struct{ scenario, instances string }{
@@ -29,7 +35,7 @@ func TestSystemFlagMatchesRegistry(t *testing.T) {
 		}
 		for flag, ok := range want {
 			withFlags(t, map[string]string{"system": flag})
-			doc, _, err := buildDoc(&bytes.Buffer{})
+			doc, _, err := buildSelected(&bytes.Buffer{})
 			if (err == nil) != ok {
 				t.Errorf("%+v -system=%s: err=%v, want accepted=%v", tc, flag, err, ok)
 			}
@@ -45,7 +51,7 @@ func TestSystemFlagMatchesRegistry(t *testing.T) {
 
 // TestValidateNamesIgnoredFlags pins the flag combinations main turns into
 // exit 2: an instance count below one used to run flat without a word,
-// -shards 0 and -batch 65 used to panic inside the run, a -ring that is not a
+// -workers 0 and -batch 65 used to panic inside the run, a -ring that is not a
 // power of two failed only after boot, and -crash-shards / -route on a single
 // machine were silently ignored.
 func TestValidateNamesIgnoredFlags(t *testing.T) {
@@ -61,7 +67,7 @@ func TestValidateNamesIgnoredFlags(t *testing.T) {
 		{map[string]string{"scenario": "melt"}, `unknown scenario "melt"`},
 		{map[string]string{"instances": "0"}, "-instances=0"},
 		{map[string]string{"instances": "-2"}, "-instances=-2"},
-		{map[string]string{"shards": "0"}, "-shards=0"},
+		{map[string]string{"workers": "0"}, "-workers=0"},
 		{map[string]string{"batch": "65"}, "-batch=65"},
 		{map[string]string{"batch": "0"}, "-batch=0"},
 		{map[string]string{"batch": "64"}, ""},
@@ -75,7 +81,7 @@ func TestValidateNamesIgnoredFlags(t *testing.T) {
 	} {
 		t.Run(fmt.Sprint(tc.flags), func(t *testing.T) {
 			withFlags(t, tc.flags)
-			err := validate()
+			err := cfg.validate()
 			if tc.want == "" && err != nil {
 				t.Errorf("rejected: %v", err)
 			}
@@ -93,21 +99,21 @@ func TestValidateNamesIgnoredFlags(t *testing.T) {
 // requested label.
 func TestRunRejectsWhatItCannotMeasure(t *testing.T) {
 	withFlags(t, map[string]string{
-		"shards": "2", "keys": "256", "clients": "500", "rate": "1e6", "system": "prep-durable",
+		"workers": "2", "keys": "256", "clients": "500", "rate": "1e6", "system": "prep-durable",
 		"duration": "60000", "think": "5000", "burst-every": "0", "format": "json",
 	})
 	for _, tc := range []struct {
 		flags map[string]string
 		want  string
 	}{
-		{map[string]string{"scenario": "crash", "crash-at": "999999999"}, "never fired (load drained first)"},
-		{map[string]string{"scenario": "crash", "crash-at": "999999999", "instances": "2", "crash-shards": "1"}, "never fired (load drained first)"},
+		{map[string]string{"scenario": "crash", "crash-ns": "999999999"}, "never fired (load drained first)"},
+		{map[string]string{"scenario": "crash", "crash-ns": "999999999", "instances": "2", "crash-shards": "1"}, "never fired (load drained first)"},
 		{map[string]string{"readpct": "101"}, "ReadPct"},
 		{map[string]string{"readpct": "-1"}, "ReadPct"},
 	} {
 		t.Run(fmt.Sprint(tc.flags), func(t *testing.T) {
 			withFlags(t, tc.flags)
-			if _, _, err := buildDoc(&bytes.Buffer{}); err == nil || !strings.Contains(err.Error(), tc.want) {
+			if _, _, err := buildSelected(&bytes.Buffer{}); err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Errorf("err = %v, want one naming %q", err, tc.want)
 			}
 		})
@@ -137,5 +143,60 @@ func TestDuplicateFailsRun(t *testing.T) {
 		if got := failed(&tc.rec); got != tc.want {
 			t.Errorf("%s: failed = %v, want %v", tc.name, got, tc.want)
 		}
+	}
+}
+
+// lying answers every operation one more than the engine did, which no
+// linearization admits.
+type lying struct{ uc.UC }
+
+func (l lying) Execute(t *sim.Thread, tid int, op uc.Op) uint64 {
+	return l.UC.Execute(t, tid, op) + 1
+}
+
+// TestFailedRecordPrintsItsRepro: a system that fails its check comes back
+// with one repro line, which parses back through run.Flags to the run's own
+// flags with -system narrowed to the failed system.
+func TestFailedRecordPrintsItsRepro(t *testing.T) {
+	withFlags(t, map[string]string{
+		"workers": "2", "keys": "256", "clients": "500", "rate": "1e6", "seed": "9",
+		"duration": "60000", "think": "5000", "burst-every": "0", "format": "json", "check": "true",
+	})
+	e, err := drivers.Lookup(drivers.Recoverable(), "soft")
+	if err != nil {
+		t.Fatal(err)
+	}
+	build := e.New
+	e.New = func(sz uc.Sizing) *uc.Driver {
+		d := build(sz)
+		boot := d.Boot
+		d.Boot = func(th *sim.Thread, sys *nvm.System) (uc.UC, error) {
+			eng, err := boot(th, sys)
+			return lying{eng}, err
+		}
+		return d
+	}
+	doc, repros, err := cfg.buildDoc(io.Discard, []drivers.Entry{e})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(repros) != 1 || doc.Systems[0].Check.OK {
+		t.Fatalf("a lying engine passed its check or printed %d repro lines: %q", len(repros), repros)
+	}
+	t.Logf("repro: %s", repros[0])
+	var got run
+	fs := flag.NewFlagSet("prepserve", flag.ContinueOnError)
+	got.Flags(fs)
+	args := strings.Fields(repros[0])
+	if args[0] != "prepserve" {
+		t.Fatalf("repro %q does not run prepserve", repros[0])
+	}
+	if err := fs.Parse(args[1:]); err != nil {
+		t.Fatalf("repro %q: %v", repros[0], err)
+	}
+	want := cfg
+	want.system = "soft"
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("repro %q parses to\n%+v\nwant\n%+v", repros[0], got, want)
 	}
 }

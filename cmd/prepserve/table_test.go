@@ -17,11 +17,11 @@ func TestTableCarriesRecordNumbers(t *testing.T) {
 		extra map[string]string
 	}{
 		{"steady", map[string]string{"scenario": "steady"}},
-		{"crash", map[string]string{"scenario": "crash", "crash-at": "200000",
+		{"crash", map[string]string{"scenario": "crash", "crash-ns": "200000",
 			"policy": "targeted", "check": "true"}},
-		{"sharded-crash", map[string]string{"scenario": "crash", "crash-at": "200000",
+		{"sharded-crash", map[string]string{"scenario": "crash", "crash-ns": "200000",
 			"crash-shards": "0,2", "policy": "targeted", "check": "true",
-			"instances": "4", "shards": "4"}},
+			"instances": "4", "workers": "4"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -29,7 +29,7 @@ func TestTableCarriesRecordNumbers(t *testing.T) {
 			withFlags(t, tc.extra)
 			withFlags(t, map[string]string{"format": "table"})
 			var table bytes.Buffer
-			doc, _, err := buildDoc(&table)
+			doc, _, err := buildSelected(&table)
 			if err != nil {
 				t.Fatal(err)
 			}

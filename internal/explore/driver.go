@@ -17,7 +17,7 @@ import (
 func mkDriver(cfg *Config) (*uc.Driver, error) {
 	e, err := drivers.Lookup(drivers.Recoverable(), cfg.System)
 	if err != nil {
-		return nil, fmt.Errorf("explore: %w", err)
+		return nil, UsageError{fmt.Errorf("explore: %w", err)}
 	}
 	sz := drivers.ExploreScale()
 	sz.Topology, sz.Workers, sz.Detect = cfg.topology(), cfg.Workers, cfg.Detect

@@ -23,80 +23,89 @@ package explore
 
 import (
 	"cmp"
+	"flag"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
 	"prepuc/internal/drivers"
 	"prepuc/internal/linearize"
 	"prepuc/internal/par"
+	"prepuc/internal/runflag"
 )
 
 // Schema identifies the explorer's JSON report format.
 const Schema = "prepuc-explore/v1"
 
-// Config sizes and selects one exploration.
+// Config sizes and selects one exploration. Flags declares prepexplore's
+// flag for each field (named in the field's comment), and its usage string
+// says what the field means.
 type Config struct {
-	// System is the construction under test: the -system spelling of a
-	// recoverable entry of the drivers registry.
-	System string
-	// Workers / Ops size the workload: Ops operations round-robined over
-	// Workers concurrent clients (op i runs on worker i%Workers).
-	Workers int
-	Ops     int
-	// PrefillN inserts that many keys (disjoint from the workload's) before
-	// the epoch starts; for PREP they are checkpointed and absent from the
-	// log, so recovery must preserve rather than re-create them.
-	PrefillN int
-	// Seed seeds the substrate RNG (+7); the schedulers draw nothing.
-	Seed int64
-	// Jobs is host-side parallelism (<=0: GOMAXPROCS). The report is
-	// invariant under Jobs.
-	Jobs int
-	// Depth is the crash-nesting depth: 1 explores crashes during the
-	// workload, 2 additionally crashes each recovery at its own
-	// persist-relevant points. (The seed's crashtest only samples this
-	// space; the explorer covers it.)
-	Depth int
-	// Detect routes operations through detectable execution (PREP only) and
-	// adjudicates crash-cut operations as InFlightCommitted/InFlightNever
-	// from the recovery's verdict map instead of leaving them ambiguous.
-	Detect bool
-	// BGFlushOneIn enables the substrate's random background write-backs
-	// (0 = off). Nonzero makes NVM stores crash-branch points.
-	BGFlushOneIn uint64
-	// MaskBits caps exhaustive persist-subset enumeration: a crash with at
-	// most MaskBits pending lines branches over all 2^pending subsets,
+	System  string // -system
+	Workers int    // -workers; workload op i runs on worker i%Workers
+	Ops     int    // -ops
+	// PrefillN (-prefill) keys, disjoint from the workload's, are inserted
+	// before the epoch starts; for PREP they are checkpointed and absent
+	// from the log, so recovery must preserve rather than re-create them.
+	PrefillN     int
+	Seed         int64  // -seed: the substrate RNG (+7); the schedulers draw nothing
+	Jobs         int    // -j
+	Depth        int    // -depth
+	Detect       bool   // -detect
+	BGFlushOneIn uint64 // -bg; nonzero makes NVM stores crash-branch points
+	// MaskBits (-mask-bits) caps exhaustive persist-subset enumeration:
 	// larger pending sets fall back to an adversarial capped set (and mark
 	// the report truncated).
 	MaskBits int
-	// MaxRounds is the delay bound: the worklist runs in BFS rounds, each
-	// deviating from schedules of the previous round at one more DPOR
-	// backtrack point, so round r covers every schedule reachable with at
-	// most r-1 forced deviations from the baseline. Race-complete
+	// MaxRounds (-rounds) is the delay bound: the worklist runs in BFS
+	// rounds, each deviating from schedules of the previous round at one
+	// more DPOR backtrack point, so round r covers every schedule reachable
+	// with at most r-1 forced deviations from the baseline. Race-complete
 	// exploration of a spinning, combining engine is exponential; the delay
 	// bound is the explorer's declared systematic bound (alongside Depth),
 	// and the report records the prefixes left unexplored when it bites.
-	// 0 selects the default (3); negative means unbounded (then
-	// MaxSchedules is the only brake).
-	MaxRounds int
-	// MaxSchedules bounds the number of schedule-prefix executions
-	// (runaway guard; hitting it marks the report truncated).
-	MaxSchedules int
-	// MaxCrashPoints / MaxNested sample crash classes per schedule and
-	// nested points per mask branch (0 = all).
-	MaxCrashPoints int
-	MaxNested      int
-	// MaxRunEvents is the per-execution event guard against non-quiescing
-	// runs.
-	MaxRunEvents uint64
-	// Machine sizing (defaults are explorer-scale).
-	Nodes     int
-	Epsilon   uint64
-	LogSize   uint64
-	HeapWords uint64
+	// Unbounded, MaxSchedules is the only brake.
+	MaxRounds      int
+	MaxSchedules   int    // -max-schedules: a runaway guard; hitting it truncates the report
+	MaxCrashPoints int    // -max-crash-points
+	MaxNested      int    // -max-nested
+	MaxRunEvents   uint64 // -max-events
+	Nodes          int    // -nodes
+	Epsilon        uint64 // -epsilon
+	LogSize        uint64 // -log
+	HeapWords      uint64 // -heap
 }
+
+// Flags declares c's flags on fs. Every default but -system's is the zero
+// value, which Run fills in, so a Config renders as the flags set in it.
+func (c *Config) Flags(fs *flag.FlagSet) {
+	fs.StringVar(&c.System, "system", "prep-durable", "construction: "+strings.Join(drivers.Flags(drivers.Recoverable()), ", "))
+	fs.IntVar(&c.Workers, "workers", 0, "concurrent workload clients (0: default 2)")
+	fs.IntVar(&c.Ops, "ops", 0, "workload operations, round-robined over the workers (0: default 3)")
+	fs.IntVar(&c.PrefillN, "prefill", 0, "keys inserted (and checkpointed) before the explored epoch")
+	fs.Int64Var(&c.Seed, "seed", 0, "base seed for every scheduler and substrate RNG (0: default 1)")
+	fs.IntVar(&c.Jobs, "j", 0, "host-side parallelism (0 = GOMAXPROCS; the report is invariant under -j)")
+	fs.IntVar(&c.Depth, "depth", 0, "crash nesting depth: 2 also crashes each recovery at its persist-relevant points (0: default 1)")
+	fs.BoolVar(&c.Detect, "detect", false, "detectable execution: adjudicate crash-cut ops as InFlightCommitted/InFlightNever (PREP only)")
+	fs.Uint64Var(&c.BGFlushOneIn, "bg", 0, "background write-back rate: one-in-N chance per NVM store (0: off)")
+	fs.IntVar(&c.MaxRounds, "rounds", 0, "DPOR delay bound in BFS rounds (0: default 3; negative: unbounded)")
+	fs.IntVar(&c.MaskBits, "mask-bits", 0, "exhaustive persist-mask limit: crashes with <= N pending lines branch over all 2^N subsets (0: default 10)")
+	fs.IntVar(&c.MaxSchedules, "max-schedules", 0, "schedule-prefix execution budget (0: default 4096)")
+	fs.IntVar(&c.MaxCrashPoints, "max-crash-points", 0, "sample at most N crash classes per schedule (0: all)")
+	fs.IntVar(&c.MaxNested, "max-nested", 0, "sample at most N nested crash points per mask branch (0: depth-2 default 2; negative: all)")
+	fs.Uint64Var(&c.MaxRunEvents, "max-events", 0, "per-execution event guard against non-quiescing runs (0: default 5e6)")
+	fs.IntVar(&c.Nodes, "nodes", 0, "NUMA nodes (0: default 2)")
+	fs.Uint64Var(&c.Epsilon, "epsilon", 0, "PREP flush boundary increment ε (0: default 8)")
+	fs.Uint64Var(&c.LogSize, "log", 0, "shared log entries (0: default 64)")
+	fs.Uint64Var(&c.HeapWords, "heap", 0, "persistent heap words (0: default 4096)")
+}
+
+// UsageError is a configuration no run can honour: a size out of range, an
+// unknown system, a machine that cannot boot, a nested crash point the
+// replayed recovery never reaches.
+type UsageError struct{ error }
 
 // defaults rejects the sizes no run can honour, naming the field, and fills in
 // the zero ones.
@@ -106,11 +115,11 @@ func (cfg *Config) defaults() error {
 		v    int
 	}{{"Workers", cfg.Workers}, {"Ops", cfg.Ops}, {"PrefillN", cfg.PrefillN}} {
 		if f.v < 0 {
-			return fmt.Errorf("explore: %s must not be negative, got %d", f.name, f.v)
+			return UsageError{fmt.Errorf("explore: %s must not be negative, got %d", f.name, f.v)}
 		}
 	}
 	if cfg.Depth < 0 || cfg.Depth > 2 {
-		return fmt.Errorf("explore: Depth must be 1 or 2 (0: the default, 1), got %d", cfg.Depth)
+		return UsageError{fmt.Errorf("explore: Depth must be 1 or 2 (0: the default, 1), got %d", cfg.Depth)}
 	}
 	cfg.System = cmp.Or(cfg.System, "prep-durable")
 	cfg.Workers = cmp.Or(cfg.Workers, 2)
@@ -225,6 +234,7 @@ type bRes struct {
 // mines DPOR backtracks, phase B crash-explores the novel schedules; all
 // aggregation happens in frontier index order.
 func Run(cfg Config) (*Report, error) {
+	given := cfg
 	if err := cfg.defaults(); err != nil {
 		return nil, err
 	}
@@ -313,7 +323,7 @@ func Run(cfg Config) (*Report, error) {
 		bres := make([]bRes, len(novel))
 		par.Do(jobs, len(novel), func(k int) {
 			a := &ares[novel[k]]
-			bres[k] = exploreSchedule(&cfg, a.prefix, a.wr)
+			bres[k] = exploreSchedule(&cfg, &given, a.prefix, a.wr)
 		})
 		for k := range bres {
 			b := &bres[k]
@@ -360,11 +370,11 @@ func Run(cfg Config) (*Report, error) {
 // nested mask]) leaf reachable along it. A leaf that fails — a recovery or
 // probe that hangs, errors or panics included — is recorded and the
 // remaining branches still get explored.
-func exploreSchedule(cfg *Config, prefix []int, wr *workRun) bRes {
+func exploreSchedule(cfg, given *Config, prefix []int, wr *workRun) bRes {
 	out := bRes{maxDepth: 1}
 	check := func(lf Leaf, res linearize.Result) {
 		if !res.OK {
-			out.ces = append(out.ces, mkCE(cfg, lf, wr.tr, res))
+			out.ces = append(out.ces, mkCE(cfg, given, lf, wr.tr, res))
 		}
 	}
 
@@ -460,8 +470,9 @@ func exploreSchedule(cfg *Config, prefix []int, wr *workRun) bRes {
 }
 
 // mkCE assembles the counterexample record of a failed leaf: lf.CrashAt == 0
-// is the completion leaf, lf.NestedAt == 0 a depth-1 crash leaf.
-func mkCE(cfg *Config, lf Leaf, tr *runTrace, res linearize.Result) Counterexample {
+// is the completion leaf, lf.NestedAt == 0 a depth-1 crash leaf. Its Repro is
+// rendered from the Config as given, before defaults filled it in.
+func mkCE(cfg, given *Config, lf Leaf, tr *runTrace, res linearize.Result) Counterexample {
 	ce := Counterexample{
 		System:    cfg.System,
 		Phase:     "completion",
@@ -470,6 +481,7 @@ func mkCE(cfg *Config, lf Leaf, tr *runTrace, res linearize.Result) Counterexamp
 		Partition: res.FailedPartition,
 		Reason:    res.Reason,
 		Trace:     renderTrace(tr, lf.CrashAt),
+		Repro:     given.repro(lf),
 	}
 	if lf.CrashAt != 0 {
 		ce.Phase = "crash"
@@ -479,79 +491,70 @@ func mkCE(cfg *Config, lf Leaf, tr *runTrace, res linearize.Result) Counterexamp
 			ce.NestedMask = fmt.Sprintf("0x%x", lf.NestedMask)
 		}
 	}
-	ce.Repro = reproLine(cfg, &ce)
 	return ce
 }
 
-// reproLine renders the one-line prepexplore invocation replaying a leaf.
-func reproLine(cfg *Config, ce *Counterexample) string {
-	parts := []string{
-		"prepexplore",
-		"-system=" + cfg.System,
-		fmt.Sprintf("-workers=%d", cfg.Workers),
-		fmt.Sprintf("-ops=%d", cfg.Ops),
-		fmt.Sprintf("-seed=%d", cfg.Seed),
-	}
-	if cfg.Detect {
-		parts = append(parts, "-detect")
-	}
-	if cfg.PrefillN > 0 {
-		parts = append(parts, fmt.Sprintf("-prefill=%d", cfg.PrefillN))
-	}
-	if cfg.BGFlushOneIn > 0 {
-		parts = append(parts, fmt.Sprintf("-bg=%d", cfg.BGFlushOneIn))
-	}
-	// Machine sizing beyond the defaults changes which executions exist;
-	// spell it out so the line replays verbatim.
-	var def Config
-	def.defaults()
-	if cfg.Nodes != def.Nodes {
-		parts = append(parts, fmt.Sprintf("-nodes=%d", cfg.Nodes))
-	}
-	if cfg.Epsilon != def.Epsilon {
-		parts = append(parts, fmt.Sprintf("-eps=%d", cfg.Epsilon))
-	}
-	if cfg.LogSize != def.LogSize {
-		parts = append(parts, fmt.Sprintf("-log=%d", cfg.LogSize))
-	}
-	if cfg.HeapWords != def.HeapWords {
-		parts = append(parts, fmt.Sprintf("-heap=%d", cfg.HeapWords))
-	}
-	if cfg.MaxRunEvents != def.MaxRunEvents {
-		parts = append(parts, fmt.Sprintf("-max-events=%d", cfg.MaxRunEvents))
-	}
-	parts = append(parts, "-repro-schedule="+prefixKey(ce.Schedule))
-	if ce.Phase != "completion" {
-		parts = append(parts,
-			fmt.Sprintf("-repro-crash-at=%d", ce.CrashAt),
-			"-repro-mask="+ce.Mask)
-		if ce.NestedAt != 0 {
-			parts = append(parts,
-				fmt.Sprintf("-repro-nested-at=%d", ce.NestedAt),
-				"-repro-nested-mask="+ce.NestedMask)
-		}
-	}
-	return strings.Join(parts, " ")
+// repro is the one-line prepexplore invocation replaying leaf lf of the run
+// c describes. -repro-schedule is always written: an empty one (the root
+// schedule) is what selects repro mode for a completion leaf.
+func (c Config) repro(lf Leaf) string {
+	return runflag.Line("prepexplore", reproRun{c, lf}, "repro-schedule")
 }
 
-// Leaf names one leaf of the exploration tree for replay.
+// reproRun is prepexplore's command line in repro mode: a run and its leaf.
+type reproRun struct {
+	Config
+	Leaf
+}
+
+func (r *reproRun) Flags(fs *flag.FlagSet) {
+	r.Config.Flags(fs)
+	r.Leaf.Flags(fs)
+}
+
+// Leaf names one leaf of the exploration tree for replay; Flags declares
+// prepexplore's -repro-* flag for each field, named in its comment.
 type Leaf struct {
-	// Schedule is the forced dispatch prefix (nil = the root minimum-clock
-	// schedule).
-	Schedule []int
-	// CrashAt is the crash event threshold; 0 replays the crash-free
-	// completion leaf (Mask and the nested fields are then ignored).
-	CrashAt uint64
-	// Mask selects the persist-subset materialization.
-	Mask uint64
-	// NestedAt / NestedMask replay a depth-2 leaf (NestedAt 0 = depth 1).
-	NestedAt   uint64
-	NestedMask uint64
+	Schedule   []int  // -repro-schedule: the forced dispatch prefix (nil: the root schedule)
+	CrashAt    uint64 // -repro-crash-at; 0 is the crash-free completion leaf, the rest ignored
+	Mask       uint64 // -repro-mask: the persist-subset materialization
+	NestedAt   uint64 // -repro-nested-at; 0 is a depth-1 leaf
+	NestedMask uint64 // -repro-nested-mask
+}
+
+// Flags declares l's flags on fs.
+func (l *Leaf) Flags(fs *flag.FlagSet) {
+	fs.Var((*scheduleValue)(&l.Schedule), "repro-schedule", "repro mode: forced dispatch prefix, comma-separated thread ids (empty value = root schedule)")
+	fs.Uint64Var(&l.CrashAt, "repro-crash-at", 0, "repro mode: crash event threshold (0: crash-free completion leaf)")
+	fs.Uint64Var(&l.Mask, "repro-mask", 0, "repro mode: persist mask (0x prefix: hex)")
+	fs.Uint64Var(&l.NestedAt, "repro-nested-at", 0, "repro mode: nested crash event inside recovery (0: depth 1)")
+	fs.Uint64Var(&l.NestedMask, "repro-nested-mask", 0, "repro mode: nested persist mask (0x prefix: hex)")
+}
+
+// scheduleValue is a dispatch prefix as a flag: comma-separated thread ids.
+type scheduleValue []int
+
+func (s *scheduleValue) String() string { return prefixKey(*s) }
+
+func (s *scheduleValue) Set(v string) error {
+	*s = nil
+	if v == "" {
+		return nil
+	}
+	for _, p := range strings.Split(v, ",") {
+		id, err := strconv.Atoi(strings.TrimSpace(p))
+		if err != nil {
+			return fmt.Errorf("bad schedule entry %q: %v", p, err)
+		}
+		*s = append(*s, id)
+	}
+	return nil
 }
 
 // Repro replays exactly one leaf through the evaluation Run found it with,
 // returning the verdict and (on failure) the counterexample record.
 func Repro(cfg Config, lf Leaf) (linearize.Result, *Counterexample, error) {
+	given := cfg
 	if err := cfg.defaults(); err != nil {
 		return linearize.Result{}, nil, err
 	}
@@ -573,8 +576,8 @@ func Repro(cfg Config, lf Leaf) (linearize.Result, *Counterexample, error) {
 		case err != nil:
 			res.Reason = err.Error()
 		case !r1.frozen:
-			return res, nil, fmt.Errorf("explore: nested crash at %d never fired (recovery ran %d events)",
-				lf.NestedAt, r1.events)
+			return res, nil, UsageError{fmt.Errorf("explore: nested crash at %d never fired (recovery ran %d events)",
+				lf.NestedAt, r1.events)}
 		default:
 			_, res = settle(&cfg, wr, r1.sys, lf.NestedMask, false)
 		}
@@ -582,7 +585,7 @@ func Repro(cfg Config, lf Leaf) (linearize.Result, *Counterexample, error) {
 	if res.OK {
 		return res, nil, nil
 	}
-	ce := mkCE(&cfg, lf, wr.tr, res)
+	ce := mkCE(&cfg, &given, lf, wr.tr, res)
 	return res, &ce, nil
 }
 

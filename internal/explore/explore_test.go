@@ -3,7 +3,7 @@ package explore
 import (
 	"bytes"
 	"encoding/json"
-	"strconv"
+	"flag"
 	"strings"
 	"testing"
 
@@ -173,15 +173,13 @@ func TestExploreCatchesInPlaceReplayMutation(t *testing.T) {
 		ce.Phase, ce.CrashAt, ce.Mask, ce.NestedAt, ce.Reason)
 	t.Logf("repro: %s", ce.Repro)
 
-	// Every counterexample must replay: feeding its four-tuple back through
-	// Repro re-fails with the mutation still armed, for the same reason and
-	// under the same repro line — Repro evaluates a leaf with the code Run
-	// found it with.
+	// Every counterexample must replay: its Repro line, parsed through
+	// prepexplore's flag set, names a run and a leaf that re-fail with the
+	// mutation still armed, for the same reason and under the same repro line
+	// — Repro evaluates a leaf with the code Run found it with.
 	for i, c := range rep.Counterexamples {
-		lf := Leaf{Schedule: c.Schedule, CrashAt: c.CrashAt,
-			Mask: parseMask(t, c.Mask), NestedAt: c.NestedAt,
-			NestedMask: parseMask(t, c.NestedMask)}
-		res, rce, err := Repro(mutationCfg(), lf)
+		cfg, lf := parseRepro(t, c.Repro)
+		res, rce, err := Repro(cfg, lf)
 		if err != nil {
 			t.Fatalf("counterexample %d: replay errored: %v", i, err)
 		}
@@ -199,8 +197,9 @@ func TestExploreCatchesInPlaceReplayMutation(t *testing.T) {
 	// mutated recovery's execution, which the fixed recovery (a different,
 	// shorter execution) never reaches.
 	core.DebugInPlaceReplay = false
-	res, rce, err := Repro(mutationCfg(), Leaf{Schedule: ce.Schedule,
-		CrashAt: ce.CrashAt, Mask: parseMask(t, ce.Mask)})
+	cfg, lf := parseRepro(t, ce.Repro)
+	lf.NestedAt, lf.NestedMask = 0, 0
+	res, rce, err := Repro(cfg, lf)
 	if err != nil {
 		t.Fatalf("fixed replay errored: %v", err)
 	}
@@ -213,16 +212,30 @@ func TestExploreCatchesInPlaceReplayMutation(t *testing.T) {
 	}
 }
 
-func parseMask(t *testing.T, s string) uint64 {
+// TestReproLineNamesTheRootLeaf: the completion leaf of the root schedule
+// has every -repro-* flag at its default, yet its line must still select
+// repro mode, so -repro-schedule is written empty.
+func TestReproLineNamesTheRootLeaf(t *testing.T) {
+	cfg := Config{System: "cx"}
+	if got, want := cfg.repro(Leaf{}), "prepexplore -repro-schedule= -system=cx"; got != want {
+		t.Errorf("root completion leaf renders %q, want %q", got, want)
+	}
+}
+
+// parseRepro parses a repro line through prepexplore's flag set.
+func parseRepro(t *testing.T, line string) (Config, Leaf) {
 	t.Helper()
-	if s == "" {
-		return 0
+	var r reproRun
+	fs := flag.NewFlagSet("prepexplore", flag.ContinueOnError)
+	r.Flags(fs)
+	args := strings.Fields(line)
+	if len(args) == 0 || args[0] != "prepexplore" {
+		t.Fatalf("repro %q does not run prepexplore", line)
 	}
-	v, err := strconv.ParseUint(strings.TrimPrefix(s, "0x"), 16, 64)
-	if err != nil {
-		t.Fatalf("bad mask %q: %v", s, err)
+	if err := fs.Parse(args[1:]); err != nil {
+		t.Fatalf("repro %q: %v", line, err)
 	}
-	return v
+	return r.Config, r.Leaf
 }
 
 // TestSystemMatchesRegistry pins the accepted Config.System set to the

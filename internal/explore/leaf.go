@@ -115,8 +115,8 @@ func runWorkload(cfg *Config, prefix []int, crashAt uint64, record bool) (*workR
 		return nil
 	})
 	if berr != nil {
-		return nil, fmt.Errorf("explore: boot of a machine sized -heap=%d -log=%d -eps=%d: %w",
-			cfg.HeapWords, cfg.LogSize, cfg.Epsilon, berr)
+		return nil, UsageError{fmt.Errorf("explore: boot of a machine sized -heap=%d -log=%d -epsilon=%d: %w",
+			cfg.HeapWords, cfg.LogSize, cfg.Epsilon, berr)}
 	}
 
 	rec := linearize.NewRecorder(cfg.Workers)

@@ -9,10 +9,13 @@ package harness
 // no sharded block. A cycle's base — CrashConfig.Seed, the iteration index
 // and the target's offset — seeds its substrate RNG, fault policy and
 // workload generators (DESIGN.md §15, "Which seeds exist"); its schedulers
-// draw nothing. Nothing here reads a flag.
+// draw nothing. CrashConfig declares crashtest's run flags, and a failed
+// cycle's repro is rendered from that declaration (internal/runflag); nothing
+// here parses a command line.
 
 import (
 	"bytes"
+	"flag"
 	"fmt"
 	"io"
 	"strings"
@@ -24,6 +27,7 @@ import (
 	"prepuc/internal/numa"
 	"prepuc/internal/nvm"
 	"prepuc/internal/par"
+	"prepuc/internal/runflag"
 	"prepuc/internal/sim"
 	"prepuc/internal/uc"
 	"prepuc/internal/workload"
@@ -32,9 +36,10 @@ import (
 // CrashSchema identifies the machine-readable crashtest output format.
 const CrashSchema = "prepuc-crash/v4"
 
-// CrashConfig is one crashtest run: cmd/crashtest's flags, one for one (the
-// field comments name them).
+// CrashConfig is one crashtest run: cmd/crashtest's flags but its output
+// and profiling ones, each declared by Flags (the field comments name them).
 type CrashConfig struct {
+	System     string // -system
 	Iterations int    // -iterations
 	Workers    int    // -workers
 	Epsilon    uint64 // -epsilon
@@ -48,6 +53,24 @@ type CrashConfig struct {
 	Epochs     int    // -epochs
 	Jobs       int    // -j
 	Instances  int    // -instances
+}
+
+// Flags declares c's flags on fs, with crashtest's defaults.
+func (c *CrashConfig) Flags(fs *flag.FlagSet) {
+	fs.StringVar(&c.System, "system", "all", strings.Join(drivers.Flags(drivers.Recoverable()), ", ")+" or all")
+	fs.IntVar(&c.Iterations, "iterations", 20, "crash/recover cycles per system")
+	fs.IntVar(&c.Workers, "workers", 8, "worker threads")
+	fs.Uint64Var(&c.Epsilon, "epsilon", 64, "PREP flush boundary increment ε")
+	fs.Uint64Var(&c.LogSize, "log", 256, "shared log entries")
+	fs.Int64Var(&c.Seed, "seed", 1, "base seed")
+	fs.StringVar(&c.Policy, "policy", "", "fault policy for unfenced lines at crash: dropall, persistall, coinflip[=p], targeted[=k] (empty: built-in fair coin)")
+	fs.IntVar(&c.Nested, "nested", 0, "nested crashes to inject inside recovery, per cycle")
+	fs.Uint64Var(&c.CrashAt, "crash-at", 0, "pin the workload crash to this event index (0: per-iteration pseudo-random)")
+	fs.Uint64Var(&c.NestedAt, "nested-at", 0, "pin nested crashes to this recovery event index (0: per-attempt pseudo-random)")
+	fs.BoolVar(&c.Bisect, "bisect", true, "on failure, bisect the crash point before printing the repro")
+	fs.IntVar(&c.Epochs, "epochs", 2, "chained crash/recover epochs per iteration")
+	fs.IntVar(&c.Jobs, "j", 0, "run up to N crash/recover cycles in parallel (0 = GOMAXPROCS)")
+	fs.IntVar(&c.Instances, "instances", 1, "co-resident PREP instances per machine; >1 runs sharded crash cycles (PREP systems only)")
 }
 
 // CrashTarget is one system under test: its registry entry plus crashtest's
@@ -280,7 +303,7 @@ func (c *CrashConfig) runIteration(buf *bytes.Buffer, tg CrashTarget, i int, cra
 		// that died before the crash point — fails the same at every one.
 		at = c.bisectCrash(buf, tg, i, crashAt)
 	}
-	c.reproLine(buf, tg, i, at)
+	fmt.Fprintf(buf, "       repro: %s\n", c.repro(tg, i, at))
 	return cyc
 }
 
@@ -540,34 +563,18 @@ func (c *CrashConfig) cycle(tg CrashTarget, iter int, crashAt uint64) (CrashCycl
 	return cyc, detail, err
 }
 
-// reproLine prints the command that re-runs exactly iteration iter's
-// machine crashed at crashAt: run as the only iteration with the adjusted
-// -seed it reproduces the iteration's seed stream, and -crash-at pins what
-// the iteration index chose.
-func (c *CrashConfig) reproLine(w io.Writer, tg CrashTarget, iter int, crashAt uint64) {
-	args := []string{fmt.Sprintf("-system=%s", tg.Flag)}
-	if c.Instances > 1 {
-		args = append(args, fmt.Sprintf("-instances=%d", c.Instances))
-	}
-	args = append(args,
-		"-iterations=1",
-		fmt.Sprintf("-workers=%d", c.Workers),
-		fmt.Sprintf("-epsilon=%d", c.Epsilon),
-		fmt.Sprintf("-log=%d", c.LogSize),
-		fmt.Sprintf("-seed=%d", c.Seed+int64(iter)*101),
-		fmt.Sprintf("-crash-at=%d", crashAt))
-	args = append(args, fmt.Sprintf("-epochs=%d", c.Epochs))
-	if c.Policy != "" {
-		args = append(args, fmt.Sprintf("-policy=%s", c.iterPolicySpec(iter)))
-	}
+// repro is the command that re-runs exactly iteration iter's machine
+// crashed at crashAt: run as the only iteration with the adjusted -seed it
+// reproduces the iteration's seed stream, and the pins fix what the
+// iteration index chose — crash point, policy spec and nested crash point.
+func (c CrashConfig) repro(tg CrashTarget, iter int, crashAt uint64) string {
+	r := c
+	r.System, r.Iterations, r.Seed, r.CrashAt = tg.Flag, 1, c.Seed+int64(iter)*101, crashAt
+	r.Policy = c.iterPolicySpec(iter)
 	if c.Nested > 0 {
-		na := c.NestedAt
-		if na == 0 {
-			na = c.nestedEvent(iter, 0)
-		}
-		args = append(args, fmt.Sprintf("-nested=%d", c.Nested), fmt.Sprintf("-nested-at=%d", na))
+		r.NestedAt = c.nestedEvent(iter, 0)
 	}
-	fmt.Fprintf(w, "       repro: crashtest %s\n", strings.Join(args, " "))
+	return runflag.Line("crashtest", r)
 }
 
 // bisectCrash binary-searches the smallest failing crash point below the

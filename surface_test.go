@@ -362,6 +362,11 @@ func (m *module) usedObjects() map[types.Object]bool {
 				if fn, ok := obj.(*types.Func); ok {
 					if recv := fn.Signature().Recv(); recv != nil {
 						if iface, ok := recv.Type().Underlying().(*types.Interface); ok {
+							if !iface.IsMethodSet() {
+								// A type parameter's constraint: what it calls
+								// is a method of every type argument.
+								iface = methodsOf(iface)
+							}
 							called[iface] = append(called[iface], fn)
 						}
 					}
@@ -378,6 +383,14 @@ func (m *module) usedObjects() map[types.Object]bool {
 			types.NewTuple(types.NewVar(token.NoPos, nil, "", types.Typ[types.String])), false)),
 	}, nil).Complete()
 	called[stringer] = []*types.Func{stringer.Method(0)}
+	// flag calls Set on every flag.Value it parses a command line into.
+	flagValue := types.NewInterfaceType([]*types.Func{
+		stringer.Method(0),
+		types.NewFunc(token.NoPos, nil, "Set", types.NewSignatureType(nil, nil, nil,
+			types.NewTuple(types.NewVar(token.NoPos, nil, "", types.Typ[types.String])),
+			types.NewTuple(types.NewVar(token.NoPos, nil, "", types.Universe.Lookup("error").Type())), false)),
+	}, nil).Complete()
+	called[flagValue] = []*types.Func{flagValue.Method(0)}
 
 	for _, pkg := range m.pkgs {
 		scope := pkg.Scope()
@@ -401,6 +414,16 @@ func (m *module) usedObjects() map[types.Object]bool {
 		}
 	}
 	return used
+}
+
+// methodsOf is the interface of iface's methods alone, its type terms
+// dropped.
+func methodsOf(iface *types.Interface) *types.Interface {
+	ms := make([]*types.Func, iface.NumMethods())
+	for i := range ms {
+		ms[i] = iface.Method(i)
+	}
+	return types.NewInterfaceType(ms, nil).Complete()
 }
 
 // ownObjects are the objects a top-level declaration declares: its function
@@ -564,6 +587,31 @@ var shapeRules = []shapeRule{
 			cmdFile(`import "prepuc/internal/sim"; var sch = sim.New(0)`),
 			{"internal/explore/shapefixture.go": add("package explore\n\nimport (\"prepuc/internal/nvm\"; \"prepuc/internal/sim\")\n\nfunc clone(s *nvm.System) *nvm.System { return s.Clone(sim.New(0)) }\n")},
 			{"internal/harness/shapefixture.go": add("package harness\n\nimport \"prepuc/internal/sim\"\n\nfunc run() { sch := sim.New(0); sch.Run() }\n")},
+		},
+	},
+	{
+		// A repro line is runflag.Line over the run config's own Flags
+		// declaration, so it parses back to the run it names. A string that
+		// spells a flag assignment (-name=) anywhere else, bar an error
+		// message naming a flag's value, is a hand-built command line
+		// growing back.
+		name: "Repro lines are rendered in one place",
+		checks: []shapeCheck{{scope{under: []string{""}, except: []string{"examples/", "benchmark/", "internal/runflag/"}, code: true},
+			func(t *tree, files []goFile) (out []string) {
+				errFormats := map[ast.Node]bool{}
+				t.inspect(files, func(f goFile, n ast.Node) {
+					if fn := callee(f, n); fn != nil && (funcName(fn) == "fmt.Errorf" || funcName(fn) == "errors.New") {
+						errFormats[n.(*ast.CallExpr).Args[0]] = true
+					}
+					if s, ok := stringLit(n); ok && flagAssign.MatchString(s) && !errFormats[n] {
+						out = append(out, t.at(n)+": a hand-built command line (render it with runflag.Line)")
+					}
+				})
+				return out
+			}}},
+		fixtures: []fixture{
+			{"internal/harness/shapefixture.go": add("package harness\n\nimport \"fmt\"\n\nfunc repro(at uint64) string { return fmt.Sprintf(\"-crash-at=%d\", at) }\n")},
+			cmdFile(`var args = []string{"prepexplore", "-repro-schedule=" + "1,0"}`),
 		},
 	},
 	{
@@ -926,6 +974,9 @@ const ciPath = ".github/workflows/ci.yml"
 // goTestRun matches a go test command with a -run pattern: the pattern, then
 // the rest of the line, which lists the packages.
 var goTestRun = regexp.MustCompile(`go test [^\n]*?-run '([^']*)'([^\n]*)`)
+
+// flagAssign matches a command-line flag assignment, -name=.
+var flagAssign = regexp.MustCompile(`(^|\s)-[a-z][a-z0-9-]*=`)
 
 // mirrorSite is the one function outside internal/core that holds a memory:
 // nvm's Mirror, as "file function".
