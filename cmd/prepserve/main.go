@@ -67,8 +67,9 @@ import (
 )
 
 // run is one prepserve run, its output aside: every flag but -format and -o
-// is declared by run.Flags. The crash instant, the crashed machines and the
-// schedule's seed depend on other flags and are filled in by buildDoc.
+// is declared by run.Flags. The crashed machines are parsed by validate; the
+// crash instant and the schedule's seed depend on other flags and are filled
+// in by buildDoc.
 type run struct {
 	load                          harness.ShardedServeConfig // the deployment and arrival schedule
 	scenario, system, crashShards string
@@ -193,15 +194,9 @@ func (r *run) buildDoc(progress io.Writer, systems []drivers.Entry) (*serveDoc, 
 		Batched: sc.Batched, Seed: sc.Seed,
 		Policy: sc.Policy, Check: sc.Check,
 	}
-	if r.scenario == "crash" {
-		var err error
-		if sc.CrashShards, err = shard.ParseSet(r.crashShards, sc.Instances); err != nil {
-			return nil, nil, err
-		}
-		if sc.CrashShards == nil { // default: every machine
-			for i := 0; i < sc.Instances; i++ {
-				sc.CrashShards = append(sc.CrashShards, i)
-			}
+	if r.scenario == "crash" && sc.CrashShards == nil { // default: every machine
+		for i := 0; i < sc.Instances; i++ {
+			sc.CrashShards = append(sc.CrashShards, i)
 		}
 	}
 	if sc.Instances > 1 {
@@ -238,8 +233,10 @@ func failed(r *harness.ServeResult) bool {
 
 // validate rejects flag combinations no run can honour, naming the flag: an
 // output format nothing renders, an instance or ring count below one, a
-// batch cap the engine cannot take, and sharding flags on a single machine,
-// where they would be silently ignored.
+// batch cap the engine cannot take, sharding flags on a single machine,
+// where they would be silently ignored, and a -crash-shards set that names a
+// machine the run does not have. It parses that set into r.load.CrashShards
+// (nil outside the crash scenario, or for the default of every machine).
 func (r *run) validate() error {
 	l := &r.load
 	switch {
@@ -259,6 +256,14 @@ func (r *run) validate() error {
 		return fmt.Errorf("-crash-shards=%s needs -instances > 1", r.crashShards)
 	case l.Instances == 1 && l.Route != defaultRoute:
 		return fmt.Errorf("-route=%s needs -instances > 1", l.Route)
+	}
+	l.CrashShards = nil
+	if r.scenario != "crash" {
+		return nil
+	}
+	var err error
+	if l.CrashShards, err = shard.ParseSet(r.crashShards, l.Instances); err != nil {
+		return fmt.Errorf("-crash-shards=%s: %w", r.crashShards, err)
 	}
 	return nil
 }

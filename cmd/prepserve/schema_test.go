@@ -31,9 +31,12 @@ func withFlags(t *testing.T, vals map[string]string) {
 	}
 }
 
-// buildSelected is main's run: the systems -system selects, through
-// buildDoc.
+// buildSelected is main's run: the command line validated, then the systems
+// -system selects, through buildDoc.
 func buildSelected(progress io.Writer) (*serveDoc, []string, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, nil, err
+	}
 	systems, err := cfg.selectSystems()
 	if err != nil {
 		return nil, nil, err

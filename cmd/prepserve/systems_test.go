@@ -52,8 +52,9 @@ func TestSystemFlagMatchesRegistry(t *testing.T) {
 // TestValidateNamesIgnoredFlags pins the flag combinations main turns into
 // exit 2: an instance count below one used to run flat without a word,
 // -workers 0 and -batch 65 used to panic inside the run, a -ring that is not a
-// power of two failed only after boot, and -crash-shards / -route on a single
-// machine were silently ignored.
+// power of two failed only after boot, -crash-shards / -route on a single
+// machine were silently ignored, and a -crash-shards index past -instances
+// failed the run (exit 1) after boot.
 func TestValidateNamesIgnoredFlags(t *testing.T) {
 	for _, tc := range []struct {
 		flags map[string]string
@@ -77,6 +78,8 @@ func TestValidateNamesIgnoredFlags(t *testing.T) {
 		{map[string]string{"ring": "0"}, "-ring=0"},
 		{map[string]string{"ring": "1"}, ""},
 		{map[string]string{"scenario": "crash", "crash-shards": "0"}, "-crash-shards=0"},
+		{map[string]string{"scenario": "crash", "instances": "2", "crash-shards": "5"}, "-crash-shards=5: shard: shard index 5 out of range [0,2)"},
+		{map[string]string{"scenario": "crash", "instances": "2", "crash-shards": "1,1"}, "-crash-shards=1,1"},
 		{map[string]string{"route": "range"}, "-route=range"},
 	} {
 		t.Run(fmt.Sprint(tc.flags), func(t *testing.T) {

@@ -8,9 +8,10 @@ import (
 // Copy-on-write slabs back every Memory view (data, persisted, ownership,
 // dirty state) so that creating, cloning and crash-recovering a System costs
 // O(page tables) instead of O(words). A slab is a table of fixed-size
-// reference-counted pages; a fresh slab's entries all alias one pinned
-// all-zero page, a clone's entries alias the parent's pages, and either way
-// a page is privatized the first time its slab writes to it.
+// reference-counted pages; a fresh slab's entries all alias the process's
+// pinned all-zero page for its element type, a clone's entries alias the
+// parent's pages, and either way a page is privatized the first time its
+// slab writes to it.
 //
 // Reference counts are the only cross-goroutine state: crash-sweep harnesses
 // run clones of one parent on concurrent host goroutines, and two clones may
@@ -45,20 +46,27 @@ type slab[T any] struct {
 	copied *uint64
 }
 
-// zeroPinned is the reference count of the shared all-zero page: large
-// enough that writable() can never observe 1 and write to it, so the page
-// stays zero for the lifetime of the slabs referencing it (decrements on
-// privatization only ever drift it down by the number of table entries).
+// zeroPinned is the reference count of a zero page: a store never sees 1
+// there and so never writes to it. No slab operation changes it (share adds
+// nothing for a zero entry, privatize subtracts nothing), so it stays
+// zeroPinned for the life of the process however many machines alias it.
 const zeroPinned = 1 << 30
 
-// newZeroSlab returns an all-zero slab whose table entries all reference one
-// pinned zero page, so creating it costs O(pages) table setup instead of
-// O(n) zeroing. Fresh memories are all-zero by definition; pages materialize
-// only as they are first written. The dominant host-side cost of booting
-// (and crash-recovering) a machine with a large, sparsely touched heap is
-// otherwise exactly this zeroing.
-func newZeroSlab[T any](n uint64, copied *uint64) slab[T] {
-	zero := &page[T]{ref: zeroPinned, vals: make([]T, pageWords)}
+// The zero pages, one per element type a slab holds, shared by every slab of
+// the process.
+var (
+	zeroWords  = &page[uint64]{ref: zeroPinned, vals: make([]uint64, pageWords)}
+	zeroOwners = &page[int32]{ref: zeroPinned, vals: make([]int32, pageWords)}
+	zeroStates = &page[uint8]{ref: zeroPinned, vals: make([]uint8, pageWords)}
+)
+
+// newZeroSlab returns an all-zero slab of n elements whose table entries all
+// reference zero, the zero page for T, so creating it costs O(pages) table
+// setup instead of O(n) zeroing or a page allocation. Fresh memories are
+// all-zero by definition; pages materialize only as they are first written.
+// The dominant host-side cost of booting (and crash-recovering) a machine
+// with a large, sparsely touched heap is otherwise exactly this zeroing.
+func newZeroSlab[T any](zero *page[T], n uint64, copied *uint64) slab[T] {
 	pages := make([]*page[T], (n+pageWords-1)/pageWords)
 	for i := range pages {
 		pages[i] = zero
@@ -100,19 +108,26 @@ func (s *slab[T]) wline(base, n uint64) []T {
 // privatize replaces the shared page pi with a private copy. The copy
 // completes before the old page's count is dropped, so a sibling that then
 // observes ref==1 may write the old page in place without racing the copy.
-// A copy of the zero page is a fresh zeroed allocation: nothing to read.
+// A copy of the zero page is a fresh zeroed allocation: nothing to read, and
+// no count to drop.
 func (s *slab[T]) privatize(pi uint64) *page[T] {
 	p := s.pages[pi]
 	np := &page[T]{ref: 1}
+	s.pages[pi] = np
+	*s.copied++
 	if p.zero() {
 		np.vals = make([]T, pageWords)
-	} else {
-		np.vals = append([]T(nil), p.vals...)
+		return np
 	}
-	s.pages[pi] = np
+	np.vals = append([]T(nil), p.vals...)
 	atomic.AddInt32(&p.ref, -1)
-	*s.copied++
 	return np
+}
+
+// owned reports whether the page holding element i is this slab's alone, so
+// that a store to it privatizes nothing.
+func (s *slab[T]) owned(i uint64) bool {
+	return atomic.LoadInt32(&s.pages[i>>pageShift].ref) == 1
 }
 
 // share returns a new slab referencing this slab's pages. The child records
@@ -123,13 +138,15 @@ func (s *slab[T]) share(copied *uint64) slab[T] {
 		return slab[T]{}
 	}
 	for _, p := range s.pages {
-		atomic.AddInt32(&p.ref, 1)
+		if !p.zero() {
+			atomic.AddInt32(&p.ref, 1)
+		}
 	}
 	return slab[T]{pages: append([]*page[T](nil), s.pages...), copied: copied}
 }
 
 // zero reports whether p is a zero page, which no slab writes.
-func (p *page[T]) zero() bool { return atomic.LoadInt32(&p.ref) > zeroPinned/2 }
+func (p *page[T]) zero() bool { return atomic.LoadInt32(&p.ref) == zeroPinned }
 
 // sameSlabs reports whether a and b hold the same values. A page the two
 // share, or a zero page in both, compares without a walk, so two fresh slabs

@@ -18,16 +18,16 @@ func countSlabRefs[T any](s *slab[T], counts map[*page[T]]int32) {
 // checkPageRefs asserts the reference-count invariant over every page
 // reachable from the tracked systems: a regular page's count must equal the
 // number of table entries referencing it (greater means a leak, smaller a
-// double-release that would let two machines scribble on one page), and a
-// pinned zero page must still be pinned.
+// double-release that would let two machines scribble on one page), and the
+// zero page's count must still be exactly zeroPinned, which no slab
+// operation moves (a drifted one is audited as a regular page and fails).
 func checkPageRefs[T any](t *testing.T, counts map[*page[T]]int32, label string) {
 	t.Helper()
 	for p, n := range counts {
-		ref := p.ref // schedulers drained; no concurrent access
-		if ref >= zeroPinned/2 {
-			continue // shared zero page, pinned by construction
+		if p.zero() {
+			continue
 		}
-		if ref != n {
+		if ref := p.ref; ref != n { // schedulers drained; no concurrent access
 			t.Errorf("%s: page with %d table references has ref %d", label, n, ref)
 		}
 	}
@@ -147,7 +147,9 @@ func TestCloneCOWStress(t *testing.T) {
 
 // TestCloneRefcountsBalanceAfterChain audits a deep clone/recover chain —
 // the shape a bisecting crash harness produces — including slabs that were
-// never written (still fully aliasing their source or the zero page).
+// never written (still fully aliasing their source or the zero page). Two
+// fresh memories alias one zero page per element type, and a thousand more
+// clones leave each zero page's count at zeroPinned.
 func TestCloneRefcountsBalanceAfterChain(t *testing.T) {
 	sch := sim.New(3)
 	sys := NewSystem(sch, Config{Costs: sim.UnitCosts(), Seed: 3})
@@ -186,6 +188,24 @@ func TestCloneRefcountsBalanceAfterChain(t *testing.T) {
 	if snap.Clones == 0 || snap.PagesCopied == 0 {
 		t.Errorf("chain recorded clones=%d pages_copied=%d, want both nonzero", snap.Clones, snap.PagesCopied)
 	}
+
+	other := NewSystem(nil, Config{}).NewMemory("o", NVM, 0, 1<<14)
+	fresh := cur.NewMemory("fresh", NVM, 0, 1<<12)
+	for _, m := range []*Memory{other, fresh} {
+		if m.data.pages[0] != zeroWords || m.persisted.pages[0] != zeroWords ||
+			m.owner.pages[0] != zeroOwners || m.ownerNode.pages[0] != zeroOwners || m.dstate.pages[0] != zeroStates {
+			t.Errorf("fresh memory %s does not alias the process's zero pages", m.name)
+		}
+	}
+	for i := 0; i < 1000; i++ {
+		chain = append(chain, cur.Clone(nil))
+	}
+	for name, ref := range map[string]int32{"words": zeroWords.ref, "owners": zeroOwners.ref, "states": zeroStates.ref} {
+		if ref != zeroPinned {
+			t.Errorf("zero page for %s: ref %d after 1000 clones, want zeroPinned (%d)", name, ref, zeroPinned)
+		}
+	}
+	auditSystems(t, "1000 more clones", chain...)
 }
 
 // TestZeroPagePrivatizesZeroed writes through a fresh slab, whose pages all
@@ -194,7 +214,7 @@ func TestCloneRefcountsBalanceAfterChain(t *testing.T) {
 // as one page copy like any other privatization.
 func TestZeroPagePrivatizesZeroed(t *testing.T) {
 	var copied uint64
-	s := newZeroSlab[uint64](2*pageWords, &copied)
+	s := newZeroSlab(zeroWords, 2*pageWords, &copied)
 	zero := s.pages[1]
 	s.store(pageWords+7, 42)
 	if copied != 1 {

@@ -52,7 +52,7 @@ func (s *System) Recover(sch *sim.Scheduler) *System {
 			}
 			i++
 		}
-		f.pending = nil
+		f.pending, f.seen, f.tracked = nil, nil, 0
 	}
 	ns := &System{
 		sch:      sch,
@@ -80,14 +80,14 @@ func (s *System) Recover(sch *sim.Scheduler) *System {
 			sys:  ns,
 			// Both views re-read the persisted media: two COW references to
 			// the crashed memory's persisted pages. Dirty, ownership and list
-			// state is volatile and restarts empty (all-zero slabs are fresh
-			// allocations, free at this granularity).
+			// state is volatile and restarts empty (all-zero slabs alias the
+			// zero pages; only their page tables are allocated).
 			words:     m.words,
 			data:      m.persisted.share(&ns.met.PagesCopied),
 			persisted: m.persisted.share(&ns.met.PagesCopied),
-			dstate:    newZeroSlab[uint8](lines, &ns.met.PagesCopied),
-			owner:     newZeroSlab[int32](lines, &ns.met.PagesCopied),
-			ownerNode: newZeroSlab[int32](lines, &ns.met.PagesCopied),
+			dstate:    newZeroSlab(zeroStates, lines, &ns.met.PagesCopied),
+			owner:     newZeroSlab(zeroOwners, lines, &ns.met.PagesCopied),
+			ownerNode: newZeroSlab(zeroOwners, lines, &ns.met.PagesCopied),
 			bgState:   ns.nextRand() | 1,
 		}
 		ns.mems[nm.name] = nm
@@ -151,11 +151,9 @@ func (s *System) Clone(sch *sim.Scheduler) *System {
 		ns.order = append(ns.order, nm)
 	}
 	for _, f := range s.flushers {
-		nf := &Flusher{sys: ns, seen: make(map[pendingFlush]uint64, len(f.pending)), gen: 1}
+		nf := &Flusher{sys: ns}
 		for _, p := range f.pending {
-			np := pendingFlush{ns.mems[p.m.name], p.line}
-			nf.pending = append(nf.pending, np)
-			nf.seen[np] = nf.gen
+			nf.track(pendingFlush{ns.mems[p.m.name], p.line})
 		}
 		ns.flushers = append(ns.flushers, nf)
 	}

@@ -16,15 +16,22 @@ import (
 // workload (stores, CASes, flushes, fences, bulk sweeps, background flushes)
 // runs to a crash and through recovery twice per fault policy, once per
 // strategy, and everything observable must match: every persisted word, the
-// virtual event count, and the full metrics snapshot.
+// virtual event count, and the full metrics snapshot. A phase between the
+// last recovery and the final sweep persists many distinct lines one by one,
+// before and after a Clone, so the list is compacted (compactDirty) in both
+// strategies, on pages of its own and on pages shared with the parent.
 
 // equivResult is everything observable about one workload run.
 type equivResult struct {
-	events    [3]uint64 // per-phase scheduler event counts
+	events    [5]uint64 // per-phase scheduler event counts
 	persisted map[string][]uint64
 	dirty     map[string]uint64
 	metrics   string           // JSON-marshaled snapshot (wire-format counters)
 	snap      metrics.Snapshot // raw snapshot for cross-mode counter algebra
+	// listed is the dirty list's longest length in the compaction phase,
+	// enrolled the appends it made there: listed < enrolled shows that
+	// compaction ran.
+	listed, enrolled int
 }
 
 // equivWorkload drives a mixed randomized workload on two NVM memories and
@@ -110,9 +117,50 @@ func equivWorkload(seed uint64, policy fault.Policy, noElide bool) equivResult {
 	phase(3_000, 2)
 	res.events[1] = sch.Events()
 
+	// The compaction phase: a's lines are stored in a scattered order and
+	// each is persisted by FlushLine+Fence or FlushLineSync (every fifth is
+	// left dirty), so appends keep finding the list full of stale entries.
+	// No sweep runs until the final pass.
+	persistOneByOne := func(from, to uint64) {
+		sch.Spawn("compact", 0, 0, func(t *sim.Thread) {
+			f := sys.NewFlusher()
+			for i := from; i < to; i++ {
+				off := (i * 97 % (memWordsA / WordsPerLine)) * WordsPerLine
+				st := a.dstate.load(off / WordsPerLine)
+				a.Store(t, off, i)
+				if st&lineListed == 0 {
+					res.enrolled++
+				}
+				switch {
+				case i%5 == 0:
+				case i%2 == 0:
+					f.FlushLine(t, a, off)
+					f.Fence(t)
+				default:
+					f.FlushLineSync(t, a, off)
+				}
+				if i%7 == 0 {
+					b.Store(t, i%b.Words(), i)
+				}
+				res.listed = max(res.listed, len(a.dirtyList))
+			}
+		})
+		sch.Run()
+	}
 	sch = sim.New(int64(seed) + 200)
 	sys = sys.Recover(sch)
 	a, b = sys.Memory("a"), sys.Memory("b")
+	persistOneByOne(0, 1024)
+	res.events[2] = sch.Events()
+
+	sch = sim.New(int64(seed) + 300)
+	sys = sys.Clone(sch)
+	a, b = sys.Memory("a"), sys.Memory("b")
+	persistOneByOne(1024, 2048)
+	res.events[3] = sch.Events()
+
+	sch = sim.New(int64(seed) + 400)
+	sys.SetScheduler(sch)
 	// A drained final pass sweeps what remains so the sweep machinery runs
 	// once more on post-recovery dirty state.
 	sch.Spawn("final", 0, 0, func(t *sim.Thread) {
@@ -125,7 +173,7 @@ func equivWorkload(seed uint64, policy fault.Policy, noElide bool) equivResult {
 		sys.WBINVD(t, a, b)
 	})
 	sch.Run()
-	res.events[2] = sch.Events()
+	res.events[4] = sch.Events()
 
 	for _, m := range []*Memory{a, b} {
 		view := make([]uint64, m.Words())
@@ -169,6 +217,10 @@ func TestDirtyListEquivalence(t *testing.T) {
 				full := equivWorkload(seed, mk(), false)
 				debugFullScan = false
 
+				if list.listed >= list.enrolled || list.listed != full.listed {
+					t.Fatalf("seed %d: compaction phase: longest dirty list %d / %d (list / full scan) for %d enrolments",
+						seed, list.listed, full.listed, list.enrolled)
+				}
 				if list.events != full.events {
 					t.Fatalf("seed %d: event counts diverge: list %v, full scan %v", seed, list.events, full.events)
 				}

@@ -1,6 +1,10 @@
 package nvm
 
-import "prepuc/internal/sim"
+import (
+	"slices"
+
+	"prepuc/internal/sim"
+)
 
 // pendingFlush identifies one line awaiting a fence.
 type pendingFlush struct {
@@ -13,27 +17,63 @@ type pendingFlush struct {
 // same thread, so each simulated thread owns a Flusher; lines it has flushed
 // but not fenced are in an undefined persistence state if a crash hits.
 //
-// seen dedups FliT-style: a line already tracked in the current fence epoch
-// is not tracked again. Entries are generation-stamped — an entry belongs to
-// the current epoch iff its value equals gen — so Fence invalidates the
-// whole set by incrementing gen instead of clearing the map.
+// A line already tracked in the current fence epoch is not tracked again
+// (FliT-style dedup). The epoch's lines are pending; an epoch of at most
+// scanMax lines is searched by a scan of pending, and a longer one is also
+// indexed in seen, which is then exactly the set of lines in pending. Fence
+// empties both, so the bookkeeping is as large as the epoch, never as the run.
 type Flusher struct {
 	sys     *System
 	pending []pendingFlush
-	seen    map[pendingFlush]uint64
-	gen     uint64
+	seen    map[pendingFlush]struct{}
+	tracked int // lines entered in seen this epoch, dropped ones included; 0: not indexed
 }
+
+const (
+	// scanMax is the longest epoch that has searches scan pending (most
+	// epochs are a few lines: one log entry and its full marks).
+	scanMax = 16
+	// seenKeep is the most lines an epoch may enter in seen for Fence to
+	// keep the map (a serve batch of 32 operations tracks up to about 128).
+	// Emptying a map with clear costs its capacity, not its size, and a map
+	// never shrinks, so after an epoch that entered more (a catch-up can
+	// flush thousands of lines at once) Fence drops the map.
+	seenKeep = 256
+)
 
 // NewFlusher creates a per-thread flusher registered for crash accounting.
 func (s *System) NewFlusher() *Flusher {
-	f := &Flusher{
-		sys:     s,
-		pending: make([]pendingFlush, 0, 32),
-		seen:    make(map[pendingFlush]uint64, 32),
-		gen:     1, // zero-value map entries must never match the epoch
-	}
+	f := &Flusher{sys: s, pending: make([]pendingFlush, 0, 32)}
 	s.flushers = append(s.flushers, f)
 	return f
+}
+
+// has reports whether p is tracked in the current epoch.
+func (f *Flusher) has(p pendingFlush) bool {
+	if f.tracked == 0 {
+		return slices.Contains(f.pending, p)
+	}
+	_, ok := f.seen[p]
+	return ok
+}
+
+// track adds p to the current epoch, indexing the epoch once it outgrows a
+// scan.
+func (f *Flusher) track(p pendingFlush) {
+	f.pending = append(f.pending, p)
+	switch {
+	case f.tracked != 0:
+		f.seen[p] = struct{}{}
+		f.tracked++
+	case len(f.pending) > scanMax:
+		if f.seen == nil {
+			f.seen = make(map[pendingFlush]struct{}, 2*scanMax)
+		}
+		for _, q := range f.pending {
+			f.seen[q] = struct{}{}
+		}
+		f.tracked = len(f.pending)
+	}
 }
 
 // FlushLine issues an asynchronous write-back (CLWB) of the line containing
@@ -59,7 +99,7 @@ func (f *Flusher) FlushLine(t *sim.Thread, m *Memory, off uint64) {
 	m.settle(t)
 	line := off / WordsPerLine
 	p := pendingFlush{m, line}
-	track := m.dstate.load(line)&lineDirty != 0 && f.seen[p] != f.gen
+	track := m.dstate.load(line)&lineDirty != 0 && !f.has(p)
 	m.announce(t, AccFlush, line, track)
 	if f.sys.elide {
 		f.sys.met.FlushElisionChecks++
@@ -74,8 +114,7 @@ func (f *Flusher) FlushLine(t *sim.Thread, m *Memory, off uint64) {
 	if !track {
 		return
 	}
-	f.seen[p] = f.gen
-	f.pending = append(f.pending, p)
+	f.track(p)
 }
 
 // FlushLineSync executes a blocking flush (CLFLUSH) of the line containing
@@ -118,16 +157,14 @@ func (f *Flusher) FlushLineSync(t *sim.Thread, m *Memory, off uint64) {
 // entries. The epoch-dedup mark is removed too, so a store followed by a
 // FlushLine of the same line later in this fence epoch is tracked afresh.
 func (f *Flusher) dropPending(p pendingFlush) {
-	if f.seen[p] != f.gen {
+	if !f.has(p) {
 		return
 	}
-	delete(f.seen, p)
-	for i, q := range f.pending {
-		if q == p {
-			f.pending = append(f.pending[:i], f.pending[i+1:]...)
-			break
-		}
+	if f.tracked != 0 {
+		delete(f.seen, p)
 	}
+	i := slices.Index(f.pending, p)
+	f.pending = slices.Delete(f.pending, i, i+1)
 }
 
 // Fence executes an SFENCE: every line previously issued through FlushLine
@@ -142,5 +179,11 @@ func (f *Flusher) Fence(t *sim.Thread) {
 		p.m.persistLine(p.line)
 	}
 	f.pending = f.pending[:0]
-	f.gen++ // invalidates every seen entry without touching the map
+	switch {
+	case f.tracked > seenKeep:
+		f.seen = nil
+	case f.tracked != 0:
+		clear(f.seen)
+	}
+	f.tracked = 0
 }

@@ -79,12 +79,12 @@ type Memory struct {
 	data      slab[uint64] // current (cache/DRAM) view
 	persisted slab[uint64] // NVM view; absent for volatile memories
 	// Dirty-line tracking (NVM only): dstate holds per-line lineDirty and
-	// lineListed bits; dirtyList records every line dirtied since the last
-	// full sweep, appended exactly once (the listed bit is membership).
-	// Individual write-backs clear only the dirty bit — their list entries
-	// go stale and are skipped by the next sweep — so WBINVD, FlushAllDirty
-	// and DirtyLines are O(lines dirtied since the last sweep), never
-	// O(region lines).
+	// lineListed bits; dirtyList holds every dirty line, each listed line
+	// exactly once (the listed bit is membership). Individual write-backs
+	// clear only the dirty bit — their list entries go stale, and the next
+	// sweep skips them or compactDirty drops them — so the list is at most a
+	// small multiple of the peak count of dirty lines, and WBINVD,
+	// FlushAllDirty and DirtyLines are O(that), never O(region lines).
 	dstate    slab[uint8]
 	dirtyList []uint64
 	// MSI-style per-line ownership for coherence cost accounting: the
@@ -235,14 +235,14 @@ func (s *System) NewMemory(name string, kind Kind, home int, words uint64) *Memo
 		home:      home,
 		sys:       s,
 		words:     words,
-		data:      newZeroSlab[uint64](words, &s.met.PagesCopied),
-		owner:     newZeroSlab[int32](lines, &s.met.PagesCopied),
-		ownerNode: newZeroSlab[int32](lines, &s.met.PagesCopied),
+		data:      newZeroSlab(zeroWords, words, &s.met.PagesCopied),
+		owner:     newZeroSlab(zeroOwners, lines, &s.met.PagesCopied),
+		ownerNode: newZeroSlab(zeroOwners, lines, &s.met.PagesCopied),
 		bgState:   s.nextRand() | 1,
 	}
 	if kind == NVM {
-		m.persisted = newZeroSlab[uint64](words, &s.met.PagesCopied)
-		m.dstate = newZeroSlab[uint8](lines, &s.met.PagesCopied)
+		m.persisted = newZeroSlab(zeroWords, words, &s.met.PagesCopied)
+		m.dstate = newZeroSlab(zeroStates, lines, &s.met.PagesCopied)
 	}
 	s.mems[name] = m
 	s.order = append(s.order, m)
@@ -564,17 +564,46 @@ func (m *Memory) wakeLine(line uint64) {
 	}
 }
 
-// markDirty sets the line's dirty bit and enrolls it in the dirty list the
-// first time it is dirtied since the last full sweep.
+// markDirty sets the line's dirty bit and enrolls it in the dirty list if it
+// is not listed yet.
 func (m *Memory) markDirty(line uint64) {
 	st := m.dstate.load(line)
 	if st&lineDirty != 0 {
 		return
 	}
 	if st&lineListed == 0 {
+		if len(m.dirtyList) == cap(m.dirtyList) {
+			m.compactDirty()
+		}
 		m.dirtyList = append(m.dirtyList, line)
 	}
 	m.dstate.store(line, lineDirty|lineListed)
+}
+
+// compactDirty drops the dirty list's stale entries, those whose line was
+// written back since it was listed, and clears their listed bits, so that
+// the list is as long as the lines dirty now and not as the lines dirtied
+// since the last sweep (in durable use no sweep ever runs). markDirty calls
+// it only when an append would grow the list, and the append then grows it
+// only if at least half of it is still live, so enrolment stays amortized
+// O(1). An entry whose dstate page is shared with another machine stays:
+// clearing its bit would privatize the page, and pages_copied would count a
+// copy no store asked for. The kept entries keep their order, though no
+// sweep depends on it (DESIGN.md §9).
+func (m *Memory) compactDirty() {
+	kept := m.dirtyList[:0]
+	for _, line := range m.dirtyList {
+		if m.dstate.load(line)&lineDirty != 0 || !m.dstate.owned(line) {
+			kept = append(kept, line)
+			continue
+		}
+		m.dstate.store(line, 0)
+	}
+	m.dirtyList = kept
+	if 2*len(kept) < cap(kept) {
+		return
+	}
+	m.dirtyList = slices.Grow(kept, len(kept)+1)
 }
 
 // Store writes v to the word at off: StoreBegin, the Step it prices,
@@ -604,7 +633,7 @@ func (m *Memory) Store(t *sim.Thread, off uint64, v uint64) {
 func (m *Memory) linePending(line uint64) bool {
 	p := pendingFlush{m, line}
 	for _, f := range m.sys.flushers {
-		if f.seen[p] == f.gen {
+		if f.has(p) {
 			return true
 		}
 	}
@@ -718,8 +747,8 @@ func (m *Memory) copyLine(line uint64) {
 }
 
 // persistLine copies one line from the current view to the persisted view.
-// The line's dirty-list entry (if any) is left in place and skipped by the
-// next sweep.
+// The line's dirty-list entry (if any) is left in place, for the next sweep
+// to skip or compactDirty to drop.
 func (m *Memory) persistLine(line uint64) {
 	if m.kind != NVM {
 		panic("nvm: persistLine on volatile memory " + m.name)
@@ -741,8 +770,8 @@ func (m *Memory) PersistedLoad(off uint64) uint64 {
 
 // DirtyLines returns the number of lines modified since their last
 // write-back (NVM memories only). The dirty list holds every candidate, so
-// the count walks only lines dirtied since the last sweep; entries whose
-// line was individually written back in the meantime are stale and skipped.
+// the count walks only the list; entries whose line was individually written
+// back since it was listed are stale and skipped.
 func (m *Memory) DirtyLines() uint64 {
 	var n uint64
 	if debugFullScan {
