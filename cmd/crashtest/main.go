@@ -20,9 +20,10 @@
 // resolution are enabled to make the crash states adversarial.
 //
 // The cycle itself, the declaration of its flags (harness.CrashConfig.Flags),
-// a failure's bisected one-line repro rendered from that declaration, and
-// the document live in internal/harness (crash.go, machine.go); this command
-// is validation, I/O and exit codes. What the flags select:
+// the refusal of a run no cycle can honour (harness.CrashConfig.Validate), a
+// failure's bisected one-line repro rendered from that declaration, and the
+// document live in internal/harness (crash.go, machine.go); this command is
+// I/O and exit codes. What the flags select:
 //
 //   - -policy: the fault adversary that decides which flushed-but-unfenced
 //     lines survive each crash. A bare "targeted" advances its dropped-line
@@ -40,21 +41,19 @@
 //
 // Every cycle also measures recovery's virtual time and replayed entries and
 // what the adversary did; -format json emits them as one "prepuc-crash/v4"
-// document. Exit status: 0 every cycle passed, 1 a cycle failed or the run
-// could not be carried out, 2 flags no run can honour.
+// document. Exit status (runflag.Main): 0 every cycle passed, 1 a cycle
+// failed or the run could not be carried out, 2 a runflag.UsageError.
 package main
 
 import (
-	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 
-	"prepuc/internal/fault"
 	"prepuc/internal/harness"
 	"prepuc/internal/prof"
+	"prepuc/internal/runflag"
 )
 
 // cfg is the run the flags describe: every flag but the four below, which
@@ -70,62 +69,34 @@ var (
 
 func init() { cfg.Flags(flag.CommandLine) }
 
-// validate rejects flag values no run can honour — among them counts below
-// one, which would check nothing and report success.
-func validate() error {
-	switch {
-	case *format != "table" && *format != "json":
-		return fmt.Errorf("unknown format %q (want table or json)", *format)
-	case cfg.Iterations < 1:
-		return fmt.Errorf("-iterations=%d: need at least one cycle", cfg.Iterations)
-	case cfg.Workers < 1:
-		return fmt.Errorf("-workers=%d: need at least one worker", cfg.Workers)
-	case cfg.Epochs < 1:
-		return fmt.Errorf("-epochs=%d: need at least one epoch", cfg.Epochs)
-	case cfg.Instances < 1:
-		return fmt.Errorf("-instances=%d: need at least one instance", cfg.Instances)
-	case cfg.Nested < 0:
-		return fmt.Errorf("-nested=%d: a count of nested crashes (0: none)", cfg.Nested)
+// checkUsage refuses an output format nothing renders, then whatever the run
+// config refuses, and resolves the systems the run covers.
+func checkUsage() ([]harness.CrashTarget, error) {
+	if *format != "table" && *format != "json" {
+		return nil, runflag.Usage(fmt.Errorf("unknown format %q (want table or json)", *format))
 	}
-	if _, err := fault.Parse(cfg.Policy, 1); err != nil {
-		return err
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
-	if cfg.Instances > 1 {
-		switch {
-		case cfg.Workers%cfg.Instances != 0:
-			return fmt.Errorf("-workers=%d not divisible by -instances=%d", cfg.Workers, cfg.Instances)
-		case cfg.Nested > 0:
-			return errors.New("-instances > 1 does not compose with -nested")
-		}
-	}
-	return nil
+	return harness.CrashTargets(cfg.System, cfg.Instances)
 }
 
-// fatal reports err and exits: 2 for a command line no run can honour, 1 for
-// a run that could not be carried out.
-func fatal(code int, err error) {
-	fmt.Fprintf(os.Stderr, "crashtest: %v\n", err)
-	os.Exit(code)
-}
+func main() { runflag.Main("crashtest", run) }
 
-func main() {
-	flag.Parse()
-	if err := validate(); err != nil {
-		fatal(2, err)
-	}
-	tgs, err := harness.CrashTargets(cfg.System, cfg.Instances)
+func run() error {
+	tgs, err := checkUsage()
 	if err != nil {
-		fatal(2, err)
+		return err
 	}
 	stopProf, err := prof.Start(*cpuProfile, *memProfile)
 	if err != nil {
-		fatal(1, err)
+		return err
 	}
 	out := io.Writer(os.Stdout)
 	if *outPath != "" {
 		f, err := os.Create(*outPath)
 		if err != nil {
-			fatal(1, err)
+			return err
 		}
 		defer f.Close()
 		out = f
@@ -135,21 +106,19 @@ func main() {
 		progress = os.Stderr
 	}
 
-	doc, failures := harness.BuildCrashDoc(progress, cfg, tgs)
-	// Stop profiling before the exit paths below; os.Exit skips defers.
-	if err := stopProf(); err != nil {
-		fatal(1, err)
+	doc, failures, err := harness.BuildCrashDoc(progress, cfg, tgs)
+	if perr := stopProf(); err == nil {
+		err = perr
 	}
-	if *format == "json" {
-		enc := json.NewEncoder(out)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(doc); err != nil {
-			fatal(1, err)
-		}
+	if err == nil && *format == "json" {
+		err = harness.WriteJSON(out, doc)
+	}
+	if err != nil {
+		return err
 	}
 	if failures > 0 {
-		fmt.Fprintf(progress, "\n%d FAILURES\n", failures)
-		os.Exit(1)
+		return fmt.Errorf("%d of %d crash/recover cycles failed their correctness condition", failures, doc.Checker.Cycles)
 	}
 	fmt.Fprintln(progress, "\nall crash/recover cycles satisfied their correctness condition")
+	return nil
 }

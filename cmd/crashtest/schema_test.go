@@ -33,10 +33,7 @@ func withFlags(t *testing.T, vals map[string]string) {
 // selected resolves the -system flag as main does.
 func selected(t *testing.T) []harness.CrashTarget {
 	t.Helper()
-	if err := validate(); err != nil {
-		t.Fatal(err)
-	}
-	tgs, err := harness.CrashTargets(cfg.System, cfg.Instances)
+	tgs, err := checkUsage()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,8 +41,13 @@ func selected(t *testing.T) []harness.CrashTarget {
 }
 
 // buildDoc is main's run under the current flag values.
-func buildDoc(progress *bytes.Buffer, tgs []harness.CrashTarget) (harness.CrashDoc, int) {
-	return harness.BuildCrashDoc(progress, cfg, tgs)
+func buildDoc(t *testing.T, progress *bytes.Buffer, tgs []harness.CrashTarget) (harness.CrashDoc, int) {
+	t.Helper()
+	doc, failures, err := harness.BuildCrashDoc(progress, cfg, tgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return doc, failures
 }
 
 // TestSchemaGolden locks the prepuc-crash/v4 JSON document byte for byte:
@@ -77,7 +79,7 @@ func TestSchemaGolden(t *testing.T) {
 			withFlags(t, base)
 			withFlags(t, tc.extra)
 			var progress bytes.Buffer
-			doc, failures := buildDoc(&progress, selected(t))
+			doc, failures := buildDoc(t, &progress, selected(t))
 			if failures != 0 {
 				t.Fatalf("deterministic run failed %d cycles:\n%s", failures, progress.String())
 			}
@@ -126,7 +128,7 @@ func TestShardedCrashFields(t *testing.T) {
 	}
 	withFlags(t, base)
 	var progress bytes.Buffer
-	doc, failures := buildDoc(&progress, selected(t))
+	doc, failures := buildDoc(t, &progress, selected(t))
 	if failures != 0 {
 		t.Fatalf("sharded run failed %d cycles:\n%s", failures, progress.String())
 	}
@@ -191,7 +193,7 @@ func TestShardedCrashFields(t *testing.T) {
 	// The document is a pure function of the flags at any -j.
 	withFlags(t, map[string]string{"j": "4"})
 	progress.Reset()
-	doc2, failures := buildDoc(&progress, selected(t))
+	doc2, failures := buildDoc(t, &progress, selected(t))
 	if failures != 0 {
 		t.Fatalf("-j 4 run failed %d cycles", failures)
 	}
@@ -212,7 +214,7 @@ func TestSchemaRequiredFields(t *testing.T) {
 		"system": "prep-buffered", "epochs": "1",
 	})
 	var progress bytes.Buffer
-	doc, failures := buildDoc(&progress, selected(t))
+	doc, failures := buildDoc(t, &progress, selected(t))
 	if failures != 0 {
 		t.Fatalf("run failed:\n%s", progress.String())
 	}
@@ -272,7 +274,7 @@ func TestNestedCrashTortureAllSystems(t *testing.T) {
 		"seed": "42", "policy": "dropall", "nested": "1", "system": "all",
 	})
 	var progress bytes.Buffer
-	doc, failures := buildDoc(&progress, selected(t))
+	doc, failures := buildDoc(t, &progress, selected(t))
 	if failures != 0 || len(doc.Systems) != 5 {
 		t.Fatalf("%d failures over %d systems:\n%s", failures, len(doc.Systems), progress.String())
 	}

@@ -12,6 +12,7 @@ import (
 	"prepuc/internal/drivers"
 	"prepuc/internal/harness"
 	"prepuc/internal/nvm"
+	"prepuc/internal/runflag"
 	"prepuc/internal/sim"
 	"prepuc/internal/uc"
 )
@@ -36,9 +37,12 @@ func TestSystemFlagMatchesRegistry(t *testing.T) {
 	}
 }
 
-// TestValidateRejectsVacuousRuns pins the flag values main turns into exit
-// 2: a run of zero cycles, epochs or workers checks nothing and must not
-// report success, and the other rejections must keep naming their flag.
+// TestValidateRejectsVacuousRuns pins the flag values main refuses with exit
+// 2 — a runflag.UsageError from checkUsage, the format check and then
+// harness.CrashConfig.Validate over the parsed flags: a run of zero cycles,
+// epochs or workers checks nothing and must not report success, a geometry
+// PREP refuses at boot must not be recorded as a failed cycle per iteration,
+// and every refusal must keep naming its flag.
 func TestValidateRejectsVacuousRuns(t *testing.T) {
 	for _, tc := range []struct {
 		flags map[string]string
@@ -57,15 +61,18 @@ func TestValidateRejectsVacuousRuns(t *testing.T) {
 		{map[string]string{"instances": "2", "nested": "1"}, "-nested"},
 		{map[string]string{"format": "yaml"}, `unknown format "yaml"`},
 		{map[string]string{"policy": "sometimes"}, "sometimes"},
+		{map[string]string{"system": "prep_durable"}, "prep-durable"},
+		{map[string]string{"epsilon": "0", "system": "prep-durable"}, "-epsilon=0"},
+		{map[string]string{"log": "4", "system": "prep-durable"}, "-log=4"},
 	} {
 		t.Run(fmt.Sprint(tc.flags), func(t *testing.T) {
 			withFlags(t, tc.flags)
-			err := validate()
+			_, err := checkUsage()
 			if tc.want == "" && err != nil {
 				t.Errorf("rejected: %v", err)
 			}
-			if tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)) {
-				t.Errorf("err = %v, want one naming %q", err, tc.want)
+			if tc.want != "" && (!errors.As(err, new(runflag.UsageError)) || !strings.Contains(err.Error(), tc.want)) {
+				t.Errorf("err = %v, want a usage error naming %q", err, tc.want)
 			}
 		})
 	}
@@ -138,7 +145,7 @@ func TestRecoverErrorFailsCycle(t *testing.T) {
 		})
 		broken := wrapRecover(t, "prep-durable", tc.wrap)
 		var buf bytes.Buffer
-		doc, failures := buildDoc(&buf, []harness.CrashTarget{broken})
+		doc, failures := buildDoc(t, &buf, []harness.CrashTarget{broken})
 		cyc := doc.Systems[0].Cycles[0]
 		if cyc.OK || cyc.Check.OK || failures != 1 {
 			t.Errorf("%s: the cycle was recorded ok (failures=%d)", tc.name, failures)
@@ -211,7 +218,7 @@ func TestBisectShrinksToBoundaryAndReproFails(t *testing.T) {
 			tgs := []harness.CrashTarget{brittle}
 
 			var buf bytes.Buffer
-			_, failures := buildDoc(&buf, tgs)
+			_, failures := buildDoc(t, &buf, tgs)
 			if failures != 3 {
 				t.Fatalf("%d of 3 cycles failed, want all (crash points are far past the boundary):\n%s", failures, buf.String())
 			}
@@ -226,7 +233,7 @@ func TestBisectShrinksToBoundaryAndReproFails(t *testing.T) {
 				if err := flag.CommandLine.Parse(strings.Fields(match[3])); err != nil {
 					t.Fatal(err)
 				}
-				if err := validate(); err != nil {
+				if _, err := checkUsage(); err != nil {
 					t.Fatalf("repro %q does not validate: %v", match[3], err)
 				}
 				if cfg.Iterations != 1 || fmt.Sprint(cfg.CrashAt) != match[2] {
@@ -234,13 +241,13 @@ func TestBisectShrinksToBoundaryAndReproFails(t *testing.T) {
 				}
 				withFlags(t, map[string]string{"bisect": "false"})
 				buf.Reset()
-				doc, failures := buildDoc(&buf, tgs)
+				doc, failures := buildDoc(t, &buf, tgs)
 				if cyc := doc.Systems[0].Cycles[0]; failures != 1 || cyc.OK || cyc.CrashAt != cfg.CrashAt {
 					t.Errorf("cycle %d: repro %q did not fail at its crash point:\n%s", i, match[3], buf.String())
 				}
 				// One event earlier the same machine passes: the boundary is exact.
 				withFlags(t, map[string]string{"crash-at": fmt.Sprint(cfg.CrashAt - 1)})
-				if _, failures := buildDoc(&buf, tgs); failures != 0 {
+				if _, failures := buildDoc(t, &buf, tgs); failures != 0 {
 					t.Errorf("cycle %d: crash point %s is not the boundary, %d also fails", i, match[2], cfg.CrashAt)
 				}
 				t.Logf("cycle %d: %s shrunk to the boundary %s", i, match[1], match[2])

@@ -21,8 +21,8 @@
 // simulator-relative; the shapes (who wins, by what factor, where the
 // crossovers fall) are the reproduction target — see EXPERIMENTS.md.
 //
-// Exit status: 0 the run completed, 1 a run or I/O error, 2 flags no run
-// can honour (an unknown -scale, -format or -experiment).
+// Exit status (runflag.Main): 0 the run completed, 1 a run or I/O error, 2 a
+// runflag.UsageError (an unknown -scale, -format or -experiment).
 package main
 
 import (
@@ -35,34 +35,25 @@ import (
 
 	"prepuc/internal/harness"
 	"prepuc/internal/prof"
+	"prepuc/internal/runflag"
 )
 
-func main() {
-	if err := run(); err != nil {
-		fmt.Fprintf(os.Stderr, "prepbench: %v\n", err)
-		os.Exit(1)
-	}
-}
+var (
+	scaleName  = flag.String("scale", "small", "experiment scale: tiny, small or paper")
+	expList    = flag.String("experiment", "all", "comma-separated figure IDs, or 'all'")
+	seed       = flag.Int64("seed", 1, "simulation seed (runs are deterministic per seed)")
+	format     = flag.String("format", "table", "output format: table or json")
+	outPath    = flag.String("o", "", "write results to this file (default stdout)")
+	jobs       = flag.Int("j", 0, "run up to N experiment cells in parallel (0 = GOMAXPROCS)")
+	cpuProfile = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
+	memProfile = flag.String("memprofile", "", "write a pprof heap profile to this file")
+	list       = flag.Bool("list", false, "list available experiments and exit")
+)
 
-// usage reports a command line no run can honour and exits 2. Every flag is
-// checked before profiling starts, so a usage error leaves no profile file.
-func usage(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "prepbench: "+format+"\n", args...)
-	os.Exit(2)
-}
+func main() { runflag.Main("prepbench", run) }
 
 func run() (retErr error) {
-	scaleName := flag.String("scale", "small", "experiment scale: tiny, small or paper")
-	expList := flag.String("experiment", "all", "comma-separated figure IDs, or 'all'")
-	seed := flag.Int64("seed", 1, "simulation seed (runs are deterministic per seed)")
-	format := flag.String("format", "table", "output format: table or json")
-	outPath := flag.String("o", "", "write results to this file (default stdout)")
-	jobs := flag.Int("j", 0, "run up to N experiment cells in parallel (0 = GOMAXPROCS)")
-	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
-	memProfile := flag.String("memprofile", "", "write a pprof heap profile to this file")
-	list := flag.Bool("list", false, "list available experiments and exit")
-	flag.Parse()
-
+	// Flags are checked before profiling starts: a usage error leaves no file.
 	var sc harness.Scale
 	switch *scaleName {
 	case "tiny":
@@ -72,10 +63,10 @@ func run() (retErr error) {
 	case "paper":
 		sc = harness.PaperScale()
 	default:
-		usage("unknown scale %q", *scaleName)
+		return runflag.Usage(fmt.Errorf("unknown scale %q", *scaleName))
 	}
 	if *format != "table" && *format != "json" {
-		usage("unknown format %q (want table or json)", *format)
+		return runflag.Usage(fmt.Errorf("unknown format %q (want table or json)", *format))
 	}
 	figs := harness.Catalog(sc)
 	var ids []string
@@ -85,7 +76,7 @@ func run() (retErr error) {
 		for _, id := range strings.Split(*expList, ",") {
 			id = strings.TrimSpace(id)
 			if _, ok := figs[id]; !ok && id != "ext-recovery" {
-				usage("unknown experiment %q (try -list)", id)
+				return runflag.Usage(fmt.Errorf("unknown experiment %q (try -list)", id))
 			}
 			ids = append(ids, id)
 		}
@@ -156,7 +147,7 @@ func run() (retErr error) {
 		fmt.Fprintf(os.Stderr, "(wall time %.1fs)\n", time.Since(start).Seconds())
 	}
 	if *format == "json" {
-		return doc.WriteBenchJSON(out)
+		return harness.WriteJSON(out, doc)
 	}
 	return nil
 }

@@ -19,19 +19,19 @@
 // minimum-clock schedule. The report is deterministic: invariant across
 // hosts, runs, and -j, except the wall_ms field (dropped with -strip-wall).
 //
-// Exit status: 0 no leaf failed, 1 a counterexample (or a replayed leaf
-// that fails) or a run or I/O error, 2 a command line no run can honour.
+// Exit status (runflag.Main): 0 no leaf failed, 1 a counterexample (or a
+// replayed leaf that fails) or a run or I/O error, 2 a runflag.UsageError.
 package main
 
 import (
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"strings"
 
 	"prepuc/internal/explore"
+	"prepuc/internal/runflag"
 )
 
 // cfg and leaf are the run and the replayed leaf the flags describe: every
@@ -49,19 +49,10 @@ func init() {
 	leaf.Flags(flag.CommandLine)
 }
 
-// fatal reports err and exits: 2 for a configuration no run can honour, 1
-// for a run or I/O that failed.
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "prepexplore:", err)
-	if errors.As(err, new(explore.UsageError)) {
-		os.Exit(2)
-	}
-	os.Exit(1)
-}
+func main() { runflag.Main("prepexplore", run) }
 
-func main() {
-	flag.Parse()
-
+// run explores, or replays the leaf the -repro-* flags name.
+func run() error {
 	// Repro mode is selected by the presence of any -repro-* flag, so an
 	// empty -repro-schedule= (the root schedule) still counts.
 	repro := false
@@ -71,49 +62,47 @@ func main() {
 		}
 	})
 	if repro {
-		runRepro()
-		return
+		return runRepro()
 	}
 
 	rep, err := explore.Run(cfg)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if *stripW {
 		rep.WallMS = 0
 	}
 	b, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	b = append(b, '\n')
 	if *outPath != "" {
 		if err := os.WriteFile(*outPath, b, 0o644); err != nil {
-			fatal(err)
+			return err
 		}
 	} else {
 		os.Stdout.Write(b)
 	}
 	if n := len(rep.Counterexamples); n > 0 {
-		fmt.Fprintf(os.Stderr, "prepexplore: %d counterexamples; first repro:\n  %s\n",
-			n, rep.Counterexamples[0].Repro)
-		os.Exit(1)
+		return fmt.Errorf("%d counterexamples; first repro:\n  %s", n, rep.Counterexamples[0].Repro)
 	}
+	return nil
 }
 
-func runRepro() {
+func runRepro() error {
 	res, ce, err := explore.Repro(cfg, leaf)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if res.OK {
 		fmt.Println("leaf OK: the replayed state admits a durable linearization")
-		return
+		return nil
 	}
 	b, err := json.MarshalIndent(ce, "", "  ")
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	fmt.Printf("leaf FAILED: %s\n%s\n", ce.Reason, b)
-	os.Exit(1)
+	return fmt.Errorf("the replayed leaf fails")
 }

@@ -45,20 +45,18 @@
 // parallelism across machine sub-runs; the document is byte-identical at
 // any -j.
 //
-// Exit status: 0 every system passed, 1 a system failed its check or applied
-// a duplicate, or the run could not be carried out, 2 flags no run can
-// honour (an unknown -system among them).
+// Exit status (runflag.Main): 0 every system passed, 1 a system failed its
+// check or applied a duplicate, or the run could not be carried out (a
+// -crash-ns past the drained load among them), 2 a runflag.UsageError.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"strings"
 
-	"prepuc/internal/core"
 	"prepuc/internal/drivers"
 	"prepuc/internal/harness"
 	"prepuc/internal/runflag"
@@ -157,14 +155,14 @@ func (r *run) selectSystems() ([]drivers.Entry, error) {
 	candidates := drivers.All()
 	if r.scenario != "steady" {
 		if e, err := drivers.Lookup(candidates, r.system); err == nil && e.SteadyOnly {
-			return nil, fmt.Errorf("%s has no recovery path; steady scenario only", e.Name)
+			return nil, runflag.Usage(fmt.Errorf("%s has no recovery path; steady scenario only", e.Name))
 		}
 		candidates = drivers.Recoverable()
 	}
 	if r.system != "all" {
 		e, err := drivers.Lookup(candidates, r.system)
 		if err != nil {
-			return nil, fmt.Errorf("%w or all", err)
+			return nil, runflag.Usage(fmt.Errorf("%w or all", err))
 		}
 		return []drivers.Entry{e}, nil
 	}
@@ -231,65 +229,51 @@ func failed(r *harness.ServeResult) bool {
 		r.Crash != nil && r.Crash.DuplicatesApplied != nil && *r.Crash.DuplicatesApplied > 0
 }
 
-// validate rejects flag combinations no run can honour, naming the flag: an
-// output format nothing renders, an instance or ring count below one, a
-// batch cap the engine cannot take, sharding flags on a single machine,
-// where they would be silently ignored, and a -crash-shards set that names a
-// machine the run does not have. It parses that set into r.load.CrashShards
-// (nil outside the crash scenario, or for the default of every machine).
+// validate refuses what only the command line knows, naming the flag: an
+// output format nothing renders, an unknown scenario, and sharding flags on a
+// single machine, where they would be silently ignored; harness.RunShardedServe
+// refuses the rest. It parses -crash-shards into r.load.CrashShards (nil
+// outside the crash scenario, or for the default of every machine).
 func (r *run) validate() error {
 	l := &r.load
+	var err error
 	switch {
 	case *format != "table" && *format != "json":
-		return fmt.Errorf("-format=%s: want table or json", *format)
+		err = fmt.Errorf("-format=%s: want table or json", *format)
 	case r.scenario != "steady" && r.scenario != "crash":
-		return fmt.Errorf("unknown scenario %q", r.scenario)
-	case l.Instances < 1:
-		return fmt.Errorf("-instances=%d: need at least one machine", l.Instances)
-	case l.TotalWorkers < 1:
-		return fmt.Errorf("-workers=%d: need at least one ring", l.TotalWorkers)
-	case l.RingSize == 0 || l.RingSize&(l.RingSize-1) != 0:
-		return fmt.Errorf("-ring=%d: a ring's capacity is a power of two", l.RingSize)
-	case l.MaxBatch < 1 || l.Batched && l.MaxBatch > core.MaxBatch:
-		return fmt.Errorf("-batch=%d: a combiner handoff takes 1 to %d operations", l.MaxBatch, core.MaxBatch)
+		err = fmt.Errorf("unknown scenario %q", r.scenario)
 	case l.Instances == 1 && r.crashShards != "":
-		return fmt.Errorf("-crash-shards=%s needs -instances > 1", r.crashShards)
+		err = fmt.Errorf("-crash-shards=%s needs -instances > 1", r.crashShards)
 	case l.Instances == 1 && l.Route != defaultRoute:
-		return fmt.Errorf("-route=%s needs -instances > 1", l.Route)
+		err = fmt.Errorf("-route=%s needs -instances > 1", l.Route)
 	}
 	l.CrashShards = nil
-	if r.scenario != "crash" {
-		return nil
+	if err == nil && r.scenario == "crash" {
+		if l.CrashShards, err = shard.ParseSet(r.crashShards); err != nil {
+			err = fmt.Errorf("-crash-shards=%s: %w", r.crashShards, err)
+		}
 	}
-	var err error
-	if l.CrashShards, err = shard.ParseSet(r.crashShards, l.Instances); err != nil {
-		return fmt.Errorf("-crash-shards=%s: %w", r.crashShards, err)
-	}
-	return nil
+	return runflag.Usage(err)
 }
 
-// fatal reports err and exits: 2 for a command line no run can honour, 1 for
-// a run that failed.
-func fatal(code int, err error) {
-	fmt.Fprintf(os.Stderr, "prepserve: %v\n", err)
-	os.Exit(code)
-}
+func main() { runflag.Main("prepserve", cfg.serve) }
 
-func main() {
-	flag.Parse()
-	if err := cfg.validate(); err != nil {
-		fatal(2, err)
+// serve is main's run: validate, select, buildDoc, then the document and
+// each failed system's repro line.
+func (r *run) serve() error {
+	if err := r.validate(); err != nil {
+		return err
 	}
-	systems, err := cfg.selectSystems()
+	systems, err := r.selectSystems()
 	if err != nil {
-		fatal(2, err)
+		return err
 	}
 
 	out := io.Writer(os.Stdout)
 	if *outPath != "" {
 		f, err := os.Create(*outPath)
 		if err != nil {
-			fatal(1, err)
+			return err
 		}
 		defer f.Close()
 		out = f
@@ -299,23 +283,22 @@ func main() {
 	if *format == "json" {
 		progress = io.Discard
 	}
-	doc, repros, err := cfg.buildDoc(progress, systems)
+	doc, repros, err := r.buildDoc(progress, systems)
 	if err != nil {
-		fatal(1, err)
+		return err
 	}
 	if *format == "json" {
-		enc := json.NewEncoder(out)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(doc); err != nil {
-			fatal(1, err)
+		if err := harness.WriteJSON(out, doc); err != nil {
+			return err
 		}
 	}
 	for _, line := range repros {
 		fmt.Fprintf(os.Stderr, "prepserve: repro: %s\n", line)
 	}
 	if len(repros) > 0 {
-		fatal(1, fmt.Errorf("%d system(s) failed the linearize check or applied a duplicate", len(repros)))
+		return fmt.Errorf("%d system(s) failed the linearize check or applied a duplicate", len(repros))
 	}
+	return nil
 }
 
 // printResult renders one system's record as the human table.

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -12,6 +13,7 @@ import (
 	"prepuc/internal/drivers"
 	"prepuc/internal/harness"
 	"prepuc/internal/nvm"
+	"prepuc/internal/runflag"
 	"prepuc/internal/sim"
 	"prepuc/internal/uc"
 )
@@ -50,12 +52,19 @@ func TestSystemFlagMatchesRegistry(t *testing.T) {
 }
 
 // TestValidateNamesIgnoredFlags pins the flag combinations main turns into
-// exit 2: an instance count below one used to run flat without a word,
-// -workers 0 and -batch 65 used to panic inside the run, a -ring that is not a
-// power of two failed only after boot, -crash-shards / -route on a single
-// machine were silently ignored, and a -crash-shards index past -instances
-// failed the run (exit 1) after boot.
+// exit 2 — a runflag.UsageError from main's path, validate then the systems
+// then harness.RunShardedServe, refused before any load runs: an instance
+// count below one used to run flat without a word, -workers 0 and -batch 65
+// used to panic inside the run, a -ring that is not a power of two failed
+// only after boot, -crash-shards / -route on a single machine were silently
+// ignored, a -crash-shards index past -instances failed the run (exit 1)
+// after boot, and a -workers split, read share, client count or ε no machine
+// can run exited 1 as a failed run. The accepted rows run to completion.
 func TestValidateNamesIgnoredFlags(t *testing.T) {
+	withFlags(t, map[string]string{
+		"keys": "256", "clients": "500", "rate": "1e6", "system": "prep-durable",
+		"duration": "60000", "think": "5000", "burst-every": "0", "format": "json",
+	})
 	for _, tc := range []struct {
 		flags map[string]string
 		want  string // substring of the error; "" = accepted
@@ -66,30 +75,35 @@ func TestValidateNamesIgnoredFlags(t *testing.T) {
 		{map[string]string{"format": "json"}, ""},
 		{map[string]string{"format": "xml"}, "-format=xml"},
 		{map[string]string{"scenario": "melt"}, `unknown scenario "melt"`},
-		{map[string]string{"instances": "0"}, "-instances=0"},
-		{map[string]string{"instances": "-2"}, "-instances=-2"},
-		{map[string]string{"workers": "0"}, "-workers=0"},
-		{map[string]string{"batch": "65"}, "-batch=65"},
-		{map[string]string{"batch": "0"}, "-batch=0"},
+		{map[string]string{"instances": "0"}, "Instances must be positive, got 0"},
+		{map[string]string{"instances": "-2"}, "Instances must be positive, got -2"},
+		{map[string]string{"workers": "0"}, "TotalWorkers 0"},
+		{map[string]string{"workers": "3", "instances": "2"}, "TotalWorkers 3 does not divide across 2"},
+		{map[string]string{"batch": "65"}, "MaxBatch 65"},
+		{map[string]string{"batch": "0"}, "MaxBatch 0"},
 		{map[string]string{"batch": "64"}, ""},
 		{map[string]string{"batched": "false", "batch": "65"}, ""},
-		{map[string]string{"batched": "false", "batch": "0"}, "-batch=0"},
-		{map[string]string{"ring": "1000"}, "-ring=1000"},
-		{map[string]string{"ring": "0"}, "-ring=0"},
+		{map[string]string{"batched": "false", "batch": "0"}, "MaxBatch 0"},
+		{map[string]string{"ring": "1000"}, "RingSize must be a power of two, got 1000"},
+		{map[string]string{"ring": "0"}, "RingSize must be a power of two, got 0"},
 		{map[string]string{"ring": "1"}, ""},
 		{map[string]string{"scenario": "crash", "crash-shards": "0"}, "-crash-shards=0"},
-		{map[string]string{"scenario": "crash", "instances": "2", "crash-shards": "5"}, "-crash-shards=5: shard: shard index 5 out of range [0,2)"},
+		{map[string]string{"scenario": "crash", "instances": "2", "crash-shards": "5"}, "CrashShards index 5 out of range [0,2)"},
 		{map[string]string{"scenario": "crash", "instances": "2", "crash-shards": "1,1"}, "-crash-shards=1,1"},
 		{map[string]string{"route": "range"}, "-route=range"},
+		{map[string]string{"readpct": "150"}, "ReadPct must be in [0, 100], got 150"},
+		{map[string]string{"clients": "0"}, "Clients must be positive, got 0"},
+		{map[string]string{"epsilon": "0"}, "Epsilon required"},
+		{map[string]string{"system": "prep_durable"}, "prep-durable"},
 	} {
 		t.Run(fmt.Sprint(tc.flags), func(t *testing.T) {
 			withFlags(t, tc.flags)
-			err := cfg.validate()
+			_, _, err := buildSelected(io.Discard)
 			if tc.want == "" && err != nil {
 				t.Errorf("rejected: %v", err)
 			}
-			if tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)) {
-				t.Errorf("err = %v, want one naming %q", err, tc.want)
+			if tc.want != "" && (!errors.As(err, new(runflag.UsageError)) || !strings.Contains(err.Error(), tc.want)) {
+				t.Errorf("err = %v, want a usage error naming %q", err, tc.want)
 			}
 		})
 	}
@@ -99,7 +113,8 @@ func TestValidateNamesIgnoredFlags(t *testing.T) {
 // record of something else: a crash instant past the drained load reported a
 // crash under load (stall 0, nothing in flight), flat and per crashed machine,
 // and a read share outside [0, 100] ran all-read or update-only under the
-// requested label.
+// requested label. The read share is a usage error (exit 2); the crash that
+// never fired is found by the run, so it is not.
 func TestRunRejectsWhatItCannotMeasure(t *testing.T) {
 	withFlags(t, map[string]string{
 		"workers": "2", "keys": "256", "clients": "500", "rate": "1e6", "system": "prep-durable",
@@ -108,16 +123,21 @@ func TestRunRejectsWhatItCannotMeasure(t *testing.T) {
 	for _, tc := range []struct {
 		flags map[string]string
 		want  string
+		usage bool
 	}{
-		{map[string]string{"scenario": "crash", "crash-ns": "999999999"}, "never fired (load drained first)"},
-		{map[string]string{"scenario": "crash", "crash-ns": "999999999", "instances": "2", "crash-shards": "1"}, "never fired (load drained first)"},
-		{map[string]string{"readpct": "101"}, "ReadPct"},
-		{map[string]string{"readpct": "-1"}, "ReadPct"},
+		{map[string]string{"scenario": "crash", "crash-ns": "999999999"}, "never fired (load drained first)", false},
+		{map[string]string{"scenario": "crash", "crash-ns": "999999999", "instances": "2", "crash-shards": "1"}, "never fired (load drained first)", false},
+		{map[string]string{"readpct": "101"}, "ReadPct", true},
+		{map[string]string{"readpct": "-1"}, "ReadPct", true},
 	} {
 		t.Run(fmt.Sprint(tc.flags), func(t *testing.T) {
 			withFlags(t, tc.flags)
-			if _, _, err := buildSelected(&bytes.Buffer{}); err == nil || !strings.Contains(err.Error(), tc.want) {
+			_, _, err := buildSelected(&bytes.Buffer{})
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Errorf("err = %v, want one naming %q", err, tc.want)
+			}
+			if usage := errors.As(err, new(runflag.UsageError)); usage != tc.usage {
+				t.Errorf("err = %v: usage error %v, want %v", err, usage, tc.usage)
 			}
 		})
 	}

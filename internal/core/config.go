@@ -141,9 +141,10 @@ func (c *Config) Validate() error {
 		if c.Epsilon == 0 {
 			return fmt.Errorf("core: Epsilon required in persistent modes")
 		}
-		if c.Epsilon > c.LogSize-beta-1 {
-			return fmt.Errorf("core: Epsilon %d violates ε ≤ LogSize−β−1 = %d",
-				c.Epsilon, c.LogSize-beta-1)
+		// LogSize−β−1 wraps around for a log of β entries or fewer (no ε fits).
+		if c.LogSize <= beta || c.Epsilon > c.LogSize-beta-1 {
+			return fmt.Errorf("core: Epsilon %d violates ε ≤ LogSize−β−1 (LogSize %d, β %d)",
+				c.Epsilon, c.LogSize, beta)
 		}
 		if c.Attacher == nil {
 			return fmt.Errorf("core: Attacher required in persistent modes")

@@ -575,6 +575,11 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.LogSize = 1 },
 		func(c *Config) { c.Epsilon = 0 },
 		func(c *Config) { c.Epsilon = c.LogSize }, // violates ε ≤ LogSize−β−1
+		// A log of β entries or fewer has no room for any ε; LogSize−β−1
+		// must not wrap around and admit every one.
+		func(c *Config) { c.LogSize = uint64(c.Topology.ThreadsPerNode) },
+		func(c *Config) { c.LogSize, c.Epsilon = uint64(c.Topology.ThreadsPerNode)-1, 1 },
+		func(c *Config) { c.LogSize = c.Epsilon + uint64(c.Topology.ThreadsPerNode) },
 		func(c *Config) { c.Factory = nil },
 		func(c *Config) { c.Attacher = nil },
 		func(c *Config) { c.HeapWords = 0 },
@@ -586,8 +591,12 @@ func TestConfigValidation(t *testing.T) {
 			t.Errorf("bad config %d validated", i)
 		}
 	}
-	if err := base.Validate(); err != nil {
-		t.Errorf("good config rejected: %v", err)
+	edge := base // ε = LogSize−β−1 exactly
+	edge.LogSize = edge.Epsilon + uint64(edge.Topology.ThreadsPerNode) + 1
+	for _, good := range []Config{base, edge} {
+		if err := good.Validate(); err != nil {
+			t.Errorf("good config rejected: %v", err)
+		}
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 
 	"prepuc/internal/drivers"
 	"prepuc/internal/numa"
+	"prepuc/internal/runflag"
 	"prepuc/internal/uc"
 )
 
@@ -17,7 +18,7 @@ import (
 func mkDriver(cfg *Config) (*uc.Driver, error) {
 	e, err := drivers.Lookup(drivers.Recoverable(), cfg.System)
 	if err != nil {
-		return nil, UsageError{fmt.Errorf("explore: %w", err)}
+		return nil, runflag.Usage(fmt.Errorf("explore: %w", err))
 	}
 	sz := drivers.ExploreScale()
 	sz.Topology, sz.Workers, sz.Detect = cfg.topology(), cfg.Workers, cfg.Detect

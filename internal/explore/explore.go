@@ -102,11 +102,6 @@ func (c *Config) Flags(fs *flag.FlagSet) {
 	fs.Uint64Var(&c.HeapWords, "heap", 0, "persistent heap words (0: default 4096)")
 }
 
-// UsageError is a configuration no run can honour: a size out of range, an
-// unknown system, a machine that cannot boot, a nested crash point the
-// replayed recovery never reaches.
-type UsageError struct{ error }
-
 // defaults rejects the sizes no run can honour, naming the field, and fills in
 // the zero ones.
 func (cfg *Config) defaults() error {
@@ -115,11 +110,11 @@ func (cfg *Config) defaults() error {
 		v    int
 	}{{"Workers", cfg.Workers}, {"Ops", cfg.Ops}, {"PrefillN", cfg.PrefillN}} {
 		if f.v < 0 {
-			return UsageError{fmt.Errorf("explore: %s must not be negative, got %d", f.name, f.v)}
+			return runflag.Usage(fmt.Errorf("explore: %s must not be negative, got %d", f.name, f.v))
 		}
 	}
 	if cfg.Depth < 0 || cfg.Depth > 2 {
-		return UsageError{fmt.Errorf("explore: Depth must be 1 or 2 (0: the default, 1), got %d", cfg.Depth)}
+		return runflag.Usage(fmt.Errorf("explore: Depth must be 1 or 2 (0: the default, 1), got %d", cfg.Depth))
 	}
 	cfg.System = cmp.Or(cfg.System, "prep-durable")
 	cfg.Workers = cmp.Or(cfg.Workers, 2)
@@ -576,8 +571,8 @@ func Repro(cfg Config, lf Leaf) (linearize.Result, *Counterexample, error) {
 		case err != nil:
 			res.Reason = err.Error()
 		case !r1.frozen:
-			return res, nil, UsageError{fmt.Errorf("explore: nested crash at %d never fired (recovery ran %d events)",
-				lf.NestedAt, r1.events)}
+			return res, nil, runflag.Usage(fmt.Errorf("explore: nested crash at %d never fired (recovery ran %d events)",
+				lf.NestedAt, r1.events))
 		default:
 			_, res = settle(&cfg, wr, r1.sys, lf.NestedMask, false)
 		}

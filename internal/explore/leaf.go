@@ -16,6 +16,7 @@ import (
 	"prepuc/internal/fault"
 	"prepuc/internal/linearize"
 	"prepuc/internal/nvm"
+	"prepuc/internal/runflag"
 	"prepuc/internal/sim"
 	"prepuc/internal/uc"
 )
@@ -115,8 +116,8 @@ func runWorkload(cfg *Config, prefix []int, crashAt uint64, record bool) (*workR
 		return nil
 	})
 	if berr != nil {
-		return nil, UsageError{fmt.Errorf("explore: boot of a machine sized -heap=%d -log=%d -epsilon=%d: %w",
-			cfg.HeapWords, cfg.LogSize, cfg.Epsilon, berr)}
+		return nil, runflag.Usage(fmt.Errorf("explore: boot of a machine sized -heap=%d -log=%d -epsilon=%d: %w",
+			cfg.HeapWords, cfg.LogSize, cfg.Epsilon, berr))
 	}
 
 	rec := linearize.NewRecorder(cfg.Workers)

@@ -64,9 +64,9 @@ func (d *BenchDoc) AddRecovery(points []RecoveryPoint) {
 	})
 }
 
-// WriteBenchJSON emits the document as indented JSON.
-func (d *BenchDoc) WriteBenchJSON(w io.Writer) error {
+// WriteJSON emits a document (bench, crash or serve) as indented JSON.
+func WriteJSON(w io.Writer, doc any) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(d)
+	return enc.Encode(doc)
 }

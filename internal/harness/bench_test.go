@@ -21,7 +21,7 @@ func TestBenchJSONSchema(t *testing.T) {
 	doc.AddFigure(fig, points)
 
 	var buf bytes.Buffer
-	if err := doc.WriteBenchJSON(&buf); err != nil {
+	if err := WriteJSON(&buf, doc); err != nil {
 		t.Fatal(err)
 	}
 
@@ -89,7 +89,7 @@ func TestBenchDocRecovery(t *testing.T) {
 		UpdatesRun: 100, Replayed: 12, VirtualNS: 34567,
 	}})
 	var buf bytes.Buffer
-	if err := doc.WriteBenchJSON(&buf); err != nil {
+	if err := WriteJSON(&buf, doc); err != nil {
 		t.Fatal(err)
 	}
 	var raw struct {

@@ -96,7 +96,7 @@ func CrashTargets(system string, instances int) ([]CrashTarget, error) {
 	if system != "all" {
 		e, err := drivers.Lookup(entries, system)
 		if err != nil {
-			return nil, fmt.Errorf("%w or all", err)
+			return nil, runflag.Usage(fmt.Errorf("%w or all", err))
 		}
 		entries = []drivers.Entry{e}
 	}
@@ -110,9 +110,49 @@ func CrashTargets(system string, instances int) ([]CrashTarget, error) {
 		}
 	}
 	if len(out) == 0 {
-		return nil, fmt.Errorf("-instances > 1 needs multi-instance region naming; -system=%s has none", system)
+		return nil, runflag.Usage(fmt.Errorf("-instances > 1 needs multi-instance region naming; -system=%s has none", system))
 	}
 	return out, nil
+}
+
+// Validate refuses, as a runflag.UsageError naming the flag, a run no cycle
+// can honour: counts below one (they check nothing), an unknown -system or
+// -policy, an -instances split that cannot be followed, and a geometry a
+// target refuses when booted once at the run's sizing.
+func (c *CrashConfig) Validate() error {
+	var err error
+	switch {
+	case c.Iterations < 1:
+		err = fmt.Errorf("-iterations=%d: need at least one cycle", c.Iterations)
+	case c.Workers < 1:
+		err = fmt.Errorf("-workers=%d: need at least one worker", c.Workers)
+	case c.Epochs < 1:
+		err = fmt.Errorf("-epochs=%d: need at least one epoch", c.Epochs)
+	case c.Instances < 1:
+		err = fmt.Errorf("-instances=%d: need at least one instance", c.Instances)
+	case c.Nested < 0:
+		err = fmt.Errorf("-nested=%d: a count of nested crashes (0: none)", c.Nested)
+	case c.Instances > 1 && c.Workers%c.Instances != 0:
+		err = fmt.Errorf("-workers=%d not divisible by -instances=%d", c.Workers, c.Instances)
+	case c.Instances > 1 && c.Nested > 0:
+		err = fmt.Errorf("-instances > 1 does not compose with -nested")
+	default:
+		_, err = fault.Parse(c.Policy, 1)
+	}
+	if err != nil {
+		return runflag.Usage(err)
+	}
+	tgs, err := CrashTargets(c.System, c.Instances)
+	if err != nil {
+		return err
+	}
+	for _, tg := range tgs {
+		if _, err := c.boot(c.Seed, 0, c.newDrivers(tg)...); err != nil {
+			return runflag.Usage(fmt.Errorf("%s at -workers=%d -log=%d -epsilon=%d: %w",
+				tg.Name, c.Workers, c.LogSize, c.Epsilon, err))
+		}
+	}
+	return nil
 }
 
 // FaultStats is what the fault adversary did across one scope (a cycle, or
@@ -229,10 +269,13 @@ type CrashDoc struct {
 	Systems    []CrashSystemDoc `json:"systems"`
 }
 
-// BuildCrashDoc runs the targets' crash/recover cycles and returns the machine-readable document plus the failure count.
-// It is the whole run minus flag validation and I/O setup, so tests can
-// drive it deterministically.
-func BuildCrashDoc(progress io.Writer, c CrashConfig, tgs []CrashTarget) (CrashDoc, int) {
+// BuildCrashDoc runs the targets' crash/recover cycles and returns the
+// document plus the failure count, or c.Validate's refusal. It is the whole
+// run minus I/O setup, so tests can drive it deterministically.
+func BuildCrashDoc(progress io.Writer, c CrashConfig, tgs []CrashTarget) (CrashDoc, int, error) {
+	if err := c.Validate(); err != nil {
+		return CrashDoc{}, 0, err
+	}
 	doc := CrashDoc{
 		Schema: CrashSchema, Iterations: c.Iterations, Workers: c.Workers,
 		Epsilon: c.Epsilon, LogSize: c.LogSize, Seed: c.Seed, Nested: c.Nested,
@@ -275,7 +318,7 @@ func BuildCrashDoc(progress io.Writer, c CrashConfig, tgs []CrashTarget) (CrashD
 		}
 		doc.Systems = append(doc.Systems, sd)
 	}
-	return doc, failures
+	return doc, failures, nil
 }
 
 // runIteration is one iteration: the cycle, its progress line and — on
@@ -388,6 +431,15 @@ func (cyc *CrashCycle) recoveryLine() string {
 		float64(cyc.RecoveryVirtualNS)/1e6)
 }
 
+// newDrivers builds tg's co-resident drivers, fresh for one machine lineage.
+func (c *CrashConfig) newDrivers(tg CrashTarget) []*uc.Driver {
+	ds := make([]*uc.Driver, max(c.Instances, 1))
+	for k := range ds {
+		ds[k] = tg.New(c.sizing(k, len(ds)))
+	}
+	return ds
+}
+
 // boot boots ds, co-resident, on a fresh machine whose substrate RNG is
 // seeded from base and installs iteration iter's fault policy: a fresh value
 // per machine lineage, because a stateful policy must not be shared across
@@ -398,7 +450,7 @@ func (c *CrashConfig) boot(base int64, iter int, ds ...*uc.Driver) (*Machine, er
 	}, ds...)
 	pol, perr := fault.Parse(c.iterPolicySpec(iter), uint64(base)+11)
 	if perr != nil {
-		panic(perr) // the caller validated the spec
+		panic(perr) // Validate parsed the spec
 	}
 	m.Sys.SetFaultPolicy(pol)
 	if err != nil {
@@ -474,9 +526,8 @@ func (c *CrashConfig) cycle(tg CrashTarget, iter int, crashAt uint64) (CrashCycl
 			cb.OK, cb.FailedEpoch, cb.FailedPartition, cb.Reason = false, epoch, partition, reason
 		}
 	}
-	ds, keys, per := make([]*uc.Driver, K), make([][]uint64, K), make([]InstanceCycle, K)
+	ds, keys, per := c.newDrivers(tg), make([][]uint64, K), make([]InstanceCycle, K)
 	for k := range ds {
-		ds[k] = tg.New(c.sizing(k, K))
 		for j := uint64(0); j < keyRange; j++ {
 			keys[k] = append(keys[k], instKey(k, j))
 		}

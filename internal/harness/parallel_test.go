@@ -24,7 +24,7 @@ func TestParallelJobsIdenticalJSON(t *testing.T) {
 		doc.AddFigure(fig, points)
 		doc.AddRecovery(rec)
 		var buf bytes.Buffer
-		if err := doc.WriteBenchJSON(&buf); err != nil {
+		if err := WriteJSON(&buf, doc); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()

@@ -40,7 +40,6 @@ package harness
 import (
 	"fmt"
 
-	"prepuc/internal/core"
 	"prepuc/internal/drivers"
 	"prepuc/internal/fault"
 	"prepuc/internal/linearize"
@@ -48,6 +47,7 @@ import (
 	"prepuc/internal/numa"
 	"prepuc/internal/nvm"
 	"prepuc/internal/openloop"
+	"prepuc/internal/runflag"
 	"prepuc/internal/sim"
 	"prepuc/internal/svc"
 	"prepuc/internal/uc"
@@ -362,18 +362,6 @@ func RunServe(d *uc.Driver, cfg ServeConfig) (*ServeResult, error) {
 	return RunShardedServe(func() *uc.Driver { return d }, scfg)
 }
 
-// checkBatch rejects a drain cap the batched path cannot run: a consumer
-// hands its whole drain to the engine's ExecuteBatch, which takes at most
-// core.MaxBatch operations (one descriptor slot each) and panics past it. A
-// cap below one is rejected on either path: the crash check's loss allowance
-// is computed from it.
-func checkBatch(batched bool, maxBatch int) error {
-	if maxBatch < 1 || batched && maxBatch > core.MaxBatch {
-		return fmt.Errorf("serve: MaxBatch %d: a combiner handoff takes 1 to %d operations", maxBatch, core.MaxBatch)
-	}
-	return nil
-}
-
 // ringOf shards a machine's schedule across its rings by client.
 func ringOf(a *openloop.Arrival, shards int) int { return int(a.Client) % shards }
 
@@ -398,14 +386,14 @@ type serveRun struct {
 func runServeArrivals(d *uc.Driver, cfg ServeConfig, perShard [][]openloop.Arrival) (*ServeResult, *serveRun, error) {
 	scheduled := scheduledOn(perShard)
 	if scheduled == 0 {
-		return nil, nil, fmt.Errorf("serve: empty arrival schedule")
+		return nil, nil, runflag.Usage(fmt.Errorf("serve: empty arrival schedule"))
 	}
 	if cfg.CrashAtNS > 0 && d.Recover == nil {
-		return nil, nil, fmt.Errorf("serve: %s has no recovery path; steady scenario only", d.Name)
+		return nil, nil, runflag.Usage(fmt.Errorf("serve: %s has no recovery path; steady scenario only", d.Name))
 	}
 	pol, err := fault.Parse(cfg.Policy, uint64(cfg.Seed)+11)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, runflag.Usage(err)
 	}
 	tp := serveTopo(cfg.Shards)
 	ta := &tally{}
@@ -469,8 +457,8 @@ func runServeArrivals(d *uc.Driver, cfg ServeConfig, perShard [][]openloop.Arriv
 	sys, eng, err := drivers.Boot(d, nvm.Config{
 		Costs: sim.UnitCosts(), BGFlushOneIn: 128, Seed: uint64(cfg.Seed) + 7,
 	}, build(0))
-	if err != nil {
-		return nil, nil, fmt.Errorf("serve: boot %s: %w", d.Name, err)
+	if err != nil { // a geometry the construction or its rings refuse
+		return nil, nil, runflag.Usage(fmt.Errorf("serve: boot %s: %w", d.Name, err))
 	}
 	if pol != nil {
 		sys.SetFaultPolicy(pol)

@@ -13,6 +13,7 @@ import (
 
 	"prepuc/internal/openloop"
 	"prepuc/internal/svc"
+	"prepuc/internal/uc"
 )
 
 // detectConfig is serveTestConfig with a higher-pressure crash instant so
@@ -227,6 +228,51 @@ func TestResumePlan(t *testing.T) {
 		if a.At != uint64(100+i) {
 			t.Fatalf("planning modified the pre-crash schedule at %d", i)
 		}
+	}
+}
+
+// TestRunServeResolvesCommittedInFlight drives the resolved-committed resume
+// branch end to end. At this crash instant PREP-Durable's one in-flight
+// operation had committed before the cut: recovery resolves it from its
+// descriptor, the resume completes it with the recorded result instead of
+// resubmitting it (resumePlan rebuilds the ring's plan without it), the
+// duplicate audit finds nothing, and the two-epoch check holds the
+// operation to its committed verdict. This is prepserve -scenario crash
+// -system prep-durable -workers 2 -keys 256 -clients 500 -rate 2e6
+// -duration 200000 -think 5000 -burst-every 0 -crash-ns 146665 -check, a
+// leg of CI's exactly-once smoke.
+func TestRunServeResolvesCommittedInFlight(t *testing.T) {
+	cfg := ShardedServeConfig{
+		Instances: 1, Route: "hash", TotalWorkers: 2,
+		RingSize: 1024, MaxBatch: 32, Batched: true, Seed: 1, Check: true,
+		CrashAtNS: 146_665, CrashShards: []int{0},
+		Open: openloop.Config{
+			Clients: 500, Keys: 256, KeySkew: 1.2, ReadPct: 80, Rate: 2e6,
+			DurationNS: 200_000, ThinkNS: 5_000, BurstLenNS: 100_000, BurstFactor: 4,
+			Seed: 1001,
+		},
+	}
+	res, err := RunShardedServe(func() *uc.Driver { return ServeDrivers(2, 64)[0] }, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, cb := res.Crash, res.Check
+	if res.System != "PREP-Durable" || c == nil || cb == nil {
+		t.Fatalf("%s: crash %+v, check %+v", res.System, c, cb)
+	}
+	if c.DuplicatesApplied == nil {
+		t.Fatal("a detectable driver's crash block carries no duplicate audit")
+	}
+	if c.LostInflight != 1 || c.InFlightResolved != 1 || c.ResolvedCompleted != 1 || *c.DuplicatesApplied != 0 {
+		t.Errorf("lost_inflight=%d in_flight_resolved=%d resolved_completed=%d duplicates_applied=%d, want 1, 1, 1 and 0",
+			c.LostInflight, c.InFlightResolved, c.ResolvedCompleted, *c.DuplicatesApplied)
+	}
+	if !cb.OK || cb.Epochs != 2 || cb.InFlightCommitted != 1 || cb.InFlightNever != 0 {
+		t.Errorf("check %+v, want ok over 2 epochs with committed=1 never=0", cb)
+	}
+	if res.Completed != res.Submitted || res.Metrics.DedupHits != 1 {
+		t.Errorf("completed %d of %d submitted, dedup hits %d: want every arrival once, one from its descriptor",
+			res.Completed, res.Submitted, res.Metrics.DedupHits)
 	}
 }
 

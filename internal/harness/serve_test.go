@@ -2,6 +2,7 @@ package harness
 
 import (
 	"encoding/json"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"prepuc/internal/drivers"
 	"prepuc/internal/nvm"
 	"prepuc/internal/openloop"
+	"prepuc/internal/runflag"
 	"prepuc/internal/sim"
 	"prepuc/internal/uc"
 )
@@ -130,14 +132,15 @@ func TestServeRejectsBatchOutOfRange(t *testing.T) {
 // flight as a crash under load. The crash instant now leaves such a machine
 // alone, so the run ends unfrozen and the entry points answer with the error
 // ServeConfig.CrashAtNS documents — flat, and for a crashed machine of a
-// sharded run.
+// sharded run. The run finds that out by running, so it is not a
+// runflag.UsageError (prepserve exits 1, not 2).
 func TestRunServeCrashMissesLoad(t *testing.T) {
 	const late = 999_999_999
 	_, flatErr := RunServe(ServeDrivers(2, 64)[0], serveTestConfig(late))
 	_, shardedErr := RunShardedServe(durableFactory(2), shardedTestConfig(2, late, []int{1}))
 	for name, err := range map[string]error{"flat": flatErr, "sharded": shardedErr} {
-		if err == nil || !strings.Contains(err.Error(), "never fired (load drained first)") {
-			t.Errorf("%s: err = %v, want the crash-never-fired error", name, err)
+		if err == nil || !strings.Contains(err.Error(), "never fired (load drained first)") || errors.As(err, new(runflag.UsageError)) {
+			t.Errorf("%s: err = %v, want the crash-never-fired error, not a usage error", name, err)
 		}
 	}
 }

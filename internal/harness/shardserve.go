@@ -40,10 +40,12 @@ package harness
 import (
 	"fmt"
 
+	"prepuc/internal/core"
 	"prepuc/internal/linearize"
 	"prepuc/internal/metrics"
 	"prepuc/internal/openloop"
 	"prepuc/internal/par"
+	"prepuc/internal/runflag"
 	"prepuc/internal/shard"
 	"prepuc/internal/uc"
 )
@@ -103,37 +105,40 @@ const subSeedStride = 1009
 // machines, how to partition and what to crash. Over several machines the
 // returned aggregate record carries the per-machine breakdowns under Shards;
 // one machine's run returns that machine's record, and its error, as they
-// are.
+// are. What no run can honour — cfg's fields, the schedule's, a geometry a
+// machine refuses at boot — is a runflag.UsageError, before any load runs.
 func RunShardedServe(mk func() *uc.Driver, cfg ShardedServeConfig) (*ServeResult, error) {
 	if cfg.Instances <= 0 {
-		return nil, fmt.Errorf("sharded serve: Instances must be positive, got %d", cfg.Instances)
+		return nil, runflag.Usage(fmt.Errorf("sharded serve: Instances must be positive, got %d", cfg.Instances))
 	}
 	per := cfg.TotalWorkers / cfg.Instances
 	if per <= 0 || per*cfg.Instances != cfg.TotalWorkers {
-		return nil, fmt.Errorf("sharded serve: TotalWorkers %d does not divide across %d instances",
-			cfg.TotalWorkers, cfg.Instances)
+		return nil, runflag.Usage(fmt.Errorf("sharded serve: TotalWorkers %d does not divide across %d instances",
+			cfg.TotalWorkers, cfg.Instances))
 	}
-	if err := checkBatch(cfg.Batched, cfg.MaxBatch); err != nil {
-		return nil, err
+	// ExecuteBatch takes at most core.MaxBatch operations (one descriptor
+	// slot each); the crash check's loss allowance is computed from the cap.
+	if cfg.MaxBatch < 1 || cfg.Batched && cfg.MaxBatch > core.MaxBatch {
+		return nil, runflag.Usage(fmt.Errorf("serve: MaxBatch %d: a combiner handoff takes 1 to %d operations",
+			cfg.MaxBatch, core.MaxBatch))
 	}
 	pol, err := shard.ParsePolicy(cfg.Route)
 	if err != nil {
-		return nil, err
+		return nil, runflag.Usage(err)
 	}
 	crashed := make([]bool, cfg.Instances)
 	for _, s := range cfg.CrashShards {
 		if s < 0 || s >= cfg.Instances {
-			return nil, fmt.Errorf("sharded serve: crash shard %d out of range [0,%d)", s, cfg.Instances)
+			return nil, runflag.Usage(fmt.Errorf("sharded serve: CrashShards index %d out of range [0,%d)", s, cfg.Instances))
 		}
 		crashed[s] = true
 	}
 	if (len(cfg.CrashShards) > 0) != (cfg.CrashAtNS > 0) {
-		return nil, fmt.Errorf("sharded serve: CrashShards and CrashAtNS must be set together")
+		return nil, runflag.Usage(fmt.Errorf("sharded serve: CrashShards and CrashAtNS must be set together"))
 	}
-
 	arrivals, err := openloop.Generate(cfg.Open)
 	if err != nil {
-		return nil, err
+		return nil, runflag.Usage(err)
 	}
 	// One split, by (machine, ring): machine i's rings are the consecutive
 	// run rings[i*per:(i+1)*per], each the stable sub-schedule the router
@@ -145,7 +150,7 @@ func RunShardedServe(mk func() *uc.Driver, cfg ShardedServeConfig) (*ServeResult
 	ring := func(a *openloop.Arrival) int { return ringOf(a, per) }
 	if cfg.Instances > 1 {
 		if router, err = shard.NewRouter(pol, cfg.Instances, cfg.Open.Keys); err != nil {
-			return nil, err
+			return nil, runflag.Usage(err)
 		}
 		ring = func(a *openloop.Arrival) int { return router.RouteOp(a.Op())*per + ringOf(a, per) }
 	}

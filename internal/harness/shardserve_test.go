@@ -2,11 +2,15 @@ package harness
 
 import (
 	"encoding/json"
+	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
+	"prepuc/internal/core"
 	"prepuc/internal/drivers"
 	"prepuc/internal/openloop"
+	"prepuc/internal/runflag"
 )
 
 func shardedTestConfig(instances int, crashAt uint64, crash []int) ShardedServeConfig {
@@ -152,25 +156,52 @@ func TestShardedServePartialCrash(t *testing.T) {
 	}
 }
 
-// TestShardedServeConfigValidation rejects the configurations the flag
-// parser cannot.
+// TestShardedServeConfigValidation: RunShardedServe refuses what no machine
+// can run — its own fields, the arrival schedule's, and a geometry a machine
+// refuses at its boot — as a runflag.UsageError naming the field, before any
+// load runs. These are the refusals prepserve used to copy into its flag
+// checks, or missed and exited 1 on as a failed run.
 func TestShardedServeConfigValidation(t *testing.T) {
-	mk := durableFactory(1)
-	bad := []func(*ShardedServeConfig){
-		func(c *ShardedServeConfig) { c.Instances = 0 },
-		func(c *ShardedServeConfig) { c.TotalWorkers = 3 },
-		func(c *ShardedServeConfig) { c.TotalWorkers = 0 },
-		func(c *ShardedServeConfig) { c.Route = "modulo" },
-		func(c *ShardedServeConfig) { c.CrashShards = []int{4}; c.CrashAtNS = 1 },
-		func(c *ShardedServeConfig) { c.CrashShards = []int{1} },
-		func(c *ShardedServeConfig) { c.CrashAtNS = 200_000 },
-	}
-	for i, mut := range bad {
-		cfg := shardedTestConfig(4, 0, nil)
-		mut(&cfg)
-		if _, err := RunShardedServe(mk, cfg); err == nil {
-			t.Errorf("case %d: invalid config accepted", i)
-		}
+	for _, tc := range []struct {
+		name string
+		mut  func(*ShardedServeConfig)
+		mk   func() *ServeDriver
+		want string
+	}{
+		{"no instances", func(c *ShardedServeConfig) { c.Instances = 0 }, nil, "Instances must be positive, got 0"},
+		{"negative instances", func(c *ShardedServeConfig) { c.Instances = -2 }, nil, "Instances must be positive, got -2"},
+		{"uneven split", func(c *ShardedServeConfig) { c.TotalWorkers = 3 }, nil, "TotalWorkers 3 does not divide across 4"},
+		{"no workers", func(c *ShardedServeConfig) { c.TotalWorkers = 0 }, nil, "TotalWorkers 0"},
+		{"batch past MaxBatch", func(c *ShardedServeConfig) { c.MaxBatch = core.MaxBatch + 1 }, nil, "MaxBatch 65"},
+		{"no batch", func(c *ShardedServeConfig) { c.MaxBatch = 0 }, nil, "MaxBatch 0"},
+		{"unknown route", func(c *ShardedServeConfig) { c.Route = "modulo" }, nil, "modulo"},
+		{"crash shard past the machines", func(c *ShardedServeConfig) { c.CrashShards, c.CrashAtNS = []int{4}, 1 }, nil, "CrashShards index 4 out of range [0,4)"},
+		{"negative crash shard", func(c *ShardedServeConfig) { c.CrashShards, c.CrashAtNS = []int{-1}, 1 }, nil, "CrashShards index -1"},
+		{"crash shards without an instant", func(c *ShardedServeConfig) { c.CrashShards = []int{1} }, nil, "CrashShards and CrashAtNS"},
+		{"instant without crash shards", func(c *ShardedServeConfig) { c.CrashAtNS = 200_000 }, nil, "CrashShards and CrashAtNS"},
+		{"read share", func(c *ShardedServeConfig) { c.Open.ReadPct = 150 }, nil, "ReadPct must be in [0, 100], got 150"},
+		{"no clients", func(c *ShardedServeConfig) { c.Open.Clients = 0 }, nil, "Clients must be positive, got 0"},
+		{"unknown policy", func(c *ShardedServeConfig) { c.Policy = "sometimes" }, nil, "sometimes"},
+		{"ring not a power of two", func(c *ShardedServeConfig) { c.RingSize = 1000 }, nil, "RingSize must be a power of two, got 1000"},
+		{"no epsilon", func(*ShardedServeConfig) {}, func() *ServeDriver { return ServeDrivers(1, 0)[0] }, "Epsilon required"},
+		{"crash without recovery", func(c *ShardedServeConfig) { c.CrashShards, c.CrashAtNS = []int{0}, 200_000 },
+			func() *ServeDriver {
+				e, _ := drivers.Lookup(drivers.All(), "prep-volatile")
+				return e.New(ServeSizing(1, 64))
+			}, "no recovery path"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := shardedTestConfig(4, 0, nil)
+			tc.mut(&cfg)
+			mk := tc.mk
+			if mk == nil {
+				mk = durableFactory(1)
+			}
+			_, err := RunShardedServe(mk, cfg)
+			if !errors.As(err, new(runflag.UsageError)) || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("err = %v, want a usage error naming %q", err, tc.want)
+			}
+		})
 	}
 }
 

@@ -1,12 +1,14 @@
-// Package runflag renders a run's command line from the config that
-// declares its flags: a run config binds each of its fields to one flag in
-// its Flags method, the tool parses its command line through that method,
-// and every repro line is Line over the same declaration, so it parses back
-// to the config it was rendered from.
+// Package runflag is the command line every tool shares: a run config binds
+// each of its fields to one flag in its Flags method, every repro line is
+// Line over that declaration, so it parses back to the config, and a
+// configuration no run can honour is a UsageError, which Main exits 2 on.
 package runflag
 
 import (
+	"errors"
 	"flag"
+	"fmt"
+	"os"
 	"slices"
 	"strings"
 )
@@ -33,4 +35,29 @@ func Line[T any, P interface {
 		}
 	})
 	return strings.Join(parts, " ")
+}
+
+// UsageError is a configuration no run can honour, decided by the
+// configuration alone before the measured phase.
+type UsageError struct{ error }
+
+// Usage marks err as a UsageError; nil stays nil.
+func Usage(err error) error {
+	if err == nil {
+		return nil
+	}
+	return UsageError{err}
+}
+
+// Main parses the command line and runs run; on its error it prints
+// "tool: err" on stderr and exits 2 for a UsageError, 1 for any other.
+func Main(tool string, run func() error) {
+	flag.Parse()
+	if err := run(); err != nil {
+		fmt.Fprintf(os.Stderr, "%s: %v\n", tool, err)
+		if errors.As(err, new(UsageError)) {
+			os.Exit(2)
+		}
+		os.Exit(1)
+	}
 }

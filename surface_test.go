@@ -615,6 +615,41 @@ var shapeRules = []shapeRule{
 		},
 	},
 	{
+		// Exit status 2 means a command line no run can honour, and one rule
+		// decides it: the config that owns the run refuses with a
+		// runflag.UsageError, and runflag.Main turns that into 2 and every
+		// other error into 1. An os.Exit anywhere else, or a second
+		// usage-error type, is a second exit rule growing back.
+		name: "Exit status 2 is decided in one place",
+		checks: []shapeCheck{
+			{scope{under: []string{""}, except: []string{"examples/", "benchmark/", "internal/runflag/"}, code: true},
+				func(t *tree, files []goFile) (out []string) {
+					t.inspect(files, func(f goFile, n ast.Node) {
+						if fn := callee(f, n); fn != nil && funcName(fn) == "os.Exit" {
+							out = append(out, t.at(n)+": an exit outside runflag.Main (return the error; a runflag.UsageError exits 2)")
+						}
+					})
+					return out
+				}},
+			{scope{under: []string{""}, except: []string{"benchmark/", "internal/runflag/"}, code: true, tests: true},
+				func(t *tree, files []goFile) (out []string) {
+					t.inspect(files, func(f goFile, n ast.Node) {
+						if ts, ok := n.(*ast.TypeSpec); ok && ts.Name.Name == "UsageError" {
+							out = append(out, t.at(n)+": a UsageError type outside internal/runflag (use runflag.Usage)")
+						}
+					})
+					return out
+				}},
+		},
+		fixtures: []fixture{
+			cmdFile(`import "os"; func usage() { os.Exit(2) }`),
+			cmdFile(`import "os"; func fatal(code int) { os.Exit(code) }`),
+			{"internal/harness/shapefixture.go": add("package harness\n\nimport \"os\"\n\nfunc fail() { os.Exit(1) }\n")},
+			{"internal/explore/shapefixture.go": add("package explore\n\ntype UsageError interface{ error }\n")},
+			{"cmd/prepserve/shapefixture_test.go": add("package main\n\ntype UsageError error\n")},
+		},
+	},
+	{
 		// The publish / fence / full-mark / completedTail protocol is written
 		// once (internal/core/session.go, DESIGN.md §3); a second call site
 		// of one of its primitives is a second copy of the ordering growing
