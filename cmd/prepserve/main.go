@@ -51,6 +51,8 @@
 package main
 
 import (
+	"bytes"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -269,28 +271,32 @@ func (r *run) serve() error {
 		return err
 	}
 
+	// The -o file is written once the run returns, so a configuration
+	// harness.RunShardedServe refuses leaves none behind; a run that fails
+	// still leaves what it rendered.
+	var buf bytes.Buffer
 	out := io.Writer(os.Stdout)
 	if *outPath != "" {
-		f, err := os.Create(*outPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		out = f
+		out = &buf
 	}
-
 	progress := out
 	if *format == "json" {
 		progress = io.Discard
 	}
 	doc, repros, err := r.buildDoc(progress, systems)
-	if err != nil {
+	if errors.As(err, new(runflag.UsageError)) {
 		return err
 	}
-	if *format == "json" {
-		if err := harness.WriteJSON(out, doc); err != nil {
-			return err
+	if err == nil && *format == "json" {
+		err = harness.WriteJSON(out, doc)
+	}
+	if *outPath != "" {
+		if werr := os.WriteFile(*outPath, buf.Bytes(), 0o666); err == nil {
+			err = werr
 		}
+	}
+	if err != nil {
+		return err
 	}
 	for _, line := range repros {
 		fmt.Fprintf(os.Stderr, "prepserve: repro: %s\n", line)

@@ -6,6 +6,8 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -221,5 +223,36 @@ func TestFailedRecordPrintsItsRepro(t *testing.T) {
 	want.system = "soft"
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("repro %q parses to\n%+v\nwant\n%+v", repros[0], got, want)
+	}
+}
+
+// TestOutputWrittenOnceTheRunReturns: a configuration the harness refuses
+// leaves no -o file behind (it used to leave an empty one), and a run that
+// fails still leaves one, holding what it rendered before the failure.
+func TestOutputWrittenOnceTheRunReturns(t *testing.T) {
+	withFlags(t, map[string]string{
+		"workers": "2", "keys": "256", "clients": "500", "rate": "1e6", "system": "prep-durable",
+		"duration": "60000", "think": "5000", "burst-every": "0", "format": "json",
+	})
+	for _, tc := range []struct {
+		flags map[string]string
+		usage bool
+	}{
+		{map[string]string{"readpct": "150"}, true},
+		{map[string]string{"batch": "65"}, true},
+		{map[string]string{"scenario": "crash", "crash-ns": "999999999"}, false},
+	} {
+		t.Run(fmt.Sprint(tc.flags), func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "out.json")
+			withFlags(t, tc.flags)
+			withFlags(t, map[string]string{"o": path})
+			err := cfg.serve()
+			if usage := errors.As(err, new(runflag.UsageError)); err == nil || usage != tc.usage {
+				t.Fatalf("err = %v: usage error %v, want a failure, usage %v", err, usage, tc.usage)
+			}
+			if _, serr := os.Stat(path); (serr == nil) == tc.usage {
+				t.Errorf("err = %v: -o file present = %v", err, serr == nil)
+			}
+		})
 	}
 }

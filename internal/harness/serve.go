@@ -3,7 +3,7 @@ package harness
 // serve.go runs one machine of the serve path: the asynchronous service
 // front-end (internal/svc) driven with an open-loop arrival schedule
 // (internal/openloop). Per-shard injector threads release operations at
-// their pre-generated arrival instants into the submission rings, consumer
+// their scheduled arrival instants into the submission rings, consumer
 // threads drain them in batches, and every completion's latency
 // (DoneNS − ArrivalNS) lands in a log-linear histogram — so a stalled server
 // accumulates queueing delay against the percentiles instead of silently
@@ -224,24 +224,33 @@ type tally struct {
 	firstB     uint64 // first post-crash completion instant (0 = none yet)
 	backlogMax uint64 // latest completion of a pre-resume arrival
 
+	// sc is the machine's schedule: per-ring completion order equals
+	// submission order equals arrival order, so every completion retires the
+	// front of its ring's window.
+	sc *schedule
+
 	// Completion records per generation and shard, kept only when the
-	// linearize check is on (nil otherwise). Per-shard completion order
-	// equals submission order equals arrival order, so index k zips with the
-	// k-th operation of the shard's arrival slice in that generation.
-	rec [2][][]compRec
+	// linearize check is on (nil otherwise), and the crash resume's
+	// resolved-committed operations, which complete through no ring.
+	rec      [2][][]compRec
+	resolved []compRec
 }
 
-// compRec is one completion's check-relevant fields. exec is the drain
-// instant: the linearize check uses [exec, done] as the operation's window —
-// sound (execution starts after the drain) and far tighter than the arrival
-// window, which under backlog would make thousands of operations look
-// mutually concurrent and blow up the search.
-type compRec struct{ result, exec, done uint64 }
+// compRec is one completed operation's check-relevant fields. exec is the
+// drain instant: the linearize check uses [exec, done] as the operation's
+// window — sound (execution starts after the drain) and far tighter than the
+// arrival window, which under backlog would make thousands of operations
+// look mutually concurrent and blow up the search.
+type compRec struct {
+	a0, a1, result, exec, done uint64
+	code                       uint32
+}
 
 func (ta *tally) onComplete(shard int, f *svc.Future) {
 	ta.complete(f.ArrivalNS, f.DoneNS)
+	a := ta.sc.retire(shard)
 	if rec := ta.rec[ta.gen]; rec != nil {
-		rec[shard] = append(rec[shard], compRec{f.Result, f.ExecNS, f.DoneNS})
+		rec[shard] = append(rec[shard], compRec{a.A0, a.A1, f.Result, f.ExecNS, f.DoneNS, a.Code})
 	}
 }
 
@@ -269,26 +278,30 @@ func (ta *tally) complete(arrivalNS, doneNS uint64) {
 // injector keeps offering them ahead of newer arrivals) and are submitted
 // with their original stamps, so ring backpressure shows up as latency. The
 // backlog is fed in schedule order and drained from its front, so it is
-// always the contiguous run arrivals[lo:rel] — two cursors, no queue.
+// always the contiguous run of sequence numbers [lo, rel) — two cursors into
+// the ring's window, no queue.
 //
 // The injector is a sim.Poller: its thread runs it under Thread.Await, so the
 // arrival sleeps, the submissions' accesses (svc.Submission's segments) and
 // the retries against a full ring all run wherever the baton is, and the
 // thread is switched in only to start and to finish. In plain code it reads
 //
-//	for i := range arrivals {
-//		if at := arrivals[i].At; at > t.Clock() { t.Step(at - t.Clock()) }
+//	for i := 0; arrival i exists; i++ {
+//		if at := arrival(i).At; at > t.Clock() { t.Step(at - t.Clock()) }
 //		offer(i + 1) // the backlog first, then — only if it emptied — arrival i
 //	}
-//	for lo < len(arrivals) {
-//		offer(len(arrivals))
-//		if lo < len(arrivals) { t.Step(serveRetryNS) }
+//	for lo < n {
+//		offer(n)
+//		if lo < n { t.Step(serveRetryNS) }
 //	}
 //
-// where offer(hi) submits arrivals[lo:hi] in order until the ring rejects one.
+// where arrival(i) is the ring's arrival of sequence number i, n the ring's
+// arrival count and offer(hi) submits arrivals lo..hi-1 in order until the
+// ring rejects one. Looking up arrival rel draws the schedule up to it.
 type injector struct {
 	c        *svc.Client
-	arrivals []openloop.Arrival
+	sc       *schedule
+	ring     int
 	lo       int // first arrival the ring has not accepted yet
 	rel      int // arrivals released so far
 	sub      svc.Submission
@@ -314,13 +327,13 @@ func (in *injector) Poll(t *sim.Thread) (uint64, bool) {
 			}
 		}
 		// Between offer rounds.
-		switch n := len(in.arrivals); {
-		case in.rel < n:
-			if at := in.arrivals[in.rel].At; at > t.Clock() {
-				return at - t.Clock(), false
+		switch a := in.sc.at(in.ring, in.rel); {
+		case a != nil:
+			if a.At > t.Clock() {
+				return a.At - t.Clock(), false
 			}
 			in.rel++
-		case in.lo == n:
+		case in.lo == in.rel:
 			return 0, true
 		case in.backoff:
 			in.backoff = false
@@ -334,7 +347,7 @@ func (in *injector) Poll(t *sim.Thread) (uint64, bool) {
 
 // offer arms the submission of the oldest arrival the ring has not accepted.
 func (in *injector) offer() {
-	a := &in.arrivals[in.lo]
+	a := in.sc.at(in.ring, in.lo)
 	in.sub = in.c.Submission(a.Op(), a.At)
 	in.offering = true
 }
@@ -366,26 +379,29 @@ func RunServe(d *uc.Driver, cfg ServeConfig) (*ServeResult, error) {
 func ringOf(a *openloop.Arrival, shards int) int { return int(a.Client) % shards }
 
 // serveRun exposes one machine's post-run internals to the sharded harness:
-// the probed final state (Check runs only), the measurement tally for
-// histogram/endpoint merging, and the ring-partitioned arrival schedule for
-// zipping completion records back to operations.
+// the probed final state (Check runs only) and the measurement tally, for
+// histogram/endpoint merging, the completion records and the schedule's
+// arrival count.
 type serveRun struct {
-	final    map[uint64]uint64
-	ta       *tally
-	perShard [][]openloop.Arrival
+	final map[uint64]uint64
+	ta    *tally
 }
 
-// runServeArrivals runs one machine on its share of the arrival schedule,
-// already split across its rings (perShard[s] is ring s's time-sorted share).
+// runServeArrivals runs one machine on the arrivals ring buckets to its rings
+// (ring returns -1 for another machine's): cfg.Open's schedule, drawn as the
+// load reaches it.
 //
 // A service generation is one set of submission rings over the machine's
 // engine and the load that runs through them: generation 0 on the booted
 // machine and, after a crash, generation 1 on the recovered one. The rings
 // are volatile, so every generation builds its own, under its own memory
 // names and invocation-id epoch; both generations go through build and serve.
-func runServeArrivals(d *uc.Driver, cfg ServeConfig, perShard [][]openloop.Arrival) (*ServeResult, *serveRun, error) {
-	scheduled := scheduledOn(perShard)
-	if scheduled == 0 {
+func runServeArrivals(d *uc.Driver, cfg ServeConfig, ring func(*openloop.Arrival) int) (*ServeResult, *serveRun, error) {
+	sc, err := newSchedule(cfg.Open, cfg.Shards, ring)
+	if err != nil {
+		return nil, nil, runflag.Usage(err)
+	}
+	if !sc.draw() {
 		return nil, nil, runflag.Usage(fmt.Errorf("serve: empty arrival schedule"))
 	}
 	if cfg.CrashAtNS > 0 && d.Recover == nil {
@@ -396,7 +412,7 @@ func runServeArrivals(d *uc.Driver, cfg ServeConfig, perShard [][]openloop.Arriv
 		return nil, nil, runflag.Usage(err)
 	}
 	tp := serveTopo(cfg.Shards)
-	ta := &tally{}
+	ta := &tally{sc: sc}
 	if cfg.Check {
 		ta.rec = [2][][]compRec{make([][]compRec, cfg.Shards), make([][]compRec, cfg.Shards)}
 	}
@@ -416,21 +432,16 @@ func runServeArrivals(d *uc.Driver, cfg ServeConfig, perShard [][]openloop.Arriv
 			return err
 		}
 	}
-	// serve runs generation gen's load, plan, on sys from startNS and reports
-	// whether the crash cut it short. Generation 0 arms the crash, which cuts
-	// only a machine still under load: with every scheduled arrival completed
-	// the run ends unfrozen.
-	serve := func(gen int, sys *nvm.System, plan [][]openloop.Arrival, startNS uint64) (bool, error) {
+	// serve runs generation gen's load — the rings' windows from sequence
+	// number 0 — on sys from startNS and reports whether the crash cut it
+	// short. Generation 0 arms the crash, which cuts only a machine still
+	// under load: with every scheduled arrival completed the run ends
+	// unfrozen.
+	serve := func(gen int, sys *nvm.System, startNS uint64) (bool, error) {
 		sch, err := drivers.Phase(sys, func(sch *sim.Scheduler) {
-			spawnServicePhase(sch, tp, gens[gen], d, cfg, plan, startNS)
+			spawnServicePhase(sch, tp, gens[gen], d, cfg, sc, startNS)
 			if gen == 0 && cfg.CrashAtNS > 0 {
-				sch.CrashAtInstant(cfg.CrashAtNS, func() bool {
-					done := uint64(0)
-					for shard := 0; shard < cfg.Shards; shard++ {
-						done += gens[0].Client(shard).Completed()
-					}
-					return done < uint64(scheduled)
-				})
+				sch.CrashAtInstant(cfg.CrashAtNS, sc.live)
 			}
 		})
 		if err != nil {
@@ -463,7 +474,7 @@ func runServeArrivals(d *uc.Driver, cfg ServeConfig, perShard [][]openloop.Arriv
 	if pol != nil {
 		sys.SetFaultPolicy(pol)
 	}
-	crashed, err := serve(0, sys, perShard, 0)
+	crashed, err := serve(0, sys, 0)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -471,9 +482,7 @@ func runServeArrivals(d *uc.Driver, cfg ServeConfig, perShard [][]openloop.Arriv
 		return nil, nil, fmt.Errorf("serve: %s: crash at %d ns never fired (load drained first)", d.Name, cfg.CrashAtNS)
 	}
 	res := &ServeResult{System: d.Name}
-	// plan is the last generation's schedule, from the state its epoch starts
-	// from (nil: empty).
-	plan := perShard
+	// from is the state the last generation's epoch starts from (nil: empty).
 	var from map[uint64]uint64
 	if crashed {
 		rec, err := drivers.Recover(d, sys, nil, build(1))
@@ -488,40 +497,55 @@ func runServeArrivals(d *uc.Driver, cfg ServeConfig, perShard [][]openloop.Arriv
 			Replayed: rec.Info.Replayed, RecoveryVirtualNS: rec.VirtualNS,
 		}
 
+		// The crash epoch ends in the recovered state: probe it before
+		// generation 1 mutates it, and check it while the windows still hold
+		// the whole in-flight window.
+		if cfg.Check {
+			if from, err = probe(sys, eng); err != nil {
+				return nil, nil, err
+			}
+			res.Check = &CheckStats{Mode: "linearize", OK: true, Epochs: 2, FailedEpoch: -1}
+			crashEpoch(res.Check, d, cfg, sc, gens[0], rec.Info, from, ta)
+		}
+
 		// Resume plan, ring by ring. Completion order equals submission order
-		// per ring, so the ring's completed count at the cut is the resume
-		// index into its arrival list, and everything submitted beyond it was
-		// in flight. For a detectable driver that window splits by recovery's
-		// verdicts: resolved-committed operations complete right here with
-		// their recorded results (exactly-once), everything else is
-		// resubmitted. A non-detectable driver resubmits the whole window.
-		// resubSeq keeps each resubmitted window operation's original
-		// submission sequence number so the duplicate audit below can
-		// re-check the final plan against the verdict map independently of
-		// how it was built.
-		phaseB := make([][]openloop.Arrival, cfg.Shards)
+		// per ring, so the ring's window starts at its completed count at the
+		// cut, and everything submitted beyond it was in flight. For a
+		// detectable driver that window splits by recovery's verdicts:
+		// resolved-committed operations complete right here with their
+		// recorded results (exactly-once), everything else is resubmitted. A
+		// non-detectable driver resubmits the whole window. resubSeq keeps each
+		// resubmitted window operation's original submission sequence number
+		// so the duplicate audit below can re-check the final plan against the
+		// verdict map independently of how it was built.
 		resubSeq := make([][]int, cfg.Shards)
 		for shard := 0; shard < cfg.Shards; shard++ {
-			c, all := gens[0].Client(shard), perShard[shard]
+			c := gens[0].Client(shard)
 			resume, submitted := int(c.Completed()), int(c.Submitted())
 			crash.LostInflight += uint64(submitted - resume)
-			phaseB[shard] = all[resume:]
 			if d.Detect {
 				crash.InFlightResolved += uint64(submitted - resume)
-				for seq := resume; seq < submitted; seq++ {
+			}
+			for seq := resume; seq < submitted; seq++ {
+				if d.Detect {
 					if _, committed := rec.Info.Resolved[svc.InvocationID(0, shard, uint64(seq))]; committed {
+						a := sc.at(shard, seq)
 						crash.ResolvedCompleted++
-						ta.complete(all[seq].At, resumeNS)
+						ta.complete(a.At, resumeNS)
+						if cfg.Check {
+							ta.resolved = append(ta.resolved, compRec{a0: a.A0, a1: a.A1, code: a.Code})
+						}
 						continue
 					}
-					resubSeq[shard] = append(resubSeq[shard], seq)
 				}
-				phaseB[shard] = resumePlan(all, resume, submitted, resubSeq[shard])
+				resubSeq[shard] = append(resubSeq[shard], seq)
 			}
-			for _, a := range phaseB[shard] {
-				if a.At < resumeNS {
-					crash.BacklogAtResume++
+			resumePlan(&sc.rings[shard], &sc.free, submitted, resubSeq[shard])
+			for seq := 0; ; seq++ {
+				if a := sc.at(shard, seq); a == nil || a.At >= resumeNS {
+					break
 				}
+				crash.BacklogAtResume++
 			}
 		}
 		if d.Detect {
@@ -530,20 +554,10 @@ func runServeArrivals(d *uc.Driver, cfg ServeConfig, perShard [][]openloop.Arriv
 			sys.Metrics().DedupHits += crash.ResolvedCompleted
 		}
 
-		// The crash epoch ends in the recovered state: probe it before
-		// generation 1 mutates it.
-		if cfg.Check {
-			if from, err = probe(sys, eng); err != nil {
-				return nil, nil, err
-			}
-			res.Check = &CheckStats{Mode: "linearize", OK: true, Epochs: 2, FailedEpoch: -1}
-			crashEpoch(res.Check, d, cfg, perShard, gens[0], rec.Info, from, ta)
-		}
-
 		// Resume the load on the recovered machine. Every thread starts at
 		// the resume instant; backlog arrivals submit immediately with their
 		// original stamps, so their latencies absorb the outage.
-		if _, err := serve(1, sys, phaseB, resumeNS); err != nil {
+		if _, err := serve(1, sys, resumeNS); err != nil {
 			return nil, nil, err
 		}
 		if ta.firstB > cfg.CrashAtNS {
@@ -554,7 +568,6 @@ func runServeArrivals(d *uc.Driver, cfg ServeConfig, perShard [][]openloop.Arriv
 		}
 		res.Crash = crash
 		res.Completed = crash.ResolvedCompleted // delivered through no ring
-		plan = phaseB
 	}
 
 	for _, s := range gens[:ta.gen+1] {
@@ -564,7 +577,7 @@ func runServeArrivals(d *uc.Driver, cfg ServeConfig, perShard [][]openloop.Arriv
 		}
 	}
 	res.summarize(&ta.hist, ta.endNS, sys.Metrics().Snapshot())
-	run := &serveRun{ta: ta, perShard: perShard}
+	run := &serveRun{ta: ta}
 	if cfg.Check {
 		// The last generation's epoch: its completed operations from where it
 		// started to the final state. The live probe sees every completed
@@ -576,7 +589,7 @@ func runServeArrivals(d *uc.Driver, cfg ServeConfig, perShard [][]openloop.Arriv
 			res.Check = &CheckStats{Mode: "linearize", OK: true, Epochs: 1, FailedEpoch: -1}
 		}
 		applyCheck(res.Check, ta.gen, linearize.CheckEpoch(linearize.SetModel(), from,
-			completedEpoch(plan, ta.rec[ta.gen]), run.final, linearize.Options{}))
+			completedEpoch(ta.rec[ta.gen]), run.final, linearize.Options{}))
 	}
 	return res, run, nil
 }
@@ -597,20 +610,24 @@ func duplicatesIn(resubSeq [][]int, resolved map[uint64]uint64) (dup uint64) {
 	return dup
 }
 
-// resumePlan is one ring's phase-B schedule: the in-flight window
-// all[resume:submitted] cut down to the operations to resubmit (resub, their
-// ascending sequence numbers), then everything not yet submitted. With the
-// whole window resubmitted that is the rest of the schedule as it stands,
-// which is shared, not copied.
-func resumePlan(all []openloop.Arrival, resume, submitted int, resub []int) []openloop.Arrival {
-	if len(resub) == submitted-resume {
-		return all[resume:]
+// resumePlan turns one ring's window, cut by the crash after submitted
+// operations with its completed prefix retired, into its generation-1
+// schedule: the in-flight operations to resubmit (resub, their ascending
+// sequence numbers), then every arrival not yet submitted. The resubmitted
+// operations slide up, in order, against the first unsubmitted arrival, the
+// rest of the in-flight window is dropped, and the window is renumbered from
+// 0, the new generation's first sequence number. Nothing is copied out of the
+// window.
+func resumePlan(w *window, free *[]*block, submitted int, resub []int) {
+	dst := submitted
+	for i := len(resub) - 1; i >= 0; i-- {
+		dst--
+		*w.at(dst) = *w.at(resub[i])
 	}
-	plan := make([]openloop.Arrival, 0, len(resub)+len(all)-submitted)
-	for _, seq := range resub {
-		plan = append(plan, all[seq])
+	for w.base < dst {
+		w.pop(free)
 	}
-	return append(plan, all[submitted:]...)
+	w.base = 0
 }
 
 // spawnServicePhase spawns one phase's threads: d's auxiliary threads, then
@@ -619,7 +636,7 @@ func resumePlan(all []openloop.Arrival, resume, submitted int, resub []int) []op
 // finishing consumer retires the auxiliary threads. It returns the consumers
 // and injectors, each shard's consumer and then its injector.
 func spawnServicePhase(sch *sim.Scheduler, tp numa.Topology, s *svc.Service,
-	d *uc.Driver, cfg ServeConfig, perShard [][]openloop.Arrival, startNS uint64) []*sim.Thread {
+	d *uc.Driver, cfg ServeConfig, sc *schedule, startNS uint64) []*sim.Thread {
 	if d.SpawnAux != nil {
 		d.SpawnAux()
 	}
@@ -634,7 +651,7 @@ func spawnServicePhase(sch *sim.Scheduler, tp numa.Topology, s *svc.Service,
 				d.StopAux(t)
 			}
 		}), sch.Spawn("inject", tp.NodeOf(shard), startNS, func(t *sim.Thread) {
-			t.Await(&injector{c: s.Client(shard), arrivals: perShard[shard]})
+			t.Await(&injector{c: s.Client(shard), sc: sc, ring: shard})
 			injectorsLive--
 			if injectorsLive == 0 {
 				s.Stop()
@@ -642,15 +659,6 @@ func spawnServicePhase(sch *sim.Scheduler, tp numa.Topology, s *svc.Service,
 		}))
 	}
 	return ths
-}
-
-// scheduledOn counts the arrivals of a ring-split schedule.
-func scheduledOn(perShard [][]openloop.Arrival) int {
-	n := 0
-	for _, arr := range perShard {
-		n += len(arr)
-	}
-	return n
 }
 
 // summarize fills the throughput, latency, ring and metrics blocks of a record
@@ -689,19 +697,17 @@ func serveOptions(d *uc.Driver, cfg ServeConfig) linearize.Options {
 	return linearize.Options{Buffered: d.Buffered, Allowance: d.LossBound(cfg.Shards * cfg.MaxBatch)}
 }
 
-// completedEpoch zips a generation's completion records with its plan, ring
-// by ring: per-ring completion order equals arrival order, so ring s's record
-// k is the operation plan[s][k], and ring s is client s. The window is
+// completedEpoch is a generation's completed operations, from its
+// completion records ring by ring; ring s is client s. The window is
 // [drain, done], not [arrival, done]: execution cannot start before the
 // consumer drains the batch, so the tighter stamp is sound, and it keeps the
 // check's concurrency at the real consumer count instead of the queue depth.
-func completedEpoch(plan [][]openloop.Arrival, recs [][]compRec) []linearize.Op {
+func completedEpoch(recs [][]compRec) []linearize.Op {
 	var ops []linearize.Op
-	for shard, arr := range plan {
-		for k, r := range recs[shard] {
-			a := arr[k]
+	for shard, rs := range recs {
+		for _, r := range rs {
 			ops = append(ops, linearize.Op{
-				Client: shard, Code: uint64(a.Code), A0: a.A0, A1: a.A1,
+				Client: shard, Code: uint64(r.code), A0: r.a0, A1: r.a1,
 				Result: r.result, Invoke: r.exec, Return: r.done,
 				Class: linearize.Completed,
 			})
@@ -733,14 +739,14 @@ func applyCheck(cb *CheckStats, epoch int, r linearize.Result) {
 // unknown (at-most-once InFlight). Epoch 1, the resumed generation from that
 // state to the final probe, is where a duplicate apply slipping through the
 // resume plan shows up, as an inexplicable response or state.
-func crashEpoch(cb *CheckStats, d *uc.Driver, cfg ServeConfig, perShard [][]openloop.Arrival,
+func crashEpoch(cb *CheckStats, d *uc.Driver, cfg ServeConfig, sc *schedule,
 	gen0 *svc.Service, info uc.RecoverInfo, recState map[uint64]uint64, ta *tally) {
-	ops := completedEpoch(perShard, ta.rec[0])
-	for shard, all := range perShard {
+	ops := completedEpoch(ta.rec[0])
+	for shard := 0; shard < cfg.Shards; shard++ {
 		c := gen0.Client(shard)
 		drained := int(c.Drained())
 		for seq := int(c.Completed()); seq < int(c.Submitted()); seq++ {
-			a := all[seq]
+			a := sc.at(shard, seq)
 			op := linearize.Op{
 				Client: shard, Code: uint64(a.Code), A0: a.A0, A1: a.A1,
 				Invoke: a.At, Return: ^uint64(0), Class: linearize.InFlight,

@@ -23,15 +23,18 @@ func allocsOf(t *testing.T, fn func() (completed uint64)) (completed, bytes, mal
 // TestServeAllocationSlope bounds what one more operation costs the host:
 // the same geometry is run for D and for 2D virtual nanoseconds, and the
 // extra allocation divided by the extra completed operations must stay
-// within a budget that pays for the operation's 32-byte slot in the schedule
-// and its 4-byte destination index in the ring split's scratch table (the
-// split reorders the schedule in place), nothing per-operation on the
-// submit/complete path, and no allocation call at all. Each budget is the
-// marginal measured when the split went in place (52 / 44 / 87 B) plus at
-// most 25 %. Boot, rings, the histogram and everything else that is per run
-// cancels in the difference, so a reintroduced per-operation allocation — a
-// copied arrival, a heap future, an append-grown split, a backlog queue —
-// fails here rather than in the next benchmark run.
+// within a budget. The schedule is drawn as the load reaches it and each
+// ring keeps only its live window, in recycled blocks, so an operation pays
+// nothing for its arrival record unless the live window itself grows with
+// the run, as the overload backlog does (22.6 of its 30.1 B; the rest of
+// each marginal is nvm page privatisation). Nothing per operation is
+// allocated on the submit/complete path, and no allocation call at all.
+// Each budget is the marginal measured when the schedule began to stream
+// (3.6 / 30.1 / 27.8 B) plus 25 %. Boot, rings, the histogram and everything else that is
+// per run cancels in the difference, so a reintroduced per-operation
+// allocation — a materialized schedule, an escaping arrival, a heap future,
+// an append-grown window, a backlog queue — fails here rather than in the
+// next benchmark run.
 func TestServeAllocationSlope(t *testing.T) {
 	open := openloop.Config{
 		Clients: 50_000, Keys: 1 << 14, KeySkew: 1.2, ReadPct: 80,
@@ -68,8 +71,8 @@ func TestServeAllocationSlope(t *testing.T) {
 		bytesPerOp float64
 		stalls     bool
 	}{
-		{"steady", steady.Open.DurationNS, flat(steady), 64, false},
-		{"overload", overload.Open.DurationNS, flat(overload), 54, true},
+		{"steady", steady.Open.DurationNS, flat(steady), 4.5, false},
+		{"overload", overload.Open.DurationNS, flat(overload), 38, true},
 		{"sharded", sharded.Open.DurationNS, func(durNS uint64) uint64 {
 			cfg := sharded
 			cfg.Open.DurationNS = durNS
@@ -78,7 +81,7 @@ func TestServeAllocationSlope(t *testing.T) {
 				t.Fatal(err)
 			}
 			return res.Completed
-		}, 108, false},
+		}, 35, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			n1, b1, m1 := allocsOf(t, func() uint64 { return tc.run(tc.durNS) })
@@ -92,7 +95,7 @@ func TestServeAllocationSlope(t *testing.T) {
 			t.Logf("%d → %d ops: %.1f B and %.4f mallocs per additional op (totals %d → %d B, %d → %d mallocs)",
 				n1, n2, bytes, mallocs, b1, b2, m1, m2)
 			if bytes > tc.bytesPerOp {
-				t.Errorf("marginal allocation %.1f B/op, budget %.0f", bytes, tc.bytesPerOp)
+				t.Errorf("marginal allocation %.1f B/op, budget %.1f", bytes, tc.bytesPerOp)
 			}
 			if mallocs > 0.05 {
 				t.Errorf("marginal %.4f mallocs/op, budget 0.05", mallocs)

@@ -185,49 +185,61 @@ func TestRunServeCrashStride(t *testing.T) {
 }
 
 // TestResumePlan: a ring's phase-B schedule is the window operations still
-// to resubmit followed by everything not yet submitted. With the whole
-// window resubmitted that is the rest of the ring's schedule as it stands —
-// shared with phase A's slice, not copied; once recovery resolved part of
-// the window as committed, it is rebuilt without those operations and the
-// pre-crash schedule (which the check still zips completions against) is
-// left alone.
+// to resubmit followed by everything not yet submitted, renumbered from 0.
+// The window is compacted in place across a block boundary: the in-flight
+// window straddles the first block's end, and the blocks it no longer
+// reaches go back to the free list.
 func TestResumePlan(t *testing.T) {
-	all := make([]openloop.Arrival, 12)
-	for i := range all {
-		all[i].At = uint64(100 + i)
+	const resume, submitted = blockLen - 2, blockLen + 3 // window: sequence numbers resume..submitted-1
+	const n = blockLen + 12
+	fill := func() (*window, *[]*block) {
+		w, free := &window{}, new([]*block)
+		for i := 0; i < n; i++ {
+			w.push(openloop.Arrival{At: uint64(100 + i)}, free)
+		}
+		for w.base < resume {
+			w.pop(free)
+		}
+		return w, free
 	}
-	const resume, submitted = 3, 8 // window: sequence numbers 3..7
-	ats := func(arr []openloop.Arrival) (out []uint64) {
-		for _, a := range arr {
-			out = append(out, a.At)
+	rest := func(from int) (out []uint64) {
+		for i := from; i < n; i++ {
+			out = append(out, uint64(100+i))
 		}
 		return out
 	}
 	for _, tc := range []struct {
-		name   string
-		resub  []int
-		shared bool
-		want   []uint64
+		name  string
+		resub []int
+		free  int
 	}{
-		{"nothing committed", []int{3, 4, 5, 6, 7}, true, []uint64{103, 104, 105, 106, 107, 108, 109, 110, 111}},
-		{"middle committed", []int{3, 5, 7}, false, []uint64{103, 105, 107, 108, 109, 110, 111}},
-		{"all committed", nil, false, []uint64{108, 109, 110, 111}},
+		{"nothing committed", []int{resume, resume + 1, resume + 2, resume + 3, resume + 4}, 0},
+		{"middle committed", []int{resume, resume + 2, resume + 4}, 1},
+		{"all committed", nil, 1},
 	} {
-		plan := resumePlan(all, resume, submitted, tc.resub)
-		if got := ats(plan); !reflect.DeepEqual(got, tc.want) {
-			t.Errorf("%s: plan %v, want %v", tc.name, got, tc.want)
+		w, free := fill()
+		resumePlan(w, free, submitted, tc.resub)
+		var want []uint64
+		for _, seq := range tc.resub {
+			want = append(want, uint64(100+seq))
 		}
-		if shared := &plan[0] == &all[resume]; shared != tc.shared {
-			t.Errorf("%s: plan shares the schedule = %v, want %v", tc.name, shared, tc.shared)
+		want = append(want, rest(submitted)...)
+		var got []uint64
+		for seq := 0; seq < w.n; seq++ {
+			got = append(got, w.at(seq).At)
+		}
+		if w.base != 0 || !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: plan %v from %d, want %v from 0", tc.name, got, w.base, want)
+		}
+		if len(*free) != tc.free {
+			t.Errorf("%s: %d blocks freed, want %d", tc.name, len(*free), tc.free)
 		}
 	}
-	if empty := resumePlan(all, len(all), len(all), nil); len(empty) != 0 {
-		t.Errorf("ring with nothing left plans %v", ats(empty))
-	}
-	for i, a := range all {
-		if a.At != uint64(100+i) {
-			t.Fatalf("planning modified the pre-crash schedule at %d", i)
-		}
+	w, free := &window{}, new([]*block)
+	w.push(openloop.Arrival{At: 7}, free)
+	w.pop(free)
+	if resumePlan(w, free, 1, nil); w.n != 0 || w.base != 0 {
+		t.Errorf("ring with nothing left plans %d arrivals from %d", w.n, w.base)
 	}
 }
 
@@ -235,7 +247,7 @@ func TestResumePlan(t *testing.T) {
 // branch end to end. At this crash instant PREP-Durable's one in-flight
 // operation had committed before the cut: recovery resolves it from its
 // descriptor, the resume completes it with the recorded result instead of
-// resubmitting it (resumePlan rebuilds the ring's plan without it), the
+// resubmitting it (resumePlan compacts the ring's window without it), the
 // duplicate audit finds nothing, and the two-epoch check holds the
 // operation to its committed verdict. This is prepserve -scenario crash
 // -system prep-durable -workers 2 -keys 256 -clients 500 -rate 2e6

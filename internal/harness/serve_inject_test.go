@@ -64,10 +64,10 @@ func TestInjectUnderBackpressure(t *testing.T) {
 	}
 
 	// Completion order per ring, observed through the service's own hook:
-	// the same phase spawner and injector, on a machine booted here so the
-	// test can see each completion's identity.
-	perShard := openloop.Split(arrivals, cfg.Shards, func(a *openloop.Arrival) int { return ringOf(a, cfg.Shards) })
-	run, _, _ := runServePhase(t, cfg, perShard, false)
+	// the same phase spawner, injector and ring windows, on a machine booted
+	// here so the test can see each completion's identity.
+	perShard := splitCopy(arrivals, cfg.Shards, func(a *openloop.Arrival) int { return ringOf(a, cfg.Shards) })
+	run, _, _ := runServePhase(t, cfg, false)
 	if run.metrics.RingFullStalls == 0 {
 		t.Fatal("no ring-full stalls on the observed machine")
 	}
@@ -98,23 +98,32 @@ type servePhaseRun struct {
 }
 
 // runServePhase boots PREP-Durable with detectable submission rings at cfg,
-// as RunServe does, and runs one spawnServicePhase over perShard — under the
-// built-in dispatch rule, or under a MinClock Chooser, where Await runs its
-// definition loop and no segment runs inline. It returns the phase's
+// as RunServe does, and runs one spawnServicePhase over cfg.Open's schedule,
+// its rings taking it by client — under the built-in dispatch rule, or under
+// a MinClock Chooser, where Await runs its definition loop and no segment
+// runs inline. Every completion retires its ring's oldest arrival, which
+// must carry the completion's arrival stamp. It returns the phase's
 // scheduler and threads for their test-only tallies.
-func runServePhase(t *testing.T, cfg ServeConfig, perShard [][]openloop.Arrival, chooser bool) (servePhaseRun, *sim.Scheduler, []*sim.Thread) {
+func runServePhase(t *testing.T, cfg ServeConfig, chooser bool) (servePhaseRun, *sim.Scheduler, []*sim.Thread) {
 	t.Helper()
 	d := ServeDrivers(cfg.Shards, 64)[0]
 	tp := serveTopo(cfg.Shards)
 	run := servePhaseRun{done: make([][]completion, cfg.Shards)}
+	sc, err := newSchedule(cfg.Open, cfg.Shards, machineRings(nil, 0, cfg.Shards))
+	if err != nil {
+		t.Fatal(err)
+	}
 	var s *svc.Service
 	sys, _, err := drivers.Boot(d, nvm.Config{Costs: sim.UnitCosts(), BGFlushOneIn: 128, Seed: uint64(cfg.Seed) + 7},
-		func(t *sim.Thread, sys *nvm.System, eng uc.UC) (err error) {
-			s, err = svc.New(t, sys, svc.Config{
+		func(th *sim.Thread, sys *nvm.System, eng uc.UC) (err error) {
+			s, err = svc.New(th, sys, svc.Config{
 				Engine: eng, Topology: tp, Shards: cfg.Shards,
 				RingSize: cfg.RingSize, MaxBatch: cfg.MaxBatch, Batched: true,
 				Detect: true,
 				OnComplete: func(shard int, f *svc.Future) {
+					if a := sc.retire(shard); a.At != f.ArrivalNS {
+						t.Errorf("ring %d completed an arrival at %d, its window's oldest is at %d", shard, f.ArrivalNS, a.At)
+					}
 					run.done[shard] = append(run.done[shard], completion{f.ArrivalNS, f.Invid, f.Result, f.ExecNS, f.DoneNS})
 				},
 			})
@@ -128,7 +137,7 @@ func runServePhase(t *testing.T, cfg ServeConfig, perShard [][]openloop.Arrival,
 		if chooser {
 			sch.SetChooser(minClockChooser{})
 		}
-		ths = spawnServicePhase(sch, tp, s, d, cfg, perShard, 0)
+		ths = spawnServicePhase(sch, tp, s, d, cfg, sc, 0)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -156,13 +165,8 @@ func (minClockChooser) Choose(_ int, cands []sim.Candidate) int { return sim.Min
 // switched in at most twice, to start and to finish.
 func TestServePhaseMatchesChooserTwin(t *testing.T) {
 	cfg := backpressureConfig()
-	arrivals, err := openloop.Generate(cfg.Open)
-	if err != nil {
-		t.Fatal(err)
-	}
-	perShard := openloop.Split(arrivals, cfg.Shards, func(a *openloop.Arrival) int { return ringOf(a, cfg.Shards) })
-	got, sch, ths := runServePhase(t, cfg, perShard, false)
-	want, _, _ := runServePhase(t, cfg, perShard, true)
+	got, sch, ths := runServePhase(t, cfg, false)
+	want, _, _ := runServePhase(t, cfg, true)
 	if !reflect.DeepEqual(got.clocks, want.clocks) || got.events != want.events {
 		t.Fatalf("events %d, clocks %v; Chooser twin: events %d, clocks %v", got.events, got.clocks, want.events, want.clocks)
 	}

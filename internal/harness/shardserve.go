@@ -4,14 +4,15 @@ package harness
 // independent PREP machines — each with its own scheduler, NVM system,
 // engine, rings and recovery state machine — behind one key-space router.
 // One global open-loop arrival schedule is partitioned by shard.Router at
-// submission time (routing is a pure function of the op's key; the harness
-// splits once, by machine and ring), each machine runs the single-machine
-// serve harness (serve.go) over its per-ring schedules, and the harness
-// aggregates: throughput against the latest completion instant across
-// machines, one merged latency histogram, ring counters via
-// metrics.Snapshot.Add. S = 1 is one machine and nothing more: the schedule
-// splits by ring alone, and the run's record is the machine's own, with no
-// aggregate, breakdown or composition audit around it.
+// submission time (routing is a pure function of the op's key): each machine
+// draws the whole schedule from its own stream, keeps the arrivals the
+// router sends it, spreads them over its rings (schedule.go), and runs the
+// single-machine serve harness (serve.go) over them; the harness aggregates:
+// throughput against the latest completion instant across machines, one
+// merged latency histogram, ring counters via metrics.Snapshot.Add. S = 1 is
+// one machine and nothing more: its rings take the schedule by client alone,
+// and the run's record is the machine's own, with no aggregate, breakdown or
+// composition audit around it.
 //
 // Machines fail independently. CrashShards names the subset whose sub-run
 // arms the crash-and-recover scenario; survivors run their load start to
@@ -39,6 +40,7 @@ package harness
 
 import (
 	"fmt"
+	"slices"
 
 	"prepuc/internal/core"
 	"prepuc/internal/linearize"
@@ -136,25 +138,15 @@ func RunShardedServe(mk func() *uc.Driver, cfg ShardedServeConfig) (*ServeResult
 	if (len(cfg.CrashShards) > 0) != (cfg.CrashAtNS > 0) {
 		return nil, runflag.Usage(fmt.Errorf("sharded serve: CrashShards and CrashAtNS must be set together"))
 	}
-	arrivals, err := openloop.Generate(cfg.Open)
-	if err != nil {
+	if err := cfg.Open.Validate(); err != nil {
 		return nil, runflag.Usage(err)
 	}
-	// One split, by (machine, ring): machine i's rings are the consecutive
-	// run rings[i*per:(i+1)*per], each the stable sub-schedule the router
-	// followed by the machine's own client sharding would deliver. The split
-	// reorders the generated schedule in place, so no arrival is copied after
-	// generation and every machine reads its own sub-slices of the one
-	// array. One machine's split is by ring alone: no arrival asks the router.
 	var router *shard.Router
-	ring := func(a *openloop.Arrival) int { return ringOf(a, per) }
 	if cfg.Instances > 1 {
 		if router, err = shard.NewRouter(pol, cfg.Instances, cfg.Open.Keys); err != nil {
 			return nil, runflag.Usage(err)
 		}
-		ring = func(a *openloop.Arrival) int { return router.RouteOp(a.Op())*per + ringOf(a, per) }
 	}
-	rings := openloop.Split(arrivals, cfg.Instances*per, ring)
 
 	// Every machine runs independently; slot i owns all of machine i's
 	// state, so completion order across host goroutines never shows.
@@ -171,7 +163,7 @@ func RunShardedServe(mk func() *uc.Driver, cfg ShardedServeConfig) (*ServeResult
 		if crashed[i] {
 			sub.CrashAtNS = cfg.CrashAtNS
 		}
-		subRes[i], subRun[i], subErr[i] = runServeArrivals(mk(), sub, rings[i*per:(i+1)*per])
+		subRes[i], subRun[i], subErr[i] = runServeArrivals(mk(), sub, machineRings(router, i, per))
 	})
 	if cfg.Instances == 1 {
 		return subRes[0], subErr[0]
@@ -201,7 +193,7 @@ func RunShardedServe(mk func() *uc.Driver, cfg ShardedServeConfig) (*ServeResult
 		snap = snap.Add(r.Metrics)
 		agg.Shards = append(agg.Shards, &ShardServeResult{
 			Shard: i, Workers: per, Crashed: crashed[i],
-			Arrivals: uint64(scheduledOn(run.perShard)), Result: r,
+			Arrivals: run.ta.sc.drawn, Result: r,
 		})
 	}
 	// Aggregate throughput is total completions over the longest machine's
@@ -218,6 +210,22 @@ func RunShardedServe(mk func() *uc.Driver, cfg ShardedServeConfig) (*ServeResult
 		agg.Check, agg.Composition = shardedCheck(cfg, router, per, subRes, subRun, crashed)
 	}
 	return agg, nil
+}
+
+// machineRings is machine i's bucket function over the schedule: the ring of
+// its per rings an arrival goes to, by client, or -1 when the router sends
+// the arrival to another machine. Without a router (one machine) no arrival
+// asks one.
+func machineRings(router *shard.Router, i, per int) func(*openloop.Arrival) int {
+	if router == nil {
+		return func(a *openloop.Arrival) int { return ringOf(a, per) }
+	}
+	return func(a *openloop.Arrival) int {
+		if router.RouteOp(a.Op()) != i {
+			return -1
+		}
+		return ringOf(a, per)
+	}
 }
 
 // aggregateCrash folds the crashed machines' recovery economics into one
@@ -282,18 +290,19 @@ func shardedCheck(cfg ShardedServeConfig, router *shard.Router, per int,
 		}
 	}
 
-	// Routing audit: every machine's full recorded traffic (the per-ring
-	// schedules it was handed — completed, in-flight and never-drained
-	// alike) plus its probed final state.
+	// Routing audit: every machine's full recorded traffic — each arrival it
+	// was handed completes once, through a ring in either generation or, if
+	// recovery resolved it as committed, at resume — plus its probed final
+	// state.
 	anyCrashed := false
 	histories := make([]linearize.ShardHistory, len(subRun))
 	var unionOps []linearize.Op
 	unionFinal := map[uint64]uint64{}
 	for i, run := range subRun {
 		sh := linearize.ShardHistory{Shard: i}
-		for _, arr := range run.perShard {
-			for _, a := range arr {
-				sh.Ops = append(sh.Ops, linearize.Op{Client: i, Code: uint64(a.Code), A0: a.A0})
+		for _, recs := range append(slices.Concat(run.ta.rec[0], run.ta.rec[1]), run.ta.resolved) {
+			for _, r := range recs {
+				sh.Ops = append(sh.Ops, linearize.Op{Client: i, Code: uint64(r.code), A0: r.a0})
 			}
 		}
 		sh.Final = run.final
@@ -302,9 +311,9 @@ func shardedCheck(cfg ShardedServeConfig, router *shard.Router, per int,
 			anyCrashed = true
 			continue
 		}
-		// Steady machines contribute to the union epoch: completed records
-		// zip with the per-ring arrival order, clients offset per machine.
-		ops := completedEpoch(run.perShard, run.ta.rec[0])
+		// Steady machines contribute to the union epoch: their completed
+		// operations, clients offset per machine.
+		ops := completedEpoch(run.ta.rec[0])
 		for j := range ops {
 			ops[j].Client += i * per
 		}

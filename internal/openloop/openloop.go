@@ -104,72 +104,97 @@ func (c Config) Validate() error {
 // misconfiguration the schedule should surface as queueing, not mask).
 const thinkProbe = 64
 
-// Generate materializes the full arrival schedule, sorted by arrival time.
-func Generate(cfg Config) ([]Arrival, error) {
+// Stream draws a schedule one arrival at a time, in arrival order: the
+// generator's state between two draws, so a consumer holds only the arrivals
+// it still needs. Collecting a stream is Generate.
+type Stream struct {
+	cfg  Config
+	rng  *rand.Rand
+	zipf *rand.Zipf
+	// nextFree[c] is the instant client c's think window ends. Without think
+	// time every client is always eligible (nextFree[c] never exceeds the
+	// monotone arrival instant), and the probe draws nothing from the RNG, so
+	// the table is skipped with an identical stream.
+	nextFree []uint64
+	now      float64
+	ended    bool
+}
+
+// NewStream starts cfg's schedule at its first arrival.
+func NewStream(cfg Config) (*Stream, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	var zipf *rand.Zipf
+	s := &Stream{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
 	if cfg.KeySkew > 1 {
-		zipf = rand.NewZipf(rng, cfg.KeySkew, 1, cfg.Keys-1)
+		s.zipf = rand.NewZipf(s.rng, cfg.KeySkew, 1, cfg.Keys-1)
 	}
-	key := func() uint64 {
-		if zipf != nil {
-			return zipf.Uint64()
-		}
-		return uint64(rng.Int63n(int64(cfg.Keys)))
-	}
-	// Without think time every client is always eligible (nextFree[c] never
-	// exceeds the monotone arrival instant), and the probe below draws
-	// nothing from the RNG, so the table is skipped with an identical stream.
-	var nextFree []uint64
 	if cfg.ThinkNS > 0 {
-		nextFree = make([]uint64, cfg.Clients)
+		s.nextFree = make([]uint64, cfg.Clients)
+	}
+	return s, nil
+}
+
+// Next returns the schedule's next arrival, or false once the horizon is
+// reached (and on every later call).
+func (s *Stream) Next() (Arrival, bool) {
+	if s.ended {
+		return Arrival{}, false
+	}
+	cfg, rng := &s.cfg, s.rng
+	rate := cfg.Rate
+	if cfg.BurstEveryNS > 0 && uint64(s.now)%cfg.BurstEveryNS < cfg.BurstLenNS {
+		rate *= cfg.BurstFactor
+	}
+	dt := rng.ExpFloat64() / rate * 1e9
+	if dt < 1 {
+		dt = 1
+	}
+	s.now += dt
+	at := uint64(s.now)
+	if at >= cfg.DurationNS {
+		s.ended = true
+		return Arrival{}, false
 	}
 
+	// Attribute the arrival to a thinking-done client: draw one, probe
+	// forward past clients still in their think window.
+	c := rng.Intn(cfg.Clients)
+	if s.nextFree != nil {
+		for probe := 0; probe < thinkProbe && s.nextFree[c] > at; probe++ {
+			c = (c + 1) % cfg.Clients
+		}
+		s.nextFree[c] = at + cfg.ThinkNS
+	}
+
+	var k uint64
+	if s.zipf != nil {
+		k = s.zipf.Uint64()
+	} else {
+		k = uint64(rng.Int63n(int64(cfg.Keys)))
+	}
+	var op uc.Op
+	switch {
+	case rng.Intn(100) < cfg.ReadPct:
+		op = uc.Get(k)
+	case rng.Intn(2) == 0:
+		op = uc.Insert(k, rng.Uint64())
+	default:
+		op = uc.Delete(k)
+	}
+	return Arrival{At: at, A0: op.A0, A1: op.A1, Client: uint32(c), Code: uint32(op.Code)}, true
+}
+
+// Generate materializes the full arrival schedule, sorted by arrival time:
+// cfg's stream, collected.
+func Generate(cfg Config) ([]Arrival, error) {
+	s, err := NewStream(cfg)
+	if err != nil {
+		return nil, err
+	}
 	out := make([]Arrival, 0, expectedArrivals(cfg))
-	now := float64(0)
-	for {
-		rate := cfg.Rate
-		if cfg.BurstEveryNS > 0 && uint64(now)%cfg.BurstEveryNS < cfg.BurstLenNS {
-			rate *= cfg.BurstFactor
-		}
-		dt := rng.ExpFloat64() / rate * 1e9
-		if dt < 1 {
-			dt = 1
-		}
-		now += dt
-		at := uint64(now)
-		if at >= cfg.DurationNS {
-			break
-		}
-
-		// Attribute the arrival to a thinking-done client: draw one, probe
-		// forward past clients still in their think window.
-		c := rng.Intn(cfg.Clients)
-		if nextFree != nil {
-			for probe := 0; probe < thinkProbe && nextFree[c] > at; probe++ {
-				c = (c + 1) % cfg.Clients
-			}
-			nextFree[c] = at + cfg.ThinkNS
-		}
-
-		var op uc.Op
-		k := key()
-		switch {
-		case rng.Intn(100) < cfg.ReadPct:
-			op = uc.Get(k)
-		case rng.Intn(2) == 0:
-			op = uc.Insert(k, rng.Uint64())
-		default:
-			op = uc.Delete(k)
-		}
-		out = append(out, Arrival{At: at, A0: op.A0, A1: op.A1, Client: uint32(c), Code: uint32(op.Code)})
-	}
-	if len(out) > math.MaxInt32 {
-		// Split indexes a schedule with 32-bit positions.
-		return nil, fmt.Errorf("openloop: %d arrivals exceed the %d a schedule can hold", len(out), math.MaxInt32)
+	for a, ok := s.Next(); ok; a, ok = s.Next() {
+		out = append(out, a)
 	}
 	return out, nil
 }
@@ -186,53 +211,4 @@ func expectedArrivals(cfg Config) int {
 	// Arrivals are at least 1 ns apart, which also bounds the hint for
 	// absurd rates.
 	return int(math.Min(mean+6*math.Sqrt(mean)+1, float64(cfg.DurationNS)))
-}
-
-// Split partitions a schedule into n sub-schedules, arrival a going to
-// sub-schedule bucket(a) in [0, n), and returns them as sub-slices of
-// arrivals: it reorders its input in place, so the caller's slice afterwards
-// holds bucket 0's arrivals, then bucket 1's, and so on. The partition is
-// stable, so every sub-schedule of a time-sorted schedule is time-sorted, and
-// each sub-schedule's capacity is its length, so appending to one can never
-// run into its neighbour. bucket is called once per arrival, before any
-// arrival moves. No arrival is copied out of the input: the only scratch is
-// one 4-byte destination index per arrival, and a single bucket is the input
-// itself. Split panics on more than math.MaxInt32 arrivals, which the index
-// cannot address and Generate never returns.
-func Split(arrivals []Arrival, n int, bucket func(*Arrival) int) [][]Arrival {
-	if n == 1 {
-		return [][]Arrival{arrivals[:len(arrivals):len(arrivals)]}
-	}
-	if len(arrivals) > math.MaxInt32 {
-		panic(fmt.Sprintf("openloop: Split of %d arrivals exceeds the 32-bit index", len(arrivals)))
-	}
-	// dest[i] holds arrival i's bucket, then its final index: bucket b's
-	// arrivals fill, in input order, the run that follows buckets 0..b-1.
-	dest := make([]int32, len(arrivals))
-	next := make([]int32, n)
-	for i := range arrivals {
-		b := bucket(&arrivals[i])
-		dest[i] = int32(b)
-		next[b]++
-	}
-	out := make([][]Arrival, n)
-	off := int32(0)
-	for b, c := range next {
-		out[b] = arrivals[off : off+c : off+c]
-		next[b] = off
-		off += c
-	}
-	for i, b := range dest {
-		dest[i] = next[b]
-		next[b]++
-	}
-	// Apply the permutation cycle by cycle: each swap puts one arrival at its
-	// final position, so the walk is linear.
-	for i := range arrivals {
-		for d := dest[i]; int(d) != i; d = dest[i] {
-			arrivals[i], arrivals[d] = arrivals[d], arrivals[i]
-			dest[i], dest[d] = dest[d], d
-		}
-	}
-	return out
 }

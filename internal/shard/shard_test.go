@@ -65,24 +65,34 @@ func TestRouteOpUsesKeyOperand(t *testing.T) {
 	}
 }
 
+// TestPartitionConservesAndOrders routes a schedule the way a sharded serve
+// machine keeps its share — drawing the whole stream and keeping what routes
+// to it — and checks the shares conserve the schedule, route consistently and
+// stay time-sorted.
 func TestPartitionConservesAndOrders(t *testing.T) {
-	arr, err := openloop.Generate(openloop.Config{
+	cfg := openloop.Config{
 		Clients: 1000, Keys: 1 << 10, KeySkew: 1.2, ReadPct: 50,
 		Rate: 1e6, DurationNS: 2_000_000, Seed: 3,
-	})
+	}
+	arr, err := openloop.Generate(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	r, _ := NewRouter(Hash, 4, 1<<10)
-	per := openloop.Split(arr, 4, func(a *openloop.Arrival) int { return r.RouteOp(a.Op()) })
 	total := 0
-	for s, lst := range per {
-		total += len(lst)
+	for s := 0; s < 4; s++ {
+		stream, err := openloop.NewStream(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
 		last := uint64(0)
-		for _, a := range lst {
+		for a, ok := stream.Next(); ok; a, ok = stream.Next() {
 			if r.RouteOp(a.Op()) != s {
-				t.Fatalf("arrival for key %d landed on shard %d, routes to %d",
-					a.A0, s, r.RouteOp(a.Op()))
+				continue
+			}
+			total++
+			if r.Route(a.A0) != s {
+				t.Fatalf("arrival for key %d kept by shard %d, Route says %d", a.A0, s, r.Route(a.A0))
 			}
 			if a.At < last {
 				t.Fatalf("shard %d schedule not time-sorted", s)
@@ -93,10 +103,12 @@ func TestPartitionConservesAndOrders(t *testing.T) {
 	if total != len(arr) {
 		t.Fatalf("partition lost arrivals: %d in, %d out", len(arr), total)
 	}
-	// One shard owns everything: the schedule itself, not a copy.
+	// One shard owns everything.
 	r1, _ := NewRouter(Hash, 1, 1<<10)
-	if one := openloop.Split(arr, 1, func(a *openloop.Arrival) int { return r1.RouteOp(a.Op()) }); len(one) != 1 || len(one[0]) != len(arr) || &one[0][0] != &arr[0] {
-		t.Fatal("single-shard partition copied the schedule")
+	for i := range arr {
+		if s := r1.RouteOp(arr[i].Op()); s != 0 {
+			t.Fatalf("single-shard router sent key %d to shard %d", arr[i].A0, s)
+		}
 	}
 }
 
