@@ -73,7 +73,7 @@ func init() { cfg.Flags(flag.CommandLine) }
 // config refuses, and resolves the systems the run covers.
 func checkUsage() ([]harness.CrashTarget, error) {
 	if *format != "table" && *format != "json" {
-		return nil, runflag.Usage(fmt.Errorf("unknown format %q (want table or json)", *format))
+		return nil, runflag.Usage(fmt.Errorf("-format=%s: want table or json", *format))
 	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err

@@ -59,7 +59,7 @@ func TestValidateRejectsVacuousRuns(t *testing.T) {
 		{map[string]string{"nested": "-1"}, "-nested=-1"},
 		{map[string]string{"instances": "3"}, "-workers=8 not divisible by -instances=3"},
 		{map[string]string{"instances": "2", "nested": "1"}, "-nested"},
-		{map[string]string{"format": "yaml"}, `unknown format "yaml"`},
+		{map[string]string{"format": "yaml"}, `-format=yaml: want table or json`},
 		{map[string]string{"policy": "sometimes"}, "sometimes"},
 		{map[string]string{"system": "prep_durable"}, "prep-durable"},
 		{map[string]string{"epsilon": "0", "system": "prep-durable"}, "-epsilon=0"},

@@ -66,7 +66,7 @@ func run() (retErr error) {
 		return runflag.Usage(fmt.Errorf("unknown scale %q", *scaleName))
 	}
 	if *format != "table" && *format != "json" {
-		return runflag.Usage(fmt.Errorf("unknown format %q (want table or json)", *format))
+		return runflag.Usage(fmt.Errorf("-format=%s: want table or json", *format))
 	}
 	figs := harness.Catalog(sc)
 	var ids []string

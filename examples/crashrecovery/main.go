@@ -25,6 +25,7 @@ import (
 	"prepuc/internal/nvm"
 	"prepuc/internal/seq"
 	"prepuc/internal/sim"
+	"prepuc/internal/uc"
 )
 
 const workers = 8
@@ -34,17 +35,15 @@ const workers = 8
 // is the verdict too.
 func run(single bool, seed int64) (string, bool) {
 	topo := numa.Topology{Nodes: 2, ThreadsPerNode: 4}
-	cfg := core.Config{
-		Mode:      core.Buffered,
+	cfg := core.ConfigFor(core.Buffered, uc.Sizing{
 		Topology:  topo,
 		Workers:   workers,
 		LogSize:   128,
 		Epsilon:   32,
-		Factory:   seq.HashMapType(64).New,
-		Attacher:  seq.HashMapType(64).Attach,
+		Object:    seq.HashMapType(64),
 		HeapWords: 1 << 20,
-		Ablations: core.Ablations{SinglePReplica: single},
-	}
+	})
+	cfg.SinglePReplica = single
 	// The crash cycle of cmd/crashtest (harness.Machine), one instance.
 	// Aggressive background flushing makes the hazard likely.
 	m, err := harness.BootMachine(topo, nvm.Config{

@@ -10,6 +10,7 @@ import (
 	"log"
 
 	"prepuc/internal/core"
+	"prepuc/internal/drivers"
 	"prepuc/internal/numa"
 	"prepuc/internal/nvm"
 	"prepuc/internal/seq"
@@ -17,76 +18,57 @@ import (
 	"prepuc/internal/uc"
 )
 
+const workers = 7 // leave one hardware thread for the persistence thread
+
 func main() {
 	// A simulated machine: 2 NUMA nodes × 4 hardware threads, calibrated
 	// Optane-like latencies, deterministic from the seed.
 	topo := numa.Topology{Nodes: 2, ThreadsPerNode: 4}
-	bootSch := sim.New(0)
-	sys := nvm.NewSystem(bootSch, nvm.Config{Costs: sim.DefaultCosts()})
 
 	// Build PREP-Buffered around the sequential hashmap. The sequential
 	// implementation is a black box: PREP-UC never interposes its loads and
 	// stores, which is the whole point of a persistent universal
 	// construction.
-	cfg := core.Config{
-		Mode:      core.Buffered,
+	d := core.NewDriver(core.ConfigFor(core.Buffered, uc.Sizing{
 		Topology:  topo,
-		Workers:   7, // leave one hardware thread for the persistence thread
+		Workers:   workers,
 		LogSize:   1 << 12,
-		Epsilon:   256,                       // at most ε+β−1 completed ops lost per crash
-		Factory:   seq.HashMapType(1024).New, // any sequential black box
-		Attacher:  seq.HashMapType(1024).Attach,
+		Epsilon:   256,                   // at most ε+β−1 completed ops lost per crash
+		Object:    seq.HashMapType(1024), // any sequential black box
 		HeapWords: 1 << 20,
-	}
-	var p *core.PREP
-	var err error
-	bootSch.Spawn("boot", 0, 0, func(t *sim.Thread) {
-		p, err = core.New(t, sys, cfg)
-	})
-	bootSch.Run()
+	}))
+	sys, p, err := drivers.Boot(d, nvm.Config{Costs: sim.DefaultCosts()}, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	// Run 7 workers concurrently (in deterministic virtual time); the
-	// dedicated persistence thread checkpoints the object as they go.
-	runSch := sim.New(0)
-	sys.SetScheduler(runSch)
-	p.SpawnPersistence(0)
+	// dedicated persistence thread checkpoints the object as they go, and
+	// the last worker out stops it.
 	const perWorker = 500
-	remaining := cfg.Workers
-	for tid := 0; tid < cfg.Workers; tid++ {
-		tid := tid
-		runSch.Spawn("worker", topo.NodeOf(tid), 0, func(t *sim.Thread) {
-			defer func() {
-				remaining--
-				if remaining == 0 {
-					p.StopPersistence(t)
-				}
-			}()
-			for i := uint64(0); i < perWorker; i++ {
-				key := uint64(tid)*1_000_000 + i
-				p.Execute(t, tid, uc.Insert(key, key*2))
-				// Read-only operations take the local replica's reader lock
-				// and never touch the log.
-				if got := p.Execute(t, tid, uc.Get(key)); got != key*2 {
-					log.Fatalf("read own write: got %d", got)
-				}
+	if _, err := drivers.Run(sys, 0, []*uc.Driver{d}, topo, workers, func(t *sim.Thread, tid int) {
+		for i := uint64(0); i < perWorker; i++ {
+			key := uint64(tid)*1_000_000 + i
+			p.Execute(t, tid, uc.Insert(key, key*2))
+			// Read-only operations take the local replica's reader lock
+			// and never touch the log.
+			if got := p.Execute(t, tid, uc.Get(key)); got != key*2 {
+				log.Fatalf("read own write: got %d", got)
 			}
-		})
+		}
+	}); err != nil {
+		log.Fatal(err)
 	}
-	runSch.Run()
 
 	// Inspect the final state.
-	checkSch := sim.New(0)
-	sys.SetScheduler(checkSch)
-	checkSch.Spawn("check", 0, 0, func(t *sim.Thread) {
+	if err := drivers.Probe(sys, func(t *sim.Thread) {
 		size := p.Execute(t, 0, uc.Size())
-		fmt.Printf("final size: %d (expected %d)\n", size, cfg.Workers*perWorker)
-		st := p.Stats()
+		fmt.Printf("final size: %d (expected %d)\n", size, workers*perWorker)
+		st := p.(*core.PREP).Stats()
 		fmt.Printf("updates: %d  reads: %d  combines: %d (avg batch %.1f)  persistence cycles: %d\n",
 			st.Updates, st.Reads, st.CombinerAcquisitions,
 			st.MeanBatchSize, st.PersistCycles)
-	})
-	checkSch.Run()
+	}); err != nil {
+		log.Fatal(err)
+	}
 }

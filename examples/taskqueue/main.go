@@ -15,6 +15,7 @@ import (
 	"log"
 
 	"prepuc/internal/core"
+	"prepuc/internal/drivers"
 	"prepuc/internal/numa"
 	"prepuc/internal/nvm"
 	"prepuc/internal/seq"
@@ -34,55 +35,41 @@ func task(priority, id uint64) uint64 { return priority<<20 | id }
 
 func main() {
 	topo := numa.Topology{Nodes: 2, ThreadsPerNode: 4}
-	cfg := core.Config{
-		Mode:      core.Buffered,
+	d := core.NewDriver(core.ConfigFor(core.Buffered, uc.Sizing{
 		Topology:  topo,
 		Workers:   workers,
 		LogSize:   1 << 10,
 		Epsilon:   64, // lose at most 64+4−1 submissions per crash
-		Factory:   seq.PQueueType().New,
-		Attacher:  seq.PQueueType().Attach,
+		Object:    seq.PQueueType(),
 		HeapWords: 1 << 20,
-	}
-	bootSch := sim.New(0)
-	sys := nvm.NewSystem(bootSch, nvm.Config{Costs: sim.DefaultCosts(), BGFlushOneIn: 256, Seed: 9})
-	var q *core.PREP
-	var err error
-	bootSch.Spawn("boot", 0, 0, func(t *sim.Thread) { q, err = core.New(t, sys, cfg) })
-	bootSch.Run()
+	}))
+	ds := []*uc.Driver{d}
+	sys, q, err := drivers.Boot(d, nvm.Config{Costs: sim.DefaultCosts(), BGFlushOneIn: 256, Seed: 9}, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	// Producers submit prioritized tasks; consumers pop the most urgent.
-	runSch := sim.New(0)
-	runSch.CrashAtEvent(300_000)
-	sys.SetScheduler(runSch)
-	q.SpawnPersistence(0)
+	// Producers (workers 0–3) submit prioritized tasks; consumers (4–6) pop
+	// the most urgent, until the crash armed at event 300 000.
 	submitted := make([]uint64, producers)
 	processed := make([]uint64, consumers)
-	for pid := 0; pid < producers; pid++ {
-		pid := pid
-		runSch.Spawn("producer", topo.NodeOf(pid), 0, func(t *sim.Thread) {
+	if _, err := drivers.Run(sys, 300_000, ds, topo, workers, func(t *sim.Thread, tid int) {
+		if tid < producers {
 			for i := uint64(0); ; i++ {
-				prio := (i*7 + uint64(pid)) % 100
-				q.Execute(t, pid, uc.Enqueue(task(prio, uint64(pid)<<12|i)))
-				submitted[pid] = i + 1
+				prio := (i*7 + uint64(tid)) % 100
+				q.Execute(t, tid, uc.Enqueue(task(prio, uint64(tid)<<12|i)))
+				submitted[tid] = i + 1
 			}
-		})
-	}
-	for c := 0; c < consumers; c++ {
-		c := c
-		tid := producers + c
-		runSch.Spawn("consumer", topo.NodeOf(tid), 0, func(t *sim.Thread) {
-			for {
-				if q.Execute(t, tid, uc.DeleteMin()) != uc.NotFound {
-					processed[c]++
-				}
+		}
+		c := tid - producers
+		for {
+			if q.Execute(t, tid, uc.DeleteMin()) != uc.NotFound {
+				processed[c]++
 			}
-		})
+		}
+	}); err != nil {
+		log.Fatal(err)
 	}
-	runSch.Run()
 	var subTotal, procTotal uint64
 	for _, n := range submitted {
 		subTotal += n
@@ -94,27 +81,17 @@ func main() {
 
 	// Recover and inspect the queue: it must be consistent (a prefix of the
 	// pre-crash history), and the loss window bounded.
-	recSch := sim.New(0)
-	recSys := sys.Recover(recSch)
-	var rq *core.PREP
-	var report *core.RecoveryReport
-	recSch.Spawn("recovery", 0, 0, func(t *sim.Thread) {
-		rq, report, err = core.Recover(t, recSys, cfg)
-	})
-	recSch.Run()
+	rec, err := drivers.Recover(d, sys, nil, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("recovered from stable replica %d (checkpoint at log index %d)\n",
-		report.StableReplica, report.StableLocalTail)
+	fmt.Printf("recovered the last checkpoint in %d virtual ns; replayed %d log entries\n",
+		rec.VirtualNS, rec.Info.Replayed)
 
-	checkSch := sim.New(0)
-	recSys.SetScheduler(checkSch)
-	// Draining performs updates, so the recovered engine needs its
-	// persistence thread back.
-	rq.SpawnPersistence(0)
-	checkSch.Spawn("check", 0, 0, func(t *sim.Thread) {
-		defer rq.StopPersistence(t)
+	// Draining performs updates, so it is a workload phase of one worker:
+	// the recovered engine gets its persistence thread back.
+	rq := rec.Eng
+	if _, err := drivers.Run(rec.Sys, 0, ds, topo, 1, func(t *sim.Thread, _ int) {
 		size := rq.Execute(t, 0, uc.Size())
 		fmt.Printf("recovered queue holds %d pending tasks\n", size)
 		// Drain in priority order to show the heap is intact.
@@ -133,9 +110,9 @@ func main() {
 			popped++
 		}
 		fmt.Printf("drained %d tasks in priority order — recovered state is consistent\n", popped)
-	})
-	checkSch.Run()
-	beta := uint64(topo.ThreadsPerNode)
+	}); err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("loss bound honoured: at most ε+β−1 = %d submissions may be missing\n",
-		cfg.Epsilon+beta-1)
+		d.LossBound(topo.ThreadsPerNode))
 }

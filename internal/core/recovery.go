@@ -20,8 +20,6 @@ type RecoveryReport struct {
 	// one per crash that hit an earlier recovery attempt since the last
 	// committed generation.
 	Generation int
-	// StableReplica is the persistent replica recovery started from.
-	StableReplica int
 	// StableLocalTail is the log index the stable replica was persisted at.
 	StableLocalTail uint64
 	// CompletedTail is the recovered completedTail (durable mode only).
@@ -102,7 +100,6 @@ func Recover(t *sim.Thread, recSys *nvm.System, cfg Config) (*PREP, *RecoveryRep
 	if cfg.SinglePReplica {
 		stable = 0
 	}
-	rep.StableReplica = int(stable)
 
 	sheap := recSys.Memory(src.Name(fmt.Sprintf("pheap%d", stable)))
 	salloc := pmem.Attach(t, sheap)

@@ -8,10 +8,10 @@ package harness
 // one-wave case of the co-resident one: untagged keys, the un-shrunk sizing,
 // no sharded block. A cycle's base — CrashConfig.Seed, the iteration index
 // and the target's offset — seeds its substrate RNG, fault policy and
-// workload generators (DESIGN.md §15, "Which seeds exist"); its schedulers
-// draw nothing. CrashConfig declares crashtest's run flags, and a failed
-// cycle's repro is rendered from that declaration (internal/runflag); nothing
-// here parses a command line.
+// workload generators (DESIGN.md §15, "Which seeds exist") and picks its
+// first recovery wave; its schedulers draw nothing. CrashConfig declares
+// crashtest's run flags, and a failed cycle's repro is rendered from that
+// declaration (internal/runflag); nothing here parses a command line.
 
 import (
 	"bytes"
@@ -393,14 +393,17 @@ func (c *CrashConfig) crashEvent(iter int) uint64 {
 }
 
 // nestedEvent picks the recovery event index at which nested crash attempt
-// a of iteration iter fires. The auto placement stays low so it lands
-// inside even short recovery runs; attempts shift so a retried recovery is
-// not killed at the same point forever.
+// a of iteration iter fires: attempt 0's point, pinned or placed per
+// iteration, shifted by a·257, so a retried recovery is not killed at the
+// same point forever and a repro, which pins attempt 0's point, places every
+// later attempt where its iteration did. The auto placement stays low so it
+// lands inside even short recovery runs.
 func (c *CrashConfig) nestedEvent(iter, attempt int) uint64 {
-	if c.NestedAt != 0 {
-		return c.NestedAt + uint64(attempt)*257
+	at := c.NestedAt
+	if at == 0 {
+		at = 400 + uint64(iter)*733%2600
 	}
-	return 400 + (uint64(iter)*733+uint64(attempt)*311)%2600
+	return at + uint64(attempt)*257
 }
 
 // nestedArm arms a crash inside the first Nested recovery attempts of
@@ -484,16 +487,20 @@ func instKey(k int, j uint64) uint64 { return uint64(k)<<56 | j }
 func instOf(key uint64) int { return int(key >> 56) }
 
 // recoverFirst picks the cycle's first-wave recovery subset: a proper
-// subset whose start and size both rotate with the iteration, so an
-// Iterations run sweeps recovery orders. One instance is one wave.
-func recoverFirst(iter, n int) []int {
-	size := 1
+// subset whose start and size both rotate with the cycle's base seed, so an
+// Iterations run sweeps recovery orders and a repro, which runs the cycle's
+// base as its iteration 0, recovers in the same order. One instance is one
+// wave.
+func recoverFirst(base int64, n int) []int {
+	size, rot := 1, 0
 	if n > 1 {
-		size = 1 + iter%(n-1)
+		m := int64(n * (n - 1)) // a multiple of both moduli below
+		rot = int((base%m + m) % m)
+		size = 1 + rot%(n-1)
 	}
 	first := make([]int, 0, size)
 	for j := 0; j < size; j++ {
-		first = append(first, (iter+j)%n)
+		first = append(first, (rot+j)%n)
 	}
 	return first
 }
@@ -518,7 +525,8 @@ func recoverFirst(iter, n int) []int {
 // linearize.CheckComposition.
 func (c *CrashConfig) cycle(tg CrashTarget, iter int, crashAt uint64) (CrashCycle, string, error) {
 	K := max(c.Instances, 1)
-	wp, base, first := c.Workers/K, c.Seed+int64(iter)*101+tg.offset, recoverFirst(iter, K)
+	wp, base := c.Workers/K, c.Seed+int64(iter)*101+tg.offset
+	first := recoverFirst(base, K)
 	cyc := CrashCycle{Iteration: iter, CrashAt: crashAt, Check: CheckBlock{Epochs: c.Epochs, OK: true, FailedEpoch: -1}}
 	cb := &cyc.Check
 	fail := func(epoch int, partition, reason string) {

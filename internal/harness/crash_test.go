@@ -2,6 +2,10 @@ package harness
 
 import (
 	"errors"
+	"flag"
+	"fmt"
+	"io"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -66,4 +70,77 @@ func TestCrashConfigValidate(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestCrashReprosReplayTheirCycles: the repro line of every iteration, not
+// only of a failed one, parsed back through crashtest's flags and run alone
+// through BuildCrashDoc, records the same cycle as the iteration did, field
+// by field, the iteration index aside — flat, co-resident (where the first
+// recovery wave rotates across iterations) and with nested crashes in two
+// recovery attempts (where only attempt 0's point is pinned).
+func TestCrashReprosReplayTheirCycles(t *testing.T) {
+	base := CrashConfig{
+		System: "prep-durable", Iterations: 3, Workers: 4, Epsilon: 64, LogSize: 256,
+		Seed: 1, Policy: "dropall", Epochs: 2, Instances: 1, Bisect: true,
+	}
+	for _, tc := range []struct {
+		name string
+		mut  func(*CrashConfig)
+	}{
+		{"flat", func(*CrashConfig) {}},
+		{"co-resident", func(c *CrashConfig) { c.Instances = 2 }},
+		{"nested", func(c *CrashConfig) { c.Nested = 2 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := base
+			tc.mut(&c)
+			tgs, err := CrashTargets(c.System, c.Instances)
+			if err != nil {
+				t.Fatal(err)
+			}
+			doc, _, err := BuildCrashDoc(io.Discard, c, tgs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, cyc := range doc.Systems[0].Cycles {
+				line := c.repro(tgs[0], i, cyc.CrashAt)
+				var r CrashConfig
+				fs := flag.NewFlagSet("crashtest", flag.ContinueOnError)
+				r.Flags(fs)
+				if err := fs.Parse(strings.Fields(line)[1:]); err != nil {
+					t.Fatalf("%s: %v", line, err)
+				}
+				rtgs, err := CrashTargets(r.System, r.Instances)
+				if err != nil {
+					t.Fatalf("%s: %v", line, err)
+				}
+				rdoc, _, err := BuildCrashDoc(io.Discard, r, rtgs)
+				if err != nil {
+					t.Fatalf("%s: %v", line, err)
+				}
+				got := rdoc.Systems[0].Cycles[0]
+				got.Iteration = cyc.Iteration
+				for _, d := range fieldDiffs("cycle", reflect.ValueOf(cyc), reflect.ValueOf(got)) {
+					t.Errorf("iteration %d, %s: %s", i, line, d)
+				}
+			}
+		})
+	}
+}
+
+// fieldDiffs lists where a and b, values of one type, differ: each leaf
+// field by its path, descending into structs and through pointers.
+func fieldDiffs(path string, a, b reflect.Value) (out []string) {
+	switch {
+	case a.Kind() == reflect.Pointer && !a.IsNil() && !b.IsNil():
+		return fieldDiffs(path, a.Elem(), b.Elem())
+	case a.Kind() == reflect.Struct:
+		for i := range a.NumField() {
+			out = append(out, fieldDiffs(path+"."+a.Type().Field(i).Name, a.Field(i), b.Field(i))...)
+		}
+		return out
+	case !reflect.DeepEqual(a.Interface(), b.Interface()):
+		return []string{fmt.Sprintf("%s = %v, repro %v", path, a.Interface(), b.Interface())}
+	}
+	return nil
 }

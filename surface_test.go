@@ -558,6 +558,54 @@ var shapeRules = []shapeRule{
 		},
 	},
 	{
+		// A sequential object reaches a construction as one uc.ObjectType
+		// (uc.Sizing.Object), and core.ConfigFor is the one place that
+		// unpacks it into core.Config's Factory and Attacher. Setting either
+		// anywhere else is a second object description growing back: a
+		// Factory and an Attacher that need not describe the same object.
+		name: "One object description",
+		checks: []shapeCheck{{shipped, func(t *tree, files []goFile) (out []string) {
+			sets := func(f goFile, field *ast.Ident) {
+				v, ok := f.info.ObjectOf(field).(*types.Var)
+				if ok && v.IsField() && v.Pkg().Path() == "prepuc/internal/core" &&
+					(v.Name() == "Factory" || v.Name() == "Attacher") {
+					out = append(out, t.at(field)+": core.Config."+v.Name()+" set outside core.ConfigFor (describe the object with uc.Sizing.Object)")
+				}
+			}
+			for _, f := range files {
+				for _, decl := range f.ast.Decls {
+					if fd, ok := decl.(*ast.FuncDecl); ok && f.path == "internal/core/driver.go" && fd.Name.Name == "ConfigFor" {
+						continue
+					}
+					ast.Inspect(decl, func(n ast.Node) bool {
+						switch n := n.(type) {
+						case *ast.KeyValueExpr:
+							if key, ok := n.Key.(*ast.Ident); ok {
+								sets(f, key)
+							}
+						case *ast.AssignStmt:
+							for _, lhs := range n.Lhs {
+								if sel, ok := lhs.(*ast.SelectorExpr); ok {
+									sets(f, sel.Sel)
+								}
+							}
+						}
+						return true
+					})
+				}
+			}
+			return out
+		}}},
+		fixtures: []fixture{
+			{"examples/shapefixture/main.go": add("package main\n\nimport (\"prepuc/internal/core\"; \"prepuc/internal/seq\"; \"prepuc/internal/uc\")\n\n" +
+				"func main() { cfg := core.ConfigFor(core.Buffered, uc.Sizing{}); cfg.Attacher = seq.PQueueType().Attach; _ = cfg }\n")},
+			cmdFile(`import ("prepuc/internal/core"; "prepuc/internal/seq")
+				func config() core.Config { var cfg core.Config; cfg.Factory, cfg.Attacher = seq.PQueueType().New, seq.PQueueType().Attach; return cfg }`),
+			{"internal/harness/shapefixture.go": add("package harness\n\nimport (\"prepuc/internal/core\"; \"prepuc/internal/seq\")\n\n" +
+				"func config(cfg core.Config) core.Config { cfg.Factory = seq.PQueueType().New; return cfg }\n")},
+		},
+	},
+	{
 		// Every cmd/ is a flag-parsing shell over internal/harness and
 		// internal/explore; one that creates a scheduler or spawns simulated
 		// threads is harness logic growing back into a CLI.
@@ -573,20 +621,22 @@ var shapeRules = []shapeRule{
 	},
 	{
 		// Every phase — boot, workload, recovery attempt, probe, serve's
-		// service generations, the explorer's runs — is one drivers.Phase,
-		// the one place a scheduler is made. Phase holds the failure
-		// contract: a bug panic or a deadlock is the phase's error and is
-		// never taken for a crash. A scheduler made anywhere else is a phase
-		// runner growing back without it; a machine that is materialized or
-		// cloned but never run takes no scheduler (nil).
+		// service generations, the explorer's runs, the examples' lifecycles
+		// — is one drivers.Phase, the one place a scheduler is made. Phase
+		// holds the failure contract: a bug panic or a deadlock is the
+		// phase's error and is never taken for a crash. A scheduler made
+		// anywhere else is a phase runner growing back without it; a machine
+		// that is materialized or cloned but never run takes no scheduler
+		// (nil).
 		name: "One way to run a phase",
-		checks: []shapeCheck{{scope{under: []string{"internal/", "cmd/"}, except: []string{"internal/drivers/"}, code: true}, func(t *tree, files []goFile) []string {
+		checks: []shapeCheck{{scope{under: []string{"internal/", "cmd/", "examples/"}, except: []string{"internal/drivers/"}, code: true}, func(t *tree, files []goFile) []string {
 			return t.callsTo(files, "scheduler made outside internal/drivers (run the phase through drivers.Phase)", "internal/sim.New")
 		}}},
 		fixtures: []fixture{
 			cmdFile(`import "prepuc/internal/sim"; var sch = sim.New(0)`),
 			{"internal/explore/shapefixture.go": add("package explore\n\nimport (\"prepuc/internal/nvm\"; \"prepuc/internal/sim\")\n\nfunc clone(s *nvm.System) *nvm.System { return s.Clone(sim.New(0)) }\n")},
 			{"internal/harness/shapefixture.go": add("package harness\n\nimport \"prepuc/internal/sim\"\n\nfunc run() { sch := sim.New(0); sch.Run() }\n")},
+			{"examples/shapefixture/main.go": add("package main\n\nimport \"prepuc/internal/sim\"\n\nfunc main() { sim.New(0).Run() }\n")},
 		},
 	},
 	{
@@ -1028,9 +1078,9 @@ var constructions = map[string]bool{
 	"prepuc/internal/onll": true, "prepuc/internal/gluc": true,
 }
 
-// shipped is the code users run: every non-test file outside the examples
-// and the frozen benchmark.
-var shipped = scope{under: []string{""}, except: []string{"examples/", "benchmark/"}, code: true}
+// shipped is the code users run or learn from: every non-test file outside
+// the frozen benchmark.
+var shipped = scope{under: []string{""}, except: []string{"benchmark/"}, code: true}
 
 // coreFixture opens a method of core.PREP for a fixture to finish.
 const coreFixture = "package core\n\nimport \"prepuc/internal/sim\"\n\nfunc (p *PREP) shapeFixture(t *sim.Thread) { "
